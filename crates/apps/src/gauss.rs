@@ -299,10 +299,9 @@ fn gauss_compiled(
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
-    let program = gauss_program(a, piv, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
-    let phases = program.phases();
+    let compiled = rsdcomp::exec::kernel_for(p, || gauss_program(a, piv, iters));
+    let plan = compiled.kernel.plan_for(me);
+    let phases = compiled.program.phases();
 
     let mine = col_block(cols, nprocs, me);
     let mut abuf = vec![0.0f64; rows];

@@ -306,10 +306,9 @@ fn is_compiled(
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
-    let program = is_program(keys, hist, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
-    let phases = program.phases();
+    let compiled = rsdcomp::exec::kernel_for(p, || is_program(keys, hist, iters));
+    let plan = compiled.kernel.plan_for(me);
+    let phases = compiled.program.phases();
 
     let bins = rows * cols;
     let mine = col_block(cols, nprocs, me);

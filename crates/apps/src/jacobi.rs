@@ -245,10 +245,9 @@ fn jacobi_compiled(
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
-    let program = jacobi_program(a, b, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
-    let phases = program.phases();
+    let compiled = rsdcomp::exec::kernel_for(p, || jacobi_program(a, b, iters));
+    let plan = compiled.kernel.plan_for(me);
+    let phases = compiled.program.phases();
 
     let mine = col_block(cols, nprocs, me);
     let update = mine.start.max(1)..mine.end.min(cols - 1);

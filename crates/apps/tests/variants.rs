@@ -314,3 +314,73 @@ fn the_wide_matrix_pins_checksums_for_every_kernel_at_32_and_64_procs() {
         }
     }
 }
+
+/// Every compiled kernel at one, an uneven three, eight and (on the wide
+/// grid, the smallest that fits) sixty-four processors.
+fn compiled_sizes() -> [(usize, GridConfig); 4] {
+    [(1, IS_CFG), (3, IS_CFG), (8, IS_CFG), (64, WIDE_CFG)]
+}
+
+#[test]
+fn a_compiled_run_compiles_once_and_still_lands_on_the_pinned_checksums() {
+    // One `rsdcomp::compile` per run, however many processors execute the
+    // kernel (`once_inits` has one entry, the kernel's cell, initialised
+    // once), and the shared plans compute what the per-processor plans did:
+    // the integer kernels' pinned constants, the float kernels' pinned wide
+    // constants at 64 and the TreadMarks baseline below that.
+    for (nprocs, cfg) in compiled_sizes() {
+        let (is_pin, gauss_pin) = if nprocs == 64 {
+            (WIDE_IS_CHECKSUM, WIDE_GAUSS_CHECKSUM)
+        } else {
+            (IS_CHECKSUM, GAUSS_CHECKSUM)
+        };
+        let r = run_app_u64(is, cfg, nprocs, Variant::Compiled);
+        assert_eq!((combined(&r), &r.once_inits[..]), (is_pin, &[1][..]), "is@{nprocs}");
+        let r = run_app_u64(gauss, cfg, nprocs, Variant::Compiled);
+        assert_eq!((combined(&r), &r.once_inits[..]), (gauss_pin, &[1][..]), "gauss@{nprocs}");
+        for (name, app, wide_pin) in [
+            (
+                "jacobi",
+                jacobi as fn(&mut treadmarks::Process, &GridConfig, Variant) -> f64,
+                WIDE_F64_CHECKSUMS[1].1,
+            ),
+            ("sor", sor, WIDE_F64_CHECKSUMS[1].2),
+        ] {
+            let r = run_app(app, cfg, nprocs, Variant::Compiled);
+            assert_eq!(r.once_inits, vec![1], "{name}@{nprocs} compiles once");
+            if nprocs == 64 {
+                let bits = r.results.iter().fold(0u64, |acc, &x| acc ^ x.to_bits());
+                assert_eq!(bits, wide_pin, "{name}@64 must reproduce the pinned checksum");
+            } else {
+                let tmk = run_app(app, cfg, nprocs, Variant::TreadMarks);
+                assert_eq!(r.results, tmk.results, "{name}@{nprocs} must match the baseline");
+            }
+        }
+        // The hand-written variants never compile.
+        assert!(run_app(jacobi, cfg, nprocs, Variant::Push).once_inits.is_empty());
+    }
+}
+
+#[test]
+fn whichever_processor_compiles_the_modelled_run_is_the_same() {
+    // Under the SP/2 cost model the barrier-only compiled kernels are
+    // deterministic to the nanosecond and the counter; which host thread
+    // wins the kernel's once-cell differs from run to run and must not
+    // show. (IS is left out: contended lock grants follow host arrival
+    // order with or without a shared kernel.)
+    fn assert_reruns_agree<R: Send + PartialEq + std::fmt::Debug>(
+        nprocs: usize,
+        kernel: impl Fn(&mut treadmarks::Process) -> R + Sync,
+    ) {
+        let run = || Dsm::run(DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()), &kernel);
+        let (first, again) = (run(), run());
+        assert_eq!(first.results, again.results, "results at {nprocs} procs");
+        assert_eq!(first.elapsed, again.elapsed, "virtual times at {nprocs} procs");
+        assert_eq!(first.stats, again.stats, "statistics at {nprocs} procs");
+    }
+    for (nprocs, cfg) in compiled_sizes() {
+        assert_reruns_agree(nprocs, |p| jacobi(p, &cfg, Variant::Compiled));
+        assert_reruns_agree(nprocs, |p| sor(p, &cfg, Variant::Compiled));
+        assert_reruns_agree(nprocs, |p| gauss(p, &cfg, Variant::Compiled));
+    }
+}

@@ -6,11 +6,54 @@
 //! use, so computation on already-local data overlaps the exchange. The
 //! executor is the *only* place compiled kernels touch the runtime: the
 //! application contributes arithmetic, the plan contributes protocol.
+//!
+//! It also owns *who compiles*: [`kernel_for`] builds the IR and runs
+//! [`compile`] once per run, however many processors execute the result —
+//! the paper's compiler runs offline and every node runs the SPMD code it
+//! emitted.
+
+use std::sync::Arc;
 
 use ctrt::PendingValidate;
 use treadmarks::Process;
 
-use crate::plan::{BoundaryOp, PlanStep};
+use crate::ir::Program;
+use crate::plan::{compile, BoundaryOp, CompiledKernel, PlanStep};
+
+/// A program and the kernel compiled from it for one run's cluster size,
+/// shared by every processor of that run.
+#[derive(Debug)]
+pub struct Compiled {
+    /// The IR the kernel was compiled from (phase names, array layout).
+    pub program: Program,
+    /// The classified boundaries and every processor's plan; a processor
+    /// borrows its own with [`CompiledKernel::plan_for`].
+    pub kernel: CompiledKernel,
+}
+
+/// Builds the run's program and compiles it **once per run**: the first
+/// processor to arrive runs `build` and [`compile`], all others receive the
+/// same [`Compiled`] (through [`Process::spmd_once`], so compilation costs
+/// no virtual time and sends nothing).
+///
+/// Sharing is sound because [`compile`] is a pure function of the program
+/// and the cluster size — its output is `PartialEq`-comparable and equal
+/// wherever it is computed — so `build` must itself depend only on
+/// SPMD-uniform inputs (array layout, iteration counts), never on the
+/// calling processor's id. Like shared allocations, calls must occur in the
+/// same order on every processor.
+///
+/// # Panics
+///
+/// Panics as [`compile`] does, on every processor alike.
+pub fn kernel_for(p: &mut Process, build: impl FnOnce() -> Program) -> Arc<Compiled> {
+    let nprocs = p.nprocs();
+    p.spmd_once(|| {
+        let program = build();
+        let kernel = compile(&program, nprocs);
+        Compiled { program, kernel }
+    })
+}
 
 /// An entry op in flight: either already finished (local prep, pushes) or
 /// a pending split-phase synchronization to be completed where the fetched

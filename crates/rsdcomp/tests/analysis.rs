@@ -425,6 +425,60 @@ fn plans_are_spmd_consistent_and_collectives_match() {
     }
 }
 
+/// Red-black SOR's shape at 16 columns: neighbour syncs, a retained GC
+/// barrier and an exit warm — every kind of plan content a run can share.
+fn sor_shaped_program() -> Program {
+    Program {
+        arrays: vec![decl("m", 0)],
+        nodes: vec![
+            Node::Phase(init(&[0])),
+            Node::Repeat { times: 3, body: vec![half_sweep("red", 0), half_sweep("black", 0)] },
+        ],
+    }
+}
+
+#[test]
+fn compile_is_a_pure_function_whichever_thread_runs_it() {
+    // The stated precondition for sharing one kernel per run
+    // (`exec::kernel_for`): the output depends on the program and the
+    // cluster size only, so it does not matter which processor's host
+    // thread happens to compile.
+    let program = sor_shaped_program();
+    let nprocs = 8;
+    let reference = compile(&program, nprocs);
+    let elsewhere: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| compile(&program, nprocs))).collect();
+        handles.into_iter().map(|h| h.join().expect("compile does not panic")).collect()
+    });
+    for kernel in elsewhere {
+        assert_eq!(kernel, reference);
+    }
+}
+
+#[test]
+fn kernel_for_compiles_once_per_run_and_hands_every_processor_the_same_kernel() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let nprocs = 8;
+    let builds = AtomicUsize::new(0);
+    let run = treadmarks::Dsm::run(treadmarks::DsmConfig::new(nprocs), |p| {
+        let compiled = rsdcomp::exec::kernel_for(p, || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            sor_shaped_program()
+        });
+        let me = p.proc_id();
+        let mine = compiled.kernel.plan_for(me) == compile(&compiled.program, nprocs).plan_for(me);
+        (std::sync::Arc::as_ptr(&compiled) as usize, mine)
+    });
+    assert_eq!(builds.load(Ordering::SeqCst), 1, "the program is built once per run");
+    assert_eq!(run.once_inits, vec![1], "and compiled once");
+    for (ptr, mine) in &run.results {
+        assert_eq!(*ptr, run.results[0].0, "one kernel, shared");
+        assert!(mine, "the borrowed plan is the plan a private compile would produce");
+    }
+    assert_eq!(run.stats.total().messages_sent, 0, "compilation is not run time");
+    assert!(run.elapsed.iter().all(|t| *t == Default::default()), "nor virtual time");
+}
+
 #[test]
 fn jacobi_shaped_plans_prepare_once_then_warm() {
     // All-push steady state: after the first preparation no flush boundary

@@ -22,9 +22,9 @@ use crate::config::DsmConfig;
 use crate::message::TmkMessage;
 use crate::process::{PeerAbort, Process};
 use crate::reactor::{reactor_loop, Lane};
+use crate::run::RunShared;
 use crate::state::NodeShared;
 use crate::types::ProcId;
-use crate::watch::WaitBoard;
 
 /// The DSM run harness. See [`Dsm::run`].
 #[derive(Debug, Clone, Copy)]
@@ -83,6 +83,12 @@ pub struct DsmRun<R> {
     /// on any owned node. Host-scheduling dependent (never part of the
     /// deterministic model outputs) — informational only.
     pub reactors: Vec<ReactorSnapshot>,
+    /// Per SPMD once-cell the run used, in call order, how many times its
+    /// `init` was started (see [`Process::spmd_once`]): `1` everywhere on a
+    /// healthy run, however many processors shared the cell. Host-side
+    /// bookkeeping like [`reactors`](Self::reactors) — never part of the
+    /// model outputs.
+    pub once_inits: Vec<u64>,
 }
 
 impl<R> DsmRun<R> {
@@ -130,10 +136,12 @@ impl Dsm {
         let nprocs = config.nprocs;
         let race_log = match config.race_detect {
             RaceDetect::Off => None,
-            RaceDetect::Collect => Some(Arc::new(RaceLog::new(false))),
-            RaceDetect::FailFast => Some(Arc::new(RaceLog::new(true))),
+            RaceDetect::Collect => Some(RaceLog::new(false)),
+            RaceDetect::FailFast => Some(RaceLog::new(true)),
         };
-        let board = Arc::new(WaitBoard::new(nprocs));
+        // Everything the run's threads share on the host; dropped with the
+        // run, so no once-cell or report leaks into the next one.
+        let run_shared = Arc::new(RunShared::new(nprocs, race_log, config.watchdog));
         let endpoints: Vec<Arc<_>> = Cluster::<TmkMessage>::new_with_faults(
             nprocs,
             config.cost_model.clone(),
@@ -152,9 +160,7 @@ impl Dsm {
                     nprocs,
                     config.cost_model.clone(),
                     ep.stats().clone(),
-                    race_log.clone(),
-                    Arc::clone(&board),
-                    config.watchdog,
+                    Arc::clone(&run_shared),
                 ))
             })
             .collect();
@@ -249,6 +255,7 @@ impl Dsm {
                                     // the op parks on the wait board; name
                                     // the undeliverable traffic instead.
                                     let waiting_on = sh
+                                        .run
                                         .board
                                         .label(ep.id().index(), false)
                                         .unwrap_or_else(|| {
@@ -329,9 +336,10 @@ impl Dsm {
             }
         }
         let stats = endpoints.iter().map(|ep| ep.stats().snapshot()).collect();
-        let races = race_log.map(|log| log.drain_sorted()).unwrap_or_default();
+        let races = run_shared.race.as_ref().map(RaceLog::drain_sorted).unwrap_or_default();
         let reactors = reactor_stats.iter().map(ReactorStats::snapshot).collect();
-        Ok(DsmRun { results, elapsed, stats, races, reactors })
+        let once_inits = run_shared.once_inits();
+        Ok(DsmRun { results, elapsed, stats, races, reactors, once_inits })
     }
 }
 

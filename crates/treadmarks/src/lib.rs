@@ -67,6 +67,7 @@ mod message;
 mod notice;
 mod process;
 mod reactor;
+mod run;
 mod server;
 mod sharedarray;
 mod state;

@@ -530,6 +530,10 @@ pub struct Process {
     /// phase boundary on every participant; it sequences `NeighborReady`/
     /// `NeighborAck` pairs the same way `barrier_seq` sequences `SyncDiffs`.
     nsync_seq: u64,
+    /// How many [`spmd_once`](Process::spmd_once) calls this processor has
+    /// made. Every processor makes the same sequence of calls (the SPMD
+    /// allocation rule), so the count names the same cell on all of them.
+    once_seq: usize,
     /// How the barrier exchange is structured (from [`DsmConfig::barrier`]).
     barrier: BarrierTopology,
 }
@@ -552,6 +556,7 @@ impl Process {
             epoch,
             barrier_seq: 0,
             nsync_seq: 0,
+            once_seq: 0,
             barrier: config.barrier.resolve(config.nprocs, &config.cost_model),
         }
     }
@@ -603,6 +608,37 @@ impl Process {
     /// Charges `cost` of application computation to this processor.
     pub fn compute(&mut self, cost: sp2model::VirtualTime) {
         self.clock.advance_compute(cost);
+    }
+
+    /// Computes a value once per run and shares it between the processors:
+    /// the first processor (host thread) to make its `k`-th `spmd_once`
+    /// call runs `init`, every other processor's `k`-th call blocks until
+    /// that finishes and receives the same `Arc`.
+    ///
+    /// This is the run's *compile time*, not its run time: the call charges
+    /// no virtual time, counts in no statistic and sends no message, so a
+    /// run that shares a value this way is bit-identical to one computing
+    /// it on every processor — provided `init` is a pure function of
+    /// SPMD-uniform inputs, which is the caller's obligation. Like shared
+    /// allocations, `spmd_once` calls must occur in the same order on every
+    /// processor. `init` cannot reach the `Process` (it is mutably borrowed
+    /// for the call), so a cell can never wait on the protocol.
+    ///
+    /// If `init` panics the cell stays empty and the next processor to
+    /// arrive runs its own `init`, so a deterministic failure surfaces as
+    /// the same application panic on every processor.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the cell's index and both type names, if another
+    /// processor's `k`-th call was made with a different `T`.
+    pub fn spmd_once<T>(&mut self, init: impl FnOnce() -> T) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+    {
+        let k = self.once_seq;
+        self.once_seq += 1;
+        self.shared.run.spmd_once(self.proc_id(), k, init)
     }
 
     // ------------------------------------------------------------------
@@ -997,7 +1033,7 @@ impl Process {
         // the race detector is on; otherwise the cache stores the scalar
         // rank alone and the wire format is byte-identical to a
         // detector-less build.
-        let creating_vt = self.shared.race.as_ref().map(|_| vt_after);
+        let creating_vt = self.shared.run.race.as_ref().map(|_| vt_after);
         let mut flushed_pages = Vec::new();
         let mut delta_pages = 0usize;
         // One protection operation per contiguous run of dirty pages: the
@@ -1116,14 +1152,14 @@ impl Process {
             return self.pending.remove(pos).expect("position is in range");
         }
         let me = self.proc_id();
-        self.shared.board.wait(me, false, what.to_string());
+        self.shared.run.board.wait(me, false, what.to_string());
         loop {
-            let env = match self.endpoint.recv_timeout(Port::Reply, self.shared.watchdog) {
+            let env = match self.endpoint.recv_timeout(Port::Reply, self.shared.run.watchdog) {
                 Ok(env) => env,
                 Err(NetError::Timeout) => panic!(
                     "watchdog: P{me} waited more than {:?} for {what} — the protocol is wedged\n{}",
-                    self.shared.watchdog,
-                    self.shared.board.dump(),
+                    self.shared.run.watchdog,
+                    self.shared.run.board.dump(),
                 ),
                 Err(err) => panic!("the cluster outlives its compute threads: {err}"),
             };
@@ -1134,7 +1170,7 @@ impl Process {
                 std::panic::panic_any(PeerAbort);
             }
             if pred(&env.payload) {
-                self.shared.board.done(me, false);
+                self.shared.run.board.done(me, false);
                 return env;
             }
             self.pending.push_back(env);
@@ -1259,7 +1295,7 @@ impl Process {
                 applicable.push(record);
             }
         }
-        if self.shared.race.is_some() {
+        if self.shared.run.race.is_some() {
             detect_races_locked(&self.shared, &proto, &table, &applicable, sync_kind, race_vt);
         }
         let applied = applicable.len() as u64;
@@ -1661,7 +1697,7 @@ impl Process {
             // The detector needs protocol state (lock order: proto before
             // table); the detector-off install path takes only the table
             // lock, exactly as before.
-            let race_proto = self.shared.race.as_ref().map(|_| self.shared.proto.lock());
+            let race_proto = self.shared.run.race.as_ref().map(|_| self.shared.proto.lock());
             let mut table = self.shared.lock_table();
             if let Some(proto) = &race_proto {
                 detect_push_races_locked(&self.shared, proto, &table, &received);
@@ -1722,7 +1758,7 @@ impl Process {
         // *and* is retained in the protocol state for the rest of the open
         // interval, so a pre-acquire write still compares as concurrent
         // when the racing diff only arrives on a later demand fetch.
-        let race_vt = self.shared.race.as_ref().map(|_| request_vt.clone());
+        let race_vt = self.shared.run.race.as_ref().map(|_| request_vt.clone());
         if let Some(snapshot) = &race_vt {
             let mut proto = self.shared.proto.lock();
             if proto.acquire_race_vt.is_none() {

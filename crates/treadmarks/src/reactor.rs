@@ -139,7 +139,7 @@ pub(crate) fn reactor_loop<F>(
         // `watchdog` of silence — from racing the brief label-clear window
         // of a timeout re-poll.
         for lane in lanes.iter().filter(|lane| lane.live) {
-            lane.shared.board.wait(
+            lane.shared.run.board.wait(
                 lane.endpoint.id().index(),
                 true,
                 String::from("the next protocol request (idle)"),
@@ -148,7 +148,7 @@ pub(crate) fn reactor_loop<F>(
         bell.wait_changed(seen, watchdog.saturating_mul(2));
         stats.wakeups(1);
         for lane in lanes.iter().filter(|lane| lane.live) {
-            lane.shared.board.done(lane.endpoint.id().index(), true);
+            lane.shared.run.board.done(lane.endpoint.id().index(), true);
         }
     }
 }

@@ -15,8 +15,8 @@ use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::message::DiffRecord;
 use crate::notice::NoticeLog;
+use crate::run::RunShared;
 use crate::types::{Interval, LockId, ProcId, Vt};
-use crate::watch::WaitBoard;
 
 /// How a node can reproduce the modifications of one of its own intervals.
 #[derive(Debug, Clone)]
@@ -324,15 +324,9 @@ pub(crate) struct NodeShared {
     /// Lock-free view of the table's protection epoch, used by the software
     /// TLB to revalidate cached mappings without taking the table lock.
     pub epoch: pagedmem::EpochProbe,
-    /// The run-wide race-report log, present only when detection is on.
-    /// `None` keeps the apply paths on their unhooked fast path.
-    pub race: Option<std::sync::Arc<racecheck::RaceLog>>,
-    /// The run-wide wait board: what each thread is currently blocked on,
-    /// rendered into the watchdog's deadlock dump.
-    pub board: std::sync::Arc<WaitBoard>,
-    /// Real-time deadline for every blocking protocol receive (from
-    /// [`DsmConfig::watchdog`](crate::DsmConfig::watchdog)).
-    pub watchdog: std::time::Duration,
+    /// The run-wide host state: race log, wait board, watchdog deadline
+    /// and SPMD once-cells.
+    pub run: std::sync::Arc<RunShared>,
 }
 
 impl NodeShared {
@@ -341,9 +335,7 @@ impl NodeShared {
         nprocs: usize,
         cost: CostModel,
         stats: SharedStats,
-        race: Option<std::sync::Arc<racecheck::RaceLog>>,
-        board: std::sync::Arc<WaitBoard>,
-        watchdog: std::time::Duration,
+        run: std::sync::Arc<RunShared>,
     ) -> NodeShared {
         let table = PageTable::new();
         let epoch = table.epoch_probe();
@@ -353,9 +345,7 @@ impl NodeShared {
             stats,
             cost,
             epoch,
-            race,
-            board,
-            watchdog,
+            run,
         }
     }
 
@@ -374,7 +364,7 @@ impl NodeShared {
     /// [`racecheck::RaceLog::record`]).
     pub(crate) fn record_race(&self, report: racecheck::RaceReport) {
         self.stats.races_detected(1);
-        if let Some(log) = &self.race {
+        if let Some(log) = &self.run.race {
             log.record(report);
         }
     }
