@@ -384,3 +384,27 @@ fn whichever_processor_compiles_the_modelled_run_is_the_same() {
         assert_reruns_agree(nprocs, |p| gauss(p, &cfg, Variant::Compiled));
     }
 }
+
+/// `(tlb_hits, tlb_misses, table_lock_acquires)`, Σ over the processors, of
+/// the plain TreadMarks variants at 8 processors, as measured at the commit
+/// before the software TLB held its frames on lease. A lease moves host
+/// time only: which accesses hit, which miss and how often the table lock
+/// is taken are part of the model's exact record and must not move by one.
+const ACCESS_CFG: GridConfig = GridConfig { rows: 96, cols: 40, iters: 4 };
+const JACOBI_ACCESS: (u64, u64, u64) = (79_773, 336, 1_225);
+const SOR_ACCESS: (u64, u64, u64) = (89_613, 392, 1_676);
+const GAUSS_ACCESS: (u64, u64, u64) = (4_805, 121, 678);
+
+#[test]
+fn lease_keeps_the_access_path_counters_of_the_baseline_variants_exact() {
+    fn triple<R>(run: &DsmRun<R>) -> (u64, u64, u64) {
+        let t = run.stats.total();
+        (t.tlb_hits, t.tlb_misses, t.table_lock_acquires)
+    }
+    let jacobi_run = run_app(jacobi, ACCESS_CFG, 8, Variant::TreadMarks);
+    assert_eq!(triple(&jacobi_run), JACOBI_ACCESS, "jacobi/treadmarks@8");
+    let sor_run = run_app(sor, ACCESS_CFG, 8, Variant::TreadMarks);
+    assert_eq!(triple(&sor_run), SOR_ACCESS, "sor/treadmarks@8");
+    let gauss_run = run_app_u64(gauss, GAUSS_CFG, 8, Variant::TreadMarks);
+    assert_eq!(triple(&gauss_run), GAUSS_ACCESS, "gauss/treadmarks@8");
+}

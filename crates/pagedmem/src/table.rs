@@ -5,16 +5,25 @@
 //!
 //! * the **table lock** (taken by whoever owns the `PageTable`, typically a
 //!   node-level mutex) protects the page-id → frame mapping, and
-//! * a **per-frame lock** protects each frame's contents, protection state,
+//! * a per-page [`Frame`] protects each frame's contents, protection state,
 //!   twin and dirty flag.
 //!
 //! A [`FrameRef`] is a shared handle onto one frame. Frame handles are
-//!  stable: once a page is mapped, its `Arc` identity never changes (
-//! [`install`](PageTable::install) and [`map_zeroed`](PageTable::map_zeroed)
-//! mutate the existing frame in place), so a cached handle always observes
-//! the frame's *current* protection. That is what makes a software TLB above
-//! this table sound: a cached mapping can be used without the table lock,
-//! because the per-frame protection re-check still sees every downgrade.
+//! stable: once a page is mapped, its `Arc` identity never changes
+//! ([`install`](PageTable::install) and [`map_zeroed`](PageTable::map_zeroed)
+//! mutate the existing frame in place), so a cached handle always reaches
+//! the frame's *current* state.
+//!
+//! A frame's state can be used in two ways. [`Frame::lock`] is the ordinary
+//! short critical section every method of this table uses.
+//! [`Frame::checkout`] instead *moves the state out* to the caller — a
+//! **lease**: until the matching [`Frame::checkin`] the holder owns the
+//! contents outright and touches them with no lock at all, and every
+//! `lock()` or `checkout()` by anyone else waits. That is what lets a
+//! software TLB above this table serve a warm access from the frame it
+//! holds, and it puts one obligation on the lessee: return every lease
+//! before calling into the table (which locks frames) or blocking on a
+//! thread that might.
 //!
 //! The table additionally maintains a monotone **protection epoch**: a
 //! counter bumped on every protection or validity change (mapping a page,
@@ -24,8 +33,9 @@
 //! mappings are cheaply revalidated.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 
 use dsm_core::sync::Mutex;
 
@@ -53,12 +63,97 @@ impl PageFrame {
     }
 }
 
-/// A shared, individually lockable handle onto one page frame.
+/// One page's frame behind its own lock, leasable: the state is either
+/// present (reachable through [`lock`](Frame::lock)) or checked out to a
+/// single lessee.
+#[derive(Debug)]
+pub struct Frame {
+    slot: Mutex<Slot>,
+    returned: Condvar,
+}
+
+#[derive(Debug)]
+struct Slot {
+    /// `None` while the state is checked out.
+    state: Option<PageFrame>,
+    /// Threads blocked until the state comes back; a check-in with nobody
+    /// waiting skips the condition variable's wake-up call.
+    waiting: usize,
+}
+
+impl Frame {
+    /// A frame holding `state`.
+    pub fn new(state: PageFrame) -> Frame {
+        Frame {
+            slot: Mutex::new(Slot { state: Some(state), waiting: 0 }),
+            returned: Condvar::new(),
+        }
+    }
+
+    /// The slot with the state present, waiting for the lessee if it is out.
+    fn present(&self) -> MutexGuard<'_, Slot> {
+        let mut slot = self.slot.lock();
+        while slot.state.is_none() {
+            slot.waiting += 1;
+            slot = self.returned.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            slot.waiting -= 1;
+        }
+        slot
+    }
+
+    /// Locks the frame for a short critical section, waiting first if the
+    /// state is checked out.
+    pub fn lock(&self) -> FrameGuard<'_> {
+        FrameGuard(self.present())
+    }
+
+    /// Takes a lease: moves the state out to the caller, waiting first if
+    /// another lessee has it. Until [`checkin`](Self::checkin) every
+    /// `lock()` and `checkout()` on this frame blocks, so the lessee must
+    /// not do either itself.
+    pub fn checkout(&self) -> PageFrame {
+        self.present().state.take().expect("present() returns with the state in place")
+    }
+
+    /// Returns a lease taken with [`checkout`](Self::checkout).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame's state is not checked out.
+    pub fn checkin(&self, state: PageFrame) {
+        let mut slot = self.slot.lock();
+        assert!(slot.state.is_none(), "checkin without a matching checkout");
+        slot.state = Some(state);
+        if slot.waiting > 0 {
+            self.returned.notify_all();
+        }
+    }
+}
+
+/// Exclusive access to a present frame's state; see [`Frame::lock`].
+#[derive(Debug)]
+pub struct FrameGuard<'a>(MutexGuard<'a, Slot>);
+
+impl Deref for FrameGuard<'_> {
+    type Target = PageFrame;
+
+    fn deref(&self) -> &PageFrame {
+        self.0.state.as_ref().expect("a guard exists only while the state is present")
+    }
+}
+
+impl DerefMut for FrameGuard<'_> {
+    fn deref_mut(&mut self) -> &mut PageFrame {
+        self.0.state.as_mut().expect("a guard exists only while the state is present")
+    }
+}
+
+/// A shared handle onto one page frame.
 ///
 /// Obtained from [`PageTable::frame`] / [`PageTable::frame_or_map`]; the
-/// handle stays valid (and observes all later protection changes) for the
+/// handle stays valid (and reaches the frame's current state) for the
 /// lifetime of the table.
-pub type FrameRef = Arc<Mutex<PageFrame>>;
+pub type FrameRef = Arc<Frame>;
 
 /// The result of checking whether an access may proceed without a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +207,7 @@ pub struct EpochProbe {
 
 impl EpochProbe {
     /// The table's current protection epoch.
+    #[inline]
     pub fn current(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -187,7 +283,7 @@ impl PageTable {
                 Arc::clone(frame)
             }
             None => {
-                let frame = Arc::new(Mutex::new(PageFrame::new(Page::zeroed(), protection)));
+                let frame = Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)));
                 self.frames.insert(page, Arc::clone(&frame));
                 frame
             }
@@ -212,7 +308,7 @@ impl PageTable {
         if let Some(frame) = self.frames.get(&page) {
             return Arc::clone(frame);
         }
-        let frame = Arc::new(Mutex::new(PageFrame::new(Page::zeroed(), protection)));
+        let frame = Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)));
         self.frames.insert(page, Arc::clone(&frame));
         self.bump_epoch();
         frame
@@ -679,6 +775,34 @@ mod tests {
     fn frame_lookup_errors_on_unmapped() {
         let table = PageTable::new();
         assert!(matches!(table.frame(PageId(9)), Err(MemError::Unmapped(PageId(9)))));
+    }
+
+    #[test]
+    fn a_leased_frame_is_the_lessees_alone_until_checkin() {
+        let mut table = PageTable::new();
+        let frame = table.map_zeroed(PageId(6), Protection::ReadWrite);
+        // The lease is taken before the other thread exists, so its lock()
+        // cannot return until the check-in — and must then see the
+        // lessee's write.
+        let mut lease = frame.checkout();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| frame.lock().page.as_slice()[3]);
+            lease.page.as_mut_slice()[3] = 8;
+            lease.protection = Protection::ReadOnly;
+            frame.checkin(lease);
+            assert_eq!(waiter.join().unwrap(), 8);
+        });
+        assert_eq!(table.protection(PageId(6)), Protection::ReadOnly);
+        // A second lease on the same frame starts from the returned state.
+        assert_eq!(frame.checkout().page.as_slice()[3], 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "without a matching checkout")]
+    fn checkin_requires_a_checkout() {
+        let mut table = PageTable::new();
+        let frame = table.map_zeroed(PageId(1), Protection::ReadOnly);
+        frame.checkin(PageFrame::new(Page::zeroed(), Protection::ReadOnly));
     }
 
     #[test]

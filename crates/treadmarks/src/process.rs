@@ -26,15 +26,16 @@ use std::sync::Arc;
 
 use msgnet::{Endpoint, Envelope, NetError, NodeId, Port};
 use pagedmem::{AddrRange, EpochProbe, PageFrame, PageId, Protection, SharedAlloc, PAGE_SIZE};
-use sp2model::VirtualClock;
+use racecheck::RaceLog;
+use sp2model::{CostModel, SharedStats, VirtualClock};
 
 use crate::config::{BarrierTopology, DsmConfig};
 use crate::message::{DiffRecord, PageWant, SyncFetchRequest, TmkMessage};
 use crate::notice::WriteNotice;
-use crate::server;
+use crate::run::RunShared;
 use crate::sharedarray::{Shareable, SharedArray, SharedMatrix};
 use crate::state::{CachedDiff, DiffEntry, NodeShared, ProtoState};
-use crate::tlb::SoftTlb;
+use crate::tlb::{NodeGate, Unleased};
 use crate::types::{Interval, LockId, ProcId, Vt};
 
 /// The barrier root (the paper assigns the distinguished roles to
@@ -392,9 +393,10 @@ fn prep_writes_locked(
 
 /// Pre-loads the software TLB for every already-consistent page of the warm
 /// list, under an already-held table lock. Invalid pages are skipped (they
-/// fault — and refill — lazily).
+/// fault — and refill — lazily). Only the mappings are cached; each takes
+/// its lease at its first access.
 fn warm_ranges_locked(
-    tlb: &mut SoftTlb,
+    node: &mut Unleased<'_>,
     table: &pagedmem::PageTable,
     warm: &[(AddrRange, bool)],
 ) -> usize {
@@ -409,7 +411,7 @@ fn warm_ranges_locked(
             if !allowed {
                 continue;
             }
-            tlb.insert(page, frame, epoch, protection.allows_write());
+            node.cache(page, frame, epoch, protection.allows_write());
             warmed += 1;
         }
     }
@@ -509,15 +511,21 @@ fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> HashSet<P
 /// clock and counted in the shared statistics.
 pub struct Process {
     endpoint: Arc<Endpoint<TmkMessage>>,
-    shared: Arc<NodeShared>,
+    /// The software TLB with the frames it holds on lease, and the only way
+    /// to the node's `proto` and `table` locks (which returns the leases
+    /// first — see [`NodeGate`]).
+    node: NodeGate,
+    /// The node's statistics counters (shared with its protocol server).
+    stats: SharedStats,
+    cost: CostModel,
+    /// The run-wide host state: race log, wait board, watchdog deadline and
+    /// SPMD once-cells.
+    run: Arc<RunShared>,
     clock: VirtualClock,
     heap: SharedAlloc,
     /// Reply-port messages received while waiting for something else.
     pending: VecDeque<Envelope<TmkMessage>>,
     next_req_id: u64,
-    /// Software TLB: cached `(page, frame, epoch, writable)` mappings that
-    /// let warm accesses skip the global page-table lock entirely.
-    tlb: SoftTlb,
     /// Lock-free view of the table's protection epoch.
     epoch: EpochProbe,
     /// How many barriers this processor has entered. Barriers are globally
@@ -544,16 +552,17 @@ impl Process {
         shared: Arc<NodeShared>,
         config: &DsmConfig,
     ) -> Process {
-        let epoch = shared.epoch.clone();
         Process {
             endpoint,
-            shared,
+            stats: shared.stats.clone(),
+            cost: shared.cost.clone(),
+            run: Arc::clone(&shared.run),
+            epoch: shared.epoch.clone(),
+            node: NodeGate::new(shared),
             clock: VirtualClock::new(),
             heap: SharedAlloc::with_capacity(config.heap_capacity),
             pending: VecDeque::new(),
             next_req_id: 1,
-            tlb: SoftTlb::new(),
-            epoch,
             barrier_seq: 0,
             nsync_seq: 0,
             once_seq: 0,
@@ -577,32 +586,35 @@ impl Process {
     }
 
     /// The node's statistics counters (shared with its protocol server).
-    pub fn stats(&self) -> &sp2model::SharedStats {
-        &self.shared.stats
+    /// Every snapshot read through here is exact: the TLB hits the access
+    /// path counts locally are added in first.
+    pub fn stats(&self) -> &SharedStats {
+        self.node.publish_hits();
+        &self.stats
     }
 
     /// The cluster cost model.
-    pub fn cost_model(&self) -> &sp2model::CostModel {
-        &self.shared.cost
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
     }
 
     /// Number of per-interval entries currently in this node's diff cache —
     /// the quantity the barrier garbage-collection horizon bounds.
-    pub fn diff_cache_entries(&self) -> usize {
-        self.shared.proto.lock().diff_cache.values().map(BTreeMap::len).sum()
+    pub fn diff_cache_entries(&mut self) -> usize {
+        self.node.unleased().proto().diff_cache.values().map(BTreeMap::len).sum()
     }
 
     /// Number of `(processor, interval)` records in this node's notice log.
-    pub fn notice_log_records(&self) -> usize {
-        self.shared.proto.lock().notice_log.interval_count()
+    pub fn notice_log_records(&mut self) -> usize {
+        self.node.unleased().proto().notice_log.interval_count()
     }
 
     /// The garbage-collection horizon distributed with the last barrier
     /// departure: own diffs at or below its component for this node, and
     /// notices it covers, have been dropped. Always covered by the last
     /// global vector timestamp.
-    pub fn gc_horizon(&self) -> Vt {
-        self.shared.proto.lock().gc_horizon.clone()
+    pub fn gc_horizon(&mut self) -> Vt {
+        self.node.unleased().proto().gc_horizon.clone()
     }
 
     /// Charges `cost` of application computation to this processor.
@@ -638,7 +650,9 @@ impl Process {
     {
         let k = self.once_seq;
         self.once_seq += 1;
-        self.shared.run.spmd_once(self.proc_id(), k, init)
+        // The call may block on another processor's `init`.
+        self.node.return_leases();
+        self.run.spmd_once(self.proc_id(), k, init)
     }
 
     // ------------------------------------------------------------------
@@ -684,9 +698,11 @@ impl Process {
 
     /// Runs `f` on the frame of `page` with the access's legality
     /// established. The warm path revalidates a cached mapping against the
-    /// protection epoch and re-checks the frame's own protection under the
-    /// per-frame lock — **zero global-table-lock acquisitions**. The cold
-    /// path runs the fault handler and refills the TLB.
+    /// protection epoch and reads the protection of the frame the TLB
+    /// holds on lease — no lock of any kind and no atomic
+    /// read-modify-write. The cold path runs the fault handler and refills
+    /// the TLB.
+    #[inline]
     fn page_op<R>(
         &mut self,
         page: PageId,
@@ -695,33 +711,26 @@ impl Process {
     ) -> R {
         loop {
             let now = self.epoch.current();
-            if let Some(frame) = self.tlb.probe(page, is_write, now) {
-                let mut guard = frame.lock();
-                let allowed = if is_write {
-                    guard.protection.allows_write()
-                } else {
-                    guard.protection.allows_read()
-                };
-                if allowed {
-                    self.shared.stats.tlb_hits(1);
-                    return f(&mut guard);
-                }
+            if let Some(frame) = self.node.access(page, is_write, now) {
+                return f(frame);
             }
-            self.shared.stats.tlb_misses(1);
+            self.stats.tlb_misses(1);
             self.slow_fill(page, is_write);
         }
     }
 
     /// The cold path of an access: resolve any fault on `page`, then cache
     /// the mapping (frame handle, epoch, writability) in the software TLB.
+    #[cold]
     fn slow_fill(&mut self, page: PageId, is_write: bool) {
         self.resolve_fault(page, is_write);
+        let mut node = self.node.unleased();
         let (frame, epoch, writable) = {
-            let table = self.shared.lock_table();
+            let table = node.table();
             (table.frame(page).ok(), table.epoch(), table.protection(page).allows_write())
         };
         if let Some(frame) = frame {
-            self.tlb.insert(page, frame, epoch, writable);
+            node.cache(page, frame, epoch, writable);
         }
     }
 
@@ -870,7 +879,7 @@ impl Process {
                 continue;
             }
             // Consecutive columns whose element for this row lands on the
-            // same page form one run served under a single frame lock.
+            // same page form one run served by a single checked access.
             let mut run = 1;
             while col + run < cols.end
                 && stride > 0
@@ -911,7 +920,7 @@ impl Process {
     fn read_into(&mut self, range: AddrRange, buf: &mut [u8]) {
         self.ensure_valid(range, false);
         loop {
-            let fault = match self.shared.lock_table().read_checked(range, buf) {
+            let fault = match self.node.unleased().table().read_checked(range, buf) {
                 Ok(()) => return,
                 Err(fault) => fault,
             };
@@ -924,7 +933,7 @@ impl Process {
     fn write_from(&mut self, range: AddrRange, data: &[u8]) {
         self.ensure_valid(range, true);
         loop {
-            let fault = match self.shared.lock_table().write_checked(range, data) {
+            let fault = match self.node.unleased().table().write_checked(range, data) {
                 Ok(()) => return,
                 Err(fault) => fault,
             };
@@ -938,7 +947,7 @@ impl Process {
     fn ensure_valid(&mut self, range: AddrRange, is_write: bool) {
         for page in range.pages() {
             let now = self.epoch.current();
-            if self.tlb.probe(page, is_write, now).is_some() {
+            if self.node.is_cached(page, is_write, now) {
                 continue;
             }
             self.slow_fill(page, is_write);
@@ -954,8 +963,9 @@ impl Process {
     /// grants: a `Validate`/`Push` aggregate call warms the phase's
     /// sections so the phase body takes zero checks.
     pub fn warm_mappings(&mut self, warm: &[(AddrRange, bool)]) -> usize {
-        let table = self.shared.lock_table();
-        warm_ranges_locked(&mut self.tlb, &table, warm)
+        let mut node = self.node.unleased();
+        let table = node.table();
+        warm_ranges_locked(&mut node, &table, warm)
     }
 
     /// The fault handler: runs when a checked access finds the page in a
@@ -963,13 +973,13 @@ impl Process {
     /// one fault (the handler performs fetch, twin and enable together,
     /// like the SIGSEGV handler of the original system).
     fn resolve_fault(&mut self, page: PageId, is_write: bool) {
-        let outcome = self.shared.lock_table().check_access(page, is_write);
+        let outcome = self.node.unleased().table().check_access(page, is_write);
         if !outcome.is_fault() {
             return;
         }
-        self.shared.stats.page_faults(1);
-        let pages_in_use = self.shared.lock_table().pages_in_use();
-        self.clock.advance(self.shared.cost.page_fault_cost(pages_in_use));
+        self.stats.page_faults(1);
+        let pages_in_use = self.node.unleased().table().pages_in_use();
+        self.clock.advance(self.cost.page_fault_cost(pages_in_use));
         match outcome {
             pagedmem::AccessOutcome::Unmapped | pagedmem::AccessOutcome::Invalid => {
                 let handle = self.fetch_diffs(&[AddrRange::page(page)]);
@@ -986,20 +996,21 @@ impl Process {
     /// Makes a valid page writable: twin (unless the page is under
     /// `WRITE_ALL`), enable, and put it on the dirty list.
     fn enable_write_after_fault(&mut self, page: PageId) {
-        let proto = self.shared.proto.lock();
-        let mut table = self.shared.lock_table();
+        let node = self.node.unleased();
+        let proto = node.proto();
+        let mut table = node.table();
         if !proto.write_all_pages.contains(&page) && !table.has_twin(page) {
             table.make_twin(page);
-            self.shared.stats.twins_created(1);
-            self.clock.advance(self.shared.cost.twin_cost(1));
+            self.stats.twins_created(1);
+            self.clock.advance(self.cost.twin_cost(1));
         }
         let pages_in_use = table.pages_in_use();
         table.set_protection(page, Protection::ReadWrite);
         table.mark_dirty(page);
         drop(table);
         drop(proto);
-        self.shared.stats.protection_ops(1);
-        self.clock.advance(self.shared.cost.mprotect_cost(pages_in_use));
+        self.stats.protection_ops(1);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use));
     }
 
     // ------------------------------------------------------------------
@@ -1012,8 +1023,9 @@ impl Process {
     /// timestamp. A no-op when nothing was written (empty diffs are elided
     /// and produce no notices).
     fn flush_interval(&mut self) {
-        let mut proto = self.shared.proto.lock();
-        let mut table = self.shared.lock_table();
+        let node = self.node.unleased();
+        let mut proto = node.proto();
+        let mut table = node.table();
         let dirty = table.dirty_pages();
         if dirty.is_empty() {
             proto.write_all_pages.clear();
@@ -1033,7 +1045,7 @@ impl Process {
         // the race detector is on; otherwise the cache stores the scalar
         // rank alone and the wire format is byte-identical to a
         // detector-less build.
-        let creating_vt = self.shared.run.race.as_ref().map(|_| vt_after);
+        let creating_vt = self.run.race.as_ref().map(|_| vt_after);
         let mut flushed_pages = Vec::new();
         let mut delta_pages = 0usize;
         // One protection operation per contiguous run of dirty pages: the
@@ -1072,7 +1084,7 @@ impl Process {
         let pages_in_use = table.pages_in_use();
         drop(table);
         if !flushed_pages.is_empty() {
-            self.shared.stats.diffs_created(delta_pages as u64);
+            self.stats.diffs_created(delta_pages as u64);
             proto.notice_log.record(me, interval, flushed_pages);
             proto.vt.advance(me, interval);
             proto.current_interval += 1;
@@ -1082,27 +1094,26 @@ impl Process {
         }
         proto.write_all_pages.clear();
         drop(proto);
-        self.shared.stats.protection_ops(protect_ops);
-        self.clock.advance(self.shared.cost.diff_create_cost(delta_pages));
-        self.clock.advance(self.shared.cost.mprotect_cost(pages_in_use).scale(protect_ops));
+        self.stats.protection_ops(protect_ops);
+        self.clock.advance(self.cost.diff_create_cost(delta_pages));
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(protect_ops));
     }
 
     /// Charges the costs of an [`apply_notices_locked`] tally after the
     /// hold has been released.
     fn charge_notices(&mut self, tally: &NoticeTally, pages_in_use: usize) {
-        self.shared.stats.write_notices(tally.recorded);
-        self.shared.stats.protection_ops(tally.invalidation_runs);
-        self.clock
-            .advance(self.shared.cost.mprotect_cost(pages_in_use).scale(tally.invalidation_runs));
+        self.stats.write_notices(tally.recorded);
+        self.stats.protection_ops(tally.invalidation_runs);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(tally.invalidation_runs));
     }
 
     /// Charges the costs of a [`prep_writes_locked`] tally after the hold
     /// has been released.
     fn charge_prep(&mut self, prep: &PrepTally, pages_in_use: usize) {
-        self.shared.stats.twins_created(prep.twinned);
-        self.clock.advance(self.shared.cost.twin_cost(prep.twinned as usize));
-        self.shared.stats.protection_ops(prep.protect_ranges);
-        self.clock.advance(self.shared.cost.mprotect_cost(pages_in_use).scale(prep.protect_ranges));
+        self.stats.twins_created(prep.twinned);
+        self.clock.advance(self.cost.twin_cost(prep.twinned as usize));
+        self.stats.protection_ops(prep.protect_ranges);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(prep.protect_ranges));
     }
 
     /// Builds the vector timestamp advertised by a `Validate_w_sync`
@@ -1115,8 +1126,8 @@ impl Process {
     /// would then depend on a real-time race (breaking virtual-time
     /// determinism). They stay missing and are fetched through the explicit
     /// base-request path of [`TmkMessage::DiffRequest`] on first use.
-    fn sync_vt(&self, pages: &[PageId]) -> Vt {
-        let proto = self.shared.proto.lock();
+    fn sync_vt(&mut self, pages: &[PageId]) -> Vt {
+        let proto = self.node.unleased().proto();
         let mut vt = proto.vt.clone();
         for page in pages {
             if let Some(missing) = proto.page_missing.get(page) {
@@ -1151,15 +1162,18 @@ impl Process {
         if let Some(pos) = self.pending.iter().position(|e| pred(&e.payload)) {
             return self.pending.remove(pos).expect("position is in range");
         }
+        // About to block on another thread: it may need this node's server,
+        // which may need a frame.
+        self.node.return_leases();
         let me = self.proc_id();
-        self.shared.run.board.wait(me, false, what.to_string());
+        self.run.board.wait(me, false, what.to_string());
         loop {
-            let env = match self.endpoint.recv_timeout(Port::Reply, self.shared.run.watchdog) {
+            let env = match self.endpoint.recv_timeout(Port::Reply, self.run.watchdog) {
                 Ok(env) => env,
                 Err(NetError::Timeout) => panic!(
                     "watchdog: P{me} waited more than {:?} for {what} — the protocol is wedged\n{}",
-                    self.shared.run.watchdog,
-                    self.shared.run.board.dump(),
+                    self.run.watchdog,
+                    self.run.board.dump(),
                 ),
                 Err(err) => panic!("the cluster outlives its compute threads: {err}"),
             };
@@ -1170,7 +1184,7 @@ impl Process {
                 std::panic::panic_any(PeerAbort);
             }
             if pred(&env.payload) {
-                self.shared.run.board.done(me, false);
+                self.run.board.done(me, false);
                 return env;
             }
             self.pending.push_back(env);
@@ -1193,7 +1207,7 @@ impl Process {
         pages.sort_unstable();
         pages.dedup();
         let per_proc = {
-            let proto = self.shared.proto.lock();
+            let proto = self.node.unleased().proto();
             wants_for_pages_locked(&proto, &pages, &HashSet::new())
         };
         let me = self.proc_id();
@@ -1261,8 +1275,9 @@ impl Process {
         // applied after, bring the page back to exactly the view this
         // node's acquires justify).
         records.sort_by_key(|r| (r.page, !r.base, r.rank, r.proc, r.interval));
-        let mut proto = self.shared.proto.lock();
-        let mut table = self.shared.lock_table();
+        let mut node = self.node.unleased();
+        let mut proto = node.proto();
+        let mut table = node.table();
         // Keep only records still on a page's missing list (claiming the
         // entry), preserving the sorted order. A base — and likewise a
         // `WRITE_ALL` full page — claims *every* missing interval of its
@@ -1295,8 +1310,8 @@ impl Process {
                 applicable.push(record);
             }
         }
-        if self.shared.run.race.is_some() {
-            detect_races_locked(&self.shared, &proto, &table, &applicable, sync_kind, race_vt);
+        if let Some(log) = &self.run.race {
+            detect_races_locked(&self.stats, log, &proto, &table, &applicable, sync_kind, race_vt);
         }
         let applied = applicable.len() as u64;
         let apply_bytes: usize = applicable.iter().map(|r| r.diff.encoded_bytes()).sum();
@@ -1348,17 +1363,17 @@ impl Process {
         }
         deferred_pages.sort_unstable();
         let deferred_runs = contiguous_runs(&deferred_pages);
-        let warmed = warm_ranges_locked(&mut self.tlb, &table, warm);
+        let warmed = warm_ranges_locked(&mut node, &table, warm);
         let pages_in_use = table.pages_in_use();
         drop(table);
         drop(proto);
-        self.shared.stats.diffs_applied(applied);
-        self.shared.stats.full_page_fetches(full_pages);
-        self.clock.advance(self.shared.cost.diff_apply_cost(apply_bytes));
-        self.shared.stats.twins_created(deferred_twins);
-        self.clock.advance(self.shared.cost.twin_cost(deferred_twins as usize));
-        self.shared.stats.protection_ops(deferred_runs);
-        self.clock.advance(self.shared.cost.mprotect_cost(pages_in_use).scale(deferred_runs));
+        self.stats.diffs_applied(applied);
+        self.stats.full_page_fetches(full_pages);
+        self.clock.advance(self.cost.diff_apply_cost(apply_bytes));
+        self.stats.twins_created(deferred_twins);
+        self.clock.advance(self.cost.twin_cost(deferred_twins as usize));
+        self.stats.protection_ops(deferred_runs);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(deferred_runs));
         warmed
     }
 
@@ -1493,7 +1508,7 @@ impl Process {
         // issue and complete, the responses have already arrived and this
         // approaches zero — the split-phase overlap, made measurable.
         let waited = self.clock.now().saturating_sub(before);
-        self.shared.stats.sync_wait_ns(waited.as_nanos());
+        self.stats.sync_wait_ns(waited.as_nanos());
         // Incorporate the producers' consistency information before the
         // data: the acks' notices populate the missing lists the record
         // installation claims against, and the timestamp merge records the
@@ -1502,8 +1517,9 @@ impl Process {
         if !acked.is_empty() {
             acked.sort_by_key(|(from, _, _)| *from);
             let (tally, pages_in_use) = {
-                let mut proto = self.shared.proto.lock();
-                let mut table = self.shared.lock_table();
+                let node = self.node.unleased();
+                let mut proto = node.proto();
+                let mut table = node.table();
                 let mut all_notices = Vec::new();
                 for (_, vt, notices) in &acked {
                     proto.vt.merge(vt);
@@ -1524,10 +1540,11 @@ impl Process {
     pub fn prepare_phase(&mut self, plan: &PhasePlan) -> usize {
         let mut deferred = Vec::new();
         let (prep, warmed, pages_in_use) = {
-            let mut proto = self.shared.proto.lock();
-            let mut table = self.shared.lock_table();
+            let mut node = self.node.unleased();
+            let mut proto = node.proto();
+            let mut table = node.table();
             let prep = prep_writes_locked(&mut proto, &mut table, plan, false, &mut deferred);
-            let warmed = warm_ranges_locked(&mut self.tlb, &table, &plan.warm);
+            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
             (prep, warmed, table.pages_in_use())
         };
         debug_assert!(deferred.is_empty(), "immediate preparation never defers");
@@ -1543,8 +1560,9 @@ impl Process {
     /// in one batch (the cost of the copies is charged, but no faults are
     /// taken).
     pub fn create_twins(&mut self, ranges: &[AddrRange]) {
-        let proto = self.shared.proto.lock();
-        let mut table = self.shared.lock_table();
+        let node = self.node.unleased();
+        let proto = node.proto();
+        let mut table = node.table();
         let mut twinned = 0u64;
         for range in ranges {
             for page in range.pages() {
@@ -1558,8 +1576,8 @@ impl Process {
         }
         drop(table);
         drop(proto);
-        self.shared.stats.twins_created(twinned);
-        self.clock.advance(self.shared.cost.twin_cost(twinned as usize));
+        self.stats.twins_created(twinned);
+        self.clock.advance(self.cost.twin_cost(twinned as usize));
     }
 
     /// Write-enables every page of `ranges` without taking faults, putting
@@ -1576,8 +1594,9 @@ impl Process {
     /// take the ordinary fault path (twin + fetch), because discarding
     /// their missing diffs would lose remote writes to the uncovered bytes.
     pub fn write_enable(&mut self, ranges: &[AddrRange], write_all: bool) {
-        let mut proto = self.shared.proto.lock();
-        let mut table = self.shared.lock_table();
+        let node = self.node.unleased();
+        let mut proto = node.proto();
+        let mut table = node.table();
         let pages_in_use = table.pages_in_use();
         let mut twinned = 0u64;
         for range in ranges {
@@ -1600,16 +1619,16 @@ impl Process {
         }
         drop(table);
         drop(proto);
-        self.shared.stats.twins_created(twinned);
-        self.clock.advance(self.shared.cost.twin_cost(twinned as usize));
-        self.shared.stats.protection_ops(ranges.len() as u64);
-        self.clock.advance(self.shared.cost.mprotect_cost(pages_in_use).scale(ranges.len() as u64));
+        self.stats.twins_created(twinned);
+        self.clock.advance(self.cost.twin_cost(twinned as usize));
+        self.stats.protection_ops(ranges.len() as u64);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(ranges.len() as u64));
     }
 
     /// Write-protects every mapped page of `ranges`, one protection
     /// operation per contiguous range.
     pub fn write_protect(&mut self, ranges: &[AddrRange]) {
-        let mut table = self.shared.lock_table();
+        let mut table = self.node.unleased().table();
         let pages_in_use = table.pages_in_use();
         for range in ranges {
             for page in range.pages() {
@@ -1619,8 +1638,8 @@ impl Process {
             }
         }
         drop(table);
-        self.shared.stats.protection_ops(ranges.len() as u64);
-        self.clock.advance(self.shared.cost.mprotect_cost(pages_in_use).scale(ranges.len() as u64));
+        self.stats.protection_ops(ranges.len() as u64);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(ranges.len() as u64));
     }
 
     // ------------------------------------------------------------------
@@ -1654,7 +1673,7 @@ impl Process {
             // One hold for every outgoing chunk read.
             type Outgoing = Vec<(ProcId, Vec<(AddrRange, Vec<u8>)>)>;
             let outgoing: Outgoing = {
-                let table = self.shared.lock_table();
+                let table = self.node.unleased().table();
                 sends
                     .iter()
                     .map(|&(dest, ref ranges)| {
@@ -1697,10 +1716,11 @@ impl Process {
             // The detector needs protocol state (lock order: proto before
             // table); the detector-off install path takes only the table
             // lock, exactly as before.
-            let race_proto = self.shared.run.race.as_ref().map(|_| self.shared.proto.lock());
-            let mut table = self.shared.lock_table();
-            if let Some(proto) = &race_proto {
-                detect_push_races_locked(&self.shared, proto, &table, &received);
+            let mut node = self.node.unleased();
+            let race_proto = self.run.race.as_ref().map(|log| (log, node.proto()));
+            let mut table = node.table();
+            if let Some((log, proto)) = &race_proto {
+                detect_push_races_locked(&self.stats, log, proto, &table, &received);
             }
             for (_, range, data) in received {
                 // Mirrored into any twin: pushed bytes are installed data,
@@ -1709,7 +1729,7 @@ impl Process {
                 table.install_bytes(range.start(), &data);
             }
             table.bump_epoch();
-            warm_ranges_locked(&mut self.tlb, &table, &warm)
+            warm_ranges_locked(&mut node, &table, &warm)
         };
         PushReceipt { installed, pages_warmed }
     }
@@ -1738,10 +1758,10 @@ impl Process {
         let mut pages: Vec<PageId> = plan.fetch.iter().flat_map(AddrRange::pages).collect();
         pages.sort_unstable();
         pages.dedup();
-        self.shared.stats.lock_acquires(1);
+        self.stats.lock_acquires(1);
         let me = self.proc_id();
         let (manager, request_vt) = {
-            let mut proto = self.shared.proto.lock();
+            let mut proto = self.node.unleased().proto();
             assert!(!proto.held_locks.contains(&lock), "lock {lock} acquired re-entrantly");
             // Mark the acquire as in flight *before* the request leaves:
             // our server thread must queue (not grant) forwarded requests
@@ -1758,9 +1778,9 @@ impl Process {
         // *and* is retained in the protocol state for the rest of the open
         // interval, so a pre-acquire write still compares as concurrent
         // when the racing diff only arrives on a later demand fetch.
-        let race_vt = self.shared.run.race.as_ref().map(|_| request_vt.clone());
+        let race_vt = self.run.race.as_ref().map(|_| request_vt.clone());
         if let Some(snapshot) = &race_vt {
-            let mut proto = self.shared.proto.lock();
+            let mut proto = self.node.unleased().proto();
             if proto.acquire_race_vt.is_none() {
                 proto.acquire_race_vt = Some(snapshot.clone());
             }
@@ -1785,8 +1805,9 @@ impl Process {
         // One lock hold for the entire acquire-side protocol step.
         let mut deferred = Vec::new();
         let (tally, prep, wants, pages_in_use) = {
-            let mut proto = self.shared.proto.lock();
-            let mut table = self.shared.lock_table();
+            let mut node = self.node.unleased();
+            let mut proto = node.proto();
+            let mut table = node.table();
             let tally = apply_notices_locked(&mut proto, &mut table, &notices);
             proto.vt.merge(&granter_vt);
             proto.pending_acquires.remove(&lock);
@@ -1799,7 +1820,7 @@ impl Process {
             let prep = prep_writes_locked(&mut proto, &mut table, plan, true, &mut deferred);
             // Warm what is already consistent so the overlapped computation
             // between issue and complete runs lock-free.
-            warm_ranges_locked(&mut self.tlb, &table, &plan.warm);
+            warm_ranges_locked(&mut node, &table, &plan.warm);
             (tally, prep, wants, table.pages_in_use())
         };
         self.charge_notices(&tally, pages_in_use);
@@ -1836,23 +1857,14 @@ impl Process {
     /// Panics if this processor does not hold the lock.
     pub fn lock_release(&mut self, lock: LockId) {
         self.flush_interval();
+        let node = self.node.unleased();
         let pending = {
-            let mut proto = self.shared.proto.lock();
+            let mut proto = node.proto();
             assert!(proto.held_locks.remove(&lock), "releasing a lock that is not held");
             proto.pending_lock_requests.remove(&lock).unwrap_or_default()
         };
         for req in pending {
-            let at = req.arrived_at.max(self.clock.now());
-            server::send_grant(
-                &self.endpoint,
-                &self.shared,
-                lock,
-                req.requester,
-                &req.requester_vt,
-                &req.sync_pages,
-                at,
-                true,
-            );
+            node.grant(&self.endpoint, lock, &req, req.arrived_at.max(self.clock.now()));
         }
     }
 
@@ -1888,7 +1900,7 @@ impl Process {
     /// O(arity · depth).
     fn barrier_issue(&mut self, plan: &PhasePlan) -> PendingSync {
         self.flush_interval();
-        self.shared.stats.barriers(1);
+        self.stats.barriers(1);
         self.barrier_seq += 1;
         let seq = self.barrier_seq;
         let mut pages: Vec<PageId> = plan.fetch.iter().flat_map(AddrRange::pages).collect();
@@ -1901,19 +1913,20 @@ impl Process {
             // No peers, nothing to exchange: prepare and warm locally (one
             // hold); the GC horizon is the local timestamp itself.
             let (prep, trimmed, pages_in_use) = {
-                let mut proto = self.shared.proto.lock();
-                let mut table = self.shared.lock_table();
+                let mut node = self.node.unleased();
+                let mut proto = node.proto();
+                let mut table = node.table();
                 let prep = prep_writes_locked(&mut proto, &mut table, plan, true, &mut deferred);
-                warm_ranges_locked(&mut self.tlb, &table, &plan.warm);
+                warm_ranges_locked(&mut node, &table, &plan.warm);
                 proto.last_global_vt = proto.vt.clone();
                 let horizon = proto.vt.clone();
                 let trimmed = proto.gc_trim(&horizon);
                 (prep, trimmed, table.pages_in_use())
             };
             self.charge_prep(&prep, pages_in_use);
-            self.shared.stats.gc_trimmed_diffs(trimmed.0);
-            self.shared.stats.gc_trimmed_notices(trimmed.1);
-            self.clock.advance(self.shared.cost.barrier_local_cost());
+            self.stats.gc_trimmed_diffs(trimmed.0);
+            self.stats.gc_trimmed_notices(trimmed.1);
+            self.clock.advance(self.cost.barrier_local_cost());
             return PendingSync {
                 pages,
                 seq,
@@ -1972,10 +1985,10 @@ impl Process {
         child_arrivals.sort_by_key(|&(proc, _)| proc);
         if flat {
             if me == MASTER {
-                self.clock.advance(self.shared.cost.barrier_master_cost(n));
+                self.clock.advance(self.cost.barrier_master_cost(n));
             }
         } else if !children.is_empty() {
-            self.clock.advance(self.shared.cost.barrier_hop_cost(children.len()));
+            self.clock.advance(self.cost.barrier_hop_cost(children.len()));
         }
 
         // --- Non-root: fold the subtree into local state under one hold,
@@ -1989,8 +2002,9 @@ impl Process {
         } else {
             let parent = (me - 1) / arity;
             let (arrival, tally, pages_in_use) = {
-                let mut proto = self.shared.proto.lock();
-                let mut table = self.shared.lock_table();
+                let node = self.node.unleased();
+                let mut proto = node.proto();
+                let mut table = node.table();
                 let tally = apply_notices_locked(&mut proto, &mut table, &child_notices);
                 for (_, vt) in &child_arrivals {
                     proto.vt.merge(vt);
@@ -2042,8 +2056,9 @@ impl Process {
             trimmed,
             pages_in_use,
         ) = {
-            let mut proto = self.shared.proto.lock();
-            let mut table = self.shared.lock_table();
+            let mut node = self.node.unleased();
+            let mut proto = node.proto();
+            let mut table = node.table();
             let tally = apply_notices_locked(&mut proto, &mut table, &all_notices);
             // The global timestamp and GC horizon: distributed by the
             // parent below the root; completed at the root itself, whose
@@ -2089,7 +2104,7 @@ impl Process {
                 None => HashSet::new(),
             };
             let prep = prep_writes_locked(&mut proto, &mut table, plan, true, &mut deferred);
-            warm_ranges_locked(&mut self.tlb, &table, &plan.warm);
+            warm_ranges_locked(&mut node, &table, &plan.warm);
             // Trim last, after every request of this synchronization point
             // has been served from the pre-trim state. The horizon can
             // never exceed the global VT in any component (applied
@@ -2113,14 +2128,14 @@ impl Process {
             )
         };
         self.charge_notices(&tally, pages_in_use);
-        self.shared.stats.gc_trimmed_diffs(trimmed.0);
-        self.shared.stats.gc_trimmed_notices(trimmed.1);
+        self.stats.gc_trimmed_diffs(trimmed.0);
+        self.stats.gc_trimmed_notices(trimmed.1);
         if !flat && !departures.is_empty() {
             // Re-fanning the departure down costs one hop service at root
             // and interior nodes alike, plus the send-occupancy gap for
             // every extra child copy.
-            self.clock.advance(self.shared.cost.barrier_hop_cost(1));
-            self.clock.advance(self.shared.cost.broadcast_extra_cost(departures.len() - 1));
+            self.clock.advance(self.cost.barrier_hop_cost(1));
+            self.clock.advance(self.cost.broadcast_extra_cost(departures.len() - 1));
         }
         for (proc, msg) in departures {
             let bytes = msg.wire_bytes();
@@ -2130,14 +2145,14 @@ impl Process {
         // One pass over the diff cache answers every request of the
         // synchronization point: the scan is charged for the union of the
         // requested pages, materialised full pages for their encoding.
-        self.clock.advance(self.shared.cost.sync_merge_scan_cost(scanned));
-        self.clock.advance(self.shared.cost.diff_create_cost(materialised));
+        self.clock.advance(self.cost.sync_merge_scan_cost(scanned));
+        self.clock.advance(self.cost.diff_create_cost(materialised));
         for (proc, records) in serve {
             let msg = TmkMessage::SyncDiffs { from: me, seq, diffs: records };
             let bytes = msg.wire_bytes();
             self.endpoint.send(NodeId(proc), Port::Reply, msg, bytes, self.clock.now(), true);
         }
-        self.clock.advance(self.shared.cost.barrier_local_cost());
+        self.clock.advance(self.cost.barrier_local_cost());
         PendingSync {
             pages,
             seq,
@@ -2198,7 +2213,7 @@ impl Process {
         plan: &PhasePlan,
     ) -> PendingSync {
         self.flush_interval();
-        self.shared.stats.barriers_eliminated(1);
+        self.stats.barriers_eliminated(1);
         self.nsync_seq += 1;
         let seq = self.nsync_seq;
         let me = self.proc_id();
@@ -2240,8 +2255,9 @@ impl Process {
         readys.sort_by_key(|&(from, _, _)| from);
         let mut deferred = Vec::new();
         let (acks, prep, examined, materialised, pages_in_use) = {
-            let mut proto = self.shared.proto.lock();
-            let mut table = self.shared.lock_table();
+            let mut node = self.node.unleased();
+            let mut proto = node.proto();
+            let mut table = node.table();
             let mut acks = Vec::new();
             let mut examined: HashSet<PageId> = HashSet::new();
             let mut materialised = 0usize;
@@ -2260,20 +2276,20 @@ impl Process {
                 acks.push((*from, msg));
             }
             let prep = prep_writes_locked(&mut proto, &mut table, plan, true, &mut deferred);
-            warm_ranges_locked(&mut self.tlb, &table, &plan.warm);
+            warm_ranges_locked(&mut node, &table, &plan.warm);
             (acks, prep, examined.len(), materialised, table.pages_in_use())
         };
         self.charge_prep(&prep, pages_in_use);
         if !readys.is_empty() {
             // Consuming the pre-posted readys costs one hop service per
             // consumer, like merging child arrivals at a tree-barrier node.
-            self.clock.advance(self.shared.cost.barrier_hop_cost(readys.len()));
+            self.clock.advance(self.cost.barrier_hop_cost(readys.len()));
         }
-        self.clock.advance(self.shared.cost.sync_merge_scan_cost(examined));
-        self.clock.advance(self.shared.cost.diff_create_cost(materialised));
+        self.clock.advance(self.cost.sync_merge_scan_cost(examined));
+        self.clock.advance(self.cost.diff_create_cost(materialised));
         for (dest, msg) in acks {
             let bytes = msg.wire_bytes();
-            self.shared.stats.merged_sync_msgs(1);
+            self.stats.merged_sync_msgs(1);
             self.endpoint.send(NodeId(dest), Port::Reply, msg, bytes, self.clock.now(), false);
         }
         PendingSync {
@@ -2298,6 +2314,13 @@ impl Process {
     }
 }
 
+/// Counts and logs one detected race (panicking the run in fail-fast mode,
+/// via [`RaceLog::record`]).
+fn record_race(stats: &SharedStats, log: &RaceLog, report: racecheck::RaceReport) {
+    stats.races_detected(1);
+    log.record(report);
+}
+
 /// The race detector's apply-point pass, run under the already-held
 /// proto+table lock pair and *before* the claimed batch is applied
 /// (applying updates the twins the local unflushed write set is read from),
@@ -2320,7 +2343,8 @@ impl Process {
 /// (`vt[me] < through`) cannot be ordered against them. Both are counted as
 /// `races_window_trimmed` instead of silently ignored.
 fn detect_races_locked(
-    shared: &NodeShared,
+    stats: &SharedStats,
+    log: &RaceLog,
     proto: &ProtoState,
     table: &pagedmem::PageTable,
     applicable: &[DiffRecord],
@@ -2369,7 +2393,7 @@ fn detect_races_locked(
                         || proto.trimmed.contains_key(&record.page)
                         || table.has_twin(record.page);
                 if local_partner {
-                    shared.stats.races_window_trimmed(1);
+                    stats.races_window_trimmed(1);
                 }
             }
             continue;
@@ -2390,14 +2414,18 @@ fn detect_races_locked(
             }
             let words = overlap(&incoming, &other.diff.modified_ranges());
             if !words.is_empty() {
-                shared.record_race(RaceReport::new(
-                    record.page,
-                    words,
-                    RaceAccess { proc: record.proc, interval: record.interval },
-                    RaceAccess { proc: other.proc, interval: other.interval },
-                    me,
-                    sync_kind,
-                ));
+                record_race(
+                    stats,
+                    log,
+                    RaceReport::new(
+                        record.page,
+                        words,
+                        RaceAccess { proc: record.proc, interval: record.interval },
+                        RaceAccess { proc: other.proc, interval: other.interval },
+                        me,
+                        sync_kind,
+                    ),
+                );
             }
         }
         // An incoming diff whose creator had not seen this node's own
@@ -2420,14 +2448,18 @@ fn detect_races_locked(
                 };
                 let words = overlap(&incoming, &own_ranges);
                 if !words.is_empty() {
-                    shared.record_race(RaceReport::new(
-                        record.page,
-                        words,
-                        RaceAccess { proc: me, interval },
-                        RaceAccess { proc: record.proc, interval: record.interval },
-                        me,
-                        sync_kind,
-                    ));
+                    record_race(
+                        stats,
+                        log,
+                        RaceReport::new(
+                            record.page,
+                            words,
+                            RaceAccess { proc: me, interval },
+                            RaceAccess { proc: record.proc, interval: record.interval },
+                            me,
+                            sync_kind,
+                        ),
+                    );
                 }
             }
         }
@@ -2446,14 +2478,18 @@ fn detect_races_locked(
         if let Some(local_ranges) = local_ranges {
             let words = overlap(&incoming, &local_ranges);
             if !words.is_empty() {
-                shared.record_race(RaceReport::new(
-                    record.page,
-                    words,
-                    RaceAccess { proc: me, interval: proto.current_interval },
-                    RaceAccess { proc: record.proc, interval: record.interval },
-                    me,
-                    sync_kind,
-                ));
+                record_race(
+                    stats,
+                    log,
+                    RaceReport::new(
+                        record.page,
+                        words,
+                        RaceAccess { proc: me, interval: proto.current_interval },
+                        RaceAccess { proc: record.proc, interval: record.interval },
+                        me,
+                        sync_kind,
+                    ),
+                );
             }
         }
     }
@@ -2471,7 +2507,8 @@ fn detect_races_locked(
 /// interval on the wire, so the sender side of the report carries
 /// interval 0.
 fn detect_push_races_locked(
-    shared: &NodeShared,
+    stats: &SharedStats,
+    log: &RaceLog,
     proto: &ProtoState,
     table: &pagedmem::PageTable,
     received: &[(ProcId, AddrRange, Vec<u8>)],
@@ -2500,14 +2537,18 @@ fn detect_push_races_locked(
             let end = range.end().as_usize().min(page.end().as_usize()) - page.base().as_usize();
             let words = overlap(&local_ranges, &[(start as u32, end as u32)]);
             if !words.is_empty() {
-                shared.record_race(RaceReport::new(
-                    page,
-                    words,
-                    RaceAccess { proc: me, interval: proto.current_interval },
-                    RaceAccess { proc: from, interval: 0 },
-                    me,
-                    SyncKind::Push,
-                ));
+                record_race(
+                    stats,
+                    log,
+                    RaceReport::new(
+                        page,
+                        words,
+                        RaceAccess { proc: me, interval: proto.current_interval },
+                        RaceAccess { proc: from, interval: 0 },
+                        me,
+                        SyncKind::Push,
+                    ),
+                );
             }
         }
     }

@@ -358,16 +358,6 @@ impl NodeShared {
         self.stats.table_lock_acquires(1);
         self.table.lock()
     }
-
-    /// Counts and logs one detected race. Must only be called when the
-    /// detector is on; panics the run in fail-fast mode (via
-    /// [`racecheck::RaceLog::record`]).
-    pub(crate) fn record_race(&self, report: racecheck::RaceReport) {
-        self.stats.races_detected(1);
-        if let Some(log) = &self.run.race {
-            log.record(report);
-        }
-    }
 }
 
 #[cfg(test)]

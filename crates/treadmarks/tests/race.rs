@@ -106,18 +106,24 @@ fn unsynchronized_write_before_an_acquire_is_reported_at_the_grant() {
     // with processor 0's interval even though the acquire itself orders
     // everything that follows. The pre-merge timestamp snapshot carried by
     // the pending sync is what keeps this detectable at the grant.
+    //
+    // Processor 0 takes the lock *before* the leading barrier, so processor
+    // 1's request is ordered after that acquire whatever the host does — it
+    // queues behind the held lock (or finds it just released) and the grant
+    // always carries the releaser's diff; the two post-barrier writes are
+    // still concurrent.
     const LOCK: LockId = 0;
     let run = Dsm::run(detecting(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS);
         if p.proc_id() == 0 {
             p.lock_acquire(LOCK);
+        }
+        p.barrier();
+        if p.proc_id() == 0 {
             p.set(&a, 1, 41);
             p.lock_release(LOCK);
         } else {
             p.set(&a, 1, 7); // unsynchronized: the race
-                             // Order the acquires in virtual time so the grant carries the
-                             // releaser's diff deterministically.
-            p.compute(sp2model::VirtualTime::from_millis(1));
             p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
             p.lock_release(LOCK);
         }
@@ -141,19 +147,20 @@ fn unsynchronized_write_before_an_acquire_is_reported_on_a_later_demand_fetch() 
     // the open interval's *current* timestamp covers the releaser's
     // interval — only the retained pre-acquire snapshot keeps the
     // unflushed pre-acquire write visible as concurrent on the demand
-    // fetch.
+    // fetch. As above, processor 0 holds the lock across the leading
+    // barrier, so its critical section always precedes processor 1's.
     const LOCK: LockId = 0;
     let run = Dsm::run(detecting(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS);
         if p.proc_id() == 0 {
             p.lock_acquire(LOCK);
+        }
+        p.barrier();
+        if p.proc_id() == 0 {
             p.set(&a, 1, 41);
             p.lock_release(LOCK);
         } else {
             p.set(&a, 1, 7); // unsynchronized: the race
-                             // Order the acquires in virtual time so processor 0's
-                             // critical section deterministically precedes this one.
-            p.compute(sp2model::VirtualTime::from_millis(1));
             p.lock_acquire(LOCK); // no sync pages: nothing piggybacks
             let _ = p.get(&a, 1); // demand fetch pulls the releaser's diff
             p.lock_release(LOCK);

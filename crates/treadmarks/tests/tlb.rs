@@ -3,6 +3,14 @@
 //! barrier write-notice application, push installs), a stale cached entry
 //! must never serve an invalidated page, and the steady-state fast path
 //! must take zero global page-table-lock acquisitions.
+//!
+//! Since the TLB holds the frames it maps on **lease**, the second half of
+//! the file pins what a lease must never change: the protocol server still
+//! gets at a frame the application keeps hitting (liveness, at any reactor
+//! pool size), every revocation path still faults the very next access to
+//! a page that was leased a moment before, the hit counter read through
+//! `Process::stats` is exact in the middle of a kernel, and a panic raised
+//! while leases are held comes out of `Dsm::run` as that panic.
 
 use pagedmem::PAGE_SIZE;
 use sp2model::CostModel;
@@ -200,5 +208,242 @@ fn bulk_accessors_match_per_element_access() {
         for c in 0..3 {
             assert_eq!(p.get(big.array(), big.index(100, c)), (c + 1) as f64);
         }
+    });
+}
+
+// ----------------------------------------------------------------------
+// Leases
+// ----------------------------------------------------------------------
+
+/// Processor 0 produces a page and then keeps hitting it (so it holds the
+/// frame on lease) while every other processor demand-fetches that page —
+/// a whole-page fetch on even rounds (`WRITE_ALL` keeps no delta, so the
+/// server has to read the leased frame itself), ordinary diffs on odd ones.
+/// The only lease-return points are the two barriers of each round.
+fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
+    const ROUNDS: usize = 12;
+    const HITS: usize = 20_000;
+    let half = ELEMS_PER_PAGE / 2;
+    let run = Dsm::run(config, |p| {
+        let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
+        let mut seen = 0u64;
+        for round in 0..ROUNDS {
+            let value = |i: usize| (round * 1000 + i) as u64;
+            if p.proc_id() == 0 {
+                if round % 2 == 0 {
+                    p.write_enable(&[a.full_range()], true);
+                    for i in 0..a.len() {
+                        p.set(&a, i, value(i));
+                    }
+                } else {
+                    for i in 0..half {
+                        p.set(&a, i, value(i));
+                    }
+                }
+            }
+            p.barrier();
+            if p.proc_id() == 0 {
+                // Reads of the words the peers fetch, writes to a word
+                // nobody else touches: all hits on the leased frame.
+                for k in 0..HITS {
+                    seen = seen.wrapping_add(p.get(&a, k % half));
+                    p.set(&a, a.len() - 1, k as u64);
+                }
+            } else {
+                let i = (round + p.proc_id()) % half;
+                assert_eq!(p.get(&a, i), value(i), "round {round}: the fetched page is current");
+            }
+            p.barrier();
+        }
+        (seen, p.stats().snapshot().tlb_hits)
+    });
+    assert!(
+        run.results[0].1 >= (ROUNDS * HITS * 2) as u64,
+        "the hammering accesses were TLB hits: {}",
+        run.results[0].1
+    );
+}
+
+#[test]
+fn a_leased_page_stays_fetchable_at_2_and_8_processors() {
+    for nprocs in [2, 8] {
+        hammer_a_leased_page_while_peers_fetch_it(free_config(nprocs));
+    }
+}
+
+#[test]
+fn a_leased_page_stays_fetchable_with_one_reactor_for_every_node() {
+    // One reactor thread multiplexes every node's server: while it waits
+    // for processor 0's lease it serves nobody, so this is the
+    // configuration in which a lease that is not returned before a
+    // blocking wait would wedge the whole run.
+    for nprocs in [2, 8] {
+        hammer_a_leased_page_while_peers_fetch_it(free_config(nprocs).with_reactors(1));
+    }
+}
+
+#[test]
+fn the_flush_write_protect_revokes_a_leased_writable_page() {
+    Dsm::run(free_config(1), |p| {
+        let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
+        p.set(&a, 0, 1);
+        p.set(&a, 1, 2); // a hit: the frame is on lease, writable
+        let faults = p.stats().snapshot().page_faults;
+        p.barrier(); // ends the interval: diff, write-protect
+        p.set(&a, 0, 3);
+        assert_eq!(p.stats().snapshot().page_faults, faults + 1, "the next write must fault");
+        assert_eq!(p.get(&a, 0), 3);
+        assert_eq!(p.get(&a, 1), 2);
+    });
+}
+
+#[test]
+fn a_lock_grants_invalidation_revokes_a_leased_page() {
+    // Lock 0 is managed by processor 0, which takes it before the second
+    // barrier: processor 1's acquire is ordered after that whatever the
+    // host does, so its grant carries the notice of the write.
+    const LOCK: LockId = 0;
+    let run = Dsm::run(free_config(2), |p| {
+        let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
+        if p.proc_id() == 0 {
+            p.set(&a, 3, 5);
+        }
+        p.barrier();
+        assert_eq!(p.get(&a, 3), 5, "map the page everywhere");
+        if p.proc_id() == 0 {
+            p.lock_acquire(LOCK);
+        }
+        p.barrier();
+        if p.proc_id() == 0 {
+            p.set(&a, 3, 9);
+            p.lock_release(LOCK);
+            9
+        } else {
+            assert_eq!(p.get(&a, 3), 5);
+            assert_eq!(p.get(&a, 3), 5, "a hit on the leased frame");
+            let faults = p.stats().snapshot().page_faults;
+            p.lock_acquire(LOCK);
+            let v = p.get(&a, 3);
+            assert_eq!(p.stats().snapshot().page_faults, faults + 1, "the next read must fault");
+            p.lock_release(LOCK);
+            v
+        }
+    });
+    assert_eq!(run.results, vec![9, 9]);
+}
+
+#[test]
+fn a_barriers_write_notices_revoke_a_leased_page() {
+    let run = Dsm::run(free_config(2), |p| {
+        let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
+        if p.proc_id() == 1 {
+            p.set(&a, 0, 5);
+        }
+        p.barrier();
+        assert_eq!(p.get(&a, 0), 5);
+        p.barrier();
+        if p.proc_id() == 1 {
+            p.set(&a, 0, 42);
+            p.barrier();
+            return 42;
+        }
+        // Still the old value, and the frame is on lease right up to the
+        // barrier that delivers the notice.
+        assert_eq!(p.get(&a, 0), 5);
+        let faults = p.stats().snapshot().page_faults;
+        p.barrier();
+        let v = p.get(&a, 0);
+        assert_eq!(p.stats().snapshot().page_faults, faults + 1, "the next read must fault");
+        v
+    });
+    assert_eq!(run.results, vec![42, 42]);
+}
+
+#[test]
+fn a_push_install_revokes_a_leased_page() {
+    let run = Dsm::run(free_config(2), |p| {
+        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
+        let me = p.proc_id();
+        let other = 1 - me;
+        let half = a.len() / 2;
+        let mine = a.range_of(me * half, (me + 1) * half);
+        p.write_enable(&[mine], true);
+        for i in 0..half {
+            p.set(&a, me * half + i, (me * 100 + i + 1) as u64);
+        }
+        // The peer's half: materialises zero-filled, then hits on the lease.
+        assert_eq!(p.get(&a, other * half), 0);
+        assert_eq!(p.get(&a, other * half + 1), 0);
+        let receipt = p.push_exchange(&[(other, vec![mine])], &[other]);
+        assert_eq!(receipt.pages_warmed, 1, "the install re-warms the received page");
+        let before = p.stats().snapshot();
+        let v = p.get(&a, other * half);
+        let after = p.stats().snapshot();
+        // The install replaced the contents under the table lock, which the
+        // lease had to be returned for; the re-warmed mapping serves the
+        // new bytes without a fault.
+        assert_eq!(after.page_faults, before.page_faults);
+        assert_eq!(after.tlb_hits, before.tlb_hits + 1);
+        v
+    });
+    assert_eq!(run.results, vec![101, 1], "the pushed contents replace the leased zeros");
+}
+
+#[test]
+fn the_hit_count_is_exact_in_the_middle_of_a_kernel() {
+    Dsm::run(free_config(1), |p| {
+        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
+        for i in 0..a.len() {
+            p.set(&a, i, i as u64);
+        }
+        for i in 0..a.len() {
+            let _ = p.get(&a, i);
+        }
+        let start = p.stats().snapshot();
+        let mut done = 0u64;
+        // No synchronization, fault or miss anywhere in here: the only
+        // thing that can publish the count is the read itself.
+        for burst in [1usize, 7, 512, 3, 1000] {
+            for k in 0..burst {
+                if k % 2 == 0 {
+                    let _ = p.get(&a, (k * 37) % a.len());
+                } else {
+                    p.set(&a, (k * 41) % a.len(), k as u64);
+                }
+            }
+            done += burst as u64;
+            let now = p.stats().snapshot();
+            assert_eq!(now.tlb_hits, start.tlb_hits + done, "after {done} accesses");
+            assert_eq!(now.tlb_misses, start.tlb_misses);
+            assert_eq!(now.table_lock_acquires, start.table_lock_acquires);
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "application bug while holding leases")]
+fn a_panic_while_leases_are_held_propagates_as_itself() {
+    // Processor 0 dies with the page on lease while processor 1 is
+    // fetching that very page (a whole-page fetch, which has the server
+    // read the frame) and then waits at a barrier. The lease comes back
+    // when the dying processor is dropped, so the server finishes, the
+    // peer is poisoned out of its barrier, and the run reports the
+    // application's own panic.
+    let _ = Dsm::run(free_config(2).with_reactors(1), |p| {
+        let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
+        if p.proc_id() == 0 {
+            p.write_enable(&[a.full_range()], true);
+            for i in 0..a.len() {
+                p.set(&a, i, 7);
+            }
+        }
+        p.barrier();
+        if p.proc_id() == 0 {
+            assert_eq!(p.get(&a, 0), 7);
+            assert_eq!(p.get(&a, 1), 7);
+            panic!("application bug while holding leases");
+        }
+        assert_eq!(p.get(&a, 5), 7);
+        p.barrier();
     });
 }
