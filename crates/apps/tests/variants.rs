@@ -408,3 +408,28 @@ fn lease_keeps_the_access_path_counters_of_the_baseline_variants_exact() {
     let gauss_run = run_app_u64(gauss, GAUSS_CFG, 8, Variant::TreadMarks);
     assert_eq!(triple(&gauss_run), GAUSS_ACCESS, "gauss/treadmarks@8");
 }
+
+/// `(messages_sent, bytes_sent, diffs_applied, write_notices)`, Σ over the
+/// processors, of the `Validate` variants at 64 processors on the wide
+/// grid, as measured at the commit before diffs became shared, the barrier
+/// departure's request set one allocation and the notice log a sorted
+/// queue. Those replacements move host time only: what is sent, how large
+/// it is, which diffs are applied and which notices are recorded — in
+/// particular the order-sensitive notice walk — must not move by one.
+const JACOBI_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_308, 3_523_692, 3_126, 12_096);
+const SOR_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_896, 6_088_700, 4_168, 16_128);
+const GAUSS_WIDE_TRAFFIC: (u64, u64, u64, u64) = (2_210, 3_111_520, 1_986, 8_190);
+
+#[test]
+fn sharing_keeps_the_wide_validate_traffic_exact() {
+    fn traffic<R>(run: &DsmRun<R>) -> (u64, u64, u64, u64) {
+        let t = run.stats.total();
+        (t.messages_sent, t.bytes_sent, t.diffs_applied, t.write_notices)
+    }
+    let jacobi_run = run_app(jacobi, WIDE_CFG, 64, Variant::Validate);
+    assert_eq!(traffic(&jacobi_run), JACOBI_WIDE_TRAFFIC, "jacobi/validate@64");
+    let sor_run = run_app(sor, WIDE_CFG, 64, Variant::Validate);
+    assert_eq!(traffic(&sor_run), SOR_WIDE_TRAFFIC, "sor/validate@64");
+    let gauss_run = run_app_u64(gauss, WIDE_CFG, 64, Variant::Validate);
+    assert_eq!(traffic(&gauss_run), GAUSS_WIDE_TRAFFIC, "gauss/validate@64");
+}

@@ -17,7 +17,8 @@
 //!    the network-fetched originals.
 //! 2. **A home for cross-crate helpers with no better owner.** Error
 //!    conversion glue and similar utilities that would otherwise force a
-//!    dependency edge between sibling crates live here (see [`error`]).
+//!    dependency edge between sibling crates live here (see [`error`] and
+//!    [`hash`], the cheap hasher of the page-keyed tables).
 //!
 //! Nothing in this crate is specific to distributed shared memory; it is
 //! deliberately boring so that the interesting code stays in `pagedmem`,
@@ -28,4 +29,5 @@
 
 pub mod channel;
 pub mod error;
+pub mod hash;
 pub mod sync;

@@ -7,24 +7,47 @@
 //! be applied in timestamp order to reconstruct a consistent copy — this is
 //! what enables the multiple-writer protocol and what causes the *diff
 //! accumulation* pathology the paper observes for IS.
+//!
+//! A diff is created once and shipped to whoever asks, so it is stored the
+//! way it travels: one list of run headers and **one** payload buffer behind
+//! an [`Arc`]. A built diff has no `&mut` method; cloning it — at every
+//! serve, every duplicated message — shares the encoding instead of copying
+//! it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{MemError, PAGE_SIZE};
 
 /// Comparison granularity in bytes (one 32-bit word, as in TreadMarks).
 const WORD: usize = 4;
 
-/// A run of modified bytes within a page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Run {
-    /// Byte offset of the run within the page (word aligned).
-    offset: u32,
-    /// The new contents of the run.
-    data: Vec<u8>,
+/// Two runs are separated by at least one clean word, so a page holds at
+/// most this many.
+const MAX_RUNS: usize = PAGE_SIZE / (2 * WORD);
+
+// An extent stores offsets and lengths up to `PAGE_SIZE` in 16 bits.
+const _: () = assert!(PAGE_SIZE <= u16::MAX as usize);
+
+/// Where one run of modified bytes lands in the page (word aligned). Its
+/// new contents are the next `len` bytes of the diff's payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Extent {
+    offset: u16,
+    len: u16,
 }
 
-/// A word-granularity run-length encoded diff of one page.
+/// The run-length encoding: what [`Diff`] shares.
+#[derive(Debug, PartialEq, Eq, Default)]
+struct Encoded {
+    /// The runs, ascending by offset and never adjacent.
+    extents: Box<[Extent]>,
+    /// The runs' new contents, concatenated in extent order.
+    payload: Box<[u8]>,
+}
+
+/// A word-granularity run-length encoded diff of one page: immutable once
+/// built, and shared — not copied — by `clone`.
 ///
 /// ```
 /// use pagedmem::{Diff, PAGE_SIZE};
@@ -36,17 +59,18 @@ struct Run {
 /// assert!(diff.encoded_bytes() < PAGE_SIZE);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Diff {
-    runs: Vec<Run>,
-}
+pub struct Diff(Arc<Encoded>);
 
 impl Diff {
     /// Compares `current` against `twin` and records the changed words.
     ///
-    /// Runs are still word granular, but the scan compares 8-byte blocks and
-    /// only descends to the two 4-byte words inside a block that differs —
-    /// on the common mostly-clean page this halves the comparisons without
-    /// changing the encoding.
+    /// Runs are word granular, but the scan compares 8-byte blocks and only
+    /// looks at the two 4-byte words of a block that differs — on the common
+    /// mostly-clean page this halves the comparisons without changing the
+    /// encoding. The scan only notes where the runs are (on the stack: a
+    /// page holds at most 512); the payload buffer is then sized
+    /// once and filled, so a diff costs the same three allocations whether
+    /// it has one run or five hundred.
     ///
     /// # Panics
     ///
@@ -55,29 +79,36 @@ impl Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be a whole page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be a whole page");
         const BLOCK: usize = 2 * WORD;
-        let mut runs = Vec::new();
+        let mut extents = [Extent::default(); MAX_RUNS];
+        let mut runs = 0;
+        let mut modified = 0;
         let mut run_start: Option<usize> = None;
-        for block in 0..PAGE_SIZE / BLOCK {
+        let mut close = |start: usize, end: usize| {
+            extents[runs] = Extent { offset: start as u16, len: (end - start) as u16 };
+            runs += 1;
+            modified += end - start;
+        };
+        for (block, (t, c)) in twin.chunks_exact(BLOCK).zip(current.chunks_exact(BLOCK)).enumerate()
+        {
             let lo = block * BLOCK;
-            let t = u64::from_le_bytes(twin[lo..lo + BLOCK].try_into().expect("8-byte block"));
-            let c = u64::from_le_bytes(current[lo..lo + BLOCK].try_into().expect("8-byte block"));
-            if t == c {
+            let t = u64::from_le_bytes(t.try_into().expect("8-byte block"));
+            let c = u64::from_le_bytes(c.try_into().expect("8-byte block"));
+            // Little endian: the low half of the XOR is the block's first
+            // word.
+            let x = t ^ c;
+            if x == 0 {
                 // Both words are clean; a run open at this point ends exactly
                 // where the word-by-word scan would have ended it.
                 if let Some(start) = run_start.take() {
-                    runs.push(Run { offset: start as u32, data: current[start..lo].to_vec() });
+                    close(start, lo);
                 }
                 continue;
             }
-            for word_lo in [lo, lo + WORD] {
-                let differs = twin[word_lo..word_lo + WORD] != current[word_lo..word_lo + WORD];
+            for (word_lo, differs) in [(lo, x as u32 != 0), (lo + WORD, x >> 32 != 0)] {
                 match (differs, run_start) {
                     (true, None) => run_start = Some(word_lo),
                     (false, Some(start)) => {
-                        runs.push(Run {
-                            offset: start as u32,
-                            data: current[start..word_lo].to_vec(),
-                        });
+                        close(start, word_lo);
                         run_start = None;
                     }
                     _ => {}
@@ -85,16 +116,23 @@ impl Diff {
             }
         }
         if let Some(start) = run_start {
-            runs.push(Run { offset: start as u32, data: current[start..PAGE_SIZE].to_vec() });
+            close(start, PAGE_SIZE);
         }
-        Diff { runs }
+        let extents = &extents[..runs];
+        let mut payload = Vec::with_capacity(modified);
+        for e in extents {
+            let start = usize::from(e.offset);
+            payload.extend_from_slice(&current[start..start + usize::from(e.len)]);
+        }
+        Diff(Arc::new(Encoded { extents: extents.into(), payload: payload.into_boxed_slice() }))
     }
 
     /// A diff that describes the entire page contents (used when a whole page
     /// must be shipped, e.g. the first copy of a page).
     pub fn full_page(current: &[u8]) -> Diff {
         assert_eq!(current.len(), PAGE_SIZE, "page must be a whole page");
-        Diff { runs: vec![Run { offset: 0, data: current.to_vec() }] }
+        let whole = Extent { offset: 0, len: PAGE_SIZE as u16 };
+        Diff(Arc::new(Encoded { extents: Box::new([whole]), payload: current.into() }))
     }
 
     /// Applies the diff to `page`, overwriting the recorded runs.
@@ -106,21 +144,24 @@ impl Diff {
         if page.len() != PAGE_SIZE {
             return Err(MemError::BadPageLength(page.len()));
         }
-        for run in &self.runs {
-            let start = run.offset as usize;
-            page[start..start + run.data.len()].copy_from_slice(&run.data);
+        let mut rest = &self.0.payload[..];
+        for e in &self.0.extents {
+            let (data, tail) = rest.split_at(usize::from(e.len));
+            let start = usize::from(e.offset);
+            page[start..start + data.len()].copy_from_slice(data);
+            rest = tail;
         }
         Ok(())
     }
 
     /// Whether the diff records no modifications.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.0.extents.is_empty()
     }
 
     /// Number of modified bytes recorded.
     pub fn modified_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.data.len()).sum()
+        self.0.payload.len()
     }
 
     /// The modified byte ranges as half-open `(start, end)` offsets within
@@ -128,50 +169,29 @@ impl Diff {
     /// without the payload. This is what the race detector intersects
     /// across intervals.
     pub fn modified_ranges(&self) -> Vec<(u32, u32)> {
-        self.runs.iter().map(|r| (r.offset, r.offset + r.data.len() as u32)).collect()
+        self.0
+            .extents
+            .iter()
+            .map(|e| (u32::from(e.offset), u32::from(e.offset) + u32::from(e.len)))
+            .collect()
     }
 
     /// Size of the diff as transmitted: run headers plus run payloads.
     ///
     /// Each run costs 8 header bytes (offset + length) in the wire encoding.
     pub fn encoded_bytes(&self) -> usize {
-        self.runs.len() * 8 + self.modified_bytes()
-    }
-
-    /// Merges `later` on top of `self`, producing a diff equivalent to
-    /// applying `self` then `later`.
-    pub fn merge(&self, later: &Diff) -> Diff {
-        // Materialise on a scratch page. Simple and obviously correct; diffs
-        // are merged rarely (only when collapsing write-notice chains).
-        let mut scratch = vec![0u8; PAGE_SIZE];
-        let mut mask = vec![false; PAGE_SIZE];
-        for diff in [self, later] {
-            for run in &diff.runs {
-                let start = run.offset as usize;
-                scratch[start..start + run.data.len()].copy_from_slice(&run.data);
-                mask[start..start + run.data.len()].iter_mut().for_each(|m| *m = true);
-            }
-        }
-        let mut runs = Vec::new();
-        let mut cursor = 0;
-        while cursor < PAGE_SIZE {
-            if mask[cursor] {
-                let start = cursor;
-                while cursor < PAGE_SIZE && mask[cursor] {
-                    cursor += 1;
-                }
-                runs.push(Run { offset: start as u32, data: scratch[start..cursor].to_vec() });
-            } else {
-                cursor += 1;
-            }
-        }
-        Diff { runs }
+        self.0.extents.len() * 8 + self.0.payload.len()
     }
 }
 
 impl fmt::Display for Diff {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "diff with {} runs, {} modified bytes", self.runs.len(), self.modified_bytes())
+        write!(
+            f,
+            "diff with {} runs, {} modified bytes",
+            self.0.extents.len(),
+            self.modified_bytes()
+        )
     }
 }
 
@@ -211,7 +231,7 @@ mod tests {
         let mut current = twin.clone();
         current[16..32].copy_from_slice(&[5; 16]);
         let diff = Diff::create(&twin, &current);
-        assert_eq!(diff.runs.len(), 1);
+        assert_eq!(diff.0.extents.len(), 1);
         assert_eq!(diff.modified_bytes(), 16);
         assert_eq!(diff.encoded_bytes(), 8 + 16);
     }
@@ -223,7 +243,7 @@ mod tests {
         current[0] = 1;
         current[2048] = 1;
         let diff = Diff::create(&twin, &current);
-        assert_eq!(diff.runs.len(), 2);
+        assert_eq!(diff.0.extents.len(), 2);
         // Word granularity: each run is one 4-byte word even though only one
         // byte changed.
         assert_eq!(diff.modified_bytes(), 8);
@@ -244,25 +264,6 @@ mod tests {
         let diff = Diff::full_page(&vec![0u8; PAGE_SIZE]);
         let mut short = vec![0u8; 100];
         assert_eq!(diff.apply(&mut short), Err(MemError::BadPageLength(100)));
-    }
-
-    #[test]
-    fn merge_applies_later_on_top() {
-        let twin = vec![0u8; PAGE_SIZE];
-        let mut a = twin.clone();
-        a[0..4].copy_from_slice(&[1, 1, 1, 1]);
-        a[100..104].copy_from_slice(&[2, 2, 2, 2]);
-        let mut b = twin.clone();
-        b[100..104].copy_from_slice(&[3, 3, 3, 3]);
-
-        let da = Diff::create(&twin, &a);
-        let db = Diff::create(&twin, &b);
-        let merged = da.merge(&db);
-
-        let mut result = twin.clone();
-        merged.apply(&mut result).unwrap();
-        assert_eq!(&result[0..4], &[1, 1, 1, 1]);
-        assert_eq!(&result[100..104], &[3, 3, 3, 3]);
     }
 
     #[test]
@@ -321,15 +322,6 @@ mod tests {
         assert_eq!(ab, ba, "disjoint diffs must commute");
         assert_eq!(&ab[0..64], &[0xAA; 64][..]);
         assert_eq!(&ab[2048..2112], &[0xBB; 64][..]);
-
-        // The explicit merge agrees with sequential application, in both
-        // merge orders.
-        let mut merged_ab = twin.clone();
-        da.merge(&db).apply(&mut merged_ab).unwrap();
-        let mut merged_ba = twin.clone();
-        db.merge(&da).apply(&mut merged_ba).unwrap();
-        assert_eq!(merged_ab, ab);
-        assert_eq!(merged_ba, ab);
     }
 
     #[test]
@@ -338,7 +330,12 @@ mod tests {
         // word-by-word state machine, including runs that straddle block
         // boundaries, start mid-block or cover exactly one word of a block.
         fn reference(twin: &[u8], current: &[u8]) -> Diff {
-            let mut runs = Vec::new();
+            let mut extents = Vec::new();
+            let mut payload = Vec::new();
+            let mut close = |start: usize, end: usize| {
+                extents.push(Extent { offset: start as u16, len: (end - start) as u16 });
+                payload.extend_from_slice(&current[start..end]);
+            };
             let mut run_start: Option<usize> = None;
             for word in 0..PAGE_SIZE / WORD {
                 let lo = word * WORD;
@@ -346,16 +343,16 @@ mod tests {
                 match (differs, run_start) {
                     (true, None) => run_start = Some(lo),
                     (false, Some(start)) => {
-                        runs.push(Run { offset: start as u32, data: current[start..lo].to_vec() });
+                        close(start, lo);
                         run_start = None;
                     }
                     _ => {}
                 }
             }
             if let Some(start) = run_start {
-                runs.push(Run { offset: start as u32, data: current[start..PAGE_SIZE].to_vec() });
+                close(start, PAGE_SIZE);
             }
-            Diff { runs }
+            Diff(Arc::new(Encoded { extents: extents.into(), payload: payload.into() }))
         }
         // A deterministic pseudo-random page pair with edits of many shapes.
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -383,6 +380,17 @@ mod tests {
             let mut current = twin.clone();
             current[edit] = 1;
             assert_eq!(Diff::create(&twin, &current), reference(&twin, &current));
+        }
+        // The extremes of the run count: every other word (the most runs a
+        // page can hold, in both phases) and every word (one run).
+        for (first, step) in [(0, 2), (1, 2), (0, 1)] {
+            let mut current = twin.clone();
+            for word in (first..PAGE_SIZE / WORD).step_by(step) {
+                current[word * WORD] = 1;
+            }
+            let diff = Diff::create(&twin, &current);
+            assert_eq!(diff, reference(&twin, &current));
+            assert_eq!(diff.0.extents.len(), if step == 2 { MAX_RUNS } else { 1 });
         }
     }
 

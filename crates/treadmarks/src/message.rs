@@ -1,5 +1,7 @@
 //! Protocol messages exchanged between nodes.
 
+use std::sync::Arc;
+
 use pagedmem::{AddrRange, Diff, PageId};
 
 use crate::notice::WriteNotice;
@@ -178,8 +180,11 @@ pub enum TmkMessage {
         /// Write notices this subtree has not seen.
         notices: Vec<WriteNotice>,
         /// All piggy-backed fetch requests, to be answered by whoever holds
-        /// the corresponding diffs.
-        sync_requests: Vec<SyncFetchRequest>,
+        /// the corresponding diffs. Every processor receives the same set,
+        /// so it is built once at the root and every departure of the
+        /// barrier — the root's and each interior node's — shares that one
+        /// allocation.
+        sync_requests: Arc<[SyncFetchRequest]>,
     },
     /// Faulting processor -> writer: request for diffs.
     DiffRequest {

@@ -1,6 +1,6 @@
 //! Write notices and the per-processor notice log.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use pagedmem::PageId;
 
@@ -29,69 +29,85 @@ impl WriteNotice {
 /// Everything a processor knows about modifications in the system: for each
 /// processor, the pages modified in each of its intervals.
 ///
-/// The log is append-only and is consulted to answer "which notices does a
-/// processor with vector timestamp `vt` still need?" — the question asked at
-/// every lock grant and barrier departure.
+/// The log is consulted to answer "which notices does a processor with
+/// vector timestamp `vt` still need?" — the question asked at every lock
+/// grant and barrier departure — and trimmed from the old end at every
+/// barrier. Records arrive almost always in interval order, so each
+/// processor's records are a sorted queue: append at the back, drain at the
+/// front, and the storage a trim frees is what the next barrier's records
+/// reuse.
 #[derive(Debug, Clone, Default)]
 pub struct NoticeLog {
-    /// `per_proc[p]` maps interval -> pages modified by `p` in that interval.
-    per_proc: Vec<BTreeMap<Interval, Vec<PageId>>>,
+    /// `per_proc[p]`: `(interval, pages modified by p in it)`, ascending by
+    /// interval, one record per interval.
+    per_proc: Vec<VecDeque<(Interval, Vec<PageId>)>>,
 }
 
 impl NoticeLog {
     /// An empty log for `nprocs` processors.
     pub fn new(nprocs: usize) -> NoticeLog {
-        NoticeLog { per_proc: vec![BTreeMap::new(); nprocs] }
+        NoticeLog { per_proc: vec![VecDeque::new(); nprocs] }
     }
 
     /// Records a batch of notices for `(proc, interval)`. Duplicate
     /// insertions are ignored (the first recording wins).
     pub fn record(&mut self, proc: ProcId, interval: Interval, pages: Vec<PageId>) -> bool {
-        let entry = self.per_proc[proc].entry(interval);
-        match entry {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(pages);
+        let records = &mut self.per_proc[proc];
+        if records.back().is_none_or(|&(latest, _)| latest < interval) {
+            records.push_back((interval, pages));
+            return true;
+        }
+        // The rare out-of-order record (an interval learned along a lock
+        // chain after a later one of the same processor).
+        match records.binary_search_by_key(&interval, |&(i, _)| i) {
+            Ok(_) => false,
+            Err(at) => {
+                records.insert(at, (interval, pages));
                 true
             }
-            std::collections::btree_map::Entry::Occupied(_) => false,
         }
     }
 
     /// Whether the log already contains `(proc, interval)`.
     pub fn contains(&self, proc: ProcId, interval: Interval) -> bool {
-        self.per_proc[proc].contains_key(&interval)
+        self.per_proc[proc].binary_search_by_key(&interval, |&(i, _)| i).is_ok()
     }
 
-    /// All notices with `interval > vt[proc]` — exactly what a processor with
-    /// timestamp `vt` has not yet seen.
+    /// The records with `interval > vt[proc]` — exactly what a processor
+    /// with timestamp `vt` has not yet seen — as `(proc, interval, pages)`
+    /// in ascending `(proc, interval)` order, without copying them.
+    pub fn records_after<'a>(
+        &'a self,
+        vt: &'a Vt,
+    ) -> impl Iterator<Item = (ProcId, Interval, &'a [PageId])> + 'a {
+        self.per_proc
+            .iter()
+            .enumerate()
+            // Most processors have nothing new for most timestamps, and one
+            // look at a queue's newest record says so.
+            .filter(|&(proc, records)| {
+                records.back().is_some_and(|&(latest, _)| latest > vt.get(proc))
+            })
+            .flat_map(|(proc, records)| {
+                let first = records.partition_point(|&(interval, _)| interval <= vt.get(proc));
+                records.range(first..).map(move |(interval, pages)| (proc, *interval, &pages[..]))
+            })
+    }
+
+    /// [`records_after`](Self::records_after) as one write notice per page,
+    /// the form that travels.
     pub fn notices_after(&self, vt: &Vt) -> Vec<WriteNotice> {
-        let mut out = Vec::new();
-        for (proc, intervals) in self.per_proc.iter().enumerate() {
-            let seen = vt.get(proc);
-            for (&interval, pages) in intervals.range(seen + 1..) {
-                for &page in pages {
-                    out.push(WriteNotice { page, proc, interval });
-                }
-            }
+        let count = self.records_after(vt).map(|(_, _, pages)| pages.len()).sum();
+        let mut out = Vec::with_capacity(count);
+        for (proc, interval, pages) in self.records_after(vt) {
+            out.extend(pages.iter().map(|&page| WriteNotice { page, proc, interval }));
         }
         out
     }
 
-    /// The latest interval recorded for each processor, as a vector
-    /// timestamp.
-    pub fn horizon(&self, nprocs: usize) -> Vt {
-        let mut vt = Vt::new(nprocs);
-        for (proc, intervals) in self.per_proc.iter().enumerate() {
-            if let Some((&latest, _)) = intervals.iter().next_back() {
-                vt.advance(proc, latest);
-            }
-        }
-        vt
-    }
-
     /// Total number of `(proc, interval)` records.
     pub fn interval_count(&self) -> usize {
-        self.per_proc.iter().map(BTreeMap::len).sum()
+        self.per_proc.iter().map(VecDeque::len).sum()
     }
 
     /// Drops each processor's records covered by `horizon`'s component for
@@ -104,10 +120,12 @@ impl NoticeLog {
     /// reported again.
     pub fn trim_covered(&mut self, horizon: &Vt) -> usize {
         let mut removed = 0;
-        for (proc, intervals) in self.per_proc.iter_mut().enumerate() {
-            let keep = intervals.split_off(&(horizon.get(proc) + 1));
-            removed += intervals.len();
-            *intervals = keep;
+        for (proc, records) in self.per_proc.iter_mut().enumerate() {
+            let covered = records.partition_point(|&(interval, _)| interval <= horizon.get(proc));
+            if covered > 0 {
+                records.drain(..covered);
+                removed += covered;
+            }
         }
         removed
     }
@@ -139,18 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn horizon_reports_latest_intervals() {
-        let mut log = NoticeLog::new(3);
-        log.record(0, 4, vec![PageId(1)]);
-        log.record(0, 2, vec![PageId(1)]);
-        log.record(2, 1, vec![PageId(3)]);
-        let h = log.horizon(3);
-        assert_eq!(h.get(0), 4);
-        assert_eq!(h.get(1), 0);
-        assert_eq!(h.get(2), 1);
-    }
-
-    #[test]
     fn trim_covered_is_per_processor_and_idempotent() {
         let mut log = NoticeLog::new(2);
         log.record(0, 1, vec![PageId(1)]);
@@ -173,7 +179,21 @@ mod tests {
         let mut log = NoticeLog::new(2);
         log.record(0, 1, vec![PageId(1)]);
         log.record(1, 3, vec![PageId(2)]);
-        let full = log.horizon(2);
+        let mut full = Vt::new(2);
+        full.advance(0, 1);
+        full.advance(1, 3);
         assert!(log.notices_after(&full).is_empty());
+    }
+
+    #[test]
+    fn out_of_order_records_land_in_interval_order() {
+        let mut log = NoticeLog::new(1);
+        for interval in [4, 2, 9, 3] {
+            assert!(log.record(0, interval, vec![PageId(interval as usize)]));
+        }
+        assert!(!log.record(0, 3, vec![PageId(0)]));
+        let intervals: Vec<Interval> =
+            log.notices_after(&Vt::new(1)).iter().map(|n| n.interval).collect();
+        assert_eq!(intervals, [2, 3, 4, 9]);
     }
 }

@@ -266,16 +266,20 @@ fn apply_notices_locked(
     notices: &[WriteNotice],
 ) -> NoticeTally {
     let me = proto.me;
-    let mut grouped: BTreeMap<(ProcId, Interval), Vec<PageId>> = BTreeMap::new();
-    for n in notices {
-        if n.proc == me {
-            continue;
-        }
-        grouped.entry((n.proc, n.interval)).or_default().push(n.page);
-    }
+    // Bring each `(proc, interval)` group together, groups ascending. The
+    // sort is stable, so inside a group the pages stay in arrival order:
+    // arrival order decides the invalidation (and hence later fetch)
+    // sequence, and sorting the pages too would shift every downstream
+    // virtual-time measurement.
+    let mut sorted: Vec<WriteNotice> = notices.iter().copied().filter(|n| n.proc != me).collect();
+    sorted.sort_by_key(|n| (n.proc, n.interval));
     let mut recorded = 0u64;
     let mut invalidated = Vec::new();
-    for ((proc, interval), mut pages) in grouped {
+    for group in sorted.chunk_by(|a, b| (a.proc, a.interval) == (b.proc, b.interval)) {
+        let (proc, interval) = (group[0].proc, group[0].interval);
+        if proto.notice_log.contains(proc, interval) {
+            continue;
+        }
         // One batch can carry the same notice twice — at a barrier the
         // master concatenates every child's arrival notices, and two
         // children may both have learned a third processor's interval
@@ -285,25 +289,24 @@ fn apply_notices_locked(
         // surviving phantom entry would later demand-fetch the *old*
         // interval's diff again — re-applying it on top of a newer
         // interval from the same processor and rolling those bytes back.
-        // The dedup keeps first-occurrence order: arrival order decides
-        // the invalidation (and hence later fetch) sequence, and sorting
-        // here would shift every downstream virtual-time measurement.
-        let mut seen = HashSet::with_capacity(pages.len());
-        pages.retain(|page| seen.insert(*page));
-        if !proto.notice_log.record(proc, interval, pages.clone()) {
-            continue;
-        }
-        recorded += pages.len() as u64;
-        for page in pages {
-            proto.page_missing.entry(page).or_default().push((proc, interval));
-            match table.protection(page) {
+        // So only a page's first occurrence counts.
+        let mut pages = Vec::with_capacity(group.len());
+        for n in group {
+            if pages.contains(&n.page) {
+                continue;
+            }
+            pages.push(n.page);
+            proto.page_missing.entry(n.page).or_default().push((proc, interval));
+            match table.protection(n.page) {
                 Protection::ReadOnly | Protection::ReadWrite => {
-                    table.set_protection(page, Protection::Invalid);
-                    invalidated.push(page);
+                    table.set_protection(n.page, Protection::Invalid);
+                    invalidated.push(n.page);
                 }
                 Protection::Unmapped | Protection::Invalid => {}
             }
         }
+        recorded += pages.len() as u64;
+        proto.notice_log.record(proc, interval, pages);
     }
     invalidated.sort_unstable();
     NoticeTally { recorded, invalidation_runs: contiguous_runs(&invalidated) }
@@ -434,22 +437,28 @@ fn serve_requests_locked(
     me: ProcId,
 ) -> (Vec<(ProcId, Vec<DiffRecord>)>, usize, usize) {
     let mut out = Vec::new();
-    let mut examined: HashSet<PageId> = HashSet::new();
+    let mut examined = Vec::new();
     let mut materialised = 0usize;
     for req in requests {
         if req.proc == me {
             continue;
         }
-        let (records, full_pages, pages_examined) =
-            proto.diffs_for_pages_after_counted(&req.pages, &req.vt, table);
-        examined.extend(pages_examined);
+        let (records, full_pages) =
+            proto.diffs_for_pages_after_counted(&req.pages, &req.vt, table, &mut examined);
         materialised += full_pages;
         if records.is_empty() {
             continue;
         }
         out.push((req.proc, records));
     }
-    (out, examined.len(), materialised)
+    (out, distinct_pages(examined), materialised)
+}
+
+/// How many different pages `pages` names.
+fn distinct_pages(mut pages: Vec<PageId>) -> usize {
+    pages.sort_unstable();
+    pages.dedup();
+    pages.len()
 }
 
 /// Builds the per-producer [`PageWant`] lists for everything still missing
@@ -493,13 +502,42 @@ fn wants_for_pages_locked(
 /// modification of a requested page above the advertised timestamp sends
 /// exactly one.
 fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> HashSet<ProcId> {
-    let page_set: HashSet<PageId> = pages.iter().copied().collect();
-    proto
-        .notice_log
-        .notices_after(vt)
-        .into_iter()
-        .filter(|n| n.proc != proto.me && page_set.contains(&n.page))
-        .map(|n| n.proc)
+    debug_assert!(pages.is_sorted(), "every caller sorts its page list");
+    let mut responders = HashSet::new();
+    for (proc, _, modified) in proto.notice_log.records_after(vt) {
+        if proc != proto.me
+            && !responders.contains(&proc)
+            && modified.iter().any(|page| pages.binary_search(page).is_ok())
+        {
+            responders.insert(proc);
+        }
+    }
+    responders
+}
+
+/// Builds the barrier departure of each child of this node, under an
+/// already-held proto lock and against the now complete notice log: a
+/// child's subtree-merged arrival timestamp says exactly which notices its
+/// subtree still misses. The request set is the same for everybody, so the
+/// departures *share* it — the root allocates it once and every interior
+/// node hands on the allocation it received.
+fn child_departures(
+    proto: &ProtoState,
+    children: &[(ProcId, Vt)],
+    gc_horizon: &Vt,
+    sync_requests: &Arc<[SyncFetchRequest]>,
+) -> Vec<(ProcId, TmkMessage)> {
+    children
+        .iter()
+        .map(|(proc, vt)| {
+            let msg = TmkMessage::BarrierDeparture {
+                global_vt: proto.last_global_vt.clone(),
+                gc_horizon: gc_horizon.clone(),
+                notices: proto.notice_log.notices_after(vt),
+                sync_requests: Arc::clone(sync_requests),
+            };
+            (*proc, msg)
+        })
         .collect()
 }
 
@@ -1998,7 +2036,7 @@ impl Process {
             // order, not arrival order: every processor then answers them
             // at deterministic virtual times, keeping runs reproducible.
             sync_requests.sort_by_key(|r| r.proc);
-            (child_notices, sync_requests, None, child_arrivals)
+            (child_notices, Arc::from(sync_requests), None, child_arrivals)
         } else {
             let parent = (me - 1) / arity;
             let (arrival, tally, pages_in_use) = {
@@ -2082,21 +2120,7 @@ impl Process {
                     horizon
                 }
             };
-            // Build each child's departure against the now complete notice
-            // log: the child's subtree-merged arrival timestamp says
-            // exactly which notices the subtree still misses.
-            let departures: Vec<(ProcId, TmkMessage)> = departures_to
-                .iter()
-                .map(|(proc, vt)| {
-                    let msg = TmkMessage::BarrierDeparture {
-                        global_vt: proto.last_global_vt.clone(),
-                        gc_horizon: gc_horizon.clone(),
-                        notices: proto.notice_log.notices_after(vt),
-                        sync_requests: sync_requests.clone(),
-                    };
-                    (*proc, msg)
-                })
-                .collect();
+            let departures = child_departures(&proto, &departures_to, &gc_horizon, &sync_requests);
             let (serve, scanned, materialised) =
                 serve_requests_locked(&proto, &table, &sync_requests, me);
             let responders = match &my_sync_vt {
@@ -2259,12 +2283,15 @@ impl Process {
             let mut proto = node.proto();
             let mut table = node.table();
             let mut acks = Vec::new();
-            let mut examined: HashSet<PageId> = HashSet::new();
+            let mut examined = Vec::new();
             let mut materialised = 0usize;
             for (from, ready_vt, ready_pages) in &readys {
-                let (diffs, full_pages, pages_examined) =
-                    proto.diffs_for_pages_after_counted(ready_pages, ready_vt, &table);
-                examined.extend(pages_examined);
+                let (diffs, full_pages) = proto.diffs_for_pages_after_counted(
+                    ready_pages,
+                    ready_vt,
+                    &table,
+                    &mut examined,
+                );
                 materialised += full_pages;
                 let msg = TmkMessage::NeighborAck {
                     from: me,
@@ -2277,7 +2304,7 @@ impl Process {
             }
             let prep = prep_writes_locked(&mut proto, &mut table, plan, true, &mut deferred);
             warm_ranges_locked(&mut node, &table, &plan.warm);
-            (acks, prep, examined.len(), materialised, table.pages_in_use())
+            (acks, prep, distinct_pages(examined), materialised, table.pages_in_use())
         };
         self.charge_prep(&prep, pages_in_use);
         if !readys.is_empty() {
@@ -2561,5 +2588,178 @@ impl fmt::Debug for Process {
             .field("nprocs", &self.nprocs())
             .field("now", &self.clock.now())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `apply_notices_locked` as it was when it grouped through a map of
+    /// vectors and deduplicated each group through a hash set, kept
+    /// verbatim: the walk the replacement must reproduce.
+    fn apply_notices_grouped(
+        proto: &mut ProtoState,
+        table: &mut pagedmem::PageTable,
+        notices: &[WriteNotice],
+    ) -> NoticeTally {
+        let me = proto.me;
+        let mut grouped: BTreeMap<(ProcId, Interval), Vec<PageId>> = BTreeMap::new();
+        for n in notices {
+            if n.proc == me {
+                continue;
+            }
+            grouped.entry((n.proc, n.interval)).or_default().push(n.page);
+        }
+        let mut recorded = 0u64;
+        let mut invalidated = Vec::new();
+        for ((proc, interval), mut pages) in grouped {
+            let mut seen = HashSet::with_capacity(pages.len());
+            pages.retain(|page| seen.insert(*page));
+            if !proto.notice_log.record(proc, interval, pages.clone()) {
+                continue;
+            }
+            recorded += pages.len() as u64;
+            for page in pages {
+                proto.page_missing.entry(page).or_default().push((proc, interval));
+                match table.protection(page) {
+                    Protection::ReadOnly | Protection::ReadWrite => {
+                        table.set_protection(page, Protection::Invalid);
+                        invalidated.push(page);
+                    }
+                    Protection::Unmapped | Protection::Invalid => {}
+                }
+            }
+        }
+        invalidated.sort_unstable();
+        NoticeTally { recorded, invalidation_runs: contiguous_runs(&invalidated) }
+    }
+
+    const NPROCS: usize = 5;
+    const PAGES: usize = 12;
+
+    /// Node 2 of five with pages in every protection state and one record
+    /// already in its log.
+    fn node() -> (ProtoState, pagedmem::PageTable) {
+        let mut proto = ProtoState::new(2, NPROCS);
+        let mut table = pagedmem::PageTable::new();
+        for page in 0..PAGES {
+            let protection = match page % 4 {
+                0 => Protection::ReadOnly,
+                1 => Protection::ReadWrite,
+                2 => Protection::Invalid,
+                _ => continue,
+            };
+            table.map_zeroed(PageId(page), protection);
+        }
+        proto.notice_log.record(3, 1, vec![PageId(0)]);
+        (proto, table)
+    }
+
+    fn notice(proc: ProcId, interval: Interval, page: usize) -> WriteNotice {
+        WriteNotice { page: PageId(page), proc, interval }
+    }
+
+    #[test]
+    fn notice_batches_apply_exactly_as_the_grouped_walk_did() {
+        let batches: Vec<Vec<WriteNotice>> = vec![
+            // The same (proc, interval) from two children, page lists
+            // overlapping and in different orders, another group between.
+            vec![
+                notice(1, 3, 4),
+                notice(1, 3, 5),
+                notice(0, 1, 9),
+                notice(1, 3, 5),
+                notice(1, 3, 8),
+                notice(1, 3, 4),
+            ],
+            // Intervals out of order, pages descending, and a page repeated
+            // inside one child's list.
+            vec![
+                notice(4, 5, 7),
+                notice(4, 5, 1),
+                notice(4, 2, 6),
+                notice(4, 5, 7),
+                notice(4, 4, 0),
+            ],
+            // Own notices, alone and between foreign ones.
+            vec![notice(2, 1, 3), notice(0, 2, 1), notice(2, 1, 4), notice(0, 2, 2)],
+            // Groups the log already holds: one from set-up, two from the
+            // batches above (with pages the first recording never named).
+            vec![
+                notice(3, 1, 11),
+                notice(1, 3, 10),
+                notice(0, 1, 9),
+                notice(3, 2, 0),
+                notice(3, 2, 1),
+            ],
+            vec![],
+            // An older interval of a processor arriving after a newer one.
+            vec![
+                notice(1, 2, 4),
+                notice(1, 1, 5),
+                notice(0, 3, 8),
+                notice(0, 3, 9),
+                notice(0, 3, 10),
+            ],
+        ];
+        let (mut proto, mut table) = node();
+        let (mut ref_proto, mut ref_table) = node();
+        let everything = Vt::new(NPROCS);
+        for (k, batch) in batches.iter().enumerate() {
+            let tally = apply_notices_locked(&mut proto, &mut table, batch);
+            let expected = apply_notices_grouped(&mut ref_proto, &mut ref_table, batch);
+            assert_eq!(
+                (tally.recorded, tally.invalidation_runs),
+                (expected.recorded, expected.invalidation_runs),
+                "tally of batch {k}"
+            );
+            assert_eq!(
+                proto.notice_log.notices_after(&everything),
+                ref_proto.notice_log.notices_after(&everything),
+                "notice log after batch {k}"
+            );
+            // `Vec` equality: the missing lists must agree *in order*.
+            assert_eq!(proto.page_missing, ref_proto.page_missing, "missing lists after batch {k}");
+            for page in (0..PAGES).map(PageId) {
+                assert_eq!(
+                    table.protection(page),
+                    ref_table.protection(page),
+                    "{page:?}, batch {k}"
+                );
+            }
+        }
+        // The batches did what they were written to do.
+        assert!(proto.page_missing[&PageId(4)].starts_with(&[(1, 3)]));
+        assert_eq!(proto.page_missing[&PageId(5)], [(1, 3), (1, 1)]);
+        assert!(!proto.page_missing.contains_key(&PageId(11)), "a held group is skipped whole");
+        assert_eq!(table.protection(PageId(4)), Protection::Invalid);
+    }
+
+    #[test]
+    fn an_interior_node_forwards_the_request_set_it_received() {
+        let mut proto = ProtoState::new(1, NPROCS);
+        proto.notice_log.record(0, 1, vec![PageId(3)]);
+        proto.last_global_vt.advance(0, 1);
+        let received: Arc<[SyncFetchRequest]> = Arc::from(vec![
+            SyncFetchRequest { proc: 3, vt: Vt::new(NPROCS), pages: vec![PageId(3)] },
+            SyncFetchRequest { proc: 4, vt: Vt::new(NPROCS), pages: vec![PageId(3), PageId(7)] },
+        ]);
+        let children = [(3, Vt::new(NPROCS)), (4, proto.last_global_vt.clone())];
+        let departures = child_departures(&proto, &children, &Vt::new(NPROCS), &received);
+        assert_eq!(departures.len(), 2);
+        for ((child, msg), (expected, _)) in departures.iter().zip(&children) {
+            assert_eq!(child, expected);
+            let TmkMessage::BarrierDeparture { sync_requests, .. } = msg else {
+                panic!("not a departure: {msg:?}")
+            };
+            assert!(Arc::ptr_eq(sync_requests, &received), "the set must be shared, not rebuilt");
+        }
+        // What differs per child is what its timestamp misses.
+        let notices = |msg: &TmkMessage| match msg {
+            TmkMessage::BarrierDeparture { notices, .. } => notices.len(),
+            _ => unreachable!(),
+        };
+        assert_eq!((notices(&departures[0].1), notices(&departures[1].1)), (1, 0));
     }
 }

@@ -270,7 +270,7 @@ pub(crate) fn send_grant(
     let table = shared.lock_table();
     let (notices, piggyback) = if with_notices {
         (
-            proto.notices_for(requester_vt),
+            proto.notice_log.notices_after(requester_vt),
             proto.diffs_for_pages_after(sync_pages, requester_vt, &table),
         )
     } else {

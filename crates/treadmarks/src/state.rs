@@ -1,14 +1,15 @@
 //! Shared per-node protocol state.
 //!
 //! Each node's state is shared between its compute thread (the application
-//! plus the fault handler) and its protocol-server thread (the stand-in for
-//! the interrupt handler that services remote requests). Both sides take the
-//! [`parking_lot::Mutex`]es for short, local-only critical sections — a
-//! server handler never blocks on a remote operation, which is what keeps the
-//! system deadlock-free.
+//! plus the fault handler) and the protocol reactor that serves the node's
+//! request port (the stand-in for the interrupt handler that services remote
+//! requests). Both sides take the [`dsm_core::sync::Mutex`]es for short,
+//! local-only critical sections — a request handler never blocks on a remote
+//! operation, which is what keeps the system deadlock-free.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+use dsm_core::hash::{IntMap, IntSet};
 use dsm_core::sync::Mutex;
 use pagedmem::{Diff, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
@@ -83,25 +84,30 @@ pub(crate) struct ProtoState {
     pub current_interval: Interval,
     /// This node's vector timestamp.
     pub vt: Vt,
-    /// Everything this node knows about modifications in the system.
+    /// Everything this node knows about modifications in the system, down to
+    /// the GC horizon: a sorted queue of records per processor, appended to
+    /// by every flush and notice batch and drained from the front by every
+    /// barrier's trim.
     pub notice_log: NoticeLog,
     /// Per page, the write notices whose diffs have not yet been applied
     /// locally.
-    pub page_missing: HashMap<PageId, Vec<(ProcId, Interval)>>,
-    /// Diffs this node created, indexed per page (intervals in order).
+    pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
+    /// Diffs this node created, indexed per page (intervals in order). A
+    /// [`Diff`] is immutable and shared, so serving an entry — to however
+    /// many requesters — hands out references to this one encoding.
     ///
     /// The per-page index is what makes batched serving cheap: answering a
     /// synchronization point's piggybacked requests probes each requested
     /// page once instead of examining every cached interval per page, so
     /// the merge-scan cost is charged only for pages this node actually
     /// modified (see `diffs_for_pages_after_counted`).
-    pub diff_cache: HashMap<PageId, BTreeMap<Interval, CachedDiff>>,
+    pub diff_cache: IntMap<PageId, BTreeMap<Interval, CachedDiff>>,
     /// Per page, the consolidated remainder of diffs dropped by the GC
     /// horizon. At most one entry per page ever, which is what bounds the
     /// protocol state of long runs.
-    pub trimmed: HashMap<PageId, TrimmedBase>,
+    pub trimmed: IntMap<PageId, TrimmedBase>,
     /// Pages of the current interval written under `WRITE_ALL` (no twin).
-    pub write_all_pages: HashSet<PageId>,
+    pub write_all_pages: IntSet<PageId>,
     /// The global vector timestamp distributed at the last barrier departure.
     pub last_global_vt: Vt,
     /// The garbage-collection horizon distributed at the last barrier
@@ -152,10 +158,10 @@ impl ProtoState {
             current_interval: 1,
             vt: Vt::new(nprocs),
             notice_log: NoticeLog::new(nprocs),
-            page_missing: HashMap::new(),
-            diff_cache: HashMap::new(),
-            trimmed: HashMap::new(),
-            write_all_pages: HashSet::new(),
+            page_missing: IntMap::default(),
+            diff_cache: IntMap::default(),
+            trimmed: IntMap::default(),
+            write_all_pages: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
             lock_last_holder: HashMap::new(),
@@ -174,36 +180,36 @@ impl ProtoState {
     }
 
     /// Collects the diff records this node holds for `pages`, restricted to
-    /// intervals newer than `vt`'s view of this node. Used for lock-grant and
-    /// barrier piggy-backing (`Validate_w_sync`).
+    /// intervals newer than `vt`'s view of this node. Used for lock-grant
+    /// piggy-backing (`Validate_w_sync`), which charges no scan.
     pub(crate) fn diffs_for_pages_after(
         &self,
         pages: &[PageId],
         vt: &Vt,
         table: &PageTable,
     ) -> Vec<DiffRecord> {
-        let (records, _, _) = self.diffs_for_pages_after_counted(pages, vt, table);
-        records
+        self.diffs_for_pages_after_counted(pages, vt, table, &mut Vec::new()).0
     }
 
     /// Like [`diffs_for_pages_after`](Self::diffs_for_pages_after), but also
     /// reports how many whole pages had to be materialised from the current
     /// copy (`WRITE_ALL` intervals keep no delta, so the encoding cost is
     /// charged lazily — at request time, and only for pages actually
-    /// requested) and how many requested pages this node had cached diffs
-    /// for at all. The latter is the batched serve's real examination
-    /// count: the per-page index answers a non-owned page with one probe,
-    /// so only owned pages cost a range scan.
+    /// requested) and appends to `examined` the requested pages this node
+    /// had cached diffs for at all. The latter is the batched serve's real
+    /// examination count: the per-page index answers a non-owned page with
+    /// one probe, so only owned pages cost a range scan. One list collects
+    /// the pages of a whole synchronization point's requests.
     pub(crate) fn diffs_for_pages_after_counted(
         &self,
         pages: &[PageId],
         vt: &Vt,
         table: &PageTable,
-    ) -> (Vec<DiffRecord>, usize, Vec<PageId>) {
+        examined: &mut Vec<PageId>,
+    ) -> (Vec<DiffRecord>, usize) {
         let seen = vt.get(self.me);
         let mut out = Vec::new();
         let mut materialised = 0usize;
-        let mut examined = Vec::new();
         for &page in pages {
             // Intervals this node still caches individually and the
             // requester has not yet incorporated. Garbage-collected
@@ -236,13 +242,7 @@ impl ProtoState {
             }
         }
         out.sort_by_key(|r| (r.page, r.interval));
-        (out, materialised, examined)
-    }
-
-    /// The record of the notices this node needs to send a processor whose
-    /// timestamp is `vt`.
-    pub(crate) fn notices_for(&self, vt: &Vt) -> Vec<crate::notice::WriteNotice> {
-        self.notice_log.notices_after(vt)
+        (out, materialised)
     }
 
     /// This node's *applied* timestamp: its vector timestamp, lowered to

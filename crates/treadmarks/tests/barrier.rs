@@ -122,3 +122,50 @@ fn tree_barrier_virtual_time_is_deterministic() {
         "two identical tree-barrier runs must report identical virtual clocks"
     );
 }
+
+/// Like [`exchange_kernel`], but *every* barrier carries a piggybacked
+/// request from every processor, and each processor fetches from both ring
+/// neighbours — so on a deep tree the full request set is merged over
+/// several levels on the way up and handed on by every interior node on
+/// the way down.
+fn piggyback_kernel(p: &mut Process) -> u64 {
+    let n = p.nprocs();
+    let me = p.proc_id();
+    let a = p.alloc_array::<u64>(n * ELEMS);
+    let chunk = |q: usize| a.range_of(q * ELEMS, (q + 1) * ELEMS);
+    let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+    let mut acc = 0u64;
+    for epoch in 0..4u64 {
+        for i in (0..ELEMS).step_by(5) {
+            p.set(&a, me * ELEMS + i, epoch * 1000 + (me * 31 + i) as u64);
+        }
+        p.fetch_diffs_w_sync(SyncOp::Barrier, &[chunk(left), chunk(right)]);
+        for i in (0..ELEMS).step_by(11) {
+            acc = acc.wrapping_add(p.get(&a, left * ELEMS + i) ^ p.get(&a, right * ELEMS + i));
+        }
+    }
+    acc
+}
+
+#[test]
+fn a_four_level_tree_forwards_every_piggybacked_request() {
+    // 16 processors at arity 2: root, two interior levels, leaves.
+    let tree = || DsmConfig::new(16).with_cost_model(CostModel::sp2()).with_barrier_arity(2);
+    let flat = DsmConfig::new(16).with_cost_model(CostModel::sp2()).with_flat_barrier();
+    let first = Dsm::run(tree(), piggyback_kernel);
+    assert_eq!(
+        first.results,
+        Dsm::run(flat, piggyback_kernel).results,
+        "the forwarded request set must serve what the flat master's does"
+    );
+    assert!(first.results.iter().any(|&acc| acc != 0));
+    let total = first.stats.total();
+    // One write fault per processor and epoch (the flush write-protects the
+    // chunk); a read fault would mean a request was lost on the way.
+    assert_eq!(total.page_faults, 16 * 4, "every read is served by the piggybacked fetch");
+    assert!(total.diffs_applied > 0);
+    let again = Dsm::run(tree(), piggyback_kernel);
+    assert_eq!(again.results, first.results);
+    assert_eq!(again.elapsed, first.elapsed, "virtual time must repeat exactly");
+    assert_eq!(again.stats, first.stats, "every counter must repeat exactly");
+}
