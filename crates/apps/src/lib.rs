@@ -1,6 +1,6 @@
 //! # dsm-apps — the paper's application suite
 //!
-//! Kernels from the ASPLOS '96 evaluation, each written three times over
+//! Kernels from the ASPLOS '96 evaluation, each written four times over
 //! the same numerical loop:
 //!
 //! * **TreadMarks** — plain barriers and per-element checked accesses; every

@@ -16,25 +16,20 @@
 //!
 //! The checked-in `BENCH_PR8.json` at the repository root is produced by
 //! `cargo run -p dsm-bench` and consumed by `cargo run -p dsm-bench --
-//! --check`, which re-runs the suite and fails if a gated record's model
-//! time regresses by more than 10% — reporting **every** regressed gated
-//! record before exiting non-zero, so a multi-record regression is
-//! diagnosable from one CI log. `cargo run -p dsm-bench -- --explain
-//! <app>` dumps the kernel's compiled plan (phase classifications, refusal
-//! reasons, message counts) deterministically. (`BENCH_PR5.json` and
-//! earlier are kept alongside as previous milestones' numbers; the PR5
-//! gated records are additionally pinned bit-exactly against
-//! `BENCH_PR5.json` by a test, so the new matrix rows cannot silently
-//! shift the old ones.)
+//! --check`, which re-runs the suite and fails unless every record renders
+//! **byte-identically** to its line in that file — listing every differing
+//! record with both lines before exiting non-zero, so a multi-record change
+//! is diagnosable from one CI log. Re-baselining is a reviewed step: run
+//! without `--check`, read the diff of the JSON file. `cargo run -p
+//! dsm-bench -- --explain <app>` dumps the kernel's compiled plan (phase
+//! classifications, refusal reasons, message counts) deterministically.
 //!
 //! `cargo run -p dsm-bench -- --scale` runs the wide-cluster matrix the
 //! reactor pool makes affordable — all four kernels, validate + compiled,
 //! at `nprocs` ∈ {32, 64, 128} — and writes `BENCH_PR9.json`;
-//! `--scale --check` gates the barrier-kernel records at 64 processors
-//! (byte-deterministic; the IS rows stay informational for the
-//! lock-arrival reason below) and `--reactors N` forces the pool size,
-//! which must not — and provably does not — change a single byte of any
-//! record. The reactor counters (poll cycles, served-per-wakeup, peak
+//! `--scale --check` holds it to that file the same way, and `--reactors
+//! N` forces the pool size, which must not — and provably does not —
+//! change a single byte of any record. The reactor counters (poll cycles, served-per-wakeup, peak
 //! queue depth) are printed alongside but deliberately kept *out* of the
 //! JSON: they are host-scheduling dependent.
 //!
@@ -53,7 +48,9 @@
 //! are the one exception — the lock manager grants in arrival order, so a
 //! handful of diffs move between the grant piggyback and third-party
 //! fetches from run to run, putting a few percent of jitter on their time
-//! and message fields; the regression gate's 10% budget absorbs it.
+//! and message fields; both gates print a differing IS row as
+//! informational until the lock manager arbitrates deterministically
+//! (ROADMAP item 3).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -71,9 +68,6 @@ pub const SCHEMA: &str = "dsm-bench/pr8";
 
 /// The schema tag of the wide-cluster scale matrix (`--scale`).
 pub const SCALE_SCHEMA: &str = "dsm-bench/pr9-scale";
-
-/// Allowed model-time regression before the check mode fails, in percent.
-pub const REGRESSION_LIMIT_PCT: f64 = 10.0;
 
 /// The cluster sizes of the standard matrix (the paper reports 8
 /// processors; 16 records the barrier-topology crossover at two columns
@@ -132,37 +126,6 @@ pub fn scale_cfg(app: &str) -> GridConfig {
         other => panic!("unknown kernel {other:?}"),
     }
 }
-
-/// The `(app, variant, nprocs)` records gated by `--check`: the fully
-/// analyzable push floor and the split-phase barrier-bound Validate path at
-/// the historical 4 processors, the 8-processor Validate record that rides
-/// on the tree-structured barrier, the 8-processor compiled SOR record —
-/// the generated plan whose eliminated half-sweep barrier must keep it
-/// between the Validate ceiling and the hand-coded push floor — and the
-/// 8-processor compiled records of the two PR8 kernels: IS (the merged
-/// lock-grant+data path) and Gauss (the iteration-dependent pivot pushes).
-pub const GATED: [(&str, &str, usize); 6] = [
-    ("jacobi", "push", 4),
-    ("sor", "validate", 4),
-    ("sor", "validate", 8),
-    ("sor", "compiled", 8),
-    ("is", "compiled", 8),
-    ("gauss", "compiled", 8),
-];
-
-/// The scale-matrix records gated by `--scale --check` against
-/// `BENCH_PR9.json`, all at the 64-processor midpoint. These six are the
-/// barrier-synchronized kernels, whose records are byte-deterministic
-/// across reruns (a test enforces exactly that); the lock-based IS rows
-/// carry the usual lock-grant arrival jitter and stay informational.
-pub const SCALE_GATED: [(&str, &str, usize); 6] = [
-    ("jacobi", "validate", 64),
-    ("jacobi", "compiled", 64),
-    ("sor", "validate", 64),
-    ("sor", "compiled", 64),
-    ("gauss", "validate", 64),
-    ("gauss", "compiled", 64),
-];
 
 /// The kernel entry points keyed by name. The float kernels return the
 /// per-processor residual checksum as `f64`; the integer kernels return a
@@ -279,22 +242,43 @@ pub struct BenchRecord {
     pub merged_sync_msgs: u64,
 }
 
-/// Runs one kernel/variant combination under the given barrier topology
-/// and collects its record under the given variant name (used to record
-/// the same protocol under two topologies, e.g. `validate_flat`).
-/// `reactors` pins the protocol-reactor pool; `None` is the default
-/// one-per-core pool. The records are bit-identical either way (the pool
-/// size is host-side scheduling only) — the pin exists so `--reactors N`
-/// can exercise a specific multiplexing degree.
-pub fn run_case_pooled(
-    app: &'static str,
-    cfg: GridConfig,
-    nprocs: usize,
-    variant: Variant,
-    variant_name: &'static str,
-    barrier: BarrierTopology,
-    reactors: Option<usize>,
-) -> BenchRecord {
+/// One case of a suite: which kernel runs at what size on how many
+/// processors in which variant, and the three things a suite may vary on
+/// top of that.
+#[derive(Debug, Clone, Copy)]
+pub struct Case {
+    /// Kernel name.
+    pub app: &'static str,
+    /// Problem size.
+    pub cfg: GridConfig,
+    /// Number of simulated processors.
+    pub nprocs: usize,
+    /// Protocol variant.
+    pub variant: Variant,
+    /// The variant name the record goes under — the variant's own, unless
+    /// the same protocol is recorded twice (`validate_flat`).
+    pub name: &'static str,
+    /// Barrier topology (default: the adaptive-arity tree).
+    pub barrier: BarrierTopology,
+    /// Pins the protocol-reactor pool; `None` is the default one-per-core
+    /// pool. Records are bit-identical either way (the pool size is
+    /// host-side scheduling only) — the pin exists so `--reactors N` can
+    /// exercise a specific multiplexing degree.
+    pub reactors: Option<usize>,
+}
+
+impl Case {
+    /// The case under its variant's own name, the default barrier and the
+    /// default reactor pool.
+    pub fn new(app: &'static str, cfg: GridConfig, nprocs: usize, variant: Variant) -> Case {
+        let barrier = BarrierTopology::default();
+        Case { app, cfg, nprocs, variant, name: variant.name(), barrier, reactors: None }
+    }
+}
+
+/// Runs one case under the SP/2 cost model and collects its record.
+pub fn run_case(case: Case) -> BenchRecord {
+    let Case { app, cfg, nprocs, variant, name, barrier, reactors } = case;
     let mut config = DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()).with_barrier(barrier);
     if let Some(n) = reactors {
         config = config.with_reactors(n);
@@ -303,7 +287,7 @@ pub fn run_case_pooled(
     let t = run.total;
     BenchRecord {
         app,
-        variant: variant_name,
+        variant: name,
         nprocs,
         rows: cfg.rows,
         cols: cfg.cols,
@@ -324,40 +308,6 @@ pub fn run_case_pooled(
     }
 }
 
-/// [`run_case_pooled`] with the default reactor pool.
-pub fn run_case_named(
-    app: &'static str,
-    cfg: GridConfig,
-    nprocs: usize,
-    variant: Variant,
-    variant_name: &'static str,
-    barrier: BarrierTopology,
-) -> BenchRecord {
-    run_case_pooled(app, cfg, nprocs, variant, variant_name, barrier, None)
-}
-
-/// Runs one kernel/variant combination under the given barrier topology.
-pub fn run_case_with_barrier(
-    app: &'static str,
-    cfg: GridConfig,
-    nprocs: usize,
-    variant: Variant,
-    barrier: BarrierTopology,
-) -> BenchRecord {
-    run_case_named(app, cfg, nprocs, variant, variant.name(), barrier)
-}
-
-/// Runs one kernel/variant combination with the default (adaptive-arity
-/// tree) barrier.
-pub fn run_case(
-    app: &'static str,
-    cfg: GridConfig,
-    nprocs: usize,
-    variant: Variant,
-) -> BenchRecord {
-    run_case_with_barrier(app, cfg, nprocs, variant, BarrierTopology::default())
-}
-
 /// The standard suite: all four kernels, all four variants, at the smoke
 /// sizes used by CI across the `nprocs` matrix — plus the
 /// `sor/validate_flat` rows (the same protocol under the stock
@@ -368,19 +318,16 @@ pub fn suite() -> Vec<BenchRecord> {
         let cfg = standard_cfg(app);
         for &nprocs in &NPROCS_MATRIX {
             for variant in Variant::ALL {
-                records.push(run_case(app, cfg, nprocs, variant));
+                records.push(run_case(Case::new(app, cfg, nprocs, variant)));
             }
         }
     }
     for &nprocs in &NPROCS_MATRIX {
-        records.push(run_case_named(
-            "sor",
-            SOR_CFG,
-            nprocs,
-            Variant::Validate,
-            "validate_flat",
-            BarrierTopology::FlatMaster,
-        ));
+        records.push(run_case(Case {
+            name: "validate_flat",
+            barrier: BarrierTopology::FlatMaster,
+            ..Case::new("sor", SOR_CFG, nprocs, Variant::Validate)
+        }));
     }
     records
 }
@@ -395,15 +342,7 @@ pub fn scale_suite(reactors: Option<usize>) -> Vec<BenchRecord> {
         let cfg = scale_cfg(app);
         for &nprocs in &SCALE_NPROCS {
             for variant in SCALE_VARIANTS {
-                records.push(run_case_pooled(
-                    app,
-                    cfg,
-                    nprocs,
-                    variant,
-                    variant.name(),
-                    BarrierTopology::default(),
-                    reactors,
-                ));
+                records.push(run_case(Case { reactors, ..Case::new(app, cfg, nprocs, variant) }));
             }
         }
     }
@@ -788,7 +727,7 @@ pub fn render_json(records: &[BenchRecord]) -> String {
 
 /// Renders scale-matrix records under the [`SCALE_SCHEMA`] tag (the
 /// `BENCH_PR9.json` format). Same line shape as [`render_json`], so
-/// [`parse_baseline`] reads both.
+/// [`check_byte_equal`] reads both.
 pub fn render_scale_json(records: &[BenchRecord]) -> String {
     render_json_with_schema(SCALE_SCHEMA, records)
 }
@@ -800,160 +739,87 @@ fn render_json_with_schema(schema: &str, records: &[BenchRecord]) -> String {
     out.push_str("  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 == records.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"app\":\"{}\",\"variant\":\"{}\",\"nprocs\":{},\"rows\":{},\"cols\":{},\
-             \"iters\":{},\"time_ns\":{},\"table_lock_acquires\":{},\"tlb_hits\":{},\
-             \"tlb_misses\":{},\"page_faults\":{},\"messages\":{},\"bytes\":{},\
-             \"lock_acquires\":{},\"sync_wait_ns\":{},\"split_phase_issues\":{},\
-             \"split_phase_completes\":{},\"barriers_eliminated\":{},\
-             \"merged_sync_msgs\":{}}}{comma}\n",
-            r.app,
-            r.variant,
-            r.nprocs,
-            r.rows,
-            r.cols,
-            r.iters,
-            r.time_ns,
-            r.table_lock_acquires,
-            r.tlb_hits,
-            r.tlb_misses,
-            r.page_faults,
-            r.messages,
-            r.bytes,
-            r.lock_acquires,
-            r.sync_wait_ns,
-            r.split_phase_issues,
-            r.split_phase_completes,
-            r.barriers_eliminated,
-            r.merged_sync_msgs,
-        ));
+        out.push_str(&format!("    {}{comma}\n", render_record(r)));
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// A record as recovered from a baseline JSON file (only the fields the
-/// regression gate needs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineRecord {
-    /// Kernel name.
-    pub app: String,
-    /// Variant name.
-    pub variant: String,
-    /// Number of simulated processors. Part of the record key: without it
-    /// the gate compared against whichever `(app, variant)` record appeared
-    /// first in the file once the matrix varied `nprocs`.
-    pub nprocs: usize,
-    /// Model execution time in nanoseconds.
-    pub time_ns: u64,
+/// One record as its JSON object — the unit both gates compare.
+fn render_record(r: &BenchRecord) -> String {
+    format!(
+        "{{\"app\":\"{}\",\"variant\":\"{}\",\"nprocs\":{},\"rows\":{},\"cols\":{},\
+         \"iters\":{},\"time_ns\":{},\"table_lock_acquires\":{},\"tlb_hits\":{},\
+         \"tlb_misses\":{},\"page_faults\":{},\"messages\":{},\"bytes\":{},\
+         \"lock_acquires\":{},\"sync_wait_ns\":{},\"split_phase_issues\":{},\
+         \"split_phase_completes\":{},\"barriers_eliminated\":{},\
+         \"merged_sync_msgs\":{}}}",
+        r.app,
+        r.variant,
+        r.nprocs,
+        r.rows,
+        r.cols,
+        r.iters,
+        r.time_ns,
+        r.table_lock_acquires,
+        r.tlb_hits,
+        r.tlb_misses,
+        r.page_faults,
+        r.messages,
+        r.bytes,
+        r.lock_acquires,
+        r.sync_wait_ns,
+        r.split_phase_issues,
+        r.split_phase_completes,
+        r.barriers_eliminated,
+        r.merged_sync_msgs,
+    )
 }
 
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Recovers the baseline records from a JSON file written by
-/// [`render_json`] (one record per line; no external JSON parser exists in
-/// this offline workspace).
-pub fn parse_baseline(json: &str) -> Vec<BaselineRecord> {
-    json.lines()
-        .filter_map(|line| {
-            Some(BaselineRecord {
-                app: str_field(line, "app")?,
-                variant: str_field(line, "variant")?,
-                nprocs: u64_field(line, "nprocs")? as usize,
-                time_ns: u64_field(line, "time_ns")?,
-            })
-        })
-        .collect()
-}
-
-/// The CI regression gate: compares the current suite against a baseline
-/// file and reports per-record deltas. Records are matched by the full
-/// `(app, variant, nprocs)` key.
+/// The regression gate of `--check` and `--scale --check`: every record of
+/// `current` must render byte-identically to the baseline file's line for
+/// the same `(app, variant, nprocs)`, and the baseline must hold no record
+/// the suite did not produce. Returns one report line per record.
+///
+/// A differing row of the lock-based IS kernel is reported (with both
+/// lines) but does not fail the gate: contended lock grants follow host
+/// arrival order until ROADMAP item 3 lands.
 ///
 /// # Errors
 ///
-/// Returns `Err` when any [`GATED`] record's model time exceeds the
-/// baseline by more than [`REGRESSION_LIMIT_PCT`], or when the baseline is
-/// missing a gated record. **Every** regressed gated record is named in the
-/// error (one line each) — the gate never bails on the first failure, so a
-/// multi-record regression is diagnosable from a single CI log.
-pub fn check_regression(
+/// Returns `Err` naming **every** differing or unmatched record, with the
+/// baseline's line and the current one — the gate never bails on the first
+/// failure, so a multi-record change is diagnosable from a single CI log.
+pub fn check_byte_equal(
     current: &[BenchRecord],
     baseline_json: &str,
 ) -> Result<Vec<String>, String> {
-    check_regression_against(current, baseline_json, &GATED)
-}
-
-/// The scale-matrix regression gate: [`check_regression`] with the
-/// [`SCALE_GATED`] record set, run by `--scale --check` against
-/// `BENCH_PR9.json`.
-///
-/// # Errors
-///
-/// As [`check_regression`], over the scale-gated records.
-pub fn check_scale_regression(
-    current: &[BenchRecord],
-    baseline_json: &str,
-) -> Result<Vec<String>, String> {
-    check_regression_against(current, baseline_json, &SCALE_GATED)
-}
-
-fn check_regression_against(
-    current: &[BenchRecord],
-    baseline_json: &str,
-    gated: &[(&str, &str, usize)],
-) -> Result<Vec<String>, String> {
-    let baseline = parse_baseline(baseline_json);
+    let baseline: Vec<&str> = baseline_json
+        .lines()
+        .map(|line| line.trim().trim_end_matches(','))
+        .filter(|line| line.starts_with("{\"app\":"))
+        .collect();
     let mut report = Vec::new();
     let mut failures = Vec::new();
-    let mut gated_seen = 0;
     for cur in current {
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.app == cur.app && b.variant == cur.variant && b.nprocs == cur.nprocs)
-        else {
-            report.push(format!(
-                "{}/{}@{}: no baseline (new record)",
-                cur.app, cur.variant, cur.nprocs
-            ));
-            continue;
-        };
-        let delta_pct = if base.time_ns == 0 {
-            0.0
-        } else {
-            (cur.time_ns as f64 - base.time_ns as f64) / base.time_ns as f64 * 100.0
-        };
-        report.push(format!(
-            "{}/{}@{}: {} -> {} ns ({:+.2}%)",
-            cur.app, cur.variant, cur.nprocs, base.time_ns, cur.time_ns, delta_pct
-        ));
-        if gated.contains(&(cur.app, cur.variant, cur.nprocs)) {
-            gated_seen += 1;
-            if delta_pct > REGRESSION_LIMIT_PCT {
-                failures.push(format!(
-                    "{}/{}@{} model time regressed {delta_pct:+.2}% \
-                     ({} -> {} ns), over the {REGRESSION_LIMIT_PCT}% limit",
-                    cur.app, cur.variant, cur.nprocs, base.time_ns, cur.time_ns
-                ));
+        let name = format!("{}/{}@{}", cur.app, cur.variant, cur.nprocs);
+        let line = render_record(cur);
+        let key = &line[..line.find("\"rows\"").expect("every record renders its rows")];
+        let both = |base: &str| format!("\n    baseline: {base}\n    current:  {line}");
+        match baseline.iter().find(|base| base.starts_with(key)) {
+            Some(&base) if base == line => report.push(format!("{name}: byte-equal")),
+            Some(&base) if cur.app == "is" => {
+                report.push(format!("{name}: differs (informational){}", both(base)));
             }
+            Some(&base) => failures.push(format!("{name} differs from the baseline{}", both(base))),
+            None => failures.push(format!("{name} has no baseline record")),
         }
     }
-    if gated_seen < gated.len() {
+    if baseline.len() != current.len() {
         failures.push(format!(
-            "baseline comparison saw only {gated_seen} of the {} gated records",
-            gated.len()
+            "the baseline holds {} records, the suite produced {}",
+            baseline.len(),
+            current.len()
         ));
     }
     if failures.is_empty() {
@@ -967,15 +833,13 @@ fn check_regression_against(
 mod tests {
     use super::*;
 
-    fn tiny(app: &'static str, variant: Variant) -> BenchRecord {
-        run_case(app, GridConfig { rows: 64, cols: 8, iters: 2 }, 4, variant)
+    /// A case with everything but the essentials at its default.
+    fn run(app: &'static str, cfg: GridConfig, nprocs: usize, variant: Variant) -> BenchRecord {
+        run_case(Case::new(app, cfg, nprocs, variant))
     }
 
-    fn line(app: &str, variant: &str, nprocs: usize, time_ns: u64) -> String {
-        format!(
-            "{{\"app\":\"{app}\",\"variant\":\"{variant}\",\"nprocs\":{nprocs},\
-             \"time_ns\":{time_ns}}}\n"
-        )
+    fn tiny(app: &'static str, variant: Variant) -> BenchRecord {
+        run(app, GridConfig { rows: 64, cols: 8, iters: 2 }, 4, variant)
     }
 
     #[test]
@@ -986,9 +850,9 @@ mod tests {
         // less model time. Page-sized columns so the working set is a real
         // multi-page one (a one-page grid fits any cache and shows nothing).
         let cfg = GridConfig { rows: 512, cols: 16, iters: 2 };
-        let tmk = run_case("jacobi", cfg, 4, Variant::TreadMarks);
-        let val = run_case("jacobi", cfg, 4, Variant::Validate);
-        let push = run_case("jacobi", cfg, 4, Variant::Push);
+        let tmk = run("jacobi", cfg, 4, Variant::TreadMarks);
+        let val = run("jacobi", cfg, 4, Variant::Validate);
+        let push = run("jacobi", cfg, 4, Variant::Push);
         assert!(
             tmk.table_lock_acquires >= 5 * val.table_lock_acquires,
             "Validate must cut table locks >=5x: {} vs {}",
@@ -1020,77 +884,78 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_through_the_renderer() {
+        // What the suite writes is what the gate reads: records checked
+        // against their own rendering are byte-equal, one report line each,
+        // under either schema tag.
         let records = vec![tiny("jacobi", Variant::TreadMarks), tiny("jacobi", Variant::Push)];
-        let parsed = parse_baseline(&render_json(&records));
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].app, "jacobi");
-        assert_eq!(parsed[0].variant, "treadmarks");
-        assert_eq!(parsed[0].nprocs, 4);
-        assert_eq!(parsed[0].time_ns, records[0].time_ns);
-        assert_eq!(parsed[1].time_ns, records[1].time_ns);
+        for baseline in [render_json(&records), render_scale_json(&records)] {
+            let report = check_byte_equal(&records, &baseline).expect("a file gates itself");
+            assert_eq!(report, ["jacobi/treadmarks@4: byte-equal", "jacobi/push@4: byte-equal"]);
+        }
     }
 
-    /// The gated records at unit-test sizes, with a matching baseline line
-    /// for each — the shared scaffolding of the gate tests.
+    /// Six records at unit-test sizes — the ones the 10 % gate used to
+    /// single out, IS among them — with their rendering as the baseline.
     fn gated_current() -> (Vec<BenchRecord>, String) {
         let small = GridConfig { rows: 64, cols: 16, iters: 2 };
         let int_small = GridConfig { rows: 16, cols: 18, iters: 2 };
         let current = vec![
             tiny("jacobi", Variant::Push),
             tiny("sor", Variant::Validate),
-            run_case("sor", small, 8, Variant::Validate),
-            run_case("sor", small, 8, Variant::Compiled),
-            run_case("is", int_small, 8, Variant::Compiled),
-            run_case("gauss", int_small, 8, Variant::Compiled),
+            run("sor", small, 8, Variant::Validate),
+            run("sor", small, 8, Variant::Compiled),
+            run("is", int_small, 8, Variant::Compiled),
+            run("gauss", int_small, 8, Variant::Compiled),
         ];
-        let baseline = line("jacobi", "push", 4, current[0].time_ns)
-            + &line("sor", "validate", 4, current[1].time_ns)
-            + &line("sor", "validate", 8, current[2].time_ns)
-            + &line("sor", "compiled", 8, current[3].time_ns)
-            + &line("is", "compiled", 8, current[4].time_ns)
-            + &line("gauss", "compiled", 8, current[5].time_ns);
+        let baseline = render_json(&current);
         (current, baseline)
     }
 
     #[test]
-    fn regression_gate_fails_on_slowdowns_and_passes_in_budget() {
+    fn regression_gate_fails_on_any_difference_and_passes_on_equal_bytes() {
         let (current, same) = gated_current();
-        // Baselines equal to current: within budget.
-        assert!(check_regression(&current, &same).is_ok());
-        // Any gated baseline much faster than current: gate trips.
-        for fast in 0..current.len() {
-            let mut doctored = current.clone();
-            doctored[fast].time_ns *= 2;
-            assert!(
-                check_regression(&doctored, &same).is_err(),
-                "gate must trip when record {fast} regresses"
-            );
+        assert!(check_byte_equal(&current, &same).is_ok());
+        // Any field of any non-IS record, in either direction: the gate
+        // trips. There is no budget — a faster record is a change too.
+        for changed in [0, 1, 2, 3, 5] {
+            let mut slower = current.clone();
+            slower[changed].time_ns += 1;
+            assert!(check_byte_equal(&slower, &same).is_err(), "record {changed}, one ns slower");
+            let mut fewer = current.clone();
+            fewer[changed].messages -= 1;
+            assert!(check_byte_equal(&fewer, &same).is_err(), "record {changed}, one message less");
         }
-        // Baseline missing a gated record: refuse to pass silently.
-        let partial = line("jacobi", "push", 4, current[0].time_ns)
-            + &line("sor", "validate", 4, current[1].time_ns);
-        assert!(check_regression(&current, &partial).is_err());
-        assert!(check_regression(&current, "{}").is_err());
+        // An IS row that differs is printed, with both lines, and passes.
+        let mut jitter = current.clone();
+        jitter[4].time_ns += 1_000;
+        let report = check_byte_equal(&jitter, &same).expect("IS rows are informational");
+        let is_line = report.iter().find(|l| l.starts_with("is/compiled@8")).expect("reported");
+        assert!(is_line.contains("informational") && is_line.contains("baseline:"), "{is_line}");
+        // A baseline missing a record, or holding one the suite no longer
+        // produces: refuse to pass silently.
+        let partial = render_json(&current[..2]);
+        assert!(check_byte_equal(&current, &partial).is_err());
+        assert!(check_byte_equal(&current[..2], &same).is_err());
+        assert!(check_byte_equal(&current, "{}").is_err());
     }
 
     #[test]
     fn gate_reports_every_regressed_record_before_failing() {
-        // The satellite acceptance criterion: with several gated records
-        // over budget at once, the error must name each of them — not bail
-        // on the first — so one CI log diagnoses the whole regression.
+        // With several records off their baseline at once, the error must
+        // name each of them with both lines — not bail on the first — so
+        // one CI log diagnoses the whole change.
         let (mut current, baseline) = gated_current();
-        // Regress four of the six gated records.
         current[0].time_ns *= 2;
         current[2].time_ns *= 3;
-        current[3].time_ns *= 4;
-        current[4].time_ns *= 5;
-        let err = check_regression(&current, &baseline).expect_err("gate must trip");
-        for needle in ["jacobi/push@4", "sor/validate@8", "sor/compiled@8", "is/compiled@8"] {
+        current[3].bytes += 8;
+        let err = check_byte_equal(&current, &baseline).expect_err("gate must trip");
+        for needle in ["jacobi/push@4", "sor/validate@8", "sor/compiled@8"] {
             assert!(err.contains(needle), "error must name {needle}: {err}");
         }
-        assert!(!err.contains("sor/validate@4 model time"), "in-budget records are not failures");
-        assert!(!err.contains("gauss/compiled@8 model time"), "in-budget records are not failures");
-        assert_eq!(err.lines().count(), 4, "one line per regressed record: {err}");
+        assert!(!err.contains("sor/validate@4"), "equal records are not failures: {err}");
+        assert!(!err.contains("gauss/compiled@8"), "equal records are not failures: {err}");
+        assert_eq!(err.matches("baseline: ").count(), 3, "both lines of each record: {err}");
+        assert_eq!(err.matches("current:  ").count(), 3, "both lines of each record: {err}");
     }
 
     #[test]
@@ -1100,9 +965,9 @@ mod tests {
         // which eliminates one half-sweep barrier per iteration and merges
         // the data with the surviving sync — must beat the split-phase
         // Validate path while the hand-coded all-push form stays the floor.
-        let validate = run_case("sor", SOR_CFG, 8, Variant::Validate);
-        let compiled = run_case("sor", SOR_CFG, 8, Variant::Compiled);
-        let push = run_case("sor", SOR_CFG, 8, Variant::Push);
+        let validate = run("sor", SOR_CFG, 8, Variant::Validate);
+        let compiled = run("sor", SOR_CFG, 8, Variant::Compiled);
+        let push = run("sor", SOR_CFG, 8, Variant::Push);
         assert!(
             compiled.time_ns < validate.time_ns,
             "sor/compiled@8 must be strictly faster than sor/validate@8: {} vs {} ns",
@@ -1139,29 +1004,23 @@ mod tests {
         // Regression test for the ambiguous-baseline bug: with `nprocs` in
         // the matrix, keying by `(app, variant)` alone made the gate
         // compare against whichever matching record appeared *first* in the
-        // baseline file. Here the first `sor/validate` line is a 2-processor
-        // record with an absurdly fast time; under the old keying the
-        // 4- and 8-processor comparisons both matched it and tripped the
-        // gate. With `(app, variant, nprocs)` keying each record finds its
-        // own line and the gate passes.
-        let (current, tail) = gated_current();
-        let baseline = line("sor", "validate", 2, 1) + &tail;
-        let report = check_regression(&current, &baseline)
+        // baseline file. Here the baseline holds `sor/validate` at 2, 4 and
+        // 8 processors, the 2-processor line first; each current record
+        // must find its own line.
+        let (mut current, _) = gated_current();
+        current.insert(
+            0,
+            run("sor", GridConfig { rows: 64, cols: 8, iters: 2 }, 2, Variant::Validate),
+        );
+        let baseline = render_json(&current);
+        let report = check_byte_equal(&current, &baseline)
             .expect("per-nprocs keying must match the right record");
-        assert!(
-            report.iter().any(|l| l.contains("sor/validate@8")),
-            "the 8-processor record must be compared: {report:?}"
-        );
-        // The converse direction: a genuinely regressed 8-processor record
-        // must not hide behind a fast same-(app,variant) line at another
-        // nprocs appearing first.
-        let mut regressed = current.clone();
-        regressed[2].time_ns = current[2].time_ns * 2;
-        let generous_first = line("sor", "validate", 2, u64::MAX / 2) + &tail;
-        assert!(
-            check_regression(&regressed, &generous_first).is_err(),
-            "a regression at 8 processors must not match the generous 2-processor line"
-        );
+        assert!(report.contains(&"sor/validate@8: byte-equal".to_string()), "{report:?}");
+        // The converse direction: a changed 8-processor record must not
+        // hide behind the same-(app,variant) lines at other sizes.
+        current[3].time_ns += 1;
+        let err = check_byte_equal(&current, &baseline).expect_err("the 8-processor row changed");
+        assert!(err.contains("sor/validate@8") && !err.contains("sor/validate@4"), "{err}");
     }
 
     #[test]
@@ -1173,7 +1032,7 @@ mod tests {
         // and the split-phase counters must be surfaced in the record.
         let sor_cfg = GridConfig { rows: 512, cols: 32, iters: 3 };
         let jacobi_cfg = GridConfig { rows: 512, cols: 32, iters: 4 };
-        let sor_val = run_case("sor", sor_cfg, 4, Variant::Validate);
+        let sor_val = run("sor", sor_cfg, 4, Variant::Validate);
         assert!(
             sor_val.time_ns < 8_000_000,
             "sor/validate must be under 8 ms: {} ns",
@@ -1183,10 +1042,10 @@ mod tests {
         assert_eq!(sor_val.split_phase_issues, sor_val.split_phase_completes);
         assert!(sor_val.sync_wait_ns > 0, "completion stall must be surfaced");
         for record in [
-            run_case("jacobi", jacobi_cfg, 4, Variant::Validate),
-            run_case("jacobi", jacobi_cfg, 4, Variant::Push),
+            run("jacobi", jacobi_cfg, 4, Variant::Validate),
+            run("jacobi", jacobi_cfg, 4, Variant::Push),
             sor_val,
-            run_case("sor", sor_cfg, 4, Variant::Push),
+            run("sor", sor_cfg, 4, Variant::Push),
         ] {
             assert!(
                 record.table_lock_acquires < 100,
@@ -1207,7 +1066,7 @@ mod tests {
         // path (detection reads twins and cached diffs under locks the
         // protocol already holds).
         let cfg = GridConfig { rows: 64, cols: 16, iters: 2 };
-        let plain = run_case("sor", cfg, 8, Variant::Compiled);
+        let plain = run("sor", cfg, 8, Variant::Compiled);
         let race = run_race_case("sor", cfg, 8, Variant::Compiled);
         assert_eq!(race.time_ns_off, plain.time_ns, "Off must match the plain run's model time");
         assert_eq!(race.bytes_off, plain.bytes, "Off must match the plain run's wire bytes");
@@ -1247,15 +1106,9 @@ mod tests {
         // master-centric exchange on the barrier-bound SOR/Validate path,
         // measured in the same run.
         let cfg = GridConfig { rows: 512, cols: 32, iters: 3 };
-        let tree = run_case_with_barrier(
-            "sor",
-            cfg,
-            8,
-            Variant::Validate,
-            BarrierTopology::Tree { arity: 2 },
-        );
-        let flat =
-            run_case_with_barrier("sor", cfg, 8, Variant::Validate, BarrierTopology::FlatMaster);
+        let case = Case::new("sor", cfg, 8, Variant::Validate);
+        let tree = run_case(Case { barrier: BarrierTopology::Tree { arity: 2 }, ..case });
+        let flat = run_case(Case { barrier: BarrierTopology::FlatMaster, ..case });
         assert!(
             tree.time_ns < flat.time_ns,
             "tree barrier must beat the flat master at 8 procs: {} vs {} ns",
@@ -1310,23 +1163,18 @@ mod tests {
 
     #[test]
     fn scale_gated_records_are_byte_deterministic_across_reruns() {
-        // The PR9 acceptance criterion: the gated subset of the scale
-        // matrix — the barrier-synchronized kernels at 64 processors —
-        // must render byte-identically on a rerun. (The full file also
-        // holds IS rows, whose lock-grant arrival jitter is exactly why
-        // they are not in SCALE_GATED.)
+        // The PR9 acceptance criterion, and what licenses a byte-equal
+        // scale gate: the barrier-synchronized kernels of the scale matrix
+        // render byte-identically on a rerun (here at 64 processors; the
+        // IS rows carry lock-grant arrival jitter and are informational).
         let gated_run = || -> Vec<BenchRecord> {
-            SCALE_GATED
-                .iter()
-                .map(|&(app, variant_name, nprocs)| {
-                    let variant = match variant_name {
-                        "validate" => Variant::Validate,
-                        "compiled" => Variant::Compiled,
-                        other => panic!("unmapped variant {other:?}"),
-                    };
-                    run_case(app, scale_cfg(app), nprocs, variant)
-                })
-                .collect()
+            let mut records = Vec::new();
+            for app in ["jacobi", "sor", "gauss"] {
+                for variant in SCALE_VARIANTS {
+                    records.push(run(app, scale_cfg(app), 64, variant));
+                }
+            }
+            records
         };
         let a = render_scale_json(&gated_run());
         let b = render_scale_json(&gated_run());
@@ -1339,16 +1187,9 @@ mod tests {
         // The tentpole invariant at the bench layer: a 64-processor record
         // is bit-identical whether one reactor multiplexes all 64 nodes or
         // the pool is the host default.
-        let single = run_case_pooled(
-            "sor",
-            SCALE_SOR_CFG,
-            64,
-            Variant::Compiled,
-            "compiled",
-            BarrierTopology::default(),
-            Some(1),
-        );
-        let default_pool = run_case("sor", SCALE_SOR_CFG, 64, Variant::Compiled);
+        let default_pool = Case::new("sor", SCALE_SOR_CFG, 64, Variant::Compiled);
+        let single = run_case(Case { reactors: Some(1), ..default_pool });
+        let default_pool = run_case(default_pool);
         assert_eq!(single, default_pool, "the pool size must be invisible in the record");
     }
 
@@ -1397,98 +1238,59 @@ mod tests {
     #[test]
     fn scale_gate_trips_on_regressions_and_requires_every_gated_record() {
         // Fabricated records (real 64-processor runs are tested above):
-        // the scale gate must read the same line format, trip on a >10%
-        // slowdown of any gated record and refuse a baseline that lacks
-        // one.
-        let current: Vec<BenchRecord> = SCALE_GATED
-            .iter()
-            .map(|&(app, variant, nprocs)| {
+        // the scale file is read by the same gate, which trips on any
+        // change to a barrier-kernel record, lets an IS row jitter, and
+        // refuses a baseline that lacks a record.
+        let mut current = Vec::new();
+        for app in APPS {
+            for variant in SCALE_VARIANTS {
                 let mut r = tiny("jacobi", Variant::Push);
-                r.app = app;
-                r.variant = variant;
-                r.nprocs = nprocs;
-                r.time_ns = 1_000_000;
-                r
-            })
-            .collect();
-        let baseline: String =
-            current.iter().map(|r| line(r.app, r.variant, r.nprocs, r.time_ns)).collect();
-        assert!(check_scale_regression(&current, &baseline).is_ok());
+                (r.app, r.variant, r.nprocs, r.time_ns) = (app, variant.name(), 64, 1_000_000);
+                current.push(r);
+            }
+        }
+        let baseline = render_scale_json(&current);
+        assert!(check_byte_equal(&current, &baseline).is_ok());
         let mut slow = current.clone();
         slow[3].time_ns *= 2;
-        let err = check_scale_regression(&slow, &baseline).expect_err("gate must trip");
-        assert!(err.contains("sor/compiled@64"), "the regressed record is named: {err}");
-        let partial: String =
-            current.iter().take(3).map(|r| line(r.app, r.variant, r.nprocs, r.time_ns)).collect();
+        slow[4].time_ns *= 2;
+        let err = check_byte_equal(&slow, &baseline).expect_err("gate must trip");
+        assert!(err.contains("sor/compiled@64"), "the changed record is named: {err}");
+        assert!(!err.contains("is/validate@64"), "IS rows are informational: {err}");
+        let partial = render_scale_json(&current[..3]);
         assert!(
-            check_scale_regression(&current, &partial).is_err(),
-            "a baseline missing gated records must not pass"
+            check_byte_equal(&current, &partial).is_err(),
+            "a baseline missing records must not pass"
         );
-        // The standard gate is untouched by the scale set: its six records
-        // are still the PR5/PR8 ones.
-        assert!(GATED.iter().all(|g| !SCALE_GATED.contains(g)), "the two gates are disjoint");
     }
 
     #[test]
     fn net_faults_off_is_bit_identical_to_the_checked_in_baseline() {
         // The PR7 acceptance criterion, cross-commit-enforced: with
-        // faults Off (the default), gated records must reproduce a
-        // checked-in baseline *exactly* — same model time, same wire
-        // bytes, same table-lock count — proving the reliable-delivery
-        // layer costs literally nothing when disabled. Any header byte,
-        // extra lock, or timing nudge on the Off path breaks this.
-        //
-        // Which baseline depends on the record. The uncompiled PR5-era
-        // records still match BENCH_PR5.json bit-for-bit. The compiled
-        // records re-pin at BENCH_PR8.json: the lock-carrying boundary
-        // work changed the compiled plans' merged data+sync wire format
-        // (sor/compiled@8 sends 6168 fewer bytes than the PR5 encoding,
-        // with every structural counter — messages, table locks, faults,
-        // merged sync messages — unchanged). is/compiled is absent from
-        // both lists because lock-grant arrival order jitters its wire
-        // traffic run-to-run; its gate is the 10% regression budget.
-        type Pinned = &'static [(&'static str, &'static str, usize)];
-        const PR5_PINNED: Pinned =
-            &[("jacobi", "push", 4), ("sor", "validate", 4), ("sor", "validate", 8)];
-        const PR8_PINNED: Pinned = &[("sor", "compiled", 8), ("gauss", "compiled", 8)];
-        let pins = [("BENCH_PR5.json", PR5_PINNED), ("BENCH_PR8.json", PR8_PINNED)];
-        for (file, records) in pins {
-            let baseline_json =
-                std::fs::read_to_string(format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR")))
-                    .unwrap_or_else(|err| panic!("the checked-in {file} baseline: {err}"));
-            for &(app, variant_name, nprocs) in records {
-                let variant = match variant_name {
-                    "push" => Variant::Push,
-                    "validate" => Variant::Validate,
-                    "compiled" => Variant::Compiled,
-                    other => panic!("unmapped variant {other:?}"),
-                };
-                let cur = run_case(app, standard_cfg(app), nprocs, variant);
-                let line = baseline_json
-                    .lines()
-                    .find(|l| {
-                        str_field(l, "app").as_deref() == Some(app)
-                            && str_field(l, "variant").as_deref() == Some(variant_name)
-                            && u64_field(l, "nprocs") == Some(nprocs as u64)
-                    })
-                    .unwrap_or_else(|| panic!("{file} line for {app}/{variant_name}@{nprocs}"));
-                let key = format!("{app}/{variant_name}@{nprocs} vs {file}");
-                assert_eq!(
-                    Some(cur.time_ns),
-                    u64_field(line, "time_ns"),
-                    "{key}: faults-Off model time must equal the baseline exactly"
-                );
-                assert_eq!(
-                    Some(cur.bytes),
-                    u64_field(line, "bytes"),
-                    "{key}: faults-Off wire bytes must equal the baseline exactly"
-                );
-                assert_eq!(
-                    Some(cur.table_lock_acquires),
-                    u64_field(line, "table_lock_acquires"),
-                    "{key}: faults-Off table-lock count must equal the baseline exactly"
-                );
-            }
+        // faults Off (the default), records must reproduce the checked-in
+        // baseline *exactly* — every field of the rendered line, model
+        // time, wire bytes and table-lock count among them — proving the
+        // reliable-delivery layer costs literally nothing when disabled.
+        // Any header byte, extra lock, or timing nudge on the Off path
+        // breaks this. (`dsm-bench --check` holds the whole matrix to the
+        // same file; these five keep the property inside `cargo test`.
+        // is/compiled is absent because lock-grant arrival order jitters
+        // its wire traffic run-to-run.)
+        let baseline_json =
+            std::fs::read_to_string(format!("{}/../../BENCH_PR8.json", env!("CARGO_MANIFEST_DIR")))
+                .unwrap_or_else(|err| panic!("the checked-in BENCH_PR8.json baseline: {err}"));
+        for (app, variant, nprocs) in [
+            ("jacobi", Variant::Push, 4),
+            ("sor", Variant::Validate, 4),
+            ("sor", Variant::Validate, 8),
+            ("sor", Variant::Compiled, 8),
+            ("gauss", Variant::Compiled, 8),
+        ] {
+            let line = render_record(&run(app, standard_cfg(app), nprocs, variant));
+            assert!(
+                baseline_json.lines().any(|l| l.trim().trim_end_matches(',') == line),
+                "faults-Off must reproduce the BENCH_PR8.json line exactly, got {line}"
+            );
         }
     }
 }

@@ -4,8 +4,9 @@
 //!   (path configurable with `--out`), printing a summary table.
 //! * `cargo run -p dsm-bench -- --check` — run the suite and compare it
 //!   against the checked-in baseline (path configurable with
-//!   `--baseline`), exiting non-zero if any gated record regresses (every
-//!   regressed record is reported first).
+//!   `--baseline`), exiting non-zero unless every record is byte-equal to
+//!   its baseline line (every differing record is listed first, with both
+//!   lines; differing IS rows are informational).
 //! * `cargo run -p dsm-bench -- --explain <app>` — dump the kernel's
 //!   compiled plan (phase classifications, refusal reasons, message
 //!   counts) deterministically, without running the suite. May be given
@@ -27,18 +28,42 @@
 //!   print the table plus a reactor-pool summary, and write
 //!   `BENCH_PR9.json` (path configurable with `--out`); with `--check`,
 //!   compare against the checked-in `BENCH_PR9.json` instead (path
-//!   configurable with `--baseline`), gating the 64-processor
-//!   barrier-kernel records.
+//!   configurable with `--baseline`), byte for byte like the standard
+//!   suite.
 //! * `--reactors N` — pin the protocol-reactor pool to `N` poll loops for
 //!   the suite and scale runs (default: one per host core). Records are
 //!   bit-identical for any value; the flag exists to exercise a specific
 //!   multiplexing degree and to compare host-side pool behaviour.
 
 use dsm_bench::{
-    chaos_suite, check_chaos, check_regression, check_scale_regression, explain_app,
-    probe_reactor_pool, race_suite, render_chaos_json, render_json, render_race_json,
-    render_scale_json, scale_suite, suite, SCALE_NPROCS,
+    chaos_suite, check_byte_equal, check_chaos, explain_app, probe_reactor_pool, race_suite,
+    render_chaos_json, render_json, render_race_json, render_scale_json, scale_suite, suite,
+    BenchRecord, SCALE_NPROCS,
 };
+
+/// `--check`: holds `records` to the baseline file byte for byte, printing
+/// the per-record report and exiting non-zero on any difference.
+fn gate(records: &[BenchRecord], baseline: &str) {
+    let baseline_json = match std::fs::read_to_string(baseline) {
+        Ok(json) => json,
+        Err(err) => {
+            eprintln!("cannot read baseline {baseline}: {err}");
+            std::process::exit(1);
+        }
+    };
+    match check_byte_equal(records, &baseline_json) {
+        Ok(report) => {
+            for line in report {
+                eprintln!("  {line}");
+            }
+            eprintln!("byte-equal gate passed against {baseline}");
+        }
+        Err(err) => {
+            eprintln!("byte-equal gate FAILED against {baseline}:\n{err}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -212,26 +237,7 @@ fn main() {
             );
         }
         if check {
-            let baseline = baseline.unwrap_or_else(|| String::from("BENCH_PR9.json"));
-            let baseline_json = match std::fs::read_to_string(&baseline) {
-                Ok(json) => json,
-                Err(err) => {
-                    eprintln!("cannot read baseline {baseline}: {err}");
-                    std::process::exit(1);
-                }
-            };
-            match check_scale_regression(&records, &baseline_json) {
-                Ok(report) => {
-                    for line in report {
-                        eprintln!("  {line}");
-                    }
-                    eprintln!("scale regression gate passed");
-                }
-                Err(err) => {
-                    eprintln!("scale regression gate FAILED:\n{err}");
-                    std::process::exit(1);
-                }
-            }
+            gate(&records, baseline.as_deref().unwrap_or("BENCH_PR9.json"));
         } else {
             let out = out.unwrap_or_else(|| String::from("BENCH_PR9.json"));
             std::fs::write(&out, render_scale_json(&records)).expect("write scale output");
@@ -311,26 +317,7 @@ fn main() {
     }
 
     if check {
-        let baseline = baseline.unwrap_or_else(|| String::from("BENCH_PR8.json"));
-        let baseline_json = match std::fs::read_to_string(&baseline) {
-            Ok(json) => json,
-            Err(err) => {
-                eprintln!("cannot read baseline {baseline}: {err}");
-                std::process::exit(1);
-            }
-        };
-        match check_regression(&records, &baseline_json) {
-            Ok(report) => {
-                for line in report {
-                    eprintln!("  {line}");
-                }
-                eprintln!("regression gate passed");
-            }
-            Err(err) => {
-                eprintln!("regression gate FAILED:\n{err}");
-                std::process::exit(1);
-            }
-        }
+        gate(&records, baseline.as_deref().unwrap_or("BENCH_PR8.json"));
     } else {
         std::fs::write(&out, render_json(&records)).expect("write benchmark output");
         eprintln!("wrote {out}");

@@ -120,7 +120,7 @@ fn completed_grants_run_lock_free_and_go_stale_on_protection_changes() {
         // mapping with it). The pages are read-only after the issue's
         // flush, so write-enabling them is a real protection transition.
         assert!(grant.is_current(p));
-        p.write_enable(&[a.full_range()], false);
+        ctrt::validate(p, &[RegularSection::array(&a, 0..a.len(), Access::Write)]);
         assert!(!grant.is_current(p), "a protection change must retire the grant");
         sum
     });

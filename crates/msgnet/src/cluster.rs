@@ -577,40 +577,6 @@ impl<M: Send> Endpoint<M> {
         }
     }
 
-    /// Sends the same payload to every other node (the payload must be
-    /// `Clone`). Returns the arrival time at the last destination.
-    ///
-    /// The first copy costs a full message; subsequent copies cost the
-    /// broadcast increment, modelling the SP/2 broadcast support the paper
-    /// exploits when merging data with barriers.
-    pub fn broadcast(
-        &self,
-        port: Port,
-        payload: M,
-        payload_bytes: usize,
-        sent_at: VirtualTime,
-        interrupt: bool,
-    ) -> VirtualTime
-    where
-        M: Clone,
-    {
-        let mut last_arrival = sent_at;
-        let mut extra = 0;
-        for peer in (0..self.nodes).map(NodeId) {
-            if peer == self.id {
-                continue;
-            }
-            let arrival = self.send(peer, port, payload.clone(), payload_bytes, sent_at, interrupt)
-                + self.cost_model.broadcast_extra_cost(extra);
-            last_arrival = last_arrival.max(arrival);
-            extra += 1;
-        }
-        if self.nodes > 1 {
-            self.stats.broadcasts(1);
-        }
-        last_arrival
-    }
-
     /// Blocks until a message arrives on `port`.
     ///
     /// # Errors
@@ -827,20 +793,6 @@ mod tests {
         assert_eq!(arrival, t);
         assert_eq!(a.stats().snapshot().messages_sent, 0);
         assert_eq!(a.recv(Port::Reply).unwrap().payload, 9);
-    }
-
-    #[test]
-    fn broadcast_reaches_all_other_nodes() {
-        let endpoints = Cluster::<u8>::new(4, CostModel::sp2()).into_endpoints();
-        let sender = &endpoints[0];
-        sender.broadcast(Port::Reply, 42, 8, VirtualTime::ZERO, true);
-        for peer in &endpoints[1..] {
-            assert_eq!(peer.recv(Port::Reply).unwrap().payload, 42);
-        }
-        assert!(endpoints[0].try_recv(Port::Reply).is_none());
-        let snap = sender.stats().snapshot();
-        assert_eq!(snap.messages_sent, 3);
-        assert_eq!(snap.broadcasts, 1);
     }
 
     #[test]

@@ -6,24 +6,18 @@
 //! every transfer charged to the [`sp2model`] cost model and counted in the
 //! shared statistics.
 //!
-//! Two layers are provided:
+//! The [`Cluster`] / [`Endpoint`] layer is what the DSM runtime talks to:
+//! typed payloads, a *request* port polled by the runtime's protocol
+//! reactors (the paper's interrupt handler), with an attachable
+//! [`Doorbell`] so a reactor multiplexing many nodes parks without missing
+//! an enqueue, and a *reply* port consumed by the blocked compute thread.
 //!
-//! * the raw [`Cluster`] / [`Endpoint`] layer used by the DSM runtime — typed
-//!   payloads, a *request* port polled by the runtime's protocol reactors
-//!   (the paper's interrupt handler), with an attachable [`Doorbell`] so a
-//!   reactor multiplexing many nodes parks without missing an enqueue, and
-//!   a *reply* port consumed by the blocked compute thread;
-//! * the [`mp`] module — a small PVM/MPL-like explicit message-passing API
-//!   (send/recv/broadcast/barrier with virtual-time accounting) used by the
-//!   hand-coded (PVMe) and compiler-generated (XHPF) baseline versions of the
-//!   applications.
-//!
-//! A third, optional layer sits between the two: a seeded deterministic
-//! fault injector ([`FaultPlan`]) and the reliable-delivery sublayer
-//! (sequence numbers, dedup windows, piggybacked cumulative acks, modelled
-//! retransmission timeouts — see [`NetFaults`]) that masks it. With faults
-//! off — the default — the layer is structurally absent and the wire format
-//! and model times are untouched.
+//! An optional layer sits underneath: a seeded deterministic fault injector
+//! ([`FaultPlan`]) and the reliable-delivery sublayer (sequence numbers,
+//! dedup windows, piggybacked cumulative acks, modelled retransmission
+//! timeouts — see [`NetFaults`]) that masks it. With faults off — the
+//! default — the layer is structurally absent and the wire format and
+//! model times are untouched.
 //!
 //! ```
 //! use msgnet::{Cluster, NodeId, Port};
@@ -48,7 +42,6 @@ mod doorbell;
 mod envelope;
 mod error;
 mod fault;
-pub mod mp;
 mod node;
 
 pub use cluster::{Cluster, Endpoint, Port};

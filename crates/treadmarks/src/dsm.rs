@@ -346,13 +346,18 @@ impl Dsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::SyncOp;
+    use crate::process::{PhasePlan, SyncOp};
     use crate::types::LockId;
     use pagedmem::PAGE_SIZE;
     use sp2model::CostModel;
 
     fn free_config(nprocs: usize) -> DsmConfig {
         DsmConfig::new(nprocs).with_cost_model(CostModel::free())
+    }
+
+    /// The plan a compiled phase prepares a `WRITE_ALL` section with.
+    fn write_all(range: pagedmem::AddrRange) -> PhasePlan {
+        PhasePlan { write_all: vec![range], ..PhasePlan::default() }
     }
 
     #[test]
@@ -525,7 +530,7 @@ mod tests {
             // Each processor produces its half under WRITE_ALL (no twins)
             // and pushes it directly to the other.
             let mine = a.range_of(me * half, (me + 1) * half);
-            p.write_enable(&[mine], true);
+            p.prepare_phase(&write_all(mine));
             for i in 0..half {
                 p.set(&a, me * half + i, (100 + me * half + i) as u64);
             }
@@ -557,7 +562,7 @@ mod tests {
             if p.proc_id() == 1 {
                 let twins_before = p.stats().snapshot().twins_created;
                 let msgs_before = p.stats().snapshot().messages_sent;
-                p.write_enable(&[a.full_range()], true);
+                p.prepare_phase(&write_all(a.full_range()));
                 for i in 0..a.len() {
                     p.set(&a, i, 2);
                 }
@@ -863,7 +868,7 @@ mod tests {
             }
             p.barrier();
             if p.proc_id() == 1 {
-                p.write_enable(&[a.range_of(0, half)], true);
+                p.prepare_phase(&write_all(a.range_of(0, half)));
                 for i in 0..half {
                     p.set(&a, i, 9);
                 }

@@ -26,12 +26,12 @@
 //!   software path; see DESIGN.md for the substitution argument.)
 //!
 //! On top of the base protocol the crate exposes the *run-time primitives* of
-//! Figure 4 of the paper — [`Process::fetch_diffs`],
-//! [`Process::fetch_diffs_w_sync`], [`Process::apply_fetch`],
-//! [`Process::create_twins`], [`Process::write_enable`],
-//! [`Process::write_protect`] and the point-to-point
-//! [`Process::push_exchange`] — which the `ctrt` crate composes into the
-//! compiler-visible `Validate` / `Validate_w_sync` / `Push` interface.
+//! Figure 4 of the paper — [`Process::fetch_diffs`], [`Process::apply_fetch`],
+//! [`Process::sync_phase_issue`] / [`Process::sync_phase_complete`]
+//! (`Fetch_diffs_w_sync`), [`Process::prepare_phase`] (`Create_twins` +
+//! `Write_enable`) and the point-to-point [`Process::push_exchange`] —
+//! which the `ctrt` crate composes into the compiler-visible `Validate` /
+//! `Validate_w_sync` / `Push` interface.
 //!
 //! ```
 //! use sp2model::CostModel;

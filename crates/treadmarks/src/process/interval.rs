@@ -1,0 +1,206 @@
+//! Intervals: ending one's own (the flush — diffs, write notices,
+//! write-protection) and learning of others' (write-notice application and
+//! the timestamp a merged fetch advertises).
+
+use pagedmem::{PageId, PageTable, Protection};
+
+use super::Process;
+use crate::notice::WriteNotice;
+use crate::state::{CachedDiff, DiffEntry, ProtoState};
+use crate::types::Vt;
+
+/// Counts the maximal runs of consecutive page ids in a sorted list — the
+/// number of `mprotect` calls a range-based protection change costs.
+pub(super) fn contiguous_runs(pages: &[PageId]) -> u64 {
+    let mut runs = 0u64;
+    let mut prev: Option<PageId> = None;
+    for &page in pages {
+        if prev.is_none_or(|p| p.0 + 1 != page.0) {
+            runs += 1;
+        }
+        prev = Some(page);
+    }
+    runs
+}
+
+/// What [`apply_notices_locked`] did, for cost charging after the hold.
+pub(super) struct NoticeTally {
+    pub(super) recorded: u64,
+    pub(super) invalidation_runs: u64,
+}
+
+/// Records incoming write notices under an already-held lock pair: appends
+/// them to the notice log, extends the per-page missing lists and
+/// invalidates local copies. Duplicate notices are ignored. Costs are
+/// charged by the caller from the returned tally (one protection operation
+/// per contiguous run of invalidated pages, like the range `mprotect` of
+/// the original system).
+pub(super) fn apply_notices_locked(
+    proto: &mut ProtoState,
+    table: &mut PageTable,
+    notices: &[WriteNotice],
+) -> NoticeTally {
+    let me = proto.me;
+    // Bring each `(proc, interval)` group together, groups ascending. The
+    // sort is stable, so inside a group the pages stay in arrival order:
+    // arrival order decides the invalidation (and hence later fetch)
+    // sequence, and sorting the pages too would shift every downstream
+    // virtual-time measurement.
+    let mut sorted: Vec<WriteNotice> = notices.iter().copied().filter(|n| n.proc != me).collect();
+    sorted.sort_by_key(|n| (n.proc, n.interval));
+    let mut recorded = 0u64;
+    let mut invalidated = Vec::new();
+    for group in sorted.chunk_by(|a, b| (a.proc, a.interval) == (b.proc, b.interval)) {
+        let (proc, interval) = (group[0].proc, group[0].interval);
+        if proto.notice_log.contains(proc, interval) {
+            continue;
+        }
+        // One batch can carry the same notice twice — at a barrier the
+        // master concatenates every child's arrival notices, and two
+        // children may both have learned a third processor's interval
+        // along the lock-grant chain. A duplicated page here would put two
+        // copies of `(proc, interval)` on the missing list; the exact-match
+        // claim in `install_records` would remove only one, and the
+        // surviving phantom entry would later demand-fetch the *old*
+        // interval's diff again — re-applying it on top of a newer
+        // interval from the same processor and rolling those bytes back.
+        // So only a page's first occurrence counts.
+        let mut pages = Vec::with_capacity(group.len());
+        for n in group {
+            if pages.contains(&n.page) {
+                continue;
+            }
+            pages.push(n.page);
+            proto.page_missing.entry(n.page).or_default().push((proc, interval));
+            match table.protection(n.page) {
+                Protection::ReadOnly | Protection::ReadWrite => {
+                    table.set_protection(n.page, Protection::Invalid);
+                    invalidated.push(n.page);
+                }
+                Protection::Unmapped | Protection::Invalid => {}
+            }
+        }
+        recorded += pages.len() as u64;
+        proto.notice_log.record(proc, interval, pages);
+    }
+    invalidated.sort_unstable();
+    NoticeTally { recorded, invalidation_runs: contiguous_runs(&invalidated) }
+}
+
+impl Process {
+    /// Ends the current interval: encodes a diff for every dirty page,
+    /// records the corresponding write notices locally, write-protects the
+    /// pages and advances this processor's component of the vector
+    /// timestamp. A no-op when nothing was written (empty diffs are elided
+    /// and produce no notices). Every release runs it, which makes it the
+    /// paper's `Write_protect`: nothing else re-protects a written page.
+    pub(super) fn flush_interval(&mut self) {
+        let node = self.node.unleased();
+        let mut proto = node.proto();
+        let mut table = node.table();
+        let dirty = table.dirty_pages();
+        if dirty.is_empty() {
+            proto.write_all_pages.clear();
+            return;
+        }
+        let interval = proto.current_interval;
+        let me = proto.me;
+        // Happens-before rank of this interval: the timestamp it flushes
+        // with. Receivers use it to apply same-page diffs in causal order.
+        let vt_after = {
+            let mut vt_after = proto.vt.clone();
+            vt_after.advance(me, interval);
+            vt_after
+        };
+        let rank = vt_after.sum();
+        // The full creating timestamp is kept (and later shipped) only when
+        // the race detector is on; otherwise the cache stores the scalar
+        // rank alone and the wire format is byte-identical to a
+        // detector-less build.
+        let creating_vt = self.run.race.as_ref().map(|_| vt_after);
+        let mut flushed_pages = Vec::new();
+        let mut delta_pages = 0usize;
+        // One protection operation per contiguous run of dirty pages: the
+        // original system write-protects whole ranges with single mprotect
+        // calls, so the flush is charged per run, not per page.
+        let protect_ops = contiguous_runs(&dirty);
+        for page in dirty {
+            let entry = if proto.write_all_pages.contains(&page) {
+                Some(DiffEntry::FullPage)
+            } else {
+                match table.create_diff(page) {
+                    // Write-enabled but never actually modified (or only
+                    // remote diffs landed): elide the empty diff entirely.
+                    Some(diff) if diff.is_empty() => None,
+                    Some(diff) => {
+                        delta_pages += 1;
+                        Some(DiffEntry::Delta(diff))
+                    }
+                    // Dirty without a twin outside WRITE_ALL should not
+                    // happen; fall back to shipping the whole page.
+                    None => Some(DiffEntry::FullPage),
+                }
+            };
+            table.clear_dirty(page);
+            table.drop_twin(page);
+            table.set_protection(page, Protection::ReadOnly);
+            if let Some(entry) = entry {
+                proto
+                    .diff_cache
+                    .entry(page)
+                    .or_default()
+                    .insert(interval, CachedDiff { entry, rank, vt: creating_vt.clone() });
+                flushed_pages.push(page);
+            }
+        }
+        let pages_in_use = table.pages_in_use();
+        drop(table);
+        if !flushed_pages.is_empty() {
+            self.stats.diffs_created(delta_pages as u64);
+            proto.notice_log.record(me, interval, flushed_pages);
+            proto.vt.advance(me, interval);
+            proto.current_interval += 1;
+            // The interval the acquire snapshot described is closed; writes
+            // of the next interval are ordered after everything known now.
+            proto.acquire_race_vt = None;
+        }
+        proto.write_all_pages.clear();
+        drop(proto);
+        self.stats.protection_ops(protect_ops);
+        self.clock.advance(self.cost.diff_create_cost(delta_pages));
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(protect_ops));
+    }
+
+    /// Charges the costs of an [`apply_notices_locked`] tally after the
+    /// hold has been released.
+    pub(super) fn charge_notices(&mut self, tally: &NoticeTally, pages_in_use: usize) {
+        self.stats.write_notices(tally.recorded);
+        self.stats.protection_ops(tally.invalidation_runs);
+        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(tally.invalidation_runs));
+    }
+
+    /// Builds the vector timestamp advertised by a `Validate_w_sync`
+    /// request for `pages`: the processor's own timestamp, lowered so that
+    /// every still-missing diff of a requested page lies above it.
+    ///
+    /// Missing intervals at or below the GC horizon are *not* named at
+    /// synchronization points: their producer may be trimming them
+    /// concurrently, and whether a delta or the consolidated base came back
+    /// would then depend on a real-time race (breaking virtual-time
+    /// determinism). They stay missing and are fetched through the explicit
+    /// base-request path of [`TmkMessage::DiffRequest`] on first use.
+    pub(super) fn sync_vt(&mut self, pages: &[PageId]) -> Vt {
+        let proto = self.node.unleased().proto();
+        let mut vt = proto.vt.clone();
+        for page in pages {
+            if let Some(missing) = proto.page_missing.get(page) {
+                for &(proc, interval) in missing {
+                    if interval > proto.gc_horizon.get(proc) {
+                        vt.limit(proc, interval.saturating_sub(1));
+                    }
+                }
+            }
+        }
+        vt
+    }
+}

@@ -1,0 +1,111 @@
+//! `Push`: the point-to-point data exchange that replaces a barrier in a
+//! fully analyzable phase.
+
+use std::collections::HashSet;
+
+use msgnet::Port;
+use pagedmem::AddrRange;
+
+use super::access::warm_ranges_locked;
+use super::race::detect_push_races_locked;
+use super::Process;
+use crate::message::TmkMessage;
+use crate::types::ProcId;
+
+/// The outcome of a [`Process::push_exchange`].
+#[derive(Debug, Clone)]
+pub struct PushReceipt {
+    /// The address ranges installed by the received pushes, coalesced.
+    pub installed: Vec<AddrRange>,
+    /// Fast-path mappings warmed for the received data (under the same
+    /// table-lock hold as the install).
+    pub pages_warmed: usize,
+}
+
+impl Process {
+    /// Point-to-point data exchange replacing a barrier in a fully
+    /// analyzable phase: the contents of each range in `sends` travel
+    /// directly to their consumer, and one `PushData` message is awaited
+    /// from every processor in `recv_from`. Received bytes are installed in
+    /// place — no twins, diffs, write notices or invalidations — and the
+    /// protection epoch is bumped once (the install replaces contents
+    /// wholesale, so cached mappings must revalidate).
+    ///
+    /// The exchange is batched like the barrier protocol: *one* table-lock
+    /// hold reads every outgoing chunk, and after all pushes have arrived
+    /// *one* hold installs everything and re-warms the TLB for the received
+    /// ranges, whose coalesced extent the [`PushReceipt`] reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a destination or source is out of range or is this
+    /// processor itself.
+    pub fn push_exchange(
+        &mut self,
+        sends: &[(ProcId, Vec<AddrRange>)],
+        recv_from: &[ProcId],
+    ) -> PushReceipt {
+        let me = self.proc_id();
+        if !sends.is_empty() {
+            // One hold for every outgoing chunk read.
+            type Outgoing = Vec<(ProcId, Vec<(AddrRange, Vec<u8>)>)>;
+            let outgoing: Outgoing = {
+                let table = self.node.unleased().table();
+                sends
+                    .iter()
+                    .map(|&(dest, ref ranges)| {
+                        assert_ne!(dest, me, "a processor does not push to itself");
+                        let chunks = AddrRange::coalesce(ranges.clone())
+                            .into_iter()
+                            .map(|r| (r, table.read_range(r)))
+                            .collect();
+                        (dest, chunks)
+                    })
+                    .collect()
+            };
+            for (dest, chunks) in outgoing {
+                self.send(dest, Port::Reply, TmkMessage::PushData { from: me, chunks }, true);
+            }
+        }
+        let mut outstanding: HashSet<ProcId> = recv_from.iter().copied().collect();
+        assert!(!outstanding.contains(&me), "a processor does not receive its own push");
+        // Observe every push before installing anything, then install the
+        // whole batch under one hold.
+        let mut received: Vec<(ProcId, AddrRange, Vec<u8>)> = Vec::new();
+        while !outstanding.is_empty() {
+            let env = self.recv_reply(
+                "a peer's pushed data",
+                |m| matches!(m, TmkMessage::PushData { from, .. } if outstanding.contains(from)),
+            );
+            self.clock.observe(env.arrives_at);
+            let TmkMessage::PushData { from, chunks } = env.payload else { unreachable!() };
+            outstanding.remove(&from);
+            received.extend(chunks.into_iter().map(|(r, d)| (from, r, d)));
+        }
+        if received.is_empty() {
+            return PushReceipt { installed: Vec::new(), pages_warmed: 0 };
+        }
+        let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
+        let warm: Vec<(AddrRange, bool)> = installed.iter().map(|&r| (r, false)).collect();
+        let pages_warmed = {
+            // The detector needs protocol state (lock order: proto before
+            // table); the detector-off install path takes only the table
+            // lock, exactly as before.
+            let mut node = self.node.unleased();
+            let race_proto = self.run.race.as_ref().map(|log| (log, node.proto()));
+            let mut table = node.table();
+            if let Some((log, proto)) = &race_proto {
+                detect_push_races_locked(&self.stats, log, proto, &table, &received);
+            }
+            for (_, range, data) in received {
+                // Mirrored into any twin: pushed bytes are installed data,
+                // not local modifications, and must not surface in a later
+                // diff (or be race-flagged against the next push).
+                table.install_bytes(range.start(), &data);
+            }
+            table.bump_epoch();
+            warm_ranges_locked(&mut node, &table, &warm)
+        };
+        PushReceipt { installed, pages_warmed }
+    }
+}

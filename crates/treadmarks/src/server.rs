@@ -13,14 +13,11 @@
 //! service cost, never from when the reactor got around to it.
 
 use msgnet::{Endpoint, Envelope, NodeId, Port};
-use pagedmem::PageId;
 use sp2model::VirtualTime;
 
 use crate::message::{DiffRecord, PageWant, TmkMessage};
-use crate::state::{
-    full_page_diff, CachedDiff, DiffEntry, NodeShared, PendingLockRequest, ProtoState,
-};
-use crate::types::{Interval, LockId, ProcId, Vt};
+use crate::state::{full_page_diff, NodeShared, PendingLockRequest, ProtoState};
+use crate::types::{Interval, LockId, ProcId};
 
 /// What [`serve_one`] tells the driving reactor about the served node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,24 +49,34 @@ pub(crate) fn serve_one(
             handle_diff_request(endpoint, shared, req_id, requester, &wants, arrived_at);
         }
         TmkMessage::LockAcquireRequest { lock, requester, vt, sync_pages } => {
-            handle_lock_acquire(endpoint, shared, lock, requester, vt, sync_pages, arrived_at);
+            let request =
+                PendingLockRequest { requester, requester_vt: vt, sync_pages, arrived_at };
+            handle_lock_acquire(endpoint, shared, lock, request);
         }
         TmkMessage::LockForward { lock, requester, vt, sync_pages, holder_acquires_processed } => {
-            handle_lock_forward(
-                endpoint,
-                shared,
-                lock,
-                requester,
-                vt,
-                sync_pages,
-                arrived_at,
-                holder_acquires_processed,
-            );
+            let request =
+                PendingLockRequest { requester, requester_vt: vt, sync_pages, arrived_at };
+            handle_lock_forward(endpoint, shared, lock, request, holder_acquires_processed);
         }
         // All other message kinds travel on the reply port.
         other => unreachable!("unexpected message on request port: {other:?}"),
     }
     Served::Continue
+}
+
+/// Sends a handler's message on the interrupt path, leaving at `at` — the
+/// request's virtual arrival plus the modelled service cost, never the
+/// moment the reactor got around to it — and charged at its own wire size.
+/// Every message a protocol handler sends leaves through here.
+fn send_at(
+    endpoint: &Endpoint<TmkMessage>,
+    dest: ProcId,
+    port: Port,
+    msg: TmkMessage,
+    at: VirtualTime,
+) {
+    let bytes = msg.wire_bytes();
+    endpoint.send(NodeId(dest), port, msg, bytes, at, true);
 }
 
 /// Answers a diff request: for every interval (or consolidated base) the
@@ -124,35 +131,30 @@ fn handle_diff_request(
             });
         }
         for &interval in &want.intervals {
-            let (diff, rank, base, vt) = match cached(interval) {
-                Some(CachedDiff { entry: DiffEntry::Delta(diff), rank, vt }) => {
-                    (diff.clone(), *rank, false, vt.clone())
-                }
-                Some(CachedDiff { entry: DiffEntry::FullPage, rank, vt }) => {
-                    materialised_pages += 1;
-                    (full_page_diff(&table, page), *rank, false, vt.clone())
-                }
+            let (record, full_page) = match cached(interval) {
+                Some(cached) => proto.record_of(page, interval, cached, &table),
                 // The diff was never recorded (e.g. a notice relayed for an
                 // interval that never produced one); fall back to the
                 // current page contents, which is always at least as new as
                 // the requested interval — serve it base-style so owed
                 // interval diffs still apply on top of it.
                 None => {
-                    materialised_pages += 1;
-                    (full_page_diff(&table, page), proto.vt.sum(), true, None)
+                    let (diff, rank) = (full_page_diff(&table, page), proto.vt.sum());
+                    let proc = proto.me;
+                    (DiffRecord { page, proc, interval, rank, base: true, diff, vt: None }, true)
                 }
             };
-            diffs.push(DiffRecord { page, proc: proto.me, interval, rank, base, diff, vt });
+            materialised_pages += usize::from(full_page);
+            diffs.push(record);
         }
     }
     drop(table);
     drop(proto);
 
-    let reply = TmkMessage::DiffResponse { req_id, diffs };
-    let bytes = reply.wire_bytes();
     let service =
         shared.cost.request_service_cost() + shared.cost.diff_create_cost(materialised_pages);
-    endpoint.send(NodeId(requester), Port::Reply, reply, bytes, arrived_at + service, true);
+    let reply = TmkMessage::DiffResponse { req_id, diffs };
+    send_at(endpoint, requester, Port::Reply, reply, arrived_at + service);
 }
 
 /// Handles a lock-acquire request in the manager role: grant directly when
@@ -163,10 +165,7 @@ fn handle_lock_acquire(
     endpoint: &Endpoint<TmkMessage>,
     shared: &NodeShared,
     lock: LockId,
-    requester: ProcId,
-    vt: Vt,
-    sync_pages: Vec<PageId>,
-    arrived_at: VirtualTime,
+    request: PendingLockRequest,
 ) {
     let mut proto = shared.proto.lock();
     debug_assert_eq!(
@@ -175,38 +174,44 @@ fn handle_lock_acquire(
         "lock request routed to the wrong manager"
     );
     let me = proto.me;
+    let requester = request.requester;
     *proto.lock_requests_processed.entry((lock, requester)).or_insert(0) += 1;
-    let last_holder = proto.lock_last_holder.get(&lock).copied();
-    proto.lock_last_holder.insert(lock, requester);
+    let last_holder = proto.lock_last_holder.insert(lock, requester);
     let holder_processed = |proto: &ProtoState, holder: ProcId| {
         proto.lock_requests_processed.get(&(lock, holder)).copied().unwrap_or(0)
     };
-    match last_holder {
+    match last_holder.filter(|&holder| holder != requester) {
         // First acquisition, or re-acquisition by the last holder: no new
         // happens-before edge to transfer, the manager grants directly.
         None => {
             drop(proto);
-            send_grant(endpoint, shared, lock, requester, &vt, &sync_pages, arrived_at, false);
-        }
-        Some(holder) if holder == requester => {
-            drop(proto);
-            send_grant(endpoint, shared, lock, requester, &vt, &sync_pages, arrived_at, false);
+            send_grant(endpoint, shared, lock, &request, request.arrived_at, false);
         }
         // The manager itself was the last holder; behave like any holder.
         Some(holder) if holder == me => {
             let processed = holder_processed(&proto, me);
             drop(proto);
-            handle_lock_forward(
-                endpoint, shared, lock, requester, vt, sync_pages, arrived_at, processed,
-            );
+            handle_lock_forward(endpoint, shared, lock, request, processed);
         }
         // Forward to the last holder, which replies to the requester
         // directly (the TreadMarks three-hop protocol).
         Some(holder) => {
-            let processed = holder_processed(&proto, holder);
+            let holder_acquires_processed = holder_processed(&proto, holder);
             drop(proto);
-            forward_lock_request(
-                endpoint, shared, holder, lock, requester, vt, sync_pages, arrived_at, processed,
+            let PendingLockRequest { requester_vt: vt, sync_pages, arrived_at, .. } = request;
+            let forward = TmkMessage::LockForward {
+                lock,
+                requester,
+                vt,
+                sync_pages,
+                holder_acquires_processed,
+            };
+            send_at(
+                endpoint,
+                holder,
+                Port::Request,
+                forward,
+                arrived_at + shared.cost.lock_manager_cost(),
             );
         }
     }
@@ -223,56 +228,46 @@ fn handle_lock_acquire(
 /// If the manager had *not* yet seen our request, our acquire is ordered
 /// after this one and the lock really is free here; queueing would
 /// deadlock the two of us against each other, so grant.
-#[allow(clippy::too_many_arguments)]
 fn handle_lock_forward(
     endpoint: &Endpoint<TmkMessage>,
     shared: &NodeShared,
     lock: LockId,
-    requester: ProcId,
-    vt: Vt,
-    sync_pages: Vec<PageId>,
-    arrived_at: VirtualTime,
+    request: PendingLockRequest,
     holder_acquires_processed: u64,
 ) {
     let mut proto = shared.proto.lock();
     let grant_in_flight = proto.pending_acquires.contains(&lock)
         && holder_acquires_processed >= proto.lock_requests_sent.get(&lock).copied().unwrap_or(0);
     if proto.held_locks.contains(&lock) || grant_in_flight {
-        proto.pending_lock_requests.entry(lock).or_default().push(PendingLockRequest {
-            requester,
-            requester_vt: vt,
-            sync_pages,
-            arrived_at,
-        });
+        proto.pending_lock_requests.entry(lock).or_default().push(request);
         return;
     }
     drop(proto);
-    send_grant(endpoint, shared, lock, requester, &vt, &sync_pages, arrived_at, true);
+    send_grant(endpoint, shared, lock, &request, request.arrived_at, true);
 }
 
-/// Builds and sends a lock grant to `requester`, carrying the write notices
-/// it is missing and any piggy-backed diffs for a `Validate_w_sync`.
+/// Builds and sends a lock grant answering `request`, leaving at `at` plus
+/// the manager's service cost and carrying the write notices the requester
+/// is missing and any piggy-backed diffs for a `Validate_w_sync`.
 ///
 /// `with_notices` distinguishes grants that transfer a happens-before edge
 /// (from a previous holder) from first-acquisition grants by the manager.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn send_grant(
     endpoint: &Endpoint<TmkMessage>,
     shared: &NodeShared,
     lock: LockId,
-    requester: ProcId,
-    requester_vt: &Vt,
-    sync_pages: &[PageId],
-    arrived_at: VirtualTime,
+    request: &PendingLockRequest,
+    at: VirtualTime,
     with_notices: bool,
 ) {
+    let PendingLockRequest { requester, requester_vt, sync_pages, .. } = request;
     let proto = shared.proto.lock();
     let table = shared.lock_table();
     let (notices, piggyback) = if with_notices {
-        (
-            proto.notice_log.notices_after(requester_vt),
-            proto.diffs_for_pages_after(sync_pages, requester_vt, &table),
-        )
+        // The piggyback is charged no scan, so nobody counts the pages.
+        let (piggyback, _) =
+            proto.diffs_for_pages_after_counted(sync_pages, requester_vt, &table, &mut Vec::new());
+        (proto.notice_log.notices_after(requester_vt), piggyback)
     } else {
         (Vec::new(), Vec::new())
     };
@@ -281,27 +276,5 @@ pub(crate) fn send_grant(
     drop(proto);
 
     let grant = TmkMessage::LockGrant { lock, granter_vt, notices, piggyback };
-    let bytes = grant.wire_bytes();
-    let service = shared.cost.lock_manager_cost();
-    endpoint.send(NodeId(requester), Port::Reply, grant, bytes, arrived_at + service, true);
-}
-
-/// Forwards a lock-acquire request from the manager to the last holder.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_lock_request(
-    endpoint: &Endpoint<TmkMessage>,
-    shared: &NodeShared,
-    holder: ProcId,
-    lock: LockId,
-    requester: ProcId,
-    vt: Vt,
-    sync_pages: Vec<PageId>,
-    arrived_at: VirtualTime,
-    holder_acquires_processed: u64,
-) {
-    let forward =
-        TmkMessage::LockForward { lock, requester, vt, sync_pages, holder_acquires_processed };
-    let bytes = forward.wire_bytes();
-    let service = shared.cost.lock_manager_cost();
-    endpoint.send(NodeId(holder), Port::Request, forward, bytes, arrived_at + service, true);
+    send_at(endpoint, *requester, Port::Reply, grant, at + shared.cost.lock_manager_cost());
 }

@@ -73,7 +73,18 @@ pub struct SharedArray<T: Shareable> {
 
 impl<T: Shareable> SharedArray<T> {
     /// Creates a view of `len` elements starting at `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not aligned to the element size: the page size
+    /// is a multiple of every element size, so an aligned array's elements
+    /// never straddle a page, which every access relies on.
     pub fn new(base: Addr, len: usize) -> SharedArray<T> {
+        assert!(
+            base.as_usize().is_multiple_of(T::BYTES),
+            "shared array base {base} is not aligned to its {}-byte elements",
+            T::BYTES
+        );
         SharedArray { base, len, _marker: PhantomData }
     }
 
@@ -220,6 +231,12 @@ mod tests {
     fn out_of_bounds_address_panics() {
         let a = SharedArray::<f64>::new(Addr::new(0), 4);
         let _ = a.addr_of(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not aligned to its 8-byte elements")]
+    fn an_unaligned_base_panics_naming_the_alignment() {
+        let _ = SharedArray::<f64>::new(Addr::new(4), 8);
     }
 
     #[test]

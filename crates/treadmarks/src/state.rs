@@ -63,7 +63,8 @@ pub(crate) struct TrimmedBase {
     pub rank: u64,
 }
 
-/// A lock-acquire request queued at the current holder until it releases.
+/// A lock-acquire request as its handlers pass it along — and as the
+/// current holder queues it until it releases.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingLockRequest {
     pub requester: ProcId,
@@ -180,26 +181,15 @@ impl ProtoState {
     }
 
     /// Collects the diff records this node holds for `pages`, restricted to
-    /// intervals newer than `vt`'s view of this node. Used for lock-grant
-    /// piggy-backing (`Validate_w_sync`), which charges no scan.
-    pub(crate) fn diffs_for_pages_after(
-        &self,
-        pages: &[PageId],
-        vt: &Vt,
-        table: &PageTable,
-    ) -> Vec<DiffRecord> {
-        self.diffs_for_pages_after_counted(pages, vt, table, &mut Vec::new()).0
-    }
-
-    /// Like [`diffs_for_pages_after`](Self::diffs_for_pages_after), but also
-    /// reports how many whole pages had to be materialised from the current
-    /// copy (`WRITE_ALL` intervals keep no delta, so the encoding cost is
-    /// charged lazily — at request time, and only for pages actually
-    /// requested) and appends to `examined` the requested pages this node
-    /// had cached diffs for at all. The latter is the batched serve's real
-    /// examination count: the per-page index answers a non-owned page with
-    /// one probe, so only owned pages cost a range scan. One list collects
-    /// the pages of a whole synchronization point's requests.
+    /// intervals newer than `vt`'s view of this node, and reports how many
+    /// whole pages had to be materialised from the current copy for them
+    /// (`WRITE_ALL` intervals keep no delta, so the encoding cost is charged
+    /// lazily — at request time, and only for pages actually requested).
+    /// Appends to `examined` the requested pages this node had cached diffs
+    /// for at all — the batched serve's real examination count: the
+    /// per-page index answers a non-owned page with one probe, so only
+    /// owned pages cost a range scan. One list collects the pages of a
+    /// whole synchronization point's requests.
     pub(crate) fn diffs_for_pages_after_counted(
         &self,
         pages: &[PageId],
@@ -223,26 +213,31 @@ impl ProtoState {
             debug_assert!(self.trimmed.get(&page).is_none_or(|base| base.through <= seen));
             examined.push(page);
             for (&interval, cached) in intervals.range(seen + 1..) {
-                let diff = match &cached.entry {
-                    DiffEntry::Delta(diff) => diff.clone(),
-                    DiffEntry::FullPage => {
-                        materialised += 1;
-                        full_page_diff(table, page)
-                    }
-                };
-                out.push(DiffRecord {
-                    page,
-                    proc: self.me,
-                    interval,
-                    rank: cached.rank,
-                    base: false,
-                    diff,
-                    vt: cached.vt.clone(),
-                });
+                let (record, full_page) = self.record_of(page, interval, cached, table);
+                materialised += usize::from(full_page);
+                out.push(record);
             }
         }
         out.sort_by_key(|r| (r.page, r.interval));
         (out, materialised)
+    }
+
+    /// The record that ships `cached`, this node's diff of `page` for
+    /// `interval`, and whether the whole page had to be materialised from
+    /// the current copy for it (a `WRITE_ALL` interval keeps no delta).
+    pub(crate) fn record_of(
+        &self,
+        page: PageId,
+        interval: Interval,
+        cached: &CachedDiff,
+        table: &PageTable,
+    ) -> (DiffRecord, bool) {
+        let (diff, full_page) = match &cached.entry {
+            DiffEntry::Delta(diff) => (diff.clone(), false),
+            DiffEntry::FullPage => (full_page_diff(table, page), true),
+        };
+        let (proc, rank, vt) = (self.me, cached.rank, cached.vt.clone());
+        (DiffRecord { page, proc, interval, rank, base: false, diff, vt }, full_page)
     }
 
     /// This node's *applied* timestamp: its vector timestamp, lowered to
@@ -391,12 +386,14 @@ mod tests {
         // A requester that has already seen interval 1 of proc 0.
         let mut vt = Vt::new(2);
         vt.advance(0, 1);
-        let records = proto.diffs_for_pages_after(&[PageId(3)], &vt, &table);
+        let after =
+            |vt: &Vt| proto.diffs_for_pages_after_counted(&[PageId(3)], vt, &table, &mut vec![]).0;
+        let records = after(&vt);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].interval, 2);
 
         // A requester that has seen nothing gets both.
-        let records = proto.diffs_for_pages_after(&[PageId(3)], &Vt::new(2), &table);
+        let records = after(&Vt::new(2));
         assert_eq!(records.len(), 2);
     }
 
@@ -410,7 +407,9 @@ mod tests {
             .entry(PageId(7))
             .or_default()
             .insert(1, CachedDiff { entry: DiffEntry::FullPage, rank: 1, vt: None });
-        let records = proto.diffs_for_pages_after(&[PageId(7)], &Vt::new(2), &table);
+        let (records, materialised) =
+            proto.diffs_for_pages_after_counted(&[PageId(7)], &Vt::new(2), &table, &mut vec![]);
+        assert_eq!(materialised, 1);
         assert_eq!(records.len(), 1);
         let mut page = vec![0u8; PAGE_SIZE];
         records[0].diff.apply(&mut page).unwrap();

@@ -14,10 +14,10 @@
 //! the bytes — no lock and no atomic read-modify-write. Whoever else wants
 //! the frame (the node's protocol server, or this thread's own calls into
 //! the page table) waits until the lease is returned, which is why
-//! [`NodeGate`] is the *only* path from `process.rs` to the node's `proto`
-//! and `table` locks: [`NodeGate::unleased`] returns every lease before it
-//! hands out either. An entry whose lease was returned stays cached and
-//! re-takes the lease on its next hit. See `DESIGN.md` §3.
+//! [`NodeGate`] is the *only* path from the `process` modules to the
+//! node's `proto` and `table` locks: [`NodeGate::unleased`] returns every
+//! lease before it hands out either. An entry whose lease was returned
+//! stays cached and re-takes the lease on its next hit. See `DESIGN.md` §3.
 //!
 //! The cache is two-way set associative: page id modulo [`TLB_SETS`]
 //! selects a set, and within a set the insert evicts the entry observed at
@@ -89,13 +89,6 @@ impl SoftTlb {
 
     fn set(page: PageId) -> usize {
         page.0 % TLB_SETS
-    }
-
-    /// Whether `page` is cached at the current protection `epoch` with a
-    /// mapping that allows the requested access.
-    #[inline]
-    pub(crate) fn probe(&self, page: PageId, is_write: bool, epoch: u64) -> bool {
-        self.sets[Self::set(page)].iter().flatten().any(|e| e.matches(page, is_write, epoch))
     }
 
     /// The frame of `page`, held on lease, provided the entry was filled at
@@ -207,13 +200,6 @@ impl NodeGate {
         Some(frame)
     }
 
-    /// Whether the TLB holds a mapping of `page` valid at `epoch` for the
-    /// access (no lease is taken and nothing is counted).
-    #[inline]
-    pub(crate) fn is_cached(&self, page: PageId, is_write: bool, epoch: u64) -> bool {
-        self.tlb.probe(page, is_write, epoch)
-    }
-
     /// Adds the hits counted since the last call into the node's
     /// statistics.
     pub(crate) fn publish_hits(&self) {
@@ -280,16 +266,7 @@ impl<'a> Unleased<'a> {
         request: &PendingLockRequest,
         at: VirtualTime,
     ) {
-        server::send_grant(
-            endpoint,
-            self.shared,
-            lock,
-            request.requester,
-            &request.requester_vt,
-            &request.sync_pages,
-            at,
-            true,
-        );
+        server::send_grant(endpoint, self.shared, lock, request, at, true);
     }
 }
 
@@ -297,6 +274,15 @@ impl<'a> Unleased<'a> {
 mod tests {
     use super::*;
     use pagedmem::{Frame, Page, Protection};
+
+    impl SoftTlb {
+        /// Whether `page` is cached at `epoch` with a mapping that allows
+        /// the access — what [`SoftTlb::access`] matches on, without
+        /// taking the lease.
+        fn probe(&self, page: PageId, is_write: bool, epoch: u64) -> bool {
+            self.sets[Self::set(page)].iter().flatten().any(|e| e.matches(page, is_write, epoch))
+        }
+    }
 
     fn frame() -> FrameRef {
         Arc::new(Frame::new(PageFrame {

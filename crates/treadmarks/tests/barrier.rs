@@ -3,8 +3,8 @@
 //! and virtual time stays deterministic on the tree path.
 
 use pagedmem::PAGE_SIZE;
-use sp2model::CostModel;
-use treadmarks::{BarrierTopology, Dsm, DsmConfig, Process, SyncOp};
+use sp2model::{CostModel, StatsSnapshot, VirtualTime};
+use treadmarks::{BarrierTopology, Dsm, DsmConfig, PhasePlan, Process, SyncOp};
 
 const ELEMS: usize = PAGE_SIZE / 8;
 
@@ -168,4 +168,66 @@ fn a_four_level_tree_forwards_every_piggybacked_request() {
     assert_eq!(again.results, first.results);
     assert_eq!(again.elapsed, first.elapsed, "virtual time must repeat exactly");
     assert_eq!(again.stats, first.stats, "every counter must repeat exactly");
+}
+
+/// A run with no peers that still walks every local step of a barrier:
+/// plain barriers, a barrier-merged fetch whose plan has twinned,
+/// `WRITE_ALL` and `READ&WRITE_ALL` written sections plus a warm list, and
+/// the flush of the `WRITE_ALL` pages (full-page cache entries, then the
+/// GC trim of the following barrier).
+fn solo_kernel(p: &mut Process) -> u64 {
+    let a = p.alloc_array::<u64>(4 * ELEMS);
+    let chunk = |q: usize| a.range_of(q * ELEMS, (q + 1) * ELEMS);
+    for i in (0..ELEMS).step_by(3) {
+        p.set(&a, i, i as u64);
+    }
+    p.barrier();
+    p.barrier();
+    let plan = PhasePlan {
+        fetch: vec![chunk(0)],
+        write_twinned: vec![chunk(1)],
+        write_all: vec![chunk(2)],
+        read_write_all: vec![chunk(3)],
+        warm: vec![(chunk(0), false), (a.range_of(ELEMS, 4 * ELEMS), true)],
+    };
+    let pending = p.sync_phase_issue(SyncOp::Barrier, &plan);
+    assert_eq!(pending.outstanding(), 0, "nobody to answer");
+    p.sync_phase_complete(pending);
+    for i in (ELEMS..2 * ELEMS).step_by(5) {
+        p.set(&a, i, 7);
+    }
+    let ones = vec![1u64; 2 * ELEMS];
+    p.set_slice(&a, 2 * ELEMS..4 * ELEMS, &ones);
+    p.barrier();
+    p.barrier();
+    (0..4 * ELEMS).map(|i| p.get(&a, i)).sum()
+}
+
+#[test]
+fn a_single_processor_barrier_is_the_degenerate_tree() {
+    // Recorded at the commit that still special-cased `nprocs == 1` inside
+    // `barrier_issue`, then pinned: the general exchange with no children
+    // reproduces that branch exactly, under the default tree and under the
+    // flat master alike.
+    let tree = DsmConfig::new(1).with_cost_model(CostModel::sp2());
+    let flat = DsmConfig::new(1).with_cost_model(CostModel::sp2()).with_flat_barrier();
+    let expected = StatsSnapshot {
+        page_faults: 1,
+        protection_ops: 6,
+        twins_created: 2,
+        diffs_created: 2,
+        barriers: 5,
+        gc_trimmed_diffs: 4,
+        gc_trimmed_notices: 2,
+        table_lock_acquires: 24,
+        tlb_hits: 2324,
+        tlb_misses: 5,
+        ..StatsSnapshot::default()
+    };
+    for (name, config) in [("tree", tree), ("flat", flat)] {
+        let run = Dsm::run(config, solo_kernel);
+        assert_eq!(run.results, [45350], "{name}");
+        assert_eq!(run.elapsed, [VirtualTime::from_nanos(509_710)], "{name}");
+        assert_eq!(run.stats.nodes(), [expected], "{name}");
+    }
 }

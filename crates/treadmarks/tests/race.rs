@@ -17,16 +17,21 @@
 //! * **Determinism** — the drained report list is byte-identical across
 //!   repeated runs.
 
-use pagedmem::{PageId, PAGE_SIZE};
+use pagedmem::{AddrRange, PageId, PAGE_SIZE};
 use sp2model::CostModel;
 use treadmarks::{
-    Dsm, DsmConfig, DsmRun, LockId, Process, RaceDetect, SharedArray, SyncKind, SyncOp,
+    Dsm, DsmConfig, DsmRun, LockId, PhasePlan, Process, RaceDetect, SharedArray, SyncKind, SyncOp,
 };
 
 const ELEMS: usize = PAGE_SIZE / 8;
 
 fn detecting(n: usize) -> DsmConfig {
     DsmConfig::new(n).with_cost_model(CostModel::free()).with_race_detect(RaceDetect::Collect)
+}
+
+/// The plan that twins and write-enables `range` without a fault.
+fn write_twinned(range: AddrRange) -> PhasePlan {
+    PhasePlan { write_twinned: vec![range], ..PhasePlan::default() }
 }
 
 fn first_page(a: &SharedArray<u64>) -> PageId {
@@ -335,7 +340,7 @@ fn base_application_against_local_writes_is_decidable_and_not_misreported() {
         if me == 3 {
             // Unsynchronized write-first access: twin the stale (never
             // fetched) contents, write, *then* pull the producer's history.
-            p.write_enable(&[a.range_of(0, 8)], false);
+            p.prepare_phase(&write_twinned(a.range_of(0, 8)));
             for i in 0..4 {
                 p.set(&a, i, 900 + i as u64);
             }
@@ -369,7 +374,7 @@ fn racy_push_into_locally_written_words_is_reported() {
         let other = 1 - me;
         let a = p.alloc_array::<u64>(ELEMS);
         let head = a.range_of(0, 8);
-        p.write_enable(&[head], false);
+        p.prepare_phase(&write_twinned(head));
         for i in 0..8 {
             p.set(&a, i, (10 * me + i) as u64); // both sides write words 0..8
         }

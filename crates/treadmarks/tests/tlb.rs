@@ -12,12 +12,17 @@
 //! `Process::stats` is exact in the middle of a kernel, and a panic raised
 //! while leases are held comes out of `Dsm::run` as that panic.
 
-use pagedmem::PAGE_SIZE;
+use pagedmem::{AddrRange, PAGE_SIZE};
 use sp2model::CostModel;
-use treadmarks::{Dsm, DsmConfig, LockId};
+use treadmarks::{Dsm, DsmConfig, LockId, PhasePlan};
 
 fn free_config(nprocs: usize) -> DsmConfig {
     DsmConfig::new(nprocs).with_cost_model(CostModel::free())
+}
+
+/// The plan a compiled phase prepares a `WRITE_ALL` section with.
+fn write_all(range: AddrRange) -> PhasePlan {
+    PhasePlan { write_all: vec![range], ..PhasePlan::default() }
 }
 
 const ELEMS_PER_PAGE: usize = PAGE_SIZE / 8;
@@ -68,8 +73,9 @@ fn epoch_bumps_on_write_protect_and_stale_write_entries_refault() {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         p.set(&a, 0, 1);
         let epoch = p.protection_epoch();
-        p.write_protect(&[a.full_range()]);
-        assert!(p.protection_epoch() > epoch, "write_protect must bump the protection epoch");
+        // A release write-protects what the interval wrote.
+        p.barrier();
+        assert!(p.protection_epoch() > epoch, "write-protecting must bump the protection epoch");
         // The cached writable mapping is stale: the next write must fault
         // (twin + re-enable), not sneak through the TLB.
         let faults = p.stats().snapshot().page_faults;
@@ -164,7 +170,7 @@ fn push_installs_bump_the_epoch() {
         let other = 1 - me;
         let half = a.len() / 2;
         let mine = a.range_of(me * half, (me + 1) * half);
-        p.write_enable(&[mine], true);
+        p.prepare_phase(&write_all(mine));
         for i in 0..half {
             p.set(&a, me * half + i, (me * 100 + i) as u64);
         }
@@ -192,22 +198,6 @@ fn bulk_accessors_match_per_element_access() {
         let mut out = vec![0u32; a.len() - 13];
         p.get_slice(&a, 13..a.len(), &mut out);
         assert_eq!(&out[..], &values[13..], "get_slice must agree with set_slice");
-
-        // A strided row update over a column-major matrix whose columns are
-        // much smaller than a page (many columns per page run)...
-        let m = p.alloc_matrix::<f64>(8, 16);
-        let row_vals: Vec<f64> = (0..16).map(|c| c as f64 + 0.5).collect();
-        p.update_row(&m, 5, 0..16, &row_vals);
-        for (c, expected) in row_vals.iter().enumerate() {
-            assert_eq!(p.get(m.array(), m.index(5, c)), *expected);
-            assert_eq!(p.get(m.array(), m.index(4, c)), 0.0, "neighbours must be untouched");
-        }
-        // ... and one with page-sized columns (one element per page run).
-        let big = p.alloc_matrix::<f64>(PAGE_SIZE / 8, 3);
-        p.update_row(&big, 100, 0..3, &[1.0, 2.0, 3.0]);
-        for c in 0..3 {
-            assert_eq!(p.get(big.array(), big.index(100, c)), (c + 1) as f64);
-        }
     });
 }
 
@@ -231,7 +221,7 @@ fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
             let value = |i: usize| (round * 1000 + i) as u64;
             if p.proc_id() == 0 {
                 if round % 2 == 0 {
-                    p.write_enable(&[a.full_range()], true);
+                    p.prepare_phase(&write_all(a.full_range()));
                     for i in 0..a.len() {
                         p.set(&a, i, value(i));
                     }
@@ -367,7 +357,7 @@ fn a_push_install_revokes_a_leased_page() {
         let other = 1 - me;
         let half = a.len() / 2;
         let mine = a.range_of(me * half, (me + 1) * half);
-        p.write_enable(&[mine], true);
+        p.prepare_phase(&write_all(mine));
         for i in 0..half {
             p.set(&a, me * half + i, (me * 100 + i + 1) as u64);
         }
@@ -432,7 +422,7 @@ fn a_panic_while_leases_are_held_propagates_as_itself() {
     let _ = Dsm::run(free_config(2).with_reactors(1), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         if p.proc_id() == 0 {
-            p.write_enable(&[a.full_range()], true);
+            p.prepare_phase(&write_all(a.full_range()));
             for i in 0..a.len() {
                 p.set(&a, i, 7);
             }

@@ -8,17 +8,19 @@
 //!
 //! * [`sp2model`] — IBM SP/2 cost model, virtual clocks, protocol statistics,
 //! * [`pagedmem`] — pages, protection state, twins and diffs,
-//! * [`msgnet`] — the simulated cluster interconnect and the PVM-like
-//!   explicit message-passing API,
+//! * [`msgnet`] — the simulated cluster interconnect (typed endpoints,
+//!   optional seeded faults masked by reliable delivery),
 //! * [`racecheck`] — the data-race detector's data model and report log,
 //! * [`treadmarks`] — the base lazy-release-consistency DSM runtime,
 //! * [`ctrt`] — the augmented compile-time/run-time interface
 //!   (`Validate`, `Validate_w_sync`, `Push`),
 //! * [`rsdcomp`] — the regular-section compiler and IR executor,
-//! * [`dsm_apps`] — the six applications of the paper's evaluation.
+//! * [`dsm_apps`] — four kernels of the paper's evaluation (Jacobi, SOR,
+//!   IS, Gauss), each in four protocol variants.
 //!
 //! See `examples/` for runnable entry points and `crates/bench` for the
-//! harness that regenerates every table and figure of the paper.
+//! harness that runs every kernel × variant × cluster size and holds the
+//! records to the checked-in `BENCH_PR8.json` / `BENCH_PR9.json`.
 
 pub use ctrt;
 pub use dsm_apps;
