@@ -411,25 +411,62 @@ fn lease_keeps_the_access_path_counters_of_the_baseline_variants_exact() {
 
 /// `(messages_sent, bytes_sent, diffs_applied, write_notices)`, Σ over the
 /// processors, of the `Validate` variants at 64 processors on the wide
-/// grid, as measured at the commit before diffs became shared, the barrier
-/// departure's request set one allocation and the notice log a sorted
-/// queue. Those replacements move host time only: what is sent, how large
-/// it is, which diffs are applied and which notices are recorded — in
-/// particular the order-sensitive notice walk — must not move by one.
-const JACOBI_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_308, 3_523_692, 3_126, 12_096);
-const SOR_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_896, 6_088_700, 4_168, 16_128);
-const GAUSS_WIDE_TRAFFIC: (u64, u64, u64, u64) = (2_210, 3_111_520, 1_986, 8_190);
+/// grid. The three counts are as measured at the commit before diffs became
+/// shared and the notice log a sorted queue, and did not move by one when
+/// the barrier departure stopped carrying the whole request set either:
+/// routing a request to its responders changes how large a departure is,
+/// never what is sent, which diffs are applied or which notices are
+/// recorded. The bytes are what the routed departures leave.
+const JACOBI_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_308, 1_491_020, 3_126, 12_096);
+const SOR_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_896, 2_023_356, 4_168, 16_128);
+const GAUSS_WIDE_TRAFFIC: (u64, u64, u64, u64) = (2_210, 1_050_768, 1_986, 8_190);
+/// `bytes_sent` of the same three runs at the commit whose departures still
+/// broadcast every request, vector timestamp included, to every processor.
+const BROADCAST_WIDE_BYTES: [u64; 3] = [3_523_692, 6_088_700, 3_111_520];
 
 #[test]
-fn sharing_keeps_the_wide_validate_traffic_exact() {
+fn routing_keeps_the_wide_validate_counts_exact_and_sheds_the_broadcast_bytes() {
     fn traffic<R>(run: &DsmRun<R>) -> (u64, u64, u64, u64) {
         let t = run.stats.total();
         (t.messages_sent, t.bytes_sent, t.diffs_applied, t.write_notices)
     }
-    let jacobi_run = run_app(jacobi, WIDE_CFG, 64, Variant::Validate);
-    assert_eq!(traffic(&jacobi_run), JACOBI_WIDE_TRAFFIC, "jacobi/validate@64");
-    let sor_run = run_app(sor, WIDE_CFG, 64, Variant::Validate);
-    assert_eq!(traffic(&sor_run), SOR_WIDE_TRAFFIC, "sor/validate@64");
-    let gauss_run = run_app_u64(gauss, WIDE_CFG, 64, Variant::Validate);
-    assert_eq!(traffic(&gauss_run), GAUSS_WIDE_TRAFFIC, "gauss/validate@64");
+    let measured = [
+        traffic(&run_app(jacobi, WIDE_CFG, 64, Variant::Validate)),
+        traffic(&run_app(sor, WIDE_CFG, 64, Variant::Validate)),
+        traffic(&run_app_u64(gauss, WIDE_CFG, 64, Variant::Validate)),
+    ];
+    assert_eq!(measured, [JACOBI_WIDE_TRAFFIC, SOR_WIDE_TRAFFIC, GAUSS_WIDE_TRAFFIC]);
+    for (now, before) in measured.iter().zip(BROADCAST_WIDE_BYTES) {
+        assert!(now.1 < before, "{} bytes routed, {before} broadcast", now.1);
+    }
+}
+
+/// `bytes_sent` of `wide64`'s jacobi case (below) at the commit whose
+/// departures still broadcast the request set: ≈ 20 KB a departure.
+const WIDE64_JACOBI_BROADCAST_BYTES: u64 = 14_469_804;
+
+#[test]
+fn a_routed_departure_to_a_leaf_of_the_wide64_tree_stays_small() {
+    // `wide64`'s jacobi case: 64 processors, SP/2 model, hence the
+    // adaptive arity-8 tree — root, interior nodes 1..=7 (node 8 has no
+    // child below 64), leaves.
+    const NPROCS: usize = 64;
+    let cfg = GridConfig { rows: 64, cols: 256, iters: 8 };
+    let config = DsmConfig::new(NPROCS).with_cost_model(CostModel::sp2());
+    let arity = treadmarks::BarrierTopology::optimal_tree_arity(NPROCS, &CostModel::sp2());
+    assert_eq!(arity, 8);
+    let run = Dsm::run(config, move |p| jacobi(p, &cfg, Variant::Validate));
+    let total = run.stats.total();
+    println!("{} bytes in {} messages", total.bytes_sent, total.messages_sent);
+    assert!(2 * total.bytes_sent < WIDE64_JACOBI_BROADCAST_BYTES, "{}", total.bytes_sent);
+    // Every child of nodes 1..=7 is a leaf, so everything such a node sends
+    // — its own arrivals and diffs included — bounds the departures it
+    // fans out: two timestamps, the barrier's notices and a handful of
+    // routed entries each.
+    for parent in 1..=7 {
+        let leaves = (parent * arity + 1..NPROCS.min(parent * arity + 1 + arity)).len() as u64;
+        let node = run.stats.nodes()[parent];
+        let per_departure = node.bytes_sent / (node.barriers * leaves);
+        assert!(per_departure <= 4096, "P{parent} sends {per_departure} bytes a leaf departure");
+    }
 }

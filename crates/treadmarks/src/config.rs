@@ -188,12 +188,6 @@ impl DsmConfig {
         self
     }
 
-    /// Replaces the shared-heap capacity.
-    pub fn with_heap_capacity(mut self, bytes: usize) -> DsmConfig {
-        self.heap_capacity = bytes;
-        self
-    }
-
     /// Replaces the barrier topology.
     ///
     /// # Panics
@@ -263,9 +257,8 @@ mod tests {
 
     #[test]
     fn builder_methods_override_defaults() {
-        let c = DsmConfig::new(4).with_cost_model(CostModel::free()).with_heap_capacity(1 << 20);
+        let c = DsmConfig::new(4).with_cost_model(CostModel::free());
         assert_eq!(c.nprocs, 4);
-        assert_eq!(c.heap_capacity, 1 << 20);
         assert_eq!(c.cost_model, CostModel::free());
     }
 

@@ -193,6 +193,11 @@ impl Dsm {
         // swallowed.
         let server_panics: Mutex<Vec<Box<dyn std::any::Any + Send>>> = Mutex::new(Vec::new());
 
+        // Debug builds only: replies a processor received and never
+        // consumed (see the check at the end).
+        #[cfg(debug_assertions)]
+        let orphans: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
         type Outcome<R> = Result<(R, VirtualTime), Box<dyn std::any::Any + Send>>;
         let mut outcomes: Vec<Option<Outcome<R>>> = (0..nprocs).map(|_| None).collect();
         std::thread::scope(|scope| {
@@ -242,11 +247,18 @@ impl Dsm {
                     let f = &f;
                     let config = &config;
                     let report = &report_expired;
+                    #[cfg(debug_assertions)]
+                    let orphans = &orphans;
                     scope.spawn(move || {
                         let mut process = Process::new(Arc::clone(&ep), Arc::clone(&sh), config);
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             f(&mut process)
                         }));
+                        #[cfg(debug_assertions)]
+                        orphans
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .extend(process.unconsumed_replies().map(orphan));
                         match result {
                             Ok(result) => Ok((result, process.clock().now())),
                             Err(panic) => {
@@ -339,8 +351,34 @@ impl Dsm {
         let races = run_shared.race.as_ref().map(RaceLog::drain_sorted).unwrap_or_default();
         let reactors = reactor_stats.iter().map(ReactorStats::snapshot).collect();
         let once_inits = run_shared.once_inits();
+
+        // Every reply is consumed by the wait it answers: a responder and a
+        // requester that disagree about who answers whom leave either a
+        // requester blocked until the watchdog or, checked here, a stray
+        // reply nobody waited for. Debug builds only (the statistics above
+        // are already taken, so draining the mailboxes moves no counter).
+        #[cfg(debug_assertions)]
+        {
+            let mut orphans = orphans.into_inner().unwrap_or_else(|e| e.into_inner());
+            for ep in &endpoints {
+                orphans.extend(
+                    std::iter::from_fn(|| ep.try_recv(Port::Reply))
+                        .filter(|env| !matches!(env.payload, TmkMessage::Shutdown))
+                        .map(|env| orphan(&env)),
+                );
+            }
+            assert!(orphans.is_empty(), "the run left unconsumed replies: {}", orphans.join("; "));
+        }
         Ok(DsmRun { results, elapsed, stats, races, reactors, once_inits })
     }
+}
+
+/// Names an unconsumed reply by its receiver, message kind and sender.
+#[cfg(debug_assertions)]
+fn orphan(env: &msgnet::Envelope<TmkMessage>) -> String {
+    let payload = format!("{:?}", env.payload);
+    let kind = payload.split(' ').next().unwrap_or_default();
+    format!("P{} holds a {kind} from P{}", env.dst.index(), env.src.index())
 }
 
 #[cfg(test)]
@@ -496,6 +534,21 @@ mod tests {
             v
         });
         assert_eq!(run.results, vec![99, 99]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unconsumed replies: P1 holds a SyncDiffs from P0")]
+    fn a_reply_nobody_waited_for_fails_a_debug_run() {
+        // P1 abandons its pending handle and no later completion ever
+        // collects (and discards) P0's answer to it.
+        Dsm::run(free_config(2), |p| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 99);
+            }
+            let _ = p.sync_phase_issue(SyncOp::Barrier, &PhasePlan::fetch_only(&[a.full_range()]));
+        });
     }
 
     #[test]

@@ -81,23 +81,54 @@ impl PageWant {
     }
 }
 
-/// A `Validate_w_sync` request piggy-backed on a synchronization operation:
-/// the pages the requester wants plus the vector timestamp that tells
-/// providers which modifications the requester is still missing.
+/// A `Validate_w_sync` request piggy-backed on a barrier **arrival**: the
+/// pages the requester wants plus the vector timestamp that says which
+/// modifications it is still missing. Requests only travel *up* the
+/// reduction tree in this form; the root resolves each one to the
+/// processors that will answer it and the departures carry the result as
+/// [`RoutedRequest`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncFetchRequest {
     /// The requesting processor.
     pub proc: ProcId,
     /// The requester's vector timestamp at the time of the request.
     pub vt: Vt,
-    /// The pages of the requested sections.
-    pub pages: Vec<PageId>,
+    /// The pages of the requested sections, ascending. Built once by the
+    /// requester: the root hands this very list on to the responders.
+    pub pages: Arc<[PageId]>,
 }
 
 impl SyncFetchRequest {
     /// Approximate wire size of the request.
     pub fn wire_bytes(&self) -> usize {
         4 + self.vt.wire_bytes() + self.pages.len() * 4
+    }
+}
+
+/// A piggy-backed `Validate_w_sync` request on its way *down* the barrier
+/// tree, resolved by the root to the processors that hold diffs for it.
+///
+/// A departure carries an entry only if one of its responders lies in the
+/// receiving child's subtree, and names only those responders — so a
+/// request's timestamp shrinks to the one component each responder ever
+/// read, and a request nobody answers is not forwarded at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoutedRequest {
+    /// The requesting processor.
+    pub proc: ProcId,
+    /// The pages of the requested sections, ascending. Shared by every
+    /// departure that forwards the entry.
+    pub pages: Arc<[PageId]>,
+    /// The responders inside the receiving subtree, ascending, each with the
+    /// latest of *its own* intervals the requester has already incorporated
+    /// (the requester's advertised timestamp, read at that responder).
+    pub responders: Vec<(ProcId, Interval)>,
+}
+
+impl RoutedRequest {
+    /// Approximate wire size of the entry.
+    pub fn wire_bytes(&self) -> usize {
+        4 + self.pages.len() * 4 + self.responders.len() * 8
     }
 }
 
@@ -179,12 +210,11 @@ pub enum TmkMessage {
         gc_horizon: Vt,
         /// Write notices this subtree has not seen.
         notices: Vec<WriteNotice>,
-        /// All piggy-backed fetch requests, to be answered by whoever holds
-        /// the corresponding diffs. Every processor receives the same set,
-        /// so it is built once at the root and every departure of the
-        /// barrier — the root's and each interior node's — shares that one
-        /// allocation.
-        sync_requests: Arc<[SyncFetchRequest]>,
+        /// The receiving subtree's share of the piggy-backed fetch requests:
+        /// the entries one of its processors answers, in requester order.
+        /// The receiver serves the entries that name it and hands each
+        /// child its own subtree's share.
+        sync_requests: Vec<RoutedRequest>,
     },
     /// Faulting processor -> writer: request for diffs.
     DiffRequest {
@@ -291,7 +321,7 @@ impl TmkMessage {
                 global_vt.wire_bytes()
                     + gc_horizon.wire_bytes()
                     + notices.len() * WriteNotice::WIRE_BYTES
-                    + sync_requests.iter().map(SyncFetchRequest::wire_bytes).sum::<usize>()
+                    + sync_requests.iter().map(RoutedRequest::wire_bytes).sum::<usize>()
             }
             TmkMessage::DiffRequest { wants, .. } => {
                 12 + wants.iter().map(PageWant::wire_bytes).sum::<usize>()
@@ -374,7 +404,7 @@ mod tests {
             sync_requests: vec![SyncFetchRequest {
                 proc: 1,
                 vt: vt.clone(),
-                pages: vec![PageId(3)],
+                pages: [PageId(3)].into(),
             }],
         };
         let bare = TmkMessage::BarrierArrival {
@@ -385,5 +415,23 @@ mod tests {
             sync_requests: vec![],
         };
         assert!(arrival.wire_bytes() > bare.wire_bytes());
+        // On the way down a request names its responders instead of
+        // carrying a timestamp: four bytes a page, eight a responder.
+        let routed = RoutedRequest {
+            proc: 1,
+            pages: [PageId(3), PageId(4)].into(),
+            responders: vec![(0, 2), (2, 0), (3, 1)],
+        };
+        assert_eq!(routed.wire_bytes(), 4 + 2 * 4 + 3 * 8);
+        let departure = |sync_requests| TmkMessage::BarrierDeparture {
+            global_vt: Vt::new(4),
+            gc_horizon: Vt::new(4),
+            notices: vec![],
+            sync_requests,
+        };
+        assert_eq!(
+            departure(vec![routed.clone()]).wire_bytes(),
+            departure(vec![]).wire_bytes() + routed.wire_bytes()
+        );
     }
 }

@@ -178,6 +178,13 @@ impl Process {
         self.node.unleased().proto().gc_horizon.clone()
     }
 
+    /// Debug builds only: the reply-port messages this processor received
+    /// while waiting for something else and never consumed.
+    #[cfg(debug_assertions)]
+    pub(crate) fn unconsumed_replies(&self) -> impl Iterator<Item = &Envelope<TmkMessage>> {
+        self.pending.iter()
+    }
+
     /// Charges `cost` of application computation to this processor.
     pub fn compute(&mut self, cost: sp2model::VirtualTime) {
         self.clock.advance_compute(cost);
@@ -321,10 +328,8 @@ mod tests {
 
     use pagedmem::{PageId, Protection};
 
-    use super::barrier::child_departures;
     use super::interval::{apply_notices_locked, contiguous_runs, NoticeTally};
     use super::*;
-    use crate::message::SyncFetchRequest;
     use crate::notice::WriteNotice;
     use crate::state::ProtoState;
     use crate::types::Interval;
@@ -468,32 +473,5 @@ mod tests {
         assert_eq!(proto.page_missing[&PageId(5)], [(1, 3), (1, 1)]);
         assert!(!proto.page_missing.contains_key(&PageId(11)), "a held group is skipped whole");
         assert_eq!(table.protection(PageId(4)), Protection::Invalid);
-    }
-
-    #[test]
-    fn an_interior_node_forwards_the_request_set_it_received() {
-        let mut proto = ProtoState::new(1, NPROCS);
-        proto.notice_log.record(0, 1, vec![PageId(3)]);
-        proto.last_global_vt.advance(0, 1);
-        let received: Arc<[SyncFetchRequest]> = Arc::from(vec![
-            SyncFetchRequest { proc: 3, vt: Vt::new(NPROCS), pages: vec![PageId(3)] },
-            SyncFetchRequest { proc: 4, vt: Vt::new(NPROCS), pages: vec![PageId(3), PageId(7)] },
-        ]);
-        let children = [(3, Vt::new(NPROCS)), (4, proto.last_global_vt.clone())];
-        let departures = child_departures(&proto, &children, &Vt::new(NPROCS), &received);
-        assert_eq!(departures.len(), 2);
-        for ((child, msg), (expected, _)) in departures.iter().zip(&children) {
-            assert_eq!(child, expected);
-            let TmkMessage::BarrierDeparture { sync_requests, .. } = msg else {
-                panic!("not a departure: {msg:?}")
-            };
-            assert!(Arc::ptr_eq(sync_requests, &received), "the set must be shared, not rebuilt");
-        }
-        // What differs per child is what its timestamp misses.
-        let notices = |msg: &TmkMessage| match msg {
-            TmkMessage::BarrierDeparture { notices, .. } => notices.len(),
-            _ => unreachable!(),
-        };
-        assert_eq!((notices(&departures[0].1), notices(&departures[1].1)), (1, 0));
     }
 }

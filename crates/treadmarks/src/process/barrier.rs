@@ -3,6 +3,7 @@
 //! compiled plan puts where only named producers and consumers need to
 //! meet (an *eliminated* barrier).
 
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -15,9 +16,9 @@ use super::interval::apply_notices_locked;
 use super::sync::{pages_of, prep_writes_locked, PendingSync, PhasePlan};
 use super::Process;
 use crate::config::BarrierTopology;
-use crate::message::{DiffRecord, SyncFetchRequest, TmkMessage};
+use crate::message::{DiffRecord, RoutedRequest, SyncFetchRequest, TmkMessage};
 use crate::state::ProtoState;
-use crate::types::{ProcId, Vt};
+use crate::types::{Interval, ProcId, Vt};
 
 /// The barrier root (the paper assigns the distinguished roles to
 /// processor 0; with the flat topology this is the master every arrival
@@ -33,10 +34,103 @@ fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
     (first..n.min(first.saturating_add(arity))).collect()
 }
 
-/// Answers the piggybacked fetch requests of other processors from the
-/// local diff cache, under an already-held lock pair: for each request, the
-/// diffs this node created for the requested pages newer than the
-/// requester's advertised timestamp. Returns the per-requester record
+/// Whether `proc` lies in the subtree rooted at `root` of the `arity`-ary
+/// barrier tree: heap parents have smaller ids, so walking `proc` up until
+/// it is no longer above `root` either lands on `root` or has passed it.
+fn in_subtree(mut proc: ProcId, root: ProcId, arity: usize) -> bool {
+    while proc > root {
+        proc = (proc - 1) / arity;
+    }
+    proc == root
+}
+
+/// The barrier root's resolution of the piggybacked requests (in requester
+/// order), under an already-held proto lock and against the now complete
+/// notice log: each request becomes the processors that will answer it —
+/// every other processor with a recorded modification of a requested page
+/// above the advertised timestamp, the rule each requester evaluates for
+/// itself in [`responders_locked`]. The root is the first node to hold all
+/// requests and all notices, and its log agrees with everybody's at this
+/// point: the same notices applied, the same horizon trimmed at the last
+/// barrier, and no advertised component below that horizon. A request
+/// nobody answers is dropped here.
+///
+/// One `(page, writer) -> latest interval` index, built once per barrier,
+/// answers every request with a probe per requested page — the root
+/// resolves while everybody else waits for it, so the index holds only what
+/// can answer anything: records some requester has not incorporated yet
+/// (above the component-wise minimum of the advertised timestamps), and of
+/// those the pages somebody asked for.
+fn route_requests_locked(
+    proto: &ProtoState,
+    requests: Vec<SyncFetchRequest>,
+) -> Vec<RoutedRequest> {
+    let Some(first) = requests.first() else { return Vec::new() };
+    let mut floor = first.vt.clone();
+    let mut wanted: Vec<PageId> =
+        Vec::with_capacity(requests.iter().map(|req| req.pages.len()).sum());
+    for req in &requests {
+        floor.merge_min(&req.vt);
+        wanted.extend(req.pages.iter());
+    }
+    wanted.sort_unstable();
+    wanted.dedup();
+    let mut writers: Vec<(PageId, ProcId, Reverse<Interval>)> = Vec::with_capacity(wanted.len());
+    for (proc, interval, pages) in proto.notice_log.records_after(&floor) {
+        let asked = pages.iter().filter(|page| wanted.binary_search(page).is_ok());
+        writers.extend(asked.map(|&page| (page, proc, Reverse(interval))));
+    }
+    writers.sort_unstable();
+    writers.dedup_by_key(|&mut (page, proc, _)| (page, proc));
+    let mut routed = Vec::with_capacity(requests.len());
+    for SyncFetchRequest { proc, vt, pages } in requests {
+        let mut responders: Vec<(ProcId, Interval)> = Vec::new();
+        for &page in pages.iter() {
+            let start = writers.partition_point(|&(written, _, _)| written < page);
+            for &(_, writer, Reverse(latest)) in
+                writers[start..].iter().take_while(|&&(written, _, _)| written == page)
+            {
+                let seen = vt.get(writer);
+                if writer != proc && latest > seen && !responders.contains(&(writer, seen)) {
+                    responders.push((writer, seen));
+                }
+            }
+        }
+        responders.sort_unstable();
+        if !responders.is_empty() {
+            routed.push(RoutedRequest { proc, pages, responders });
+        }
+    }
+    routed
+}
+
+/// The share of `routed` that goes down to `child`: the entries with a
+/// responder inside the child's subtree, naming only those responders and
+/// sharing the page lists. Pure heap arithmetic — only the root ever looks
+/// anything up.
+fn subtree_share(routed: &[RoutedRequest], child: ProcId, arity: usize) -> Vec<RoutedRequest> {
+    routed
+        .iter()
+        .filter_map(|entry| {
+            let responders: Vec<(ProcId, Interval)> = entry
+                .responders
+                .iter()
+                .copied()
+                .filter(|&(responder, _)| in_subtree(responder, child, arity))
+                .collect();
+            (!responders.is_empty()).then(|| RoutedRequest {
+                proc: entry.proc,
+                pages: Arc::clone(&entry.pages),
+                responders,
+            })
+        })
+        .collect()
+}
+
+/// Answers the piggybacked fetch requests routed to this node from the
+/// local diff cache, under an already-held lock pair: for each entry that
+/// names this node, the diffs it created for the requested pages newer than
+/// what the requester has seen of it. Returns the per-requester record
 /// batches plus the number of distinct pages *examined* (requested pages
 /// this node holds diffs for — non-owned pages cost one index probe, not a
 /// range scan) and full pages materialised. The whole synchronization
@@ -45,22 +139,30 @@ fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
 fn serve_requests_locked(
     proto: &ProtoState,
     table: &PageTable,
-    requests: &[SyncFetchRequest],
+    routed: &[RoutedRequest],
 ) -> (Vec<(ProcId, Vec<DiffRecord>)>, usize, usize) {
     let mut out = Vec::new();
     let mut examined = Vec::new();
     let mut materialised = 0usize;
-    for req in requests {
-        if req.proc == proto.me {
+    for entry in routed {
+        let Some(&(_, seen)) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me) else {
             continue;
-        }
+        };
         let (records, full_pages) =
-            proto.diffs_for_pages_after_counted(&req.pages, &req.vt, table, &mut examined);
+            proto.diffs_for_pages_after_counted(&entry.pages, seen, table, &mut examined);
         materialised += full_pages;
-        if records.is_empty() {
-            continue;
-        }
-        out.push((req.proc, records));
+        // The requester waits for exactly one `SyncDiffs` from every
+        // processor its own log resolves the request to; the root resolved
+        // it here from the same log, so an empty answer means the two
+        // disagree — and a requester blocked until the watchdog.
+        debug_assert!(
+            !records.is_empty(),
+            "P{} was routed P{}'s request for {:?} above interval {seen} but holds no such diff",
+            proto.me,
+            entry.proc,
+            entry.pages,
+        );
+        out.push((entry.proc, records));
     }
     (out, distinct_pages(examined), materialised)
 }
@@ -93,14 +195,15 @@ fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> HashSet<P
 /// Builds the barrier departure of each child of this node, under an
 /// already-held proto lock and against the now complete notice log: a
 /// child's subtree-merged arrival timestamp says exactly which notices its
-/// subtree still misses. The request set is the same for everybody, so the
-/// departures *share* it — the root allocates it once and every interior
-/// node hands on the allocation it received.
-pub(super) fn child_departures(
+/// subtree still misses, and its position in the tree which of the `routed`
+/// requests this node holds — all of them at the root, its own subtree's
+/// share below — its subtree answers.
+fn child_departures(
     proto: &ProtoState,
     children: &[(ProcId, Vt)],
     gc_horizon: &Vt,
-    sync_requests: &Arc<[SyncFetchRequest]>,
+    routed: &[RoutedRequest],
+    arity: usize,
 ) -> Vec<(ProcId, TmkMessage)> {
     children
         .iter()
@@ -109,7 +212,7 @@ pub(super) fn child_departures(
                 global_vt: proto.last_global_vt.clone(),
                 gc_horizon: gc_horizon.clone(),
                 notices: proto.notice_log.notices_after(vt),
-                sync_requests: Arc::clone(sync_requests),
+                sync_requests: subtree_share(routed, *proc, arity),
             };
             (*proc, msg)
         })
@@ -129,14 +232,15 @@ impl Process {
     /// flushes the interval, crosses the barrier with the plan's page list
     /// piggybacked on the arrival, and then performs the *entire*
     /// post-departure protocol step — write-notice application, serving
-    /// every other processor's piggybacked request, write preparation, TLB
-    /// warming and the garbage-collection trim — under a single
-    /// page-table-lock hold before returning with the pending handle.
+    /// the piggybacked requests routed to this processor, write
+    /// preparation, TLB warming and the garbage-collection trim — under a
+    /// single page-table-lock hold before returning with the pending handle.
     ///
     /// The exchange runs over the configured [`BarrierTopology`]: notices,
     /// vector timestamps, applied timestamps and piggybacked fetch requests
-    /// merge up the reduction tree, and the global timestamp, GC horizon
-    /// and full request set fan back down. The flat topology is the
+    /// merge up the reduction tree; the root resolves every request to its
+    /// responders, and the global timestamp, GC horizon and each subtree's
+    /// share of the routed requests fan back down. The flat topology is the
     /// degenerate tree (every processor a child of the master) costed like
     /// stock TreadMarks: interrupt-path messages and the O(n) master
     /// serialization. Tree hops instead travel on the polled path — every
@@ -163,7 +267,7 @@ impl Process {
             None
         } else {
             let vt = self.sync_vt(&pending.pages);
-            Some(SyncFetchRequest { proc: me, vt, pages: pending.pages.clone() })
+            Some(SyncFetchRequest { proc: me, vt, pages: pending.pages.as_slice().into() })
         };
         let my_sync_vt = my_request.as_ref().map(|r| r.vt.clone());
 
@@ -206,12 +310,12 @@ impl Process {
 
         // --- Non-root: fold the subtree into local state under one hold,
         // send the merged arrival up, and wait for the departure.
-        let (all_notices, sync_requests, distributed, departures_to) = if me == MASTER {
-            // Serve and redistribute the piggybacked requests in processor
-            // order, not arrival order: every processor then answers them
-            // at deterministic virtual times, keeping runs reproducible.
+        let (all_notices, distributed, departures_to) = if me == MASTER {
+            // Route and serve the piggybacked requests in processor order,
+            // not arrival order: every processor then answers them at
+            // deterministic virtual times, keeping runs reproducible.
             sync_requests.sort_by_key(|r| r.proc);
-            (child_notices, Arc::from(sync_requests), None, child_arrivals)
+            (child_notices, None, child_arrivals)
         } else {
             let parent = (me - 1) / arity;
             let (arrival, tally, pages_in_use) = {
@@ -246,7 +350,7 @@ impl Process {
             else {
                 unreachable!()
             };
-            (notices, sync_requests, Some((global_vt, gc_horizon)), child_arrivals)
+            (notices, Some((global_vt, gc_horizon, sync_requests)), child_arrivals)
         };
 
         // --- One lock hold for the whole post-exchange protocol step. ---
@@ -255,15 +359,17 @@ impl Process {
             let mut proto = node.proto();
             let mut table = node.table();
             let tally = apply_notices_locked(&mut proto, &mut table, &all_notices);
-            // The global timestamp and GC horizon: distributed by the
-            // parent below the root; completed at the root itself, whose
-            // own applied timestamp closes the component-wise minimum over
-            // all processors.
-            let gc_horizon = match distributed {
-                Some((global_vt, gc_horizon)) => {
+            // The global timestamp, GC horizon and routed requests:
+            // distributed by the parent below the root; completed at the
+            // root itself, whose own applied timestamp closes the
+            // component-wise minimum over all processors and whose log is
+            // the first to hold every notice the requests are resolved
+            // against.
+            let (gc_horizon, routed) = match distributed {
+                Some((global_vt, gc_horizon, routed)) => {
                     proto.vt.merge(&global_vt);
                     proto.last_global_vt = global_vt;
-                    gc_horizon
+                    (gc_horizon, routed)
                 }
                 None => {
                     for (_, vt) in &departures_to {
@@ -274,12 +380,11 @@ impl Process {
                     if let Some(min) = &applied_min {
                         horizon.merge_min(min);
                     }
-                    horizon
+                    (horizon, route_requests_locked(&proto, sync_requests))
                 }
             };
-            let departures = child_departures(&proto, &departures_to, &gc_horizon, &sync_requests);
-            let (serve, scanned, materialised) =
-                serve_requests_locked(&proto, &table, &sync_requests);
+            let departures = child_departures(&proto, &departures_to, &gc_horizon, &routed, arity);
+            let (serve, scanned, materialised) = serve_requests_locked(&proto, &table, &routed);
             if let Some(vt) = &my_sync_vt {
                 pending.responders = responders_locked(&proto, &pending.pages, vt);
             }
@@ -312,9 +417,9 @@ impl Process {
             self.send(proc, Port::Reply, msg, interrupt);
         }
         self.charge_prep(&prep, pages_in_use);
-        // One pass over the diff cache answers every request of the
-        // synchronization point: the scan is charged for the union of the
-        // requested pages, materialised full pages for their encoding.
+        // One pass over the diff cache answers every request routed here:
+        // the scan is charged for the union of their pages this node holds
+        // diffs for, materialised full pages for their encoding.
         self.clock.advance(self.cost.sync_merge_scan_cost(scanned));
         self.clock.advance(self.cost.diff_create_cost(materialised));
         for (proc, diffs) in serve {
@@ -413,7 +518,7 @@ impl Process {
             for (from, ready_vt, ready_pages) in &readys {
                 let (diffs, full_pages) = proto.diffs_for_pages_after_counted(
                     ready_pages,
-                    ready_vt,
+                    ready_vt.get(me),
                     &table,
                     &mut examined,
                 );
@@ -453,5 +558,385 @@ impl Process {
     pub fn neighbor_sync(&mut self, producers: &[ProcId], consumers: &[ProcId], plan: &PhasePlan) {
         let pending = self.neighbor_sync_issue(producers, consumers, plan);
         self.sync_phase_complete(pending);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use pagedmem::{Diff, PAGE_SIZE};
+
+    use super::*;
+    use crate::state::{CachedDiff, DiffEntry};
+
+    /// The subtree of `root` as the closure of [`tree_children`].
+    fn descendants(root: ProcId, n: usize, arity: usize) -> Vec<bool> {
+        let mut inside = vec![false; n];
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            inside[node] = true;
+            stack.extend(tree_children(node, n, arity));
+        }
+        inside
+    }
+
+    #[test]
+    fn in_subtree_is_the_transitive_closure_of_tree_children() {
+        for n in 1..=130usize {
+            let flat = (n - 1).max(1);
+            for arity in (1..=16).chain([flat]) {
+                for root in 0..n {
+                    for (proc, inside) in descendants(root, n, arity).into_iter().enumerate() {
+                        assert_eq!(
+                            in_subtree(proc, root, arity),
+                            inside,
+                            "P{proc} under P{root}, {n} processors at arity {arity}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(requester, responder, seen)` for every responder `routed` names.
+    fn pairs(routed: &[RoutedRequest]) -> Vec<(ProcId, ProcId, Interval)> {
+        routed
+            .iter()
+            .flat_map(|e| {
+                e.responders.iter().map(move |&(responder, seen)| (e.proc, responder, seen))
+            })
+            .collect()
+    }
+
+    /// Hands `received` to `me` and on down its subtree, checking at every
+    /// node that the entries naming it plus its children's shares are
+    /// exactly what it received. Appends what each node would serve.
+    fn deliver(
+        me: ProcId,
+        received: &[RoutedRequest],
+        (n, arity): (usize, usize),
+        served: &mut Vec<(ProcId, ProcId, Interval)>,
+    ) {
+        let mut handed_on = Vec::new();
+        for entry in received {
+            assert!(!entry.responders.is_empty(), "P{me} received an entry nobody answers");
+            assert!(entry.responders.is_sorted());
+            assert!(entry.responders.iter().all(|&(r, _)| in_subtree(r, me, arity)));
+            handed_on.extend(pairs(std::slice::from_ref(entry)).into_iter().filter(|p| p.1 == me));
+        }
+        served.extend(handed_on.iter().copied());
+        for child in tree_children(me, n, arity) {
+            let share = subtree_share(received, child, arity);
+            for entry in &share {
+                let original =
+                    received.iter().find(|e| e.proc == entry.proc).expect("not invented");
+                assert!(Arc::ptr_eq(&entry.pages, &original.pages), "page lists are shared");
+            }
+            handed_on.extend(pairs(&share));
+            deliver(child, &share, (n, arity), served);
+        }
+        let mut expected = pairs(received);
+        expected.sort_unstable();
+        handed_on.sort_unstable();
+        assert_eq!(handed_on, expected, "P{me}: own entries plus the children's shares");
+    }
+
+    #[test]
+    fn a_routed_list_is_partitioned_down_the_tree() {
+        // xorshift64: any fixed sequence will do.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for (n, arity) in [(37, 3), (64, 8), (50, 1), (23, 22), (130, 2), (2, 1)] {
+            let mut routed = Vec::new();
+            for proc in 0..n {
+                let mut responders: Vec<(ProcId, Interval)> = Vec::new();
+                for responder in (0..n).filter(|&r| r != proc) {
+                    if below(4) == 0 {
+                        responders.push((responder, below(9) as Interval));
+                    }
+                }
+                if proc % 5 == 0 {
+                    // A request with a single, far-away responder.
+                    responders = vec![((proc + n / 2 + 1) % n, 0)];
+                }
+                if responders.is_empty() || responders[0].0 == proc {
+                    continue;
+                }
+                let pages: Vec<PageId> = (0..1 + below(6)).map(|k| PageId(proc * 8 + k)).collect();
+                routed.push(RoutedRequest { proc, pages: pages.into(), responders });
+            }
+            let mut served = Vec::new();
+            deliver(MASTER, &routed, (n, arity), &mut served);
+            served.sort_unstable();
+            let mut all = pairs(&routed);
+            all.sort_unstable();
+            assert_eq!(served, all, "every pair is served once, at its responder ({n}/{arity})");
+        }
+    }
+
+    /// A cluster's protocol states as they stand at a barrier, after the
+    /// notices were applied: every log holds every record.
+    struct World(Vec<(ProtoState, PageTable)>);
+
+    impl World {
+        fn new(n: usize) -> World {
+            World((0..n).map(|me| (ProtoState::new(me, n), PageTable::new())).collect())
+        }
+
+        /// `node` alone learns that `writer` modified `pages` in `interval`
+        /// (a lock grant's notices, ahead of the barrier).
+        fn learn(&mut self, node: ProcId, writer: ProcId, interval: Interval, pages: &[usize]) {
+            let pages = pages.iter().map(|&p| PageId(p)).collect();
+            self.0[node].0.notice_log.record(writer, interval, pages);
+        }
+
+        /// `writer` closes `interval` having written `pages` — one cached
+        /// diff each, whole pages under `write_all` — and the barrier has
+        /// told everybody.
+        fn write(&mut self, writer: ProcId, interval: Interval, pages: &[usize], write_all: bool) {
+            for &page in pages {
+                let mut current = vec![0u8; PAGE_SIZE];
+                current[..4].copy_from_slice(&[writer as u8, interval as u8, page as u8, 1]);
+                let entry = if write_all {
+                    DiffEntry::FullPage
+                } else {
+                    DiffEntry::Delta(Diff::create(&vec![0u8; PAGE_SIZE], &current))
+                };
+                let cached = CachedDiff { entry, rank: u64::from(interval), vt: None };
+                let proto = &mut self.0[writer].0;
+                proto.diff_cache.entry(PageId(page)).or_default().insert(interval, cached);
+                proto.vt.advance(writer, interval);
+            }
+            for node in 0..self.0.len() {
+                self.learn(node, writer, interval, pages);
+            }
+        }
+    }
+
+    fn request(
+        n: usize,
+        proc: ProcId,
+        seen: &[(ProcId, Interval)],
+        pages: &[usize],
+    ) -> SyncFetchRequest {
+        let mut vt = Vt::new(n);
+        for &(p, interval) in seen {
+            vt.advance(p, interval);
+        }
+        SyncFetchRequest { proc, vt, pages: pages.iter().map(|&p| PageId(p)).collect() }
+    }
+
+    /// The broadcast that routing replaced, kept as the reference: every
+    /// node examines every request against its own diff cache.
+    fn serve_broadcast(
+        proto: &ProtoState,
+        table: &PageTable,
+        requests: &[SyncFetchRequest],
+    ) -> Vec<(ProcId, Vec<DiffRecord>)> {
+        let mut out = Vec::new();
+        for req in requests.iter().filter(|req| req.proc != proto.me) {
+            let seen = req.vt.get(proto.me);
+            let (records, _) =
+                proto.diffs_for_pages_after_counted(&req.pages, seen, table, &mut Vec::new());
+            if !records.is_empty() {
+                out.push((req.proc, records));
+            }
+        }
+        out
+    }
+
+    /// Routes `requests` from the root of an `arity`-ary tree and checks
+    /// that every node serves exactly the `(requester, responder, records)`
+    /// the broadcast made it serve, and that every requester expects
+    /// exactly the processors its request was routed to. Returns the
+    /// `(requester, responder)` pairs.
+    fn assert_routing_serves_what_the_broadcast_did(
+        world: &World,
+        requests: &[SyncFetchRequest],
+        arity: usize,
+    ) -> Vec<(ProcId, ProcId)> {
+        let n = world.0.len();
+        let mut expected = Vec::new();
+        for (proto, table) in &world.0 {
+            for (requester, records) in serve_broadcast(proto, table, requests) {
+                expected.push((requester, proto.me, records));
+            }
+        }
+        let routed = route_requests_locked(&world.0[MASTER].0, requests.to_vec());
+        for req in requests {
+            let own = responders_locked(&world.0[req.proc].0, &req.pages, &req.vt);
+            let named: HashSet<ProcId> = routed
+                .iter()
+                .filter(|e| e.proc == req.proc)
+                .flat_map(|e| e.responders.iter().map(|&(responder, _)| responder))
+                .collect();
+            assert_eq!(own, named, "P{} waits for exactly whom it was routed to", req.proc);
+        }
+        let mut served = Vec::new();
+        let mut hops = vec![(MASTER, routed)];
+        while let Some((me, received)) = hops.pop() {
+            let (proto, table) = &world.0[me];
+            let (batches, _, _) = serve_requests_locked(proto, table, &received);
+            served.extend(batches.into_iter().map(|(requester, records)| (requester, me, records)));
+            for child in tree_children(me, n, arity) {
+                hops.push((child, subtree_share(&received, child, arity)));
+            }
+        }
+        let key = |t: &(ProcId, ProcId, Vec<DiffRecord>)| (t.0, t.1);
+        expected.sort_by_key(key);
+        served.sort_by_key(key);
+        assert_eq!(served, expected, "arity {arity}");
+        served.iter().map(key).collect()
+    }
+
+    #[test]
+    fn routed_requests_are_served_exactly_as_the_broadcast_served_them() {
+        const N: usize = 7;
+        let mut world = World::new(N);
+        // False sharing: two writers of one page.
+        world.write(1, 1, &[5], false);
+        world.write(2, 1, &[5], false);
+        // A writer that is the root.
+        world.write(0, 1, &[1], false);
+        world.write(0, 2, &[1, 2], false);
+        // Three intervals of one page, the last a `WRITE_ALL` full page.
+        world.write(4, 1, &[9], false);
+        world.write(4, 2, &[9], false);
+        world.write(4, 3, &[9], true);
+        // P6 learned P3's second interval along a lock chain before the
+        // barrier brought the first: its log took them out of order.
+        world.learn(6, 3, 2, &[12]);
+        world.write(3, 1, &[12], false);
+        world.write(3, 2, &[12], false);
+        let requests = [
+            // The root asks too.
+            request(N, 0, &[], &[5, 9]),
+            // Has the root's first interval; never answers itself on page 5.
+            request(N, 1, &[(0, 1)], &[1, 5]),
+            // All seen, or never written: nobody answers, nothing is routed.
+            request(N, 2, &[(4, 3)], &[9, 20]),
+            // Inside P1's subtree at arity 2 ...
+            request(N, 3, &[], &[5]),
+            // ... asking only for its own page ...
+            request(N, 4, &[], &[9]),
+            // ... and outside it; already holds P1's share of page 5.
+            request(N, 5, &[(1, 1)], &[5, 12]),
+            // Saw all three notices of page 9 but still misses the diff of
+            // interval 2, so advertises 1, below the global 3; applied
+            // both of P3's on the lock chain.
+            request(N, 6, &[(4, 1), (3, 2)], &[9, 12]),
+        ];
+        let expected: BTreeSet<(ProcId, ProcId)> =
+            [(0, 1), (0, 2), (0, 4), (1, 0), (1, 2), (3, 1), (3, 2), (5, 2), (5, 3), (6, 4)].into();
+        for arity in [1, 2, 3, N - 1, 8] {
+            let pairs = assert_routing_serves_what_the_broadcast_did(&world, &requests, arity);
+            assert_eq!(pairs.into_iter().collect::<BTreeSet<_>>(), expected, "arity {arity}");
+        }
+
+        // One processor: nobody to ask. Two: each the other's only peer.
+        let mut solo = World::new(1);
+        solo.write(0, 1, &[1], false);
+        assert!(assert_routing_serves_what_the_broadcast_did(
+            &solo,
+            &[request(1, 0, &[], &[1])],
+            1
+        )
+        .is_empty());
+        let mut pair = World::new(2);
+        pair.write(0, 1, &[1], false);
+        pair.write(1, 1, &[2], true);
+        let requests = [request(2, 0, &[], &[2]), request(2, 1, &[], &[1, 2])];
+        let pairs = assert_routing_serves_what_the_broadcast_did(&pair, &requests, 1);
+        assert_eq!(pairs, [(0, 1), (1, 0)]);
+    }
+
+    fn routed_of(msg: &TmkMessage) -> &[RoutedRequest] {
+        match msg {
+            TmkMessage::BarrierDeparture { sync_requests, .. } => sync_requests,
+            other => panic!("not a departure: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_interior_node_forwards_each_child_its_subtrees_share() {
+        // P1 of seven at arity 2: children P3 and P4, both leaves.
+        const N: usize = 7;
+        let mut proto = ProtoState::new(1, N);
+        proto.notice_log.record(0, 1, vec![PageId(3)]);
+        proto.last_global_vt.advance(0, 1);
+        let entry = |proc, pages: &[usize], responders: &[(ProcId, Interval)]| RoutedRequest {
+            proc,
+            pages: pages.iter().map(|&p| PageId(p)).collect(),
+            responders: responders.to_vec(),
+        };
+        let received = [
+            entry(0, &[8], &[(1, 1)]),
+            entry(5, &[3, 7], &[(1, 0), (3, 0)]),
+            entry(6, &[7], &[(4, 2)]),
+        ];
+        let children = [(3, Vt::new(N)), (4, proto.last_global_vt.clone())];
+        let departures = child_departures(&proto, &children, &Vt::new(N), &received, 2);
+        assert_eq!(departures.iter().map(|(child, _)| *child).collect::<Vec<_>>(), [3, 4]);
+        // Each leaf is told of the one request it answers, naming it alone;
+        // the request only P1 itself answers goes no further.
+        let (to_3, to_4) = (routed_of(&departures[0].1), routed_of(&departures[1].1));
+        assert_eq!(to_3, [entry(5, &[3, 7], &[(3, 0)])]);
+        assert_eq!(to_4, [entry(6, &[7], &[(4, 2)])]);
+        assert!(Arc::ptr_eq(&to_3[0].pages, &received[1].pages), "shared, not copied");
+        // What also differs per child is what its timestamp misses.
+        let notices = |msg: &TmkMessage| match msg {
+            TmkMessage::BarrierDeparture { notices, .. } => notices.len(),
+            _ => unreachable!(),
+        };
+        assert_eq!((notices(&departures[0].1), notices(&departures[1].1)), (1, 0));
+    }
+
+    #[test]
+    fn a_leaf_departure_at_64_processors_carries_a_handful_of_entries() {
+        // The jacobi pattern on the adaptive arity-8 tree of 64 processors:
+        // everybody wrote the two pages of its block and asks either
+        // neighbour for the adjoining one. Only the root's log matters.
+        const N: usize = 64;
+        const ARITY: usize = 8;
+        let mut proto = ProtoState::new(MASTER, N);
+        for writer in 0..N {
+            proto.notice_log.record(writer, 1, vec![PageId(2 * writer), PageId(2 * writer + 1)]);
+            proto.last_global_vt.advance(writer, 1);
+        }
+        let requests: Vec<SyncFetchRequest> = (0..N)
+            .map(|proc| {
+                let left = (2 * proc).checked_sub(1);
+                let right = (proc + 1 < N).then_some(2 * proc + 2);
+                let pages: Vec<usize> = left.into_iter().chain(right).collect();
+                request(N, proc, &[(proc, 1)], &pages)
+            })
+            .collect();
+        let broadcast: usize = requests.iter().map(SyncFetchRequest::wire_bytes).sum();
+        let routed = route_requests_locked(&proto, requests);
+        assert_eq!(routed.len(), N);
+        // A child that has seen nothing: its departure carries every notice.
+        let nothing = Vt::new(N);
+        let mut leaves = 0;
+        for child in tree_children(MASTER, N, ARITY) {
+            let share = subtree_share(&routed, child, ARITY);
+            for leaf in tree_children(child, N, ARITY) {
+                assert!(tree_children(leaf, N, ARITY).is_empty());
+                let children = [(leaf, nothing.clone())];
+                let departures = child_departures(&proto, &children, &nothing, &share, ARITY);
+                let departure = &departures[0].1;
+                assert!(routed_of(departure).len() <= 2, "its two neighbours' requests");
+                let bytes = departure.wire_bytes();
+                assert!(bytes <= 4096, "{bytes} bytes to leaf P{leaf}");
+                leaves += 1;
+            }
+        }
+        assert_eq!(leaves, N - 1 - ARITY);
+        assert!(broadcast > 4 * 4096, "every departure used to add {broadcast} bytes of requests");
     }
 }

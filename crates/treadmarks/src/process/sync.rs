@@ -531,8 +531,8 @@ impl Process {
     /// third processors are fetched in aggregated messages, and the whole
     /// batch — piggyback plus third-party responses — is applied in one
     /// rank-sorted pass. For [`SyncOp::Barrier`], the request rides on the
-    /// barrier arrival, is redistributed with the departure, and every
-    /// producer answers with at most one aggregated `SyncDiffs` message.
+    /// barrier arrival, is routed to its producers with the departures, and
+    /// every producer answers with one aggregated `SyncDiffs` message.
     pub fn fetch_diffs_w_sync(&mut self, sync: SyncOp, ranges: &[AddrRange]) {
         let pending = self.sync_phase_issue(sync, &PhasePlan::fetch_only(ranges));
         self.sync_phase_complete(pending);

@@ -265,8 +265,9 @@ pub(crate) fn send_grant(
     let table = shared.lock_table();
     let (notices, piggyback) = if with_notices {
         // The piggyback is charged no scan, so nobody counts the pages.
+        let seen = requester_vt.get(proto.me);
         let (piggyback, _) =
-            proto.diffs_for_pages_after_counted(sync_pages, requester_vt, &table, &mut Vec::new());
+            proto.diffs_for_pages_after_counted(sync_pages, seen, &table, &mut Vec::new());
         (proto.notice_log.notices_after(requester_vt), piggyback)
     } else {
         (Vec::new(), Vec::new())

@@ -181,8 +181,9 @@ impl ProtoState {
     }
 
     /// Collects the diff records this node holds for `pages`, restricted to
-    /// intervals newer than `vt`'s view of this node, and reports how many
-    /// whole pages had to be materialised from the current copy for them
+    /// intervals newer than `seen` — the requester's advertised timestamp,
+    /// read at this node: the only component a responder needs — and
+    /// reports how many whole pages had to be materialised from the current copy for them
     /// (`WRITE_ALL` intervals keep no delta, so the encoding cost is charged
     /// lazily — at request time, and only for pages actually requested).
     /// Appends to `examined` the requested pages this node had cached diffs
@@ -193,11 +194,10 @@ impl ProtoState {
     pub(crate) fn diffs_for_pages_after_counted(
         &self,
         pages: &[PageId],
-        vt: &Vt,
+        seen: Interval,
         table: &PageTable,
         examined: &mut Vec<PageId>,
     ) -> (Vec<DiffRecord>, usize) {
-        let seen = vt.get(self.me);
         let mut out = Vec::new();
         let mut materialised = 0usize;
         for &page in pages {
@@ -383,18 +383,16 @@ mod tests {
             CachedDiff { entry: DiffEntry::Delta(Diff::create(&twin, &cur)), rank: 2, vt: None },
         );
 
+        let after = |seen: Interval| {
+            proto.diffs_for_pages_after_counted(&[PageId(3)], seen, &table, &mut vec![]).0
+        };
         // A requester that has already seen interval 1 of proc 0.
-        let mut vt = Vt::new(2);
-        vt.advance(0, 1);
-        let after =
-            |vt: &Vt| proto.diffs_for_pages_after_counted(&[PageId(3)], vt, &table, &mut vec![]).0;
-        let records = after(&vt);
+        let records = after(1);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].interval, 2);
 
         // A requester that has seen nothing gets both.
-        let records = after(&Vt::new(2));
-        assert_eq!(records.len(), 2);
+        assert_eq!(after(0).len(), 2);
     }
 
     #[test]
@@ -408,7 +406,7 @@ mod tests {
             .or_default()
             .insert(1, CachedDiff { entry: DiffEntry::FullPage, rank: 1, vt: None });
         let (records, materialised) =
-            proto.diffs_for_pages_after_counted(&[PageId(7)], &Vt::new(2), &table, &mut vec![]);
+            proto.diffs_for_pages_after_counted(&[PageId(7)], 0, &table, &mut vec![]);
         assert_eq!(materialised, 1);
         assert_eq!(records.len(), 1);
         let mut page = vec![0u8; PAGE_SIZE];

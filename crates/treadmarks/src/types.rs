@@ -120,11 +120,6 @@ impl Vt {
         !self.covers(other) && !other.covers(self)
     }
 
-    /// Whether the modification `(proc, interval)` has been seen.
-    pub fn has_seen(&self, p: ProcId, interval: Interval) -> bool {
-        self.0[p] >= interval
-    }
-
     /// Approximate wire size in bytes (4 bytes per component).
     pub fn wire_bytes(&self) -> usize {
         self.0.len() * 4
@@ -220,16 +215,6 @@ mod tests {
         assert!(c.concurrent(&b));
         // The zero timestamp is covered by everything.
         assert!(!a.concurrent(&Vt::new(2)));
-    }
-
-    #[test]
-    fn has_seen_tracks_intervals() {
-        let mut vt = Vt::new(2);
-        vt.advance(1, 4);
-        assert!(vt.has_seen(1, 4));
-        assert!(vt.has_seen(1, 3));
-        assert!(!vt.has_seen(1, 5));
-        assert!(!vt.has_seen(0, 1));
     }
 
     #[test]
