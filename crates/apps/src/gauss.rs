@@ -18,13 +18,11 @@
 //! classifies every step as `Push` with an iteration-dependent consumer
 //! set and runs the whole elimination without a single barrier.
 
-use ctrt::{
-    push_phase, validate, validate_w_sync, warm_sections, Access, Push, RegularSection, SyncOp,
-};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use ctrt::{push_phase, validate, warm_sections, Access, Push, RegularSection};
+use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
-use crate::{col_block, col_elems, mix64, seed, GridConfig, Variant};
+use crate::{col_block, col_elems, fill_block, mix64, seed, GridConfig, Variant};
 
 /// Diagonal boost added at initialisation. Large against the off-diagonal
 /// seeds (which are below 14), so the matrix is strictly diagonally
@@ -111,6 +109,11 @@ fn checksum(p: &mut Process, a: &SharedMatrix<f64>, mine: std::ops::Range<usize>
 /// partition-independent app checksum). All variants perform identical
 /// floating-point operations, so checksums are bit-for-bit equal.
 ///
+/// Only `a` is initialised: the pivot phase fully overwrites its column of
+/// `piv` before anyone reads it (initialising it would create a spurious
+/// dependence). No boundary follows the initialisation in any variant: the
+/// first pivot phase reads only its owner's own column.
+///
 /// # Panics
 ///
 /// Panics if the decomposition is too small (each processor needs at least
@@ -118,131 +121,107 @@ fn checksum(p: &mut Process, a: &SharedMatrix<f64>, mine: std::ops::Range<usize>
 /// (`iters < min(rows, cols)`).
 pub fn gauss(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    assert!(rows >= 2 && cols >= 2 * nprocs, "each processor needs at least two columns");
+    assert!(rows >= 2 && cols >= 2 * p.nprocs(), "each processor needs at least two columns");
     assert!(iters < rows && iters < cols, "one elimination step per leading column");
     let a = p.alloc_matrix::<f64>(rows, cols);
     let piv = p.alloc_matrix::<f64>(rows, cols);
-    if variant == Variant::Compiled {
-        return gauss_compiled(p, cfg, &a, &piv);
-    }
-    let me = p.proc_id();
-    let mine = col_block(cols, nprocs, me);
-    let mut abuf = vec![0.0f64; rows];
-    let mut pbuf = vec![0.0f64; rows];
-
-    // Initialise only `a`: the pivot phase fully overwrites its column of
-    // `piv` before anyone reads it, so `piv` needs no initialisation (and
-    // initialising it would create a spurious dependence).
+    let mine = col_block(cols, p.nprocs(), p.proc_id());
     match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(a.array(), a.index(i, j), seed_elem(i, j));
-                }
-            }
-        }
-        Variant::Validate | Variant::Push => {
-            validate(p, &[RegularSection::matrix_cols(&a, mine.clone(), Access::WriteAll)]);
-            for j in mine.clone() {
-                for (i, slot) in abuf.iter_mut().enumerate() {
-                    *slot = seed_elem(i, j);
-                }
-                p.set_slice(a.array(), col_elems(&a, j), &abuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
-    }
-    // No boundary needed after init in any variant: the first pivot phase
-    // reads only its owner's own column.
-
-    for k in 0..iters {
-        let is_owner = mine.contains(&k);
-        let tail = mine.start.max(k + 1).min(mine.end)..mine.end;
-        match variant {
-            // The baseline: per-element checked accesses, one barrier per
-            // elimination step between the pivot computation and the
-            // updates that consume it.
-            Variant::TreadMarks => {
-                if is_owner {
-                    let akk = p.get(a.array(), a.index(k, k));
-                    for i in 0..rows {
-                        let v = if i > k { p.get(a.array(), a.index(i, k)) / akk } else { 0.0 };
-                        p.set(piv.array(), piv.index(i, k), v);
-                    }
-                }
-                p.barrier();
-                for j in tail.clone() {
-                    let akj = p.get(a.array(), a.index(k, j));
-                    for i in k + 1..rows {
-                        let v = p.get(a.array(), a.index(i, j))
-                            - p.get(piv.array(), piv.index(i, k)) * akj;
-                        p.set(a.array(), a.index(i, j), v);
-                    }
-                }
-            }
-            // Sections declared up front, the pivot fetch merged with the
-            // step's barrier, bulk accessors throughout.
-            Variant::Validate => {
-                if is_owner {
-                    validate(
-                        p,
-                        &[
-                            RegularSection::matrix_cols(&a, k..k + 1, Access::Read),
-                            RegularSection::matrix_cols(&piv, k..k + 1, Access::WriteAll),
-                        ],
-                    );
-                    pivot_col(p, &a, &piv, k, &mut abuf, &mut pbuf);
-                }
-                let mut sections = Vec::new();
-                if !tail.is_empty() {
-                    sections.push(RegularSection::matrix_cols(&piv, k..k + 1, Access::Read));
-                    sections.push(RegularSection::matrix_cols(&a, tail.clone(), Access::ReadWrite));
-                }
-                validate_w_sync(p, SyncOp::Barrier, &sections);
-                update_cols(p, &a, &piv, k, tail.clone(), &mut abuf, &mut pbuf);
-            }
-            // The hand-analyzed form the compiler must match: the owner
-            // pushes the pivot column point-to-point to exactly the
-            // processors still holding columns past `k`. No barriers at
-            // all — the push's happens-before edge is the only ordering an
-            // elimination step needs.
-            Variant::Push => {
-                if is_owner {
-                    validate(
-                        p,
-                        &[
-                            RegularSection::matrix_cols(&a, k..k + 1, Access::Read),
-                            RegularSection::matrix_cols(&piv, k..k + 1, Access::WriteAll),
-                        ],
-                    );
-                    pivot_col(p, &a, &piv, k, &mut abuf, &mut pbuf);
-                }
-                let mut sends = Vec::new();
-                let mut recv = Vec::new();
-                if is_owner {
-                    let section = RegularSection::matrix_cols(&piv, k..k + 1, Access::Read);
-                    for q in 0..nprocs {
-                        if q != me && col_block(cols, nprocs, q).end > k + 1 {
-                            sends.push(Push::new(q, std::slice::from_ref(&section)));
-                        }
-                    }
-                } else if !tail.is_empty() {
-                    recv.push(owner_of(cols, nprocs, k));
-                }
-                push_phase(p, &sends, &recv);
-                let mut sections = Vec::new();
-                if !tail.is_empty() {
-                    sections.push(RegularSection::matrix_cols(&piv, k..k + 1, Access::Read));
-                    sections.push(RegularSection::matrix_cols(&a, tail.clone(), Access::Write));
-                }
-                warm_sections(p, &sections);
-                update_cols(p, &a, &piv, k, tail.clone(), &mut abuf, &mut pbuf);
-            }
-            Variant::Compiled => unreachable!("the compiled form returned above"),
-        }
+        Variant::TreadMarks => baseline(p, &a, &piv, iters, &mine),
+        Variant::Push => hand_push(p, &a, &piv, iters, &mine),
+        Variant::Validate => planned(p, &a, &piv, iters, &mine, Level::Validate),
+        Variant::Compiled => planned(p, &a, &piv, iters, &mine, Level::Full),
     }
     checksum(p, &a, mine)
+}
+
+/// This processor's columns past the pivot column `k`: its block clipped to
+/// `k+1..`.
+fn tail_of(mine: &std::ops::Range<usize>, k: usize) -> std::ops::Range<usize> {
+    mine.start.max(k + 1).min(mine.end)..mine.end
+}
+
+/// The baseline: per-element checked accesses, one barrier per elimination
+/// step between the pivot computation and the updates that consume it.
+fn baseline(
+    p: &mut Process,
+    a: &SharedMatrix<f64>,
+    piv: &SharedMatrix<f64>,
+    steps: usize,
+    mine: &std::ops::Range<usize>,
+) {
+    let rows = a.rows();
+    for j in mine.clone() {
+        for i in 0..rows {
+            p.set(a.array(), a.index(i, j), seed_elem(i, j));
+        }
+    }
+    for k in 0..steps {
+        if mine.contains(&k) {
+            let akk = p.get(a.array(), a.index(k, k));
+            for i in 0..rows {
+                let v = if i > k { p.get(a.array(), a.index(i, k)) / akk } else { 0.0 };
+                p.set(piv.array(), piv.index(i, k), v);
+            }
+        }
+        p.barrier();
+        for j in tail_of(mine, k) {
+            let akj = p.get(a.array(), a.index(k, j));
+            for i in k + 1..rows {
+                let v = p.get(a.array(), a.index(i, j)) - p.get(piv.array(), piv.index(i, k)) * akj;
+                p.set(a.array(), a.index(i, j), v);
+            }
+        }
+    }
+}
+
+/// The hand-analyzed form the compiler must match: the owner pushes the
+/// pivot column point-to-point to exactly the processors still holding
+/// columns past `k`. No barriers at all — the push's happens-before edge is
+/// the only ordering an elimination step needs.
+fn hand_push(
+    p: &mut Process,
+    a: &SharedMatrix<f64>,
+    piv: &SharedMatrix<f64>,
+    steps: usize,
+    mine: &std::ops::Range<usize>,
+) {
+    let (cols, nprocs, me) = (a.cols(), p.nprocs(), p.proc_id());
+    let mut abuf = vec![0.0f64; a.rows()];
+    let mut pbuf = vec![0.0f64; a.rows()];
+    validate(p, &[RegularSection::matrix_cols(a, mine.clone(), Access::WriteAll)]);
+    fill_block(p, &[a], mine.clone(), seed_elem);
+    for k in 0..steps {
+        let tail = tail_of(mine, k);
+        let mut sends = Vec::new();
+        let mut recv = Vec::new();
+        if mine.contains(&k) {
+            validate(
+                p,
+                &[
+                    RegularSection::matrix_cols(a, k..k + 1, Access::Read),
+                    RegularSection::matrix_cols(piv, k..k + 1, Access::WriteAll),
+                ],
+            );
+            pivot_col(p, a, piv, k, &mut abuf, &mut pbuf);
+            let section = RegularSection::matrix_cols(piv, k..k + 1, Access::Read);
+            for q in 0..nprocs {
+                if q != me && col_block(cols, nprocs, q).end > k + 1 {
+                    sends.push(Push::new(q, std::slice::from_ref(&section)));
+                }
+            }
+        } else if !tail.is_empty() {
+            recv.push(owner_of(cols, nprocs, k));
+        }
+        push_phase(p, &sends, &recv);
+        let mut sections = Vec::new();
+        if !tail.is_empty() {
+            sections.push(RegularSection::matrix_cols(piv, k..k + 1, Access::Read));
+            sections.push(RegularSection::matrix_cols(a, tail.clone(), Access::Write));
+        }
+        warm_sections(p, &sections);
+        update_cols(p, a, piv, k, tail, &mut abuf, &mut pbuf);
+    }
 }
 
 /// The elimination kernel as a loop-nest IR. The spans are written in the
@@ -285,54 +264,34 @@ pub fn gauss_program(a: &SharedMatrix<f64>, piv: &SharedMatrix<f64>, steps: usiz
     }
 }
 
-/// Runs the elimination from the plan `rsdcomp::compile` generates for
-/// [`gauss_program`]: the application supplies only the numeric bodies,
-/// keyed by phase name and the plan step's iteration number; every
+/// Runs the elimination from the plan `rsdcomp` generates for
+/// [`gauss_program`] at `level`: the application supplies only the numeric
+/// bodies, keyed by phase name and the plan step's iteration number; every
 /// data-movement decision — including the per-iteration producer and
 /// consumer sets of the pivot broadcast — is the compiler's.
-fn gauss_compiled(
+fn planned(
     p: &mut Process,
-    cfg: &GridConfig,
     a: &SharedMatrix<f64>,
     piv: &SharedMatrix<f64>,
-) -> u64 {
-    let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    let me = p.proc_id();
-    let compiled = rsdcomp::exec::kernel_for(p, || gauss_program(a, piv, iters));
-    let plan = compiled.kernel.plan_for(me);
+    steps: usize,
+    mine: &std::ops::Range<usize>,
+    level: Level,
+) {
+    let compiled = exec::kernel_for(p, level, || gauss_program(a, piv, steps));
+    let plan = compiled.kernel.plan_for(p.proc_id());
     let phases = compiled.program.phases();
-
-    let mine = col_block(cols, nprocs, me);
-    let mut abuf = vec![0.0f64; rows];
-    let mut pbuf = vec![0.0f64; rows];
-
+    let mut abuf = vec![0.0f64; a.rows()];
+    let mut pbuf = vec![0.0f64; a.rows()];
     for step in &plan.steps {
-        let issued = rsdcomp::exec::issue(p, &step.entry);
-        rsdcomp::exec::complete(p, issued);
+        exec::run_boundary(p, &step.entry);
+        let k = step.iter;
         match phases[step.phase].name {
-            "init" => {
-                for j in mine.clone() {
-                    for (i, slot) in abuf.iter_mut().enumerate() {
-                        *slot = seed_elem(i, j);
-                    }
-                    p.set_slice(a.array(), col_elems(a, j), &abuf);
-                }
-            }
-            "pivot" => {
-                if mine.contains(&step.iter) {
-                    pivot_col(p, a, piv, step.iter, &mut abuf, &mut pbuf);
-                }
-            }
-            "update" => {
-                let k = step.iter;
-                let tail = mine.start.max(k + 1).min(mine.end)..mine.end;
-                update_cols(p, a, piv, k, tail, &mut abuf, &mut pbuf);
-            }
+            "init" => fill_block(p, &[a], mine.clone(), seed_elem),
+            "pivot" if mine.contains(&k) => pivot_col(p, a, piv, k, &mut abuf, &mut pbuf),
+            "pivot" => {}
+            "update" => update_cols(p, a, piv, k, tail_of(mine, k), &mut abuf, &mut pbuf),
             other => unreachable!("unknown phase {other:?}"),
         }
-        rsdcomp::exec::release(p, step);
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
-    checksum(p, a, mine)
+    exec::run_boundary(p, &plan.exit);
 }

@@ -22,10 +22,10 @@
 //! diff horizon, has no such guarantee and pays the extra barrier.
 
 use ctrt::{validate, validate_w_sync, Access, RegularSection, SyncOp};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{LockId, Process, SharedMatrix};
 
-use crate::{col_block, col_elems, mix64, GridConfig, Variant};
+use crate::{col_block, col_elems, fill_block, mix64, GridConfig, Variant};
 
 /// The lock guarding the histogram merge phase. Exposed so tests and the
 /// benchmark driver can reference the same id the IR carries.
@@ -94,18 +94,19 @@ fn rank_bulk(
     chk
 }
 
+/// The buckets this processor ranks: those of its own column block.
+fn own_bins(mine: &std::ops::Range<usize>, rows: usize) -> std::ops::Range<usize> {
+    mine.start * rows..mine.end * rows
+}
+
 /// Folds this processor's final keys into the checksum (covers the key
 /// evolution the histogram only witnesses indirectly).
-fn keys_checksum(
-    p: &mut Process,
-    keys: &SharedMatrix<u64>,
-    mine: &std::ops::Range<usize>,
-    kbuf: &mut [u64],
-) -> u64 {
+fn keys_checksum(p: &mut Process, keys: &SharedMatrix<u64>, mine: std::ops::Range<usize>) -> u64 {
     let rows = keys.rows();
+    let mut kbuf = vec![0u64; rows];
     let mut chk = 0u64;
-    for j in mine.clone() {
-        p.get_slice(keys.array(), col_elems(keys, j), kbuf);
+    for j in mine {
+        p.get_slice(keys.array(), col_elems(keys, j), &mut kbuf);
         for (i, &k) in kbuf.iter().enumerate() {
             let idx = (j * rows + i) as u64;
             chk ^= mix64(k ^ mix64(idx ^ 0x517c_c1b7_2722_0a95));
@@ -114,24 +115,15 @@ fn keys_checksum(
     chk
 }
 
-/// The merge phase's regular sections: the own key block is read and fully
-/// rewritten, the whole histogram is read-modify-written under the lock.
-fn merge_sections(
-    keys: &SharedMatrix<u64>,
-    hist: &SharedMatrix<u64>,
-    mine: &std::ops::Range<usize>,
-    cols: usize,
-) -> [RegularSection; 2] {
-    [
-        RegularSection::matrix_cols(keys, mine.clone(), Access::ReadWriteAll),
-        RegularSection::matrix_cols(hist, 0..cols, Access::ReadWrite),
-    ]
-}
-
 /// Runs integer sort in the given variant and returns this processor's
 /// checksum (XOR-combine across processors for the partition-independent
 /// app checksum). All variants perform identical integer operations, so
 /// checksums are equal across variants *and* cluster sizes.
+///
+/// Only the own key block is initialised; the histogram starts from the
+/// allocator's zeroed pages. No boundary follows in any variant: the first
+/// merge's acquire chain orders the init writes (each release flushes them,
+/// each grant carries the notices).
 ///
 /// # Panics
 ///
@@ -139,113 +131,100 @@ fn merge_sections(
 /// two columns).
 pub fn is(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    assert!(rows >= 1 && cols >= 2 * nprocs, "each processor needs at least two columns");
-    let bins = rows * cols;
+    assert!(rows >= 1 && cols >= 2 * p.nprocs(), "each processor needs at least two columns");
     let keys = p.alloc_matrix::<u64>(rows, cols);
     let hist = p.alloc_matrix::<u64>(rows, cols);
-    if variant == Variant::Compiled {
-        return is_compiled(p, cfg, &keys, &hist);
+    let mine = col_block(cols, p.nprocs(), p.proc_id());
+    let chk = match variant {
+        Variant::TreadMarks => baseline(p, &keys, &hist, iters, &mine),
+        Variant::Push => hand_push(p, &keys, &hist, iters, &mine),
+        Variant::Validate => planned(p, &keys, &hist, iters, &mine, Level::Validate),
+        Variant::Compiled => planned(p, &keys, &hist, iters, &mine, Level::Full),
+    };
+    chk ^ keys_checksum(p, &keys, mine)
+}
+
+/// The baseline: per-element checked accesses, and a second barrier per
+/// iteration because the ranking reads demand-fetch against whatever diffs
+/// later merges have already flushed. Returns the ranking checksum.
+fn baseline(
+    p: &mut Process,
+    keys: &SharedMatrix<u64>,
+    hist: &SharedMatrix<u64>,
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+) -> u64 {
+    let rows = keys.rows();
+    let bins = rows * keys.cols();
+    for j in mine.clone() {
+        for i in 0..rows {
+            p.set(keys.array(), keys.index(i, j), key_seed(i, j, bins));
+        }
     }
-    let me = p.proc_id();
-    let mine = col_block(cols, nprocs, me);
-    let own_bins = mine.start * rows..mine.end * rows;
+    let mut chk = 0u64;
+    for t in 0..iters {
+        p.lock_acquire(MERGE_LOCK);
+        for j in mine.clone() {
+            for i in 0..rows {
+                let idx = keys.index(i, j);
+                let k = p.get(keys.array(), idx);
+                let c = p.get(hist.array(), k as usize);
+                p.set(hist.array(), k as usize, c + 1);
+                p.set(keys.array(), idx, next_key(k, t, idx, bins));
+            }
+        }
+        p.lock_release(MERGE_LOCK);
+        p.barrier();
+        for b in own_bins(mine, rows) {
+            let h = p.get(hist.array(), b);
+            chk ^= bin_mix(b, h, t);
+        }
+        p.barrier();
+    }
+    chk
+}
+
+/// The hand-analyzed form the compiler must match: the critical section's
+/// accesses are declared on the acquire (merged lock-grant+data), and the
+/// ranking reads run on pages validated at the barrier, which lazy release
+/// consistency keeps at that version until this processor's own next
+/// acquire — so the second barrier is dropped. One acquire and one barrier
+/// per iteration, nothing else. Returns the ranking checksum.
+fn hand_push(
+    p: &mut Process,
+    keys: &SharedMatrix<u64>,
+    hist: &SharedMatrix<u64>,
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+) -> u64 {
+    let (rows, cols) = (keys.rows(), keys.cols());
+    let bins = rows * cols;
     let mut kbuf = vec![0u64; rows];
     let mut hbuf = vec![0u64; bins];
+    validate(p, &[RegularSection::matrix_cols(keys, mine.clone(), Access::WriteAll)]);
+    fill_block(p, &[keys], mine.clone(), |i, j| key_seed(i, j, bins));
     let mut chk = 0u64;
-
-    // Initialise only the own key block; the histogram starts from the
-    // allocator's zeroed pages. No boundary follows in any variant: the
-    // first merge's acquire chain orders the init writes (each release
-    // flushes them, each grant carries the notices).
-    match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(keys.array(), keys.index(i, j), key_seed(i, j, bins));
-                }
-            }
-        }
-        Variant::Validate | Variant::Push => {
-            validate(p, &[RegularSection::matrix_cols(&keys, mine.clone(), Access::WriteAll)]);
-            for j in mine.clone() {
-                for (i, slot) in kbuf.iter_mut().enumerate() {
-                    *slot = key_seed(i, j, bins);
-                }
-                p.set_slice(keys.array(), col_elems(&keys, j), &kbuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
-    }
-
     for t in 0..iters {
-        match variant {
-            // The baseline: per-element checked accesses, and a second
-            // barrier per iteration because the ranking reads demand-fetch
-            // against whatever diffs later merges have already flushed.
-            Variant::TreadMarks => {
-                p.lock_acquire(MERGE_LOCK);
-                for j in mine.clone() {
-                    for i in 0..rows {
-                        let idx = keys.index(i, j);
-                        let k = p.get(keys.array(), idx);
-                        let c = p.get(hist.array(), k as usize);
-                        p.set(hist.array(), k as usize, c + 1);
-                        p.set(keys.array(), idx, next_key(k, t, idx, bins));
-                    }
-                }
-                p.lock_release(MERGE_LOCK);
-                p.barrier();
-                for b in own_bins.clone() {
-                    let h = p.get(hist.array(), b);
-                    chk ^= bin_mix(b, h, t);
-                }
-                p.barrier();
-            }
-            // Sections declared on the sync ops (merged lock-grant+data on
-            // the acquire), bulk accessors, but the baseline's sync
-            // structure kept as-is — including the anti-dependence barrier.
-            Variant::Validate => {
-                validate_w_sync(
-                    p,
-                    SyncOp::Lock(MERGE_LOCK),
-                    &merge_sections(&keys, &hist, &mine, cols),
-                );
-                merge_bulk(p, &keys, &hist, &mine, t, &mut kbuf, &mut hbuf);
-                ctrt::release(p, MERGE_LOCK);
-                validate_w_sync(
-                    p,
-                    SyncOp::Barrier,
-                    &[RegularSection::matrix_cols(&hist, mine.clone(), Access::Read)],
-                );
-                chk ^= rank_bulk(p, &hist, own_bins.clone(), t, &mut hbuf);
-                p.barrier();
-            }
-            // The hand-analyzed form the compiler must match: the ranking
-            // reads run on pages validated at the barrier, which lazy
-            // release consistency keeps at that version until this
-            // processor's own next acquire — so the second barrier is
-            // dropped. One acquire and one barrier per iteration, nothing
-            // else.
-            Variant::Push => {
-                validate_w_sync(
-                    p,
-                    SyncOp::Lock(MERGE_LOCK),
-                    &merge_sections(&keys, &hist, &mine, cols),
-                );
-                merge_bulk(p, &keys, &hist, &mine, t, &mut kbuf, &mut hbuf);
-                ctrt::release(p, MERGE_LOCK);
-                validate_w_sync(
-                    p,
-                    SyncOp::Barrier,
-                    &[RegularSection::matrix_cols(&hist, mine.clone(), Access::Read)],
-                );
-                chk ^= rank_bulk(p, &hist, own_bins.clone(), t, &mut hbuf);
-            }
-            Variant::Compiled => unreachable!("the compiled form returned above"),
-        }
+        // The own key block is read and fully rewritten, the whole
+        // histogram is read-modify-written under the lock.
+        validate_w_sync(
+            p,
+            SyncOp::Lock(MERGE_LOCK),
+            &[
+                RegularSection::matrix_cols(keys, mine.clone(), Access::ReadWriteAll),
+                RegularSection::matrix_cols(hist, 0..cols, Access::ReadWrite),
+            ],
+        );
+        merge_bulk(p, keys, hist, mine, t, &mut kbuf, &mut hbuf);
+        ctrt::release(p, MERGE_LOCK);
+        validate_w_sync(
+            p,
+            SyncOp::Barrier,
+            &[RegularSection::matrix_cols(hist, mine.clone(), Access::Read)],
+        );
+        chk ^= rank_bulk(p, hist, own_bins(mine, rows), t, &mut hbuf);
     }
-    chk ^ keys_checksum(p, &keys, &mine, &mut kbuf)
+    chk
 }
 
 /// The integer-sort kernel as a loop-nest IR: an init phase overwrites the
@@ -291,50 +270,38 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
     }
 }
 
-/// Runs integer sort from the plan `rsdcomp::compile` generates for
-/// [`is_program`]: the application supplies only the numeric bodies; the
+/// Runs integer sort from the plan `rsdcomp` generates for [`is_program`]
+/// at `level`: the application supplies only the numeric bodies; the
 /// acquire (with its piggybacked section validation), the release and the
-/// single rank barrier all come from the plan. Message-for-message
-/// identical to the hand-written `Push` variant — the test suite pins the
-/// equality.
-fn is_compiled(
+/// single rank barrier all come from the plan — the same steps at both
+/// levels, and message-for-message the hand-written `Push` variant's (the
+/// test suite pins both). Returns the ranking checksum.
+fn planned(
     p: &mut Process,
-    cfg: &GridConfig,
     keys: &SharedMatrix<u64>,
     hist: &SharedMatrix<u64>,
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+    level: Level,
 ) -> u64 {
-    let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    let me = p.proc_id();
-    let compiled = rsdcomp::exec::kernel_for(p, || is_program(keys, hist, iters));
-    let plan = compiled.kernel.plan_for(me);
+    let compiled = exec::kernel_for(p, level, || is_program(keys, hist, iters));
+    let plan = compiled.kernel.plan_for(p.proc_id());
     let phases = compiled.program.phases();
-
-    let bins = rows * cols;
-    let mine = col_block(cols, nprocs, me);
-    let own_bins = mine.start * rows..mine.end * rows;
+    let rows = keys.rows();
+    let bins = rows * keys.cols();
     let mut kbuf = vec![0u64; rows];
     let mut hbuf = vec![0u64; bins];
     let mut chk = 0u64;
-
     for step in &plan.steps {
-        let issued = rsdcomp::exec::issue(p, &step.entry);
-        rsdcomp::exec::complete(p, issued);
+        exec::run_boundary(p, &step.entry);
         match phases[step.phase].name {
-            "init" => {
-                for j in mine.clone() {
-                    for (i, slot) in kbuf.iter_mut().enumerate() {
-                        *slot = key_seed(i, j, bins);
-                    }
-                    p.set_slice(keys.array(), col_elems(keys, j), &kbuf);
-                }
-            }
-            "merge" => merge_bulk(p, keys, hist, &mine, step.iter, &mut kbuf, &mut hbuf),
-            "rank" => chk ^= rank_bulk(p, hist, own_bins.clone(), step.iter, &mut hbuf),
+            "init" => fill_block(p, &[keys], mine.clone(), |i, j| key_seed(i, j, bins)),
+            "merge" => merge_bulk(p, keys, hist, mine, step.iter, &mut kbuf, &mut hbuf),
+            "rank" => chk ^= rank_bulk(p, hist, own_bins(mine, rows), step.iter, &mut hbuf),
             other => unreachable!("unknown phase {other:?}"),
         }
-        rsdcomp::exec::release(p, step);
+        exec::release(p, step);
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
-    chk ^ keys_checksum(p, keys, &mine, &mut kbuf)
+    exec::run_boundary(p, &plan.exit);
+    chk
 }

@@ -9,15 +9,15 @@
 //! they may be written in any order — the split-phase form exploits this to
 //! sweep the interior columns while the boundary columns are in flight.
 
-use ctrt::{
-    validate, validate_w_sync_complete, validate_w_sync_issue, warm_sections, Access,
-    RegularSection, SyncOp,
-};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use ctrt::{validate, warm_sections, Access, RegularSection};
+use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
 use crate::sor::{exchange_boundaries, ColBufs};
-use crate::{col_block, col_elems, seed, split_columns, GridConfig, Variant};
+use crate::{
+    block_sum, col_block, col_elems, fill_block, seed, split_columns, update_block, GridConfig,
+    Variant,
+};
 
 /// Sweeps the contiguous destination columns `cols`: each interior cell of
 /// `dst` becomes the four-point average of `src`, boundary rows are copied.
@@ -60,137 +60,98 @@ fn sweep_cols(
 /// needs at least two columns and the grid at least two rows).
 pub fn jacobi(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    assert!(rows >= 2 && cols >= 2 * nprocs, "each processor needs at least two columns");
+    assert!(rows >= 2 && cols >= 2 * p.nprocs(), "each processor needs at least two columns");
     let a = p.alloc_matrix::<f64>(rows, cols);
     let b = p.alloc_matrix::<f64>(rows, cols);
-    if variant == Variant::Compiled {
-        return jacobi_compiled(p, cfg, &a, &b);
-    }
-    let me = p.proc_id();
-    let mine = col_block(cols, nprocs, me);
-    let (lo, hi) = (mine.start, mine.end);
-    // The columns this processor updates; global boundary columns are fixed.
-    let update = lo.max(1)..hi.min(cols - 1);
-    let (interior, left_edge, right_edge) = split_columns(&update, lo > 0, hi < cols);
-
-    // Identical deterministic initial condition in both grids. The
-    // baseline writes it per element through the checked path; the
-    // optimized forms treat initialisation as what it is — a fully
-    // analyzable WRITE_ALL phase — and run it on batch-enabled, warmed
-    // mappings (for Push, the WRITE_ALL assertion also covers the sweeps:
-    // the updated columns are fully overwritten every iteration and the
-    // push form never releases, so no twin is ever kept).
-    let mut colbuf = vec![0.0f64; rows];
+    let mine = col_block(cols, p.nprocs(), p.proc_id());
     match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(a.array(), a.index(i, j), seed(i, j));
-                    p.set(b.array(), b.index(i, j), seed(i, j));
-                }
-            }
-        }
-        Variant::Validate | Variant::Push => {
-            validate(
-                p,
-                &[
-                    RegularSection::matrix_cols(&a, mine.clone(), Access::WriteAll),
-                    RegularSection::matrix_cols(&b, mine.clone(), Access::WriteAll),
-                ],
-            );
-            for j in mine.clone() {
-                for (i, slot) in colbuf.iter_mut().enumerate() {
-                    *slot = seed(i, j);
-                }
-                p.set_slice(a.array(), col_elems(&a, j), &colbuf);
-                p.set_slice(b.array(), col_elems(&b, j), &colbuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
+        Variant::TreadMarks => baseline(p, &a, &b, iters, &mine),
+        Variant::Push => hand_push(p, &a, &b, iters, &mine),
+        Variant::Validate => planned(p, &a, &b, iters, &mine, Level::Validate),
+        Variant::Compiled => planned(p, &a, &b, iters, &mine, Level::Full),
     }
-    match variant {
-        Variant::TreadMarks => p.barrier(),
-        // The Validate form needs no separate barrier here: the first
-        // sweep's `validate_w_sync_issue` *is* the phase boundary.
-        Variant::Validate => {}
-        // The first sweep reads grid `a`: seed the neighbours' boundary
-        // columns point-to-point.
-        Variant::Push => exchange_boundaries(p, &a, lo, hi),
-        Variant::Compiled => unreachable!("the compiled form returned above"),
-    }
+    block_sum(p, if iters.is_multiple_of(2) { &a } else { &b }, mine)
+}
 
-    let mut bufs = ColBufs::new(rows);
+/// The baseline: a barrier per sweep, every element access a checked access.
+fn baseline(
+    p: &mut Process,
+    a: &SharedMatrix<f64>,
+    b: &SharedMatrix<f64>,
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+) {
+    let rows = a.rows();
+    for j in mine.clone() {
+        for i in 0..rows {
+            p.set(a.array(), a.index(i, j), seed(i, j));
+            p.set(b.array(), b.index(i, j), seed(i, j));
+        }
+    }
+    p.barrier();
     for t in 0..iters {
-        let (src, dst) = if t % 2 == 0 { (&a, &b) } else { (&b, &a) };
-        let read = lo.saturating_sub(1)..(hi + 1).min(cols);
-        match variant {
-            // The baseline: every element access is a checked access.
-            Variant::TreadMarks => {
-                p.barrier();
-                for j in update.clone() {
-                    for i in 1..rows - 1 {
-                        let v = 0.25
-                            * (p.get(src.array(), src.index(i - 1, j))
-                                + p.get(src.array(), src.index(i + 1, j))
-                                + p.get(src.array(), src.index(i, j - 1))
-                                + p.get(src.array(), src.index(i, j + 1)));
-                        p.set(dst.array(), dst.index(i, j), v);
-                    }
-                    let top = p.get(src.array(), src.index(0, j));
-                    p.set(dst.array(), dst.index(0, j), top);
-                    let bottom = p.get(src.array(), src.index(rows - 1, j));
-                    p.set(dst.array(), dst.index(rows - 1, j), bottom);
-                }
+        let (src, dst) = if t % 2 == 0 { (a, b) } else { (b, a) };
+        p.barrier();
+        for j in update_block(mine, a.cols()) {
+            for i in 1..rows - 1 {
+                let v = 0.25
+                    * (p.get(src.array(), src.index(i - 1, j))
+                        + p.get(src.array(), src.index(i + 1, j))
+                        + p.get(src.array(), src.index(i, j - 1))
+                        + p.get(src.array(), src.index(i, j + 1)));
+                p.set(dst.array(), dst.index(i, j), v);
             }
-            // Split-phase: issue the merged fetch at the phase boundary,
-            // sweep the interior columns while the neighbours' boundary
-            // columns are in flight, complete, then sweep the (at most two)
-            // boundary-adjacent columns.
-            Variant::Validate => {
-                let mut sections =
-                    vec![RegularSection::matrix_cols(src, read.clone(), Access::Read)];
-                if !update.is_empty() {
-                    sections.push(RegularSection::matrix_cols(
-                        dst,
-                        update.clone(),
-                        Access::WriteAll,
-                    ));
-                }
-                let pending = validate_w_sync_issue(p, SyncOp::Barrier, &sections);
-                sweep_cols(p, src, dst, interior.clone(), &mut bufs);
-                validate_w_sync_complete(p, pending);
-                sweep_cols(p, src, dst, left_edge.clone(), &mut bufs);
-                sweep_cols(p, src, dst, right_edge.clone(), &mut bufs);
-            }
-            Variant::Push => {
-                // Data already moved point-to-point; just re-warm the
-                // fast-path mappings the pushes staled out.
-                let mut sections =
-                    vec![RegularSection::matrix_cols(src, read.clone(), Access::Read)];
-                if !update.is_empty() {
-                    sections.push(RegularSection::matrix_cols(dst, update.clone(), Access::Write));
-                }
-                warm_sections(p, &sections);
-                sweep_cols(p, src, dst, update.clone(), &mut bufs);
-                exchange_boundaries(p, dst, lo, hi);
-            }
-            Variant::Compiled => unreachable!("the compiled form returned above"),
+            let top = p.get(src.array(), src.index(0, j));
+            p.set(dst.array(), dst.index(0, j), top);
+            let bottom = p.get(src.array(), src.index(rows - 1, j));
+            p.set(dst.array(), dst.index(rows - 1, j), bottom);
         }
     }
+}
 
-    let final_grid = if iters % 2 == 0 { &a } else { &b };
+/// The hand-analysed push form. Initialisation is a fully analyzable
+/// `WRITE_ALL` phase, and the assertion also covers the sweeps: the updated
+/// columns are fully overwritten every iteration and the form never
+/// releases, so no twin is ever kept. Boundary columns move point-to-point
+/// after every sweep; each sweep only re-warms the mappings the pushes
+/// staled out.
+fn hand_push(
+    p: &mut Process,
+    a: &SharedMatrix<f64>,
+    b: &SharedMatrix<f64>,
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+) {
+    let (lo, hi) = (mine.start, mine.end);
+    let update = update_block(mine, a.cols());
+    let read = lo.saturating_sub(1)..(hi + 1).min(a.cols());
+    validate(
+        p,
+        &[
+            RegularSection::matrix_cols(a, mine.clone(), Access::WriteAll),
+            RegularSection::matrix_cols(b, mine.clone(), Access::WriteAll),
+        ],
+    );
+    fill_block(p, &[a, b], mine.clone(), seed);
+    // The first sweep reads grid `a`: seed the neighbours' boundary columns.
+    exchange_boundaries(p, a, lo, hi);
+    let mut bufs = ColBufs::new(a.rows());
+    for t in 0..iters {
+        let (src, dst) = if t % 2 == 0 { (a, b) } else { (b, a) };
+        warm_sections(
+            p,
+            &[
+                RegularSection::matrix_cols(src, read.clone(), Access::Read),
+                RegularSection::matrix_cols(dst, update.clone(), Access::Write),
+            ],
+        );
+        sweep_cols(p, src, dst, update.clone(), &mut bufs);
+        exchange_boundaries(p, dst, lo, hi);
+    }
     // The push exchanges staled every mapping; re-warm the block once
     // instead of slow-filling per page.
-    if variant == Variant::Push {
-        warm_sections(p, &[RegularSection::matrix_cols(final_grid, mine.clone(), Access::Read)]);
-    }
-    let mut sum = 0.0;
-    for j in mine {
-        p.get_slice(final_grid.array(), col_elems(final_grid, j), &mut colbuf);
-        sum += colbuf.iter().sum::<f64>();
-    }
-    sum
+    let final_grid = if iters.is_multiple_of(2) { a } else { b };
+    warm_sections(p, &[RegularSection::matrix_cols(final_grid, mine.clone(), Access::Read)]);
 }
 
 /// The Jacobi kernel as a loop-nest IR: an initialisation phase overwrites
@@ -232,58 +193,42 @@ pub fn jacobi_program(a: &SharedMatrix<f64>, b: &SharedMatrix<f64>, iters: usize
     Program { arrays: vec![ArrayDecl::of_matrix("a", a), ArrayDecl::of_matrix("b", b)], nodes }
 }
 
-/// Runs Jacobi from the plan `rsdcomp::compile` generates for
-/// [`jacobi_program`]: the application supplies only the numeric bodies
-/// (seeding and [`sweep_cols`]); every data-movement decision is the
-/// compiler's.
-fn jacobi_compiled(
+/// Runs Jacobi from the plan `rsdcomp` generates for [`jacobi_program`] at
+/// `level`: the application supplies only the numeric bodies (seeding and
+/// [`sweep_cols`]); every data-movement decision is the compiler's. A
+/// pending split-phase entry overlaps the interior columns, whose stencil
+/// reads only this processor's own data.
+fn planned(
     p: &mut Process,
-    cfg: &GridConfig,
     a: &SharedMatrix<f64>,
     b: &SharedMatrix<f64>,
-) -> f64 {
-    let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    let me = p.proc_id();
-    let compiled = rsdcomp::exec::kernel_for(p, || jacobi_program(a, b, iters));
-    let plan = compiled.kernel.plan_for(me);
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+    level: Level,
+) {
+    let compiled = exec::kernel_for(p, level, || jacobi_program(a, b, iters));
+    let plan = compiled.kernel.plan_for(p.proc_id());
     let phases = compiled.program.phases();
-
-    let mine = col_block(cols, nprocs, me);
-    let update = mine.start.max(1)..mine.end.min(cols - 1);
-    let (interior, left_edge, right_edge) = split_columns(&update, mine.start > 0, mine.end < cols);
-    let mut bufs = ColBufs::new(rows);
-    let mut colbuf = vec![0.0f64; rows];
-
+    let update = update_block(mine, a.cols());
+    let (interior, left_edge, right_edge) =
+        split_columns(&update, mine.start > 0, mine.end < a.cols());
+    let mut bufs = ColBufs::new(a.rows());
     for step in &plan.steps {
-        let issued = rsdcomp::exec::issue(p, &step.entry);
+        let issued = exec::issue(p, &step.entry);
         match phases[step.phase].name {
             "init" => {
-                rsdcomp::exec::complete(p, issued);
-                for j in mine.clone() {
-                    for (i, slot) in colbuf.iter_mut().enumerate() {
-                        *slot = seed(i, j);
-                    }
-                    p.set_slice(a.array(), col_elems(a, j), &colbuf);
-                    p.set_slice(b.array(), col_elems(b, j), &colbuf);
-                }
+                exec::complete(p, issued);
+                fill_block(p, &[a, b], mine.clone(), seed);
             }
             name @ ("sweep_ab" | "sweep_ba") => {
                 let (src, dst) = if name == "sweep_ab" { (a, b) } else { (b, a) };
                 sweep_cols(p, src, dst, interior.clone(), &mut bufs);
-                rsdcomp::exec::complete(p, issued);
+                exec::complete(p, issued);
                 sweep_cols(p, src, dst, left_edge.clone(), &mut bufs);
                 sweep_cols(p, src, dst, right_edge.clone(), &mut bufs);
             }
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
-    let final_grid = if iters % 2 == 0 { a } else { b };
-    let mut sum = 0.0;
-    for j in mine {
-        p.get_slice(final_grid.array(), col_elems(final_grid, j), &mut colbuf);
-        sum += colbuf.iter().sum::<f64>();
-    }
-    sum
+    exec::run_boundary(p, &plan.exit);
 }

@@ -1,29 +1,30 @@
 //! # dsm-apps — the paper's application suite
 //!
-//! Kernels from the ASPLOS '96 evaluation, each written four times over
-//! the same numerical loop:
+//! Kernels from the ASPLOS '96 evaluation. Each is one numerical loop with
+//! two hand-written references and one loop-nest IR
+//! ([`rsdcomp::Program`]) that the planner runs at two compiler levels:
 //!
-//! * **TreadMarks** — plain barriers and per-element checked accesses; every
-//!   miss is a page fault and a request/response pair, every element access
-//!   is a software access check;
-//! * **Validate** — the phase's sections are declared up front and
-//!   `validate_w_sync` merges the aggregated fetch with the barrier; the
-//!   phase body runs on the bulk accessors over pre-warmed (section-grant)
-//!   fast-path mappings;
-//! * **Push** — the fully analyzable form: producers push boundary data
-//!   point-to-point, there are no barriers, no invalidations, no twins;
-//! * **Compiled** — the integrated form the paper is named for: the kernel
-//!   is described as a [`rsdcomp::Program`] (loop-nest IR with regular
-//!   sections) and **every protocol call is generated by
-//!   `rsdcomp::compile`** — the application contributes only the numeric
-//!   phase bodies. The analyzer eliminates barriers where the dependences
-//!   allow (Jacobi compiles to pure pushes; SOR keeps one real barrier per
-//!   iteration for the GC horizon and replaces the other with a
-//!   point-to-point merged data+sync exchange).
+//! * **TreadMarks** — the per-element baseline: plain barriers and checked
+//!   accesses; every miss is a page fault and a request/response pair. It
+//!   bypasses the compiler on purpose.
+//! * **Push** — the hand-analysed oracle: producers push boundary data
+//!   point-to-point, no barriers, no invalidations, no twins. It is what
+//!   the planner is measured against, and does not reach everywhere yet.
+//! * **Validate** — the IR at [`rsdcomp::Level::Validate`]: every
+//!   communicating boundary keeps its barrier, merged with the aggregated
+//!   fetch of the next phase's sections (`Validate_w_sync`); the phase
+//!   bodies run on the bulk accessors over pre-warmed mappings.
+//! * **Compiled** — the same IR at [`rsdcomp::Level::Full`]: the analyzer
+//!   eliminates barriers where the dependences allow (Jacobi compiles to
+//!   pure pushes; SOR keeps one real barrier per iteration for the GC
+//!   horizon and replaces the other with a point-to-point merged data+sync
+//!   exchange).
 //!
-//! All variants execute the identical floating-point operations, so their
-//! per-processor checksums are bit-for-bit equal — which is how the tests
-//! pin the optimized variants to the baseline.
+//! For the two levels the application contributes only the numeric phase
+//! bodies, one plan driver per kernel; every protocol call is generated by
+//! `rsdcomp::compile_at`. All variants execute the identical floating-point
+//! operations, so their per-processor checksums are bit-for-bit equal —
+//! which is how the tests pin the optimized variants to the baseline.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,15 +42,16 @@ pub use sor::{sor, sor_program};
 /// Which form of a kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
-    /// Plain TreadMarks: barriers + per-element checked accesses.
+    /// The baseline, hand-written: barriers + per-element checked accesses.
     TreadMarks,
-    /// `Validate_w_sync` at phase boundaries + bulk accessors.
+    /// The kernel's IR planned at [`rsdcomp::Level::Validate`]:
+    /// `Validate_w_sync` at every communicating boundary + bulk accessors.
     Validate,
-    /// `push_phase` data movement, no barriers (hand-analyzed).
+    /// The oracle, hand-analyzed: `push_phase` data movement, no barriers.
     Push,
-    /// All protocol calls generated by `rsdcomp::compile` from the kernel's
-    /// loop-nest IR: barriers eliminated or replaced with merged data+sync
-    /// exchanges wherever the dependence analysis allows.
+    /// The kernel's IR planned at [`rsdcomp::Level::Full`]: barriers
+    /// eliminated or replaced with merged data+sync exchanges wherever the
+    /// dependence analysis allows.
     Compiled,
 }
 
@@ -94,9 +96,52 @@ pub fn col_block(cols: usize, nprocs: usize, me: usize) -> std::ops::Range<usize
     rsdcomp::col_block(cols, nprocs, me)
 }
 
+/// The columns of the block `mine` a stencil sweep updates: all but the
+/// fixed global boundary columns. Never empty — every kernel asserts at
+/// least two columns per processor.
+pub(crate) fn update_block(mine: &std::ops::Range<usize>, cols: usize) -> std::ops::Range<usize> {
+    mine.start.max(1)..mine.end.min(cols - 1)
+}
+
 /// The deterministic initial condition shared by every kernel and variant.
 pub(crate) fn seed(i: usize, j: usize) -> f64 {
     ((i * 31 + j * 17) % 97) as f64 / 7.0
+}
+
+/// The bulk initialisation every non-baseline form shares: fills the own
+/// columns `mine` of each of `grids` with `elem(i, j)`, a column at a time.
+/// The caller has write-prepared the block (`WRITE_ALL`).
+pub(crate) fn fill_block<T: treadmarks::Shareable>(
+    p: &mut treadmarks::Process,
+    grids: &[&treadmarks::SharedMatrix<T>],
+    mine: std::ops::Range<usize>,
+    elem: impl Fn(usize, usize) -> T,
+) {
+    let rows = grids[0].rows();
+    let mut col = Vec::with_capacity(rows);
+    for j in mine {
+        col.clear();
+        col.extend((0..rows).map(|i| elem(i, j)));
+        for m in grids {
+            p.set_slice(m.array(), col_elems(m, j), &col);
+        }
+    }
+}
+
+/// The float kernels' checksum: the sum over the own column block `mine`
+/// of the final grid.
+pub(crate) fn block_sum(
+    p: &mut treadmarks::Process,
+    m: &treadmarks::SharedMatrix<f64>,
+    mine: std::ops::Range<usize>,
+) -> f64 {
+    let mut col = vec![0.0f64; m.rows()];
+    let mut sum = 0.0;
+    for j in mine {
+        p.get_slice(m.array(), col_elems(m, j), &mut col);
+        sum += col.iter().sum::<f64>();
+    }
+    sum
 }
 
 /// The element range of column `j` of a column-major matrix.

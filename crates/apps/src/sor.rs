@@ -6,18 +6,18 @@
 //! between the half-sweeps. Because a cell's neighbours always have the
 //! opposite colour, in-place update and buffered update compute identical
 //! values, and the columns of one half-sweep may be relaxed in any order —
-//! which keeps the three variants bit-for-bit comparable *and* lets the
+//! which keeps the variants bit-for-bit comparable *and* lets the
 //! split-phase form compute interior columns while the boundary fetch is
 //! still in flight.
 
-use ctrt::{
-    validate, validate_w_sync_complete, validate_w_sync_issue, warm_sections, Access, Push,
-    RegularSection, SyncOp,
-};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use ctrt::{validate, warm_sections, Access, Push, RegularSection};
+use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
-use crate::{col_block, col_elems, seed, split_columns, GridConfig, Variant};
+use crate::{
+    block_sum, col_block, col_elems, fill_block, seed, split_columns, update_block, GridConfig,
+    Variant,
+};
 
 /// Over-relaxation factor.
 const OMEGA: f64 = 1.25;
@@ -105,137 +105,75 @@ fn relax_cols(
 /// needs at least two columns and the grid at least two rows).
 pub fn sor(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    assert!(rows >= 2 && cols >= 2 * nprocs, "each processor needs at least two columns");
+    assert!(rows >= 2 && cols >= 2 * p.nprocs(), "each processor needs at least two columns");
     let m = p.alloc_matrix::<f64>(rows, cols);
-    if variant == Variant::Compiled {
-        return sor_compiled(p, cfg, &m);
-    }
-    let me = p.proc_id();
-    let mine = col_block(cols, nprocs, me);
-    let (lo, hi) = (mine.start, mine.end);
-    let update = lo.max(1)..hi.min(cols - 1);
-    // Columns whose relaxation reads only this processor's own data, and
-    // the (at most two) boundary-adjacent columns that read a neighbour's
-    // column — what the split-phase form computes before/after `complete`.
-    let (interior, left_edge, right_edge) = split_columns(&update, lo > 0, hi < cols);
-
-    // Deterministic initial condition: per element for the baseline, a
-    // WRITE_ALL-validated bulk phase for the optimized forms. For Push the
-    // WRITE_ALL assertion is permanent — the push form performs no release,
-    // so the block stays write-enabled and twin-free for the whole run.
-    let mut colbuf = vec![0.0f64; rows];
+    let mine = col_block(cols, p.nprocs(), p.proc_id());
     match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(m.array(), m.index(i, j), seed(i, j));
-                }
-            }
-        }
-        Variant::Validate | Variant::Push => {
-            validate(p, &[RegularSection::matrix_cols(&m, mine.clone(), Access::WriteAll)]);
-            for j in mine.clone() {
-                for (i, slot) in colbuf.iter_mut().enumerate() {
-                    *slot = seed(i, j);
-                }
-                p.set_slice(m.array(), col_elems(&m, j), &colbuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
+        Variant::TreadMarks => baseline(p, &m, iters, &mine),
+        Variant::Push => hand_push(p, &m, iters, &mine),
+        Variant::Validate => planned(p, &m, iters, &mine, Level::Validate),
+        Variant::Compiled => planned(p, &m, iters, &mine, Level::Full),
     }
-    match variant {
-        Variant::TreadMarks => p.barrier(),
-        // The Validate form needs no separate barrier here: the first
-        // half-sweep's `validate_w_sync_issue` *is* the phase boundary.
-        Variant::Validate => {}
-        Variant::Push => exchange_boundaries(p, &m, lo, hi),
-        Variant::Compiled => unreachable!("the compiled form returned above"),
-    }
+    block_sum(p, &m, mine)
+}
 
-    // The sections of one half-sweep: the columns flanking the update block
-    // are read (a neighbour's boundary column, or a fixed global boundary
-    // column — covering the latter keeps the fast path warm), and the
-    // update block is read and then fully overwritten (`set_slice` rewrites
-    // every byte of every update column) — the paper's READ&WRITE_ALL:
-    // fetched, but twin-free.
-    let half_sweep_sections = |m: &SharedMatrix<f64>| {
-        let mut sections = Vec::new();
-        if !update.is_empty() {
-            sections.push(RegularSection::matrix_cols(
-                m,
-                update.start - 1..update.start,
-                Access::Read,
-            ));
-            sections.push(RegularSection::matrix_cols(m, update.end..update.end + 1, Access::Read));
-            sections.push(RegularSection::matrix_cols(m, update.clone(), Access::ReadWriteAll));
+/// The baseline: a barrier per half-sweep, every element access a checked
+/// access.
+fn baseline(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::ops::Range<usize>) {
+    let rows = m.rows();
+    for j in mine.clone() {
+        for i in 0..rows {
+            p.set(m.array(), m.index(i, j), seed(i, j));
         }
-        sections
-    };
-
-    let mut bufs = ColBufs::new(rows);
+    }
+    p.barrier();
     for _ in 0..iters {
         for colour in 0..2usize {
-            match variant {
-                Variant::TreadMarks => {
-                    p.barrier();
-                    for j in update.clone() {
-                        for i in 1..rows - 1 {
-                            if (i + j) % 2 != colour {
-                                continue;
-                            }
-                            let old = p.get(m.array(), m.index(i, j));
-                            let avg = 0.25
-                                * (p.get(m.array(), m.index(i - 1, j))
-                                    + p.get(m.array(), m.index(i + 1, j))
-                                    + p.get(m.array(), m.index(i, j - 1))
-                                    + p.get(m.array(), m.index(i, j + 1)));
-                            p.set(m.array(), m.index(i, j), old + OMEGA * (avg - old));
-                        }
+            p.barrier();
+            for j in update_block(mine, m.cols()) {
+                for i in 1..rows - 1 {
+                    if (i + j) % 2 != colour {
+                        continue;
                     }
+                    let old = p.get(m.array(), m.index(i, j));
+                    let avg = 0.25
+                        * (p.get(m.array(), m.index(i - 1, j))
+                            + p.get(m.array(), m.index(i + 1, j))
+                            + p.get(m.array(), m.index(i, j - 1))
+                            + p.get(m.array(), m.index(i, j + 1)));
+                    p.set(m.array(), m.index(i, j), old + OMEGA * (avg - old));
                 }
-                Variant::Validate => {
-                    // Split-phase: issue the merged fetch at the phase
-                    // boundary, relax the interior columns while the
-                    // neighbours' boundary columns are in flight, complete,
-                    // then relax the boundary-adjacent columns.
-                    let pending =
-                        validate_w_sync_issue(p, SyncOp::Barrier, &half_sweep_sections(&m));
-                    relax_cols(p, &m, interior.clone(), colour, &mut bufs);
-                    validate_w_sync_complete(p, pending);
-                    relax_cols(p, &m, left_edge.clone(), colour, &mut bufs);
-                    relax_cols(p, &m, right_edge.clone(), colour, &mut bufs);
-                }
-                Variant::Push => {
-                    let read = lo.saturating_sub(1)..(hi + 1).min(cols);
-                    let mut sections = vec![RegularSection::matrix_cols(&m, read, Access::Read)];
-                    if !update.is_empty() {
-                        sections.push(RegularSection::matrix_cols(
-                            &m,
-                            update.clone(),
-                            Access::Write,
-                        ));
-                    }
-                    warm_sections(p, &sections);
-                    relax_cols(p, &m, update.clone(), colour, &mut bufs);
-                    exchange_boundaries(p, &m, lo, hi);
-                }
-                Variant::Compiled => unreachable!("the compiled form returned above"),
             }
         }
     }
+}
 
+/// The hand-analysed push form. The `WRITE_ALL` assertion of the
+/// initialisation is permanent — the form performs no release, so the block
+/// stays write-enabled and twin-free for the whole run; boundary columns
+/// move point-to-point after every half-sweep.
+fn hand_push(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::ops::Range<usize>) {
+    let (lo, hi) = (mine.start, mine.end);
+    let update = update_block(mine, m.cols());
+    let read = lo.saturating_sub(1)..(hi + 1).min(m.cols());
+    validate(p, &[RegularSection::matrix_cols(m, mine.clone(), Access::WriteAll)]);
+    fill_block(p, &[m], mine.clone(), seed);
+    exchange_boundaries(p, m, lo, hi);
+    let mut bufs = ColBufs::new(m.rows());
+    let sections = [
+        RegularSection::matrix_cols(m, read, Access::Read),
+        RegularSection::matrix_cols(m, update.clone(), Access::Write),
+    ];
+    for _ in 0..iters {
+        for colour in 0..2usize {
+            warm_sections(p, &sections);
+            relax_cols(p, m, update.clone(), colour, &mut bufs);
+            exchange_boundaries(p, m, lo, hi);
+        }
+    }
     // The push exchanges staled every mapping (each install bumps the
     // epoch); re-warm the block once instead of slow-filling per page.
-    if variant == Variant::Push {
-        warm_sections(p, &[RegularSection::matrix_cols(&m, mine.clone(), Access::Read)]);
-    }
-    let mut sum = 0.0;
-    for j in mine {
-        p.get_slice(m.array(), col_elems(&m, j), &mut colbuf);
-        sum += colbuf.iter().sum::<f64>();
-    }
-    sum
+    warm_sections(p, &[RegularSection::matrix_cols(m, mine.clone(), Access::Read)]);
 }
 
 /// The red-black SOR kernel as a loop-nest IR: an initialisation phase
@@ -271,54 +209,42 @@ pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
     }
 }
 
-/// Runs SOR from the plan `rsdcomp::compile` generates for [`sor_program`]:
-/// the application supplies only the numeric bodies (seeding and
+/// Runs SOR from the plan `rsdcomp` generates for [`sor_program`] at
+/// `level`: the application supplies only the numeric bodies (seeding and
 /// [`relax_cols`]); every synchronization, fetch, push, write-preparation
-/// and warm decision is the compiler's.
-fn sor_compiled(p: &mut Process, cfg: &GridConfig, m: &SharedMatrix<f64>) -> f64 {
-    let GridConfig { rows, cols, iters } = *cfg;
-    let nprocs = p.nprocs();
-    let me = p.proc_id();
-    let compiled = rsdcomp::exec::kernel_for(p, || sor_program(m, iters));
-    let plan = compiled.kernel.plan_for(me);
+/// and warm decision is the compiler's. A pending split-phase entry
+/// overlaps the interior columns, whose relaxation reads only this
+/// processor's own data.
+fn planned(
+    p: &mut Process,
+    m: &SharedMatrix<f64>,
+    iters: usize,
+    mine: &std::ops::Range<usize>,
+    level: Level,
+) {
+    let compiled = exec::kernel_for(p, level, || sor_program(m, iters));
+    let plan = compiled.kernel.plan_for(p.proc_id());
     let phases = compiled.program.phases();
-
-    let mine = col_block(cols, nprocs, me);
-    let update = mine.start.max(1)..mine.end.min(cols - 1);
-    let (interior, left_edge, right_edge) = split_columns(&update, mine.start > 0, mine.end < cols);
-    let mut bufs = ColBufs::new(rows);
-    let mut colbuf = vec![0.0f64; rows];
-
+    let update = update_block(mine, m.cols());
+    let (interior, left_edge, right_edge) =
+        split_columns(&update, mine.start > 0, mine.end < m.cols());
+    let mut bufs = ColBufs::new(m.rows());
     for step in &plan.steps {
-        // Issue the generated entry op; a pending split-phase sync
-        // overlaps the interior columns, exactly like the hand-written
-        // Validate form.
-        let issued = rsdcomp::exec::issue(p, &step.entry);
+        let issued = exec::issue(p, &step.entry);
         match phases[step.phase].name {
             "init" => {
-                rsdcomp::exec::complete(p, issued);
-                for j in mine.clone() {
-                    for (i, slot) in colbuf.iter_mut().enumerate() {
-                        *slot = seed(i, j);
-                    }
-                    p.set_slice(m.array(), col_elems(m, j), &colbuf);
-                }
+                exec::complete(p, issued);
+                fill_block(p, &[m], mine.clone(), seed);
             }
             name @ ("red" | "black") => {
                 let colour = usize::from(name == "black");
                 relax_cols(p, m, interior.clone(), colour, &mut bufs);
-                rsdcomp::exec::complete(p, issued);
+                exec::complete(p, issued);
                 relax_cols(p, m, left_edge.clone(), colour, &mut bufs);
                 relax_cols(p, m, right_edge.clone(), colour, &mut bufs);
             }
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
-    let mut sum = 0.0;
-    for j in mine {
-        p.get_slice(m.array(), col_elems(m, j), &mut colbuf);
-        sum += colbuf.iter().sum::<f64>();
-    }
-    sum
+    exec::run_boundary(p, &plan.exit);
 }

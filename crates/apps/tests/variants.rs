@@ -198,6 +198,57 @@ fn compiled_gauss_eliminates_the_per_step_pivot_barrier() {
     );
 }
 
+/// The four kernels' real IRs on the wide grid, as `(name, program,
+/// barriers per processor at the validate level)`. A program depends on the
+/// array layout only, so one processor's allocations stand for any cluster.
+fn real_programs() -> Vec<(&'static str, rsdcomp::Program, usize)> {
+    let GridConfig { rows, cols, iters } = WIDE_CFG;
+    let run = Dsm::run(DsmConfig::new(1), move |p| {
+        let (a, b) = (p.alloc_matrix::<f64>(rows, cols), p.alloc_matrix::<f64>(rows, cols));
+        let (k, h) = (p.alloc_matrix::<u64>(rows, cols), p.alloc_matrix::<u64>(rows, cols));
+        vec![
+            // One barrier per sweep, two per red-black iteration.
+            ("jacobi", dsm_apps::jacobi_program(&a, &b, iters), iters),
+            ("sor", dsm_apps::sor_program(&a, iters), 2 * iters),
+            // One per elimination step (pivot -> update); init -> pivot and
+            // update -> pivot stay local.
+            ("gauss", dsm_apps::gauss_program(&a, &b, iters), iters),
+            // One per iteration (merge -> rank); the merge entries are locks.
+            ("is", dsm_apps::is_program(&k, &h, iters), iters),
+        ]
+    });
+    run.results.into_iter().next().expect("one processor ran")
+}
+
+#[test]
+fn the_validate_level_keeps_one_barrier_per_communicating_boundary() {
+    use rsdcomp::{compile, compile_at, BoundaryOp, Level};
+    for (name, program, barriers) in real_programs() {
+        for nprocs in [2, 8, 64] {
+            let kernel = compile_at(&program, nprocs, Level::Validate);
+            let phases = program.phases();
+            for me in 0..nprocs {
+                let plan = kernel.plan_for(me);
+                assert_eq!(plan.barriers(), barriers, "{name}@{nprocs}, processor {me}");
+                assert_eq!(plan.barriers_eliminated() + plan.messages_sent(), 0);
+                for step in &plan.steps {
+                    if phases[step.phase].name == "pivot" {
+                        assert!(matches!(step.entry, BoundaryOp::Local { .. }), "{name}@{nprocs}");
+                    }
+                }
+            }
+            // The finding this pins: integer sort has nothing for the full
+            // level to improve, so both levels run the same steps.
+            if name == "is" {
+                let full = compile(&program, nprocs);
+                for me in 0..nprocs {
+                    assert_eq!(kernel.plan_for(me).steps, full.plan_for(me).steps, "is@{nprocs}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn compiled_is_matches_the_hand_lock_variant_message_for_message() {
     // The acceptance criterion for the merged lock-grant+data path: the

@@ -34,9 +34,9 @@
 //! JSON: they are host-scheduling dependent.
 //!
 //! `cargo run -p dsm-bench -- --race <app>` runs every kernel/variant of
-//! the matrix twice — race detector off and collecting — and writes the
-//! overhead records to `BENCH_PR6.json`. Those records are informational
-//! (never gated); what *is* enforced, by
+//! the matrix twice — race detector off and collecting — and prints the
+//! overhead table. Those records are informational (never gated, never
+//! written to a file); what *is* enforced, by
 //! `detector_off_is_free_and_collect_takes_no_new_table_locks`, is that
 //! `RaceDetect::Off` costs exactly nothing on the gated records and that
 //! `Collect` adds no page-table-lock acquisitions on the warm TLB path.
@@ -379,18 +379,12 @@ pub struct RaceBenchRecord {
     pub variant: &'static str,
     /// Number of simulated processors.
     pub nprocs: usize,
-    /// Grid rows.
-    pub rows: usize,
-    /// Grid columns.
-    pub cols: usize,
-    /// Iterations.
-    pub iters: usize,
     /// Model execution time with the detector off, in nanoseconds.
     pub time_ns_off: u64,
     /// Model execution time with the detector collecting, in nanoseconds.
     pub time_ns_on: u64,
-    /// Detector overhead in hundredths of a percent (the JSON stays
-    /// float-free): `(on - off) / off * 10_000`.
+    /// Detector overhead in hundredths of a percent:
+    /// `(on - off) / off * 10_000`.
     pub overhead_centipct: u64,
     /// Payload bytes sent with the detector off.
     pub bytes_off: u64,
@@ -422,9 +416,6 @@ pub fn run_race_case(
         app,
         variant: variant.name(),
         nprocs,
-        rows: cfg.rows,
-        cols: cfg.cols,
-        iters: cfg.iters,
         time_ns_off: off.time_ns,
         time_ns_on: on.time_ns,
         overhead_centipct,
@@ -451,40 +442,6 @@ pub fn race_suite(app: &str) -> Vec<RaceBenchRecord> {
     records
 }
 
-/// Renders detector-overhead records as deterministic JSON (fixed field
-/// order, one record per line, no floats) under the `dsm-bench/pr6-race`
-/// schema. These records are informational: the regression gate never
-/// reads this file.
-pub fn render_race_json(records: &[RaceBenchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"dsm-bench/pr6-race\",\n");
-    out.push_str("  \"gated\": false,\n");
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"app\":\"{}\",\"variant\":\"{}\",\"nprocs\":{},\"rows\":{},\"cols\":{},\
-             \"iters\":{},\"time_ns_off\":{},\"time_ns_on\":{},\"overhead_centipct\":{},\
-             \"bytes_off\":{},\"bytes_on\":{},\"races\":{}}}{comma}\n",
-            r.app,
-            r.variant,
-            r.nprocs,
-            r.rows,
-            r.cols,
-            r.iters,
-            r.time_ns_off,
-            r.time_ns_on,
-            r.overhead_centipct,
-            r.bytes_off,
-            r.bytes_on,
-            r.races,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// The seeded fault schedules the chaos suite runs every case under (three
 /// distinct seeds, drops/duplicates/delays/reorders all enabled — see
 /// [`NetFaults::chaos`]).
@@ -496,10 +453,9 @@ pub const CHAOS_SEEDS: [u64; 3] = [11, 23, 47];
 /// enforced, by the chaos tests, is `checksums_match` and zero races).
 ///
 /// Only sender-side fault counters appear here: they are a pure function of
-/// the schedule and the deterministic virtual-time send sequence, so two
-/// runs of the suite render byte-identically. The receiver-side
-/// `net_dup_drops` counter trails real-time delivery order and is
-/// deliberately excluded.
+/// the schedule and the deterministic virtual-time send sequence. The
+/// receiver-side `net_dup_drops` counter trails real-time delivery order
+/// and is deliberately excluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosBenchRecord {
     /// Kernel name (`"jacobi"`, `"sor"`).
@@ -508,12 +464,6 @@ pub struct ChaosBenchRecord {
     pub variant: &'static str,
     /// Number of simulated processors.
     pub nprocs: usize,
-    /// Grid rows.
-    pub rows: usize,
-    /// Grid columns.
-    pub cols: usize,
-    /// Iterations.
-    pub iters: usize,
     /// Seed of the fault schedule this record ran under.
     pub seed: u64,
     /// Model execution time of the fault-free run, in nanoseconds.
@@ -528,9 +478,6 @@ pub struct ChaosBenchRecord {
     pub reorders: u64,
     /// Messages that suffered injected link delay.
     pub delays: u64,
-    /// Total virtual nanoseconds of injected latency (retransmission
-    /// timeouts plus link delay).
-    pub added_delay_ns: u64,
     /// Whether every per-processor checksum was bit-identical to the
     /// fault-free run (the reliable-delivery layer's whole claim).
     pub checksums_match: bool,
@@ -566,9 +513,6 @@ pub fn run_chaos_cases(
                 app,
                 variant: variant.name(),
                 nprocs,
-                rows: cfg.rows,
-                cols: cfg.cols,
-                iters: cfg.iters,
                 seed,
                 time_ns_clean: clean.time_ns,
                 time_ns_chaos: chaos.time_ns,
@@ -576,7 +520,6 @@ pub fn run_chaos_cases(
                 dups: t.net_dups,
                 reorders: t.net_reorders,
                 delays: t.net_delays,
-                added_delay_ns: t.net_added_delay_ns,
                 checksums_match: chaos.result_bits == clean.result_bits,
                 races: chaos.races,
             }
@@ -606,45 +549,6 @@ pub fn chaos_suite(app: &str) -> Vec<ChaosBenchRecord> {
         }
     }
     records
-}
-
-/// Renders chaos records as deterministic JSON (fixed field order, one
-/// record per line, no floats) under the `dsm-bench/pr7-chaos` schema.
-/// These records are informational: the regression gate never reads this
-/// file.
-pub fn render_chaos_json(records: &[ChaosBenchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"dsm-bench/pr7-chaos\",\n");
-    out.push_str("  \"gated\": false,\n");
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"app\":\"{}\",\"variant\":\"{}\",\"nprocs\":{},\"rows\":{},\"cols\":{},\
-             \"iters\":{},\"seed\":{},\"time_ns_clean\":{},\"time_ns_chaos\":{},\
-             \"retransmits\":{},\"dups\":{},\"reorders\":{},\"delays\":{},\
-             \"added_delay_ns\":{},\"checksums_match\":{},\"races\":{}}}{comma}\n",
-            r.app,
-            r.variant,
-            r.nprocs,
-            r.rows,
-            r.cols,
-            r.iters,
-            r.seed,
-            r.time_ns_clean,
-            r.time_ns_chaos,
-            r.retransmits,
-            r.dups,
-            r.reorders,
-            r.delays,
-            r.added_delay_ns,
-            r.checksums_match,
-            r.races,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// The chaos suite's pass/fail summary: `Err` (with one line per offending
@@ -1087,19 +991,6 @@ mod tests {
     }
 
     #[test]
-    fn race_records_render_deterministically() {
-        let cfg = GridConfig { rows: 64, cols: 8, iters: 2 };
-        let a = vec![run_race_case("jacobi", cfg, 4, Variant::Push)];
-        let b = vec![run_race_case("jacobi", cfg, 4, Variant::Push)];
-        assert_eq!(
-            render_race_json(&a),
-            render_race_json(&b),
-            "two identical runs must render identically"
-        );
-        assert!(render_race_json(&a).contains("\"gated\": false"), "race records are never gated");
-    }
-
-    #[test]
     fn tree_barrier_beats_flat_at_eight_processors() {
         // The tentpole's measured claim: at the paper's 8 processors the
         // tree-structured barrier (arity 2) must beat the stock
@@ -1114,26 +1005,6 @@ mod tests {
             "tree barrier must beat the flat master at 8 procs: {} vs {} ns",
             tree.time_ns,
             flat.time_ns
-        );
-    }
-
-    #[test]
-    fn chaos_records_render_deterministically() {
-        // The deterministic-rerun guarantee extended to the chaos output:
-        // the record holds only sender-side fault counters (pure functions
-        // of the seeded schedule), so two identical suite invocations must
-        // render byte-identically.
-        let cfg = GridConfig { rows: 64, cols: 8, iters: 2 };
-        let a = run_chaos_cases("jacobi", cfg, 4, Variant::Push, &CHAOS_SEEDS);
-        let b = run_chaos_cases("jacobi", cfg, 4, Variant::Push, &CHAOS_SEEDS);
-        assert_eq!(
-            render_chaos_json(&a),
-            render_chaos_json(&b),
-            "two identical runs must render identically"
-        );
-        assert!(
-            render_chaos_json(&a).contains("\"gated\": false"),
-            "chaos records are never gated"
         );
     }
 

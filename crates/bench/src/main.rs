@@ -13,16 +13,14 @@
 //!   more than once.
 //! * `cargo run -p dsm-bench -- --race <app>` — run `<app>` (`jacobi`,
 //!   `sor`, `is`, `gauss` or `all`) in every variant across the cluster
-//!   matrix twice, with the race detector off and collecting, print the
-//!   overhead table and write `BENCH_PR6.json` (path configurable with
-//!   `--out`). These records are informational and never gated.
+//!   matrix twice, with the race detector off and collecting, and print
+//!   the overhead table. These records are informational and never gated.
 //! * `cargo run -p dsm-bench -- --chaos <app>` — run `<app>` (`jacobi`,
 //!   `sor`, `is`, `gauss` or `all`) in every variant at 2/4/8 processors
 //!   under three seeded fault schedules, assert every checksum bit-identical to the
-//!   fault-free run (non-zero exit otherwise), print the fault-injection
-//!   table and write `BENCH_PR7.json` (path configurable with `--out`).
-//!   The records themselves are informational and never gated; only
-//!   checksum transparency and race freedom are enforced.
+//!   fault-free run (non-zero exit otherwise) and print the
+//!   fault-injection table. The records themselves are informational and
+//!   never gated; only checksum transparency and race freedom are enforced.
 //! * `cargo run -p dsm-bench -- --scale` — run the wide-cluster matrix
 //!   (Validate and Compiled at 32/64/128 processors on 256-column grids),
 //!   print the table plus a reactor-pool summary, and write
@@ -37,8 +35,7 @@
 
 use dsm_bench::{
     chaos_suite, check_byte_equal, check_chaos, explain_app, probe_reactor_pool, race_suite,
-    render_chaos_json, render_json, render_race_json, render_scale_json, scale_suite, suite,
-    BenchRecord, SCALE_NPROCS,
+    render_json, render_scale_json, scale_suite, suite, BenchRecord, SCALE_NPROCS,
 };
 
 /// `--check`: holds `records` to the baseline file byte for byte, printing
@@ -135,9 +132,6 @@ fn main() {
                 r.races
             );
         }
-        let out = out.unwrap_or_else(|| String::from("BENCH_PR7.json"));
-        std::fs::write(&out, render_chaos_json(&records)).expect("write chaos benchmark output");
-        eprintln!("wrote {out} (informational, not gated)");
         if let Err(err) = check_chaos(&records) {
             eprintln!("chaos transparency FAILED:\n{err}");
             std::process::exit(1);
@@ -172,9 +166,6 @@ fn main() {
                 r.races
             );
         }
-        let out = out.unwrap_or_else(|| String::from("BENCH_PR6.json"));
-        std::fs::write(&out, render_race_json(&records)).expect("write race benchmark output");
-        eprintln!("wrote {out} (informational, not gated)");
         return;
     }
 

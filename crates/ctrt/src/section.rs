@@ -106,22 +106,6 @@ impl RegularSection {
         RegularSection::from_ranges(vec![matrix.col_range(cols.start, cols.end)], access)
     }
 
-    /// The section `matrix[row_lo..row_hi, col_lo..col_hi]`: a strided
-    /// block, lowered to one range per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is out of bounds.
-    pub fn matrix_block<T: Shareable>(
-        matrix: &SharedMatrix<T>,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-        access: Access,
-    ) -> RegularSection {
-        let ranges = cols.map(|col| matrix.col_slice_range(col, rows.start, rows.end)).collect();
-        RegularSection::from_ranges(ranges, access)
-    }
-
     /// The lowered address ranges (coalesced, in address order).
     pub fn ranges(&self) -> &[AddrRange] {
         &self.ranges
@@ -166,18 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_blocks_lower_to_one_range_per_column() {
-        let rows = PAGE_SIZE / 8;
-        let a = SharedArray::<f64>::new(Addr::new(0), rows * 4);
-        let m = SharedMatrix::new(a, rows, 4);
-        let s = RegularSection::matrix_block(&m, 0..10, 1..3, Access::Read);
-        assert_eq!(s.ranges().len(), 2);
-        assert_eq!(s.ranges()[0].start(), Addr::new(PAGE_SIZE));
-        assert_eq!(s.ranges()[1].start(), Addr::new(2 * PAGE_SIZE));
-        assert_eq!(s.bytes(), 160);
-    }
-
-    #[test]
     fn whole_columns_coalesce_into_one_contiguous_range() {
         let rows = PAGE_SIZE / 8;
         let a = SharedArray::<f64>::new(Addr::new(0), rows * 4);
@@ -185,9 +157,6 @@ mod tests {
         let s = RegularSection::matrix_cols(&m, 0..4, Access::Read);
         assert_eq!(s.ranges().len(), 1);
         assert_eq!(s.bytes(), 4 * PAGE_SIZE);
-        // The block form of the same region coalesces identically.
-        let b = RegularSection::matrix_block(&m, 0..rows, 0..4, Access::Read);
-        assert_eq!(b.ranges(), s.ranges());
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl Addr {
     pub const fn page_align_up(self) -> Addr {
         Addr(self.0.div_ceil(PAGE_SIZE) * PAGE_SIZE)
     }
-
-    /// Whether the address lies on a page boundary.
-    pub const fn is_page_aligned(self) -> bool {
-        self.0.is_multiple_of(PAGE_SIZE)
-    }
 }
 
 impl Add<usize> for Addr {
@@ -135,25 +130,6 @@ impl AddrRange {
         (first..=last).map(PageId)
     }
 
-    /// Number of pages the range touches.
-    pub fn page_count(&self) -> usize {
-        self.pages().count()
-    }
-
-    /// Splits the range into per-page sub-ranges (each confined to one page).
-    pub fn split_by_page(&self) -> Vec<AddrRange> {
-        let mut out = Vec::new();
-        let mut cursor = self.start;
-        let end = self.end();
-        while cursor < end {
-            let page_end = cursor.page().end();
-            let chunk_end = page_end.min(end);
-            out.push(AddrRange::new(cursor, chunk_end.as_usize() - cursor.as_usize()));
-            cursor = chunk_end;
-        }
-        out
-    }
-
     /// Coalesces a set of ranges: sorts them and merges adjacent or
     /// overlapping ranges into maximal contiguous ranges.
     pub fn coalesce(mut ranges: Vec<AddrRange>) -> Vec<AddrRange> {
@@ -188,9 +164,7 @@ mod tests {
         let a = Addr::new(PAGE_SIZE + 10);
         assert_eq!(a.page(), PageId(1));
         assert_eq!(a.page_offset(), 10);
-        assert!(!a.is_page_aligned());
         assert_eq!(a.page_align_up(), Addr::new(2 * PAGE_SIZE));
-        assert!(Addr::new(2 * PAGE_SIZE).is_page_aligned());
         assert_eq!(Addr::new(2 * PAGE_SIZE).page_align_up(), Addr::new(2 * PAGE_SIZE));
     }
 
@@ -223,28 +197,12 @@ mod tests {
         let r = AddrRange::new(Addr::new(PAGE_SIZE - 1), 2);
         let pages: Vec<_> = r.pages().collect();
         assert_eq!(pages, vec![PageId(0), PageId(1)]);
-        assert_eq!(r.page_count(), 2);
 
         let empty = AddrRange::new(Addr::new(10), 0);
-        assert_eq!(empty.page_count(), 0);
+        assert_eq!(empty.pages().count(), 0);
 
         let exact = AddrRange::new(Addr::new(PAGE_SIZE), PAGE_SIZE);
         assert_eq!(exact.pages().collect::<Vec<_>>(), vec![PageId(1)]);
-    }
-
-    #[test]
-    fn split_by_page_confines_chunks() {
-        let r = AddrRange::new(Addr::new(PAGE_SIZE - 10), PAGE_SIZE + 20);
-        let chunks = r.split_by_page();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 10);
-        assert_eq!(chunks[1].len(), PAGE_SIZE);
-        assert_eq!(chunks[2].len(), 10);
-        let total: usize = chunks.iter().map(AddrRange::len).sum();
-        assert_eq!(total, r.len());
-        for c in &chunks {
-            assert_eq!(c.pages().count(), 1);
-        }
     }
 
     #[test]

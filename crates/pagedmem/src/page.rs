@@ -59,16 +59,6 @@ impl Page {
         Page { bytes: vec![0u8; PAGE_SIZE].into_boxed_slice() }
     }
 
-    /// A page initialised from `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not exactly [`PAGE_SIZE`] long.
-    pub fn from_bytes(bytes: &[u8]) -> Page {
-        assert_eq!(bytes.len(), PAGE_SIZE, "a page must be exactly PAGE_SIZE bytes");
-        Page { bytes: bytes.to_vec().into_boxed_slice() }
-    }
-
     /// Read-only view of the page contents.
     pub fn as_slice(&self) -> &[u8] {
         &self.bytes
@@ -160,20 +150,6 @@ mod tests {
         let p = Page::zeroed();
         assert!(p.as_slice().iter().all(|&b| b == 0));
         assert_eq!(p.as_slice().len(), PAGE_SIZE);
-    }
-
-    #[test]
-    fn page_from_bytes_round_trips() {
-        let mut bytes = vec![0u8; PAGE_SIZE];
-        bytes[17] = 42;
-        let p = Page::from_bytes(&bytes);
-        assert_eq!(p.as_slice()[17], 42);
-    }
-
-    #[test]
-    #[should_panic]
-    fn page_from_short_buffer_panics() {
-        let _ = Page::from_bytes(&[0u8; 16]);
     }
 
     #[test]

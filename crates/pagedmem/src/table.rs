@@ -608,11 +608,6 @@ impl PageTable {
         self.read_bytes(range.start(), &mut buf);
         buf
     }
-
-    /// Iterator over all mapped page ids in address order.
-    pub fn mapped_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.frames.keys().copied()
-    }
 }
 
 #[cfg(test)]

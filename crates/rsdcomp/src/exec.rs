@@ -2,13 +2,12 @@
 //!
 //! The application iterates its [`ProcPlan`](crate::ProcPlan)'s steps,
 //! issues each entry op, runs the phase's numeric body and completes the
-//! entry — the same split-phase shape the hand-written `Validate` variants
-//! use, so computation on already-local data overlaps the exchange. The
+//! entry, so computation on already-local data overlaps the exchange. The
 //! executor is the *only* place compiled kernels touch the runtime: the
 //! application contributes arithmetic, the plan contributes protocol.
 //!
 //! It also owns *who compiles*: [`kernel_for`] builds the IR and runs
-//! [`compile`] once per run, however many processors execute the result —
+//! [`compile_at`] once per run, however many processors execute the result —
 //! the paper's compiler runs offline and every node runs the SPMD code it
 //! emitted.
 
@@ -18,7 +17,7 @@ use ctrt::PendingValidate;
 use treadmarks::Process;
 
 use crate::ir::Program;
-use crate::plan::{compile, BoundaryOp, CompiledKernel, PlanStep};
+use crate::plan::{compile_at, BoundaryOp, CompiledKernel, Level, PlanStep};
 
 /// A program and the kernel compiled from it for one run's cluster size,
 /// shared by every processor of that run.
@@ -31,26 +30,27 @@ pub struct Compiled {
     pub kernel: CompiledKernel,
 }
 
-/// Builds the run's program and compiles it **once per run**: the first
-/// processor to arrive runs `build` and [`compile`], all others receive the
-/// same [`Compiled`] (through [`Process::spmd_once`], so compilation costs
-/// no virtual time and sends nothing).
+/// Builds the run's program and compiles it at `level` **once per run**:
+/// the first processor to arrive runs `build` and [`compile_at`], all others
+/// receive the same [`Compiled`] (through [`Process::spmd_once`], so
+/// compilation costs no virtual time and sends nothing).
 ///
-/// Sharing is sound because [`compile`] is a pure function of the program
-/// and the cluster size — its output is `PartialEq`-comparable and equal
-/// wherever it is computed — so `build` must itself depend only on
-/// SPMD-uniform inputs (array layout, iteration counts), never on the
-/// calling processor's id. Like shared allocations, calls must occur in the
-/// same order on every processor.
+/// Sharing is sound because [`compile_at`] is a pure function of the
+/// program, the cluster size and the level — its output is
+/// `PartialEq`-comparable and equal wherever it is computed — so `build` and
+/// `level` must themselves depend only on SPMD-uniform inputs (array layout,
+/// iteration counts, the variant being run), never on the calling
+/// processor's id. Like shared allocations, calls must occur in the same
+/// order on every processor.
 ///
 /// # Panics
 ///
-/// Panics as [`compile`] does, on every processor alike.
-pub fn kernel_for(p: &mut Process, build: impl FnOnce() -> Program) -> Arc<Compiled> {
+/// Panics as [`compile_at`] does, on every processor alike.
+pub fn kernel_for(p: &mut Process, level: Level, build: impl FnOnce() -> Program) -> Arc<Compiled> {
     let nprocs = p.nprocs();
     p.spmd_once(|| {
         let program = build();
-        let kernel = compile(&program, nprocs);
+        let kernel = compile_at(&program, nprocs, level);
         Compiled { program, kernel }
     })
 }
@@ -75,6 +75,9 @@ pub enum Issued {
 /// finishes immediately.
 pub fn issue(p: &mut Process, op: &BoundaryOp) -> Issued {
     match op {
+        // An aggregate call over no sections (a non-owner's pivot step, a
+        // `Level::Validate` exit) has nothing to do and does nothing.
+        BoundaryOp::Local { sections, .. } if sections.is_empty() => Issued::Done,
         BoundaryOp::Local { prepare, sections } => {
             if *prepare {
                 ctrt::validate(p, sections);

@@ -47,6 +47,11 @@
 //! boundaries, so the horizon keeps advancing and diff caches stay bounded
 //! (`DESIGN.md` §6 has the soundness argument for both the elimination and
 //! the policy).
+//!
+//! The ladder is what [`Level::Full`] may use. [`compile_at`] with
+//! [`Level::Validate`] stops at the paper's first level — aggregation and
+//! merged data+sync at barriers that all stay: classes 2 and 3 become class
+//! 5, the rest are unchanged.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -69,5 +74,7 @@ pub use ir::{
     col_block, ArrayDecl, ArrayId, ColSpan, Node, Phase, PhaseId, Program, SectionAccess,
 };
 pub use pagedmem::AddrRange;
-pub use plan::{compile, BoundaryOp, BoundarySummary, CompiledKernel, PlanStep, ProcPlan};
+pub use plan::{
+    compile, compile_at, BoundaryOp, BoundarySummary, CompiledKernel, Level, PlanStep, ProcPlan,
+};
 pub use treadmarks::LockId;

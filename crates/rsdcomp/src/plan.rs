@@ -124,7 +124,8 @@ pub struct ProcPlan {
     /// The steps, in execution order (one per phase occurrence).
     pub steps: Vec<PlanStep>,
     /// Executed after the last phase: re-warms the processor's own blocks
-    /// for the result read-back (pushes stale every cached mapping).
+    /// for the result read-back (pushes stale every cached mapping). No
+    /// sections, hence nothing to do, at [`Level::Validate`].
     pub exit: BoundaryOp,
 }
 
@@ -192,14 +193,37 @@ impl CompiledKernel {
     }
 }
 
-/// Compiles `program` for an `nprocs`-processor run.
+/// How much of the analysis a plan may use — the paper's optimisation
+/// levels, as levels of one planner rather than separately written kernels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Level {
+    /// Aggregation and merged data+sync only: every communicating boundary
+    /// keeps its barrier, as a split-phase `Validate_w_sync`. `Push` and
+    /// `EliminatedBarrier` classifications become `FullBarrier`; local and
+    /// lock boundaries are what they are at [`Level::Full`].
+    Validate,
+    /// Everything the analysis proves: pushes and barrier replacement on top.
+    Full,
+}
+
+/// Compiles `program` for an `nprocs`-processor run at [`Level::Full`].
+///
+/// # Panics
+///
+/// Panics as [`compile_at`] does.
+pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
+    compile_at(program, nprocs, Level::Full)
+}
+
+/// Compiles `program` for an `nprocs`-processor run, using no more of the
+/// analysis than `level` allows.
 ///
 /// # Panics
 ///
 /// Panics if the program has no phases, an array has fewer than `2 *
 /// nprocs` columns (the block distribution needs at least two columns per
 /// processor), or a referenced array id is out of range.
-pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
+pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKernel {
     assert!(nprocs > 0, "a kernel is compiled for at least one processor");
     for decl in &program.arrays {
         assert!(
@@ -258,7 +282,15 @@ pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
             // refuses, the barrier's clear_all below subsumes this.
             pending.clear_lock(lock);
         }
-        let analysis = classify_against_pending(program, nprocs, &pending, phases[next], next_iter);
+        let mut analysis =
+            classify_against_pending(program, nprocs, &pending, phases[next], next_iter);
+        // The level applies here, inside the walk, so that pending writes
+        // clear exactly as the barrier that will run clears them.
+        if level == Level::Validate
+            && matches!(analysis.class, BoundaryClass::Push | BoundaryClass::EliminatedBarrier)
+        {
+            analysis.class = BoundaryClass::FullBarrier { refusal: None, gc_forced: false };
+        }
         match &analysis.class {
             BoundaryClass::FullBarrier { .. } => pending.clear_all(),
             BoundaryClass::EliminatedBarrier => {
@@ -497,8 +529,10 @@ pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
                 };
                 steps.push(PlanStep { phase: next, iter, entry, release });
             }
-            let exit_sections = program
-                .arrays
+            // Nothing at `Level::Validate` stales a mapping, so its exit
+            // has nothing to re-warm.
+            let rewarmed = if level == Level::Full { &program.arrays[..] } else { &[] };
+            let exit_sections = rewarmed
                 .iter()
                 .filter_map(|decl| {
                     let own = col_block(decl.cols, nprocs, me);

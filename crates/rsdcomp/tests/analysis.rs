@@ -4,8 +4,8 @@
 
 use pagedmem::Addr;
 use rsdcomp::{
-    analyze_boundary, col_block, compile, Access, ArrayDecl, BoundaryClass, BoundaryOp, ColSpan,
-    Node, Phase, Program, Refusal, SectionAccess,
+    analyze_boundary, col_block, compile, compile_at, Access, ArrayDecl, BoundaryClass, BoundaryOp,
+    ColSpan, Level, Node, Phase, Program, Refusal, SectionAccess,
 };
 
 const ROWS: usize = 512;
@@ -437,6 +437,53 @@ fn sor_shaped_program() -> Program {
     }
 }
 
+/// Jacobi's shape: two grids, an init and three double sweeps — all pushes
+/// at the full level.
+fn jacobi_shaped_program() -> Program {
+    Program {
+        arrays: vec![decl("a", 0), decl("b", ROWS * COLS * 8)],
+        nodes: vec![
+            Node::Phase(init(&[0, 1])),
+            Node::Repeat { times: 3, body: vec![sweep("ab", 0, 1), sweep("ba", 1, 0)] },
+        ],
+    }
+}
+
+#[test]
+fn the_full_level_is_compile_and_the_validate_level_keeps_only_barriers() {
+    for program in [sor_shaped_program(), jacobi_shaped_program()] {
+        for nprocs in [1, 4, 8] {
+            assert_eq!(compile_at(&program, nprocs, Level::Full), compile(&program, nprocs));
+            let kernel = compile_at(&program, nprocs, Level::Validate);
+            assert_eq!(kernel.barriers_eliminated(), 0);
+            // Every boundary of both shapes communicates (at one processor
+            // none does): init -> first sweep and every sweep -> sweep.
+            assert_eq!(kernel.barriers(), if nprocs == 1 { 0 } else { 6 });
+            for me in 0..nprocs {
+                let plan = kernel.plan_for(me);
+                for step in &plan.steps {
+                    assert!(
+                        matches!(
+                            step.entry,
+                            BoundaryOp::Local { .. }
+                                | BoundaryOp::Barrier { .. }
+                                | BoundaryOp::Lock { .. }
+                        ),
+                        "{} at the validate level",
+                        step.entry.name()
+                    );
+                }
+                assert_eq!(
+                    plan.exit,
+                    BoundaryOp::Local { prepare: false, sections: vec![] },
+                    "nothing stales a mapping, so the exit does nothing"
+                );
+                assert_eq!(plan.messages_sent(), 0, "no point-to-point op survives");
+            }
+        }
+    }
+}
+
 #[test]
 fn compile_is_a_pure_function_whichever_thread_runs_it() {
     // The stated precondition for sharing one kernel per run
@@ -461,7 +508,7 @@ fn kernel_for_compiles_once_per_run_and_hands_every_processor_the_same_kernel() 
     let nprocs = 8;
     let builds = AtomicUsize::new(0);
     let run = treadmarks::Dsm::run(treadmarks::DsmConfig::new(nprocs), |p| {
-        let compiled = rsdcomp::exec::kernel_for(p, || {
+        let compiled = rsdcomp::exec::kernel_for(p, Level::Full, || {
             builds.fetch_add(1, Ordering::SeqCst);
             sor_shaped_program()
         });
@@ -484,14 +531,7 @@ fn jacobi_shaped_plans_prepare_once_then_warm() {
     // All-push steady state: after the first preparation no flush boundary
     // ever occurs, so subsequent push entries are warm-only — the plan
     // reproduces the hand-written push variant's cost shape.
-    let program = Program {
-        arrays: vec![decl("a", 0), decl("b", ROWS * COLS * 8)],
-        nodes: vec![
-            Node::Phase(init(&[0, 1])),
-            Node::Repeat { times: 3, body: vec![sweep("ab", 0, 1), sweep("ba", 1, 0)] },
-        ],
-    };
-    let kernel = compile(&program, 4);
+    let kernel = compile(&jacobi_shaped_program(), 4);
     assert_eq!(kernel.barriers(), 0, "a fully pushable loop keeps no barrier");
     assert_eq!(kernel.barriers_eliminated(), 0);
     let plan = kernel.plan_for(1);

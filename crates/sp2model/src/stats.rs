@@ -243,43 +243,6 @@ pub struct ReactorSnapshot {
     pub max_queue_depth: u64,
 }
 
-impl ReactorSnapshot {
-    /// Requests served per wakeup — the multiplexing win made visible
-    /// (a dedicated blocking server thread serves exactly one per wakeup).
-    pub fn served_per_wakeup(&self) -> f64 {
-        if self.wakeups == 0 {
-            0.0
-        } else {
-            self.served as f64 / self.wakeups as f64
-        }
-    }
-}
-
-impl StatsSnapshot {
-    /// Total number of messages.
-    pub fn messages(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// Total payload bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Percentage reduction of `field(self)` relative to `field(base)`,
-    /// following the paper's formula `(base - opt) / base * 100`.
-    ///
-    /// Negative values mean the optimized run moved *more* of that quantity
-    /// (as happens for data in Jacobi, Table 2).
-    pub fn percent_reduction(base: u64, optimized: u64) -> f64 {
-        if base == 0 {
-            0.0
-        } else {
-            (base as f64 - optimized as f64) / base as f64 * 100.0
-        }
-    }
-}
-
 impl fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -304,16 +267,6 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Builds cluster statistics from per-node snapshots.
-    pub fn from_nodes(nodes: Vec<StatsSnapshot>) -> Self {
-        ClusterStats { nodes }
-    }
-
-    /// Number of nodes that contributed.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Per-node snapshots, indexed by processor id.
     pub fn nodes(&self) -> &[StatsSnapshot] {
         &self.nodes
@@ -323,44 +276,11 @@ impl ClusterStats {
     pub fn total(&self) -> StatsSnapshot {
         self.nodes.iter().fold(StatsSnapshot::default(), |acc, s| acc.merge(s))
     }
-
-    /// Table 2 style comparison against a baseline run: percentage reduction
-    /// in page faults, messages and data bytes.
-    pub fn reduction_vs(&self, base: &ClusterStats) -> Reduction {
-        let opt = self.total();
-        let b = base.total();
-        Reduction {
-            page_faults_pct: StatsSnapshot::percent_reduction(b.page_faults, opt.page_faults),
-            messages_pct: StatsSnapshot::percent_reduction(b.messages_sent, opt.messages_sent),
-            data_pct: StatsSnapshot::percent_reduction(b.bytes_sent, opt.bytes_sent),
-        }
-    }
 }
 
 impl FromIterator<StatsSnapshot> for ClusterStats {
     fn from_iter<I: IntoIterator<Item = StatsSnapshot>>(iter: I) -> Self {
         ClusterStats { nodes: iter.into_iter().collect() }
-    }
-}
-
-/// Percentage reductions reported in Table 2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reduction {
-    /// Reduction in page faults ("% segv").
-    pub page_faults_pct: f64,
-    /// Reduction in message count ("% msg").
-    pub messages_pct: f64,
-    /// Reduction in payload bytes ("% data"); negative means more data moved.
-    pub data_pct: f64,
-}
-
-impl fmt::Display for Reduction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "segv {:+.1}%  msg {:+.1}%  data {:+.1}%",
-            self.page_faults_pct, self.messages_pct, self.data_pct
-        )
     }
 }
 
@@ -401,46 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn percent_reduction_matches_paper_formula() {
-        assert_eq!(StatsSnapshot::percent_reduction(100, 20), 80.0);
-        assert_eq!(StatsSnapshot::percent_reduction(100, 150), -50.0);
-        assert_eq!(StatsSnapshot::percent_reduction(0, 10), 0.0);
-    }
-
-    #[test]
-    fn cluster_total_and_reduction() {
-        let base = ClusterStats::from_nodes(vec![
-            StatsSnapshot {
-                page_faults: 50,
-                messages_sent: 100,
-                bytes_sent: 1000,
-                ..Default::default()
-            },
-            StatsSnapshot {
-                page_faults: 50,
-                messages_sent: 100,
-                bytes_sent: 1000,
-                ..Default::default()
-            },
-        ]);
-        let opt = ClusterStats::from_nodes(vec![
-            StatsSnapshot {
-                page_faults: 0,
-                messages_sent: 30,
-                bytes_sent: 1500,
-                ..Default::default()
-            },
-            StatsSnapshot {
-                page_faults: 0,
-                messages_sent: 30,
-                bytes_sent: 1500,
-                ..Default::default()
-            },
-        ]);
-        let r = opt.reduction_vs(&base);
-        assert_eq!(r.page_faults_pct, 100.0);
-        assert_eq!(r.messages_pct, 70.0);
-        assert_eq!(r.data_pct, -50.0);
+    fn cluster_total_sums_the_nodes() {
+        let node = StatsSnapshot { page_faults: 50, messages_sent: 100, ..Default::default() };
+        let cluster: ClusterStats = vec![node, node].into_iter().collect();
+        let total = cluster.total();
+        assert_eq!((total.page_faults, total.messages_sent), (100, 200));
+        assert_eq!(cluster.nodes(), &[node, node]);
     }
 
     #[test]
@@ -458,13 +344,11 @@ mod tests {
         assert_eq!(snap.wakeups, 1);
         assert_eq!(snap.served, 6);
         assert_eq!(snap.max_queue_depth, 7, "the depth counter keeps the maximum, not the sum");
-        assert_eq!(snap.served_per_wakeup(), 6.0);
-        assert_eq!(ReactorSnapshot::default().served_per_wakeup(), 0.0);
     }
 
     #[test]
     fn cluster_from_iterator() {
         let c: ClusterStats = (0..4).map(|_| StatsSnapshot::default()).collect();
-        assert_eq!(c.node_count(), 4);
+        assert_eq!(c.nodes().len(), 4);
     }
 }

@@ -49,16 +49,6 @@ impl VirtualTime {
         VirtualTime((secs * 1e9).round() as u64)
     }
 
-    /// Creates a duration from fractional microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `micros` is negative or not finite.
-    pub fn from_micros_f64(micros: f64) -> Self {
-        assert!(micros.is_finite() && micros >= 0.0, "invalid duration: {micros}");
-        VirtualTime((micros * 1e3).round() as u64)
-    }
-
     /// The duration in whole nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -144,7 +134,6 @@ mod tests {
         assert_eq!(VirtualTime::from_micros(365).as_nanos(), 365_000);
         assert_eq!(VirtualTime::from_millis(2).as_micros(), 2_000);
         assert_eq!(VirtualTime::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
-        assert_eq!(VirtualTime::from_micros_f64(0.5).as_nanos(), 500);
     }
 
     #[test]

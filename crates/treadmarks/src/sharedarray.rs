@@ -191,16 +191,6 @@ impl<T: Shareable> SharedMatrix<T> {
         assert!(col_lo <= col_hi && col_hi <= self.cols, "invalid column range {col_lo}..{col_hi}");
         self.array.range_of(col_lo * self.rows, col_hi * self.rows)
     }
-
-    /// The address range of rows `[row_lo, row_hi)` within column `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of bounds.
-    pub fn col_slice_range(&self, col: usize, row_lo: usize, row_hi: usize) -> AddrRange {
-        assert!(row_lo <= row_hi && row_hi <= self.rows && col < self.cols, "invalid slice");
-        self.array.range_of(col * self.rows + row_lo, col * self.rows + row_hi)
-    }
 }
 
 #[cfg(test)]
@@ -259,9 +249,6 @@ mod tests {
         let r = m.col_range(1, 3);
         assert_eq!(r.start(), Addr::new(PAGE_SIZE));
         assert_eq!(r.len(), 2 * PAGE_SIZE);
-        let s = m.col_slice_range(2, 0, 10);
-        assert_eq!(s.start(), Addr::new(2 * PAGE_SIZE));
-        assert_eq!(s.len(), 80);
     }
 
     #[test]
