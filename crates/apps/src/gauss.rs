@@ -18,7 +18,7 @@
 //! classifies every step as `Push` with an iteration-dependent consumer
 //! set and runs the whole elimination without a single barrier.
 
-use ctrt::{push_phase, validate, warm_sections, Access, Push, RegularSection};
+use ctrt::{push_phase, validate, Access, Push, RegularSection};
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
@@ -214,12 +214,6 @@ fn hand_push(
             recv.push(owner_of(cols, nprocs, k));
         }
         push_phase(p, &sends, &recv);
-        let mut sections = Vec::new();
-        if !tail.is_empty() {
-            sections.push(RegularSection::matrix_cols(piv, k..k + 1, Access::Read));
-            sections.push(RegularSection::matrix_cols(a, tail.clone(), Access::Write));
-        }
-        warm_sections(p, &sections);
         update_cols(p, a, piv, k, tail, &mut abuf, &mut pbuf);
     }
 }
@@ -293,5 +287,4 @@ fn planned(
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    exec::run_boundary(p, &plan.exit);
 }

@@ -302,6 +302,5 @@ fn planned(
         }
         exec::release(p, step);
     }
-    exec::run_boundary(p, &plan.exit);
     chk
 }

@@ -9,7 +9,7 @@
 //! they may be written in any order — the split-phase form exploits this to
 //! sweep the interior columns while the boundary columns are in flight.
 
-use ctrt::{validate, warm_sections, Access, RegularSection};
+use ctrt::{validate, Access, RegularSection};
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
@@ -113,8 +113,7 @@ fn baseline(
 /// `WRITE_ALL` phase, and the assertion also covers the sweeps: the updated
 /// columns are fully overwritten every iteration and the form never
 /// releases, so no twin is ever kept. Boundary columns move point-to-point
-/// after every sweep; each sweep only re-warms the mappings the pushes
-/// staled out.
+/// after every sweep, and nothing else happens between sweeps.
 fn hand_push(
     p: &mut Process,
     a: &SharedMatrix<f64>,
@@ -124,7 +123,6 @@ fn hand_push(
 ) {
     let (lo, hi) = (mine.start, mine.end);
     let update = update_block(mine, a.cols());
-    let read = lo.saturating_sub(1)..(hi + 1).min(a.cols());
     validate(
         p,
         &[
@@ -138,20 +136,9 @@ fn hand_push(
     let mut bufs = ColBufs::new(a.rows());
     for t in 0..iters {
         let (src, dst) = if t % 2 == 0 { (a, b) } else { (b, a) };
-        warm_sections(
-            p,
-            &[
-                RegularSection::matrix_cols(src, read.clone(), Access::Read),
-                RegularSection::matrix_cols(dst, update.clone(), Access::Write),
-            ],
-        );
         sweep_cols(p, src, dst, update.clone(), &mut bufs);
         exchange_boundaries(p, dst, lo, hi);
     }
-    // The push exchanges staled every mapping; re-warm the block once
-    // instead of slow-filling per page.
-    let final_grid = if iters.is_multiple_of(2) { a } else { b };
-    warm_sections(p, &[RegularSection::matrix_cols(final_grid, mine.clone(), Access::Read)]);
 }
 
 /// The Jacobi kernel as a loop-nest IR: an initialisation phase overwrites
@@ -230,5 +217,4 @@ fn planned(
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    exec::run_boundary(p, &plan.exit);
 }

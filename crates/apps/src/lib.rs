@@ -13,7 +13,7 @@
 //! * **Validate** — the IR at [`rsdcomp::Level::Validate`]: every
 //!   communicating boundary keeps its barrier, merged with the aggregated
 //!   fetch of the next phase's sections (`Validate_w_sync`); the phase
-//!   bodies run on the bulk accessors over pre-warmed mappings.
+//!   bodies run on the bulk accessors over cached mappings.
 //! * **Compiled** — the same IR at [`rsdcomp::Level::Full`]: the analyzer
 //!   eliminates barriers where the dependences allow (Jacobi compiles to
 //!   pure pushes; SOR keeps one real barrier per iteration for the GC

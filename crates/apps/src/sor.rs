@@ -10,7 +10,7 @@
 //! split-phase form compute interior columns while the boundary fetch is
 //! still in flight.
 
-use ctrt::{validate, warm_sections, Access, Push, RegularSection};
+use ctrt::{validate, Access, Push, RegularSection};
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
@@ -155,25 +155,16 @@ fn baseline(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::op
 fn hand_push(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::ops::Range<usize>) {
     let (lo, hi) = (mine.start, mine.end);
     let update = update_block(mine, m.cols());
-    let read = lo.saturating_sub(1)..(hi + 1).min(m.cols());
     validate(p, &[RegularSection::matrix_cols(m, mine.clone(), Access::WriteAll)]);
     fill_block(p, &[m], mine.clone(), seed);
     exchange_boundaries(p, m, lo, hi);
     let mut bufs = ColBufs::new(m.rows());
-    let sections = [
-        RegularSection::matrix_cols(m, read, Access::Read),
-        RegularSection::matrix_cols(m, update.clone(), Access::Write),
-    ];
     for _ in 0..iters {
         for colour in 0..2usize {
-            warm_sections(p, &sections);
             relax_cols(p, m, update.clone(), colour, &mut bufs);
             exchange_boundaries(p, m, lo, hi);
         }
     }
-    // The push exchanges staled every mapping (each install bumps the
-    // epoch); re-warm the block once instead of slow-filling per page.
-    warm_sections(p, &[RegularSection::matrix_cols(m, mine.clone(), Access::Read)]);
 }
 
 /// The red-black SOR kernel as a loop-nest IR: an initialisation phase
@@ -246,5 +237,4 @@ fn planned(
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    exec::run_boundary(p, &plan.exit);
 }

@@ -1054,6 +1054,17 @@ mod tests {
     }
 
     #[test]
+    fn a_tlb_miss_is_a_page_fault_on_every_record_of_both_suites() {
+        // What the MMU substitution promises: a resident page costs
+        // nothing, so the only accesses that leave the fast path are the
+        // ones that fault. Stated for the gated matrix, not as a law — a
+        // working set beyond the TLB's 256 entries may conflict-miss.
+        for r in suite().into_iter().chain(scale_suite(None)) {
+            assert_eq!(r.tlb_misses, r.page_faults, "{}/{}@{}", r.app, r.variant, r.nprocs);
+        }
+    }
+
+    #[test]
     fn scale_records_are_identical_for_any_reactor_pool_size() {
         // The tentpole invariant at the bench layer: a 64-processor record
         // is bit-identical whether one reactor multiplexes all 64 nodes or

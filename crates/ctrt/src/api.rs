@@ -18,36 +18,29 @@ use treadmarks::{LockId, PendingSync, PhasePlan, ProcId, Process, SyncOp};
 
 use crate::section::RegularSection;
 
-/// A warmed fast-path mapping for a phase's sections.
+/// The fast-path mappings of a phase's sections, cached.
 ///
-/// `validate`, `validate_w_sync` and `push_phase` finish by pre-loading the
-/// processor's software TLB for the sections they just made consistent, so
-/// the phase body takes **zero access checks and zero page-table-lock
-/// acquisitions** after the aggregate call. The grant reports what was
-/// warmed; it requires nothing of the caller (dropping it is free, and a
-/// grant can never make an access unsafe — the runtime revalidates every
-/// cached mapping against the protection epoch).
+/// `validate`, `validate_w_sync`, `neighbor_sync` and `push_phase` finish
+/// by caching, in the processor's software TLB, the mappings of the pages
+/// they just made consistent, so the phase body takes **zero page faults
+/// and zero page-table-lock acquisitions** after the aggregate call. A
+/// mapping never goes stale — it names the page's frame, and every access
+/// reads that frame's own protection — so the grant only reports how much
+/// is cached; it requires nothing of the caller and dropping it is free.
+/// What lapses is the promise, not the mapping: once the protocol changes a
+/// page's protection (a flush write-protects it, a notice invalidates it)
+/// the next access faults as usual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionGrant {
     pages_warmed: usize,
-    epoch: u64,
 }
 
 impl SectionGrant {
-    /// Number of pages whose mappings were pre-loaded.
+    /// Number of the sections' pages whose mappings the TLB holds after the
+    /// call, whether it cached them now or before. A page two sections name
+    /// counts twice; a page the node has not mapped yet counts not at all.
     pub fn pages_warmed(&self) -> usize {
         self.pages_warmed
-    }
-
-    /// The protection epoch the mappings were observed at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether the warmed mappings are still current (no protection or
-    /// validity change has happened since the grant was issued).
-    pub fn is_current(&self, p: &Process) -> bool {
-        self.epoch == p.protection_epoch()
     }
 }
 
@@ -56,7 +49,6 @@ impl SectionGrant {
 /// `WRITE_ALL` vs `READ&WRITE_ALL`) and the warm list.
 fn plan(sections: &[RegularSection]) -> PhasePlan {
     let mut plan = PhasePlan::default();
-    let mut warm = Vec::new();
     for section in sections {
         let access = section.access();
         if access.needs_fetch() {
@@ -71,37 +63,21 @@ fn plan(sections: &[RegularSection]) -> PhasePlan {
                 plan.write_all.extend_from_slice(section.ranges());
             }
         }
-        warm.extend(section.ranges().iter().map(|&r| (r, access.is_write())));
+        plan.warm.extend_from_slice(section.ranges());
     }
     plan.fetch = AddrRange::coalesce(plan.fetch);
     plan.write_twinned = AddrRange::coalesce(plan.write_twinned);
     plan.write_all = AddrRange::coalesce(plan.write_all);
     plan.read_write_all = AddrRange::coalesce(plan.read_write_all);
-    plan.warm = warm;
     plan
-}
-
-/// Pre-loads the software TLB for `sections` (read sections as readable,
-/// written sections as writable mappings) and returns the grant. Issued
-/// automatically at the end of every `validate`/`validate_w_sync`/
-/// `push_phase`; also useful standalone for a phase whose data is already
-/// local (e.g. the producer side of a push loop).
-pub fn warm_sections(p: &mut Process, sections: &[RegularSection]) -> SectionGrant {
-    // One warm list, one table lock, however many sections.
-    let warm: Vec<(AddrRange, bool)> = sections
-        .iter()
-        .flat_map(|s| s.ranges().iter().map(|&r| (r, s.access().is_write())))
-        .collect();
-    let pages_warmed = p.warm_mappings(&warm);
-    SectionGrant { pages_warmed, epoch: p.protection_epoch() }
 }
 
 /// `Validate(regions)`: makes every section consistent before the phase
 /// runs, replacing the phase's page faults with **one aggregated request
 /// message per producer** and preparing written pages (twins, write
 /// enables) in batch. The returned [`SectionGrant`] records that the
-/// sections' fast-path mappings were pre-warmed: the phase body runs with
-/// zero checks.
+/// sections' fast-path mappings are cached: the phase body runs with no
+/// fault and no table lock.
 ///
 /// Legal anywhere: the call only accelerates what the invalidate-based
 /// protocol would do lazily, so over- or under-approximated sections are
@@ -113,8 +89,7 @@ pub fn validate(p: &mut Process, sections: &[RegularSection]) -> SectionGrant {
         let handle = p.fetch_diffs(&plan.fetch);
         p.apply_fetch(handle);
     }
-    let pages_warmed = p.prepare_phase(&plan);
-    SectionGrant { pages_warmed, epoch: p.protection_epoch() }
+    SectionGrant { pages_warmed: p.prepare_phase(&plan) }
 }
 
 /// `Validate_w_sync(sync_op, regions)`: performs the synchronization
@@ -135,8 +110,7 @@ pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection
     p.stats().validate_w_syncs(1);
     let plan = plan(sections);
     let pending = p.sync_phase_issue(sync, &plan);
-    let pages_warmed = p.sync_phase_complete(pending);
-    SectionGrant { pages_warmed, epoch: p.protection_epoch() }
+    SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
 }
 
 /// The in-flight half of a split-phase [`validate_w_sync_issue`] or
@@ -169,7 +143,7 @@ impl PendingValidate {
 /// synchronization operation exactly like [`validate_w_sync`] — the page
 /// list rides on the barrier arrival or lock-acquire request — but returns
 /// **without waiting for the diff responses**. Written sections whose pages
-/// are already consistent are prepared (twins, write enables) and warmed
+/// are already consistent are prepared (twins, write enables) and cached
 /// immediately, so the caller can overlap computation on local data with
 /// the fetch latency; sections still missing remote diffs stay invalid
 /// until the completion.
@@ -192,13 +166,12 @@ pub fn validate_w_sync_issue(
 
 /// The completion half of a split-phase `Validate_w_sync`: waits for every
 /// outstanding response of the issue, applies the whole batch in causal
-/// (rank) order, finishes deferred write preparation and re-warms the
-/// sections' fast-path mappings. Returns the grant for the now-consistent
-/// phase.
+/// (rank) order, finishes deferred write preparation and caches the
+/// mappings of the pages that were fetched. Returns the grant for the
+/// now-consistent phase.
 pub fn validate_w_sync_complete(p: &mut Process, pending: PendingValidate) -> SectionGrant {
     p.stats().split_phase_completes(1);
-    let pages_warmed = p.sync_phase_complete(pending.pending);
-    SectionGrant { pages_warmed, epoch: p.protection_epoch() }
+    SectionGrant { pages_warmed: p.sync_phase_complete(pending.pending) }
 }
 
 /// `Release(lock)`: the exit of a lock-guarded phase. Flushes the guarded
@@ -243,14 +216,13 @@ pub fn neighbor_sync(
     p.stats().neighbor_syncs(1);
     let plan = plan(sections);
     let pending = p.neighbor_sync_issue(producers, consumers, &plan);
-    let pages_warmed = p.sync_phase_complete(pending);
-    SectionGrant { pages_warmed, epoch: p.protection_epoch() }
+    SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
 }
 
 /// The issue half of a split-phase [`neighbor_sync`]: flushes the interval,
 /// performs the ready/ack handshake's send side and answers the named
 /// consumers, but returns **without waiting for the producers' merged
-/// data+sync acks**. Sections already consistent are prepared and warmed
+/// data+sync acks**. Sections already consistent are prepared and cached
 /// immediately, so computation on local data overlaps the exchange; pass the
 /// handle to [`validate_w_sync_complete`] where the fetched data is first
 /// needed.
@@ -303,15 +275,14 @@ impl Push {
 /// because no write notices are generated for pushed modifications. The
 /// sends and `recv_from` sets of all processors must be globally matched,
 /// like any collective operation.
-/// The returned [`SectionGrant`] pre-warms the fast-path mappings of the
-/// ranges this processor just *received*, so the consuming phase reads them
-/// with zero checks.
+/// The returned [`SectionGrant`] reports the cached fast-path mappings of
+/// the ranges this processor just *received*, which the consuming phase
+/// reads with no fault and no table lock.
 pub fn push_phase(p: &mut Process, sends: &[Push], recv_from: &[ProcId]) -> SectionGrant {
     p.stats().pushes(1);
     let plan: Vec<(ProcId, Vec<AddrRange>)> =
         sends.iter().map(|push| (push.dest, push.regions.clone())).collect();
-    // The exchange warms the received ranges under the same table-lock hold
-    // that installs them.
-    let receipt = p.push_exchange(&plan, recv_from);
-    SectionGrant { pages_warmed: receipt.pages_warmed, epoch: p.protection_epoch() }
+    // The exchange caches the received ranges' mappings under the same
+    // table-lock hold that installs them.
+    SectionGrant { pages_warmed: p.push_exchange(&plan, recv_from).pages_warmed }
 }

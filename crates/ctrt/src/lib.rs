@@ -58,8 +58,7 @@ mod section;
 
 pub use api::{
     neighbor_sync, neighbor_sync_issue, push_phase, release, validate, validate_w_sync,
-    validate_w_sync_complete, validate_w_sync_issue, warm_sections, PendingValidate, Push,
-    SectionGrant,
+    validate_w_sync_complete, validate_w_sync_issue, PendingValidate, Push, SectionGrant,
 };
 pub use section::{Access, RegularSection, SyncOp};
 // Race detection rides the same interface: every apply point the calls

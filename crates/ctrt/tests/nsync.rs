@@ -24,7 +24,6 @@ fn neighbour_sync_grants_cover_the_sections_and_faults_stay_zero() {
         let read = RegularSection::array(&a, other * per..(other + 1) * per, Access::Read);
         let grant = neighbor_sync(p, &[other], &[other], &[read]);
         assert!(grant.pages_warmed() > 0, "the ack's data must be warmed into the TLB");
-        assert!(grant.is_current(p), "nothing staled the mappings since the grant");
         let faults = p.stats().snapshot().page_faults;
         let got = p.get(&a, other * per + 3);
         assert_eq!(p.stats().snapshot().page_faults, faults, "warmed reads take no fault");

@@ -44,6 +44,4 @@ pub use alloc::SharedAlloc;
 pub use diff::Diff;
 pub use error::MemError;
 pub use page::{Page, PageId, Protection, PAGE_SIZE};
-pub use table::{
-    AccessFault, AccessOutcome, EpochProbe, Frame, FrameGuard, FrameRef, PageFrame, PageTable,
-};
+pub use table::{AccessFault, AccessOutcome, Frame, FrameGuard, FrameRef, PageFrame, PageTable};

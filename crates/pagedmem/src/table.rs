@@ -23,18 +23,11 @@
 //! software TLB above this table serve a warm access from the frame it
 //! holds, and it puts one obligation on the lessee: return every lease
 //! before calling into the table (which locks frames) or blocking on a
-//! thread that might.
-//!
-//! The table additionally maintains a monotone **protection epoch**: a
-//! counter bumped on every protection or validity change (mapping a page,
-//! installing a copy, any `set_protection` that changes the state, or an
-//! explicit [`bump_epoch`](PageTable::bump_epoch)). The epoch is readable
-//! *without* the table lock through an [`EpochProbe`], which is how cached
-//! mappings are cheaply revalidated.
+//! thread that might. A cached handle never goes stale, so the frame's own
+//! `protection`, read through the lease, is all a warm access checks.
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 
 use dsm_core::sync::Mutex;
@@ -195,24 +188,6 @@ pub struct AccessFault {
     pub outcome: AccessOutcome,
 }
 
-/// A lock-free view of a table's protection epoch.
-///
-/// Cloned from [`PageTable::epoch_probe`]; [`current`](EpochProbe::current)
-/// never takes the table lock, which is what lets a software TLB revalidate
-/// cached mappings on the fast path.
-#[derive(Debug, Clone)]
-pub struct EpochProbe {
-    epoch: Arc<AtomicU64>,
-}
-
-impl EpochProbe {
-    /// The table's current protection epoch.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-}
-
 /// A node's view of the shared address space.
 ///
 /// The page table stores only pages the node has touched; pages materialise
@@ -223,7 +198,6 @@ impl EpochProbe {
 #[derive(Debug, Default)]
 pub struct PageTable {
     frames: BTreeMap<PageId, FrameRef>,
-    epoch: Arc<AtomicU64>,
 }
 
 impl PageTable {
@@ -236,26 +210,6 @@ impl PageTable {
     /// SP/2 fault and mprotect costs depend on).
     pub fn pages_in_use(&self) -> usize {
         self.frames.len()
-    }
-
-    /// The current protection epoch. Monotone; bumped on every protection or
-    /// validity change.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// A handle that reads the protection epoch without the table lock.
-    pub fn epoch_probe(&self) -> EpochProbe {
-        EpochProbe { epoch: Arc::clone(&self.epoch) }
-    }
-
-    /// Advances the protection epoch, invalidating every cached mapping.
-    ///
-    /// Called internally on protection changes; exposed for operations that
-    /// replace page contents wholesale outside the protection machinery
-    /// (e.g. a push installing received data).
-    pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// The protection state of `page` (`Unmapped` if the node never touched
@@ -273,7 +227,7 @@ impl PageTable {
     /// is reset in place (contents zeroed, twin dropped, dirty cleared) so
     /// that outstanding [`FrameRef`]s keep observing the live frame.
     pub fn map_zeroed(&mut self, page: PageId, protection: Protection) -> FrameRef {
-        let frame = match self.frames.get(&page) {
+        match self.frames.get(&page) {
             Some(frame) => {
                 let mut guard = frame.lock();
                 guard.page = Page::zeroed();
@@ -287,9 +241,7 @@ impl PageTable {
                 self.frames.insert(page, Arc::clone(&frame));
                 frame
             }
-        };
-        self.bump_epoch();
-        frame
+        }
     }
 
     /// Installs a received copy of `page` with the given protection.
@@ -300,8 +252,6 @@ impl PageTable {
         guard.protection = protection;
         guard.twin = None;
         guard.dirty = false;
-        drop(guard);
-        self.bump_epoch();
     }
 
     fn frame_or_map_inner(&mut self, page: PageId, protection: Protection) -> FrameRef {
@@ -310,7 +260,6 @@ impl PageTable {
         }
         let frame = Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)));
         self.frames.insert(page, Arc::clone(&frame));
-        self.bump_epoch();
         frame
     }
 
@@ -335,15 +284,8 @@ impl PageTable {
     }
 
     /// Sets the protection of `page`, mapping it zero-filled if necessary.
-    /// The epoch is bumped only when the state actually changes.
     pub fn set_protection(&mut self, page: PageId, protection: Protection) {
-        let frame = self.frame_or_map_inner(page, protection);
-        let mut guard = frame.lock();
-        if guard.protection != protection {
-            guard.protection = protection;
-            drop(guard);
-            self.bump_epoch();
-        }
+        self.frame_or_map_inner(page, protection).lock().protection = protection;
     }
 
     /// Marks `page` dirty and returns whether it was already dirty.
@@ -816,36 +758,6 @@ mod tests {
         assert_eq!(frame.lock().page.as_slice()[7], 9);
         table.map_zeroed(page, Protection::Invalid);
         assert_eq!(frame.lock().protection, Protection::Invalid);
-    }
-
-    #[test]
-    fn epoch_bumps_on_every_validity_change_only() {
-        let mut table = PageTable::new();
-        let e0 = table.epoch();
-        table.map_zeroed(PageId(1), Protection::ReadOnly);
-        let e1 = table.epoch();
-        assert!(e1 > e0, "mapping a page is a validity change");
-        table.set_protection(PageId(1), Protection::ReadWrite);
-        let e2 = table.epoch();
-        assert!(e2 > e1, "a protection change bumps the epoch");
-        table.set_protection(PageId(1), Protection::ReadWrite);
-        assert_eq!(table.epoch(), e2, "a no-op protection change does not bump");
-        table.mark_dirty(PageId(1));
-        table.make_twin(PageId(1));
-        table.clear_dirty(PageId(1));
-        table.drop_twin(PageId(1));
-        assert_eq!(table.epoch(), e2, "twin/dirty bookkeeping does not bump");
-        table.install(PageId(1), Page::zeroed(), Protection::ReadOnly);
-        assert!(table.epoch() > e2, "installing a copy bumps");
-    }
-
-    #[test]
-    fn epoch_probe_reads_without_the_table() {
-        let table = PageTable::new();
-        let probe = table.epoch_probe();
-        let before = probe.current();
-        table.bump_epoch();
-        assert_eq!(probe.current(), before + 1);
     }
 
     #[test]

@@ -75,15 +75,8 @@ pub enum Issued {
 /// finishes immediately.
 pub fn issue(p: &mut Process, op: &BoundaryOp) -> Issued {
     match op {
-        // An aggregate call over no sections (a non-owner's pivot step, a
-        // `Level::Validate` exit) has nothing to do and does nothing.
-        BoundaryOp::Local { sections, .. } if sections.is_empty() => Issued::Done,
-        BoundaryOp::Local { prepare, sections } => {
-            if *prepare {
-                ctrt::validate(p, sections);
-            } else {
-                ctrt::warm_sections(p, sections);
-            }
+        BoundaryOp::Local { sections } => {
+            prepare(p, sections);
             Issued::Done
         }
         BoundaryOp::Barrier { sections } => Issued::Pending(Box::new(ctrt::validate_w_sync_issue(
@@ -100,15 +93,20 @@ pub fn issue(p: &mut Process, op: &BoundaryOp) -> Issued {
         BoundaryOp::NeighborSync { producers, consumers, sections } => {
             Issued::Pending(Box::new(ctrt::neighbor_sync_issue(p, producers, consumers, sections)))
         }
-        BoundaryOp::Push { sends, recv_from, prepare, sections } => {
+        BoundaryOp::Push { sends, recv_from, sections } => {
             ctrt::push_phase(p, sends, recv_from);
-            if *prepare {
-                ctrt::validate(p, sections);
-            } else {
-                ctrt::warm_sections(p, sections);
-            }
+            prepare(p, sections);
             Issued::Done
         }
+    }
+}
+
+/// Prepares `sections` with one aggregate `Validate`. A step that carries
+/// none (its sections are still prepared, or it is a non-owner's pivot
+/// step) has nothing to do and does nothing.
+fn prepare(p: &mut Process, sections: &[ctrt::RegularSection]) {
+    if !sections.is_empty() {
+        ctrt::validate(p, sections);
     }
 }
 

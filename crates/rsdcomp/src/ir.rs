@@ -222,8 +222,6 @@ impl SectionAccess {
 }
 
 /// One program phase: a named computation summarised by its accesses.
-/// Accesses should list read sections before written ones so the warm list
-/// leaves written pages with writable fast-path mappings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase {
     /// Diagnostic name (also how applications map plan steps back to their

@@ -14,19 +14,17 @@ use treadmarks::{LockId, ProcId};
 use crate::analysis::{
     classify_against_pending, BoundaryAnalysis, BoundaryClass, PendingWrites, Refusal,
 };
-use crate::ir::{col_block, Access, Node, PhaseId, Program};
+use crate::ir::{Node, PhaseId, Program};
 
 /// The synchronization/preparation op executed at a phase's entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoundaryOp {
-    /// No inter-processor exchange: prepare (batch write-enable + warm) the
-    /// phase's sections if a flush has staled them, else just re-warm the
-    /// fast-path mappings.
+    /// No inter-processor exchange: prepare (aggregated fetch, batch
+    /// write-enable) the phase's sections.
     Local {
-        /// Whether write preparation is needed (a flush boundary
-        /// write-protected the sections since they were last prepared).
-        prepare: bool,
-        /// The phase's sections.
+        /// The sections to prepare: the phase's, or none when no flush
+        /// boundary has write-protected them since they were last prepared
+        /// (the step then does nothing).
         sections: Vec<RegularSection>,
     },
     /// A surviving real barrier, merged with the phase's sections
@@ -64,9 +62,8 @@ pub enum BoundaryOp {
         sends: Vec<Push>,
         /// Producers whose pushes are awaited.
         recv_from: Vec<ProcId>,
-        /// Whether the phase's sections still need write preparation.
-        prepare: bool,
-        /// The phase's sections.
+        /// The sections to prepare after the exchange (none when the
+        /// phase's sections are still prepared).
         sections: Vec<RegularSection>,
     },
 }
@@ -75,8 +72,8 @@ impl BoundaryOp {
     /// Stable lowercase name for diagnostics and the `--explain` dump.
     pub fn name(&self) -> &'static str {
         match self {
-            BoundaryOp::Local { prepare: true, .. } => "prepare",
-            BoundaryOp::Local { prepare: false, .. } => "warm",
+            BoundaryOp::Local { sections } if sections.is_empty() => "local",
+            BoundaryOp::Local { .. } => "prepare",
             BoundaryOp::Barrier { .. } => "barrier",
             BoundaryOp::NeighborSync { .. } => "neighbor-sync",
             BoundaryOp::Lock { .. } => "lock",
@@ -123,10 +120,6 @@ pub struct PlanStep {
 pub struct ProcPlan {
     /// The steps, in execution order (one per phase occurrence).
     pub steps: Vec<PlanStep>,
-    /// Executed after the last phase: re-warms the processor's own blocks
-    /// for the result read-back (pushes stale every cached mapping). No
-    /// sections, hence nothing to do, at [`Level::Validate`].
-    pub exit: BoundaryOp,
 }
 
 impl ProcPlan {
@@ -433,10 +426,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                 None => PlanStep {
                     phase: first,
                     iter: first_iter,
-                    entry: BoundaryOp::Local {
-                        prepare: true,
-                        sections: sections_for(first, first_iter),
-                    },
+                    entry: BoundaryOp::Local { sections: sections_for(first, first_iter) },
                     release: None,
                 },
             });
@@ -449,17 +439,17 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                 let analysis = &analyses[b];
                 let needs_prep = phases[next].iter_dependent()
                     || prepped_at[next].is_none_or(|at| flush_epoch > at);
+                // What a step without an exchange of its own prepares.
+                let mut prepared = || {
+                    if !needs_prep {
+                        return Vec::new();
+                    }
+                    prepped_at[next] = Some(flush_epoch);
+                    sections_for(next, iter)
+                };
                 let mut release = None;
                 let entry = match analysis.class {
-                    BoundaryClass::NoComm => {
-                        if needs_prep {
-                            prepped_at[next] = Some(flush_epoch);
-                        }
-                        BoundaryOp::Local {
-                            prepare: needs_prep,
-                            sections: sections_for(next, iter),
-                        }
-                    }
+                    BoundaryClass::NoComm => BoundaryOp::Local { sections: prepared() },
                     BoundaryClass::FullBarrier { .. } => {
                         // The barrier flushes, then prepares its sections.
                         flush_epoch += 1;
@@ -502,9 +492,6 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                         }
                     }
                     BoundaryClass::Push => {
-                        if needs_prep {
-                            prepped_at[next] = Some(flush_epoch);
-                        }
                         let sends: Vec<Push> = analysis
                             .pairs
                             .iter()
@@ -519,33 +506,12 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                             .collect();
                         recv_from.sort_unstable();
                         recv_from.dedup();
-                        BoundaryOp::Push {
-                            sends,
-                            recv_from,
-                            prepare: needs_prep,
-                            sections: sections_for(next, iter),
-                        }
+                        BoundaryOp::Push { sends, recv_from, sections: prepared() }
                     }
                 };
                 steps.push(PlanStep { phase: next, iter, entry, release });
             }
-            // Nothing at `Level::Validate` stales a mapping, so its exit
-            // has nothing to re-warm.
-            let rewarmed = if level == Level::Full { &program.arrays[..] } else { &[] };
-            let exit_sections = rewarmed
-                .iter()
-                .filter_map(|decl| {
-                    let own = col_block(decl.cols, nprocs, me);
-                    if own.is_empty() {
-                        return None;
-                    }
-                    Some(RegularSection::from_ranges(
-                        vec![decl.col_range(own.start, own.end)],
-                        Access::Read,
-                    ))
-                })
-                .collect();
-            ProcPlan { steps, exit: BoundaryOp::Local { prepare: false, sections: exit_sections } }
+            ProcPlan { steps }
         })
         .collect();
 

@@ -83,14 +83,15 @@ impl BarrierTopology {
         best.1
     }
 
-    /// Resolves [`BarrierTopology::Adaptive`] to a concrete tree for the
-    /// given cluster; explicit topologies pass through unchanged.
-    pub fn resolve(self, nprocs: usize, cost: &CostModel) -> BarrierTopology {
+    /// What the barrier exchange of an `nprocs`-processor run uses: the
+    /// reduction tree's arity, and whether the exchange is the flat master
+    /// one — the degenerate tree of arity `nprocs − 1`, on the interrupt
+    /// path with the master's serialization charge.
+    pub fn shape(self, nprocs: usize, cost: &CostModel) -> (usize, bool) {
         match self {
-            BarrierTopology::Adaptive => {
-                BarrierTopology::Tree { arity: Self::optimal_tree_arity(nprocs, cost) }
-            }
-            other => other,
+            BarrierTopology::FlatMaster => (nprocs.saturating_sub(1).max(1), true),
+            BarrierTopology::Tree { arity } => (arity.max(1), false),
+            BarrierTopology::Adaptive => (Self::optimal_tree_arity(nprocs, cost), false),
         }
     }
 }
@@ -105,10 +106,8 @@ impl BarrierTopology {
 /// assert_eq!(config.nprocs, 8);
 /// // The default barrier is a tree whose arity adapts to the cluster.
 /// assert_eq!(config.barrier, BarrierTopology::Adaptive);
-/// assert!(matches!(
-///     config.barrier.resolve(8, &config.cost_model),
-///     BarrierTopology::Tree { arity } if arity >= 2
-/// ));
+/// let (arity, flat) = config.barrier.shape(8, &config.cost_model);
+/// assert!(arity >= 2 && !flat);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DsmConfig {
@@ -282,19 +281,16 @@ mod tests {
     fn adaptive_arity_resolves_and_explicit_overrides_pass_through() {
         let cost = CostModel::sp2();
         for nprocs in [1, 2, 4, 8, 16, 32] {
-            let BarrierTopology::Tree { arity } = BarrierTopology::Adaptive.resolve(nprocs, &cost)
-            else {
-                panic!("adaptive must resolve to a tree");
-            };
+            let (arity, flat) = BarrierTopology::Adaptive.shape(nprocs, &cost);
+            assert!(!flat, "adaptive must resolve to a tree");
             assert!(arity >= 2, "arity {arity} at {nprocs} procs");
             assert!(arity < nprocs.max(3) || nprocs <= 3);
         }
-        // Explicit topologies are untouched.
-        assert_eq!(
-            BarrierTopology::Tree { arity: 3 }.resolve(8, &cost),
-            BarrierTopology::Tree { arity: 3 }
-        );
-        assert_eq!(BarrierTopology::FlatMaster.resolve(8, &cost), BarrierTopology::FlatMaster);
+        // Explicit topologies are untouched; the flat master is the
+        // degenerate tree, also on one processor.
+        assert_eq!(BarrierTopology::Tree { arity: 3 }.shape(8, &cost), (3, false));
+        assert_eq!(BarrierTopology::FlatMaster.shape(8, &cost), (7, true));
+        assert_eq!(BarrierTopology::FlatMaster.shape(1, &cost), (1, true));
     }
 
     #[test]

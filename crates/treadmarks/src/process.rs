@@ -10,7 +10,7 @@
 //!
 //! * `access` — the *checked software access path* that replaces the
 //!   mprotect/SIGSEGV mechanism of the original system (see `DESIGN.md` for
-//!   the substitution argument), the fault handler and TLB warming;
+//!   the substitution argument) and the fault handler;
 //! * `interval` — the flush that ends an interval, and write-notice
 //!   application;
 //! * `sync` — what every synchronization point shares: the [`PhasePlan`],
@@ -36,10 +36,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use msgnet::{Endpoint, Envelope, NetError, NodeId, Port};
-use pagedmem::{EpochProbe, SharedAlloc};
+use pagedmem::SharedAlloc;
 use sp2model::{CostModel, SharedStats, VirtualClock};
 
-use crate::config::{BarrierTopology, DsmConfig};
+use crate::config::DsmConfig;
 use crate::message::TmkMessage;
 use crate::run::RunShared;
 use crate::sharedarray::{Shareable, SharedArray, SharedMatrix};
@@ -87,8 +87,6 @@ pub struct Process {
     /// Reply-port messages received while waiting for something else.
     pending: VecDeque<Envelope<TmkMessage>>,
     next_req_id: u64,
-    /// Lock-free view of the table's protection epoch.
-    epoch: EpochProbe,
     /// How many barriers this processor has entered. Barriers are globally
     /// matched, so the count names the same synchronization point on every
     /// processor; it sequences `SyncDiffs` responses (see
@@ -103,8 +101,11 @@ pub struct Process {
     /// made. Every processor makes the same sequence of calls (the SPMD
     /// allocation rule), so the count names the same cell on all of them.
     once_seq: usize,
-    /// How the barrier exchange is structured (from [`DsmConfig::barrier`]).
-    barrier: BarrierTopology,
+    /// How the barrier exchange is structured: the reduction tree's arity
+    /// and whether it is costed as the flat master exchange
+    /// ([`BarrierTopology::shape`](crate::BarrierTopology::shape) of
+    /// [`DsmConfig::barrier`]).
+    barrier: (usize, bool),
 }
 
 impl Process {
@@ -118,7 +119,6 @@ impl Process {
             stats: shared.stats.clone(),
             cost: shared.cost.clone(),
             run: Arc::clone(&shared.run),
-            epoch: shared.epoch.clone(),
             node: NodeGate::new(shared),
             clock: VirtualClock::new(),
             heap: SharedAlloc::with_capacity(config.heap_capacity),
@@ -127,7 +127,7 @@ impl Process {
             barrier_seq: 0,
             nsync_seq: 0,
             once_seq: 0,
-            barrier: config.barrier.resolve(config.nprocs, &config.cost_model),
+            barrier: config.barrier.shape(config.nprocs, &config.cost_model),
         }
     }
 

@@ -1,55 +1,32 @@
 //! The checked access path: the software-TLB fast path, the faulting slow
-//! path behind it, and TLB warming. There is one path — a [`SharedArray`]'s
-//! elements never straddle a page (see [`SharedArray::new`]), so every
-//! access is a `page_op` on exactly one frame.
+//! path behind it, and first-touch caching of mappings. There is one path —
+//! a [`SharedArray`]'s elements never straddle a page (see
+//! [`SharedArray::new`]), so every access is a `page_op` on exactly one frame.
 
-use pagedmem::{AddrRange, PageFrame, PageId, PageTable, Protection, PAGE_SIZE};
+use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable, Protection, PAGE_SIZE};
 
 use super::Process;
 use crate::sharedarray::{Shareable, SharedArray};
 use crate::tlb::Unleased;
 
-/// Pre-loads the software TLB for every already-consistent page of the warm
-/// list, under an already-held table lock. Invalid pages are skipped (they
-/// fault — and refill — lazily). Only the mappings are cached; each takes
-/// its lease at its first access.
+/// Caches the mappings of the warm list's mapped pages, skipping those
+/// already cached, under a table lock the caller holds for another reason;
+/// returns how many of the list's pages the TLB now maps. Whether a page is
+/// valid is not looked at (no frame is locked): an access through the entry
+/// reads the frame's own protection and faults as it must.
 pub(super) fn warm_ranges_locked(
     node: &mut Unleased<'_>,
     table: &PageTable,
-    warm: &[(AddrRange, bool)],
+    warm: &[AddrRange],
 ) -> usize {
-    let epoch = table.epoch();
-    let mut warmed = 0;
-    for &(range, is_write) in warm {
-        for page in range.pages() {
-            let Ok(frame) = table.frame(page) else { continue };
-            let protection = frame.lock().protection;
-            let allowed =
-                if is_write { protection.allows_write() } else { protection.allows_read() };
-            if !allowed {
-                continue;
-            }
-            node.cache(page, frame, epoch, protection.allows_write());
-            warmed += 1;
-        }
-    }
-    warmed
+    warm.iter().flat_map(AddrRange::pages).filter(|&page| node.cache(page, table)).count()
 }
 
 impl Process {
-    /// The node's current protection epoch. The epoch advances on every
-    /// protection or validity change; software-TLB entries are valid only at
-    /// the epoch they were filled at.
-    pub fn protection_epoch(&self) -> u64 {
-        self.epoch.current()
-    }
-
     /// Runs `f` on the frame of `page` with the access's legality
-    /// established. The warm path revalidates a cached mapping against the
-    /// protection epoch and reads the protection of the frame the TLB
-    /// holds on lease — no lock of any kind and no atomic
-    /// read-modify-write. The cold path runs the fault handler and refills
-    /// the TLB.
+    /// established. The warm path finds the page's entry and reads the
+    /// protection of the frame it holds on lease — no lock of any kind and
+    /// no atomic operation. The cold path runs the fault handler.
     #[inline]
     fn page_op<R>(
         &mut self,
@@ -58,8 +35,7 @@ impl Process {
         f: impl FnOnce(&mut PageFrame) -> R,
     ) -> R {
         loop {
-            let now = self.epoch.current();
-            if let Some(frame) = self.node.access(page, is_write, now) {
+            if let Some(frame) = self.node.access(page, is_write) {
                 return f(frame);
             }
             self.stats.tlb_misses(1);
@@ -67,18 +43,25 @@ impl Process {
         }
     }
 
-    /// The cold path of an access: resolve any fault on `page`, then cache
-    /// the mapping (frame handle, epoch, writability) in the software TLB.
+    /// The cold path of an access: one look at the table says whether the
+    /// access faults and caches the page's mapping if it had none; then the
+    /// fault, if any, is resolved.
     #[cold]
     fn slow_fill(&mut self, page: PageId, is_write: bool) {
-        self.resolve_fault(page, is_write);
-        let mut node = self.node.unleased();
-        let (frame, epoch, writable) = {
+        let (outcome, pages_in_use) = {
+            let mut node = self.node.unleased();
             let table = node.table();
-            (table.frame(page).ok(), table.epoch(), table.protection(page).allows_write())
+            node.cache(page, &table);
+            (table.check_access(page, is_write), table.pages_in_use())
         };
-        if let Some(frame) = frame {
-            node.cache(page, frame, epoch, writable);
+        if outcome.is_fault() {
+            self.resolve_fault(page, is_write, outcome, pages_in_use);
+        }
+        if outcome == AccessOutcome::Unmapped {
+            // The fault mapped the page; only now is there a frame to cache.
+            let mut node = self.node.unleased();
+            let table = node.table();
+            node.cache(page, &table);
         }
     }
 
@@ -163,42 +146,26 @@ impl Process {
         }
     }
 
-    /// Pre-loads the software TLB for a whole warm list — `(range,
-    /// writable)` pairs from any number of sections — under a **single**
-    /// table lock. Pages not yet valid for the access are skipped and
-    /// fault normally. Returns the number of pages warmed.
-    ///
-    /// This is the run-time half of the compiler interface's section
-    /// grants: a `Validate`/`Push` aggregate call warms the phase's
-    /// sections so the phase body takes zero checks.
-    pub fn warm_mappings(&mut self, warm: &[(AddrRange, bool)]) -> usize {
-        let mut node = self.node.unleased();
-        let table = node.table();
-        warm_ranges_locked(&mut node, &table, warm)
-    }
-
     /// The fault handler: runs when a checked access finds the page in a
     /// state that does not allow it. One application access takes at most
     /// one fault (the handler performs fetch, twin and enable together,
     /// like the SIGSEGV handler of the original system).
-    fn resolve_fault(&mut self, page: PageId, is_write: bool) {
-        let outcome = self.node.unleased().table().check_access(page, is_write);
-        if !outcome.is_fault() {
-            return;
-        }
+    fn resolve_fault(
+        &mut self,
+        page: PageId,
+        is_write: bool,
+        outcome: AccessOutcome,
+        pages_in_use: usize,
+    ) {
         self.stats.page_faults(1);
-        let pages_in_use = self.node.unleased().table().pages_in_use();
         self.clock.advance(self.cost.page_fault_cost(pages_in_use));
-        match outcome {
-            pagedmem::AccessOutcome::Unmapped | pagedmem::AccessOutcome::Invalid => {
-                let handle = self.fetch_diffs(&[AddrRange::page(page)]);
-                self.apply_fetch(handle);
-                if is_write {
-                    self.enable_write_after_fault(page);
-                }
-            }
-            pagedmem::AccessOutcome::WriteProtected => self.enable_write_after_fault(page),
-            pagedmem::AccessOutcome::Hit => unreachable!("hit is not a fault"),
+        if outcome != AccessOutcome::WriteProtected {
+            // Unmapped or invalidated: bring the copy up to date first.
+            let handle = self.fetch_diffs(&[AddrRange::page(page)]);
+            self.apply_fetch(handle);
+        }
+        if is_write {
+            self.enable_write_after_fault(page);
         }
     }
 

@@ -15,7 +15,6 @@ use super::access::warm_ranges_locked;
 use super::interval::apply_notices_locked;
 use super::sync::{pages_of, prep_writes_locked, PendingSync, PhasePlan};
 use super::Process;
-use crate::config::BarrierTopology;
 use crate::message::{DiffRecord, RoutedRequest, SyncFetchRequest, TmkMessage};
 use crate::state::ProtoState;
 use crate::types::{Interval, ProcId, Vt};
@@ -233,7 +232,7 @@ impl Process {
     /// piggybacked on the arrival, and then performs the *entire*
     /// post-departure protocol step — write-notice application, serving
     /// the piggybacked requests routed to this processor, write
-    /// preparation, TLB warming and the garbage-collection trim — under a
+    /// preparation, mapping caching and the garbage-collection trim — under a
     /// single page-table-lock hold before returning with the pending handle.
     ///
     /// The exchange runs over the configured [`BarrierTopology`]: notices,
@@ -255,12 +254,7 @@ impl Process {
         let mut pending = PendingSync::new(SyncKind::Barrier, seq, pages_of(&plan.fetch), plan);
         let n = self.nprocs();
         let me = self.proc_id();
-        let (arity, flat) = match self.barrier {
-            BarrierTopology::FlatMaster => ((n - 1).max(1), true),
-            BarrierTopology::Tree { arity } => (arity.max(1), false),
-            // Resolved to a concrete tree in `Process::new`.
-            BarrierTopology::Adaptive => unreachable!("adaptive topology is resolved at startup"),
-        };
+        let (arity, flat) = self.barrier;
         let children = tree_children(me, n, arity);
         let interrupt = flat;
         let my_request = if pending.pages.is_empty() {

@@ -94,8 +94,8 @@ impl Process {
             let wants = wants_for_pages_locked(&proto, &pending.pages, &in_hand);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
-            // Warm what is already consistent so the overlapped computation
-            // between issue and complete runs lock-free.
+            // Cache what is mapped so the overlapped computation between
+            // issue and complete runs lock-free.
             warm_ranges_locked(&mut node, &table, &plan.warm);
             (tally, prep, wants, table.pages_in_use())
         };

@@ -17,8 +17,9 @@ use crate::types::ProcId;
 pub struct PushReceipt {
     /// The address ranges installed by the received pushes, coalesced.
     pub installed: Vec<AddrRange>,
-    /// Fast-path mappings warmed for the received data (under the same
-    /// table-lock hold as the install).
+    /// How many of the received pages the software TLB maps, cached where
+    /// it did not hold them yet under the same table-lock hold as the
+    /// install.
     pub pages_warmed: usize,
 }
 
@@ -27,14 +28,14 @@ impl Process {
     /// analyzable phase: the contents of each range in `sends` travel
     /// directly to their consumer, and one `PushData` message is awaited
     /// from every processor in `recv_from`. Received bytes are installed in
-    /// place — no twins, diffs, write notices or invalidations — and the
-    /// protection epoch is bumped once (the install replaces contents
-    /// wholesale, so cached mappings must revalidate).
+    /// place — no twins, diffs, write notices or invalidations. A cached
+    /// mapping of an installed page keeps serving: the install returned its
+    /// lease and wrote into the very frame the entry names.
     ///
     /// The exchange is batched like the barrier protocol: *one* table-lock
     /// hold reads every outgoing chunk, and after all pushes have arrived
-    /// *one* hold installs everything and re-warms the TLB for the received
-    /// ranges, whose coalesced extent the [`PushReceipt`] reports.
+    /// *one* hold installs everything and caches the mappings of the
+    /// received ranges, whose coalesced extent the [`PushReceipt`] reports.
     ///
     /// # Panics
     ///
@@ -86,7 +87,6 @@ impl Process {
             return PushReceipt { installed: Vec::new(), pages_warmed: 0 };
         }
         let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
-        let warm: Vec<(AddrRange, bool)> = installed.iter().map(|&r| (r, false)).collect();
         let pages_warmed = {
             // The detector needs protocol state (lock order: proto before
             // table); the detector-off install path takes only the table
@@ -103,8 +103,7 @@ impl Process {
                 // diff (or be race-flagged against the next push).
                 table.install_bytes(range.start(), &data);
             }
-            table.bump_epoch();
-            warm_ranges_locked(&mut node, &table, &warm)
+            warm_ranges_locked(&mut node, &table, &installed)
         };
         PushReceipt { installed, pages_warmed }
     }

@@ -59,8 +59,8 @@ impl FetchHandle {
 }
 
 /// A lowered description of one compiler-analyzed phase: what must be
-/// fetched, how written pages are prepared, and which mappings to pre-load
-/// into the software TLB. Built by the `ctrt` crate from `RegularSection`s;
+/// fetched, how written pages are prepared, and which mappings to cache in
+/// the software TLB. Built by the `ctrt` crate from `RegularSection`s;
 /// consumed by the aggregate entry points
 /// ([`Process::sync_phase_issue`]/[`Process::sync_phase_complete`] and
 /// [`Process::prepare_phase`]) so that *all* per-phase protocol work happens
@@ -80,8 +80,9 @@ pub struct PhasePlan {
     /// overwritten — fetched like a read, but no twin is kept (the flush
     /// ships the whole page).
     pub read_write_all: Vec<AddrRange>,
-    /// `(range, writable)` mappings to pre-load into the software TLB.
-    pub warm: Vec<(AddrRange, bool)>,
+    /// Ranges whose mappings the software TLB caches, where it does not
+    /// hold them yet, under the lock holds the phase's calls take anyway.
+    pub warm: Vec<AddrRange>,
 }
 
 impl PhasePlan {
@@ -117,8 +118,8 @@ pub(super) struct DeferredWrite {
 /// Returned by [`Process::sync_phase_issue`]: the synchronization operation
 /// itself has been performed (the barrier crossed or the lock acquired, with
 /// the section page list piggybacked), the diff requests are on the wire,
-/// and write preparation plus TLB warming have been done for every page that
-/// was already consistent. Pass the handle to
+/// and write preparation has been done for every page that was already
+/// consistent. Pass the handle to
 /// [`Process::sync_phase_complete`] to collect the responses, apply them in
 /// causal (rank) order and finish the deferred preparation.
 ///
@@ -152,8 +153,9 @@ pub struct PendingSync {
     pub(super) fetch_expected: Vec<(ProcId, u64)>,
     /// Write preparation postponed until the missing diffs have landed.
     pub(super) deferred: Vec<DeferredWrite>,
-    /// Mappings to (re-)warm at completion.
-    warm: Vec<(AddrRange, bool)>,
+    /// Mappings to cache at completion (the fetched pages may be mapped
+    /// only then).
+    warm: Vec<AddrRange>,
     /// The synchronization kind a race detected at this completion is
     /// attributed to in its [`racecheck::RaceReport`].
     sync_kind: SyncKind,
@@ -169,7 +171,7 @@ pub struct PendingSync {
 
 impl PendingSync {
     /// A handle of kind `sync_kind` at ordinal `seq` covering `pages`, with
-    /// nothing outstanding yet and `plan`'s mappings to re-warm at
+    /// nothing outstanding yet and `plan`'s mappings to cache at
     /// completion. The issuing collective fills in what it is waiting for.
     pub(super) fn new(
         sync_kind: SyncKind,
@@ -396,9 +398,9 @@ impl Process {
     /// happens-before order no matter how they were delivered), drops
     /// records that are no longer missing (re-delivery is harmless),
     /// applies the survivors through the page table's batch entry point,
-    /// revalidates `pages`, finishes deferred write preparation and warms
-    /// the TLB — one global-lock acquisition for the entire step. Returns
-    /// the number of pages warmed.
+    /// revalidates `pages`, finishes deferred write preparation and caches
+    /// the `warm` mappings — one global-lock acquisition for the entire
+    /// step. Returns how many of the warm list's pages the TLB now maps.
     /// When the race detector is on, the claimed batch is checked against
     /// concurrent local history *before* it is applied (applying would
     /// update the twins the local unflushed write set is read from);
@@ -410,7 +412,7 @@ impl Process {
         mut records: Vec<DiffRecord>,
         pages: &[PageId],
         deferred: &[DeferredWrite],
-        warm: &[(AddrRange, bool)],
+        warm: &[AddrRange],
         sync_kind: SyncKind,
         race_vt: Option<&Vt>,
     ) -> usize {
@@ -540,12 +542,13 @@ impl Process {
 
     /// The issue half of a split-phase `Validate_w_sync`: performs the
     /// synchronization operation with the plan's page list piggybacked,
-    /// sends every diff request, prepares and warms the pages that are
-    /// already consistent, and returns without waiting for the data.
+    /// sends every diff request, prepares the pages that are already
+    /// consistent, caches the sections' mappings and returns without
+    /// waiting for the data.
     ///
     /// All per-synchronization protocol work on this side — write-notice
     /// application, serving the other processors' piggybacked requests,
-    /// write preparation and TLB warming — happens under a **single**
+    /// write preparation and mapping caching — happens under a **single**
     /// page-table-lock hold.
     ///
     /// The caller may run computation that does not touch the still-missing
@@ -562,9 +565,9 @@ impl Process {
 
     /// The completion half of a split-phase `Validate_w_sync`: waits for
     /// every outstanding response, applies the whole batch in causal (rank)
-    /// order, finishes deferred write preparation and re-warms the TLB —
-    /// again under a single page-table-lock hold. Returns the number of
-    /// pages warmed.
+    /// order, finishes deferred write preparation and caches the mappings
+    /// of the fetched pages — again under a single page-table-lock hold.
+    /// Returns how many of the warm list's pages the TLB now maps.
     pub fn sync_phase_complete(&mut self, pending: PendingSync) -> usize {
         let PendingSync {
             pages,
@@ -668,10 +671,11 @@ impl Process {
         self.install_records(records, &pages, &deferred, &warm, sync_kind, race_vt.as_ref())
     }
 
-    /// Batch write preparation and TLB warming for a phase whose data is
-    /// already consistent (the run-time half of a plain `Validate` after
+    /// Batch write preparation and mapping caching for a phase whose data
+    /// is already consistent (the run-time half of a plain `Validate` after
     /// its fetch, and of the producer side of a push loop) — one table-lock
-    /// hold for the whole phase. Returns the number of pages warmed.
+    /// hold for the whole phase. Returns how many of the warm list's pages
+    /// the TLB now maps.
     ///
     /// This is the paper's `Create_twins` and `Write_enable` in one call
     /// ([`PhasePlan`] says what each kind of written range gets), charged

@@ -316,9 +316,6 @@ pub(crate) struct NodeShared {
     pub proto: Mutex<ProtoState>,
     pub stats: SharedStats,
     pub cost: CostModel,
-    /// Lock-free view of the table's protection epoch, used by the software
-    /// TLB to revalidate cached mappings without taking the table lock.
-    pub epoch: pagedmem::EpochProbe,
     /// The run-wide host state: race log, wait board, watchdog deadline
     /// and SPMD once-cells.
     pub run: std::sync::Arc<RunShared>,
@@ -332,14 +329,11 @@ impl NodeShared {
         stats: SharedStats,
         run: std::sync::Arc<RunShared>,
     ) -> NodeShared {
-        let table = PageTable::new();
-        let epoch = table.epoch_probe();
         NodeShared {
-            table: Mutex::new(table),
+            table: Mutex::new(PageTable::new()),
             proto: Mutex::new(ProtoState::new(me, nprocs)),
             stats,
             cost,
-            epoch,
             run,
         }
     }

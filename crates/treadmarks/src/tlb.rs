@@ -1,32 +1,30 @@
 //! The per-processor software TLB, and the compute thread's gate to its
 //! node's locks.
 //!
-//! [`SoftTlb`] caches, per page, the [`FrameRef`] of the mapping together
-//! with the protection epoch it was observed at and whether it was
-//! writable. A probe is valid only while the table's protection epoch is
-//! unchanged — the epoch bumps on *every* protection or validity change, so
-//! a stale entry can never satisfy a probe.
-//!
-//! An entry that has been used also holds a **lease** on its frame (see
-//! [`pagedmem::Frame::checkout`]): the frame's state is moved into the
-//! entry, the processor owns it outright, and a warm access is an epoch
-//! compare, a set probe, a read of the leased frame's protection field and
-//! the bytes — no lock and no atomic read-modify-write. Whoever else wants
-//! the frame (the node's protocol server, or this thread's own calls into
-//! the page table) waits until the lease is returned, which is why
-//! [`NodeGate`] is the *only* path from the `process` modules to the
-//! node's `proto` and `table` locks: [`NodeGate::unleased`] returns every
-//! lease before it hands out either. An entry whose lease was returned
-//! stays cached and re-takes the lease on its next hit. See `DESIGN.md` §3.
+//! [`SoftTlb`] caches, per page, the [`FrameRef`] of the mapping. A frame
+//! handle is stable for the life of the table, so an entry never goes
+//! stale: what decides an access is the frame's own `protection`, which a
+//! hit reads through the **lease** it holds on the frame (see
+//! [`pagedmem::Frame::checkout`]). The frame's state is moved into the
+//! entry, the processor owns it outright, and a warm access is a set probe,
+//! a read of the leased frame's protection field and the bytes — no lock
+//! and no atomic operation. Whoever else wants the frame (the node's
+//! protocol server, or this thread's own calls into the page table) waits
+//! until the lease is returned, which is why [`NodeGate`] is the *only*
+//! path from the `process` modules to the node's `proto` and `table` locks:
+//! [`NodeGate::unleased`] returns every lease before it hands out either.
+//! Only this thread ever revokes a protection, it does so under the table
+//! lock, and it holds no lease by then — so the field a hit reads is always
+//! live. An entry whose lease was returned stays cached and re-takes the
+//! lease on its next hit. See `DESIGN.md` §3.
 //!
 //! The cache is two-way set associative: page id modulo [`TLB_SETS`]
-//! selects a set, and within a set the insert evicts the entry observed at
-//! the older epoch (a cheap, deterministic LRU proxy). Two ways matter for
-//! the phase plans of the compiler interface, which warm a read section
-//! and a write section in one call — with a direct-mapped cache a single
-//! unlucky alignment makes the two sections evict each other on every
-//! access. Conflicts still only evict — correctness never depends on an
-//! entry being present.
+//! selects a set, and a set replaces first in, first out (way 0 holds the
+//! newer entry). Two ways matter for the phase plans of the compiler
+//! interface, which cache a read section and a write section in one call —
+//! with a direct-mapped cache a single unlucky alignment makes the two
+//! sections evict each other on every access. Conflicts only evict —
+//! correctness never depends on an entry being present.
 
 use std::cell::Cell;
 use std::sync::{Arc, MutexGuard};
@@ -53,17 +51,11 @@ pub(crate) const TLB_SETS: usize = TLB_SLOTS / TLB_WAYS;
 struct TlbEntry {
     page: PageId,
     frame: FrameRef,
-    epoch: u64,
-    writable: bool,
     /// The frame's state while this entry holds the lease on it.
     lease: Option<PageFrame>,
 }
 
 impl TlbEntry {
-    fn matches(&self, page: PageId, is_write: bool, epoch: u64) -> bool {
-        self.page == page && self.epoch == epoch && (!is_write || self.writable)
-    }
-
     fn return_lease(&mut self) {
         if let Some(state) = self.lease.take() {
             self.frame.checkin(state);
@@ -71,8 +63,8 @@ impl TlbEntry {
     }
 }
 
-/// A two-way set-associative cache of page → frame mappings, validated by
-/// epoch, whose used entries hold their frames on lease.
+/// A two-way set-associative cache of page → frame mappings whose used
+/// entries hold their frames on lease.
 #[derive(Debug)]
 pub(crate) struct SoftTlb {
     sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
@@ -91,21 +83,16 @@ impl SoftTlb {
         page.0 % TLB_SETS
     }
 
-    /// The frame of `page`, held on lease, provided the entry was filled at
-    /// the current protection `epoch` and both the entry and the frame's
-    /// own protection allow the requested access. An entry without its
-    /// lease takes it here, waiting if the frame is locked at this moment.
+    /// The frame of `page`, held on lease, provided the page is cached and
+    /// the frame's own protection allows the requested access. An entry
+    /// without its lease takes it here, waiting if the frame is locked at
+    /// this moment.
     #[inline]
-    pub(crate) fn access(
-        &mut self,
-        page: PageId,
-        is_write: bool,
-        epoch: u64,
-    ) -> Option<&mut PageFrame> {
+    pub(crate) fn access(&mut self, page: PageId, is_write: bool) -> Option<&mut PageFrame> {
         let set = Self::set(page);
         for (way, slot) in self.sets[set].iter_mut().enumerate() {
             let Some(entry) = slot else { continue };
-            if !entry.matches(page, is_write, epoch) {
+            if entry.page != page {
                 continue;
             }
             if entry.lease.is_none() {
@@ -123,25 +110,27 @@ impl SoftTlb {
         None
     }
 
-    /// Caches `frame` as the mapping of `page`, observed at `epoch`. An
-    /// existing entry for the page is replaced in place; otherwise an empty
-    /// way is used, and failing that the way filled at the older epoch is
-    /// evicted (ties evict way 0, deterministically). A replaced entry's
-    /// lease is returned.
-    pub(crate) fn insert(&mut self, page: PageId, frame: FrameRef, epoch: u64, writable: bool) {
+    /// Whether `page` is cached.
+    pub(crate) fn contains(&self, page: PageId) -> bool {
+        self.sets[Self::set(page)].iter().flatten().any(|e| e.page == page)
+    }
+
+    /// Caches `frame` as the mapping of `page`: in place of an entry for
+    /// the same page, else in an empty way, else as way 0 with the old way 0
+    /// moving to way 1 and the old way 1 evicted. Every lease is returned
+    /// first, so moving an entry cannot strand one.
+    pub(crate) fn insert(&mut self, page: PageId, frame: FrameRef) {
+        self.return_leases();
         let set = &mut self.sets[Self::set(page)];
-        let victim = set
+        let way = set
             .iter()
             .position(|way| way.as_ref().is_some_and(|e| e.page == page))
             .or_else(|| set.iter().position(Option::is_none))
-            .unwrap_or_else(|| match (&set[0], &set[1]) {
-                (Some(first), Some(second)) if second.epoch < first.epoch => 1,
-                _ => 0,
+            .unwrap_or_else(|| {
+                set.swap(0, 1);
+                0
             });
-        let entry = TlbEntry { page, frame, epoch, writable, lease: None };
-        if let Some(mut replaced) = set[victim].replace(entry) {
-            replaced.return_lease();
-        }
+        set[way] = Some(TlbEntry { page, frame, lease: None });
     }
 
     /// Returns every lease; the entries stay cached.
@@ -186,16 +175,11 @@ impl NodeGate {
     }
 
     /// The warm half of a checked access: the leased frame of `page` if
-    /// the TLB holds a mapping valid at `epoch` that allows the access,
-    /// counted as a hit.
+    /// the TLB holds its mapping and the frame allows the access, counted
+    /// as a hit.
     #[inline]
-    pub(crate) fn access(
-        &mut self,
-        page: PageId,
-        is_write: bool,
-        epoch: u64,
-    ) -> Option<&mut PageFrame> {
-        let frame = self.tlb.access(page, is_write, epoch)?;
+    pub(crate) fn access(&mut self, page: PageId, is_write: bool) -> Option<&mut PageFrame> {
+        let frame = self.tlb.access(page, is_write)?;
         self.hits.set(self.hits.get() + 1);
         Some(frame)
     }
@@ -252,9 +236,18 @@ impl<'a> Unleased<'a> {
         self.shared.lock_table()
     }
 
-    /// Caches a mapping in the TLB (see [`SoftTlb::insert`]).
-    pub(crate) fn cache(&mut self, page: PageId, frame: FrameRef, epoch: u64, writable: bool) {
-        self.tlb.insert(page, frame, epoch, writable);
+    /// Caches the mapping of `page` if it is not cached yet, and says
+    /// whether the TLB holds it now (it cannot while `table` does not map
+    /// the page). Takes the held table so that caching never costs a lock
+    /// of its own, and locks no frame: the frame's protection is read when
+    /// the entry is used, not here.
+    pub(crate) fn cache(&mut self, page: PageId, table: &PageTable) -> bool {
+        if self.tlb.contains(page) {
+            return true;
+        }
+        let Ok(frame) = table.frame(page) else { return false };
+        self.tlb.insert(page, frame);
+        true
     }
 
     /// Grants `lock` to a requester that was queued behind the local
@@ -275,15 +268,6 @@ mod tests {
     use super::*;
     use pagedmem::{Frame, Page, Protection};
 
-    impl SoftTlb {
-        /// Whether `page` is cached at `epoch` with a mapping that allows
-        /// the access — what [`SoftTlb::access`] matches on, without
-        /// taking the lease.
-        fn probe(&self, page: PageId, is_write: bool, epoch: u64) -> bool {
-            self.sets[Self::set(page)].iter().flatten().any(|e| e.matches(page, is_write, epoch))
-        }
-    }
-
     fn frame() -> FrameRef {
         Arc::new(Frame::new(PageFrame {
             page: Page::zeroed(),
@@ -293,65 +277,59 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn probe_hits_only_at_the_fill_epoch() {
-        let mut tlb = SoftTlb::new();
-        tlb.insert(PageId(3), frame(), 7, false);
-        assert!(tlb.probe(PageId(3), false, 7));
-        assert!(!tlb.probe(PageId(3), false, 8), "stale epoch must miss");
-        assert!(!tlb.probe(PageId(3), true, 7), "read entry must not allow writes");
-        assert!(!tlb.probe(PageId(4), false, 7));
+    /// The pages cached in the set of `page`, way 0 first.
+    fn ways(tlb: &SoftTlb, page: PageId) -> Vec<PageId> {
+        tlb.sets[SoftTlb::set(page)].iter().flatten().map(|e| e.page).collect()
     }
 
     #[test]
     fn writable_entries_serve_reads_and_writes() {
         let mut tlb = SoftTlb::new();
-        tlb.insert(PageId(1), frame(), 1, true);
-        assert!(tlb.probe(PageId(1), false, 1));
-        assert!(tlb.probe(PageId(1), true, 1));
+        let writable = frame();
+        writable.lock().protection = Protection::ReadWrite;
+        tlb.insert(PageId(1), writable);
+        assert!(tlb.access(PageId(1), false).is_some());
+        assert!(tlb.access(PageId(1), true).is_some());
     }
 
     #[test]
     fn two_conflicting_pages_coexist_in_one_set() {
-        // The warm-list case that motivated the associativity: a read
-        // section and a write section whose pages alias the same set.
+        // The case that motivated the associativity: a read section and a
+        // write section whose pages alias the same set.
         let mut tlb = SoftTlb::new();
-        tlb.insert(PageId(5), frame(), 1, false);
-        tlb.insert(PageId(5 + TLB_SETS), frame(), 1, true);
-        assert!(tlb.probe(PageId(5), false, 1), "two ways must hold both");
-        assert!(tlb.probe(PageId(5 + TLB_SETS), true, 1));
+        tlb.insert(PageId(5), frame());
+        tlb.insert(PageId(5 + TLB_SETS), frame());
+        assert!(tlb.contains(PageId(5)), "two ways must hold both");
+        assert!(tlb.contains(PageId(5 + TLB_SETS)));
+        assert!(!tlb.contains(PageId(6)));
     }
 
     #[test]
-    fn a_third_conflicting_page_evicts_the_oldest_epoch() {
+    fn a_full_set_replaces_first_in_first_out() {
+        let page = |k: usize| PageId(5 + k * TLB_SETS);
         let mut tlb = SoftTlb::new();
-        tlb.insert(PageId(5), frame(), 1, false);
-        tlb.insert(PageId(5 + TLB_SETS), frame(), 3, false);
-        tlb.insert(PageId(5 + 2 * TLB_SETS), frame(), 3, false);
-        assert!(!tlb.probe(PageId(5), false, 1), "the epoch-1 entry is the victim");
-        assert!(tlb.probe(PageId(5 + TLB_SETS), false, 3));
-        assert!(tlb.probe(PageId(5 + 2 * TLB_SETS), false, 3));
-        // Way 1 holding the older epoch is the victim just the same, and a
-        // tie evicts way 0.
-        tlb.insert(PageId(5 + 3 * TLB_SETS), frame(), 4, false);
-        tlb.insert(PageId(5 + 4 * TLB_SETS), frame(), 4, false);
-        assert!(!tlb.probe(PageId(5 + TLB_SETS), false, 3));
-        assert!(!tlb.probe(PageId(5 + 2 * TLB_SETS), false, 3));
-        tlb.insert(PageId(5), frame(), 4, false);
-        assert!(!tlb.probe(PageId(5 + 3 * TLB_SETS), false, 4), "ties evict way 0");
-        assert!(tlb.probe(PageId(5 + 4 * TLB_SETS), false, 4));
+        tlb.insert(page(0), frame());
+        tlb.insert(page(1), frame());
+        assert_eq!(ways(&tlb, page(0)), [page(0), page(1)], "empty ways fill in order");
+        // The new entry takes way 0, the old way 0 moves to way 1 and the
+        // old way 1 goes.
+        tlb.insert(page(2), frame());
+        assert_eq!(ways(&tlb, page(0)), [page(2), page(0)]);
+        tlb.insert(page(3), frame());
+        assert_eq!(ways(&tlb, page(0)), [page(3), page(2)]);
+        // Hits do not reorder: the rule is positional, not recency.
+        assert!(tlb.access(page(2), false).is_some());
+        tlb.insert(page(4), frame());
+        assert_eq!(ways(&tlb, page(0)), [page(4), page(3)]);
     }
 
     #[test]
     fn reinserting_a_cached_page_replaces_in_place() {
         let mut tlb = SoftTlb::new();
-        tlb.insert(PageId(9), frame(), 1, false);
-        tlb.insert(PageId(9 + TLB_SETS), frame(), 1, false);
-        // Upgrade page 9 to writable at a newer epoch: the set's other way
-        // must survive.
-        tlb.insert(PageId(9), frame(), 2, true);
-        assert!(tlb.probe(PageId(9), true, 2));
-        assert!(tlb.probe(PageId(9 + TLB_SETS), false, 1));
+        tlb.insert(PageId(9), frame());
+        tlb.insert(PageId(9 + TLB_SETS), frame());
+        tlb.insert(PageId(9), frame());
+        assert_eq!(ways(&tlb, PageId(9)), [PageId(9), PageId(9 + TLB_SETS)]);
     }
 
     /// Whether the entry caching `page` (if any) holds no lease.
@@ -363,29 +341,28 @@ mod tests {
     fn an_access_takes_the_lease_and_a_return_keeps_the_entry() {
         let mut tlb = SoftTlb::new();
         let shared = frame();
-        tlb.insert(PageId(2), Arc::clone(&shared), 5, false);
+        tlb.insert(PageId(2), Arc::clone(&shared));
         assert!(is_home(&tlb, PageId(2)), "caching a mapping takes no lease");
-        assert!(tlb.access(PageId(2), false, 5).is_some());
+        assert!(tlb.access(PageId(2), false).is_some());
         assert!(!is_home(&tlb, PageId(2)));
-        assert!(tlb.access(PageId(2), true, 5).is_none(), "a read mapping serves no write");
-        assert!(tlb.access(PageId(2), false, 6).is_none(), "a stale epoch serves nothing");
+        assert!(tlb.access(PageId(2), true).is_none(), "a read-only frame serves no write");
+        assert!(tlb.access(PageId(3), false).is_none(), "an uncached page serves nothing");
         tlb.return_leases();
         assert!(is_home(&tlb, PageId(2)));
         assert_eq!(shared.lock().protection, Protection::ReadOnly);
         // Still cached: the next hit takes the lease again.
-        assert!(tlb.access(PageId(2), false, 5).is_some());
+        assert!(tlb.access(PageId(2), false).is_some());
         assert_eq!(tlb.leased.len(), 1);
     }
 
     #[test]
     fn the_leased_frames_own_protection_is_checked_on_every_access() {
         let mut tlb = SoftTlb::new();
-        tlb.insert(PageId(2), frame(), 5, true);
-        // The entry claims writability the frame (read-only) does not give.
-        assert!(tlb.access(PageId(2), true, 5).is_none());
-        let leased = tlb.access(PageId(2), false, 5).expect("reads are allowed");
+        tlb.insert(PageId(2), frame());
+        assert!(tlb.access(PageId(2), true).is_none(), "the frame is read-only");
+        let leased = tlb.access(PageId(2), false).expect("reads are allowed");
         leased.protection = Protection::Invalid;
-        assert!(tlb.access(PageId(2), false, 5).is_none());
+        assert!(tlb.access(PageId(2), false).is_none());
     }
 
     #[test]
@@ -393,47 +370,52 @@ mod tests {
         let mut tlb = SoftTlb::new();
         let shared = frame();
         shared.lock().protection = Protection::ReadWrite;
-        tlb.insert(PageId(8), Arc::clone(&shared), 1, true);
-        tlb.access(PageId(8), true, 1).unwrap().page.as_mut_slice()[11] = 4;
+        tlb.insert(PageId(8), Arc::clone(&shared));
+        tlb.access(PageId(8), true).unwrap().page.as_mut_slice()[11] = 4;
         tlb.return_leases();
         assert_eq!(shared.lock().page.as_slice()[11], 4);
     }
 
     #[test]
-    fn remapping_a_page_revokes_its_leased_mapping_twice_over() {
+    fn an_invalidated_frame_serves_nothing_until_it_is_valid_again() {
         let mut table = PageTable::new();
         let page = PageId(4);
         let frame = table.map_zeroed(page, Protection::ReadWrite);
-        let epoch = table.epoch();
         let mut tlb = SoftTlb::new();
-        tlb.insert(page, frame, epoch, true);
-        tlb.access(page, true, epoch).expect("mapped writable").page.as_mut_slice()[0] = 9;
+        tlb.insert(page, frame);
+        tlb.access(page, true).expect("mapped writable").page.as_mut_slice()[0] = 9;
         // The lessee's rule: every lease goes back before a call into the
         // table, which locks the frame.
         tlb.return_leases();
-        table.map_zeroed(page, Protection::Invalid);
-        assert!(table.epoch() > epoch, "remapping is a validity change");
-        assert!(tlb.access(page, false, table.epoch()).is_none(), "the epoch moved on");
-        // Even a probe at the stale epoch is refused: the re-taken lease
-        // reads the frame's own protection.
-        assert!(tlb.access(page, false, epoch).is_none());
+        table.set_protection(page, Protection::Invalid);
+        assert!(tlb.access(page, false).is_none(), "the re-taken lease reads the frame's state");
         tlb.return_leases();
-        assert_eq!(table.read_range(pagedmem::AddrRange::page(page))[0], 0, "contents were reset");
+        table.set_protection(page, Protection::ReadOnly);
+        // The same entry serves again, with no insert in between.
+        assert_eq!(tlb.access(page, false).expect("valid again").page.as_slice()[0], 9);
+        assert!(tlb.access(page, true).is_none());
+        // Remapping resets the frame in place; the entry sees that too.
+        tlb.return_leases();
+        table.map_zeroed(page, Protection::ReadOnly);
+        assert_eq!(tlb.access(page, false).expect("remapped").page.as_slice()[0], 0);
     }
 
     #[test]
     fn eviction_and_drop_return_the_lease() {
         let mut tlb = SoftTlb::new();
         let (a, b) = (frame(), frame());
-        tlb.insert(PageId(5), Arc::clone(&a), 1, false);
-        tlb.insert(PageId(5 + TLB_SETS), Arc::clone(&b), 2, false);
-        assert!(tlb.access(PageId(5), false, 1).is_some());
-        assert!(tlb.access(PageId(5 + TLB_SETS), false, 2).is_some());
-        // Page 5 (older epoch) is evicted while leased: lock() would wait
-        // forever if the eviction dropped the state instead of returning it.
-        tlb.insert(PageId(5 + 2 * TLB_SETS), frame(), 2, false);
-        assert_eq!(a.lock().protection, Protection::ReadOnly);
-        drop(tlb);
+        tlb.insert(PageId(5), Arc::clone(&a));
+        tlb.insert(PageId(5 + TLB_SETS), Arc::clone(&b));
+        assert!(tlb.access(PageId(5), false).is_some());
+        assert!(tlb.access(PageId(5 + TLB_SETS), false).is_some());
+        // Way 1 is evicted and way 0 moved while both are leased: lock()
+        // would wait forever if either lost its state instead of returning
+        // it.
+        tlb.insert(PageId(5 + 2 * TLB_SETS), frame());
         assert_eq!(b.lock().protection, Protection::ReadOnly);
+        assert_eq!(a.lock().protection, Protection::ReadOnly);
+        assert!(tlb.access(PageId(5), false).is_some());
+        drop(tlb);
+        assert_eq!(a.lock().protection, Protection::ReadOnly);
     }
 }

@@ -188,7 +188,7 @@ fn solo_kernel(p: &mut Process) -> u64 {
         write_twinned: vec![chunk(1)],
         write_all: vec![chunk(2)],
         read_write_all: vec![chunk(3)],
-        warm: vec![(chunk(0), false), (a.range_of(ELEMS, 4 * ELEMS), true)],
+        warm: vec![chunk(0), a.range_of(ELEMS, 4 * ELEMS)],
     };
     let pending = p.sync_phase_issue(SyncOp::Barrier, &plan);
     assert_eq!(pending.outstanding(), 0, "nobody to answer");
@@ -219,9 +219,9 @@ fn a_single_processor_barrier_is_the_degenerate_tree() {
         barriers: 5,
         gc_trimmed_diffs: 4,
         gc_trimmed_notices: 2,
-        table_lock_acquires: 24,
+        table_lock_acquires: 15,
         tlb_hits: 2324,
-        tlb_misses: 5,
+        tlb_misses: 1,
         ..StatsSnapshot::default()
     };
     for (name, config) in [("tree", tree), ("flat", flat)] {
