@@ -465,15 +465,19 @@ fn lease_keeps_the_access_path_counters_of_the_baseline_variants_exact() {
 
 /// `(messages_sent, bytes_sent, diffs_applied, write_notices)`, Σ over the
 /// processors, of the `Validate` variants at 64 processors on the wide
-/// grid. The three counts are as measured at the commit before diffs became
-/// shared and the notice log a sorted queue, and did not move by one when
-/// the barrier departure stopped carrying the whole request set either:
-/// routing a request to its responders changes how large a departure is,
-/// never what is sent, which diffs are applied or which notices are
-/// recorded. The bytes are what the routed departures leave.
-const JACOBI_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_308, 1_491_020, 3_126, 12_096);
-const SOR_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_896, 2_023_356, 4_168, 16_128);
-const GAUSS_WIDE_TRAFFIC: (u64, u64, u64, u64) = (2_210, 1_050_768, 1_986, 8_190);
+/// grid. The last two counts are as measured at the commit before diffs
+/// became shared and the notice log a sorted queue, and did not move by one
+/// when the barrier departure stopped carrying the whole request set, nor
+/// when the first touch of in-flight data began to complete the pending
+/// synchronization: what is routed where, and when a completion runs, never
+/// changes which diffs are applied or which notices are recorded. The
+/// messages are what is left without the demand fetches of data already on
+/// the wire (jacobi 4 308, sor 4 896 before; gauss never had any), the bytes
+/// what is left without them and with sparse request timestamps (1 491 020,
+/// 2 023 356 and 1 050 768 before).
+const JACOBI_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_196, 1_348_460, 3_126, 12_096);
+const SOR_WIDE_TRAFFIC: (u64, u64, u64, u64) = (4_672, 1_734_748, 4_168, 16_128);
+const GAUSS_WIDE_TRAFFIC: (u64, u64, u64, u64) = (2_210, 921_936, 1_986, 8_190);
 /// `bytes_sent` of the same three runs at the commit whose departures still
 /// broadcast every request, vector timestamp included, to every processor.
 const BROADCAST_WIDE_BYTES: [u64; 3] = [3_523_692, 6_088_700, 3_111_520];
@@ -523,4 +527,44 @@ fn a_routed_departure_to_a_leaf_of_the_wide64_tree_stays_small() {
         let per_departure = node.bytes_sent / (node.barriers * leaves);
         assert!(per_departure <= 4096, "P{parent} sends {per_departure} bytes a leaf departure");
     }
+}
+
+/// Messages of one merged barrier of `jacobi`/`sor` `Validate` at 64
+/// processors on the 64-row grid, where a page holds eight columns — two
+/// processors' blocks: 63 arrivals and 63 departures, and one `SyncDiffs`
+/// from each writer of each page a boundary column lies on (three for a
+/// processor with two neighbours, one for P0 and P63). Nothing else: a
+/// demand fetch would add its request and its response.
+const WIDE_BARRIER_MESSAGES: u64 = 2 * 63 + (62 * 3 + 2);
+
+#[test]
+fn a_wide_validate_sweep_gets_its_data_with_the_barrier_not_through_faults() {
+    type Kernel = fn(&mut treadmarks::Process, &GridConfig, Variant) -> f64;
+    let per_node = |long: &DsmRun<f64>, short: &DsmRun<f64>, f: fn(&StatsSnapshot) -> u64| {
+        let nodes = long.stats.nodes().iter().zip(short.stats.nodes());
+        nodes.map(|(l, s)| f(l) - f(s)).collect::<Vec<u64>>()
+    };
+    for (name, app) in [("jacobi", jacobi as Kernel), ("sor", sor)] {
+        // What two more iterations add, processor by processor: the
+        // steady state, with the first iteration's cold misses subtracted.
+        let run =
+            |iters| run_app(app, GridConfig { rows: 64, cols: 256, iters }, 64, Variant::Validate);
+        let (short, long) = (run(2), run(4));
+        let barriers = per_node(&long, &short, |s| s.barriers);
+        assert!(barriers.iter().all(|&b| b == barriers[0] && b >= 2), "{name}: {barriers:?}");
+        let messages: u64 = per_node(&long, &short, |s| s.messages_sent).iter().sum();
+        assert_eq!(messages, barriers[0] * WIDE_BARRIER_MESSAGES, "{name}: a demand fetch");
+        // What is left is one trap a barrier: the first touch of an
+        // "interior" column that shares its page with a neighbour's
+        // in-flight diff, which completes the pending fetch.
+        let faults = per_node(&long, &short, |s| s.page_faults);
+        for (proc, (&faults, &barriers)) in faults.iter().zip(&barriers).enumerate() {
+            assert!(faults <= barriers, "{name}: P{proc} took {faults} faults in {barriers}");
+        }
+    }
+    // With a column a page (512 rows) no page has two writers, and the
+    // planned sweep never leaves the fast path.
+    let run = |iters| run_app(sor, GridConfig { rows: 512, cols: 32, iters }, 8, Variant::Validate);
+    let (short, long) = (run(1), run(3));
+    assert_eq!(per_node(&long, &short, |s| s.page_faults), [0; 8], "sor/validate@8, aligned");
 }

@@ -116,6 +116,14 @@ pub const SCALE_IS_CFG: GridConfig = GridConfig { rows: 8, cols: 256, iters: 2 }
 /// both dimensions).
 pub const SCALE_GAUSS_CFG: GridConfig = GridConfig { rows: 32, cols: 256, iters: 4 };
 
+/// The page-aligned control of the scale matrix: the wide grid's 256
+/// columns with 512 rows, so a column is a page and no page has two
+/// writers. `jacobi` and `sor` run on it in the `Validate` variant at 64
+/// processors as `validate_aligned`, next to the 64-row records where
+/// eight columns — two processors' blocks — share a page: same tree, same
+/// hops, same plan; what differs between the pair is sub-page sharing.
+pub const SCALE_ALIGNED_CFG: GridConfig = GridConfig { rows: 512, cols: 256, iters: 2 };
+
 /// The scale-matrix size for `app`.
 pub fn scale_cfg(app: &str) -> GridConfig {
     match app {
@@ -333,9 +341,10 @@ pub fn suite() -> Vec<BenchRecord> {
 }
 
 /// The scale suite: all four kernels in the Validate and Compiled variants
-/// at `nprocs` ∈ {32, 64, 128} on wide grids (256 columns). `reactors`
-/// pins the protocol-reactor pool for every run (`None` = one per core);
-/// the records are bit-identical for any pool size.
+/// at `nprocs` ∈ {32, 64, 128} on wide grids (256 columns), plus the two
+/// page-aligned `validate_aligned` controls ([`SCALE_ALIGNED_CFG`]).
+/// `reactors` pins the protocol-reactor pool for every run (`None` = one
+/// per core); the records are bit-identical for any pool size.
 pub fn scale_suite(reactors: Option<usize>) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for app in APPS {
@@ -345,6 +354,13 @@ pub fn scale_suite(reactors: Option<usize>) -> Vec<BenchRecord> {
                 records.push(run_case(Case { reactors, ..Case::new(app, cfg, nprocs, variant) }));
             }
         }
+    }
+    for app in ["jacobi", "sor"] {
+        records.push(run_case(Case {
+            name: "validate_aligned",
+            reactors,
+            ..Case::new(app, SCALE_ALIGNED_CFG, 64, Variant::Validate)
+        }));
     }
     records
 }

@@ -183,12 +183,12 @@ fn main() {
         );
         let records = scale_suite(reactors);
         println!(
-            "{:8} {:14} {:>4} {:>4} {:>12} {:>8} {:>10} {:>10}",
+            "{:8} {:16} {:>4} {:>4} {:>12} {:>8} {:>10} {:>10}",
             "app", "variant", "np", "pool", "time_us", "msgs", "bytes", "segv"
         );
         for r in &records {
             println!(
-                "{:8} {:14} {:>4} {:>4} {:>12} {:>8} {:>10} {:>10}",
+                "{:8} {:16} {:>4} {:>4} {:>12} {:>8} {:>10} {:>10}",
                 r.app,
                 r.variant,
                 r.nprocs,

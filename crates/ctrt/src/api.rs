@@ -113,19 +113,20 @@ pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection
     SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
 }
 
-/// The in-flight half of a split-phase [`validate_w_sync_issue`] or
+/// The receipt of a split-phase [`validate_w_sync_issue`] or
 /// [`neighbor_sync_issue`]. Pass it to [`validate_w_sync_complete`] at the
-/// point where the phase first needs the fetched data.
+/// point where the phase first needs the fetched data. What is in flight
+/// belongs to the processor; the receipt only names it.
 ///
-/// Dropping a handle from [`validate_w_sync_issue`] leaks nothing but
-/// forfeits the fetch: the pending pages stay invalid and fault lazily
-/// (correct, slow). A handle from [`neighbor_sync_issue`] is different —
-/// its acks carry the producers' write notices and vector timestamps, so
-/// completing it is part of the consistency protocol itself and dropping
-/// it loses those notices. Always complete; compiled plans do so by
-/// construction.
+/// Dropping a receipt from [`validate_w_sync_issue`] leaks nothing: the
+/// pending pages stay invalid, the first touch of one completes the
+/// synchronization after all, and the next issue replaces whatever is left.
+/// A receipt from [`neighbor_sync_issue`] is different — its acks carry the
+/// producers' write notices and vector timestamps, so completing it is part
+/// of the consistency protocol itself and abandoning it may lose those
+/// notices. Always complete; compiled plans do so by construction.
 #[must_use = "a split-phase sync completes only when passed to validate_w_sync_complete \
-              (mandatory for neighbor_sync_issue handles: the acks carry consistency \
+              (mandatory for neighbor_sync_issue receipts: the acks carry consistency \
               information)"]
 #[derive(Debug)]
 pub struct PendingValidate {
@@ -133,7 +134,8 @@ pub struct PendingValidate {
 }
 
 impl PendingValidate {
-    /// Number of response messages still outstanding.
+    /// Number of response messages that were outstanding when the issue
+    /// returned.
     pub fn outstanding(&self) -> usize {
         self.pending.outstanding()
     }
@@ -148,11 +150,14 @@ impl PendingValidate {
 /// the fetch latency; sections still missing remote diffs stay invalid
 /// until the completion.
 ///
-/// Safe by construction: a page the caller touches before completing simply
-/// takes the ordinary fault path (a redundant but correct fetch) — the
-/// pending handle never exposes stale data. The overlap contract is purely
-/// a performance matter: compute on what is local, complete, then compute
-/// on what was fetched.
+/// Safe by construction: a page the caller touches before completing
+/// faults, and the fault handler completes the pending synchronization on
+/// the spot — waits for the data that is already on its way, installs it,
+/// finishes the deferred preparation — so a receipt never exposes stale data
+/// and nothing in flight is fetched twice; the later
+/// [`validate_w_sync_complete`] is then free. The overlap contract is purely
+/// a performance matter: compute on what is local, complete, then compute on
+/// what was fetched.
 pub fn validate_w_sync_issue(
     p: &mut Process,
     sync: SyncOp,
@@ -168,7 +173,8 @@ pub fn validate_w_sync_issue(
 /// outstanding response of the issue, applies the whole batch in causal
 /// (rank) order, finishes deferred write preparation and caches the
 /// mappings of the pages that were fetched. Returns the grant for the
-/// now-consistent phase.
+/// now-consistent phase. If an early touch already ran the completion, the
+/// call charges nothing and only reports the grant.
 pub fn validate_w_sync_complete(p: &mut Process, pending: PendingValidate) -> SectionGrant {
     p.stats().split_phase_completes(1);
     SectionGrant { pages_warmed: p.sync_phase_complete(pending.pending) }
@@ -227,10 +233,14 @@ pub fn neighbor_sync(
 /// handle to [`validate_w_sync_complete`] where the fetched data is first
 /// needed.
 ///
-/// Unlike a dropped [`validate_w_sync_issue`] handle, a neighbour-sync
-/// handle **must** be completed — the acks carry consistency information
+/// Unlike a dropped [`validate_w_sync_issue`] receipt, a neighbour-sync
+/// receipt **must** be completed — the acks carry consistency information
 /// (notices and timestamps), not just data. Compiled plans always pair the
-/// two halves.
+/// two halves. Touching a section's page that is not valid yet completes
+/// the exchange early, exactly as for a barrier or a lock; a page the
+/// consumer still holds a valid copy of reads that copy until the
+/// completion has applied the producers' notices, which is all release
+/// consistency promises before an acquire has finished.
 pub fn neighbor_sync_issue(
     p: &mut Process,
     producers: &[ProcId],

@@ -87,21 +87,47 @@ impl PageWant {
 /// reduction tree in this form; the root resolves each one to the
 /// processors that will answer it and the departures carry the result as
 /// [`RoutedRequest`]s.
+///
+/// The timestamp travels *sparse*: only the components that differ from
+/// the previous barrier's global timestamp, which every processor holds an
+/// identical copy of when it builds its arrival (the requester's own
+/// component, whatever it learned along lock chains since, and whatever it
+/// lowered below a still-missing diff — a handful, not one per processor;
+/// where it is not, [`wire_bytes`](Self::wire_bytes) charges the whole
+/// timestamp instead). The root reconstructs the timestamp against its own copy of that base,
+/// which it must therefore read *before* this barrier overwrites it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncFetchRequest {
     /// The requesting processor.
     pub proc: ProcId,
-    /// The requester's vector timestamp at the time of the request.
-    pub vt: Vt,
+    /// The requester's advertised vector timestamp at the time of the
+    /// request, as its difference from the base ([`Vt::delta_from`]).
+    pub delta: Vec<(ProcId, Interval)>,
     /// The pages of the requested sections, ascending. Built once by the
     /// requester: the root hands this very list on to the responders.
     pub pages: Arc<[PageId]>,
 }
 
 impl SyncFetchRequest {
-    /// Approximate wire size of the request.
-    pub fn wire_bytes(&self) -> usize {
-        4 + self.vt.wire_bytes() + self.pages.len() * 4
+    /// The request of `proc` for `pages`, advertising `vt` against `base`.
+    pub fn new(proc: ProcId, vt: &Vt, base: &Vt, pages: Arc<[PageId]>) -> SyncFetchRequest {
+        SyncFetchRequest { proc, delta: vt.delta_from(base), pages }
+    }
+
+    /// The advertised timestamp, reconstructed against the `base` it was
+    /// encoded from.
+    pub fn vt(&self, base: &Vt) -> Vt {
+        base.patched(&self.delta)
+    }
+
+    /// Approximate wire size of the request on a cluster of `nprocs`: the
+    /// requester, four bytes a page, and the timestamp in the smaller of
+    /// its two encodings — sparse (an entry count and eight bytes a
+    /// differing component) or, where that would not pay (two processors,
+    /// a long chain of acquires since the last barrier), whole (four bytes
+    /// a component).
+    pub fn wire_bytes(&self, nprocs: usize) -> usize {
+        4 + self.pages.len() * 4 + (4 + self.delta.len() * 8).min(nprocs * 4)
     }
 }
 
@@ -315,7 +341,7 @@ impl TmkMessage {
                 4 + vt.wire_bytes()
                     + applied_vt.wire_bytes()
                     + notices.len() * WriteNotice::WIRE_BYTES
-                    + sync_requests.iter().map(SyncFetchRequest::wire_bytes).sum::<usize>()
+                    + sync_requests.iter().map(|r| r.wire_bytes(vt.len())).sum::<usize>()
             }
             TmkMessage::BarrierDeparture { global_vt, gc_horizon, notices, sync_requests } => {
                 global_vt.wire_bytes()
@@ -401,11 +427,7 @@ mod tests {
             vt: vt.clone(),
             applied_vt: vt.clone(),
             notices: vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }],
-            sync_requests: vec![SyncFetchRequest {
-                proc: 1,
-                vt: vt.clone(),
-                pages: [PageId(3)].into(),
-            }],
+            sync_requests: vec![SyncFetchRequest::new(1, &vt, &vt, [PageId(3)].into())],
         };
         let bare = TmkMessage::BarrierArrival {
             proc: 1,
@@ -414,7 +436,9 @@ mod tests {
             notices: vec![],
             sync_requests: vec![],
         };
-        assert!(arrival.wire_bytes() > bare.wire_bytes());
+        // A request that differs from the base nowhere: requester, entry
+        // count and its one page.
+        assert_eq!(arrival.wire_bytes(), bare.wire_bytes() + WriteNotice::WIRE_BYTES + 8 + 4);
         // On the way down a request names its responders instead of
         // carrying a timestamp: four bytes a page, eight a responder.
         let routed = RoutedRequest {
@@ -433,5 +457,35 @@ mod tests {
             departure(vec![routed.clone()]).wire_bytes(),
             departure(vec![]).wire_bytes() + routed.wire_bytes()
         );
+    }
+
+    #[test]
+    fn a_sparse_request_timestamp_round_trips_against_its_base() {
+        // The previous barrier left everybody at <4,7,2,9,0,5>.
+        let mut base = Vt::new(6);
+        for (proc, interval) in [(0, 4), (1, 7), (2, 2), (3, 9), (5, 5)] {
+            base.advance(proc, interval);
+        }
+        // P2 since closed an interval of its own, learned P1's eighth along
+        // a lock chain, and still misses P3's ninth on a requested page.
+        let mut vt = base.clone();
+        vt.advance(2, 3);
+        vt.advance(1, 8);
+        vt.limit(3, 8);
+        let request = SyncFetchRequest::new(2, &vt, &base, [PageId(1), PageId(2)].into());
+        assert_eq!(request.delta, [(1, 8), (2, 3), (3, 8)], "above, own, below");
+        assert_eq!(request.vt(&base), vt);
+        assert_eq!(request.wire_bytes(64), 8 + 3 * 8 + 2 * 4);
+        assert_eq!(request.wire_bytes(6), 4 + 6 * 4 + 2 * 4, "whole is smaller at six");
+        // Nothing differs: nothing travels, and the base comes back.
+        let same = SyncFetchRequest::new(2, &base, &base, [].into());
+        assert!(same.delta.is_empty());
+        assert_eq!(same.vt(&base), base);
+        // Against the zero base of the first barrier every non-zero
+        // component travels.
+        let zero = Vt::new(6);
+        let first = SyncFetchRequest::new(2, &vt, &zero, [].into());
+        assert_eq!(first.delta.len(), 5);
+        assert_eq!(first.vt(&zero), vt);
     }
 }

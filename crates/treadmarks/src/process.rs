@@ -97,6 +97,14 @@ pub struct Process {
     /// phase boundary on every participant; it sequences `NeighborReady`/
     /// `NeighborAck` pairs the same way `barrier_seq` sequences `SyncDiffs`.
     nsync_seq: u64,
+    /// How many lock acquires this processor has issued: the ordinal that
+    /// names a lock-merged fetch's receipt.
+    lock_seq: u64,
+    /// The synchronization this processor issued last, until its completion
+    /// has been reported: what the completion waits for and installs. The
+    /// program's `sync_phase_complete` runs it, or the fault handler on the
+    /// first touch of a page it covers; the next issue replaces it.
+    in_flight: Option<sync::InFlightSync>,
     /// How many [`spmd_once`](Process::spmd_once) calls this processor has
     /// made. Every processor makes the same sequence of calls (the SPMD
     /// allocation rule), so the count names the same cell on all of them.
@@ -126,6 +134,8 @@ impl Process {
             next_req_id: 1,
             barrier_seq: 0,
             nsync_seq: 0,
+            lock_seq: 0,
+            in_flight: None,
             once_seq: 0,
             barrier: config.barrier.shape(config.nprocs, &config.cost_model),
         }

@@ -150,15 +150,28 @@ impl Process {
     /// state that does not allow it. One application access takes at most
     /// one fault (the handler performs fetch, twin and enable together,
     /// like the SIGSEGV handler of the original system).
+    ///
+    /// A page the in-flight synchronization's merged fetch covers is not
+    /// fetched a second time: its data is already on the wire, so the first
+    /// touch runs that synchronization's completion — wait, install,
+    /// deferred write preparation — and an ordinary fetch follows only for
+    /// what the page still misses afterwards.
     fn resolve_fault(
         &mut self,
         page: PageId,
         is_write: bool,
-        outcome: AccessOutcome,
+        mut outcome: AccessOutcome,
         pages_in_use: usize,
     ) {
         self.stats.page_faults(1);
         self.clock.advance(self.cost.page_fault_cost(pages_in_use));
+        if outcome != AccessOutcome::WriteProtected && self.in_flight_covers(page) {
+            self.complete_in_flight(true);
+            outcome = self.node.unleased().table().check_access(page, is_write);
+            if !outcome.is_fault() {
+                return;
+            }
+        }
         if outcome != AccessOutcome::WriteProtected {
             // Unmapped or invalidated: bring the copy up to date first.
             let handle = self.fetch_diffs(&[AddrRange::page(page)]);

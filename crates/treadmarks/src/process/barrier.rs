@@ -12,8 +12,8 @@ use pagedmem::{PageId, PageTable};
 use racecheck::SyncKind;
 
 use super::access::warm_ranges_locked;
-use super::interval::apply_notices_locked;
-use super::sync::{pages_of, prep_writes_locked, PendingSync, PhasePlan};
+use super::interval::{apply_notices_locked, sync_vt_locked};
+use super::sync::{prep_writes_locked, Outstanding, PendingSync, PhasePlan};
 use super::Process;
 use crate::message::{DiffRecord, RoutedRequest, SyncFetchRequest, TmkMessage};
 use crate::state::ProtoState;
@@ -54,35 +54,55 @@ fn in_subtree(mut proc: ProcId, root: ProcId, arity: usize) -> bool {
 /// barrier, and no advertised component below that horizon. A request
 /// nobody answers is dropped here.
 ///
+/// `base` is the *previous* barrier's global timestamp, against which every
+/// request encoded its own (see [`SyncFetchRequest`]): the caller reads it
+/// before this barrier's departure hold overwrites it.
+///
 /// One `(page, writer) -> latest interval` index, built once per barrier,
 /// answers every request with a probe per requested page — the root
 /// resolves while everybody else waits for it, so the index holds only what
 /// can answer anything: records some requester has not incorporated yet
-/// (above the component-wise minimum of the advertised timestamps), and of
-/// those the pages somebody asked for.
+/// (above the component-wise minimum of the advertised timestamps), of
+/// those the pages somebody asked for, and of those not the pages whose
+/// only requester is the writer itself (a processor's own block, named by
+/// its own read-and-write sections — most of the log).
 fn route_requests_locked(
     proto: &ProtoState,
+    base: &Vt,
     requests: Vec<SyncFetchRequest>,
 ) -> Vec<RoutedRequest> {
-    let Some(first) = requests.first() else { return Vec::new() };
-    let mut floor = first.vt.clone();
-    let mut wanted: Vec<PageId> =
+    let vts: Vec<Vt> = requests.iter().map(|req| req.vt(base)).collect();
+    let Some(mut floor) = vts.first().cloned() else { return Vec::new() };
+    // Per wanted page its requester, or `None` for more than one.
+    let mut wanted: Vec<(PageId, Option<ProcId>)> =
         Vec::with_capacity(requests.iter().map(|req| req.pages.len()).sum());
-    for req in &requests {
-        floor.merge_min(&req.vt);
-        wanted.extend(req.pages.iter());
+    for (req, vt) in requests.iter().zip(&vts) {
+        floor.merge_min(vt);
+        wanted.extend(req.pages.iter().map(|&page| (page, Some(req.proc))));
     }
     wanted.sort_unstable();
-    wanted.dedup();
-    let mut writers: Vec<(PageId, ProcId, Reverse<Interval>)> = Vec::with_capacity(wanted.len());
+    wanted.dedup_by(|later, first| {
+        let same = later.0 == first.0;
+        if same {
+            first.1 = None;
+        }
+        same
+    });
+    let mut writers: Vec<(PageId, ProcId, Reverse<Interval>)> = Vec::new();
     for (proc, interval, pages) in proto.notice_log.records_after(&floor) {
-        let asked = pages.iter().filter(|page| wanted.binary_search(page).is_ok());
-        writers.extend(asked.map(|&page| (page, proc, Reverse(interval))));
+        for page in pages {
+            let Ok(at) = wanted.binary_search_by_key(page, |&(wanted, _)| wanted) else {
+                continue;
+            };
+            if wanted[at].1 != Some(proc) {
+                writers.push((*page, proc, Reverse(interval)));
+            }
+        }
     }
     writers.sort_unstable();
     writers.dedup_by_key(|&mut (page, proc, _)| (page, proc));
     let mut routed = Vec::with_capacity(requests.len());
-    for SyncFetchRequest { proc, vt, pages } in requests {
+    for (SyncFetchRequest { proc, pages, .. }, vt) in requests.into_iter().zip(vts) {
         let mut responders: Vec<(ProcId, Interval)> = Vec::new();
         for &page in pages.iter() {
             let start = writers.partition_point(|&(written, _, _)| written < page);
@@ -233,7 +253,15 @@ impl Process {
     /// post-departure protocol step — write-notice application, serving
     /// the piggybacked requests routed to this processor, write
     /// preparation, mapping caching and the garbage-collection trim — under a
-    /// single page-table-lock hold before returning with the pending handle.
+    /// single page-table-lock hold before returning with the receipt.
+    ///
+    /// Everything that leaves — the merged arrival, the children's
+    /// departures, the `SyncDiffs` — is built under those holds from the
+    /// notice log and the diff cache, and is sent *before* this node charges
+    /// its own invalidation `mprotect`s and write preparation: those model
+    /// page-protection changes that no message reads, so a tree node never
+    /// makes its subtree (or its parent) wait for work only it needs done.
+    /// No charge is added, dropped or resized by that order.
     ///
     /// The exchange runs over the configured [`BarrierTopology`]: notices,
     /// vector timestamps, applied timestamps and piggybacked fetch requests
@@ -251,19 +279,24 @@ impl Process {
         self.stats.barriers(1);
         self.barrier_seq += 1;
         let seq = self.barrier_seq;
-        let mut pending = PendingSync::new(SyncKind::Barrier, seq, pages_of(&plan.fetch), plan);
+        let mut pending = Outstanding::new(plan);
         let n = self.nprocs();
         let me = self.proc_id();
         let (arity, flat) = self.barrier;
         let children = tree_children(me, n, arity);
         let interrupt = flat;
-        let my_request = if pending.pages.is_empty() {
-            None
+        // This processor's own request: its advertised timestamp, kept
+        // whole for resolving the responders below and sent as its
+        // difference from the previous barrier's global timestamp.
+        let (my_sync_vt, my_request) = if pending.pages.is_empty() {
+            (None, None)
         } else {
-            let vt = self.sync_vt(&pending.pages);
-            Some(SyncFetchRequest { proc: me, vt, pages: pending.pages.as_slice().into() })
+            let proto = self.node.unleased().proto();
+            let vt = sync_vt_locked(&proto, &pending.pages);
+            let pages = pending.pages.as_slice().into();
+            let request = SyncFetchRequest::new(me, &vt, &proto.last_global_vt, pages);
+            (Some(vt), Some(request))
         };
-        let my_sync_vt = my_request.as_ref().map(|r| r.vt.clone());
 
         // --- Reduction: gather the whole subtree's arrivals. Collect (and
         // observe) every arrival before charging any processing cost:
@@ -303,7 +336,9 @@ impl Process {
         }
 
         // --- Non-root: fold the subtree into local state under one hold,
-        // send the merged arrival up, and wait for the departure.
+        // send the merged arrival up — first, the whole cluster is waiting
+        // for it; this node's own invalidations are charged behind it — and
+        // wait for the departure.
         let (all_notices, distributed, departures_to) = if me == MASTER {
             // Route and serve the piggybacked requests in processor order,
             // not arrival order: every processor then answers them at
@@ -333,8 +368,8 @@ impl Process {
                 };
                 (msg, tally, table.pages_in_use())
             };
-            self.charge_notices(&tally, pages_in_use);
             self.send(parent, Port::Reply, arrival, interrupt);
+            self.charge_notices(&tally, pages_in_use);
             let env = self.recv_reply("the barrier departure", |m| {
                 matches!(m, TmkMessage::BarrierDeparture { .. })
             });
@@ -348,7 +383,7 @@ impl Process {
         };
 
         // --- One lock hold for the whole post-exchange protocol step. ---
-        let (tally, prep, departures, serve, scanned, materialised, trimmed, pages_in_use) = {
+        let (tally, prep, departures, serve, scanned, materialised, warmed, trimmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
@@ -358,33 +393,42 @@ impl Process {
             // root itself, whose own applied timestamp closes the
             // component-wise minimum over all processors and whose log is
             // the first to hold every notice the requests are resolved
-            // against.
+            // against. The root's own request is resolved in that list;
+            // everybody else evaluates the same rule for itself.
             let (gc_horizon, routed) = match distributed {
                 Some((global_vt, gc_horizon, routed)) => {
                     proto.vt.merge(&global_vt);
                     proto.last_global_vt = global_vt;
+                    if let Some(vt) = &my_sync_vt {
+                        pending.responders = responders_locked(&proto, &pending.pages, vt);
+                    }
                     (gc_horizon, routed)
                 }
                 None => {
                     for (_, vt) in &departures_to {
                         proto.vt.merge(vt);
                     }
-                    proto.last_global_vt = proto.vt.clone();
+                    // The requests were encoded against the previous
+                    // barrier's global timestamp: take it out as this
+                    // barrier's goes in.
+                    let global_vt = proto.vt.clone();
+                    let base = std::mem::replace(&mut proto.last_global_vt, global_vt);
                     let mut horizon = proto.applied_vt(&table);
                     if let Some(min) = &applied_min {
                         horizon.merge_min(min);
                     }
-                    (horizon, route_requests_locked(&proto, sync_requests))
+                    let routed = route_requests_locked(&proto, &base, sync_requests);
+                    if let Some(own) = routed.iter().find(|entry| entry.proc == me) {
+                        pending.responders = own.responders.iter().map(|&(proc, _)| proc).collect();
+                    }
+                    (horizon, routed)
                 }
             };
             let departures = child_departures(&proto, &departures_to, &gc_horizon, &routed, arity);
             let (serve, scanned, materialised) = serve_requests_locked(&proto, &table, &routed);
-            if let Some(vt) = &my_sync_vt {
-                pending.responders = responders_locked(&proto, &pending.pages, vt);
-            }
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
-            warm_ranges_locked(&mut node, &table, &plan.warm);
+            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
             // Trim last, after every request of this synchronization point
             // has been served from the pre-trim state. The horizon can
             // never exceed the global VT in any component (applied
@@ -395,11 +439,16 @@ impl Process {
                 "the GC horizon must stay at or below the global VT"
             );
             let trimmed = proto.gc_trim(&gc_horizon);
-            (tally, prep, departures, serve, scanned, materialised, trimmed, table.pages_in_use())
+            let pages_in_use = table.pages_in_use();
+            (tally, prep, departures, serve, scanned, materialised, warmed, trimmed, pages_in_use)
         };
-        self.charge_notices(&tally, pages_in_use);
         self.stats.gc_trimmed_diffs(trimmed.0);
         self.stats.gc_trimmed_notices(trimmed.1);
+        // Critical path first: what other processors wait for leaves before
+        // this node charges what only it waits for. The departures and the
+        // `SyncDiffs` were built from the notice log and the diff cache
+        // under the hold above; the invalidations and the write preparation
+        // charged below model page-protection changes none of them reads.
         if !flat && !departures.is_empty() {
             // Re-fanning the departure down costs one hop service at root
             // and interior nodes alike, plus the send-occupancy gap for
@@ -410,7 +459,6 @@ impl Process {
         for (proc, msg) in departures {
             self.send(proc, Port::Reply, msg, interrupt);
         }
-        self.charge_prep(&prep, pages_in_use);
         // One pass over the diff cache answers every request routed here:
         // the scan is charged for the union of their pages this node holds
         // diffs for, materialised full pages for their encoding.
@@ -419,8 +467,10 @@ impl Process {
         for (proc, diffs) in serve {
             self.send(proc, Port::Reply, TmkMessage::SyncDiffs { from: me, seq, diffs }, true);
         }
+        self.charge_notices(&tally, pages_in_use);
+        self.charge_prep(&prep, pages_in_use);
         self.clock.advance(self.cost.barrier_local_cost());
-        pending
+        self.begin_in_flight(SyncKind::Barrier, seq, warmed, pending)
     }
 
     /// The run-time primitive underneath a compiler-**eliminated** barrier:
@@ -442,8 +492,10 @@ impl Process {
     /// answering a ready with data from the consumer's future, so the values
     /// every processor reads are exactly the barrier ones. Because every
     /// participant sends its readys *before* blocking, the handshake cannot
-    /// deadlock. The producers' acks are awaited by
-    /// [`sync_phase_complete`](Self::sync_phase_complete), so computation on
+    /// deadlock. The acks leave before this processor charges its own write
+    /// preparation (no ack depends on it). The producers' acks are awaited by
+    /// [`sync_phase_complete`](Self::sync_phase_complete) — or by the first
+    /// touch of a requested page that is not valid yet — so computation on
     /// already-local data overlaps the data movement exactly like a
     /// split-phase `Validate_w_sync`.
     ///
@@ -451,7 +503,7 @@ impl Process {
     /// the elimination is established by the compiler — the only
     /// happens-before edges the replaced barrier enforced are the ones
     /// between the named producers and consumers (see `DESIGN.md` §6) — and
-    /// the returned handle *must* be completed: the acks carry consistency
+    /// the returned receipt *must* be completed: the acks carry consistency
     /// information (notices and timestamps), not just data. All participants
     /// must name each other consistently, like any collective.
     ///
@@ -469,11 +521,11 @@ impl Process {
         self.nsync_seq += 1;
         let seq = self.nsync_seq;
         let me = self.proc_id();
-        let mut pending = PendingSync::new(SyncKind::NeighborAck, seq, pages_of(&plan.fetch), plan);
+        let mut pending = Outstanding::new(plan);
         // The request half: one ready per named producer, on the polled
         // path (the producer is blocked at — or headed for — the same
         // boundary with its receive pre-posted).
-        let vt = self.sync_vt(&pending.pages);
+        let vt = sync_vt_locked(&self.node.unleased().proto(), &pending.pages);
         for &producer in producers {
             assert_ne!(producer, me, "a processor does not synchronize with itself");
             let pages = pending.pages.clone();
@@ -502,7 +554,7 @@ impl Process {
         // Serve in processor order, not arrival order, so every ack leaves
         // at a deterministic virtual time.
         readys.sort_by_key(|&(from, _, _)| from);
-        let (acks, prep, examined, materialised, pages_in_use) = {
+        let (acks, prep, examined, materialised, warmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
@@ -528,10 +580,11 @@ impl Process {
             }
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
-            warm_ranges_locked(&mut node, &table, &plan.warm);
-            (acks, prep, distinct_pages(examined), materialised, table.pages_in_use())
+            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
+            (acks, prep, distinct_pages(examined), materialised, warmed, table.pages_in_use())
         };
-        self.charge_prep(&prep, pages_in_use);
+        // The acks first — their consumers are waiting; this node's own
+        // write preparation, which no ack depends on, is charged behind.
         if !readys.is_empty() {
             // Consuming the pre-posted readys costs one hop service per
             // consumer, like merging child arrivals at a tree-barrier node.
@@ -543,8 +596,9 @@ impl Process {
             self.stats.merged_sync_msgs(1);
             self.send(dest, Port::Reply, msg, false);
         }
+        self.charge_prep(&prep, pages_in_use);
         pending.neighbor_responders = producers.iter().copied().collect();
-        pending
+        self.begin_in_flight(SyncKind::NeighborAck, seq, warmed, pending)
     }
 
     /// The blocking form of an eliminated barrier: issue and complete back
@@ -713,17 +767,22 @@ mod tests {
         }
     }
 
+    /// `proc`'s request for `pages`, advertising `seen` (zero elsewhere),
+    /// encoded against `base` as it travels.
     fn request(
-        n: usize,
+        base: &Vt,
         proc: ProcId,
         seen: &[(ProcId, Interval)],
         pages: &[usize],
     ) -> SyncFetchRequest {
-        let mut vt = Vt::new(n);
+        let mut vt = Vt::new(base.len());
         for &(p, interval) in seen {
             vt.advance(p, interval);
         }
-        SyncFetchRequest { proc, vt, pages: pages.iter().map(|&p| PageId(p)).collect() }
+        let pages = pages.iter().map(|&p| PageId(p)).collect();
+        let request = SyncFetchRequest::new(proc, &vt, base, pages);
+        assert_eq!(request.vt(base), vt, "the sparse timestamp round-trips");
+        request
     }
 
     /// The broadcast that routing replaced, kept as the reference: every
@@ -731,11 +790,12 @@ mod tests {
     fn serve_broadcast(
         proto: &ProtoState,
         table: &PageTable,
+        base: &Vt,
         requests: &[SyncFetchRequest],
     ) -> Vec<(ProcId, Vec<DiffRecord>)> {
         let mut out = Vec::new();
         for req in requests.iter().filter(|req| req.proc != proto.me) {
-            let seen = req.vt.get(proto.me);
+            let seen = req.vt(base).get(proto.me);
             let (records, _) =
                 proto.diffs_for_pages_after_counted(&req.pages, seen, table, &mut Vec::new());
             if !records.is_empty() {
@@ -745,26 +805,28 @@ mod tests {
         out
     }
 
-    /// Routes `requests` from the root of an `arity`-ary tree and checks
+    /// Routes `requests` (encoded against `base`) from the root of an
+    /// `arity`-ary tree and checks
     /// that every node serves exactly the `(requester, responder, records)`
     /// the broadcast made it serve, and that every requester expects
     /// exactly the processors its request was routed to. Returns the
     /// `(requester, responder)` pairs.
     fn assert_routing_serves_what_the_broadcast_did(
         world: &World,
+        base: &Vt,
         requests: &[SyncFetchRequest],
         arity: usize,
     ) -> Vec<(ProcId, ProcId)> {
         let n = world.0.len();
         let mut expected = Vec::new();
         for (proto, table) in &world.0 {
-            for (requester, records) in serve_broadcast(proto, table, requests) {
+            for (requester, records) in serve_broadcast(proto, table, base, requests) {
                 expected.push((requester, proto.me, records));
             }
         }
-        let routed = route_requests_locked(&world.0[MASTER].0, requests.to_vec());
+        let routed = route_requests_locked(&world.0[MASTER].0, base, requests.to_vec());
         for req in requests {
-            let own = responders_locked(&world.0[req.proc].0, &req.pages, &req.vt);
+            let own = responders_locked(&world.0[req.proc].0, &req.pages, &req.vt(base));
             let named: HashSet<ProcId> = routed
                 .iter()
                 .filter(|e| e.proc == req.proc)
@@ -808,45 +870,69 @@ mod tests {
         world.learn(6, 3, 2, &[12]);
         world.write(3, 1, &[12], false);
         world.write(3, 2, &[12], false);
-        let requests = [
-            // The root asks too.
-            request(N, 0, &[], &[5, 9]),
-            // Has the root's first interval; never answers itself on page 5.
-            request(N, 1, &[(0, 1)], &[1, 5]),
-            // All seen, or never written: nobody answers, nothing is routed.
-            request(N, 2, &[(4, 3)], &[9, 20]),
-            // Inside P1's subtree at arity 2 ...
-            request(N, 3, &[], &[5]),
-            // ... asking only for its own page ...
-            request(N, 4, &[], &[9]),
-            // ... and outside it; already holds P1's share of page 5.
-            request(N, 5, &[(1, 1)], &[5, 12]),
-            // Saw all three notices of page 9 but still misses the diff of
-            // interval 2, so advertises 1, below the global 3; applied
-            // both of P3's on the lock chain.
-            request(N, 6, &[(4, 1), (3, 2)], &[9, 12]),
-        ];
+        // The same advertised timestamps over two encodings: against the
+        // zero base of a first barrier, where every component travels, and
+        // against a previous global timestamp that P6's request is above in
+        // one component (P3's second interval, learned along the lock
+        // chain) and lowered below in another (P4's, to just under the diff
+        // it still misses). What is routed must not depend on the base.
+        let mut later = Vt::new(N);
+        for (proc, interval) in [(0, 1), (3, 1), (4, 2)] {
+            later.advance(proc, interval);
+        }
         let expected: BTreeSet<(ProcId, ProcId)> =
             [(0, 1), (0, 2), (0, 4), (1, 0), (1, 2), (3, 1), (3, 2), (5, 2), (5, 3), (6, 4)].into();
-        for arity in [1, 2, 3, N - 1, 8] {
-            let pairs = assert_routing_serves_what_the_broadcast_did(&world, &requests, arity);
-            assert_eq!(pairs.into_iter().collect::<BTreeSet<_>>(), expected, "arity {arity}");
+        for base in [Vt::new(N), later] {
+            let requests = [
+                // The root asks too.
+                request(&base, 0, &[], &[5, 9]),
+                // Has the root's first interval; never answers itself on
+                // page 5.
+                request(&base, 1, &[(0, 1)], &[1, 5]),
+                // All seen, or never written: nobody answers, nothing is
+                // routed.
+                request(&base, 2, &[(4, 3)], &[9, 20]),
+                // Inside P1's subtree at arity 2 ...
+                request(&base, 3, &[], &[5]),
+                // ... asking only for its own page ...
+                request(&base, 4, &[], &[9]),
+                // ... and outside it; already holds P1's share of page 5.
+                request(&base, 5, &[(1, 1)], &[5, 12]),
+                // Saw all three notices of page 9 but still misses the diff
+                // of interval 2, so advertises 1, below the global 3;
+                // applied both of P3's on the lock chain.
+                request(&base, 6, &[(4, 1), (3, 2)], &[9, 12]),
+            ];
+            if base.get(4) == 2 {
+                assert_eq!(requests[6].delta, [(0, 0), (3, 2), (4, 1)], "above and below");
+                assert_eq!(requests[1].delta, [(3, 0), (4, 0)], "P0's component is the base's");
+            } else {
+                assert_eq!(requests[6].delta, [(3, 2), (4, 1)]);
+            }
+            for arity in [1, 2, 3, N - 1, 8] {
+                let pairs =
+                    assert_routing_serves_what_the_broadcast_did(&world, &base, &requests, arity);
+                assert_eq!(pairs.into_iter().collect::<BTreeSet<_>>(), expected, "arity {arity}");
+            }
         }
 
         // One processor: nobody to ask. Two: each the other's only peer.
         let mut solo = World::new(1);
         solo.write(0, 1, &[1], false);
+        let base = Vt::new(1);
         assert!(assert_routing_serves_what_the_broadcast_did(
             &solo,
-            &[request(1, 0, &[], &[1])],
+            &base,
+            &[request(&base, 0, &[], &[1])],
             1
         )
         .is_empty());
         let mut pair = World::new(2);
         pair.write(0, 1, &[1], false);
         pair.write(1, 1, &[2], true);
-        let requests = [request(2, 0, &[], &[2]), request(2, 1, &[], &[1, 2])];
-        let pairs = assert_routing_serves_what_the_broadcast_did(&pair, &requests, 1);
+        let base = Vt::new(2);
+        let requests = [request(&base, 0, &[], &[2]), request(&base, 1, &[], &[1, 2])];
+        let pairs = assert_routing_serves_what_the_broadcast_did(&pair, &base, &requests, 1);
         assert_eq!(pairs, [(0, 1), (1, 0)]);
     }
 
@@ -903,16 +989,22 @@ mod tests {
             proto.notice_log.record(writer, 1, vec![PageId(2 * writer), PageId(2 * writer + 1)]);
             proto.last_global_vt.advance(writer, 1);
         }
+        // The first barrier: nothing to encode against yet.
+        let first = Vt::new(N);
         let requests: Vec<SyncFetchRequest> = (0..N)
             .map(|proc| {
                 let left = (2 * proc).checked_sub(1);
                 let right = (proc + 1 < N).then_some(2 * proc + 2);
                 let pages: Vec<usize> = left.into_iter().chain(right).collect();
-                request(N, proc, &[(proc, 1)], &pages)
+                request(&first, proc, &[(proc, 1)], &pages)
             })
             .collect();
-        let broadcast: usize = requests.iter().map(SyncFetchRequest::wire_bytes).sum();
-        let routed = route_requests_locked(&proto, requests);
+        // On the way up a request names the one component in which it
+        // differs from the base — its own — not all 64.
+        let up: usize = requests.iter().map(|request| request.wire_bytes(N)).sum();
+        assert_eq!(up, N * (8 + 8) + 4 * (2 * N - 2));
+        let whole_timestamps = N * (4 + first.wire_bytes()) + 4 * (2 * N - 2);
+        let routed = route_requests_locked(&proto, &first, requests);
         assert_eq!(routed.len(), N);
         // A child that has seen nothing: its departure carries every notice.
         let nothing = Vt::new(N);
@@ -931,6 +1023,9 @@ mod tests {
             }
         }
         assert_eq!(leaves, N - 1 - ARITY);
-        assert!(broadcast > 4 * 4096, "every departure used to add {broadcast} bytes of requests");
+        assert!(
+            whole_timestamps > 4 * 4096 && up < whole_timestamps / 10,
+            "the requests as broadcast down and sent up whole: {whole_timestamps} bytes"
+        );
     }
 }

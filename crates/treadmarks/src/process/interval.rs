@@ -178,29 +178,30 @@ impl Process {
         self.stats.protection_ops(tally.invalidation_runs);
         self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(tally.invalidation_runs));
     }
+}
 
-    /// Builds the vector timestamp advertised by a `Validate_w_sync`
-    /// request for `pages`: the processor's own timestamp, lowered so that
-    /// every still-missing diff of a requested page lies above it.
-    ///
-    /// Missing intervals at or below the GC horizon are *not* named at
-    /// synchronization points: their producer may be trimming them
-    /// concurrently, and whether a delta or the consolidated base came back
-    /// would then depend on a real-time race (breaking virtual-time
-    /// determinism). They stay missing and are fetched through the explicit
-    /// base-request path of [`TmkMessage::DiffRequest`] on first use.
-    pub(super) fn sync_vt(&mut self, pages: &[PageId]) -> Vt {
-        let proto = self.node.unleased().proto();
-        let mut vt = proto.vt.clone();
-        for page in pages {
-            if let Some(missing) = proto.page_missing.get(page) {
-                for &(proc, interval) in missing {
-                    if interval > proto.gc_horizon.get(proc) {
-                        vt.limit(proc, interval.saturating_sub(1));
-                    }
+/// Builds the vector timestamp advertised by a `Validate_w_sync` request
+/// for `pages`, under an already-held proto lock: the processor's own
+/// timestamp, lowered so that every still-missing diff of a requested page
+/// lies above it.
+///
+/// Missing intervals at or below the GC horizon are *not* named at
+/// synchronization points: their producer may be trimming them
+/// concurrently, and whether a delta or the consolidated base came back
+/// would then depend on a real-time race (breaking virtual-time
+/// determinism). They stay missing and are fetched through the explicit
+/// base-request path of [`TmkMessage::DiffRequest`](crate::message::TmkMessage)
+/// on first use.
+pub(super) fn sync_vt_locked(proto: &ProtoState, pages: &[PageId]) -> Vt {
+    let mut vt = proto.vt.clone();
+    for page in pages {
+        if let Some(missing) = proto.page_missing.get(page) {
+            for &(proc, interval) in missing {
+                if interval > proto.gc_horizon.get(proc) {
+                    vt.limit(proc, interval.saturating_sub(1));
                 }
             }
         }
-        vt
     }
+    vt
 }

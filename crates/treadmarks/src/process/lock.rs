@@ -7,8 +7,10 @@ use pagedmem::PageId;
 use racecheck::SyncKind;
 
 use super::access::warm_ranges_locked;
-use super::interval::apply_notices_locked;
-use super::sync::{pages_of, prep_writes_locked, wants_for_pages_locked, PendingSync, PhasePlan};
+use super::interval::{apply_notices_locked, sync_vt_locked};
+use super::sync::{
+    prep_writes_locked, wants_for_pages_locked, Outstanding, PendingSync, PhasePlan,
+};
 use super::Process;
 use crate::message::TmkMessage;
 use crate::state::ProtoState;
@@ -32,8 +34,8 @@ impl Process {
     /// third-party producer goes out for whatever the releaser did not hold.
     /// Everything is applied together, rank-sorted, at the completion.
     pub(super) fn lock_issue(&mut self, lock: LockId, plan: &PhasePlan) -> PendingSync {
-        let mut pending =
-            PendingSync::new(SyncKind::LockGrant, self.barrier_seq, pages_of(&plan.fetch), plan);
+        let mut pending = Outstanding::new(plan);
+        self.lock_seq += 1;
         self.stats.lock_acquires(1);
         let me = self.proc_id();
         let (manager, request_vt) = {
@@ -59,10 +61,10 @@ impl Process {
                     proto.acquire_race_vt = pending.race_vt.clone();
                 }
             }
-            (ProtoState::lock_manager(lock, proto.nprocs), proto.vt.clone())
+            // With no pages requested this is the timestamp itself.
+            let request_vt = sync_vt_locked(&proto, &pending.pages);
+            (ProtoState::lock_manager(lock, proto.nprocs), request_vt)
         };
-        let request_vt =
-            if pending.pages.is_empty() { request_vt } else { self.sync_vt(&pending.pages) };
         let msg = TmkMessage::LockAcquireRequest {
             lock,
             requester: me,
@@ -79,7 +81,7 @@ impl Process {
             unreachable!()
         };
         // One lock hold for the entire acquire-side protocol step.
-        let (tally, prep, wants, pages_in_use) = {
+        let (tally, prep, wants, warmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
@@ -96,14 +98,14 @@ impl Process {
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
             // Cache what is mapped so the overlapped computation between
             // issue and complete runs lock-free.
-            warm_ranges_locked(&mut node, &table, &plan.warm);
-            (tally, prep, wants, table.pages_in_use())
+            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
+            (tally, prep, wants, warmed, table.pages_in_use())
         };
         self.charge_notices(&tally, pages_in_use);
         self.charge_prep(&prep, pages_in_use);
         pending.fetch_expected = self.send_diff_requests(wants);
         pending.piggyback = piggyback;
-        pending
+        self.begin_in_flight(SyncKind::LockGrant, self.lock_seq, warmed, pending)
     }
 
     /// Releases `lock`, ending the current interval and granting the lock

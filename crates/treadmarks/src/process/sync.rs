@@ -1,8 +1,12 @@
 //! What every synchronization point shares: the lowered [`PhasePlan`], the
-//! fetch and pending-sync handles, write preparation, the aggregated diff
-//! request/response exchange, the single-hold install and the split-phase
-//! completion. A barrier, lock acquire or neighbour sync performs its own
-//! exchange and hands back a [`PendingSync`]; one completion serves them all.
+//! fetch handle, the in-flight synchronization and its receipt, write
+//! preparation, the aggregated diff request/response exchange, the
+//! single-hold install and the split-phase completion. A barrier, lock
+//! acquire or neighbour sync performs its own exchange, leaves what is still
+//! outstanding with the [`Process`] and hands back a [`PendingSync`] receipt;
+//! one completion serves them all — run by the program's
+//! `sync_phase_complete`, or by the fault handler on the first touch of a
+//! page the in-flight fetch covers, whichever comes first.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -113,37 +117,78 @@ pub(super) struct DeferredWrite {
     write_all: bool,
 }
 
-/// The in-flight half of a split-phase `Validate_w_sync`.
+/// The receipt of a split-phase `Validate_w_sync`.
 ///
 /// Returned by [`Process::sync_phase_issue`]: the synchronization operation
 /// itself has been performed (the barrier crossed or the lock acquired, with
 /// the section page list piggybacked), the diff requests are on the wire,
 /// and write preparation has been done for every page that was already
-/// consistent. Pass the handle to
-/// [`Process::sync_phase_complete`] to collect the responses, apply them in
-/// causal (rank) order and finish the deferred preparation.
+/// consistent. What is still in flight — whom the processor waits for, the
+/// records already in hand, the deferred preparation — belongs to the
+/// [`Process`]; the receipt only names the synchronization, `(kind,
+/// ordinal)`. Pass it to [`Process::sync_phase_complete`] to collect the
+/// responses, apply them in causal (rank) order and finish the deferred
+/// preparation.
 ///
-/// The handle never exposes stale data: pages with outstanding diffs stay
-/// invalid until completion, so a premature access simply takes the
-/// ordinary fault path (a redundant but correct fetch).
+/// The receipt never exposes stale data: pages with outstanding diffs stay
+/// invalid until their data is installed, and **the first touch of such a
+/// page completes the pending synchronization** — the fault handler runs
+/// the completion itself, on the data that is already on its way. The later
+/// `sync_phase_complete` then charges nothing. A receipt that is dropped
+/// leaves its state behind until the next issue replaces it.
 #[must_use = "a split-phase sync completes only when passed to Process::sync_phase_complete"]
 #[derive(Debug)]
 pub struct PendingSync {
-    /// Every page the merged fetch covers.
-    pub(super) pages: Vec<PageId>,
-    /// The synchronization ordinal the request rode on (the barrier count
-    /// for barrier-merged fetches, the neighbour-sync count for eliminated
-    /// boundaries): a completion accepts only responses carrying this
-    /// ordinal, so the responses of an abandoned (dropped) handle can never
+    kind: SyncKind,
+    /// The synchronization's ordinal among those of its kind on this
+    /// processor.
+    seq: u64,
+    outstanding: usize,
+}
+
+impl PendingSync {
+    /// Number of response messages that were outstanding when the issue
+    /// returned.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding
+    }
+}
+
+/// The synchronization a processor has issued and not yet issued another
+/// after: what its completion waits for and installs, until the completion
+/// has run. One per processor — a re-issue replaces it.
+#[derive(Debug)]
+pub(super) struct InFlightSync {
+    /// The synchronization kind: names the receipt, and a race detected at
+    /// the completion is attributed to it in its [`racecheck::RaceReport`].
+    kind: SyncKind,
+    /// The ordinal the request rode on (the barrier count for
+    /// barrier-merged fetches, the neighbour-sync count for eliminated
+    /// boundaries, the acquire count for locks): with `kind`, what the
+    /// receipt names; a completion accepts only responses carrying this
+    /// ordinal, so the responses of an abandoned (dropped) receipt can never
     /// satisfy a later synchronization's completion.
     seq: u64,
+    /// How many of the warm list's pages the TLB maps: as of the issue, and
+    /// once the completion has run, as of the completion.
+    warmed: usize,
+    /// What the completion has to do; `None` once it has run.
+    todo: Option<Outstanding>,
+}
+
+/// What an issued synchronization's completion waits for and installs. The
+/// issuing collective fills in what it is waiting for.
+#[derive(Debug, Default)]
+pub(super) struct Outstanding {
+    /// Every page the merged fetch covers, ascending.
+    pub(super) pages: Vec<PageId>,
     /// Processors that will answer with a `SyncDiffs` message (barrier).
     pub(super) responders: HashSet<ProcId>,
     /// Named producers of an *eliminated* barrier that will answer with a
-    /// merged data+sync `NeighborAck`. Unlike every other pending kind,
-    /// these acks carry the producers' write notices and vector timestamps,
-    /// so completing the handle is part of the consistency protocol itself —
-    /// a compiled plan always pairs issue with complete.
+    /// merged data+sync `NeighborAck`. Unlike every other kind, these acks
+    /// carry the producers' write notices and vector timestamps, so the
+    /// completion is part of the consistency protocol itself — a compiled
+    /// plan always pairs issue with complete.
     pub(super) neighbor_responders: HashSet<ProcId>,
     /// Diff records already in hand (lock-grant piggyback), applied at
     /// completion together with everything else so causally ordered
@@ -156,9 +201,6 @@ pub struct PendingSync {
     /// Mappings to cache at completion (the fetched pages may be mapped
     /// only then).
     warm: Vec<AddrRange>,
-    /// The synchronization kind a race detected at this completion is
-    /// attributed to in its [`racecheck::RaceReport`].
-    sync_kind: SyncKind,
     /// Race detection only: the pre-acquire vector timestamp of a lock
     /// issue — the open interval's knowledge *before* the granter's
     /// timestamp was merged — used as the creating timestamp of the local
@@ -169,33 +211,26 @@ pub struct PendingSync {
     pub(super) race_vt: Option<Vt>,
 }
 
-impl PendingSync {
-    /// A handle of kind `sync_kind` at ordinal `seq` covering `pages`, with
-    /// nothing outstanding yet and `plan`'s mappings to cache at
-    /// completion. The issuing collective fills in what it is waiting for.
-    pub(super) fn new(
-        sync_kind: SyncKind,
-        seq: u64,
-        pages: Vec<PageId>,
-        plan: &PhasePlan,
-    ) -> PendingSync {
-        PendingSync {
-            pages,
-            seq,
-            responders: HashSet::new(),
-            neighbor_responders: HashSet::new(),
-            piggyback: Vec::new(),
-            fetch_expected: Vec::new(),
-            deferred: Vec::new(),
+impl Outstanding {
+    /// The state of a synchronization whose merged fetch covers `plan`'s
+    /// fetch list, with nothing outstanding yet and `plan`'s mappings to
+    /// cache at completion.
+    pub(super) fn new(plan: &PhasePlan) -> Outstanding {
+        Outstanding {
+            pages: pages_of(&plan.fetch),
             warm: plan.warm.clone(),
-            sync_kind,
-            race_vt: None,
+            ..Outstanding::default()
         }
     }
 
-    /// Number of response messages still outstanding.
-    pub fn outstanding(&self) -> usize {
-        self.responders.len() + self.neighbor_responders.len() + self.fetch_expected.len()
+    /// Whether the completion has nothing to wait for, install or prepare.
+    fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+            && self.responders.is_empty()
+            && self.neighbor_responders.is_empty()
+            && self.piggyback.is_empty()
+            && self.fetch_expected.is_empty()
+            && self.deferred.is_empty()
     }
 }
 
@@ -228,15 +263,34 @@ fn enable_written_page(
     twinned
 }
 
+/// Prepares one page as an ordinary twinned write — or, with
+/// `defer_missing`, postpones that to the completion while the page still
+/// has missing diffs. Returns whether a twin was created.
+fn prep_twinned_page(
+    proto: &mut ProtoState,
+    table: &mut PageTable,
+    page: PageId,
+    defer_missing: bool,
+    deferred: &mut Vec<DeferredWrite>,
+) -> bool {
+    if defer_missing && proto.page_missing.contains_key(&page) {
+        deferred.push(DeferredWrite { page, write_all: false });
+        return false;
+    }
+    enable_written_page(proto, table, page, false)
+}
+
 /// Prepares a plan's written pages under an already-held lock pair: twin
 /// creation and write enabling for twinned writes, the `WRITE_ALL`
 /// treatment for fully covered pages of `write_all`/`read_write_all`
-/// ranges. With `defer_missing`, pages that still have missing diffs are
-/// *not* enabled (that would let the phase read stale bytes through the
-/// fast path) but pushed onto `deferred`, to be finished at the completion
-/// after the diffs have been applied. `READ&WRITE_ALL` pages additionally
-/// never discard their missing diffs when deferring — the application
-/// reads the fetched values before overwriting them.
+/// ranges. Their partially covered boundary pages are ordinary twinned
+/// writes: discarding such a page's missing diffs would lose remote writes
+/// to the uncovered bytes. With `defer_missing`, pages that still have
+/// missing diffs are *not* enabled (that would let the phase read stale
+/// bytes through the fast path) but pushed onto `deferred`, to be finished
+/// at the completion after the diffs have been applied. `READ&WRITE_ALL`
+/// pages additionally never discard their missing diffs when deferring —
+/// the application reads the fetched values before overwriting them.
 pub(super) fn prep_writes_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
@@ -247,32 +301,35 @@ pub(super) fn prep_writes_locked(
     let mut twinned = 0u64;
     for range in &plan.write_twinned {
         for page in range.pages() {
-            if defer_missing && proto.page_missing.contains_key(&page) {
-                deferred.push(DeferredWrite { page, write_all: false });
-                continue;
-            }
-            twinned += u64::from(enable_written_page(proto, table, page, false));
+            twinned += u64::from(prep_twinned_page(proto, table, page, defer_missing, deferred));
         }
     }
     for (ranges, reads_first) in [(&plan.write_all, false), (&plan.read_write_all, true)] {
         for range in ranges {
             for page in range.pages() {
-                // Only fully covered pages get the WRITE_ALL treatment;
-                // partially covered boundary pages keep the ordinary fault
-                // path (twin + fetch), because discarding their missing
-                // diffs would lose remote writes to the uncovered bytes.
                 let fully_covered = range.start() <= page.base() && page.end() <= range.end();
+                let missing = proto.page_missing.contains_key(&page);
                 if !fully_covered {
-                    continue;
-                }
-                if reads_first && defer_missing && proto.page_missing.contains_key(&page) {
+                    // Without a completion to defer to, a boundary page
+                    // that is not consistent is the fault path's (fetch,
+                    // then twin): nothing fetched a pure `WRITE_ALL` range.
+                    if defer_missing || !missing {
+                        twinned += u64::from(prep_twinned_page(
+                            proto,
+                            table,
+                            page,
+                            defer_missing,
+                            deferred,
+                        ));
+                    }
+                } else if reads_first && defer_missing && missing {
                     deferred.push(DeferredWrite { page, write_all: true });
-                    continue;
+                } else {
+                    if !reads_first {
+                        proto.page_missing.remove(&page);
+                    }
+                    enable_written_page(proto, table, page, true);
                 }
-                if !reads_first {
-                    proto.page_missing.remove(&page);
-                }
-                enable_written_page(proto, table, page, true);
             }
         }
     }
@@ -406,7 +463,7 @@ impl Process {
     /// update the twins the local unflushed write set is read from);
     /// `sync_kind` labels any report and `race_vt` overrides the creating
     /// timestamp attributed to the local unflushed writes (the lock path's
-    /// pre-acquire snapshot — see [`PendingSync::race_vt`]).
+    /// pre-acquire snapshot — see [`Outstanding::race_vt`]).
     fn install_records(
         &mut self,
         mut records: Vec<DiffRecord>,
@@ -516,7 +573,9 @@ impl Process {
         drop(proto);
         self.stats.diffs_applied(applied);
         self.stats.full_page_fetches(full_pages);
-        self.clock.advance(self.cost.diff_apply_cost(apply_bytes));
+        if applied > 0 {
+            self.clock.advance(self.cost.diff_apply_cost(apply_bytes));
+        }
         self.stats.twins_created(deferred_twins);
         self.clock.advance(self.cost.twin_cost(deferred_twins as usize));
         self.stats.protection_ops(deferred_runs);
@@ -553,9 +612,10 @@ impl Process {
     ///
     /// The caller may run computation that does not touch the still-missing
     /// pages before calling [`sync_phase_complete`](Self::sync_phase_complete),
-    /// overlapping the fetch latency. Touching a pending page early is safe
-    /// (it faults and fetches redundantly) — a pending handle never exposes
-    /// stale data.
+    /// overlapping the fetch latency. Touching a pending page early is safe:
+    /// the access faults and the fault handler completes the pending
+    /// synchronization on the spot — a receipt never exposes stale data,
+    /// and in-flight data is never fetched a second time.
     pub fn sync_phase_issue(&mut self, sync: SyncOp, plan: &PhasePlan) -> PendingSync {
         match sync {
             SyncOp::Barrier => self.barrier_issue(plan),
@@ -563,50 +623,103 @@ impl Process {
         }
     }
 
+    /// Makes `todo` this processor's in-flight synchronization — replacing
+    /// whatever an abandoned receipt left behind — and returns its receipt.
+    /// `warmed` is the issue's own mapping-caching count.
+    pub(super) fn begin_in_flight(
+        &mut self,
+        kind: SyncKind,
+        seq: u64,
+        warmed: usize,
+        todo: Outstanding,
+    ) -> PendingSync {
+        let outstanding =
+            todo.responders.len() + todo.neighbor_responders.len() + todo.fetch_expected.len();
+        self.in_flight = Some(InFlightSync { kind, seq, warmed, todo: Some(todo) });
+        PendingSync { kind, seq, outstanding }
+    }
+
+    /// Whether the in-flight synchronization's merged fetch covers `page`
+    /// and its completion has not run yet.
+    pub(super) fn in_flight_covers(&self, page: PageId) -> bool {
+        self.in_flight
+            .as_ref()
+            .and_then(|sync| sync.todo.as_ref())
+            .is_some_and(|todo| todo.pages.binary_search(&page).is_ok())
+    }
+
     /// The completion half of a split-phase `Validate_w_sync`: waits for
     /// every outstanding response, applies the whole batch in causal (rank)
     /// order, finishes deferred write preparation and caches the mappings
     /// of the fetched pages — again under a single page-table-lock hold.
     /// Returns how many of the warm list's pages the TLB now maps.
+    ///
+    /// If a first touch already completed the synchronization, this charges
+    /// nothing and only reports the count. A receipt whose state a later
+    /// issue has replaced reports 0.
     pub fn sync_phase_complete(&mut self, pending: PendingSync) -> usize {
-        let PendingSync {
+        let named = |sync: &InFlightSync| (sync.kind, sync.seq) == (pending.kind, pending.seq);
+        if !self.in_flight.as_ref().is_some_and(named) {
+            return 0;
+        }
+        self.complete_in_flight(false);
+        self.in_flight.take().map_or(0, |sync| sync.warmed)
+    }
+
+    /// Runs the in-flight synchronization's completion, if it has not run
+    /// yet. `first_touch` says who is asking: the fault handler, on the
+    /// first access to a page the merged fetch covers (which labels the
+    /// waits on the wait board), or the program's own
+    /// [`sync_phase_complete`](Self::sync_phase_complete).
+    ///
+    /// The completion blocks only on messages that are already on their way
+    /// from processors that never wait for this one — a barrier's
+    /// `SyncDiffs` leave with the departure hold of responders that have
+    /// all arrived, a `DiffResponse` is a server's answer, a `NeighborAck`
+    /// waits only for readys every consumer sends before it blocks — so
+    /// running it early cannot deadlock; and every wait is an `observe` of
+    /// a virtual arrival time, so when it runs changes no clock but this
+    /// processor's own, deterministically.
+    pub(super) fn complete_in_flight(&mut self, first_touch: bool) {
+        let Some(sync) = self.in_flight.as_mut() else { return };
+        let Some(todo) = sync.todo.take() else { return };
+        if todo.is_empty() {
+            return;
+        }
+        let (kind, seq) = (sync.kind, sync.seq);
+        let Outstanding {
             pages,
-            seq,
             mut responders,
             mut neighbor_responders,
             piggyback,
             fetch_expected,
             deferred,
             warm,
-            sync_kind,
             race_vt,
-        } = pending;
-        if pages.is_empty()
-            && responders.is_empty()
-            && neighbor_responders.is_empty()
-            && piggyback.is_empty()
-            && fetch_expected.is_empty()
-            && deferred.is_empty()
-            && warm.is_empty()
-        {
-            return 0;
-        }
+        } = todo;
+        let label = |what: &'static str| {
+            if first_touch {
+                "the in-flight sync's responses (first touch)"
+            } else {
+                what
+            }
+        };
         let before = self.clock.now();
         let mut records = piggyback;
         self.collect_diff_responses(
             &fetch_expected,
-            "a diff response (sync completion)",
+            label("a diff response (sync completion)"),
             &mut records,
         );
         // Observe every response before applying anything (see
         // `barrier_issue` for why observe-all-then-advance is what keeps
         // virtual time independent of thread scheduling). Responses are
         // accepted only at this barrier's ordinal; older ones — responses
-        // to a handle the caller dropped instead of completing — are
+        // to a receipt the caller dropped instead of completing — are
         // consumed and discarded here so they can never be mistaken for
         // (or park behind) this barrier's data.
         while !responders.is_empty() {
-            let env = self.recv_reply("a producer's barrier sync-diffs", |m| {
+            let env = self.recv_reply(label("a producer's barrier sync-diffs"), |m| {
                 matches!(m, TmkMessage::SyncDiffs { from, seq: got, .. }
                     if *got <= seq && responders.contains(from))
             });
@@ -624,10 +737,10 @@ impl Process {
         // producer's ack carries its vector timestamp, its write notices and
         // its diffs on one message. As with `SyncDiffs`, acks are accepted
         // only at this boundary's ordinal; older ones (from a dropped
-        // handle) are consumed and discarded.
+        // receipt) are consumed and discarded.
         let mut acked: Vec<(ProcId, Vt, Vec<WriteNotice>)> = Vec::new();
         while !neighbor_responders.is_empty() {
-            let env = self.recv_reply("a neighbour-sync ack", |m| {
+            let env = self.recv_reply(label("a neighbour-sync ack"), |m| {
                 matches!(m, TmkMessage::NeighborAck { from, seq: got, .. }
                     if *got <= seq && neighbor_responders.contains(from))
             });
@@ -668,7 +781,11 @@ impl Process {
             };
             self.charge_notices(&tally, pages_in_use);
         }
-        self.install_records(records, &pages, &deferred, &warm, sync_kind, race_vt.as_ref())
+        let warmed =
+            self.install_records(records, &pages, &deferred, &warm, kind, race_vt.as_ref());
+        if let Some(sync) = self.in_flight.as_mut() {
+            sync.warmed = warmed;
+        }
     }
 
     /// Batch write preparation and mapping caching for a phase whose data

@@ -120,6 +120,27 @@ impl Vt {
         !self.covers(other) && !other.covers(self)
     }
 
+    /// The components in which this timestamp differs from `base` — above
+    /// or below — as `(processor, interval)` pairs, ascending:
+    /// the sparse form a timestamp travels in when both ends hold `base`.
+    /// [`patched`](Self::patched) is the inverse.
+    pub fn delta_from(&self, base: &Vt) -> Vec<(ProcId, Interval)> {
+        assert_eq!(self.0.len(), base.0.len(), "vector timestamps must have the same width");
+        let differing =
+            self.0.iter().zip(&base.0).enumerate().filter(|(_, (mine, base))| mine != base);
+        differing.map(|(p, (&mine, _))| (p, mine)).collect()
+    }
+
+    /// This timestamp with the components `delta` names replaced:
+    /// `base.patched(&vt.delta_from(&base)) == vt`.
+    pub fn patched(&self, delta: &[(ProcId, Interval)]) -> Vt {
+        let mut vt = self.clone();
+        for &(p, interval) in delta {
+            vt.0[p] = interval;
+        }
+        vt
+    }
+
     /// Approximate wire size in bytes (4 bytes per component).
     pub fn wire_bytes(&self) -> usize {
         self.0.len() * 4

@@ -208,7 +208,10 @@ fn a_single_processor_barrier_is_the_degenerate_tree() {
     // Recorded at the commit that still special-cased `nprocs == 1` inside
     // `barrier_issue`, then pinned: the general exchange with no children
     // reproduces that branch exactly, under the default tree and under the
-    // flat master alike.
+    // flat master alike. The elapsed time was 509 710 ns while an install
+    // that applied nothing still charged the diff-apply base (8 µs): the
+    // merged fetch's completion and the one fault's fetch, neither of which
+    // has anybody to receive a diff from, were the two such installs.
     let tree = DsmConfig::new(1).with_cost_model(CostModel::sp2());
     let flat = DsmConfig::new(1).with_cost_model(CostModel::sp2()).with_flat_barrier();
     let expected = StatsSnapshot {
@@ -227,7 +230,92 @@ fn a_single_processor_barrier_is_the_degenerate_tree() {
     for (name, config) in [("tree", tree), ("flat", flat)] {
         let run = Dsm::run(config, solo_kernel);
         assert_eq!(run.results, [45350], "{name}");
-        assert_eq!(run.elapsed, [VirtualTime::from_nanos(509_710)], "{name}");
+        assert_eq!(run.elapsed, [VirtualTime::from_nanos(493_710)], "{name}");
         assert_eq!(run.stats.nodes(), [expected], "{name}");
+    }
+}
+
+/// The `wide64` sharing pattern on a merged barrier: 64 processors, a
+/// 64 × 256 column-major grid (a column is 512 bytes, so eight columns —
+/// two processors' blocks — share a page). Every epoch each processor
+/// writes its four columns and crosses a barrier that carries its request
+/// for the two adjoining columns, so from the second epoch on every tree
+/// node has copies to invalidate while its subtree waits for it. Returns
+/// the checksum of what was read and the clock at which the last merged
+/// barrier's issue returned.
+fn wide_kernel(p: &mut Process) -> (u64, VirtualTime) {
+    const ROWS: usize = 64;
+    const COLS: usize = 256;
+    let n = p.nprocs();
+    let me = p.proc_id();
+    let grid = p.alloc_matrix::<u64>(ROWS, COLS);
+    let a = *grid.array();
+    let per = COLS / n;
+    let mine = me * per..(me + 1) * per;
+    let left = mine.start.checked_sub(1);
+    let right = (mine.end < COLS).then_some(mine.end);
+    let wanted: Vec<_> =
+        left.into_iter().chain(right).map(|col| grid.col_range(col, col + 1)).collect();
+    let mut acc = 0u64;
+    let mut issued = VirtualTime::ZERO;
+    for epoch in 1..=3u64 {
+        for col in mine.clone() {
+            for row in (0..ROWS).step_by(3) {
+                p.set(&a, grid.index(row, col), epoch * 10_000 + (col * ROWS + row) as u64);
+            }
+        }
+        let pending = p.sync_phase_issue(SyncOp::Barrier, &PhasePlan::fetch_only(&wanted));
+        issued = p.clock().now();
+        p.sync_phase_complete(pending);
+        for col in left.into_iter().chain(right) {
+            for row in (0..ROWS).step_by(3) {
+                acc = acc.wrapping_add(p.get(&a, grid.index(row, col)));
+            }
+        }
+        // Nobody overwrites a column before its readers have read it.
+        p.barrier();
+    }
+    (acc, issued)
+}
+
+/// [`wide_kernel`] at the commit before tree nodes forwarded and served
+/// ahead of their own invalidations (and before requests travelled sparse):
+/// the earliest any processor finished — the root — and when the last
+/// merged barrier's issue returned on the last leaf, P63.
+const EARLIEST_ELAPSED_BEFORE: u64 = 8_021_997;
+const LAST_LEAF_ISSUED_BEFORE: u64 = 7_011_794;
+
+#[test]
+fn tree_nodes_forward_before_they_invalidate_for_any_reactor_pool_size() {
+    let run_with = |reactors: Option<usize>| {
+        let mut config = DsmConfig::new(64).with_cost_model(CostModel::sp2());
+        if let Some(n) = reactors {
+            config = config.with_reactors(n);
+        }
+        Dsm::run(config, wide_kernel)
+    };
+    let single = run_with(Some(1));
+    // A departure reaches a leaf two hops below the root earlier, because
+    // neither hop charges its own `mprotect`s first — and with it every
+    // processor finishes earlier than even the root used to.
+    let (_, issued) = single.results[63];
+    assert!(
+        issued.as_nanos() < LAST_LEAF_ISSUED_BEFORE,
+        "P63 left the last merged barrier at {} ns",
+        issued.as_nanos()
+    );
+    for (proc, elapsed) in single.elapsed.iter().enumerate() {
+        assert!(elapsed.as_nanos() < EARLIEST_ELAPSED_BEFORE, "P{proc} finished at {elapsed:?}");
+    }
+    let total = single.stats.total();
+    assert_eq!(total.page_faults, 64 * 3, "one write fault an epoch, no read fault");
+    assert!(total.sync_wait_ns > 0, "the completions wait for the neighbours' diffs");
+    // What leaves first is decided in virtual time alone: the pool that
+    // serves the protocol side cannot show.
+    for pool in [Some(3), None] {
+        let run = run_with(pool);
+        assert_eq!(run.results, single.results, "results at pool {pool:?}");
+        assert_eq!(run.elapsed, single.elapsed, "virtual times at pool {pool:?}");
+        assert_eq!(run.stats, single.stats, "statistics at pool {pool:?}");
     }
 }
