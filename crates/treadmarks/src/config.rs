@@ -66,7 +66,11 @@ impl BarrierTopology {
     /// broadcast pays one hop service, the extra per-destination broadcast
     /// preparation and another polled message. The candidate set includes
     /// arity 2, so the adaptive choice is never modelled slower than the
-    /// fixed default (ties resolve to the smaller arity).
+    /// fixed default (ties resolve to the smaller arity). The modelled path
+    /// is the simultaneous-arrival bound — every child there at once, every
+    /// departure copy paying the last copy's gap — which a tree node that
+    /// serves each arrival as it comes and sends each copy as it is built
+    /// can only beat.
     pub fn optimal_tree_arity(nprocs: usize, cost: &CostModel) -> usize {
         let mut best = (u64::MAX, Self::DEFAULT_ARITY);
         for arity in 2..=nprocs.saturating_sub(1).max(2) {
@@ -312,6 +316,44 @@ mod tests {
                 path(nprocs, chosen) <= path(nprocs, 2),
                 "arity {chosen} must not be modelled slower than 2 at {nprocs} procs"
             );
+        }
+    }
+
+    #[test]
+    fn the_adaptive_tree_shape_is_pinned_from_2_to_128_processors() {
+        // `(first nprocs, last nprocs, arity)` under the SP/2 constants, as
+        // chosen before tree nodes served arrivals as they came and sent
+        // each departure copy as it was built: the schedule changed, the
+        // shape did not.
+        const SHAPE: [(usize, usize, usize); 18] = [
+            (2, 3, 2),
+            (4, 4, 3),
+            (5, 5, 4),
+            (6, 6, 5),
+            (7, 7, 6),
+            (8, 8, 7),
+            (9, 9, 8),
+            (10, 10, 9),
+            (11, 11, 10),
+            (12, 13, 3),
+            (14, 21, 4),
+            (22, 31, 5),
+            (32, 43, 6),
+            (44, 57, 7),
+            (58, 73, 8),
+            (74, 85, 4),
+            (86, 91, 9),
+            (92, 128, 5),
+        ];
+        let cost = CostModel::sp2();
+        for (first, last, arity) in SHAPE {
+            for nprocs in first..=last {
+                assert_eq!(
+                    BarrierTopology::optimal_tree_arity(nprocs, &cost),
+                    arity,
+                    "{nprocs} processors"
+                );
+            }
         }
     }
 

@@ -84,4 +84,4 @@ pub use process::{FetchHandle, PendingSync, PhasePlan, Process, PushReceipt, Syn
 pub use racecheck::{RaceAccess, RaceDetect, RaceReport, SyncKind};
 pub use sharedarray::{Shareable, SharedArray, SharedMatrix};
 pub use sp2model::ReactorSnapshot;
-pub use types::{Interval, LockId, ProcId, Vt};
+pub use types::{Interval, LockId, ProcId, Vt, VtDelta};

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use pagedmem::{AddrRange, Diff, PageId};
 
 use crate::notice::WriteNotice;
-use crate::types::{Interval, LockId, ProcId, Vt};
+use crate::types::{Interval, LockId, ProcId, Vt, VtDelta};
 
 /// A diff together with the write notice it satisfies.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,21 +88,20 @@ impl PageWant {
 /// processors that will answer it and the departures carry the result as
 /// [`RoutedRequest`]s.
 ///
-/// The timestamp travels *sparse*: only the components that differ from
-/// the previous barrier's global timestamp, which every processor holds an
-/// identical copy of when it builds its arrival (the requester's own
-/// component, whatever it learned along lock chains since, and whatever it
-/// lowered below a still-missing diff — a handful, not one per processor;
-/// where it is not, [`wire_bytes`](Self::wire_bytes) charges the whole
-/// timestamp instead). The root reconstructs the timestamp against its own copy of that base,
-/// which it must therefore read *before* this barrier overwrites it.
+/// The timestamp travels as a [`VtDelta`] against the previous barrier's
+/// global timestamp, which every processor holds an identical copy of when
+/// it builds its arrival (the requester's own component, whatever it
+/// learned along lock chains since, and whatever it lowered below a
+/// still-missing diff — a handful, not one per processor). The root
+/// reconstructs the timestamp against its own copy of that base, which it
+/// must therefore read *before* this barrier overwrites it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncFetchRequest {
     /// The requesting processor.
     pub proc: ProcId,
     /// The requester's advertised vector timestamp at the time of the
-    /// request, as its difference from the base ([`Vt::delta_from`]).
-    pub delta: Vec<(ProcId, Interval)>,
+    /// request, as its difference from the base.
+    pub delta: VtDelta,
     /// The pages of the requested sections, ascending. Built once by the
     /// requester: the root hands this very list on to the responders.
     pub pages: Arc<[PageId]>,
@@ -121,13 +120,9 @@ impl SyncFetchRequest {
     }
 
     /// Approximate wire size of the request on a cluster of `nprocs`: the
-    /// requester, four bytes a page, and the timestamp in the smaller of
-    /// its two encodings — sparse (an entry count and eight bytes a
-    /// differing component) or, where that would not pay (two processors,
-    /// a long chain of acquires since the last barrier), whole (four bytes
-    /// a component).
+    /// requester, four bytes a page, and the timestamp's delta.
     pub fn wire_bytes(&self, nprocs: usize) -> usize {
-        4 + self.pages.len() * 4 + (4 + self.delta.len() * 8).min(nprocs * 4)
+        4 + self.pages.len() * 4 + self.delta.wire_bytes(nprocs)
     }
 }
 
@@ -198,11 +193,12 @@ pub enum TmkMessage {
     },
     /// Last holder (or manager) -> acquirer: the lock grant, carrying the
     /// write notices the acquirer is missing and any piggy-backed diffs.
+    /// The granter's vector timestamp does not travel: the acquirer's own
+    /// timestamp, which covers the one it advertised, joined with these
+    /// notices is exactly the merge (see `notice::vt_through`).
     LockGrant {
         /// The granted lock.
         lock: LockId,
-        /// The granter's vector timestamp.
-        granter_vt: Vt,
         /// Write notices the acquirer has not seen.
         notices: Vec<WriteNotice>,
         /// Diffs for piggy-backed `Validate_w_sync` pages.
@@ -210,30 +206,35 @@ pub enum TmkMessage {
     },
     /// Barrier-tree child -> parent: barrier arrival, merged over the
     /// child's whole subtree (with the flat topology, client -> master).
+    /// The subtree's merged vector timestamp does not travel: it is the
+    /// previous barrier's global timestamp, which both ends hold, joined
+    /// with `notices`.
     BarrierArrival {
         /// The arriving processor (the subtree root).
         proc: ProcId,
-        /// The subtree's merged vector timestamp (after flushing).
-        vt: Vt,
-        /// Component-wise minimum of the subtree's *applied* timestamps:
+        /// Component-wise minimum of the subtree's *applied* timestamps —
         /// the intervals whose modifications every processor of the subtree
-        /// has incorporated into its mapped pages. Aggregated to the root
-        /// and redistributed as the garbage-collection horizon.
-        applied_vt: Vt,
-        /// Write notices of the subtree the parent may not have seen.
+        /// has incorporated into its mapped pages — against the previous
+        /// barrier's global timestamp. Aggregated to the root and
+        /// redistributed as the garbage-collection horizon.
+        applied_vt: VtDelta,
+        /// Every write notice the subtree holds above the previous
+        /// barrier's global timestamp.
         notices: Vec<WriteNotice>,
         /// The subtree's piggy-backed `Validate_w_sync` requests.
         sync_requests: Vec<SyncFetchRequest>,
     },
     /// Barrier-tree parent -> child: barrier departure, re-fanned down the
-    /// tree (with the flat topology, master -> client).
+    /// tree (with the flat topology, master -> client). The global vector
+    /// timestamp does not travel: it is the child's own (subtree-merged)
+    /// timestamp, which the parent rebuilt identically from the arrival,
+    /// joined with `notices`.
     BarrierDeparture {
-        /// The merged vector timestamp of all processors.
-        global_vt: Vt,
         /// Component-wise minimum of all processors' applied timestamps —
         /// the garbage-collection horizon: diffs and notices at or below
-        /// its minimum component can never be requested again.
-        gc_horizon: Vt,
+        /// its minimum component can never be requested again — against
+        /// the *previous* barrier's global timestamp.
+        gc_horizon: VtDelta,
         /// Write notices this subtree has not seen.
         notices: Vec<WriteNotice>,
         /// The receiving subtree's share of the piggy-backed fetch requests:
@@ -294,9 +295,11 @@ pub enum TmkMessage {
         pages: Vec<PageId>,
     },
     /// Producer -> consumer at an eliminated barrier: the merged data+sync
-    /// answer. Write notices, the producer's vector timestamp and the diffs
-    /// for the requested pages ride a single polled message — no tree, no
-    /// departure, no global vector-timestamp advance.
+    /// answer. Write notices and the diffs for the requested pages ride a
+    /// single polled message — no tree, no departure, no global
+    /// vector-timestamp advance. The producer's vector timestamp does not
+    /// travel: the consumer's own, which covers the one it advertised,
+    /// joined with the notices is exactly the merge.
     NeighborAck {
         /// The producing processor.
         from: ProcId,
@@ -306,8 +309,6 @@ pub enum TmkMessage {
         /// pending handle are consumed and discarded, never mistaken for a
         /// later boundary's data.
         seq: u64,
-        /// The producer's vector timestamp at the boundary.
-        vt: Vt,
         /// Write notices the consumer's advertised timestamp does not cover.
         notices: Vec<WriteNotice>,
         /// The producer's diffs for the requested pages.
@@ -325,27 +326,25 @@ pub enum TmkMessage {
 }
 
 impl TmkMessage {
-    /// Approximate payload size used for byte accounting and latency.
-    pub fn wire_bytes(&self) -> usize {
+    /// Approximate payload size on a cluster of `nprocs`, used for byte
+    /// accounting and latency.
+    pub fn wire_bytes(&self, nprocs: usize) -> usize {
         match self {
             TmkMessage::LockAcquireRequest { vt, sync_pages, .. }
             | TmkMessage::LockForward { vt, sync_pages, .. } => {
                 8 + vt.wire_bytes() + sync_pages.len() * 4
             }
-            TmkMessage::LockGrant { granter_vt, notices, piggyback, .. } => {
-                4 + granter_vt.wire_bytes()
-                    + notices.len() * WriteNotice::WIRE_BYTES
+            TmkMessage::LockGrant { notices, piggyback, .. } => {
+                4 + notices.len() * WriteNotice::WIRE_BYTES
                     + piggyback.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
-            TmkMessage::BarrierArrival { vt, applied_vt, notices, sync_requests, .. } => {
-                4 + vt.wire_bytes()
-                    + applied_vt.wire_bytes()
+            TmkMessage::BarrierArrival { applied_vt, notices, sync_requests, .. } => {
+                4 + applied_vt.wire_bytes(nprocs)
                     + notices.len() * WriteNotice::WIRE_BYTES
-                    + sync_requests.iter().map(|r| r.wire_bytes(vt.len())).sum::<usize>()
+                    + sync_requests.iter().map(|r| r.wire_bytes(nprocs)).sum::<usize>()
             }
-            TmkMessage::BarrierDeparture { global_vt, gc_horizon, notices, sync_requests } => {
-                global_vt.wire_bytes()
-                    + gc_horizon.wire_bytes()
+            TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests } => {
+                gc_horizon.wire_bytes(nprocs)
                     + notices.len() * WriteNotice::WIRE_BYTES
                     + sync_requests.iter().map(RoutedRequest::wire_bytes).sum::<usize>()
             }
@@ -359,9 +358,8 @@ impl TmkMessage {
                 12 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
             TmkMessage::NeighborReady { vt, pages, .. } => 12 + vt.wire_bytes() + pages.len() * 4,
-            TmkMessage::NeighborAck { vt, notices, diffs, .. } => {
-                12 + vt.wire_bytes()
-                    + notices.len() * WriteNotice::WIRE_BYTES
+            TmkMessage::NeighborAck { notices, diffs, .. } => {
+                12 + notices.len() * WriteNotice::WIRE_BYTES
                     + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
             TmkMessage::PushData { chunks, .. } => {
@@ -391,8 +389,8 @@ mod tests {
             requester: 0,
             wants: (0..100).map(|i| want(PageId(i), vec![1, 2, 3])).collect(),
         };
-        assert!(large.wire_bytes() > small.wire_bytes());
-        assert_eq!(TmkMessage::Shutdown.wire_bytes(), 0);
+        assert!(large.wire_bytes(4) > small.wire_bytes(4));
+        assert_eq!(TmkMessage::Shutdown.wire_bytes(4), 0);
     }
 
     #[test]
@@ -411,7 +409,7 @@ mod tests {
         };
         assert!(record.wire_bytes() >= 64);
         let msg = TmkMessage::DiffResponse { req_id: 7, diffs: vec![record.clone()] };
-        assert!(msg.wire_bytes() >= 64);
+        assert!(msg.wire_bytes(4) >= 64);
         // Shipping the creating timestamp (race-detect mode) costs exactly
         // its wire size; leaving it off costs nothing.
         let mut with_vt = record.clone();
@@ -419,26 +417,39 @@ mod tests {
         assert_eq!(with_vt.wire_bytes(), record.wire_bytes() + Vt::new(4).wire_bytes());
     }
 
+    /// The timestamp `base` raised or lowered at the given components.
+    fn moved(base: &Vt, changes: &[(ProcId, Interval)]) -> Vt {
+        let mut vt = base.clone();
+        for &(proc, interval) in changes {
+            vt.limit(proc, interval);
+            vt.advance(proc, interval);
+        }
+        vt
+    }
+
     #[test]
     fn barrier_messages_account_for_notices_and_requests() {
-        let vt = Vt::new(4);
-        let arrival = TmkMessage::BarrierArrival {
-            proc: 1,
-            vt: vt.clone(),
-            applied_vt: vt.clone(),
-            notices: vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }],
-            sync_requests: vec![SyncFetchRequest::new(1, &vt, &vt, [PageId(3)].into())],
-        };
-        let bare = TmkMessage::BarrierArrival {
-            proc: 1,
-            vt: vt.clone(),
-            applied_vt: vt,
-            notices: vec![],
-            sync_requests: vec![],
-        };
-        // A request that differs from the base nowhere: requester, entry
-        // count and its one page.
-        assert_eq!(arrival.wire_bytes(), bare.wire_bytes() + WriteNotice::WIRE_BYTES + 8 + 4);
+        const N: usize = 64;
+        let base = Vt::new(N);
+        let notice = WriteNotice { page: PageId(3), proc: 1, interval: 1 };
+        let arrival =
+            |applied: &Vt, notices: Vec<WriteNotice>, sync_requests| TmkMessage::BarrierArrival {
+                proc: 1,
+                applied_vt: applied.delta_from(&base),
+                notices,
+                sync_requests,
+            };
+        // An arrival that changed nothing: its proc and an empty delta.
+        assert_eq!(arrival(&base, vec![], vec![]).wire_bytes(N), 4 + 4);
+        // One notice, an applied timestamp one component off the base, and a
+        // request that differs from the base nowhere: requester, entry count
+        // and its one page.
+        let request = SyncFetchRequest::new(1, &base, &base, [PageId(3)].into());
+        let applied = moved(&base, &[(1, 1)]);
+        assert_eq!(
+            arrival(&applied, vec![notice], vec![request]).wire_bytes(N),
+            4 + (4 + 8) + WriteNotice::WIRE_BYTES + (4 + 4 + 4)
+        );
         // On the way down a request names its responders instead of
         // carrying a timestamp: four bytes a page, eight a responder.
         let routed = RoutedRequest {
@@ -447,45 +458,92 @@ mod tests {
             responders: vec![(0, 2), (2, 0), (3, 1)],
         };
         assert_eq!(routed.wire_bytes(), 4 + 2 * 4 + 3 * 8);
-        let departure = |sync_requests| TmkMessage::BarrierDeparture {
-            global_vt: Vt::new(4),
-            gc_horizon: Vt::new(4),
-            notices: vec![],
+        let departure = |horizon: &Vt, sync_requests| TmkMessage::BarrierDeparture {
+            gc_horizon: horizon.delta_from(&base),
+            notices: vec![notice],
             sync_requests,
         };
+        assert_eq!(departure(&base, vec![]).wire_bytes(N), 4 + WriteNotice::WIRE_BYTES);
         assert_eq!(
-            departure(vec![routed.clone()]).wire_bytes(),
-            departure(vec![]).wire_bytes() + routed.wire_bytes()
+            departure(&base, vec![routed.clone()]).wire_bytes(N),
+            departure(&base, vec![]).wire_bytes(N) + routed.wire_bytes()
         );
+        // A horizon that moved in two components: eight bytes each.
+        let horizon = moved(&base, &[(0, 2), (9, 1)]);
+        assert_eq!(
+            departure(&horizon, vec![]).wire_bytes(N),
+            departure(&base, vec![]).wire_bytes(N) + 2 * 8
+        );
+    }
+
+    #[test]
+    fn acks_and_grants_carry_notices_and_diffs_but_no_timestamp() {
+        let notices = vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }];
+        let ack =
+            TmkMessage::NeighborAck { from: 1, seq: 1, notices: notices.clone(), diffs: vec![] };
+        let grant = TmkMessage::LockGrant { lock: 0, notices, piggyback: vec![] };
+        for n in [2, 64] {
+            assert_eq!(ack.wire_bytes(n), 12 + WriteNotice::WIRE_BYTES, "{n} processors");
+            assert_eq!(grant.wire_bytes(n), 4 + WriteNotice::WIRE_BYTES, "{n} processors");
+        }
+        // The two requests still carry their timestamp whole.
+        let acquire = TmkMessage::LockAcquireRequest {
+            lock: 0,
+            requester: 1,
+            vt: Vt::new(64),
+            sync_pages: vec![],
+        };
+        assert_eq!(acquire.wire_bytes(64), 8 + 64 * 4);
+    }
+
+    #[test]
+    fn a_delta_round_trips_against_either_base_and_never_costs_more_than_whole() {
+        // The first barrier's base is zero; a later one's is the previous
+        // global timestamp, here <4,7,2,9,0,5>.
+        let zero = Vt::new(6);
+        let previous = moved(&zero, &[(0, 4), (1, 7), (2, 2), (3, 9), (5, 5)]);
+        // An applied timestamp (or a horizon): P2's own interval ahead, P3's
+        // ninth not yet applied.
+        let applied = moved(&previous, &[(2, 3), (3, 8)]);
+        for (base, entries) in [(&zero, 5), (&previous, 2)] {
+            let delta = applied.delta_from(base);
+            assert_eq!(delta.entries().len(), entries);
+            assert_eq!(base.patched(&delta), applied, "round trip against {base}");
+            assert_eq!(delta.wire_bytes(64), 4 + 8 * entries);
+            assert_eq!(delta.wire_bytes(6), (4 + 8 * entries).min(6 * 4));
+        }
+        assert_eq!(applied.delta_from(&previous).entries(), [(2, 3), (3, 8)], "above and below");
+        // Nothing differs: an empty delta, four bytes, and the base back.
+        let same = previous.delta_from(&previous);
+        assert!(same.entries().is_empty());
+        assert_eq!(same.wire_bytes(64), 4);
+        assert_eq!(previous.patched(&same), previous);
+        // Two processors: whole is never more than eight bytes.
+        let pair = moved(&Vt::new(2), &[(0, 3), (1, 1)]);
+        assert_eq!(pair.delta_from(&Vt::new(2)).wire_bytes(2), 2 * 4);
     }
 
     #[test]
     fn a_sparse_request_timestamp_round_trips_against_its_base() {
         // The previous barrier left everybody at <4,7,2,9,0,5>.
-        let mut base = Vt::new(6);
-        for (proc, interval) in [(0, 4), (1, 7), (2, 2), (3, 9), (5, 5)] {
-            base.advance(proc, interval);
-        }
+        let zero = Vt::new(6);
+        let base = moved(&zero, &[(0, 4), (1, 7), (2, 2), (3, 9), (5, 5)]);
         // P2 since closed an interval of its own, learned P1's eighth along
         // a lock chain, and still misses P3's ninth on a requested page.
-        let mut vt = base.clone();
-        vt.advance(2, 3);
-        vt.advance(1, 8);
-        vt.limit(3, 8);
+        let vt = moved(&base, &[(2, 3), (1, 8), (3, 8)]);
         let request = SyncFetchRequest::new(2, &vt, &base, [PageId(1), PageId(2)].into());
-        assert_eq!(request.delta, [(1, 8), (2, 3), (3, 8)], "above, own, below");
+        assert_eq!(request.delta.entries(), [(1, 8), (2, 3), (3, 8)], "above, own, below");
         assert_eq!(request.vt(&base), vt);
         assert_eq!(request.wire_bytes(64), 8 + 3 * 8 + 2 * 4);
         assert_eq!(request.wire_bytes(6), 4 + 6 * 4 + 2 * 4, "whole is smaller at six");
         // Nothing differs: nothing travels, and the base comes back.
         let same = SyncFetchRequest::new(2, &base, &base, [].into());
-        assert!(same.delta.is_empty());
+        assert!(same.delta.entries().is_empty());
         assert_eq!(same.vt(&base), base);
         // Against the zero base of the first barrier every non-zero
         // component travels.
-        let zero = Vt::new(6);
         let first = SyncFetchRequest::new(2, &vt, &zero, [].into());
-        assert_eq!(first.delta.len(), 5);
+        assert_eq!(first.delta.entries().len(), 5);
         assert_eq!(first.vt(&zero), vt);
     }
 }

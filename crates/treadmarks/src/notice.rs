@@ -26,6 +26,35 @@ impl WriteNotice {
     pub const WIRE_BYTES: usize = 12;
 }
 
+/// `base ⊔ {(n.proc, n.interval)}`: the timestamp a message's own write
+/// notices determine over a `base` its receiver holds.
+///
+/// This is how a barrier arrival, a barrier departure, a neighbour-sync ack
+/// and a lock grant deliver their sender's timestamp without shipping it.
+/// It is exact because of one invariant of every notice log: whenever
+/// `vt[p]` is above `gc_horizon[p]`, the log holds the record
+/// `(p, vt[p])` with at least one page. A flush advances `vt` only when it
+/// flushed a page, every path that raises a component delivers that record
+/// in the same message, and a trim drops only records at or below every
+/// base. So every component in which the sender is ahead of the base
+/// travels as a notice, and no notice is ahead of the sender.
+pub(crate) fn vt_through(base: &Vt, notices: &[WriteNotice]) -> Vt {
+    let mut vt = base.clone();
+    for n in notices {
+        vt.advance(n.proc, n.interval);
+    }
+    vt
+}
+
+/// Whether a receiver holding `base` rebuilds from `notices` exactly what
+/// merging the `sender`'s whole timestamp would give it — the check every
+/// sender of a timestamp-free message makes in debug builds.
+pub(crate) fn notices_determine(base: &Vt, notices: &[WriteNotice], sender: &Vt) -> bool {
+    let mut merged = base.clone();
+    merged.merge(sender);
+    vt_through(base, notices) == merged
+}
+
 /// Everything a processor knows about modifications in the system: for each
 /// processor, the pages modified in each of its intervals.
 ///

@@ -271,7 +271,7 @@ impl Process {
     /// own wire size. Every message this processor's compute thread sends
     /// leaves through here.
     fn send(&self, dest: ProcId, port: Port, msg: TmkMessage, interrupt: bool) {
-        let bytes = msg.wire_bytes();
+        let bytes = msg.wire_bytes(self.nprocs());
         self.endpoint.send(NodeId(dest), port, msg, bytes, self.clock.now(), interrupt);
     }
 

@@ -5,19 +5,22 @@
 
 use std::cmp::Reverse;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use msgnet::Port;
 use pagedmem::{PageId, PageTable};
 use racecheck::SyncKind;
+use sp2model::{VirtualClock, VirtualTime};
 
 use super::access::warm_ranges_locked;
 use super::interval::{apply_notices_locked, sync_vt_locked};
 use super::sync::{prep_writes_locked, Outstanding, PendingSync, PhasePlan};
 use super::Process;
 use crate::message::{DiffRecord, RoutedRequest, SyncFetchRequest, TmkMessage};
+use crate::notice::{notices_determine, vt_through, WriteNotice};
 use crate::state::ProtoState;
-use crate::types::{Interval, ProcId, Vt};
+use crate::types::{Interval, ProcId, Vt, VtDelta};
 
 /// The barrier root (the paper assigns the distinguished roles to
 /// processor 0; with the flat topology this is the master every arrival
@@ -216,26 +219,96 @@ fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> HashSet<P
 /// child's subtree-merged arrival timestamp says exactly which notices its
 /// subtree still misses, and its position in the tree which of the `routed`
 /// requests this node holds — all of them at the root, its own subtree's
-/// share below — its subtree answers.
+/// share below — its subtree answers. The global timestamp does not travel:
+/// the child rebuilds it from its own timestamp and those notices, which
+/// debug builds check here, at the sender.
 fn child_departures(
     proto: &ProtoState,
     children: &[(ProcId, Vt)],
-    gc_horizon: &Vt,
+    gc_horizon: &VtDelta,
     routed: &[RoutedRequest],
     arity: usize,
 ) -> Vec<(ProcId, TmkMessage)> {
     children
         .iter()
         .map(|(proc, vt)| {
+            let notices = proto.notice_log.notices_after(vt);
+            debug_assert!(
+                notices_determine(vt, &notices, &proto.last_global_vt),
+                "P{}'s departure to P{proc}: the notices must determine the global timestamp",
+                proto.me,
+            );
             let msg = TmkMessage::BarrierDeparture {
-                global_vt: proto.last_global_vt.clone(),
                 gc_horizon: gc_horizon.clone(),
-                notices: proto.notice_log.notices_after(vt),
+                notices,
                 sync_requests: subtree_share(routed, *proc, arity),
             };
             (*proc, msg)
         })
         .collect()
+}
+
+/// Serves `arrivals` — `(virtual arrival time, sender)` pairs — one after
+/// another in virtual-arrival order, each as soon as it is there and the
+/// previous one is done: `t = max(t, arrives_at) + per_child` from the
+/// clock's own `now`, over the arrivals sorted by `(arrives_at, sender)`.
+///
+/// The order is a property of virtual time alone, never of the order the
+/// host threads delivered the messages in, so the result is deterministic;
+/// tied arrivals cost the same in either order. With every arrival at the
+/// same instant this is the batched `max + k · per_child`, and it is never
+/// later than that: the charge is the same `k · per_child`, only the waits
+/// overlap with the service of earlier arrivals.
+fn serve_in_arrival_order(
+    clock: &mut VirtualClock,
+    arrivals: &mut [(VirtualTime, ProcId)],
+    per_child: VirtualTime,
+) {
+    arrivals.sort_unstable();
+    for &(arrives_at, _) in arrivals.iter() {
+        clock.observe(arrives_at);
+        clock.advance(per_child);
+    }
+}
+
+/// What a node's children sent up, collected before any of it is served.
+#[derive(Default)]
+struct Arrivals {
+    /// Each arrival's virtual arrival time and sender, in host receive order.
+    at: Vec<(VirtualTime, ProcId)>,
+    /// Every child's write notices, concatenated.
+    notices: Vec<WriteNotice>,
+    /// Per child, ascending: its id and where its notices lie in `notices`.
+    spans: Vec<(ProcId, Range<usize>)>,
+    /// Each child's applied timestamp against the previous global one.
+    applied: Vec<VtDelta>,
+}
+
+/// Folds the children's subtrees into this node's timestamp, under an
+/// already-held lock pair whose notice log already holds their notices, and
+/// before this barrier replaces `last_global_vt`. Returns each child's
+/// subtree timestamp — the previous global timestamp joined with the
+/// child's own notices, which is exactly the child's — and the
+/// component-wise minimum of this node's applied timestamp and theirs.
+fn merge_children_locked(
+    proto: &mut ProtoState,
+    table: &PageTable,
+    arrivals: &Arrivals,
+) -> (Vec<(ProcId, Vt)>, Vt) {
+    let base = &proto.last_global_vt;
+    let children: Vec<(ProcId, Vt)> = arrivals
+        .spans
+        .iter()
+        .map(|(proc, span)| (*proc, vt_through(base, &arrivals.notices[span.clone()])))
+        .collect();
+    for (_, vt) in &children {
+        proto.vt.merge(vt);
+    }
+    let mut applied = proto.applied_vt(table);
+    for delta in &arrivals.applied {
+        applied.merge_min(&proto.last_global_vt.patched(delta));
+    }
+    (children, applied)
 }
 
 impl Process {
@@ -264,16 +337,21 @@ impl Process {
     /// No charge is added, dropped or resized by that order.
     ///
     /// The exchange runs over the configured [`BarrierTopology`]: notices,
-    /// vector timestamps, applied timestamps and piggybacked fetch requests
-    /// merge up the reduction tree; the root resolves every request to its
-    /// responders, and the global timestamp, GC horizon and each subtree's
-    /// share of the routed requests fan back down. The flat topology is the
-    /// degenerate tree (every processor a child of the master) costed like
-    /// stock TreadMarks: interrupt-path messages and the O(n) master
-    /// serialization. Tree hops instead travel on the polled path — every
-    /// participant is blocked in the barrier with its receive pre-posted —
-    /// and charge a per-child hop service, so the critical path is
-    /// O(arity · depth).
+    /// applied timestamps and piggybacked fetch requests merge up the
+    /// reduction tree; the root resolves every request to its responders,
+    /// and the notices, GC horizon and each subtree's share of the routed
+    /// requests fan back down. No whole vector timestamp crosses a hop: the
+    /// subtree and global timestamps are rebuilt from the notices of the
+    /// same message (see `notice::vt_through`), the applied timestamp and
+    /// the horizon travel as deltas against the previous global timestamp.
+    /// The flat topology is the degenerate tree (every processor a child of
+    /// the master) costed like stock TreadMarks: interrupt-path messages and
+    /// the O(n) master serialization once everybody is there. Tree hops
+    /// instead travel on the polled path — every participant is blocked in
+    /// the barrier with its receive pre-posted — and charge a per-child hop
+    /// service, so the critical path is O(arity · depth); a tree node
+    /// serves each child's arrival as soon as it is there and sends each
+    /// departure copy as soon as it is built.
     pub(super) fn barrier_issue(&mut self, plan: &PhasePlan) -> PendingSync {
         self.flush_interval();
         self.stats.barriers(1);
@@ -298,75 +376,74 @@ impl Process {
             (Some(vt), Some(request))
         };
 
-        // --- Reduction: gather the whole subtree's arrivals. Collect (and
-        // observe) every arrival before charging any processing cost:
-        // observation is a max and processing an addition, and only
-        // observe-all-then-advance is independent of the real
-        // thread-scheduling order the arrivals come in.
+        // --- Reduction: gather the whole subtree's arrivals. Collect every
+        // arrival before serving any: the service order is then the
+        // arrivals' virtual order, whatever order the host threads
+        // delivered them in.
         let mut sync_requests: Vec<SyncFetchRequest> = my_request.into_iter().collect();
-        let mut child_arrivals: Vec<(ProcId, Vt)> = Vec::with_capacity(children.len());
-        let mut child_notices = Vec::new();
-        let mut applied_min: Option<Vt> = None;
+        let mut arrivals = Arrivals::default();
         for _ in 0..children.len() {
             let env = self.recv_reply("a child's barrier arrival", |m| {
                 matches!(m, TmkMessage::BarrierArrival { .. })
             });
-            self.clock.observe(env.arrives_at);
-            let TmkMessage::BarrierArrival { proc, vt, applied_vt, notices, sync_requests: reqs } =
+            let TmkMessage::BarrierArrival { proc, applied_vt, notices, sync_requests: reqs } =
                 env.payload
             else {
                 unreachable!()
             };
-            child_notices.extend(notices);
+            arrivals.at.push((env.arrives_at, proc));
+            let start = arrivals.notices.len();
+            arrivals.notices.extend(notices);
+            arrivals.spans.push((proc, start..arrivals.notices.len()));
+            arrivals.applied.push(applied_vt);
             sync_requests.extend(reqs);
-            match &mut applied_min {
-                Some(min) => min.merge_min(&applied_vt),
-                None => applied_min = Some(applied_vt),
-            }
-            child_arrivals.push((proc, vt));
         }
-        child_arrivals.sort_by_key(|&(proc, _)| proc);
+        arrivals.spans.sort_by_key(|(proc, _)| *proc);
         if flat {
-            // The master of a one-processor run has nobody to serialize.
+            // Stock TreadMarks: the master serializes every processor once
+            // all of them are there (a one-processor run has nobody).
+            for &(arrives_at, _) in &arrivals.at {
+                self.clock.observe(arrives_at);
+            }
             if me == MASTER && !children.is_empty() {
                 self.clock.advance(self.cost.barrier_master_cost(n));
             }
-        } else if !children.is_empty() {
-            self.clock.advance(self.cost.barrier_hop_cost(children.len()));
+        } else {
+            let per_child = self.cost.barrier_hop_cost(1);
+            serve_in_arrival_order(&mut self.clock, &mut arrivals.at, per_child);
         }
 
         // --- Non-root: fold the subtree into local state under one hold,
         // send the merged arrival up — first, the whole cluster is waiting
         // for it; this node's own invalidations are charged behind it — and
         // wait for the departure.
-        let (all_notices, distributed, departures_to) = if me == MASTER {
+        let (departed, subtrees) = if me == MASTER {
             // Route and serve the piggybacked requests in processor order,
             // not arrival order: every processor then answers them at
             // deterministic virtual times, keeping runs reproducible.
             sync_requests.sort_by_key(|r| r.proc);
-            (child_notices, None, child_arrivals)
+            (None, Vec::new())
         } else {
             let parent = (me - 1) / arity;
-            let (arrival, tally, pages_in_use) = {
+            let (arrival, subtrees, tally, pages_in_use) = {
                 let node = self.node.unleased();
                 let mut proto = node.proto();
                 let mut table = node.table();
-                let tally = apply_notices_locked(&mut proto, &mut table, &child_notices);
-                for (_, vt) in &child_arrivals {
-                    proto.vt.merge(vt);
-                }
-                let mut applied = proto.applied_vt(&table);
-                if let Some(min) = &applied_min {
-                    applied.merge_min(min);
-                }
+                let tally = apply_notices_locked(&mut proto, &mut table, &arrivals.notices);
+                let (subtrees, applied) = merge_children_locked(&mut proto, &table, &arrivals);
+                let base = &proto.last_global_vt;
+                let notices = proto.notice_log.notices_after(base);
+                debug_assert!(
+                    notices_determine(base, &notices, &proto.vt),
+                    "P{me}'s arrival: the notices must determine the subtree's timestamp"
+                );
                 let msg = TmkMessage::BarrierArrival {
                     proc: me,
-                    vt: proto.vt.clone(),
-                    applied_vt: applied,
-                    notices: proto.notice_log.notices_after(&proto.last_global_vt),
+                    applied_vt: applied.delta_from(base),
+                    notices,
                     sync_requests: std::mem::take(&mut sync_requests),
                 };
-                (msg, tally, table.pages_in_use())
+                (msg, subtrees, tally, table.pages_in_use())
             };
             self.send(parent, Port::Reply, arrival, interrupt);
             self.charge_notices(&tally, pages_in_use);
@@ -374,12 +451,11 @@ impl Process {
                 matches!(m, TmkMessage::BarrierDeparture { .. })
             });
             self.clock.observe(env.arrives_at);
-            let TmkMessage::BarrierDeparture { global_vt, gc_horizon, notices, sync_requests } =
-                env.payload
+            let TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests } = env.payload
             else {
                 unreachable!()
             };
-            (notices, Some((global_vt, gc_horizon, sync_requests)), child_arrivals)
+            (Some((gc_horizon, notices, sync_requests)), subtrees)
         };
 
         // --- One lock hold for the whole post-exchange protocol step. ---
@@ -387,44 +463,45 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            let tally = apply_notices_locked(&mut proto, &mut table, &all_notices);
+            let incoming = departed.as_ref().map_or(&arrivals.notices, |(_, notices, _)| notices);
+            let tally = apply_notices_locked(&mut proto, &mut table, incoming);
             // The global timestamp, GC horizon and routed requests:
-            // distributed by the parent below the root; completed at the
-            // root itself, whose own applied timestamp closes the
-            // component-wise minimum over all processors and whose log is
-            // the first to hold every notice the requests are resolved
-            // against. The root's own request is resolved in that list;
-            // everybody else evaluates the same rule for itself.
-            let (gc_horizon, routed) = match distributed {
-                Some((global_vt, gc_horizon, routed)) => {
-                    proto.vt.merge(&global_vt);
+            // distributed by the parent below the root — the timestamp as
+            // this node's own joined with the departure's notices, the
+            // horizon against the previous global timestamp, read before it
+            // is replaced — and completed at the root itself, whose own
+            // applied timestamp closes the component-wise minimum over all
+            // processors and whose log is the first to hold every notice the
+            // requests are resolved against. The root's own request is
+            // resolved in that list; everybody else evaluates the same rule
+            // for itself.
+            let (subtrees, gc_horizon, horizon_delta, routed) = match departed {
+                Some((horizon_delta, notices, routed)) => {
+                    let global_vt = vt_through(&proto.vt, &notices);
+                    let gc_horizon = proto.last_global_vt.patched(&horizon_delta);
+                    proto.vt.clone_from(&global_vt);
                     proto.last_global_vt = global_vt;
                     if let Some(vt) = &my_sync_vt {
                         pending.responders = responders_locked(&proto, &pending.pages, vt);
                     }
-                    (gc_horizon, routed)
+                    (subtrees, gc_horizon, horizon_delta, routed)
                 }
                 None => {
-                    for (_, vt) in &departures_to {
-                        proto.vt.merge(vt);
-                    }
-                    // The requests were encoded against the previous
-                    // barrier's global timestamp: take it out as this
-                    // barrier's goes in.
+                    let (subtrees, horizon) = merge_children_locked(&mut proto, &table, &arrivals);
+                    // The requests and the horizon are encoded against the
+                    // previous barrier's global timestamp: take it out as
+                    // this barrier's goes in.
                     let global_vt = proto.vt.clone();
                     let base = std::mem::replace(&mut proto.last_global_vt, global_vt);
-                    let mut horizon = proto.applied_vt(&table);
-                    if let Some(min) = &applied_min {
-                        horizon.merge_min(min);
-                    }
+                    let horizon_delta = horizon.delta_from(&base);
                     let routed = route_requests_locked(&proto, &base, sync_requests);
                     if let Some(own) = routed.iter().find(|entry| entry.proc == me) {
                         pending.responders = own.responders.iter().map(|&(proc, _)| proc).collect();
                     }
-                    (horizon, routed)
+                    (subtrees, horizon, horizon_delta, routed)
                 }
             };
-            let departures = child_departures(&proto, &departures_to, &gc_horizon, &routed, arity);
+            let departures = child_departures(&proto, &subtrees, &horizon_delta, &routed, arity);
             let (serve, scanned, materialised) = serve_requests_locked(&proto, &table, &routed);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
@@ -449,14 +526,19 @@ impl Process {
         // `SyncDiffs` were built from the notice log and the diff cache
         // under the hold above; the invalidations and the write preparation
         // charged below model page-protection changes none of them reads.
-        if !flat && !departures.is_empty() {
-            // Re-fanning the departure down costs one hop service at root
-            // and interior nodes alike, plus the send-occupancy gap for
-            // every extra child copy.
-            self.clock.advance(self.cost.barrier_hop_cost(1));
-            self.clock.advance(self.cost.broadcast_extra_cost(departures.len() - 1));
-        }
-        for (proc, msg) in departures {
+        // On the tree, re-fanning the departure down costs one hop service
+        // at root and interior nodes alike, then the send-occupancy gap of
+        // every further copy — and each copy leaves as soon as it is built:
+        // the k-th after `hop(1) + k · broadcast_extra`, children in
+        // ascending id (non-increasing subtree size in the heap layout).
+        for (k, (proc, msg)) in departures.into_iter().enumerate() {
+            if !flat {
+                self.clock.advance(if k == 0 {
+                    self.cost.barrier_hop_cost(1)
+                } else {
+                    self.cost.broadcast_extra_cost(1)
+                });
+            }
             self.send(proc, Port::Reply, msg, interrupt);
         }
         // One pass over the diff cache answers every request routed here:
@@ -532,27 +614,30 @@ impl Process {
             let msg = TmkMessage::NeighborReady { from: me, seq, vt: vt.clone(), pages };
             self.send(producer, Port::Reply, msg, false);
         }
-        // Collect (and observe) every consumer's ready before serving any:
-        // observation is a max and serving an addition, so only
-        // observe-all-then-advance keeps virtual time independent of the
-        // real thread-scheduling order the readys arrive in.
+        // Collect every consumer's ready before serving any, then serve them
+        // in virtual-arrival order — like a tree node its children's
+        // arrivals, each costing one hop service as soon as it is there —
+        // so virtual time never depends on the real thread-scheduling order
+        // the readys arrive in.
         let mut waiting: HashSet<ProcId> = consumers.iter().copied().collect();
         assert!(!waiting.contains(&me), "a processor does not synchronize with itself");
+        let mut arrived: Vec<(VirtualTime, ProcId)> = Vec::with_capacity(waiting.len());
         let mut readys: Vec<(ProcId, Vt, Vec<PageId>)> = Vec::new();
         while !waiting.is_empty() {
             let env = self.recv_reply("a consumer's neighbour-sync ready", |m| {
                 matches!(m, TmkMessage::NeighborReady { from, seq: got, .. }
                     if *got == seq && waiting.contains(from))
             });
-            self.clock.observe(env.arrives_at);
             let TmkMessage::NeighborReady { from, vt, pages, .. } = env.payload else {
                 unreachable!()
             };
             waiting.remove(&from);
+            arrived.push((env.arrives_at, from));
             readys.push((from, vt, pages));
         }
-        // Serve in processor order, not arrival order, so every ack leaves
-        // at a deterministic virtual time.
+        serve_in_arrival_order(&mut self.clock, &mut arrived, self.cost.barrier_hop_cost(1));
+        // Build the acks in processor order, not arrival order, so the pass
+        // is deterministic.
         readys.sort_by_key(|&(from, _, _)| from);
         let (acks, prep, examined, materialised, warmed, pages_in_use) = {
             let mut node = self.node.unleased();
@@ -569,13 +654,12 @@ impl Process {
                     &mut examined,
                 );
                 materialised += full_pages;
-                let msg = TmkMessage::NeighborAck {
-                    from: me,
-                    seq,
-                    vt: proto.vt.clone(),
-                    notices: proto.notice_log.notices_after(ready_vt),
-                    diffs,
-                };
+                let notices = proto.notice_log.notices_after(ready_vt);
+                debug_assert!(
+                    notices_determine(ready_vt, &notices, &proto.vt),
+                    "P{me}'s ack to P{from}: the notices must determine the producer's timestamp"
+                );
+                let msg = TmkMessage::NeighborAck { from: me, seq, notices, diffs };
                 acks.push((*from, msg));
             }
             let prep =
@@ -585,11 +669,6 @@ impl Process {
         };
         // The acks first — their consumers are waiting; this node's own
         // write preparation, which no ack depends on, is charged behind.
-        if !readys.is_empty() {
-            // Consuming the pre-posted readys costs one hop service per
-            // consumer, like merging child arrivals at a tree-barrier node.
-            self.clock.advance(self.cost.barrier_hop_cost(readys.len()));
-        }
         self.clock.advance(self.cost.sync_merge_scan_cost(examined));
         self.clock.advance(self.cost.diff_create_cost(materialised));
         for (dest, msg) in acks {
@@ -644,6 +723,76 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The clock of a node at `now` (µs) after [`serve_in_arrival_order`]
+    /// over `arrivals` (µs, sender) at 25 µs a child, and its waits.
+    fn served(now: u64, arrivals: &[(u64, ProcId)]) -> (VirtualTime, VirtualTime) {
+        let mut clock = VirtualClock::new();
+        clock.advance(VirtualTime::from_micros(now));
+        let mut at: Vec<_> =
+            arrivals.iter().map(|&(t, proc)| (VirtualTime::from_micros(t), proc)).collect();
+        serve_in_arrival_order(&mut clock, &mut at, VirtualTime::from_micros(25));
+        (clock.now(), clock.waited())
+    }
+
+    #[test]
+    fn a_node_serves_each_arrival_as_soon_as_it_is_there() {
+        let us = VirtualTime::from_micros;
+        // Staggered by more than a hop: each child is served while the next
+        // is still on its way, so the node is done one hop after the last
+        // arrival — not arity hops after it, as the batched service was.
+        let staggered = [(300, 2), (100, 3), (400, 4), (200, 1)];
+        assert_eq!(served(0, &staggered).0, us(400 + 25));
+        // Every child at once: the batched value, `max + k · hop`.
+        assert_eq!(served(0, &[(100, 1), (100, 2), (100, 3)]).0, us(100 + 3 * 25));
+        // The node itself arrives last: its own `now` plus `k · hop`.
+        assert_eq!(served(500, &staggered).0, us(500 + 4 * 25));
+        // Closer than a hop: the second waits for the first's service.
+        assert_eq!(served(0, &[(100, 1), (110, 2)]).0, us(150));
+        // No child: nothing to serve.
+        assert_eq!(served(70, &[]), (us(70), VirtualTime::ZERO));
+    }
+
+    #[test]
+    fn tie_order_and_receive_order_do_not_change_the_served_clock() {
+        let arrivals = [(100, 1), (100, 2), (90, 3), (100, 4), (240, 5), (240, 6)];
+        let expected = served(50, &arrivals);
+        for shift in 0..arrivals.len() {
+            let mut order = arrivals;
+            order.rotate_left(shift);
+            assert_eq!(served(50, &order), expected, "rotated by {shift}");
+            order.reverse();
+            assert_eq!(served(50, &order), expected, "rotated by {shift}, reversed");
+        }
+        // Relabelling the tied senders changes nothing either.
+        let relabelled = [(100, 4), (100, 1), (90, 3), (100, 2), (240, 6), (240, 5)];
+        assert_eq!(served(50, &relabelled), expected);
+    }
+
+    #[test]
+    fn serving_as_arrived_charges_the_batched_service_and_is_never_later() {
+        // xorshift64: any fixed sequence will do.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..500 {
+            let now = below(300);
+            let arrivals: Vec<(u64, ProcId)> =
+                (0..1 + below(9) as usize).map(|proc| (below(400), proc)).collect();
+            let (done, waited) = served(now, &arrivals);
+            let last = arrivals.iter().map(|&(t, _)| t).max().unwrap_or(0).max(now);
+            let k = arrivals.len() as u64;
+            let batched = VirtualTime::from_micros(last + 25 * k);
+            assert!(done <= batched, "{arrivals:?} from {now}: {done:?} after {batched:?}");
+            // No charge moved: what is not waiting is exactly `k` services.
+            let charged = done - waited - VirtualTime::from_micros(now);
+            assert_eq!(charged, VirtualTime::from_micros(25 * k), "{arrivals:?} from {now}");
         }
     }
 
@@ -904,10 +1053,18 @@ mod tests {
                 request(&base, 6, &[(4, 1), (3, 2)], &[9, 12]),
             ];
             if base.get(4) == 2 {
-                assert_eq!(requests[6].delta, [(0, 0), (3, 2), (4, 1)], "above and below");
-                assert_eq!(requests[1].delta, [(3, 0), (4, 0)], "P0's component is the base's");
+                assert_eq!(
+                    requests[6].delta.entries(),
+                    [(0, 0), (3, 2), (4, 1)],
+                    "above and below"
+                );
+                assert_eq!(
+                    requests[1].delta.entries(),
+                    [(3, 0), (4, 0)],
+                    "P0's component is the base's"
+                );
             } else {
-                assert_eq!(requests[6].delta, [(3, 2), (4, 1)]);
+                assert_eq!(requests[6].delta.entries(), [(3, 2), (4, 1)]);
             }
             for arity in [1, 2, 3, N - 1, 8] {
                 let pairs =
@@ -961,7 +1118,7 @@ mod tests {
             entry(6, &[7], &[(4, 2)]),
         ];
         let children = [(3, Vt::new(N)), (4, proto.last_global_vt.clone())];
-        let departures = child_departures(&proto, &children, &Vt::new(N), &received, 2);
+        let departures = child_departures(&proto, &children, &VtDelta::default(), &received, 2);
         assert_eq!(departures.iter().map(|(child, _)| *child).collect::<Vec<_>>(), [3, 4]);
         // Each leaf is told of the one request it answers, naming it alone;
         // the request only P1 itself answers goes no further.
@@ -1014,10 +1171,11 @@ mod tests {
             for leaf in tree_children(child, N, ARITY) {
                 assert!(tree_children(leaf, N, ARITY).is_empty());
                 let children = [(leaf, nothing.clone())];
-                let departures = child_departures(&proto, &children, &nothing, &share, ARITY);
+                let departures =
+                    child_departures(&proto, &children, &VtDelta::default(), &share, ARITY);
                 let departure = &departures[0].1;
                 assert!(routed_of(departure).len() <= 2, "its two neighbours' requests");
-                let bytes = departure.wire_bytes();
+                let bytes = departure.wire_bytes(N);
                 assert!(bytes <= 4096, "{bytes} bytes to leaf P{leaf}");
                 leaves += 1;
             }

@@ -13,6 +13,7 @@ use super::sync::{
 };
 use super::Process;
 use crate::message::TmkMessage;
+use crate::notice::vt_through;
 use crate::state::ProtoState;
 use crate::types::{Interval, LockId, ProcId};
 
@@ -77,16 +78,16 @@ impl Process {
             |m| matches!(m, TmkMessage::LockGrant { lock: l, .. } if *l == lock),
         );
         self.clock.observe(env.arrives_at);
-        let TmkMessage::LockGrant { granter_vt, notices, piggyback, .. } = env.payload else {
-            unreachable!()
-        };
+        let TmkMessage::LockGrant { notices, piggyback, .. } = env.payload else { unreachable!() };
         // One lock hold for the entire acquire-side protocol step.
         let (tally, prep, wants, warmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
             let tally = apply_notices_locked(&mut proto, &mut table, &notices);
-            proto.vt.merge(&granter_vt);
+            // The granter's timestamp, merged: ours covers the one we
+            // advertised, so the grant's notices determine it.
+            proto.vt = vt_through(&proto.vt, &notices);
             proto.pending_acquires.remove(&lock);
             proto.held_locks.insert(lock);
             // Third-party fetch: everything still missing for the requested

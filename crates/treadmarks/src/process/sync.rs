@@ -19,7 +19,7 @@ use super::interval::{apply_notices_locked, contiguous_runs};
 use super::race::detect_races_locked;
 use super::Process;
 use crate::message::{DiffRecord, PageWant, TmkMessage};
-use crate::notice::WriteNotice;
+use crate::notice::{vt_through, WriteNotice};
 use crate::state::ProtoState;
 use crate::types::{Interval, LockId, ProcId, Vt};
 
@@ -734,25 +734,25 @@ impl Process {
             records.extend(diffs);
         }
         // The merged data+sync answers of an eliminated barrier: each named
-        // producer's ack carries its vector timestamp, its write notices and
-        // its diffs on one message. As with `SyncDiffs`, acks are accepted
-        // only at this boundary's ordinal; older ones (from a dropped
-        // receipt) are consumed and discarded.
-        let mut acked: Vec<(ProcId, Vt, Vec<WriteNotice>)> = Vec::new();
+        // producer's ack carries its write notices and its diffs on one
+        // message. As with `SyncDiffs`, acks are accepted only at this
+        // boundary's ordinal; older ones (from a dropped receipt) are
+        // consumed and discarded.
+        let mut acked: Vec<(ProcId, Vec<WriteNotice>)> = Vec::new();
         while !neighbor_responders.is_empty() {
             let env = self.recv_reply(label("a neighbour-sync ack"), |m| {
                 matches!(m, TmkMessage::NeighborAck { from, seq: got, .. }
                     if *got <= seq && neighbor_responders.contains(from))
             });
             self.clock.observe(env.arrives_at);
-            let TmkMessage::NeighborAck { from, seq: got, vt, notices, diffs } = env.payload else {
+            let TmkMessage::NeighborAck { from, seq: got, notices, diffs } = env.payload else {
                 unreachable!()
             };
             if got < seq {
                 continue;
             }
             neighbor_responders.remove(&from);
-            acked.push((from, vt, notices));
+            acked.push((from, notices));
             records.extend(diffs);
         }
         // How long the completion actually stalled: with computation between
@@ -762,20 +762,20 @@ impl Process {
         self.stats.sync_wait_ns(waited.as_nanos());
         // Incorporate the producers' consistency information before the
         // data: the acks' notices populate the missing lists the record
-        // installation claims against, and the timestamp merge records the
-        // acquire (the consumer now knows everything each producer knew at
-        // the boundary). Processor order keeps the pass deterministic.
+        // installation claims against, and the timestamp they determine
+        // records the acquire (the consumer now knows everything each
+        // producer knew at the boundary: this processor's timestamp covers
+        // the one its ready advertised, so joining the notices is the merge
+        // of the producer's). Processor order keeps the pass deterministic.
         if !acked.is_empty() {
-            acked.sort_by_key(|(from, _, _)| *from);
+            acked.sort_by_key(|(from, _)| *from);
             let (tally, pages_in_use) = {
                 let node = self.node.unleased();
                 let mut proto = node.proto();
                 let mut table = node.table();
-                let mut all_notices = Vec::new();
-                for (_, vt, notices) in &acked {
-                    proto.vt.merge(vt);
-                    all_notices.extend(notices.iter().copied());
-                }
+                let all_notices: Vec<WriteNotice> =
+                    acked.into_iter().flat_map(|(_, notices)| notices).collect();
+                proto.vt = vt_through(&proto.vt, &all_notices);
                 let tally = apply_notices_locked(&mut proto, &mut table, &all_notices);
                 (tally, table.pages_in_use())
             };

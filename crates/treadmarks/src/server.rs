@@ -16,6 +16,7 @@ use msgnet::{Endpoint, Envelope, NodeId, Port};
 use sp2model::VirtualTime;
 
 use crate::message::{DiffRecord, PageWant, TmkMessage};
+use crate::notice::notices_determine;
 use crate::state::{full_page_diff, NodeShared, PendingLockRequest, ProtoState};
 use crate::types::{Interval, LockId, ProcId};
 
@@ -75,7 +76,7 @@ fn send_at(
     msg: TmkMessage,
     at: VirtualTime,
 ) {
-    let bytes = msg.wire_bytes();
+    let bytes = msg.wire_bytes(endpoint.nodes());
     endpoint.send(NodeId(dest), port, msg, bytes, at, true);
 }
 
@@ -268,14 +269,19 @@ pub(crate) fn send_grant(
         let seen = requester_vt.get(proto.me);
         let (piggyback, _) =
             proto.diffs_for_pages_after_counted(sync_pages, seen, &table, &mut Vec::new());
-        (proto.notice_log.notices_after(requester_vt), piggyback)
+        let notices = proto.notice_log.notices_after(requester_vt);
+        debug_assert!(
+            notices_determine(requester_vt, &notices, &proto.vt),
+            "P{}'s grant to P{requester}: the notices must determine the granter's timestamp",
+            proto.me,
+        );
+        (notices, piggyback)
     } else {
         (Vec::new(), Vec::new())
     };
-    let granter_vt = if with_notices { proto.vt.clone() } else { requester_vt.clone() };
     drop(table);
     drop(proto);
 
-    let grant = TmkMessage::LockGrant { lock, granter_vt, notices, piggyback };
+    let grant = TmkMessage::LockGrant { lock, notices, piggyback };
     send_at(endpoint, *requester, Port::Reply, grant, at + shared.cost.lock_manager_cost());
 }

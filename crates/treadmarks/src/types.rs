@@ -121,21 +121,20 @@ impl Vt {
     }
 
     /// The components in which this timestamp differs from `base` — above
-    /// or below — as `(processor, interval)` pairs, ascending:
-    /// the sparse form a timestamp travels in when both ends hold `base`.
-    /// [`patched`](Self::patched) is the inverse.
-    pub fn delta_from(&self, base: &Vt) -> Vec<(ProcId, Interval)> {
+    /// or below — the sparse form a timestamp travels in when both ends
+    /// hold `base`. [`patched`](Self::patched) is the inverse.
+    pub fn delta_from(&self, base: &Vt) -> VtDelta {
         assert_eq!(self.0.len(), base.0.len(), "vector timestamps must have the same width");
         let differing =
             self.0.iter().zip(&base.0).enumerate().filter(|(_, (mine, base))| mine != base);
-        differing.map(|(p, (&mine, _))| (p, mine)).collect()
+        VtDelta(differing.map(|(p, (&mine, _))| (p, mine)).collect())
     }
 
     /// This timestamp with the components `delta` names replaced:
     /// `base.patched(&vt.delta_from(&base)) == vt`.
-    pub fn patched(&self, delta: &[(ProcId, Interval)]) -> Vt {
+    pub fn patched(&self, delta: &VtDelta) -> Vt {
         let mut vt = self.clone();
-        for &(p, interval) in delta {
+        for &(p, interval) in &delta.0 {
             vt.0[p] = interval;
         }
         vt
@@ -156,6 +155,27 @@ impl Vt {
     /// an arbitrary, harmless order.
     pub fn sum(&self) -> u64 {
         self.0.iter().map(|&v| u64::from(v)).sum()
+    }
+}
+
+/// A vector timestamp in transit as its difference from a base both ends
+/// hold ([`Vt::delta_from`] / [`Vt::patched`]): the differing components,
+/// above or below the base, as `(processor, interval)` pairs ascending.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct VtDelta(Vec<(ProcId, Interval)>);
+
+impl VtDelta {
+    /// The differing components, ascending by processor.
+    pub fn entries(&self) -> &[(ProcId, Interval)] {
+        &self.0
+    }
+
+    /// Approximate wire size on a cluster of `nprocs`: the smaller of the
+    /// two encodings — sparse (an entry count and eight bytes a differing
+    /// component) or, where that would not pay (two processors, a long
+    /// chain of acquires since the base), whole (four bytes a component).
+    pub fn wire_bytes(&self, nprocs: usize) -> usize {
+        (4 + self.0.len() * 8).min(nprocs * 4)
     }
 }
 

@@ -285,6 +285,26 @@ fn wide_kernel(p: &mut Process) -> (u64, VirtualTime) {
 const EARLIEST_ELAPSED_BEFORE: u64 = 8_021_997;
 const LAST_LEAF_ISSUED_BEFORE: u64 = 7_011_794;
 
+/// What a 64-processor run's processors finished at (ns) on the commit
+/// before tree nodes served each arrival as it came and sent each departure
+/// copy as it was built, by their place in the arity-8 tree: the root, its
+/// interior children P1–P6 (eight children each), P7 (seven), its leaf
+/// child P8, P7's leaves P57–P63 and every other leaf.
+const WIDE_BEFORE: [u64; 6] = [7_642_142, 7_876_734, 7_861_734, 7_746_734, 7_966_326, 7_981_326];
+const PLAIN_BEFORE: [u64; 6] = [779_412, 1_014_004, 999_004, 884_004, 1_103_596, 1_118_596];
+
+fn finished_before(proc: usize, by_role: [u64; 6]) -> u64 {
+    let [root, eight, seven, leaf_child, under_seven, leaf] = by_role;
+    match proc {
+        0 => root,
+        1..=6 => eight,
+        7 => seven,
+        8 => leaf_child,
+        57..=63 => under_seven,
+        _ => leaf,
+    }
+}
+
 #[test]
 fn tree_nodes_forward_before_they_invalidate_for_any_reactor_pool_size() {
     let run_with = |reactors: Option<usize>| {
@@ -306,16 +326,59 @@ fn tree_nodes_forward_before_they_invalidate_for_any_reactor_pool_size() {
     );
     for (proc, elapsed) in single.elapsed.iter().enumerate() {
         assert!(elapsed.as_nanos() < EARLIEST_ELAPSED_BEFORE, "P{proc} finished at {elapsed:?}");
+        // Serving arrivals as they come and sending each departure copy as
+        // it is built only ever moves a processor earlier.
+        let before = finished_before(proc, WIDE_BEFORE);
+        assert!(elapsed.as_nanos() <= before, "P{proc} finished at {elapsed:?}, {before} before");
     }
     let total = single.stats.total();
     assert_eq!(total.page_faults, 64 * 3, "one write fault an epoch, no read fault");
     assert!(total.sync_wait_ns > 0, "the completions wait for the neighbours' diffs");
-    // What leaves first is decided in virtual time alone: the pool that
-    // serves the protocol side cannot show.
+    // What leaves first, and which arrival a node serves first, is decided
+    // in virtual time alone: the pool that serves the protocol side — and
+    // with it the order the host threads deliver the arrivals in — cannot
+    // show.
     for pool in [Some(3), None] {
         let run = run_with(pool);
         assert_eq!(run.results, single.results, "results at pool {pool:?}");
         assert_eq!(run.elapsed, single.elapsed, "virtual times at pool {pool:?}");
         assert_eq!(run.stats, single.stats, "statistics at pool {pool:?}");
+    }
+}
+
+#[test]
+fn the_root_sends_each_departure_copy_as_soon_as_it_is_built() {
+    // One plain barrier over the adaptive arity-8 tree of 64 processors:
+    // every arrival and departure is the same size, so a copy's arrival
+    // time is its send time plus one fixed latency.
+    const N: usize = 64;
+    let cost = CostModel::sp2();
+    let arity = BarrierTopology::optimal_tree_arity(N, &cost);
+    assert_eq!(arity, 8);
+    let run = Dsm::run(DsmConfig::new(N).with_cost_model(cost.clone()), |p| p.barrier());
+    // After a plain barrier a processor's clock is where its departure
+    // arrived, plus one hop service and a send gap per further copy if it
+    // fans the departure out, plus the local bookkeeping.
+    let received = |proc: usize| {
+        let children = (proc * arity + 1..=proc * arity + arity).filter(|&c| c < N).count();
+        let fan_out = if children == 0 {
+            VirtualTime::ZERO
+        } else {
+            cost.barrier_hop_cost(1) + cost.broadcast_extra_cost(children - 1)
+        };
+        run.elapsed[proc] - fan_out - cost.barrier_local_cost()
+    };
+    // The root's children in ascending id: each copy leaves one send gap
+    // after the one before, so the last (the leaf P8) receives its copy
+    // `(arity − 1) · 15 µs` after the first (P1) — which no longer waits
+    // for the others' gaps.
+    let first = received(1);
+    for (k, child) in (1..=arity).enumerate() {
+        assert_eq!(received(child) - first, cost.broadcast_extra_cost(k), "P{child}");
+    }
+    assert_eq!(received(arity) - first, VirtualTime::from_micros(7 * 15));
+    for (proc, elapsed) in run.elapsed.iter().enumerate() {
+        let before = finished_before(proc, PLAIN_BEFORE);
+        assert!(elapsed.as_nanos() <= before, "P{proc} finished at {elapsed:?}, {before} before");
     }
 }
