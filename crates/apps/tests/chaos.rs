@@ -210,12 +210,11 @@ fn gauss_is_chaos_transparent_at_8_procs() {
 }
 
 #[test]
-fn jacobi_is_chaos_transparent_at_64_procs_on_a_shared_reactor_pool() {
-    // At 64 simulated processors the default reactor pool multiplexes many
-    // nodes per poll loop (on a small host, all of them on one), so this
-    // schedule shakes the *polled* request path — retransmission timeouts,
-    // dedup windows and resequencing must all hold when the consumer is a
-    // sweeping reactor rather than 64 dedicated blocking server threads.
+fn jacobi_is_chaos_transparent_at_64_procs() {
+    // At 64 simulated processors many requesters drain the same ports
+    // concurrently, so this schedule shakes the *polled* request path —
+    // retransmission timeouts, dedup windows and resequencing must all hold
+    // when whichever thread got to a port first consumes what it holds.
     // One seed and the two ends of the variant spectrum keep the wide runs
     // affordable; the full seed matrix runs at the smaller sizes above.
     let cfg = GridConfig { rows: 16, cols: 130, iters: 2 };

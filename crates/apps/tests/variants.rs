@@ -325,11 +325,9 @@ const WIDE_F64_CHECKSUMS: [(usize, u64, u64); 2] = [
 
 #[test]
 fn the_wide_matrix_pins_checksums_for_every_kernel_at_32_and_64_procs() {
-    // The reactor-era acceptance row: at 32 and 64 simulated processors the
-    // default pool multiplexes many nodes per reactor (on a small host, all
-    // of them on one), and every kernel and variant must still land on the
-    // constants pinned here — the same numbers a one-thread-per-node run
-    // produces.
+    // The wide acceptance row: at 32 and 64 simulated processors every
+    // kernel and variant must land on the constants pinned here — the same
+    // numbers whichever host thread serves which request.
     for (nprocs, jacobi_pin, sor_pin) in WIDE_F64_CHECKSUMS {
         for variant in Variant::ALL {
             let r = run_app_u64(is, WIDE_CFG, nprocs, variant);

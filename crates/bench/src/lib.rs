@@ -24,22 +24,17 @@
 //! dsm-bench -- --explain <app>` dumps the kernel's compiled plan (phase
 //! classifications, refusal reasons, message counts) deterministically.
 //!
-//! `cargo run -p dsm-bench -- --scale` runs the wide-cluster matrix the
-//! reactor pool makes affordable — all four kernels, validate + compiled,
-//! at `nprocs` ∈ {32, 64, 128} — and writes `BENCH_PR9.json`;
-//! `--scale --check` holds it to that file the same way, and `--reactors
-//! N` forces the pool size, which must not — and provably does not —
-//! change a single byte of any record. The reactor counters (poll cycles, served-per-wakeup, peak
-//! queue depth) are printed alongside but deliberately kept *out* of the
-//! JSON: they are host-scheduling dependent.
+//! `cargo run -p dsm-bench -- --scale` runs the wide-cluster matrix — all
+//! four kernels, validate + compiled, at `nprocs` ∈ {32, 64, 128} — and
+//! writes `BENCH_PR9.json`; `--scale --check` holds it to that file the
+//! same way.
 //!
-//! `cargo run -p dsm-bench -- --race <app>` runs every kernel/variant of
-//! the matrix twice — race detector off and collecting — and prints the
-//! overhead table. Those records are informational (never gated, never
-//! written to a file); what *is* enforced, by
-//! `detector_off_is_free_and_collect_takes_no_new_table_locks`, is that
-//! `RaceDetect::Off` costs exactly nothing on the gated records and that
-//! `Collect` adds no page-table-lock acquisitions on the warm TLB path.
+//! What the race detector and the fault layer cost is enforced by tests,
+//! not printed: `detector_off_is_free_and_collect_takes_no_new_table_locks`
+//! (`RaceDetect::Off` costs exactly nothing on a gated record, `Collect`
+//! adds no page-table-lock acquisition on the warm TLB path) and
+//! `dsm-apps`'s `tests/chaos.rs` (every kernel's checksums bit-identical
+//! under seeded fault schedules, with no race reported).
 //!
 //! The barrier-synchronized kernels are fully deterministic: the clocks
 //! are *virtual* (message costs come from the cost model, not the host)
@@ -61,7 +56,7 @@ use dsm_apps::{
 };
 use pagedmem::Addr;
 use sp2model::{CostModel, StatsSnapshot};
-use treadmarks::{BarrierTopology, Dsm, DsmConfig, NetFaults, SharedArray, SharedMatrix};
+use treadmarks::{BarrierTopology, Dsm, DsmConfig, SharedArray, SharedMatrix};
 
 /// The schema tag embedded in the JSON output.
 pub const SCHEMA: &str = "dsm-bench/pr8";
@@ -74,10 +69,8 @@ pub const SCALE_SCHEMA: &str = "dsm-bench/pr9-scale";
 /// per processor).
 pub const NPROCS_MATRIX: [usize; 4] = [2, 4, 8, 16];
 
-/// The cluster sizes of the scale matrix: the reactor-pool refactor's
-/// target range, far past the paper's 8-node SP/2. Every size runs on a
-/// bounded host-thread pool (`nprocs + min(nprocs, cores) + 1` threads,
-/// not `2·nprocs + 1`).
+/// The cluster sizes of the scale matrix, far past the paper's 8-node SP/2.
+/// Every size runs on one host thread per processor.
 pub const SCALE_NPROCS: [usize; 3] = [32, 64, 128];
 
 /// The variants the scale matrix records: the split-phase Validate path
@@ -155,36 +148,22 @@ fn app_fn(app: &str) -> AppFn {
     }
 }
 
-/// One kernel execution reduced to what the suites record: the summed
-/// statistics, the model time, the per-processor checksums as bits (so
-/// float and integer kernels compare the same way) and the race-report
-/// count.
-struct KernelRun {
-    total: StatsSnapshot,
-    time_ns: u64,
-    result_bits: Vec<u64>,
-    races: u64,
-}
-
-fn run_kernel(app: &str, cfg: GridConfig, config: DsmConfig, variant: Variant) -> KernelRun {
+/// Runs one kernel and reduces it to what a record keeps: the summed
+/// statistics and the model time in nanoseconds.
+fn run_kernel(
+    app: &str,
+    cfg: GridConfig,
+    config: DsmConfig,
+    variant: Variant,
+) -> (StatsSnapshot, u64) {
     match app_fn(app) {
         AppFn::F64(kernel) => {
             let run = Dsm::run(config, move |p| kernel(p, &cfg, variant));
-            KernelRun {
-                total: run.stats.total(),
-                time_ns: run.execution_time().as_nanos(),
-                result_bits: run.results.iter().map(|s| s.to_bits()).collect(),
-                races: run.races.len() as u64,
-            }
+            (run.stats.total(), run.execution_time().as_nanos())
         }
         AppFn::U64(kernel) => {
             let run = Dsm::run(config, move |p| kernel(p, &cfg, variant));
-            KernelRun {
-                total: run.stats.total(),
-                time_ns: run.execution_time().as_nanos(),
-                result_bits: run.results.clone(),
-                races: run.races.len() as u64,
-            }
+            (run.stats.total(), run.execution_time().as_nanos())
         }
     }
 }
@@ -251,8 +230,8 @@ pub struct BenchRecord {
 }
 
 /// One case of a suite: which kernel runs at what size on how many
-/// processors in which variant, and the three things a suite may vary on
-/// top of that.
+/// processors in which variant, and the two things a suite may vary on top
+/// of that.
 #[derive(Debug, Clone, Copy)]
 pub struct Case {
     /// Kernel name.
@@ -268,31 +247,21 @@ pub struct Case {
     pub name: &'static str,
     /// Barrier topology (default: the adaptive-arity tree).
     pub barrier: BarrierTopology,
-    /// Pins the protocol-reactor pool; `None` is the default one-per-core
-    /// pool. Records are bit-identical either way (the pool size is
-    /// host-side scheduling only) — the pin exists so `--reactors N` can
-    /// exercise a specific multiplexing degree.
-    pub reactors: Option<usize>,
 }
 
 impl Case {
-    /// The case under its variant's own name, the default barrier and the
-    /// default reactor pool.
+    /// The case under its variant's own name and the default barrier.
     pub fn new(app: &'static str, cfg: GridConfig, nprocs: usize, variant: Variant) -> Case {
         let barrier = BarrierTopology::default();
-        Case { app, cfg, nprocs, variant, name: variant.name(), barrier, reactors: None }
+        Case { app, cfg, nprocs, variant, name: variant.name(), barrier }
     }
 }
 
 /// Runs one case under the SP/2 cost model and collects its record.
 pub fn run_case(case: Case) -> BenchRecord {
-    let Case { app, cfg, nprocs, variant, name, barrier, reactors } = case;
-    let mut config = DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()).with_barrier(barrier);
-    if let Some(n) = reactors {
-        config = config.with_reactors(n);
-    }
-    let run = run_kernel(app, cfg, config, variant);
-    let t = run.total;
+    let Case { app, cfg, nprocs, variant, name, barrier } = case;
+    let config = DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()).with_barrier(barrier);
+    let (t, time_ns) = run_kernel(app, cfg, config, variant);
     BenchRecord {
         app,
         variant: name,
@@ -300,7 +269,7 @@ pub fn run_case(case: Case) -> BenchRecord {
         rows: cfg.rows,
         cols: cfg.cols,
         iters: cfg.iters,
-        time_ns: run.time_ns,
+        time_ns,
         table_lock_acquires: t.table_lock_acquires,
         tlb_hits: t.tlb_hits,
         tlb_misses: t.tlb_misses,
@@ -343,254 +312,23 @@ pub fn suite() -> Vec<BenchRecord> {
 /// The scale suite: all four kernels in the Validate and Compiled variants
 /// at `nprocs` ∈ {32, 64, 128} on wide grids (256 columns), plus the two
 /// page-aligned `validate_aligned` controls ([`SCALE_ALIGNED_CFG`]).
-/// `reactors` pins the protocol-reactor pool for every run (`None` = one
-/// per core); the records are bit-identical for any pool size.
-pub fn scale_suite(reactors: Option<usize>) -> Vec<BenchRecord> {
+pub fn scale_suite() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for app in APPS {
         let cfg = scale_cfg(app);
         for &nprocs in &SCALE_NPROCS {
             for variant in SCALE_VARIANTS {
-                records.push(run_case(Case { reactors, ..Case::new(app, cfg, nprocs, variant) }));
+                records.push(run_case(Case::new(app, cfg, nprocs, variant)));
             }
         }
     }
     for app in ["jacobi", "sor"] {
         records.push(run_case(Case {
             name: "validate_aligned",
-            reactors,
             ..Case::new(app, SCALE_ALIGNED_CFG, 64, Variant::Validate)
         }));
     }
     records
-}
-
-/// Runs one wide Jacobi/Validate case and returns the per-reactor
-/// statistics of its pool — what `--scale` prints as the reactor summary.
-/// The counters are host-scheduling dependent (poll sweeps, doorbell
-/// wakeups, peak backlog) and deliberately never part of any JSON record.
-pub fn probe_reactor_pool(
-    nprocs: usize,
-    reactors: Option<usize>,
-) -> Vec<sp2model::ReactorSnapshot> {
-    let mut config = DsmConfig::new(nprocs).with_cost_model(CostModel::sp2());
-    if let Some(n) = reactors {
-        config = config.with_reactors(n);
-    }
-    let cfg = SCALE_JACOBI_CFG;
-    let run = Dsm::run(config, move |p| dsm_apps::jacobi(p, &cfg, Variant::Validate));
-    run.reactors
-}
-
-/// One detector-overhead measurement: the same kernel/variant/size run
-/// twice, with `RaceDetect::Off` and `RaceDetect::Collect`, under the SP/2
-/// cost model. Informational only — never gated (the detector is a debug
-/// mode; what *is* enforced, by the protocol tests, is that `Off` costs
-/// exactly nothing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RaceBenchRecord {
-    /// Kernel name (`"jacobi"`, `"sor"`).
-    pub app: &'static str,
-    /// Variant name.
-    pub variant: &'static str,
-    /// Number of simulated processors.
-    pub nprocs: usize,
-    /// Model execution time with the detector off, in nanoseconds.
-    pub time_ns_off: u64,
-    /// Model execution time with the detector collecting, in nanoseconds.
-    pub time_ns_on: u64,
-    /// Detector overhead in hundredths of a percent:
-    /// `(on - off) / off * 10_000`.
-    pub overhead_centipct: u64,
-    /// Payload bytes sent with the detector off.
-    pub bytes_off: u64,
-    /// Payload bytes sent with the detector on (creating timestamps ride
-    /// the diff records).
-    pub bytes_on: u64,
-    /// Race reports collected (zero for every analyzer-accepted kernel).
-    pub races: u64,
-}
-
-/// Runs one kernel/variant combination twice — detector off and detector
-/// collecting — and records the overhead.
-pub fn run_race_case(
-    app: &'static str,
-    cfg: GridConfig,
-    nprocs: usize,
-    variant: Variant,
-) -> RaceBenchRecord {
-    let run_with = |detect: treadmarks::RaceDetect| {
-        let config =
-            DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()).with_race_detect(detect);
-        run_kernel(app, cfg, config, variant)
-    };
-    let off = run_with(treadmarks::RaceDetect::Off);
-    let on = run_with(treadmarks::RaceDetect::Collect);
-    let overhead_centipct =
-        (on.time_ns.saturating_sub(off.time_ns) * 10_000).checked_div(off.time_ns).unwrap_or(0);
-    RaceBenchRecord {
-        app,
-        variant: variant.name(),
-        nprocs,
-        time_ns_off: off.time_ns,
-        time_ns_on: on.time_ns,
-        overhead_centipct,
-        bytes_off: off.total.bytes_sent,
-        bytes_on: on.total.bytes_sent,
-        races: on.races,
-    }
-}
-
-/// The detector-overhead suite for one kernel (or `"all"`): every variant
-/// across the `nprocs` matrix at the standard suite sizes.
-pub fn race_suite(app: &str) -> Vec<RaceBenchRecord> {
-    let mut records = Vec::new();
-    for name in APPS {
-        if app != "all" && app != name {
-            continue;
-        }
-        for &nprocs in &NPROCS_MATRIX {
-            for variant in Variant::ALL {
-                records.push(run_race_case(name, standard_cfg(name), nprocs, variant));
-            }
-        }
-    }
-    records
-}
-
-/// The seeded fault schedules the chaos suite runs every case under (three
-/// distinct seeds, drops/duplicates/delays/reorders all enabled — see
-/// [`NetFaults::chaos`]).
-pub const CHAOS_SEEDS: [u64; 3] = [11, 23, 47];
-
-/// One chaos measurement: a kernel/variant/size run fault-free and under
-/// one seeded fault schedule, with the injected-fault counts and the
-/// checksum comparison. Informational only — never gated (what *is*
-/// enforced, by the chaos tests, is `checksums_match` and zero races).
-///
-/// Only sender-side fault counters appear here: they are a pure function of
-/// the schedule and the deterministic virtual-time send sequence. The
-/// receiver-side `net_dup_drops` counter trails real-time delivery order
-/// and is deliberately excluded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosBenchRecord {
-    /// Kernel name (`"jacobi"`, `"sor"`).
-    pub app: &'static str,
-    /// Variant name.
-    pub variant: &'static str,
-    /// Number of simulated processors.
-    pub nprocs: usize,
-    /// Seed of the fault schedule this record ran under.
-    pub seed: u64,
-    /// Model execution time of the fault-free run, in nanoseconds.
-    pub time_ns_clean: u64,
-    /// Model execution time under the fault schedule, in nanoseconds.
-    pub time_ns_chaos: u64,
-    /// Retransmissions the schedule forced (dropped attempts).
-    pub retransmits: u64,
-    /// Messages duplicated in flight.
-    pub dups: u64,
-    /// Messages delivered behind later same-link traffic.
-    pub reorders: u64,
-    /// Messages that suffered injected link delay.
-    pub delays: u64,
-    /// Whether every per-processor checksum was bit-identical to the
-    /// fault-free run (the reliable-delivery layer's whole claim).
-    pub checksums_match: bool,
-    /// Race reports collected under the schedule (must stay zero).
-    pub races: u64,
-}
-
-/// Runs one kernel/variant combination fault-free once and then under each
-/// seeded chaos schedule, comparing checksums bit-for-bit. The race
-/// detector collects in every run so a fault-induced ordering bug would
-/// surface both as a checksum mismatch and as a race report.
-pub fn run_chaos_cases(
-    app: &'static str,
-    cfg: GridConfig,
-    nprocs: usize,
-    variant: Variant,
-    seeds: &[u64],
-) -> Vec<ChaosBenchRecord> {
-    let run_with = |faults: Option<NetFaults>| {
-        let config = DsmConfig::new(nprocs)
-            .with_cost_model(CostModel::sp2())
-            .with_race_detect(treadmarks::RaceDetect::Collect)
-            .with_net_faults(faults);
-        run_kernel(app, cfg, config, variant)
-    };
-    let clean = run_with(None);
-    seeds
-        .iter()
-        .map(|&seed| {
-            let chaos = run_with(Some(NetFaults::chaos(seed)));
-            let t = &chaos.total;
-            ChaosBenchRecord {
-                app,
-                variant: variant.name(),
-                nprocs,
-                seed,
-                time_ns_clean: clean.time_ns,
-                time_ns_chaos: chaos.time_ns,
-                retransmits: t.net_retransmits,
-                dups: t.net_dups,
-                reorders: t.net_reorders,
-                delays: t.net_delays,
-                checksums_match: chaos.result_bits == clean.result_bits,
-                races: chaos.races,
-            }
-        })
-        .collect()
-}
-
-/// The chaos suite for one kernel (or `"all"`): every variant at
-/// `nprocs` ∈ {2, 4, 8} under each [`CHAOS_SEEDS`] schedule, at the
-/// standard suite sizes.
-pub fn chaos_suite(app: &str) -> Vec<ChaosBenchRecord> {
-    let mut records = Vec::new();
-    for name in APPS {
-        if app != "all" && app != name {
-            continue;
-        }
-        for nprocs in [2, 4, 8] {
-            for variant in Variant::ALL {
-                records.extend(run_chaos_cases(
-                    name,
-                    standard_cfg(name),
-                    nprocs,
-                    variant,
-                    &CHAOS_SEEDS,
-                ));
-            }
-        }
-    }
-    records
-}
-
-/// The chaos suite's pass/fail summary: `Err` (with one line per offending
-/// record) when any record's checksums diverged from the fault-free run or
-/// any race was reported — the `--chaos` CLI exits non-zero on it.
-///
-/// # Errors
-///
-/// Returns `Err` when any record has `checksums_match == false` or
-/// `races > 0`.
-pub fn check_chaos(records: &[ChaosBenchRecord]) -> Result<(), String> {
-    let failures: Vec<String> = records
-        .iter()
-        .filter(|r| !r.checksums_match || r.races > 0)
-        .map(|r| {
-            format!(
-                "{}/{}@{} seed {}: checksums_match={}, races={}",
-                r.app, r.variant, r.nprocs, r.seed, r.checksums_match, r.races
-            )
-        })
-        .collect();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
 }
 
 /// The `--explain` dump for one kernel: builds the kernel's IR at the
@@ -987,10 +725,6 @@ mod tests {
         // protocol already holds).
         let cfg = GridConfig { rows: 64, cols: 16, iters: 2 };
         let plain = run("sor", cfg, 8, Variant::Compiled);
-        let race = run_race_case("sor", cfg, 8, Variant::Compiled);
-        assert_eq!(race.time_ns_off, plain.time_ns, "Off must match the plain run's model time");
-        assert_eq!(race.bytes_off, plain.bytes, "Off must match the plain run's wire bytes");
-        assert_eq!(race.races, 0, "an analyzer-accepted kernel must run report-free");
         let run_with = |detect: treadmarks::RaceDetect| {
             let config =
                 DsmConfig::new(8).with_cost_model(CostModel::sp2()).with_race_detect(detect);
@@ -998,12 +732,19 @@ mod tests {
         };
         let off = run_with(treadmarks::RaceDetect::Off);
         let on = run_with(treadmarks::RaceDetect::Collect);
+        let (off_total, on_total) = (off.stats.total(), on.stats.total());
         assert_eq!(
-            on.stats.total().table_lock_acquires,
-            off.stats.total().table_lock_acquires,
+            off.execution_time().as_nanos(),
+            plain.time_ns,
+            "Off must match the plain run's model time"
+        );
+        assert_eq!(off_total.bytes_sent, plain.bytes, "Off must match the plain run's wire bytes");
+        assert!(on.races.is_empty(), "an analyzer-accepted kernel must run report-free");
+        assert_eq!(
+            on_total.table_lock_acquires, off_total.table_lock_acquires,
             "Collect must not acquire the page-table lock any additional time"
         );
-        assert!(on.stats.total().tlb_hits > 0, "the compiled form stays on the TLB fast path");
+        assert!(on_total.tlb_hits > 0, "the compiled form stays on the TLB fast path");
     }
 
     #[test]
@@ -1022,30 +763,6 @@ mod tests {
             tree.time_ns,
             flat.time_ns
         );
-    }
-
-    #[test]
-    fn chaos_cases_inject_faults_and_stay_transparent() {
-        // What the `--chaos` CLI enforces, self-enforced in miniature: the
-        // schedules must not be vacuously clean, the checksums must survive
-        // them bit-for-bit, and the injected latency must show up in the
-        // modelled time.
-        let cfg = GridConfig { rows: 64, cols: 8, iters: 2 };
-        let records = run_chaos_cases("sor", cfg, 4, Variant::TreadMarks, &CHAOS_SEEDS);
-        assert_eq!(records.len(), CHAOS_SEEDS.len());
-        check_chaos(&records).expect("faults must be invisible to the application");
-        let injected: u64 =
-            records.iter().map(|r| r.retransmits + r.dups + r.reorders + r.delays).sum();
-        assert!(injected > 0, "the schedules must actually inject faults");
-        assert!(
-            records.iter().any(|r| r.time_ns_chaos > r.time_ns_clean),
-            "injected latency must be visible in the modelled time"
-        );
-        // And the failure direction: a doctored record must trip the check.
-        let mut bad = records;
-        bad[0].checksums_match = false;
-        let err = check_chaos(&bad).expect_err("a checksum mismatch must fail the suite");
-        assert!(err.contains("seed"), "the error names the offending schedule: {err}");
     }
 
     #[test]
@@ -1075,29 +792,18 @@ mod tests {
         // nothing, so the only accesses that leave the fast path are the
         // ones that fault. Stated for the gated matrix, not as a law — a
         // working set beyond the TLB's 256 entries may conflict-miss.
-        for r in suite().into_iter().chain(scale_suite(None)) {
+        for r in suite().into_iter().chain(scale_suite()) {
             assert_eq!(r.tlb_misses, r.page_faults, "{}/{}@{}", r.app, r.variant, r.nprocs);
         }
     }
 
     #[test]
-    fn scale_records_are_identical_for_any_reactor_pool_size() {
-        // The tentpole invariant at the bench layer: a 64-processor record
-        // is bit-identical whether one reactor multiplexes all 64 nodes or
-        // the pool is the host default.
-        let default_pool = Case::new("sor", SCALE_SOR_CFG, 64, Variant::Compiled);
-        let single = run_case(Case { reactors: Some(1), ..default_pool });
-        let default_pool = run_case(default_pool);
-        assert_eq!(single, default_pool, "the pool size must be invisible in the record");
-    }
-
-    #[test]
     fn a_64_processor_case_runs_on_a_bounded_thread_budget() {
-        // The satellite acceptance criterion: a default-config wide run
-        // serves its protocol side from min(nprocs, cores) reactors — the
-        // live thread count stays under the seed design's 2·nprocs, by a
-        // margin of nearly nprocs (headroom for concurrent tests; see the
-        // companion 128-processor test in `treadmarks`).
+        // A default-config wide run serves its protocol side on the threads
+        // that send the requests — the live thread count stays under the
+        // seed design's 2·nprocs, by a margin of nearly nprocs (headroom for
+        // concurrent tests; see the companion 128-processor test in
+        // `treadmarks`).
         let nprocs = 64;
         let threads_now = || -> usize {
             std::fs::read_to_string("/proc/self/status")
@@ -1120,11 +826,9 @@ mod tests {
             }
             dsm_apps::jacobi(p, &cfg, Variant::Validate)
         });
-        let cores =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        assert_eq!(run.reactors.len(), cores.min(nprocs), "one reactor per core, capped");
+        assert_eq!(run.reactors.len(), nprocs, "one serving snapshot per node");
         let served: u64 = run.reactors.iter().map(|r| r.served).sum();
-        assert!(served > 0, "the pool served the run's protocol traffic");
+        assert!(served > 0, "the senders served the run's protocol traffic");
         let peak = peak.load(std::sync::atomic::Ordering::SeqCst);
         assert!(peak >= nprocs, "the compute threads were live when sampled: {peak}");
         assert!(

@@ -1,8 +1,8 @@
 //! An unbounded channel with a shareable receiver.
 //!
 //! The simulated interconnect hands each node one receive queue per port and
-//! shares that queue between the node's compute thread and its
-//! protocol-server thread. `std::sync::mpsc::Receiver` is `!Sync`, which
+//! shares that queue between the node's compute thread and whichever thread
+//! serves its requests. `std::sync::mpsc::Receiver` is `!Sync`, which
 //! rules it out; this module provides the minimal replacement: an unbounded
 //! FIFO whose [`Sender`] is cheaply cloneable and whose [`Receiver`] is
 //! `Sync`, with disconnection reported once every sender is gone.
@@ -128,9 +128,9 @@ impl<T> fmt::Debug for Sender<T> {
 
 /// The receiving half of an unbounded channel.
 ///
-/// Unlike `std::sync::mpsc`, the receiver is `Sync`: a node's compute thread
-/// and protocol-server thread may both block on it through a shared
-/// reference (each message is delivered to exactly one of them).
+/// Unlike `std::sync::mpsc`, the receiver is `Sync`: several threads may
+/// receive from it through a shared reference (each message is delivered to
+/// exactly one of them).
 pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
@@ -190,11 +190,10 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Number of messages currently queued — the readiness probe a polling
-    /// consumer (a protocol reactor multiplexing many channels) uses to
-    /// size its drain without popping. Racy by nature: a concurrent send
-    /// or pop can change the answer immediately after it returns, so use
-    /// it for scheduling and statistics, never for correctness.
+    /// Number of messages currently queued. A concurrent send or pop can
+    /// change the answer as soon as it returns, but it is read under the
+    /// queue's lock, so it counts every send that happened before the call
+    /// and has not been popped.
     pub fn len(&self) -> usize {
         self.shared.lock_queue().len()
     }

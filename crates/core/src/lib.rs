@@ -8,7 +8,7 @@
 //!    hermetic environment with no access to crates.io. The runtime crates
 //!    need exactly two things usually imported from third-party crates: an
 //!    unbounded MPMC-ish channel whose receiver can be shared between a
-//!    node's compute thread and its protocol-server thread
+//!    node's compute thread and whichever thread serves its requests
 //!    (`crossbeam-channel` in the original sketch), and a mutex whose
 //!    `lock()` returns a guard directly instead of a poisoning `Result`
 //!    (`parking_lot`). Both are small enough to implement over `std`

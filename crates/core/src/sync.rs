@@ -1,12 +1,12 @@
 //! A non-poisoning mutex.
 //!
 //! The DSM runtime takes short, local-only critical sections from both a
-//! node's compute thread and its protocol-server thread. The `parking_lot`
-//! API it was designed against returns the guard directly from `lock()`;
-//! this stand-in wraps `std::sync::Mutex` and recovers from poisoning (a
-//! panicked critical section in this codebase can only have completed or
-//! not-started a single field update, so continuing is safe — and test
-//! harnesses want the panic itself, not a cascade of poison errors).
+//! node's compute thread and whichever thread serves its requests. The
+//! `parking_lot` API it was designed against returns the guard directly from
+//! `lock()`; this stand-in wraps `std::sync::Mutex` and recovers from
+//! poisoning (a panicked critical section in this codebase can only have
+//! completed or not-started a single field update, so continuing is safe —
+//! and test harnesses want the panic itself, not a cascade of poison errors).
 
 use std::fmt;
 use std::sync::MutexGuard;

@@ -34,14 +34,13 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsm_core::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use dsm_core::sync::Mutex;
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
-use crate::doorbell::Doorbell;
 use crate::envelope::RELIA_HEADER_BYTES;
 use crate::fault::{DeliveryExpired, MsgKey, NetFaults};
 use crate::{Envelope, NetError, NodeId, ReliaHeader};
@@ -50,12 +49,12 @@ use crate::{Envelope, NetError, NodeId, ReliaHeader};
 ///
 /// TreadMarks services remote requests (lock, page, diff) with an interrupt
 /// handler while the main computation may itself be blocked waiting for a
-/// reply. Keeping the two message classes on separate ports lets the
-/// simulated protocol-server thread drain requests without stealing the
-/// replies the compute thread is waiting for.
+/// reply. Keeping the two message classes on separate ports lets whoever
+/// serves a node's requests drain them without stealing the replies its
+/// compute thread is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Port {
-    /// Unsolicited requests, handled by the node's protocol-server thread.
+    /// Unsolicited requests, served by the node's protocol handlers.
     Request,
     /// Replies and collective-operation data, consumed by the compute thread.
     Reply,
@@ -64,20 +63,11 @@ pub enum Port {
 struct Mailbox<M> {
     request_tx: Sender<Envelope<M>>,
     reply_tx: Sender<Envelope<M>>,
-    /// The wakeup bell of whatever polls this node's request port, shared
-    /// by every sender's clone of the mailbox. Attached once (before
-    /// traffic starts) by [`Endpoint::attach_request_doorbell`]; absent for
-    /// nodes served by a blocking receiver.
-    request_bell: Arc<OnceLock<Arc<Doorbell>>>,
 }
 
 impl<M> Clone for Mailbox<M> {
     fn clone(&self) -> Self {
-        Mailbox {
-            request_tx: self.request_tx.clone(),
-            reply_tx: self.reply_tx.clone(),
-            request_bell: Arc::clone(&self.request_bell),
-        }
+        Mailbox { request_tx: self.request_tx.clone(), reply_tx: self.reply_tx.clone() }
     }
 }
 
@@ -180,11 +170,7 @@ impl<M: Send> Cluster<M> {
         for _ in 0..nodes {
             let (request_tx, request_rx) = unbounded();
             let (reply_tx, reply_rx) = unbounded();
-            mailboxes.push(Mailbox {
-                request_tx,
-                reply_tx,
-                request_bell: Arc::new(OnceLock::new()),
-            });
+            mailboxes.push(Mailbox { request_tx, reply_tx });
             receivers.push((request_rx, reply_rx));
         }
         let endpoints = receivers
@@ -273,8 +259,8 @@ impl<M> fmt::Debug for Cluster<M> {
 /// The endpoint owns the node's receive queues and clones of every other
 /// node's send queues, the shared [`CostModel`] and the node's statistics
 /// counters. It is `Send` so it can move into the node's thread, but it is
-/// deliberately not `Clone`: the protocol-server thread and the compute
-/// thread of a node share one endpoint through the runtime's own
+/// deliberately not `Clone`: the compute thread of a node and whichever
+/// thread serves its requests share one endpoint through the runtime's own
 /// synchronization.
 pub struct Endpoint<M> {
     id: NodeId,
@@ -339,39 +325,13 @@ impl<M: Send> Endpoint<M> {
         }
     }
 
-    /// Registers `bell` as the wakeup doorbell of this node's request port:
-    /// every subsequent send addressed to it (from any endpoint, including
-    /// self-sends and control messages) rings the bell after enqueueing.
-    ///
-    /// Call before any request traffic starts — a polling consumer that
-    /// attaches late could already have missed a wakeup. Several nodes may
-    /// share one bell (a reactor multiplexing them polls them all on any
-    /// ring).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bell is already attached to this node.
-    pub fn attach_request_doorbell(&self, bell: Arc<Doorbell>) {
-        self.mailboxes[self.id.index()]
-            .request_bell
-            .set(bell)
-            .expect("a request doorbell is already attached to this node");
-    }
-
-    /// Rings `dst`'s request doorbell, if one is attached. Called after
-    /// every enqueue on a request port so a polling consumer parked on the
-    /// bell observes the message.
-    fn ring_request_bell(&self, dst: NodeId) {
-        if let Some(bell) = self.mailboxes[dst.index()].request_bell.get() {
-            bell.ring();
-        }
-    }
-
     /// Number of messages currently pending on this node's `port`: the raw
     /// channel backlog plus, under fault injection, whatever the
     /// reliable-delivery stages hold (in-order-ready and deferred
-    /// laggards). Advisory — used by reactors for queue-depth statistics,
-    /// never for correctness.
+    /// laggards). A message enqueued before the call counts until a receive
+    /// takes it (an injected duplicate counts until a receive discards it),
+    /// which is what lets the runtime re-check a request port after it
+    /// stops draining it.
     pub fn backlog(&self, port: Port) -> usize {
         let mut depth = self.rx_chan(port).len();
         if let Some(relia) = &self.relia {
@@ -446,9 +406,6 @@ impl<M: Send> Endpoint<M> {
         // teardown only happens in tests, where the message is simply never
         // consumed.
         self.mailbox_tx(dst, port).send(envelope);
-        if port == Port::Request {
-            self.ring_request_bell(dst);
-        }
         arrives_at
     }
 
@@ -543,10 +500,6 @@ impl<M: Send> Endpoint<M> {
             chan.send((relia.clone_env)(&envelope));
         }
         chan.send(envelope);
-        // One ring covers the duplicate too: the consumer drains to empty.
-        if port == Port::Request {
-            self.ring_request_bell(dst);
-        }
         arrives_at
     }
 
@@ -572,9 +525,6 @@ impl<M: Send> Endpoint<M> {
             payload,
         };
         self.mailbox_tx(dst, port).send(envelope);
-        if port == Port::Request {
-            self.ring_request_bell(dst);
-        }
     }
 
     /// Blocks until a message arrives on `port`.
@@ -831,32 +781,12 @@ mod tests {
     }
 
     #[test]
-    fn request_sends_ring_an_attached_doorbell() {
-        let (a, b) = two_nodes();
-        let bell = Arc::new(Doorbell::new());
-        b.attach_request_doorbell(Arc::clone(&bell));
-        let seen = bell.epoch();
-        a.send(b.id(), Port::Request, 1, 8, VirtualTime::ZERO, true);
-        assert_eq!(bell.epoch(), seen + 1, "a request send must ring the bell");
-        a.send(b.id(), Port::Reply, 2, 8, VirtualTime::ZERO, true);
-        assert_eq!(bell.epoch(), seen + 1, "reply traffic must not ring the request bell");
-        assert_eq!(b.backlog(Port::Request), 1);
-        assert_eq!(b.backlog(Port::Reply), 1);
-        // Control messages and self-sends ring too: the polled consumer
-        // must wake for the harness's shutdown poison like any request.
-        b.send_control(b.id(), Port::Request, 3);
-        assert_eq!(bell.epoch(), seen + 2);
-        assert_eq!(b.backlog(Port::Request), 2);
-        assert_eq!(b.try_recv(Port::Request).unwrap().payload, 1);
-        assert_eq!(b.backlog(Port::Request), 1);
-    }
-
-    #[test]
-    fn faulty_request_sends_ring_the_doorbell_and_backlog_spans_the_stages() {
-        // Under fault injection the consumer polls through the
-        // reliable-delivery stages; the bell must still ring per logical
-        // send and the backlog must count parked laggards and ready
-        // messages, not just the raw channel.
+    fn backlog_spans_the_reliable_delivery_stages() {
+        // The runtime re-checks a request port's backlog after it stops
+        // draining it, so under fault injection the backlog must count what
+        // the reliable-delivery stages hold — laggards parked in the reorder
+        // stage, messages readied behind them — and not only the raw
+        // channel, at every point of a drain.
         let rates = LinkRates {
             drop_permille: 0,
             dup_permille: 1000,
@@ -866,27 +796,21 @@ mod tests {
         let faults =
             NetFaults { plan: FaultPlan::uniform(6, rates), retry: RetryPolicy::default() };
         let (a, b) = faulty_pair(faults);
-        let bell = Arc::new(Doorbell::new());
-        b.attach_request_doorbell(Arc::clone(&bell));
-        let seen = bell.epoch();
         for i in 0..10u32 {
             a.send(b.id(), Port::Request, i, 8, VirtualTime::from_micros(u64::from(i)), true);
         }
-        assert_eq!(bell.epoch(), seen + 10, "one ring per logical send");
+        a.send(b.id(), Port::Reply, 99, 8, VirtualTime::ZERO, true);
         assert!(b.backlog(Port::Request) >= 10, "duplicates may add to the backlog");
+        assert_eq!(b.backlog(Port::Reply), 2, "the other port counts apart, duplicate included");
         for i in 0..10 {
+            assert!(b.backlog(Port::Request) > 0, "{i} requests still owed");
             assert_eq!(b.try_recv(Port::Request).unwrap().payload, i, "FIFO under polling");
         }
         assert!(b.try_recv(Port::Request).is_none());
         assert_eq!(b.backlog(Port::Request), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already attached")]
-    fn attaching_two_doorbells_panics() {
-        let (a, _b) = two_nodes();
-        a.attach_request_doorbell(Arc::new(Doorbell::new()));
-        a.attach_request_doorbell(Arc::new(Doorbell::new()));
+        // Control messages bypass the stages and count like any message.
+        b.send_control(b.id(), Port::Request, 3);
+        assert_eq!(b.backlog(Port::Request), 1);
     }
 
     #[test]

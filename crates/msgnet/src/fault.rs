@@ -9,11 +9,11 @@
 //! wire_bytes)` — so two runs with the same seed inject byte-for-byte the
 //! same faults and produce identical virtual-time traces.
 //!
-//! Why the identity is *not* the wire sequence number: a node's compute and
-//! protocol-server threads share one [`Endpoint`](crate::Endpoint) and race
-//! on the per-link sequence counter (e.g. a `DiffResponse` from the server
-//! and a `NeighborAck` from the compute thread, both headed for the same
-//! peer's reply port). Keying faults on `seq` would make the fault assignment
+//! Why the identity is *not* the wire sequence number: a node's compute
+//! thread and whichever thread is serving its requests share one
+//! [`Endpoint`](crate::Endpoint) and race on the per-link sequence counter
+//! (e.g. a `DiffResponse` from a handler and a `NeighborAck` from the
+//! compute thread, both headed for the same peer's reply port). Keying faults on `seq` would make the fault assignment
 //! depend on OS scheduling. `sent_at` and the wire size *are* deterministic
 //! (virtual time is advanced by the observe-all-then-advance discipline, not
 //! by the wall clock), so they identify a logical message reproducibly; in

@@ -7,10 +7,9 @@
 //! shared statistics.
 //!
 //! The [`Cluster`] / [`Endpoint`] layer is what the DSM runtime talks to:
-//! typed payloads, a *request* port polled by the runtime's protocol
-//! reactors (the paper's interrupt handler), with an attachable
-//! [`Doorbell`] so a reactor multiplexing many nodes parks without missing
-//! an enqueue, and a *reply* port consumed by the blocked compute thread.
+//! typed payloads, a *request* port drained by whichever thread sends to it
+//! (the runtime's stand-in for the paper's interrupt handler), and a
+//! *reply* port consumed by the blocked compute thread.
 //!
 //! An optional layer sits underneath: a seeded deterministic fault injector
 //! ([`FaultPlan`]) and the reliable-delivery sublayer (sequence numbers,
@@ -38,14 +37,12 @@
 #![warn(missing_debug_implementations)]
 
 mod cluster;
-mod doorbell;
 mod envelope;
 mod error;
 mod fault;
 mod node;
 
 pub use cluster::{Cluster, Endpoint, Port};
-pub use doorbell::Doorbell;
 pub use envelope::{Envelope, ReliaHeader, RELIA_HEADER_BYTES};
 pub use error::NetError;
 pub use fault::{DeliveryExpired, FaultPlan, LinkRates, NetFaults, RetryPolicy};

@@ -115,8 +115,8 @@ fn aggregated_requests_match_replies_by_id() {
 
 #[test]
 fn ports_do_not_steal_each_others_messages() {
-    // The protocol-server thread drains Request while the compute thread
-    // blocks on Reply; a reply must never surface on the request port.
+    // A requester drains Request while the compute thread blocks on Reply;
+    // a reply must never surface on the request port.
     let (a, b) = pair::<&'static str>();
     a.send(b.id(), Port::Request, "request", 0, VirtualTime::ZERO, true);
     a.send(b.id(), Port::Reply, "reply", 0, VirtualTime::ZERO, true);

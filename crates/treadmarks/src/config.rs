@@ -139,14 +139,6 @@ pub struct DsmConfig {
     /// hanging — a protocol deadlock becomes a failing test. Generous by
     /// default so slow CI machines never trip it spuriously.
     pub watchdog: Duration,
-    /// Number of protocol reactors — the event-driven poll loops that
-    /// together serve every node's request port (default: `None`, which
-    /// resolves to `min(nprocs, available host cores)`; see
-    /// [`DsmConfig::reactor_count`]). Nodes are dealt to reactors round
-    /// robin by node id. Results, virtual times and wire traffic are
-    /// bit-identical for every value — the count only trades host threads
-    /// against host-side service parallelism.
-    pub reactors: Option<usize>,
 }
 
 impl DsmConfig {
@@ -169,20 +161,7 @@ impl DsmConfig {
             race_detect: RaceDetect::Off,
             net_faults: None,
             watchdog: Self::DEFAULT_WATCHDOG,
-            reactors: None,
         }
-    }
-
-    /// The number of protocol reactors a run with this configuration
-    /// spawns: the explicit [`DsmConfig::reactors`] override, else
-    /// `min(nprocs, available host cores)` — one poll loop per core until
-    /// there are fewer nodes than cores. Never more than `nprocs` (extra
-    /// reactors would own no nodes) and never zero.
-    pub fn reactor_count(&self) -> usize {
-        let chosen = self.reactors.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        });
-        chosen.min(self.nprocs).max(1)
     }
 
     /// Replaces the cost model.
@@ -236,20 +215,6 @@ impl DsmConfig {
     pub fn with_watchdog(mut self, watchdog: Duration) -> DsmConfig {
         assert!(!watchdog.is_zero(), "the watchdog deadline must be positive");
         self.watchdog = watchdog;
-        self
-    }
-
-    /// Pins the protocol-reactor pool to exactly `reactors` poll loops
-    /// (capped at `nprocs` when spawned — extra reactors would own no
-    /// nodes). The default, without this call, is one reactor per
-    /// available host core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reactors` is zero — nobody would serve the request ports.
-    pub fn with_reactors(mut self, reactors: usize) -> DsmConfig {
-        assert!(reactors > 0, "a run needs at least one protocol reactor");
-        self.reactors = Some(reactors);
         self
     }
 }
@@ -368,26 +333,6 @@ mod tests {
         assert_eq!(c.net_faults.as_ref().map(|f| f.plan.seed()), Some(7));
         assert_eq!(c.watchdog, Duration::from_millis(500));
         assert!(c.with_net_faults(None).net_faults.is_none());
-    }
-
-    #[test]
-    fn reactor_count_defaults_to_cores_capped_at_nprocs() {
-        let cores =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        let c = DsmConfig::new(64);
-        assert!(c.reactors.is_none(), "the pool size is derived unless pinned");
-        assert_eq!(c.reactor_count(), cores.min(64));
-        // Fewer nodes than cores: one reactor per node at most.
-        assert_eq!(DsmConfig::new(1).reactor_count(), 1);
-        // An explicit override sticks, but still caps at nprocs.
-        assert_eq!(DsmConfig::new(8).with_reactors(3).reactor_count(), 3);
-        assert_eq!(DsmConfig::new(2).with_reactors(16).reactor_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one protocol reactor")]
-    fn zero_reactors_is_rejected() {
-        let _ = DsmConfig::new(4).with_reactors(0);
     }
 
     #[test]

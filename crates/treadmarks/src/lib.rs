@@ -66,7 +66,6 @@ mod dsm;
 mod message;
 mod notice;
 mod process;
-mod reactor;
 mod run;
 mod server;
 mod sharedarray;

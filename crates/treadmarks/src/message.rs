@@ -157,8 +157,8 @@ impl RoutedRequest {
 ///
 /// Unsolicited messages (lock and diff requests, forwarded requests) travel
 /// on the [`Port::Request`](msgnet::Port::Request) port and are handled by
-/// each node's protocol-server thread; everything a compute thread waits for
-/// travels on the reply port.
+/// the destination node's handlers, run by the thread that sent them;
+/// everything a compute thread waits for travels on the reply port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TmkMessage {
     /// Acquirer -> lock manager: request the lock.
@@ -321,7 +321,8 @@ pub enum TmkMessage {
         /// Address ranges and their contents, received in place.
         chunks: Vec<(AddrRange, Vec<u8>)>,
     },
-    /// Sent by the harness to stop a node's protocol-server thread.
+    /// Sent by the harness to every reply port when a processor panics, so
+    /// peers blocked on a reply unwind instead of waiting for it.
     Shutdown,
 }
 

@@ -5,8 +5,9 @@
 //! every shared access, synchronization operation and compiler-interface
 //! primitive through it. This file holds the handle itself — identity,
 //! clock, allocation and the two ends of its wire: `send`, the one place a
-//! message leaves the processor, and `recv_reply`, the one place it blocks
-//! for one. Each job has a submodule:
+//! message leaves the processor (`send_request` also serves what it sent),
+//! and `recv_reply`, the one place it blocks for one. Each job has a
+//! submodule:
 //!
 //! * `access` — the *checked software access path* that replaces the
 //!   mprotect/SIGSEGV mechanism of the original system (see `DESIGN.md` for
@@ -42,8 +43,8 @@ use sp2model::{CostModel, SharedStats, VirtualClock};
 use crate::config::DsmConfig;
 use crate::message::TmkMessage;
 use crate::run::RunShared;
+use crate::server::{self, Lane};
 use crate::sharedarray::{Shareable, SharedArray, SharedMatrix};
-use crate::state::NodeShared;
 use crate::tlb::NodeGate;
 use crate::types::{ProcId, Vt};
 
@@ -71,12 +72,16 @@ pub(crate) struct PeerAbort;
 /// go through this handle; every operation is charged to the node's virtual
 /// clock and counted in the shared statistics.
 pub struct Process {
-    endpoint: Arc<Endpoint<TmkMessage>>,
+    /// This processor's id: its index in `lanes`.
+    me: ProcId,
+    /// Every node of the run, this one's endpoint among them: what a
+    /// request this processor sends is served through.
+    lanes: Arc<[Lane]>,
     /// The software TLB with the frames it holds on lease, and the only way
     /// to the node's `proto` and `table` locks (which returns the leases
     /// first — see [`NodeGate`]).
     node: NodeGate,
-    /// The node's statistics counters (shared with its protocol server).
+    /// The node's statistics counters (shared with its handlers).
     stats: SharedStats,
     cost: CostModel,
     /// The run-wide host state: race log, wait board, watchdog deadline and
@@ -117,13 +122,11 @@ pub struct Process {
 }
 
 impl Process {
-    pub(crate) fn new(
-        endpoint: Arc<Endpoint<TmkMessage>>,
-        shared: Arc<NodeShared>,
-        config: &DsmConfig,
-    ) -> Process {
+    pub(crate) fn new(lanes: Arc<[Lane]>, me: ProcId, config: &DsmConfig) -> Process {
+        let shared = Arc::clone(&lanes[me].shared);
         Process {
-            endpoint,
+            me,
+            lanes,
             stats: shared.stats.clone(),
             cost: shared.cost.clone(),
             run: Arc::clone(&shared.run),
@@ -143,12 +146,17 @@ impl Process {
 
     /// This processor's id, `0..nprocs`.
     pub fn proc_id(&self) -> ProcId {
-        self.endpoint.id().index()
+        self.me
     }
 
     /// Number of processors in the run.
     pub fn nprocs(&self) -> usize {
-        self.endpoint.nodes()
+        self.lanes.len()
+    }
+
+    /// This processor's connection to the cluster.
+    fn endpoint(&self) -> &Endpoint<TmkMessage> {
+        &self.lanes[self.me].endpoint
     }
 
     /// The processor's virtual clock.
@@ -156,9 +164,9 @@ impl Process {
         &self.clock
     }
 
-    /// The node's statistics counters (shared with its protocol server).
-    /// Every snapshot read through here is exact: the TLB hits the access
-    /// path counts locally are added in first.
+    /// The node's statistics counters (shared with its handlers). Every
+    /// snapshot read through here is exact: the TLB hits the access path
+    /// counts locally are added in first.
     pub fn stats(&self) -> &SharedStats {
         self.node.publish_hits();
         &self.stats
@@ -271,8 +279,18 @@ impl Process {
     /// own wire size. Every message this processor's compute thread sends
     /// leaves through here.
     fn send(&self, dest: ProcId, port: Port, msg: TmkMessage, interrupt: bool) {
-        let bytes = msg.wire_bytes(self.nprocs());
-        self.endpoint.send(NodeId(dest), port, msg, bytes, self.clock.now(), interrupt);
+        let (endpoint, bytes) = (self.endpoint(), msg.wire_bytes(self.nprocs()));
+        endpoint.send(NodeId(dest), port, msg, bytes, self.clock.now(), interrupt);
+    }
+
+    /// Sends a request to `dest`'s request port on the interrupt path and
+    /// serves it: this thread drains the port, unless another already is
+    /// (see [`server::drain`]). The leases go back first — a handler may
+    /// wait for a frame, and this thread may be the one holding it.
+    fn send_request(&mut self, dest: ProcId, msg: TmkMessage) {
+        self.send(dest, Port::Request, msg, true);
+        self.node.return_leases();
+        server::drain(&self.lanes, dest, self.me);
     }
 
     /// Receives the next reply-port message satisfying `pred`, queueing any
@@ -292,13 +310,13 @@ impl Process {
         if let Some(pos) = self.pending.iter().position(|e| pred(&e.payload)) {
             return self.pending.remove(pos).expect("position is in range");
         }
-        // About to block on another thread: it may need this node's server,
-        // which may need a frame.
+        // About to block on another thread: it may be serving this node's
+        // requests, which may need a frame.
         self.node.return_leases();
         let me = self.proc_id();
-        self.run.board.wait(me, false, what.to_string());
+        self.run.board.wait(me, what.to_string());
         loop {
-            let env = match self.endpoint.recv_timeout(Port::Reply, self.run.watchdog) {
+            let env = match self.endpoint().recv_timeout(Port::Reply, self.run.watchdog) {
                 Ok(env) => env,
                 Err(NetError::Timeout) => panic!(
                     "watchdog: P{me} waited more than {:?} for {what} — the protocol is wedged\n{}",
@@ -314,7 +332,7 @@ impl Process {
                 std::panic::panic_any(PeerAbort);
             }
             if pred(&env.payload) {
-                self.run.board.done(me, false);
+                self.run.board.done(me);
                 return env;
             }
             self.pending.push_back(env);

@@ -2,7 +2,6 @@
 
 use std::collections::HashSet;
 
-use msgnet::Port;
 use pagedmem::PageId;
 use racecheck::SyncKind;
 
@@ -43,7 +42,7 @@ impl Process {
             let mut proto = self.node.unleased().proto();
             assert!(!proto.held_locks.contains(&lock), "lock {lock} acquired re-entrantly");
             // Mark the acquire as in flight *before* the request leaves:
-            // our server thread must queue (not grant) forwarded requests
+            // our handlers must queue (not grant) forwarded requests
             // for this lock that the manager ordered after ours, until the
             // grant has been consumed.
             proto.pending_acquires.insert(lock);
@@ -72,7 +71,7 @@ impl Process {
             vt: request_vt,
             sync_pages: pending.pages.clone(),
         };
-        self.send(manager, Port::Request, msg, true);
+        self.send_request(manager, msg);
         let env = self.recv_reply(
             "a lock grant",
             |m| matches!(m, TmkMessage::LockGrant { lock: l, .. } if *l == lock),
@@ -124,7 +123,8 @@ impl Process {
             proto.pending_lock_requests.remove(&lock).unwrap_or_default()
         };
         for req in pending {
-            node.grant(&self.endpoint, lock, &req, req.arrived_at.max(self.clock.now()));
+            let endpoint = &self.lanes[self.me].endpoint;
+            node.grant(endpoint, lock, &req, req.arrived_at.max(self.clock.now()));
         }
     }
 }

@@ -10,7 +10,6 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use msgnet::Port;
 use pagedmem::{AddrRange, PageId, PageTable, Protection, PAGE_SIZE};
 use racecheck::SyncKind;
 
@@ -413,7 +412,7 @@ impl Process {
             let req_id = self.next_req_id;
             self.next_req_id += 1;
             let msg = TmkMessage::DiffRequest { req_id, requester: me, wants };
-            self.send(proc, Port::Request, msg, true);
+            self.send_request(proc, msg);
             expected.push((proc, req_id));
         }
         expected
@@ -675,7 +674,9 @@ impl Process {
     /// The completion blocks only on messages that are already on their way
     /// from processors that never wait for this one — a barrier's
     /// `SyncDiffs` leave with the departure hold of responders that have
-    /// all arrived, a `DiffResponse` is a server's answer, a `NeighborAck`
+    /// all arrived, a `DiffResponse` is a handler's answer sent by the drain
+    /// that followed the request (this thread's or a concurrent one's), a
+    /// `NeighborAck`
     /// waits only for readys every consumer sends before it blocks — so
     /// running it early cannot deadlock; and every wait is an `observe` of
     /// a virtual arrival time, so when it runs changes no clock but this

@@ -90,18 +90,15 @@ impl RunShared {
         let value = match cell.value.get() {
             Some(value) => value,
             None => {
-                self.board.wait(
-                    me,
-                    false,
-                    format!("SPMD once-cell #{k} (initialising on another processor)"),
-                );
+                self.board
+                    .wait(me, format!("SPMD once-cell #{k} (initialising on another processor)"));
                 let value = cell.value.get_or_init(|| {
                     // This thread won the cell: it is running, not parked.
-                    self.board.done(me, false);
+                    self.board.done(me);
                     cell.inits.fetch_add(1, Ordering::Relaxed);
                     Arc::new(init())
                 });
-                self.board.done(me, false);
+                self.board.done(me);
                 value
             }
         };
@@ -152,7 +149,7 @@ mod tests {
             // cleared for good, so the first label to appear is the loser's.
             entered.recv().expect("one thread wins the cell");
             let labels = loop {
-                let labels = [run.board.label(0, false), run.board.label(1, false)];
+                let labels = [run.board.label(0), run.board.label(1)];
                 if labels.iter().any(Option::is_some) {
                     break labels;
                 }
@@ -169,8 +166,8 @@ mod tests {
         assert_eq!(labels[parked].as_deref(), Some(PARKED));
         assert_eq!(labels[1 - parked], None, "the initialiser is running, not parked");
         assert!(dump.contains(&format!("P{parked} compute: {PARKED}")), "{dump}");
-        assert_eq!(run.board.label(0, false), None);
-        assert_eq!(run.board.label(1, false), None);
+        assert_eq!(run.board.label(0), None);
+        assert_eq!(run.board.label(1), None);
         assert_eq!(run.once_inits(), vec![1]);
     }
 
@@ -181,7 +178,7 @@ mod tests {
             run.spmd_once::<u32>(0, 0, || panic!("compile assertion"))
         }));
         assert!(first.is_err(), "the init's panic is the caller's panic");
-        assert_eq!(run.board.label(0, false), None, "an unwound initialiser is not parked");
+        assert_eq!(run.board.label(0), None, "an unwound initialiser is not parked");
         assert_eq!(*run.spmd_once(1, 0, || 5u32), 5, "no poison: the next arrival initialises");
         assert_eq!(*run.spmd_once(0, 0, || 6u32), 5, "and later arrivals share its value");
         assert_eq!(run.once_inits(), vec![2]);

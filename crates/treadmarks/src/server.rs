@@ -1,74 +1,149 @@
-//! The per-node protocol-request handlers.
+//! The per-node protocol-request handlers, and the drain that runs them.
 //!
 //! TreadMarks services remote lock, page and diff requests in an interrupt
-//! handler. In this reproduction the handler is [`serve_one`]: a per-node
-//! state machine step that answers one request-port envelope from the
-//! node's shared protocol state. A protocol *reactor*
-//! ([`crate::reactor`]) drives many nodes' handlers from one poll loop — a
-//! node no longer owns a dedicated blocking server thread. Handlers only
-//! touch the served node's local state and never block on remote
-//! operations, which keeps the system free of distributed deadlock and
-//! makes the serving order across nodes irrelevant to the result: every
-//! reply is timed from the request's virtual arrival time plus a modelled
-//! service cost, never from when the reactor got around to it.
+//! handler on the remote node. In this reproduction the handler is
+//! [`serve_one`]: a per-node state machine step that answers one
+//! request-port envelope from the node's shared protocol state. It is run
+//! by whoever sends the request: the sender [`drain`]s the destination's
+//! port right after the send, unless another thread is draining it
+//! already. Handlers only touch the served node's local state and never
+//! block on remote operations, so which host thread runs one, and when, is
+//! invisible to the result: every reply is timed from the request's virtual
+//! arrival time plus a modelled service cost. See `DESIGN.md` §10.
+
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use msgnet::{Endpoint, Envelope, NodeId, Port};
-use sp2model::VirtualTime;
+use sp2model::{ReactorSnapshot, ReactorStats, VirtualTime};
 
 use crate::message::{DiffRecord, PageWant, TmkMessage};
 use crate::notice::notices_determine;
 use crate::state::{full_page_diff, NodeShared, PendingLockRequest, ProtoState};
 use crate::types::{Interval, LockId, ProcId};
 
-/// What [`serve_one`] tells the driving reactor about the served node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Served {
-    /// The request was handled; keep polling this node.
-    Continue,
-    /// The node's shutdown poison arrived; stop serving it.
-    Shutdown,
+/// One node as every thread that serves it sees it: its endpoint, the
+/// protocol state its handlers run against, the flag that admits one
+/// drainer at a time and the serving counters.
+pub(crate) struct Lane {
+    pub(crate) endpoint: Endpoint<TmkMessage>,
+    pub(crate) shared: Arc<NodeShared>,
+    /// Set while some thread drains this node's request port.
+    draining: AtomicBool,
+    stats: ReactorStats,
 }
 
-/// Serves one envelope from a node's request port: the reactor-driven
-/// protocol-server state machine step.
+impl Lane {
+    pub(crate) fn new(endpoint: Endpoint<TmkMessage>, shared: Arc<NodeShared>) -> Lane {
+        Lane { endpoint, shared, draining: AtomicBool::new(false), stats: ReactorStats::new() }
+    }
+
+    /// What the drains of this node's request port found.
+    pub(crate) fn stats(&self) -> ReactorSnapshot {
+        self.stats.snapshot()
+    }
+}
+
+impl fmt::Debug for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lane").field("node", &self.endpoint.id()).finish_non_exhaustive()
+    }
+}
+
+/// A lane's drain flag, held; dropping it lets go, on unwind too.
+struct Draining<'a>(&'a AtomicBool);
+
+impl<'a> Draining<'a> {
+    /// Takes `flag` if no other thread holds it. Never waits. The `Acquire`
+    /// pairs with the `Release` in `drop`, so a drainer starts from
+    /// everything the previous one did.
+    fn try_take(flag: &'a AtomicBool) -> Option<Draining<'a>> {
+        let taken = flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed);
+        taken.ok().map(|_| Draining(flag))
+    }
+}
+
+impl Drop for Draining<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+/// Serves every request queued on `node`'s port on the calling thread —
+/// processor `me`'s, whose wait-board slot says so meanwhile — unless
+/// another thread is draining that port already.
+///
+/// The flag is only ever *tried*: a thread that finds it held returns at
+/// once, so two drains can never wait for each other, however they nest.
+/// That is safe because the holder re-checks the port's backlog after it
+/// lets go and drains again if anything arrived: a request enqueued before
+/// the holder's re-check is seen by it, one enqueued after finds the flag
+/// free (the store that frees it happens before the re-check, which is a
+/// locked read of the queue), so no request is stranded. The caller holds no
+/// lease (`DESIGN.md` §3): a handler may wait for the served node's frames.
 ///
 /// # Panics
 ///
 /// Panics (with a [`msgnet::DeliveryExpired`] payload) when a reply cannot
-/// be delivered under the configured fault plan, and on a protocol bug
-/// (a message kind that never travels on the request port). The driving
-/// reactor catches both per message.
-pub(crate) fn serve_one(
-    endpoint: &Endpoint<TmkMessage>,
-    shared: &NodeShared,
-    envelope: Envelope<TmkMessage>,
-) -> Served {
+/// be delivered under the configured fault plan, and on a protocol bug (a
+/// message kind that never travels on the request port). Either unwinds the
+/// calling compute thread, whose harness reports it.
+pub(crate) fn drain(lanes: &[Lane], node: ProcId, me: ProcId) {
+    let lane = &lanes[node];
+    let board = &lane.shared.run.board;
+    loop {
+        let backlog = lane.endpoint.backlog(Port::Request);
+        if backlog == 0 {
+            return;
+        }
+        let Some(_held) = Draining::try_take(&lane.draining) else { return };
+        lane.stats.polls(1);
+        lane.stats.note_queue_depth(backlog as u64);
+        let outer = board.wait(me, format!("serving P{node}'s requests"));
+        while let Some(envelope) = lane.endpoint.try_recv(Port::Request) {
+            lane.stats.served(1);
+            // A manager's forward is drained at the holder at once, nested
+            // in this drain: the lock chain completes on this thread.
+            if let Some(holder) = serve_one(lane, envelope) {
+                drain(lanes, holder, me);
+            }
+        }
+        board.restore(me, outer);
+    }
+}
+
+/// Serves one envelope from `lane`'s request port: the protocol handler's
+/// state machine step. Returns the node whose request port the step just
+/// forwarded a lock request to, if it did.
+fn serve_one(lane: &Lane, envelope: Envelope<TmkMessage>) -> Option<ProcId> {
+    let (endpoint, shared) = (&lane.endpoint, &*lane.shared);
     let arrived_at = envelope.arrives_at;
     match envelope.payload {
-        TmkMessage::Shutdown => return Served::Shutdown,
         TmkMessage::DiffRequest { req_id, requester, wants } => {
             handle_diff_request(endpoint, shared, req_id, requester, &wants, arrived_at);
+            None
         }
         TmkMessage::LockAcquireRequest { lock, requester, vt, sync_pages } => {
             let request =
                 PendingLockRequest { requester, requester_vt: vt, sync_pages, arrived_at };
-            handle_lock_acquire(endpoint, shared, lock, request);
+            handle_lock_acquire(endpoint, shared, lock, request)
         }
         TmkMessage::LockForward { lock, requester, vt, sync_pages, holder_acquires_processed } => {
             let request =
                 PendingLockRequest { requester, requester_vt: vt, sync_pages, arrived_at };
             handle_lock_forward(endpoint, shared, lock, request, holder_acquires_processed);
+            None
         }
         // All other message kinds travel on the reply port.
         other => unreachable!("unexpected message on request port: {other:?}"),
     }
-    Served::Continue
 }
 
 /// Sends a handler's message on the interrupt path, leaving at `at` — the
 /// request's virtual arrival plus the modelled service cost, never the
-/// moment the reactor got around to it — and charged at its own wire size.
-/// Every message a protocol handler sends leaves through here.
+/// moment a thread got around to serving it — and charged at its own wire
+/// size. Every message a protocol handler sends leaves through here.
 fn send_at(
     endpoint: &Endpoint<TmkMessage>,
     dest: ProcId,
@@ -161,13 +236,13 @@ fn handle_diff_request(
 /// Handles a lock-acquire request in the manager role: grant directly when
 /// the lock has no other holder, otherwise forward the request to the last
 /// holder, which will reply to the requester directly (the TreadMarks
-/// three-hop protocol).
+/// three-hop protocol). Returns the holder a forward went to.
 fn handle_lock_acquire(
     endpoint: &Endpoint<TmkMessage>,
     shared: &NodeShared,
     lock: LockId,
     request: PendingLockRequest,
-) {
+) -> Option<ProcId> {
     let mut proto = shared.proto.lock();
     debug_assert_eq!(
         ProtoState::lock_manager(lock, proto.nprocs),
@@ -187,12 +262,14 @@ fn handle_lock_acquire(
         None => {
             drop(proto);
             send_grant(endpoint, shared, lock, &request, request.arrived_at, false);
+            None
         }
         // The manager itself was the last holder; behave like any holder.
         Some(holder) if holder == me => {
             let processed = holder_processed(&proto, me);
             drop(proto);
             handle_lock_forward(endpoint, shared, lock, request, processed);
+            None
         }
         // Forward to the last holder, which replies to the requester
         // directly (the TreadMarks three-hop protocol).
@@ -214,6 +291,7 @@ fn handle_lock_acquire(
                 forward,
                 arrived_at + shared.cost.lock_manager_cost(),
             );
+            Some(holder)
         }
     }
 }

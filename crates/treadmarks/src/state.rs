@@ -1,7 +1,7 @@
 //! Shared per-node protocol state.
 //!
 //! Each node's state is shared between its compute thread (the application
-//! plus the fault handler) and the protocol reactor that serves the node's
+//! plus the fault handler) and whichever thread is draining the node's
 //! request port (the stand-in for the interrupt handler that services remote
 //! requests). Both sides take the [`dsm_core::sync::Mutex`]es for short,
 //! local-only critical sections — a request handler never blocks on a remote
@@ -125,8 +125,8 @@ pub(crate) struct ProtoState {
     /// Locks this node's application has requested but whose grant it has
     /// not yet consumed. The manager records us as last holder the moment
     /// it processes our request, so a forwarded request for the same lock
-    /// can reach our server thread *before* our compute thread pops the
-    /// grant — it must be queued, not granted, or mutual exclusion breaks.
+    /// can reach our handlers *before* our compute thread pops the grant —
+    /// it must be queued, not granted, or mutual exclusion breaks.
     pub pending_acquires: HashSet<LockId>,
     /// Node role: how many acquire requests this node has sent per lock.
     /// Compared against the manager's processed count carried on forwards
@@ -308,8 +308,8 @@ pub(crate) fn full_page_diff(table: &PageTable, page: PageId) -> Diff {
     }
 }
 
-/// Everything shared between a node's compute thread and its protocol-server
-/// thread.
+/// Everything shared between a node's compute thread and the threads that
+/// serve its requests.
 #[derive(Debug)]
 pub(crate) struct NodeShared {
     pub table: Mutex<PageTable>,

@@ -8,8 +8,8 @@
 //! [`pagedmem::Frame::checkout`]). The frame's state is moved into the
 //! entry, the processor owns it outright, and a warm access is a set probe,
 //! a read of the leased frame's protection field and the bytes — no lock
-//! and no atomic operation. Whoever else wants the frame (the node's
-//! protocol server, or this thread's own calls into the page table) waits
+//! and no atomic operation. Whoever else wants the frame (a thread serving
+//! the node's requests, or this thread's own calls into the page table) waits
 //! until the lease is returned, which is why [`NodeGate`] is the *only*
 //! path from the `process` modules to the node's `proto` and `table` locks:
 //! [`NodeGate::unleased`] returns every lease before it hands out either.
@@ -211,7 +211,7 @@ impl NodeGate {
 impl Drop for NodeGate {
     fn drop(&mut self) {
         // Normal exit and unwind alike, a processor that is gone must not
-        // lose counted hits — nor leave its server waiting for a frame,
+        // lose counted hits — nor leave a handler waiting for a frame,
         // which the TLB's own drop sees to.
         self.publish_hits();
     }
@@ -251,7 +251,7 @@ impl<'a> Unleased<'a> {
     }
 
     /// Grants `lock` to a requester that was queued behind the local
-    /// holder, exactly as the node's protocol server would have.
+    /// holder, exactly as the node's lock-forward handler would have.
     pub(crate) fn grant(
         &self,
         endpoint: &Endpoint<TmkMessage>,

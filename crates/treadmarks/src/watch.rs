@@ -1,47 +1,50 @@
 //! The wait board: what every thread of a run is currently blocked on.
 //!
-//! Each run keeps one board with two slots per processor — one for the
-//! compute thread, one for the protocol-server thread. A thread publishes a
-//! label before parking in a blocking receive and clears it when the message
-//! arrives, so when the watchdog fires the panic message can show the whole
-//! cluster's wait state at once: exactly the information needed to read a
-//! protocol deadlock from a failing test.
+//! Each run keeps one board with one slot per processor, for its compute
+//! thread — the only thread a processor has; it also serves other nodes'
+//! requests when it sends them one. A thread publishes a label before
+//! parking in a blocking receive (or while it is inside another node's
+//! handlers) and clears it when it moves on, so when the watchdog fires the
+//! panic message can show the whole cluster's wait state at once: exactly
+//! the information needed to read a protocol deadlock from a failing test.
 
 use dsm_core::sync::Mutex;
 
 use crate::types::ProcId;
 
-/// One label slot per blocking thread of the run.
+/// One label slot per thread of the run.
 #[derive(Debug)]
 pub(crate) struct WaitBoard {
-    nprocs: usize,
-    /// Slots `0..nprocs` are the compute threads, `nprocs..2*nprocs` the
-    /// protocol servers. `None` means the thread is running, not waiting.
+    /// Slot `p` is processor `p`'s thread. `None` means the thread is
+    /// running, not waiting.
     slots: Vec<Mutex<Option<String>>>,
 }
 
 impl WaitBoard {
     pub(crate) fn new(nprocs: usize) -> WaitBoard {
-        WaitBoard { nprocs, slots: (0..2 * nprocs).map(|_| Mutex::new(None)).collect() }
+        WaitBoard { slots: (0..nprocs).map(|_| Mutex::new(None)).collect() }
     }
 
-    fn slot(&self, proc: ProcId, server: bool) -> &Mutex<Option<String>> {
-        &self.slots[if server { self.nprocs + proc } else { proc }]
+    /// Publishes what `proc`'s thread is about to block on, returning the
+    /// label it replaces.
+    pub(crate) fn wait(&self, proc: ProcId, label: String) -> Option<String> {
+        self.slots[proc].lock().replace(label)
     }
 
-    /// Publishes what `proc`'s thread is about to block on.
-    pub(crate) fn wait(&self, proc: ProcId, server: bool, label: String) {
-        *self.slot(proc, server).lock() = Some(label);
+    /// Puts back the label a [`wait`](Self::wait) replaced: `None` clears
+    /// `proc`'s slot — the thread is running again.
+    pub(crate) fn restore(&self, proc: ProcId, label: Option<String>) {
+        *self.slots[proc].lock() = label;
     }
 
     /// Clears `proc`'s slot: the thread is running again.
-    pub(crate) fn done(&self, proc: ProcId, server: bool) {
-        *self.slot(proc, server).lock() = None;
+    pub(crate) fn done(&self, proc: ProcId) {
+        self.restore(proc, None);
     }
 
     /// The current label of `proc`'s thread, if it is blocked.
-    pub(crate) fn label(&self, proc: ProcId, server: bool) -> Option<String> {
-        self.slot(proc, server).lock().clone()
+    pub(crate) fn label(&self, proc: ProcId) -> Option<String> {
+        self.slots[proc].lock().clone()
     }
 
     /// Renders the whole cluster's wait state, one line per thread, for the
@@ -49,11 +52,9 @@ impl WaitBoard {
     pub(crate) fn dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("cluster wait state:");
-        for proc in 0..self.nprocs {
-            let state =
-                |server: bool| self.label(proc, server).unwrap_or_else(|| String::from("running"));
-            let _ = write!(out, "\n  P{proc} compute: {}", state(false));
-            let _ = write!(out, "\n  P{proc} server:  {}", state(true));
+        for proc in 0..self.slots.len() {
+            let state = self.label(proc).unwrap_or_else(|| String::from("running"));
+            let _ = write!(out, "\n  P{proc} compute: {state}");
         }
         out
     }
@@ -66,16 +67,17 @@ mod tests {
     #[test]
     fn labels_set_clear_and_dump() {
         let board = WaitBoard::new(2);
-        assert_eq!(board.label(0, false), None);
-        board.wait(0, false, String::from("a lock grant for lock 3"));
-        board.wait(1, true, String::from("requests"));
-        assert_eq!(board.label(0, false).as_deref(), Some("a lock grant for lock 3"));
+        assert_eq!(board.label(0), None);
+        board.wait(0, String::from("a lock grant for lock 3"));
+        let outer = board.wait(1, String::from("serving P0's requests"));
+        assert_eq!(board.label(0).as_deref(), Some("a lock grant for lock 3"));
         let dump = board.dump();
         assert!(dump.contains("P0 compute: a lock grant for lock 3"), "{dump}");
-        assert!(dump.contains("P1 server:  requests"), "{dump}");
-        assert!(dump.contains("P1 compute: running"), "{dump}");
-        board.done(0, false);
-        assert_eq!(board.label(0, false), None);
+        assert!(dump.contains("P1 compute: serving P0's requests"), "{dump}");
+        board.restore(1, outer);
+        assert!(board.dump().contains("P1 compute: running"));
+        board.done(0);
+        assert_eq!(board.label(0), None);
         assert!(board.dump().contains("P0 compute: running"));
     }
 }

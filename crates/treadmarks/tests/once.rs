@@ -93,9 +93,10 @@ fn a_type_mismatch_between_processors_names_the_cell_and_both_types() {
 
 #[test]
 fn a_run_sharing_a_value_is_bit_identical_to_one_computing_it_everywhere() {
-    // Token-passing locks and barriers under the SP/2 cost model (the
-    // deterministic workload of the reactor-pool test), steered by a table
-    // that is either shared through a cell or rebuilt on every processor.
+    // Token-passing locks and barriers under the SP/2 cost model (a
+    // deterministic lock workload: the barriers fix the grant order),
+    // steered by a table that is either shared through a cell or rebuilt
+    // on every processor.
     fn table() -> Vec<u64> {
         (0..64u64).map(|i| i * i + 3).collect()
     }

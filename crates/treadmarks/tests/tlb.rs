@@ -7,9 +7,9 @@
 //! page-table-lock acquisitions.
 //!
 //! Since the TLB holds the frames it maps on **lease**, the second half of
-//! the file pins what a lease must never change: the protocol server still
-//! gets at a frame the application keeps hitting (liveness, at any reactor
-//! pool size), every revocation path still faults the very next access to
+//! the file pins what a lease must never change: a requester serving its own
+//! request still gets at a frame the owner keeps hitting (liveness), every
+//! revocation path still faults the very next access to
 //! a page that was leased a moment before, the hit counter read through
 //! `Process::stats` is exact in the middle of a kernel, and a panic raised
 //! while leases are held comes out of `Dsm::run` as that panic.
@@ -218,8 +218,10 @@ fn bulk_accessors_match_per_element_access() {
 /// Processor 0 produces a page and then keeps hitting it (so it holds the
 /// frame on lease) while every other processor demand-fetches that page —
 /// a whole-page fetch on even rounds (`WRITE_ALL` keeps no delta, so the
-/// server has to read the leased frame itself), ordinary diffs on odd ones.
-/// The only lease-return points are the two barriers of each round.
+/// handler has to read the leased frame itself), ordinary diffs on odd ones.
+/// Each requester runs processor 0's handler on its own thread and waits
+/// there for the lease; the only lease-return points are the two barriers
+/// of each round.
 fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
     const ROUNDS: usize = 12;
     const HITS: usize = 20_000;
@@ -268,17 +270,6 @@ fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
 fn a_leased_page_stays_fetchable_at_2_and_8_processors() {
     for nprocs in [2, 8] {
         hammer_a_leased_page_while_peers_fetch_it(free_config(nprocs));
-    }
-}
-
-#[test]
-fn a_leased_page_stays_fetchable_with_one_reactor_for_every_node() {
-    // One reactor thread multiplexes every node's server: while it waits
-    // for processor 0's lease it serves nobody, so this is the
-    // configuration in which a lease that is not returned before a
-    // blocking wait would wedge the whole run.
-    for nprocs in [2, 8] {
-        hammer_a_leased_page_while_peers_fetch_it(free_config(nprocs).with_reactors(1));
     }
 }
 
@@ -424,12 +415,12 @@ fn the_hit_count_is_exact_in_the_middle_of_a_kernel() {
 #[should_panic(expected = "application bug while holding leases")]
 fn a_panic_while_leases_are_held_propagates_as_itself() {
     // Processor 0 dies with the page on lease while processor 1 is
-    // fetching that very page (a whole-page fetch, which has the server
+    // fetching that very page (a whole-page fetch, which has the handler
     // read the frame) and then waits at a barrier. The lease comes back
-    // when the dying processor is dropped, so the server finishes, the
+    // when the dying processor is dropped, so the handler finishes, the
     // peer is poisoned out of its barrier, and the run reports the
     // application's own panic.
-    let _ = Dsm::run(free_config(2).with_reactors(1), |p| {
+    let _ = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         if p.proc_id() == 0 {
             p.prepare_phase(&write_all(a.full_range()));
