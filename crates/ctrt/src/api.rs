@@ -86,8 +86,7 @@ pub fn validate(p: &mut Process, sections: &[RegularSection]) -> SectionGrant {
     p.stats().validates(1);
     let plan = plan(sections);
     if !plan.fetch.is_empty() {
-        let handle = p.fetch_diffs(&plan.fetch);
-        p.apply_fetch(handle);
+        p.fetch_diffs(&plan.fetch);
     }
     SectionGrant { pages_warmed: p.prepare_phase(&plan) }
 }
@@ -113,34 +112,6 @@ pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection
     SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
 }
 
-/// The receipt of a split-phase [`validate_w_sync_issue`] or
-/// [`neighbor_sync_issue`]. Pass it to [`validate_w_sync_complete`] at the
-/// point where the phase first needs the fetched data. What is in flight
-/// belongs to the processor; the receipt only names it.
-///
-/// Dropping a receipt from [`validate_w_sync_issue`] leaks nothing: the
-/// pending pages stay invalid, the first touch of one completes the
-/// synchronization after all, and the next issue replaces whatever is left.
-/// A receipt from [`neighbor_sync_issue`] is different — its acks carry the
-/// producers' write notices and vector timestamps, so completing it is part
-/// of the consistency protocol itself and abandoning it may lose those
-/// notices. Always complete; compiled plans do so by construction.
-#[must_use = "a split-phase sync completes only when passed to validate_w_sync_complete \
-              (mandatory for neighbor_sync_issue receipts: the acks carry consistency \
-              information)"]
-#[derive(Debug)]
-pub struct PendingValidate {
-    pending: PendingSync,
-}
-
-impl PendingValidate {
-    /// Number of response messages that were outstanding when the issue
-    /// returned.
-    pub fn outstanding(&self) -> usize {
-        self.pending.outstanding()
-    }
-}
-
 /// The issue half of a split-phase `Validate_w_sync`: performs the
 /// synchronization operation exactly like [`validate_w_sync`] — the page
 /// list rides on the barrier arrival or lock-acquire request — but returns
@@ -157,16 +128,18 @@ impl PendingValidate {
 /// and nothing in flight is fetched twice; the later
 /// [`validate_w_sync_complete`] is then free. The overlap contract is purely
 /// a performance matter: compute on what is local, complete, then compute on
-/// what was fetched.
+/// what was fetched. Dropping the receipt leaks nothing: the pending pages
+/// stay invalid, the first touch of one completes the synchronization after
+/// all, and the next issue replaces whatever is left.
 pub fn validate_w_sync_issue(
     p: &mut Process,
     sync: SyncOp,
     sections: &[RegularSection],
-) -> PendingValidate {
+) -> PendingSync {
     p.stats().validate_w_syncs(1);
     p.stats().split_phase_issues(1);
     let plan = plan(sections);
-    PendingValidate { pending: p.sync_phase_issue(sync, &plan) }
+    p.sync_phase_issue(sync, &plan)
 }
 
 /// The completion half of a split-phase `Validate_w_sync`: waits for every
@@ -175,9 +148,9 @@ pub fn validate_w_sync_issue(
 /// mappings of the pages that were fetched. Returns the grant for the
 /// now-consistent phase. If an early touch already ran the completion, the
 /// call charges nothing and only reports the grant.
-pub fn validate_w_sync_complete(p: &mut Process, pending: PendingValidate) -> SectionGrant {
+pub fn validate_w_sync_complete(p: &mut Process, pending: PendingSync) -> SectionGrant {
     p.stats().split_phase_completes(1);
-    SectionGrant { pages_warmed: p.sync_phase_complete(pending.pending) }
+    SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
 }
 
 /// `Release(lock)`: the exit of a lock-guarded phase. Flushes the guarded
@@ -198,8 +171,8 @@ pub fn release(p: &mut Process, lock: LockId) {
 /// compiler has proven unnecessary for all but the named point-to-point
 /// dependences. The synchronization degenerates to a ready/ack handshake
 /// between each consumer and its producers; the ack is the paper's merged
-/// data+sync message — the producer's write notices, vector timestamp and
-/// the diffs for the consumer's sections ride one polled message. No tree,
+/// data+sync message — the producer's write notices and the diffs for the
+/// consumer's sections ride one polled message. No tree,
 /// no departure, no global vector-timestamp advance.
 ///
 /// **Contract:** only legal when dependence analysis has established that
@@ -234,8 +207,8 @@ pub fn neighbor_sync(
 /// needed.
 ///
 /// Unlike a dropped [`validate_w_sync_issue`] receipt, a neighbour-sync
-/// receipt **must** be completed — the acks carry consistency information
-/// (notices and timestamps), not just data. Compiled plans always pair the
+/// receipt **must** be completed — the producers' replies carry consistency
+/// information (write notices), not just data. Compiled plans always pair the
 /// two halves. Touching a section's page that is not valid yet completes
 /// the exchange early, exactly as for a barrier or a lock; a page the
 /// consumer still holds a valid copy of reads that copy until the
@@ -246,11 +219,11 @@ pub fn neighbor_sync_issue(
     producers: &[ProcId],
     consumers: &[ProcId],
     sections: &[RegularSection],
-) -> PendingValidate {
+) -> PendingSync {
     p.stats().neighbor_syncs(1);
     p.stats().split_phase_issues(1);
     let plan = plan(sections);
-    PendingValidate { pending: p.neighbor_sync_issue(producers, consumers, &plan) }
+    p.neighbor_sync_issue(producers, consumers, &plan)
 }
 
 /// `Push(dest, regions)`: describes one destination of a [`push_phase`] —

@@ -17,9 +17,13 @@
 //! * [`neighbor_sync`] — *"only these point-to-point dependences cross
 //!   this barrier"*: the barrier is eliminated in favour of a ready/ack
 //!   handshake with the named producers, whose acks are the paper's merged
-//!   data+sync messages (write notices, vector timestamps and diffs on one
-//!   polled message). Emitted by the `rsdcomp` analyzer for boundaries
-//!   with exclusively nearest-neighbour flow dependences.
+//!   data+sync messages (write notices and diffs on one polled message).
+//!   Emitted by the `rsdcomp` analyzer for boundaries with exclusively
+//!   nearest-neighbour flow dependences.
+//!
+//! A split-phase call (`validate_w_sync_issue`, `neighbor_sync_issue`)
+//! returns the runtime's own receipt, a [`treadmarks::PendingSync`], which
+//! [`validate_w_sync_complete`] completes.
 //!
 //! Accesses are described as [`RegularSection`]s (lowered `[lo:hi:stride]`
 //! descriptors) tagged with an [`Access`] kind; the `WRITE_ALL` variants
@@ -58,7 +62,7 @@ mod section;
 
 pub use api::{
     neighbor_sync, neighbor_sync_issue, push_phase, release, validate, validate_w_sync,
-    validate_w_sync_complete, validate_w_sync_issue, PendingValidate, Push, SectionGrant,
+    validate_w_sync_complete, validate_w_sync_issue, Push, SectionGrant,
 };
 pub use section::{Access, RegularSection, SyncOp};
 // Race detection rides the same interface: every apply point the calls

@@ -206,7 +206,7 @@ type Touch = (u64, u64, sp2model::VirtualTime);
 /// complete, and reports the [`Touch`].
 fn touch_and_complete(
     p: &mut treadmarks::Process,
-    pending: ctrt::PendingValidate,
+    pending: treadmarks::PendingSync,
     a: &treadmarks::SharedArray<u64>,
     index: usize,
     early: bool,
@@ -376,4 +376,58 @@ fn a_dropped_receipt_still_leaves_no_stale_response_behind() {
         // data serves the read.
         assert_eq!(run.stats.total().messages_sent, 2 * 3, "touch = {touch}");
     }
+}
+
+#[test]
+fn a_dropped_receipt_at_the_same_ordinal_never_answers_a_neighbour_sync() {
+    use ctrt::neighbor_sync_issue;
+    // A barrier and a neighbour sync answer with the same message, told
+    // apart by its `(kind, seq)` name. P0 drops the first barrier's receipt,
+    // so P1's answer to it, `(Barrier, 1)`, is left behind. The first
+    // neighbour sync is ordinal 1 too, with P1 as P0's producer: its
+    // completion must take P1's `(NeighborAck, 1)` reply — its diffs and
+    // its notices — and leave the stale one to the next barrier that waits
+    // for P1, which discards it (debug builds end the run by checking that
+    // no reply was left unconsumed).
+    let run = Dsm::run(config(2), |p| {
+        let me = p.proc_id();
+        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
+        let (first, second) = (0, ELEMS_PER_PAGE);
+        let read = RegularSection::array(&a, 0..ELEMS_PER_PAGE, Access::Read);
+        let reads = std::slice::from_ref(&read);
+        // Valid copies of both pages, through words nobody writes: the
+        // second page's is one only the neighbour sync's notices can
+        // invalidate.
+        assert_eq!((p.get(&a, second - 1), p.get(&a, 2 * second - 1)), (0, 0));
+        if me == 1 {
+            p.set(&a, first, 1);
+        }
+        let pending = validate_w_sync_issue(p, SyncOp::Barrier, reads);
+        let (producers, consumers, sections): (&[usize], &[usize], &[RegularSection]) = if me == 0 {
+            drop(pending);
+            (&[1], &[], reads)
+        } else {
+            validate_w_sync_complete(p, pending);
+            p.set(&a, first, 2);
+            p.set(&a, second, 7);
+            (&[], &[0], &[])
+        };
+        let pending = neighbor_sync_issue(p, producers, consumers, sections);
+        validate_w_sync_complete(p, pending);
+        let faults = p.stats().snapshot().page_faults;
+        let read_first = p.get(&a, first);
+        assert_eq!(p.stats().snapshot().page_faults, faults, "P{me}: the reply's diffs landed");
+        let after_nsync = (read_first, p.get(&a, second));
+        // The next barrier fetches from P1 again (a word next to the one
+        // just read, so nobody races on it).
+        if me == 1 {
+            p.set(&a, first + 1, 3);
+        }
+        let pending = validate_w_sync_issue(p, SyncOp::Barrier, reads);
+        validate_w_sync_complete(p, pending);
+        (after_nsync, p.get(&a, first + 1))
+    });
+    // The stale reply, accepted as the ack, would have left P0 with 1 on
+    // the requested page and an unread 0 on the other.
+    assert_eq!(run.results, vec![((2, 7), 3), ((2, 7), 3)]);
 }

@@ -12,9 +12,9 @@
 //! Why the identity is *not* the wire sequence number: a node's compute
 //! thread and whichever thread is serving its requests share one
 //! [`Endpoint`](crate::Endpoint) and race on the per-link sequence counter
-//! (e.g. a `DiffResponse` from a handler and a `NeighborAck` from the
-//! compute thread, both headed for the same peer's reply port). Keying faults on `seq` would make the fault assignment
-//! depend on OS scheduling. `sent_at` and the wire size *are* deterministic
+//! (e.g. a `DiffResponse` from a handler and a `SyncDiffs` from the compute
+//! thread, both headed for the same peer's reply port). Keying faults on
+//! `seq` would make the fault assignment depend on OS scheduling. `sent_at` and the wire size *are* deterministic
 //! (virtual time is advanced by the observe-all-then-advance discipline, not
 //! by the wall clock), so they identify a logical message reproducibly; in
 //! the rare case two concurrent messages share a full identity they simply
@@ -59,6 +59,9 @@ const SALT_DUP: u64 = 0xd1b5_4a32_d192_ed03;
 const SALT_DELAY: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 const SALT_REORDER: u64 = 0x2545_f491_4f6c_dd1d;
 
+/// Unit of injected link delay; a delayed message gets 1–4 quanta.
+const DELAY_QUANTUM: VirtualTime = VirtualTime::from_micros(50);
+
 /// A seeded, reproducible schedule of interconnect faults.
 ///
 /// The plan holds a default [`LinkRates`] plus per-link overrides; every
@@ -69,19 +72,12 @@ pub struct FaultPlan {
     seed: u64,
     default_rates: LinkRates,
     overrides: Vec<(NodeId, NodeId, LinkRates)>,
-    /// Unit of injected link delay; a delayed message gets 1–4 quanta.
-    delay_quantum: VirtualTime,
 }
 
 impl FaultPlan {
     /// A plan applying `rates` to every link.
     pub fn uniform(seed: u64, rates: LinkRates) -> FaultPlan {
-        FaultPlan {
-            seed,
-            default_rates: rates,
-            overrides: Vec::new(),
-            delay_quantum: VirtualTime::from_micros(50),
-        }
+        FaultPlan { seed, default_rates: rates, overrides: Vec::new() }
     }
 
     /// The standard chaos mix used by `dsm-bench --chaos`: 5% attempt drops,
@@ -102,13 +98,6 @@ impl FaultPlan {
     pub fn with_link(mut self, src: NodeId, dst: NodeId, rates: LinkRates) -> FaultPlan {
         self.overrides.retain(|&(s, d, _)| (s, d) != (src, dst));
         self.overrides.push((src, dst, rates));
-        self
-    }
-
-    /// Sets the unit of injected link delay (a delayed message gets 1–4
-    /// quanta of extra latency).
-    pub fn with_delay_quantum(mut self, quantum: VirtualTime) -> FaultPlan {
-        self.delay_quantum = quantum;
         self
     }
 
@@ -180,7 +169,7 @@ impl FaultPlan {
         if u16::try_from(h % 1000).expect("mod 1000 fits")
             < self.rates(key.src, key.dst).delay_permille
         {
-            self.delay_quantum.scale(1 + (h >> 10) % 4)
+            DELAY_QUANTUM.scale(1 + (h >> 10) % 4)
         } else {
             VirtualTime::ZERO
         }
@@ -361,13 +350,12 @@ mod tests {
                 delay_permille: 1000,
                 reorder_permille: 0,
             },
-        )
-        .with_delay_quantum(VirtualTime::from_micros(10));
+        );
         for i in 0..200 {
             let d = plan.extra_delay(key(0, 1, i * 13, 8));
-            let q = d.as_micros() / 10;
+            let q = d.as_micros() / 50;
             assert!(
-                d.as_micros().is_multiple_of(10) && (1..=4).contains(&q),
+                d.as_micros().is_multiple_of(50) && (1..=4).contains(&q),
                 "unexpected delay {d}"
             );
         }

@@ -10,9 +10,8 @@
 //!
 //! A [`FrameRef`] is a shared handle onto one frame. Frame handles are
 //! stable: once a page is mapped, its `Arc` identity never changes
-//! ([`install`](PageTable::install) and [`map_zeroed`](PageTable::map_zeroed)
-//! mutate the existing frame in place), so a cached handle always reaches
-//! the frame's *current* state.
+//! ([`map_zeroed`](PageTable::map_zeroed) resets the existing frame in
+//! place), so a cached handle always reaches the frame's *current* state.
 //!
 //! A frame's state can be used in two ways. [`Frame::lock`] is the ordinary
 //! short critical section every method of this table uses.
@@ -244,16 +243,6 @@ impl PageTable {
         }
     }
 
-    /// Installs a received copy of `page` with the given protection.
-    pub fn install(&mut self, page: PageId, contents: Page, protection: Protection) {
-        let frame = self.frame_or_map_inner(page, protection);
-        let mut guard = frame.lock();
-        guard.page = contents;
-        guard.protection = protection;
-        guard.twin = None;
-        guard.dirty = false;
-    }
-
     fn frame_or_map_inner(&mut self, page: PageId, protection: Protection) -> FrameRef {
         if let Some(frame) = self.frames.get(&page) {
             return Arc::clone(frame);
@@ -343,33 +332,17 @@ impl PageTable {
         Some(Diff::create(twin.as_slice(), guard.page.as_slice()))
     }
 
-    /// Applies `diff` to the local copy of `page`, mapping it zero-filled if
-    /// the node never touched it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] from the diff application.
-    pub fn apply_diff(&mut self, page: PageId, diff: &Diff) -> Result<(), MemError> {
-        let frame = self.frame_or_map(page);
-        let mut guard = frame.lock();
-        diff.apply(guard.page.as_mut_slice())?;
-        // If the page had a twin, keep the twin coherent with the idea that it
-        // records the pre-*local*-modification state: remote diffs must also
-        // land in the twin so they are not re-reported as local writes.
-        if let Some(twin) = guard.twin.as_mut() {
-            diff.apply(twin.as_mut_slice())?;
-        }
-        Ok(())
-    }
-
-    /// Applies a batch of diffs with **one frame resolution per page-run**:
-    /// consecutive records for the same page reuse the frame handle (and its
-    /// lock) instead of re-walking the table per record. This is the bulk
-    /// entry point the runtime's synchronization-point batching builds on —
-    /// all diffs collected at one barrier or lock acquire are applied in a
-    /// single pass. Callers are expected to pre-sort the batch (same-page
-    /// records adjacent, causal order within a page); the method applies
-    /// records exactly in the order given.
+    /// Applies a batch of diffs, mapping a page zero-filled if the node never
+    /// touched it, with **one frame resolution per page-run**: consecutive
+    /// records for the same page reuse the frame handle (and its lock)
+    /// instead of re-walking the table per record. This is the entry point
+    /// the runtime's synchronization-point batching builds on — all diffs
+    /// collected at one barrier or lock acquire are applied in a single
+    /// pass. Callers are expected to pre-sort the batch (same-page records
+    /// adjacent, causal order within a page); the method applies records
+    /// exactly in the order given. A page's twin receives every diff too: it
+    /// records the pre-*local*-modification state, so remote diffs must not
+    /// be re-reported as local writes.
     ///
     /// # Errors
     ///
@@ -609,7 +582,7 @@ mod tests {
 
         // Applying the diff on another node reproduces the write.
         let mut other = PageTable::new();
-        other.apply_diff(page, &diff).unwrap();
+        other.apply_diff_batch([(page, &diff)]).unwrap();
         let mut buf = [0u8; 4];
         other.read_bytes(page.base().offset(8), &mut buf);
         assert_eq!(buf, [7, 7, 7, 7]);
@@ -625,7 +598,7 @@ mod tests {
         let mut remote_page = vec![0u8; PAGE_SIZE];
         remote_page[100..104].copy_from_slice(&[5, 5, 5, 5]);
         let remote = Diff::create(&vec![0u8; PAGE_SIZE], &remote_page);
-        table.apply_diff(page, &remote).unwrap();
+        table.apply_diff_batch([(page, &remote)]).unwrap();
         // The local diff must be empty: this node made no writes of its own.
         let local = table.create_diff(page).unwrap();
         assert!(local.is_empty(), "remote modifications must not be re-diffed");
@@ -693,22 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn install_replaces_contents_and_state() {
-        let mut table = PageTable::new();
-        let page = PageId(4);
-        table.map_zeroed(page, Protection::ReadWrite);
-        table.make_twin(page);
-        let mut incoming = Page::zeroed();
-        incoming.as_mut_slice()[0] = 42;
-        table.install(page, incoming, Protection::ReadOnly);
-        assert_eq!(table.protection(page), Protection::ReadOnly);
-        assert!(!table.has_twin(page));
-        let mut buf = [0u8; 1];
-        table.read_bytes(page.base(), &mut buf);
-        assert_eq!(buf[0], 42);
-    }
-
-    #[test]
     fn frame_lookup_errors_on_unmapped() {
         let table = PageTable::new();
         assert!(matches!(table.frame(PageId(9)), Err(MemError::Unmapped(PageId(9)))));
@@ -749,15 +706,19 @@ mod tests {
         let mut table = PageTable::new();
         let page = PageId(2);
         let frame = table.map_zeroed(page, Protection::ReadWrite);
-        let mut incoming = Page::zeroed();
-        incoming.as_mut_slice()[7] = 9;
-        table.install(page, incoming, Protection::ReadOnly);
+        let mut incoming = vec![0u8; PAGE_SIZE];
+        incoming[7] = 9;
+        let diff = Diff::create(&vec![0u8; PAGE_SIZE], &incoming);
+        table.apply_diff_batch([(page, &diff)]).unwrap();
+        table.set_protection(page, Protection::ReadOnly);
         let again = table.frame(page).unwrap();
-        assert!(Arc::ptr_eq(&frame, &again), "install must not replace the frame");
+        assert!(Arc::ptr_eq(&frame, &again), "applying must not replace the frame");
         assert_eq!(frame.lock().protection, Protection::ReadOnly);
         assert_eq!(frame.lock().page.as_slice()[7], 9);
-        table.map_zeroed(page, Protection::Invalid);
+        let remapped = table.map_zeroed(page, Protection::Invalid);
+        assert!(Arc::ptr_eq(&frame, &remapped), "remapping must not replace the frame");
         assert_eq!(frame.lock().protection, Protection::Invalid);
+        assert_eq!(frame.lock().page.as_slice()[7], 0);
     }
 
     #[test]

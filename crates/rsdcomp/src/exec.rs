@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use ctrt::PendingValidate;
-use treadmarks::Process;
+use treadmarks::{PendingSync, Process};
 
 use crate::ir::Program;
 use crate::plan::{compile_at, BoundaryOp, CompiledKernel, Level, PlanStep};
@@ -55,48 +54,35 @@ pub fn kernel_for(p: &mut Process, level: Level, build: impl FnOnce() -> Program
     })
 }
 
-/// An entry op in flight: either already finished (local prep, pushes) or
-/// a pending split-phase synchronization to be completed where the fetched
-/// data is first needed.
+/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`],
+/// [`BoundaryOp::Lock`] and [`BoundaryOp::NeighborSync`] the returned
+/// receipt is pending: compute on sections that were already local, then
+/// [`complete`] before touching the fetched data (a compiled plan's
+/// interior/edge split). Everything else finishes immediately and returns
+/// `None`.
 #[must_use = "a pending entry op completes only when passed to exec::complete"]
-#[derive(Debug)]
-pub enum Issued {
-    /// The op finished at issue.
-    Done,
-    /// A split-phase synchronization is in flight (boxed: the pending
-    /// state is much larger than the empty variant).
-    Pending(Box<PendingValidate>),
-}
-
-/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`] and
-/// [`BoundaryOp::NeighborSync`] the returned handle is pending: compute on
-/// sections that were already local, then [`complete`] before touching the
-/// fetched data (a compiled plan's interior/edge split). Everything else
-/// finishes immediately.
-pub fn issue(p: &mut Process, op: &BoundaryOp) -> Issued {
+pub fn issue(p: &mut Process, op: &BoundaryOp) -> Option<PendingSync> {
     match op {
         BoundaryOp::Local { sections } => {
             prepare(p, sections);
-            Issued::Done
+            None
         }
-        BoundaryOp::Barrier { sections } => Issued::Pending(Box::new(ctrt::validate_w_sync_issue(
-            p,
-            treadmarks::SyncOp::Barrier,
-            sections,
-        ))),
-        BoundaryOp::Lock { lock, sections } => Issued::Pending(Box::new(
-            // The acquire request carries the sections' page list, so the
-            // grant arrives with the releaser's diffs piggybacked — the
-            // merged lock-grant+data message.
-            ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections),
-        )),
+        BoundaryOp::Barrier { sections } => {
+            Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Barrier, sections))
+        }
+        // The acquire request carries the sections' page list, so the grant
+        // arrives with the releaser's diffs piggybacked — the merged
+        // lock-grant+data message.
+        BoundaryOp::Lock { lock, sections } => {
+            Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections))
+        }
         BoundaryOp::NeighborSync { producers, consumers, sections } => {
-            Issued::Pending(Box::new(ctrt::neighbor_sync_issue(p, producers, consumers, sections)))
+            Some(ctrt::neighbor_sync_issue(p, producers, consumers, sections))
         }
         BoundaryOp::Push { sends, recv_from, sections } => {
             ctrt::push_phase(p, sends, recv_from);
             prepare(p, sections);
-            Issued::Done
+            None
         }
     }
 }
@@ -111,9 +97,9 @@ fn prepare(p: &mut Process, sections: &[ctrt::RegularSection]) {
 }
 
 /// Completes a pending entry op (no-op for ops that finished at issue).
-pub fn complete(p: &mut Process, issued: Issued) {
-    if let Issued::Pending(pending) = issued {
-        ctrt::validate_w_sync_complete(p, *pending);
+pub fn complete(p: &mut Process, issued: Option<PendingSync>) {
+    if let Some(pending) = issued {
+        ctrt::validate_w_sync_complete(p, pending);
     }
 }
 

@@ -16,7 +16,7 @@ use crate::VirtualTime;
 ///
 /// The DSM runtime, the message-passing baselines and the applications all
 /// charge their work through one shared `CostModel`, so alternative platforms
-/// can be explored by swapping the constants (see [`CostModelBuilder`]).
+/// can be explored by swapping the constants.
 ///
 /// ```
 /// use sp2model::CostModel;
@@ -24,6 +24,9 @@ use crate::VirtualTime;
 /// // Round-trip of a minimum-size message with interrupts enabled is ~365us.
 /// let rt = m.roundtrip_cost(0, true);
 /// assert!((360..400).contains(&rt.as_micros()));
+/// // Every field is public: a variant is the SP/2 with some fields replaced.
+/// let fast_net = CostModel { msg_fixed_interrupt_ns: 10_000, ..CostModel::sp2() };
+/// assert!(fast_net.message_cost(0, true) < m.message_cost(0, true));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
@@ -135,11 +138,6 @@ impl CostModel {
         }
     }
 
-    /// Starts a builder seeded with the SP/2 constants.
-    pub fn builder() -> CostModelBuilder {
-        CostModelBuilder { model: CostModel::sp2() }
-    }
-
     /// One-way cost of sending a message of `bytes` payload bytes.
     ///
     /// `interrupt` selects between the interrupt-driven path used by the DSM
@@ -249,76 +247,6 @@ impl Default for CostModel {
     }
 }
 
-/// Builder for [`CostModel`] values that differ from the SP/2 defaults.
-///
-/// ```
-/// use sp2model::CostModel;
-/// let fast_net = CostModel::builder().msg_fixed_interrupt_ns(10_000).build();
-/// assert!(fast_net.message_cost(0, true) < CostModel::sp2().message_cost(0, true));
-/// ```
-#[derive(Debug, Clone)]
-pub struct CostModelBuilder {
-    model: CostModel,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        impl CostModelBuilder {
-            $(
-                $(#[$doc])*
-                pub fn $field(mut self, value: $ty) -> Self {
-                    self.model.$field = value;
-                    self
-                }
-            )*
-
-            /// Finishes the builder and returns the configured model.
-            pub fn build(self) -> CostModel {
-                self.model
-            }
-        }
-    };
-}
-
-builder_setters! {
-    /// Sets the fixed one-way interrupt-path message cost (ns).
-    msg_fixed_interrupt_ns: u64,
-    /// Sets the fixed one-way polled-path message cost (ns).
-    msg_fixed_polled_ns: u64,
-    /// Sets the per-byte wire cost (ns).
-    msg_per_byte_ns: f64,
-    /// Sets the per-destination broadcast preparation cost (ns).
-    broadcast_extra_per_dest_ns: u64,
-    /// Sets the remote-request service cost (ns).
-    request_service_ns: u64,
-    /// Sets the base page-fault cost (ns).
-    page_fault_base_ns: u64,
-    /// Sets the per-page-in-use page-fault cost (ns).
-    page_fault_per_page_ns: f64,
-    /// Sets the base mprotect cost (ns).
-    mprotect_base_ns: u64,
-    /// Sets the per-page-in-use mprotect cost (ns).
-    mprotect_per_page_ns: f64,
-    /// Sets the per-page twin cost (ns).
-    twin_page_ns: u64,
-    /// Sets the per-page diff creation cost (ns).
-    diff_create_page_ns: u64,
-    /// Sets the per-byte diff apply cost (ns).
-    diff_apply_per_byte_ns: f64,
-    /// Sets the fixed diff apply cost (ns).
-    diff_apply_base_ns: u64,
-    /// Sets the lock-manager processing cost (ns).
-    lock_manager_ns: u64,
-    /// Sets the per-processor barrier-master cost (ns).
-    barrier_master_per_proc_ns: u64,
-    /// Sets the per-child tree-barrier hop service cost (ns).
-    barrier_hop_per_child_ns: u64,
-    /// Sets the per-processor local barrier cost (ns).
-    barrier_local_ns: u64,
-    /// Sets the per-page sync-merge scan cost (ns).
-    sync_merge_scan_per_page_ns: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,8 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_single_field() {
-        let m = CostModel::builder().twin_page_ns(1).build();
+    fn struct_update_overrides_single_field() {
+        let m = CostModel { twin_page_ns: 1, ..CostModel::sp2() };
         assert_eq!(m.twin_cost(3).as_nanos(), 3);
         // Other fields keep SP/2 defaults.
         assert_eq!(m.msg_fixed_interrupt_ns, CostModel::sp2().msg_fixed_interrupt_ns);

@@ -35,6 +35,6 @@ pub mod stats;
 mod time;
 
 pub use clock::VirtualClock;
-pub use cost::{CostModel, CostModelBuilder};
+pub use cost::CostModel;
 pub use stats::{ClusterStats, ReactorSnapshot, ReactorStats, SharedStats, StatsSnapshot};
 pub use time::VirtualTime;

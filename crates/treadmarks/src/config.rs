@@ -119,8 +119,6 @@ pub struct DsmConfig {
     pub nprocs: usize,
     /// Cost model used for virtual-time accounting.
     pub cost_model: CostModel,
-    /// Capacity of the shared heap in bytes.
-    pub heap_capacity: usize,
     /// Barrier exchange topology (default: adaptive-arity reduction tree).
     pub barrier: BarrierTopology,
     /// Data-race detection mode (default: off). When enabled, every apply
@@ -145,8 +143,8 @@ impl DsmConfig {
     /// The default watchdog deadline for blocking protocol receives.
     pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
-    /// A configuration for `nprocs` processors with the SP/2 cost model,
-    /// the default heap size and the adaptive-arity tree barrier.
+    /// A configuration for `nprocs` processors with the SP/2 cost model and
+    /// the adaptive-arity tree barrier.
     ///
     /// # Panics
     ///
@@ -156,7 +154,6 @@ impl DsmConfig {
         DsmConfig {
             nprocs,
             cost_model: CostModel::sp2(),
-            heap_capacity: pagedmem::SharedAlloc::DEFAULT_CAPACITY,
             barrier: BarrierTopology::default(),
             race_detect: RaceDetect::Off,
             net_faults: None,

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use pagedmem::{AddrRange, Diff, PageId};
+use racecheck::SyncKind;
 
 use crate::notice::WriteNotice;
 use crate::types::{Interval, LockId, ProcId, Vt, VtDelta};
@@ -260,27 +261,40 @@ pub enum TmkMessage {
         /// The requested diffs.
         diffs: Vec<DiffRecord>,
     },
-    /// Provider -> requester after a synchronization operation: diffs for a
-    /// piggy-backed `Validate_w_sync` request.
+    /// Producer -> requester after a synchronization operation: the paper's
+    /// merged data+sync message. At a barrier it answers a piggy-backed
+    /// `Validate_w_sync` request and its notice list is empty (the
+    /// departure carried them). At an *eliminated* barrier it answers a
+    /// [`TmkMessage::NeighborReady`]: write notices and diffs ride one
+    /// polled message — no tree, no departure, no global vector-timestamp
+    /// advance. The producer's vector timestamp does not travel: the
+    /// consumer's own, which covers the one it advertised, joined with the
+    /// notices is exactly the merge.
     SyncDiffs {
-        /// The providing processor.
+        /// The producing processor.
         from: ProcId,
-        /// The barrier ordinal the request was piggybacked on. Barriers are
-        /// globally matched collectives, so every processor's own barrier
-        /// count names the same synchronization point; a completion only
-        /// accepts responses with its own ordinal, which keeps the stale
-        /// responses of an abandoned (dropped) pending handle from being
-        /// mistaken for a later barrier's data.
+        /// The synchronization's kind: [`SyncKind::Barrier`] or
+        /// [`SyncKind::NeighborAck`].
+        kind: SyncKind,
+        /// The synchronization's ordinal among those of its kind. Both
+        /// kinds are matched collectives, so every participant's own count
+        /// names the same synchronization point; a completion accepts only
+        /// replies named `(kind, seq)` as itself, which keeps the stale
+        /// replies of an abandoned (dropped) receipt from being mistaken
+        /// for a later synchronization's data.
         seq: u64,
-        /// The diffs the provider holds for the requested pages.
+        /// Write notices the consumer's advertised timestamp does not cover
+        /// (always empty at a barrier).
+        notices: Vec<WriteNotice>,
+        /// The producer's diffs for the requested pages.
         diffs: Vec<DiffRecord>,
     },
     /// Consumer -> producer at an *eliminated* barrier: the consumer has
     /// reached the phase boundary and is ready for the producer's merged
-    /// data+sync message. Carries the consumer's (lowered) vector timestamp
-    /// and the pages of its declared read sections, exactly like the
-    /// piggybacked `SyncFetchRequest` of a real barrier — but sent to the
-    /// named producers only, on the polled path.
+    /// data+sync [`TmkMessage::SyncDiffs`]. Carries the consumer's (lowered)
+    /// vector timestamp and the pages of its declared read sections, exactly
+    /// like the piggybacked `SyncFetchRequest` of a real barrier — but sent
+    /// to the named producers only, on the polled path.
     NeighborReady {
         /// The consuming processor.
         from: ProcId,
@@ -293,26 +307,6 @@ pub enum TmkMessage {
         vt: Vt,
         /// The pages of the consumer's declared sections.
         pages: Vec<PageId>,
-    },
-    /// Producer -> consumer at an eliminated barrier: the merged data+sync
-    /// answer. Write notices and the diffs for the requested pages ride a
-    /// single polled message — no tree, no departure, no global
-    /// vector-timestamp advance. The producer's vector timestamp does not
-    /// travel: the consumer's own, which covers the one it advertised,
-    /// joined with the notices is exactly the merge.
-    NeighborAck {
-        /// The producing processor.
-        from: ProcId,
-        /// The neighbour-sync ordinal of the boundary (see
-        /// [`TmkMessage::NeighborReady`]); a completion accepts only acks at
-        /// its own ordinal, so the stale acks of an abandoned (dropped)
-        /// pending handle are consumed and discarded, never mistaken for a
-        /// later boundary's data.
-        seq: u64,
-        /// Write notices the consumer's advertised timestamp does not cover.
-        notices: Vec<WriteNotice>,
-        /// The producer's diffs for the requested pages.
-        diffs: Vec<DiffRecord>,
     },
     /// Point-to-point data exchange replacing a barrier (`Push`).
     PushData {
@@ -355,14 +349,11 @@ impl TmkMessage {
             TmkMessage::DiffResponse { diffs, .. } => {
                 8 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
-            TmkMessage::SyncDiffs { diffs, .. } => {
-                12 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
-            }
-            TmkMessage::NeighborReady { vt, pages, .. } => 12 + vt.wire_bytes() + pages.len() * 4,
-            TmkMessage::NeighborAck { notices, diffs, .. } => {
+            TmkMessage::SyncDiffs { notices, diffs, .. } => {
                 12 + notices.len() * WriteNotice::WIRE_BYTES
                     + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
+            TmkMessage::NeighborReady { vt, pages, .. } => 12 + vt.wire_bytes() + pages.len() * 4,
             TmkMessage::PushData { chunks, .. } => {
                 4 + chunks.iter().map(|(_, data)| 16 + data.len()).sum::<usize>()
             }
@@ -480,11 +471,15 @@ mod tests {
     #[test]
     fn acks_and_grants_carry_notices_and_diffs_but_no_timestamp() {
         let notices = vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }];
-        let ack =
-            TmkMessage::NeighborAck { from: 1, seq: 1, notices: notices.clone(), diffs: vec![] };
+        let reply =
+            |kind, notices| TmkMessage::SyncDiffs { from: 1, kind, seq: 1, notices, diffs: vec![] };
+        let ack = reply(SyncKind::NeighborAck, notices.clone());
+        // A barrier's reply carries no notices: the departure did.
+        let barrier = reply(SyncKind::Barrier, vec![]);
         let grant = TmkMessage::LockGrant { lock: 0, notices, piggyback: vec![] };
         for n in [2, 64] {
             assert_eq!(ack.wire_bytes(n), 12 + WriteNotice::WIRE_BYTES, "{n} processors");
+            assert_eq!(barrier.wire_bytes(n), 12, "{n} processors");
             assert_eq!(grant.wire_bytes(n), 4 + WriteNotice::WIRE_BYTES, "{n} processors");
         }
         // The two requests still carry their timestamp whole.

@@ -15,7 +15,8 @@
 //! * `interval` — the flush that ends an interval, and write-notice
 //!   application;
 //! * `sync` — what every synchronization point shares: the [`PhasePlan`],
-//!   the handles, write preparation, the single-hold install, completion;
+//!   the one receipt ([`PendingSync`]), write preparation, the single-hold
+//!   install, and the completion's one wait loop;
 //! * `barrier`, `lock`, `push` — the collectives, each with its own order
 //!   of charges and sends (`DESIGN.md` §2: shared plumbing, no pipeline);
 //! * `race` — the race detector's hooks into the install and push paths.
@@ -26,8 +27,7 @@
 //!
 //! | Figure 4                        | here                                                             | module     |
 //! |---------------------------------|------------------------------------------------------------------|------------|
-//! | `Fetch_diffs`                   | [`Process::fetch_diffs`]                                         | `sync`     |
-//! | `Apply_diffs`                   | [`Process::apply_fetch`]                                         | `sync`     |
+//! | `Fetch_diffs` + `Apply_diffs`   | [`Process::fetch_diffs`]                                         | `sync`     |
 //! | `Fetch_diffs_w_sync`            | [`Process::sync_phase_issue`] / [`Process::sync_phase_complete`] | `sync`     |
 //! | `Create_twins` + `Write_enable` | [`Process::prepare_phase`]                                       | `sync`     |
 //! | `Write_protect`                 | `flush_interval`, run by every release                           | `interval` |
@@ -57,7 +57,7 @@ mod race;
 mod sync;
 
 pub use push::PushReceipt;
-pub use sync::{FetchHandle, PendingSync, PhasePlan, SyncOp};
+pub use sync::{PendingSync, PhasePlan, SyncOp};
 
 /// Panic payload used when a processor unwinds because a *peer* panicked
 /// (the harness poisons every reply port so processors blocked in a
@@ -94,13 +94,13 @@ pub struct Process {
     next_req_id: u64,
     /// How many barriers this processor has entered. Barriers are globally
     /// matched, so the count names the same synchronization point on every
-    /// processor; it sequences `SyncDiffs` responses (see
-    /// [`TmkMessage::SyncDiffs`]).
+    /// processor; it sequences a barrier's [`TmkMessage::SyncDiffs`].
     barrier_seq: u64,
     /// How many *eliminated* barriers (neighbour syncs) this processor has
     /// entered. Compiled plans are SPMD-uniform, so the count names the same
-    /// phase boundary on every participant; it sequences `NeighborReady`/
-    /// `NeighborAck` pairs the same way `barrier_seq` sequences `SyncDiffs`.
+    /// phase boundary on every participant; it sequences `NeighborReady`s
+    /// and a neighbour sync's `SyncDiffs` the way `barrier_seq` does a
+    /// barrier's.
     nsync_seq: u64,
     /// How many lock acquires this processor has issued: the ordinal that
     /// names a lock-merged fetch's receipt.
@@ -132,7 +132,7 @@ impl Process {
             run: Arc::clone(&shared.run),
             node: NodeGate::new(shared),
             clock: VirtualClock::new(),
-            heap: SharedAlloc::with_capacity(config.heap_capacity),
+            heap: SharedAlloc::new(),
             pending: VecDeque::new(),
             next_req_id: 1,
             barrier_seq: 0,

@@ -3,8 +3,9 @@
 //! a [`SharedArray`]'s elements never straddle a page (see
 //! [`SharedArray::new`]), so every access is a `page_op` on exactly one frame.
 
-use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable, Protection, PAGE_SIZE};
+use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable, PAGE_SIZE};
 
+use super::sync::{enable_written_page, PrepTally};
 use super::Process;
 use crate::sharedarray::{Shareable, SharedArray};
 use crate::tlb::Unleased;
@@ -174,31 +175,19 @@ impl Process {
         }
         if outcome != AccessOutcome::WriteProtected {
             // Unmapped or invalidated: bring the copy up to date first.
-            let handle = self.fetch_diffs(&[AddrRange::page(page)]);
-            self.apply_fetch(handle);
+            self.fetch_diffs(&[AddrRange::page(page)]);
         }
         if is_write {
-            self.enable_write_after_fault(page);
+            // Make the now valid page writable: twin (unless the page is
+            // under `WRITE_ALL`), enable, and put it on the dirty list.
+            let (prep, pages_in_use) = {
+                let node = self.node.unleased();
+                let mut proto = node.proto();
+                let mut table = node.table();
+                let twinned = enable_written_page(&mut proto, &mut table, page, false);
+                (PrepTally { twinned: u64::from(twinned), protect_ranges: 1 }, table.pages_in_use())
+            };
+            self.charge_prep(&prep, pages_in_use);
         }
-    }
-
-    /// Makes a valid page writable: twin (unless the page is under
-    /// `WRITE_ALL`), enable, and put it on the dirty list.
-    fn enable_write_after_fault(&mut self, page: PageId) {
-        let node = self.node.unleased();
-        let proto = node.proto();
-        let mut table = node.table();
-        if !proto.write_all_pages.contains(&page) && !table.has_twin(page) {
-            table.make_twin(page);
-            self.stats.twins_created(1);
-            self.clock.advance(self.cost.twin_cost(1));
-        }
-        let pages_in_use = table.pages_in_use();
-        table.set_protection(page, Protection::ReadWrite);
-        table.mark_dirty(page);
-        drop(table);
-        drop(proto);
-        self.stats.protection_ops(1);
-        self.clock.advance(self.cost.mprotect_cost(pages_in_use));
     }
 }

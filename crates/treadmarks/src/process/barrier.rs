@@ -17,7 +17,7 @@ use super::access::warm_ranges_locked;
 use super::interval::{apply_notices_locked, sync_vt_locked};
 use super::sync::{prep_writes_locked, Outstanding, PendingSync, PhasePlan};
 use super::Process;
-use crate::message::{DiffRecord, RoutedRequest, SyncFetchRequest, TmkMessage};
+use crate::message::{RoutedRequest, SyncFetchRequest, TmkMessage};
 use crate::notice::{notices_determine, vt_through, WriteNotice};
 use crate::state::ProtoState;
 use crate::types::{Interval, ProcId, Vt, VtDelta};
@@ -149,51 +149,70 @@ fn subtree_share(routed: &[RoutedRequest], child: ProcId, arity: usize) -> Vec<R
         .collect()
 }
 
-/// Answers the piggybacked fetch requests routed to this node from the
-/// local diff cache, under an already-held lock pair: for each entry that
-/// names this node, the diffs it created for the requested pages newer than
-/// what the requester has seen of it. Returns the per-requester record
-/// batches plus the number of distinct pages *examined* (requested pages
-/// this node holds diffs for — non-owned pages cost one index probe, not a
-/// range scan) and full pages materialised. The whole synchronization
-/// point is served in one pass, so each examined page is charged once no
-/// matter how many requests name it.
+/// The `SyncDiffs` replies a synchronization point owes its requesters,
+/// built under the hold and sent after it by [`Process::send_served`].
+struct Served {
+    /// Per requester, in request order, its reply.
+    replies: Vec<(ProcId, TmkMessage)>,
+    /// Distinct pages examined: requested pages this node holds diffs for
+    /// (non-owned pages cost one index probe, not a range scan).
+    scanned: usize,
+    /// Full pages materialised for their encoding.
+    materialised: usize,
+}
+
+/// One serve pass over a synchronization point's requests, under an
+/// already-held lock pair: for each `(requester, pages, seen, notices)`
+/// the diffs this node created for `pages` newer than its interval `seen`,
+/// on one `SyncDiffs` named `(kind, seq)` with `notices`. The whole point is
+/// served in one pass, so each examined page is charged once no matter how
+/// many requests name it.
+fn serve_locked<'a>(
+    proto: &ProtoState,
+    table: &PageTable,
+    (kind, seq): (SyncKind, u64),
+    requests: impl IntoIterator<Item = (ProcId, &'a [PageId], Interval, Vec<WriteNotice>)>,
+) -> Served {
+    let mut examined = Vec::new();
+    let mut materialised = 0usize;
+    let replies = requests
+        .into_iter()
+        .map(|(requester, pages, seen, notices)| {
+            let (diffs, full_pages) =
+                proto.diffs_for_pages_after_counted(pages, seen, table, &mut examined);
+            materialised += full_pages;
+            // A barrier's requester waits for exactly one `SyncDiffs` from
+            // every processor its own log resolves the request to; the root
+            // resolved it here from the same log, so an empty answer means
+            // the two disagree — and a requester blocked until the watchdog.
+            debug_assert!(
+                kind != SyncKind::Barrier || !diffs.is_empty(),
+                "P{} was routed P{requester}'s request for {pages:?} above interval {seen} \
+                 but holds no such diff",
+                proto.me,
+            );
+            (requester, TmkMessage::SyncDiffs { from: proto.me, kind, seq, notices, diffs })
+        })
+        .collect();
+    examined.sort_unstable();
+    examined.dedup();
+    Served { replies, scanned: examined.len(), materialised }
+}
+
+/// Answers the piggybacked fetch requests routed to this node — the entries
+/// that name it — from the local diff cache, under an already-held lock
+/// pair.
 fn serve_requests_locked(
     proto: &ProtoState,
     table: &PageTable,
+    seq: u64,
     routed: &[RoutedRequest],
-) -> (Vec<(ProcId, Vec<DiffRecord>)>, usize, usize) {
-    let mut out = Vec::new();
-    let mut examined = Vec::new();
-    let mut materialised = 0usize;
-    for entry in routed {
-        let Some(&(_, seen)) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me) else {
-            continue;
-        };
-        let (records, full_pages) =
-            proto.diffs_for_pages_after_counted(&entry.pages, seen, table, &mut examined);
-        materialised += full_pages;
-        // The requester waits for exactly one `SyncDiffs` from every
-        // processor its own log resolves the request to; the root resolved
-        // it here from the same log, so an empty answer means the two
-        // disagree — and a requester blocked until the watchdog.
-        debug_assert!(
-            !records.is_empty(),
-            "P{} was routed P{}'s request for {:?} above interval {seen} but holds no such diff",
-            proto.me,
-            entry.proc,
-            entry.pages,
-        );
-        out.push((entry.proc, records));
-    }
-    (out, distinct_pages(examined), materialised)
-}
-
-/// How many different pages `pages` names.
-fn distinct_pages(mut pages: Vec<PageId>) -> usize {
-    pages.sort_unstable();
-    pages.dedup();
-    pages.len()
+) -> Served {
+    let requests = routed.iter().filter_map(|entry| {
+        let &(_, seen) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me)?;
+        Some((entry.proc, &entry.pages[..], seen, Vec::new()))
+    });
+    serve_locked(proto, table, (SyncKind::Barrier, seq), requests)
 }
 
 /// The processors that will answer this node's own piggybacked request with
@@ -459,7 +478,7 @@ impl Process {
         };
 
         // --- One lock hold for the whole post-exchange protocol step. ---
-        let (tally, prep, departures, serve, scanned, materialised, warmed, trimmed, pages_in_use) = {
+        let (tally, prep, departures, served, warmed, trimmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
@@ -502,7 +521,7 @@ impl Process {
                 }
             };
             let departures = child_departures(&proto, &subtrees, &horizon_delta, &routed, arity);
-            let (serve, scanned, materialised) = serve_requests_locked(&proto, &table, &routed);
+            let served = serve_requests_locked(&proto, &table, seq, &routed);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
             let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
@@ -517,7 +536,7 @@ impl Process {
             );
             let trimmed = proto.gc_trim(&gc_horizon);
             let pages_in_use = table.pages_in_use();
-            (tally, prep, departures, serve, scanned, materialised, warmed, trimmed, pages_in_use)
+            (tally, prep, departures, served, warmed, trimmed, pages_in_use)
         };
         self.stats.gc_trimmed_diffs(trimmed.0);
         self.stats.gc_trimmed_notices(trimmed.1);
@@ -541,14 +560,7 @@ impl Process {
             }
             self.send(proc, Port::Reply, msg, interrupt);
         }
-        // One pass over the diff cache answers every request routed here:
-        // the scan is charged for the union of their pages this node holds
-        // diffs for, materialised full pages for their encoding.
-        self.clock.advance(self.cost.sync_merge_scan_cost(scanned));
-        self.clock.advance(self.cost.diff_create_cost(materialised));
-        for (proc, diffs) in serve {
-            self.send(proc, Port::Reply, TmkMessage::SyncDiffs { from: me, seq, diffs }, true);
-        }
+        self.send_served(served, true);
         self.charge_notices(&tally, pages_in_use);
         self.charge_prep(&prep, pages_in_use);
         self.clock.advance(self.cost.barrier_local_cost());
@@ -557,14 +569,12 @@ impl Process {
 
     /// The run-time primitive underneath a compiler-**eliminated** barrier:
     /// a departure-free phase boundary where only the named `producers` and
-    /// `consumers` exchange. Write notices, vector timestamps and diffs ride
-    /// one merged data+sync message per producer/consumer pair
-    /// ([`TmkMessage::NeighborAck`]); there is no reduction tree, no
-    /// departure
-    /// and no global vector-timestamp advance — and therefore no
-    /// garbage-collection horizon movement, which is why a compiled plan
-    /// keeps a real barrier wherever intervals would otherwise accumulate
-    /// unboundedly.
+    /// `consumers` exchange. Write notices and diffs ride one merged
+    /// data+sync [`TmkMessage::SyncDiffs`] per producer/consumer pair; there
+    /// is no reduction tree, no departure and no global vector-timestamp
+    /// advance — and therefore no garbage-collection horizon movement, which
+    /// is why a compiled plan keeps a real barrier wherever intervals would
+    /// otherwise accumulate unboundedly.
     ///
     /// The exchange is a ready/ack handshake. This processor first flushes
     /// its interval and sends one `NeighborReady` (its advertised timestamp
@@ -586,7 +596,7 @@ impl Process {
     /// happens-before edges the replaced barrier enforced are the ones
     /// between the named producers and consumers (see `DESIGN.md` §6) — and
     /// the returned receipt *must* be completed: the acks carry consistency
-    /// information (notices and timestamps), not just data. All participants
+    /// information (write notices), not just data. All participants
     /// must name each other consistently, like any collective.
     ///
     /// # Panics
@@ -639,45 +649,43 @@ impl Process {
         // Build the acks in processor order, not arrival order, so the pass
         // is deterministic.
         readys.sort_by_key(|&(from, _, _)| from);
-        let (acks, prep, examined, materialised, warmed, pages_in_use) = {
+        let (served, prep, warmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            let mut acks = Vec::new();
-            let mut examined = Vec::new();
-            let mut materialised = 0usize;
-            for (from, ready_vt, ready_pages) in &readys {
-                let (diffs, full_pages) = proto.diffs_for_pages_after_counted(
-                    ready_pages,
-                    ready_vt.get(me),
-                    &table,
-                    &mut examined,
-                );
-                materialised += full_pages;
+            let requests = readys.iter().map(|(from, ready_vt, ready_pages)| {
                 let notices = proto.notice_log.notices_after(ready_vt);
                 debug_assert!(
                     notices_determine(ready_vt, &notices, &proto.vt),
                     "P{me}'s ack to P{from}: the notices must determine the producer's timestamp"
                 );
-                let msg = TmkMessage::NeighborAck { from: me, seq, notices, diffs };
-                acks.push((*from, msg));
-            }
+                (*from, &ready_pages[..], ready_vt.get(me), notices)
+            });
+            let served = serve_locked(&proto, &table, (SyncKind::NeighborAck, seq), requests);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
             let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
-            (acks, prep, distinct_pages(examined), materialised, warmed, table.pages_in_use())
+            (served, prep, warmed, table.pages_in_use())
         };
         // The acks first — their consumers are waiting; this node's own
         // write preparation, which no ack depends on, is charged behind.
-        self.clock.advance(self.cost.sync_merge_scan_cost(examined));
-        self.clock.advance(self.cost.diff_create_cost(materialised));
-        for (dest, msg) in acks {
-            self.stats.merged_sync_msgs(1);
-            self.send(dest, Port::Reply, msg, false);
-        }
+        self.stats.merged_sync_msgs(served.replies.len() as u64);
+        self.send_served(served, false);
         self.charge_prep(&prep, pages_in_use);
-        pending.neighbor_responders = producers.iter().copied().collect();
+        pending.responders = producers.iter().copied().collect();
         self.begin_in_flight(SyncKind::NeighborAck, seq, warmed, pending)
+    }
+
+    /// Sends a synchronization point's replies once the hold that built
+    /// them is released: one pass over the diff cache answered every
+    /// request, so the scan is charged for the union of their pages this
+    /// node holds diffs for, materialised full pages for their encoding.
+    fn send_served(&mut self, served: Served, interrupt: bool) {
+        self.clock.advance(self.cost.sync_merge_scan_cost(served.scanned));
+        self.clock.advance(self.cost.diff_create_cost(served.materialised));
+        for (proc, msg) in served.replies {
+            self.send(proc, Port::Reply, msg, interrupt);
+        }
     }
 
     /// The blocking form of an eliminated barrier: issue and complete back
@@ -695,6 +703,7 @@ mod tests {
     use pagedmem::{Diff, PAGE_SIZE};
 
     use super::*;
+    use crate::message::DiffRecord;
     use crate::state::{CachedDiff, DiffEntry};
 
     /// The subtree of `root` as the closure of [`tree_children`].
@@ -987,8 +996,14 @@ mod tests {
         let mut hops = vec![(MASTER, routed)];
         while let Some((me, received)) = hops.pop() {
             let (proto, table) = &world.0[me];
-            let (batches, _, _) = serve_requests_locked(proto, table, &received);
-            served.extend(batches.into_iter().map(|(requester, records)| (requester, me, records)));
+            for (requester, reply) in serve_requests_locked(proto, table, 1, &received).replies {
+                let TmkMessage::SyncDiffs { from, kind, seq: 1, notices, diffs } = reply else {
+                    panic!("not a barrier's reply: {reply:?}");
+                };
+                assert_eq!((from, kind), (me, SyncKind::Barrier));
+                assert!(notices.is_empty(), "the departure carried them");
+                served.push((requester, me, diffs));
+            }
             for child in tree_children(me, n, arity) {
                 hops.push((child, subtree_share(&received, child, arity)));
             }

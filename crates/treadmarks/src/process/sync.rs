@@ -1,10 +1,10 @@
 //! What every synchronization point shares: the lowered [`PhasePlan`], the
-//! fetch handle, the in-flight synchronization and its receipt, write
-//! preparation, the aggregated diff request/response exchange, the
-//! single-hold install and the split-phase completion. A barrier, lock
-//! acquire or neighbour sync performs its own exchange, leaves what is still
-//! outstanding with the [`Process`] and hands back a [`PendingSync`] receipt;
-//! one completion serves them all — run by the program's
+//! in-flight synchronization and its receipt, write preparation, the
+//! aggregated diff request/response exchange, the single-hold install and
+//! the split-phase completion. A barrier, lock acquire or neighbour sync
+//! performs its own exchange, leaves what is still outstanding with the
+//! [`Process`] and hands back a [`PendingSync`] receipt; one completion,
+//! with one wait loop, serves them all — run by the program's
 //! `sync_phase_complete`, or by the fault handler on the first touch of a
 //! page the in-flight fetch covers, whichever comes first.
 
@@ -37,28 +37,6 @@ pub enum SyncOp {
     /// on the acquire request and the last releaser piggybacks its diffs on
     /// the grant.
     Lock(LockId),
-}
-
-/// An in-flight aggregated diff fetch started by [`Process::fetch_diffs`].
-///
-/// The handle records which responses are outstanding; pass it to
-/// [`Process::apply_fetch`] to wait for them and install the diffs. Keeping
-/// issue and completion separate lets a caller overlap the fetch latency
-/// with local work, which is how the compiler interface hides misses.
-#[must_use = "a fetch completes only when passed to Process::apply_fetch"]
-#[derive(Debug)]
-pub struct FetchHandle {
-    /// Outstanding `(responder, request id)` pairs.
-    expected: Vec<(ProcId, u64)>,
-    /// Every page the fetch was asked to make valid.
-    pages: Vec<PageId>,
-}
-
-impl FetchHandle {
-    /// Number of outstanding response messages.
-    pub fn outstanding(&self) -> usize {
-        self.expected.len()
-    }
 }
 
 /// A lowered description of one compiler-analyzed phase: what must be
@@ -116,13 +94,14 @@ pub(super) struct DeferredWrite {
     write_all: bool,
 }
 
-/// The receipt of a split-phase `Validate_w_sync`.
+/// The receipt of a split-phase `Validate_w_sync` or neighbour sync.
 ///
-/// Returned by [`Process::sync_phase_issue`]: the synchronization operation
-/// itself has been performed (the barrier crossed or the lock acquired, with
-/// the section page list piggybacked), the diff requests are on the wire,
-/// and write preparation has been done for every page that was already
-/// consistent. What is still in flight — whom the processor waits for, the
+/// Returned by [`Process::sync_phase_issue`] and
+/// [`Process::neighbor_sync_issue`]: the synchronization operation itself
+/// has been performed (the barrier crossed, the lock acquired or the
+/// consumers' readys answered, with the section page list piggybacked), the
+/// requests are on the wire, and write preparation has been done for every
+/// page that was already consistent. What is still in flight — whom the processor waits for, the
 /// records already in hand, the deferred preparation — belongs to the
 /// [`Process`]; the receipt only names the synchronization, `(kind,
 /// ordinal)`. Pass it to [`Process::sync_phase_complete`] to collect the
@@ -133,9 +112,13 @@ pub(super) struct DeferredWrite {
 /// invalid until their data is installed, and **the first touch of such a
 /// page completes the pending synchronization** — the fault handler runs
 /// the completion itself, on the data that is already on its way. The later
-/// `sync_phase_complete` then charges nothing. A receipt that is dropped
-/// leaves its state behind until the next issue replaces it.
-#[must_use = "a split-phase sync completes only when passed to Process::sync_phase_complete"]
+/// `sync_phase_complete` then charges nothing. A barrier's or a lock's
+/// receipt that is dropped leaves its state behind until the next issue
+/// replaces it. A neighbour sync's receipt must be completed: its replies
+/// carry the producers' write notices, so abandoning it may lose them.
+#[must_use = "a split-phase sync completes only when passed to sync_phase_complete or \
+              validate_w_sync_complete (mandatory for a neighbour sync: its replies carry \
+              write notices)"]
 #[derive(Debug)]
 pub struct PendingSync {
     kind: SyncKind,
@@ -181,14 +164,9 @@ pub(super) struct InFlightSync {
 pub(super) struct Outstanding {
     /// Every page the merged fetch covers, ascending.
     pub(super) pages: Vec<PageId>,
-    /// Processors that will answer with a `SyncDiffs` message (barrier).
+    /// Processors that will answer with a `SyncDiffs` message: a barrier's
+    /// resolved producers, or a neighbour sync's named ones.
     pub(super) responders: HashSet<ProcId>,
-    /// Named producers of an *eliminated* barrier that will answer with a
-    /// merged data+sync `NeighborAck`. Unlike every other kind, these acks
-    /// carry the producers' write notices and vector timestamps, so the
-    /// completion is part of the consistency protocol itself — a compiled
-    /// plan always pairs issue with complete.
-    pub(super) neighbor_responders: HashSet<ProcId>,
     /// Diff records already in hand (lock-grant piggyback), applied at
     /// completion together with everything else so causally ordered
     /// same-page diffs land in rank order across messages.
@@ -226,7 +204,6 @@ impl Outstanding {
     fn is_empty(&self) -> bool {
         self.pages.is_empty()
             && self.responders.is_empty()
-            && self.neighbor_responders.is_empty()
             && self.piggyback.is_empty()
             && self.fetch_expected.is_empty()
             && self.deferred.is_empty()
@@ -235,16 +212,16 @@ impl Outstanding {
 
 /// What write preparation did, for cost charging after the hold.
 pub(super) struct PrepTally {
-    twinned: u64,
-    protect_ranges: u64,
+    pub(super) twinned: u64,
+    pub(super) protect_ranges: u64,
 }
 
 /// Write-enables one page of a written section: the `WRITE_ALL` treatment
 /// (no twin — the flush ships the whole page) or the ordinary twinned
-/// path. Shared by issue-time preparation and the completion's deferred
-/// preparation so the two can never diverge. Returns whether a twin was
-/// created.
-fn enable_written_page(
+/// path. Shared by issue-time preparation, the completion's deferred
+/// preparation and the write fault so they can never diverge. Returns
+/// whether a twin was created.
+pub(super) fn enable_written_page(
     proto: &mut ProtoState,
     table: &mut PageTable,
     page: PageId,
@@ -383,20 +360,25 @@ impl Process {
         self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(prep.protect_ranges));
     }
 
-    /// Issues the aggregated diff requests needed to make every page of
-    /// `ranges` consistent, without waiting for the responses.
+    /// `Fetch_diffs` + `Apply_diffs`: makes every page of `ranges`
+    /// consistent.
     ///
     /// All wanted `(page, interval)` pairs are grouped by the processor that
     /// created the modification and sent as **one request message per
     /// destination** — the aggregation that distinguishes `Validate` from a
     /// sequence of page faults. Pages with no missing diffs cost nothing.
-    pub fn fetch_diffs(&mut self, ranges: &[AddrRange]) -> FetchHandle {
+    /// The responses are applied in causal (rank) order and the fetched
+    /// pages revalidated under a single table-lock hold.
+    pub fn fetch_diffs(&mut self, ranges: &[AddrRange]) {
         let pages = pages_of(ranges);
         let per_proc = {
             let proto = self.node.unleased().proto();
             wants_for_pages_locked(&proto, &pages, &HashSet::new())
         };
-        FetchHandle { expected: self.send_diff_requests(per_proc), pages }
+        let expected = self.send_diff_requests(per_proc);
+        let mut records = Vec::new();
+        self.collect_diff_responses(&expected, "a diff response (fetch)", &mut records);
+        self.install_records(records, &pages, &[], &[], SyncKind::Fetch, None);
     }
 
     /// Sends one aggregated `DiffRequest` per producer in `per_proc` and
@@ -437,15 +419,6 @@ impl Process {
                 records.extend(diffs);
             }
         }
-    }
-
-    /// Waits for the responses of a [`fetch_diffs`](Self::fetch_diffs),
-    /// applies the received diffs in causal (rank) order and revalidates
-    /// the fetched pages — all under a single table-lock hold.
-    pub fn apply_fetch(&mut self, handle: FetchHandle) {
-        let mut records = Vec::new();
-        self.collect_diff_responses(&handle.expected, "a diff response (fetch)", &mut records);
-        self.install_records(records, &handle.pages, &[], &[], SyncKind::Fetch, None);
     }
 
     /// The single-hold installation step shared by every path that applies
@@ -533,7 +506,7 @@ impl Process {
         revalidate.dedup();
         for &page in &revalidate {
             if proto.page_missing.contains_key(&page) {
-                // `apply_diff` may have freshly mapped the frame read-write;
+                // `apply_diff_batch` may have freshly mapped the frame read-write;
                 // the page is not consistent yet, so make that explicit.
                 if table.is_mapped(page) {
                     table.set_protection(page, Protection::Invalid);
@@ -632,8 +605,7 @@ impl Process {
         warmed: usize,
         todo: Outstanding,
     ) -> PendingSync {
-        let outstanding =
-            todo.responders.len() + todo.neighbor_responders.len() + todo.fetch_expected.len();
+        let outstanding = todo.responders.len() + todo.fetch_expected.len();
         self.in_flight = Some(InFlightSync { kind, seq, warmed, todo: Some(todo) });
         PendingSync { kind, seq, outstanding }
     }
@@ -676,8 +648,8 @@ impl Process {
     /// `SyncDiffs` leave with the departure hold of responders that have
     /// all arrived, a `DiffResponse` is a handler's answer sent by the drain
     /// that followed the request (this thread's or a concurrent one's), a
-    /// `NeighborAck`
-    /// waits only for readys every consumer sends before it blocks — so
+    /// neighbour sync's `SyncDiffs` wait only for readys every consumer
+    /// sends before it blocks — so
     /// running it early cannot deadlock; and every wait is an `observe` of
     /// a virtual arrival time, so when it runs changes no clock but this
     /// processor's own, deterministically.
@@ -691,7 +663,6 @@ impl Process {
         let Outstanding {
             pages,
             mut responders,
-            mut neighbor_responders,
             piggyback,
             fetch_expected,
             deferred,
@@ -712,47 +683,27 @@ impl Process {
             label("a diff response (sync completion)"),
             &mut records,
         );
-        // Observe every response before applying anything (see
-        // `barrier_issue` for why observe-all-then-advance is what keeps
-        // virtual time independent of thread scheduling). Responses are
-        // accepted only at this barrier's ordinal; older ones — responses
-        // to a receipt the caller dropped instead of completing — are
-        // consumed and discarded here so they can never be mistaken for
-        // (or park behind) this barrier's data.
+        // Observe every reply before applying anything (see `barrier_issue`
+        // for why observe-all-then-advance is what keeps virtual time
+        // independent of thread scheduling). A reply is accepted only under
+        // this synchronization's own name, `(kind, seq)`; older replies of
+        // its kind — answers to a receipt the caller dropped instead of
+        // completing — are consumed and discarded here so they can never be
+        // mistaken for (or park behind) this synchronization's data.
+        let mut acked: Vec<(ProcId, Vec<WriteNotice>)> = Vec::new();
         while !responders.is_empty() {
-            let env = self.recv_reply(label("a producer's barrier sync-diffs"), |m| {
-                matches!(m, TmkMessage::SyncDiffs { from, seq: got, .. }
-                    if *got <= seq && responders.contains(from))
+            let env = self.recv_reply(label("a producer's sync-diffs"), |m| {
+                matches!(m, TmkMessage::SyncDiffs { from, kind: k, seq: got, .. }
+                    if *k == kind && *got <= seq && responders.contains(from))
             });
             self.clock.observe(env.arrives_at);
-            let TmkMessage::SyncDiffs { from, seq: got, diffs } = env.payload else {
+            let TmkMessage::SyncDiffs { from, seq: got, notices, diffs, .. } = env.payload else {
                 unreachable!()
             };
             if got < seq {
                 continue;
             }
             responders.remove(&from);
-            records.extend(diffs);
-        }
-        // The merged data+sync answers of an eliminated barrier: each named
-        // producer's ack carries its write notices and its diffs on one
-        // message. As with `SyncDiffs`, acks are accepted only at this
-        // boundary's ordinal; older ones (from a dropped receipt) are
-        // consumed and discarded.
-        let mut acked: Vec<(ProcId, Vec<WriteNotice>)> = Vec::new();
-        while !neighbor_responders.is_empty() {
-            let env = self.recv_reply(label("a neighbour-sync ack"), |m| {
-                matches!(m, TmkMessage::NeighborAck { from, seq: got, .. }
-                    if *got <= seq && neighbor_responders.contains(from))
-            });
-            self.clock.observe(env.arrives_at);
-            let TmkMessage::NeighborAck { from, seq: got, notices, diffs } = env.payload else {
-                unreachable!()
-            };
-            if got < seq {
-                continue;
-            }
-            neighbor_responders.remove(&from);
             acked.push((from, notices));
             records.extend(diffs);
         }
@@ -761,14 +712,16 @@ impl Process {
         // approaches zero — the split-phase overlap, made measurable.
         let waited = self.clock.now().saturating_sub(before);
         self.stats.sync_wait_ns(waited.as_nanos());
-        // Incorporate the producers' consistency information before the
-        // data: the acks' notices populate the missing lists the record
-        // installation claims against, and the timestamp they determine
-        // records the acquire (the consumer now knows everything each
-        // producer knew at the boundary: this processor's timestamp covers
-        // the one its ready advertised, so joining the notices is the merge
-        // of the producer's). Processor order keeps the pass deterministic.
-        if !acked.is_empty() {
+        // A neighbour sync's replies are its acquire (a barrier's carry no
+        // notices: the departure did). Incorporate the producers'
+        // consistency information before the data: the notices populate the
+        // missing lists the record installation claims against, and the
+        // timestamp they determine records the acquire (the consumer now
+        // knows everything each producer knew at the boundary: this
+        // processor's timestamp covers the one its ready advertised, so
+        // joining the notices is the merge of the producer's). Processor
+        // order keeps the pass deterministic.
+        if kind == SyncKind::NeighborAck && !acked.is_empty() {
             acked.sort_by_key(|(from, _)| *from);
             let (tally, pages_in_use) = {
                 let node = self.node.unleased();

@@ -344,8 +344,7 @@ fn base_application_against_local_writes_is_decidable_and_not_misreported() {
             for i in 0..4 {
                 p.set(&a, i, 900 + i as u64);
             }
-            let handle = p.fetch_diffs(&[a.full_range()]);
-            p.apply_fetch(handle);
+            p.fetch_diffs(&[a.full_range()]);
         }
         p.barrier();
         0u64
