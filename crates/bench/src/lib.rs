@@ -12,7 +12,9 @@
 //! eliminated boundaries and the merged data+sync acks that replaced
 //! them), and renders them as deterministic JSON. `sor/validate` is
 //! additionally recorded under the flat master-centric barrier
-//! (`validate_flat`) so the tree-vs-flat crossover curve is in the data.
+//! (`validate_flat`: the same barrier schedule over the tree of arity
+//! `n − 1`, priced at stock TreadMarks's interrupt path and per-processor
+//! master service) so the tree-vs-flat crossover curve is in the data.
 //!
 //! The checked-in `BENCH_PR8.json` at the repository root is produced by
 //! `cargo run -p dsm-bench` and consumed by `cargo run -p dsm-bench --
@@ -287,8 +289,9 @@ pub fn run_case(case: Case) -> BenchRecord {
 
 /// The standard suite: all four kernels, all four variants, at the smoke
 /// sizes used by CI across the `nprocs` matrix — plus the
-/// `sor/validate_flat` rows (the same protocol under the stock
-/// master-centric barrier) that record the tree-vs-flat crossover curve.
+/// `sor/validate_flat` rows (the same protocol under the flat master, the
+/// tree of arity `n − 1` at stock TreadMarks's constants) that record the
+/// tree-vs-flat crossover curve.
 pub fn suite() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for app in APPS {

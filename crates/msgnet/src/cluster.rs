@@ -7,8 +7,7 @@
 //! delivery sublayer slots in between:
 //!
 //! * **Send side** — every inter-node message gets a per-(link, port)
-//!   sequence number and a piggybacked cumulative ack
-//!   ([`ReliaHeader`](crate::ReliaHeader), charged at
+//!   sequence number ([`ReliaHeader`](crate::ReliaHeader), charged at
 //!   [`RELIA_HEADER_BYTES`](crate::RELIA_HEADER_BYTES) on the wire). The
 //!   seeded [`FaultPlan`](crate::FaultPlan) decides the message's fate;
 //!   dropped attempts are masked by modelled retransmissions whose timeouts
@@ -71,18 +70,6 @@ impl<M> Clone for Mailbox<M> {
     }
 }
 
-/// Sender-side state of the reliable-delivery layer.
-#[derive(Default)]
-struct TxState {
-    /// Next sequence number per (destination, port) lane.
-    next_seq: HashMap<(NodeId, Port), u64>,
-    /// Logical messages sent per destination (both ports, excluding injected
-    /// duplicates — the receiver acks logical messages).
-    sent_to: HashMap<NodeId, u64>,
-    /// Highest cumulative ack observed from each peer.
-    acked_by: HashMap<NodeId, u64>,
-}
-
 /// Per-link receive lane: the dedup window and resequencing buffer.
 struct RxLane<M> {
     /// Sequence number the next in-order delivery must carry. Everything
@@ -118,12 +105,10 @@ impl<M> Default for RxPort<M> {
 /// (`None` on the endpoint) when fault injection is off.
 struct ReliaState<M> {
     config: Arc<NetFaults>,
-    tx: Mutex<TxState>,
+    /// Next sequence number per (destination, port) lane.
+    next_seq: Mutex<HashMap<(NodeId, Port), u64>>,
     rx_request: Mutex<RxPort<M>>,
     rx_reply: Mutex<RxPort<M>>,
-    /// In-order deliveries per source, both ports — the value piggybacked as
-    /// the cumulative ack on outgoing traffic.
-    delivered: Mutex<HashMap<NodeId, u64>>,
     /// Clones an envelope for duplicate injection. A plain `fn` pointer
     /// instantiated where `M: Clone` is known, so `send` itself needs no
     /// `Clone` bound.
@@ -239,10 +224,9 @@ impl<M> ReliaFactory<M> {
     fn fresh(&self) -> ReliaState<M> {
         ReliaState {
             config: Arc::clone(&self.config),
-            tx: Mutex::new(TxState::default()),
+            next_seq: Mutex::new(HashMap::new()),
             rx_request: Mutex::new(RxPort::default()),
             rx_reply: Mutex::new(RxPort::default()),
-            delivered: Mutex::new(HashMap::new()),
             clone_env: self.clone_env,
         }
     }
@@ -299,17 +283,6 @@ impl<M: Send> Endpoint<M> {
         self.relia.as_ref().map(|r| &*r.config)
     }
 
-    /// Logical messages sent to `peer` whose cumulative ack has not yet come
-    /// back on reverse traffic — the modelled retransmission-buffer
-    /// occupancy. Always zero with fault injection off.
-    pub fn unacked(&self, peer: NodeId) -> u64 {
-        let Some(relia) = &self.relia else { return 0 };
-        let tx = relia.tx.lock();
-        let sent = tx.sent_to.get(&peer).copied().unwrap_or(0);
-        let acked = tx.acked_by.get(&peer).copied().unwrap_or(0);
-        sent.saturating_sub(acked)
-    }
-
     fn rx_chan(&self, port: Port) -> &Receiver<Envelope<M>> {
         match port {
             Port::Request => &self.request_rx,
@@ -349,9 +322,9 @@ impl<M: Send> Endpoint<M> {
     /// (message-passing baseline) cost path.
     ///
     /// With fault injection enabled the message travels through the
-    /// reliable-delivery layer: it is sequence-numbered, carries a
-    /// piggybacked cumulative ack, and its arrival time includes any
-    /// retransmission timeouts and link delay the fault plan assigns.
+    /// reliable-delivery layer: it is sequence-numbered, and its arrival
+    /// time includes any retransmission timeouts and link delay the fault
+    /// plan assigns.
     ///
     /// # Panics
     ///
@@ -476,22 +449,20 @@ impl<M: Send> Endpoint<M> {
         if added > VirtualTime::ZERO {
             self.stats.net_added_delay_ns(added.as_nanos());
         }
-        let ack = relia.delivered.lock().get(&dst).copied().unwrap_or(0);
         // Assign the sequence number and enqueue under one lock so the
         // channel order of a lane tracks its sequence order (the resequencer
         // absorbs any inversion regardless).
-        let mut tx_state = relia.tx.lock();
-        let seq_slot = tx_state.next_seq.entry((dst, port)).or_insert(0);
+        let mut next_seq = relia.next_seq.lock();
+        let seq_slot = next_seq.entry((dst, port)).or_insert(0);
         let seq = *seq_slot;
         *seq_slot += 1;
-        *tx_state.sent_to.entry(dst).or_insert(0) += 1;
         let envelope = Envelope {
             src: self.id,
             dst,
             sent_at,
             arrives_at,
             payload_bytes: wire_bytes,
-            relia: Some(ReliaHeader { seq, ack, laggard }),
+            relia: Some(ReliaHeader { seq, laggard }),
             payload,
         };
         let chan = self.mailbox_tx(dst, port);
@@ -569,11 +540,11 @@ impl<M: Send> Endpoint<M> {
                 return Some(env);
             }
             match self.rx_chan(port).try_recv() {
-                Ok(env) => self.admit(relia, &mut st, env),
+                Ok(env) => self.admit(&mut st, env),
                 Err(_) => {
                     // Channel drained: laggards may now be delivered.
                     let env = st.deferred.pop_front()?;
-                    self.admit(relia, &mut st, env);
+                    self.admit(&mut st, env);
                 }
             }
         }
@@ -598,14 +569,14 @@ impl<M: Send> Endpoint<M> {
             }
             match chan.try_recv() {
                 Ok(env) => {
-                    self.admit(relia, &mut st, env);
+                    self.admit(&mut st, env);
                     continue;
                 }
                 Err(e) => {
                     // Channel drained: flush one deferred laggard, if any,
                     // before considering blocking.
                     if let Some(env) = st.deferred.pop_front() {
-                        self.admit(relia, &mut st, env);
+                        self.admit(&mut st, env);
                         continue;
                     }
                     if matches!(e, TryRecvError::Disconnected) {
@@ -632,7 +603,7 @@ impl<M: Send> Endpoint<M> {
             };
             st = state_mutex.lock();
             match got {
-                Ok(env) => self.admit(relia, &mut st, env),
+                Ok(env) => self.admit(&mut st, env),
                 Err(err) => {
                     // Another consumer may have readied or deferred work
                     // while we were blocked; only fail once truly dry.
@@ -644,22 +615,14 @@ impl<M: Send> Endpoint<M> {
         }
     }
 
-    /// Runs one envelope through the receive stages, updating ack
-    /// bookkeeping and promoting any newly in-order messages to `ready`.
-    fn admit(&self, relia: &ReliaState<M>, st: &mut RxPort<M>, mut env: Envelope<M>) {
+    /// Runs one envelope through the receive stages, promoting any newly
+    /// in-order messages to `ready`.
+    fn admit(&self, st: &mut RxPort<M>, mut env: Envelope<M>) {
         let Some(header) = env.relia else {
             // Self-sends and control messages bypass the delivery layer.
             st.ready.push_back(env);
             return;
         };
-        // Observe the piggybacked cumulative ack: the peer has delivered
-        // `header.ack` of our messages, so the modelled retransmission
-        // buffer for that link shrinks accordingly.
-        {
-            let mut tx_state = relia.tx.lock();
-            let slot = tx_state.acked_by.entry(env.src).or_insert(0);
-            *slot = (*slot).max(header.ack);
-        }
         if header.laggard {
             // Reorder stage: hold the message until the channel drains, so
             // it is observed *behind* traffic sent after it. The flag is
@@ -679,7 +642,6 @@ impl<M: Send> Endpoint<M> {
         // Resequencing: promote the in-order prefix.
         while let Some(ready) = lane.buffer.remove(&lane.next_expected) {
             lane.next_expected += 1;
-            *relia.delivered.lock().entry(ready.src).or_insert(0) += 1;
             st.ready.push_back(ready);
         }
     }
@@ -1007,26 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_acks_advance_on_reply_traffic() {
-        let rates = LinkRates::CLEAN;
-        let faults =
-            NetFaults { plan: FaultPlan::uniform(2, rates), retry: RetryPolicy::default() };
-        let (a, b) = faulty_pair(faults);
-        for i in 0..10 {
-            a.send(b.id(), Port::Reply, i, 8, VirtualTime::from_micros(u64::from(i)), true);
-        }
-        assert_eq!(a.unacked(b.id()), 10, "nothing acked before the peer drains and replies");
-        for _ in 0..10 {
-            b.recv(Port::Reply).unwrap();
-        }
-        // B's next message to A piggybacks ack=10.
-        b.send(a.id(), Port::Reply, 0, 8, VirtualTime::from_micros(100), true);
-        a.recv(Port::Reply).unwrap();
-        assert_eq!(a.unacked(b.id()), 0, "reply traffic must carry the cumulative ack");
-        assert_eq!(b.unacked(a.id()), 1, "B's own reply is not yet acked");
-    }
-
-    #[test]
     fn faults_charge_header_bytes_on_the_wire() {
         let faults = NetFaults {
             plan: FaultPlan::uniform(4, LinkRates::CLEAN),
@@ -1044,7 +986,6 @@ mod tests {
         let env = b.recv(Port::Reply).unwrap();
         assert!(env.relia.is_none(), "no header may be attached when faults are off");
         assert_eq!(env.payload_bytes, 64, "no header bytes may be charged when faults are off");
-        assert_eq!(a.unacked(b.id()), 0);
     }
 
     #[test]

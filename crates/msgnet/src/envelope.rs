@@ -8,26 +8,23 @@ use crate::NodeId;
 /// fault injection is enabled (and by none when it is off — keeping the
 /// fault-free wire format byte-identical to a build without the layer).
 ///
-/// On the modelled wire the header costs [`RELIA_HEADER_BYTES`]: a sequence
-/// number and a piggybacked cumulative ack.
+/// On the modelled wire the header costs [`RELIA_HEADER_BYTES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliaHeader {
     /// Per-(link, port) sequence number, assigned at send time. Drives the
     /// receiver's dedup window and resequencing buffer. Deliberately *not*
     /// used to key fault decisions — see the `fault` module docs.
     pub seq: u64,
-    /// Cumulative ack piggybacked on all traffic: how many messages the
-    /// sender has delivered in order from `dst`, summed over both ports. The
-    /// peer uses it to prune its modelled retransmission buffer.
-    pub ack: u64,
     /// Set by the fault plan when this message should be delivered behind
     /// later same-link traffic; the receiver's reorder stage defers it.
     pub laggard: bool,
 }
 
-/// Modelled wire cost of a [`ReliaHeader`]: 8 bytes of sequence number plus
-/// 4 bytes of cumulative ack (the laggard flag is a simulation artefact, not
-/// a wire field).
+/// Modelled wire cost of the header a real ARQ carries: 8 bytes of sequence
+/// number plus 4 bytes of piggybacked cumulative ack. The simulation resolves
+/// retransmissions at send time from the fault plan, so it keeps no ack
+/// state; the bytes are charged all the same (the laggard flag is a
+/// simulation artefact, not a wire field).
 pub const RELIA_HEADER_BYTES: usize = 12;
 
 /// A message in flight: the payload plus the metadata needed for virtual-time
@@ -74,8 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_seq_and_ack() {
-        let h = ReliaHeader { seq: 3, ack: 17, laggard: false };
+    fn header_carries_seq() {
+        let h = ReliaHeader { seq: 3, laggard: false };
         let e = Envelope {
             src: NodeId(1),
             dst: NodeId(0),
@@ -86,6 +83,5 @@ mod tests {
             payload: (),
         };
         assert_eq!(e.relia.unwrap().seq, 3);
-        assert_eq!(e.relia.unwrap().ack, 17);
     }
 }

@@ -13,10 +13,10 @@
 //!
 //! An optional layer sits underneath: a seeded deterministic fault injector
 //! ([`FaultPlan`]) and the reliable-delivery sublayer (sequence numbers,
-//! dedup windows, piggybacked cumulative acks, modelled retransmission
-//! timeouts — see [`NetFaults`]) that masks it. With faults off — the
-//! default — the layer is structurally absent and the wire format and
-//! model times are untouched.
+//! dedup windows, resequencing, modelled retransmission timeouts — see
+//! [`NetFaults`]) that masks it. With faults off — the default — the layer
+//! is structurally absent and the wire format and model times are
+//! untouched.
 //!
 //! ```
 //! use msgnet::{Cluster, NodeId, Port};

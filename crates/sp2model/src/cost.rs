@@ -62,7 +62,10 @@ pub struct CostModel {
     pub diff_apply_base_ns: u64,
     /// Processing cost on the lock manager / last releaser per lock grant.
     pub lock_manager_ns: u64,
-    /// Processing cost on the barrier master per arriving processor.
+    /// Processing cost on the barrier master per arriving processor: the
+    /// per-child service of the flat topology's tree of arity `n − 1`, which
+    /// the root also pays once before its first departure copy, so an
+    /// `n`-processor master serializes `n` of them.
     pub barrier_master_per_proc_ns: u64,
     /// Per-child service cost at one hop of a tree-structured barrier:
     /// consuming a pre-posted (polled, no interrupt) arrival or departure
@@ -196,11 +199,6 @@ impl CostModel {
         VirtualTime::from_nanos(self.lock_manager_ns)
     }
 
-    /// Master-side processing cost of a barrier over `procs` processors.
-    pub fn barrier_master_cost(&self, procs: usize) -> VirtualTime {
-        VirtualTime::from_nanos(self.barrier_master_per_proc_ns).scale(procs as u64)
-    }
-
     /// Service cost of one tree-barrier hop that merges `children` child
     /// messages (arrivals on the way up, or the departure it re-fans on the
     /// way down). Charged at every interior node, so the barrier's critical
@@ -237,7 +235,8 @@ impl CostModel {
     /// arriving processor: arrival message, master processing for every
     /// processor, departure message and local bookkeeping.
     pub fn barrier_cost(&self, procs: usize) -> VirtualTime {
-        self.roundtrip_cost(0, true) + self.barrier_master_cost(procs) + self.barrier_local_cost()
+        let master = VirtualTime::from_nanos(self.barrier_master_per_proc_ns).scale(procs as u64);
+        self.roundtrip_cost(0, true) + master + self.barrier_local_cost()
     }
 }
 
@@ -275,9 +274,9 @@ mod tests {
     #[test]
     fn tree_hop_service_is_cheaper_than_flat_master_serialization() {
         let m = CostModel::sp2();
-        // A binary hop services two children for less than the flat master
-        // pays per two arrivals — the no-interrupt discount.
-        assert!(m.barrier_hop_cost(2) < m.barrier_master_cost(2));
+        // A tree hop services a child for less than the flat master pays per
+        // arrival — the no-interrupt discount.
+        assert!(m.barrier_hop_per_child_ns < m.barrier_master_per_proc_ns);
         assert_eq!(m.barrier_hop_cost(3), m.barrier_hop_cost(1).scale(3));
         assert_eq!(CostModel::free().barrier_hop_cost(4), VirtualTime::ZERO);
     }

@@ -4,21 +4,25 @@ use std::time::Duration;
 
 use msgnet::NetFaults;
 use racecheck::RaceDetect;
-use sp2model::CostModel;
+use sp2model::{CostModel, VirtualTime};
 
 /// How the barrier exchange is structured across the processors.
 ///
-/// The paper's stock TreadMarks routes every arrival to processor 0 and
-/// every departure back out of it — simple, but the master serializes O(n)
-/// message handling per barrier. The tree topology spreads that work over a
-/// reduction/broadcast tree so the critical path is O(arity · log n).
+/// Every topology runs the same schedule over a k-ary reduction/broadcast
+/// tree rooted at processor 0; a topology only supplies its constants (see
+/// [`shape`](Self::shape)). The paper's stock TreadMarks routes every
+/// arrival to processor 0 and every departure back out of it — the tree of
+/// arity `n − 1`, whose master serializes O(n) message handling per
+/// barrier. A narrower tree spreads that work so the critical path is
+/// O(arity · log n).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BarrierTopology {
-    /// The stock master-centric exchange: every processor sends its arrival
-    /// straight to processor 0 over the interrupt-driven message path and
-    /// the master answers each with a departure. Kept for measurement
-    /// against the tree (and as the faithful reproduction of the paper's
-    /// ~893 µs 8-processor barrier).
+    /// The stock master-centric exchange: the tree of arity `n − 1`, every
+    /// processor a child of processor 0, priced at stock TreadMarks's
+    /// constants — interrupt-path messages and the master's
+    /// `barrier_master_per_proc_ns` per child served and before the first
+    /// departure copy. Kept for measurement against the tree and as the
+    /// reproduction of the paper's ~893 µs 8-processor barrier.
     FlatMaster,
     /// A k-ary reduction/broadcast tree rooted at processor 0 (node `i`'s
     /// children are `i·k+1 ..= i·k+k`): arrivals merge notices, vector
@@ -87,15 +91,23 @@ impl BarrierTopology {
         best.1
     }
 
-    /// What the barrier exchange of an `nprocs`-processor run uses: the
-    /// reduction tree's arity, and whether the exchange is the flat master
-    /// one — the degenerate tree of arity `nprocs − 1`, on the interrupt
-    /// path with the master's serialization charge.
-    pub fn shape(self, nprocs: usize, cost: &CostModel) -> (usize, bool) {
+    /// The three constants the barrier schedule of an `nprocs`-processor run
+    /// reads: `(arity, per_child, interrupt)` — the reduction tree's fan-out,
+    /// a node's service per child's arrival and before its first departure
+    /// copy, and whether hop messages take the interrupt path. A tree pays
+    /// the polled hop service; the flat master is the tree of arity
+    /// `nprocs − 1` at the master's per-processor charge, on the interrupt
+    /// path.
+    pub fn shape(self, nprocs: usize, cost: &CostModel) -> (usize, VirtualTime, bool) {
+        let hop = cost.barrier_hop_cost(1);
         match self {
-            BarrierTopology::FlatMaster => (nprocs.saturating_sub(1).max(1), true),
-            BarrierTopology::Tree { arity } => (arity.max(1), false),
-            BarrierTopology::Adaptive => (Self::optimal_tree_arity(nprocs, cost), false),
+            BarrierTopology::FlatMaster => (
+                nprocs.saturating_sub(1).max(1),
+                VirtualTime::from_nanos(cost.barrier_master_per_proc_ns),
+                true,
+            ),
+            BarrierTopology::Tree { arity } => (arity.max(1), hop, false),
+            BarrierTopology::Adaptive => (Self::optimal_tree_arity(nprocs, cost), hop, false),
         }
     }
 }
@@ -110,8 +122,8 @@ impl BarrierTopology {
 /// assert_eq!(config.nprocs, 8);
 /// // The default barrier is a tree whose arity adapts to the cluster.
 /// assert_eq!(config.barrier, BarrierTopology::Adaptive);
-/// let (arity, flat) = config.barrier.shape(8, &config.cost_model);
-/// assert!(arity >= 2 && !flat);
+/// let (arity, _, interrupt) = config.barrier.shape(8, &config.cost_model);
+/// assert!(arity >= 2 && !interrupt);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DsmConfig {
@@ -246,17 +258,18 @@ mod tests {
     #[test]
     fn adaptive_arity_resolves_and_explicit_overrides_pass_through() {
         let cost = CostModel::sp2();
+        let (hop, master) = (VirtualTime::from_micros(25), VirtualTime::from_micros(60));
         for nprocs in [1, 2, 4, 8, 16, 32] {
-            let (arity, flat) = BarrierTopology::Adaptive.shape(nprocs, &cost);
-            assert!(!flat, "adaptive must resolve to a tree");
+            let (arity, per_child, interrupt) = BarrierTopology::Adaptive.shape(nprocs, &cost);
+            assert_eq!((per_child, interrupt), (hop, false), "adaptive must resolve to a tree");
             assert!(arity >= 2, "arity {arity} at {nprocs} procs");
             assert!(arity < nprocs.max(3) || nprocs <= 3);
         }
         // Explicit topologies are untouched; the flat master is the
-        // degenerate tree, also on one processor.
-        assert_eq!(BarrierTopology::Tree { arity: 3 }.shape(8, &cost), (3, false));
-        assert_eq!(BarrierTopology::FlatMaster.shape(8, &cost), (7, true));
-        assert_eq!(BarrierTopology::FlatMaster.shape(1, &cost), (1, true));
+        // degenerate tree at the master's constants, also on one processor.
+        assert_eq!(BarrierTopology::Tree { arity: 3 }.shape(8, &cost), (3, hop, false));
+        assert_eq!(BarrierTopology::FlatMaster.shape(8, &cost), (7, master, true));
+        assert_eq!(BarrierTopology::FlatMaster.shape(1, &cost), (1, master, true));
     }
 
     #[test]

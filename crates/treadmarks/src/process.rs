@@ -114,11 +114,11 @@ pub struct Process {
     /// made. Every processor makes the same sequence of calls (the SPMD
     /// allocation rule), so the count names the same cell on all of them.
     once_seq: usize,
-    /// How the barrier exchange is structured: the reduction tree's arity
-    /// and whether it is costed as the flat master exchange
+    /// The barrier schedule's constants: the reduction tree's arity, a
+    /// node's per-child service and whether hops take the interrupt path
     /// ([`BarrierTopology::shape`](crate::BarrierTopology::shape) of
     /// [`DsmConfig::barrier`]).
-    barrier: (usize, bool),
+    barrier: (usize, sp2model::VirtualTime, bool),
 }
 
 impl Process {

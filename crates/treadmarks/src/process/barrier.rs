@@ -23,8 +23,8 @@ use crate::state::ProtoState;
 use crate::types::{Interval, ProcId, Vt, VtDelta};
 
 /// The barrier root (the paper assigns the distinguished roles to
-/// processor 0; with the flat topology this is the master every arrival
-/// goes to, with a tree it is the root of the reduction).
+/// processor 0): the root of the reduction tree, and with the flat topology
+/// the master every arrival goes to.
 const MASTER: ProcId = 0;
 
 /// The children of `me` in an `arity`-ary barrier tree over `n` processors
@@ -332,8 +332,9 @@ fn merge_children_locked(
 
 impl Process {
     /// Global barrier: ends the current interval, exchanges write notices
-    /// through the barrier master (processor 0) and leaves every processor
-    /// with the merged global vector timestamp.
+    /// over the reduction tree rooted at processor 0 (with the flat
+    /// topology, through the master) and leaves every processor with the
+    /// merged global vector timestamp.
     pub fn barrier(&mut self) {
         let pending = self.barrier_issue(&PhasePlan::default());
         self.sync_phase_complete(pending);
@@ -363,14 +364,17 @@ impl Process {
     /// subtree and global timestamps are rebuilt from the notices of the
     /// same message (see `notice::vt_through`), the applied timestamp and
     /// the horizon travel as deltas against the previous global timestamp.
-    /// The flat topology is the degenerate tree (every processor a child of
-    /// the master) costed like stock TreadMarks: interrupt-path messages and
-    /// the O(n) master serialization once everybody is there. Tree hops
-    /// instead travel on the polled path — every participant is blocked in
-    /// the barrier with its receive pre-posted — and charge a per-child hop
-    /// service, so the critical path is O(arity · depth); a tree node
-    /// serves each child's arrival as soon as it is there and sends each
-    /// departure copy as soon as it is built.
+    /// Every topology runs one schedule: a node serves each child's arrival
+    /// as soon as it is there, `per_child` each, and sends each departure
+    /// copy as soon as it is built — the first one `per_child` after the
+    /// last arrival is served, each further one a broadcast gap later — so
+    /// the critical path is O(arity · depth). The topology only supplies
+    /// the constants ([`BarrierTopology::shape`]): a tree's polled hop
+    /// service (every participant is blocked in the barrier with its
+    /// receive pre-posted), or the flat master's arity `n − 1`, per-processor
+    /// charge and interrupt path.
+    ///
+    /// [`BarrierTopology::shape`]: crate::BarrierTopology::shape
     pub(super) fn barrier_issue(&mut self, plan: &PhasePlan) -> PendingSync {
         self.flush_interval();
         self.stats.barriers(1);
@@ -379,9 +383,8 @@ impl Process {
         let mut pending = Outstanding::new(plan);
         let n = self.nprocs();
         let me = self.proc_id();
-        let (arity, flat) = self.barrier;
+        let (arity, per_child, interrupt) = self.barrier;
         let children = tree_children(me, n, arity);
-        let interrupt = flat;
         // This processor's own request: its advertised timestamp, kept
         // whole for resolving the responders below and sent as its
         // difference from the previous barrier's global timestamp.
@@ -418,19 +421,7 @@ impl Process {
             sync_requests.extend(reqs);
         }
         arrivals.spans.sort_by_key(|(proc, _)| *proc);
-        if flat {
-            // Stock TreadMarks: the master serializes every processor once
-            // all of them are there (a one-processor run has nobody).
-            for &(arrives_at, _) in &arrivals.at {
-                self.clock.observe(arrives_at);
-            }
-            if me == MASTER && !children.is_empty() {
-                self.clock.advance(self.cost.barrier_master_cost(n));
-            }
-        } else {
-            let per_child = self.cost.barrier_hop_cost(1);
-            serve_in_arrival_order(&mut self.clock, &mut arrivals.at, per_child);
-        }
+        serve_in_arrival_order(&mut self.clock, &mut arrivals.at, per_child);
 
         // --- Non-root: fold the subtree into local state under one hold,
         // send the merged arrival up — first, the whole cluster is waiting
@@ -545,19 +536,13 @@ impl Process {
         // `SyncDiffs` were built from the notice log and the diff cache
         // under the hold above; the invalidations and the write preparation
         // charged below model page-protection changes none of them reads.
-        // On the tree, re-fanning the departure down costs one hop service
-        // at root and interior nodes alike, then the send-occupancy gap of
+        // Re-fanning the departure down costs one `per_child` service at
+        // root and interior nodes alike, then the send-occupancy gap of
         // every further copy — and each copy leaves as soon as it is built:
-        // the k-th after `hop(1) + k · broadcast_extra`, children in
+        // the k-th after `per_child + k · broadcast_extra`, children in
         // ascending id (non-increasing subtree size in the heap layout).
         for (k, (proc, msg)) in departures.into_iter().enumerate() {
-            if !flat {
-                self.clock.advance(if k == 0 {
-                    self.cost.barrier_hop_cost(1)
-                } else {
-                    self.cost.broadcast_extra_cost(1)
-                });
-            }
+            self.clock.advance(if k == 0 { per_child } else { self.cost.broadcast_extra_cost(1) });
             self.send(proc, Port::Reply, msg, interrupt);
         }
         self.send_served(served, true);

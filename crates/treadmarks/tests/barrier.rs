@@ -44,6 +44,43 @@ fn tree_master_exchanges_a_constant_number_of_messages_per_barrier() {
     assert_eq!(tree.stats.total().messages_sent, flat.stats.total().messages_sent);
 }
 
+#[test]
+fn the_paper_barrier_is_the_flat_master_tree_at_its_own_constants() {
+    // Back-to-back plain barriers on 8 processors under the SP/2 model: in
+    // steady state processor 0 goes round once per barrier. The flat
+    // master's round is the paper's closed form — the round trip, `n`
+    // master services and the local bookkeeping — plus the wire time of one
+    // arrival's and one departure's bytes.
+    const BARRIERS: usize = 12;
+    let cost = CostModel::sp2();
+    let rounds = |topology| {
+        let config = DsmConfig::new(8).with_cost_model(cost.clone()).with_barrier(topology);
+        let run = Dsm::run(config, |p| {
+            p.barrier();
+            let mut clock = Vec::with_capacity(BARRIERS + 1);
+            clock.push(p.clock().now());
+            for _ in 0..BARRIERS {
+                p.barrier();
+                clock.push(p.clock().now());
+            }
+            clock.windows(2).map(|w| (w[1] - w[0]).as_nanos()).collect::<Vec<_>>()
+        });
+        (run.results[0].clone(), run.stats.total())
+    };
+    let (flat, flat_stats) = rounds(BarrierTopology::FlatMaster);
+    assert_eq!(cost.barrier_cost(8), VirtualTime::from_nanos(885_000));
+    assert_eq!(flat, [885_342; BARRIERS], "the flat master's barrier");
+    let (tree, tree_stats) = rounds(BarrierTopology::Adaptive);
+    assert_eq!(tree, [420_342; BARRIERS], "the default tree's barrier");
+    // At 8 processors the adaptive arity is `n − 1`: the same tree, priced
+    // at the tree's constants instead of the master's.
+    assert_eq!(BarrierTopology::optimal_tree_arity(8, &cost), 7);
+    assert_eq!(
+        (tree_stats.messages_sent, tree_stats.bytes_sent),
+        (flat_stats.messages_sent, flat_stats.bytes_sent)
+    );
+}
+
 /// A three-epoch neighbour exchange with the fetch piggybacked on the
 /// barrier, so arrivals carry sync requests that must merge up the tree
 /// and fan back down intact.
