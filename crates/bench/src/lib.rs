@@ -875,7 +875,7 @@ mod tests {
         // faults Off (the default), records must reproduce the checked-in
         // baseline *exactly* — every field of the rendered line, model
         // time, wire bytes and table-lock count among them — proving the
-        // reliable-delivery layer costs literally nothing when disabled.
+        // fault layer costs literally nothing when disabled.
         // Any header byte, extra lock, or timing nudge on the Off path
         // breaks this. (`dsm-bench --check` holds the whole matrix to the
         // same file; these five keep the property inside `cargo test`.

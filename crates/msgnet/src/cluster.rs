@@ -1,48 +1,27 @@
 //! Clusters of endpoints connected by in-process channels.
 //!
-//! With fault injection off (the default) an endpoint is a thin wrapper over
-//! the per-port channels: `send` stamps an [`Envelope`] with its modelled
-//! arrival time and enqueues it, `recv` pops. With a
-//! [`NetFaults`](crate::NetFaults) configuration installed, a reliable-
-//! delivery sublayer slots in between:
-//!
-//! * **Send side** — every inter-node message gets a per-(link, port)
-//!   sequence number ([`ReliaHeader`](crate::ReliaHeader), charged at
-//!   [`RELIA_HEADER_BYTES`](crate::RELIA_HEADER_BYTES) on the wire). The
-//!   seeded [`FaultPlan`](crate::FaultPlan) decides the message's fate;
-//!   dropped attempts are masked by modelled retransmissions whose timeouts
-//!   (virtual time, [`RetryPolicy`](crate::RetryPolicy)) are added to the
-//!   arrival time, duplicates are enqueued twice, and exhausting
-//!   `max_attempts` aborts the send with a
-//!   [`DeliveryExpired`](crate::DeliveryExpired) panic payload instead of
-//!   losing the message. Because the plan is a pure function of the message
-//!   identity, the sender can resolve the whole retransmission exchange at
-//!   send time — so *exactly one* logical copy (plus injected duplicates) is
-//!   always enqueued, and no fault schedule can make a receiver wait for a
-//!   message that never comes.
-//! * **Receive side** — three stages per port: a reorder stage that defers
-//!   plan-marked laggards until the channel drains (modelling delivery
-//!   behind later traffic), a dedup window that discards already-seen
-//!   sequence numbers, and a per-link resequencing buffer that restores
-//!   send order. The application above the layer sees exactly the fault-free
-//!   delivery semantics.
-//!
-//! Faults-off runs carry `relia: None` envelopes and never touch any of the
-//! above — bit-identical wire accounting and model time to a build without
-//! the layer.
+//! An endpoint is a thin wrapper over the per-port channels: `send` stamps an
+//! [`Envelope`] with its modelled arrival time and enqueues it, `recv` pops.
+//! With a [`NetFaults`] configuration installed, `send` first asks the seeded
+//! [`FaultPlan`](crate::FaultPlan) for the message's fate: the latency its
+//! modelled retransmissions and link jitter add to the arrival time, plus
+//! [`RELIA_HEADER_BYTES`](crate::RELIA_HEADER_BYTES) on the wire — or, when
+//! every attempt is dropped, a [`DeliveryExpired`](crate::DeliveryExpired)
+//! panic instead of a lost message. Either way exactly one envelope is
+//! enqueued, through the same code as a fault-free send, so no fault schedule
+//! can make a receiver wait for a message that never comes and the receive
+//! side has nothing to undo.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dsm_core::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use dsm_core::sync::Mutex;
+use dsm_core::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::envelope::RELIA_HEADER_BYTES;
-use crate::fault::{DeliveryExpired, MsgKey, NetFaults};
-use crate::{Envelope, NetError, NodeId, ReliaHeader};
+use crate::fault::{MsgKey, NetFaults};
+use crate::{Envelope, NetError, NodeId};
 
 /// The two logical delivery ports of a node.
 ///
@@ -70,64 +49,6 @@ impl<M> Clone for Mailbox<M> {
     }
 }
 
-/// Per-link receive lane: the dedup window and resequencing buffer.
-struct RxLane<M> {
-    /// Sequence number the next in-order delivery must carry. Everything
-    /// below is a duplicate (the window); everything above waits its turn.
-    next_expected: u64,
-    /// Out-of-order arrivals parked until the gap below them fills.
-    buffer: BTreeMap<u64, Envelope<M>>,
-}
-
-impl<M> Default for RxLane<M> {
-    fn default() -> Self {
-        RxLane { next_expected: 0, buffer: BTreeMap::new() }
-    }
-}
-
-/// Receiver-side state of one port.
-struct RxPort<M> {
-    /// In-order messages ready for the application.
-    ready: VecDeque<Envelope<M>>,
-    /// Plan-marked laggards, held back until the channel drains.
-    deferred: VecDeque<Envelope<M>>,
-    /// Per-source lanes.
-    lanes: HashMap<NodeId, RxLane<M>>,
-}
-
-impl<M> Default for RxPort<M> {
-    fn default() -> Self {
-        RxPort { ready: VecDeque::new(), deferred: VecDeque::new(), lanes: HashMap::new() }
-    }
-}
-
-/// Everything the reliable-delivery layer keeps per endpoint. Absent
-/// (`None` on the endpoint) when fault injection is off.
-struct ReliaState<M> {
-    config: Arc<NetFaults>,
-    /// Next sequence number per (destination, port) lane.
-    next_seq: Mutex<HashMap<(NodeId, Port), u64>>,
-    rx_request: Mutex<RxPort<M>>,
-    rx_reply: Mutex<RxPort<M>>,
-    /// Clones an envelope for duplicate injection. A plain `fn` pointer
-    /// instantiated where `M: Clone` is known, so `send` itself needs no
-    /// `Clone` bound.
-    clone_env: fn(&Envelope<M>) -> Envelope<M>,
-}
-
-impl<M> ReliaState<M> {
-    fn rx_state(&self, port: Port) -> &Mutex<RxPort<M>> {
-        match port {
-            Port::Request => &self.rx_request,
-            Port::Reply => &self.rx_reply,
-        }
-    }
-}
-
-fn clone_envelope<M: Clone>(env: &Envelope<M>) -> Envelope<M> {
-    env.clone()
-}
-
 /// A fully connected simulated cluster of `n` nodes.
 ///
 /// `Cluster` is a factory: build it once, then
@@ -144,12 +65,24 @@ impl<M: Send> Cluster<M> {
     ///
     /// Panics if `nodes` is zero.
     pub fn new(nodes: usize, cost_model: CostModel) -> Cluster<M> {
-        Cluster::build(nodes, cost_model, None)
+        Cluster::new_with_faults(nodes, cost_model, None)
     }
 
-    fn build(nodes: usize, cost_model: CostModel, faults: Option<ReliaFactory<M>>) -> Cluster<M> {
+    /// Creates a cluster with an optional fault-injection configuration.
+    /// `None` is exactly [`Cluster::new`]; `Some` makes every endpoint's
+    /// inter-node sends pay the seeded fault plan's latency and header bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is zero.
+    pub fn new_with_faults(
+        nodes: usize,
+        cost_model: CostModel,
+        faults: Option<NetFaults>,
+    ) -> Cluster<M> {
         assert!(nodes > 0, "a cluster needs at least one node");
         let cost_model = Arc::new(cost_model);
+        let faults = faults.map(Arc::new);
         let mut mailboxes = Vec::with_capacity(nodes);
         let mut receivers = Vec::with_capacity(nodes);
         for _ in 0..nodes {
@@ -169,7 +102,7 @@ impl<M: Send> Cluster<M> {
                 reply_rx,
                 cost_model: Arc::clone(&cost_model),
                 stats: SharedStats::new(),
-                relia: faults.as_ref().map(|f| f.fresh()),
+                faults: faults.clone(),
             })
             .collect();
         Cluster { endpoints }
@@ -190,45 +123,6 @@ impl<M: Send> Cluster<M> {
     /// ```
     pub fn into_endpoints(self) -> Vec<Endpoint<M>> {
         self.endpoints
-    }
-}
-
-impl<M: Send + Clone> Cluster<M> {
-    /// Creates a cluster with an optional fault-injection configuration.
-    /// `None` is exactly [`Cluster::new`]; `Some` enables the seeded fault
-    /// plan and the reliable-delivery sublayer on every endpoint.
-    ///
-    /// Requires `M: Clone` so the plan can inject duplicate copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn new_with_faults(
-        nodes: usize,
-        cost_model: CostModel,
-        faults: Option<NetFaults>,
-    ) -> Cluster<M> {
-        let factory =
-            faults.map(|f| ReliaFactory { config: Arc::new(f), clone_env: clone_envelope::<M> });
-        Cluster::build(nodes, cost_model, factory)
-    }
-}
-
-/// Builds one fresh [`ReliaState`] per endpoint around a shared config.
-struct ReliaFactory<M> {
-    config: Arc<NetFaults>,
-    clone_env: fn(&Envelope<M>) -> Envelope<M>,
-}
-
-impl<M> ReliaFactory<M> {
-    fn fresh(&self) -> ReliaState<M> {
-        ReliaState {
-            config: Arc::clone(&self.config),
-            next_seq: Mutex::new(HashMap::new()),
-            rx_request: Mutex::new(RxPort::default()),
-            rx_reply: Mutex::new(RxPort::default()),
-            clone_env: self.clone_env,
-        }
     }
 }
 
@@ -254,7 +148,7 @@ pub struct Endpoint<M> {
     reply_rx: Receiver<Envelope<M>>,
     cost_model: Arc<CostModel>,
     stats: SharedStats,
-    relia: Option<ReliaState<M>>,
+    faults: Option<Arc<NetFaults>>,
 }
 
 impl<M: Send> Endpoint<M> {
@@ -278,11 +172,6 @@ impl<M: Send> Endpoint<M> {
         &self.stats
     }
 
-    /// The fault configuration this cluster was built with, if any.
-    pub fn faults(&self) -> Option<&NetFaults> {
-        self.relia.as_ref().map(|r| &*r.config)
-    }
-
     fn rx_chan(&self, port: Port) -> &Receiver<Envelope<M>> {
         match port {
             Port::Request => &self.request_rx,
@@ -298,20 +187,12 @@ impl<M: Send> Endpoint<M> {
         }
     }
 
-    /// Number of messages currently pending on this node's `port`: the raw
-    /// channel backlog plus, under fault injection, whatever the
-    /// reliable-delivery stages hold (in-order-ready and deferred
-    /// laggards). A message enqueued before the call counts until a receive
-    /// takes it (an injected duplicate counts until a receive discards it),
-    /// which is what lets the runtime re-check a request port after it
-    /// stops draining it.
+    /// Number of messages currently queued on this node's `port`. A message
+    /// enqueued before the call counts until a receive takes it, which is
+    /// what lets the runtime re-check a request port after it stops draining
+    /// it.
     pub fn backlog(&self, port: Port) -> usize {
-        let mut depth = self.rx_chan(port).len();
-        if let Some(relia) = &self.relia {
-            let st = relia.rx_state(port).lock();
-            depth += st.ready.len() + st.deferred.len();
-        }
-        depth
+        self.rx_chan(port).len()
     }
 
     /// Sends `payload` of modelled size `payload_bytes` to `dst`, issued at
@@ -321,16 +202,17 @@ impl<M: Send> Endpoint<M> {
     /// `interrupt` selects the interrupt-driven (DSM) or polled
     /// (message-passing baseline) cost path.
     ///
-    /// With fault injection enabled the message travels through the
-    /// reliable-delivery layer: it is sequence-numbered, and its arrival
-    /// time includes any retransmission timeouts and link delay the fault
-    /// plan assigns.
+    /// With fault injection enabled the message carries
+    /// [`RELIA_HEADER_BYTES`](crate::RELIA_HEADER_BYTES) more on the wire,
+    /// and its arrival time includes any retransmission timeouts and link
+    /// delay the fault plan assigns.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is not a node of this cluster; sending to oneself is
     /// allowed, costs nothing extra, and bypasses fault injection. Panics
-    /// with a [`DeliveryExpired`] payload if the fault plan drops all
+    /// with a [`DeliveryExpired`](crate::DeliveryExpired) payload if the
+    /// fault plan drops all
     /// [`RetryPolicy::max_attempts`](crate::RetryPolicy::max_attempts)
     /// transmission attempts.
     pub fn send(
@@ -343,38 +225,29 @@ impl<M: Send> Endpoint<M> {
         interrupt: bool,
     ) -> VirtualTime {
         assert!(dst.index() < self.nodes, "destination {dst} outside cluster of {}", self.nodes);
-        if let Some(relia) = &self.relia {
-            if dst != self.id {
-                return self.send_reliable(
-                    relia,
-                    dst,
-                    port,
-                    payload,
-                    payload_bytes,
-                    sent_at,
-                    interrupt,
-                );
-            }
-        }
-        let latency = if dst == self.id {
-            VirtualTime::ZERO
+        let (wire_bytes, arrives_at) = if dst == self.id {
+            (payload_bytes, sent_at)
         } else {
-            self.cost_model.message_cost(payload_bytes, interrupt)
-        };
-        let arrives_at = sent_at + latency;
-        let envelope = Envelope {
-            src: self.id,
-            dst,
-            sent_at,
-            arrives_at,
-            payload_bytes,
-            relia: None,
-            payload,
-        };
-        if dst != self.id {
+            let (wire_bytes, added) = match &self.faults {
+                None => (payload_bytes, VirtualTime::ZERO),
+                Some(faults) => {
+                    let wire_bytes = payload_bytes + RELIA_HEADER_BYTES;
+                    let key = MsgKey {
+                        src: self.id,
+                        dst,
+                        port,
+                        sent_at_ns: sent_at.as_nanos(),
+                        wire_bytes: wire_bytes as u64,
+                    };
+                    (wire_bytes, faults.added_latency(key, &self.stats))
+                }
+            };
             self.stats.messages_sent(1);
-            self.stats.bytes_sent(payload_bytes as u64);
-        }
+            self.stats.bytes_sent(wire_bytes as u64);
+            (wire_bytes, sent_at + self.cost_model.message_cost(wire_bytes, interrupt) + added)
+        };
+        let envelope =
+            Envelope { src: self.id, dst, sent_at, arrives_at, payload_bytes: wire_bytes, payload };
         // Receiver endpoints live as long as the cluster run; a send after
         // teardown only happens in tests, where the message is simply never
         // consumed.
@@ -382,100 +255,8 @@ impl<M: Send> Endpoint<M> {
         arrives_at
     }
 
-    /// The faulty send path: resolves the message's whole fate — drops and
-    /// their retransmission timeouts, duplicates, delay, reorder marking —
-    /// at send time from the pure fault plan, then enqueues the surviving
-    /// copy (and any duplicate) with a sequence-numbered header.
-    #[allow(clippy::too_many_arguments)]
-    fn send_reliable(
-        &self,
-        relia: &ReliaState<M>,
-        dst: NodeId,
-        port: Port,
-        payload: M,
-        payload_bytes: usize,
-        sent_at: VirtualTime,
-        interrupt: bool,
-    ) -> VirtualTime {
-        let faults = &relia.config;
-        let wire_bytes = payload_bytes + RELIA_HEADER_BYTES;
-        let key = MsgKey {
-            src: self.id,
-            dst,
-            port,
-            sent_at_ns: sent_at.as_nanos(),
-            wire_bytes: wire_bytes as u64,
-        };
-        let max_attempts = faults.retry.max_attempts;
-        let drops = faults.plan.leading_drops(key, max_attempts);
-        if drops >= max_attempts {
-            // Every attempt was lost: the peer is unreachable on this link.
-            // Count the retransmissions actually made, then abort the send;
-            // the DSM harness converts this payload into a structured
-            // `PeerUnresponsive` error.
-            self.stats.net_retransmits(u64::from(max_attempts.saturating_sub(1)));
-            std::panic::panic_any(DeliveryExpired {
-                src: self.id,
-                dst,
-                port,
-                attempts: max_attempts,
-            });
-        }
-        // Each dropped attempt costs one (backed-off) virtual timeout before
-        // the retransmission departs.
-        let mut retry_delay = VirtualTime::ZERO;
-        let mut timeout = faults.retry.timeout;
-        for _ in 0..drops {
-            retry_delay += timeout;
-            timeout = timeout.scale(u64::from(faults.retry.backoff));
-        }
-        let jitter = faults.plan.extra_delay(key);
-        let laggard = faults.plan.lags(key);
-        let duplicate = faults.plan.duplicates(key);
-        let arrives_at =
-            sent_at + self.cost_model.message_cost(wire_bytes, interrupt) + retry_delay + jitter;
-        self.stats.messages_sent(1);
-        self.stats.bytes_sent(wire_bytes as u64);
-        if drops > 0 {
-            self.stats.net_retransmits(u64::from(drops));
-        }
-        if jitter > VirtualTime::ZERO {
-            self.stats.net_delays(1);
-        }
-        if laggard {
-            self.stats.net_reorders(1);
-        }
-        let added = retry_delay + jitter;
-        if added > VirtualTime::ZERO {
-            self.stats.net_added_delay_ns(added.as_nanos());
-        }
-        // Assign the sequence number and enqueue under one lock so the
-        // channel order of a lane tracks its sequence order (the resequencer
-        // absorbs any inversion regardless).
-        let mut next_seq = relia.next_seq.lock();
-        let seq_slot = next_seq.entry((dst, port)).or_insert(0);
-        let seq = *seq_slot;
-        *seq_slot += 1;
-        let envelope = Envelope {
-            src: self.id,
-            dst,
-            sent_at,
-            arrives_at,
-            payload_bytes: wire_bytes,
-            relia: Some(ReliaHeader { seq, laggard }),
-            payload,
-        };
-        let chan = self.mailbox_tx(dst, port);
-        if duplicate {
-            self.stats.net_dups(1);
-            chan.send((relia.clone_env)(&envelope));
-        }
-        chan.send(envelope);
-        arrives_at
-    }
-
-    /// Sends a control message outside the delivery layer: no fault
-    /// injection, no sequence number, no statistics, zero modelled latency.
+    /// Sends a control message outside the modelled network: no fault
+    /// injection, no statistics, zero modelled latency.
     ///
     /// The DSM harness uses this for its shutdown/poison messages, which
     /// must stay deliverable under any fault schedule — a droppable shutdown
@@ -492,7 +273,6 @@ impl<M: Send> Endpoint<M> {
             sent_at: VirtualTime::ZERO,
             arrives_at: VirtualTime::ZERO,
             payload_bytes: 0,
-            relia: None,
             payload,
         };
         self.mailbox_tx(dst, port).send(envelope);
@@ -505,10 +285,7 @@ impl<M: Send> Endpoint<M> {
     /// Returns [`NetError::Disconnected`] if every peer endpoint has been
     /// dropped.
     pub fn recv(&self, port: Port) -> Result<Envelope<M>, NetError> {
-        match &self.relia {
-            None => self.rx_chan(port).recv().map_err(|_| NetError::Disconnected),
-            Some(_) => self.recv_reliable(port, None),
-        }
+        self.rx_chan(port).recv().map_err(|_| NetError::Disconnected)
     }
 
     /// Blocks until a message arrives on `port` or `timeout` (real time)
@@ -517,133 +294,18 @@ impl<M: Send> Endpoint<M> {
     /// # Errors
     ///
     /// Returns [`NetError::Timeout`] if the deadline passes without a
-    /// deliverable message, [`NetError::Disconnected`] if every peer
-    /// endpoint has been dropped.
+    /// message, [`NetError::Disconnected`] if every peer endpoint has been
+    /// dropped.
     pub fn recv_timeout(&self, port: Port, timeout: Duration) -> Result<Envelope<M>, NetError> {
-        match &self.relia {
-            None => self.rx_chan(port).recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => NetError::Timeout,
-                RecvTimeoutError::Disconnected => NetError::Disconnected,
-            }),
-            Some(_) => self.recv_reliable(port, Some(timeout)),
-        }
+        self.rx_chan(port).recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
+        })
     }
 
     /// Returns a pending message on `port` if one is queued.
     pub fn try_recv(&self, port: Port) -> Option<Envelope<M>> {
-        let Some(relia) = &self.relia else {
-            return self.rx_chan(port).try_recv().ok();
-        };
-        let mut st = relia.rx_state(port).lock();
-        loop {
-            if let Some(env) = st.ready.pop_front() {
-                return Some(env);
-            }
-            match self.rx_chan(port).try_recv() {
-                Ok(env) => self.admit(&mut st, env),
-                Err(_) => {
-                    // Channel drained: laggards may now be delivered.
-                    let env = st.deferred.pop_front()?;
-                    self.admit(&mut st, env);
-                }
-            }
-        }
-    }
-
-    /// The faulty receive path: reorder deferral, then dedup, then
-    /// per-link resequencing. Blocks only when the channel is empty *and*
-    /// no laggard is held back, so deferral can never deadlock a receiver.
-    fn recv_reliable(
-        &self,
-        port: Port,
-        timeout: Option<Duration>,
-    ) -> Result<Envelope<M>, NetError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let relia = self.relia.as_ref().expect("reliable recv requires fault state");
-        let chan = self.rx_chan(port);
-        let state_mutex = relia.rx_state(port);
-        let mut st = state_mutex.lock();
-        loop {
-            if let Some(env) = st.ready.pop_front() {
-                return Ok(env);
-            }
-            match chan.try_recv() {
-                Ok(env) => {
-                    self.admit(&mut st, env);
-                    continue;
-                }
-                Err(e) => {
-                    // Channel drained: flush one deferred laggard, if any,
-                    // before considering blocking.
-                    if let Some(env) = st.deferred.pop_front() {
-                        self.admit(&mut st, env);
-                        continue;
-                    }
-                    if matches!(e, TryRecvError::Disconnected) {
-                        return Err(NetError::Disconnected);
-                    }
-                }
-            }
-            // Nothing deliverable and nothing held back: block for the next
-            // arrival. The port state lock is released first so concurrent
-            // `try_recv` callers stay non-blocking.
-            drop(st);
-            let got = match deadline {
-                None => chan.recv().map_err(|_| NetError::Disconnected),
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(NetError::Timeout);
-                    }
-                    chan.recv_timeout(remaining).map_err(|e| match e {
-                        RecvTimeoutError::Timeout => NetError::Timeout,
-                        RecvTimeoutError::Disconnected => NetError::Disconnected,
-                    })
-                }
-            };
-            st = state_mutex.lock();
-            match got {
-                Ok(env) => self.admit(&mut st, env),
-                Err(err) => {
-                    // Another consumer may have readied or deferred work
-                    // while we were blocked; only fail once truly dry.
-                    if st.ready.is_empty() && st.deferred.is_empty() {
-                        return Err(err);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs one envelope through the receive stages, promoting any newly
-    /// in-order messages to `ready`.
-    fn admit(&self, st: &mut RxPort<M>, mut env: Envelope<M>) {
-        let Some(header) = env.relia else {
-            // Self-sends and control messages bypass the delivery layer.
-            st.ready.push_back(env);
-            return;
-        };
-        if header.laggard {
-            // Reorder stage: hold the message until the channel drains, so
-            // it is observed *behind* traffic sent after it. The flag is
-            // cleared so the second pass admits it.
-            env.relia = Some(ReliaHeader { laggard: false, ..header });
-            st.deferred.push_back(env);
-            return;
-        }
-        let lane = st.lanes.entry(env.src).or_default();
-        if header.seq < lane.next_expected || lane.buffer.contains_key(&header.seq) {
-            // Dedup window: this sequence number was already delivered (or
-            // is already parked); drop the copy.
-            self.stats.net_dup_drops(1);
-            return;
-        }
-        lane.buffer.insert(header.seq, env);
-        // Resequencing: promote the in-order prefix.
-        while let Some(ready) = lane.buffer.remove(&lane.next_expected) {
-            lane.next_expected += 1;
-            st.ready.push_back(ready);
-        }
+        self.rx_chan(port).try_recv().ok()
     }
 }
 
@@ -743,12 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn backlog_spans_the_reliable_delivery_stages() {
+    fn backlog_is_the_queue_length_under_faults() {
         // The runtime re-checks a request port's backlog after it stops
-        // draining it, so under fault injection the backlog must count what
-        // the reliable-delivery stages hold — laggards parked in the reorder
-        // stage, messages readied behind them — and not only the raw
-        // channel, at every point of a drain.
+        // draining it. Under faults every message is still one envelope, so
+        // the backlog is the queue: duplicates add nothing and reorders hold
+        // nothing back, at every point of a drain.
         let rates = LinkRates {
             drop_permille: 0,
             dup_permille: 1000,
@@ -762,15 +423,15 @@ mod tests {
             a.send(b.id(), Port::Request, i, 8, VirtualTime::from_micros(u64::from(i)), true);
         }
         a.send(b.id(), Port::Reply, 99, 8, VirtualTime::ZERO, true);
-        assert!(b.backlog(Port::Request) >= 10, "duplicates may add to the backlog");
-        assert_eq!(b.backlog(Port::Reply), 2, "the other port counts apart, duplicate included");
+        assert_eq!(b.backlog(Port::Request), 10);
+        assert_eq!(b.backlog(Port::Reply), 1, "the other port counts apart");
         for i in 0..10 {
-            assert!(b.backlog(Port::Request) > 0, "{i} requests still owed");
+            assert_eq!(b.backlog(Port::Request), 10 - i as usize);
             assert_eq!(b.try_recv(Port::Request).unwrap().payload, i, "FIFO under polling");
         }
         assert!(b.try_recv(Port::Request).is_none());
         assert_eq!(b.backlog(Port::Request), 0);
-        // Control messages bypass the stages and count like any message.
+        // Control messages count like any message.
         b.send_control(b.id(), Port::Request, 3);
         assert_eq!(b.backlog(Port::Request), 1);
     }
@@ -784,9 +445,9 @@ mod tests {
         assert_eq!(b.recv_timeout(Port::Reply, Duration::from_millis(10)), Err(NetError::Timeout));
     }
 
-    // ---- fault-injection and reliable-delivery tests --------------------
+    // ---- fault-injection tests -------------------------------------------
 
-    use crate::fault::{FaultPlan, LinkRates, NetFaults, RetryPolicy};
+    use crate::fault::{DeliveryExpired, FaultPlan, LinkRates, NetFaults, RetryPolicy};
 
     fn faulty_pair(faults: NetFaults) -> (Endpoint<u32>, Endpoint<u32>) {
         let mut v = Cluster::new_with_faults(2, CostModel::sp2(), Some(faults)).into_endpoints();
@@ -829,7 +490,7 @@ mod tests {
         assert_eq!(got, (0..500).collect::<Vec<u32>>(), "delivery must stay FIFO per lane");
         assert!(snap.net_retransmits > 0, "expected some drops at 10%/attempt over 500 msgs");
         assert!(snap.net_dups > 0, "expected some duplicates");
-        assert!(snap.net_reorders > 0, "expected some laggards");
+        assert!(snap.net_reorders > 0, "expected some reorders");
         assert!(snap.net_added_delay_ns > 0, "drops and delays must add modelled latency");
     }
 
@@ -851,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_counted_and_dropped() {
+    fn duplicates_are_counted_and_delivered_once() {
         let rates = LinkRates {
             drop_permille: 0,
             dup_permille: 1000,
@@ -864,32 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn receiver_counts_dup_drops() {
-        let rates = LinkRates {
-            drop_permille: 0,
-            dup_permille: 1000,
-            delay_permille: 0,
-            reorder_permille: 0,
-        };
-        let faults =
-            NetFaults { plan: FaultPlan::uniform(5, rates), retry: RetryPolicy::default() };
-        let (a, b) = faulty_pair(faults);
-        for i in 0..20 {
-            a.send(b.id(), Port::Reply, i, 8, VirtualTime::from_micros(u64::from(i)), true);
-        }
-        for _ in 0..20 {
-            b.recv(Port::Reply).unwrap();
-        }
-        // Drain the duplicate copies still parked in the channel.
-        assert!(b.try_recv(Port::Reply).is_none());
-        assert_eq!(b.stats().snapshot().net_dup_drops, 20);
-    }
-
-    #[test]
-    fn laggards_are_delivered_behind_later_traffic_then_resequenced() {
-        // Mark exactly the first message as a laggard via a 100%-reorder
-        // link, send it alone, then check that a later burst is admitted
-        // around it while FIFO delivery order is still restored.
+    fn reorders_are_counted_and_delivery_is_in_send_order() {
         let rates = LinkRates {
             drop_permille: 0,
             dup_permille: 0,
@@ -984,7 +620,6 @@ mod tests {
         let (a, b) = two_nodes();
         a.send(b.id(), Port::Reply, 1, 64, VirtualTime::ZERO, true);
         let env = b.recv(Port::Reply).unwrap();
-        assert!(env.relia.is_none(), "no header may be attached when faults are off");
         assert_eq!(env.payload_bytes, 64, "no header bytes may be charged when faults are off");
     }
 

@@ -1,29 +1,35 @@
 //! Deterministic fault injection for the simulated interconnect.
 //!
 //! A [`FaultPlan`] decides, for every message crossing a link, whether that
-//! message's transmission attempts are dropped, whether a duplicate copy is
-//! enqueued, whether extra link delay is added, and whether the message is
-//! marked as a *laggard* (delivered behind later traffic, exercising the
-//! receiver's resequencing window). Every decision is a **pure function of a
+//! message's transmission attempts are dropped, whether the network
+//! duplicates it, whether extra link delay is added, and whether it is
+//! reordered behind later traffic. Every decision is a **pure function of a
 //! deterministic message identity** — `(seed, src, dst, port, sent_at,
 //! wire_bytes)` — so two runs with the same seed inject byte-for-byte the
 //! same faults and produce identical virtual-time traces.
 //!
-//! Why the identity is *not* the wire sequence number: a node's compute
-//! thread and whichever thread is serving its requests share one
-//! [`Endpoint`](crate::Endpoint) and race on the per-link sequence counter
-//! (e.g. a `DiffResponse` from a handler and a `SyncDiffs` from the compute
-//! thread, both headed for the same peer's reply port). Keying faults on
-//! `seq` would make the fault assignment depend on OS scheduling. `sent_at` and the wire size *are* deterministic
+//! The ARQ that masks these faults is resolved entirely at send time
+//! ([`NetFaults::added_latency`]): dropped attempts become backed-off
+//! timeouts, delays become jitter, and both are added to the message's
+//! arrival time. Duplicates and reorders are what a per-link sequence
+//! number and resequencing window absorb on a real network; the receiver
+//! would see the fault-free per-link order at the same arrival time, so they
+//! are counted and charged nothing. One envelope is enqueued per message.
+//!
+//! Why the identity holds no sequence number: a node's compute thread and
+//! whichever thread is serving its requests share one
+//! [`Endpoint`](crate::Endpoint), and a per-link counter would be assigned
+//! in whichever order they reach it (e.g. a `DiffResponse` from a handler
+//! and a `SyncDiffs` from the compute thread, both headed for the same
+//! peer's reply port). Keying faults on it would make the fault assignment
+//! depend on OS scheduling. `sent_at` and the wire size *are* deterministic
 //! (virtual time is advanced by the observe-all-then-advance discipline, not
 //! by the wall clock), so they identify a logical message reproducibly; in
 //! the rare case two concurrent messages share a full identity they simply
 //! receive the same treatment, which preserves determinism because such
-//! messages are interchangeable in the time model. Sequence numbers are still
-//! assigned — they drive receiver-side dedup and resequencing — they just
-//! don't *key the schedule*.
+//! messages are interchangeable in the time model.
 
-use sp2model::VirtualTime;
+use sp2model::{SharedStats, VirtualTime};
 
 use crate::cluster::Port;
 use crate::NodeId;
@@ -38,8 +44,8 @@ pub struct LinkRates {
     pub dup_permille: u16,
     /// Probability (‰) that a message suffers extra link delay.
     pub delay_permille: u16,
-    /// Probability (‰) that a message is delivered behind later traffic on
-    /// the same link (reordering).
+    /// Probability (‰) that a message is overtaken by later traffic on the
+    /// same link (reordering).
     pub reorder_permille: u16,
 }
 
@@ -80,8 +86,8 @@ impl FaultPlan {
         FaultPlan { seed, default_rates: rates, overrides: Vec::new() }
     }
 
-    /// The standard chaos mix used by `dsm-bench --chaos`: 5% attempt drops,
-    /// 5% duplicates, 10% delays, 10% reorders on every link.
+    /// The standard chaos mix ([`NetFaults::chaos`]): 5% attempt drops, 5%
+    /// duplicates, 10% delays, 10% reorders on every link.
     pub fn chaos(seed: u64) -> FaultPlan {
         FaultPlan::uniform(
             seed,
@@ -175,7 +181,7 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this message is delivered behind later same-link traffic.
+    /// Whether the network reorders this message behind later traffic.
     pub(crate) fn lags(&self, key: MsgKey) -> bool {
         self.roll(SALT_REORDER, key, self.rates(key.src, key.dst).reorder_permille)
     }
@@ -192,7 +198,7 @@ pub(crate) struct MsgKey {
     pub wire_bytes: u64,
 }
 
-/// Retransmission policy of the reliable-delivery sublayer.
+/// Retransmission policy of the modelled ARQ.
 ///
 /// Timeouts are virtual time: the k-th retransmission of a message is
 /// modelled as departing `timeout · backoff^k` after the previous attempt,
@@ -232,6 +238,58 @@ impl NetFaults {
     /// default [`RetryPolicy`].
     pub fn chaos(seed: u64) -> NetFaults {
         NetFaults { plan: FaultPlan::chaos(seed), retry: RetryPolicy::default() }
+    }
+
+    /// The message's whole fate, asked once at send time: the latency its
+    /// retransmission timeouts and link jitter add, with every injected fault
+    /// counted in `stats`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a [`DeliveryExpired`] payload when the plan drops all
+    /// [`RetryPolicy::max_attempts`] attempts.
+    pub(crate) fn added_latency(&self, key: MsgKey, stats: &SharedStats) -> VirtualTime {
+        let max_attempts = self.retry.max_attempts;
+        let drops = self.plan.leading_drops(key, max_attempts);
+        if drops >= max_attempts {
+            // Every attempt was lost: the peer is unreachable on this link.
+            // Count the retransmissions actually made, then abort the send;
+            // the DSM harness converts this payload into a structured
+            // `PeerUnresponsive` error.
+            stats.net_retransmits(u64::from(max_attempts.saturating_sub(1)));
+            std::panic::panic_any(DeliveryExpired {
+                src: key.src,
+                dst: key.dst,
+                port: key.port,
+                attempts: max_attempts,
+            });
+        }
+        // Each dropped attempt costs one (backed-off) virtual timeout before
+        // the retransmission departs.
+        let mut retry_delay = VirtualTime::ZERO;
+        let mut timeout = self.retry.timeout;
+        for _ in 0..drops {
+            retry_delay += timeout;
+            timeout = timeout.scale(u64::from(self.retry.backoff));
+        }
+        let jitter = self.plan.extra_delay(key);
+        if drops > 0 {
+            stats.net_retransmits(u64::from(drops));
+        }
+        if jitter > VirtualTime::ZERO {
+            stats.net_delays(1);
+        }
+        if self.plan.lags(key) {
+            stats.net_reorders(1);
+        }
+        if self.plan.duplicates(key) {
+            stats.net_dups(1);
+        }
+        let added = retry_delay + jitter;
+        if added > VirtualTime::ZERO {
+            stats.net_added_delay_ns(added.as_nanos());
+        }
+        added
     }
 }
 

@@ -11,12 +11,12 @@
 //! (the runtime's stand-in for the paper's interrupt handler), and a
 //! *reply* port consumed by the blocked compute thread.
 //!
-//! An optional layer sits underneath: a seeded deterministic fault injector
-//! ([`FaultPlan`]) and the reliable-delivery sublayer (sequence numbers,
-//! dedup windows, resequencing, modelled retransmission timeouts — see
-//! [`NetFaults`]) that masks it. With faults off — the default — the layer
-//! is structurally absent and the wire format and model times are
-//! untouched.
+//! Fault injection is optional: a seeded deterministic fault plan
+//! ([`FaultPlan`], configured through [`NetFaults`]) whose drops, duplicates,
+//! delays and reorders an ARQ masks. Every fault is resolved at send time
+//! into added arrival latency and header bytes, so the receive side is the
+//! same plain channel either way. With faults off — the default — no term is
+//! added and the wire format and model times are untouched.
 //!
 //! ```
 //! use msgnet::{Cluster, NodeId, Port};
@@ -43,7 +43,7 @@ mod fault;
 mod node;
 
 pub use cluster::{Cluster, Endpoint, Port};
-pub use envelope::{Envelope, ReliaHeader, RELIA_HEADER_BYTES};
+pub use envelope::{Envelope, RELIA_HEADER_BYTES};
 pub use error::NetError;
 pub use fault::{DeliveryExpired, FaultPlan, LinkRates, NetFaults, RetryPolicy};
 pub use node::NodeId;

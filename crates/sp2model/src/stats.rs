@@ -148,20 +148,16 @@ define_stats! {
     /// window, counted instead of silently ignored).
     races_window_trimmed,
     /// Modelled retransmissions: transmission attempts the fault plan
-    /// dropped, each masked by a timeout-and-resend of the reliable-delivery
-    /// layer (sender side, deterministic per seed).
+    /// dropped, each masked by a timeout-and-resend of the modelled ARQ
+    /// (sender side, deterministic per seed).
     net_retransmits,
-    /// Duplicate copies the fault plan injected in flight (sender side,
-    /// deterministic per seed).
+    /// Messages the fault plan duplicated in flight. The ARQ's sequence
+    /// number discards the copy, so it costs nothing and is delivered once
+    /// (sender side, deterministic per seed).
     net_dups,
-    /// Duplicate or stale-sequence envelopes discarded by the receiver's
-    /// dedup window. Counted at drain time, so the exact value can trail
-    /// `net_dups` at the end of a run (a final duplicate may never be
-    /// drained); use `net_dups` for deterministic reporting.
-    net_dup_drops,
-    /// Messages the fault plan marked as laggards, delivered behind later
-    /// same-link traffic and restored to order by the receiver's
-    /// resequencing window (sender side, deterministic per seed).
+    /// Messages the fault plan reordered behind later same-link traffic.
+    /// The ARQ restores send order at unchanged arrival time, so this too is
+    /// counted, not charged (sender side, deterministic per seed).
     net_reorders,
     /// Messages given extra link delay by the fault plan (sender side,
     /// deterministic per seed).

@@ -140,8 +140,8 @@ pub struct DsmConfig {
     /// Deterministic fault injection on the simulated interconnect
     /// (default: off). `None` keeps the wire format, virtual times and
     /// statistics byte-identical to a build without the fault layer; `Some`
-    /// enables the seeded drop/duplicate/delay/reorder schedule and the
-    /// reliable-delivery sublayer that masks it.
+    /// enables the seeded drop/duplicate/delay/reorder schedule, resolved at
+    /// send time into added latency and ARQ header bytes.
     pub net_faults: Option<NetFaults>,
     /// Real-time watchdog on every blocking protocol receive (default:
     /// 30 s). If a processor waits longer than this for a message, the run

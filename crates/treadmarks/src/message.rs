@@ -160,7 +160,7 @@ impl RoutedRequest {
 /// on the [`Port::Request`](msgnet::Port::Request) port and are handled by
 /// the destination node's handlers, run by the thread that sent them;
 /// everything a compute thread waits for travels on the reply port.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum TmkMessage {
     /// Acquirer -> lock manager: request the lock.
     LockAcquireRequest {

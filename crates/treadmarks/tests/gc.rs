@@ -255,3 +255,56 @@ fn diff_cache_and_notice_log_stay_bounded_across_iterations() {
         );
     }
 }
+
+#[test]
+#[ignore = "ROADMAP item 12: base applied before an older surviving delta"]
+fn a_folded_later_write_is_not_overwritten_by_an_older_pinned_delta() {
+    // The lost update behind the `is/treadmarks` checksum flake, made
+    // deterministic. Processor 0 writes word W of page X and one word of
+    // page Y in a single interval; a barrier later processor 1 overwrites W,
+    // so its interval happens after processor 0's. Processor 3 mapped Y
+    // before either write and never re-reads it: its unapplied notice pins
+    // the horizon's component 0, so processor 0's interval survives as a
+    // delta. Processor 0 reads X and thereby applies processor 1's diff, so
+    // component 1 passes the horizon and processor 1 folds its interval into
+    // a base. Processor 2, which never mapped X, then touches it: it is owed
+    // processor 1's base (W = 2) and processor 0's delta (W = 1), and must
+    // read the causally later value.
+    const EPOCHS: usize = 4;
+    const W: usize = 7;
+    let run = Dsm::run(free(4), move |p| {
+        let me = p.proc_id();
+        let x = p.alloc_array::<u64>(ELEMS);
+        let y = p.alloc_array::<u64>(ELEMS);
+        let scratch = p.alloc_array::<u64>(p.nprocs() * ELEMS);
+        if me == 3 {
+            std::hint::black_box(p.get(&y, 0));
+        }
+        p.barrier();
+        if me == 0 {
+            p.set(&x, W, 1);
+            p.set(&y, 0, 1);
+        }
+        p.barrier();
+        if me == 1 {
+            p.set(&x, W, 2);
+        }
+        p.barrier();
+        if me == 0 {
+            std::hint::black_box(p.get(&x, W));
+        }
+        p.barrier();
+        for epoch in 0..EPOCHS {
+            scratch_epoch(p, &scratch, epoch);
+        }
+        let horizon = p.gc_horizon();
+        assert_eq!(horizon.get(0), 0, "writer 0 stays pinned by processor 3's frame of Y");
+        assert!(horizon.get(1) > 0, "writer 1's interval is folded into a base: {horizon}");
+        if me == 2 {
+            p.get(&x, W)
+        } else {
+            0
+        }
+    });
+    assert_eq!(run.results[2], 2, "the causally later write must win over the older delta");
+}

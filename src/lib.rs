@@ -9,7 +9,7 @@
 //! * [`sp2model`] — IBM SP/2 cost model, virtual clocks, protocol statistics,
 //! * [`pagedmem`] — pages, protection state, twins and diffs,
 //! * [`msgnet`] — the simulated cluster interconnect (typed endpoints,
-//!   optional seeded faults masked by reliable delivery),
+//!   optional seeded faults resolved at send time),
 //! * [`racecheck`] — the data-race detector's data model and report log,
 //! * [`treadmarks`] — the base lazy-release-consistency DSM runtime,
 //! * [`ctrt`] — the augmented compile-time/run-time interface
