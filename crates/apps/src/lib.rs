@@ -15,10 +15,10 @@
 //!   fetch of the next phase's sections (`Validate_w_sync`); the phase
 //!   bodies run on the bulk accessors over cached mappings.
 //! * **Compiled** — the same IR at [`rsdcomp::Level::Full`]: the analyzer
-//!   eliminates barriers where the dependences allow (Jacobi compiles to
-//!   pure pushes; SOR keeps one real barrier per iteration for the GC
-//!   horizon and replaces the other with a point-to-point merged data+sync
-//!   exchange).
+//!   eliminates barriers where the dependences allow. Jacobi, SOR and
+//!   Gauss compile to pushes alone (SOR's in-place half-sweeps because
+//!   each processor is the only writer of its columns); integer sort keeps
+//!   its lock chain and one barrier per iteration.
 //!
 //! For the two levels the application contributes only the numeric phase
 //! bodies, one plan driver per kernel; every protocol call is generated by

@@ -620,29 +620,29 @@ mod tests {
     }
 
     #[test]
-    fn compiled_sor_lands_between_validate_and_push() {
-        // The tentpole's measured claim, self-enforced at the standard
-        // suite size and the paper's 8 processors: the generated plan —
-        // which eliminates one half-sweep barrier per iteration and merges
-        // the data with the surviving sync — must beat the split-phase
-        // Validate path while the hand-coded all-push form stays the floor.
-        let validate = run("sor", SOR_CFG, 8, Variant::Validate);
-        let compiled = run("sor", SOR_CFG, 8, Variant::Compiled);
-        let push = run("sor", SOR_CFG, 8, Variant::Push);
-        assert!(
-            compiled.time_ns < validate.time_ns,
-            "sor/compiled@8 must be strictly faster than sor/validate@8: {} vs {} ns",
-            compiled.time_ns,
-            validate.time_ns
-        );
-        assert!(
-            push.time_ns < compiled.time_ns,
-            "the hand-coded push floor stays below the compiled form: {} vs {} ns",
-            push.time_ns,
-            compiled.time_ns
-        );
-        assert!(compiled.barriers_eliminated > 0, "the record must show eliminated barriers");
-        assert!(compiled.merged_sync_msgs > 0, "the record must show merged data+sync messages");
+    fn compiled_is_at_most_the_hand_push() {
+        // The planner reaches the hand-analysed oracle: at the standard
+        // suite sizes the generated plan of Jacobi and SOR is no slower
+        // than the hand push at any cluster size. Gauss's plan prepares its
+        // update tail once where the hand form relies on the
+        // initialisation's `WRITE_ALL` preparation, so it may trail by that
+        // one protection operation — priced here at every page of both
+        // matrices, an upper bound on the pages a node has in use.
+        let pages = 2 * GAUSS_CFG.rows * GAUSS_CFG.cols * 8 / pagedmem::PAGE_SIZE;
+        let one_mprotect = CostModel::sp2().mprotect_cost(pages).as_nanos();
+        for app in ["jacobi", "sor", "gauss"] {
+            let slack = if app == "gauss" { one_mprotect } else { 0 };
+            for nprocs in NPROCS_MATRIX {
+                let compiled = run(app, standard_cfg(app), nprocs, Variant::Compiled);
+                let push = run(app, standard_cfg(app), nprocs, Variant::Push);
+                assert!(
+                    compiled.time_ns <= push.time_ns + slack,
+                    "{app}/compiled@{nprocs} must be at most the hand push (+{slack} ns): {} vs {} ns",
+                    compiled.time_ns,
+                    push.time_ns
+                );
+            }
+        }
     }
 
     #[test]
@@ -653,7 +653,9 @@ mod tests {
             assert_eq!(a, b, "{app} explain must be byte-deterministic");
             assert!(a.contains("totals:"));
         }
-        assert!(explain_app("sor").expect("sor").contains("eliminated-barrier"));
+        let sor = explain_app("sor").expect("sor");
+        assert!(sor.contains("real-barriers=0 eliminated-barriers=0"), "{sor}");
+        assert!(!sor.contains(": eliminated-barrier") && !sor.contains(": barrier"), "{sor}");
         assert!(explain_app("jacobi").expect("jacobi").contains("push"));
         assert!(explain_app("is").expect("is").contains("lock"));
         assert!(explain_app("gauss").expect("gauss").contains("push"));

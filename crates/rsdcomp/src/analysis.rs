@@ -8,15 +8,17 @@
 //!
 //! * [`BoundaryClass::NoComm`] — no inter-processor dependence: the barrier
 //!   is dropped entirely.
-//! * [`BoundaryClass::Push`] — every dependence's producing section carries
-//!   the pure `WRITE_ALL` assertion: the producer knows both the consumer
-//!   set and the final bytes, so the data moves point-to-point and the DSM
-//!   protocol (twins, diffs, notices) is bypassed wholesale.
+//! * [`BoundaryClass::Push`] — every dependence's producing section is
+//!   *final*: a pure `WRITE_ALL`, or a `READ&WRITE_ALL` whose processor is
+//!   the only writer of its bytes anywhere in the program (red-black SOR's
+//!   in-place half-sweeps). The producer knows both the consumer set and
+//!   the final bytes, so the data moves point-to-point and the DSM protocol
+//!   (twins, diffs, notices) is bypassed wholesale.
 //! * [`BoundaryClass::EliminatedBarrier`] — only nearest-neighbour flow
-//!   dependences (as in red-black SOR's half-sweeps): the barrier is
+//!   dependences, some of them out of a section that is not final (a
+//!   partial write, or bytes another processor also writes): the barrier is
 //!   replaced by the point-to-point ready/ack sync whose acks merge data
-//!   and consistency information, but the pages stay DSM-managed because
-//!   the producing sections read before overwriting.
+//!   and consistency information, but the pages stay DSM-managed.
 //! * [`BoundaryClass::FullBarrier`] — everything else, with the
 //!   [`Refusal`] recording why the analyzer declined to optimize. Refusal
 //!   is always sound: the full barrier preserves every happens-before edge.
@@ -139,12 +141,13 @@ pub struct BoundaryAnalysis {
     pub pairs: Vec<DepPair>,
 }
 
-/// One pending (or lowered) write: its extent, whether it carries the pure
-/// `WRITE_ALL` assertion, and the lock guarding the phase that made it.
+/// One pending (or lowered) write: its extent, whether the writer's copy of
+/// it is final (see [`SoleWriters::is_final`]), and the lock guarding the
+/// phase that made it.
 #[derive(Debug, Clone, Copy)]
 struct WriteEntry {
     range: AddrRange,
-    pure_write_all: bool,
+    is_final: bool,
     lock: Option<LockId>,
 }
 
@@ -158,7 +161,14 @@ struct Lowered {
     unknown: bool,
 }
 
-fn lower(program: &Program, nprocs: usize, me: ProcId, phase: &Phase, iter: usize) -> Lowered {
+fn lower(
+    program: &Program,
+    nprocs: usize,
+    me: ProcId,
+    phase: &Phase,
+    iter: usize,
+    sole: &SoleWriters,
+) -> Lowered {
     let mut out = Lowered { writes: Vec::new(), reads: Vec::new(), unknown: false };
     for access in &phase.accesses {
         let decl = &program.arrays[access.array];
@@ -173,7 +183,7 @@ fn lower(program: &Program, nprocs: usize, me: ProcId, phase: &Phase, iter: usiz
         if access.writes() {
             out.writes.push(WriteEntry {
                 range,
-                pure_write_all: access.access == Access::WriteAll,
+                is_final: sole.is_final(access.access, range, phase.lock),
                 lock: phase.lock,
             });
         }
@@ -182,6 +192,88 @@ fn lower(program: &Program, nprocs: usize, me: ProcId, phase: &Phase, iter: usiz
         }
     }
     out
+}
+
+/// The bytes of a program that exactly one processor writes: what makes an
+/// in-place `READ&WRITE_ALL` section final.
+///
+/// Computed once per program, from every occurrence of every phase lowered
+/// for every processor. A byte two processors write, in any phases at any
+/// iterations, is *contested*; a non-affine write anywhere makes every byte
+/// so, since its extent is unknowable.
+#[derive(Debug, Clone)]
+struct SoleWriters {
+    /// The contested bytes, coalesced; `None` when a write is non-affine.
+    contested: Option<Vec<AddrRange>>,
+}
+
+impl SoleWriters {
+    /// Nothing proven: only `WRITE_ALL` sections are final.
+    const NONE: SoleWriters = SoleWriters { contested: None };
+
+    fn of(program: &Program, nprocs: usize) -> SoleWriters {
+        let phases = program.phases();
+        if phases
+            .iter()
+            .flat_map(|phase| &phase.accesses)
+            .any(|a| a.span == ColSpan::Unknown && a.access.is_write())
+        {
+            return SoleWriters::NONE;
+        }
+        let mut seen = vec![false; phases.len()];
+        let mut written: Vec<Vec<AddrRange>> = vec![Vec::new(); nprocs];
+        for (id, iter) in program.occurrences_with_iter() {
+            let phase = phases[id];
+            // A phase whose spans ignore the iteration symbol writes the same
+            // bytes at every occurrence.
+            if seen[id] && !phase.iter_dependent() {
+                continue;
+            }
+            seen[id] = true;
+            for (me, mine) in written.iter_mut().enumerate() {
+                let l = lower(program, nprocs, me, phase, iter, &SoleWriters::NONE);
+                mine.extend(l.writes.iter().map(|w| w.range));
+            }
+        }
+        // Each processor's writes coalesce to disjoint ranges, so any two
+        // ranges that overlap after sorting by start belong to different
+        // processors; the overlaps of one range lie in the run of ranges
+        // that start before it ends.
+        let mut all: Vec<AddrRange> = written.into_iter().flat_map(AddrRange::coalesce).collect();
+        all.sort_by_key(|r| r.start());
+        let mut contested = Vec::new();
+        for (i, r) in all.iter().enumerate() {
+            contested.extend(
+                all[i + 1..]
+                    .iter()
+                    .take_while(|later| later.start() < r.end())
+                    .filter_map(|later| r.intersect(later)),
+            );
+        }
+        SoleWriters { contested: Some(AddrRange::coalesce(contested)) }
+    }
+
+    /// Whether a write of `access` to `range` under `lock` leaves the
+    /// writer's copy final — equal to the value every consumer must read
+    /// until the next write. A `WRITE_ALL` section is, by assertion. A
+    /// `READ&WRITE_ALL` section is when no other processor ever writes any
+    /// byte of it and no lock guards it: with nothing flushed anywhere (the
+    /// whole-program proviso `Push` needs anyway) no page is invalidated,
+    /// so the owner's raw copy, which its preparation made valid, is the
+    /// value. A partial write is never final.
+    fn is_final(&self, access: Access, range: AddrRange, lock: Option<LockId>) -> bool {
+        match access {
+            Access::WriteAll => true,
+            Access::ReadWriteAll => {
+                lock.is_none()
+                    && self
+                        .contested
+                        .as_ref()
+                        .is_some_and(|c| c.iter().all(|c| c.intersect(&range).is_none()))
+            }
+            Access::Read | Access::Write | Access::ReadWrite => false,
+        }
+    }
 }
 
 /// Writes not yet synchronized to each consumer, accumulated along the
@@ -202,6 +294,9 @@ fn lower(program: &Program, nprocs: usize, me: ProcId, phase: &Phase, iter: usiz
 #[derive(Debug, Clone)]
 pub struct PendingWrites {
     nprocs: usize,
+    /// The program's sole-writer proof, which decides each write's
+    /// finality.
+    sole: SoleWriters,
     /// `unseen[p * nprocs + q]`: writes of `p` that `q` has no consistency
     /// information for.
     unseen: Vec<Vec<WriteEntry>>,
@@ -216,10 +311,12 @@ pub struct PendingWrites {
 }
 
 impl PendingWrites {
-    /// No pending writes (program start).
-    pub fn new(nprocs: usize) -> PendingWrites {
+    /// No pending writes (the start of `program`, run on `nprocs`
+    /// processors).
+    pub fn new(program: &Program, nprocs: usize) -> PendingWrites {
         PendingWrites {
             nprocs,
+            sole: SoleWriters::of(program, nprocs),
             unseen: vec![Vec::new(); nprocs * nprocs],
             unknown: false,
             overlap: false,
@@ -233,7 +330,7 @@ impl PendingWrites {
     pub fn add_phase_writes(&mut self, program: &Program, phase: &Phase, iter: usize) {
         let nprocs = self.nprocs;
         let lowered: Vec<Lowered> =
-            (0..nprocs).map(|me| lower(program, nprocs, me, phase, iter)).collect();
+            (0..nprocs).map(|me| lower(program, nprocs, me, phase, iter, &self.sole)).collect();
         self.unknown |=
             phase.accesses.iter().any(|a| a.span == ColSpan::Unknown && a.access.is_write());
         for p in 0..nprocs {
@@ -302,7 +399,7 @@ pub fn classify_against_pending(
     next_iter: usize,
 ) -> BoundaryAnalysis {
     let nexts: Vec<Lowered> =
-        (0..nprocs).map(|me| lower(program, nprocs, me, next, next_iter)).collect();
+        (0..nprocs).map(|me| lower(program, nprocs, me, next, next_iter, &pending.sole)).collect();
     let refuse = |refusal| BoundaryAnalysis {
         class: BoundaryClass::FullBarrier { refusal: Some(refusal), gc_forced: false },
         pairs: Vec::new(),
@@ -330,7 +427,7 @@ pub fn classify_against_pending(
                 for &(read, via_all) in &consumed.reads {
                     if let Some(region) = write.range.intersect(&read) {
                         regions.push(region);
-                        all_pushable &= write.pure_write_all;
+                        all_pushable &= write.is_final;
                         any_cross_block |= via_all;
                         any_locked |= write.lock.is_some();
                     }
@@ -382,11 +479,12 @@ pub fn classify_against_pending(
             pairs,
         };
     }
-    // `Push` needs the producers to know the final bytes without reading
-    // the section first (pure WRITE_ALL): the raw current copy then *is*
-    // the dependence's value and no write notices are owed to anyone. A
-    // ReadWriteAll (or partial-write) producer keeps its pages DSM-managed,
-    // so at most the barrier — not the protocol — can go.
+    // `Push` needs every producer's copy of what it wrote to be final (pure
+    // WRITE_ALL, or READ&WRITE_ALL by the bytes' sole writer): the raw
+    // current copy then *is* the dependence's value and no write notices
+    // are owed to anyone. A partial write, or one to bytes another
+    // processor also writes, keeps its pages DSM-managed, so at most the
+    // barrier — not the protocol — can go.
     let class = if all_pushable {
         BoundaryClass::Push
     } else if all_neighbours {
@@ -413,7 +511,7 @@ pub fn analyze_boundary(
     prev: &Phase,
     next: &Phase,
 ) -> BoundaryAnalysis {
-    let mut pending = PendingWrites::new(nprocs);
+    let mut pending = PendingWrites::new(program, nprocs);
     pending.add_phase_writes(program, prev, 0);
     if let Some(lock) = next.lock {
         pending.clear_lock(lock);

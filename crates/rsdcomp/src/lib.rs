@@ -12,15 +12,20 @@
 //! The classification ladder, most to least optimized:
 //!
 //! 1. **`NoComm`** — no inter-processor dependence: the boundary vanishes.
-//! 2. **[`BoundaryClass::Push`]** — every dependence's producer section
-//!    carries the pure `WRITE_ALL` assertion and the consumer sets are
-//!    statically known: data moves point-to-point, no barrier, no twins,
-//!    no diffs, no notices.
+//! 2. **[`BoundaryClass::Push`]** — every dependence's producer section is
+//!    final and the consumer sets are statically known: data moves
+//!    point-to-point, no barrier, no twins, no diffs, no notices. A section
+//!    is final when it carries the pure `WRITE_ALL` assertion, or when it
+//!    is a `READ&WRITE_ALL` whose processor is the only writer of its bytes
+//!    anywhere in the program (red-black SOR's in-place half-sweeps: the
+//!    column distribution alone proves it).
 //! 3. **[`BoundaryClass::EliminatedBarrier`]** — only nearest-neighbour
-//!    flow dependences (red-black SOR's half-sweeps): the barrier is
+//!    flow dependences, out of sections that are not final (a partial
+//!    write, or bytes a second processor also writes): the barrier is
 //!    replaced by a ready/ack handshake whose acks are the paper's *merged
 //!    data+sync messages* (notices, timestamps and diffs on one polled
-//!    message), while the pages stay DSM-managed.
+//!    message), while the pages stay DSM-managed. No shipped kernel
+//!    compiles to this class any more.
 //! 4. **[`BoundaryClass::Lock`]** — the boundary enters a lock-guarded
 //!    phase and every remaining dependence is ordered by that lock's
 //!    acquire chain: the entry is an acquire whose grant validates the

@@ -264,7 +264,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
     // notices, so it clears nothing.
     let mut analyses: Vec<BoundaryAnalysis> =
         Vec::with_capacity(occurrences.len().saturating_sub(1));
-    let mut pending = PendingWrites::new(nprocs);
+    let mut pending = PendingWrites::new(program, nprocs);
     for w in occurrences.windows(2) {
         let (prev, prev_iter) = w[0];
         let (next, next_iter) = w[1];
@@ -406,69 +406,69 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                     })
                     .collect()
             };
-            // Tracks whether a flush boundary has write-protected a phase's
-            // sections since they were last prepared: `flush_epoch` counts
-            // flush boundaries passed, `prepped_at[phase]` the epoch of the
-            // phase's last preparation. An iteration-dependent phase names
-            // different sections at every occurrence, so it re-prepares
-            // unconditionally.
+            // What each phase holds prepared since the last flush boundary
+            // write-protected it: `flush_epoch` counts flush boundaries
+            // passed, `held[phase]` the epoch of the phase's last preparation
+            // and every section prepared for it at that epoch. A step without
+            // an exchange of its own prepares only what the phase does not
+            // hold: nothing, for a phase whose spans ignore the iteration
+            // symbol; for an iteration-dependent one, what the occurrence
+            // adds (Gauss's shrinking `OwnTail` adds nothing after its first
+            // step, the pivot column a new column every time).
             let mut flush_epoch = 0usize;
-            let mut prepped_at: Vec<Option<usize>> = vec![None; phases.len()];
+            let mut held: Vec<(usize, Vec<RegularSection>)> =
+                vec![(flush_epoch, Vec::new()); phases.len()];
             let mut steps = Vec::with_capacity(occurrences.len());
             let (first, first_iter) = occurrences[0];
             steps.push(match phases[first].lock {
-                Some(lock) => PlanStep {
-                    phase: first,
-                    iter: first_iter,
-                    entry: BoundaryOp::Lock { lock, sections: sections_for(first, first_iter) },
-                    release: Some(lock),
-                },
+                Some(lock) => {
+                    // The release at the phase's exit stales what the grant
+                    // validated.
+                    flush_epoch += 1;
+                    PlanStep {
+                        phase: first,
+                        iter: first_iter,
+                        entry: BoundaryOp::Lock { lock, sections: sections_for(first, first_iter) },
+                        release: Some(lock),
+                    }
+                }
                 None => PlanStep {
                     phase: first,
                     iter: first_iter,
-                    entry: BoundaryOp::Local { sections: sections_for(first, first_iter) },
+                    entry: BoundaryOp::Local {
+                        sections: hold(
+                            &mut held[first],
+                            flush_epoch,
+                            sections_for(first, first_iter),
+                        ),
+                    },
                     release: None,
                 },
             });
-            prepped_at[first] = Some(flush_epoch);
-            if phases[first].lock.is_some() {
-                flush_epoch += 1;
-            }
             for (b, w) in occurrences.windows(2).enumerate() {
                 let (next, iter) = w[1];
                 let analysis = &analyses[b];
-                let needs_prep = phases[next].iter_dependent()
-                    || prepped_at[next].is_none_or(|at| flush_epoch > at);
                 // What a step without an exchange of its own prepares.
-                let mut prepared = || {
-                    if !needs_prep {
-                        return Vec::new();
-                    }
-                    prepped_at[next] = Some(flush_epoch);
-                    sections_for(next, iter)
-                };
+                let mut prepared = |epoch| hold(&mut held[next], epoch, sections_for(next, iter));
                 let mut release = None;
                 let entry = match analysis.class {
-                    BoundaryClass::NoComm => BoundaryOp::Local { sections: prepared() },
+                    BoundaryClass::NoComm => BoundaryOp::Local { sections: prepared(flush_epoch) },
                     BoundaryClass::FullBarrier { .. } => {
-                        // The barrier flushes, then prepares its sections.
+                        // The barrier flushes, then prepares every section.
                         flush_epoch += 1;
-                        prepped_at[next] = Some(flush_epoch);
-                        BoundaryOp::Barrier { sections: sections_for(next, iter) }
+                        BoundaryOp::Barrier { sections: prepared(flush_epoch) }
                     }
                     BoundaryClass::Lock(lock) => {
-                        // The grant validates the sections at the current
-                        // epoch; the phase-exit release then flushes the
-                        // guarded writes, staling everything (its own
-                        // sections included) one epoch later.
-                        prepped_at[next] = Some(flush_epoch);
+                        // The grant validates the sections; the phase-exit
+                        // release then flushes the guarded writes, staling
+                        // everything (its own sections included).
                         flush_epoch += 1;
                         release = Some(lock);
                         BoundaryOp::Lock { lock, sections: sections_for(next, iter) }
                     }
                     BoundaryClass::EliminatedBarrier => {
                         flush_epoch += 1;
-                        prepped_at[next] = Some(flush_epoch);
+                        let sections = prepared(flush_epoch);
                         let mut producers: Vec<ProcId> = analysis
                             .pairs
                             .iter()
@@ -485,11 +485,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                         producers.dedup();
                         consumers.sort_unstable();
                         consumers.dedup();
-                        BoundaryOp::NeighborSync {
-                            producers,
-                            consumers,
-                            sections: sections_for(next, iter),
-                        }
+                        BoundaryOp::NeighborSync { producers, consumers, sections }
                     }
                     BoundaryClass::Push => {
                         let sends: Vec<Push> = analysis
@@ -506,7 +502,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                             .collect();
                         recv_from.sort_unstable();
                         recv_from.dedup();
-                        BoundaryOp::Push { sends, recv_from, sections: prepared() }
+                        BoundaryOp::Push { sends, recv_from, sections: prepared(flush_epoch) }
                     }
                 };
                 steps.push(PlanStep { phase: next, iter, entry, release });
@@ -516,4 +512,28 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
         .collect();
 
     CompiledKernel { nprocs, boundaries, plans }
+}
+
+/// Records `sections` as prepared for a phase at flush epoch `epoch` and
+/// returns those the phase did not already hold — a section is held when
+/// one prepared for the phase at the same epoch has its access kind and
+/// covers its bytes. A later epoch holds nothing.
+fn hold(
+    held: &mut (usize, Vec<RegularSection>),
+    epoch: usize,
+    sections: Vec<RegularSection>,
+) -> Vec<RegularSection> {
+    if held.0 != epoch {
+        *held = (epoch, Vec::new());
+    }
+    let covers = |outer: &RegularSection, inner: &RegularSection| {
+        outer.access() == inner.access()
+            && inner.ranges().iter().all(|r| {
+                outer.ranges().iter().any(|o| o.start() <= r.start() && r.end() <= o.end())
+            })
+    };
+    let fresh: Vec<RegularSection> =
+        sections.into_iter().filter(|s| !held.1.iter().any(|h| covers(h, s))).collect();
+    held.1.extend(fresh.iter().cloned());
+    fresh
 }

@@ -25,12 +25,27 @@ fn sweep(name: &'static str, src: usize, dst: usize) -> Phase {
     )
 }
 
+/// Red-black SOR's half-sweep: reads the halo, overwrites its own update
+/// block in place.
 fn half_sweep(name: &'static str, grid: usize) -> Phase {
     Phase::new(
         name,
         vec![
             SectionAccess::new(grid, ColSpan::UpdateHalo(1), Access::Read),
             SectionAccess::new(grid, ColSpan::UpdateBlock, Access::ReadWriteAll),
+        ],
+    )
+}
+
+/// An in-place half-sweep that writes only part of its update block: the
+/// unwritten words survive, so the writer's copy is never final and the
+/// pages stay DSM-managed.
+fn partial_sweep(name: &'static str, grid: usize) -> Phase {
+    Phase::new(
+        name,
+        vec![
+            SectionAccess::new(grid, ColSpan::UpdateHalo(1), Access::Read),
+            SectionAccess::new(grid, ColSpan::UpdateBlock, Access::ReadWrite),
         ],
     )
 }
@@ -65,13 +80,56 @@ fn double_buffered_stencils_classify_as_push() {
 }
 
 #[test]
-fn in_place_half_sweeps_classify_as_eliminated_barrier() {
-    // SOR's shape: READ&WRITE_ALL in place — the producer reads the
-    // section before overwriting it, so the pages stay DSM-managed and
-    // only the barrier (not the protocol) is eliminated.
+fn sole_writer_in_place_sweeps_classify_as_push() {
+    // SOR's shape: READ&WRITE_ALL in place. Every processor is the only
+    // writer of its own columns in every phase, so its raw copy is final
+    // and the half-sweeps push like a WRITE_ALL producer — no barrier, no
+    // eliminated barrier, nothing DSM-managed.
     let program = Program {
         arrays: vec![decl("m", 0)],
         nodes: vec![Node::Phase(half_sweep("red", 0)), Node::Phase(half_sweep("black", 0))],
+    };
+    let phases = program.phases();
+    let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
+    assert_eq!(analysis.class, BoundaryClass::Push);
+    assert_eq!(analysis.pairs.len(), 6, "3 interior boundaries x 2 directions");
+    for nprocs in [2, 4, 8] {
+        let kernel = compile(&sor_shaped_program(), nprocs);
+        assert!(
+            kernel.boundaries.iter().all(|b| b.class == BoundaryClass::Push),
+            "{nprocs} procs: {:?}",
+            kernel.boundaries
+        );
+        assert_eq!(kernel.barriers() + kernel.barriers_eliminated(), 0);
+    }
+}
+
+#[test]
+fn in_place_half_sweeps_classify_as_eliminated_barrier() {
+    // An in-place sweep whose copy is not final keeps its pages
+    // DSM-managed, and only the barrier (not the protocol) is eliminated:
+    // a partial write, whose unwritten words survive…
+    let program = Program {
+        arrays: vec![decl("m", 0)],
+        nodes: vec![Node::Phase(partial_sweep("red", 0)), Node::Phase(partial_sweep("black", 0))],
+    };
+    let phases = program.phases();
+    let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
+    assert_eq!(analysis.class, BoundaryClass::EliminatedBarrier);
+    // …or a READ&WRITE_ALL sweep over bytes a second processor also writes
+    // somewhere in the program (here each processor once overwrites its
+    // right neighbour's block).
+    let shift = Phase::new(
+        "shift",
+        vec![SectionAccess::new(0, ColSpan::BlockOf { offset: 1, wrap: false }, Access::WriteAll)],
+    );
+    let program = Program {
+        arrays: vec![decl("m", 0)],
+        nodes: vec![
+            Node::Phase(half_sweep("red", 0)),
+            Node::Phase(half_sweep("black", 0)),
+            Node::Phase(shift),
+        ],
     };
     let phases = program.phases();
     let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
@@ -149,12 +207,11 @@ fn cross_block_reductions_refuse_elimination() {
 
 #[test]
 fn far_dependences_without_write_all_refuse_elimination() {
-    // A distance-2 dependence whose producer reads before writing: not
-    // pushable (no WriteAll) and not nearest-neighbour — full barrier.
-    let update = Phase::new(
-        "update",
-        vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWriteAll)],
-    );
+    // A distance-2 dependence whose producer writes only part of its
+    // section: not pushable (the copy is not final) and not
+    // nearest-neighbour — full barrier.
+    let update =
+        Phase::new("update", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWrite)]);
     let far = Phase::new(
         "far",
         vec![SectionAccess::new(0, ColSpan::BlockOf { offset: 2, wrap: false }, Access::Read)],
@@ -250,7 +307,7 @@ fn dependences_spanning_several_boundaries_are_still_enforced() {
     // A neighbour-shaped skipped dependence resolves to the eliminated
     // barrier instead: still an edge per named pair, never silence.
     let writer =
-        Phase::new("w", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWriteAll)]);
+        Phase::new("w", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWrite)]);
     let idle = Phase::new("idle", vec![SectionAccess::new(1, ColSpan::OwnBlock, Access::WriteAll)]);
     let reader = Phase::new("r", vec![SectionAccess::new(0, ColSpan::UpdateHalo(1), Access::Read)]);
     let program = Program {
@@ -276,17 +333,10 @@ fn dependences_spanning_several_boundaries_are_still_enforced() {
 
 #[test]
 fn gc_policy_retains_one_real_barrier_per_iteration() {
-    // A loop of two eliminable half-sweeps: the loop-back boundary must be
-    // retained as a real barrier (GC heartbeat), the in-body boundary
-    // stays eliminated.
-    let program = Program {
-        arrays: vec![decl("m", 0)],
-        nodes: vec![
-            Node::Phase(init(&[0])),
-            Node::Repeat { times: 3, body: vec![half_sweep("red", 0), half_sweep("black", 0)] },
-        ],
-    };
-    let kernel = compile(&program, 4);
+    // A loop of two eliminable (partial-write) half-sweeps: the loop-back
+    // boundary must be retained as a real barrier (GC heartbeat), the
+    // in-body boundary stays eliminated.
+    let kernel = compile(&partial_sweep_program(), 4);
     let class_of = |prev: usize, next: usize| {
         kernel
             .boundaries
@@ -312,8 +362,8 @@ fn gc_policy_retains_one_real_barrier_per_iteration() {
 
 #[test]
 fn pushes_demote_when_the_program_keeps_managed_phases() {
-    // A pushable ring boundary inside a program that also flushes (an
-    // in-place half-sweep elsewhere): raw pushes would be re-shipped by
+    // A pushable ring boundary inside a program that also flushes (a
+    // partial-write half-sweep elsewhere): raw pushes would be re-shipped by
     // later diffs, so the ring boundary — whose dependences are not
     // nearest-neighbour — must fall back to a full barrier, and a
     // neighbour-shaped pushable boundary to the merged data+sync exchange.
@@ -323,7 +373,7 @@ fn pushes_demote_when_the_program_keeps_managed_phases() {
         "consume",
         vec![SectionAccess::new(0, ColSpan::BlockOf { offset: 1, wrap: true }, Access::Read)],
     );
-    let relax = half_sweep("relax", 0);
+    let relax = partial_sweep("relax", 0);
     let program = Program {
         arrays: vec![decl("m", 0)],
         nodes: vec![
@@ -353,15 +403,15 @@ fn pushes_demote_when_the_program_keeps_managed_phases() {
 
 #[test]
 fn plans_are_spmd_consistent_and_collectives_match() {
-    let program = Program {
-        arrays: vec![decl("m", 0)],
-        nodes: vec![
-            Node::Phase(init(&[0])),
-            Node::Repeat { times: 2, body: vec![half_sweep("red", 0), half_sweep("black", 0)] },
-        ],
-    };
     let nprocs = 4;
-    let kernel = compile(&program, nprocs);
+    for kernel in
+        [compile(&partial_sweep_program(), nprocs), compile(&sor_shaped_program(), nprocs)]
+    {
+        assert_collectives_match(&kernel, nprocs);
+    }
+}
+
+fn assert_collectives_match(kernel: &rsdcomp::CompiledKernel, nprocs: usize) {
     for me in 0..nprocs {
         let plan = kernel.plan_for(me);
         // Every plan has the same step skeleton (phase ids and op kinds).
@@ -425,14 +475,28 @@ fn plans_are_spmd_consistent_and_collectives_match() {
     }
 }
 
-/// Red-black SOR's shape at 16 columns: neighbour syncs and a retained GC
-/// barrier — every kind of plan content a run can share.
+/// Red-black SOR's shape at 16 columns: all pushes at the full level.
 fn sor_shaped_program() -> Program {
     Program {
         arrays: vec![decl("m", 0)],
         nodes: vec![
             Node::Phase(init(&[0])),
             Node::Repeat { times: 3, body: vec![half_sweep("red", 0), half_sweep("black", 0)] },
+        ],
+    }
+}
+
+/// The same loop over partial-write half-sweeps: neighbour syncs and a
+/// retained GC barrier — every kind of plan content a run can share.
+fn partial_sweep_program() -> Program {
+    Program {
+        arrays: vec![decl("m", 0)],
+        nodes: vec![
+            Node::Phase(init(&[0])),
+            Node::Repeat {
+                times: 3,
+                body: vec![partial_sweep("red", 0), partial_sweep("black", 0)],
+            },
         ],
     }
 }
@@ -451,7 +515,7 @@ fn jacobi_shaped_program() -> Program {
 
 #[test]
 fn the_full_level_is_compile_and_the_validate_level_keeps_only_barriers() {
-    for program in [sor_shaped_program(), jacobi_shaped_program()] {
+    for program in [partial_sweep_program(), sor_shaped_program(), jacobi_shaped_program()] {
         for nprocs in [1, 4, 8] {
             assert_eq!(compile_at(&program, nprocs, Level::Full), compile(&program, nprocs));
             let kernel = compile_at(&program, nprocs, Level::Validate);
@@ -485,7 +549,7 @@ fn compile_is_a_pure_function_whichever_thread_runs_it() {
     // (`exec::kernel_for`): the output depends on the program and the
     // cluster size only, so it does not matter which processor's host
     // thread happens to compile.
-    let program = sor_shaped_program();
+    let program = partial_sweep_program();
     let nprocs = 8;
     let reference = compile(&program, nprocs);
     let elsewhere: Vec<_> = std::thread::scope(|scope| {
@@ -505,7 +569,7 @@ fn kernel_for_compiles_once_per_run_and_hands_every_processor_the_same_kernel() 
     let run = treadmarks::Dsm::run(treadmarks::DsmConfig::new(nprocs), |p| {
         let compiled = rsdcomp::exec::kernel_for(p, Level::Full, || {
             builds.fetch_add(1, Ordering::SeqCst);
-            sor_shaped_program()
+            partial_sweep_program()
         });
         let me = p.proc_id();
         let mine = compiled.kernel.plan_for(me) == compile(&compiled.program, nprocs).plan_for(me);
@@ -553,7 +617,10 @@ fn explain_is_deterministic_and_names_the_decisions() {
         arrays: vec![decl("m", 0)],
         nodes: vec![
             Node::Phase(init(&[0])),
-            Node::Repeat { times: 2, body: vec![half_sweep("red", 0), half_sweep("black", 0)] },
+            Node::Repeat {
+                times: 2,
+                body: vec![partial_sweep("red", 0), partial_sweep("black", 0)],
+            },
         ],
     };
     let kernel = compile(&program, 4);

@@ -2,9 +2,14 @@
 //! program is (a) statically refused with the matching [`Refusal`] and
 //! (b) dynamically racy — the hand-written execution of the same pattern
 //! without the preserved barrier triggers at least one race report naming
-//! the racy page and a distinct processor pair.
+//! the racy page and a distinct processor pair — and where the sole-writer
+//! proof behind an in-place `Push` fails, nothing is pushed.
 
-use rsdcomp::{BoundaryClass, Refusal, RefusalClass};
+use pagedmem::Addr;
+use rsdcomp::{
+    compile, Access, ArrayDecl, BoundaryClass, BoundarySummary, ColSpan, Node, Phase, Program,
+    Refusal, RefusalClass, SectionAccess,
+};
 
 const NPROCS_MATRIX: [usize; 4] = [2, 4, 8, 16];
 
@@ -66,5 +71,59 @@ fn racy_reports_are_deterministic_across_runs() {
                 class.name()
             );
         }
+    }
+}
+
+#[test]
+fn shifting_ownership_never_pushes_in_place_sweeps() {
+    // Both phases overwrite in place (READ&WRITE_ALL), but ownership
+    // shifts: `a` writes a processor's own update block, `b` its right
+    // neighbour's block. No processor is the sole writer of what it writes,
+    // so no copy is final and the sweeps stay DSM-managed — classified as
+    // before in-place pushes existed: both `a -> b` boundaries eliminated,
+    // the loop-back retained for the GC horizon.
+    let a =
+        Phase::new("a", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWriteAll)]);
+    let b = Phase::new(
+        "b",
+        vec![SectionAccess::new(
+            0,
+            ColSpan::BlockOf { offset: 1, wrap: false },
+            Access::ReadWriteAll,
+        )],
+    );
+    let program = Program {
+        arrays: vec![ArrayDecl {
+            name: "m",
+            base: Addr::new(0),
+            rows: 512,
+            cols: 32,
+            elem_bytes: 8,
+        }],
+        nodes: vec![Node::Repeat { times: 2, body: vec![a, b] }],
+    };
+    for nprocs in NPROCS_MATRIX {
+        let kernel = compile(&program, nprocs);
+        assert_eq!(
+            kernel.boundaries,
+            vec![
+                BoundarySummary {
+                    prev: 0,
+                    next: 1,
+                    class: BoundaryClass::EliminatedBarrier,
+                    occurrences: 2
+                },
+                BoundarySummary {
+                    prev: 1,
+                    next: 0,
+                    class: BoundaryClass::FullBarrier { refusal: None, gc_forced: true },
+                    occurrences: 1
+                },
+            ],
+            "{nprocs} procs"
+        );
+        assert_eq!((kernel.barriers(), kernel.barriers_eliminated()), (1, 2), "{nprocs} procs");
+        let p2p: usize = (0..nprocs).map(|me| kernel.plan_for(me).messages_sent()).sum();
+        assert_eq!(p2p, 4 * (nprocs - 1), "{nprocs} procs: one ready and one ack per pair, twice");
     }
 }
