@@ -22,7 +22,7 @@
 //! diff horizon, has no such guarantee and pays the extra barrier.
 
 use ctrt::{validate, validate_w_sync, Access, RegularSection, SyncOp};
-use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
+use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, ReduceOp, SectionAccess};
 use treadmarks::{LockId, Process, SharedMatrix};
 
 use crate::{col_block, col_elems, fill_block, mix64, GridConfig, Variant};
@@ -60,20 +60,36 @@ fn merge_bulk(
     kbuf: &mut [u64],
     hbuf: &mut [u64],
 ) {
-    let rows = keys.rows();
     let bins = hbuf.len();
     p.get_slice(hist.array(), 0..bins, hbuf);
+    count_keys(p, keys, mine, t, kbuf, hbuf);
+    p.set_slice(hist.array(), 0..bins, hbuf);
+}
+
+/// Adds one to `counts` at each of this processor's keys and evolves the
+/// keys: the merge without its histogram traffic, adding into whichever
+/// buffer it is given — the shared histogram's contents, or a private
+/// partial that a reduction combines.
+fn count_keys(
+    p: &mut Process,
+    keys: &SharedMatrix<u64>,
+    mine: &std::ops::Range<usize>,
+    t: usize,
+    kbuf: &mut [u64],
+    counts: &mut [u64],
+) {
+    let rows = keys.rows();
+    let bins = counts.len();
     for j in mine.clone() {
         p.get_slice(keys.array(), col_elems(keys, j), kbuf);
         for (i, slot) in kbuf.iter_mut().enumerate() {
             let idx = j * rows + i;
             let k = *slot;
-            hbuf[k as usize] += 1;
+            counts[k as usize] = counts[k as usize].wrapping_add(1);
             *slot = next_key(k, t, idx, bins);
         }
         p.set_slice(keys.array(), col_elems(keys, j), kbuf);
     }
-    p.set_slice(hist.array(), 0..bins, hbuf);
 }
 
 /// Ranks this processor's own block of buckets: folds each final count of
@@ -230,17 +246,19 @@ fn hand_push(
 /// The integer-sort kernel as a loop-nest IR: an init phase overwrites the
 /// own key block, then each iteration a *lock-guarded* merge phase
 /// (declared via [`Phase::guarded`]) read-rewrites the own keys and
-/// read-modify-writes the whole histogram, and an unguarded rank phase
-/// reads the own block of buckets.
+/// accumulates into the whole histogram with wrapping adds, and an
+/// unguarded rank phase reads the own block of buckets.
 ///
-/// The analyzer classifies init→merge and rank→merge as
-/// [`rsdcomp::BoundaryClass::Lock`] — every dependence crossing them is
-/// ordered by the merge lock's acquire chain, so the entry is an acquire
-/// whose grant validates the sections and the exit is a release. The
-/// merge→rank boundary stays a real barrier *without* being a refusal:
-/// the histogram writes are lock-ordered but the holder order is
-/// runtime-determined, so the barrier is the intended synchronization
-/// (the lock+barrier idiom).
+/// At [`Level::Validate`] the accumulation is the guarded read-modify-write
+/// of the paper's lock+barrier idiom: init→merge and rank→merge classify as
+/// [`rsdcomp::BoundaryClass::Lock`] (an acquire whose grant validates the
+/// sections, a release at the exit), and merge→rank stays a real barrier
+/// *without* being a refusal — the holder order is runtime-determined, so
+/// the barrier is the intended synchronization. At [`Level::Full`] nothing
+/// but the accumulation touches the histogram, so merge→rank classifies as
+/// [`rsdcomp::BoundaryClass::Reduce`]: the merge adds into a private
+/// partial, the partials are summed up the barrier tree and each processor
+/// receives the totals of its own bucket block, with no lock at all.
 pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usize) -> Program {
     Program {
         arrays: vec![ArrayDecl::of_matrix("keys", keys), ArrayDecl::of_matrix("hist", hist)],
@@ -256,7 +274,7 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
                         "merge",
                         vec![
                             SectionAccess::new(0, ColSpan::OwnBlock, Access::ReadWriteAll),
-                            SectionAccess::new(1, ColSpan::All, Access::ReadWrite),
+                            SectionAccess::accumulate(1, ColSpan::All, ReduceOp::WrappingAdd),
                         ],
                         MERGE_LOCK,
                     ),
@@ -271,11 +289,14 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
 }
 
 /// Runs integer sort from the plan `rsdcomp` generates for [`is_program`]
-/// at `level`: the application supplies only the numeric bodies; the
-/// acquire (with its piggybacked section validation), the release and the
-/// single rank barrier all come from the plan — the same steps at both
-/// levels, and message-for-message the hand-written `Push` variant's (the
-/// test suite pins both). Returns the ranking checksum.
+/// at `level`: the application supplies only the numeric bodies, and the
+/// plan everything else. At the validate level that is the acquire (with
+/// its piggybacked section validation), the release and the single rank
+/// barrier — the hand-written `Push` variant's steps, which the test suite
+/// pins. At the full level it is one reduction per iteration: the merge
+/// counts into the zeroed private partial the step hands it, and the
+/// step's exit combines the partials over the barrier tree. Returns the
+/// ranking checksum.
 fn planned(
     p: &mut Process,
     keys: &SharedMatrix<u64>,
@@ -291,16 +312,20 @@ fn planned(
     let bins = rows * keys.cols();
     let mut kbuf = vec![0u64; rows];
     let mut hbuf = vec![0u64; bins];
+    let mut partial = Vec::new();
     let mut chk = 0u64;
     for step in &plan.steps {
         exec::run_boundary(p, &step.entry);
         match phases[step.phase].name {
             "init" => fill_block(p, &[keys], mine.clone(), |i, j| key_seed(i, j, bins)),
-            "merge" => merge_bulk(p, keys, hist, mine, step.iter, &mut kbuf, &mut hbuf),
+            "merge" => match exec::partial(step, &mut partial) {
+                Some(counts) => count_keys(p, keys, mine, step.iter, &mut kbuf, counts),
+                None => merge_bulk(p, keys, hist, mine, step.iter, &mut kbuf, &mut hbuf),
+            },
             "rank" => chk ^= rank_bulk(p, hist, own_bins(mine, rows), step.iter, &mut hbuf),
             other => unreachable!("unknown phase {other:?}"),
         }
-        exec::release(p, step);
+        exec::exit(p, step, &partial);
     }
     chk
 }

@@ -118,7 +118,14 @@ fn assert_chaos_transparent_u64(
                 variant.name()
             );
             let t = chaotic.stats.total();
-            if uses_locks {
+            if uses_locks && variant == Variant::Compiled {
+                assert_eq!(
+                    (t.lock_acquires, t.barriers > 0),
+                    (0, true),
+                    "{name}/compiled at {nprocs} procs, seed {seed}: the histogram \
+                     must travel as a reduction, with no lock"
+                );
+            } else if uses_locks {
                 assert!(
                     t.lock_acquires > 0,
                     "{name}/{} at {nprocs} procs, seed {seed}: the chaotic run \

@@ -107,9 +107,10 @@ fn sor_is_report_free_in_every_variant() {
 
 #[test]
 fn integer_sort_is_report_free_in_every_variant() {
-    // The lock-based kernel: every acquire-chain edge the compiled plan
-    // relies on (merged lock-grant+data, the lock+barrier merge idiom)
-    // must satisfy the detector as well as the analyzer.
+    // The lock-based kernel: every acquire-chain edge the validate plan
+    // relies on (merged lock-grant+data, the lock+barrier merge idiom) must
+    // satisfy the detector as well as the analyzer, and the compiled plan's
+    // reduction, which installs raw bytes, must not trip it.
     assert_report_free_u64("is", is);
 }
 

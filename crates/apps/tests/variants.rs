@@ -236,61 +236,118 @@ fn the_validate_level_keeps_one_barrier_per_communicating_boundary() {
                     }
                 }
             }
-            // The finding this pins: integer sort has nothing for the full
-            // level to improve, so both levels run the same steps.
+            // Integer sort's accumulation is the validate level's lock; the
+            // full level reduces it over the barrier tree instead, one
+            // reduction per iteration, with no lock and no barrier left.
             if name == "is" {
                 let full = compile(&program, nprocs);
                 for me in 0..nprocs {
-                    assert_eq!(kernel.plan_for(me).steps, full.plan_for(me).steps, "is@{nprocs}");
+                    let (plan, validate) = (full.plan_for(me), kernel.plan_for(me));
+                    assert_eq!(validate.lock_acquires(), barriers, "is@{nprocs}");
+                    assert_eq!(validate.reductions(), 0, "is@{nprocs}");
+                    assert_eq!((plan.barriers(), plan.lock_acquires()), (0, 0), "is@{nprocs}");
+                    assert_eq!(plan.reductions(), barriers, "is@{nprocs}");
                 }
             }
         }
     }
 }
 
+/// `program` with every accumulation declared as the plain read-modify-write
+/// it lowers to where it is not reduced.
+fn is_read_modify_write(mut program: rsdcomp::Program) -> rsdcomp::Program {
+    for node in &mut program.nodes {
+        if let rsdcomp::Node::Repeat { body, .. } = node {
+            for access in body.iter_mut().flat_map(|phase| &mut phase.accesses) {
+                access.accumulates = None;
+            }
+        }
+    }
+    program
+}
+
 #[test]
-fn compiled_is_matches_the_hand_lock_variant_message_for_message() {
-    // The acceptance criterion for the merged lock-grant+data path: the
-    // generated plan's section validation rides the acquire it needs
-    // anyway, so the compiled form sends no extra protocol messages over
-    // the hand-optimized lock variant — zero overhead for going through
-    // the compiler.
+fn the_validate_level_plans_integer_sort_as_before_accumulations() {
+    // The paper's lock path stays reproducible next to the reduction: at the
+    // validate level an accumulation compiles to exactly what the plain
+    // guarded read-modify-write it stands for compiled to — every boundary
+    // and every processor's plan — at every cluster size the wide grid
+    // admits.
+    use rsdcomp::{compile, compile_at, Level};
+    let (_, program, _) = real_programs().into_iter().find(|(name, ..)| *name == "is").unwrap();
+    let plain = is_read_modify_write(program.clone());
+    assert_ne!(program, plain, "the kernel declares an accumulation");
+    for nprocs in 1..=64 {
+        assert_eq!(
+            compile_at(&program, nprocs, Level::Validate),
+            compile_at(&plain, nprocs, Level::Validate),
+            "is@{nprocs}"
+        );
+        // Declared as a plain read-modify-write the merge keeps its lock at
+        // the full level too: only an accumulation is reduced.
+        assert_eq!(compile(&plain, nprocs).plan_for(0).reductions(), 0, "is@{nprocs}");
+    }
+}
+
+#[test]
+fn the_hand_lock_variant_is_the_validate_plan_and_compiled_is_takes_no_lock() {
+    // The merged lock-grant+data path: the validate level's plan rides the
+    // acquire it needs anyway, so it sends no extra protocol messages over
+    // the hand-optimized lock variant — zero overhead for going through the
+    // compiler. A regression — validating the merge sections with a
+    // standalone fetch instead of riding the grant — shows up in the
+    // structural, scheduling-invariant counters compared here. The raw
+    // message count is deliberately *not* compared: the lock manager grants
+    // in arrival order, so the acquire chain differs between any two runs.
     //
-    // A regression here — validating the merge sections with a standalone
-    // fetch instead of riding the grant — shows up in the structural,
-    // scheduling-invariant counters: an extra `validates` call, or extra
-    // sync operations. Those must match the hand variant exactly, and they
-    // determine the protocol message footprint. The raw message count is
-    // deliberately *not* compared: the lock manager grants in arrival
-    // order, so the acquire chain differs between any two runs and moves
-    // an unbounded-in-practice handful of diffs between the grant
-    // piggyback and third-party fetch pairs — the same noise affects two
-    // runs of the *same* variant.
+    // The full level has no lock to ride: one reduction per iteration
+    // carries the histogram, so it takes no lock, keeps exactly one
+    // (reduction) barrier per iteration and never twins a histogram page.
+    let iters = IS_CFG.iters as u64;
     for nprocs in [2, 4, 8] {
         let push = run_app_u64(is, IS_CFG, nprocs, Variant::Push).stats.total();
-        let compiled = run_app_u64(is, IS_CFG, nprocs, Variant::Compiled).stats.total();
-        assert_eq!(
-            compiled.lock_acquires, push.lock_acquires,
-            "compiled IS must acquire exactly the hand variant's locks at {nprocs} procs"
-        );
-        assert_eq!(
-            compiled.barriers, push.barriers,
-            "compiled IS must keep exactly the hand variant's barriers at {nprocs} procs"
-        );
-        assert_eq!(
-            compiled.pushes, push.pushes,
-            "compiled IS must issue exactly the hand variant's pushes at {nprocs} procs"
-        );
-        assert_eq!(
-            compiled.validate_w_syncs, push.validate_w_syncs,
-            "every compiled section validation must ride a sync operation at {nprocs} procs"
-        );
+        let validate = run_app_u64(is, IS_CFG, nprocs, Variant::Validate).stats.total();
+        let structure = |t: &StatsSnapshot| (t.lock_acquires, t.barriers, t.validate_w_syncs);
+        assert_eq!(structure(&validate), structure(&push), "is/validate@{nprocs}");
         assert!(
-            compiled.validates <= nprocs as u64,
-            "the only standalone validate the compiled plan may issue is the init \
-             boundary's local write preparation (got {} at {nprocs} procs)",
-            compiled.validates
+            validate.validates <= nprocs as u64,
+            "the only standalone validate the plan may issue is the init boundary's local \
+             write preparation (got {} at {nprocs} procs)",
+            validate.validates
         );
+        let compiled = run_app_u64(is, IS_CFG, nprocs, Variant::Compiled).stats.total();
+        assert_eq!(compiled.lock_acquires, 0, "is/compiled@{nprocs}");
+        assert_eq!(compiled.barriers, nprocs as u64 * iters, "is/compiled@{nprocs}");
+        assert_eq!(compiled.diffs_created + compiled.write_notices, 0, "is/compiled@{nprocs}");
+        assert_eq!(compiled.page_faults, 0, "is/compiled@{nprocs}");
+        // The only twins are of key pages two processors' blocks share,
+        // prepared for a partial overwrite; with a page per column there are
+        // none, so none is of the histogram.
+        let aligned = GridConfig { rows: 512, cols: 16, iters: 2 };
+        let compiled = run_app_u64(is, aligned, nprocs, Variant::Compiled).stats.total();
+        assert_eq!(compiled.twins_created, 0, "is/compiled@{nprocs}, a page per column");
+    }
+}
+
+#[test]
+fn compiled_integer_sort_is_deterministic() {
+    // No lock grant is left on the reduced kernel's path, so nothing about
+    // a run depends on the host's thread schedule: twenty runs at eight and
+    // at sixty-four processors give the same modelled times, the same
+    // per-node counters and the pinned checksums.
+    for (nprocs, cfg, pin) in [(8, IS_CFG, IS_CHECKSUM), (64, WIDE_CFG, WIDE_IS_CHECKSUM)] {
+        let run = || {
+            let config = DsmConfig::new(nprocs).with_cost_model(CostModel::sp2());
+            Dsm::run(config, move |p| is(p, &cfg, Variant::Compiled))
+        };
+        let first = run();
+        assert_eq!(combined(&first), pin, "is/compiled@{nprocs}");
+        for _ in 1..20 {
+            let again = run();
+            assert_eq!(again.results, first.results, "checksums at {nprocs} procs");
+            assert_eq!(again.elapsed, first.elapsed, "virtual times at {nprocs} procs");
+            assert_eq!(again.stats, first.stats, "statistics at {nprocs} procs");
+        }
     }
 }
 

@@ -469,7 +469,7 @@ pub fn check_byte_equal(
         let both = |base: &str| format!("\n    baseline: {base}\n    current:  {line}");
         match baseline.iter().find(|base| base.starts_with(key)) {
             Some(&base) if base == line => report.push(format!("{name}: byte-equal")),
-            Some(&base) if cur.app == "is" => {
+            Some(&base) if cur.app == "is" && cur.variant != "compiled" => {
                 report.push(format!("{name}: differs (informational){}", both(base)));
             }
             Some(&base) => failures.push(format!("{name} differs from the baseline{}", both(base))),
@@ -567,6 +567,7 @@ mod tests {
             run("sor", small, 8, Variant::Compiled),
             run("is", int_small, 8, Variant::Compiled),
             run("gauss", int_small, 8, Variant::Compiled),
+            run("is", int_small, 8, Variant::Validate),
         ];
         let baseline = render_json(&current);
         (current, baseline)
@@ -578,7 +579,7 @@ mod tests {
         assert!(check_byte_equal(&current, &same).is_ok());
         // Any field of any non-IS record, in either direction: the gate
         // trips. There is no budget — a faster record is a change too.
-        for changed in [0, 1, 2, 3, 5] {
+        for changed in [0, 1, 2, 3, 4, 5] {
             let mut slower = current.clone();
             slower[changed].time_ns += 1;
             assert!(check_byte_equal(&slower, &same).is_err(), "record {changed}, one ns slower");
@@ -586,11 +587,13 @@ mod tests {
             fewer[changed].messages -= 1;
             assert!(check_byte_equal(&fewer, &same).is_err(), "record {changed}, one message less");
         }
-        // An IS row that differs is printed, with both lines, and passes.
+        // A lock-based IS row that differs is printed, with both lines, and
+        // passes; compiled IS takes no lock and is gated like the rest.
         let mut jitter = current.clone();
-        jitter[4].time_ns += 1_000;
-        let report = check_byte_equal(&jitter, &same).expect("IS rows are informational");
-        let is_line = report.iter().find(|l| l.starts_with("is/compiled@8")).expect("reported");
+        jitter[6].time_ns += 1_000;
+        let report =
+            check_byte_equal(&jitter, &same).expect("lock-based IS rows are informational");
+        let is_line = report.iter().find(|l| l.starts_with("is/validate@8")).expect("reported");
         assert!(is_line.contains("informational") && is_line.contains("baseline:"), "{is_line}");
         // A baseline missing a record, or holding one the suite no longer
         // produces: refuse to pass silently.

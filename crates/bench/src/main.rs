@@ -6,7 +6,8 @@
 //!   against the checked-in baseline (path configurable with
 //!   `--baseline`), exiting non-zero unless every record is byte-equal to
 //!   its baseline line (every differing record is listed first, with both
-//!   lines; differing IS rows are informational).
+//!   lines; differing rows of the lock-based IS variants are
+//!   informational).
 //! * `cargo run -p dsm-bench -- --explain <app>` — dump the kernel's
 //!   compiled plan (phase classifications, refusal reasons, message
 //!   counts) deterministically, without running the suite. May be given

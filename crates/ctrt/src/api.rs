@@ -9,14 +9,16 @@
 //!   operation so the consistency information and the data travel on the
 //!   same messages;
 //! * [`push`] — for fully analyzable phases: producers send their data
-//!   directly to the consumers, replacing barrier + invalidate + fetch.
+//!   directly to the consumers, replacing barrier + invalidate + fetch;
+//! * [`reduce`] — for sections only ever accumulated: private partials are
+//!   combined over the barrier tree, replacing the lock chain.
 //!
 //! The legality contract for each call is specified in `DESIGN.md`.
 
 use pagedmem::AddrRange;
 use treadmarks::{LockId, PendingSync, PhasePlan, ProcId, Process, SyncOp};
 
-use crate::section::RegularSection;
+use crate::section::{ReduceOp, RegularSection};
 
 /// The fast-path mappings of a phase's sections, cached.
 ///
@@ -224,6 +226,32 @@ pub fn neighbor_sync_issue(
     p.stats().split_phase_issues(1);
     let plan = plan(sections);
     p.neighbor_sync_issue(producers, consumers, &plan)
+}
+
+/// `Reduce(op, section, partial)`: combines every processor's private
+/// `partial` of `section` (one `u64` per word) with `op` over the barrier
+/// tree, and adds into this processor's copy of the section the totals of
+/// the words `wants[me]` names. The departures are cut by subtree, so each
+/// processor receives only what it reads — a reduce-scatter — installed as
+/// raw bytes: no interval ends, and no lock, twin, diff or notice is
+/// involved.
+///
+/// **Contract:** a collective with the same `op`, `section` and `wants` on
+/// every processor. Only legal when the compiler has proven that `op` is
+/// the only update the section's words see (no plain write anywhere, no
+/// read inside the accumulating phase) and that nothing in the program
+/// flushes an interval — the same whole-program proviso as [`push_phase`]
+/// (see `DESIGN.md` §9).
+pub fn reduce(
+    p: &mut Process,
+    op: ReduceOp,
+    section: AddrRange,
+    partial: &[u64],
+    wants: &[Vec<AddrRange>],
+) {
+    match op {
+        ReduceOp::WrappingAdd => p.reduce_add(section, partial, wants),
+    }
 }
 
 /// `Push(dest, regions)`: describes one destination of a [`push_phase`] —

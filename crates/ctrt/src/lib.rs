@@ -19,7 +19,11 @@
 //!   handshake with the named producers, whose acks are the paper's merged
 //!   data+sync messages (write notices and diffs on one polled message).
 //!   Emitted by the `rsdcomp` analyzer for boundaries with exclusively
-//!   nearest-neighbour flow dependences.
+//!   nearest-neighbour flow dependences;
+//! * [`reduce`] — *"these words are only ever accumulated"*: every
+//!   processor's private partial is summed up the barrier tree and each
+//!   processor receives the totals of the words it reads, with no lock,
+//!   twin or diff.
 //!
 //! A split-phase call (`validate_w_sync_issue`, `neighbor_sync_issue`)
 //! returns the runtime's own receipt, a [`treadmarks::PendingSync`], which
@@ -61,10 +65,10 @@ mod api;
 mod section;
 
 pub use api::{
-    neighbor_sync, neighbor_sync_issue, push_phase, release, validate, validate_w_sync,
+    neighbor_sync, neighbor_sync_issue, push_phase, reduce, release, validate, validate_w_sync,
     validate_w_sync_complete, validate_w_sync_issue, Push, SectionGrant,
 };
-pub use section::{Access, RegularSection, SyncOp};
+pub use section::{Access, ReduceOp, RegularSection, SyncOp};
 // Race detection rides the same interface: every apply point the calls
 // above funnel into is a detection point, reports come back on
 // `DsmRun::races`, and the mode is selected by `DsmConfig::race_detect`

@@ -52,6 +52,14 @@ impl Access {
     }
 }
 
+/// The operator of a reduction: a commutative, associative update, so the
+/// partials may be combined in any order and any grouping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ReduceOp {
+    /// Wrapping addition of `u64` words.
+    WrappingAdd,
+}
+
 /// A regular section lowered to address ranges, tagged with its access.
 ///
 /// ```

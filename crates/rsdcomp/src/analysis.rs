@@ -22,11 +22,19 @@
 //! * [`BoundaryClass::FullBarrier`] — everything else, with the
 //!   [`Refusal`] recording why the analyzer declined to optimize. Refusal
 //!   is always sound: the full barrier preserves every happens-before edge.
+//! * [`BoundaryClass::Reduce`] — the exit of a phase whose only
+//!   cross-processor writes are accumulations into one section
+//!   (`reducible` decides, for the whole program): the partials are
+//!   reduced over the barrier tree, and every other dependence out of the
+//!   phase is no-comm or pushable.
+
+use std::sync::Arc;
 
 use pagedmem::AddrRange;
 use treadmarks::{LockId, ProcId};
 
-use crate::ir::{Access, ColSpan, Phase, Program};
+use crate::ir::{Access, ColSpan, Node, Phase, Program};
+use crate::plan::Reduction;
 
 /// Why the analyzer refused to eliminate a barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +112,10 @@ pub enum BoundaryClass {
     /// paper's merged lock-grant+data message) and the phase exit a
     /// release — no barrier at all.
     Lock(LockId),
+    /// The boundary leaves a phase whose accumulations are reduced over the
+    /// barrier tree at its exit: no lock, twin or diff, and the phase's other
+    /// dependences move as pushes when there are any.
+    Reduce,
 }
 
 impl BoundaryClass {
@@ -115,6 +127,7 @@ impl BoundaryClass {
             BoundaryClass::EliminatedBarrier => "eliminated-barrier",
             BoundaryClass::Push => "push",
             BoundaryClass::Lock(_) => "lock",
+            BoundaryClass::Reduce => "reduce",
         }
     }
 }
@@ -383,6 +396,132 @@ impl PendingWrites {
             v.retain(|w| w.lock != Some(lock));
         }
     }
+}
+
+/// The program the full level classifies when every accumulation of
+/// `program` can be reduced instead of merged under its lock, with each
+/// phase's [`Reduction`] — or `None`, and every accumulation keeps its lock.
+///
+/// In the returned program each accumulating phase has lost its
+/// accumulations (the body adds into a private partial, which touches no
+/// shared byte) and its lock (the partial needs no mutual exclusion). That
+/// is sound only if the accumulated words see nothing but the accumulation,
+/// so the reduction is refused when
+///
+/// * a phase accumulates into more than one section, through a non-affine
+///   or iteration-dependent span, or into words that are not `u64`;
+/// * any access of an accumulating phase other than the accumulation itself
+///   reads or writes the accumulated words — a read there would see a
+///   partial sum, a write would mix a second update with the first;
+/// * a plain write anywhere in the program, or a non-affine access to the
+///   accumulated array, could touch the accumulated words.
+///
+/// Reads of the accumulated words in the other phases are what each
+/// processor wants: every reduction of that section
+/// delivers their totals, so every wanted word of every copy holds the
+/// allocator's initial value plus every total so far. The whole-program
+/// proviso — nothing may flush an interval — is the caller's to check on
+/// the classified walk.
+pub(crate) fn reducible(
+    program: &Program,
+    nprocs: usize,
+) -> Option<(Program, Vec<Option<Reduction>>)> {
+    let phases = program.phases();
+    let mut sections = Vec::with_capacity(phases.len());
+    for phase in &phases {
+        let mut accumulations =
+            phase.accesses.iter().filter_map(|a| Some((a.array, a.span, a.accumulates?)));
+        let first = accumulations.next();
+        if let Some((array, span, _)) = first {
+            if span == ColSpan::Unknown
+                || span.iter_dependent()
+                || program.arrays[array].elem_bytes != 8
+                || accumulations.any(|other| Some(other) != first)
+            {
+                return None;
+            }
+        }
+        sections.push(first);
+    }
+    // Each accumulated section as one extent: the hull of every
+    // processor's span, which every processor's partial covers word for word.
+    let mut hulls = Vec::with_capacity(phases.len());
+    for section in &sections {
+        hulls.push(match *section {
+            None => None,
+            Some((array, span, _)) => {
+                let decl = &program.arrays[array];
+                let cols = (0..nprocs)
+                    .filter_map(|me| span.eval(decl.cols, nprocs, me, 0))
+                    .filter(|cols| !cols.is_empty())
+                    .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))?;
+                Some((array, decl.col_range(cols.start, cols.end)))
+            }
+        });
+    }
+    if hulls.iter().all(Option::is_none) {
+        return None;
+    }
+    let mut wants: Vec<Vec<Vec<AddrRange>>> = vec![vec![Vec::new(); nprocs]; phases.len()];
+    let mut seen = vec![false; phases.len()];
+    for (id, iter) in program.occurrences_with_iter() {
+        let phase = phases[id];
+        if seen[id] && !phase.iter_dependent() {
+            continue;
+        }
+        seen[id] = true;
+        for access in phase.accesses.iter().filter(|a| a.accumulates.is_none()) {
+            let decl = &program.arrays[access.array];
+            // `me` names the processor the span is evaluated for, not only a
+            // position in `wants`.
+            #[allow(clippy::needless_range_loop)]
+            for me in 0..nprocs {
+                let Some(cols) = access.span.eval(decl.cols, nprocs, me, iter) else {
+                    if hulls.iter().flatten().any(|&(array, _)| array == access.array) {
+                        return None;
+                    }
+                    continue;
+                };
+                if cols.is_empty() {
+                    continue;
+                }
+                let range = decl.col_range(cols.start, cols.end);
+                for (acc, hull) in hulls.iter().enumerate() {
+                    let Some(overlap) = hull.and_then(|(_, hull)| range.intersect(&hull)) else {
+                        continue;
+                    };
+                    if access.writes() || acc == id {
+                        return None;
+                    }
+                    wants[acc][me].push(overlap);
+                }
+            }
+        }
+    }
+    let exits = sections
+        .iter()
+        .zip(hulls)
+        .zip(wants)
+        .map(|((section, hull), wants)| {
+            let ((_, _, op), (_, section)) = (section.as_ref()?, hull?);
+            let wants: Arc<[Vec<AddrRange>]> = wants.into_iter().map(AddrRange::coalesce).collect();
+            Some(Reduction { op: *op, section, wants })
+        })
+        .collect();
+    let mut reduced = program.clone();
+    let private = |phase: &mut Phase| {
+        if phase.accesses.iter().any(|a| a.accumulates.is_some()) {
+            phase.accesses.retain(|a| a.accumulates.is_none());
+            phase.lock = None;
+        }
+    };
+    for node in &mut reduced.nodes {
+        match node {
+            Node::Phase(phase) => private(phase),
+            Node::Repeat { body, .. } => body.iter_mut().for_each(private),
+        }
+    }
+    Some((reduced, exits))
 }
 
 /// Classifies the boundary into `next`'s occurrence at loop iteration

@@ -2,7 +2,9 @@
 //!
 //! The application iterates its [`ProcPlan`](crate::ProcPlan)'s steps,
 //! issues each entry op, runs the phase's numeric body and completes the
-//! entry, so computation on already-local data overlaps the exchange. The
+//! entry, so computation on already-local data overlaps the exchange, then
+//! runs the step's [`exit`] — a release, or the reduction of the partial an
+//! accumulating body added into ([`partial`]). The
 //! executor is the *only* place compiled kernels touch the runtime: the
 //! application contributes arithmetic, the plan contributes protocol.
 //!
@@ -16,7 +18,7 @@ use std::sync::Arc;
 use treadmarks::{PendingSync, Process};
 
 use crate::ir::Program;
-use crate::plan::{compile_at, BoundaryOp, CompiledKernel, Level, PlanStep};
+use crate::plan::{compile_at, BoundaryOp, CompiledKernel, Level, PhaseExit, PlanStep};
 
 /// A program and the kernel compiled from it for one run's cluster size,
 /// shared by every processor of that run.
@@ -109,11 +111,25 @@ pub fn run_boundary(p: &mut Process, op: &BoundaryOp) {
     complete(p, issued);
 }
 
-/// Executes a step's phase exit: releases the guarding lock if the step's
-/// entry acquired one (flushing the guarded writes and granting queued
-/// requesters), else does nothing. Call after the phase's numeric body.
-pub fn release(p: &mut Process, step: &PlanStep) {
-    if let Some(lock) = step.release {
-        ctrt::release(p, lock);
+/// The buffer a step's body accumulates into when the step's exit reduces
+/// it: `buf` resized to the reduced section's words and zeroed — the
+/// processor-private partial. `None` when the step accumulates into the
+/// shared section itself, under the lock its entry took.
+pub fn partial<'a>(step: &PlanStep, buf: &'a mut Vec<u64>) -> Option<&'a mut [u64]> {
+    let PhaseExit::Reduce(reduction) = &step.exit else { return None };
+    buf.clear();
+    buf.resize(reduction.section.len() / 8, 0);
+    Some(buf)
+}
+
+/// Executes a step's phase exit after its numeric body: releases the lock
+/// the entry acquired (flushing the guarded writes and granting queued
+/// requesters), or reduces `partial` — the buffer [`partial`] handed the
+/// body — over the barrier tree, or does nothing.
+pub fn exit(p: &mut Process, step: &PlanStep, partial: &[u64]) {
+    match &step.exit {
+        PhaseExit::Nothing => {}
+        PhaseExit::Release(lock) => ctrt::release(p, *lock),
+        PhaseExit::Reduce(r) => ctrt::reduce(p, r.op, r.section, partial, &r.wants),
     }
 }

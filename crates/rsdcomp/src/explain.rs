@@ -2,7 +2,7 @@
 
 use crate::analysis::BoundaryClass;
 use crate::ir::Program;
-use crate::plan::{BoundaryOp, CompiledKernel};
+use crate::plan::{BoundaryOp, CompiledKernel, PhaseExit};
 
 /// Renders the compiled kernel as deterministic text: the phases, every
 /// distinct boundary's classification (with refusal reasons and GC-forced
@@ -17,7 +17,13 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
         let accesses: Vec<String> = phase
             .accesses
             .iter()
-            .map(|a| format!("{}[{:?}]:{:?}", program.arrays[a.array].name, a.span, a.access))
+            .map(|a| {
+                let name = program.arrays[a.array].name;
+                match a.accumulates {
+                    Some(op) => format!("{name}[{:?}]:Accumulate({op:?})", a.span),
+                    None => format!("{name}[{:?}]:{:?}", a.span, a.access),
+                }
+            })
             .collect();
         let guard = match phase.lock {
             Some(lock) => format!(" guarded by lock {lock}"),
@@ -53,18 +59,22 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
             .iter()
             .map(|s| {
                 let name = s.entry.name();
+                let phase = phases[s.phase].name;
+                let exit = match s.exit {
+                    PhaseExit::Nothing => "",
+                    PhaseExit::Release(_) => "+release",
+                    PhaseExit::Reduce(_) => "+reduce",
+                };
                 match &s.entry {
                     BoundaryOp::NeighborSync { producers, consumers, .. } => {
-                        format!("{name}(p={producers:?},c={consumers:?})->{}", phases[s.phase].name)
+                        format!("{name}(p={producers:?},c={consumers:?})->{phase}{exit}")
                     }
                     BoundaryOp::Push { sends, recv_from, .. } => {
                         let dests: Vec<usize> = sends.iter().map(|p| p.dest).collect();
-                        format!("{name}(to={dests:?},from={recv_from:?})->{}", phases[s.phase].name)
+                        format!("{name}(to={dests:?},from={recv_from:?})->{phase}{exit}")
                     }
-                    BoundaryOp::Lock { lock, .. } => {
-                        format!("{name}({lock})->{}+release", phases[s.phase].name)
-                    }
-                    _ => format!("{name}->{}", phases[s.phase].name),
+                    BoundaryOp::Lock { lock, .. } => format!("{name}({lock})->{phase}{exit}"),
+                    _ => format!("{name}->{phase}{exit}"),
                 }
             })
             .collect();
@@ -76,11 +86,13 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
     }
     let p2p: usize = (0..kernel.nprocs).map(|me| kernel.plan_for(me).messages_sent()).sum();
     out.push_str(&format!(
-        "totals: steps={} real-barriers={} eliminated-barriers={} lock-acquires={} p2p-messages={}\n",
+        "totals: steps={} real-barriers={} eliminated-barriers={} lock-acquires={} reductions={} \
+         p2p-messages={}\n",
         kernel.plan_for(0).steps.len(),
         kernel.barriers(),
         kernel.barriers_eliminated(),
         kernel.plan_for(0).lock_acquires(),
+        kernel.plan_for(0).reductions(),
         p2p
     ));
     out

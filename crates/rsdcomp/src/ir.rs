@@ -12,7 +12,7 @@
 use pagedmem::{Addr, AddrRange};
 use treadmarks::{LockId, Shareable, SharedMatrix};
 
-pub use ctrt::Access;
+pub use ctrt::{Access, ReduceOp};
 
 /// Index of an array declaration within its [`Program`].
 pub type ArrayId = usize;
@@ -202,12 +202,27 @@ pub struct SectionAccess {
     /// The access kind (the `WRITE_ALL` variants carry the paper's
     /// full-overwrite assertion, which is what licenses `Push`).
     pub access: Access,
+    /// `Some(op)` marks an accumulation: the phase only combines values
+    /// into the section's `u64` words with the commutative `op`, and reads
+    /// nothing it holds. `access` is then `ReadWrite`, which is what the
+    /// accumulation lowers to wherever it is not reduced: a read-modify-write
+    /// inside the phase's lock.
+    pub accumulates: Option<ReduceOp>,
 }
 
 impl SectionAccess {
     /// A new access description.
     pub fn new(array: ArrayId, span: ColSpan, access: Access) -> SectionAccess {
-        SectionAccess { array, span, access }
+        SectionAccess { array, span, access, accumulates: None }
+    }
+
+    /// An accumulation into the section with `op`, declared inside a
+    /// lock-guarded phase (see [`SectionAccess::accumulates`]). At
+    /// `Level::Full` the compiler may give the phase's body a private
+    /// partial and reduce it over the barrier tree instead of taking the
+    /// lock; elsewhere it is the guarded `ReadWrite`.
+    pub fn accumulate(array: ArrayId, span: ColSpan, op: ReduceOp) -> SectionAccess {
+        SectionAccess { array, span, access: Access::ReadWrite, accumulates: Some(op) }
     }
 
     /// Whether the access reads the section's old contents.

@@ -72,7 +72,7 @@ pub use analysis::{
     analyze_boundary, classify_against_pending, BoundaryAnalysis, BoundaryClass, DepPair,
     PendingWrites, Refusal,
 };
-pub use ctrt::{Access, RegularSection, SyncOp};
+pub use ctrt::{Access, ReduceOp, RegularSection, SyncOp};
 pub use differential::{RacyOutcome, RefusalClass};
 pub use explain::explain;
 pub use ir::{
@@ -80,6 +80,7 @@ pub use ir::{
 };
 pub use pagedmem::AddrRange;
 pub use plan::{
-    compile, compile_at, BoundaryOp, BoundarySummary, CompiledKernel, Level, PlanStep, ProcPlan,
+    compile, compile_at, BoundaryOp, BoundarySummary, CompiledKernel, Level, PhaseExit, PlanStep,
+    ProcPlan, Reduction,
 };
 pub use treadmarks::LockId;

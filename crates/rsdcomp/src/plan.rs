@@ -8,11 +8,14 @@
 //! application supplies only the numeric phase bodies; every protocol
 //! decision lives in the plan.
 
-use ctrt::{Push, RegularSection};
+use std::sync::Arc;
+
+use ctrt::{Push, ReduceOp, RegularSection};
+use pagedmem::AddrRange;
 use treadmarks::{LockId, ProcId};
 
 use crate::analysis::{
-    classify_against_pending, BoundaryAnalysis, BoundaryClass, PendingWrites, Refusal,
+    classify_against_pending, reducible, BoundaryAnalysis, BoundaryClass, PendingWrites, Refusal,
 };
 use crate::ir::{Node, PhaseId, Program};
 
@@ -46,7 +49,7 @@ pub enum BoundaryOp {
     /// A lock-guarded phase entry: the acquire validates the phase's
     /// sections on the grant (the runtime piggybacks the granter's diffs on
     /// the grant message, so the merged lock-grant+data exchange costs no
-    /// extra protocol messages), and the matching [`PlanStep::release`]
+    /// extra protocol messages), and the matching [`PhaseExit::Release`]
     /// flushes the guarded writes at the phase's exit.
     Lock {
         /// The guarding lock.
@@ -97,8 +100,34 @@ impl BoundaryOp {
     }
 }
 
-/// One step of a processor's plan: execute `entry`, then run the phase's
-/// numeric body.
+/// A reduction at a phase's exit: the body accumulated into a zeroed,
+/// processor-private partial of `section`, and every processor's partial is
+/// combined over the barrier tree (`ctrt::reduce`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reduction {
+    /// The accumulation's operator.
+    pub op: ReduceOp,
+    /// The accumulated section: one `u64` partial word per word of it.
+    pub section: AddrRange,
+    /// Per processor, the words of `section` its reads anywhere in the
+    /// program cover: the totals every reduction adds into its copy.
+    pub wants: Arc<[Vec<AddrRange>]>,
+}
+
+/// What runs after a phase's body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PhaseExit {
+    /// Nothing: the next step's entry synchronizes.
+    Nothing,
+    /// Release the lock the entry acquired ([`BoundaryOp::Lock`]), flushing
+    /// the guarded writes and granting queued requesters.
+    Release(LockId),
+    /// Reduce the body's private partial over the barrier tree.
+    Reduce(Reduction),
+}
+
+/// One step of a processor's plan: execute `entry`, run the phase's numeric
+/// body, then execute `exit`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanStep {
     /// The phase whose body follows the entry op.
@@ -109,10 +138,10 @@ pub struct PlanStep {
     pub iter: usize,
     /// The synchronization/preparation op at the phase's entry.
     pub entry: BoundaryOp,
-    /// A lock to release (flushing the guarded writes and granting queued
-    /// requesters) after the phase's body — set exactly when `entry` is
-    /// [`BoundaryOp::Lock`].
-    pub release: Option<LockId>,
+    /// The op after the phase's body: a release exactly when `entry` is
+    /// [`BoundaryOp::Lock`], a reduction when the phase's accumulations
+    /// are reduced.
+    pub exit: PhaseExit,
 }
 
 /// The complete compiled call sequence for one processor.
@@ -136,6 +165,11 @@ impl ProcPlan {
     /// Number of lock-guarded phase entries (acquire/release pairs).
     pub fn lock_acquires(&self) -> usize {
         self.steps.iter().filter(|s| matches!(s.entry, BoundaryOp::Lock { .. })).count()
+    }
+
+    /// Number of reductions over the barrier tree at phase exits.
+    pub fn reductions(&self) -> usize {
+        self.steps.iter().filter(|s| matches!(s.exit, PhaseExit::Reduce(_))).count()
     }
 
     /// Point-to-point messages this processor sends over the whole plan.
@@ -193,9 +227,12 @@ pub enum Level {
     /// Aggregation and merged data+sync only: every communicating boundary
     /// keeps its barrier, as a split-phase `Validate_w_sync`. `Push` and
     /// `EliminatedBarrier` classifications become `FullBarrier`; local and
-    /// lock boundaries are what they are at [`Level::Full`].
+    /// lock boundaries are what they are at [`Level::Full`], and an
+    /// accumulation is the guarded `ReadWrite` it lowers to — the paper's
+    /// lock+barrier idiom.
     Validate,
-    /// Everything the analysis proves: pushes and barrier replacement on top.
+    /// Everything the analysis proves: pushes, barrier replacement and
+    /// reductions on top.
     Full,
 }
 
@@ -215,7 +252,8 @@ pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
 ///
 /// Panics if the program has no phases, an array has fewer than `2 *
 /// nprocs` columns (the block distribution needs at least two columns per
-/// processor), or a referenced array id is out of range.
+/// processor), a referenced array id is out of range, or an accumulation is
+/// declared outside a lock-guarded phase.
 pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKernel {
     assert!(nprocs > 0, "a kernel is compiled for at least one processor");
     for decl in &program.arrays {
@@ -225,6 +263,45 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
             decl.name
         );
     }
+    let phases = program.phases();
+    assert!(
+        phases.iter().all(|p| p.lock.is_some() || p.accesses.iter().all(|a| a.accumulates.is_none())),
+        "an accumulation is declared inside a lock-guarded phase: its lowering where it is not reduced"
+    );
+    // At the full level accumulations are reduced over the barrier tree
+    // when nothing else touches their words — and only if the whole program
+    // then keeps no DSM-managed boundary, the proviso `Push` obeys too (see
+    // `plan`): otherwise every accumulation keeps its lock.
+    if level == Level::Full {
+        if let Some(kernel) = reducible(program, nprocs)
+            .and_then(|(reduced, exits)| plan(&reduced, nprocs, level, &exits))
+        {
+            return kernel;
+        }
+    }
+    plan(program, nprocs, level, &vec![None; phases.len()]).expect("nothing to reduce")
+}
+
+/// Whether a boundary of this class ends an interval and keeps the DSM
+/// protocol running.
+fn flushes(class: BoundaryClass) -> bool {
+    matches!(
+        class,
+        BoundaryClass::EliminatedBarrier
+            | BoundaryClass::FullBarrier { .. }
+            | BoundaryClass::Lock(_)
+    )
+}
+
+/// Classifies and plans `program` with `exits[phase]` reduced at every exit
+/// of `phase`; `None` when a reduction is asked for and some boundary still
+/// flushes.
+fn plan(
+    program: &Program,
+    nprocs: usize,
+    level: Level,
+    exits: &[Option<Reduction>],
+) -> Option<CompiledKernel> {
     let phases = program.phases();
     // Unroll with loop structure in hand: the `(phase, iteration)`
     // occurrence order plus, per `Repeat`, its position/length/count (for
@@ -291,9 +368,27 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                     pending.clear_pair(pair.producer, pair.consumer);
                 }
             }
-            BoundaryClass::NoComm | BoundaryClass::Push | BoundaryClass::Lock(_) => {}
+            BoundaryClass::NoComm
+            | BoundaryClass::Push
+            | BoundaryClass::Lock(_)
+            | BoundaryClass::Reduce => {}
         }
         analyses.push(analysis);
+    }
+
+    // A reduction obeys `Push`'s whole-program proviso (below): its raw
+    // install is only sound where no page is ever twinned, diffed or
+    // invalidated. With the proviso met, the boundary out of an accumulating
+    // phase is a reduction, plus the pushes of whatever else it carries.
+    if exits.iter().any(Option::is_some) {
+        if analyses.iter().any(|a| flushes(a.class)) {
+            return None;
+        }
+        for (analysis, w) in analyses.iter_mut().zip(occurrences.windows(2)) {
+            if exits[w[0].0].is_some() {
+                analysis.class = BoundaryClass::Reduce;
+            }
+        }
     }
 
     // Whole-program soundness pass for `Push`: pushing raw bytes is only
@@ -306,15 +401,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
     // exchange when its dependences are nearest-neighbour, to a full
     // barrier otherwise. Demotion only ever increases what later boundaries
     // would have pending, so the walk's classifications stay conservative.
-    let any_flush = analyses.iter().any(|a| {
-        matches!(
-            a.class,
-            BoundaryClass::EliminatedBarrier
-                | BoundaryClass::FullBarrier { .. }
-                | BoundaryClass::Lock(_)
-        )
-    });
-    if any_flush {
+    if analyses.iter().any(|a| flushes(a.class)) {
         for analysis in &mut analyses {
             if analysis.class != BoundaryClass::Push {
                 continue;
@@ -364,7 +451,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                     flushes_since_barrier += 1
                 }
                 BoundaryClass::FullBarrier { .. } => flushes_since_barrier = 0,
-                BoundaryClass::NoComm | BoundaryClass::Push => {}
+                BoundaryClass::NoComm | BoundaryClass::Push | BoundaryClass::Reduce => {}
             }
         }
     }
@@ -419,6 +506,11 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
             let mut held: Vec<(usize, Vec<RegularSection>)> =
                 vec![(flush_epoch, Vec::new()); phases.len()];
             let mut steps = Vec::with_capacity(occurrences.len());
+            // What runs after a phase's body when its entry is not a lock.
+            let exit_of = |phase: PhaseId| match &exits[phase] {
+                Some(reduction) => PhaseExit::Reduce(reduction.clone()),
+                None => PhaseExit::Nothing,
+            };
             let (first, first_iter) = occurrences[0];
             steps.push(match phases[first].lock {
                 Some(lock) => {
@@ -429,7 +521,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                         phase: first,
                         iter: first_iter,
                         entry: BoundaryOp::Lock { lock, sections: sections_for(first, first_iter) },
-                        release: Some(lock),
+                        exit: PhaseExit::Release(lock),
                     }
                 }
                 None => PlanStep {
@@ -442,7 +534,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                             sections_for(first, first_iter),
                         ),
                     },
-                    release: None,
+                    exit: exit_of(first),
                 },
             });
             for (b, w) in occurrences.windows(2).enumerate() {
@@ -450,9 +542,14 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                 let analysis = &analyses[b];
                 // What a step without an exchange of its own prepares.
                 let mut prepared = |epoch| hold(&mut held[next], epoch, sections_for(next, iter));
-                let mut release = None;
+                let mut exit = exit_of(next);
                 let entry = match analysis.class {
                     BoundaryClass::NoComm => BoundaryOp::Local { sections: prepared(flush_epoch) },
+                    // The previous step's exit reduced; what else crosses
+                    // the boundary is pushable.
+                    BoundaryClass::Reduce if analysis.pairs.is_empty() => {
+                        BoundaryOp::Local { sections: prepared(flush_epoch) }
+                    }
                     BoundaryClass::FullBarrier { .. } => {
                         // The barrier flushes, then prepares every section.
                         flush_epoch += 1;
@@ -463,7 +560,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                         // release then flushes the guarded writes, staling
                         // everything (its own sections included).
                         flush_epoch += 1;
-                        release = Some(lock);
+                        exit = PhaseExit::Release(lock);
                         BoundaryOp::Lock { lock, sections: sections_for(next, iter) }
                     }
                     BoundaryClass::EliminatedBarrier => {
@@ -487,7 +584,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                         consumers.dedup();
                         BoundaryOp::NeighborSync { producers, consumers, sections }
                     }
-                    BoundaryClass::Push => {
+                    BoundaryClass::Push | BoundaryClass::Reduce => {
                         let sends: Vec<Push> = analysis
                             .pairs
                             .iter()
@@ -505,13 +602,13 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
                         BoundaryOp::Push { sends, recv_from, sections: prepared(flush_epoch) }
                     }
                 };
-                steps.push(PlanStep { phase: next, iter, entry, release });
+                steps.push(PlanStep { phase: next, iter, entry, exit });
             }
             ProcPlan { steps }
         })
         .collect();
 
-    CompiledKernel { nprocs, boundaries, plans }
+    Some(CompiledKernel { nprocs, boundaries, plans })
 }
 
 /// Records `sections` as prepared for a phase at flush epoch `epoch` and

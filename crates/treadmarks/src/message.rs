@@ -315,6 +315,21 @@ pub enum TmkMessage {
         /// Address ranges and their contents, received in place.
         chunks: Vec<(AddrRange, Vec<u8>)>,
     },
+    /// Barrier-tree child -> parent at a reduction: the subtree's partials
+    /// summed, as `(word, delta)` pairs ascending by word, zero sums left
+    /// out. A word indexes the reduced section's `u64` words.
+    ReduceArrival {
+        /// The arriving processor (the subtree root).
+        proc: ProcId,
+        /// The subtree's summed partial.
+        words: Vec<(u32, u64)>,
+    },
+    /// Barrier-tree parent -> child at a reduction: the totals of the words
+    /// the receiving subtree's processors read, ascending by word.
+    ReduceDeparture {
+        /// The totals.
+        words: Vec<(u32, u64)>,
+    },
     /// Sent by the harness to every reply port when a processor panics, so
     /// peers blocked on a reply unwind instead of waiting for it.
     Shutdown,
@@ -356,6 +371,10 @@ impl TmkMessage {
             TmkMessage::NeighborReady { vt, pages, .. } => 12 + vt.wire_bytes() + pages.len() * 4,
             TmkMessage::PushData { chunks, .. } => {
                 4 + chunks.iter().map(|(_, data)| 16 + data.len()).sum::<usize>()
+            }
+            // Four bytes of word index and eight of value a pair.
+            TmkMessage::ReduceArrival { words, .. } | TmkMessage::ReduceDeparture { words } => {
+                4 + 12 * words.len()
             }
             TmkMessage::Shutdown => 0,
         }

@@ -54,6 +54,7 @@ mod interval;
 mod lock;
 mod push;
 mod race;
+mod reduce;
 mod sync;
 
 pub use push::PushReceipt;

@@ -25,13 +25,13 @@ use crate::types::{Interval, ProcId, Vt, VtDelta};
 /// The barrier root (the paper assigns the distinguished roles to
 /// processor 0): the root of the reduction tree, and with the flat topology
 /// the master every arrival goes to.
-const MASTER: ProcId = 0;
+pub(super) const MASTER: ProcId = 0;
 
 /// The children of `me` in an `arity`-ary barrier tree over `n` processors
 /// (node `i`'s children are `i·arity+1 ..= i·arity+arity`, the k-ary heap
 /// layout). The flat topology is the degenerate tree of arity `n - 1`:
 /// every other processor is a direct child of the master.
-fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
+pub(super) fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
     let first = me * arity + 1;
     (first..n.min(first.saturating_add(arity))).collect()
 }
@@ -39,7 +39,7 @@ fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
 /// Whether `proc` lies in the subtree rooted at `root` of the `arity`-ary
 /// barrier tree: heap parents have smaller ids, so walking `proc` up until
 /// it is no longer above `root` either lands on `root` or has passed it.
-fn in_subtree(mut proc: ProcId, root: ProcId, arity: usize) -> bool {
+pub(super) fn in_subtree(mut proc: ProcId, root: ProcId, arity: usize) -> bool {
     while proc > root {
         proc = (proc - 1) / arity;
     }
@@ -278,7 +278,7 @@ fn child_departures(
 /// same instant this is the batched `max + k · per_child`, and it is never
 /// later than that: the charge is the same `k · per_child`, only the waits
 /// overlap with the service of earlier arrivals.
-fn serve_in_arrival_order(
+pub(super) fn serve_in_arrival_order(
     clock: &mut VirtualClock,
     arrivals: &mut [(VirtualTime, ProcId)],
     per_child: VirtualTime,
