@@ -15,10 +15,11 @@
 //!   fetch of the next phase's sections (`Validate_w_sync`); the phase
 //!   bodies run on the bulk accessors over cached mappings.
 //! * **Compiled** — the same IR at [`rsdcomp::Level::Full`]: the analyzer
-//!   eliminates barriers where the dependences allow. Jacobi, SOR and
-//!   Gauss compile to pushes alone (SOR's in-place half-sweeps because
-//!   each processor is the only writer of its columns); integer sort keeps
-//!   its lock chain and one barrier per iteration.
+//!   replaces barriers with pushes and lock chains with reductions where
+//!   the dependences allow. Jacobi, SOR and Gauss compile to pushes alone
+//!   (SOR's in-place half-sweeps because each processor is the only writer
+//!   of its columns); integer sort's histogram merge becomes one reduction
+//!   over the barrier tree per iteration, with no lock.
 //!
 //! For the two levels the application contributes only the numeric phase
 //! bodies, one plan driver per kernel; every protocol call is generated by
@@ -50,7 +51,7 @@ pub enum Variant {
     /// The oracle, hand-analyzed: `push_phase` data movement, no barriers.
     Push,
     /// The kernel's IR planned at [`rsdcomp::Level::Full`]: barriers
-    /// eliminated or replaced with merged data+sync exchanges wherever the
+    /// replaced with pushes, and lock chains with reductions, wherever the
     /// dependence analysis allows.
     Compiled,
 }

@@ -7,14 +7,14 @@
 //! 8 processors, 16 records the tree-vs-flat crossover). It collects the
 //! `sp2model` statistics that the paper's tables are built from (page
 //! faults, messages, bytes, lock acquisitions, virtual time), the fast-path
-//! counters introduced with the software TLB, the split-phase counters,
-//! and the compiler counters (`barriers_eliminated`, `merged_sync_msgs` —
-//! eliminated boundaries and the merged data+sync acks that replaced
-//! them), and renders them as deterministic JSON. `sor/validate` is
-//! additionally recorded under the flat master-centric barrier
-//! (`validate_flat`: the same barrier schedule over the tree of arity
-//! `n − 1`, priced at stock TreadMarks's interrupt path and per-processor
-//! master service) so the tree-vs-flat crossover curve is in the data.
+//! counters introduced with the software TLB and the split-phase counters
+//! (plus `barriers_eliminated` and `merged_sync_msgs`, always 0, kept so
+//! the baselines keep their keys), and renders them as deterministic JSON.
+//! `sor/validate` is additionally recorded under the flat master-centric
+//! barrier (`validate_flat`: the same barrier schedule over the tree of
+//! arity `n − 1`, priced at stock TreadMarks's interrupt path and
+//! per-processor master service) so the tree-vs-flat crossover curve is in
+//! the data.
 //!
 //! The checked-in `BENCH_PR8.json` at the repository root is produced by
 //! `cargo run -p dsm-bench` and consumed by `cargo run -p dsm-bench --
@@ -120,7 +120,7 @@ pub const SCALE_GAUSS_CFG: GridConfig = GridConfig { rows: 32, cols: 256, iters:
 pub const SCALE_ALIGNED_CFG: GridConfig = GridConfig { rows: 512, cols: 256, iters: 2 };
 
 /// The scale-matrix size for `app`.
-pub fn scale_cfg(app: &str) -> GridConfig {
+fn scale_cfg(app: &str) -> GridConfig {
     match app {
         "jacobi" => SCALE_JACOBI_CFG,
         "sor" => SCALE_SOR_CFG,
@@ -171,7 +171,7 @@ fn run_kernel(
 }
 
 /// The standard size for `app` (the one the suites and `--explain` use).
-pub fn standard_cfg(app: &str) -> GridConfig {
+fn standard_cfg(app: &str) -> GridConfig {
     match app {
         "jacobi" => JACOBI_CFG,
         "sor" => SOR_CFG,
@@ -223,11 +223,12 @@ pub struct BenchRecord {
     pub split_phase_issues: u64,
     /// Split-phase completion halves.
     pub split_phase_completes: u64,
-    /// Phase boundaries where the compiled plan replaced a barrier with a
-    /// point-to-point neighbour sync, summed over processors.
+    /// Always 0: the counter of barriers replaced by a neighbour sync,
+    /// which no longer exists. Kept so the checked-in baselines keep their
+    /// keys.
     pub barriers_eliminated: u64,
-    /// Merged data+sync messages sent (neighbour-sync acks carrying write
-    /// notices, timestamps and diffs together).
+    /// Always 0, like `barriers_eliminated`: the neighbour sync's merged
+    /// acks.
     pub merged_sync_msgs: u64,
 }
 
@@ -235,7 +236,7 @@ pub struct BenchRecord {
 /// processors in which variant, and the two things a suite may vary on top
 /// of that.
 #[derive(Debug, Clone, Copy)]
-pub struct Case {
+struct Case {
     /// Kernel name.
     pub app: &'static str,
     /// Problem size.
@@ -260,7 +261,7 @@ impl Case {
 }
 
 /// Runs one case under the SP/2 cost model and collects its record.
-pub fn run_case(case: Case) -> BenchRecord {
+fn run_case(case: Case) -> BenchRecord {
     let Case { app, cfg, nprocs, variant, name, barrier } = case;
     let config = DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()).with_barrier(barrier);
     let (t, time_ns) = run_kernel(app, cfg, config, variant);
@@ -335,49 +336,36 @@ pub fn scale_suite() -> Vec<BenchRecord> {
 }
 
 /// The `--explain` dump for one kernel: builds the kernel's IR at the
-/// standard suite size (arrays laid out exactly as the SPMD allocator lays
-/// them out: page-aligned, in allocation order), compiles it for the
-/// paper's 8 processors and renders the plan. Pure and deterministic.
-/// Returns `None` for an unknown app name.
+/// standard suite size, compiles it for the paper's 8 processors and
+/// renders the plan. Pure and deterministic. Returns `None` for an unknown
+/// app name.
 pub fn explain_app(app: &str) -> Option<String> {
     /// The paper's cluster size, used for every explain dump.
     const EXPLAIN_NPROCS: usize = 8;
-    let matrix = |cfg: &GridConfig, base: Addr| {
-        SharedMatrix::new(SharedArray::<f64>::new(base, cfg.rows * cfg.cols), cfg.rows, cfg.cols)
-    };
-    let program = match app {
-        "jacobi" => {
-            let cfg = JACOBI_CFG;
-            let a = matrix(&cfg, Addr::ZERO);
-            let b = matrix(&cfg, Addr::new(cfg.rows * cfg.cols * 8).page_align_up());
-            jacobi_program(&a, &b, cfg.iters)
-        }
-        "sor" => {
-            let cfg = SOR_CFG;
-            sor_program(&matrix(&cfg, Addr::ZERO), cfg.iters)
-        }
-        "is" => {
-            let cfg = IS_CFG;
-            let elems = cfg.rows * cfg.cols;
-            let keys =
-                SharedMatrix::new(SharedArray::<u64>::new(Addr::ZERO, elems), cfg.rows, cfg.cols);
-            let hist = SharedMatrix::new(
-                SharedArray::<u64>::new(Addr::new(elems * 8).page_align_up(), elems),
-                cfg.rows,
-                cfg.cols,
-            );
-            is_program(&keys, &hist, cfg.iters)
-        }
-        "gauss" => {
-            let cfg = GAUSS_CFG;
-            let a = matrix(&cfg, Addr::ZERO);
-            let piv = matrix(&cfg, Addr::new(cfg.rows * cfg.cols * 8).page_align_up());
-            gauss_program(&a, &piv, cfg.iters)
-        }
-        _ => return None,
-    };
+    if !APPS.contains(&app) {
+        return None;
+    }
+    let program = kernel_program(app, standard_cfg(app));
     let kernel = rsdcomp::compile(&program, EXPLAIN_NPROCS);
     Some(rsdcomp::explain(&program, &kernel))
+}
+
+/// `app`'s IR at size `cfg`, its arrays laid out exactly as the SPMD
+/// allocator lays them out: page-aligned, in allocation order.
+fn kernel_program(app: &str, cfg: GridConfig) -> rsdcomp::Program {
+    let elems = cfg.rows * cfg.cols;
+    let second = Addr::new(elems * 8).page_align_up();
+    let matrix =
+        |base: Addr| SharedMatrix::new(SharedArray::<f64>::new(base, elems), cfg.rows, cfg.cols);
+    let words =
+        |base: Addr| SharedMatrix::new(SharedArray::<u64>::new(base, elems), cfg.rows, cfg.cols);
+    match app {
+        "jacobi" => jacobi_program(&matrix(Addr::ZERO), &matrix(second), cfg.iters),
+        "sor" => sor_program(&matrix(Addr::ZERO), cfg.iters),
+        "is" => is_program(&words(Addr::ZERO), &words(second), cfg.iters),
+        "gauss" => gauss_program(&matrix(Addr::ZERO), &matrix(second), cfg.iters),
+        other => panic!("unknown kernel {other:?}"),
+    }
 }
 
 /// Renders records as deterministic JSON: fixed field order, one record per
@@ -649,6 +637,42 @@ mod tests {
     }
 
     #[test]
+    fn every_shipped_plan_is_pinned() {
+        // Every processor's plan of every kernel, at both compiler levels and
+        // every cluster size the standard and the scale sizes compile at
+        // (two columns per processor), digested (FNV-1a over the plans'
+        // `Debug` text). A change to the planner that moves any shipped plan
+        // moves the digest; one that only simplifies it does not.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut plans = 0;
+        for (size, cfg_of) in
+            [("standard", standard_cfg as fn(&str) -> GridConfig), ("scale", scale_cfg)]
+        {
+            for app in APPS {
+                let cfg = cfg_of(app);
+                let program = kernel_program(app, cfg);
+                for level in [rsdcomp::Level::Validate, rsdcomp::Level::Full] {
+                    for nprocs in (1..=128).filter(|n| 2 * n <= cfg.cols) {
+                        let kernel = rsdcomp::compile_at(&program, nprocs, level);
+                        for me in 0..nprocs {
+                            let text = format!(
+                                "{size} {app} {level:?} {nprocs} {me} {:?}",
+                                kernel.plan_for(me)
+                            );
+                            for byte in text.bytes() {
+                                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                            }
+                            plans += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(plans, 2 * 4 * (16 * 17 / 2 + 128 * 129 / 2));
+        assert_eq!(digest, 9_525_589_086_215_400_498, "a shipped plan moved");
+    }
+
+    #[test]
     fn explain_dumps_are_deterministic_and_cover_every_kernel() {
         for app in APPS {
             let a = explain_app(app).expect("known kernel");
@@ -657,8 +681,8 @@ mod tests {
             assert!(a.contains("totals:"));
         }
         let sor = explain_app("sor").expect("sor");
-        assert!(sor.contains("real-barriers=0 eliminated-barriers=0"), "{sor}");
-        assert!(!sor.contains(": eliminated-barrier") && !sor.contains(": barrier"), "{sor}");
+        assert!(sor.contains("real-barriers=0 lock-acquires=0"), "{sor}");
+        assert!(!sor.contains(": barrier"), "{sor}");
         assert!(explain_app("jacobi").expect("jacobi").contains("push"));
         assert!(explain_app("is").expect("is").contains("lock"));
         assert!(explain_app("gauss").expect("gauss").contains("push"));

@@ -121,7 +121,7 @@ fn main() {
     eprintln!("running the dsm-bench suite (SP/2 cost model)...");
     let records = suite();
     println!(
-        "{:8} {:14} {:>3} {:>12} {:>12} {:>10} {:>8} {:>8} {:>12} {:>8}",
+        "{:8} {:14} {:>3} {:>12} {:>12} {:>10} {:>8} {:>8} {:>12}",
         "app",
         "variant",
         "np",
@@ -130,12 +130,11 @@ fn main() {
         "tlb_hits",
         "segv",
         "msgs",
-        "sync_wait_us",
-        "b_elim"
+        "sync_wait_us"
     );
     for r in &records {
         println!(
-            "{:8} {:14} {:>3} {:>12} {:>12} {:>10} {:>8} {:>8} {:>12} {:>8}",
+            "{:8} {:14} {:>3} {:>12} {:>12} {:>10} {:>8} {:>8} {:>12}",
             r.app,
             r.variant,
             r.nprocs,
@@ -144,8 +143,7 @@ fn main() {
             r.tlb_hits,
             r.page_faults,
             r.messages,
-            r.sync_wait_ns / 1_000,
-            r.barriers_eliminated
+            r.sync_wait_ns / 1_000
         );
     }
 

@@ -28,7 +28,7 @@ impl<T> Mutex<T> {
     }
 
     /// Acquires the lock if it is free.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+    fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
             Ok(guard) => Some(guard),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),

@@ -1,4 +1,4 @@
-//! The three entry points of the augmented interface.
+//! The entry points of the augmented interface.
 //!
 //! The compiler (or a hand-annotated program) describes the accesses of the
 //! upcoming phase as [`RegularSection`]s and calls one of:
@@ -22,7 +22,7 @@ use crate::section::{ReduceOp, RegularSection};
 
 /// The fast-path mappings of a phase's sections, cached.
 ///
-/// `validate`, `validate_w_sync`, `neighbor_sync` and `push_phase` finish
+/// `validate`, `validate_w_sync` and `push_phase` finish
 /// by caching, in the processor's software TLB, the mappings of the pages
 /// they just made consistent, so the phase body takes **zero page faults
 /// and zero page-table-lock acquisitions** after the aggregate call. A
@@ -169,63 +169,18 @@ pub fn release(p: &mut Process, lock: LockId) {
     p.lock_release(lock);
 }
 
-/// `Neighbor_sync(producers, consumers, regions)`: replaces a barrier the
-/// compiler has proven unnecessary for all but the named point-to-point
-/// dependences. The synchronization degenerates to a ready/ack handshake
-/// between each consumer and its producers; the ack is the paper's merged
-/// data+sync message — the producer's write notices and the diffs for the
-/// consumer's sections ride one polled message. No tree,
-/// no departure, no global vector-timestamp advance.
-///
-/// **Contract:** only legal when dependence analysis has established that
-/// every inter-processor dependence crossing this phase boundary is from a
-/// named producer to its named consumers (the `rsdcomp` analyzer emits this
-/// call only for such boundaries; see `DESIGN.md` §6 for the soundness
-/// argument). All participants must name each other consistently, like any
-/// collective. Equivalent to [`neighbor_sync_issue`] followed immediately by
-/// [`validate_w_sync_complete`].
+/// A full barrier with the sections validated on it: exactly
+/// [`validate_w_sync`] with [`SyncOp::Barrier`]; `producers` and
+/// `consumers` are ignored. No compiled plan calls it. It is kept only for
+/// the benchmark's interface probe (`benchmark/src/bin/probes.rs`), and
+/// goes when the probe stops calling it (a ROADMAP benchmark follow-up).
 pub fn neighbor_sync(
     p: &mut Process,
-    producers: &[ProcId],
-    consumers: &[ProcId],
+    _producers: &[ProcId],
+    _consumers: &[ProcId],
     sections: &[RegularSection],
 ) -> SectionGrant {
-    // The blocking form counts the interface call but not the split-phase
-    // counters — like `validate_w_sync` versus its issue/complete pair, so
-    // `split_phase_issues`/`sync` overlap statistics keep measuring actual
-    // split-phase use.
-    p.stats().neighbor_syncs(1);
-    let plan = plan(sections);
-    let pending = p.neighbor_sync_issue(producers, consumers, &plan);
-    SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
-}
-
-/// The issue half of a split-phase [`neighbor_sync`]: flushes the interval,
-/// performs the ready/ack handshake's send side and answers the named
-/// consumers, but returns **without waiting for the producers' merged
-/// data+sync acks**. Sections already consistent are prepared and cached
-/// immediately, so computation on local data overlaps the exchange; pass the
-/// handle to [`validate_w_sync_complete`] where the fetched data is first
-/// needed.
-///
-/// Unlike a dropped [`validate_w_sync_issue`] receipt, a neighbour-sync
-/// receipt **must** be completed — the producers' replies carry consistency
-/// information (write notices), not just data. Compiled plans always pair the
-/// two halves. Touching a section's page that is not valid yet completes
-/// the exchange early, exactly as for a barrier or a lock; a page the
-/// consumer still holds a valid copy of reads that copy until the
-/// completion has applied the producers' notices, which is all release
-/// consistency promises before an acquire has finished.
-pub fn neighbor_sync_issue(
-    p: &mut Process,
-    producers: &[ProcId],
-    consumers: &[ProcId],
-    sections: &[RegularSection],
-) -> PendingSync {
-    p.stats().neighbor_syncs(1);
-    p.stats().split_phase_issues(1);
-    let plan = plan(sections);
-    p.neighbor_sync_issue(producers, consumers, &plan)
+    validate_w_sync(p, SyncOp::Barrier, sections)
 }
 
 /// `Reduce(op, section, partial)`: combines every processor's private

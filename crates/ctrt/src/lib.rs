@@ -1,8 +1,8 @@
 //! # ctrt — the augmented compile-time/run-time interface
 //!
-//! This crate is the paper's central contribution as an API: the three
-//! entry points through which compile-time analysis talks to the TreadMarks
-//! run-time system (Figure 4 of the paper):
+//! This crate is the paper's central contribution as an API: the entry
+//! points through which compile-time analysis talks to the TreadMarks
+//! run-time system (Figure 4 of the paper), plus the reduction:
 //!
 //! * [`validate`] — *"I am about to access these sections"*: misses are
 //!   aggregated into one request message per producer and written pages are
@@ -14,19 +14,13 @@
 //! * [`push_phase`] — *"this phase is fully analyzable"*: producers send
 //!   data point-to-point to their consumers ([`Push`]), replacing the
 //!   barrier, the invalidations and the fetches entirely;
-//! * [`neighbor_sync`] — *"only these point-to-point dependences cross
-//!   this barrier"*: the barrier is eliminated in favour of a ready/ack
-//!   handshake with the named producers, whose acks are the paper's merged
-//!   data+sync messages (write notices and diffs on one polled message).
-//!   Emitted by the `rsdcomp` analyzer for boundaries with exclusively
-//!   nearest-neighbour flow dependences;
 //! * [`reduce`] — *"these words are only ever accumulated"*: every
 //!   processor's private partial is summed up the barrier tree and each
 //!   processor receives the totals of the words it reads, with no lock,
 //!   twin or diff.
 //!
-//! A split-phase call (`validate_w_sync_issue`, `neighbor_sync_issue`)
-//! returns the runtime's own receipt, a [`treadmarks::PendingSync`], which
+//! The split-phase call, [`validate_w_sync_issue`], returns the runtime's
+//! own receipt, a [`treadmarks::PendingSync`], which
 //! [`validate_w_sync_complete`] completes.
 //!
 //! Accesses are described as [`RegularSection`]s (lowered `[lo:hi:stride]`
@@ -65,7 +59,7 @@ mod api;
 mod section;
 
 pub use api::{
-    neighbor_sync, neighbor_sync_issue, push_phase, reduce, release, validate, validate_w_sync,
+    neighbor_sync, push_phase, reduce, release, validate, validate_w_sync,
     validate_w_sync_complete, validate_w_sync_issue, Push, SectionGrant,
 };
 pub use section::{Access, ReduceOp, RegularSection, SyncOp};

@@ -1,10 +1,11 @@
-//! The `neighbor_sync` entry point: section-level behaviour of the
-//! eliminated-barrier exchange (grant warming, split-phase overlap, and
-//! the write-preparation deferral for still-missing pages).
+//! The `neighbor_sync` entry point, which is a full barrier with the
+//! sections validated on it (`validate_w_sync` at `SyncOp::Barrier`): the
+//! named producers' modifications arrive before first use, with the
+//! sections' mappings cached, whatever the producer and consumer sets say.
 
-use ctrt::{neighbor_sync, neighbor_sync_issue, validate_w_sync_complete, Access, RegularSection};
+use ctrt::{neighbor_sync, Access, RegularSection};
 use pagedmem::PAGE_SIZE;
-use sp2model::CostModel;
+use sp2model::{CostModel, VirtualTime};
 use treadmarks::{Dsm, DsmConfig};
 
 fn free_config(nprocs: usize) -> DsmConfig {
@@ -23,7 +24,7 @@ fn neighbour_sync_grants_cover_the_sections_and_faults_stay_zero() {
         }
         let read = RegularSection::array(&a, other * per..(other + 1) * per, Access::Read);
         let grant = neighbor_sync(p, &[other], &[other], &[read]);
-        assert!(grant.pages_warmed() > 0, "the ack's data must be warmed into the TLB");
+        assert!(grant.pages_warmed() > 0, "the fetched data must be warmed into the TLB");
         let faults = p.stats().snapshot().page_faults;
         let got = p.get(&a, other * per + 3);
         assert_eq!(p.stats().snapshot().page_faults, faults, "warmed reads take no fault");
@@ -33,42 +34,66 @@ fn neighbour_sync_grants_cover_the_sections_and_faults_stay_zero() {
 }
 
 #[test]
-fn split_phase_neighbour_sync_overlaps_and_defers_missing_write_prep() {
-    // Each processor rewrites its own half (READ&WRITE_ALL: fetched, but
-    // twin-free) and reads the other half's previous-round values: issue
-    // the sync, write + compute on the local half while the ack is in
-    // flight, complete, then touch the fetched half — the hand-written
-    // SOR shape, through the public API.
-    let run = Dsm::run(free_config(2), |p| {
-        let a = p.alloc_array::<u64>(2 * PAGE_SIZE / 8);
-        let per = a.len() / 2;
+fn neighbour_sync_delivers_the_producers_modifications() {
+    // Each processor owns one page and reads its chain neighbours' pages
+    // after the call: the barrier-merged fetch made them consistent, so the
+    // reads take no fault.
+    let run = Dsm::run(free_config(4), |p| {
+        let a = p.alloc_array::<u64>(4 * PAGE_SIZE / 8);
+        let per = a.len() / 4;
         let me = p.proc_id();
-        let other = 1 - me;
-        let own = RegularSection::array(&a, me * per..(me + 1) * per, Access::WriteAll);
-        ctrt::validate(p, &[own]);
         for i in 0..per {
-            p.set(&a, me * per + i, me as u64);
+            p.set(&a, me * per + i, (100 * me + i) as u64);
         }
-        for round in 1..3u64 {
-            let sections = [
-                RegularSection::array(&a, other * per..(other + 1) * per, Access::Read),
-                RegularSection::array(&a, me * per..(me + 1) * per, Access::ReadWriteAll),
-            ];
-            // The issue flushes the previous round's writes and prepares
-            // the local half for this round's.
-            let pending = neighbor_sync_issue(p, &[other], &[other], &sections);
-            for i in 0..per {
-                p.set(&a, me * per + i, round * 100 + me as u64);
-            }
-            let local = p.get(&a, me * per);
-            assert_eq!(local, round * 100 + me as u64);
-            validate_w_sync_complete(p, pending);
-            // The ack delivered the producer's *previous-round* half.
-            let expect = if round == 1 { other as u64 } else { (round - 1) * 100 + other as u64 };
-            assert_eq!(p.get(&a, other * per), expect, "round {round}");
-        }
-        p.stats().snapshot().twins_created
+        let neighbours: Vec<usize> =
+            [me.checked_sub(1), Some(me + 1)].into_iter().flatten().filter(|&n| n < 4).collect();
+        let reads: Vec<RegularSection> = neighbours
+            .iter()
+            .map(|&n| RegularSection::array(&a, n * per..(n + 1) * per, Access::Read))
+            .collect();
+        neighbor_sync(p, &neighbours, &neighbours, &reads);
+        let faults_before = p.stats().snapshot().page_faults;
+        let sum: u64 = neighbours
+            .iter()
+            .flat_map(|&n| (0..per).map(move |i| n * per + i))
+            .map(|i| p.get(&a, i))
+            .sum();
+        assert_eq!(p.stats().snapshot().page_faults, faults_before);
+        sum
     });
-    // WRITE_ALL / READ&WRITE_ALL on page-covering sections: no twin, ever.
-    assert_eq!(run.results, vec![0, 0]);
+    let chunk = |n: u64| (0..512u64).map(|i| 100 * n + i).sum::<u64>();
+    assert_eq!(run.results, vec![chunk(1), chunk(0) + chunk(2), chunk(1) + chunk(3), chunk(2)]);
+    // One barrier per processor, and none of the retired counters moves.
+    let total = run.stats.total();
+    assert_eq!(total.barriers, 4);
+    assert_eq!(
+        (total.neighbor_syncs, total.barriers_eliminated, total.merged_sync_msgs),
+        (0, 0, 0)
+    );
+}
+
+#[test]
+fn a_lagging_producer_still_delivers_its_diffs_before_first_use() {
+    // The consumer's call must not return before the lagging producer's
+    // diffs have arrived: its first use reads the producer's values, never
+    // zeros, and its clock shows the wait.
+    let lag = VirtualTime::from_millis(80);
+    let run = Dsm::run(free_config(2), |p| {
+        let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+        if p.proc_id() == 0 {
+            for i in 0..a.len() {
+                p.set(&a, i, 7000 + i as u64);
+            }
+            // The producer falls far behind before reaching the boundary.
+            p.compute(lag);
+            neighbor_sync(p, &[], &[1], &[]);
+            0
+        } else {
+            let read = RegularSection::array(&a, 0..a.len(), Access::Read);
+            neighbor_sync(p, &[0], &[], &[read]);
+            p.get(&a, 3)
+        }
+    });
+    assert_eq!(run.results[1], 7003, "the consumer must see the lagging producer's writes");
+    assert!(run.elapsed[1] >= lag, "the call must stall until the lagging producer arrives");
 }

@@ -320,30 +320,6 @@ fn a_first_touch_completes_a_lock_grant_with_a_third_party_fetch_outstanding() {
 }
 
 #[test]
-fn a_first_touch_completes_a_neighbour_sync() {
-    use ctrt::neighbor_sync_issue;
-    // A ring of three: each processor writes its own page and reads its
-    // left neighbour's through an eliminated barrier. The consumer has no
-    // copy of that page yet, so its first touch traps — and must wait for
-    // the ack (whose notices say what the page misses) rather than
-    // materialise a zero-filled page, which is what a fetch of "nothing
-    // known to be missing" did at the parent commit.
-    assert_first_touch_completes(3, 1, 10, |p, early| {
-        let n = p.nprocs();
-        let me = p.proc_id();
-        let (left, right) = ((me + n - 1) % n, (me + 1) % n);
-        let a = p.alloc_array::<u64>(n * ELEMS_PER_PAGE);
-        let theirs = left * ELEMS_PER_PAGE..(left + 1) * ELEMS_PER_PAGE;
-        let read = RegularSection::array(&a, theirs, Access::Read);
-        p.set(&a, me * ELEMS_PER_PAGE, 10 + me as u64);
-        let pending = neighbor_sync_issue(p, &[left], &[right], &[read]);
-        let touch = touch_and_complete(p, pending, &a, left * ELEMS_PER_PAGE, early);
-        p.barrier();
-        touch
-    });
-}
-
-#[test]
 fn a_dropped_receipt_still_leaves_no_stale_response_behind() {
     // Two ways to abandon a receipt, both followed by another merged
     // barrier whose completion must see its own data only (debug builds end
@@ -379,55 +355,85 @@ fn a_dropped_receipt_still_leaves_no_stale_response_behind() {
 }
 
 #[test]
-fn a_dropped_receipt_at_the_same_ordinal_never_answers_a_neighbour_sync() {
-    use ctrt::neighbor_sync_issue;
-    // A barrier and a neighbour sync answer with the same message, told
-    // apart by its `(kind, seq)` name. P0 drops the first barrier's receipt,
-    // so P1's answer to it, `(Barrier, 1)`, is left behind. The first
-    // neighbour sync is ordinal 1 too, with P1 as P0's producer: its
-    // completion must take P1's `(NeighborAck, 1)` reply — its diffs and
-    // its notices — and leave the stale one to the next barrier that waits
-    // for P1, which discards it (debug builds end the run by checking that
-    // no reply was left unconsumed).
+fn a_dropped_receipt_at_the_same_ordinal_never_completes_a_lock_grant() {
+    const LOCK: treadmarks::LockId = 4;
+    // A receipt names its synchronization by `(kind, ordinal)`. P0 leaves
+    // the first barrier's receipt, `(Barrier, 1)`, uncompleted and then
+    // issues its first acquire, `(LockGrant, 1)`: completing the stale
+    // receipt must do nothing, the grant's own completion must still
+    // install the page, and P1's unread answer to the barrier is discarded
+    // by the next barrier that waits for P1 (debug builds end the run by
+    // checking that no reply was left unconsumed).
     let run = Dsm::run(config(2), |p| {
         let me = p.proc_id();
-        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
-        let (first, second) = (0, ELEMS_PER_PAGE);
-        let read = RegularSection::array(&a, 0..ELEMS_PER_PAGE, Access::Read);
+        let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
+        let read = RegularSection::array(&a, 0..a.len(), Access::Read);
         let reads = std::slice::from_ref(&read);
-        // Valid copies of both pages, through words nobody writes: the
-        // second page's is one only the neighbour sync's notices can
-        // invalidate.
-        assert_eq!((p.get(&a, second - 1), p.get(&a, 2 * second - 1)), (0, 0));
+        // A valid copy of the page, through a word nobody writes before
+        // the end.
+        assert_eq!(p.get(&a, 1), 0);
         if me == 1 {
-            p.set(&a, first, 1);
+            p.set(&a, 0, 1);
         }
-        let pending = validate_w_sync_issue(p, SyncOp::Barrier, reads);
-        let (producers, consumers, sections): (&[usize], &[usize], &[RegularSection]) = if me == 0 {
-            drop(pending);
-            (&[1], &[], reads)
+        let barrier = validate_w_sync_issue(p, SyncOp::Barrier, reads);
+        if me == 0 {
+            let grant = validate_w_sync_issue(p, SyncOp::Lock(LOCK), reads);
+            assert_eq!(validate_w_sync_complete(p, barrier).pages_warmed(), 0, "stale receipt");
+            assert!(validate_w_sync_complete(p, grant).pages_warmed() > 0, "the grant's own");
+            ctrt::release(p, LOCK);
         } else {
-            validate_w_sync_complete(p, pending);
-            p.set(&a, first, 2);
-            p.set(&a, second, 7);
-            (&[], &[0], &[])
-        };
-        let pending = neighbor_sync_issue(p, producers, consumers, sections);
-        validate_w_sync_complete(p, pending);
+            validate_w_sync_complete(p, barrier);
+        }
         let faults = p.stats().snapshot().page_faults;
-        let read_first = p.get(&a, first);
-        assert_eq!(p.stats().snapshot().page_faults, faults, "P{me}: the reply's diffs landed");
-        let after_nsync = (read_first, p.get(&a, second));
-        // The next barrier fetches from P1 again (a word next to the one
-        // just read, so nobody races on it).
+        let first = p.get(&a, 0);
+        assert_eq!(p.stats().snapshot().page_faults, faults, "P{me}: the data landed");
         if me == 1 {
-            p.set(&a, first + 1, 3);
+            p.set(&a, 1, 3);
         }
         let pending = validate_w_sync_issue(p, SyncOp::Barrier, reads);
         validate_w_sync_complete(p, pending);
-        (after_nsync, p.get(&a, first + 1))
+        (first, p.get(&a, 1))
     });
-    // The stale reply, accepted as the ack, would have left P0 with 1 on
-    // the requested page and an unread 0 on the other.
-    assert_eq!(run.results, vec![((2, 7), 3), ((2, 7), 3)]);
+    assert_eq!(run.results, vec![(1, 3), (1, 3)]);
+}
+
+#[test]
+fn split_phase_barrier_overlaps_and_defers_missing_write_prep() {
+    // Each processor rewrites its own half (READ&WRITE_ALL: fetched, but
+    // twin-free) and reads the other half's previous-round values: issue
+    // the barrier, write + compute on the local half while the other half
+    // is in flight, complete, then touch the fetched half — the in-place
+    // sweep shape, through the public API.
+    let run = Dsm::run(config(2), |p| {
+        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
+        let per = a.len() / 2;
+        let me = p.proc_id();
+        let other = 1 - me;
+        let own = RegularSection::array(&a, me * per..(me + 1) * per, Access::WriteAll);
+        ctrt::validate(p, &[own]);
+        for i in 0..per {
+            p.set(&a, me * per + i, me as u64);
+        }
+        for round in 1..3u64 {
+            let sections = [
+                RegularSection::array(&a, other * per..(other + 1) * per, Access::Read),
+                RegularSection::array(&a, me * per..(me + 1) * per, Access::ReadWriteAll),
+            ];
+            // The issue flushes the previous round's writes and prepares
+            // the local half for this round's.
+            let pending = validate_w_sync_issue(p, SyncOp::Barrier, &sections);
+            for i in 0..per {
+                p.set(&a, me * per + i, round * 100 + me as u64);
+            }
+            assert_eq!(p.get(&a, me * per), round * 100 + me as u64);
+            validate_w_sync_complete(p, pending);
+            // The barrier delivered the other half as of the barrier: the
+            // previous round's values.
+            let expect = if round == 1 { other as u64 } else { (round - 1) * 100 + other as u64 };
+            assert_eq!(p.get(&a, other * per), expect, "round {round}");
+        }
+        p.stats().snapshot().twins_created
+    });
+    // WRITE_ALL / READ&WRITE_ALL on page-covering sections: no twin, ever.
+    assert_eq!(run.results, vec![0, 0]);
 }

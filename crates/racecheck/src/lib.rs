@@ -19,8 +19,8 @@
 //! release/acquire chain.
 //!
 //! Detection runs at the points where a processor applies remote
-//! modifications (barrier `SyncDiffs`, lock-grant piggybacks, neighbour
-//! acks, fault fetches and push installs), so the *detection window* is
+//! modifications (barrier `SyncDiffs`, lock-grant piggybacks, fault
+//! fetches and push installs), so the *detection window* is
 //! the un-garbage-collected diff history plus the processor's own
 //! unflushed twins. Races whose older half has been folded into a
 //! `TrimmedBase` by diff-cache GC cannot be pinpointed any more; they are
@@ -67,8 +67,6 @@ pub enum SyncKind {
     Barrier,
     /// Applying a lock grant's piggybacked diffs.
     LockGrant,
-    /// Applying a neighbour-sync ack.
-    NeighborAck,
     /// Installing pushed data from a one-sided exchange.
     Push,
     /// Applying diffs fetched on an access fault.
@@ -81,7 +79,6 @@ impl SyncKind {
         match self {
             SyncKind::Barrier => "barrier",
             SyncKind::LockGrant => "lock-grant",
-            SyncKind::NeighborAck => "neighbor-ack",
             SyncKind::Push => "push",
             SyncKind::Fetch => "fetch",
         }

@@ -14,14 +14,10 @@
 //!   in-place half-sweeps). The producer knows both the consumer set and
 //!   the final bytes, so the data moves point-to-point and the DSM protocol
 //!   (twins, diffs, notices) is bypassed wholesale.
-//! * [`BoundaryClass::EliminatedBarrier`] — only nearest-neighbour flow
-//!   dependences, some of them out of a section that is not final (a
-//!   partial write, or bytes another processor also writes): the barrier is
-//!   replaced by the point-to-point ready/ack sync whose acks merge data
-//!   and consistency information, but the pages stay DSM-managed.
 //! * [`BoundaryClass::FullBarrier`] — everything else, with the
-//!   [`Refusal`] recording why the analyzer declined to optimize. Refusal
-//!   is always sound: the full barrier preserves every happens-before edge.
+//!   [`Refusal`] recording why the analyzer declined to optimize (a
+//!   dependence out of a section that is not final among them). Refusal is
+//!   always sound: the full barrier preserves every happens-before edge.
 //! * [`BoundaryClass::Reduce`] — the exit of a phase whose only
 //!   cross-processor writes are accumulations into one section
 //!   (`reducible` decides, for the whole program): the partials are
@@ -50,13 +46,18 @@ pub enum Refusal {
     /// consumer set cannot be computed, so no named-producer sync can be
     /// proven to cover every dependence.
     NonAffine,
-    /// A dependence is not a nearest-neighbour exchange — a cross-block
-    /// access (e.g. the `All`-span read of a reduction) makes every
-    /// processor depend on every other, and replacing the barrier with a
-    /// dense point-to-point exchange would re-create it, worse.
+    /// A dependence crosses blocks — a cross-block access (e.g. the
+    /// `All`-span read of a reduction) makes every processor depend on
+    /// every other, and replacing the barrier with a dense point-to-point
+    /// exchange would re-create it, worse.
     NonNeighbourDependence,
+    /// A dependence's producing section is not final — a partial write, or
+    /// bytes another processor also writes: the producer's raw copy is not
+    /// the value its consumers must read, so the pages stay DSM-managed and
+    /// only the barrier's notices can say what each consumer misses.
+    NotFinal,
     /// The boundary is pushable in isolation, but the program flushes
-    /// intervals elsewhere (an eliminated or full barrier exists): raw
+    /// intervals elsewhere (a barrier or a lock exists): raw
     /// pushed bytes landing in a page that is later twinned and diffed
     /// would be re-shipped as the receiver's own modifications — under
     /// false sharing that overwrites a concurrent writer's fresh values
@@ -79,6 +80,7 @@ impl Refusal {
             Refusal::OverlappingWrites => "overlapping-writes",
             Refusal::NonAffine => "non-affine",
             Refusal::NonNeighbourDependence => "non-neighbour-dependence",
+            Refusal::NotFinal => "not-final",
             Refusal::MixedWithManagedPhases => "mixed-with-managed-phases",
             Refusal::OutsideAcquireChain => "outside-acquire-chain",
         }
@@ -93,17 +95,11 @@ pub enum BoundaryClass {
     NoComm,
     /// A real (tree) barrier survives.
     FullBarrier {
-        /// Why elimination was refused; `None` when the barrier was kept by
-        /// the garbage-collection policy rather than a soundness refusal.
+        /// Why elimination was refused; `None` when the barrier is the
+        /// intended synchronization (lock-ordered producers feeding an
+        /// unguarded reader, or the validate level keeping it).
         refusal: Option<Refusal>,
-        /// The boundary was eliminable but retained so the GC horizon keeps
-        /// advancing (one real barrier per loop iteration whenever the body
-        /// flushes intervals at eliminated boundaries).
-        gc_forced: bool,
     },
-    /// The barrier is replaced by the point-to-point ready/ack sync with
-    /// named producers (merged data+sync acks).
-    EliminatedBarrier,
     /// The barrier and the DSM protocol are both replaced by direct pushes.
     Push,
     /// The boundary enters a lock-guarded phase and every remaining
@@ -124,7 +120,6 @@ impl BoundaryClass {
         match self {
             BoundaryClass::NoComm => "no-comm",
             BoundaryClass::FullBarrier { .. } => "barrier",
-            BoundaryClass::EliminatedBarrier => "eliminated-barrier",
             BoundaryClass::Push => "push",
             BoundaryClass::Lock(_) => "lock",
             BoundaryClass::Reduce => "reduce",
@@ -145,7 +140,7 @@ pub struct DepPair {
 }
 
 /// The analyzer's full result for one boundary: the classification plus the
-/// dependence pairs the plan generator turns into neighbour sets or pushes.
+/// dependence pairs the plan generator turns into pushes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryAnalysis {
     /// The classification.
@@ -300,9 +295,8 @@ impl SoleWriters {
 /// yet received consistency information for — which mirrors the runtime
 /// exactly, where writes stay dirty until the next flush boundary. A full
 /// barrier clears everything (its departures carry every notice to every
-/// processor); an eliminated barrier clears only the named pairs (the ack
-/// carries all of the producer's notices to that consumer); a push clears
-/// nothing (it moves bytes, not notices — conservative, and harmless
+/// processor); a lock acquire clears the lock's own guarded writes; a push
+/// clears nothing (it moves bytes, not notices — conservative, and harmless
 /// because re-pushing current bytes is idempotent).
 #[derive(Debug, Clone)]
 pub struct PendingWrites {
@@ -376,12 +370,6 @@ impl PendingWrites {
         }
         self.unknown = false;
         self.overlap = false;
-    }
-
-    /// An eliminated barrier's ack: `consumer` received all of
-    /// `producer`'s notices.
-    pub fn clear_pair(&mut self, producer: ProcId, consumer: ProcId) {
-        self.unseen[producer * self.nprocs + consumer].clear();
     }
 
     /// A lock acquire: writes made inside phases guarded by `lock` clear
@@ -540,7 +528,7 @@ pub fn classify_against_pending(
     let nexts: Vec<Lowered> =
         (0..nprocs).map(|me| lower(program, nprocs, me, next, next_iter, &pending.sole)).collect();
     let refuse = |refusal| BoundaryAnalysis {
-        class: BoundaryClass::FullBarrier { refusal: Some(refusal), gc_forced: false },
+        class: BoundaryClass::FullBarrier { refusal: Some(refusal) },
         pairs: Vec::new(),
     };
     if pending.unknown || nexts.iter().any(|l| l.unknown) {
@@ -554,7 +542,6 @@ pub fn classify_against_pending(
     let mut pairs = Vec::new();
     let mut all_pushable = true;
     let mut any_cross_block = false;
-    let mut all_neighbours = true;
     let mut any_locked = false;
     for producer in 0..nprocs {
         for (consumer, consumed) in nexts.iter().enumerate() {
@@ -575,7 +562,6 @@ pub fn classify_against_pending(
             if regions.is_empty() {
                 continue;
             }
-            all_neighbours &= producer.abs_diff(consumer) == 1;
             pairs.push(DepPair { producer, consumer, regions: AddrRange::coalesce(regions) });
         }
     }
@@ -604,37 +590,22 @@ pub fn classify_against_pending(
         // the barrier *is* the intended synchronization, not a refusal; it
         // is also required whenever any dependence is lock-ordered, which
         // is why a mixed boundary lands here too.
-        return BoundaryAnalysis {
-            class: BoundaryClass::FullBarrier { refusal: None, gc_forced: false },
-            pairs,
-        };
-    }
-    if any_cross_block {
-        return BoundaryAnalysis {
-            class: BoundaryClass::FullBarrier {
-                refusal: Some(Refusal::NonNeighbourDependence),
-                gc_forced: false,
-            },
-            pairs,
-        };
+        return BoundaryAnalysis { class: BoundaryClass::FullBarrier { refusal: None }, pairs };
     }
     // `Push` needs every producer's copy of what it wrote to be final (pure
     // WRITE_ALL, or READ&WRITE_ALL by the bytes' sole writer): the raw
     // current copy then *is* the dependence's value and no write notices
     // are owed to anyone. A partial write, or one to bytes another
-    // processor also writes, keeps its pages DSM-managed, so at most the
-    // barrier — not the protocol — can go.
-    let class = if all_pushable {
-        BoundaryClass::Push
-    } else if all_neighbours {
-        BoundaryClass::EliminatedBarrier
+    // processor also writes, keeps its pages DSM-managed, and the barrier
+    // that delivers their notices stays.
+    let refusal = if any_cross_block {
+        Refusal::NonNeighbourDependence
+    } else if !all_pushable {
+        Refusal::NotFinal
     } else {
-        BoundaryClass::FullBarrier {
-            refusal: Some(Refusal::NonNeighbourDependence),
-            gc_forced: false,
-        }
+        return BoundaryAnalysis { class: BoundaryClass::Push, pairs };
     };
-    BoundaryAnalysis { class, pairs }
+    BoundaryAnalysis { class: BoundaryClass::FullBarrier { refusal: Some(refusal) }, pairs }
 }
 
 /// Analyzes the single boundary between `prev` (producer phase) and `next`

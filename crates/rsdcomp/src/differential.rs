@@ -204,7 +204,7 @@ pub struct RacyOutcome {
 
 impl RacyOutcome {
     /// The reports whose page lies inside the racy range.
-    pub fn reports_in_range(&self) -> Vec<&RaceReport> {
+    fn reports_in_range(&self) -> Vec<&RaceReport> {
         self.races.iter().filter(|r| self.racy_range.pages().any(|page| page == r.page)).collect()
     }
 

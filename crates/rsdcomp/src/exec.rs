@@ -56,12 +56,11 @@ pub fn kernel_for(p: &mut Process, level: Level, build: impl FnOnce() -> Program
     })
 }
 
-/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`],
-/// [`BoundaryOp::Lock`] and [`BoundaryOp::NeighborSync`] the returned
-/// receipt is pending: compute on sections that were already local, then
-/// [`complete`] before touching the fetched data (a compiled plan's
-/// interior/edge split). Everything else finishes immediately and returns
-/// `None`.
+/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`] and
+/// [`BoundaryOp::Lock`] the returned receipt is pending: compute on
+/// sections that were already local, then [`complete`] before touching the
+/// fetched data (a compiled plan's interior/edge split). Everything else
+/// finishes immediately and returns `None`.
 #[must_use = "a pending entry op completes only when passed to exec::complete"]
 pub fn issue(p: &mut Process, op: &BoundaryOp) -> Option<PendingSync> {
     match op {
@@ -77,9 +76,6 @@ pub fn issue(p: &mut Process, op: &BoundaryOp) -> Option<PendingSync> {
         // lock-grant+data message.
         BoundaryOp::Lock { lock, sections } => {
             Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections))
-        }
-        BoundaryOp::NeighborSync { producers, consumers, sections } => {
-            Some(ctrt::neighbor_sync_issue(p, producers, consumers, sections))
         }
         BoundaryOp::Push { sends, recv_from, sections } => {
             ctrt::push_phase(p, sends, recv_from);

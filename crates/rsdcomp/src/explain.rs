@@ -5,8 +5,8 @@ use crate::ir::Program;
 use crate::plan::{BoundaryOp, CompiledKernel, PhaseExit};
 
 /// Renders the compiled kernel as deterministic text: the phases, every
-/// distinct boundary's classification (with refusal reasons and GC-forced
-/// retentions spelled out), per-processor message counts and the totals.
+/// distinct boundary's classification (with refusal reasons spelled out),
+/// per-processor message counts and the totals.
 /// Pure function of the compile output — byte-identical across runs.
 pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
     let phases = program.phases();
@@ -34,12 +34,7 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
     out.push_str("boundaries:\n");
     for b in &kernel.boundaries {
         let detail = match b.class {
-            BoundaryClass::FullBarrier { refusal: Some(r), .. } => {
-                format!(" (refused: {})", r.name())
-            }
-            BoundaryClass::FullBarrier { gc_forced: true, .. } => {
-                " (retained for the GC horizon)".to_string()
-            }
+            BoundaryClass::FullBarrier { refusal: Some(r) } => format!(" (refused: {})", r.name()),
             _ => String::new(),
         };
         out.push_str(&format!(
@@ -66,9 +61,6 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
                     PhaseExit::Reduce(_) => "+reduce",
                 };
                 match &s.entry {
-                    BoundaryOp::NeighborSync { producers, consumers, .. } => {
-                        format!("{name}(p={producers:?},c={consumers:?})->{phase}{exit}")
-                    }
                     BoundaryOp::Push { sends, recv_from, .. } => {
                         let dests: Vec<usize> = sends.iter().map(|p| p.dest).collect();
                         format!("{name}(to={dests:?},from={recv_from:?})->{phase}{exit}")
@@ -86,11 +78,9 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
     }
     let p2p: usize = (0..kernel.nprocs).map(|me| kernel.plan_for(me).messages_sent()).sum();
     out.push_str(&format!(
-        "totals: steps={} real-barriers={} eliminated-barriers={} lock-acquires={} reductions={} \
-         p2p-messages={}\n",
+        "totals: steps={} real-barriers={} lock-acquires={} reductions={} p2p-messages={}\n",
         kernel.plan_for(0).steps.len(),
         kernel.barriers(),
-        kernel.barriers_eliminated(),
         kernel.plan_for(0).lock_acquires(),
         kernel.plan_for(0).reductions(),
         p2p

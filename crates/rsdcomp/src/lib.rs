@@ -19,13 +19,10 @@
 //!    is a `READ&WRITE_ALL` whose processor is the only writer of its bytes
 //!    anywhere in the program (red-black SOR's in-place half-sweeps: the
 //!    column distribution alone proves it).
-//! 3. **[`BoundaryClass::EliminatedBarrier`]** — only nearest-neighbour
-//!    flow dependences, out of sections that are not final (a partial
-//!    write, or bytes a second processor also writes): the barrier is
-//!    replaced by a ready/ack handshake whose acks are the paper's *merged
-//!    data+sync messages* (notices, timestamps and diffs on one polled
-//!    message), while the pages stay DSM-managed. No shipped kernel
-//!    compiles to this class any more.
+//! 3. **[`BoundaryClass::Reduce`]** — the exit of a phase whose only
+//!    cross-processor writes are accumulations into one section: every
+//!    processor's private partial is summed over the barrier tree, with no
+//!    lock, twin or diff (integer sort's histogram merge).
 //! 4. **[`BoundaryClass::Lock`]** — the boundary enters a lock-guarded
 //!    phase and every remaining dependence is ordered by that lock's
 //!    acquire chain: the entry is an acquire whose grant validates the
@@ -34,8 +31,10 @@
 //!    [`Refusal::OutsideAcquireChain`].
 //! 5. **`FullBarrier`** — everything else, including the analyzer's
 //!    refusals ([`Refusal`]): overlapping write sections, non-affine
-//!    subscripts, cross-block (e.g. reduction) dependences. Refusal is
-//!    always sound — the real barrier preserves every happens-before edge.
+//!    subscripts, cross-block dependences, and dependences out of sections
+//!    that are not final (a partial write, or bytes a second processor also
+//!    writes), whose pages stay DSM-managed. Refusal is always sound — the
+//!    real barrier preserves every happens-before edge.
 //!    A barrier fed purely by lock-ordered writes (the lock+barrier idiom,
 //!    e.g. integer sort's histogram merge) is *not* a refusal: the holder
 //!    order is runtime-determined, so the barrier is the intended sync.
@@ -47,16 +46,15 @@
 //! iteration-dependent consumer set (Gaussian elimination's per-step
 //! barrier vanishes).
 //!
-//! A garbage-collection policy additionally retains one real barrier per
-//! loop iteration whenever the body flushes intervals at eliminated
-//! boundaries, so the horizon keeps advancing and diff caches stay bounded
-//! (`DESIGN.md` §6 has the soundness argument for both the elimination and
-//! the policy).
+//! `Push` and `Reduce` install raw bytes, so both need the whole program
+//! to keep no DSM-managed boundary: if any barrier or lock remains, every
+//! push is demoted to a barrier and every accumulation keeps its lock
+//! (`DESIGN.md` §6 and §9 have the soundness arguments).
 //!
 //! The ladder is what [`Level::Full`] may use. [`compile_at`] with
 //! [`Level::Validate`] stops at the paper's first level — aggregation and
-//! merged data+sync at barriers that all stay: classes 2 and 3 become class
-//! 5, the rest are unchanged.
+//! merged data+sync at barriers that all stay: class 2 becomes class 5, an
+//! accumulation is the lock it lowers to, the rest are unchanged.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,12 +1,10 @@
 //! Plan generation: from classified boundaries to executable `ctrt` calls.
 //!
-//! [`compile`] unrolls the program, analyzes every distinct phase boundary,
-//! applies the garbage-collection policy (one *real* barrier per loop
-//! iteration whenever the body flushes intervals at eliminated boundaries,
-//! so diff caches stay bounded) and emits one [`ProcPlan`] per processor —
-//! the exact sequence of compiler-interface calls the kernel executes. The
-//! application supplies only the numeric phase bodies; every protocol
-//! decision lives in the plan.
+//! [`compile`] unrolls the program, analyzes every distinct phase boundary
+//! and emits one [`ProcPlan`] per processor — the exact sequence of
+//! compiler-interface calls the kernel executes. The application supplies
+//! only the numeric phase bodies; every protocol decision lives in the
+//! plan.
 
 use std::sync::Arc;
 
@@ -33,16 +31,6 @@ pub enum BoundaryOp {
     /// A surviving real barrier, merged with the phase's sections
     /// (split-phase `Validate_w_sync`).
     Barrier {
-        /// The phase's sections.
-        sections: Vec<RegularSection>,
-    },
-    /// An eliminated barrier: point-to-point ready/ack with the named
-    /// producers, the acks carrying merged data+sync.
-    NeighborSync {
-        /// Processors whose modifications this processor consumes.
-        producers: Vec<ProcId>,
-        /// Processors consuming this processor's modifications.
-        consumers: Vec<ProcId>,
         /// The phase's sections.
         sections: Vec<RegularSection>,
     },
@@ -78,7 +66,6 @@ impl BoundaryOp {
             BoundaryOp::Local { sections } if sections.is_empty() => "local",
             BoundaryOp::Local { .. } => "prepare",
             BoundaryOp::Barrier { .. } => "barrier",
-            BoundaryOp::NeighborSync { .. } => "neighbor-sync",
             BoundaryOp::Lock { .. } => "lock",
             BoundaryOp::Push { .. } => "push",
         }
@@ -91,10 +78,6 @@ impl BoundaryOp {
             // path, identical to a hand-written acquire — the plan adds no
             // messages of its own on top of it.
             BoundaryOp::Local { .. } | BoundaryOp::Barrier { .. } | BoundaryOp::Lock { .. } => 0,
-            // One ready per producer, one ack per consumer.
-            BoundaryOp::NeighborSync { producers, consumers, .. } => {
-                producers.len() + consumers.len()
-            }
             BoundaryOp::Push { sends, .. } => sends.len(),
         }
     }
@@ -152,11 +135,6 @@ pub struct ProcPlan {
 }
 
 impl ProcPlan {
-    /// Number of eliminated barriers this processor participates in.
-    pub fn barriers_eliminated(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s.entry, BoundaryOp::NeighborSync { .. })).count()
-    }
-
     /// Number of surviving real barriers.
     pub fn barriers(&self) -> usize {
         self.steps.iter().filter(|s| matches!(s.entry, BoundaryOp::Barrier { .. })).count()
@@ -185,7 +163,7 @@ pub struct BoundarySummary {
     pub prev: PhaseId,
     /// The consumer phase.
     pub next: PhaseId,
-    /// The classification (after the GC policy).
+    /// The classification.
     pub class: BoundaryClass,
     /// How often the boundary occurs in the unrolled execution.
     pub occurrences: usize,
@@ -208,13 +186,8 @@ impl CompiledKernel {
         &self.plans[me]
     }
 
-    /// Barriers eliminated per processor over the whole run (identical on
-    /// every processor: compiled plans are SPMD-uniform in structure).
-    pub fn barriers_eliminated(&self) -> usize {
-        self.plans[0].barriers_eliminated()
-    }
-
-    /// Surviving real barriers per processor over the whole run.
+    /// Surviving real barriers per processor over the whole run (identical
+    /// on every processor: compiled plans are SPMD-uniform in structure).
     pub fn barriers(&self) -> usize {
         self.plans[0].barriers()
     }
@@ -225,14 +198,12 @@ impl CompiledKernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Aggregation and merged data+sync only: every communicating boundary
-    /// keeps its barrier, as a split-phase `Validate_w_sync`. `Push` and
-    /// `EliminatedBarrier` classifications become `FullBarrier`; local and
-    /// lock boundaries are what they are at [`Level::Full`], and an
-    /// accumulation is the guarded `ReadWrite` it lowers to — the paper's
-    /// lock+barrier idiom.
+    /// keeps its barrier, as a split-phase `Validate_w_sync`. A `Push`
+    /// classification becomes `FullBarrier`; local and lock boundaries are
+    /// what they are at [`Level::Full`], and an accumulation is the guarded
+    /// `ReadWrite` it lowers to — the paper's lock+barrier idiom.
     Validate,
-    /// Everything the analysis proves: pushes, barrier replacement and
-    /// reductions on top.
+    /// Everything the analysis proves: pushes and reductions on top.
     Full,
 }
 
@@ -285,12 +256,7 @@ pub fn compile_at(program: &Program, nprocs: usize, level: Level) -> CompiledKer
 /// Whether a boundary of this class ends an interval and keeps the DSM
 /// protocol running.
 fn flushes(class: BoundaryClass) -> bool {
-    matches!(
-        class,
-        BoundaryClass::EliminatedBarrier
-            | BoundaryClass::FullBarrier { .. }
-            | BoundaryClass::Lock(_)
-    )
+    matches!(class, BoundaryClass::FullBarrier { .. } | BoundaryClass::Lock(_))
 }
 
 /// Classifies and plans `program` with `exits[phase]` reduced at every exit
@@ -303,12 +269,9 @@ fn plan(
     exits: &[Option<Reduction>],
 ) -> Option<CompiledKernel> {
     let phases = program.phases();
-    // Unroll with loop structure in hand: the `(phase, iteration)`
-    // occurrence order plus, per `Repeat`, its position/length/count (for
-    // the GC policy's loop-back detection). The iteration symbol rides
-    // along so iteration-dependent spans lower per occurrence.
+    // Unroll into the `(phase, iteration)` occurrence order. The iteration
+    // symbol rides along so iteration-dependent spans lower per occurrence.
     let mut occurrences: Vec<(PhaseId, usize)> = Vec::new();
-    let mut repeats: Vec<(usize, usize, usize)> = Vec::new();
     let mut next_id = 0;
     for node in &program.nodes {
         match node {
@@ -319,7 +282,6 @@ fn plan(
             Node::Repeat { times, body } => {
                 let ids: Vec<PhaseId> = (next_id..next_id + body.len()).collect();
                 next_id += body.len();
-                repeats.push((occurrences.len(), body.len(), *times));
                 for t in 0..*times {
                     occurrences.extend(ids.iter().map(|&id| (id, t)));
                 }
@@ -334,11 +296,9 @@ fn plan(
     // unrelated phase, read) is then caught at the boundary where the read
     // happens, instead of slipping through two NoComm classifications.
     // Clearing mirrors what each synchronization actually delivers: a full
-    // barrier distributes every notice to everyone; an eliminated
-    // barrier's ack carries all of one producer's notices to one named
-    // consumer; a lock acquire delivers the chain's notices, clearing the
-    // lock's own guarded writes pair-wise; a push moves bytes, not
-    // notices, so it clears nothing.
+    // barrier distributes every notice to everyone; a lock acquire delivers
+    // the chain's notices, clearing the lock's own guarded writes
+    // pair-wise; a push moves bytes, not notices, so it clears nothing.
     let mut analyses: Vec<BoundaryAnalysis> =
         Vec::with_capacity(occurrences.len().saturating_sub(1));
     let mut pending = PendingWrites::new(program, nprocs);
@@ -356,22 +316,11 @@ fn plan(
             classify_against_pending(program, nprocs, &pending, phases[next], next_iter);
         // The level applies here, inside the walk, so that pending writes
         // clear exactly as the barrier that will run clears them.
-        if level == Level::Validate
-            && matches!(analysis.class, BoundaryClass::Push | BoundaryClass::EliminatedBarrier)
-        {
-            analysis.class = BoundaryClass::FullBarrier { refusal: None, gc_forced: false };
+        if level == Level::Validate && analysis.class == BoundaryClass::Push {
+            analysis.class = BoundaryClass::FullBarrier { refusal: None };
         }
-        match &analysis.class {
-            BoundaryClass::FullBarrier { .. } => pending.clear_all(),
-            BoundaryClass::EliminatedBarrier => {
-                for pair in &analysis.pairs {
-                    pending.clear_pair(pair.producer, pair.consumer);
-                }
-            }
-            BoundaryClass::NoComm
-            | BoundaryClass::Push
-            | BoundaryClass::Lock(_)
-            | BoundaryClass::Reduce => {}
+        if let BoundaryClass::FullBarrier { .. } = analysis.class {
+            pending.clear_all();
         }
         analyses.push(analysis);
     }
@@ -397,62 +346,14 @@ fn plan(
     // modifications, which under false sharing overwrites a concurrent
     // writer's fresh values with the pushed snapshot (see
     // `Refusal::MixedWithManagedPhases`). If any boundary keeps the DSM
-    // protocol, every pushable boundary is demoted: to the merged data+sync
-    // exchange when its dependences are nearest-neighbour, to a full
-    // barrier otherwise. Demotion only ever increases what later boundaries
-    // would have pending, so the walk's classifications stay conservative.
+    // protocol, every pushable boundary is demoted to a full barrier.
+    // Demotion only ever adds barriers, which deliver more than the walk
+    // assumed: later boundaries were classified against a superset of what
+    // is really pending, so their classifications stay conservative.
     if analyses.iter().any(|a| flushes(a.class)) {
-        for analysis in &mut analyses {
-            if analysis.class != BoundaryClass::Push {
-                continue;
-            }
-            let neighbours = analysis.pairs.iter().all(|d| d.producer.abs_diff(d.consumer) == 1);
-            analysis.class = if neighbours {
-                BoundaryClass::EliminatedBarrier
-            } else {
-                BoundaryClass::FullBarrier {
-                    refusal: Some(Refusal::MixedWithManagedPhases),
-                    gc_forced: false,
-                }
-            };
-        }
-    }
-
-    // GC policy: intervals flushed at eliminated barriers accumulate until
-    // a real barrier distributes a horizon. Within each loop, force a
-    // loop-back boundary to a real barrier whenever eliminated flushes
-    // have happened since the last real barrier — one horizon advance (and
-    // diff-cache trim) at least every iteration that flushes.
-    for &(start, len, times) in &repeats {
-        if len * times < 2 {
-            continue;
-        }
-        let mut flushes_since_barrier = 0usize;
-        for (offset, analysis) in analyses[start..=(start + len * times - 2)].iter_mut().enumerate()
-        {
-            let is_loopback = (offset + 1) % len == 0;
-            if is_loopback
-                && flushes_since_barrier > 0
-                // A lock boundary cannot be forced to a barrier: the
-                // acquire also provides the phase's mutual exclusion, which
-                // a barrier does not.
-                && !matches!(
-                    analysis.class,
-                    BoundaryClass::FullBarrier { .. } | BoundaryClass::Lock(_)
-                )
-            {
-                analysis.class = BoundaryClass::FullBarrier { refusal: None, gc_forced: true };
-            }
-            match analysis.class {
-                // A lock release flushes the holder's interval just like an
-                // eliminated barrier's flush does, so it counts toward the
-                // GC horizon debt.
-                BoundaryClass::EliminatedBarrier | BoundaryClass::Lock(_) => {
-                    flushes_since_barrier += 1
-                }
-                BoundaryClass::FullBarrier { .. } => flushes_since_barrier = 0,
-                BoundaryClass::NoComm | BoundaryClass::Push | BoundaryClass::Reduce => {}
-            }
+        for analysis in analyses.iter_mut().filter(|a| a.class == BoundaryClass::Push) {
+            analysis.class =
+                BoundaryClass::FullBarrier { refusal: Some(Refusal::MixedWithManagedPhases) };
         }
     }
 
@@ -562,27 +463,6 @@ fn plan(
                         flush_epoch += 1;
                         exit = PhaseExit::Release(lock);
                         BoundaryOp::Lock { lock, sections: sections_for(next, iter) }
-                    }
-                    BoundaryClass::EliminatedBarrier => {
-                        flush_epoch += 1;
-                        let sections = prepared(flush_epoch);
-                        let mut producers: Vec<ProcId> = analysis
-                            .pairs
-                            .iter()
-                            .filter(|d| d.consumer == me)
-                            .map(|d| d.producer)
-                            .collect();
-                        let mut consumers: Vec<ProcId> = analysis
-                            .pairs
-                            .iter()
-                            .filter(|d| d.producer == me)
-                            .map(|d| d.consumer)
-                            .collect();
-                        producers.sort_unstable();
-                        producers.dedup();
-                        consumers.sort_unstable();
-                        consumers.dedup();
-                        BoundaryOp::NeighborSync { producers, consumers, sections }
                     }
                     BoundaryClass::Push | BoundaryClass::Reduce => {
                         let sends: Vec<Push> = analysis

@@ -5,7 +5,7 @@
 use pagedmem::Addr;
 use rsdcomp::{
     analyze_boundary, compile, compile_at, Access, ArrayDecl, BoundaryClass, BoundaryOp, ColSpan,
-    Level, Node, Phase, Program, Refusal, SectionAccess,
+    Level, Node, Phase, PhaseExit, Program, ReduceOp, Refusal, SectionAccess,
 };
 
 const ROWS: usize = 512;
@@ -83,8 +83,8 @@ fn double_buffered_stencils_classify_as_push() {
 fn sole_writer_in_place_sweeps_classify_as_push() {
     // SOR's shape: READ&WRITE_ALL in place. Every processor is the only
     // writer of its own columns in every phase, so its raw copy is final
-    // and the half-sweeps push like a WRITE_ALL producer — no barrier, no
-    // eliminated barrier, nothing DSM-managed.
+    // and the half-sweeps push like a WRITE_ALL producer — no barrier,
+    // nothing DSM-managed.
     let program = Program {
         arrays: vec![decl("m", 0)],
         nodes: vec![Node::Phase(half_sweep("red", 0)), Node::Phase(half_sweep("black", 0))],
@@ -100,22 +100,24 @@ fn sole_writer_in_place_sweeps_classify_as_push() {
             "{nprocs} procs: {:?}",
             kernel.boundaries
         );
-        assert_eq!(kernel.barriers() + kernel.barriers_eliminated(), 0);
+        assert_eq!(kernel.barriers(), 0);
     }
 }
 
 #[test]
-fn in_place_half_sweeps_classify_as_eliminated_barrier() {
+fn non_final_in_place_sweeps_refuse_as_not_final() {
     // An in-place sweep whose copy is not final keeps its pages
-    // DSM-managed, and only the barrier (not the protocol) is eliminated:
-    // a partial write, whose unwritten words survive…
+    // DSM-managed, and the barrier that delivers their notices stays: a
+    // partial write, whose unwritten words survive…
     let program = Program {
         arrays: vec![decl("m", 0)],
         nodes: vec![Node::Phase(partial_sweep("red", 0)), Node::Phase(partial_sweep("black", 0))],
     };
     let phases = program.phases();
+    let not_final = BoundaryClass::FullBarrier { refusal: Some(Refusal::NotFinal) };
     let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
-    assert_eq!(analysis.class, BoundaryClass::EliminatedBarrier);
+    assert_eq!(analysis.class, not_final);
+    assert_eq!(analysis.pairs.len(), 6, "3 interior boundaries x 2 directions");
     // …or a READ&WRITE_ALL sweep over bytes a second processor also writes
     // somewhere in the program (here each processor once overwrites its
     // right neighbour's block).
@@ -133,7 +135,7 @@ fn in_place_half_sweeps_classify_as_eliminated_barrier() {
     };
     let phases = program.phases();
     let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
-    assert_eq!(analysis.class, BoundaryClass::EliminatedBarrier);
+    assert_eq!(analysis.class, not_final);
 }
 
 #[test]
@@ -153,7 +155,7 @@ fn overlapping_write_sections_refuse_elimination() {
     let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
     assert_eq!(
         analysis.class,
-        BoundaryClass::FullBarrier { refusal: Some(Refusal::OverlappingWrites), gc_forced: false }
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::OverlappingWrites) }
     );
 }
 
@@ -170,10 +172,7 @@ fn non_affine_subscripts_refuse_elimination() {
     };
     let phases = program.phases();
     let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
-    assert_eq!(
-        analysis.class,
-        BoundaryClass::FullBarrier { refusal: Some(Refusal::NonAffine), gc_forced: false }
-    );
+    assert_eq!(analysis.class, BoundaryClass::FullBarrier { refusal: Some(Refusal::NonAffine) });
 }
 
 #[test]
@@ -198,18 +197,14 @@ fn cross_block_reductions_refuse_elimination() {
     let analysis = analyze_boundary(&program, 4, phases[0], phases[1]);
     assert_eq!(
         analysis.class,
-        BoundaryClass::FullBarrier {
-            refusal: Some(Refusal::NonNeighbourDependence),
-            gc_forced: false
-        }
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::NonNeighbourDependence) }
     );
 }
 
 #[test]
 fn far_dependences_without_write_all_refuse_elimination() {
     // A distance-2 dependence whose producer writes only part of its
-    // section: not pushable (the copy is not final) and not
-    // nearest-neighbour — full barrier.
+    // section: not pushable (the copy is not final) — full barrier.
     let update =
         Phase::new("update", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWrite)]);
     let far = Phase::new(
@@ -220,13 +215,7 @@ fn far_dependences_without_write_all_refuse_elimination() {
         Program { arrays: vec![decl("m", 0)], nodes: vec![Node::Phase(update), Node::Phase(far)] };
     let phases = program.phases();
     let analysis = analyze_boundary(&program, 8, phases[0], phases[1]);
-    assert_eq!(
-        analysis.class,
-        BoundaryClass::FullBarrier {
-            refusal: Some(Refusal::NonNeighbourDependence),
-            gc_forced: false
-        }
-    );
+    assert_eq!(analysis.class, BoundaryClass::FullBarrier { refusal: Some(Refusal::NotFinal) });
 }
 
 #[test]
@@ -296,16 +285,13 @@ fn dependences_spanning_several_boundaries_are_still_enforced() {
     assert_eq!(class_of(0, 1), BoundaryClass::NoComm, "A -> B really has no dependence");
     assert_eq!(
         class_of(1, 2),
-        BoundaryClass::FullBarrier {
-            refusal: Some(Refusal::NonNeighbourDependence),
-            gc_forced: false
-        },
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::NonNeighbourDependence) },
         "the A -> C cross-block dependence must surface at the B -> C boundary"
     );
     assert_eq!(kernel.barriers(), 1, "one real barrier must survive to enforce it");
 
-    // A neighbour-shaped skipped dependence resolves to the eliminated
-    // barrier instead: still an edge per named pair, never silence.
+    // A neighbour-shaped skipped dependence out of a partial write keeps
+    // its barrier too: the refusal surfaces where the read happens.
     let writer =
         Phase::new("w", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWrite)]);
     let idle = Phase::new("idle", vec![SectionAccess::new(1, ColSpan::OwnBlock, Access::WriteAll)]);
@@ -326,16 +312,17 @@ fn dependences_spanning_several_boundaries_are_still_enforced() {
     assert_eq!(class_of(0, 1), BoundaryClass::NoComm);
     assert_eq!(
         class_of(1, 2),
-        BoundaryClass::EliminatedBarrier,
-        "the skipped-a-phase neighbour dependence still gets its p2p sync"
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::NotFinal) },
+        "the skipped-a-phase neighbour dependence still gets its barrier"
     );
 }
 
 #[test]
-fn gc_policy_retains_one_real_barrier_per_iteration() {
-    // A loop of two eliminable (partial-write) half-sweeps: the loop-back
-    // boundary must be retained as a real barrier (GC heartbeat), the
-    // in-body boundary stays eliminated.
+fn non_final_sweep_loops_keep_a_barrier_at_every_boundary() {
+    // A loop of partial-write half-sweeps: every sweep -> sweep boundary,
+    // in the body and at the loop-back, keeps its barrier, refused as not
+    // final; the init boundary, pushable in isolation, is demoted because
+    // the program flushes. Nothing moves point-to-point.
     let kernel = compile(&partial_sweep_program(), 4);
     let class_of = |prev: usize, next: usize| {
         kernel
@@ -345,28 +332,23 @@ fn gc_policy_retains_one_real_barrier_per_iteration() {
             .map(|b| b.class)
             .expect("boundary exists")
     };
-    assert_eq!(class_of(1, 2), BoundaryClass::EliminatedBarrier, "red -> black stays eliminated");
+    let not_final = BoundaryClass::FullBarrier { refusal: Some(Refusal::NotFinal) };
+    assert_eq!(class_of(1, 2), not_final, "red -> black");
+    assert_eq!(class_of(2, 1), not_final, "the loop-back");
     assert_eq!(
-        class_of(2, 1),
-        BoundaryClass::FullBarrier { refusal: None, gc_forced: true },
-        "the loop-back boundary is retained for the GC horizon"
+        class_of(0, 1),
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::MixedWithManagedPhases) }
     );
-    // The init boundary is pushable in isolation but the program flushes:
-    // it is demoted to the (false-sharing safe) merged data+sync exchange.
-    assert_eq!(class_of(0, 1), BoundaryClass::EliminatedBarrier);
-    // Per iteration: one real barrier survives, one is eliminated (plus
-    // the demoted init boundary).
-    assert_eq!(kernel.barriers_eliminated(), 4);
-    assert_eq!(kernel.barriers(), 2, "iters - 1 loop-back barriers");
+    assert_eq!(kernel.barriers(), 6);
+    assert!((0..4).all(|me| kernel.plan_for(me).messages_sent() == 0));
 }
 
 #[test]
 fn pushes_demote_when_the_program_keeps_managed_phases() {
     // A pushable ring boundary inside a program that also flushes (a
     // partial-write half-sweep elsewhere): raw pushes would be re-shipped by
-    // later diffs, so the ring boundary — whose dependences are not
-    // nearest-neighbour — must fall back to a full barrier, and a
-    // neighbour-shaped pushable boundary to the merged data+sync exchange.
+    // later diffs, so every pushable boundary — the ring here, and a
+    // neighbour-shaped one alike — falls back to a full barrier.
     let produce =
         Phase::new("produce", vec![SectionAccess::new(0, ColSpan::OwnBlock, Access::WriteAll)]);
     let consume = Phase::new(
@@ -393,11 +375,13 @@ fn pushes_demote_when_the_program_keeps_managed_phases() {
     };
     assert_eq!(
         class_of(0, 1),
-        BoundaryClass::FullBarrier {
-            refusal: Some(Refusal::MixedWithManagedPhases),
-            gc_forced: false
-        },
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::MixedWithManagedPhases) },
         "a wrap-ring push must not survive next to managed phases"
+    );
+    assert_eq!(
+        class_of(1, 2),
+        BoundaryClass::FullBarrier { refusal: Some(Refusal::MixedWithManagedPhases) },
+        "nor a neighbour-shaped one"
     );
 }
 
@@ -420,56 +404,21 @@ fn assert_collectives_match(kernel: &rsdcomp::CompiledKernel, nprocs: usize) {
             kernel.plan_for(0).steps.iter().map(|s| s.entry.name()).collect();
         assert_eq!(kinds, reference, "proc {me} must share the SPMD step skeleton");
         for (idx, step) in plan.steps.iter().enumerate() {
-            match &step.entry {
-                BoundaryOp::NeighborSync { producers, consumers, .. } => {
-                    for &producer in producers {
-                        let BoundaryOp::NeighborSync { consumers: theirs, .. } =
-                            &kernel.plan_for(producer).steps[idx].entry
-                        else {
-                            panic!("mismatched collective");
-                        };
-                        assert!(
-                            theirs.contains(&me),
-                            "proc {me} expects {producer} to produce, but {producer} does not \
-                             list {me} as a consumer"
-                        );
-                    }
-                    for &consumer in consumers {
-                        let BoundaryOp::NeighborSync { producers: theirs, .. } =
-                            &kernel.plan_for(consumer).steps[idx].entry
-                        else {
-                            panic!("mismatched collective");
-                        };
-                        assert!(theirs.contains(&me));
-                    }
-                    // Neighbour sets really are the chain neighbours.
-                    let expected: Vec<usize> = [me.checked_sub(1), Some(me + 1)]
-                        .into_iter()
-                        .flatten()
-                        .filter(|&n| n < nprocs)
-                        .collect();
-                    assert_eq!(producers, &expected);
-                    assert_eq!(consumers, &expected);
-                }
-                BoundaryOp::Push { sends, recv_from, .. } => {
-                    for push in sends {
-                        let BoundaryOp::Push { recv_from: theirs, .. } =
-                            &kernel.plan_for(push.dest).steps[idx].entry
-                        else {
-                            panic!("mismatched push");
-                        };
-                        assert!(theirs.contains(&me));
-                    }
-                    for &src in recv_from {
-                        let BoundaryOp::Push { sends: theirs, .. } =
-                            &kernel.plan_for(src).steps[idx].entry
-                        else {
-                            panic!("mismatched push");
-                        };
-                        assert!(theirs.iter().any(|p| p.dest == me));
-                    }
-                }
-                _ => {}
+            let BoundaryOp::Push { sends, recv_from, .. } = &step.entry else { continue };
+            for push in sends {
+                let BoundaryOp::Push { recv_from: theirs, .. } =
+                    &kernel.plan_for(push.dest).steps[idx].entry
+                else {
+                    panic!("mismatched push");
+                };
+                assert!(theirs.contains(&me));
+            }
+            for &src in recv_from {
+                let BoundaryOp::Push { sends: theirs, .. } = &kernel.plan_for(src).steps[idx].entry
+                else {
+                    panic!("mismatched push");
+                };
+                assert!(theirs.iter().any(|p| p.dest == me));
             }
         }
     }
@@ -486,8 +435,8 @@ fn sor_shaped_program() -> Program {
     }
 }
 
-/// The same loop over partial-write half-sweeps: neighbour syncs and a
-/// retained GC barrier — every kind of plan content a run can share.
+/// The same loop over partial-write half-sweeps: a barrier at every
+/// boundary, the pages DSM-managed.
 fn partial_sweep_program() -> Program {
     Program {
         arrays: vec![decl("m", 0)],
@@ -519,7 +468,6 @@ fn the_full_level_is_compile_and_the_validate_level_keeps_only_barriers() {
         for nprocs in [1, 4, 8] {
             assert_eq!(compile_at(&program, nprocs, Level::Full), compile(&program, nprocs));
             let kernel = compile_at(&program, nprocs, Level::Validate);
-            assert_eq!(kernel.barriers_eliminated(), 0);
             // Every boundary of both shapes communicates (at one processor
             // none does): init -> first sweep and every sweep -> sweep.
             assert_eq!(kernel.barriers(), if nprocs == 1 { 0 } else { 6 });
@@ -593,7 +541,6 @@ fn jacobi_shaped_plans_prepare_once_then_warm() {
     // push variant's cost shape.
     let kernel = compile(&jacobi_shaped_program(), 4);
     assert_eq!(kernel.barriers(), 0, "a fully pushable loop keeps no barrier");
-    assert_eq!(kernel.barriers_eliminated(), 0);
     let plan = kernel.plan_for(1);
     let mut push_preps = 0;
     let mut push_warms = 0;
@@ -627,7 +574,140 @@ fn explain_is_deterministic_and_names_the_decisions() {
     let a = rsdcomp::explain(&program, &kernel);
     let b = rsdcomp::explain(&program, &compile(&program, 4));
     assert_eq!(a, b, "explain must be byte-deterministic");
-    assert!(a.contains("eliminated-barrier"));
-    assert!(a.contains("retained for the GC horizon"));
+    assert!(a.contains("barrier (refused: not-final)"));
+    assert!(a.contains("barrier (refused: mixed-with-managed-phases)"));
     assert!(a.contains("totals:"));
+}
+
+/// The lock integer sort's histogram merge claims.
+const MERGE_LOCK: rsdcomp::LockId = 3;
+
+/// Integer sort's shape: `keys` (array 0) initialised per block, then
+/// `iters` rounds of a guarded merge that accumulates `merge`'s extra
+/// accesses plus the histogram (array 1) into every bucket, and an
+/// unguarded rank reading the own bucket block. `extra` is appended to the
+/// merge's accesses, `after` to the loop body.
+fn is_shaped_program(extra: Vec<SectionAccess>, after: Vec<Phase>) -> Program {
+    let mut merge = vec![
+        SectionAccess::new(0, ColSpan::OwnBlock, Access::ReadWriteAll),
+        SectionAccess::accumulate(1, ColSpan::All, ReduceOp::WrappingAdd),
+    ];
+    merge.extend(extra);
+    let mut body = vec![
+        Phase::guarded("merge", merge, MERGE_LOCK),
+        Phase::new("rank", vec![SectionAccess::new(1, ColSpan::OwnBlock, Access::Read)]),
+    ];
+    body.extend(after);
+    Program {
+        arrays: vec![
+            decl("keys", 0),
+            decl("hist", ROWS * COLS * 8),
+            decl("aux", 2 * ROWS * COLS * 8),
+        ],
+        nodes: vec![Node::Phase(init(&[0])), Node::Repeat { times: 3, body }],
+    }
+}
+
+/// Every distinct boundary of `kernel` as `(prev, next, class)`.
+fn classes(kernel: &rsdcomp::CompiledKernel) -> Vec<(usize, usize, BoundaryClass)> {
+    kernel.boundaries.iter().map(|b| (b.prev, b.next, b.class)).collect()
+}
+
+#[test]
+fn merge_to_rank_reduces_at_the_full_level_and_keeps_the_lock_at_the_validate_level() {
+    let program = is_shaped_program(Vec::new(), Vec::new());
+    for nprocs in [2, 4, 8] {
+        // Full: the merge's exit reduces, nothing else communicates, and no
+        // processor takes the lock.
+        let full = compile(&program, nprocs);
+        assert_eq!(
+            classes(&full),
+            [
+                (0, 1, BoundaryClass::NoComm),
+                (1, 2, BoundaryClass::Reduce),
+                (2, 1, BoundaryClass::NoComm)
+            ],
+            "{nprocs} procs"
+        );
+        for me in 0..nprocs {
+            let plan = full.plan_for(me);
+            assert_eq!((plan.reductions(), plan.lock_acquires(), plan.barriers()), (3, 0, 0));
+            for step in plan.steps.iter().filter(|s| s.phase == 1) {
+                let PhaseExit::Reduce(reduction) = &step.exit else {
+                    panic!("{nprocs} procs: the merge's exit must reduce, got {:?}", step.exit);
+                };
+                assert_eq!(reduction.op, ReduceOp::WrappingAdd);
+                assert_eq!(reduction.section.len(), ROWS * COLS * 8, "the whole histogram");
+            }
+        }
+        // Validate: the accumulation is the guarded read-modify-write, so
+        // every merge entry is the acquire and merge -> rank the barrier
+        // the lock-ordered writes need (the intended sync, not a refusal).
+        let validate = compile_at(&program, nprocs, Level::Validate);
+        assert_eq!(
+            classes(&validate),
+            [
+                (0, 1, BoundaryClass::Lock(MERGE_LOCK)),
+                (1, 2, BoundaryClass::FullBarrier { refusal: None }),
+                (2, 1, BoundaryClass::Lock(MERGE_LOCK))
+            ],
+            "{nprocs} procs"
+        );
+        for me in 0..nprocs {
+            let plan = validate.plan_for(me);
+            assert_eq!((plan.reductions(), plan.lock_acquires(), plan.barriers()), (0, 3, 3));
+        }
+    }
+}
+
+#[test]
+fn accumulations_anything_else_touches_keep_the_lock() {
+    // Each program differs from the reducible shape in one way that makes
+    // a private partial unsound; the full level then keeps the lock path
+    // exactly as the validate level plans it. (With the non-affine span
+    // every merge entry refuses as well and compiles to a bare barrier,
+    // which drops the merge's lock: a known defect of the lock path,
+    // pinned here until it is fixed.)
+    let second_section = is_shaped_program(
+        vec![SectionAccess::accumulate(2, ColSpan::All, ReduceOp::WrappingAdd)],
+        Vec::new(),
+    );
+    let read_inside =
+        is_shaped_program(vec![SectionAccess::new(1, ColSpan::OwnBlock, Access::Read)], Vec::new());
+    // Guarded by the merge's own lock, so the chain still orders it and
+    // every merge entry stays an acquire.
+    let plain_write_elsewhere = is_shaped_program(
+        Vec::new(),
+        vec![Phase::guarded(
+            "clear",
+            vec![SectionAccess::new(1, ColSpan::OwnBlock, Access::Write)],
+            MERGE_LOCK,
+        )],
+    );
+    let mut non_affine = is_shaped_program(Vec::new(), Vec::new());
+    let Node::Repeat { body, .. } = &mut non_affine.nodes[1] else { unreachable!() };
+    body[0].accesses[1] = SectionAccess::accumulate(1, ColSpan::Unknown, ReduceOp::WrappingAdd);
+    for (name, program) in [
+        ("two accumulated sections", second_section),
+        ("a read of the accumulated words in the accumulating phase", read_inside),
+        ("a plain write to them in another phase", plain_write_elsewhere),
+        ("a non-affine accumulation span", non_affine),
+    ] {
+        let acquires = match name {
+            "a plain write to them in another phase" => 6,
+            "a non-affine accumulation span" => 0,
+            _ => 3,
+        };
+        for nprocs in [2, 4, 8] {
+            let full = compile(&program, nprocs);
+            assert_eq!(
+                full,
+                compile_at(&program, nprocs, Level::Validate),
+                "{name}, {nprocs} procs"
+            );
+            assert!(full.boundaries.iter().all(|b| b.class != BoundaryClass::Reduce), "{name}");
+            assert_eq!(full.plan_for(0).reductions(), 0, "{name}, {nprocs} procs");
+            assert_eq!(full.plan_for(0).lock_acquires(), acquires, "{name}, {nprocs} procs");
+        }
+    }
 }

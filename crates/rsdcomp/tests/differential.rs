@@ -10,6 +10,7 @@ use rsdcomp::{
     compile, Access, ArrayDecl, BoundaryClass, BoundarySummary, ColSpan, Node, Phase, Program,
     Refusal, RefusalClass, SectionAccess,
 };
+use treadmarks::{Dsm, DsmConfig, RaceDetect};
 
 const NPROCS_MATRIX: [usize; 4] = [2, 4, 8, 16];
 
@@ -19,12 +20,9 @@ fn every_refusal_class_is_statically_refused() {
         for class in RefusalClass::ALL {
             let kernel = class.compile_refused(nprocs);
             // The refused boundary keeps a real barrier: nothing about the
-            // program is eliminated or pushed.
+            // program is pushed.
             assert!(
-                kernel.boundaries.iter().all(|b| !matches!(
-                    b.class,
-                    BoundaryClass::EliminatedBarrier | BoundaryClass::Push
-                )),
+                kernel.boundaries.iter().all(|b| b.class != BoundaryClass::Push),
                 "{} @ {nprocs} procs: refused program must not be optimized",
                 class.name()
             );
@@ -79,9 +77,8 @@ fn shifting_ownership_never_pushes_in_place_sweeps() {
     // Both phases overwrite in place (READ&WRITE_ALL), but ownership
     // shifts: `a` writes a processor's own update block, `b` its right
     // neighbour's block. No processor is the sole writer of what it writes,
-    // so no copy is final and the sweeps stay DSM-managed — classified as
-    // before in-place pushes existed: both `a -> b` boundaries eliminated,
-    // the loop-back retained for the GC horizon.
+    // so no copy is final and the sweeps stay DSM-managed: every boundary
+    // keeps its barrier, refused as not final.
     let a =
         Phase::new("a", vec![SectionAccess::new(0, ColSpan::UpdateBlock, Access::ReadWriteAll)]);
     let b = Phase::new(
@@ -102,28 +99,80 @@ fn shifting_ownership_never_pushes_in_place_sweeps() {
         }],
         nodes: vec![Node::Repeat { times: 2, body: vec![a, b] }],
     };
+    let not_final = BoundaryClass::FullBarrier { refusal: Some(Refusal::NotFinal) };
     for nprocs in NPROCS_MATRIX {
         let kernel = compile(&program, nprocs);
         assert_eq!(
             kernel.boundaries,
             vec![
-                BoundarySummary {
-                    prev: 0,
-                    next: 1,
-                    class: BoundaryClass::EliminatedBarrier,
-                    occurrences: 2
-                },
-                BoundarySummary {
-                    prev: 1,
-                    next: 0,
-                    class: BoundaryClass::FullBarrier { refusal: None, gc_forced: true },
-                    occurrences: 1
-                },
+                BoundarySummary { prev: 0, next: 1, class: not_final, occurrences: 2 },
+                BoundarySummary { prev: 1, next: 0, class: not_final, occurrences: 1 },
             ],
             "{nprocs} procs"
         );
-        assert_eq!((kernel.barriers(), kernel.barriers_eliminated()), (1, 2), "{nprocs} procs");
+        assert_eq!(kernel.barriers(), 3, "{nprocs} procs");
         let p2p: usize = (0..nprocs).map(|me| kernel.plan_for(me).messages_sent()).sum();
-        assert_eq!(p2p, 4 * (nprocs - 1), "{nprocs} procs: one ready and one ack per pair, twice");
+        assert_eq!(p2p, 0, "{nprocs} procs: nothing moves point-to-point");
+    }
+}
+
+#[test]
+fn a_non_commutative_guarded_update_keeps_its_lock_and_runs_race_free() {
+    // Accept side of the lock path: every processor rewrites the whole
+    // array in place under one lock with `x -> 3x + me + 1`, whose result
+    // depends on the holder order. That is a guarded `ReadWrite`, not an
+    // accumulation, so nothing licenses a reduction: the full level keeps
+    // the acquire at every update's entry and a barrier before each read.
+    // Run from the compiled plan under the detector, it reports nothing,
+    // and after the last barrier every processor reads the same words.
+    const LOCK: rsdcomp::LockId = 5;
+    const ROWS: usize = 64;
+    for nprocs in [2, 4, 8] {
+        let run = Dsm::run(DsmConfig::new(nprocs).with_race_detect(RaceDetect::Collect), |p| {
+            let a = p.alloc_matrix::<u64>(ROWS, 2 * p.nprocs());
+            let compiled = rsdcomp::exec::kernel_for(p, rsdcomp::Level::Full, || Program {
+                arrays: vec![ArrayDecl::of_matrix("a", &a)],
+                nodes: vec![Node::Repeat {
+                    times: 3,
+                    body: vec![
+                        Phase::guarded(
+                            "update",
+                            vec![SectionAccess::new(0, ColSpan::All, Access::ReadWrite)],
+                            LOCK,
+                        ),
+                        Phase::new(
+                            "read",
+                            vec![SectionAccess::new(0, ColSpan::OwnBlock, Access::Read)],
+                        ),
+                    ],
+                }],
+            });
+            let me = p.proc_id() as u64;
+            let plan = compiled.kernel.plan_for(p.proc_id());
+            let words = a.array().len();
+            for step in &plan.steps {
+                rsdcomp::exec::run_boundary(p, &step.entry);
+                match step.phase {
+                    0 => (0..words).for_each(|i| {
+                        let x = p.get(a.array(), i);
+                        p.set(a.array(), i, x.wrapping_mul(3).wrapping_add(me + 1));
+                    }),
+                    _ => {
+                        p.get(a.array(), 0);
+                    }
+                }
+                rsdcomp::exec::exit(p, step, &[]);
+            }
+            p.barrier();
+            let all: Vec<u64> = (0..words).map(|i| p.get(a.array(), i)).collect();
+            ((plan.lock_acquires(), plan.barriers(), plan.reductions()), all)
+        });
+        assert!(run.races.is_empty(), "{nprocs} procs: {:?}", run.races);
+        let (shape, words) = &run.results[0];
+        assert_eq!(*shape, (3, 3, 0), "{nprocs} procs: an acquire per update, a barrier per read");
+        assert!(words.iter().all(|&w| w != 0), "{nprocs} procs: every update landed");
+        for (other, theirs) in &run.results {
+            assert_eq!((other, theirs), (shape, words), "{nprocs} procs: one coherent result");
+        }
     }
 }

@@ -126,16 +126,13 @@ define_stats! {
     /// Shared accesses that missed (or were staled out of) the software TLB
     /// and took the slow, table-locked path.
     tlb_misses,
-    /// `Neighbor_sync` calls issued by the compiler interface (blocking or
-    /// split-phase), mirroring `validates`/`validate_w_syncs`/`pushes`.
+    /// Always 0: nothing increments it. It counted the neighbour
+    /// synchronizations that replaced barriers, which no longer exist; the
+    /// benchmark still reads it.
     neighbor_syncs,
-    /// Phase boundaries where the compiler replaced a global barrier with a
-    /// point-to-point neighbour synchronization (one count per processor per
-    /// eliminated boundary).
+    /// Always 0, like `neighbor_syncs`: the barriers those replaced.
     barriers_eliminated,
-    /// Merged data+sync messages sent: neighbour-sync acknowledgements that
-    /// carry write notices, vector timestamps and the producer's diffs on a
-    /// single message.
+    /// Always 0, like `neighbor_syncs`: their merged data+sync acks.
     merged_sync_msgs,
     /// Data races observed by the on-the-fly detector: concurrent-interval
     /// pairs with overlapping word-write sets, counted once per detection

@@ -192,11 +192,6 @@ impl DsmConfig {
         self
     }
 
-    /// Selects a tree barrier with the given fan-out.
-    pub fn with_barrier_arity(self, arity: usize) -> DsmConfig {
-        self.with_barrier(BarrierTopology::Tree { arity })
-    }
-
     /// Selects the stock master-centric barrier.
     pub fn with_flat_barrier(self) -> DsmConfig {
         self.with_barrier(BarrierTopology::FlatMaster)
@@ -249,7 +244,7 @@ mod tests {
 
     #[test]
     fn barrier_topology_builders() {
-        let c = DsmConfig::new(8).with_barrier_arity(4);
+        let c = DsmConfig::new(8).with_barrier(BarrierTopology::Tree { arity: 4 });
         assert_eq!(c.barrier, BarrierTopology::Tree { arity: 4 });
         let c = c.with_flat_barrier();
         assert_eq!(c.barrier, BarrierTopology::FlatMaster);
@@ -360,6 +355,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_arity_is_rejected() {
-        let _ = DsmConfig::new(4).with_barrier_arity(0);
+        let _ = DsmConfig::new(4).with_barrier(BarrierTopology::Tree { arity: 0 });
     }
 }

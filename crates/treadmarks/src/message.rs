@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use pagedmem::{AddrRange, Diff, PageId};
-use racecheck::SyncKind;
 
 use crate::notice::WriteNotice;
 use crate::types::{Interval, LockId, ProcId, Vt, VtDelta};
@@ -261,52 +260,20 @@ pub enum TmkMessage {
         /// The requested diffs.
         diffs: Vec<DiffRecord>,
     },
-    /// Producer -> requester after a synchronization operation: the paper's
-    /// merged data+sync message. At a barrier it answers a piggy-backed
-    /// `Validate_w_sync` request and its notice list is empty (the
-    /// departure carried them). At an *eliminated* barrier it answers a
-    /// [`TmkMessage::NeighborReady`]: write notices and diffs ride one
-    /// polled message — no tree, no departure, no global vector-timestamp
-    /// advance. The producer's vector timestamp does not travel: the
-    /// consumer's own, which covers the one it advertised, joined with the
-    /// notices is exactly the merge.
+    /// Producer -> requester after a barrier: the paper's merged data+sync
+    /// message, answering a piggy-backed `Validate_w_sync` request. It
+    /// carries no notices and no timestamp: the departure delivered them.
     SyncDiffs {
         /// The producing processor.
         from: ProcId,
-        /// The synchronization's kind: [`SyncKind::Barrier`] or
-        /// [`SyncKind::NeighborAck`].
-        kind: SyncKind,
-        /// The synchronization's ordinal among those of its kind. Both
-        /// kinds are matched collectives, so every participant's own count
-        /// names the same synchronization point; a completion accepts only
-        /// replies named `(kind, seq)` as itself, which keeps the stale
-        /// replies of an abandoned (dropped) receipt from being mistaken
-        /// for a later synchronization's data.
+        /// The barrier's ordinal. Barriers are matched collectives, so every
+        /// participant's own count names the same barrier; a completion
+        /// accepts only replies named as itself, which keeps the stale
+        /// replies of an abandoned (dropped) receipt from being mistaken for
+        /// a later barrier's data.
         seq: u64,
-        /// Write notices the consumer's advertised timestamp does not cover
-        /// (always empty at a barrier).
-        notices: Vec<WriteNotice>,
         /// The producer's diffs for the requested pages.
         diffs: Vec<DiffRecord>,
-    },
-    /// Consumer -> producer at an *eliminated* barrier: the consumer has
-    /// reached the phase boundary and is ready for the producer's merged
-    /// data+sync [`TmkMessage::SyncDiffs`]. Carries the consumer's (lowered)
-    /// vector timestamp and the pages of its declared read sections, exactly
-    /// like the piggybacked `SyncFetchRequest` of a real barrier — but sent
-    /// to the named producers only, on the polled path.
-    NeighborReady {
-        /// The consuming processor.
-        from: ProcId,
-        /// The neighbour-sync ordinal (compiler-eliminated boundaries are
-        /// globally matched collectives over the named processors, so every
-        /// participant's own count names the same boundary).
-        seq: u64,
-        /// The consumer's advertised vector timestamp (lowered below every
-        /// still-missing interval of the requested pages).
-        vt: Vt,
-        /// The pages of the consumer's declared sections.
-        pages: Vec<PageId>,
     },
     /// Point-to-point data exchange replacing a barrier (`Push`).
     PushData {
@@ -364,11 +331,9 @@ impl TmkMessage {
             TmkMessage::DiffResponse { diffs, .. } => {
                 8 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
-            TmkMessage::SyncDiffs { notices, diffs, .. } => {
-                12 + notices.len() * WriteNotice::WIRE_BYTES
-                    + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
+            TmkMessage::SyncDiffs { diffs, .. } => {
+                12 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
-            TmkMessage::NeighborReady { vt, pages, .. } => 12 + vt.wire_bytes() + pages.len() * 4,
             TmkMessage::PushData { chunks, .. } => {
                 4 + chunks.iter().map(|(_, data)| 16 + data.len()).sum::<usize>()
             }
@@ -488,16 +453,12 @@ mod tests {
     }
 
     #[test]
-    fn acks_and_grants_carry_notices_and_diffs_but_no_timestamp() {
+    fn sync_replies_and_grants_carry_no_timestamp() {
         let notices = vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }];
-        let reply =
-            |kind, notices| TmkMessage::SyncDiffs { from: 1, kind, seq: 1, notices, diffs: vec![] };
-        let ack = reply(SyncKind::NeighborAck, notices.clone());
         // A barrier's reply carries no notices: the departure did.
-        let barrier = reply(SyncKind::Barrier, vec![]);
+        let barrier = TmkMessage::SyncDiffs { from: 1, seq: 1, diffs: vec![] };
         let grant = TmkMessage::LockGrant { lock: 0, notices, piggyback: vec![] };
         for n in [2, 64] {
-            assert_eq!(ack.wire_bytes(n), 12 + WriteNotice::WIRE_BYTES, "{n} processors");
             assert_eq!(barrier.wire_bytes(n), 12, "{n} processors");
             assert_eq!(grant.wire_bytes(n), 4 + WriteNotice::WIRE_BYTES, "{n} processors");
         }

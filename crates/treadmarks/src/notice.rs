@@ -29,8 +29,8 @@ impl WriteNotice {
 /// `base ⊔ {(n.proc, n.interval)}`: the timestamp a message's own write
 /// notices determine over a `base` its receiver holds.
 ///
-/// This is how a barrier arrival, a barrier departure, a neighbour-sync ack
-/// and a lock grant deliver their sender's timestamp without shipping it.
+/// This is how a barrier arrival, a barrier departure and a lock grant
+/// deliver their sender's timestamp without shipping it.
 /// It is exact because of one invariant of every notice log: whenever
 /// `vt[p]` is above `gc_horizon[p]`, the log holds the record
 /// `(p, vt[p])` with at least one page. A flush advances `vt` only when it

@@ -97,12 +97,6 @@ pub struct Process {
     /// matched, so the count names the same synchronization point on every
     /// processor; it sequences a barrier's [`TmkMessage::SyncDiffs`].
     barrier_seq: u64,
-    /// How many *eliminated* barriers (neighbour syncs) this processor has
-    /// entered. Compiled plans are SPMD-uniform, so the count names the same
-    /// phase boundary on every participant; it sequences `NeighborReady`s
-    /// and a neighbour sync's `SyncDiffs` the way `barrier_seq` does a
-    /// barrier's.
-    nsync_seq: u64,
     /// How many lock acquires this processor has issued: the ordinal that
     /// names a lock-merged fetch's receipt.
     lock_seq: u64,
@@ -137,7 +131,6 @@ impl Process {
             pending: VecDeque::new(),
             next_req_id: 1,
             barrier_seq: 0,
-            nsync_seq: 0,
             lock_seq: 0,
             in_flight: None,
             once_seq: 0,

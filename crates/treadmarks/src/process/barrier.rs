@@ -1,7 +1,5 @@
 //! Barriers: the global barrier, plain or carrying a merged fetch, over
-//! the configured reduction tree — and the neighbour synchronization a
-//! compiled plan puts where only named producers and consumers need to
-//! meet (an *eliminated* barrier).
+//! the configured reduction tree.
 
 use std::cmp::Reverse;
 use std::collections::HashSet;
@@ -149,8 +147,8 @@ fn subtree_share(routed: &[RoutedRequest], child: ProcId, arity: usize) -> Vec<R
         .collect()
 }
 
-/// The `SyncDiffs` replies a synchronization point owes its requesters,
-/// built under the hold and sent after it by [`Process::send_served`].
+/// The `SyncDiffs` replies a barrier owes its requesters, built under the
+/// hold and sent after it by [`Process::send_served`].
 struct Served {
     /// Per requester, in request order, its reply.
     replies: Vec<(ProcId, TmkMessage)>,
@@ -161,23 +159,25 @@ struct Served {
     materialised: usize,
 }
 
-/// One serve pass over a synchronization point's requests, under an
-/// already-held lock pair: for each `(requester, pages, seen, notices)`
-/// the diffs this node created for `pages` newer than its interval `seen`,
-/// on one `SyncDiffs` named `(kind, seq)` with `notices`. The whole point is
-/// served in one pass, so each examined page is charged once no matter how
-/// many requests name it.
-fn serve_locked<'a>(
+/// Answers the piggybacked fetch requests routed to this node — the entries
+/// that name it — from the local diff cache, under an already-held lock
+/// pair: for each, the diffs this node created for the requested pages newer
+/// than the interval the entry names, on one `SyncDiffs` named by the
+/// barrier's ordinal `seq`. The whole barrier is served in one pass, so each
+/// examined page is charged once no matter how many requests name it.
+fn serve_requests_locked(
     proto: &ProtoState,
     table: &PageTable,
-    (kind, seq): (SyncKind, u64),
-    requests: impl IntoIterator<Item = (ProcId, &'a [PageId], Interval, Vec<WriteNotice>)>,
+    seq: u64,
+    routed: &[RoutedRequest],
 ) -> Served {
     let mut examined = Vec::new();
     let mut materialised = 0usize;
-    let replies = requests
-        .into_iter()
-        .map(|(requester, pages, seen, notices)| {
+    let replies = routed
+        .iter()
+        .filter_map(|entry| {
+            let &(_, seen) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me)?;
+            let (requester, pages) = (entry.proc, &entry.pages[..]);
             let (diffs, full_pages) =
                 proto.diffs_for_pages_after_counted(pages, seen, table, &mut examined);
             materialised += full_pages;
@@ -186,33 +186,17 @@ fn serve_locked<'a>(
             // resolved it here from the same log, so an empty answer means
             // the two disagree — and a requester blocked until the watchdog.
             debug_assert!(
-                kind != SyncKind::Barrier || !diffs.is_empty(),
+                !diffs.is_empty(),
                 "P{} was routed P{requester}'s request for {pages:?} above interval {seen} \
                  but holds no such diff",
                 proto.me,
             );
-            (requester, TmkMessage::SyncDiffs { from: proto.me, kind, seq, notices, diffs })
+            Some((requester, TmkMessage::SyncDiffs { from: proto.me, seq, diffs }))
         })
         .collect();
     examined.sort_unstable();
     examined.dedup();
     Served { replies, scanned: examined.len(), materialised }
-}
-
-/// Answers the piggybacked fetch requests routed to this node — the entries
-/// that name it — from the local diff cache, under an already-held lock
-/// pair.
-fn serve_requests_locked(
-    proto: &ProtoState,
-    table: &PageTable,
-    seq: u64,
-    routed: &[RoutedRequest],
-) -> Served {
-    let requests = routed.iter().filter_map(|entry| {
-        let &(_, seen) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me)?;
-        Some((entry.proc, &entry.pages[..], seen, Vec::new()))
-    });
-    serve_locked(proto, table, (SyncKind::Barrier, seq), requests)
 }
 
 /// The processors that will answer this node's own piggybacked request with
@@ -545,139 +529,23 @@ impl Process {
             self.clock.advance(if k == 0 { per_child } else { self.cost.broadcast_extra_cost(1) });
             self.send(proc, Port::Reply, msg, interrupt);
         }
-        self.send_served(served, true);
+        self.send_served(served);
         self.charge_notices(&tally, pages_in_use);
         self.charge_prep(&prep, pages_in_use);
         self.clock.advance(self.cost.barrier_local_cost());
         self.begin_in_flight(SyncKind::Barrier, seq, warmed, pending)
     }
 
-    /// The run-time primitive underneath a compiler-**eliminated** barrier:
-    /// a departure-free phase boundary where only the named `producers` and
-    /// `consumers` exchange. Write notices and diffs ride one merged
-    /// data+sync [`TmkMessage::SyncDiffs`] per producer/consumer pair; there
-    /// is no reduction tree, no departure and no global vector-timestamp
-    /// advance — and therefore no garbage-collection horizon movement, which
-    /// is why a compiled plan keeps a real barrier wherever intervals would
-    /// otherwise accumulate unboundedly.
-    ///
-    /// The exchange is a ready/ack handshake. This processor first flushes
-    /// its interval and sends one `NeighborReady` (its advertised timestamp
-    /// plus the plan's page list) to every named producer, then blocks until
-    /// each named *consumer*'s ready has arrived and answers them all — the
-    /// wait is what stops a producer from racing into the next phase and
-    /// answering a ready with data from the consumer's future, so the values
-    /// every processor reads are exactly the barrier ones. Because every
-    /// participant sends its readys *before* blocking, the handshake cannot
-    /// deadlock. The acks leave before this processor charges its own write
-    /// preparation (no ack depends on it). The producers' acks are awaited by
-    /// [`sync_phase_complete`](Self::sync_phase_complete) — or by the first
-    /// touch of a requested page that is not valid yet — so computation on
-    /// already-local data overlaps the data movement exactly like a
-    /// split-phase `Validate_w_sync`.
-    ///
-    /// **Contract (stronger than a barrier-merged fetch):** the legality of
-    /// the elimination is established by the compiler — the only
-    /// happens-before edges the replaced barrier enforced are the ones
-    /// between the named producers and consumers (see `DESIGN.md` §6) — and
-    /// the returned receipt *must* be completed: the acks carry consistency
-    /// information (write notices), not just data. All participants
-    /// must name each other consistently, like any collective.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this processor names itself as a producer or consumer.
-    pub fn neighbor_sync_issue(
-        &mut self,
-        producers: &[ProcId],
-        consumers: &[ProcId],
-        plan: &PhasePlan,
-    ) -> PendingSync {
-        self.flush_interval();
-        self.stats.barriers_eliminated(1);
-        self.nsync_seq += 1;
-        let seq = self.nsync_seq;
-        let me = self.proc_id();
-        let mut pending = Outstanding::new(plan);
-        // The request half: one ready per named producer, on the polled
-        // path (the producer is blocked at — or headed for — the same
-        // boundary with its receive pre-posted).
-        let vt = sync_vt_locked(&self.node.unleased().proto(), &pending.pages);
-        for &producer in producers {
-            assert_ne!(producer, me, "a processor does not synchronize with itself");
-            let pages = pending.pages.clone();
-            let msg = TmkMessage::NeighborReady { from: me, seq, vt: vt.clone(), pages };
-            self.send(producer, Port::Reply, msg, false);
-        }
-        // Collect every consumer's ready before serving any, then serve them
-        // in virtual-arrival order — like a tree node its children's
-        // arrivals, each costing one hop service as soon as it is there —
-        // so virtual time never depends on the real thread-scheduling order
-        // the readys arrive in.
-        let mut waiting: HashSet<ProcId> = consumers.iter().copied().collect();
-        assert!(!waiting.contains(&me), "a processor does not synchronize with itself");
-        let mut arrived: Vec<(VirtualTime, ProcId)> = Vec::with_capacity(waiting.len());
-        let mut readys: Vec<(ProcId, Vt, Vec<PageId>)> = Vec::new();
-        while !waiting.is_empty() {
-            let env = self.recv_reply("a consumer's neighbour-sync ready", |m| {
-                matches!(m, TmkMessage::NeighborReady { from, seq: got, .. }
-                    if *got == seq && waiting.contains(from))
-            });
-            let TmkMessage::NeighborReady { from, vt, pages, .. } = env.payload else {
-                unreachable!()
-            };
-            waiting.remove(&from);
-            arrived.push((env.arrives_at, from));
-            readys.push((from, vt, pages));
-        }
-        serve_in_arrival_order(&mut self.clock, &mut arrived, self.cost.barrier_hop_cost(1));
-        // Build the acks in processor order, not arrival order, so the pass
-        // is deterministic.
-        readys.sort_by_key(|&(from, _, _)| from);
-        let (served, prep, warmed, pages_in_use) = {
-            let mut node = self.node.unleased();
-            let mut proto = node.proto();
-            let mut table = node.table();
-            let requests = readys.iter().map(|(from, ready_vt, ready_pages)| {
-                let notices = proto.notice_log.notices_after(ready_vt);
-                debug_assert!(
-                    notices_determine(ready_vt, &notices, &proto.vt),
-                    "P{me}'s ack to P{from}: the notices must determine the producer's timestamp"
-                );
-                (*from, &ready_pages[..], ready_vt.get(me), notices)
-            });
-            let served = serve_locked(&proto, &table, (SyncKind::NeighborAck, seq), requests);
-            let prep =
-                prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
-            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
-            (served, prep, warmed, table.pages_in_use())
-        };
-        // The acks first — their consumers are waiting; this node's own
-        // write preparation, which no ack depends on, is charged behind.
-        self.stats.merged_sync_msgs(served.replies.len() as u64);
-        self.send_served(served, false);
-        self.charge_prep(&prep, pages_in_use);
-        pending.responders = producers.iter().copied().collect();
-        self.begin_in_flight(SyncKind::NeighborAck, seq, warmed, pending)
-    }
-
-    /// Sends a synchronization point's replies once the hold that built
-    /// them is released: one pass over the diff cache answered every
-    /// request, so the scan is charged for the union of their pages this
-    /// node holds diffs for, materialised full pages for their encoding.
-    fn send_served(&mut self, served: Served, interrupt: bool) {
+    /// Sends a barrier's replies once the hold that built them is released:
+    /// one pass over the diff cache answered every request, so the scan is
+    /// charged for the union of their pages this node holds diffs for,
+    /// materialised full pages for their encoding.
+    fn send_served(&mut self, served: Served) {
         self.clock.advance(self.cost.sync_merge_scan_cost(served.scanned));
         self.clock.advance(self.cost.diff_create_cost(served.materialised));
         for (proc, msg) in served.replies {
-            self.send(proc, Port::Reply, msg, interrupt);
+            self.send(proc, Port::Reply, msg, true);
         }
-    }
-
-    /// The blocking form of an eliminated barrier: issue and complete back
-    /// to back. See [`neighbor_sync_issue`](Self::neighbor_sync_issue).
-    pub fn neighbor_sync(&mut self, producers: &[ProcId], consumers: &[ProcId], plan: &PhasePlan) {
-        let pending = self.neighbor_sync_issue(producers, consumers, plan);
-        self.sync_phase_complete(pending);
     }
 }
 
@@ -982,11 +850,10 @@ mod tests {
         while let Some((me, received)) = hops.pop() {
             let (proto, table) = &world.0[me];
             for (requester, reply) in serve_requests_locked(proto, table, 1, &received).replies {
-                let TmkMessage::SyncDiffs { from, kind, seq: 1, notices, diffs } = reply else {
+                let TmkMessage::SyncDiffs { from, seq: 1, diffs } = reply else {
                     panic!("not a barrier's reply: {reply:?}");
                 };
-                assert_eq!((from, kind), (me, SyncKind::Barrier));
-                assert!(notices.is_empty(), "the departure carried them");
+                assert_eq!(from, me);
                 served.push((requester, me, diffs));
             }
             for child in tree_children(me, n, arity) {

@@ -1,8 +1,8 @@
 //! What every synchronization point shares: the lowered [`PhasePlan`], the
 //! in-flight synchronization and its receipt, write preparation, the
 //! aggregated diff request/response exchange, the single-hold install and
-//! the split-phase completion. A barrier, lock acquire or neighbour sync
-//! performs its own exchange, leaves what is still outstanding with the
+//! the split-phase completion. A barrier or lock acquire performs its own
+//! exchange, leaves what is still outstanding with the
 //! [`Process`] and hands back a [`PendingSync`] receipt; one completion,
 //! with one wait loop, serves them all — run by the program's
 //! `sync_phase_complete`, or by the fault handler on the first touch of a
@@ -14,11 +14,10 @@ use pagedmem::{AddrRange, PageId, PageTable, Protection, PAGE_SIZE};
 use racecheck::SyncKind;
 
 use super::access::warm_ranges_locked;
-use super::interval::{apply_notices_locked, contiguous_runs};
+use super::interval::contiguous_runs;
 use super::race::detect_races_locked;
 use super::Process;
 use crate::message::{DiffRecord, PageWant, TmkMessage};
-use crate::notice::{vt_through, WriteNotice};
 use crate::state::ProtoState;
 use crate::types::{Interval, LockId, ProcId, Vt};
 
@@ -94,12 +93,11 @@ pub(super) struct DeferredWrite {
     write_all: bool,
 }
 
-/// The receipt of a split-phase `Validate_w_sync` or neighbour sync.
+/// The receipt of a split-phase `Validate_w_sync`.
 ///
-/// Returned by [`Process::sync_phase_issue`] and
-/// [`Process::neighbor_sync_issue`]: the synchronization operation itself
-/// has been performed (the barrier crossed, the lock acquired or the
-/// consumers' readys answered, with the section page list piggybacked), the
+/// Returned by [`Process::sync_phase_issue`]: the synchronization operation
+/// itself has been performed (the barrier crossed or the lock acquired,
+/// with the section page list piggybacked), the
 /// requests are on the wire, and write preparation has been done for every
 /// page that was already consistent. What is still in flight — whom the processor waits for, the
 /// records already in hand, the deferred preparation — belongs to the
@@ -112,13 +110,10 @@ pub(super) struct DeferredWrite {
 /// invalid until their data is installed, and **the first touch of such a
 /// page completes the pending synchronization** — the fault handler runs
 /// the completion itself, on the data that is already on its way. The later
-/// `sync_phase_complete` then charges nothing. A barrier's or a lock's
-/// receipt that is dropped leaves its state behind until the next issue
-/// replaces it. A neighbour sync's receipt must be completed: its replies
-/// carry the producers' write notices, so abandoning it may lose them.
+/// `sync_phase_complete` then charges nothing. A receipt that is dropped
+/// leaves its state behind until the next issue replaces it.
 #[must_use = "a split-phase sync completes only when passed to sync_phase_complete or \
-              validate_w_sync_complete (mandatory for a neighbour sync: its replies carry \
-              write notices)"]
+              validate_w_sync_complete"]
 #[derive(Debug)]
 pub struct PendingSync {
     kind: SyncKind,
@@ -145,8 +140,8 @@ pub(super) struct InFlightSync {
     /// the completion is attributed to it in its [`racecheck::RaceReport`].
     kind: SyncKind,
     /// The ordinal the request rode on (the barrier count for
-    /// barrier-merged fetches, the neighbour-sync count for eliminated
-    /// boundaries, the acquire count for locks): with `kind`, what the
+    /// barrier-merged fetches, the acquire count for locks): with `kind`,
+    /// what the
     /// receipt names; a completion accepts only responses carrying this
     /// ordinal, so the responses of an abandoned (dropped) receipt can never
     /// satisfy a later synchronization's completion.
@@ -165,7 +160,7 @@ pub(super) struct Outstanding {
     /// Every page the merged fetch covers, ascending.
     pub(super) pages: Vec<PageId>,
     /// Processors that will answer with a `SyncDiffs` message: a barrier's
-    /// resolved producers, or a neighbour sync's named ones.
+    /// resolved producers.
     pub(super) responders: HashSet<ProcId>,
     /// Diff records already in hand (lock-grant piggyback), applied at
     /// completion together with everything else so causally ordered
@@ -182,9 +177,9 @@ pub(super) struct Outstanding {
     /// issue — the open interval's knowledge *before* the granter's
     /// timestamp was merged — used as the creating timestamp of the local
     /// unflushed writes when the grant's diffs are applied. `None` means
-    /// the current timestamp is correct at completion time (barrier and
-    /// neighbour-sync paths flush the interval at issue, so any local dirty
-    /// data at completion was written after the boundary).
+    /// the current timestamp is correct at completion time (the barrier
+    /// path flushes the interval at issue, so any local dirty data at
+    /// completion was written after the boundary).
     pub(super) race_vt: Option<Vt>,
 }
 
@@ -647,9 +642,7 @@ impl Process {
     /// from processors that never wait for this one — a barrier's
     /// `SyncDiffs` leave with the departure hold of responders that have
     /// all arrived, a `DiffResponse` is a handler's answer sent by the drain
-    /// that followed the request (this thread's or a concurrent one's), a
-    /// neighbour sync's `SyncDiffs` wait only for readys every consumer
-    /// sends before it blocks — so
+    /// that followed the request (this thread's or a concurrent one's) — so
     /// running it early cannot deadlock; and every wait is an `observe` of
     /// a virtual arrival time, so when it runs changes no clock but this
     /// processor's own, deterministically.
@@ -685,26 +678,24 @@ impl Process {
         );
         // Observe every reply before applying anything (see `barrier_issue`
         // for why observe-all-then-advance is what keeps virtual time
-        // independent of thread scheduling). A reply is accepted only under
-        // this synchronization's own name, `(kind, seq)`; older replies of
-        // its kind — answers to a receipt the caller dropped instead of
-        // completing — are consumed and discarded here so they can never be
-        // mistaken for (or park behind) this synchronization's data.
-        let mut acked: Vec<(ProcId, Vec<WriteNotice>)> = Vec::new();
+        // independent of thread scheduling). Only a barrier has responders,
+        // and a reply is accepted only under its own ordinal; older replies
+        // — answers to a receipt the caller dropped instead of completing —
+        // are consumed and discarded here so they can never be mistaken for
+        // (or park behind) this barrier's data.
         while !responders.is_empty() {
             let env = self.recv_reply(label("a producer's sync-diffs"), |m| {
-                matches!(m, TmkMessage::SyncDiffs { from, kind: k, seq: got, .. }
-                    if *k == kind && *got <= seq && responders.contains(from))
+                matches!(m, TmkMessage::SyncDiffs { from, seq: got, .. }
+                    if *got <= seq && responders.contains(from))
             });
             self.clock.observe(env.arrives_at);
-            let TmkMessage::SyncDiffs { from, seq: got, notices, diffs, .. } = env.payload else {
+            let TmkMessage::SyncDiffs { from, seq: got, diffs } = env.payload else {
                 unreachable!()
             };
             if got < seq {
                 continue;
             }
             responders.remove(&from);
-            acked.push((from, notices));
             records.extend(diffs);
         }
         // How long the completion actually stalled: with computation between
@@ -712,29 +703,6 @@ impl Process {
         // approaches zero — the split-phase overlap, made measurable.
         let waited = self.clock.now().saturating_sub(before);
         self.stats.sync_wait_ns(waited.as_nanos());
-        // A neighbour sync's replies are its acquire (a barrier's carry no
-        // notices: the departure did). Incorporate the producers'
-        // consistency information before the data: the notices populate the
-        // missing lists the record installation claims against, and the
-        // timestamp they determine records the acquire (the consumer now
-        // knows everything each producer knew at the boundary: this
-        // processor's timestamp covers the one its ready advertised, so
-        // joining the notices is the merge of the producer's). Processor
-        // order keeps the pass deterministic.
-        if kind == SyncKind::NeighborAck && !acked.is_empty() {
-            acked.sort_by_key(|(from, _)| *from);
-            let (tally, pages_in_use) = {
-                let node = self.node.unleased();
-                let mut proto = node.proto();
-                let mut table = node.table();
-                let all_notices: Vec<WriteNotice> =
-                    acked.into_iter().flat_map(|(_, notices)| notices).collect();
-                proto.vt = vt_through(&proto.vt, &all_notices);
-                let tally = apply_notices_locked(&mut proto, &mut table, &all_notices);
-                (tally, table.pages_in_use())
-            };
-            self.charge_notices(&tally, pages_in_use);
-        }
         let warmed =
             self.install_records(records, &pages, &deferred, &warm, kind, race_vt.as_ref());
         if let Some(sync) = self.in_flight.as_mut() {

@@ -92,12 +92,6 @@ impl Vt {
         }
     }
 
-    /// The smallest component — the scalar horizon below which every
-    /// processor's knowledge is complete in every component.
-    pub fn min_component(&self) -> Interval {
-        self.0.iter().copied().min().unwrap_or(0)
-    }
-
     /// Whether this timestamp covers (dominates or equals) `other` in every
     /// component.
     pub fn covers(&self, other: &Vt) -> bool {
@@ -289,7 +283,5 @@ mod tests {
         assert_eq!(a.get(0), 2);
         assert_eq!(a.get(1), 1);
         assert_eq!(a.get(2), 7);
-        assert_eq!(a.min_component(), 1);
-        assert_eq!(Vt::new(2).min_component(), 0);
     }
 }

@@ -147,7 +147,9 @@ fn adaptive_arity_is_never_slower_than_arity_two_on_the_virtual_clock() {
 fn tree_barrier_virtual_time_is_deterministic() {
     let run = |_: usize| {
         Dsm::run(
-            DsmConfig::new(8).with_cost_model(CostModel::sp2()).with_barrier_arity(2),
+            DsmConfig::new(8)
+                .with_cost_model(CostModel::sp2())
+                .with_barrier(BarrierTopology::Tree { arity: 2 }),
             exchange_kernel,
         )
     };
@@ -187,7 +189,11 @@ fn piggyback_kernel(p: &mut Process) -> u64 {
 #[test]
 fn a_four_level_tree_forwards_every_piggybacked_request() {
     // 16 processors at arity 2: root, two interior levels, leaves.
-    let tree = || DsmConfig::new(16).with_cost_model(CostModel::sp2()).with_barrier_arity(2);
+    let tree = || {
+        DsmConfig::new(16)
+            .with_cost_model(CostModel::sp2())
+            .with_barrier(BarrierTopology::Tree { arity: 2 })
+    };
     let flat = DsmConfig::new(16).with_cost_model(CostModel::sp2()).with_flat_barrier();
     let first = Dsm::run(tree(), piggyback_kernel);
     assert_eq!(
