@@ -18,7 +18,7 @@
 //! classifies every step as `Push` with an iteration-dependent consumer
 //! set and runs the whole elimination without a single barrier.
 
-use ctrt::{push_phase, validate, Access, Push, RegularSection};
+use ctrt::Access;
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
@@ -33,11 +33,6 @@ const DIAG: f64 = 1000.0;
 /// The deterministic initial element `a[i][j]`.
 fn seed_elem(i: usize, j: usize) -> f64 {
     seed(i, j) + if i == j { DIAG } else { 0.0 }
-}
-
-/// The owner of column `k` under the shared block distribution.
-fn owner_of(cols: usize, nprocs: usize, k: usize) -> usize {
-    (0..nprocs).find(|&q| col_block(cols, nprocs, q).contains(&k)).expect("k < cols")
 }
 
 /// Computes the full pivot column `k` on its owner: `a[i][k] / a[k][k]`
@@ -126,11 +121,9 @@ pub fn gauss(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let a = p.alloc_matrix::<f64>(rows, cols);
     let piv = p.alloc_matrix::<f64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    match variant {
-        Variant::TreadMarks => baseline(p, &a, &piv, iters, &mine),
-        Variant::Push => hand_push(p, &a, &piv, iters, &mine),
-        Variant::Validate => planned(p, &a, &piv, iters, &mine, Level::Validate),
-        Variant::Compiled => planned(p, &a, &piv, iters, &mine, Level::Full),
+    match variant.level() {
+        None => baseline(p, &a, &piv, iters, &mine),
+        Some(level) => planned(p, &a, &piv, iters, &mine, level),
     }
     checksum(p, &a, mine)
 }
@@ -172,49 +165,6 @@ fn baseline(
                 p.set(a.array(), a.index(i, j), v);
             }
         }
-    }
-}
-
-/// The hand-analyzed form the compiler must match: the owner pushes the
-/// pivot column point-to-point to exactly the processors still holding
-/// columns past `k`. No barriers at all — the push's happens-before edge is
-/// the only ordering an elimination step needs.
-fn hand_push(
-    p: &mut Process,
-    a: &SharedMatrix<f64>,
-    piv: &SharedMatrix<f64>,
-    steps: usize,
-    mine: &std::ops::Range<usize>,
-) {
-    let (cols, nprocs, me) = (a.cols(), p.nprocs(), p.proc_id());
-    let mut abuf = vec![0.0f64; a.rows()];
-    let mut pbuf = vec![0.0f64; a.rows()];
-    validate(p, &[RegularSection::matrix_cols(a, mine.clone(), Access::WriteAll)]);
-    fill_block(p, &[a], mine.clone(), seed_elem);
-    for k in 0..steps {
-        let tail = tail_of(mine, k);
-        let mut sends = Vec::new();
-        let mut recv = Vec::new();
-        if mine.contains(&k) {
-            validate(
-                p,
-                &[
-                    RegularSection::matrix_cols(a, k..k + 1, Access::Read),
-                    RegularSection::matrix_cols(piv, k..k + 1, Access::WriteAll),
-                ],
-            );
-            pivot_col(p, a, piv, k, &mut abuf, &mut pbuf);
-            let section = RegularSection::matrix_cols(piv, k..k + 1, Access::Read);
-            for q in 0..nprocs {
-                if q != me && col_block(cols, nprocs, q).end > k + 1 {
-                    sends.push(Push::new(q, std::slice::from_ref(&section)));
-                }
-            }
-        } else if !tail.is_empty() {
-            recv.push(owner_of(cols, nprocs, k));
-        }
-        push_phase(p, &sends, &recv);
-        update_cols(p, a, piv, k, tail, &mut abuf, &mut pbuf);
     }
 }
 

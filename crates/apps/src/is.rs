@@ -21,7 +21,7 @@
 //! baseline, whose per-element ranking reads demand-fetch against a moving
 //! diff horizon, has no such guarantee and pays the extra barrier.
 
-use ctrt::{validate, validate_w_sync, Access, RegularSection, SyncOp};
+use ctrt::Access;
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, ReduceOp, SectionAccess};
 use treadmarks::{LockId, Process, SharedMatrix};
 
@@ -151,11 +151,9 @@ pub fn is(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let keys = p.alloc_matrix::<u64>(rows, cols);
     let hist = p.alloc_matrix::<u64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    let chk = match variant {
-        Variant::TreadMarks => baseline(p, &keys, &hist, iters, &mine),
-        Variant::Push => hand_push(p, &keys, &hist, iters, &mine),
-        Variant::Validate => planned(p, &keys, &hist, iters, &mine, Level::Validate),
-        Variant::Compiled => planned(p, &keys, &hist, iters, &mine, Level::Full),
+    let chk = match variant.level() {
+        None => baseline(p, &keys, &hist, iters, &mine),
+        Some(level) => planned(p, &keys, &hist, iters, &mine, level),
     };
     chk ^ keys_checksum(p, &keys, mine)
 }
@@ -196,49 +194,6 @@ fn baseline(
             chk ^= bin_mix(b, h, t);
         }
         p.barrier();
-    }
-    chk
-}
-
-/// The hand-analyzed form the compiler must match: the critical section's
-/// accesses are declared on the acquire (merged lock-grant+data), and the
-/// ranking reads run on pages validated at the barrier, which lazy release
-/// consistency keeps at that version until this processor's own next
-/// acquire — so the second barrier is dropped. One acquire and one barrier
-/// per iteration, nothing else. Returns the ranking checksum.
-fn hand_push(
-    p: &mut Process,
-    keys: &SharedMatrix<u64>,
-    hist: &SharedMatrix<u64>,
-    iters: usize,
-    mine: &std::ops::Range<usize>,
-) -> u64 {
-    let (rows, cols) = (keys.rows(), keys.cols());
-    let bins = rows * cols;
-    let mut kbuf = vec![0u64; rows];
-    let mut hbuf = vec![0u64; bins];
-    validate(p, &[RegularSection::matrix_cols(keys, mine.clone(), Access::WriteAll)]);
-    fill_block(p, &[keys], mine.clone(), |i, j| key_seed(i, j, bins));
-    let mut chk = 0u64;
-    for t in 0..iters {
-        // The own key block is read and fully rewritten, the whole
-        // histogram is read-modify-written under the lock.
-        validate_w_sync(
-            p,
-            SyncOp::Lock(MERGE_LOCK),
-            &[
-                RegularSection::matrix_cols(keys, mine.clone(), Access::ReadWriteAll),
-                RegularSection::matrix_cols(hist, 0..cols, Access::ReadWrite),
-            ],
-        );
-        merge_bulk(p, keys, hist, mine, t, &mut kbuf, &mut hbuf);
-        ctrt::release(p, MERGE_LOCK);
-        validate_w_sync(
-            p,
-            SyncOp::Barrier,
-            &[RegularSection::matrix_cols(hist, mine.clone(), Access::Read)],
-        );
-        chk ^= rank_bulk(p, hist, own_bins(mine, rows), t, &mut hbuf);
     }
     chk
 }
@@ -292,8 +247,7 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
 /// at `level`: the application supplies only the numeric bodies, and the
 /// plan everything else. At the validate level that is the acquire (with
 /// its piggybacked section validation), the release and the single rank
-/// barrier — the hand-written `Push` variant's steps, which the test suite
-/// pins. At the full level it is one reduction per iteration: the merge
+/// barrier per iteration, which the test suite pins. At the full level it is one reduction per iteration: the merge
 /// counts into the zeroed private partial the step hands it, and the
 /// step's exit combines the partials over the barrier tree. Returns the
 /// ranking checksum.

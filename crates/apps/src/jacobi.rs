@@ -9,11 +9,11 @@
 //! they may be written in any order — the split-phase form exploits this to
 //! sweep the interior columns while the boundary columns are in flight.
 
-use ctrt::{validate, Access, RegularSection};
+use ctrt::Access;
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
-use crate::sor::{exchange_boundaries, ColBufs};
+use crate::sor::ColBufs;
 use crate::{
     block_sum, col_block, col_elems, fill_block, seed, split_columns, update_block, GridConfig,
     Variant,
@@ -64,11 +64,9 @@ pub fn jacobi(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     let a = p.alloc_matrix::<f64>(rows, cols);
     let b = p.alloc_matrix::<f64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    match variant {
-        Variant::TreadMarks => baseline(p, &a, &b, iters, &mine),
-        Variant::Push => hand_push(p, &a, &b, iters, &mine),
-        Variant::Validate => planned(p, &a, &b, iters, &mine, Level::Validate),
-        Variant::Compiled => planned(p, &a, &b, iters, &mine, Level::Full),
+    match variant.level() {
+        None => baseline(p, &a, &b, iters, &mine),
+        Some(level) => planned(p, &a, &b, iters, &mine, level),
     }
     block_sum(p, if iters.is_multiple_of(2) { &a } else { &b }, mine)
 }
@@ -109,38 +107,6 @@ fn baseline(
     }
 }
 
-/// The hand-analysed push form. Initialisation is a fully analyzable
-/// `WRITE_ALL` phase, and the assertion also covers the sweeps: the updated
-/// columns are fully overwritten every iteration and the form never
-/// releases, so no twin is ever kept. Boundary columns move point-to-point
-/// after every sweep, and nothing else happens between sweeps.
-fn hand_push(
-    p: &mut Process,
-    a: &SharedMatrix<f64>,
-    b: &SharedMatrix<f64>,
-    iters: usize,
-    mine: &std::ops::Range<usize>,
-) {
-    let (lo, hi) = (mine.start, mine.end);
-    let update = update_block(mine, a.cols());
-    validate(
-        p,
-        &[
-            RegularSection::matrix_cols(a, mine.clone(), Access::WriteAll),
-            RegularSection::matrix_cols(b, mine.clone(), Access::WriteAll),
-        ],
-    );
-    fill_block(p, &[a, b], mine.clone(), seed);
-    // The first sweep reads grid `a`: seed the neighbours' boundary columns.
-    exchange_boundaries(p, a, lo, hi);
-    let mut bufs = ColBufs::new(a.rows());
-    for t in 0..iters {
-        let (src, dst) = if t % 2 == 0 { (a, b) } else { (b, a) };
-        sweep_cols(p, src, dst, update.clone(), &mut bufs);
-        exchange_boundaries(p, dst, lo, hi);
-    }
-}
-
 /// The Jacobi kernel as a loop-nest IR: an initialisation phase overwrites
 /// both grids' own blocks, then sweeps alternate between the grids — each
 /// sweep reads the source's halo-extended update block and fully
@@ -150,7 +116,7 @@ fn hand_push(
 /// Every boundary's dependences are nearest-neighbour flows out of pure
 /// `WRITE_ALL` sections, so the analyzer classifies the whole kernel as
 /// `Push`: the compiled form runs without barriers, twins, diffs or write
-/// notices — the generated equivalent of the hand-written push variant.
+/// notices, and prepares no write after the initialisation's `WRITE_ALL`.
 pub fn jacobi_program(a: &SharedMatrix<f64>, b: &SharedMatrix<f64>, iters: usize) -> Program {
     let sweep = |name, src: usize, dst: usize| {
         Phase::new(

@@ -10,7 +10,7 @@
 //! split-phase form compute interior columns while the boundary fetch is
 //! still in flight.
 
-use ctrt::{validate, Access, Push, RegularSection};
+use ctrt::Access;
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
@@ -39,26 +39,6 @@ impl ColBufs {
             out: vec![0.0; rows],
         }
     }
-}
-
-/// Point-to-point exchange of block-boundary columns of `m`: column `lo`
-/// travels to the left neighbour, column `hi - 1` to the right, and the
-/// mirror-image columns are received. The collective is globally matched by
-/// construction (every processor runs the same rule).
-pub(crate) fn exchange_boundaries(p: &mut Process, m: &SharedMatrix<f64>, lo: usize, hi: usize) {
-    let me = p.proc_id();
-    let nprocs = p.nprocs();
-    let mut sends = Vec::new();
-    let mut recv = Vec::new();
-    if me > 0 {
-        sends.push(Push::new(me - 1, &[RegularSection::matrix_cols(m, lo..lo + 1, Access::Read)]));
-        recv.push(me - 1);
-    }
-    if me + 1 < nprocs {
-        sends.push(Push::new(me + 1, &[RegularSection::matrix_cols(m, hi - 1..hi, Access::Read)]));
-        recv.push(me + 1);
-    }
-    ctrt::push_phase(p, &sends, &recv);
 }
 
 /// Relaxes the `colour` cells of the contiguous columns `cols` in place,
@@ -108,11 +88,9 @@ pub fn sor(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     assert!(rows >= 2 && cols >= 2 * p.nprocs(), "each processor needs at least two columns");
     let m = p.alloc_matrix::<f64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    match variant {
-        Variant::TreadMarks => baseline(p, &m, iters, &mine),
-        Variant::Push => hand_push(p, &m, iters, &mine),
-        Variant::Validate => planned(p, &m, iters, &mine, Level::Validate),
-        Variant::Compiled => planned(p, &m, iters, &mine, Level::Full),
+    match variant.level() {
+        None => baseline(p, &m, iters, &mine),
+        Some(level) => planned(p, &m, iters, &mine, level),
     }
     block_sum(p, &m, mine)
 }
@@ -148,25 +126,6 @@ fn baseline(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::op
     }
 }
 
-/// The hand-analysed push form. The `WRITE_ALL` assertion of the
-/// initialisation is permanent — the form performs no release, so the block
-/// stays write-enabled and twin-free for the whole run; boundary columns
-/// move point-to-point after every half-sweep.
-fn hand_push(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::ops::Range<usize>) {
-    let (lo, hi) = (mine.start, mine.end);
-    let update = update_block(mine, m.cols());
-    validate(p, &[RegularSection::matrix_cols(m, mine.clone(), Access::WriteAll)]);
-    fill_block(p, &[m], mine.clone(), seed);
-    exchange_boundaries(p, m, lo, hi);
-    let mut bufs = ColBufs::new(m.rows());
-    for _ in 0..iters {
-        for colour in 0..2usize {
-            relax_cols(p, m, update.clone(), colour, &mut bufs);
-            exchange_boundaries(p, m, lo, hi);
-        }
-    }
-}
-
 /// The red-black SOR kernel as a loop-nest IR: an initialisation phase
 /// (every processor fully overwrites its own block) followed by `iters`
 /// iterations of two half-sweeps, each reading the halo-extended update
@@ -175,8 +134,8 @@ fn hand_push(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::o
 /// Every processor is the only writer of its own columns in every phase,
 /// so the analyzer proves each in-place `ReadWriteAll` section final and
 /// classifies every boundary as `Push`: the boundary columns move
-/// point-to-point after each half-sweep, exactly as the hand-written push
-/// form moves them, and no barrier, twin, diff or write notice remains.
+/// point-to-point after each half-sweep, and no barrier, twin, diff or
+/// write notice remains.
 pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
     let grid = ArrayDecl::of_matrix("grid", m);
     let half_sweep = |name| {

@@ -274,3 +274,27 @@ fn chaos_runs_are_reproducible_per_seed() {
     assert_eq!((ta.net_retransmits, ta.net_dups, ta.net_reorders, ta.net_delays), (3, 3, 11, 11));
     assert_eq!(ta.net_added_delay_ns, 5_350_000);
 }
+
+#[test]
+fn compiled_integer_sort_is_chaos_transparent_at_64_procs() {
+    // The reduced histogram merge at 64 processors: every iteration's
+    // partials climb the barrier tree and the totals come back down it, so
+    // the fault schedule shakes the reduction's arrivals and departures at
+    // full width. The checksums stay bit-identical, the detector reports
+    // nothing, and no lock is taken.
+    let cfg = GridConfig { rows: 8, cols: 130, iters: 2 };
+    let clean = run_app_u64(is, cfg, 64, Variant::Compiled, None);
+    assert!(clean.races.is_empty(), "is/compiled at 64 procs races fault-free");
+    let chaotic = run_app_u64(is, cfg, 64, Variant::Compiled, Some(NetFaults::chaos(SEEDS[0])));
+    assert_eq!(
+        clean.results, chaotic.results,
+        "is/compiled at 64 procs: checksums must be bit-identical to the fault-free run"
+    );
+    assert!(chaotic.races.is_empty(), "is/compiled at 64 procs: faults must not surface as races");
+    let t = chaotic.stats.total();
+    assert_eq!(t.lock_acquires, 0, "is/compiled at 64 procs: the merge is a reduction");
+    assert!(
+        t.net_retransmits + t.net_dups + t.net_reorders + t.net_delays > 0,
+        "the schedule must actually inject faults at 64 procs"
+    );
+}

@@ -1,11 +1,10 @@
 //! Differential testing, accept side: every program the analyzer accepts
 //! must run report-free under the race detector.
 //!
-//! All four variants of Jacobi and red-black SOR — the plain TreadMarks
-//! form and the three analyzer-derived optimized forms (`Validate`,
-//! `Push`, the generated `Compiled` plan) — are run under
-//! `RaceDetect::Collect` across the cluster-size matrix. A single report
-//! would mean the compiler dropped a happens-before edge the computation
+//! Every variant of each kernel — the plain TreadMarks form and the
+//! analyzer-derived plans at both levels (`Validate`, `Compiled`) — runs
+//! under `RaceDetect::Collect` across the cluster-size matrix. A single
+//! report would mean the compiler dropped a happens-before edge the computation
 //! needed; zero reports is the dynamic half of the refusal classes'
 //! differential check (see `rsdcomp`'s `differential` module for the
 //! refuse side).
@@ -31,7 +30,7 @@ fn run_detected(
 fn assert_report_free(name: &str, app: fn(&mut treadmarks::Process, &GridConfig, Variant) -> f64) {
     for nprocs in NPROCS_MATRIX {
         let cfg = GridConfig { rows: 32, cols: 2 * NPROCS_MATRIX[3], iters: 2 };
-        for variant in [Variant::TreadMarks, Variant::Validate, Variant::Push, Variant::Compiled] {
+        for variant in Variant::ALL {
             let run = run_detected(app, cfg, nprocs, variant);
             assert!(
                 run.races.is_empty(),

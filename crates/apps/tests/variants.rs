@@ -40,13 +40,11 @@ fn assert_variants_agree(
     app: fn(&mut treadmarks::Process, &GridConfig, Variant) -> f64,
     cfg: GridConfig,
     nprocs: usize,
-) -> [DsmRun<f64>; 4] {
+) -> [DsmRun<f64>; 3] {
     let tmk = run_app(app, cfg, nprocs, Variant::TreadMarks);
     let val = run_app(app, cfg, nprocs, Variant::Validate);
-    let push = run_app(app, cfg, nprocs, Variant::Push);
     let compiled = run_app(app, cfg, nprocs, Variant::Compiled);
     assert_eq!(tmk.results, val.results, "Validate must reproduce the baseline bit-for-bit");
-    assert_eq!(tmk.results, push.results, "Push must reproduce the baseline bit-for-bit");
     assert_eq!(
         tmk.results, compiled.results,
         "the generated plan must reproduce the baseline bit-for-bit"
@@ -55,21 +53,26 @@ fn assert_variants_agree(
         tmk.results.iter().any(|&s| s != 0.0),
         "checksums must be non-trivial for the comparison to mean anything"
     );
-    [tmk, val, push, compiled]
+    [tmk, val, compiled]
 }
 
 #[test]
 fn jacobi_variants_agree_and_reduce_traffic() {
     let cfg = GridConfig { rows: 64, cols: 8, iters: 3 };
-    let [tmk, val, push, _] = assert_variants_agree(jacobi, cfg, 4);
-    let (t, v, u) = (totals(&tmk), totals(&val), totals(&push));
+    let [tmk, val, compiled] = assert_variants_agree(jacobi, cfg, 4);
+    let (t, v, u) = (totals(&tmk), totals(&val), totals(&compiled));
     assert!(
         v.messages_sent < t.messages_sent,
         "Validate: {} -> {}",
         t.messages_sent,
         v.messages_sent
     );
-    assert!(u.messages_sent < v.messages_sent, "Push: {} -> {}", v.messages_sent, u.messages_sent);
+    assert!(
+        u.messages_sent < v.messages_sent,
+        "Compiled: {} -> {}",
+        v.messages_sent,
+        u.messages_sent
+    );
     assert!(v.page_faults < t.page_faults);
     assert!(u.page_faults < v.page_faults);
 }
@@ -77,8 +80,8 @@ fn jacobi_variants_agree_and_reduce_traffic() {
 #[test]
 fn sor_variants_agree_and_reduce_traffic() {
     let cfg = GridConfig { rows: 64, cols: 8, iters: 3 };
-    let [tmk, val, push, _] = assert_variants_agree(sor, cfg, 4);
-    let (t, v, u) = (totals(&tmk), totals(&val), totals(&push));
+    let [tmk, val, compiled] = assert_variants_agree(sor, cfg, 4);
+    let (t, v, u) = (totals(&tmk), totals(&val), totals(&compiled));
     assert!(v.messages_sent < t.messages_sent);
     assert!(u.messages_sent < v.messages_sent);
 }
@@ -87,16 +90,16 @@ fn sor_variants_agree_and_reduce_traffic() {
 fn jacobi_page_aligned_columns_take_the_write_all_fast_path() {
     // rows == PAGE_SIZE / 8: one column is exactly one page, so the
     // Validate variant's WRITE_ALL sections fully cover their pages and the
-    // Push variant runs twin-free after initialisation.
+    // compiled plan runs twin-free after initialisation.
     let cfg = GridConfig { rows: 512, cols: 8, iters: 2 };
-    let [_, _, push, _] = assert_variants_agree(jacobi, cfg, 4);
+    let [_, _, compiled] = assert_variants_agree(jacobi, cfg, 4);
     // Only the fixed global-boundary columns (outside the WRITE_ALL
     // sections) twin, once each at initialisation: two edge processors x
     // two grids. The sweeps themselves never twin.
     assert!(
-        totals(&push).twins_created <= 4,
+        totals(&compiled).twins_created <= 4,
         "page-aligned WRITE_ALL push sweeps must not twin: {} twins",
-        totals(&push).twins_created
+        totals(&compiled).twins_created
     );
 }
 
@@ -289,25 +292,29 @@ fn the_validate_level_plans_integer_sort_as_before_accumulations() {
 }
 
 #[test]
-fn the_hand_lock_variant_is_the_validate_plan_and_compiled_is_takes_no_lock() {
+fn validate_is_rides_its_acquires_and_compiled_is_takes_no_lock() {
     // The merged lock-grant+data path: the validate level's plan rides the
-    // acquire it needs anyway, so it sends no extra protocol messages over
-    // the hand-optimized lock variant — zero overhead for going through the
-    // compiler. A regression — validating the merge sections with a
-    // standalone fetch instead of riding the grant — shows up in the
-    // structural, scheduling-invariant counters compared here. The raw
-    // message count is deliberately *not* compared: the lock manager grants
-    // in arrival order, so the acquire chain differs between any two runs.
+    // acquire it needs anyway — per processor and iteration one acquire and
+    // one barrier, each a `Validate_w_sync`, exactly the lock+barrier
+    // idiom's steps written by hand — so going through the compiler costs
+    // no extra protocol message. A regression — validating the merge
+    // sections with a standalone fetch instead of riding the grant — shows
+    // up in the structural, scheduling-invariant counters checked here. The
+    // raw message count is deliberately *not* checked: the lock manager
+    // grants in arrival order, so the acquire chain differs between runs.
     //
     // The full level has no lock to ride: one reduction per iteration
     // carries the histogram, so it takes no lock, keeps exactly one
     // (reduction) barrier per iteration and never twins a histogram page.
     let iters = IS_CFG.iters as u64;
     for nprocs in [2, 4, 8] {
-        let push = run_app_u64(is, IS_CFG, nprocs, Variant::Push).stats.total();
         let validate = run_app_u64(is, IS_CFG, nprocs, Variant::Validate).stats.total();
-        let structure = |t: &StatsSnapshot| (t.lock_acquires, t.barriers, t.validate_w_syncs);
-        assert_eq!(structure(&validate), structure(&push), "is/validate@{nprocs}");
+        let steps = nprocs as u64 * iters;
+        assert_eq!(
+            (validate.lock_acquires, validate.barriers, validate.validate_w_syncs),
+            (steps, steps, 2 * steps),
+            "is/validate@{nprocs}"
+        );
         assert!(
             validate.validates <= nprocs as u64,
             "the only standalone validate the plan may issue is the init boundary's local \
@@ -460,8 +467,8 @@ fn a_compiled_run_compiles_once_and_still_lands_on_the_pinned_checksums() {
                 assert_eq!(r.results, tmk.results, "{name}@{nprocs} must match the baseline");
             }
         }
-        // The hand-written variants never compile.
-        assert!(run_app(jacobi, cfg, nprocs, Variant::Push).once_inits.is_empty());
+        // The hand-written baseline never compiles.
+        assert!(run_app(jacobi, cfg, nprocs, Variant::TreadMarks).once_inits.is_empty());
     }
 }
 

@@ -77,8 +77,8 @@ pub const SCALE_NPROCS: [usize; 3] = [32, 64, 128];
 
 /// The variants the scale matrix records: the split-phase Validate path
 /// and the compiler-generated plan. (The per-element checked baseline is
-/// pure slow-path by construction and the hand-coded Push floor tracks
-/// Compiled; neither adds information at wide sizes worth the run time.)
+/// pure slow-path by construction and adds no information at wide sizes
+/// worth the run time.)
 pub const SCALE_VARIANTS: [Variant; 2] = [Variant::Validate, Variant::Compiled];
 
 /// The standard Jacobi size (page-aligned columns).
@@ -189,7 +189,7 @@ pub const APPS: [&str; 4] = ["jacobi", "sor", "is", "gauss"];
 pub struct BenchRecord {
     /// Kernel name (`"jacobi"`, `"sor"`).
     pub app: &'static str,
-    /// Variant name (`"treadmarks"`, `"validate"`, `"push"`).
+    /// Variant name (`"treadmarks"`, `"validate"`, `"compiled"`).
     pub variant: &'static str,
     /// Number of simulated processors.
     pub nprocs: usize,
@@ -288,7 +288,7 @@ fn run_case(case: Case) -> BenchRecord {
     }
 }
 
-/// The standard suite: all four kernels, all four variants, at the smoke
+/// The standard suite: all four kernels, all three variants, at the smoke
 /// sizes used by CI across the `nprocs` matrix — plus the
 /// `sor/validate_flat` rows (the same protocol under the flat master, the
 /// tree of arity `n − 1` at stock TreadMarks's constants) that record the
@@ -494,14 +494,14 @@ mod tests {
     #[test]
     fn warm_path_takes_at_least_five_times_fewer_table_locks() {
         // The ISSUE acceptance criterion, self-enforced: the Validate and
-        // Push forms of Jacobi must acquire the page-table lock at least 5x
+        // Compiled forms of Jacobi must acquire the page-table lock at least 5x
         // less often than the per-element checked baseline, and finish in
         // less model time. Page-sized columns so the working set is a real
         // multi-page one (a one-page grid fits any cache and shows nothing).
         let cfg = GridConfig { rows: 512, cols: 16, iters: 2 };
         let tmk = run("jacobi", cfg, 4, Variant::TreadMarks);
         let val = run("jacobi", cfg, 4, Variant::Validate);
-        let push = run("jacobi", cfg, 4, Variant::Push);
+        let compiled = run("jacobi", cfg, 4, Variant::Compiled);
         assert!(
             tmk.table_lock_acquires >= 5 * val.table_lock_acquires,
             "Validate must cut table locks >=5x: {} vs {}",
@@ -509,10 +509,10 @@ mod tests {
             val.table_lock_acquires
         );
         assert!(
-            tmk.table_lock_acquires >= 5 * push.table_lock_acquires,
-            "Push must cut table locks >=5x: {} vs {}",
+            tmk.table_lock_acquires >= 5 * compiled.table_lock_acquires,
+            "Compiled must cut table locks >=5x: {} vs {}",
             tmk.table_lock_acquires,
-            push.table_lock_acquires
+            compiled.table_lock_acquires
         );
         assert!(
             val.time_ns < tmk.time_ns,
@@ -520,14 +520,19 @@ mod tests {
             val.time_ns,
             tmk.time_ns
         );
-        assert!(push.time_ns < val.time_ns, "Push model time: {} vs {}", push.time_ns, val.time_ns);
+        assert!(
+            compiled.time_ns < val.time_ns,
+            "Compiled model time: {} vs {}",
+            compiled.time_ns,
+            val.time_ns
+        );
         assert!(val.tlb_hits > 0, "the optimized form must run on the TLB fast path");
     }
 
     #[test]
     fn records_render_deterministically() {
-        let a = vec![tiny("jacobi", Variant::Push), tiny("sor", Variant::Validate)];
-        let b = vec![tiny("jacobi", Variant::Push), tiny("sor", Variant::Validate)];
+        let a = vec![tiny("jacobi", Variant::Compiled), tiny("sor", Variant::Validate)];
+        let b = vec![tiny("jacobi", Variant::Compiled), tiny("sor", Variant::Validate)];
         assert_eq!(render_json(&a), render_json(&b), "two identical runs must render identically");
     }
 
@@ -536,10 +541,13 @@ mod tests {
         // What the suite writes is what the gate reads: records checked
         // against their own rendering are byte-equal, one report line each,
         // under either schema tag.
-        let records = vec![tiny("jacobi", Variant::TreadMarks), tiny("jacobi", Variant::Push)];
+        let records = vec![tiny("jacobi", Variant::TreadMarks), tiny("jacobi", Variant::Compiled)];
         for baseline in [render_json(&records), render_scale_json(&records)] {
             let report = check_byte_equal(&records, &baseline).expect("a file gates itself");
-            assert_eq!(report, ["jacobi/treadmarks@4: byte-equal", "jacobi/push@4: byte-equal"]);
+            assert_eq!(
+                report,
+                ["jacobi/treadmarks@4: byte-equal", "jacobi/compiled@4: byte-equal"]
+            );
         }
     }
 
@@ -549,7 +557,7 @@ mod tests {
         let small = GridConfig { rows: 64, cols: 16, iters: 2 };
         let int_small = GridConfig { rows: 16, cols: 18, iters: 2 };
         let current = vec![
-            tiny("jacobi", Variant::Push),
+            tiny("jacobi", Variant::Compiled),
             tiny("sor", Variant::Validate),
             run("sor", small, 8, Variant::Validate),
             run("sor", small, 8, Variant::Compiled),
@@ -601,7 +609,7 @@ mod tests {
         current[2].time_ns *= 3;
         current[3].bytes += 8;
         let err = check_byte_equal(&current, &baseline).expect_err("gate must trip");
-        for needle in ["jacobi/push@4", "sor/validate@8", "sor/compiled@8"] {
+        for needle in ["jacobi/compiled@4", "sor/validate@8", "sor/compiled@8"] {
             assert!(err.contains(needle), "error must name {needle}: {err}");
         }
         assert!(!err.contains("sor/validate@4"), "equal records are not failures: {err}");
@@ -611,47 +619,65 @@ mod tests {
     }
 
     #[test]
-    fn compiled_is_at_most_the_hand_push() {
-        // The planner reaches the hand-analysed oracle: at the standard
-        // suite sizes the generated plan of Jacobi and SOR is no slower
-        // than the hand push at any cluster size. Gauss's plan prepares its
-        // update tail once where the hand form relies on the
-        // initialisation's `WRITE_ALL` preparation, so it may trail by that
-        // one protection operation — priced here at every page of both
-        // matrices, an upper bound on the pages a node has in use.
-        let pages = 2 * GAUSS_CFG.rows * GAUSS_CFG.cols * 8 / pagedmem::PAGE_SIZE;
-        let one_mprotect = CostModel::sp2().mprotect_cost(pages).as_nanos();
+    fn no_compiled_step_re_prepares_a_write_the_initialisation_prepared() {
+        // The cover: the initialisation's `WRITE_ALL` preparation of the own
+        // block holds every later write of those bytes until a flush
+        // boundary write-protects them. Jacobi's, SOR's and Gauss's compiled
+        // plans keep no flush at all, so no step after the initialisation
+        // prepares a write into the bytes it prepared.
         for app in ["jacobi", "sor", "gauss"] {
-            let slack = if app == "gauss" { one_mprotect } else { 0 };
-            for nprocs in NPROCS_MATRIX {
-                let compiled = run(app, standard_cfg(app), nprocs, Variant::Compiled);
-                let push = run(app, standard_cfg(app), nprocs, Variant::Push);
-                assert!(
-                    compiled.time_ns <= push.time_ns + slack,
-                    "{app}/compiled@{nprocs} must be at most the hand push (+{slack} ns): {} vs {} ns",
-                    compiled.time_ns,
-                    push.time_ns
-                );
+            let program = kernel_program(app, standard_cfg(app));
+            for nprocs in 1..=16 {
+                let kernel = rsdcomp::compile_at(&program, nprocs, rsdcomp::Level::Full);
+                for me in 0..nprocs {
+                    let steps = &kernel.plan_for(me).steps;
+                    let rsdcomp::BoundaryOp::Local { sections: init } = &steps[0].entry else {
+                        panic!("{app}@{nprocs}: the initialisation prepares locally");
+                    };
+                    let written: Vec<_> = init
+                        .iter()
+                        .filter(|s| s.access() == rsdcomp::Access::WriteAll)
+                        .flat_map(|s| s.ranges().iter().copied())
+                        .collect();
+                    assert!(!written.is_empty(), "{app}@{nprocs}: init prepares its block");
+                    for (i, step) in steps.iter().enumerate().skip(1) {
+                        let sections = match &step.entry {
+                            rsdcomp::BoundaryOp::Local { sections }
+                            | rsdcomp::BoundaryOp::Push { sections, .. } => sections,
+                            other => panic!("{app}@{nprocs}: step {i} flushes ({})", other.name()),
+                        };
+                        for range in sections
+                            .iter()
+                            .filter(|s| s.access().is_write())
+                            .flat_map(|s| s.ranges().iter())
+                        {
+                            assert!(
+                                written.iter().all(|w| w.intersect(range).is_none()),
+                                "{app}@{nprocs}, processor {me}, step {i}: {range:?} re-prepared"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn every_shipped_plan_is_pinned() {
-        // Every processor's plan of every kernel, at both compiler levels and
-        // every cluster size the standard and the scale sizes compile at
-        // (two columns per processor), digested (FNV-1a over the plans'
+        // Every processor's plan of every kernel, at every cluster size the
+        // standard and the scale sizes compile at (two columns per
+        // processor), digested per compiler level (FNV-1a over the plans'
         // `Debug` text). A change to the planner that moves any shipped plan
-        // moves the digest; one that only simplifies it does not.
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut plans = 0;
-        for (size, cfg_of) in
-            [("standard", standard_cfg as fn(&str) -> GridConfig), ("scale", scale_cfg)]
-        {
-            for app in APPS {
-                let cfg = cfg_of(app);
-                let program = kernel_program(app, cfg);
-                for level in [rsdcomp::Level::Validate, rsdcomp::Level::Full] {
+        // moves its level's digest; one that only simplifies it does not.
+        let digest = |level: rsdcomp::Level| {
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut plans = 0;
+            for (size, cfg_of) in
+                [("standard", standard_cfg as fn(&str) -> GridConfig), ("scale", scale_cfg)]
+            {
+                for app in APPS {
+                    let cfg = cfg_of(app);
+                    let program = kernel_program(app, cfg);
                     for nprocs in (1..=128).filter(|n| 2 * n <= cfg.cols) {
                         let kernel = rsdcomp::compile_at(&program, nprocs, level);
                         for me in 0..nprocs {
@@ -667,9 +693,19 @@ mod tests {
                     }
                 }
             }
-        }
-        assert_eq!(plans, 2 * 4 * (16 * 17 / 2 + 128 * 129 / 2));
-        assert_eq!(digest, 9_525_589_086_215_400_498, "a shipped plan moved");
+            assert_eq!(plans, 4 * (16 * 17 / 2 + 128 * 129 / 2));
+            digest
+        };
+        assert_eq!(
+            digest(rsdcomp::Level::Validate),
+            2_548_764_055_906_730_838,
+            "a shipped Validate plan moved"
+        );
+        assert_eq!(
+            digest(rsdcomp::Level::Full),
+            2_716_386_077_365_972_008,
+            "a shipped Full plan moved"
+        );
     }
 
     #[test]
@@ -733,9 +769,9 @@ mod tests {
         assert!(sor_val.sync_wait_ns > 0, "completion stall must be surfaced");
         for record in [
             run("jacobi", jacobi_cfg, 4, Variant::Validate),
-            run("jacobi", jacobi_cfg, 4, Variant::Push),
+            run("jacobi", jacobi_cfg, 4, Variant::Compiled),
             sor_val,
-            run("sor", sor_cfg, 4, Variant::Push),
+            run("sor", sor_cfg, 4, Variant::Compiled),
         ] {
             assert!(
                 record.table_lock_acquires < 100,
@@ -878,7 +914,7 @@ mod tests {
         let mut current = Vec::new();
         for app in APPS {
             for variant in SCALE_VARIANTS {
-                let mut r = tiny("jacobi", Variant::Push);
+                let mut r = tiny("jacobi", Variant::Compiled);
                 (r.app, r.variant, r.nprocs, r.time_ns) = (app, variant.name(), 64, 1_000_000);
                 current.push(r);
             }
@@ -914,7 +950,7 @@ mod tests {
             std::fs::read_to_string(format!("{}/../../BENCH_PR8.json", env!("CARGO_MANIFEST_DIR")))
                 .unwrap_or_else(|err| panic!("the checked-in BENCH_PR8.json baseline: {err}"));
         for (app, variant, nprocs) in [
-            ("jacobi", Variant::Push, 4),
+            ("jacobi", Variant::Compiled, 4),
             ("sor", Variant::Validate, 4),
             ("sor", Variant::Validate, 8),
             ("sor", Variant::Compiled, 8),

@@ -8,7 +8,7 @@
 //! [`RegularSection::ranges`] is that lowering.
 
 use pagedmem::AddrRange;
-use treadmarks::{Shareable, SharedArray, SharedMatrix};
+use treadmarks::{Shareable, SharedArray};
 
 pub use treadmarks::SyncOp;
 
@@ -99,21 +99,6 @@ impl RegularSection {
         RegularSection::from_ranges(vec![array.range_of(elems.start, elems.end)], access)
     }
 
-    /// The section covering whole columns `[col_lo, col_hi)` of a
-    /// column-major matrix — contiguous, the common case for the paper's
-    /// block-distributed applications.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column range is out of bounds.
-    pub fn matrix_cols<T: Shareable>(
-        matrix: &SharedMatrix<T>,
-        cols: std::ops::Range<usize>,
-        access: Access,
-    ) -> RegularSection {
-        RegularSection::from_ranges(vec![matrix.col_range(cols.start, cols.end)], access)
-    }
-
     /// The lowered address ranges (coalesced, in address order).
     pub fn ranges(&self) -> &[AddrRange] {
         &self.ranges
@@ -134,6 +119,7 @@ impl RegularSection {
 mod tests {
     use super::*;
     use pagedmem::{Addr, PAGE_SIZE};
+    use treadmarks::SharedMatrix;
 
     #[test]
     fn access_predicates_encode_the_write_all_contract() {
@@ -162,7 +148,8 @@ mod tests {
         let rows = PAGE_SIZE / 8;
         let a = SharedArray::<f64>::new(Addr::new(0), rows * 4);
         let m = SharedMatrix::new(a, rows, 4);
-        let s = RegularSection::matrix_cols(&m, 0..4, Access::Read);
+        let columns = (0..4).map(|j| m.col_range(j, j + 1)).collect();
+        let s = RegularSection::from_ranges(columns, Access::Read);
         assert_eq!(s.ranges().len(), 1);
         assert_eq!(s.bytes(), 4 * PAGE_SIZE);
     }

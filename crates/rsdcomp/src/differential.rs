@@ -18,7 +18,7 @@
 //!   not an analysis artifact.
 //!
 //! The accept side lives with the applications (`dsm-apps`' differential
-//! test runs all four variants of Jacobi and SOR under the detector); the
+//! test runs every variant of every kernel under the detector); the
 //! refuse side is generated here because it needs the IR vocabulary.
 
 use pagedmem::AddrRange;

@@ -56,11 +56,12 @@ pub fn kernel_for(p: &mut Process, level: Level, build: impl FnOnce() -> Program
     })
 }
 
-/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`] and
-/// [`BoundaryOp::Lock`] the returned receipt is pending: compute on
-/// sections that were already local, then [`complete`] before touching the
-/// fetched data (a compiled plan's interior/edge split). Everything else
-/// finishes immediately and returns `None`.
+/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`],
+/// [`BoundaryOp::Lock`] and [`BoundaryOp::BarrierLock`] the returned
+/// receipt is pending: compute on sections that were already local, then
+/// [`complete`] before touching the fetched data (a compiled plan's
+/// interior/edge split). Everything else finishes immediately and returns
+/// `None`.
 #[must_use = "a pending entry op completes only when passed to exec::complete"]
 pub fn issue(p: &mut Process, op: &BoundaryOp) -> Option<PendingSync> {
     match op {
@@ -75,6 +76,10 @@ pub fn issue(p: &mut Process, op: &BoundaryOp) -> Option<PendingSync> {
         // arrives with the releaser's diffs piggybacked — the merged
         // lock-grant+data message.
         BoundaryOp::Lock { lock, sections } => {
+            Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections))
+        }
+        BoundaryOp::BarrierLock { lock, sections } => {
+            p.barrier();
             Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections))
         }
         BoundaryOp::Push { sends, recv_from, sections } => {

@@ -65,7 +65,9 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
                         let dests: Vec<usize> = sends.iter().map(|p| p.dest).collect();
                         format!("{name}(to={dests:?},from={recv_from:?})->{phase}{exit}")
                     }
-                    BoundaryOp::Lock { lock, .. } => format!("{name}({lock})->{phase}{exit}"),
+                    BoundaryOp::Lock { lock, .. } | BoundaryOp::BarrierLock { lock, .. } => {
+                        format!("{name}({lock})->{phase}{exit}")
+                    }
                     _ => format!("{name}->{phase}{exit}"),
                 }
             })

@@ -28,7 +28,8 @@
 //!    acquire chain: the entry is an acquire whose grant validates the
 //!    phase's sections (the merged lock-grant+data message), the exit a
 //!    release — no barrier. Writes the chain cannot order refuse with
-//!    [`Refusal::OutsideAcquireChain`].
+//!    [`Refusal::OutsideAcquireChain`]; a refused entry keeps the barrier
+//!    *and* the lock ([`BoundaryOp::BarrierLock`]).
 //! 5. **`FullBarrier`** — everything else, including the analyzer's
 //!    refusals ([`Refusal`]): overlapping write sections, non-affine
 //!    subscripts, cross-block dependences, and dependences out of sections

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ctrt::{Push, ReduceOp, RegularSection};
+use ctrt::{Access, Push, ReduceOp, RegularSection};
 use pagedmem::AddrRange;
 use treadmarks::{LockId, ProcId};
 
@@ -45,6 +45,17 @@ pub enum BoundaryOp {
         /// The phase's sections, validated on the grant.
         sections: Vec<RegularSection>,
     },
+    /// A refused entry into a lock-guarded phase: the barrier delivers the
+    /// dependences the acquire chain cannot order, then the acquire
+    /// serializes the guarded body as [`BoundaryOp::Lock`] does, validating
+    /// the phase's sections on the grant; the exit is a
+    /// [`PhaseExit::Release`].
+    BarrierLock {
+        /// The guarding lock.
+        lock: LockId,
+        /// The phase's sections, validated on the grant.
+        sections: Vec<RegularSection>,
+    },
     /// A fully analyzable boundary: the dependence regions move as direct
     /// pushes and no synchronization or consistency machinery runs at all.
     Push {
@@ -67,6 +78,7 @@ impl BoundaryOp {
             BoundaryOp::Local { .. } => "prepare",
             BoundaryOp::Barrier { .. } => "barrier",
             BoundaryOp::Lock { .. } => "lock",
+            BoundaryOp::BarrierLock { .. } => "barrier+lock",
             BoundaryOp::Push { .. } => "push",
         }
     }
@@ -77,7 +89,10 @@ impl BoundaryOp {
             // Lock request/grant traffic is the runtime's own forwarding
             // path, identical to a hand-written acquire — the plan adds no
             // messages of its own on top of it.
-            BoundaryOp::Local { .. } | BoundaryOp::Barrier { .. } | BoundaryOp::Lock { .. } => 0,
+            BoundaryOp::Local { .. }
+            | BoundaryOp::Barrier { .. }
+            | BoundaryOp::Lock { .. }
+            | BoundaryOp::BarrierLock { .. } => 0,
             BoundaryOp::Push { sends, .. } => sends.len(),
         }
     }
@@ -122,8 +137,8 @@ pub struct PlanStep {
     /// The synchronization/preparation op at the phase's entry.
     pub entry: BoundaryOp,
     /// The op after the phase's body: a release exactly when `entry` is
-    /// [`BoundaryOp::Lock`], a reduction when the phase's accumulations
-    /// are reduced.
+    /// [`BoundaryOp::Lock`] or [`BoundaryOp::BarrierLock`], a reduction when
+    /// the phase's accumulations are reduced.
     pub exit: PhaseExit,
 }
 
@@ -137,12 +152,20 @@ pub struct ProcPlan {
 impl ProcPlan {
     /// Number of surviving real barriers.
     pub fn barriers(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s.entry, BoundaryOp::Barrier { .. })).count()
+        self.steps
+            .iter()
+            .filter(|s| {
+                matches!(s.entry, BoundaryOp::Barrier { .. } | BoundaryOp::BarrierLock { .. })
+            })
+            .count()
     }
 
     /// Number of lock-guarded phase entries (acquire/release pairs).
     pub fn lock_acquires(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s.entry, BoundaryOp::Lock { .. })).count()
+        self.steps
+            .iter()
+            .filter(|s| matches!(s.entry, BoundaryOp::Lock { .. } | BoundaryOp::BarrierLock { .. }))
+            .count()
     }
 
     /// Number of reductions over the barrier tree at phase exits.
@@ -394,18 +417,22 @@ fn plan(
                     })
                     .collect()
             };
-            // What each phase holds prepared since the last flush boundary
+            // What is held prepared since the last flush boundary
             // write-protected it: `flush_epoch` counts flush boundaries
-            // passed, `held[phase]` the epoch of the phase's last preparation
-            // and every section prepared for it at that epoch. A step without
-            // an exchange of its own prepares only what the phase does not
-            // hold: nothing, for a phase whose spans ignore the iteration
-            // symbol; for an iteration-dependent one, what the occurrence
-            // adds (Gauss's shrinking `OwnTail` adds nothing after its first
-            // step, the pivot column a new column every time).
+            // passed, `held[slot]` every section prepared at the current one.
+            // At the full level the processor holds one set, whichever phase
+            // prepared it; the validate level validates each phase's
+            // sections as the phase's own, the paper's interface, so there a
+            // phase holds only what it prepared itself. A step without an
+            // exchange of its own prepares only what is not held (see
+            // `hold`): nothing, for a phase whose spans ignore the iteration
+            // symbol, after its first step; for an iteration-dependent one,
+            // what the occurrence adds (the pivot column, a new column every
+            // time); and at the full level no write of the own block the
+            // initialisation's `WRITE_ALL` prepared.
             let mut flush_epoch = 0usize;
-            let mut held: Vec<(usize, Vec<RegularSection>)> =
-                vec![(flush_epoch, Vec::new()); phases.len()];
+            let slot = |phase: PhaseId| if level == Level::Full { 0 } else { phase };
+            let mut held = vec![(flush_epoch, Vec::new()); phases.len()];
             let mut steps = Vec::with_capacity(occurrences.len());
             // What runs after a phase's body when its entry is not a lock.
             let exit_of = |phase: PhaseId| match &exits[phase] {
@@ -430,7 +457,7 @@ fn plan(
                     iter: first_iter,
                     entry: BoundaryOp::Local {
                         sections: hold(
-                            &mut held[first],
+                            &mut held[slot(first)],
                             flush_epoch,
                             sections_for(first, first_iter),
                         ),
@@ -442,7 +469,8 @@ fn plan(
                 let (next, iter) = w[1];
                 let analysis = &analyses[b];
                 // What a step without an exchange of its own prepares.
-                let mut prepared = |epoch| hold(&mut held[next], epoch, sections_for(next, iter));
+                let mut prepared =
+                    |epoch| hold(&mut held[slot(next)], epoch, sections_for(next, iter));
                 let mut exit = exit_of(next);
                 let entry = match analysis.class {
                     BoundaryClass::NoComm => BoundaryOp::Local { sections: prepared(flush_epoch) },
@@ -454,7 +482,18 @@ fn plan(
                     BoundaryClass::FullBarrier { .. } => {
                         // The barrier flushes, then prepares every section.
                         flush_epoch += 1;
-                        BoundaryOp::Barrier { sections: prepared(flush_epoch) }
+                        match phases[next].lock {
+                            // A refused entry into a guarded phase keeps its
+                            // lock: the body is a critical section whatever
+                            // the barrier delivered, and the release at its
+                            // exit stales everything, as a plain entry's does.
+                            Some(lock) => {
+                                flush_epoch += 1;
+                                exit = PhaseExit::Release(lock);
+                                BoundaryOp::BarrierLock { lock, sections: sections_for(next, iter) }
+                            }
+                            None => BoundaryOp::Barrier { sections: prepared(flush_epoch) },
+                        }
                     }
                     BoundaryClass::Lock(lock) => {
                         // The grant validates the sections; the phase-exit
@@ -491,10 +530,12 @@ fn plan(
     Some(CompiledKernel { nprocs, boundaries, plans })
 }
 
-/// Records `sections` as prepared for a phase at flush epoch `epoch` and
-/// returns those the phase did not already hold — a section is held when
-/// one prepared for the phase at the same epoch has its access kind and
-/// covers its bytes. A later epoch holds nothing.
+/// Records `sections` as prepared at flush epoch `epoch` and returns those
+/// not already held. A section is held when one prepared at the same epoch
+/// covers its bytes with the same access kind — or is a `WRITE_ALL` and
+/// the section writes them (`WRITE_ALL`, `READ&WRITE_ALL` or `ReadWrite`):
+/// those bytes are write-enabled already and hold this processor's own
+/// values until the next flush. A later epoch holds nothing.
 fn hold(
     held: &mut (usize, Vec<RegularSection>),
     epoch: usize,
@@ -504,7 +545,11 @@ fn hold(
         *held = (epoch, Vec::new());
     }
     let covers = |outer: &RegularSection, inner: &RegularSection| {
-        outer.access() == inner.access()
+        let kinds = match (outer.access(), inner.access()) {
+            (Access::WriteAll, Access::ReadWriteAll | Access::ReadWrite) => true,
+            (outer, inner) => outer == inner,
+        };
+        kinds
             && inner.ranges().iter().all(|r| {
                 outer.ranges().iter().any(|o| o.start() <= r.start() && r.end() <= o.end())
             })

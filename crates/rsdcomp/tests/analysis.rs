@@ -664,10 +664,9 @@ fn merge_to_rank_reduces_at_the_full_level_and_keeps_the_lock_at_the_validate_le
 fn accumulations_anything_else_touches_keep_the_lock() {
     // Each program differs from the reducible shape in one way that makes
     // a private partial unsound; the full level then keeps the lock path
-    // exactly as the validate level plans it. (With the non-affine span
-    // every merge entry refuses as well and compiles to a bare barrier,
-    // which drops the merge's lock: a known defect of the lock path,
-    // pinned here until it is fixed.)
+    // exactly as the validate level plans it. With the non-affine span every
+    // merge entry refuses as well: it keeps its barrier and still takes the
+    // lock, so the merge stays a critical section.
     let second_section = is_shaped_program(
         vec![SectionAccess::accumulate(2, ColSpan::All, ReduceOp::WrappingAdd)],
         Vec::new(),
@@ -695,7 +694,6 @@ fn accumulations_anything_else_touches_keep_the_lock() {
     ] {
         let acquires = match name {
             "a plain write to them in another phase" => 6,
-            "a non-affine accumulation span" => 0,
             _ => 3,
         };
         for nprocs in [2, 4, 8] {
@@ -708,6 +706,15 @@ fn accumulations_anything_else_touches_keep_the_lock() {
             assert!(full.boundaries.iter().all(|b| b.class != BoundaryClass::Reduce), "{name}");
             assert_eq!(full.plan_for(0).reductions(), 0, "{name}, {nprocs} procs");
             assert_eq!(full.plan_for(0).lock_acquires(), acquires, "{name}, {nprocs} procs");
+            if name == "a non-affine accumulation span" {
+                for step in full.plan_for(0).steps.iter().filter(|s| s.phase == 1) {
+                    assert!(
+                        matches!(step.entry, BoundaryOp::BarrierLock { lock: MERGE_LOCK, .. }),
+                        "{nprocs} procs: the refused entry runs the barrier, then the acquire"
+                    );
+                    assert_eq!(step.exit, PhaseExit::Release(MERGE_LOCK), "{nprocs} procs");
+                }
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 use pagedmem::Addr;
 use rsdcomp::{
     compile, Access, ArrayDecl, BoundaryClass, BoundarySummary, ColSpan, Node, Phase, Program,
-    Refusal, RefusalClass, SectionAccess,
+    ReduceOp, Refusal, RefusalClass, SectionAccess,
 };
 use treadmarks::{Dsm, DsmConfig, RaceDetect};
 
@@ -171,6 +171,93 @@ fn a_non_commutative_guarded_update_keeps_its_lock_and_runs_race_free() {
         let (shape, words) = &run.results[0];
         assert_eq!(*shape, (3, 3, 0), "{nprocs} procs: an acquire per update, a barrier per read");
         assert!(words.iter().all(|&w| w != 0), "{nprocs} procs: every update landed");
+        for (other, theirs) in &run.results {
+            assert_eq!((other, theirs), (shape, words), "{nprocs} procs: one coherent result");
+        }
+    }
+}
+
+#[test]
+fn a_refused_guarded_accumulation_keeps_its_lock_and_runs_race_free() {
+    // Accept side of a refused entry into a guarded phase: integer sort's
+    // shape with the histogram accumulated through a non-affine subscript.
+    // Nothing can be reduced and every merge entry refuses (`non-affine`),
+    // so each keeps its barrier *and* takes the lock, releasing at the
+    // exit. Run from the compiled plan under the detector, the merges are
+    // critical sections: nothing is reported, and every increment lands.
+    const LOCK: rsdcomp::LockId = 3;
+    const ROWS: usize = 64;
+    const ITERS: usize = 3;
+    for nprocs in [2, 4, 8] {
+        let run = Dsm::run(DsmConfig::new(nprocs).with_race_detect(RaceDetect::Collect), |p| {
+            let keys = p.alloc_matrix::<u64>(ROWS, 2 * p.nprocs());
+            let hist = p.alloc_matrix::<u64>(ROWS, 2 * p.nprocs());
+            let compiled = rsdcomp::exec::kernel_for(p, rsdcomp::Level::Full, || Program {
+                arrays: vec![
+                    ArrayDecl::of_matrix("keys", &keys),
+                    ArrayDecl::of_matrix("hist", &hist),
+                ],
+                nodes: vec![
+                    Node::Phase(Phase::new(
+                        "init",
+                        vec![SectionAccess::new(0, ColSpan::OwnBlock, Access::WriteAll)],
+                    )),
+                    Node::Repeat {
+                        times: ITERS,
+                        body: vec![
+                            Phase::guarded(
+                                "merge",
+                                vec![
+                                    SectionAccess::new(0, ColSpan::OwnBlock, Access::ReadWriteAll),
+                                    SectionAccess::accumulate(
+                                        1,
+                                        ColSpan::Unknown,
+                                        ReduceOp::WrappingAdd,
+                                    ),
+                                ],
+                                LOCK,
+                            ),
+                            Phase::new(
+                                "rank",
+                                vec![SectionAccess::new(1, ColSpan::OwnBlock, Access::Read)],
+                            ),
+                        ],
+                    },
+                ],
+            });
+            let plan = compiled.kernel.plan_for(p.proc_id());
+            let words = hist.array().len();
+            let mine = rsdcomp::col_block(keys.cols(), p.nprocs(), p.proc_id());
+            let own = mine.start * ROWS..mine.end * ROWS;
+            for step in &plan.steps {
+                rsdcomp::exec::run_boundary(p, &step.entry);
+                match step.phase {
+                    0 => own.clone().for_each(|i| p.set(keys.array(), i, (i * 31 % words) as u64)),
+                    1 => own.clone().for_each(|i| {
+                        let k = p.get(keys.array(), i) as usize;
+                        let h = p.get(hist.array(), k);
+                        p.set(hist.array(), k, h + 1);
+                        p.set(keys.array(), i, ((k * 5 + i) % words) as u64);
+                    }),
+                    _ => {
+                        p.get(hist.array(), own.start);
+                    }
+                }
+                rsdcomp::exec::exit(p, step, &[]);
+            }
+            p.barrier();
+            let all: Vec<u64> = (0..words).map(|i| p.get(hist.array(), i)).collect();
+            ((plan.lock_acquires(), plan.barriers()), all)
+        });
+        assert!(run.races.is_empty(), "{nprocs} procs: {:?}", run.races);
+        let (shape, words) = &run.results[0];
+        assert_eq!(
+            *shape,
+            (ITERS, 2 * ITERS),
+            "{nprocs} procs: a barrier and an acquire per merge"
+        );
+        let total: u64 = words.iter().sum();
+        assert_eq!(total, (ITERS * words.len()) as u64, "{nprocs} procs: every increment landed");
         for (other, theirs) in &run.results {
             assert_eq!((other, theirs), (shape, words), "{nprocs} procs: one coherent result");
         }
