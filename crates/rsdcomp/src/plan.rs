@@ -320,8 +320,8 @@ fn plan(
     // happens, instead of slipping through two NoComm classifications.
     // Clearing mirrors what each synchronization actually delivers: a full
     // barrier distributes every notice to everyone; a lock acquire delivers
-    // the chain's notices, clearing the lock's own guarded writes
-    // pair-wise; a push moves bytes, not notices, so it clears nothing.
+    // the chain's notices, clearing the lock's own guarded writes for
+    // everyone; a push moves bytes, not notices, so it clears nothing.
     let mut analyses: Vec<BoundaryAnalysis> =
         Vec::with_capacity(occurrences.len().saturating_sub(1));
     let mut pending = PendingWrites::new(program, nprocs);
@@ -393,6 +393,22 @@ fn plan(
             None => boundaries.push(BoundarySummary { prev, next, class, occurrences: 1 }),
         }
     }
+
+    // Per push boundary, the `(consumer, producer)` of every dependence,
+    // sorted: a processor's `recv_from` is its run of it, as its `sends` are
+    // its run of the producer-sorted `pairs`.
+    let by_consumer: Vec<Vec<(ProcId, ProcId)>> = analyses
+        .iter()
+        .map(|analysis| match analysis.class {
+            BoundaryClass::Push | BoundaryClass::Reduce => {
+                let mut edges: Vec<(ProcId, ProcId)> =
+                    analysis.pairs.iter().map(|d| (d.consumer, d.producer)).collect();
+                edges.sort_unstable();
+                edges
+            }
+            _ => Vec::new(),
+        })
+        .collect();
 
     // Per-processor plan generation.
     let plans = (0..nprocs)
@@ -504,20 +520,17 @@ fn plan(
                         BoundaryOp::Lock { lock, sections: sections_for(next, iter) }
                     }
                     BoundaryClass::Push | BoundaryClass::Reduce => {
-                        let sends: Vec<Push> = analysis
-                            .pairs
+                        let pairs = &analysis.pairs;
+                        let sent = pairs.partition_point(|d| d.producer < me)
+                            ..pairs.partition_point(|d| d.producer <= me);
+                        let sends = pairs[sent]
                             .iter()
-                            .filter(|d| d.producer == me)
                             .map(|d| Push { dest: d.consumer, regions: d.regions.clone() })
                             .collect();
-                        let mut recv_from: Vec<ProcId> = analysis
-                            .pairs
-                            .iter()
-                            .filter(|d| d.consumer == me)
-                            .map(|d| d.producer)
-                            .collect();
-                        recv_from.sort_unstable();
-                        recv_from.dedup();
+                        let edges = &by_consumer[b];
+                        let received = edges.partition_point(|&(c, _)| c < me)
+                            ..edges.partition_point(|&(c, _)| c <= me);
+                        let recv_from = edges[received].iter().map(|&(_, p)| p).collect();
                         BoundaryOp::Push { sends, recv_from, sections: prepared(flush_epoch) }
                     }
                 };
