@@ -21,6 +21,12 @@ use crate::server::Lane;
 use crate::state::NodeShared;
 use crate::types::ProcId;
 
+/// The stack of a processor thread: its closure, the protocol and the
+/// handlers it drains. Pages live on the heap and nothing recurses; the
+/// platform's 2 MiB default made every wide run map and unmap megabytes it
+/// never touches.
+const PROCESSOR_STACK: usize = 256 * 1024;
+
 /// The DSM run harness. See [`Dsm::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct Dsm;
@@ -183,7 +189,8 @@ impl Dsm {
                     let (f, config, report) = (&f, &config, &report_expired);
                     #[cfg(debug_assertions)]
                     let orphans = &orphans;
-                    scope.spawn(move || {
+                    let processor = std::thread::Builder::new().stack_size(PROCESSOR_STACK);
+                    let spawned = processor.spawn_scoped(scope, move || {
                         let mut process = Process::new(Arc::clone(&lanes), me, config);
                         // A handler this thread ran while draining a port
                         // unwinds it too: the harness below reports either.
@@ -223,7 +230,8 @@ impl Dsm {
                                 Err(panic)
                             }
                         }
-                    })
+                    });
+                    spawned.expect("failed to spawn a processor thread")
                 })
                 .collect();
             for (slot, handle) in outcomes.iter_mut().zip(handles) {

@@ -68,20 +68,20 @@ impl Process {
 
     /// Reads element `index` of `array` through the DSM consistency
     /// protocol, faulting and fetching diffs if the page is not valid.
+    #[inline]
     pub fn get<T: Shareable>(&mut self, array: &SharedArray<T>, index: usize) -> T {
         let addr = array.addr_of(index);
-        let offset = addr.page_offset();
-        self.page_op(addr.page(), false, |frame| T::load(&frame.page.as_slice()[offset..]))
+        let bytes = addr.page_offset()..addr.page_offset() + T::BYTES;
+        self.page_op(addr.page(), false, |frame| T::load(&frame.page.as_slice()[bytes]))
     }
 
     /// Writes element `index` of `array`, faulting (twin creation, write
     /// enable) if the page is not writable.
+    #[inline]
     pub fn set<T: Shareable>(&mut self, array: &SharedArray<T>, index: usize, value: T) {
         let addr = array.addr_of(index);
-        let offset = addr.page_offset();
-        self.page_op(addr.page(), true, |frame| {
-            value.store(&mut frame.page.as_mut_slice()[offset..]);
-        });
+        let bytes = addr.page_offset()..addr.page_offset() + T::BYTES;
+        self.page_op(addr.page(), true, |frame| value.store(&mut frame.page.as_mut_slice()[bytes]));
     }
 
     /// Reads elements `elems` of `array` into `out`, checking protection
@@ -98,21 +98,18 @@ impl Process {
         out: &mut [T],
     ) {
         assert_eq!(out.len(), elems.len(), "output must hold the requested elements exactly");
+        assert!(elems.end <= array.len(), "elements {elems:?} out of bounds for {}", array.len());
         let mut idx = elems.start;
-        let mut filled = 0;
         while idx < elems.end {
-            let addr = array.addr_of(idx);
-            let offset = addr.page_offset();
-            // At least one: the element at `offset` lies inside the page.
-            let fit = ((PAGE_SIZE - offset) / T::BYTES).min(elems.end - idx);
-            self.page_op(addr.page(), false, |frame| {
-                let bytes = frame.page.as_slice();
-                for (k, slot) in out[filled..filled + fit].iter_mut().enumerate() {
-                    *slot = T::load(&bytes[offset + k * T::BYTES..]);
+            let (page, run, fit) = Self::page_run(array, idx, elems.end);
+            let out = &mut out[idx - elems.start..][..fit];
+            self.page_op(page, false, |frame| {
+                let bytes = frame.page.as_slice()[run].chunks_exact(T::BYTES);
+                for (slot, bytes) in out.iter_mut().zip(bytes) {
+                    *slot = T::load(bytes);
                 }
             });
             idx += fit;
-            filled += fit;
         }
     }
 
@@ -130,21 +127,33 @@ impl Process {
         values: &[T],
     ) {
         assert_eq!(values.len(), elems.len(), "values must cover the element range exactly");
+        assert!(elems.end <= array.len(), "elements {elems:?} out of bounds for {}", array.len());
         let mut idx = elems.start;
-        let mut consumed = 0;
         while idx < elems.end {
-            let addr = array.addr_of(idx);
-            let offset = addr.page_offset();
-            let fit = ((PAGE_SIZE - offset) / T::BYTES).min(elems.end - idx);
-            self.page_op(addr.page(), true, |frame| {
-                let bytes = frame.page.as_mut_slice();
-                for (k, value) in values[consumed..consumed + fit].iter().enumerate() {
-                    value.store(&mut bytes[offset + k * T::BYTES..]);
+            let (page, run, fit) = Self::page_run(array, idx, elems.end);
+            let values = &values[idx - elems.start..][..fit];
+            self.page_op(page, true, |frame| {
+                let bytes = frame.page.as_mut_slice()[run].chunks_exact_mut(T::BYTES);
+                for (value, bytes) in values.iter().zip(bytes) {
+                    value.store(bytes);
                 }
             });
             idx += fit;
-            consumed += fit;
         }
+    }
+
+    /// The page of element `idx` of `array`, the byte run within it that
+    /// elements `idx..end` occupy, and how many elements that run holds (at
+    /// least one: the element at `idx` lies inside the page).
+    fn page_run<T: Shareable>(
+        array: &SharedArray<T>,
+        idx: usize,
+        end: usize,
+    ) -> (PageId, std::ops::Range<usize>, usize) {
+        let addr = array.addr_of(idx);
+        let offset = addr.page_offset();
+        let fit = ((PAGE_SIZE - offset) / T::BYTES).min(end - idx);
+        (addr.page(), offset..offset + fit * T::BYTES, fit)
     }
 
     /// The fault handler: runs when a checked access finds the page in a

@@ -44,10 +44,12 @@ macro_rules! impl_shareable {
             impl Shareable for $ty {
                 const BYTES: usize = std::mem::size_of::<$ty>();
 
+                #[inline]
                 fn store(self, out: &mut [u8]) {
                     out[..Self::BYTES].copy_from_slice(&self.to_le_bytes());
                 }
 
+                #[inline]
                 fn load(input: &[u8]) -> Self {
                     <$ty>::from_le_bytes(input[..Self::BYTES].try_into().expect("enough bytes"))
                 }
@@ -103,6 +105,7 @@ impl<T: Shareable> SharedArray<T> {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    #[inline]
     pub fn addr_of(&self, index: usize) -> Addr {
         assert!(index < self.len, "index {index} out of bounds for shared array of {}", self.len);
         self.base.offset(index * T::BYTES)
@@ -251,16 +254,29 @@ mod tests {
         assert_eq!(r.len(), 2 * PAGE_SIZE);
     }
 
+    /// `load(store(x)) == x` for every `Shareable` type, at the extremes and
+    /// at a value whose bytes all differ, so a swapped byte order shows.
     #[test]
     fn shareable_round_trips() {
-        let mut buf = [0u8; 8];
-        42.5f64.store(&mut buf);
-        assert_eq!(f64::load(&buf), 42.5);
-        let mut buf4 = [0u8; 4];
-        7u32.store(&mut buf4);
-        assert_eq!(u32::load(&buf4), 7);
-        (-3i32).store(&mut buf4);
-        assert_eq!(i32::load(&buf4), -3);
+        fn round_trip<T: Shareable + PartialEq + std::fmt::Debug>(values: &[T]) {
+            for &x in values {
+                let mut buf = [0u8; 8];
+                x.store(&mut buf);
+                assert_eq!(T::load(&buf), x);
+                assert!(buf[T::BYTES..].iter().all(|&b| b == 0), "store writes T::BYTES bytes");
+            }
+        }
+        round_trip(&[0u8, 1, 0x7f, u8::MAX]);
+        round_trip(&[0i32, -3, i32::MIN, i32::MAX, 0x0102_0304]);
+        round_trip(&[0u32, 7, u32::MAX, 0x0102_0304]);
+        round_trip(&[0.0f32, -1.5, f32::MIN_POSITIVE, f32::MAX, f32::INFINITY]);
+        round_trip(&[0i64, -3, i64::MIN, i64::MAX, 0x0102_0304_0506_0708]);
+        round_trip(&[0u64, 7, u64::MAX, 0x0102_0304_0506_0708]);
+        round_trip(&[0.0f64, 42.5, -0.0, f64::MIN_POSITIVE, f64::MAX, f64::NEG_INFINITY]);
+        // Little endian: the least significant byte comes first.
+        let mut buf = [0u8; 4];
+        0x0102_0304u32.store(&mut buf);
+        assert_eq!(buf, [4, 3, 2, 1]);
     }
 
     #[test]

@@ -63,11 +63,23 @@ impl TlbEntry {
     }
 }
 
+/// Takes the lease on `frame` for the entry in `slot` and records the slot.
+/// Out of line: an entry takes its lease once per lease-return interval,
+/// and a warm access finds it held.
+#[cold]
+#[inline(never)]
+fn take_lease(frame: &FrameRef, leased: &mut Vec<u16>, slot: usize) -> PageFrame {
+    leased.push(slot as u16);
+    frame.checkout()
+}
+
 /// A two-way set-associative cache of page → frame mappings whose used
 /// entries hold their frames on lease.
 #[derive(Debug)]
 pub(crate) struct SoftTlb {
-    sets: Vec<[Option<TlbEntry>; TLB_WAYS]>,
+    /// Fixed-size, so the set index (`page.0 % TLB_SETS`) needs no bounds
+    /// check.
+    sets: Box<[[Option<TlbEntry>; TLB_WAYS]; TLB_SETS]>,
     /// The slots (`set · TLB_WAYS + way`) that took a lease since the last
     /// [`return_leases`](Self::return_leases), so returning them costs the
     /// number of live leases, not a sweep of the cache.
@@ -76,7 +88,8 @@ pub(crate) struct SoftTlb {
 
 impl SoftTlb {
     pub(crate) fn new() -> SoftTlb {
-        SoftTlb { sets: (0..TLB_SETS).map(|_| [None, None]).collect(), leased: Vec::new() }
+        let sets: Box<[_]> = (0..TLB_SETS).map(|_| [None, None]).collect();
+        SoftTlb { sets: sets.try_into().expect("TLB_SETS sets"), leased: Vec::new() }
     }
 
     fn set(page: PageId) -> usize {
@@ -85,21 +98,19 @@ impl SoftTlb {
 
     /// The frame of `page`, held on lease, provided the page is cached and
     /// the frame's own protection allows the requested access. An entry
-    /// without its lease takes it here, waiting if the frame is locked at
-    /// this moment.
+    /// without its lease takes it here (out of line), waiting if the frame
+    /// is locked at this moment.
     #[inline]
     pub(crate) fn access(&mut self, page: PageId, is_write: bool) -> Option<&mut PageFrame> {
         let set = Self::set(page);
         for (way, slot) in self.sets[set].iter_mut().enumerate() {
-            let Some(entry) = slot else { continue };
-            if entry.page != page {
+            let Some(TlbEntry { page: cached, frame, lease }) = slot else { continue };
+            if *cached != page {
                 continue;
             }
-            if entry.lease.is_none() {
-                entry.lease = Some(entry.frame.checkout());
-                self.leased.push((set * TLB_WAYS + way) as u16);
-            }
-            let frame = entry.lease.as_mut()?;
+            let leased = &mut self.leased;
+            let frame =
+                lease.get_or_insert_with(|| take_lease(frame, leased, set * TLB_WAYS + way));
             let allowed = if is_write {
                 frame.protection.allows_write()
             } else {

@@ -16,7 +16,7 @@
 
 use pagedmem::{AddrRange, PAGE_SIZE};
 use sp2model::CostModel;
-use treadmarks::{Dsm, DsmConfig, LockId, PhasePlan};
+use treadmarks::{Dsm, DsmConfig, LockId, PhasePlan, Process, Shareable};
 
 fn free_config(nprocs: usize) -> DsmConfig {
     DsmConfig::new(nprocs).with_cost_model(CostModel::free())
@@ -195,19 +195,63 @@ fn a_cached_mapping_sees_the_pushed_bytes() {
     assert_eq!(run.results, vec![100, 0], "the pushed contents must replace the stale zeros");
 }
 
+/// Bulk and per-element accesses of `T` agree, in both directions, over
+/// the whole array and over a run that starts unaligned within a page and
+/// crosses two page boundaries.
+fn bulk_matches_per_element<T: Shareable + PartialEq + std::fmt::Debug>(
+    p: &mut Process,
+    value: impl Fn(usize) -> T,
+) {
+    let per_page = PAGE_SIZE / T::BYTES;
+    let a = p.alloc_array::<T>(3 * per_page + 100);
+    let name = std::any::type_name::<T>();
+    let values: Vec<T> = (0..a.len()).map(&value).collect();
+    p.set_slice(&a, 0..a.len(), &values);
+    for i in (0..a.len()).step_by(97) {
+        assert_eq!(p.get(&a, i), values[i], "{name}: set_slice must agree with per-element get");
+    }
+    let mut out = vec![value(0); a.len() - 13];
+    p.get_slice(&a, 13..a.len(), &mut out);
+    assert_eq!(out[..], values[13..], "{name}: get_slice must agree with set_slice");
+
+    // Pages 0, 1 and 2, from 13 elements before the first boundary to 17
+    // past the second.
+    let run = per_page - 13..2 * per_page + 17;
+    let shifted: Vec<T> = run.clone().map(|i| value(i + 1)).collect();
+    for (i, &v) in run.clone().zip(&shifted) {
+        p.set(&a, i, v);
+    }
+    let mut out = vec![value(0); run.len()];
+    p.get_slice(&a, run.clone(), &mut out);
+    assert_eq!(out, shifted, "{name}: get_slice must agree with per-element set");
+    p.set_slice(&a, run.clone(), &values[run.clone()]);
+    for (i, &v) in values.iter().enumerate() {
+        assert_eq!(p.get(&a, i), v, "{name}: set_slice over the run, element {i}");
+    }
+}
+
 #[test]
 fn bulk_accessors_match_per_element_access() {
     Dsm::run(free_config(1), |p| {
-        // A range that spans several pages with ragged edges.
-        let a = p.alloc_array::<u32>(2 * PAGE_SIZE / 4 + 100);
-        let values: Vec<u32> = (0..a.len() as u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        p.set_slice(&a, 0..a.len(), &values);
-        for i in (0..a.len()).step_by(97) {
-            assert_eq!(p.get(&a, i), values[i], "set_slice must agree with per-element get");
-        }
-        let mut out = vec![0u32; a.len() - 13];
-        p.get_slice(&a, 13..a.len(), &mut out);
-        assert_eq!(&out[..], &values[13..], "get_slice must agree with set_slice");
+        // Distinct bytes per element, so a shifted or swapped codec shows.
+        let mix = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        bulk_matches_per_element(p, |i| mix(i) as u8);
+        bulk_matches_per_element(p, |i| mix(i) as i32);
+        bulk_matches_per_element(p, |i| mix(i) as u32);
+        bulk_matches_per_element(p, |i| (mix(i) >> 40) as f32 - 1e6);
+        bulk_matches_per_element(p, |i| mix(i) as i64);
+        bulk_matches_per_element(p, mix);
+        bulk_matches_per_element(p, |i| (mix(i) >> 11) as f64 * -0.25);
+    });
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn a_bulk_range_past_the_array_panics_inside_its_last_page() {
+    Dsm::run(free_config(1), |p| {
+        // The page has room for the eleventh element; the array has not.
+        let a = p.alloc_array::<u64>(10);
+        p.set_slice(&a, 0..11, &[1; 11]);
     });
 }
 
