@@ -7,9 +7,8 @@
 //! 8 processors, 16 records the tree-vs-flat crossover). It collects the
 //! `sp2model` statistics that the paper's tables are built from (page
 //! faults, messages, bytes, lock acquisitions, virtual time), the fast-path
-//! counters introduced with the software TLB and the split-phase counters
-//! (plus `barriers_eliminated` and `merged_sync_msgs`, always 0, kept so
-//! the baselines keep their keys), and renders them as deterministic JSON.
+//! counters introduced with the software TLB and the split-phase counters,
+//! and renders them as deterministic JSON.
 //! `sor/validate` is additionally recorded under the flat master-centric
 //! barrier (`validate_flat`: the same barrier schedule over the tree of
 //! arity `n − 1`, priced at stock TreadMarks's interrupt path and
@@ -223,13 +222,6 @@ pub struct BenchRecord {
     pub split_phase_issues: u64,
     /// Split-phase completion halves.
     pub split_phase_completes: u64,
-    /// Always 0: the counter of barriers replaced by a neighbour sync,
-    /// which no longer exists. Kept so the checked-in baselines keep their
-    /// keys.
-    pub barriers_eliminated: u64,
-    /// Always 0, like `barriers_eliminated`: the neighbour sync's merged
-    /// acks.
-    pub merged_sync_msgs: u64,
 }
 
 /// One case of a suite: which kernel runs at what size on how many
@@ -283,8 +275,6 @@ fn run_case(case: Case) -> BenchRecord {
         sync_wait_ns: t.sync_wait_ns,
         split_phase_issues: t.split_phase_issues,
         split_phase_completes: t.split_phase_completes,
-        barriers_eliminated: t.barriers_eliminated,
-        merged_sync_msgs: t.merged_sync_msgs,
     }
 }
 
@@ -401,8 +391,7 @@ fn render_record(r: &BenchRecord) -> String {
          \"iters\":{},\"time_ns\":{},\"table_lock_acquires\":{},\"tlb_hits\":{},\
          \"tlb_misses\":{},\"page_faults\":{},\"messages\":{},\"bytes\":{},\
          \"lock_acquires\":{},\"sync_wait_ns\":{},\"split_phase_issues\":{},\
-         \"split_phase_completes\":{},\"barriers_eliminated\":{},\
-         \"merged_sync_msgs\":{}}}",
+         \"split_phase_completes\":{}}}",
         r.app,
         r.variant,
         r.nprocs,
@@ -420,8 +409,6 @@ fn render_record(r: &BenchRecord) -> String {
         r.sync_wait_ns,
         r.split_phase_issues,
         r.split_phase_completes,
-        r.barriers_eliminated,
-        r.merged_sync_msgs,
     )
 }
 

@@ -184,12 +184,13 @@ pub fn neighbor_sync(
 }
 
 /// `Reduce(op, section, partial)`: combines every processor's private
-/// `partial` of `section` (one `u64` per word) with `op` over the barrier
-/// tree, and adds into this processor's copy of the section the totals of
-/// the words `wants[me]` names. The departures are cut by subtree, so each
-/// processor receives only what it reads — a reduce-scatter — installed as
-/// raw bytes: no interval ends, and no lock, twin, diff or notice is
-/// involved.
+/// `partial` of `section` (one `u64` per word) with `op`, and adds into this
+/// processor's copy of the section the totals of the words `wants[me]`
+/// names. It is one barrier that ends no interval, with the partials as one
+/// more field of its messages: combined at every hop of the walk up the
+/// tree, and cut by subtree on the walk down, so each processor receives
+/// only what it reads — a reduce-scatter — installed as raw bytes. No lock,
+/// twin, diff or notice is involved.
 ///
 /// **Contract:** a collective with the same `op`, `section` and `wants` on
 /// every processor. Only legal when the compiler has proven that `op` is

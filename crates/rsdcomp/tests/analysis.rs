@@ -686,14 +686,33 @@ fn accumulations_anything_else_touches_keep_the_lock() {
     let mut non_affine = is_shaped_program(Vec::new(), Vec::new());
     let Node::Repeat { body, .. } = &mut non_affine.nodes[1] else { unreachable!() };
     body[0].accesses[1] = SectionAccess::accumulate(1, ColSpan::Unknown, ReduceOp::WrappingAdd);
+    let mut iteration_dependent = is_shaped_program(Vec::new(), Vec::new());
+    let Node::Repeat { body, .. } = &mut iteration_dependent.nodes[1] else { unreachable!() };
+    body[0].accesses[1] = SectionAccess::accumulate(1, ColSpan::OwnTail, ReduceOp::WrappingAdd);
+    let mut narrow = is_shaped_program(Vec::new(), Vec::new());
+    narrow.arrays[1].elem_bytes = 4;
+    // Nothing else touches the histogram, so the accumulation alone is
+    // reducible; but another lock's phase keeps a boundary that flushes,
+    // and a raw install next to the protocol is unsound.
+    let flushes_elsewhere = is_shaped_program(
+        Vec::new(),
+        vec![Phase::guarded(
+            "tally",
+            vec![SectionAccess::new(2, ColSpan::OwnBlock, Access::Write)],
+            MERGE_LOCK + 1,
+        )],
+    );
     for (name, program) in [
         ("two accumulated sections", second_section),
         ("a read of the accumulated words in the accumulating phase", read_inside),
         ("a plain write to them in another phase", plain_write_elsewhere),
         ("a non-affine accumulation span", non_affine),
+        ("an iteration-dependent accumulation span", iteration_dependent),
+        ("a histogram of 4-byte words", narrow),
+        ("another boundary that still flushes", flushes_elsewhere),
     ] {
         let acquires = match name {
-            "a plain write to them in another phase" => 6,
+            "a plain write to them in another phase" | "another boundary that still flushes" => 6,
             _ => 3,
         };
         for nprocs in [2, 4, 8] {

@@ -223,6 +223,10 @@ pub enum TmkMessage {
         notices: Vec<WriteNotice>,
         /// The subtree's piggy-backed `Validate_w_sync` requests.
         sync_requests: Vec<SyncFetchRequest>,
+        /// At a reduction, the subtree's partials summed, as `(word, delta)`
+        /// pairs ascending by word, zero sums left out (a word indexes the
+        /// reduced section's `u64` words); empty at any other barrier.
+        words: Vec<(u32, u64)>,
     },
     /// Barrier-tree parent -> child: barrier departure, re-fanned down the
     /// tree (with the flat topology, master -> client). The global vector
@@ -242,6 +246,9 @@ pub enum TmkMessage {
         /// The receiver serves the entries that name it and hands each
         /// child its own subtree's share.
         sync_requests: Vec<RoutedRequest>,
+        /// At a reduction, the totals of the words the receiving subtree's
+        /// processors read, ascending by word; empty at any other barrier.
+        words: Vec<(u32, u64)>,
     },
     /// Faulting processor -> writer: request for diffs.
     DiffRequest {
@@ -282,21 +289,6 @@ pub enum TmkMessage {
         /// Address ranges and their contents, received in place.
         chunks: Vec<(AddrRange, Vec<u8>)>,
     },
-    /// Barrier-tree child -> parent at a reduction: the subtree's partials
-    /// summed, as `(word, delta)` pairs ascending by word, zero sums left
-    /// out. A word indexes the reduced section's `u64` words.
-    ReduceArrival {
-        /// The arriving processor (the subtree root).
-        proc: ProcId,
-        /// The subtree's summed partial.
-        words: Vec<(u32, u64)>,
-    },
-    /// Barrier-tree parent -> child at a reduction: the totals of the words
-    /// the receiving subtree's processors read, ascending by word.
-    ReduceDeparture {
-        /// The totals.
-        words: Vec<(u32, u64)>,
-    },
     /// Sent by the harness to every reply port when a processor panics, so
     /// peers blocked on a reply unwind instead of waiting for it.
     Shutdown,
@@ -315,15 +307,19 @@ impl TmkMessage {
                 4 + notices.len() * WriteNotice::WIRE_BYTES
                     + piggyback.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
-            TmkMessage::BarrierArrival { applied_vt, notices, sync_requests, .. } => {
+            // A reduction's word costs four bytes of index and eight of
+            // value.
+            TmkMessage::BarrierArrival { applied_vt, notices, sync_requests, words, .. } => {
                 4 + applied_vt.wire_bytes(nprocs)
                     + notices.len() * WriteNotice::WIRE_BYTES
                     + sync_requests.iter().map(|r| r.wire_bytes(nprocs)).sum::<usize>()
+                    + 12 * words.len()
             }
-            TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests } => {
+            TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests, words } => {
                 gc_horizon.wire_bytes(nprocs)
                     + notices.len() * WriteNotice::WIRE_BYTES
                     + sync_requests.iter().map(RoutedRequest::wire_bytes).sum::<usize>()
+                    + 12 * words.len()
             }
             TmkMessage::DiffRequest { wants, .. } => {
                 12 + wants.iter().map(PageWant::wire_bytes).sum::<usize>()
@@ -336,10 +332,6 @@ impl TmkMessage {
             }
             TmkMessage::PushData { chunks, .. } => {
                 4 + chunks.iter().map(|(_, data)| 16 + data.len()).sum::<usize>()
-            }
-            // Four bytes of word index and eight of value a pair.
-            TmkMessage::ReduceArrival { words, .. } | TmkMessage::ReduceDeparture { words } => {
-                4 + 12 * words.len()
             }
             TmkMessage::Shutdown => 0,
         }
@@ -414,6 +406,7 @@ mod tests {
                 applied_vt: applied.delta_from(&base),
                 notices,
                 sync_requests,
+                words: vec![],
             };
         // An arrival that changed nothing: its proc and an empty delta.
         assert_eq!(arrival(&base, vec![], vec![]).wire_bytes(N), 4 + 4);
@@ -438,6 +431,7 @@ mod tests {
             gc_horizon: horizon.delta_from(&base),
             notices: vec![notice],
             sync_requests,
+            words: vec![],
         };
         assert_eq!(departure(&base, vec![]).wire_bytes(N), 4 + WriteNotice::WIRE_BYTES);
         assert_eq!(
@@ -450,6 +444,24 @@ mod tests {
             departure(&horizon, vec![]).wire_bytes(N),
             departure(&base, vec![]).wire_bytes(N) + 2 * 8
         );
+        // A reduction's words ride either way at twelve bytes a pair, with
+        // no header of their own.
+        let words = vec![(0, 5), (7, u64::MAX)];
+        let reducing = TmkMessage::BarrierArrival {
+            proc: 1,
+            applied_vt: base.delta_from(&base),
+            notices: vec![],
+            sync_requests: vec![],
+            words: words.clone(),
+        };
+        assert_eq!(reducing.wire_bytes(N), 4 + 4 + 2 * 12);
+        let reduced = TmkMessage::BarrierDeparture {
+            gc_horizon: base.delta_from(&base),
+            notices: vec![],
+            sync_requests: vec![],
+            words,
+        };
+        assert_eq!(reduced.wire_bytes(N), 4 + 2 * 12);
     }
 
     #[test]

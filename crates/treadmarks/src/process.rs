@@ -54,7 +54,6 @@ mod interval;
 mod lock;
 mod push;
 mod race;
-mod reduce;
 mod sync;
 
 pub use push::PushReceipt;

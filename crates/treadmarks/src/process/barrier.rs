@@ -1,13 +1,13 @@
-//! Barriers: the global barrier, plain or carrying a merged fetch, over
-//! the configured reduction tree.
+//! Barriers: the global barrier — plain, carrying a merged fetch, or
+//! carrying a reduction — over the configured reduction tree.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
 use msgnet::Port;
-use pagedmem::{PageId, PageTable};
+use pagedmem::{AddrRange, PageId, PageTable};
 use racecheck::SyncKind;
 use sp2model::{VirtualClock, VirtualTime};
 
@@ -23,13 +23,13 @@ use crate::types::{Interval, ProcId, Vt, VtDelta};
 /// The barrier root (the paper assigns the distinguished roles to
 /// processor 0): the root of the reduction tree, and with the flat topology
 /// the master every arrival goes to.
-pub(super) const MASTER: ProcId = 0;
+const MASTER: ProcId = 0;
 
 /// The children of `me` in an `arity`-ary barrier tree over `n` processors
 /// (node `i`'s children are `i·arity+1 ..= i·arity+arity`, the k-ary heap
 /// layout). The flat topology is the degenerate tree of arity `n - 1`:
 /// every other processor is a direct child of the master.
-pub(super) fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
+fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
     let first = me * arity + 1;
     (first..n.min(first.saturating_add(arity))).collect()
 }
@@ -37,11 +37,102 @@ pub(super) fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
 /// Whether `proc` lies in the subtree rooted at `root` of the `arity`-ary
 /// barrier tree: heap parents have smaller ids, so walking `proc` up until
 /// it is no longer above `root` either lands on `root` or has passed it.
-pub(super) fn in_subtree(mut proc: ProcId, root: ProcId, arity: usize) -> bool {
+fn in_subtree(mut proc: ProcId, root: ProcId, arity: usize) -> bool {
     while proc > root {
         proc = (proc - 1) / arity;
     }
     proc == root
+}
+
+/// A sparse partial or total: `(word, value)` pairs ascending by word, no
+/// value zero.
+type Words = Vec<(u32, u64)>;
+
+/// The wrapping sum of two sparse word lists, zero sums left out. The
+/// result depends only on the two sums, so a node that adds its children's
+/// arrivals in whatever order the host delivered them builds the same list.
+fn add(a: &[(u32, u64)], b: &[(u32, u64)]) -> Words {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&&(wa, va)), Some(&&(wb, vb))) => match wa.cmp(&wb) {
+                Ordering::Less => a.next().copied(),
+                Ordering::Greater => b.next().copied(),
+                Ordering::Equal => {
+                    a.next();
+                    b.next();
+                    Some((wa, va.wrapping_add(vb)))
+                }
+            },
+            (Some(_), None) => a.next().copied(),
+            (None, _) => b.next().copied(),
+        };
+        match next {
+            Some(pair) if pair.1 != 0 => out.push(pair),
+            Some(_) => {}
+            None => return out,
+        }
+    }
+}
+
+/// The word indices of `section` that `ranges` cover, coalesced (a word
+/// covered in part counts).
+fn word_ranges<'a>(
+    section: AddrRange,
+    ranges: impl IntoIterator<Item = &'a AddrRange>,
+) -> Vec<Range<usize>> {
+    let base = section.start().as_usize();
+    let inside = ranges.into_iter().filter_map(|r| r.intersect(&section)).collect();
+    AddrRange::coalesce(inside)
+        .into_iter()
+        .map(|r| (r.start().as_usize() - base) / 8..(r.end().as_usize() - base).div_ceil(8))
+        .collect()
+}
+
+/// The pairs of `words` inside `ranges` (ascending and disjoint).
+fn within(words: &[(u32, u64)], ranges: &[Range<usize>]) -> Words {
+    let mut ranges = ranges.iter().peekable();
+    words
+        .iter()
+        .copied()
+        .filter(|&(word, _)| {
+            let word = word as usize;
+            while ranges.next_if(|r| r.end <= word).is_some() {}
+            ranges.peek().is_some_and(|r| r.start <= word)
+        })
+        .collect()
+}
+
+/// The reduction a barrier carries (see [`Process::reduce_add`]): the
+/// section whose `u64` words are summed, what every processor reads of it,
+/// and the words this node holds — its own partial, then its subtree's sum,
+/// then the totals its subtree reads.
+pub(super) struct Reduction<'a> {
+    section: AddrRange,
+    wants: &'a [Vec<AddrRange>],
+    words: Words,
+}
+
+impl Reduction<'_> {
+    /// The pairs of the held totals that the processors `reads` picks read.
+    fn read_by(&self, reads: impl Fn(ProcId) -> bool) -> Words {
+        let wanted = (0..self.wants.len()).filter(|&q| reads(q)).flat_map(|q| &self.wants[q]);
+        within(&self.words, &word_ranges(self.section, wanted))
+    }
+
+    /// Adds the totals `me` reads into its copy of the section as raw bytes,
+    /// the way a push installs, under an already-held table lock: no twin,
+    /// diff or notice is made.
+    fn install_locked(&self, table: &mut PageTable, me: ProcId) {
+        for (word, total) in self.read_by(|q| q == me) {
+            let addr = self.section.start().offset(8 * word as usize);
+            let mut bytes = [0u8; 8];
+            table.read_bytes(addr, &mut bytes);
+            let value = u64::from_le_bytes(bytes).wrapping_add(total);
+            table.install_bytes(addr, &value.to_le_bytes());
+        }
+    }
 }
 
 /// The barrier root's resolution of the piggybacked requests (in requester
@@ -222,14 +313,16 @@ fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> HashSet<P
 /// child's subtree-merged arrival timestamp says exactly which notices its
 /// subtree still misses, and its position in the tree which of the `routed`
 /// requests this node holds — all of them at the root, its own subtree's
-/// share below — its subtree answers. The global timestamp does not travel:
-/// the child rebuilds it from its own timestamp and those notices, which
-/// debug builds check here, at the sender.
+/// share below — its subtree answers, and which of a reduction's totals its
+/// subtree reads. The global timestamp does not travel: the child rebuilds
+/// it from its own timestamp and those notices, which debug builds check
+/// here, at the sender.
 fn child_departures(
     proto: &ProtoState,
     children: &[(ProcId, Vt)],
     gc_horizon: &VtDelta,
     routed: &[RoutedRequest],
+    reduction: Option<&Reduction>,
     arity: usize,
 ) -> Vec<(ProcId, TmkMessage)> {
     children
@@ -245,6 +338,8 @@ fn child_departures(
                 gc_horizon: gc_horizon.clone(),
                 notices,
                 sync_requests: subtree_share(routed, *proc, arity),
+                words: reduction
+                    .map_or_else(Vec::new, |r| r.read_by(|q| in_subtree(q, *proc, arity))),
             };
             (*proc, msg)
         })
@@ -262,7 +357,7 @@ fn child_departures(
 /// same instant this is the batched `max + k · per_child`, and it is never
 /// later than that: the charge is the same `k · per_child`, only the waits
 /// overlap with the service of earlier arrivals.
-pub(super) fn serve_in_arrival_order(
+fn serve_in_arrival_order(
     clock: &mut VirtualClock,
     arrivals: &mut [(VirtualTime, ProcId)],
     per_child: VirtualTime,
@@ -320,7 +415,44 @@ impl Process {
     /// topology, through the master) and leaves every processor with the
     /// merged global vector timestamp.
     pub fn barrier(&mut self) {
-        let pending = self.barrier_issue(&PhasePlan::default());
+        let pending = self.barrier_issue(&PhasePlan::default(), None);
+        self.sync_phase_complete(pending);
+    }
+
+    /// The run-time primitive underneath a compiled reduction: sums every
+    /// processor's `partial` — one `u64` per word of `section`, added with
+    /// wrapping addition — and adds to this processor's copy of `section`
+    /// the totals of the words `wants[me]` covers.
+    ///
+    /// It is one barrier that ends no interval, with the reduction as one
+    /// more field of its messages — one walk of the tree. The partials ride
+    /// the arrivals up as `(word, delta)` pairs of their nonzero words,
+    /// summed at every hop, so the root holds the totals. They come back
+    /// down on the departures cut by subtree, the way the routed requests
+    /// are: a departure carries only the totals of the words its subtree's
+    /// processors want — a reduce-scatter, not an allreduce. Each node adds
+    /// its own words into its copy as raw bytes inside the barrier's
+    /// departure hold, the way a push installs: no twin, diff or notice is
+    /// made. The hops, the local cost and the wire charges are the
+    /// barrier's own.
+    ///
+    /// **Contract:** every processor calls it with the same `section` and
+    /// `wants`, like any collective, and the addition is the only update
+    /// the words see between reductions — nothing else writes them, and
+    /// nothing flushes an interval that could ship them as a diff. Every
+    /// processor's copy of a wanted word then holds its initial value plus
+    /// every total so far, which is the value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partial` does not hold one word per word of `section` or
+    /// `wants` does not name every processor.
+    pub fn reduce_add(&mut self, section: AddrRange, partial: &[u64], wants: &[Vec<AddrRange>]) {
+        assert_eq!(section.len(), 8 * partial.len(), "one partial word per word of the section");
+        assert_eq!(wants.len(), self.nprocs(), "what every processor reads");
+        let words = (0u32..).zip(partial.iter().copied()).filter(|&(_, delta)| delta != 0);
+        let reduction = Reduction { section, wants, words: words.collect() };
+        let pending = self.barrier_issue(&PhasePlan::default(), Some(reduction));
         self.sync_phase_complete(pending);
     }
 
@@ -329,8 +461,13 @@ impl Process {
     /// piggybacked on the arrival, and then performs the *entire*
     /// post-departure protocol step — write-notice application, serving
     /// the piggybacked requests routed to this processor, write
-    /// preparation, mapping caching and the garbage-collection trim — under a
-    /// single page-table-lock hold before returning with the receipt.
+    /// preparation, mapping caching, the garbage-collection trim and a
+    /// reduction's install — under a single page-table-lock hold before
+    /// returning with the receipt.
+    ///
+    /// With a `reduction` ([`reduce_add`](Self::reduce_add)) no interval
+    /// ends: the barrier carries the reduction's words, and everything else
+    /// it exchanges is what an interval-free barrier exchanges.
     ///
     /// Everything that leaves — the merged arrival, the children's
     /// departures, the `SyncDiffs` — is built under those holds from the
@@ -341,13 +478,14 @@ impl Process {
     /// No charge is added, dropped or resized by that order.
     ///
     /// The exchange runs over the configured [`BarrierTopology`]: notices,
-    /// applied timestamps and piggybacked fetch requests merge up the
-    /// reduction tree; the root resolves every request to its responders,
-    /// and the notices, GC horizon and each subtree's share of the routed
-    /// requests fan back down. No whole vector timestamp crosses a hop: the
-    /// subtree and global timestamps are rebuilt from the notices of the
-    /// same message (see `notice::vt_through`), the applied timestamp and
-    /// the horizon travel as deltas against the previous global timestamp.
+    /// applied timestamps, piggybacked fetch requests and a reduction's
+    /// words merge up the reduction tree; the root resolves every request
+    /// to its responders, and the notices, GC horizon and each subtree's
+    /// share of the routed requests and of the totals fan back down. No
+    /// whole vector timestamp crosses a hop: the subtree and global
+    /// timestamps are rebuilt from the notices of the same message (see
+    /// `notice::vt_through`), the applied timestamp and the horizon travel
+    /// as deltas against the previous global timestamp.
     /// Every topology runs one schedule: a node serves each child's arrival
     /// as soon as it is there, `per_child` each, and sends each departure
     /// copy as soon as it is built — the first one `per_child` after the
@@ -359,8 +497,14 @@ impl Process {
     /// charge and interrupt path.
     ///
     /// [`BarrierTopology::shape`]: crate::BarrierTopology::shape
-    pub(super) fn barrier_issue(&mut self, plan: &PhasePlan) -> PendingSync {
-        self.flush_interval();
+    pub(super) fn barrier_issue(
+        &mut self,
+        plan: &PhasePlan,
+        mut reduction: Option<Reduction>,
+    ) -> PendingSync {
+        if reduction.is_none() {
+            self.flush_interval();
+        }
         self.stats.barriers(1);
         self.barrier_seq += 1;
         let seq = self.barrier_seq;
@@ -382,7 +526,7 @@ impl Process {
             (Some(vt), Some(request))
         };
 
-        // --- Reduction: gather the whole subtree's arrivals. Collect every
+        // --- Up the tree: gather the whole subtree's arrivals. Collect every
         // arrival before serving any: the service order is then the
         // arrivals' virtual order, whatever order the host threads
         // delivered them in.
@@ -392,8 +536,13 @@ impl Process {
             let env = self.recv_reply("a child's barrier arrival", |m| {
                 matches!(m, TmkMessage::BarrierArrival { .. })
             });
-            let TmkMessage::BarrierArrival { proc, applied_vt, notices, sync_requests: reqs } =
-                env.payload
+            let TmkMessage::BarrierArrival {
+                proc,
+                applied_vt,
+                notices,
+                sync_requests: reqs,
+                words,
+            } = env.payload
             else {
                 unreachable!()
             };
@@ -403,6 +552,9 @@ impl Process {
             arrivals.spans.push((proc, start..arrivals.notices.len()));
             arrivals.applied.push(applied_vt);
             sync_requests.extend(reqs);
+            if let Some(reduction) = reduction.as_mut() {
+                reduction.words = add(&reduction.words, &words);
+            }
         }
         arrivals.spans.sort_by_key(|(proc, _)| *proc);
         serve_in_arrival_order(&mut self.clock, &mut arrivals.at, per_child);
@@ -436,6 +588,10 @@ impl Process {
                     applied_vt: applied.delta_from(base),
                     notices,
                     sync_requests: std::mem::take(&mut sync_requests),
+                    words: reduction
+                        .as_mut()
+                        .map(|r| std::mem::take(&mut r.words))
+                        .unwrap_or_default(),
                 };
                 (msg, subtrees, tally, table.pages_in_use())
             };
@@ -445,10 +601,14 @@ impl Process {
                 matches!(m, TmkMessage::BarrierDeparture { .. })
             });
             self.clock.observe(env.arrives_at);
-            let TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests } = env.payload
+            let TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests, words } =
+                env.payload
             else {
                 unreachable!()
             };
+            if let Some(reduction) = reduction.as_mut() {
+                reduction.words = words;
+            }
             (Some((gc_horizon, notices, sync_requests)), subtrees)
         };
 
@@ -495,7 +655,14 @@ impl Process {
                     (subtrees, horizon, horizon_delta, routed)
                 }
             };
-            let departures = child_departures(&proto, &subtrees, &horizon_delta, &routed, arity);
+            let departures = child_departures(
+                &proto,
+                &subtrees,
+                &horizon_delta,
+                &routed,
+                reduction.as_ref(),
+                arity,
+            );
             let served = serve_requests_locked(&proto, &table, seq, &routed);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
@@ -510,6 +677,9 @@ impl Process {
                 "the GC horizon must stay at or below the global VT"
             );
             let trimmed = proto.gc_trim(&gc_horizon);
+            if let Some(reduction) = &reduction {
+                reduction.install_locked(&mut table, me);
+            }
             let pages_in_use = table.pages_in_use();
             (tally, prep, departures, served, warmed, trimmed, pages_in_use)
         };
@@ -553,7 +723,7 @@ impl Process {
 mod tests {
     use std::collections::BTreeSet;
 
-    use pagedmem::{Diff, PAGE_SIZE};
+    use pagedmem::{Addr, Diff, PAGE_SIZE};
 
     use super::*;
     use crate::message::DiffRecord;
@@ -985,7 +1155,8 @@ mod tests {
             entry(6, &[7], &[(4, 2)]),
         ];
         let children = [(3, Vt::new(N)), (4, proto.last_global_vt.clone())];
-        let departures = child_departures(&proto, &children, &VtDelta::default(), &received, 2);
+        let departures =
+            child_departures(&proto, &children, &VtDelta::default(), &received, None, 2);
         assert_eq!(departures.iter().map(|(child, _)| *child).collect::<Vec<_>>(), [3, 4]);
         // Each leaf is told of the one request it answers, naming it alone;
         // the request only P1 itself answers goes no further.
@@ -1039,7 +1210,7 @@ mod tests {
                 assert!(tree_children(leaf, N, ARITY).is_empty());
                 let children = [(leaf, nothing.clone())];
                 let departures =
-                    child_departures(&proto, &children, &VtDelta::default(), &share, ARITY);
+                    child_departures(&proto, &children, &VtDelta::default(), &share, None, ARITY);
                 let departure = &departures[0].1;
                 assert!(routed_of(departure).len() <= 2, "its two neighbours' requests");
                 let bytes = departure.wire_bytes(N);
@@ -1052,5 +1223,34 @@ mod tests {
             whole_timestamps > 4 * 4096 && up < whole_timestamps / 10,
             "the requests as broadcast down and sent up whole: {whole_timestamps} bytes"
         );
+    }
+
+    #[test]
+    fn sparse_sums_wrap_and_drop_zeros_in_any_order() {
+        let a = [(1, 5), (3, u64::MAX), (7, 2)];
+        let b = [(0, 1), (3, 1), (7, 3), (9, 4)];
+        let expected = vec![(0, 1), (1, 5), (7, 5), (9, 4)];
+        assert_eq!(add(&a, &b), expected);
+        assert_eq!(add(&b, &a), expected);
+        assert_eq!(add(&a, &[]), a);
+        assert!(add(&[], &[]).is_empty());
+    }
+
+    #[test]
+    fn a_departure_carries_only_the_wanted_words() {
+        let section = AddrRange::new(Addr::new(4096), 8 * 16);
+        let at = |word: usize, words: usize| AddrRange::new(Addr::new(4096 + 8 * word), 8 * words);
+        // Overlapping, unsorted and partly outside the section; a word
+        // covered in part counts.
+        let wants = [at(6, 3), AddrRange::new(Addr::new(4096 - 64), 72), at(2, 5), at(14, 4)];
+        assert_eq!(word_ranges(section, &wants), [0..1, 2..9, 14..16]);
+        let partial = AddrRange::new(Addr::new(4096 + 8 * 10 + 4), 2);
+        assert_eq!(word_ranges(section, &[partial]), [Range { start: 10, end: 11 }]);
+        let totals = [(0, 1), (1, 2), (2, 3), (8, 4), (9, 5), (15, 6)];
+        assert_eq!(
+            within(&totals, &word_ranges(section, &wants)),
+            [(0, 1), (2, 3), (8, 4), (15, 6)]
+        );
+        assert!(within(&totals, &[]).is_empty());
     }
 }

@@ -585,7 +585,7 @@ impl Process {
     /// and in-flight data is never fetched a second time.
     pub fn sync_phase_issue(&mut self, sync: SyncOp, plan: &PhasePlan) -> PendingSync {
         match sync {
-            SyncOp::Barrier => self.barrier_issue(plan),
+            SyncOp::Barrier => self.barrier_issue(plan, None),
             SyncOp::Lock(lock) => self.lock_issue(lock, plan),
         }
     }

@@ -416,3 +416,127 @@ fn the_root_sends_each_departure_copy_as_soon_as_it_is_built() {
         assert!(elapsed.as_nanos() <= before, "P{proc} finished at {elapsed:?}, {before} before");
     }
 }
+
+/// The words of the reduction test's array, the reduced section's first
+/// word and its length: the section starts mid-page and crosses a page
+/// boundary, with untouched words on either side.
+const REDUCE_WORDS: usize = 2 * ELEMS;
+const SECTION_START: usize = 100;
+const SECTION_WORDS: usize = ELEMS + 150;
+
+/// Word `w`'s value before any reduction.
+fn initial(w: usize) -> u64 {
+    (w as u64).wrapping_mul(0x0123_4567) ^ 0x55
+}
+
+/// Processor `q`'s partial of section word `w` in reduction `r` of `n`
+/// processors: wrapping overflow, totals that cancel to zero, sparse
+/// contributions, and words nobody contributes to.
+fn reduce_partial(q: usize, n: usize, r: u64, w: usize) -> u64 {
+    let cancelling = |q: usize| (q as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ r;
+    match w % 7 {
+        0 => u64::MAX - 3 * q as u64 - r,
+        3 if q + 1 < n => cancelling(q),
+        3 => (0..n - 1).map(cancelling).fold(0u64, u64::wrapping_add).wrapping_neg(),
+        5 if q.is_multiple_of(2) => (w * 1000 + q) as u64 + r,
+        _ => 0,
+    }
+}
+
+/// What processor `q` of `n` reads of the section, as byte ranges of `a`:
+/// the whole section for the last processor, nothing for every third,
+/// and otherwise two overlapping ranges — the second may hang over either
+/// end of the section — and the middle two bytes of one word.
+fn reduce_wants(a: &treadmarks::SharedArray<u64>, q: usize, n: usize) -> Vec<pagedmem::AddrRange> {
+    if q + 1 == n {
+        return vec![a.range_of(SECTION_START, SECTION_START + SECTION_WORDS)];
+    }
+    if q % 3 == 1 {
+        return Vec::new();
+    }
+    let lo = (q * 37) % SECTION_WORDS;
+    let word = SECTION_START + (q * 53 + 11) % SECTION_WORDS;
+    vec![
+        a.range_of(SECTION_START + lo, SECTION_START + (lo + 60).min(SECTION_WORDS)),
+        a.range_of((SECTION_START + lo + 40).saturating_sub(120), SECTION_START + lo + 41),
+        pagedmem::AddrRange::new(a.addr_of(word).offset(3), 2),
+    ]
+}
+
+/// Processor 0 writes every word's initial value, everybody reads them all
+/// across a barrier, and `reductions` reductions follow. Returns the words
+/// this processor's copy gets wrong: `(word, got, expected)`.
+fn reduce_kernel(p: &mut Process, reductions: u64) -> Vec<(usize, u64, u64)> {
+    let (n, me) = (p.nprocs(), p.proc_id());
+    let a = p.alloc_array::<u64>(REDUCE_WORDS);
+    if me == 0 {
+        for w in 0..REDUCE_WORDS {
+            p.set(&a, w, initial(w));
+        }
+    }
+    p.barrier();
+    let mut seen = vec![0u64; REDUCE_WORDS];
+    p.get_slice(&a, 0..REDUCE_WORDS, &mut seen);
+    let section = a.range_of(SECTION_START, SECTION_START + SECTION_WORDS);
+    let wants: Vec<_> = (0..n).map(|q| reduce_wants(&a, q, n)).collect();
+    let mut totals = vec![0u64; SECTION_WORDS];
+    for r in 0..reductions {
+        let partial: Vec<u64> = (0..SECTION_WORDS).map(|w| reduce_partial(me, n, r, w)).collect();
+        p.reduce_add(section, &partial, &wants);
+        for (w, total) in totals.iter_mut().enumerate() {
+            let sum = (0..n).map(|q| reduce_partial(q, n, r, w)).fold(0, u64::wrapping_add);
+            *total = total.wrapping_add(sum);
+        }
+    }
+    p.get_slice(&a, 0..REDUCE_WORDS, &mut seen);
+    let wanted = |w: usize| {
+        let word = pagedmem::AddrRange::new(a.addr_of(w), 8);
+        wants[me].iter().any(|range| range.intersect(&word).is_some_and(|r| !r.is_empty()))
+    };
+    let mut wrong = Vec::new();
+    for (w, &got) in seen.iter().enumerate() {
+        let in_section = (SECTION_START..SECTION_START + SECTION_WORDS).contains(&w);
+        let expected = if in_section && wanted(w) {
+            initial(w).wrapping_add(totals[w - SECTION_START])
+        } else {
+            initial(w)
+        };
+        if got != expected {
+            wrong.push((w, got, expected));
+        }
+    }
+    wrong
+}
+
+#[test]
+fn a_reduction_sums_every_partial_and_delivers_only_the_wanted_words() {
+    const REDUCTIONS: u64 = 3;
+    let topologies = [
+        BarrierTopology::Adaptive,
+        BarrierTopology::Tree { arity: 1 },
+        BarrierTopology::Tree { arity: 2 },
+        BarrierTopology::Tree { arity: 3 },
+        BarrierTopology::FlatMaster,
+    ];
+    for n in [1usize, 2, 3, 5, 8, 9, 64] {
+        for topology in topologies {
+            let run = |reductions| {
+                let config = DsmConfig::new(n).with_cost_model(CostModel::sp2());
+                Dsm::run(config.with_barrier(topology), move |p| reduce_kernel(p, reductions))
+            };
+            let (reduced, setup) = (run(REDUCTIONS), run(0));
+            for (q, wrong) in reduced.results.iter().enumerate() {
+                assert!(wrong.is_empty(), "P{q} of {n} over {topology:?}: {wrong:?}");
+            }
+            let messages = |run: &treadmarks::DsmRun<_>| run.stats.total().messages_sent;
+            assert_eq!(
+                messages(&reduced) - messages(&setup),
+                REDUCTIONS * 2 * (n as u64 - 1),
+                "one arrival and one departure a hop, {n} processors over {topology:?}"
+            );
+            let again = run(REDUCTIONS);
+            assert_eq!(again.elapsed, reduced.elapsed, "clocks, {n} over {topology:?}");
+            assert_eq!(again.stats, reduced.stats, "counters, {n} over {topology:?}");
+        }
+    }
+}
