@@ -18,7 +18,8 @@
 //! 2. **A home for cross-crate helpers with no better owner.** Error
 //!    conversion glue and similar utilities that would otherwise force a
 //!    dependency edge between sibling crates live here (see [`error`] and
-//!    [`hash`], the cheap hasher of the page-keyed tables).
+//!    [`hash`], the cheap hasher of the page-keyed tables), and the
+//!    [`pool`] of parked threads a DSM run borrows its processors from.
 //!
 //! Nothing in this crate is specific to distributed shared memory; it is
 //! deliberately boring so that the interesting code stays in `pagedmem`,
@@ -30,4 +31,5 @@
 pub mod channel;
 pub mod error;
 pub mod hash;
+pub mod pool;
 pub mod sync;

@@ -38,15 +38,11 @@ pub enum Port {
     Reply,
 }
 
+/// The sending halves of one node's two ports. A cluster builds one table
+/// of these and every endpoint shares it.
 struct Mailbox<M> {
     request_tx: Sender<Envelope<M>>,
     reply_tx: Sender<Envelope<M>>,
-}
-
-impl<M> Clone for Mailbox<M> {
-    fn clone(&self) -> Self {
-        Mailbox { request_tx: self.request_tx.clone(), reply_tx: self.reply_tx.clone() }
-    }
 }
 
 /// A fully connected simulated cluster of `n` nodes.
@@ -91,13 +87,14 @@ impl<M: Send> Cluster<M> {
             mailboxes.push(Mailbox { request_tx, reply_tx });
             receivers.push((request_rx, reply_rx));
         }
+        let mailboxes: Arc<[Mailbox<M>]> = mailboxes.into();
         let endpoints = receivers
             .into_iter()
             .enumerate()
             .map(|(id, (request_rx, reply_rx))| Endpoint {
                 id: NodeId(id),
                 nodes,
-                mailboxes: mailboxes.clone(),
+                mailboxes: Arc::clone(&mailboxes),
                 request_rx,
                 reply_rx,
                 cost_model: Arc::clone(&cost_model),
@@ -134,16 +131,16 @@ impl<M> fmt::Debug for Cluster<M> {
 
 /// One node's connection to the cluster.
 ///
-/// The endpoint owns the node's receive queues and clones of every other
-/// node's send queues, the shared [`CostModel`] and the node's statistics
-/// counters. It is `Send` so it can move into the node's thread, but it is
-/// deliberately not `Clone`: the compute thread of a node and whichever
-/// thread serves its requests share one endpoint through the runtime's own
-/// synchronization.
+/// The endpoint owns the node's receive queues and statistics counters, and
+/// shares the table of every node's send queues and the [`CostModel`] with
+/// the other endpoints of its cluster. It is `Send` so it can move into the
+/// node's thread, but it is deliberately not `Clone`: the compute thread of
+/// a node and whichever thread serves its requests share one endpoint
+/// through the runtime's own synchronization.
 pub struct Endpoint<M> {
     id: NodeId,
     nodes: usize,
-    mailboxes: Vec<Mailbox<M>>,
+    mailboxes: Arc<[Mailbox<M>]>,
     request_rx: Receiver<Envelope<M>>,
     reply_rx: Receiver<Envelope<M>>,
     cost_model: Arc<CostModel>,

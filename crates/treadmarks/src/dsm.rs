@@ -1,14 +1,19 @@
 //! The run harness: N simulated processors over a [`msgnet::Cluster`].
 //!
-//! [`Dsm::run`] spawns one thread per simulated processor — the application
-//! closure executing through its [`Process`] — joins them and collects
-//! per-node clocks and statistics. There is no other thread: the interrupt
-//! handlers that service remote lock and diff requests are run by whoever
-//! sends the request (see [`crate::server::drain`]).
+//! [`Dsm::run`] runs each simulated processor — the application closure
+//! executing through its [`Process`] — on a thread of its own, waits for them
+//! all and collects per-node clocks and statistics. There is no other
+//! thread: the interrupt handlers that service remote lock and diff requests
+//! are run by whoever sends the request (see [`crate::server::drain`]). The
+//! threads are borrowed from [`PROCESSORS`], a process-wide
+//! [`Pool`](dsm_core::pool::Pool) of parked workers: a run spawns only the
+//! processors no earlier run left idle, so a program that runs the same width
+//! again pays for no thread and maps no stack.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use dsm_core::pool::Pool;
 use msgnet::{Cluster, DeliveryExpired, NodeId, Port};
 use racecheck::{RaceDetect, RaceLog, RaceReport};
 use sp2model::{ClusterStats, ReactorSnapshot, VirtualTime};
@@ -23,9 +28,13 @@ use crate::types::ProcId;
 
 /// The stack of a processor thread: its closure, the protocol and the
 /// handlers it drains. Pages live on the heap and nothing recurses; the
-/// platform's 2 MiB default made every wide run map and unmap megabytes it
-/// never touches.
+/// platform's 2 MiB default mapped megabytes no processor touches. A stack is
+/// mapped once per pooled worker, when the worker is spawned, not per run.
 const PROCESSOR_STACK: usize = 256 * 1024;
+
+/// The threads every run's processors execute on. Grows to the largest
+/// number of processors running at once in the process, and never shrinks.
+static PROCESSORS: Pool = Pool::new(PROCESSOR_STACK);
 
 /// The DSM run harness. See [`Dsm::run`].
 #[derive(Debug, Clone, Copy)]
@@ -180,65 +189,42 @@ impl Dsm {
         #[cfg(debug_assertions)]
         let orphans: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-        type Outcome<R> = Result<(R, VirtualTime), Box<dyn std::any::Any + Send>>;
-        let mut outcomes: Vec<Option<Outcome<R>>> = (0..nprocs).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..nprocs)
-                .map(|me| {
-                    let lanes = Arc::clone(&lanes);
-                    let (f, config, report) = (&f, &config, &report_expired);
-                    #[cfg(debug_assertions)]
-                    let orphans = &orphans;
-                    let processor = std::thread::Builder::new().stack_size(PROCESSOR_STACK);
-                    let spawned = processor.spawn_scoped(scope, move || {
-                        let mut process = Process::new(Arc::clone(&lanes), me, config);
-                        // A handler this thread ran while draining a port
-                        // unwinds it too: the harness below reports either.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            f(&mut process)
-                        }));
-                        #[cfg(debug_assertions)]
-                        orphans
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .extend(process.unconsumed_replies().map(orphan));
-                        match result {
-                            Ok(result) => Ok((result, process.clock().now())),
-                            Err(panic) => {
-                                if let Some(expired) = panic.downcast_ref::<DeliveryExpired>() {
-                                    // Delivery expires at send time, before
-                                    // the op parks on the wait board; name
-                                    // the port being served, or else the
-                                    // undeliverable traffic.
-                                    let waiting_on = lanes[me].shared.run.board.label(me);
-                                    report(
-                                        expired,
-                                        waiting_on.unwrap_or_else(|| {
-                                            format!("sending protocol traffic to {}", expired.dst)
-                                        }),
-                                    );
-                                }
-                                // Poison every reply port so peers blocked in
-                                // a collective unwind instead of waiting for a
-                                // message this processor will never send. The
-                                // poison bypasses the fault plan: a droppable
-                                // shutdown could wedge the abort path itself.
-                                let ep = &lanes[me].endpoint;
-                                for peer in (0..nprocs).map(NodeId) {
-                                    ep.send_control(peer, Port::Reply, TmkMessage::Shutdown);
-                                }
-                                Err(panic)
-                            }
-                        }
-                    });
-                    spawned.expect("failed to spawn a processor thread")
-                })
-                .collect();
-            for (slot, handle) in outcomes.iter_mut().zip(handles) {
-                *slot = Some(match handle.join() {
-                    Ok(outcome) => outcome,
-                    Err(panic) => Err(panic),
-                });
+        let outcomes = PROCESSORS.run(nprocs, |me| {
+            let mut process = Process::new(Arc::clone(&lanes), me, &config);
+            // A handler this thread ran while draining a port unwinds it
+            // too: the harness below reports either.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut process)));
+            #[cfg(debug_assertions)]
+            orphans
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend(process.unconsumed_replies().map(orphan));
+            match result {
+                Ok(result) => Ok((result, process.clock().now())),
+                Err(panic) => {
+                    if let Some(expired) = panic.downcast_ref::<DeliveryExpired>() {
+                        // Delivery expires at send time, before the op
+                        // parks on the wait board; name the port being
+                        // served, or else the undeliverable traffic.
+                        let waiting_on = lanes[me].shared.run.board.label(me);
+                        report_expired(
+                            expired,
+                            waiting_on.unwrap_or_else(|| {
+                                format!("sending protocol traffic to {}", expired.dst)
+                            }),
+                        );
+                    }
+                    // Poison every reply port so peers blocked in a
+                    // collective unwind instead of waiting for a message
+                    // this processor will never send. The poison bypasses
+                    // the fault plan: a droppable shutdown could wedge the
+                    // abort path itself.
+                    let ep = &lanes[me].endpoint;
+                    for peer in (0..nprocs).map(NodeId) {
+                        ep.send_control(peer, Port::Reply, TmkMessage::Shutdown);
+                    }
+                    Err(panic)
+                }
             }
         });
 
@@ -251,33 +237,25 @@ impl Dsm {
 
         // If anything panicked, resume the root cause — not the secondary
         // `PeerAbort` unwinds of processors that were poisoned out of a
-        // collective.
-        if outcomes.iter().any(|o| matches!(o, Some(Err(_)))) {
-            let mut peer_abort = None;
-            for outcome in &mut outcomes {
-                if let Some(Err(panic)) = outcome {
-                    if panic.is::<PeerAbort>() {
-                        peer_abort.get_or_insert(outcome);
-                    } else {
-                        let Some(Err(panic)) = outcome.take() else { unreachable!() };
-                        std::panic::resume_unwind(panic);
-                    }
-                }
-            }
-            let Some(Some(Err(panic))) = peer_abort.map(Option::take) else { unreachable!() };
-            std::panic::resume_unwind(panic);
-        }
-
+        // collective. A panic that escaped the processor's body is its
+        // outcome too, as a join would deliver it.
         let mut results = Vec::with_capacity(nprocs);
         let mut elapsed = Vec::with_capacity(nprocs);
+        let mut peer_abort = None;
         for outcome in outcomes {
-            match outcome.expect("every processor was joined") {
+            match outcome.and_then(|processor| processor) {
                 Ok((result, time)) => {
                     results.push(result);
                     elapsed.push(time);
                 }
-                Err(_) => unreachable!("panics were propagated above"),
+                Err(panic) if panic.is::<PeerAbort>() => {
+                    peer_abort.get_or_insert(panic);
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
             }
+        }
+        if let Some(panic) = peer_abort {
+            std::panic::resume_unwind(panic);
         }
         let stats = lanes.iter().map(|lane| lane.endpoint.stats().snapshot()).collect();
         let races = run_shared.race.as_ref().map(RaceLog::drain_sorted).unwrap_or_default();
