@@ -22,10 +22,10 @@
 //! modifications (barrier `SyncDiffs`, lock-grant piggybacks, fault
 //! fetches and push installs), so the *detection window* is
 //! the un-garbage-collected diff history plus the processor's own
-//! unflushed twins. Races whose older half has been folded into a
-//! `TrimmedBase` by diff-cache GC cannot be pinpointed any more; they are
-//! counted (`races_window_trimmed` in the stats) rather than silently
-//! dropped.
+//! unflushed twins. Races whose older half diff-cache GC has dropped,
+//! to be served only inside a full-page base, cannot be pinpointed any
+//! more; they are counted (`races_window_trimmed` in the stats) rather
+//! than silently dropped.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -140,9 +140,9 @@ define_stats! {
     /// be observed by several processors).
     races_detected,
     /// Diff applications the race detector could not check because the
-    /// garbage-collection horizon had already folded the relevant interval
-    /// history into a consolidated base (a potential race in the trimmed
-    /// window, counted instead of silently ignored).
+    /// garbage-collection horizon had already dropped the relevant interval
+    /// history, served only inside a full-page base (a potential race in
+    /// the trimmed window, counted instead of silently ignored).
     races_window_trimmed,
     /// Modelled retransmissions: transmission attempts the fault plan
     /// dropped, each masked by a timeout-and-resend of the modelled ARQ

@@ -19,27 +19,28 @@ pub struct DiffRecord {
     /// Happens-before rank of the creating interval (the sum of its vector
     /// timestamp, see [`Vt::sum`]). Receivers apply same-page diffs in rank
     /// order so causally later writes overwrite causally earlier ones;
-    /// concurrent diffs compare arbitrarily and commute.
+    /// concurrent diffs compare arbitrarily and commute. A base is placed
+    /// by its timestamp instead (see [`base`](Self::base)).
     pub rank: u64,
-    /// A consolidated-base (current-copy) record: a full page answering
-    /// every interval of its creator at or below `interval`, served when
-    /// the per-interval history was garbage-collected. A base applies
-    /// *before* the page's interval diffs regardless of rank — its bytes
-    /// are the producer's current copy, which may lack a concurrent
-    /// writer's words (that writer's still-cached delta must win) and may
-    /// contain values causally ahead of the requester's entitlement (the
-    /// owed diffs overwrite them back to exactly the requester's view;
-    /// lazy release consistency redelivers the newer values with their
-    /// notices at the requester's next acquire).
-    pub base: bool,
+    /// `Some` for a *base*: a full copy of its server's page, sent in place
+    /// of garbage-collected history, with the timestamp of that snapshot —
+    /// the server's own, lowered below every notice of the page it has not
+    /// applied, which is exactly what the copy contains. The requester lets
+    /// it claim every missing interval the timestamp covers and applies it
+    /// above the owed deltas the timestamp covers and beneath the rest,
+    /// each side in rank order: a delta the copy lacks is concurrent with,
+    /// or later than, everything in it. A base's `interval` and `rank` are
+    /// its timestamp's own component and sum. `None` for an interval's
+    /// diff.
+    pub base: Option<Vt>,
     /// The encoded modifications.
     pub diff: Diff,
     /// The creating interval's full vector timestamp, shipped only when the
     /// race detector is on (it needs the exact happened-before relation,
     /// not just the scalar `rank`). `None` in normal operation and for
-    /// consolidated bases, so the detector-off wire traffic — and with it
-    /// the virtual-time accounting — is byte-identical to a build without
-    /// the detector.
+    /// bases, so the detector-off wire traffic — and with it the
+    /// virtual-time accounting — is byte-identical to a build without the
+    /// detector.
     pub vt: Option<Vt>,
 }
 
@@ -49,27 +50,29 @@ impl DiffRecord {
         WriteNotice::WIRE_BYTES
             + 8
             + self.diff.encoded_bytes()
+            + self.base.as_ref().map_or(0, Vt::wire_bytes)
             + self.vt.as_ref().map_or(0, Vt::wire_bytes)
     }
 }
 
 /// One page's portion of a [`TmkMessage::DiffRequest`].
 ///
-/// The requester names the intervals it wants individually — plus,
-/// optionally, the owner's *consolidated base*: one full copy of the page
-/// covering every interval at or below `base_through`. Intervals at or
-/// below the requester's garbage-collection horizon are always requested
-/// through the base (never by interval): their owner may be performing its
-/// own trim concurrently in real time, and whether a delta or a full page
-/// came back must not depend on that race — virtual time is derived from
+/// The requester names the intervals it wants individually and, from at
+/// most one producer per page, a *base* ([`DiffRecord::base`]): one full
+/// copy of the page, standing in for every missing interval at or below
+/// the requester's garbage-collection horizon. Any producer with such an
+/// interval holds a mapped frame that has applied everything at or below
+/// the horizon, so one base covers them all, whoever wrote them. Those
+/// intervals are never named individually: their owner may be trimming
+/// them concurrently in real time, and whether a delta or a full page came
+/// back must not depend on that race — virtual time is derived from
 /// message bytes, so the *requester* decides the shape of the response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageWant {
     /// The page the request concerns.
     pub page: PageId,
-    /// Request the consolidated base covering every interval at or below
-    /// this one.
-    pub base_through: Option<Interval>,
+    /// Request the producer's base of the page.
+    pub base: bool,
     /// Individually wanted intervals (all above the requester's horizon).
     pub intervals: Vec<Interval>,
 }
@@ -256,7 +259,7 @@ pub enum TmkMessage {
         req_id: u64,
         /// The requesting processor.
         requester: ProcId,
-        /// Pages and the intervals (or consolidated bases) needed.
+        /// Pages and the intervals (or bases) needed.
         wants: Vec<PageWant>,
     },
     /// Writer -> faulting processor: the requested diffs, aggregated into a
@@ -345,8 +348,7 @@ mod tests {
 
     #[test]
     fn wire_bytes_scale_with_content() {
-        let want =
-            |page, intervals: Vec<Interval>| PageWant { page, base_through: None, intervals };
+        let want = |page, intervals: Vec<Interval>| PageWant { page, base: false, intervals };
         let small = TmkMessage::DiffRequest {
             req_id: 1,
             requester: 0,
@@ -371,7 +373,7 @@ mod tests {
             proc: 1,
             interval: 2,
             rank: 2,
-            base: false,
+            base: None,
             diff: Diff::create(&twin, &cur),
             vt: None,
         };
@@ -383,6 +385,10 @@ mod tests {
         let mut with_vt = record.clone();
         with_vt.vt = Some(Vt::new(4));
         assert_eq!(with_vt.wire_bytes(), record.wire_bytes() + Vt::new(4).wire_bytes());
+        // A base's timestamp travels whole: four bytes a processor.
+        let mut base = record.clone();
+        base.base = Some(Vt::new(4));
+        assert_eq!(base.wire_bytes(), record.wire_bytes() + 16);
     }
 
     /// The timestamp `base` raised or lowered at the given components.

@@ -187,7 +187,7 @@ impl Process {
 ///
 /// Missing intervals at or below the GC horizon are *not* named at
 /// synchronization points: their producer may be trimming them
-/// concurrently, and whether a delta or the consolidated base came back
+/// concurrently, and whether a delta or a base came back
 /// would then depend on a real-time race (breaking virtual-time
 /// determinism). They stay missing and are fetched through the explicit
 /// base-request path of [`TmkMessage::DiffRequest`](crate::message::TmkMessage)

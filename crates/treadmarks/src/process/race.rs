@@ -75,10 +75,10 @@ fn open_interval_writes(
 /// the granter's timestamp before installing).
 ///
 /// Applications involving garbage-collected history are undecidable rather
-/// than safe: a consolidated base has no single creating timestamp, and an
-/// incoming delta whose creator had not seen this node's trimmed intervals
-/// (`vt[me] < through`) cannot be ordered against them. Both are counted as
-/// `races_window_trimmed` instead of silently ignored.
+/// than safe: a base keeps no creating timestamps for the history it folds,
+/// so one landing on local writes that the horizon does not order after
+/// that history is counted as `races_window_trimmed` instead of silently
+/// ignored.
 pub(super) fn detect_races_locked(
     stats: &SharedStats,
     log: &RaceLog,
@@ -103,30 +103,23 @@ pub(super) fn detect_races_locked(
         vt
     };
     for (idx, record) in applicable.iter().enumerate() {
-        if record.base {
-            // A consolidated base folds the creator's intervals at or
-            // below `record.interval` with no creating timestamps left to
-            // compare. The protocol guarantees the fold is already covered
-            // by this node's view (the GC horizon is the minimum of every
-            // node's *applied* timestamp, and an unapplied racing interval
-            // on a mapped frame pins it — see `ProtoState::applied_vt`),
-            // which orders all local writes after the folded history:
-            // decidably race-free. The counter guards that invariant — a
-            // base whose fold is *not* covered, landing where local write
-            // evidence exists, is an undecidable window and is counted
-            // rather than silently dropped.
-            //
-            // Only records at or below the creator's horizon are trimmed
-            // history; an above-horizon base is the served-current-copy
-            // fallback for an interval that never recorded a diff, whose
-            // owed interval diffs still travel (and are checked)
-            // individually.
-            if record.interval <= proto.gc_horizon.get(record.proc)
-                && local_vt.get(record.proc) < record.interval
-            {
+        if record.base.is_some() {
+            // A base stands in for the missing entries at or below the GC
+            // horizon, whose creating timestamps are gone; the entries
+            // above it that its timestamp covers travel, and are checked,
+            // as deltas. The horizon is the minimum of every node's
+            // *applied* timestamp, and an unapplied racing interval on a
+            // mapped frame pins it (see `ProtoState::applied_vt`), so this
+            // node's view covers the horizon and orders all local writes
+            // after the folded history: decidably race-free. The counter
+            // guards that invariant — a horizon *not* covered by the local
+            // view, landing where local write evidence exists, is an
+            // undecidable window and is counted rather than silently
+            // dropped.
+            if !local_vt.covers(&proto.gc_horizon) {
                 let local_partner =
                     proto.diff_cache.get(&record.page).is_some_and(|m| !m.is_empty())
-                        || proto.trimmed.contains_key(&record.page)
+                        || proto.trimmed.contains(&record.page)
                         || table.has_twin(record.page);
                 if local_partner {
                     stats.races_window_trimmed(1);
@@ -143,7 +136,7 @@ pub(super) fn detect_races_locked(
             (RaceAccess { proc: record.proc, interval: record.interval }, &incoming);
         // (a) Against the later incoming records of the same batch.
         for other in &applicable[idx + 1..] {
-            if other.page != record.page || other.base {
+            if other.page != record.page || other.base.is_some() {
                 continue;
             }
             let Some(vo) = &other.vt else { continue };

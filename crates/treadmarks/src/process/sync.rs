@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use dsm_core::hash::IntMap;
 use pagedmem::{AddrRange, PageId, PageTable, Protection, PAGE_SIZE};
 use racecheck::SyncKind;
 
@@ -312,11 +313,14 @@ pub(super) fn prep_writes_locked(
 /// Builds the per-producer [`PageWant`] lists for everything still missing
 /// on `pages` (minus `in_hand`), under an already-held proto lock.
 ///
-/// Intervals above the node's GC horizon are wanted individually; intervals
-/// at or below it are folded into one base request per page (the producer
-/// may be trimming them concurrently in real time, and the response's byte
-/// count — which virtual time is derived from — must not depend on that
-/// race, so the requester fixes the shape: one full page).
+/// Intervals above the node's GC horizon are wanted individually; those at
+/// or below it are answered by one base per page, from the lowest-numbered
+/// producer of such an interval. That producer holds a mapped frame, and
+/// every mapped frame has applied everything at or below the horizon, so
+/// the base's timestamp covers them all (the producers may be trimming them
+/// concurrently in real time, and the response's byte count — which
+/// virtual time is derived from — must not depend on that race, so the
+/// requester fixes the shape: one full page).
 pub(super) fn wants_for_pages_locked(
     proto: &ProtoState,
     pages: &[PageId],
@@ -325,21 +329,25 @@ pub(super) fn wants_for_pages_locked(
     let mut per_proc: BTreeMap<ProcId, Vec<PageWant>> = BTreeMap::new();
     for &page in pages {
         let Some(missing) = proto.page_missing.get(&page) else { continue };
-        let mut by_proc: BTreeMap<ProcId, (Option<Interval>, Vec<Interval>)> = BTreeMap::new();
+        let mut by_proc: BTreeMap<ProcId, Vec<Interval>> = BTreeMap::new();
+        let mut base_from = None::<ProcId>;
         for &(proc, interval) in missing {
             if in_hand.contains(&(page, proc, interval)) {
                 continue;
             }
-            let (base_through, intervals) = by_proc.entry(proc).or_default();
             if interval <= proto.gc_horizon.get(proc) {
-                *base_through = Some(base_through.map_or(interval, |t| t.max(interval)));
+                base_from = Some(base_from.map_or(proc, |from| from.min(proc)));
             } else {
-                intervals.push(interval);
+                by_proc.entry(proc).or_default().push(interval);
             }
         }
-        for (proc, (base_through, mut intervals)) in by_proc {
+        if let Some(from) = base_from {
+            by_proc.entry(from).or_default();
+        }
+        for (proc, mut intervals) in by_proc {
             intervals.sort_unstable();
-            per_proc.entry(proc).or_default().push(PageWant { page, base_through, intervals });
+            let base = base_from == Some(proc);
+            per_proc.entry(proc).or_default().push(PageWant { page, base, intervals });
         }
     }
     per_proc
@@ -417,14 +425,22 @@ impl Process {
     }
 
     /// The single-hold installation step shared by every path that applies
-    /// diffs: rank-sorts the whole batch (across *all* messages of the
-    /// synchronization point, so causally ordered same-page diffs apply in
-    /// happens-before order no matter how they were delivered), drops
+    /// diffs: sorts the whole batch into happens-before order (across *all*
+    /// messages of the synchronization point, so causally ordered same-page
+    /// diffs apply in order no matter how they were delivered), drops
     /// records that are no longer missing (re-delivery is harmless),
     /// applies the survivors through the page table's batch entry point,
     /// revalidates `pages`, finishes deferred write preparation and caches
     /// the `warm` mappings — one global-lock acquisition for the entire
     /// step. Returns how many of the warm list's pages the TLB now maps.
+    ///
+    /// The order has one rule: a page's records apply in rank order, except
+    /// that a base ([`DiffRecord::base`]) goes above every delta its
+    /// timestamp covers — the copy already holds those writes, or later
+    /// ones — and beneath every delta it does not, each of which is
+    /// concurrent with or later than everything the copy holds. The base
+    /// claims every missing entry its timestamp covers.
+    ///
     /// When the race detector is on, the claimed batch is checked against
     /// concurrent local history *before* it is applied (applying would
     /// update the twins the local unflushed write set is read from);
@@ -440,28 +456,26 @@ impl Process {
         sync_kind: SyncKind,
         race_vt: Option<&Vt>,
     ) -> usize {
-        // Consolidated bases apply before the page's interval diffs
-        // regardless of rank: a base is the producer's *current copy*,
-        // which may lack a concurrent writer's words (its still-cached
-        // delta, applied after, restores them) and may contain values
-        // causally ahead of this node's entitlement (the owed diffs,
-        // applied after, bring the page back to exactly the view this
-        // node's acquires justify).
-        records.sort_by_key(|r| (r.page, !r.base, r.rank, r.proc, r.interval));
+        let bases: IntMap<PageId, Vt> =
+            records.iter().filter_map(|r| Some((r.page, r.base.clone()?))).collect();
+        let layer = |r: &DiffRecord| match (&r.base, bases.get(&r.page)) {
+            (Some(_), _) => 1,
+            (None, Some(vt)) if r.interval > vt.get(r.proc) => 2,
+            _ => 0,
+        };
+        records.sort_by_key(|r| (r.page, layer(r), r.rank, r.proc, r.interval));
         let mut node = self.node.unleased();
         let mut proto = node.proto();
         let mut table = node.table();
         // Keep only records still on a page's missing list (claiming the
-        // entry), preserving the sorted order. A base — and likewise a
-        // `WRITE_ALL` full page — claims *every* missing interval of its
-        // creator at or below its own: the whole page is covered, so
-        // earlier modifications by the same processor are subsumed, which
-        // is what lets a producer answer any number of garbage-collected
-        // intervals with one consolidated base copy.
+        // entry), preserving the sorted order. A base claims every entry
+        // its timestamp covers, and a `WRITE_ALL` full page every entry of
+        // its creator at or below its own: the whole page is covered, so
+        // the earlier modifications are subsumed.
         let mut applicable = Vec::with_capacity(records.len());
         for record in records {
             let Some(missing) = proto.page_missing.get_mut(&record.page) else { continue };
-            let whole_page = record.base || record.diff.modified_bytes() == PAGE_SIZE;
+            let whole_page = record.diff.modified_bytes() == PAGE_SIZE;
             let before = missing.len();
             // A delta removes *every* copy of its interval, not just the
             // first: a duplicated missing entry (however it arose) must not
@@ -469,10 +483,13 @@ impl Process {
             // would re-fetch this interval after a newer one from the same
             // processor has been applied — and applying the older diff
             // second rolls its bytes back.
-            missing.retain(|&(p, i)| {
-                p != record.proc
-                    || if whole_page { i > record.interval } else { i != record.interval }
-            });
+            match &record.base {
+                Some(vt) => missing.retain(|&(p, i)| i > vt.get(p)),
+                None => missing.retain(|&(p, i)| {
+                    p != record.proc
+                        || if whole_page { i > record.interval } else { i != record.interval }
+                }),
+            }
             let claimed = before - missing.len();
             if missing.is_empty() {
                 proto.page_missing.remove(&record.page);
@@ -481,6 +498,17 @@ impl Process {
                 applicable.push(record);
             }
         }
+        // One base per page suffices only because its timestamp covers the
+        // page's every entry at or below the horizon.
+        debug_assert!(
+            bases.keys().all(|page| {
+                let mut missing = proto.page_missing.get(page).into_iter().flatten();
+                missing.all(|&(p, i)| i > proto.gc_horizon.get(p))
+            }),
+            "P{}: a base left an entry at or below the horizon {} missing",
+            proto.me,
+            proto.gc_horizon,
+        );
         if let Some(log) = &self.run.race {
             detect_races_locked(&self.stats, log, &proto, &table, &applicable, sync_kind, race_vt);
         }

@@ -21,7 +21,7 @@ use sp2model::{ReactorSnapshot, ReactorStats, VirtualTime};
 use crate::message::{DiffRecord, PageWant, TmkMessage};
 use crate::notice::notices_determine;
 use crate::state::{full_page_diff, NodeShared, PendingLockRequest, ProtoState};
-use crate::types::{Interval, LockId, ProcId};
+use crate::types::{LockId, ProcId};
 
 /// One node as every thread that serves it sees it: its endpoint, the
 /// protocol state its handlers run against, the flag that admits one
@@ -155,15 +155,15 @@ fn send_at(
     endpoint.send(NodeId(dest), port, msg, bytes, at, true);
 }
 
-/// Answers a diff request: for every interval (or consolidated base) the
-/// requester needs, look up (or materialise) the diff and aggregate
-/// everything into a single response message.
+/// Answers a diff request: for every interval (or base) the requester
+/// needs, look up (or materialise) the diff and aggregate everything into a
+/// single response message.
 ///
-/// A base request (`base_through`) is always answered with one full page —
-/// the requester asks this way exactly for intervals at or below its GC
-/// horizon, so the response's byte count is the same whether or not this
-/// node's own trim has already folded them away, keeping virtual time
-/// independent of the real-time race between serving and trimming.
+/// A base is always one full page and one whole timestamp — the requester
+/// asks this way exactly for intervals at or below its GC horizon, so the
+/// response's byte count is the same whether or not this node's own trim
+/// has already folded them away, keeping virtual time independent of the
+/// real-time race between serving and trimming.
 fn handle_diff_request(
     endpoint: &Endpoint<TmkMessage>,
     shared: &NodeShared,
@@ -178,48 +178,32 @@ fn handle_diff_request(
     let mut materialised_pages = 0;
     for want in wants {
         let page = want.page;
-        let cached = |interval: Interval| {
-            proto.diff_cache.get(&page).and_then(|by_interval| by_interval.get(&interval))
-        };
-        if let Some(through) = want.base_through {
-            // The base record claims every missing interval of this node
-            // at or below `through` at the requester, so one answers them
-            // all, and it applies before every interval diff of the page
-            // there (see `DiffRecord::base`). The rank: the trimmed base's
-            // if the trim already folded the interval, the cached entry's
-            // otherwise.
-            let rank = match proto.trimmed.get(&page) {
-                Some(base) if base.through >= through => base.rank,
-                _ => cached(through).map_or_else(|| proto.vt.sum(), |c| c.rank),
-            };
+        if want.base {
+            let vt = proto.page_vt(page);
             materialised_pages += 1;
             diffs.push(DiffRecord {
                 page,
                 proc: proto.me,
-                interval: through,
-                rank,
-                base: true,
+                interval: vt.get(proto.me),
+                rank: vt.sum(),
+                base: Some(vt),
                 diff: full_page_diff(&table, page),
-                // A base consolidates several intervals; it has no single
-                // creating timestamp. The detector counts its application
-                // against the trimmed-window stat instead.
                 vt: None,
             });
         }
         for &interval in &want.intervals {
-            let (record, full_page) = match cached(interval) {
-                Some(cached) => proto.record_of(page, interval, cached, &table),
-                // The diff was never recorded (e.g. a notice relayed for an
-                // interval that never produced one); fall back to the
-                // current page contents, which is always at least as new as
-                // the requested interval — serve it base-style so owed
-                // interval diffs still apply on top of it.
-                None => {
-                    let (diff, rank) = (full_page_diff(&table, page), proto.vt.sum());
-                    let proc = proto.me;
-                    (DiffRecord { page, proc, interval, rank, base: true, diff, vt: None }, true)
-                }
-            };
+            // A wanted interval is above the requester's horizon, and this
+            // node learns a horizon covering it only at a barrier the
+            // requester has entered, which it cannot do before consuming
+            // this response: the interval is still cached.
+            let cached = proto
+                .diff_cache
+                .get(&page)
+                .and_then(|by_interval| by_interval.get(&interval))
+                .unwrap_or_else(|| {
+                    panic!("P{} holds no diff of {page:?} for its interval {interval}", proto.me)
+                });
+            let (record, full_page) = proto.record_of(page, interval, cached, &table);
             materialised_pages += usize::from(full_page);
             diffs.push(record);
         }

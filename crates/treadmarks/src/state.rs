@@ -44,25 +44,6 @@ pub(crate) struct CachedDiff {
     pub vt: Option<Vt>,
 }
 
-/// What remains of a page's garbage-collected diff history: requests for
-/// any interval at or below `through` are answered with a *base* — a full
-/// copy of the node's current page at `rank` (the rank of the newest
-/// trimmed interval), flagged so the requester applies it before the
-/// page's interval diffs. The base fully covers this node's *own* trimmed
-/// writes; words it lacks (a concurrent writer's that this node never
-/// applied) or carries ahead of the requester's entitlement are corrected
-/// by the interval diffs applied on top — the concurrent writer's delta is
-/// necessarily still cached, because its unapplied notice on this node's
-/// mapped frame pins that writer's horizon component (see DESIGN.md §5 and
-/// [`DiffRecord::base`](crate::message::DiffRecord)).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TrimmedBase {
-    /// The newest interval folded into the base.
-    pub through: Interval,
-    /// The happens-before rank the base is served at.
-    pub rank: u64,
-}
-
 /// A lock-acquire request as its handlers pass it along — and as the
 /// current holder queues it until it releases.
 #[derive(Debug, Clone)]
@@ -103,10 +84,11 @@ pub(crate) struct ProtoState {
     /// the merge-scan cost is charged only for pages this node actually
     /// modified (see `diffs_for_pages_after_counted`).
     pub diff_cache: IntMap<PageId, BTreeMap<Interval, CachedDiff>>,
-    /// Per page, the consolidated remainder of diffs dropped by the GC
-    /// horizon. At most one entry per page ever, which is what bounds the
-    /// protocol state of long runs.
-    pub trimmed: IntMap<PageId, TrimmedBase>,
+    /// The pages some of whose own diffs the GC horizon has dropped: local
+    /// write evidence for the race detector, nothing more. A trimmed
+    /// interval is served only inside a base, a copy of the current page
+    /// (see [`DiffRecord::base`]).
+    pub trimmed: IntSet<PageId>,
     /// Pages of the current interval written under `WRITE_ALL` (no twin).
     pub write_all_pages: IntSet<PageId>,
     /// The global vector timestamp distributed at the last barrier departure.
@@ -161,7 +143,7 @@ impl ProtoState {
             notice_log: NoticeLog::new(nprocs),
             page_missing: IntMap::default(),
             diff_cache: IntMap::default(),
-            trimmed: IntMap::default(),
+            trimmed: IntSet::default(),
             write_all_pages: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
@@ -207,10 +189,9 @@ impl ProtoState {
             // timestamp is never below the horizon in any component (the
             // requester's own applied timestamp participated in the
             // minimum), so `seen` always covers a page's trimmed range —
-            // consolidated bases travel only on the explicit
-            // `DiffRequest` path.
+            // bases travel only on the explicit `DiffRequest` path.
             let Some(intervals) = self.diff_cache.get(&page) else { continue };
-            debug_assert!(self.trimmed.get(&page).is_none_or(|base| base.through <= seen));
+            debug_assert!(!self.trimmed.contains(&page) || self.gc_horizon.get(self.me) <= seen);
             examined.push(page);
             for (&interval, cached) in intervals.range(seen + 1..) {
                 let (record, full_page) = self.record_of(page, interval, cached, table);
@@ -237,7 +218,18 @@ impl ProtoState {
             DiffEntry::FullPage => (full_page_diff(table, page), true),
         };
         let (proc, rank, vt) = (self.me, cached.rank, cached.vt.clone());
-        (DiffRecord { page, proc, interval, rank, base: false, diff, vt }, full_page)
+        (DiffRecord { page, proc, interval, rank, base: None, diff, vt }, full_page)
+    }
+
+    /// The timestamp of this node's copy of `page`: its own, lowered below
+    /// every notice of the page it has not applied — exactly what a base
+    /// served from that copy contains (see [`DiffRecord::base`]).
+    pub(crate) fn page_vt(&self, page: PageId) -> Vt {
+        let mut vt = self.vt.clone();
+        for &(proc, interval) in self.page_missing.get(&page).into_iter().flatten() {
+            vt.limit(proc, interval.saturating_sub(1));
+        }
+        vt
     }
 
     /// This node's *applied* timestamp: its vector timestamp, lowered to
@@ -246,11 +238,10 @@ impl ProtoState {
     ///
     /// Missing entries of **unmapped** pages do not lower the result: this
     /// node has no copy such a diff could complete, and if it first-touches
-    /// the page after the owner garbage-collected the interval, the owner's
-    /// consolidated full-page base (see [`TrimmedBase`]) is a complete
-    /// answer — any writer whose words that base would lack necessarily
-    /// holds a frame for the page, so *its* unapplied entries pin the
-    /// horizon instead.
+    /// the page after the interval was garbage-collected, it is answered
+    /// with one base (see [`DiffRecord::base`]) from a producer of the page
+    /// — whose mapped frame, like every mapped frame, has applied everything
+    /// at or below the horizon, so the base's timestamp covers the interval.
     pub(crate) fn applied_vt(&self, table: &PageTable) -> Vt {
         let mut vt = self.vt.clone();
         for (&page, missing) in &self.page_missing {
@@ -265,10 +256,9 @@ impl ProtoState {
     }
 
     /// Drops own diff-cache entries at or below `horizon`'s component for
-    /// this node (folding each page's dropped entries into its consolidated
-    /// [`TrimmedBase`]) and notice-log records covered by `horizon`.
-    /// Returns `(diff entries, notice records)` removed. Monotone and
-    /// idempotent.
+    /// this node (noting their pages in [`trimmed`](Self::trimmed)) and
+    /// notice-log records covered by `horizon`. Returns `(diff entries,
+    /// notice records)` removed. Monotone and idempotent.
     pub(crate) fn gc_trim(&mut self, horizon: &Vt) -> (u64, u64) {
         self.gc_horizon.merge(horizon);
         let own = self.gc_horizon.get(self.me);
@@ -277,13 +267,9 @@ impl ProtoState {
             let trimmed = &mut self.trimmed;
             self.diff_cache.retain(|&page, intervals| {
                 let keep = intervals.split_off(&(own + 1));
-                if let Some((&through, _)) = intervals.iter().next_back() {
+                if !intervals.is_empty() {
                     diffs += intervals.len() as u64;
-                    let rank =
-                        intervals.values().map(|c| c.rank).max().expect("trimmed set is non-empty");
-                    let base = trimmed.entry(page).or_insert(TrimmedBase { through, rank });
-                    base.through = base.through.max(through);
-                    base.rank = base.rank.max(rank);
+                    trimmed.insert(page);
                 }
                 *intervals = keep;
                 !intervals.is_empty()

@@ -8,7 +8,8 @@
 //!   notice for. A processor holding a frame whose missing diffs it has not
 //!   applied pins the producer's component, so concurrent writers protect
 //!   each other's history; a processor that never mapped the page is
-//!   answered by the producer's consolidated full-page base.
+//!   answered by one producer's full-page base, whose timestamp says which
+//!   owed deltas it already holds.
 //! * **Liveness** — protocol state no longer grows monotonically: long
 //!   runs keep a bounded diff cache and notice log.
 
@@ -150,12 +151,12 @@ fn a_base_never_overwrites_a_concurrent_writers_surviving_delta() {
     // The asymmetric variant: processors 0 and 1 write disjoint halves of
     // one page; processor 0 then *reads* processor 1's half (applying its
     // delta), while processor 1 never reads processor 0's. Processor 1's
-    // horizon component therefore advances — its delta is folded into a
-    // consolidated base whose bytes lack processor 0's half — while
-    // processor 0 stays pinned and its delta survives. A latecomer gets
-    // the base from 1 and the delta from 0; the base must apply *first*
-    // (it is flagged, not rank-ordered), or the latecomer would read
-    // zeros where processor 0 wrote.
+    // horizon component therefore advances — its delta is folded, and a
+    // base of its page lacks processor 0's half — while processor 0 stays
+    // pinned and its delta survives. A latecomer gets the base from 1 and
+    // the delta from 0; the base's timestamp does not cover the delta, so
+    // the delta must apply on top, or the latecomer would read zeros where
+    // processor 0 wrote.
     const EPOCHS: usize = 8;
     let half = ELEMS / 2;
     let run = Dsm::run(free(4), move |p| {
@@ -198,6 +199,53 @@ fn a_base_never_overwrites_a_concurrent_writers_surviving_delta() {
         (1003, 2000 + (half + 3) as u64),
         "the surviving delta must win over the consolidated base's stale bytes"
     );
+}
+
+#[test]
+fn two_folded_writers_answer_a_first_touch_with_one_base() {
+    // Processors 0 and 1 write disjoint halves of one page and each reads
+    // the whole page, so each applies the other's delta and neither pins
+    // the other: both intervals pass the horizon. Any producer of the page
+    // has applied everything at or below the horizon, so a latecomer's
+    // first touch is answered by one base — processor 0's, whose timestamp
+    // covers processor 1's interval too.
+    const EPOCHS: usize = 8;
+    let half = ELEMS / 2;
+    let run = Dsm::run(free(4), move |p| {
+        let me = p.proc_id();
+        let shared = p.alloc_array::<u64>(ELEMS);
+        let scratch = p.alloc_array::<u64>(p.nprocs() * ELEMS);
+        if me < 2 {
+            for i in me * half..(me + 1) * half {
+                p.set(&shared, i, (1000 * (me + 1) + i) as u64);
+            }
+        }
+        p.barrier();
+        if me < 2 {
+            let mut sink = 0u64;
+            for i in 0..ELEMS {
+                sink = sink.wrapping_add(p.get(&shared, i));
+            }
+            std::hint::black_box(sink);
+        }
+        p.barrier();
+        for epoch in 0..EPOCHS {
+            scratch_epoch(p, &scratch, epoch);
+        }
+        let horizon = p.gc_horizon();
+        assert!(horizon.get(0) > 0, "writer 0's interval is folded: {horizon}");
+        assert!(horizon.get(1) > 0, "writer 1's interval is folded: {horizon}");
+        if me == 3 {
+            let before = p.stats().snapshot().full_page_fetches;
+            let values = (p.get(&shared, 3), p.get(&shared, half + 3));
+            (values, p.stats().snapshot().full_page_fetches - before)
+        } else {
+            ((0, 0), 0)
+        }
+    });
+    let (values, full_pages) = run.results[3];
+    assert_eq!(values, (1003, 2000 + (half + 3) as u64), "the base holds both halves");
+    assert_eq!(full_pages, 1, "one base answers both folded writers");
 }
 
 #[test]
@@ -293,7 +341,6 @@ fn a_lock_only_loop_trims_at_barriers_only() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 12: base applied before an older surviving delta"]
 fn a_folded_later_write_is_not_overwritten_by_an_older_pinned_delta() {
     // The lost update behind the `is/treadmarks` checksum flake, made
     // deterministic. Processor 0 writes word W of page X and one word of
