@@ -11,9 +11,9 @@
 //!
 //! The interesting dependence is the pivot broadcast: its producer (the
 //! owner of column `k`) and its consumer set (the processors still holding
-//! columns past `k`) *change every iteration*. The baseline pays one
-//! barrier per elimination step for it; the analyzable forms express the
-//! spans in the loop's iteration symbol ([`ColSpan::Pivot`],
+//! columns past `k`) *change every iteration*. The stock and validate
+//! plans pay one barrier per elimination step for it; the spans are
+//! written in the loop's iteration symbol ([`ColSpan::Pivot`],
 //! [`ColSpan::PivotReaders`], [`ColSpan::OwnTail`]), so the compiled form
 //! classifies every step as `Push` with an iteration-dependent consumer
 //! set and runs the whole elimination without a single barrier.
@@ -121,10 +121,7 @@ pub fn gauss(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let a = p.alloc_matrix::<f64>(rows, cols);
     let piv = p.alloc_matrix::<f64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    match variant.level() {
-        None => baseline(p, &a, &piv, iters, &mine),
-        Some(level) => planned(p, &a, &piv, iters, &mine, level),
-    }
+    planned(p, &a, &piv, iters, &mine, variant.level());
     checksum(p, &a, mine)
 }
 
@@ -132,40 +129,6 @@ pub fn gauss(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
 /// `k+1..`.
 fn tail_of(mine: &std::ops::Range<usize>, k: usize) -> std::ops::Range<usize> {
     mine.start.max(k + 1).min(mine.end)..mine.end
-}
-
-/// The baseline: per-element checked accesses, one barrier per elimination
-/// step between the pivot computation and the updates that consume it.
-fn baseline(
-    p: &mut Process,
-    a: &SharedMatrix<f64>,
-    piv: &SharedMatrix<f64>,
-    steps: usize,
-    mine: &std::ops::Range<usize>,
-) {
-    let rows = a.rows();
-    for j in mine.clone() {
-        for i in 0..rows {
-            p.set(a.array(), a.index(i, j), seed_elem(i, j));
-        }
-    }
-    for k in 0..steps {
-        if mine.contains(&k) {
-            let akk = p.get(a.array(), a.index(k, k));
-            for i in 0..rows {
-                let v = if i > k { p.get(a.array(), a.index(i, k)) / akk } else { 0.0 };
-                p.set(piv.array(), piv.index(i, k), v);
-            }
-        }
-        p.barrier();
-        for j in tail_of(mine, k) {
-            let akj = p.get(a.array(), a.index(k, j));
-            for i in k + 1..rows {
-                let v = p.get(a.array(), a.index(i, j)) - p.get(piv.array(), piv.index(i, k)) * akj;
-                p.set(a.array(), a.index(i, j), v);
-            }
-        }
-    }
 }
 
 /// The elimination kernel as a loop-nest IR. The spans are written in the

@@ -11,17 +11,21 @@
 //! exactly why the merge needs a *lock* (any order is fine, some order is
 //! required) and the rank needs a *barrier* (every merge must be visible).
 //!
-//! The analyzable forms declare the critical section's accesses on the
-//! acquire, so the grant comes back with the previous holders' diffs
-//! piggybacked — the merged lock-grant+data message. They also drop the
-//! baseline's second barrier per iteration: under lazy release consistency
-//! a page validated at the rank barrier cannot change under its reader
-//! until the reader's own next acquire, so the ranking reads are
-//! deterministic without fencing off the next iteration's merges — the
-//! baseline, whose per-element ranking reads demand-fetch against a moving
-//! diff horizon, has no such guarantee and pays the extra barrier.
+//! The levels differ in what fences the rank. At [`Level::Stock`] the
+//! merge's entry is a barrier and then the acquire, and merge→rank a second
+//! barrier: nothing is validated, so the ranking reads fault on demand, and
+//! without the first barrier a page fetched while ranking could be served
+//! from a base that already holds a later merge's counts. The validate
+//! level declares the critical section's accesses on the acquire, so the
+//! grant comes back with the previous holders' diffs piggybacked — the
+//! merged lock-grant+data message — and keeps only the rank barrier: under
+//! lazy release consistency a page validated at that barrier cannot change
+//! under its reader until the reader's own next acquire, so the ranking
+//! reads are deterministic without fencing off the next iteration's
+//! merges. The full level takes no lock at all (see [`is_program`]).
 
 use ctrt::Access;
+use pagedmem::PAGE_SIZE;
 use rsdcomp::{exec, ArrayDecl, ColSpan, Level, Node, Phase, Program, ReduceOp, SectionAccess};
 use treadmarks::{LockId, Process, SharedMatrix};
 
@@ -48,28 +52,42 @@ fn bin_mix(b: usize, h: u64, t: usize) -> u64 {
     mix64(h ^ mix64((b as u64) ^ ((t as u64) << 32)))
 }
 
-/// Folds this processor's block of keys into the histogram and evolves the
-/// keys — the body of the lock-guarded merge phase. Bulk accessors; the
-/// per-element baseline performs the identical integer operations.
-fn merge_bulk(
+/// The merge where it is not reduced, under the lock the step's entry took:
+/// counts this processor's keys into the zeroed private `counts` (evolving
+/// the keys), then adds them into the shared histogram a page at a time,
+/// touching only the pages some key hit.
+fn merge_locked(
     p: &mut Process,
     keys: &SharedMatrix<u64>,
     hist: &SharedMatrix<u64>,
     mine: &std::ops::Range<usize>,
     t: usize,
     kbuf: &mut [u64],
-    hbuf: &mut [u64],
+    counts: &mut Vec<u64>,
 ) {
-    let bins = hbuf.len();
-    p.get_slice(hist.array(), 0..bins, hbuf);
-    count_keys(p, keys, mine, t, kbuf, hbuf);
-    p.set_slice(hist.array(), 0..bins, hbuf);
+    const BINS_PER_PAGE: usize = PAGE_SIZE / 8;
+    let mut page_buf = [0u64; BINS_PER_PAGE];
+    counts.clear();
+    counts.resize(hist.array().len(), 0);
+    count_keys(p, keys, mine, t, kbuf, counts);
+    for (page, part) in counts.chunks(BINS_PER_PAGE).enumerate() {
+        if part.iter().all(|&c| c == 0) {
+            continue;
+        }
+        let bins = page * BINS_PER_PAGE..page * BINS_PER_PAGE + part.len();
+        let hbuf = &mut page_buf[..part.len()];
+        p.get_slice(hist.array(), bins.clone(), hbuf);
+        for (h, &c) in hbuf.iter_mut().zip(part) {
+            *h = h.wrapping_add(c);
+        }
+        p.set_slice(hist.array(), bins, hbuf);
+    }
 }
 
 /// Adds one to `counts` at each of this processor's keys and evolves the
-/// keys: the merge without its histogram traffic, adding into whichever
-/// buffer it is given — the shared histogram's contents, or a private
-/// partial that a reduction combines.
+/// keys: the merge without its histogram traffic, adding into a private
+/// partial that a reduction combines or [`merge_locked`] adds into the
+/// shared histogram.
 fn count_keys(
     p: &mut Process,
     keys: &SharedMatrix<u64>,
@@ -137,9 +155,8 @@ fn keys_checksum(p: &mut Process, keys: &SharedMatrix<u64>, mine: std::ops::Rang
 /// checksums are equal across variants *and* cluster sizes.
 ///
 /// Only the own key block is initialised; the histogram starts from the
-/// allocator's zeroed pages. No boundary follows in any variant: the first
-/// merge's acquire chain orders the init writes (each release flushes them,
-/// each grant carries the notices).
+/// allocator's zeroed pages. The plan's entry into the first merge orders
+/// the init writes.
 ///
 /// # Panics
 ///
@@ -151,51 +168,8 @@ pub fn is(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let keys = p.alloc_matrix::<u64>(rows, cols);
     let hist = p.alloc_matrix::<u64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    let chk = match variant.level() {
-        None => baseline(p, &keys, &hist, iters, &mine),
-        Some(level) => planned(p, &keys, &hist, iters, &mine, level),
-    };
+    let chk = planned(p, &keys, &hist, iters, &mine, variant.level());
     chk ^ keys_checksum(p, &keys, mine)
-}
-
-/// The baseline: per-element checked accesses, and a second barrier per
-/// iteration because the ranking reads demand-fetch against whatever diffs
-/// later merges have already flushed. Returns the ranking checksum.
-fn baseline(
-    p: &mut Process,
-    keys: &SharedMatrix<u64>,
-    hist: &SharedMatrix<u64>,
-    iters: usize,
-    mine: &std::ops::Range<usize>,
-) -> u64 {
-    let rows = keys.rows();
-    let bins = rows * keys.cols();
-    for j in mine.clone() {
-        for i in 0..rows {
-            p.set(keys.array(), keys.index(i, j), key_seed(i, j, bins));
-        }
-    }
-    let mut chk = 0u64;
-    for t in 0..iters {
-        p.lock_acquire(MERGE_LOCK);
-        for j in mine.clone() {
-            for i in 0..rows {
-                let idx = keys.index(i, j);
-                let k = p.get(keys.array(), idx);
-                let c = p.get(hist.array(), k as usize);
-                p.set(hist.array(), k as usize, c + 1);
-                p.set(keys.array(), idx, next_key(k, t, idx, bins));
-            }
-        }
-        p.lock_release(MERGE_LOCK);
-        p.barrier();
-        for b in own_bins(mine, rows) {
-            let h = p.get(hist.array(), b);
-            chk ^= bin_mix(b, h, t);
-        }
-        p.barrier();
-    }
-    chk
 }
 
 /// The integer-sort kernel as a loop-nest IR: an init phase overwrites the
@@ -204,6 +178,8 @@ fn baseline(
 /// accumulates into the whole histogram with wrapping adds, and an
 /// unguarded rank phase reads the own block of buckets.
 ///
+/// At [`Level::Stock`] every boundary that communicates is a barrier, and
+/// a merge entry a barrier and then the acquire.
 /// At [`Level::Validate`] the accumulation is the guarded read-modify-write
 /// of the paper's lock+barrier idiom: init→merge and rank→merge classify as
 /// [`rsdcomp::BoundaryClass::Lock`] (an acquire whose grant validates the
@@ -245,12 +221,12 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
 
 /// Runs integer sort from the plan `rsdcomp` generates for [`is_program`]
 /// at `level`: the application supplies only the numeric bodies, and the
-/// plan everything else. At the validate level that is the acquire (with
-/// its piggybacked section validation), the release and the single rank
-/// barrier per iteration, which the test suite pins. At the full level it is one reduction per iteration: the merge
-/// counts into the zeroed private partial the step hands it, and the
-/// step's exit combines the partials over the barrier tree. Returns the
-/// ranking checksum.
+/// plan everything else. At the stock and validate levels that is the
+/// acquire, the release and the barriers, and the merge adds its private
+/// counts into the shared histogram ([`merge_locked`]). At the full level
+/// it is one reduction per iteration: the merge counts into the zeroed
+/// private partial the step hands it, and the step's exit combines the
+/// partials over the barrier tree. Returns the ranking checksum.
 fn planned(
     p: &mut Process,
     keys: &SharedMatrix<u64>,
@@ -274,7 +250,7 @@ fn planned(
             "init" => fill_block(p, &[keys], mine.clone(), |i, j| key_seed(i, j, bins)),
             "merge" => match exec::partial(step, &mut partial) {
                 Some(counts) => count_keys(p, keys, mine, step.iter, &mut kbuf, counts),
-                None => merge_bulk(p, keys, hist, mine, step.iter, &mut kbuf, &mut hbuf),
+                None => merge_locked(p, keys, hist, mine, step.iter, &mut kbuf, &mut partial),
             },
             "rank" => chk ^= rank_bulk(p, hist, own_bins(mine, rows), step.iter, &mut hbuf),
             other => unreachable!("unknown phase {other:?}"),

@@ -64,47 +64,8 @@ pub fn jacobi(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     let a = p.alloc_matrix::<f64>(rows, cols);
     let b = p.alloc_matrix::<f64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    match variant.level() {
-        None => baseline(p, &a, &b, iters, &mine),
-        Some(level) => planned(p, &a, &b, iters, &mine, level),
-    }
+    planned(p, &a, &b, iters, &mine, variant.level());
     block_sum(p, if iters.is_multiple_of(2) { &a } else { &b }, mine)
-}
-
-/// The baseline: a barrier per sweep, every element access a checked access.
-fn baseline(
-    p: &mut Process,
-    a: &SharedMatrix<f64>,
-    b: &SharedMatrix<f64>,
-    iters: usize,
-    mine: &std::ops::Range<usize>,
-) {
-    let rows = a.rows();
-    for j in mine.clone() {
-        for i in 0..rows {
-            p.set(a.array(), a.index(i, j), seed(i, j));
-            p.set(b.array(), b.index(i, j), seed(i, j));
-        }
-    }
-    p.barrier();
-    for t in 0..iters {
-        let (src, dst) = if t % 2 == 0 { (a, b) } else { (b, a) };
-        p.barrier();
-        for j in update_block(mine, a.cols()) {
-            for i in 1..rows - 1 {
-                let v = 0.25
-                    * (p.get(src.array(), src.index(i - 1, j))
-                        + p.get(src.array(), src.index(i + 1, j))
-                        + p.get(src.array(), src.index(i, j - 1))
-                        + p.get(src.array(), src.index(i, j + 1)));
-                p.set(dst.array(), dst.index(i, j), v);
-            }
-            let top = p.get(src.array(), src.index(0, j));
-            p.set(dst.array(), dst.index(0, j), top);
-            let bottom = p.get(src.array(), src.index(rows - 1, j));
-            p.set(dst.array(), dst.index(rows - 1, j), bottom);
-        }
-    }
 }
 
 /// The Jacobi kernel as a loop-nest IR: an initialisation phase overwrites

@@ -1,16 +1,17 @@
 //! # dsm-apps — the paper's application suite
 //!
-//! Kernels from the ASPLOS '96 evaluation. Each is one numerical loop with
-//! one hand-written baseline and one loop-nest IR ([`rsdcomp::Program`])
-//! that the planner runs at two compiler levels:
+//! Kernels from the ASPLOS '96 evaluation. Each is one numerical loop, one
+//! loop-nest IR ([`rsdcomp::Program`]) and one plan driver that runs the IR
+//! at whichever compiler level the variant names:
 //!
-//! * **TreadMarks** — the per-element baseline: plain barriers and checked
-//!   accesses; every miss is a page fault and a request/response pair. It
-//!   bypasses the compiler on purpose.
+//! * **TreadMarks** — the IR at [`rsdcomp::Level::Stock`]: the program as
+//!   the unmodified runtime runs it. Every communicating boundary is a
+//!   plain barrier, a guarded phase takes its lock, nothing is prepared or
+//!   fetched ahead, and every miss is a page fault and a request/response
+//!   pair.
 //! * **Validate** — the IR at [`rsdcomp::Level::Validate`]: every
 //!   communicating boundary keeps its barrier, merged with the aggregated
-//!   fetch of the next phase's sections (`Validate_w_sync`); the phase
-//!   bodies run on the bulk accessors over cached mappings.
+//!   fetch of the next phase's sections (`Validate_w_sync`).
 //! * **Compiled** — the same IR at [`rsdcomp::Level::Full`]: the analyzer
 //!   replaces barriers with pushes and lock chains with reductions where
 //!   the dependences allow. Jacobi, SOR and Gauss compile to pushes alone
@@ -21,11 +22,12 @@
 //! [`Variant::Push`] is an alias of [`Variant::Compiled`], kept only while
 //! the benchmark package names it.
 //!
-//! For the two levels the application contributes only the numeric phase
-//! bodies, one plan driver per kernel; every protocol call is generated by
-//! `rsdcomp::compile_at`. All variants execute the identical floating-point
-//! operations, so their per-processor checksums are bit-for-bit equal —
-//! which is how the tests pin the optimized variants to the baseline.
+//! The application contributes only the numeric phase bodies, which run on
+//! the bulk accessors at every level; every protocol call is generated by
+//! `rsdcomp::compile_at`. All variants therefore execute the identical
+//! floating-point operations, so their per-processor checksums are
+//! bit-for-bit equal — which is how the tests pin the optimized variants to
+//! the stock one.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,7 +45,8 @@ pub use sor::{sor, sor_program};
 /// Which form of a kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
-    /// The baseline, hand-written: barriers + per-element checked accesses.
+    /// The kernel's IR planned at [`rsdcomp::Level::Stock`]: plain
+    /// barriers and locks, every miss a page fault.
     TreadMarks,
     /// The kernel's IR planned at [`rsdcomp::Level::Validate`]:
     /// `Validate_w_sync` at every communicating boundary + bulk accessors.
@@ -74,13 +77,12 @@ impl Variant {
         }
     }
 
-    /// The compiler level the variant plans its kernel's IR at; `None` for
-    /// the hand-written baseline, which bypasses the planner.
-    pub fn level(self) -> Option<rsdcomp::Level> {
+    /// The compiler level the variant plans its kernel's IR at.
+    pub fn level(self) -> rsdcomp::Level {
         match self {
-            Variant::TreadMarks => None,
-            Variant::Validate => Some(rsdcomp::Level::Validate),
-            Variant::Compiled | Variant::Push => Some(rsdcomp::Level::Full),
+            Variant::TreadMarks => rsdcomp::Level::Stock,
+            Variant::Validate => rsdcomp::Level::Validate,
+            Variant::Compiled | Variant::Push => rsdcomp::Level::Full,
         }
     }
 }
@@ -102,8 +104,8 @@ pub struct GridConfig {
 /// Remainder columns go to the lowest-numbered processors, so blocks differ
 /// in size by at most one. This is the same distribution the compiler's
 /// analysis evaluates symbolic spans against — one definition, shared, so
-/// the generated plans and the hand-written kernels can never disagree
-/// about ownership.
+/// the generated plans and the numeric bodies can never disagree about
+/// ownership.
 pub fn col_block(cols: usize, nprocs: usize, me: usize) -> std::ops::Range<usize> {
     rsdcomp::col_block(cols, nprocs, me)
 }
@@ -120,9 +122,9 @@ pub(crate) fn seed(i: usize, j: usize) -> f64 {
     ((i * 31 + j * 17) % 97) as f64 / 7.0
 }
 
-/// The bulk initialisation every non-baseline form shares: fills the own
-/// columns `mine` of each of `grids` with `elem(i, j)`, a column at a time.
-/// The caller has write-prepared the block (`WRITE_ALL`).
+/// The bulk initialisation every kernel shares: fills the own columns
+/// `mine` of each of `grids` with `elem(i, j)`, a column at a time. Above
+/// the stock level the plan has write-prepared the block (`WRITE_ALL`).
 pub(crate) fn fill_block<T: treadmarks::Shareable>(
     p: &mut treadmarks::Process,
     grids: &[&treadmarks::SharedMatrix<T>],

@@ -88,42 +88,8 @@ pub fn sor(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     assert!(rows >= 2 && cols >= 2 * p.nprocs(), "each processor needs at least two columns");
     let m = p.alloc_matrix::<f64>(rows, cols);
     let mine = col_block(cols, p.nprocs(), p.proc_id());
-    match variant.level() {
-        None => baseline(p, &m, iters, &mine),
-        Some(level) => planned(p, &m, iters, &mine, level),
-    }
+    planned(p, &m, iters, &mine, variant.level());
     block_sum(p, &m, mine)
-}
-
-/// The baseline: a barrier per half-sweep, every element access a checked
-/// access.
-fn baseline(p: &mut Process, m: &SharedMatrix<f64>, iters: usize, mine: &std::ops::Range<usize>) {
-    let rows = m.rows();
-    for j in mine.clone() {
-        for i in 0..rows {
-            p.set(m.array(), m.index(i, j), seed(i, j));
-        }
-    }
-    p.barrier();
-    for _ in 0..iters {
-        for colour in 0..2usize {
-            p.barrier();
-            for j in update_block(mine, m.cols()) {
-                for i in 1..rows - 1 {
-                    if (i + j) % 2 != colour {
-                        continue;
-                    }
-                    let old = p.get(m.array(), m.index(i, j));
-                    let avg = 0.25
-                        * (p.get(m.array(), m.index(i - 1, j))
-                            + p.get(m.array(), m.index(i + 1, j))
-                            + p.get(m.array(), m.index(i, j - 1))
-                            + p.get(m.array(), m.index(i, j + 1)));
-                    p.set(m.array(), m.index(i, j), old + OMEGA * (avg - old));
-                }
-            }
-        }
-    }
 }
 
 /// The red-black SOR kernel as a loop-nest IR: an initialisation phase

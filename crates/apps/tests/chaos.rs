@@ -269,10 +269,10 @@ fn chaos_runs_are_reproducible_per_seed() {
     // The fault model itself is pinned: one seed's per-processor times,
     // wire totals and fault counters.
     let elapsed: Vec<u64> = a.elapsed.iter().map(|t| t.as_nanos()).collect();
-    assert_eq!(elapsed, [6_206_373, 7_465_113, 6_280_575, 6_298_135]);
-    assert_eq!((ta.messages_sent, ta.bytes_sent), (90, 21_972));
-    assert_eq!((ta.net_retransmits, ta.net_dups, ta.net_reorders, ta.net_delays), (3, 3, 11, 11));
-    assert_eq!(ta.net_added_delay_ns, 5_350_000);
+    assert_eq!(elapsed, [4_375_507, 4_434_247, 4_542_869, 5_467_269]);
+    assert_eq!((ta.messages_sent, ta.bytes_sent), (84, 21_792));
+    assert_eq!((ta.net_retransmits, ta.net_dups, ta.net_reorders, ta.net_delays), (3, 3, 5, 6));
+    assert_eq!(ta.net_added_delay_ns, 3_700_000);
 }
 
 #[test]

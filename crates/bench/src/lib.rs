@@ -75,8 +75,8 @@ pub const NPROCS_MATRIX: [usize; 4] = [2, 4, 8, 16];
 pub const SCALE_NPROCS: [usize; 3] = [32, 64, 128];
 
 /// The variants the scale matrix records: the split-phase Validate path
-/// and the compiler-generated plan. (The per-element checked baseline is
-/// pure slow-path by construction and adds no information at wide sizes
+/// and the compiler-generated plan. (The stock TreadMarks plan demand-faults
+/// every remote page by construction and adds no information at wide sizes
 /// worth the run time.)
 pub const SCALE_VARIANTS: [Variant; 2] = [Variant::Validate, Variant::Compiled];
 
@@ -482,7 +482,7 @@ mod tests {
     fn warm_path_takes_at_least_five_times_fewer_table_locks() {
         // The ISSUE acceptance criterion, self-enforced: the Validate and
         // Compiled forms of Jacobi must acquire the page-table lock at least 5x
-        // less often than the per-element checked baseline, and finish in
+        // less often than the stock TreadMarks plan, and finish in
         // less model time. Page-sized columns so the working set is a real
         // multi-page one (a one-page grid fits any cache and shows nothing).
         let cfg = GridConfig { rows: 512, cols: 16, iters: 2 };
@@ -693,6 +693,57 @@ mod tests {
             2_716_386_077_365_972_008,
             "a shipped Full plan moved"
         );
+        assert_eq!(
+            digest(rsdcomp::Level::Stock),
+            11_556_076_593_523_933_937,
+            "a shipped Stock plan moved"
+        );
+    }
+
+    #[test]
+    fn the_stock_plan_keeps_every_barrier_and_lock_and_prepares_nothing() {
+        // The TreadMarks variant is the plan at `Level::Stock`: no step
+        // carries a section, a push or a reduction, every communicating
+        // boundary is a plain barrier, and integer sort's merge takes its
+        // lock after one — the synchronization the program needs with every
+        // page faulting on demand.
+        use rsdcomp::BoundaryOp;
+        for app in APPS {
+            let cfg = standard_cfg(app);
+            let program = kernel_program(app, cfg);
+            for nprocs in 1..=16 {
+                let (barriers, acquires) = match (app, nprocs) {
+                    // Alone, a processor communicates with nobody: only the
+                    // guarded entries keep their barrier.
+                    ("is", 1) => (cfg.iters, cfg.iters),
+                    (_, 1) => (0, 0),
+                    ("jacobi" | "gauss", _) => (cfg.iters, 0),
+                    ("sor", _) => (2 * cfg.iters, 0),
+                    _ => (2 * cfg.iters, cfg.iters),
+                };
+                let kernel = rsdcomp::compile_at(&program, nprocs, rsdcomp::Level::Stock);
+                for me in 0..nprocs {
+                    let plan = kernel.plan_for(me);
+                    assert_eq!(
+                        (plan.barriers(), plan.lock_acquires(), plan.reductions()),
+                        (barriers, acquires, 0),
+                        "{app}@{nprocs}, processor {me}"
+                    );
+                    for (i, step) in plan.steps.iter().enumerate() {
+                        let (BoundaryOp::Local { sections }
+                        | BoundaryOp::Barrier { sections }
+                        | BoundaryOp::BarrierLock { sections, .. }) = &step.entry
+                        else {
+                            panic!(
+                                "{app}@{nprocs}, processor {me}, step {i}: {}",
+                                step.entry.name()
+                            );
+                        };
+                        assert!(sections.is_empty(), "{app}@{nprocs}, processor {me}, step {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1168,9 +1168,7 @@ mod tests {
                 next_iter,
             );
             assert_eq!(got, want, "{case}: boundary {b} at {nprocs} processors ({level:?})");
-            if matches!(got.class, BoundaryClass::FullBarrier { .. })
-                || (level == Level::Validate && got.class == BoundaryClass::Push)
-            {
+            if let BoundaryClass::FullBarrier { .. } = level.admit(got.class) {
                 pending.clear_all();
                 pairwise.clear_all();
             }
@@ -1189,7 +1187,7 @@ mod tests {
             // Two-column blocks, then uneven blocks.
             for cols in [2 * nprocs, 2 * nprocs + 1, 3 * nprocs + 2] {
                 for (case, program) in cases(cols) {
-                    for level in [Level::Validate, Level::Full] {
+                    for level in [Level::Stock, Level::Validate, Level::Full] {
                         seen.extend(walk_both(case, &program, nprocs, level));
                     }
                     if let Some((reduced, _)) = reducible(&program, nprocs) {

@@ -56,6 +56,8 @@
 //! [`Level::Validate`] stops at the paper's first level — aggregation and
 //! merged data+sync at barriers that all stay: class 2 becomes class 5, an
 //! accumulation is the lock it lowers to, the rest are unchanged.
+//! [`Level::Stock`] is the program without the compiler: classes 2 and 4
+//! become class 5 too, and no step prepares a section.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -220,6 +220,12 @@ impl CompiledKernel {
 /// levels, as levels of one planner rather than separately written kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
+    /// None of it: the program as stock TreadMarks runs it. Every
+    /// communicating boundary is a plain barrier (`Push` and `Lock`
+    /// classifications become `FullBarrier`), a guarded phase takes its
+    /// lock after that barrier ([`BoundaryOp::BarrierLock`]), no step
+    /// prepares, fetches or pushes a section, and pages fault on demand.
+    Stock,
     /// Aggregation and merged data+sync only: every communicating boundary
     /// keeps its barrier, as a split-phase `Validate_w_sync`. A `Push`
     /// classification becomes `FullBarrier`; local and lock boundaries are
@@ -228,6 +234,19 @@ pub enum Level {
     Validate,
     /// Everything the analysis proves: pushes and reductions on top.
     Full,
+}
+
+impl Level {
+    /// What a boundary classified as `class` becomes at this level.
+    pub(crate) fn admit(self, class: BoundaryClass) -> BoundaryClass {
+        match (self, class) {
+            (Level::Stock, BoundaryClass::Push | BoundaryClass::Lock(_))
+            | (Level::Validate, BoundaryClass::Push) => {
+                BoundaryClass::FullBarrier { refusal: None }
+            }
+            _ => class,
+        }
+    }
 }
 
 /// Compiles `program` for an `nprocs`-processor run at [`Level::Full`].
@@ -339,9 +358,7 @@ fn plan(
             classify_against_pending(program, nprocs, &pending, phases[next], next_iter);
         // The level applies here, inside the walk, so that pending writes
         // clear exactly as the barrier that will run clears them.
-        if level == Level::Validate && analysis.class == BoundaryClass::Push {
-            analysis.class = BoundaryClass::FullBarrier { refusal: None };
-        }
+        analysis.class = level.admit(analysis.class);
         if let BoundaryClass::FullBarrier { .. } = analysis.class {
             pending.clear_all();
         }
@@ -414,6 +431,9 @@ fn plan(
     let plans = (0..nprocs)
         .map(|me| {
             let sections_for = |phase: PhaseId, iter: usize| -> Vec<RegularSection> {
+                if level == Level::Stock {
+                    return Vec::new();
+                }
                 phases[phase]
                     .accesses
                     .iter()

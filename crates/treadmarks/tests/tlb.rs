@@ -68,7 +68,7 @@ fn steady_state_valid_page_accesses_take_zero_table_locks() {
 
 #[test]
 fn a_write_fault_on_one_page_costs_no_miss_on_another() {
-    // The per-element baseline's steady state: every interval re-faults
+    // The stock plan's steady state: every interval re-faults
     // the pages it writes, and that must stay those pages' business.
     Dsm::run(free_config(1), |p| {
         let a = p.alloc_array::<u64>(3 * ELEMS_PER_PAGE);
