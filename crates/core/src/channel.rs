@@ -71,13 +71,20 @@ impl fmt::Display for RecvTimeoutError {
 impl std::error::Error for RecvTimeoutError {}
 
 struct Shared<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Mutex<Queue<T>>,
     ready: Condvar,
     senders: AtomicUsize,
 }
 
+struct Queue<T> {
+    items: VecDeque<T>,
+    /// Receivers blocked on `ready`; a send with nobody parked skips the
+    /// condition variable's wake-up call.
+    parked: usize,
+}
+
 impl<T> Shared<T> {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+    fn lock_queue(&self) -> std::sync::MutexGuard<'_, Queue<T>> {
         // Poisoning cannot leave the queue in a broken state (pushes and pops
         // are single operations), so recover instead of propagating panics.
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
@@ -94,8 +101,13 @@ impl<T> Sender<T> {
     /// A send after all receivers are gone simply parks the value in the
     /// queue, matching the semantics the interconnect expects at teardown.
     pub fn send(&self, value: T) {
-        self.shared.lock_queue().push_back(value);
-        self.shared.ready.notify_one();
+        let mut queue = self.shared.lock_queue();
+        queue.items.push_back(value);
+        let parked = queue.parked > 0;
+        drop(queue);
+        if parked {
+            self.shared.ready.notify_one();
+        }
     }
 }
 
@@ -144,13 +156,15 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut queue = self.shared.lock_queue();
         loop {
-            if let Some(value) = queue.pop_front() {
+            if let Some(value) = queue.items.pop_front() {
                 return Ok(value);
             }
             if self.shared.senders.load(Ordering::Acquire) == 0 {
                 return Err(RecvError);
             }
+            queue.parked += 1;
             queue = self.shared.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+            queue.parked -= 1;
         }
     }
 
@@ -168,7 +182,7 @@ impl<T> Receiver<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut queue = self.shared.lock_queue();
         loop {
-            if let Some(value) = queue.pop_front() {
+            if let Some(value) = queue.items.pop_front() {
                 return Ok(value);
             }
             if self.shared.senders.load(Ordering::Acquire) == 0 {
@@ -181,12 +195,14 @@ impl<T> Receiver<T> {
             };
             // Spurious wakeups are handled by the loop; the deadline is
             // rechecked each iteration so the total wait never exceeds it.
+            queue.parked += 1;
             queue = self
                 .shared
                 .ready
                 .wait_timeout(queue, remaining)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+            queue.parked -= 1;
         }
     }
 
@@ -195,7 +211,7 @@ impl<T> Receiver<T> {
     /// queue's lock, so it counts every send that happened before the call
     /// and has not been popped.
     pub fn len(&self) -> usize {
-        self.shared.lock_queue().len()
+        self.shared.lock_queue().items.len()
     }
 
     /// Whether the channel is currently empty. Same caveat as [`len`](Self::len):
@@ -212,7 +228,7 @@ impl<T> Receiver<T> {
     /// [`TryRecvError::Disconnected`] when additionally no sender remains.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut queue = self.shared.lock_queue();
-        match queue.pop_front() {
+        match queue.items.pop_front() {
             Some(value) => Ok(value),
             None if self.shared.senders.load(Ordering::Acquire) == 0 => {
                 Err(TryRecvError::Disconnected)
@@ -231,7 +247,7 @@ impl<T> fmt::Debug for Receiver<T> {
 /// Creates an unbounded channel, returning the sender and receiver halves.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue { items: VecDeque::new(), parked: 0 }),
         ready: Condvar::new(),
         senders: AtomicUsize::new(1),
     });
@@ -320,6 +336,27 @@ mod tests {
                 tx.send(9);
             });
             assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(10)), Ok(9));
+        });
+    }
+
+    #[test]
+    fn a_send_wakes_a_parked_receiver() {
+        // The receiver is parked before the send, so only the send's
+        // notification can wake it before its deadline.
+        let (tx, rx) = unbounded::<u8>();
+        let timeout = std::time::Duration::from_secs(10);
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let start = std::time::Instant::now();
+                (rx.recv_timeout(timeout), start.elapsed())
+            });
+            while rx.shared.lock_queue().parked == 0 {
+                std::thread::yield_now();
+            }
+            tx.send(5);
+            let (got, waited) = receiver.join().unwrap();
+            assert_eq!(got, Ok(5));
+            assert!(waited < timeout / 2, "the send left the receiver parked for {waited:?}");
         });
     }
 

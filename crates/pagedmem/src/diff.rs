@@ -55,7 +55,7 @@ struct Encoded {
 /// let mut modified = twin.clone();
 /// modified[8..16].copy_from_slice(&[9; 8]);
 /// let diff = Diff::create(&twin, &modified);
-/// assert!(!diff.is_empty());
+/// assert_eq!(diff.modified_ranges(), [(8, 16)]);
 /// assert!(diff.encoded_bytes() < PAGE_SIZE);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -154,11 +154,6 @@ impl Diff {
         Ok(())
     }
 
-    /// Whether the diff records no modifications.
-    pub fn is_empty(&self) -> bool {
-        self.0.extents.is_empty()
-    }
-
     /// Number of modified bytes recorded.
     pub fn modified_bytes(&self) -> usize {
         self.0.payload.len()
@@ -211,7 +206,7 @@ mod tests {
     fn empty_diff_for_identical_pages() {
         let twin = page_with(&[(3, 7)]);
         let diff = Diff::create(&twin, &twin);
-        assert!(diff.is_empty());
+        assert!(diff.modified_ranges().is_empty());
         assert_eq!(diff.encoded_bytes(), 0);
     }
 
@@ -286,12 +281,10 @@ mod tests {
 
     #[test]
     fn empty_diffs_are_elided_cheaply() {
-        // An empty diff is detectable without inspecting runs and costs no
-        // wire bytes — the property the runtime's flush relies on to elide
-        // notices for write-enabled-but-untouched pages.
+        // An empty diff records no runs and costs no wire bytes.
         let twin = page_with(&[(7, 7)]);
         let diff = Diff::create(&twin, &twin);
-        assert!(diff.is_empty());
+        assert!(diff.modified_ranges().is_empty());
         assert_eq!(diff.encoded_bytes(), 0);
         assert_eq!(diff.modified_bytes(), 0);
         // Applying an empty diff is a no-op.

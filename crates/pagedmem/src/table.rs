@@ -321,10 +321,26 @@ impl PageTable {
         }
     }
 
-    /// Encodes the modifications made to `page` since its twin was created.
+    /// Takes the twin of `page` out of its frame, together with a copy of
+    /// the page's current contents: the two pages a diff of the interval
+    /// that just ended is encoded from, whenever that happens. The twin is
+    /// moved, not copied, and the frame is left without one.
+    ///
+    /// Returns `None` if the page has no twin (nothing was recorded).
+    pub fn take_twin_and_copy(&mut self, page: PageId) -> Option<(Page, Page)> {
+        let frame = self.frames.get(&page)?;
+        let mut guard = frame.lock();
+        let twin = guard.twin.take()?;
+        Some((twin, guard.page.clone()))
+    }
+
+    /// Encodes the modifications made to `page` since its twin was created:
+    /// the write set of an interval still open, which only the race detector
+    /// reads (a flushed interval's diff is encoded from
+    /// [`take_twin_and_copy`](Self::take_twin_and_copy)'s pages).
     ///
     /// Returns `None` if the page has no twin (nothing was recorded). The twin
-    /// is left in place; callers decide when to retire it.
+    /// is left in place.
     pub fn create_diff(&self, page: PageId) -> Option<Diff> {
         let frame = self.frames.get(&page)?;
         let guard = frame.lock();
@@ -577,7 +593,6 @@ mod tests {
         assert!(!table.make_twin(page), "second make_twin is a no-op");
         table.write_bytes(page.base().offset(8), &[7, 7, 7, 7]);
         let diff = table.create_diff(page).expect("twin exists");
-        assert!(!diff.is_empty());
         assert_eq!(diff.modified_bytes(), 4);
 
         // Applying the diff on another node reproduces the write.
@@ -586,6 +601,22 @@ mod tests {
         let mut buf = [0u8; 4];
         other.read_bytes(page.base().offset(8), &mut buf);
         assert_eq!(buf, [7, 7, 7, 7]);
+    }
+
+    #[test]
+    fn taking_the_twin_leaves_the_frame_without_one() {
+        let mut table = PageTable::new();
+        let page = PageId(4);
+        table.map_zeroed(page, Protection::ReadWrite);
+        assert!(table.take_twin_and_copy(page).is_none(), "no twin, nothing to take");
+        table.make_twin(page);
+        table.write_bytes(page.base(), &[3; 4]);
+        let (twin, copy) = table.take_twin_and_copy(page).expect("twinned");
+        assert!(!table.has_twin(page));
+        assert_eq!(Diff::create(twin.as_slice(), copy.as_slice()).modified_ranges(), [(0, 4)]);
+        // The copy is the page as it was taken: later writes do not reach it.
+        table.write_bytes(page.base().offset(64), &[5; 4]);
+        assert_eq!(copy.as_slice()[64..68], [0; 4]);
     }
 
     #[test]
@@ -601,7 +632,7 @@ mod tests {
         table.apply_diff_batch([(page, &remote)]).unwrap();
         // The local diff must be empty: this node made no writes of its own.
         let local = table.create_diff(page).unwrap();
-        assert!(local.is_empty(), "remote modifications must not be re-diffed");
+        assert!(local.modified_ranges().is_empty(), "remote modifications must not be re-diffed");
     }
 
     #[test]
@@ -644,7 +675,7 @@ mod tests {
         other.map_zeroed(PageId(3), Protection::ReadWrite);
         other.make_twin(PageId(3));
         other.apply_diff_batch(vec![(PageId(3), &da)]).unwrap();
-        assert!(other.create_diff(PageId(3)).unwrap().is_empty());
+        assert!(other.create_diff(PageId(3)).unwrap().modified_ranges().is_empty());
     }
 
     #[test]

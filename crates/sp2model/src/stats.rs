@@ -76,7 +76,8 @@ define_stats! {
     protection_ops,
     /// Twins created by the write-detection mechanism.
     twins_created,
-    /// Diffs created in response to local flushes or remote requests.
+    /// Modelled diffs: the twin-vs-page encodings an interval flush charges
+    /// (the host encodes each only when it is first read, if ever).
     diffs_created,
     /// Diffs applied to local pages.
     diffs_applied,

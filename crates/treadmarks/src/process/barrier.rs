@@ -723,11 +723,11 @@ impl Process {
 mod tests {
     use std::collections::BTreeSet;
 
-    use pagedmem::{Addr, Diff, PAGE_SIZE};
+    use pagedmem::{Addr, Page};
 
     use super::*;
     use crate::message::DiffRecord;
-    use crate::state::{CachedDiff, DiffEntry};
+    use crate::state::{CachedDiff, Delta, DiffEntry};
 
     /// The subtree of `root` as the closure of [`tree_children`].
     fn descendants(root: ProcId, n: usize, arity: usize) -> Vec<bool> {
@@ -930,12 +930,13 @@ mod tests {
         /// told everybody.
         fn write(&mut self, writer: ProcId, interval: Interval, pages: &[usize], write_all: bool) {
             for &page in pages {
-                let mut current = vec![0u8; PAGE_SIZE];
-                current[..4].copy_from_slice(&[writer as u8, interval as u8, page as u8, 1]);
+                let mut current = Page::zeroed();
+                let stamp = [writer as u8, interval as u8, page as u8, 1];
+                current.as_mut_slice()[..4].copy_from_slice(&stamp);
                 let entry = if write_all {
                     DiffEntry::FullPage
                 } else {
-                    DiffEntry::Delta(Diff::create(&vec![0u8; PAGE_SIZE], &current))
+                    DiffEntry::Delta(Delta::new(Page::zeroed(), current))
                 };
                 let cached = CachedDiff { entry, rank: u64::from(interval), vt: None };
                 let proto = &mut self.0[writer].0;

@@ -6,7 +6,7 @@ use pagedmem::{PageId, PageTable, Protection};
 
 use super::Process;
 use crate::notice::WriteNotice;
-use crate::state::{CachedDiff, DiffEntry, ProtoState};
+use crate::state::{CachedDiff, Delta, DiffEntry, ProtoState};
 use crate::types::Vt;
 
 /// Counts the maximal runs of consecutive page ids in a sorted list — the
@@ -88,11 +88,13 @@ pub(super) fn apply_notices_locked(
 }
 
 impl Process {
-    /// Ends the current interval: encodes a diff for every dirty page,
-    /// records the corresponding write notices locally, write-protects the
-    /// pages and advances this processor's component of the vector
-    /// timestamp. A no-op when nothing was written (empty diffs are elided
-    /// and produce no notices). Every release runs it, which makes it the
+    /// Ends the current interval: caches a diff for every dirty page (a
+    /// [`Delta`] keeps the twin and a copy of the page, and its first reader
+    /// encodes them; the model charges the encoding here), records the
+    /// corresponding write notices locally, write-protects the pages and
+    /// advances this processor's component of the vector timestamp. A no-op
+    /// when nothing was written (a page equal to its twin is elided and
+    /// produces no notice). Every release runs it, which makes it the
     /// paper's `Write_protect`: nothing else re-protects a written page.
     pub(super) fn flush_interval(&mut self) {
         let node = self.node.unleased();
@@ -126,15 +128,17 @@ impl Process {
         let protect_ops = contiguous_runs(&dirty);
         for page in dirty {
             let entry = if proto.write_all_pages.contains(&page) {
+                table.drop_twin(page);
                 Some(DiffEntry::FullPage)
             } else {
-                match table.create_diff(page) {
+                match table.take_twin_and_copy(page) {
                     // Write-enabled but never actually modified (or only
                     // remote diffs landed): elide the empty diff entirely.
-                    Some(diff) if diff.is_empty() => None,
-                    Some(diff) => {
+                    Some((twin, copy)) if twin == copy => None,
+                    // Encoded by its first reader; charged here.
+                    Some((twin, copy)) => {
                         delta_pages += 1;
-                        Some(DiffEntry::Delta(diff))
+                        Some(DiffEntry::Delta(Delta::new(twin, copy)))
                     }
                     // Dirty without a twin outside WRITE_ALL should not
                     // happen; fall back to shipping the whole page.
@@ -142,7 +146,6 @@ impl Process {
                 }
             };
             table.clear_dirty(page);
-            table.drop_twin(page);
             table.set_protection(page, Protection::ReadOnly);
             if let Some(entry) = entry {
                 proto
@@ -204,4 +207,146 @@ pub(super) fn sync_vt_locked(proto: &ProtoState, pages: &[PageId]) -> Vt {
         }
     }
     vt
+}
+
+#[cfg(test)]
+mod tests {
+    use pagedmem::{Diff, Page, PageId, PageTable, PAGE_SIZE};
+    use racecheck::{RaceLog, SyncKind};
+    use sp2model::{CostModel, SharedStats};
+
+    use super::super::race::detect_races_locked;
+    use crate::message::DiffRecord;
+    use crate::state::{CachedDiff, Delta, DiffEntry, ProtoState};
+    use crate::types::{Interval, Vt};
+    use crate::{Dsm, DsmConfig};
+
+    /// The diff of an all-zero page on which `words` (`u32` index, value)
+    /// were written.
+    fn diff_of(words: &[(usize, u32)]) -> Diff {
+        let mut page = [0u8; PAGE_SIZE];
+        for &(word, value) in words {
+            page[4 * word..4 * word + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        Diff::create(&[0u8; PAGE_SIZE], &page)
+    }
+
+    /// The delta of `page` for `interval` that `proto`'s cache holds.
+    fn delta(proto: &ProtoState, page: PageId, interval: Interval) -> &Delta {
+        match &proto.diff_cache[&page][&interval].entry {
+            DiffEntry::Delta(delta) => delta,
+            DiffEntry::FullPage => panic!("{page:?} was not written under WRITE_ALL"),
+        }
+    }
+
+    /// A delta is encoded from the two pages its flush kept, not from the
+    /// live frame: after P0 flushes page X a concurrent writer's diff lands
+    /// on X, and a reduction installs into P0's copy of Y, both before
+    /// anyone asks for P0's interval. The diffs P1 is then served are the
+    /// eager encodings of X and Y as they were at the flush. A page written
+    /// back to its twin's value (Z) is elided: no notice, no cache entry.
+    #[test]
+    fn a_lazy_delta_encodes_the_page_as_it_was_flushed() {
+        let run = Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let words = PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(3 * words);
+            let [x, y, z] = [0, 1, 2].map(|k| PageId::containing(a.addr_of(k * words)));
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 11);
+                p.set(&a, words, 22);
+                p.set(&a, 2 * words + 8, 33);
+                p.set(&a, 2 * words + 8, 0);
+            } else {
+                p.set(&a, 512, 44);
+            }
+            p.barrier();
+            if p.proc_id() == 0 {
+                // P1's diff lands on X after P0 flushed it.
+                assert_eq!(p.get(&a, 512), 44);
+            }
+            // The totals land in P0's copy of Y, raw, after the flush.
+            let section = a.range_of(words + 512, words + 514);
+            let wants = [vec![section], vec![]];
+            p.reduce_add(section, &[5 + p.proc_id() as u64], &wants);
+            if p.proc_id() == 0 {
+                assert_eq!(p.get(&a, words + 512), 11);
+                return;
+            }
+            // P1's first requests for P0's interval.
+            assert_eq!((p.get(&a, 0), p.get(&a, 512), p.get(&a, words)), (11, 44, 22));
+            assert_eq!(p.get(&a, words + 512), 0, "the reduction is not in the diff");
+            let proto = p.lanes[0].shared.proto.lock();
+            for (page, written) in [(x, 11), (y, 22)] {
+                assert!(!delta(&proto, page, 1).is_pending(), "serving {page:?} encoded it");
+                assert_eq!(delta(&proto, page, 1).diff(), diff_of(&[(0, written)]), "{page:?}");
+            }
+            assert!(!proto.diff_cache.contains_key(&z), "Z equals its twin: nothing to cache");
+            let noticed: Vec<PageId> = proto
+                .notice_log
+                .notices_after(&Vt::new(2))
+                .into_iter()
+                .filter(|n| n.proc == 0)
+                .map(|n| n.page)
+                .collect();
+            assert_eq!(noticed, [x, y], "Z equals its twin: no notice");
+        });
+        assert_eq!(run.stats.total().diffs_created, 3);
+    }
+
+    /// Serving one delta to two requesters and checking it in the race
+    /// detector encodes it once: the first read releases its two pages, so
+    /// every later read can only share that encoding. A delta the GC trims
+    /// unread goes without ever having been encoded.
+    #[test]
+    fn a_delta_is_encoded_once_and_never_if_trimmed_unread() {
+        let (unread, served) = (PageId(3), PageId(4));
+        let mut written = Page::zeroed();
+        written.as_mut_slice()[..4].copy_from_slice(&9u32.to_le_bytes());
+        let mut proto = ProtoState::new(0, 3);
+        for (page, interval) in [(unread, 1), (served, 2)] {
+            let mut vt = Vt::new(3);
+            vt.advance(0, interval);
+            let entry = DiffEntry::Delta(Delta::new(Page::zeroed(), written.clone()));
+            let cached = CachedDiff { entry, rank: vt.sum(), vt: Some(vt) };
+            proto.diff_cache.entry(page).or_default().insert(interval, cached);
+        }
+        proto.vt.advance(0, 2);
+        proto.current_interval = 3;
+        let table = PageTable::new();
+        let serve = |proto: &ProtoState| {
+            let (records, _) =
+                proto.diffs_for_pages_after_counted(&[served], 0, &table, &mut Vec::new());
+            assert_eq!(records.len(), 1);
+            records[0].diff.clone()
+        };
+
+        let first = serve(&proto);
+        assert!(!delta(&proto, served, 2).is_pending(), "the first read released both pages");
+        // A concurrent writer of the same word: the detector reads the
+        // cached delta to find the overlap.
+        let (stats, log) = (SharedStats::new(), RaceLog::new(false));
+        let mut theirs = Vt::new(3);
+        theirs.advance(1, 1);
+        let incoming = DiffRecord {
+            page: served,
+            proc: 1,
+            interval: 1,
+            rank: theirs.sum(),
+            base: None,
+            diff: diff_of(&[(0, 7)]),
+            vt: Some(theirs),
+        };
+        detect_races_locked(&stats, &log, &proto, &table, &[incoming], SyncKind::Barrier, None);
+        assert_eq!((stats.snapshot().races_detected, log.len()), (1, 1));
+        let second = serve(&proto);
+        assert_eq!([&first, &second], [&diff_of(&[(0, 9)]); 2]);
+        assert_eq!(delta(&proto, served, 2).diff(), first);
+
+        assert!(delta(&proto, unread, 1).is_pending(), "nothing read the other delta");
+        let mut horizon = Vt::new(3);
+        horizon.advance(0, 1);
+        assert_eq!(proto.gc_trim(&horizon).0, 1);
+        assert!(!proto.diff_cache.contains_key(&unread), "trimmed without being encoded");
+        assert!(proto.trimmed.contains(&unread) && !proto.trimmed.contains(&served));
+    }
 }

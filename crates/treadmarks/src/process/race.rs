@@ -158,7 +158,7 @@ pub(super) fn detect_races_locked(
             let Some(vm) = &cached.vt else { continue };
             if vm.concurrent(vq) {
                 let own = match &cached.entry {
-                    DiffEntry::Delta(diff) => diff.modified_ranges(),
+                    DiffEntry::Delta(delta) => delta.diff().modified_ranges(),
                     DiffEntry::FullPage => full_page(),
                 };
                 reporter.check(record.page, (RaceAccess { proc: me, interval }, &own), theirs);

@@ -7,11 +7,12 @@
 //! local-only critical sections — a request handler never blocks on a remote
 //! operation, which is what keeps the system deadlock-free.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use dsm_core::hash::{IntMap, IntSet};
 use dsm_core::sync::Mutex;
-use pagedmem::{Diff, PageId, PageTable};
+use pagedmem::{Diff, Page, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::message::DiffRecord;
@@ -20,20 +21,62 @@ use crate::run::RunShared;
 use crate::types::{Interval, LockId, ProcId, Vt};
 
 /// How a node can reproduce the modifications of one of its own intervals.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum DiffEntry {
-    /// An ordinary twin-vs-page diff created when the interval was flushed.
-    Delta(Diff),
+    /// An ordinary twin-vs-page diff of the interval's flush, encoded when
+    /// it is first read.
+    Delta(Delta),
     /// The page was written under `WRITE_ALL`/`READ&WRITE_ALL`: no twin was
     /// kept, so requests are answered with a copy of the whole page (which is
     /// correct because the compiler asserted the entire page is overwritten).
     FullPage,
 }
 
+/// One of this node's own interval diffs, encoded the first time anything
+/// reads it, as TreadMarks creates a diff only when some processor asks for
+/// it.
+///
+/// The flush keeps the two pages the diff is a function of: the twin and a
+/// copy of the page as the interval ended. The first read encodes them and
+/// drops both; every later read shares that one encoding. A delta the GC
+/// trims unread is never encoded. The SP/2 model is not lazy: the flush
+/// charges the encoding whether or not anyone reads it, so laziness moves
+/// host work only. Readers hold a shared `&ProtoState` under the node's
+/// proto lock, hence the cell.
+#[derive(Debug)]
+pub(crate) struct Delta(RefCell<Encoding>);
+
+#[derive(Debug)]
+enum Encoding {
+    /// Not read yet: the twin and the page as the interval ended.
+    Pending { twin: Page, page: Page },
+    /// Read: the encoding every reader shares.
+    Done(Diff),
+}
+
+impl Delta {
+    /// A delta of the interval that changed `twin` into `page`.
+    pub(crate) fn new(twin: Page, page: Page) -> Delta {
+        Delta(RefCell::new(Encoding::Pending { twin, page }))
+    }
+
+    /// The encoded diff, encoding it (and releasing both pages) on the first
+    /// call.
+    pub(crate) fn diff(&self) -> Diff {
+        let mut encoding = self.0.borrow_mut();
+        let diff = match &*encoding {
+            Encoding::Done(diff) => return diff.clone(),
+            Encoding::Pending { twin, page } => Diff::create(twin.as_slice(), page.as_slice()),
+        };
+        *encoding = Encoding::Done(diff.clone());
+        diff
+    }
+}
+
 /// A cached interval diff plus the happens-before rank of its interval
 /// (the flushing timestamp's [`Vt::sum`]), shipped with every
 /// [`DiffRecord`] so receivers can apply same-page diffs in causal order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CachedDiff {
     pub entry: DiffEntry,
     pub rank: u64,
@@ -75,8 +118,9 @@ pub(crate) struct ProtoState {
     /// locally.
     pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
     /// Diffs this node created, indexed per page (intervals in order). A
-    /// [`Diff`] is immutable and shared, so serving an entry — to however
-    /// many requesters — hands out references to this one encoding.
+    /// [`Delta`] is encoded once, on its first read, and a [`Diff`] is
+    /// immutable and shared, so serving an entry — to however many
+    /// requesters — hands out references to that one encoding.
     ///
     /// The per-page index is what makes batched serving cheap: answering a
     /// synchronization point's piggybacked requests probes each requested
@@ -214,7 +258,7 @@ impl ProtoState {
         table: &PageTable,
     ) -> (DiffRecord, bool) {
         let (diff, full_page) = match &cached.entry {
-            DiffEntry::Delta(diff) => (diff.clone(), false),
+            DiffEntry::Delta(delta) => (delta.diff(), false),
             DiffEntry::FullPage => (full_page_diff(table, page), true),
         };
         let (proc, rank, vt) = (self.me, cached.rank, cached.vt.clone());
@@ -266,6 +310,11 @@ impl ProtoState {
         if own > 0 {
             let trimmed = &mut self.trimmed;
             self.diff_cache.retain(|&page, intervals| {
+                // Most pages keep every interval: skip them without
+                // building a map.
+                if intervals.first_key_value().is_some_and(|(&first, _)| first > own) {
+                    return true;
+                }
                 let keep = intervals.split_off(&(own + 1));
                 if !intervals.is_empty() {
                     diffs += intervals.len() as u64;
@@ -336,6 +385,14 @@ impl NodeShared {
 }
 
 #[cfg(test)]
+impl Delta {
+    /// Whether nobody has read the delta yet: it still holds its two pages.
+    pub(crate) fn is_pending(&self) -> bool {
+        matches!(*self.0.borrow(), Encoding::Pending { .. })
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use pagedmem::PAGE_SIZE;
@@ -351,17 +408,13 @@ mod tests {
     fn diffs_for_pages_after_filters_by_requester_timestamp() {
         let mut proto = ProtoState::new(0, 2);
         let table = PageTable::new();
-        let twin = vec![0u8; PAGE_SIZE];
-        let mut cur = twin.clone();
-        cur[0] = 1;
-        proto.diff_cache.entry(PageId(3)).or_default().insert(
-            1,
-            CachedDiff { entry: DiffEntry::Delta(Diff::create(&twin, &cur)), rank: 1, vt: None },
-        );
-        proto.diff_cache.entry(PageId(3)).or_default().insert(
-            2,
-            CachedDiff { entry: DiffEntry::Delta(Diff::create(&twin, &cur)), rank: 2, vt: None },
-        );
+        let mut cur = Page::zeroed();
+        cur.as_mut_slice()[0] = 1;
+        for interval in [1, 2] {
+            let entry = DiffEntry::Delta(Delta::new(Page::zeroed(), cur.clone()));
+            let cached = CachedDiff { entry, rank: u64::from(interval), vt: None };
+            proto.diff_cache.entry(PageId(3)).or_default().insert(interval, cached);
+        }
 
         let after = |seen: Interval| {
             proto.diffs_for_pages_after_counted(&[PageId(3)], seen, &table, &mut vec![]).0
