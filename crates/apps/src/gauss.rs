@@ -190,7 +190,7 @@ fn planned(
     let mut abuf = vec![0.0f64; a.rows()];
     let mut pbuf = vec![0.0f64; a.rows()];
     for step in &plan.steps {
-        exec::run_boundary(p, &step.entry);
+        exec::enter(p, &step.entry, |_| {});
         let k = step.iter;
         match phases[step.phase].name {
             "init" => fill_block(p, &[a], mine.clone(), seed_elem),

@@ -245,7 +245,7 @@ fn planned(
     let mut partial = Vec::new();
     let mut chk = 0u64;
     for step in &plan.steps {
-        exec::run_boundary(p, &step.entry);
+        exec::enter(p, &step.entry, |_| {});
         match phases[step.phase].name {
             "init" => fill_block(p, &[keys], mine.clone(), |i, j| key_seed(i, j, bins)),
             "merge" => match exec::partial(step, &mut partial) {

@@ -109,9 +109,9 @@ pub fn jacobi_program(a: &SharedMatrix<f64>, b: &SharedMatrix<f64>, iters: usize
 
 /// Runs Jacobi from the plan `rsdcomp` generates for [`jacobi_program`] at
 /// `level`: the application supplies only the numeric bodies (seeding and
-/// [`sweep_cols`]); every data-movement decision is the compiler's. A
-/// pending split-phase entry overlaps the interior columns, whose stencil
-/// reads only this processor's own data.
+/// [`sweep_cols`]); every data-movement decision is the compiler's. Each
+/// step's entry overlaps the interior columns, whose stencil reads only this
+/// processor's own data, with its exchange; the edges follow.
 fn planned(
     p: &mut Process,
     a: &SharedMatrix<f64>,
@@ -128,16 +128,16 @@ fn planned(
         split_columns(&update, mine.start > 0, mine.end < a.cols());
     let mut bufs = ColBufs::new(a.rows());
     for step in &plan.steps {
-        let issued = exec::issue(p, &step.entry);
         match phases[step.phase].name {
             "init" => {
-                exec::complete(p, issued);
+                exec::enter(p, &step.entry, |_| {});
                 fill_block(p, &[a, b], mine.clone(), seed);
             }
             name @ ("sweep_ab" | "sweep_ba") => {
                 let (src, dst) = if name == "sweep_ab" { (a, b) } else { (b, a) };
-                sweep_cols(p, src, dst, interior.clone(), &mut bufs);
-                exec::complete(p, issued);
+                exec::enter(p, &step.entry, |p| {
+                    sweep_cols(p, src, dst, interior.clone(), &mut bufs)
+                });
                 sweep_cols(p, src, dst, left_edge.clone(), &mut bufs);
                 sweep_cols(p, src, dst, right_edge.clone(), &mut bufs);
             }

@@ -180,8 +180,8 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 /// Splits a block's updated columns into the interior range — columns whose
 /// stencil reads only this processor's own columns — and the at-most-two
 /// boundary-adjacent edge ranges that read a neighbour's column. The
-/// split-phase variants compute the interior between `issue` and
-/// `complete` (overlapping the boundary fetch) and the edges afterwards.
+/// stencil kernels compute the interior inside `exec::enter` (overlapping
+/// the boundary fetch) and the edges afterwards.
 pub(crate) fn split_columns(
     update: &std::ops::Range<usize>,
     left_remote: bool,

@@ -128,9 +128,9 @@ pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
 /// Runs SOR from the plan `rsdcomp` generates for [`sor_program`] at
 /// `level`: the application supplies only the numeric bodies (seeding and
 /// [`relax_cols`]); every synchronization, fetch, push, write-preparation
-/// and warm decision is the compiler's. A pending split-phase entry
-/// overlaps the interior columns, whose relaxation reads only this
-/// processor's own data.
+/// and warm decision is the compiler's. Each step's entry overlaps the
+/// interior columns, whose relaxation reads only this processor's own data,
+/// with its exchange; the edges follow.
 fn planned(
     p: &mut Process,
     m: &SharedMatrix<f64>,
@@ -146,16 +146,16 @@ fn planned(
         split_columns(&update, mine.start > 0, mine.end < m.cols());
     let mut bufs = ColBufs::new(m.rows());
     for step in &plan.steps {
-        let issued = exec::issue(p, &step.entry);
         match phases[step.phase].name {
             "init" => {
-                exec::complete(p, issued);
+                exec::enter(p, &step.entry, |_| {});
                 fill_block(p, &[m], mine.clone(), seed);
             }
             name @ ("red" | "black") => {
                 let colour = usize::from(name == "black");
-                relax_cols(p, m, interior.clone(), colour, &mut bufs);
-                exec::complete(p, issued);
+                exec::enter(p, &step.entry, |p| {
+                    relax_cols(p, m, interior.clone(), colour, &mut bufs)
+                });
                 relax_cols(p, m, left_edge.clone(), colour, &mut bufs);
                 relax_cols(p, m, right_edge.clone(), colour, &mut bufs);
             }

@@ -16,35 +16,9 @@
 //! The legality contract for each call is specified in `DESIGN.md`.
 
 use pagedmem::AddrRange;
-use treadmarks::{LockId, PendingSync, PhasePlan, ProcId, Process, SyncOp};
+use treadmarks::{LockId, PhasePlan, ProcId, Process, SyncOp};
 
 use crate::section::{ReduceOp, RegularSection};
-
-/// The fast-path mappings of a phase's sections, cached.
-///
-/// `validate`, `validate_w_sync` and `push_phase` finish
-/// by caching, in the processor's software TLB, the mappings of the pages
-/// they just made consistent, so the phase body takes **zero page faults
-/// and zero page-table-lock acquisitions** after the aggregate call. A
-/// mapping never goes stale — it names the page's frame, and every access
-/// reads that frame's own protection — so the grant only reports how much
-/// is cached; it requires nothing of the caller and dropping it is free.
-/// What lapses is the promise, not the mapping: once the protocol changes a
-/// page's protection (a flush write-protects it, a notice invalidates it)
-/// the next access faults as usual.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionGrant {
-    pages_warmed: usize,
-}
-
-impl SectionGrant {
-    /// Number of the sections' pages whose mappings the TLB holds after the
-    /// call, whether it cached them now or before. A page two sections name
-    /// counts twice; a page the node has not mapped yet counts not at all.
-    pub fn pages_warmed(&self) -> usize {
-        self.pages_warmed
-    }
-}
 
 /// Lowers sections to the [`PhasePlan`] the runtime's aggregate entry
 /// points consume: the fetch list, the write-preparation lists (twinned vs
@@ -77,20 +51,23 @@ fn plan(sections: &[RegularSection]) -> PhasePlan {
 /// `Validate(regions)`: makes every section consistent before the phase
 /// runs, replacing the phase's page faults with **one aggregated request
 /// message per producer** and preparing written pages (twins, write
-/// enables) in batch. The returned [`SectionGrant`] records that the
-/// sections' fast-path mappings are cached: the phase body runs with no
-/// fault and no table lock.
+/// enables) in batch. The call ends by caching the sections' mappings in
+/// the processor's software TLB, so the phase body takes no fault and no
+/// table lock. A mapping never goes stale — it names the page's frame, and
+/// every access reads that frame's own protection — so once the protocol
+/// changes a page's protection (a flush write-protects it, a notice
+/// invalidates it) the next access faults as usual.
 ///
 /// Legal anywhere: the call only accelerates what the invalidate-based
 /// protocol would do lazily, so over- or under-approximated sections are
 /// correctness-neutral (missed pages simply fault as usual).
-pub fn validate(p: &mut Process, sections: &[RegularSection]) -> SectionGrant {
+pub fn validate(p: &mut Process, sections: &[RegularSection]) {
     p.stats().validates(1);
     let plan = plan(sections);
     if !plan.fetch.is_empty() {
         p.fetch_diffs(&plan.fetch);
     }
-    SectionGrant { pages_warmed: p.prepare_phase(&plan) }
+    p.prepare_phase(&plan);
 }
 
 /// `Validate_w_sync(sync_op, regions)`: performs the synchronization
@@ -98,8 +75,9 @@ pub fn validate(p: &mut Process, sections: &[RegularSection]) -> SectionGrant {
 /// consistency traffic (write notices) and the requested data travel in
 /// the same messages — for a barrier, producers answer with at most one
 /// aggregated message each; for a lock, the releaser's diffs ride on the
-/// grant itself. Equivalent to [`validate_w_sync_issue`] followed
-/// immediately by [`validate_w_sync_complete`].
+/// grant itself. It ends, like [`validate`], with the sections' mappings
+/// cached. [`validate_w_sync_overlapped`] is the same call with computation
+/// run while the data is in flight.
 ///
 /// **Contract:** the call *replaces* the plain `barrier()` /
 /// `lock_acquire()` of the phase boundary (do not call both), and it is
@@ -107,58 +85,49 @@ pub fn validate(p: &mut Process, sections: &[RegularSection]) -> SectionGrant {
 /// piggybacked fetch relies on the write notices that arrive with that
 /// synchronization. Sections may over-approximate; anything not covered
 /// faults lazily as usual.
-pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection]) -> SectionGrant {
+pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection]) {
     p.stats().validate_w_syncs(1);
-    let plan = plan(sections);
-    let pending = p.sync_phase_issue(sync, &plan);
-    SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
+    p.sync_phase(sync, &plan(sections), |_| {});
 }
 
-/// The issue half of a split-phase `Validate_w_sync`: performs the
-/// synchronization operation exactly like [`validate_w_sync`] — the page
-/// list rides on the barrier arrival or lock-acquire request — but returns
-/// **without waiting for the diff responses**. Written sections whose pages
-/// are already consistent are prepared (twins, write enables) and cached
-/// immediately, so the caller can overlap computation on local data with
-/// the fetch latency; sections still missing remote diffs stay invalid
-/// until the completion.
+/// The split-phase `Validate_w_sync`: performs the synchronization exactly
+/// like [`validate_w_sync`] — the page list rides on the barrier arrival or
+/// lock-acquire request — then runs `overlap` **without waiting for the
+/// diff responses**, and completes: waits for every response, applies the
+/// whole batch in causal (rank) order, finishes the deferred write
+/// preparation and caches the fetched pages' mappings. Written sections
+/// whose pages are already consistent are prepared (twins, write enables)
+/// and cached before `overlap` runs; sections still missing remote diffs
+/// stay invalid until the completion.
 ///
-/// Safe by construction: a page the caller touches before completing
-/// faults, and the fault handler completes the pending synchronization on
-/// the spot — waits for the data that is already on its way, installs it,
-/// finishes the deferred preparation — so a receipt never exposes stale data
-/// and nothing in flight is fetched twice; the later
-/// [`validate_w_sync_complete`] is then free. The overlap contract is purely
-/// a performance matter: compute on what is local, complete, then compute on
-/// what was fetched. Dropping the receipt leaks nothing: the pending pages
-/// stay invalid, the first touch of one completes the synchronization after
-/// all, and the next issue replaces whatever is left.
-pub fn validate_w_sync_issue(
+/// Safe by construction: a pending page `overlap` touches faults, and the
+/// fault handler runs the completion on the spot — waits for the data that
+/// is already on its way, installs it, finishes the deferred preparation —
+/// so stale data is never exposed and nothing in flight is fetched twice;
+/// the completion after `overlap` is then free. What `overlap` computes is
+/// purely a performance matter: compute on what is local there, and on
+/// what was fetched after the call.
+///
+/// # Panics
+///
+/// Panics if `overlap` synchronizes (a barrier, lock acquire, reduction or
+/// another `Validate_w_sync`).
+pub fn validate_w_sync_overlapped(
     p: &mut Process,
     sync: SyncOp,
     sections: &[RegularSection],
-) -> PendingSync {
+    overlap: impl FnOnce(&mut Process),
+) {
     p.stats().validate_w_syncs(1);
     p.stats().split_phase_issues(1);
-    let plan = plan(sections);
-    p.sync_phase_issue(sync, &plan)
-}
-
-/// The completion half of a split-phase `Validate_w_sync`: waits for every
-/// outstanding response of the issue, applies the whole batch in causal
-/// (rank) order, finishes deferred write preparation and caches the
-/// mappings of the pages that were fetched. Returns the grant for the
-/// now-consistent phase. If an early touch already ran the completion, the
-/// call charges nothing and only reports the grant.
-pub fn validate_w_sync_complete(p: &mut Process, pending: PendingSync) -> SectionGrant {
+    p.sync_phase(sync, &plan(sections), overlap);
     p.stats().split_phase_completes(1);
-    SectionGrant { pages_warmed: p.sync_phase_complete(pending) }
 }
 
 /// `Release(lock)`: the exit of a lock-guarded phase. Flushes the guarded
 /// writes (diffs, write notices) and hands the lock to the next queued
 /// requester — whose grant message carries those diffs when its acquire
-/// named the sections via [`validate_w_sync`]/[`validate_w_sync_issue`]
+/// named the sections via [`validate_w_sync`]/[`validate_w_sync_overlapped`]
 /// with [`SyncOp::Lock`]: the paper's merged lock-grant+data message, at
 /// zero extra protocol messages over a plain release.
 ///
@@ -179,8 +148,8 @@ pub fn neighbor_sync(
     _producers: &[ProcId],
     _consumers: &[ProcId],
     sections: &[RegularSection],
-) -> SectionGrant {
-    validate_w_sync(p, SyncOp::Barrier, sections)
+) {
+    validate_w_sync(p, SyncOp::Barrier, sections);
 }
 
 /// `Reduce(op, section, partial)`: combines every processor's private
@@ -242,14 +211,12 @@ impl Push {
 /// because no write notices are generated for pushed modifications. The
 /// sends and `recv_from` sets of all processors must be globally matched,
 /// like any collective operation.
-/// The returned [`SectionGrant`] reports the cached fast-path mappings of
-/// the ranges this processor just *received*, which the consuming phase
-/// reads with no fault and no table lock.
-pub fn push_phase(p: &mut Process, sends: &[Push], recv_from: &[ProcId]) -> SectionGrant {
+/// The exchange caches the mappings of the ranges this processor just
+/// *received* under the table-lock hold that installs them, so the
+/// consuming phase reads them with no fault and no table lock.
+pub fn push_phase(p: &mut Process, sends: &[Push], recv_from: &[ProcId]) {
     p.stats().pushes(1);
     let plan: Vec<(ProcId, Vec<AddrRange>)> =
         sends.iter().map(|push| (push.dest, push.regions.clone())).collect();
-    // The exchange caches the received ranges' mappings under the same
-    // table-lock hold that installs them.
-    SectionGrant { pages_warmed: p.push_exchange(&plan, recv_from).pages_warmed }
+    p.push_exchange(&plan, recv_from);
 }

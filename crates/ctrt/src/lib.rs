@@ -19,9 +19,10 @@
 //!   processor receives the totals of the words it reads, with no lock,
 //!   twin or diff.
 //!
-//! The split-phase call, [`validate_w_sync_issue`], returns the runtime's
-//! own receipt, a [`treadmarks::PendingSync`], which
-//! [`validate_w_sync_complete`] completes.
+//! The split-phase call, [`validate_w_sync_overlapped`], takes the
+//! computation to overlap with the fetch as a closure and runs it between
+//! the synchronization and the completion: nothing is left pending when it
+//! returns.
 //!
 //! Accesses are described as [`RegularSection`]s (lowered `[lo:hi:stride]`
 //! descriptors) tagged with an [`Access`] kind; the `WRITE_ALL` variants
@@ -60,7 +61,7 @@ mod section;
 
 pub use api::{
     neighbor_sync, push_phase, reduce, release, validate, validate_w_sync,
-    validate_w_sync_complete, validate_w_sync_issue, Push, SectionGrant,
+    validate_w_sync_overlapped, Push,
 };
 pub use section::{Access, ReduceOp, RegularSection, SyncOp};
 // Race detection rides the same interface: every apply point the calls

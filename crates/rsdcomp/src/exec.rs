@@ -1,10 +1,10 @@
 //! Executing a compiled plan over the `ctrt` interface.
 //!
 //! The application iterates its [`ProcPlan`](crate::ProcPlan)'s steps,
-//! issues each entry op, runs the phase's numeric body and completes the
-//! entry, so computation on already-local data overlaps the exchange, then
-//! runs the step's [`exit`] — a release, or the reduction of the partial an
-//! accumulating body added into ([`partial`]). The
+//! [`enter`]s each with the part of the phase's numeric body that reads
+//! only already-local data, so that part overlaps the exchange, runs the
+//! rest of the body, then runs the step's [`exit`] — a release, or the
+//! reduction of the partial an accumulating body added into ([`partial`]). The
 //! executor is the *only* place compiled kernels touch the runtime: the
 //! application contributes arithmetic, the plan contributes protocol.
 //!
@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use treadmarks::{PendingSync, Process};
+use treadmarks::{Process, SyncOp};
 
 use crate::ir::Program;
 use crate::plan::{compile_at, BoundaryOp, CompiledKernel, Level, PhaseExit, PlanStep};
@@ -56,36 +56,37 @@ pub fn kernel_for(p: &mut Process, level: Level, build: impl FnOnce() -> Program
     })
 }
 
-/// Issues the entry op of a plan step. For [`BoundaryOp::Barrier`],
-/// [`BoundaryOp::Lock`] and [`BoundaryOp::BarrierLock`] the returned
-/// receipt is pending: compute on sections that were already local, then
-/// [`complete`] before touching the fetched data (a compiled plan's
-/// interior/edge split). Everything else finishes immediately and returns
-/// `None`.
-#[must_use = "a pending entry op completes only when passed to exec::complete"]
-pub fn issue(p: &mut Process, op: &BoundaryOp) -> Option<PendingSync> {
+/// Runs the entry op of a plan step, with `overlap` — computation on
+/// sections that were already local — where it overlaps the exchange: for
+/// [`BoundaryOp::Barrier`], [`BoundaryOp::Lock`] and
+/// [`BoundaryOp::BarrierLock`] between the synchronization and the
+/// completion of its merged fetch (a compiled plan's interior/edge split),
+/// after any other op, which finishes at once. Touching fetched data in
+/// `overlap` is correct, only not overlapped: the first touch completes
+/// the fetch.
+pub fn enter(p: &mut Process, op: &BoundaryOp, overlap: impl FnOnce(&mut Process)) {
     match op {
         BoundaryOp::Local { sections } => {
             prepare(p, sections);
-            None
+            overlap(p);
         }
         BoundaryOp::Barrier { sections } => {
-            Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Barrier, sections))
+            ctrt::validate_w_sync_overlapped(p, SyncOp::Barrier, sections, overlap);
         }
         // The acquire request carries the sections' page list, so the grant
         // arrives with the releaser's diffs piggybacked — the merged
         // lock-grant+data message.
         BoundaryOp::Lock { lock, sections } => {
-            Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections))
+            ctrt::validate_w_sync_overlapped(p, SyncOp::Lock(*lock), sections, overlap);
         }
         BoundaryOp::BarrierLock { lock, sections } => {
             p.barrier();
-            Some(ctrt::validate_w_sync_issue(p, treadmarks::SyncOp::Lock(*lock), sections))
+            ctrt::validate_w_sync_overlapped(p, SyncOp::Lock(*lock), sections, overlap);
         }
         BoundaryOp::Push { sends, recv_from, sections } => {
             ctrt::push_phase(p, sends, recv_from);
             prepare(p, sections);
-            None
+            overlap(p);
         }
     }
 }
@@ -97,19 +98,6 @@ fn prepare(p: &mut Process, sections: &[ctrt::RegularSection]) {
     if !sections.is_empty() {
         ctrt::validate(p, sections);
     }
-}
-
-/// Completes a pending entry op (no-op for ops that finished at issue).
-pub fn complete(p: &mut Process, issued: Option<PendingSync>) {
-    if let Some(pending) = issued {
-        ctrt::validate_w_sync_complete(p, pending);
-    }
-}
-
-/// Issues and immediately completes an entry op (no overlap).
-pub fn run_boundary(p: &mut Process, op: &BoundaryOp) {
-    let issued = issue(p, op);
-    complete(p, issued);
 }
 
 /// The buffer a step's body accumulates into when the step's exit reduces

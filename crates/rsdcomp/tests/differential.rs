@@ -151,7 +151,7 @@ fn a_non_commutative_guarded_update_keeps_its_lock_and_runs_race_free() {
             let plan = compiled.kernel.plan_for(p.proc_id());
             let words = a.array().len();
             for step in &plan.steps {
-                rsdcomp::exec::run_boundary(p, &step.entry);
+                rsdcomp::exec::enter(p, &step.entry, |_| {});
                 match step.phase {
                     0 => (0..words).for_each(|i| {
                         let x = p.get(a.array(), i);
@@ -230,7 +230,7 @@ fn a_refused_guarded_accumulation_keeps_its_lock_and_runs_race_free() {
             let mine = rsdcomp::col_block(keys.cols(), p.nprocs(), p.proc_id());
             let own = mine.start * ROWS..mine.end * ROWS;
             for step in &plan.steps {
-                rsdcomp::exec::run_boundary(p, &step.entry);
+                rsdcomp::exec::enter(p, &step.entry, |_| {});
                 match step.phase {
                     0 => own.clone().for_each(|i| p.set(keys.array(), i, (i * 31 % words) as u64)),
                     1 => own.clone().for_each(|i| {

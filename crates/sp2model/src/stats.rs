@@ -99,15 +99,15 @@ define_stats! {
     validate_w_syncs,
     /// `Push` exchanges replacing barriers.
     pushes,
-    /// Split-phase `Validate_w_sync` issue halves: the fetch was issued at a
-    /// synchronization point and left pending while computation continued.
+    /// Split-phase `Validate_w_sync` issues: the fetch was issued at a
+    /// synchronization point and left pending while an overlap body ran.
     split_phase_issues,
-    /// Split-phase completion halves: pending responses were collected,
-    /// rank-sorted and applied at the matching acquire point.
+    /// Split-phase completions: pending responses were collected,
+    /// rank-sorted and applied after the overlap body.
     split_phase_completes,
     /// Virtual nanoseconds a completion actually stalled waiting for sync
-    /// responses (`max(arrival) - now`, clamped at zero). Work done between
-    /// issue and complete hides fetch latency and shrinks this number — the
+    /// responses (`max(arrival) - now`, clamped at zero). Work done in the
+    /// overlap body hides fetch latency and shrinks this number — the
     /// split-phase overlap made measurable.
     sync_wait_ns,
     /// Diff-cache entries dropped by the barrier garbage-collection horizon

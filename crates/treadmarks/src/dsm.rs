@@ -454,21 +454,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "unconsumed replies: P1 holds a SyncDiffs from P0")]
-    fn a_reply_nobody_waited_for_fails_a_debug_run() {
-        // P1 abandons its pending handle and no later completion ever
-        // collects (and discards) P0's answer to it.
-        Dsm::run(free_config(2), |p| {
-            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
-            if p.proc_id() == 0 {
-                p.set(&a, 0, 99);
-            }
-            let _ = p.sync_phase_issue(SyncOp::Barrier, &PhasePlan::fetch_only(&[a.full_range()]));
-        });
-    }
-
-    #[test]
     fn fetch_w_sync_lock_piggybacks_the_releasers_diffs() {
         const LOCK: LockId = 1;
         let run = Dsm::run(free_config(2), |p| {
@@ -488,6 +473,36 @@ mod tests {
             }
         });
         assert_eq!(run.results, vec![41, 41]);
+    }
+
+    #[test]
+    fn a_lock_grant_charges_the_full_pages_it_materialises() {
+        // Everything is free but diff encoding. P0's `WRITE_ALL` page keeps
+        // no delta, so the grant's piggyback materialises it, and the grant
+        // leaves one page's encoding after the request arrived — as a diff
+        // response would.
+        const LOCK: LockId = 0;
+        let cost = CostModel { diff_create_page_ns: 1_000_000, ..CostModel::free() };
+        let run = Dsm::run(DsmConfig::new(2).with_cost_model(cost.clone()), |p| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            if p.proc_id() == 0 {
+                p.lock_acquire(LOCK);
+                p.prepare_phase(&write_all(a.full_range()));
+                p.set(&a, 0, 5);
+                p.lock_release(LOCK);
+                p.barrier();
+                (5, sp2model::VirtualTime::ZERO)
+            } else {
+                p.barrier();
+                let before = p.clock().now();
+                p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
+                let took = p.clock().now().saturating_sub(before);
+                let v = p.get(&a, 0);
+                p.lock_release(LOCK);
+                (v, took)
+            }
+        });
+        assert_eq!(run.results[1], (5, cost.diff_create_cost(1)));
     }
 
     #[test]

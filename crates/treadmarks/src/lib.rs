@@ -27,9 +27,9 @@
 //!
 //! On top of the base protocol the crate exposes the *run-time primitives* of
 //! Figure 4 of the paper — [`Process::fetch_diffs`] (`Fetch_diffs` +
-//! `Apply_diffs`), [`Process::sync_phase_issue`] /
-//! [`Process::sync_phase_complete`] (`Fetch_diffs_w_sync`, whose one receipt
-//! is a [`PendingSync`] and whose one reply is a [`TmkMessage::SyncDiffs`]),
+//! `Apply_diffs`), [`Process::sync_phase`] (`Fetch_diffs_w_sync`: the issue,
+//! the caller's overlap body and the completion in one call; a barrier
+//! answers with one [`TmkMessage::SyncDiffs`] per producer),
 //! [`Process::prepare_phase`] (`Create_twins` + `Write_enable`) and the
 //! point-to-point [`Process::push_exchange`] — which the `ctrt` crate
 //! composes into the compiler-visible `Validate` / `Validate_w_sync` /
@@ -81,7 +81,7 @@ pub use dsm::{Dsm, DsmError, DsmRun};
 pub use message::TmkMessage;
 pub use msgnet::{FaultPlan, LinkRates, NetFaults, Port, RetryPolicy};
 pub use notice::{NoticeLog, WriteNotice};
-pub use process::{PendingSync, PhasePlan, Process, PushReceipt, SyncOp};
+pub use process::{PhasePlan, Process, SyncOp};
 pub use racecheck::{RaceAccess, RaceDetect, RaceReport, SyncKind};
 pub use sharedarray::{Shareable, SharedArray, SharedMatrix};
 pub use sp2model::ReactorSnapshot;

@@ -276,12 +276,6 @@ pub enum TmkMessage {
     SyncDiffs {
         /// The producing processor.
         from: ProcId,
-        /// The barrier's ordinal. Barriers are matched collectives, so every
-        /// participant's own count names the same barrier; a completion
-        /// accepts only replies named as itself, which keeps the stale
-        /// replies of an abandoned (dropped) receipt from being mistaken for
-        /// a later barrier's data.
-        seq: u64,
         /// The producer's diffs for the requested pages.
         diffs: Vec<DiffRecord>,
     },
@@ -330,6 +324,10 @@ impl TmkMessage {
             TmkMessage::DiffResponse { diffs, .. } => {
                 8 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
+            // A 12-byte header, the producer and a barrier ordinal, as every
+            // gated record was measured. No ordinal needs sending: a
+            // processor requests at one barrier at a time and consumes every
+            // reply before its next arrival.
             TmkMessage::SyncDiffs { diffs, .. } => {
                 12 + diffs.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
@@ -474,7 +472,7 @@ mod tests {
     fn sync_replies_and_grants_carry_no_timestamp() {
         let notices = vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }];
         // A barrier's reply carries no notices: the departure did.
-        let barrier = TmkMessage::SyncDiffs { from: 1, seq: 1, diffs: vec![] };
+        let barrier = TmkMessage::SyncDiffs { from: 1, diffs: vec![] };
         let grant = TmkMessage::LockGrant { lock: 0, notices, piggyback: vec![] };
         for n in [2, 64] {
             assert_eq!(barrier.wire_bytes(n), 12, "{n} processors");

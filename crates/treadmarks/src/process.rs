@@ -15,8 +15,9 @@
 //! * `interval` — the flush that ends an interval, and write-notice
 //!   application;
 //! * `sync` — what every synchronization point shares: the [`PhasePlan`],
-//!   the one receipt ([`PendingSync`]), write preparation, the single-hold
-//!   install, and the completion's one wait loop;
+//!   the split-phase [`Process::sync_phase`] with its overlap body, write
+//!   preparation, the single-hold install, and the completion's one wait
+//!   loop;
 //! * `barrier`, `lock`, `push` — the collectives, each with its own order
 //!   of charges and sends (`DESIGN.md` §2: shared plumbing, no pipeline);
 //! * `race` — the race detector's hooks into the install and push paths.
@@ -25,12 +26,12 @@
 //! crate composes `Validate` / `Validate_w_sync` / `Push` (the last is
 //! [`Process::push_exchange`]):
 //!
-//! | Figure 4                        | here                                                             | module     |
-//! |---------------------------------|------------------------------------------------------------------|------------|
-//! | `Fetch_diffs` + `Apply_diffs`   | [`Process::fetch_diffs`]                                         | `sync`     |
-//! | `Fetch_diffs_w_sync`            | [`Process::sync_phase_issue`] / [`Process::sync_phase_complete`] | `sync`     |
-//! | `Create_twins` + `Write_enable` | [`Process::prepare_phase`]                                       | `sync`     |
-//! | `Write_protect`                 | `flush_interval`, run by every release                           | `interval` |
+//! | Figure 4                        | here                                   | module     |
+//! |---------------------------------|----------------------------------------|------------|
+//! | `Fetch_diffs` + `Apply_diffs`   | [`Process::fetch_diffs`]               | `sync`     |
+//! | `Fetch_diffs_w_sync`            | [`Process::sync_phase`]                | `sync`     |
+//! | `Create_twins` + `Write_enable` | [`Process::prepare_phase`]             | `sync`     |
+//! | `Write_protect`                 | `flush_interval`, run by every release | `interval` |
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -56,8 +57,7 @@ mod push;
 mod race;
 mod sync;
 
-pub use push::PushReceipt;
-pub use sync::{PendingSync, PhasePlan, SyncOp};
+pub use sync::{PhasePlan, SyncOp};
 
 /// Panic payload used when a processor unwinds because a *peer* panicked
 /// (the harness poisons every reply port so processors blocked in a
@@ -92,17 +92,10 @@ pub struct Process {
     /// Reply-port messages received while waiting for something else.
     pending: VecDeque<Envelope<TmkMessage>>,
     next_req_id: u64,
-    /// How many barriers this processor has entered. Barriers are globally
-    /// matched, so the count names the same synchronization point on every
-    /// processor; it sequences a barrier's [`TmkMessage::SyncDiffs`].
-    barrier_seq: u64,
-    /// How many lock acquires this processor has issued: the ordinal that
-    /// names a lock-merged fetch's receipt.
-    lock_seq: u64,
-    /// The synchronization this processor issued last, until its completion
-    /// has been reported: what the completion waits for and installs. The
-    /// program's `sync_phase_complete` runs it, or the fault handler on the
-    /// first touch of a page it covers; the next issue replaces it.
+    /// The synchronization whose overlap body is running, if any: what its
+    /// completion waits for and installs. The end of `sync_phase` runs the
+    /// completion, or the fault handler on the first touch of a page it
+    /// covers, whichever comes first.
     in_flight: Option<sync::InFlightSync>,
     /// How many [`spmd_once`](Process::spmd_once) calls this processor has
     /// made. Every processor makes the same sequence of calls (the SPMD
@@ -129,8 +122,6 @@ impl Process {
             heap: SharedAlloc::new(),
             pending: VecDeque::new(),
             next_req_id: 1,
-            barrier_seq: 0,
-            lock_seq: 0,
             in_flight: None,
             once_seq: 0,
             barrier: config.barrier.shape(config.nprocs, &config.cost_model),
@@ -393,6 +384,20 @@ mod tests {
         }
         invalidated.sort_unstable();
         NoticeTally { recorded, invalidation_runs: contiguous_runs(&invalidated) }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unconsumed replies: P1 holds a SyncDiffs from P0")]
+    fn a_reply_nobody_waited_for_fails_a_debug_run() {
+        // P0 sends P1 a reply that P1 never waits for.
+        let config = DsmConfig::new(2).with_cost_model(sp2model::CostModel::free());
+        crate::Dsm::run(config, |p| {
+            if p.proc_id() == 0 {
+                let stray = TmkMessage::SyncDiffs { from: 0, diffs: Vec::new() };
+                p.send(1, Port::Reply, stray, true);
+            }
+        });
     }
 
     const NPROCS: usize = 5;

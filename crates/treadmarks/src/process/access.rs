@@ -11,16 +11,13 @@ use crate::sharedarray::{Shareable, SharedArray};
 use crate::tlb::Unleased;
 
 /// Caches the mappings of the warm list's mapped pages, skipping those
-/// already cached, under a table lock the caller holds for another reason;
-/// returns how many of the list's pages the TLB now maps. Whether a page is
-/// valid is not looked at (no frame is locked): an access through the entry
-/// reads the frame's own protection and faults as it must.
-pub(super) fn warm_ranges_locked(
-    node: &mut Unleased<'_>,
-    table: &PageTable,
-    warm: &[AddrRange],
-) -> usize {
-    warm.iter().flat_map(AddrRange::pages).filter(|&page| node.cache(page, table)).count()
+/// already cached, under a table lock the caller holds for another reason.
+/// Whether a page is valid is not looked at (no frame is locked): an access
+/// through the entry reads the frame's own protection and faults as it must.
+pub(super) fn warm_ranges_locked(node: &mut Unleased<'_>, table: &PageTable, warm: &[AddrRange]) {
+    for page in warm.iter().flat_map(AddrRange::pages) {
+        node.cache(page, table);
+    }
 }
 
 impl Process {

@@ -13,8 +13,8 @@ use sp2model::{VirtualClock, VirtualTime};
 
 use super::access::warm_ranges_locked;
 use super::interval::{apply_notices_locked, sync_vt_locked};
-use super::sync::{prep_writes_locked, Outstanding, PendingSync, PhasePlan};
-use super::Process;
+use super::sync::{prep_writes_locked, Outstanding, PhasePlan};
+use super::{Process, SyncOp};
 use crate::message::{RoutedRequest, SyncFetchRequest, TmkMessage};
 use crate::notice::{notices_determine, vt_through, WriteNotice};
 use crate::state::ProtoState;
@@ -253,13 +253,12 @@ struct Served {
 /// Answers the piggybacked fetch requests routed to this node — the entries
 /// that name it — from the local diff cache, under an already-held lock
 /// pair: for each, the diffs this node created for the requested pages newer
-/// than the interval the entry names, on one `SyncDiffs` named by the
-/// barrier's ordinal `seq`. The whole barrier is served in one pass, so each
-/// examined page is charged once no matter how many requests name it.
+/// than the interval the entry names, on one `SyncDiffs`. The whole barrier
+/// is served in one pass, so each examined page is charged once no matter
+/// how many requests name it.
 fn serve_requests_locked(
     proto: &ProtoState,
     table: &PageTable,
-    seq: u64,
     routed: &[RoutedRequest],
 ) -> Served {
     let mut examined = Vec::new();
@@ -282,7 +281,7 @@ fn serve_requests_locked(
                  but holds no such diff",
                 proto.me,
             );
-            Some((requester, TmkMessage::SyncDiffs { from: proto.me, seq, diffs }))
+            Some((requester, TmkMessage::SyncDiffs { from: proto.me, diffs }))
         })
         .collect();
     examined.sort_unstable();
@@ -415,8 +414,7 @@ impl Process {
     /// topology, through the master) and leaves every processor with the
     /// merged global vector timestamp.
     pub fn barrier(&mut self) {
-        let pending = self.barrier_issue(&PhasePlan::default(), None);
-        self.sync_phase_complete(pending);
+        self.sync_phase(SyncOp::Barrier, &PhasePlan::default(), |_| {});
     }
 
     /// The run-time primitive underneath a compiled reduction: sums every
@@ -452,18 +450,18 @@ impl Process {
         assert_eq!(wants.len(), self.nprocs(), "what every processor reads");
         let words = (0u32..).zip(partial.iter().copied()).filter(|&(_, delta)| delta != 0);
         let reduction = Reduction { section, wants, words: words.collect() };
-        let pending = self.barrier_issue(&PhasePlan::default(), Some(reduction));
-        self.sync_phase_complete(pending);
+        let issue = |p: &mut Process| p.barrier_issue(&PhasePlan::default(), Some(reduction));
+        self.synchronize(SyncKind::Barrier, issue, |_| {});
     }
 
-    /// Barrier side of [`sync_phase_issue`](Self::sync_phase_issue):
+    /// Barrier side of [`sync_phase`](Self::sync_phase)'s issue:
     /// flushes the interval, crosses the barrier with the plan's page list
     /// piggybacked on the arrival, and then performs the *entire*
     /// post-departure protocol step — write-notice application, serving
     /// the piggybacked requests routed to this processor, write
     /// preparation, mapping caching, the garbage-collection trim and a
     /// reduction's install — under a single page-table-lock hold before
-    /// returning with the receipt.
+    /// returning what is still outstanding.
     ///
     /// With a `reduction` ([`reduce_add`](Self::reduce_add)) no interval
     /// ends: the barrier carries the reduction's words, and everything else
@@ -501,13 +499,11 @@ impl Process {
         &mut self,
         plan: &PhasePlan,
         mut reduction: Option<Reduction>,
-    ) -> PendingSync {
+    ) -> Outstanding {
         if reduction.is_none() {
             self.flush_interval();
         }
         self.stats.barriers(1);
-        self.barrier_seq += 1;
-        let seq = self.barrier_seq;
         let mut pending = Outstanding::new(plan);
         let n = self.nprocs();
         let me = self.proc_id();
@@ -613,7 +609,7 @@ impl Process {
         };
 
         // --- One lock hold for the whole post-exchange protocol step. ---
-        let (tally, prep, departures, served, warmed, trimmed, pages_in_use) = {
+        let (tally, prep, departures, served, trimmed, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
@@ -663,10 +659,10 @@ impl Process {
                 reduction.as_ref(),
                 arity,
             );
-            let served = serve_requests_locked(&proto, &table, seq, &routed);
+            let served = serve_requests_locked(&proto, &table, &routed);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
-            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
+            warm_ranges_locked(&mut node, &table, &plan.warm);
             // Trim last, after every request of this synchronization point
             // has been served from the pre-trim state. The horizon can
             // never exceed the global VT in any component (applied
@@ -681,7 +677,7 @@ impl Process {
                 reduction.install_locked(&mut table, me);
             }
             let pages_in_use = table.pages_in_use();
-            (tally, prep, departures, served, warmed, trimmed, pages_in_use)
+            (tally, prep, departures, served, trimmed, pages_in_use)
         };
         self.stats.gc_trimmed_diffs(trimmed.0);
         self.stats.gc_trimmed_notices(trimmed.1);
@@ -703,7 +699,7 @@ impl Process {
         self.charge_notices(&tally, pages_in_use);
         self.charge_prep(&prep, pages_in_use);
         self.clock.advance(self.cost.barrier_local_cost());
-        self.begin_in_flight(SyncKind::Barrier, seq, warmed, pending)
+        pending
     }
 
     /// Sends a barrier's replies once the hold that built them is released:
@@ -1020,8 +1016,8 @@ mod tests {
         let mut hops = vec![(MASTER, routed)];
         while let Some((me, received)) = hops.pop() {
             let (proto, table) = &world.0[me];
-            for (requester, reply) in serve_requests_locked(proto, table, 1, &received).replies {
-                let TmkMessage::SyncDiffs { from, seq: 1, diffs } = reply else {
+            for (requester, reply) in serve_requests_locked(proto, table, &received).replies {
+                let TmkMessage::SyncDiffs { from, diffs } = reply else {
                     panic!("not a barrier's reply: {reply:?}");
                 };
                 assert_eq!(from, me);

@@ -140,9 +140,10 @@ impl Process {
                         delta_pages += 1;
                         Some(DiffEntry::Delta(Delta::new(twin, copy)))
                     }
-                    // Dirty without a twin outside WRITE_ALL should not
-                    // happen; fall back to shipping the whole page.
-                    None => Some(DiffEntry::FullPage),
+                    // Every write enable outside WRITE_ALL twins the page.
+                    None => {
+                        panic!("P{}: {page:?} is dirty with no twin outside WRITE_ALL", proto.me)
+                    }
                 }
             };
             table.clear_dirty(page);

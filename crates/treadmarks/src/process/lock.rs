@@ -3,14 +3,11 @@
 use std::collections::HashSet;
 
 use pagedmem::PageId;
-use racecheck::SyncKind;
 
 use super::access::warm_ranges_locked;
 use super::interval::{apply_notices_locked, sync_vt_locked};
-use super::sync::{
-    prep_writes_locked, wants_for_pages_locked, Outstanding, PendingSync, PhasePlan,
-};
-use super::Process;
+use super::sync::{prep_writes_locked, wants_for_pages_locked, Outstanding, PhasePlan};
+use super::{Process, SyncOp};
 use crate::message::TmkMessage;
 use crate::notice::vt_through;
 use crate::state::ProtoState;
@@ -24,18 +21,16 @@ impl Process {
     ///
     /// Panics if this processor already holds the lock.
     pub fn lock_acquire(&mut self, lock: LockId) {
-        let pending = self.lock_issue(lock, &PhasePlan::default());
-        self.sync_phase_complete(pending);
+        self.sync_phase(SyncOp::Lock(lock), &PhasePlan::default(), |_| {});
     }
 
-    /// Lock side of [`sync_phase_issue`](Self::sync_phase_issue): the plan's
+    /// Lock side of [`sync_phase`](Self::sync_phase)'s issue: the plan's
     /// page list rides on the acquire request, the grant's piggybacked diffs
     /// are kept in hand (not yet applied), and one aggregated request per
     /// third-party producer goes out for whatever the releaser did not hold.
     /// Everything is applied together, rank-sorted, at the completion.
-    pub(super) fn lock_issue(&mut self, lock: LockId, plan: &PhasePlan) -> PendingSync {
+    pub(super) fn lock_issue(&mut self, lock: LockId, plan: &PhasePlan) -> Outstanding {
         let mut pending = Outstanding::new(plan);
-        self.lock_seq += 1;
         self.stats.lock_acquires(1);
         let me = self.proc_id();
         let (manager, request_vt) = {
@@ -50,7 +45,7 @@ impl Process {
             // The open interval's knowledge before the acquire merges the
             // granter's timestamp: writes made so far in this interval are
             // concurrent with everything this timestamp does not cover. The
-            // snapshot rides the pending sync for the grant's own piggyback
+            // snapshot rides the in-flight sync for the grant's own piggyback
             // *and* is retained in the protocol state for the rest of the
             // open interval, so a pre-acquire write still compares as
             // concurrent when the racing diff only arrives on a later
@@ -79,7 +74,7 @@ impl Process {
         self.clock.observe(env.arrives_at);
         let TmkMessage::LockGrant { notices, piggyback, .. } = env.payload else { unreachable!() };
         // One lock hold for the entire acquire-side protocol step.
-        let (tally, prep, wants, warmed, pages_in_use) = {
+        let (tally, prep, wants, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
@@ -96,16 +91,15 @@ impl Process {
             let wants = wants_for_pages_locked(&proto, &pending.pages, &in_hand);
             let prep =
                 prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
-            // Cache what is mapped so the overlapped computation between
-            // issue and complete runs lock-free.
-            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
-            (tally, prep, wants, warmed, table.pages_in_use())
+            // Cache what is mapped so the overlap body runs lock-free.
+            warm_ranges_locked(&mut node, &table, &plan.warm);
+            (tally, prep, wants, table.pages_in_use())
         };
         self.charge_notices(&tally, pages_in_use);
         self.charge_prep(&prep, pages_in_use);
         pending.fetch_expected = self.send_diff_requests(wants);
         pending.piggyback = piggyback;
-        self.begin_in_flight(SyncKind::LockGrant, self.lock_seq, warmed, pending)
+        pending
     }
 
     /// Releases `lock`, ending the current interval and granting the lock

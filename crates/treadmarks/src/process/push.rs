@@ -12,17 +12,6 @@ use super::Process;
 use crate::message::TmkMessage;
 use crate::types::ProcId;
 
-/// The outcome of a [`Process::push_exchange`].
-#[derive(Debug, Clone)]
-pub struct PushReceipt {
-    /// The address ranges installed by the received pushes, coalesced.
-    pub installed: Vec<AddrRange>,
-    /// How many of the received pages the software TLB maps, cached where
-    /// it did not hold them yet under the same table-lock hold as the
-    /// install.
-    pub pages_warmed: usize,
-}
-
 impl Process {
     /// Point-to-point data exchange replacing a barrier in a fully
     /// analyzable phase: the contents of each range in `sends` travel
@@ -35,17 +24,13 @@ impl Process {
     /// The exchange is batched like the barrier protocol: *one* table-lock
     /// hold reads every outgoing chunk, and after all pushes have arrived
     /// *one* hold installs everything and caches the mappings of the
-    /// received ranges, whose coalesced extent the [`PushReceipt`] reports.
+    /// received ranges.
     ///
     /// # Panics
     ///
     /// Panics if a destination or source is out of range or is this
     /// processor itself.
-    pub fn push_exchange(
-        &mut self,
-        sends: &[(ProcId, Vec<AddrRange>)],
-        recv_from: &[ProcId],
-    ) -> PushReceipt {
+    pub fn push_exchange(&mut self, sends: &[(ProcId, Vec<AddrRange>)], recv_from: &[ProcId]) {
         let me = self.proc_id();
         if !sends.is_empty() {
             // One hold for every outgoing chunk read.
@@ -84,27 +69,23 @@ impl Process {
             received.extend(chunks.into_iter().map(|(r, d)| (from, r, d)));
         }
         if received.is_empty() {
-            return PushReceipt { installed: Vec::new(), pages_warmed: 0 };
+            return;
         }
         let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
-        let pages_warmed = {
-            // The detector needs protocol state (lock order: proto before
-            // table); the detector-off install path takes only the table
-            // lock, exactly as before.
-            let mut node = self.node.unleased();
-            let race_proto = self.run.race.as_ref().map(|log| (log, node.proto()));
-            let mut table = node.table();
-            if let Some((log, proto)) = &race_proto {
-                detect_push_races_locked(&self.stats, log, proto, &table, &received);
-            }
-            for (_, range, data) in received {
-                // Mirrored into any twin: pushed bytes are installed data,
-                // not local modifications, and must not surface in a later
-                // diff (or be race-flagged against the next push).
-                table.install_bytes(range.start(), &data);
-            }
-            warm_ranges_locked(&mut node, &table, &installed)
-        };
-        PushReceipt { installed, pages_warmed }
+        // The detector needs protocol state (lock order: proto before table);
+        // the detector-off install path takes only the table lock.
+        let mut node = self.node.unleased();
+        let race_proto = self.run.race.as_ref().map(|log| (log, node.proto()));
+        let mut table = node.table();
+        if let Some((log, proto)) = &race_proto {
+            detect_push_races_locked(&self.stats, log, proto, &table, &received);
+        }
+        for (_, range, data) in received {
+            // Mirrored into any twin: pushed bytes are installed data, not
+            // local modifications, and must not surface in a later diff (or
+            // be race-flagged against the next push).
+            table.install_bytes(range.start(), &data);
+        }
+        warm_ranges_locked(&mut node, &table, &installed);
     }
 }

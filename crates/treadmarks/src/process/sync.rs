@@ -1,12 +1,12 @@
 //! What every synchronization point shares: the lowered [`PhasePlan`], the
-//! in-flight synchronization and its receipt, write preparation, the
-//! aggregated diff request/response exchange, the single-hold install and
-//! the split-phase completion. A barrier or lock acquire performs its own
-//! exchange, leaves what is still outstanding with the
-//! [`Process`] and hands back a [`PendingSync`] receipt; one completion,
-//! with one wait loop, serves them all — run by the program's
-//! `sync_phase_complete`, or by the fault handler on the first touch of a
-//! page the in-flight fetch covers, whichever comes first.
+//! in-flight synchronization, write preparation, the aggregated diff
+//! request/response exchange, the single-hold install and the split-phase
+//! completion. [`Process::sync_phase`] issues a barrier or lock acquire —
+//! each performs its own exchange and leaves what is still outstanding with
+//! the [`Process`] — runs the caller's overlap body and completes; one
+//! completion, with one wait loop, serves them all, run at the end of the
+//! call or by the fault handler on the first touch of a page the in-flight
+//! fetch covers, whichever comes first.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -42,8 +42,7 @@ pub enum SyncOp {
 /// A lowered description of one compiler-analyzed phase: what must be
 /// fetched, how written pages are prepared, and which mappings to cache in
 /// the software TLB. Built by the `ctrt` crate from `RegularSection`s;
-/// consumed by the aggregate entry points
-/// ([`Process::sync_phase_issue`]/[`Process::sync_phase_complete`] and
+/// consumed by the aggregate entry points ([`Process::sync_phase`] and
 /// [`Process::prepare_phase`]) so that *all* per-phase protocol work happens
 /// under a single page-table-lock hold per synchronization step.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -66,14 +65,6 @@ pub struct PhasePlan {
     pub warm: Vec<AddrRange>,
 }
 
-impl PhasePlan {
-    /// A plan that only fetches `ranges` (no write preparation, no
-    /// warming) — what the bare `fetch_diffs_w_sync` primitive needs.
-    pub fn fetch_only(ranges: &[AddrRange]) -> PhasePlan {
-        PhasePlan { fetch: ranges.to_vec(), ..PhasePlan::default() }
-    }
-}
-
 /// The distinct pages `ranges` touch, ascending.
 pub(super) fn pages_of(ranges: &[AddrRange]) -> Vec<PageId> {
     let mut pages: Vec<PageId> = ranges.iter().flat_map(AddrRange::pages).collect();
@@ -94,62 +85,13 @@ pub(super) struct DeferredWrite {
     write_all: bool,
 }
 
-/// The receipt of a split-phase `Validate_w_sync`.
-///
-/// Returned by [`Process::sync_phase_issue`]: the synchronization operation
-/// itself has been performed (the barrier crossed or the lock acquired,
-/// with the section page list piggybacked), the
-/// requests are on the wire, and write preparation has been done for every
-/// page that was already consistent. What is still in flight — whom the processor waits for, the
-/// records already in hand, the deferred preparation — belongs to the
-/// [`Process`]; the receipt only names the synchronization, `(kind,
-/// ordinal)`. Pass it to [`Process::sync_phase_complete`] to collect the
-/// responses, apply them in causal (rank) order and finish the deferred
-/// preparation.
-///
-/// The receipt never exposes stale data: pages with outstanding diffs stay
-/// invalid until their data is installed, and **the first touch of such a
-/// page completes the pending synchronization** — the fault handler runs
-/// the completion itself, on the data that is already on its way. The later
-/// `sync_phase_complete` then charges nothing. A receipt that is dropped
-/// leaves its state behind until the next issue replaces it.
-#[must_use = "a split-phase sync completes only when passed to sync_phase_complete or \
-              validate_w_sync_complete"]
-#[derive(Debug)]
-pub struct PendingSync {
-    kind: SyncKind,
-    /// The synchronization's ordinal among those of its kind on this
-    /// processor.
-    seq: u64,
-    outstanding: usize,
-}
-
-impl PendingSync {
-    /// Number of response messages that were outstanding when the issue
-    /// returned.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-}
-
-/// The synchronization a processor has issued and not yet issued another
-/// after: what its completion waits for and installs, until the completion
-/// has run. One per processor — a re-issue replaces it.
+/// The synchronization whose overlap body is running: one per processor,
+/// from its issue to the end of [`Process::sync_phase`].
 #[derive(Debug)]
 pub(super) struct InFlightSync {
-    /// The synchronization kind: names the receipt, and a race detected at
-    /// the completion is attributed to it in its [`racecheck::RaceReport`].
+    /// The synchronization kind: a race detected at the completion is
+    /// attributed to it in its [`racecheck::RaceReport`].
     kind: SyncKind,
-    /// The ordinal the request rode on (the barrier count for
-    /// barrier-merged fetches, the acquire count for locks): with `kind`,
-    /// what the
-    /// receipt names; a completion accepts only responses carrying this
-    /// ordinal, so the responses of an abandoned (dropped) receipt can never
-    /// satisfy a later synchronization's completion.
-    seq: u64,
-    /// How many of the warm list's pages the TLB maps: as of the issue, and
-    /// once the completion has run, as of the completion.
-    warmed: usize,
     /// What the completion has to do; `None` once it has run.
     todo: Option<Outstanding>,
 }
@@ -432,7 +374,7 @@ impl Process {
     /// applies the survivors through the page table's batch entry point,
     /// revalidates `pages`, finishes deferred write preparation and caches
     /// the `warm` mappings — one global-lock acquisition for the entire
-    /// step. Returns how many of the warm list's pages the TLB now maps.
+    /// step.
     ///
     /// The order has one rule: a page's records apply in rank order, except
     /// that a base ([`DiffRecord::base`]) goes above every delta its
@@ -455,7 +397,7 @@ impl Process {
         warm: &[AddrRange],
         sync_kind: SyncKind,
         race_vt: Option<&Vt>,
-    ) -> usize {
+    ) {
         let bases: IntMap<PageId, Vt> =
             records.iter().filter_map(|r| Some((r.page, r.base.clone()?))).collect();
         let layer = |r: &DiffRecord| match (&r.base, bases.get(&r.page)) {
@@ -562,7 +504,7 @@ impl Process {
         }
         deferred_pages.sort_unstable();
         let deferred_runs = contiguous_runs(&deferred_pages);
-        let warmed = warm_ranges_locked(&mut node, &table, warm);
+        warm_ranges_locked(&mut node, &table, warm);
         let pages_in_use = table.pages_in_use();
         drop(table);
         drop(proto);
@@ -575,12 +517,11 @@ impl Process {
         self.clock.advance(self.cost.twin_cost(deferred_twins as usize));
         self.stats.protection_ops(deferred_runs);
         self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(deferred_runs));
-        warmed
     }
 
     /// Merges an aggregated fetch of `ranges` with a synchronization
-    /// operation (the blocking form of `Validate_w_sync`): issue and
-    /// complete back to back.
+    /// operation (the blocking form of `Validate_w_sync`): a
+    /// [`sync_phase`](Self::sync_phase) with nothing to overlap.
     ///
     /// For [`SyncOp::Lock`], the page list rides on the acquire request and
     /// the last releaser piggybacks its diffs on the grant; diffs owned by
@@ -590,47 +531,69 @@ impl Process {
     /// barrier arrival, is routed to its producers with the departures, and
     /// every producer answers with one aggregated `SyncDiffs` message.
     pub fn fetch_diffs_w_sync(&mut self, sync: SyncOp, ranges: &[AddrRange]) {
-        let pending = self.sync_phase_issue(sync, &PhasePlan::fetch_only(ranges));
-        self.sync_phase_complete(pending);
+        let plan = PhasePlan { fetch: ranges.to_vec(), ..PhasePlan::default() };
+        self.sync_phase(sync, &plan, |_| {});
     }
 
-    /// The issue half of a split-phase `Validate_w_sync`: performs the
-    /// synchronization operation with the plan's page list piggybacked,
-    /// sends every diff request, prepares the pages that are already
-    /// consistent, caches the sections' mappings and returns without
-    /// waiting for the data.
+    /// Split-phase `Validate_w_sync`: performs the synchronization operation
+    /// with the plan's page list piggybacked, sends every diff request,
+    /// prepares the pages that are already consistent and caches the
+    /// sections' mappings; runs `overlap`; then waits for every response,
+    /// applies the whole batch in causal (rank) order, finishes the deferred
+    /// write preparation and caches the mappings of the fetched pages.
     ///
     /// All per-synchronization protocol work on this side — write-notice
     /// application, serving the other processors' piggybacked requests,
     /// write preparation and mapping caching — happens under a **single**
-    /// page-table-lock hold.
+    /// page-table-lock hold at the issue, and the install under one more.
     ///
-    /// The caller may run computation that does not touch the still-missing
-    /// pages before calling [`sync_phase_complete`](Self::sync_phase_complete),
-    /// overlapping the fetch latency. Touching a pending page early is safe:
-    /// the access faults and the fault handler completes the pending
-    /// synchronization on the spot — a receipt never exposes stale data,
-    /// and in-flight data is never fetched a second time.
-    pub fn sync_phase_issue(&mut self, sync: SyncOp, plan: &PhasePlan) -> PendingSync {
+    /// `overlap` is computation that does not need the still-missing pages:
+    /// it runs while their data is on the wire. Touching a pending page in
+    /// it is safe: the access faults and the fault handler runs the
+    /// completion on the spot, so stale data is never exposed and in-flight
+    /// data is never fetched a second time; the completion at the end of the
+    /// call is then free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `overlap` issues a synchronization of its own (a barrier,
+    /// lock acquire, reduction or merged fetch): one synchronization is in
+    /// flight at a time.
+    pub fn sync_phase(
+        &mut self,
+        sync: SyncOp,
+        plan: &PhasePlan,
+        overlap: impl FnOnce(&mut Process),
+    ) {
         match sync {
-            SyncOp::Barrier => self.barrier_issue(plan, None),
-            SyncOp::Lock(lock) => self.lock_issue(lock, plan),
+            SyncOp::Barrier => {
+                self.synchronize(SyncKind::Barrier, |p| p.barrier_issue(plan, None), overlap);
+            }
+            SyncOp::Lock(lock) => {
+                self.synchronize(SyncKind::LockGrant, |p| p.lock_issue(lock, plan), overlap);
+            }
         }
     }
 
-    /// Makes `todo` this processor's in-flight synchronization — replacing
-    /// whatever an abandoned receipt left behind — and returns its receipt.
-    /// `warmed` is the issue's own mapping-caching count.
-    pub(super) fn begin_in_flight(
+    /// Issues a synchronization with `issue`, makes what it leaves
+    /// outstanding this processor's in-flight synchronization, runs
+    /// `overlap` and completes it.
+    pub(super) fn synchronize(
         &mut self,
         kind: SyncKind,
-        seq: u64,
-        warmed: usize,
-        todo: Outstanding,
-    ) -> PendingSync {
-        let outstanding = todo.responders.len() + todo.fetch_expected.len();
-        self.in_flight = Some(InFlightSync { kind, seq, warmed, todo: Some(todo) });
-        PendingSync { kind, seq, outstanding }
+        issue: impl FnOnce(&mut Process) -> Outstanding,
+        overlap: impl FnOnce(&mut Process),
+    ) {
+        assert!(
+            self.in_flight.is_none(),
+            "P{}: a synchronization was issued inside another's overlap body",
+            self.me
+        );
+        let todo = issue(self);
+        self.in_flight = Some(InFlightSync { kind, todo: Some(todo) });
+        overlap(self);
+        self.complete_in_flight(false);
+        self.in_flight = None;
     }
 
     /// Whether the in-flight synchronization's merged fetch covers `page`
@@ -642,29 +605,11 @@ impl Process {
             .is_some_and(|todo| todo.pages.binary_search(&page).is_ok())
     }
 
-    /// The completion half of a split-phase `Validate_w_sync`: waits for
-    /// every outstanding response, applies the whole batch in causal (rank)
-    /// order, finishes deferred write preparation and caches the mappings
-    /// of the fetched pages — again under a single page-table-lock hold.
-    /// Returns how many of the warm list's pages the TLB now maps.
-    ///
-    /// If a first touch already completed the synchronization, this charges
-    /// nothing and only reports the count. A receipt whose state a later
-    /// issue has replaced reports 0.
-    pub fn sync_phase_complete(&mut self, pending: PendingSync) -> usize {
-        let named = |sync: &InFlightSync| (sync.kind, sync.seq) == (pending.kind, pending.seq);
-        if !self.in_flight.as_ref().is_some_and(named) {
-            return 0;
-        }
-        self.complete_in_flight(false);
-        self.in_flight.take().map_or(0, |sync| sync.warmed)
-    }
-
     /// Runs the in-flight synchronization's completion, if it has not run
     /// yet. `first_touch` says who is asking: the fault handler, on the
     /// first access to a page the merged fetch covers (which labels the
-    /// waits on the wait board), or the program's own
-    /// [`sync_phase_complete`](Self::sync_phase_complete).
+    /// waits on the wait board), or [`sync_phase`](Self::sync_phase) after
+    /// the overlap body.
     ///
     /// The completion blocks only on messages that are already on their way
     /// from processors that never wait for this one — a barrier's
@@ -680,7 +625,7 @@ impl Process {
         if todo.is_empty() {
             return;
         }
-        let (kind, seq) = (sync.kind, sync.seq);
+        let kind = sync.kind;
         let Outstanding {
             pages,
             mut responders,
@@ -706,59 +651,47 @@ impl Process {
         );
         // Observe every reply before applying anything (see `barrier_issue`
         // for why observe-all-then-advance is what keeps virtual time
-        // independent of thread scheduling). Only a barrier has responders,
-        // and a reply is accepted only under its own ordinal; older replies
-        // — answers to a receipt the caller dropped instead of completing —
-        // are consumed and discarded here so they can never be mistaken for
-        // (or park behind) this barrier's data.
+        // independent of thread scheduling). Only a barrier has responders.
+        // Every reply is this barrier's: a processor requests at one
+        // barrier at a time, and this loop consumes all of its replies
+        // before the next arrival.
         while !responders.is_empty() {
-            let env = self.recv_reply(label("a producer's sync-diffs"), |m| {
-                matches!(m, TmkMessage::SyncDiffs { from, seq: got, .. }
-                    if *got <= seq && responders.contains(from))
-            });
+            let env = self.recv_reply(
+                label("a producer's sync-diffs"),
+                |m| matches!(m, TmkMessage::SyncDiffs { from, .. } if responders.contains(from)),
+            );
             self.clock.observe(env.arrives_at);
-            let TmkMessage::SyncDiffs { from, seq: got, diffs } = env.payload else {
-                unreachable!()
-            };
-            if got < seq {
-                continue;
-            }
+            let TmkMessage::SyncDiffs { from, diffs } = env.payload else { unreachable!() };
             responders.remove(&from);
             records.extend(diffs);
         }
-        // How long the completion actually stalled: with computation between
-        // issue and complete, the responses have already arrived and this
+        // How long the completion actually stalled: with computation in the
+        // overlap body, the responses have already arrived and this
         // approaches zero — the split-phase overlap, made measurable.
         let waited = self.clock.now().saturating_sub(before);
         self.stats.sync_wait_ns(waited.as_nanos());
-        let warmed =
-            self.install_records(records, &pages, &deferred, &warm, kind, race_vt.as_ref());
-        if let Some(sync) = self.in_flight.as_mut() {
-            sync.warmed = warmed;
-        }
+        self.install_records(records, &pages, &deferred, &warm, kind, race_vt.as_ref());
     }
 
     /// Batch write preparation and mapping caching for a phase whose data
     /// is already consistent (the run-time half of a plain `Validate` after
     /// its fetch, and of the producer side of a push loop) — one table-lock
-    /// hold for the whole phase. Returns how many of the warm list's pages
-    /// the TLB now maps.
+    /// hold for the whole phase.
     ///
     /// This is the paper's `Create_twins` and `Write_enable` in one call
     /// ([`PhasePlan`] says what each kind of written range gets), charged
     /// one protection operation per range.
-    pub fn prepare_phase(&mut self, plan: &PhasePlan) -> usize {
+    pub fn prepare_phase(&mut self, plan: &PhasePlan) {
         let mut deferred = Vec::new();
-        let (prep, warmed, pages_in_use) = {
+        let (prep, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
             let prep = prep_writes_locked(&mut proto, &mut table, plan, false, &mut deferred);
-            let warmed = warm_ranges_locked(&mut node, &table, &plan.warm);
-            (prep, warmed, table.pages_in_use())
+            warm_ranges_locked(&mut node, &table, &plan.warm);
+            (prep, table.pages_in_use())
         };
         debug_assert!(deferred.is_empty(), "immediate preparation never defers");
         self.charge_prep(&prep, pages_in_use);
-        warmed
     }
 }

@@ -311,7 +311,9 @@ fn handle_lock_forward(
 
 /// Builds and sends a lock grant answering `request`, leaving at `at` plus
 /// the manager's service cost and carrying the write notices the requester
-/// is missing and any piggy-backed diffs for a `Validate_w_sync`.
+/// is missing and any piggy-backed diffs for a `Validate_w_sync`. Full pages
+/// materialised for the piggyback are charged their encoding, as a diff
+/// request's are.
 ///
 /// `with_notices` distinguishes grants that transfer a happens-before edge
 /// (from a previous holder) from first-acquisition grants by the manager.
@@ -326,10 +328,10 @@ pub(crate) fn send_grant(
     let PendingLockRequest { requester, requester_vt, sync_pages, .. } = request;
     let proto = shared.proto.lock();
     let table = shared.lock_table();
-    let (notices, piggyback) = if with_notices {
+    let (notices, piggyback, materialised) = if with_notices {
         // The piggyback is charged no scan, so nobody counts the pages.
         let seen = requester_vt.get(proto.me);
-        let (piggyback, _) =
+        let (piggyback, materialised) =
             proto.diffs_for_pages_after_counted(sync_pages, seen, &table, &mut Vec::new());
         let notices = proto.notice_log.notices_after(requester_vt);
         debug_assert!(
@@ -337,13 +339,14 @@ pub(crate) fn send_grant(
             "P{}'s grant to P{requester}: the notices must determine the granter's timestamp",
             proto.me,
         );
-        (notices, piggyback)
+        (notices, piggyback, materialised)
     } else {
-        (Vec::new(), Vec::new())
+        (Vec::new(), Vec::new(), 0)
     };
     drop(table);
     drop(proto);
 
+    let service = shared.cost.lock_manager_cost() + shared.cost.diff_create_cost(materialised);
     let grant = TmkMessage::LockGrant { lock, notices, piggyback };
-    send_at(endpoint, *requester, Port::Reply, grant, at + shared.cost.lock_manager_cost());
+    send_at(endpoint, *requester, Port::Reply, grant, at + service);
 }

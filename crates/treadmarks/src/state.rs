@@ -171,7 +171,7 @@ pub(crate) struct ProtoState {
     /// that acquire, so this — not the merged current timestamp — is the
     /// creating timestamp the detector must attribute to them when a
     /// remote diff lands on a later demand fetch (the grant piggyback path
-    /// carries its own per-acquire snapshot in `PendingSync::race_vt`).
+    /// carries its own per-acquire snapshot in `Outstanding::race_vt`).
     /// Cleared when the interval flushes; `None` when the detector is off
     /// or no acquire happened in the open interval.
     pub acquire_race_vt: Option<Vt>,

@@ -247,18 +247,17 @@ impl<'a> Unleased<'a> {
         self.shared.lock_table()
     }
 
-    /// Caches the mapping of `page` if it is not cached yet, and says
-    /// whether the TLB holds it now (it cannot while `table` does not map
-    /// the page). Takes the held table so that caching never costs a lock
-    /// of its own, and locks no frame: the frame's protection is read when
-    /// the entry is used, not here.
-    pub(crate) fn cache(&mut self, page: PageId, table: &PageTable) -> bool {
+    /// Caches the mapping of `page` if it is not cached yet and `table`
+    /// maps the page. Takes the held table so that caching never costs a
+    /// lock of its own, and locks no frame: the frame's protection is read
+    /// when the entry is used, not here.
+    pub(crate) fn cache(&mut self, page: PageId, table: &PageTable) {
         if self.tlb.contains(page) {
-            return true;
+            return;
         }
-        let Ok(frame) = table.frame(page) else { return false };
-        self.tlb.insert(page, frame);
-        true
+        if let Ok(frame) = table.frame(page) {
+            self.tlb.insert(page, frame);
+        }
     }
 
     /// Grants `lock` to a requester that was queued behind the local

@@ -233,9 +233,8 @@ fn solo_kernel(p: &mut Process) -> u64 {
         read_write_all: vec![chunk(3)],
         warm: vec![chunk(0), a.range_of(ELEMS, 4 * ELEMS)],
     };
-    let pending = p.sync_phase_issue(SyncOp::Barrier, &plan);
-    assert_eq!(pending.outstanding(), 0, "nobody to answer");
-    p.sync_phase_complete(pending);
+    // Nobody answers: the pinned `sync_wait_ns` stays 0.
+    p.sync_phase(SyncOp::Barrier, &plan, |_| {});
     for i in (ELEMS..2 * ELEMS).step_by(5) {
         p.set(&a, i, 7);
     }
@@ -307,9 +306,8 @@ fn wide_kernel(p: &mut Process) -> (u64, VirtualTime) {
                 p.set(&a, grid.index(row, col), epoch * 10_000 + (col * ROWS + row) as u64);
             }
         }
-        let pending = p.sync_phase_issue(SyncOp::Barrier, &PhasePlan::fetch_only(&wanted));
-        issued = p.clock().now();
-        p.sync_phase_complete(pending);
+        let plan = PhasePlan { fetch: wanted.clone(), ..PhasePlan::default() };
+        p.sync_phase(SyncOp::Barrier, &plan, |p| issued = p.clock().now());
         for col in left.into_iter().chain(right) {
             for row in (0..ROWS).step_by(3) {
                 acc = acc.wrapping_add(p.get(&a, grid.index(row, col)));

@@ -73,13 +73,14 @@ fn lock_piggyback_and_third_party_diffs_apply_in_causal_order() {
     );
 }
 
-/// The same scenario driven through the split-phase interface: the
-/// piggyback is held in hand across the issue/complete window and still
-/// lands in causal order at the completion.
+/// The same scenario driven through the split-phase interface, on the SP/2
+/// model so that the third-party fetch takes time: the piggyback is held in
+/// hand across the overlap body and still lands in causal order at the
+/// completion.
 #[test]
 fn split_phase_lock_sync_applies_the_batch_in_causal_order() {
     use treadmarks::PhasePlan;
-    let run = Dsm::run(free_config(3), |p| {
+    let run = Dsm::run(DsmConfig::new(3).with_cost_model(CostModel::sp2()), |p| {
         let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
         match p.proc_id() {
             0 => {
@@ -103,12 +104,11 @@ fn split_phase_lock_sync_applies_the_batch_in_causal_order() {
             _ => {
                 p.barrier();
                 p.barrier();
-                let pending = p.sync_phase_issue(
-                    SyncOp::Lock(LOCK),
-                    &PhasePlan::fetch_only(&[a.full_range()]),
-                );
-                assert!(pending.outstanding() >= 1, "the third-party fetch must be in flight");
-                p.sync_phase_complete(pending);
+                let waited = p.stats().snapshot().sync_wait_ns;
+                let plan = PhasePlan { fetch: vec![a.full_range()], ..PhasePlan::default() };
+                p.sync_phase(SyncOp::Lock(LOCK), &plan, |_| {});
+                let waited = p.stats().snapshot().sync_wait_ns - waited;
+                assert!(waited > 0, "the completion waits for the third-party fetch in flight");
                 let v = p.get(&a, 0);
                 p.lock_release(LOCK);
                 p.barrier();

@@ -112,8 +112,7 @@ fn main() {
         let producer = (me + 1) % NPROCS;
         let mut sum = 0u64;
         for step in &plan.steps {
-            let issued = rsdcomp::exec::issue(p, &step.entry);
-            match step.phase {
+            rsdcomp::exec::enter(p, &step.entry, |p| match step.phase {
                 0 => {
                     for i in 0..chunk {
                         p.set(&a, me * chunk + i, i as u64);
@@ -122,8 +121,7 @@ fn main() {
                 _ => {
                     sum = (producer * chunk..(producer + 1) * chunk).map(|i| p.get(&a, i)).sum();
                 }
-            }
-            rsdcomp::exec::complete(p, issued);
+            });
         }
         sum
     });
