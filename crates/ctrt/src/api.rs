@@ -121,7 +121,6 @@ pub fn validate_w_sync_overlapped(
     p.stats().validate_w_syncs(1);
     p.stats().split_phase_issues(1);
     p.sync_phase(sync, &plan(sections), overlap);
-    p.stats().split_phase_completes(1);
 }
 
 /// `Release(lock)`: the exit of a lock-guarded phase. Flushes the guarded

@@ -277,6 +277,18 @@ impl PageTable {
         self.frame_or_map_inner(page, protection).lock().protection = protection;
     }
 
+    /// Makes a mapped, readable `page` `Invalid` in one table probe and
+    /// returns whether it was one; any other page is left alone.
+    pub fn invalidate(&mut self, page: PageId) -> bool {
+        let Some(frame) = self.frames.get(&page) else { return false };
+        let mut guard = frame.lock();
+        let readable = guard.protection.allows_read();
+        if readable {
+            guard.protection = Protection::Invalid;
+        }
+        readable
+    }
+
     /// Marks `page` dirty and returns whether it was already dirty.
     pub fn mark_dirty(&mut self, page: PageId) -> bool {
         let frame = self.frame_or_map(page);
@@ -582,6 +594,19 @@ mod tests {
         table.set_protection(PageId(1), Protection::Invalid);
         assert_eq!(table.check_access(PageId(1), false), AccessOutcome::Invalid);
         assert!(table.check_access(PageId(1), false).is_fault());
+    }
+
+    #[test]
+    fn invalidate_revokes_only_a_readable_mapping() {
+        let mut table = PageTable::new();
+        table.map_zeroed(PageId(1), Protection::ReadOnly);
+        table.map_zeroed(PageId(2), Protection::ReadWrite);
+        table.map_zeroed(PageId(3), Protection::Invalid);
+        assert_eq!([1, 2, 3, 4].map(|p| table.invalidate(PageId(p))), [true, true, false, false]);
+        for page in 1..=3 {
+            assert_eq!(table.protection(PageId(page)), Protection::Invalid);
+        }
+        assert!(!table.is_mapped(PageId(4)), "an unmapped page stays unmapped");
     }
 
     #[test]

@@ -99,12 +99,9 @@ define_stats! {
     validate_w_syncs,
     /// `Push` exchanges replacing barriers.
     pushes,
-    /// Split-phase `Validate_w_sync` issues: the fetch was issued at a
-    /// synchronization point and left pending while an overlap body ran.
+    /// Split-phase `Validate_w_sync` calls: each issued its fetch at a
+    /// synchronization point, ran an overlap body and completed.
     split_phase_issues,
-    /// Split-phase completions: pending responses were collected,
-    /// rank-sorted and applied after the overlap body.
-    split_phase_completes,
     /// Virtual nanoseconds a completion actually stalled waiting for sync
     /// responses (`max(arrival) - now`, clamped at zero). Work done in the
     /// overlap body hides fetch latency and shrinks this number — the

@@ -12,7 +12,8 @@
 //!   recent interval whose modifications have been seen.
 //! * **Write notices** — at an acquire (lock acquisition, barrier departure)
 //!   the acquirer learns which pages were modified in intervals it has not
-//!   yet seen. Those pages are invalidated.
+//!   yet seen, one [`NoticeRecord`] per interval, built by the writer's
+//!   flush and shared by every log and message. Those pages are invalidated.
 //! * **Twins and diffs** — a write to a write-protected page faults; the
 //!   runtime saves a *twin* (copy) of the page and write-enables it. When the
 //!   modifications are needed they are encoded as a *diff* (twin vs current)
@@ -80,7 +81,7 @@ pub use config::{BarrierTopology, DsmConfig};
 pub use dsm::{Dsm, DsmError, DsmRun};
 pub use message::TmkMessage;
 pub use msgnet::{FaultPlan, LinkRates, NetFaults, Port, RetryPolicy};
-pub use notice::{NoticeLog, WriteNotice};
+pub use notice::{NoticeLog, NoticeRecord};
 pub use process::{PhasePlan, Process, SyncOp};
 pub use racecheck::{RaceAccess, RaceDetect, RaceReport, SyncKind};
 pub use sharedarray::{Shareable, SharedArray, SharedMatrix};

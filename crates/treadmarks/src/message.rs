@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use pagedmem::{AddrRange, Diff, PageId};
 
-use crate::notice::WriteNotice;
+use crate::notice::NoticeRecord;
 use crate::types::{Interval, LockId, ProcId, Vt, VtDelta};
 
 /// A diff together with the write notice it satisfies.
@@ -47,7 +47,7 @@ pub struct DiffRecord {
 impl DiffRecord {
     /// Approximate wire size of the record.
     pub fn wire_bytes(&self) -> usize {
-        WriteNotice::WIRE_BYTES
+        NoticeRecord::WIRE_BYTES_PER_PAGE
             + 8
             + self.diff.encoded_bytes()
             + self.base.as_ref().map_or(0, Vt::wire_bytes)
@@ -202,8 +202,8 @@ pub enum TmkMessage {
     LockGrant {
         /// The granted lock.
         lock: LockId,
-        /// Write notices the acquirer has not seen.
-        notices: Vec<WriteNotice>,
+        /// The notice records the acquirer has not seen.
+        notices: Vec<NoticeRecord>,
         /// Diffs for piggy-backed `Validate_w_sync` pages.
         piggyback: Vec<DiffRecord>,
     },
@@ -221,9 +221,9 @@ pub enum TmkMessage {
         /// barrier's global timestamp. Aggregated to the root and
         /// redistributed as the garbage-collection horizon.
         applied_vt: VtDelta,
-        /// Every write notice the subtree holds above the previous
+        /// Every notice record the subtree holds above the previous
         /// barrier's global timestamp.
-        notices: Vec<WriteNotice>,
+        notices: Vec<NoticeRecord>,
         /// The subtree's piggy-backed `Validate_w_sync` requests.
         sync_requests: Vec<SyncFetchRequest>,
         /// At a reduction, the subtree's partials summed, as `(word, delta)`
@@ -242,8 +242,8 @@ pub enum TmkMessage {
         /// its minimum component can never be requested again — against
         /// the *previous* barrier's global timestamp.
         gc_horizon: VtDelta,
-        /// Write notices this subtree has not seen.
-        notices: Vec<WriteNotice>,
+        /// The notice records this subtree has not seen.
+        notices: Vec<NoticeRecord>,
         /// The receiving subtree's share of the piggy-backed fetch requests:
         /// the entries one of its processors answers, in requester order.
         /// The receiver serves the entries that name it and hands each
@@ -301,20 +301,20 @@ impl TmkMessage {
                 8 + vt.wire_bytes() + sync_pages.len() * 4
             }
             TmkMessage::LockGrant { notices, piggyback, .. } => {
-                4 + notices.len() * WriteNotice::WIRE_BYTES
+                4 + notices.iter().map(NoticeRecord::wire_bytes).sum::<usize>()
                     + piggyback.iter().map(DiffRecord::wire_bytes).sum::<usize>()
             }
             // A reduction's word costs four bytes of index and eight of
             // value.
             TmkMessage::BarrierArrival { applied_vt, notices, sync_requests, words, .. } => {
                 4 + applied_vt.wire_bytes(nprocs)
-                    + notices.len() * WriteNotice::WIRE_BYTES
+                    + notices.iter().map(NoticeRecord::wire_bytes).sum::<usize>()
                     + sync_requests.iter().map(|r| r.wire_bytes(nprocs)).sum::<usize>()
                     + 12 * words.len()
             }
             TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests, words } => {
                 gc_horizon.wire_bytes(nprocs)
-                    + notices.len() * WriteNotice::WIRE_BYTES
+                    + notices.iter().map(NoticeRecord::wire_bytes).sum::<usize>()
                     + sync_requests.iter().map(RoutedRequest::wire_bytes).sum::<usize>()
                     + 12 * words.len()
             }
@@ -403,9 +403,9 @@ mod tests {
     fn barrier_messages_account_for_notices_and_requests() {
         const N: usize = 64;
         let base = Vt::new(N);
-        let notice = WriteNotice { page: PageId(3), proc: 1, interval: 1 };
+        let notice = NoticeRecord { proc: 1, interval: 1, pages: [PageId(3)].into() };
         let arrival =
-            |applied: &Vt, notices: Vec<WriteNotice>, sync_requests| TmkMessage::BarrierArrival {
+            |applied: &Vt, notices: Vec<NoticeRecord>, sync_requests| TmkMessage::BarrierArrival {
                 proc: 1,
                 applied_vt: applied.delta_from(&base),
                 notices,
@@ -420,8 +420,8 @@ mod tests {
         let request = SyncFetchRequest::new(1, &base, &base, [PageId(3)].into());
         let applied = moved(&base, &[(1, 1)]);
         assert_eq!(
-            arrival(&applied, vec![notice], vec![request]).wire_bytes(N),
-            4 + (4 + 8) + WriteNotice::WIRE_BYTES + (4 + 4 + 4)
+            arrival(&applied, vec![notice.clone()], vec![request]).wire_bytes(N),
+            4 + (4 + 8) + 12 + (4 + 4 + 4)
         );
         // On the way down a request names its responders instead of
         // carrying a timestamp: four bytes a page, eight a responder.
@@ -433,11 +433,11 @@ mod tests {
         assert_eq!(routed.wire_bytes(), 4 + 2 * 4 + 3 * 8);
         let departure = |horizon: &Vt, sync_requests| TmkMessage::BarrierDeparture {
             gc_horizon: horizon.delta_from(&base),
-            notices: vec![notice],
+            notices: vec![notice.clone()],
             sync_requests,
             words: vec![],
         };
-        assert_eq!(departure(&base, vec![]).wire_bytes(N), 4 + WriteNotice::WIRE_BYTES);
+        assert_eq!(departure(&base, vec![]).wire_bytes(N), 4 + 12);
         assert_eq!(
             departure(&base, vec![routed.clone()]).wire_bytes(N),
             departure(&base, vec![]).wire_bytes(N) + routed.wire_bytes()
@@ -470,13 +470,15 @@ mod tests {
 
     #[test]
     fn sync_replies_and_grants_carry_no_timestamp() {
-        let notices = vec![WriteNotice { page: PageId(3), proc: 1, interval: 1 }];
+        // A record of two pages travels as two 12-byte notices.
+        let notices =
+            vec![NoticeRecord { proc: 1, interval: 1, pages: [PageId(3), PageId(4)].into() }];
         // A barrier's reply carries no notices: the departure did.
         let barrier = TmkMessage::SyncDiffs { from: 1, diffs: vec![] };
         let grant = TmkMessage::LockGrant { lock: 0, notices, piggyback: vec![] };
         for n in [2, 64] {
             assert_eq!(barrier.wire_bytes(n), 12, "{n} processors");
-            assert_eq!(grant.wire_bytes(n), 4 + WriteNotice::WIRE_BYTES, "{n} processors");
+            assert_eq!(grant.wire_bytes(n), 4 + 2 * 12, "{n} processors");
         }
         // The two requests still carry their timestamp whole.
         let acquire = TmkMessage::LockAcquireRequest {

@@ -288,7 +288,7 @@ impl Process {
     /// instead of a hang, under any fault schedule.
     fn recv_reply(
         &mut self,
-        what: &str,
+        what: &'static str,
         pred: impl Fn(&TmkMessage) -> bool,
     ) -> Envelope<TmkMessage> {
         if let Some(pos) = self.pending.iter().position(|e| pred(&e.payload)) {
@@ -298,7 +298,7 @@ impl Process {
         // requests, which may need a frame.
         self.node.return_leases();
         let me = self.proc_id();
-        self.run.board.wait(me, what.to_string());
+        self.run.board.wait(me, what);
         loop {
             let env = match self.endpoint().recv_timeout(Port::Reply, self.run.watchdog) {
                 Ok(env) => env,
@@ -337,18 +337,27 @@ impl fmt::Debug for Process {
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
+    use std::sync::Arc;
 
     use pagedmem::{PageId, Protection};
 
     use super::interval::{apply_notices_locked, contiguous_runs, NoticeTally};
     use super::*;
-    use crate::notice::WriteNotice;
+    use crate::notice::NoticeRecord;
     use crate::state::ProtoState;
     use crate::types::Interval;
 
-    /// `apply_notices_locked` as it was when it grouped through a map of
-    /// vectors and deduplicated each group through a hash set, kept
-    /// verbatim: the walk the replacement must reproduce.
+    /// One page's write notice, the form notices travelled in before an
+    /// interval's record did.
+    struct WriteNotice {
+        page: PageId,
+        proc: ProcId,
+        interval: Interval,
+    }
+
+    /// `apply_notices_locked` as it was when it grouped per-page notices
+    /// through a map of vectors and deduplicated each group through a hash
+    /// set, kept verbatim: the walk the replacement must reproduce.
     fn apply_notices_grouped(
         proto: &mut ProtoState,
         table: &mut pagedmem::PageTable,
@@ -367,7 +376,8 @@ mod tests {
         for ((proc, interval), mut pages) in grouped {
             let mut seen = HashSet::with_capacity(pages.len());
             pages.retain(|page| seen.insert(*page));
-            if !proto.notice_log.record(proc, interval, pages.clone()) {
+            let record = NoticeRecord { proc, interval, pages: pages.clone().into() };
+            if !proto.notice_log.record(record) {
                 continue;
             }
             recorded += pages.len() as u64;
@@ -417,71 +427,71 @@ mod tests {
             };
             table.map_zeroed(PageId(page), protection);
         }
-        proto.notice_log.record(3, 1, vec![PageId(0)]);
+        proto.notice_log.record(record(3, 1, &[0]));
         (proto, table)
     }
 
-    fn notice(proc: ProcId, interval: Interval, page: usize) -> WriteNotice {
-        WriteNotice { page: PageId(page), proc, interval }
+    fn record(proc: ProcId, interval: Interval, pages: &[usize]) -> NoticeRecord {
+        NoticeRecord { proc, interval, pages: pages.iter().copied().map(PageId).collect() }
     }
 
     #[test]
     fn notice_batches_apply_exactly_as_the_grouped_walk_did() {
-        let batches: Vec<Vec<WriteNotice>> = vec![
-            // The same (proc, interval) from two children, page lists
-            // overlapping and in different orders, another group between.
-            vec![
-                notice(1, 3, 4),
-                notice(1, 3, 5),
-                notice(0, 1, 9),
-                notice(1, 3, 5),
-                notice(1, 3, 8),
-                notice(1, 3, 4),
-            ],
-            // Intervals out of order, pages descending, and a page repeated
-            // inside one child's list.
-            vec![
-                notice(4, 5, 7),
-                notice(4, 5, 1),
-                notice(4, 2, 6),
-                notice(4, 5, 7),
-                notice(4, 4, 0),
-            ],
-            // Own notices, alone and between foreign ones.
-            vec![notice(2, 1, 3), notice(0, 2, 1), notice(2, 1, 4), notice(0, 2, 2)],
-            // Groups the log already holds: one from set-up, two from the
-            // batches above (with pages the first recording never named).
-            vec![
-                notice(3, 1, 11),
-                notice(1, 3, 10),
-                notice(0, 1, 9),
-                notice(3, 2, 0),
-                notice(3, 2, 1),
-            ],
+        // Every copy of an interval's record is the one its flush built.
+        let [p1i3, p0i1, p4i5, p4i2, p4i4, own, p0i2, p3i1, p3i2, p1i2, p1i1, p0i3] = [
+            record(1, 3, &[4, 5, 8]),
+            record(0, 1, &[9]),
+            record(4, 5, &[1, 7]),
+            record(4, 2, &[6, 7]),
+            record(4, 4, &[0]),
+            record(2, 1, &[3, 4]),
+            record(0, 2, &[1, 2]),
+            record(3, 1, &[0]),
+            record(3, 2, &[0, 1]),
+            record(1, 2, &[4]),
+            record(1, 1, &[5]),
+            record(0, 3, &[8, 9, 10]),
+        ];
+        let batches: Vec<Vec<NoticeRecord>> = vec![
+            // The same interval from two children, another between.
+            vec![p1i3.clone(), p0i1.clone(), p1i3.clone()],
+            // Intervals out of order, two of them naming page 7.
+            vec![p4i5, p4i2, p4i4],
+            // Own records, alone and between foreign ones.
+            vec![own.clone(), p0i2, own],
+            // Records the log already holds: one from set-up, two from the
+            // batches above.
+            vec![p3i1, p1i3.clone(), p0i1, p3i2],
             vec![],
             // An older interval of a processor arriving after a newer one.
-            vec![
-                notice(1, 2, 4),
-                notice(1, 1, 5),
-                notice(0, 3, 8),
-                notice(0, 3, 9),
-                notice(0, 3, 10),
-            ],
+            vec![p1i2, p1i1, p0i3],
         ];
         let (mut proto, mut table) = node();
         let (mut ref_proto, mut ref_table) = node();
         let everything = Vt::new(NPROCS);
         for (k, batch) in batches.iter().enumerate() {
-            let tally = apply_notices_locked(&mut proto, &mut table, batch);
-            let expected = apply_notices_grouped(&mut ref_proto, &mut ref_table, batch);
+            let tally = apply_notices_locked(&mut proto, &mut table, batch.clone());
+            let flattened: Vec<WriteNotice> = batch
+                .iter()
+                .flat_map(|r| {
+                    r.pages.iter().map(|&page| WriteNotice {
+                        page,
+                        proc: r.proc,
+                        interval: r.interval,
+                    })
+                })
+                .collect();
+            let expected = apply_notices_grouped(&mut ref_proto, &mut ref_table, &flattened);
             assert_eq!(
                 (tally.recorded, tally.invalidation_runs),
                 (expected.recorded, expected.invalidation_runs),
                 "tally of batch {k}"
             );
-            assert_eq!(
-                proto.notice_log.notices_after(&everything),
-                ref_proto.notice_log.notices_after(&everything),
+            assert!(
+                proto
+                    .notice_log
+                    .records_after(&everything)
+                    .eq(ref_proto.notice_log.records_after(&everything)),
                 "notice log after batch {k}"
             );
             // `Vec` equality: the missing lists must agree *in order*.
@@ -494,10 +504,15 @@ mod tests {
                 );
             }
         }
+        // The log holds the page list it was handed, not a copy.
+        let logged =
+            proto.notice_log.records_after(&everything).find(|r| (r.proc, r.interval) == (1, 3));
+        assert!(Arc::ptr_eq(&logged.expect("P1's third interval").pages, &p1i3.pages));
         // The batches did what they were written to do.
         assert!(proto.page_missing[&PageId(4)].starts_with(&[(1, 3)]));
         assert_eq!(proto.page_missing[&PageId(5)], [(1, 3), (1, 1)]);
-        assert!(!proto.page_missing.contains_key(&PageId(11)), "a held group is skipped whole");
+        assert_eq!(proto.page_missing[&PageId(0)], [(4, 4), (3, 2)], "a held record is skipped");
+        assert_eq!(proto.page_missing[&PageId(7)], [(4, 2), (4, 5)], "ascending by interval");
         assert_eq!(table.protection(PageId(4)), Protection::Invalid);
     }
 }

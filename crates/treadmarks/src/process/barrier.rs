@@ -2,7 +2,6 @@
 //! carrying a reduction — over the configured reduction tree.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -12,11 +11,11 @@ use racecheck::SyncKind;
 use sp2model::{VirtualClock, VirtualTime};
 
 use super::access::warm_ranges_locked;
-use super::interval::{apply_notices_locked, sync_vt_locked};
+use super::interval::{apply_notices_locked, sync_vt_locked, NoticeTally};
 use super::sync::{prep_writes_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::{RoutedRequest, SyncFetchRequest, TmkMessage};
-use crate::notice::{notices_determine, vt_through, WriteNotice};
+use crate::notice::{notices_determine, vt_through, NoticeRecord};
 use crate::state::ProtoState;
 use crate::types::{Interval, ProcId, Vt, VtDelta};
 
@@ -181,13 +180,13 @@ fn route_requests_locked(
         same
     });
     let mut writers: Vec<(PageId, ProcId, Reverse<Interval>)> = Vec::new();
-    for (proc, interval, pages) in proto.notice_log.records_after(&floor) {
-        for page in pages {
-            let Ok(at) = wanted.binary_search_by_key(page, |&(wanted, _)| wanted) else {
+    for record in proto.notice_log.records_after(&floor) {
+        for &page in record.pages.iter() {
+            let Ok(at) = wanted.binary_search_by_key(&page, |&(wanted, _)| wanted) else {
                 continue;
             };
-            if wanted[at].1 != Some(proc) {
-                writers.push((*page, proc, Reverse(interval)));
+            if wanted[at].1 != Some(record.proc) {
+                writers.push((page, record.proc, Reverse(record.interval)));
             }
         }
     }
@@ -290,18 +289,19 @@ fn serve_requests_locked(
 }
 
 /// The processors that will answer this node's own piggybacked request with
-/// a `SyncDiffs` message: every other processor with a recorded
+/// a `SyncDiffs` message, ascending: every other processor with a recorded
 /// modification of a requested page above the advertised timestamp sends
-/// exactly one.
-fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> HashSet<ProcId> {
+/// exactly one. The log yields its records in processor order, so a
+/// processor already named is the last one named.
+fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> Vec<ProcId> {
     debug_assert!(pages.is_sorted(), "every caller sorts its page list");
-    let mut responders = HashSet::new();
-    for (proc, _, modified) in proto.notice_log.records_after(vt) {
-        if proc != proto.me
-            && !responders.contains(&proc)
-            && modified.iter().any(|page| pages.binary_search(page).is_ok())
+    let mut responders = Vec::new();
+    for record in proto.notice_log.records_after(vt) {
+        if record.proc != proto.me
+            && responders.last() != Some(&record.proc)
+            && record.pages.iter().any(|page| pages.binary_search(page).is_ok())
         {
-            responders.insert(proc);
+            responders.push(record.proc);
         }
     }
     responders
@@ -327,7 +327,7 @@ fn child_departures(
     children
         .iter()
         .map(|(proc, vt)| {
-            let notices = proto.notice_log.notices_after(vt);
+            let notices = proto.notice_log.clone_after(vt);
             debug_assert!(
                 notices_determine(vt, &notices, &proto.last_global_vt),
                 "P{}'s departure to P{proc}: the notices must determine the global timestamp",
@@ -373,31 +373,31 @@ fn serve_in_arrival_order(
 struct Arrivals {
     /// Each arrival's virtual arrival time and sender, in host receive order.
     at: Vec<(VirtualTime, ProcId)>,
-    /// Every child's write notices, concatenated.
-    notices: Vec<WriteNotice>,
+    /// Every child's notice records, concatenated.
+    notices: Vec<NoticeRecord>,
     /// Per child, ascending: its id and where its notices lie in `notices`.
     spans: Vec<(ProcId, Range<usize>)>,
     /// Each child's applied timestamp against the previous global one.
     applied: Vec<VtDelta>,
 }
 
-/// Folds the children's subtrees into this node's timestamp, under an
-/// already-held lock pair whose notice log already holds their notices, and
-/// before this barrier replaces `last_global_vt`. Returns each child's
-/// subtree timestamp — the previous global timestamp joined with the
-/// child's own notices, which is exactly the child's — and the
-/// component-wise minimum of this node's applied timestamp and theirs.
-fn merge_children_locked(
+/// Applies the children's notice records and folds their subtrees into this
+/// node's timestamp, under an already-held lock pair and before this barrier
+/// replaces `last_global_vt`. Returns the tally, each child's subtree
+/// timestamp (the previous global one joined with the child's own records)
+/// and the component-wise minimum of this node's applied timestamp and theirs.
+fn fold_arrivals_locked(
     proto: &mut ProtoState,
-    table: &PageTable,
-    arrivals: &Arrivals,
-) -> (Vec<(ProcId, Vt)>, Vt) {
+    table: &mut PageTable,
+    arrivals: &mut Arrivals,
+) -> (NoticeTally, Vec<(ProcId, Vt)>, Vt) {
     let base = &proto.last_global_vt;
     let children: Vec<(ProcId, Vt)> = arrivals
         .spans
         .iter()
         .map(|(proc, span)| (*proc, vt_through(base, &arrivals.notices[span.clone()])))
         .collect();
+    let tally = apply_notices_locked(proto, table, std::mem::take(&mut arrivals.notices));
     for (_, vt) in &children {
         proto.vt.merge(vt);
     }
@@ -405,7 +405,7 @@ fn merge_children_locked(
     for delta in &arrivals.applied {
         applied.merge_min(&proto.last_global_vt.patched(delta));
     }
-    (children, applied)
+    (tally, children, applied)
 }
 
 impl Process {
@@ -571,10 +571,10 @@ impl Process {
                 let node = self.node.unleased();
                 let mut proto = node.proto();
                 let mut table = node.table();
-                let tally = apply_notices_locked(&mut proto, &mut table, &arrivals.notices);
-                let (subtrees, applied) = merge_children_locked(&mut proto, &table, &arrivals);
+                let (tally, subtrees, applied) =
+                    fold_arrivals_locked(&mut proto, &mut table, &mut arrivals);
                 let base = &proto.last_global_vt;
-                let notices = proto.notice_log.notices_after(base);
+                let notices = proto.notice_log.clone_after(base);
                 debug_assert!(
                     notices_determine(base, &notices, &proto.vt),
                     "P{me}'s arrival: the notices must determine the subtree's timestamp"
@@ -613,9 +613,8 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            let incoming = departed.as_ref().map_or(&arrivals.notices, |(_, notices, _)| notices);
-            let tally = apply_notices_locked(&mut proto, &mut table, incoming);
-            // The global timestamp, GC horizon and routed requests:
+            // The notices: the departure's below the root, the arrivals' at
+            // the root. The global timestamp, GC horizon and routed requests:
             // distributed by the parent below the root — the timestamp as
             // this node's own joined with the departure's notices, the
             // horizon against the previous global timestamp, read before it
@@ -625,19 +624,21 @@ impl Process {
             // requests are resolved against. The root's own request is
             // resolved in that list; everybody else evaluates the same rule
             // for itself.
-            let (subtrees, gc_horizon, horizon_delta, routed) = match departed {
+            let (tally, subtrees, gc_horizon, horizon_delta, routed) = match departed {
                 Some((horizon_delta, notices, routed)) => {
                     let global_vt = vt_through(&proto.vt, &notices);
+                    let tally = apply_notices_locked(&mut proto, &mut table, notices);
                     let gc_horizon = proto.last_global_vt.patched(&horizon_delta);
                     proto.vt.clone_from(&global_vt);
                     proto.last_global_vt = global_vt;
                     if let Some(vt) = &my_sync_vt {
                         pending.responders = responders_locked(&proto, &pending.pages, vt);
                     }
-                    (subtrees, gc_horizon, horizon_delta, routed)
+                    (tally, subtrees, gc_horizon, horizon_delta, routed)
                 }
                 None => {
-                    let (subtrees, horizon) = merge_children_locked(&mut proto, &table, &arrivals);
+                    let (tally, subtrees, horizon) =
+                        fold_arrivals_locked(&mut proto, &mut table, &mut arrivals);
                     // The requests and the horizon are encoded against the
                     // previous barrier's global timestamp: take it out as
                     // this barrier's goes in.
@@ -648,7 +649,7 @@ impl Process {
                     if let Some(own) = routed.iter().find(|entry| entry.proc == me) {
                         pending.responders = own.responders.iter().map(|&(proc, _)| proc).collect();
                     }
-                    (subtrees, horizon, horizon_delta, routed)
+                    (tally, subtrees, horizon, horizon_delta, routed)
                 }
             };
             let departures = child_departures(
@@ -918,7 +919,7 @@ mod tests {
         /// (a lock grant's notices, ahead of the barrier).
         fn learn(&mut self, node: ProcId, writer: ProcId, interval: Interval, pages: &[usize]) {
             let pages = pages.iter().map(|&p| PageId(p)).collect();
-            self.0[node].0.notice_log.record(writer, interval, pages);
+            self.0[node].0.notice_log.record(NoticeRecord { proc: writer, interval, pages });
         }
 
         /// `writer` closes `interval` having written `pages` — one cached
@@ -1005,7 +1006,7 @@ mod tests {
         let routed = route_requests_locked(&world.0[MASTER].0, base, requests.to_vec());
         for req in requests {
             let own = responders_locked(&world.0[req.proc].0, &req.pages, &req.vt(base));
-            let named: HashSet<ProcId> = routed
+            let named: Vec<ProcId> = routed
                 .iter()
                 .filter(|e| e.proc == req.proc)
                 .flat_map(|e| e.responders.iter().map(|&(responder, _)| responder))
@@ -1139,7 +1140,7 @@ mod tests {
         // P1 of seven at arity 2: children P3 and P4, both leaves.
         const N: usize = 7;
         let mut proto = ProtoState::new(1, N);
-        proto.notice_log.record(0, 1, vec![PageId(3)]);
+        proto.notice_log.record(NoticeRecord { proc: 0, interval: 1, pages: [PageId(3)].into() });
         proto.last_global_vt.advance(0, 1);
         let entry = |proc, pages: &[usize], responders: &[(ProcId, Interval)]| RoutedRequest {
             proc,
@@ -1178,7 +1179,8 @@ mod tests {
         const ARITY: usize = 8;
         let mut proto = ProtoState::new(MASTER, N);
         for writer in 0..N {
-            proto.notice_log.record(writer, 1, vec![PageId(2 * writer), PageId(2 * writer + 1)]);
+            let pages = [PageId(2 * writer), PageId(2 * writer + 1)].into();
+            proto.notice_log.record(NoticeRecord { proc: writer, interval: 1, pages });
             proto.last_global_vt.advance(writer, 1);
         }
         // The first barrier: nothing to encode against yet.
@@ -1249,5 +1251,42 @@ mod tests {
             [(0, 1), (2, 3), (8, 4), (15, 6)]
         );
         assert!(within(&totals, &[]).is_empty());
+    }
+
+    /// Every copy of an interval's notice record is the one its flush built:
+    /// over a chain of four processors (arity 1, so every record crosses up
+    /// to three hops each way) each log's record of P0's — and of every
+    /// writer's — interval shares the writer's own page list.
+    #[test]
+    fn a_barrier_shares_each_interval_record_with_every_log() {
+        let config = crate::DsmConfig::new(4)
+            .with_cost_model(sp2model::CostModel::free())
+            .with_barrier(crate::BarrierTopology::Tree { arity: 1 });
+        crate::Dsm::run(config, |p| {
+            let words = pagedmem::PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(4 * words);
+            // Every page mapped everywhere, so nobody's applied timestamp
+            // covers an interval it has not fetched and no record is trimmed.
+            let _: u32 = (0..4).map(|k| p.get(&a, k * words)).sum();
+            p.set(&a, p.proc_id() * words, 1);
+            p.barrier();
+            if p.proc_id() != 3 {
+                return;
+            }
+            let nothing = Vt::new(4);
+            let pages_of = |node: ProcId, writer: ProcId| {
+                let proto = p.lanes[node].shared.proto.lock();
+                let mut records = proto.notice_log.records_after(&nothing);
+                let record = records.find(|r| (r.proc, r.interval) == (writer, 1));
+                Arc::clone(&record.expect("the barrier delivered every interval").pages)
+            };
+            for writer in 0..4 {
+                let own = pages_of(writer, writer);
+                for node in 0..4 {
+                    let held = pages_of(node, writer);
+                    assert!(Arc::ptr_eq(&held, &own), "P{node}'s record of P{writer}'s interval");
+                }
+            }
+        });
     }
 }

@@ -5,7 +5,7 @@
 use pagedmem::{PageId, PageTable, Protection};
 
 use super::Process;
-use crate::notice::WriteNotice;
+use crate::notice::NoticeRecord;
 use crate::state::{CachedDiff, Delta, DiffEntry, ProtoState};
 use crate::types::Vt;
 
@@ -29,59 +29,42 @@ pub(super) struct NoticeTally {
     pub(super) invalidation_runs: u64,
 }
 
-/// Records incoming write notices under an already-held lock pair: appends
-/// them to the notice log, extends the per-page missing lists and
-/// invalidates local copies. Duplicate notices are ignored. Costs are
-/// charged by the caller from the returned tally (one protection operation
-/// per contiguous run of invalidated pages, like the range `mprotect` of
-/// the original system).
+/// Records incoming notice records under an already-held lock pair: moves
+/// each new one into the notice log, extends its pages' missing lists and
+/// invalidates their local copies. Records the log already holds, this
+/// processor's own and repeats are dropped: every copy of an interval's
+/// record is the one its flush built, so `(proc, interval)` names it. Costs
+/// are charged by the caller from the returned tally (one protection
+/// operation per contiguous run of invalidated pages, like the range
+/// `mprotect` of the original system).
+///
+/// Records apply ascending by `(proc, interval)`, pages in record order:
+/// that order decides the missing lists and hence the later fetches, on
+/// which every downstream virtual-time measurement depends.
 pub(super) fn apply_notices_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
-    notices: &[WriteNotice],
+    mut records: Vec<NoticeRecord>,
 ) -> NoticeTally {
     let me = proto.me;
-    // Bring each `(proc, interval)` group together, groups ascending. The
-    // sort is stable, so inside a group the pages stay in arrival order:
-    // arrival order decides the invalidation (and hence later fetch)
-    // sequence, and sorting the pages too would shift every downstream
-    // virtual-time measurement.
-    let mut sorted: Vec<WriteNotice> = notices.iter().copied().filter(|n| n.proc != me).collect();
-    sorted.sort_by_key(|n| (n.proc, n.interval));
+    records.retain(|r| r.proc != me);
+    records.sort_unstable_by_key(|r| (r.proc, r.interval));
+    records.dedup_by_key(|r| (r.proc, r.interval));
     let mut recorded = 0u64;
     let mut invalidated = Vec::new();
-    for group in sorted.chunk_by(|a, b| (a.proc, a.interval) == (b.proc, b.interval)) {
-        let (proc, interval) = (group[0].proc, group[0].interval);
-        if proto.notice_log.contains(proc, interval) {
+    for record in records {
+        if proto.notice_log.contains(record.proc, record.interval) {
             continue;
         }
-        // One batch can carry the same notice twice — at a barrier the
-        // master concatenates every child's arrival notices, and two
-        // children may both have learned a third processor's interval
-        // along the lock-grant chain. A duplicated page here would put two
-        // copies of `(proc, interval)` on the missing list; the exact-match
-        // claim in `install_records` would remove only one, and the
-        // surviving phantom entry would later demand-fetch the *old*
-        // interval's diff again — re-applying it on top of a newer
-        // interval from the same processor and rolling those bytes back.
-        // So only a page's first occurrence counts.
-        let mut pages = Vec::with_capacity(group.len());
-        for n in group {
-            if pages.contains(&n.page) {
-                continue;
-            }
-            pages.push(n.page);
-            proto.page_missing.entry(n.page).or_default().push((proc, interval));
-            match table.protection(n.page) {
-                Protection::ReadOnly | Protection::ReadWrite => {
-                    table.set_protection(n.page, Protection::Invalid);
-                    invalidated.push(n.page);
-                }
-                Protection::Unmapped | Protection::Invalid => {}
+        let key = (record.proc, record.interval);
+        for &page in record.pages.iter() {
+            proto.page_missing.entry(page).or_default().push(key);
+            if table.invalidate(page) {
+                invalidated.push(page);
             }
         }
-        recorded += pages.len() as u64;
-        proto.notice_log.record(proc, interval, pages);
+        recorded += record.pages.len() as u64;
+        proto.notice_log.record(record);
     }
     invalidated.sort_unstable();
     NoticeTally { recorded, invalidation_runs: contiguous_runs(&invalidated) }
@@ -161,7 +144,8 @@ impl Process {
         drop(table);
         if !flushed_pages.is_empty() {
             self.stats.diffs_created(delta_pages as u64);
-            proto.notice_log.record(me, interval, flushed_pages);
+            let pages = flushed_pages.into();
+            proto.notice_log.record(NoticeRecord { proc: me, interval, pages });
             proto.vt.advance(me, interval);
             proto.current_interval += 1;
             // The interval the acquire snapshot described is closed; writes
@@ -282,14 +266,14 @@ mod tests {
                 assert_eq!(delta(&proto, page, 1).diff(), diff_of(&[(0, written)]), "{page:?}");
             }
             assert!(!proto.diff_cache.contains_key(&z), "Z equals its twin: nothing to cache");
-            let noticed: Vec<PageId> = proto
+            let nothing = Vt::new(2);
+            let noticed: Vec<&[PageId]> = proto
                 .notice_log
-                .notices_after(&Vt::new(2))
-                .into_iter()
-                .filter(|n| n.proc == 0)
-                .map(|n| n.page)
+                .records_after(&nothing)
+                .filter(|r| r.proc == 0)
+                .map(|r| &r.pages[..])
                 .collect();
-            assert_eq!(noticed, [x, y], "Z equals its twin: no notice");
+            assert_eq!(noticed, [[x, y]], "Z equals its twin: no notice");
         });
         assert_eq!(run.stats.total().diffs_created, 3);
     }

@@ -78,10 +78,10 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            let tally = apply_notices_locked(&mut proto, &mut table, &notices);
             // The granter's timestamp, merged: ours covers the one we
             // advertised, so the grant's notices determine it.
             proto.vt = vt_through(&proto.vt, &notices);
+            let tally = apply_notices_locked(&mut proto, &mut table, notices);
             proto.pending_acquires.remove(&lock);
             proto.held_locks.insert(lock);
             // Third-party fetch: everything still missing for the requested

@@ -102,9 +102,9 @@ pub(super) struct InFlightSync {
 pub(super) struct Outstanding {
     /// Every page the merged fetch covers, ascending.
     pub(super) pages: Vec<PageId>,
-    /// Processors that will answer with a `SyncDiffs` message: a barrier's
-    /// resolved producers.
-    pub(super) responders: HashSet<ProcId>,
+    /// Processors that will answer with a `SyncDiffs` message, ascending: a
+    /// barrier's resolved producers.
+    pub(super) responders: Vec<ProcId>,
     /// Diff records already in hand (lock-grant piggyback), applied at
     /// completion together with everything else so causally ordered
     /// same-page diffs land in rank order across messages.
@@ -351,7 +351,7 @@ impl Process {
     fn collect_diff_responses(
         &mut self,
         expected: &[(ProcId, u64)],
-        what: &str,
+        what: &'static str,
         records: &mut Vec<DiffRecord>,
     ) {
         for &(_, want) in expected {
@@ -662,7 +662,7 @@ impl Process {
             );
             self.clock.observe(env.arrives_at);
             let TmkMessage::SyncDiffs { from, diffs } = env.payload else { unreachable!() };
-            responders.remove(&from);
+            responders.retain(|&p| p != from);
             records.extend(diffs);
         }
         // How long the completion actually stalled: with computation in the

@@ -333,7 +333,7 @@ pub(crate) fn send_grant(
         let seen = requester_vt.get(proto.me);
         let (piggyback, materialised) =
             proto.diffs_for_pages_after_counted(sync_pages, seen, &table, &mut Vec::new());
-        let notices = proto.notice_log.notices_after(requester_vt);
+        let notices = proto.notice_log.clone_after(requester_vt);
         debug_assert!(
             notices_determine(requester_vt, &notices, &proto.vt),
             "P{}'s grant to P{requester}: the notices must determine the granter's timestamp",

@@ -8,16 +8,21 @@
 //! panic message can show the whole cluster's wait state at once: exactly
 //! the information needed to read a protocol deadlock from a failing test.
 
+use std::borrow::Cow;
+
 use dsm_core::sync::Mutex;
 
 use crate::types::ProcId;
+
+type Label = Cow<'static, str>;
 
 /// One label slot per thread of the run.
 #[derive(Debug)]
 pub(crate) struct WaitBoard {
     /// Slot `p` is processor `p`'s thread. `None` means the thread is
-    /// running, not waiting.
-    slots: Vec<Mutex<Option<String>>>,
+    /// running, not waiting. A blocking receive's label is a fixed text, so
+    /// publishing it allocates nothing.
+    slots: Vec<Mutex<Option<Label>>>,
 }
 
 impl WaitBoard {
@@ -27,13 +32,13 @@ impl WaitBoard {
 
     /// Publishes what `proc`'s thread is about to block on, returning the
     /// label it replaces.
-    pub(crate) fn wait(&self, proc: ProcId, label: String) -> Option<String> {
-        self.slots[proc].lock().replace(label)
+    pub(crate) fn wait(&self, proc: ProcId, label: impl Into<Label>) -> Option<Label> {
+        self.slots[proc].lock().replace(label.into())
     }
 
     /// Puts back the label a [`wait`](Self::wait) replaced: `None` clears
     /// `proc`'s slot — the thread is running again.
-    pub(crate) fn restore(&self, proc: ProcId, label: Option<String>) {
+    pub(crate) fn restore(&self, proc: ProcId, label: Option<Label>) {
         *self.slots[proc].lock() = label;
     }
 
@@ -44,7 +49,7 @@ impl WaitBoard {
 
     /// The current label of `proc`'s thread, if it is blocked.
     pub(crate) fn label(&self, proc: ProcId) -> Option<String> {
-        self.slots[proc].lock().clone()
+        self.slots[proc].lock().as_deref().map(String::from)
     }
 
     /// Renders the whole cluster's wait state, one line per thread, for the
@@ -68,7 +73,7 @@ mod tests {
     fn labels_set_clear_and_dump() {
         let board = WaitBoard::new(2);
         assert_eq!(board.label(0), None);
-        board.wait(0, String::from("a lock grant for lock 3"));
+        board.wait(0, "a lock grant for lock 3");
         let outer = board.wait(1, String::from("serving P0's requests"));
         assert_eq!(board.label(0).as_deref(), Some("a lock grant for lock 3"));
         let dump = board.dump();

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use pagedmem::PageId;
-use treadmarks::{Interval, NoticeLog, Vt, WriteNotice};
+use treadmarks::{Interval, NoticeLog, NoticeRecord, Vt};
 
 /// SplitMix64 finalizer folded over `words` (the benchmark's `rng.rs`): no
 /// generator state, every draw a pure function of its indices.
@@ -50,7 +50,8 @@ fn the_sorted_queue_behaves_like_a_map_of_intervals() {
                     if fresh {
                         model[proc].insert(interval, pages.clone());
                     }
-                    assert_eq!(log.record(proc, interval, pages), fresh);
+                    let record = NoticeRecord { proc, interval, pages: pages.into() };
+                    assert_eq!(log.record(record), fresh);
                 }
                 4 => {
                     let interval = (draw(2) % (u64::from(latest) + 2)) as Interval;
@@ -61,12 +62,11 @@ fn the_sorted_queue_behaves_like_a_map_of_intervals() {
                     let mut expected = Vec::new();
                     for (proc, intervals) in model.iter().enumerate() {
                         for (&interval, pages) in intervals.range(vt.get(proc) + 1..) {
-                            for &page in pages {
-                                expected.push(WriteNotice { page, proc, interval });
-                            }
+                            let pages = pages.as_slice().into();
+                            expected.push(NoticeRecord { proc, interval, pages });
                         }
                     }
-                    assert_eq!(log.notices_after(&vt), expected);
+                    assert_eq!(log.clone_after(&vt), expected);
                 }
                 _ => {
                     let horizon = some_vt();
