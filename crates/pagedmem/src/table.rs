@@ -8,6 +8,13 @@
 //! * a per-page [`Frame`] protects each frame's contents, protection state,
 //!   twin and dirty flag.
 //!
+//! The frame is the only record of a page's write state, and two methods
+//! change it, each under one frame lock: [`write_enable`](PageTable::write_enable)
+//! (twin, if asked, make writable, mark dirty) and
+//! [`write_protect`](PageTable::write_protect) (take the twin and a copy,
+//! make read-only, clear dirty). A dirty frame without a twin is therefore a
+//! page written under `WRITE_ALL` in the open interval, by construction.
+//!
 //! A [`FrameRef`] is a shared handle onto one frame. Frame handles are
 //! stable: once a page is mapped, its `Arc` identity never changes
 //! ([`map_zeroed`](PageTable::map_zeroed) resets the existing frame in
@@ -142,7 +149,7 @@ impl DerefMut for FrameGuard<'_> {
 
 /// A shared handle onto one page frame.
 ///
-/// Obtained from [`PageTable::frame`] / [`PageTable::frame_or_map`]; the
+/// Obtained from [`PageTable::frame`] / [`PageTable::map_zeroed`]; the
 /// handle stays valid (and reaches the frame's current state) for the
 /// lifetime of the table.
 pub type FrameRef = Arc<Frame>;
@@ -243,19 +250,15 @@ impl PageTable {
         }
     }
 
-    fn frame_or_map_inner(&mut self, page: PageId, protection: Protection) -> FrameRef {
+    /// Returns the frame for `page`, mapping it zero-filled with
+    /// `protection` if the node never touched it.
+    fn frame_or_map(&mut self, page: PageId, protection: Protection) -> FrameRef {
         if let Some(frame) = self.frames.get(&page) {
             return Arc::clone(frame);
         }
         let frame = Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)));
         self.frames.insert(page, Arc::clone(&frame));
         frame
-    }
-
-    /// Returns the frame for `page`, mapping it zero-filled read-write if the
-    /// node never touched it (used by the node that "owns" the initial data).
-    pub fn frame_or_map(&mut self, page: PageId) -> FrameRef {
-        self.frame_or_map_inner(page, Protection::ReadWrite)
     }
 
     /// Returns the frame for `page`.
@@ -274,7 +277,7 @@ impl PageTable {
 
     /// Sets the protection of `page`, mapping it zero-filled if necessary.
     pub fn set_protection(&mut self, page: PageId, protection: Protection) {
-        self.frame_or_map_inner(page, protection).lock().protection = protection;
+        self.frame_or_map(page, protection).lock().protection = protection;
     }
 
     /// Makes a mapped, readable `page` `Invalid` in one table probe and
@@ -289,11 +292,43 @@ impl PageTable {
         readable
     }
 
-    /// Marks `page` dirty and returns whether it was already dirty.
-    pub fn mark_dirty(&mut self, page: PageId) -> bool {
-        let frame = self.frame_or_map(page);
+    /// The paper's `Create_twins` and `Write_enable` on one page, under one
+    /// frame lock: makes `page` writable and dirty, mapping it zero-filled
+    /// if the node never touched it. With `twin`, a clean page is twinned
+    /// and a dirty one keeps what it has; without it (`WRITE_ALL`: every
+    /// byte is overwritten) any twin is dropped. So a dirty frame without a
+    /// twin is a `WRITE_ALL` page until [`write_protect`](Self::write_protect).
+    ///
+    /// Returns whether a twin was created.
+    pub fn write_enable(&mut self, page: PageId, twin: bool) -> bool {
+        let frame = self.frame_or_map(page, Protection::ReadWrite);
         let mut guard = frame.lock();
-        std::mem::replace(&mut guard.dirty, true)
+        let twinned = twin && !guard.dirty;
+        if twinned {
+            guard.twin = Some(guard.page.clone());
+        } else if !twin {
+            guard.twin = None;
+        }
+        guard.dirty = true;
+        guard.protection = Protection::ReadWrite;
+        twinned
+    }
+
+    /// The paper's `Write_protect` on one dirty page, under one frame lock:
+    /// clears the dirty flag, makes the page read-only and moves its twin
+    /// out together with a copy of the page's current contents — the two
+    /// pages a diff of the interval that just ended is encoded from,
+    /// whenever that happens.
+    ///
+    /// Returns `None` for a `WRITE_ALL` page (dirty without a twin), or if
+    /// `page` is not mapped.
+    pub fn write_protect(&mut self, page: PageId) -> Option<(Page, Page)> {
+        let frame = self.frames.get(&page)?;
+        let mut guard = frame.lock();
+        guard.dirty = false;
+        guard.protection = Protection::ReadOnly;
+        let twin = guard.twin.take()?;
+        Some((twin, guard.page.clone()))
     }
 
     /// The pages currently on the dirty list, in address order.
@@ -301,55 +336,15 @@ impl PageTable {
         self.frames.iter().filter(|(_, f)| f.lock().dirty).map(|(&id, _)| id).collect()
     }
 
-    /// Clears the dirty flag of `page`.
-    pub fn clear_dirty(&mut self, page: PageId) {
-        if let Some(frame) = self.frames.get(&page) {
-            frame.lock().dirty = false;
-        }
-    }
-
-    /// Creates a twin (pre-modification copy) for `page` if it does not have
-    /// one. Returns whether a twin was created.
-    pub fn make_twin(&mut self, page: PageId) -> bool {
-        let frame = self.frame_or_map(page);
-        let mut guard = frame.lock();
-        if guard.twin.is_none() {
-            guard.twin = Some(guard.page.clone());
-            true
-        } else {
-            false
-        }
-    }
-
     /// Whether `page` currently has a twin.
     pub fn has_twin(&self, page: PageId) -> bool {
         self.frames.get(&page).is_some_and(|f| f.lock().twin.is_some())
     }
 
-    /// Discards the twin of `page`, if any.
-    pub fn drop_twin(&mut self, page: PageId) {
-        if let Some(frame) = self.frames.get(&page) {
-            frame.lock().twin = None;
-        }
-    }
-
-    /// Takes the twin of `page` out of its frame, together with a copy of
-    /// the page's current contents: the two pages a diff of the interval
-    /// that just ended is encoded from, whenever that happens. The twin is
-    /// moved, not copied, and the frame is left without one.
-    ///
-    /// Returns `None` if the page has no twin (nothing was recorded).
-    pub fn take_twin_and_copy(&mut self, page: PageId) -> Option<(Page, Page)> {
-        let frame = self.frames.get(&page)?;
-        let mut guard = frame.lock();
-        let twin = guard.twin.take()?;
-        Some((twin, guard.page.clone()))
-    }
-
     /// Encodes the modifications made to `page` since its twin was created:
     /// the write set of an interval still open, which only the race detector
     /// reads (a flushed interval's diff is encoded from
-    /// [`take_twin_and_copy`](Self::take_twin_and_copy)'s pages).
+    /// [`write_protect`](Self::write_protect)'s pages).
     ///
     /// Returns `None` if the page has no twin (nothing was recorded). The twin
     /// is left in place.
@@ -385,7 +380,7 @@ impl PageTable {
             let frame = match &run {
                 Some((current, frame)) if *current == page => Arc::clone(frame),
                 _ => {
-                    let frame = self.frame_or_map(page);
+                    let frame = self.frame_or_map(page, Protection::ReadWrite);
                     run = Some((page, Arc::clone(&frame)));
                     frame
                 }
@@ -430,7 +425,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page);
+            let frame = self.frame_or_map(page, Protection::ReadWrite);
             frame.lock().page.as_mut_slice()[offset..offset + chunk]
                 .copy_from_slice(&data[written..written + chunk]);
             written += chunk;
@@ -451,7 +446,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page);
+            let frame = self.frame_or_map(page, Protection::ReadWrite);
             let mut guard = frame.lock();
             guard.page.as_mut_slice()[offset..offset + chunk]
                 .copy_from_slice(&data[written..written + chunk]);
@@ -562,7 +557,7 @@ mod tests {
         let mut table = PageTable::new();
         let page = PageId(2);
         table.map_zeroed(page, Protection::ReadWrite);
-        table.make_twin(page);
+        table.write_enable(page, true);
         // A local write followed by an install into a disjoint region: the
         // diff must contain the write and nothing of the install.
         table.write_bytes(page.base(), &[5, 5, 5, 5]);
@@ -614,8 +609,8 @@ mod tests {
         let mut table = PageTable::new();
         let page = PageId(3);
         table.map_zeroed(page, Protection::ReadWrite);
-        assert!(table.make_twin(page));
-        assert!(!table.make_twin(page), "second make_twin is a no-op");
+        assert!(table.write_enable(page, true));
+        assert!(!table.write_enable(page, true), "a dirty page keeps the twin it has");
         table.write_bytes(page.base().offset(8), &[7, 7, 7, 7]);
         let diff = table.create_diff(page).expect("twin exists");
         assert_eq!(diff.modified_bytes(), 4);
@@ -632,12 +627,15 @@ mod tests {
     fn taking_the_twin_leaves_the_frame_without_one() {
         let mut table = PageTable::new();
         let page = PageId(4);
+        assert!(table.write_protect(page).is_none(), "unmapped, nothing to take");
         table.map_zeroed(page, Protection::ReadWrite);
-        assert!(table.take_twin_and_copy(page).is_none(), "no twin, nothing to take");
-        table.make_twin(page);
+        assert!(table.write_protect(page).is_none(), "no twin, nothing to take");
+        table.write_enable(page, true);
         table.write_bytes(page.base(), &[3; 4]);
-        let (twin, copy) = table.take_twin_and_copy(page).expect("twinned");
+        let (twin, copy) = table.write_protect(page).expect("twinned");
         assert!(!table.has_twin(page));
+        assert!(table.dirty_pages().is_empty());
+        assert_eq!(table.check_access(page, true), AccessOutcome::WriteProtected);
         assert_eq!(Diff::create(twin.as_slice(), copy.as_slice()).modified_ranges(), [(0, 4)]);
         // The copy is the page as it was taken: later writes do not reach it.
         table.write_bytes(page.base().offset(64), &[5; 4]);
@@ -649,7 +647,7 @@ mod tests {
         let mut table = PageTable::new();
         let page = PageId(0);
         table.map_zeroed(page, Protection::ReadWrite);
-        table.make_twin(page);
+        table.write_enable(page, true);
         // A remote diff arrives for a word this node did not write.
         let mut remote_page = vec![0u8; PAGE_SIZE];
         remote_page[100..104].copy_from_slice(&[5, 5, 5, 5]);
@@ -663,12 +661,26 @@ mod tests {
     #[test]
     fn dirty_list_tracks_write_enabled_pages() {
         let mut table = PageTable::new();
-        assert!(!table.mark_dirty(PageId(2)));
-        assert!(table.mark_dirty(PageId(2)));
-        table.mark_dirty(PageId(5));
+        assert!(table.write_enable(PageId(2), true), "enabling maps and twins the page");
+        assert!(!table.write_enable(PageId(2), true));
+        table.write_enable(PageId(5), false);
         assert_eq!(table.dirty_pages(), vec![PageId(2), PageId(5)]);
-        table.clear_dirty(PageId(2));
+        assert_eq!(table.check_access(PageId(5), true), AccessOutcome::Hit);
+        table.write_protect(PageId(2));
         assert_eq!(table.dirty_pages(), vec![PageId(5)]);
+    }
+
+    #[test]
+    fn a_write_all_enable_drops_the_twin_and_a_twinned_one_never_adds_it_back() {
+        let mut table = PageTable::new();
+        let page = PageId(3);
+        table.write_enable(page, true);
+        assert!(!table.write_enable(page, false), "WRITE_ALL never twins");
+        assert!(!table.has_twin(page), "WRITE_ALL drops the twin the interval had");
+        assert!(!table.write_enable(page, true), "a dirty page keeps what it has: no twin");
+        assert!(!table.has_twin(page));
+        assert!(table.write_protect(page).is_none(), "a dirty page without a twin is WRITE_ALL");
+        assert!(table.write_enable(page, true), "the next interval twins the clean page");
     }
 
     #[test]
@@ -698,7 +710,7 @@ mod tests {
         // Twins stay coherent exactly like the per-record path.
         let mut other = PageTable::new();
         other.map_zeroed(PageId(3), Protection::ReadWrite);
-        other.make_twin(PageId(3));
+        other.write_enable(PageId(3), true);
         other.apply_diff_batch(vec![(PageId(3), &da)]).unwrap();
         assert!(other.create_diff(PageId(3)).unwrap().modified_ranges().is_empty());
     }

@@ -15,7 +15,7 @@ use treadmarks::{LockId, ProcId};
 use crate::analysis::{
     classify_against_pending, reducible, BoundaryAnalysis, BoundaryClass, PendingWrites, Refusal,
 };
-use crate::ir::{Node, PhaseId, Program};
+use crate::ir::{PhaseId, Program};
 
 /// The synchronization/preparation op executed at a phase's entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,25 +311,9 @@ fn plan(
     exits: &[Option<Reduction>],
 ) -> Option<CompiledKernel> {
     let phases = program.phases();
-    // Unroll into the `(phase, iteration)` occurrence order. The iteration
-    // symbol rides along so iteration-dependent spans lower per occurrence.
-    let mut occurrences: Vec<(PhaseId, usize)> = Vec::new();
-    let mut next_id = 0;
-    for node in &program.nodes {
-        match node {
-            Node::Phase(_) => {
-                occurrences.push((next_id, 0));
-                next_id += 1;
-            }
-            Node::Repeat { times, body } => {
-                let ids: Vec<PhaseId> = (next_id..next_id + body.len()).collect();
-                next_id += body.len();
-                for t in 0..*times {
-                    occurrences.extend(ids.iter().map(|&id| (id, t)));
-                }
-            }
-        }
-    }
+    // The iteration symbol rides along so iteration-dependent spans lower
+    // per occurrence.
+    let occurrences = program.occurrences_with_iter();
     assert!(!occurrences.is_empty(), "a program needs at least one phase");
 
     // Walk the unrolled order classifying every boundary occurrence

@@ -5,7 +5,7 @@
 
 use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable, PAGE_SIZE};
 
-use super::sync::{enable_written_page, PrepTally};
+use super::sync::PrepTally;
 use super::Process;
 use crate::sharedarray::{Shareable, SharedArray};
 use crate::tlb::Unleased;
@@ -187,10 +187,8 @@ impl Process {
             // Make the now valid page writable: twin (unless the page is
             // under `WRITE_ALL`), enable, and put it on the dirty list.
             let (prep, pages_in_use) = {
-                let node = self.node.unleased();
-                let mut proto = node.proto();
-                let mut table = node.table();
-                let twinned = enable_written_page(&mut proto, &mut table, page, false);
+                let mut table = self.node.unleased().table();
+                let twinned = table.write_enable(page, true);
                 (PrepTally { twinned: u64::from(twinned), protect_ranges: 1 }, table.pages_in_use())
             };
             self.charge_prep(&prep, pages_in_use);

@@ -661,8 +661,7 @@ impl Process {
                 arity,
             );
             let served = serve_requests_locked(&proto, &table, &routed);
-            let prep =
-                prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
+            let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut pending.deferred);
             warm_ranges_locked(&mut node, &table, &plan.warm);
             // Trim last, after every request of this synchronization point
             // has been served from the pre-trim state. The horizon can
@@ -673,7 +672,7 @@ impl Process {
                 proto.last_global_vt.covers(&gc_horizon),
                 "the GC horizon must stay at or below the global VT"
             );
-            let trimmed = proto.gc_trim(&gc_horizon);
+            let trimmed = proto.gc_trim(&gc_horizon, &pending.pages);
             if let Some(reduction) = &reduction {
                 reduction.install_locked(&mut table, me);
             }

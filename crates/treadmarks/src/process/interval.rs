@@ -2,11 +2,11 @@
 //! write-protection) and learning of others' (write-notice application and
 //! the timestamp a merged fetch advertises).
 
-use pagedmem::{PageId, PageTable, Protection};
+use pagedmem::{PageId, PageTable};
 
 use super::Process;
 use crate::notice::NoticeRecord;
-use crate::state::{CachedDiff, Delta, DiffEntry, ProtoState};
+use crate::state::{lower_below_missing, CachedDiff, Delta, DiffEntry, ProtoState};
 use crate::types::Vt;
 
 /// Counts the maximal runs of consecutive page ids in a sorted list — the
@@ -85,10 +85,9 @@ impl Process {
         let mut table = node.table();
         let dirty = table.dirty_pages();
         if dirty.is_empty() {
-            proto.write_all_pages.clear();
             return;
         }
-        let interval = proto.current_interval;
+        let interval = proto.open_interval();
         let me = proto.me;
         // Happens-before rank of this interval: the timestamp it flushes
         // with. Receivers use it to apply same-page diffs in causal order.
@@ -110,27 +109,18 @@ impl Process {
         // calls, so the flush is charged per run, not per page.
         let protect_ops = contiguous_runs(&dirty);
         for page in dirty {
-            let entry = if proto.write_all_pages.contains(&page) {
-                table.drop_twin(page);
-                Some(DiffEntry::FullPage)
-            } else {
-                match table.take_twin_and_copy(page) {
-                    // Write-enabled but never actually modified (or only
-                    // remote diffs landed): elide the empty diff entirely.
-                    Some((twin, copy)) if twin == copy => None,
-                    // Encoded by its first reader; charged here.
-                    Some((twin, copy)) => {
-                        delta_pages += 1;
-                        Some(DiffEntry::Delta(Delta::new(twin, copy)))
-                    }
-                    // Every write enable outside WRITE_ALL twins the page.
-                    None => {
-                        panic!("P{}: {page:?} is dirty with no twin outside WRITE_ALL", proto.me)
-                    }
+            let entry = match table.write_protect(page) {
+                // Write-enabled but never actually modified (or only remote
+                // diffs landed): elide the empty diff entirely.
+                Some((twin, copy)) if twin == copy => None,
+                // Encoded by its first reader; charged here.
+                Some((twin, copy)) => {
+                    delta_pages += 1;
+                    Some(DiffEntry::Delta(Delta::new(twin, copy)))
                 }
+                // Dirty without a twin: written under `WRITE_ALL`.
+                None => Some(DiffEntry::FullPage),
             };
-            table.clear_dirty(page);
-            table.set_protection(page, Protection::ReadOnly);
             if let Some(entry) = entry {
                 proto
                     .diff_cache
@@ -147,12 +137,10 @@ impl Process {
             let pages = flushed_pages.into();
             proto.notice_log.record(NoticeRecord { proc: me, interval, pages });
             proto.vt.advance(me, interval);
-            proto.current_interval += 1;
             // The interval the acquire snapshot described is closed; writes
             // of the next interval are ordered after everything known now.
             proto.acquire_race_vt = None;
         }
-        proto.write_all_pages.clear();
         drop(proto);
         self.stats.protection_ops(protect_ops);
         self.clock.advance(self.cost.diff_create_cost(delta_pages));
@@ -183,13 +171,9 @@ impl Process {
 pub(super) fn sync_vt_locked(proto: &ProtoState, pages: &[PageId]) -> Vt {
     let mut vt = proto.vt.clone();
     for page in pages {
-        if let Some(missing) = proto.page_missing.get(page) {
-            for &(proc, interval) in missing {
-                if interval > proto.gc_horizon.get(proc) {
-                    vt.limit(proc, interval.saturating_sub(1));
-                }
-            }
-        }
+        let missing = proto.page_missing.get(page).into_iter().flatten();
+        let above = missing.filter(|&&(proc, interval)| interval > proto.gc_horizon.get(proc));
+        lower_below_missing(&mut vt, above);
     }
     vt
 }
@@ -204,7 +188,7 @@ mod tests {
     use crate::message::DiffRecord;
     use crate::state::{CachedDiff, Delta, DiffEntry, ProtoState};
     use crate::types::{Interval, Vt};
-    use crate::{Dsm, DsmConfig};
+    use crate::{Dsm, DsmConfig, PhasePlan, Process, SyncOp};
 
     /// The diff of an all-zero page on which `words` (`u32` index, value)
     /// were written.
@@ -296,7 +280,6 @@ mod tests {
             proto.diff_cache.entry(page).or_default().insert(interval, cached);
         }
         proto.vt.advance(0, 2);
-        proto.current_interval = 3;
         let table = PageTable::new();
         let serve = |proto: &ProtoState| {
             let (records, _) =
@@ -330,8 +313,116 @@ mod tests {
         assert!(delta(&proto, unread, 1).is_pending(), "nothing read the other delta");
         let mut horizon = Vt::new(3);
         horizon.advance(0, 1);
-        assert_eq!(proto.gc_trim(&horizon).0, 1);
+        assert_eq!(proto.gc_trim(&horizon, &[]).0, 1);
         assert!(!proto.diff_cache.contains_key(&unread), "trimmed without being encoded");
         assert!(proto.trimmed.contains(&unread) && !proto.trimmed.contains(&served));
+    }
+
+    /// Whether a flushed page ships a delta or the whole page is read off
+    /// its frame alone: a page written under `WRITE_ALL` at any point of an
+    /// interval — before or after a twinned write of it — is dirty without a
+    /// twin and caches `FullPage`; the next interval's twinned write of the
+    /// same page caches a `Delta` again.
+    #[test]
+    fn a_dirty_frame_without_a_twin_is_a_write_all_page() {
+        Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let words = PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(2 * words);
+            let [x, y] = [0, 1].map(|k| PageId::containing(a.addr_of(k * words)));
+            let whole = |k: usize| a.range_of(k * words, (k + 1) * words);
+            let write_all = |k| PhasePlan { write_all: vec![whole(k)], ..PhasePlan::default() };
+            if p.proc_id() == 0 {
+                // X: a twinned write, then WRITE_ALL.
+                p.set(&a, 0, 1);
+                p.prepare_phase(&write_all(0));
+                // Y: WRITE_ALL, then a twinned write.
+                p.prepare_phase(&write_all(1));
+                p.prepare_phase(&PhasePlan {
+                    write_twinned: vec![whole(1)],
+                    ..PhasePlan::default()
+                });
+                assert!(!p.node.unleased().table().has_twin(y), "a twinned write adds no twin");
+            }
+            // Each check reads the barrier's own flush: the next barrier's
+            // trim drops it, as nobody maps either page.
+            let flushed = |p: &Process, page: PageId, interval| {
+                let proto = p.lanes[0].shared.proto.lock();
+                matches!(proto.diff_cache[&page][&interval].entry, DiffEntry::FullPage)
+            };
+            p.barrier();
+            if p.proc_id() == 0 {
+                assert!(flushed(p, x, 1) && flushed(p, y, 1), "both pages ship whole");
+                p.set(&a, words, 7);
+            }
+            p.barrier();
+            if p.proc_id() == 0 {
+                assert!(!flushed(p, y, 2), "the next interval twins Y and ships a delta");
+            }
+        });
+    }
+
+    /// Four processors each write only their own page, so every node keeps
+    /// a missing entry per interval of the three pages it never maps. Below
+    /// the GC horizon only a writer's lowest entry is ever read, and the
+    /// trim folds the rest into it: the history stays at one entry per
+    /// writer below the horizon however many barriers pass, where keeping
+    /// every entry would hold 30 after 10 barriers and 120 after 40.
+    #[test]
+    fn missing_history_below_the_horizon_stays_bounded() {
+        let run = Dsm::run(DsmConfig::new(4).with_cost_model(CostModel::free()), |p| {
+            let me = p.proc_id();
+            let words = PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(4 * words);
+            let mut held = Vec::new();
+            for barrier in 1..=40u32 {
+                p.set(&a, me * words, barrier);
+                p.barrier();
+                if barrier % 10 != 0 {
+                    continue;
+                }
+                let proto = p.lanes[me].shared.proto.lock();
+                for missing in proto.page_missing.values() {
+                    for proc in 0..4 {
+                        let below = missing
+                            .iter()
+                            .filter(|&&(p, i)| p == proc && i <= proto.gc_horizon.get(p));
+                        assert!(below.count() <= 1, "P{me}: {missing:?}");
+                    }
+                }
+                held.push(proto.page_missing.values().map(Vec::len).sum::<usize>());
+            }
+            assert_eq!(held, [6; 4], "P{me}: entries held after 10, 20, 30 and 40 barriers");
+        });
+        assert_eq!(run.stats.total().barriers, 4 * 40);
+    }
+
+    /// P1 writes page X twice in one epoch, once before a lock release and
+    /// once before the barrier, so that barrier tells P2, which has never
+    /// mapped X, of two missing intervals. At the next barrier P2 fetches X
+    /// merged with it; that barrier's horizon passes both intervals while
+    /// their deltas, asked for against the previous horizon, are still in
+    /// flight. The trim must leave those entries apart, or the first delta
+    /// claims both and the second's writes are lost.
+    #[test]
+    fn a_merged_fetch_keeps_every_delta_the_trim_passes() {
+        Dsm::run(DsmConfig::new(3).with_cost_model(CostModel::free()), |p| {
+            let words = PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(2 * words);
+            let x = a.range_of(words, 2 * words);
+            if p.proc_id() == 1 {
+                p.lock_acquire(0);
+                p.set(&a, words, 11);
+                p.lock_release(0);
+                p.set(&a, words + 1, 22);
+            }
+            p.barrier();
+            if p.proc_id() == 2 {
+                let plan = PhasePlan { fetch: vec![x], ..PhasePlan::default() };
+                p.sync_phase(SyncOp::Barrier, &plan, |_| {});
+                assert_eq!([p.get(&a, words), p.get(&a, words + 1)], [11, 22]);
+            } else {
+                p.barrier();
+            }
+        });
     }
 }

@@ -89,8 +89,7 @@ impl Process {
             let in_hand: HashSet<(PageId, ProcId, Interval)> =
                 piggyback.iter().map(|r| (r.page, r.proc, r.interval)).collect();
             let wants = wants_for_pages_locked(&proto, &pending.pages, &in_hand);
-            let prep =
-                prep_writes_locked(&mut proto, &mut table, plan, true, &mut pending.deferred);
+            let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut pending.deferred);
             // Cache what is mapped so the overlap body runs lock-free.
             warm_ranges_locked(&mut node, &table, &plan.warm);
             (tally, prep, wants, table.pages_in_use())

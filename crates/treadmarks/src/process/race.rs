@@ -38,23 +38,16 @@ impl Reporter<'_> {
     }
 }
 
-/// The words the open interval has written on `page` so far: the whole page
-/// under `WRITE_ALL`, the twin delta otherwise. `None` when the page is
-/// clean or keeps no evidence of its writes.
-fn open_interval_writes(
-    proto: &ProtoState,
-    table: &PageTable,
-    page: PageId,
-) -> Option<Vec<(u32, u32)>> {
-    let dirty = table.frame(page).map(|f| f.lock().dirty).unwrap_or(false);
-    if !dirty {
-        None
-    } else if proto.write_all_pages.contains(&page) {
-        Some(full_page())
-    } else if table.has_twin(page) {
-        table.create_diff(page).map(|d| d.modified_ranges())
-    } else {
-        None
+/// The words the open interval has written on `page` so far: the twin
+/// delta, or the whole page if it is dirty without a twin (`WRITE_ALL`).
+/// `None` when the page is clean.
+fn open_interval_writes(table: &PageTable, page: PageId) -> Option<Vec<(u32, u32)>> {
+    if !table.frame(page).is_ok_and(|f| f.lock().dirty) {
+        return None;
+    }
+    match table.create_diff(page) {
+        Some(diff) => Some(diff.modified_ranges()),
+        None => Some(full_page()),
     }
 }
 
@@ -99,7 +92,7 @@ pub(super) fn detect_races_locked(
     let local_vt = {
         let mut vt =
             race_vt.or(proto.acquire_race_vt.as_ref()).cloned().unwrap_or_else(|| proto.vt.clone());
-        vt.advance(me, proto.current_interval);
+        vt.advance(me, proto.open_interval());
         vt
     };
     for (idx, record) in applicable.iter().enumerate() {
@@ -168,8 +161,8 @@ pub(super) fn detect_races_locked(
         if !local_vt.concurrent(vq) {
             continue;
         }
-        if let Some(local) = open_interval_writes(proto, table, record.page) {
-            let mine = RaceAccess { proc: me, interval: proto.current_interval };
+        if let Some(local) = open_interval_writes(table, record.page) {
+            let mine = RaceAccess { proc: me, interval: proto.open_interval() };
             reporter.check(record.page, (mine, &local), theirs);
         }
     }
@@ -197,13 +190,13 @@ pub(super) fn detect_push_races_locked(
     let reporter = Reporter { stats, log, observer: me, sync_kind: SyncKind::Push };
     for &(from, range, _) in received {
         for page in range.pages() {
-            let Some(local) = open_interval_writes(proto, table, page) else { continue };
+            let Some(local) = open_interval_writes(table, page) else { continue };
             // The pushed extent clipped to this page, page-relative.
             let start =
                 range.start().as_usize().max(page.base().as_usize()) - page.base().as_usize();
             let end = range.end().as_usize().min(page.end().as_usize()) - page.base().as_usize();
             let pushed = vec![(start as u32, end as u32)];
-            let mine = RaceAccess { proc: me, interval: proto.current_interval };
+            let mine = RaceAccess { proc: me, interval: proto.open_interval() };
             reporter.check(page, (mine, &local), (RaceAccess { proc: from, interval: 0 }, &pushed));
         }
     }

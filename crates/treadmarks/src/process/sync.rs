@@ -80,9 +80,19 @@ pub(super) fn pages_of(ranges: &[AddrRange]) -> Vec<PageId> {
 #[derive(Debug, Clone, Copy)]
 pub(super) struct DeferredWrite {
     page: PageId,
-    /// `true` for `READ&WRITE_ALL` pages (no twin at completion), `false`
-    /// for ordinary twinned writes.
-    write_all: bool,
+    /// `Twinned` or `ReadWriteAll`: a `WriteAll` page is never deferred.
+    write: PageWrite,
+}
+
+/// How one written page is prepared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageWrite {
+    /// An ordinary write: twinned, so the flush ships a delta.
+    Twinned,
+    /// `WRITE_ALL`: overwritten unread, so no twin and no missing diffs.
+    WriteAll,
+    /// `READ&WRITE_ALL`: read first, then overwritten whole; no twin.
+    ReadWriteAll,
 }
 
 /// The synchronization whose overlap body is running: one per processor,
@@ -154,96 +164,46 @@ pub(super) struct PrepTally {
     pub(super) protect_ranges: u64,
 }
 
-/// Write-enables one page of a written section: the `WRITE_ALL` treatment
-/// (no twin — the flush ships the whole page) or the ordinary twinned
-/// path. Shared by issue-time preparation, the completion's deferred
-/// preparation and the write fault so they can never diverge. Returns
-/// whether a twin was created.
-pub(super) fn enable_written_page(
-    proto: &mut ProtoState,
-    table: &mut PageTable,
-    page: PageId,
-    write_all: bool,
-) -> bool {
-    let mut twinned = false;
-    if write_all {
-        proto.write_all_pages.insert(page);
-        table.frame_or_map(page);
-    } else if !proto.write_all_pages.contains(&page) && table.make_twin(page) {
-        twinned = true;
-    }
-    table.set_protection(page, Protection::ReadWrite);
-    table.mark_dirty(page);
-    twinned
-}
-
-/// Prepares one page as an ordinary twinned write — or, with
-/// `defer_missing`, postpones that to the completion while the page still
-/// has missing diffs. Returns whether a twin was created.
-fn prep_twinned_page(
-    proto: &mut ProtoState,
-    table: &mut PageTable,
-    page: PageId,
-    defer_missing: bool,
-    deferred: &mut Vec<DeferredWrite>,
-) -> bool {
-    if defer_missing && proto.page_missing.contains_key(&page) {
-        deferred.push(DeferredWrite { page, write_all: false });
-        return false;
-    }
-    enable_written_page(proto, table, page, false)
-}
-
 /// Prepares a plan's written pages under an already-held lock pair: twin
 /// creation and write enabling for twinned writes, the `WRITE_ALL`
 /// treatment for fully covered pages of `write_all`/`read_write_all`
 /// ranges. Their partially covered boundary pages are ordinary twinned
 /// writes: discarding such a page's missing diffs would lose remote writes
-/// to the uncovered bytes. With `defer_missing`, pages that still have
-/// missing diffs are *not* enabled (that would let the phase read stale
-/// bytes through the fast path) but pushed onto `deferred`, to be finished
-/// at the completion after the diffs have been applied. `READ&WRITE_ALL`
-/// pages additionally never discard their missing diffs when deferring —
-/// the application reads the fetched values before overwriting them.
+/// to the uncovered bytes. A page that still misses diffs and is not
+/// overwritten unread (a twinned page, or any page of `read_write_all`) is
+/// not enabled — that would let the phase read stale bytes through the
+/// fast path — but pushed onto `deferred`, for an in-flight
+/// synchronization's completion to finish once the diffs have landed; with
+/// nothing in flight it stays the fault path's (fetch, then twin).
 pub(super) fn prep_writes_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
     plan: &PhasePlan,
-    defer_missing: bool,
     deferred: &mut Vec<DeferredWrite>,
 ) -> PrepTally {
     let mut twinned = 0u64;
-    for range in &plan.write_twinned {
-        for page in range.pages() {
-            twinned += u64::from(prep_twinned_page(proto, table, page, defer_missing, deferred));
-        }
-    }
-    for (ranges, reads_first) in [(&plan.write_all, false), (&plan.read_write_all, true)] {
+    let written = [
+        (&plan.write_twinned, PageWrite::Twinned),
+        (&plan.write_all, PageWrite::WriteAll),
+        (&plan.read_write_all, PageWrite::ReadWriteAll),
+    ];
+    for (ranges, kind) in written {
         for range in ranges {
             for page in range.pages() {
                 let fully_covered = range.start() <= page.base() && page.end() <= range.end();
-                let missing = proto.page_missing.contains_key(&page);
-                if !fully_covered {
-                    // Without a completion to defer to, a boundary page
-                    // that is not consistent is the fault path's (fetch,
-                    // then twin): nothing fetched a pure `WRITE_ALL` range.
-                    if defer_missing || !missing {
-                        twinned += u64::from(prep_twinned_page(
-                            proto,
-                            table,
-                            page,
-                            defer_missing,
-                            deferred,
-                        ));
-                    }
-                } else if reads_first && defer_missing && missing {
-                    deferred.push(DeferredWrite { page, write_all: true });
-                } else {
-                    if !reads_first {
+                let write = if fully_covered { kind } else { PageWrite::Twinned };
+                match write {
+                    PageWrite::WriteAll => {
                         proto.page_missing.remove(&page);
                     }
-                    enable_written_page(proto, table, page, true);
+                    PageWrite::Twinned | PageWrite::ReadWriteAll => {
+                        if proto.page_missing.contains_key(&page) {
+                            deferred.push(DeferredWrite { page, write });
+                            continue;
+                        }
+                    }
                 }
+                twinned += u64::from(table.write_enable(page, write == PageWrite::Twinned));
             }
         }
     }
@@ -498,8 +458,7 @@ impl Process {
                 // leave it to the ordinary fault path.
                 continue;
             }
-            deferred_twins +=
-                u64::from(enable_written_page(&mut proto, &mut table, d.page, d.write_all));
+            deferred_twins += u64::from(table.write_enable(d.page, d.write == PageWrite::Twinned));
             deferred_pages.push(d.page);
         }
         deferred_pages.sort_unstable();
@@ -682,16 +641,16 @@ impl Process {
     /// ([`PhasePlan`] says what each kind of written range gets), charged
     /// one protection operation per range.
     pub fn prepare_phase(&mut self, plan: &PhasePlan) {
-        let mut deferred = Vec::new();
         let (prep, pages_in_use) = {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            let prep = prep_writes_locked(&mut proto, &mut table, plan, false, &mut deferred);
+            // Nothing is in flight to finish a deferred page: it stays on
+            // the fault path.
+            let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut Vec::new());
             warm_ranges_locked(&mut node, &table, &plan.warm);
             (prep, table.pages_in_use())
         };
-        debug_assert!(deferred.is_empty(), "immediate preparation never defers");
         self.charge_prep(&prep, pages_in_use);
     }
 }

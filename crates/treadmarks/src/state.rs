@@ -104,10 +104,9 @@ pub(crate) struct ProtoState {
     pub me: ProcId,
     /// Number of processors.
     pub nprocs: usize,
-    /// The interval currently being accumulated (1-based; `vt[me]` is the
-    /// last *flushed* interval).
-    pub current_interval: Interval,
-    /// This node's vector timestamp.
+    /// This node's vector timestamp. Its own component, `vt[me]`, is the
+    /// last interval this node *flushed*: only its own flush raises it, so
+    /// the open interval is derived from it ([`open_interval`](Self::open_interval)).
     pub vt: Vt,
     /// Everything this node knows about modifications in the system, down to
     /// the GC horizon: a sorted queue of records per processor, appended to
@@ -115,7 +114,9 @@ pub(crate) struct ProtoState {
     /// barrier's trim.
     pub notice_log: NoticeLog,
     /// Per page, the write notices whose diffs have not yet been applied
-    /// locally.
+    /// locally. At or below the GC horizon only a processor's lowest entry
+    /// is ever read, so [`gc_trim`](Self::gc_trim) folds the rest into it:
+    /// a page this node never maps keeps one such entry per writer.
     pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
     /// Diffs this node created, indexed per page (intervals in order). A
     /// [`Delta`] is encoded once, on its first read, and a [`Diff`] is
@@ -133,8 +134,6 @@ pub(crate) struct ProtoState {
     /// interval is served only inside a base, a copy of the current page
     /// (see [`DiffRecord::base`]).
     pub trimmed: IntSet<PageId>,
-    /// Pages of the current interval written under `WRITE_ALL` (no twin).
-    pub write_all_pages: IntSet<PageId>,
     /// The global vector timestamp distributed at the last barrier departure.
     pub last_global_vt: Vt,
     /// The garbage-collection horizon distributed at the last barrier
@@ -182,13 +181,11 @@ impl ProtoState {
         ProtoState {
             me,
             nprocs,
-            current_interval: 1,
             vt: Vt::new(nprocs),
             notice_log: NoticeLog::new(nprocs),
             page_missing: IntMap::default(),
             diff_cache: IntMap::default(),
             trimmed: IntSet::default(),
-            write_all_pages: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
             lock_last_holder: HashMap::new(),
@@ -199,6 +196,12 @@ impl ProtoState {
             pending_lock_requests: HashMap::new(),
             acquire_race_vt: None,
         }
+    }
+
+    /// The interval this node is accumulating writes into: the one after
+    /// its last flushed interval.
+    pub(crate) fn open_interval(&self) -> Interval {
+        self.vt.get(self.me) + 1
     }
 
     /// The manager of `lock`: locks are statically distributed round-robin.
@@ -270,9 +273,7 @@ impl ProtoState {
     /// served from that copy contains (see [`DiffRecord::base`]).
     pub(crate) fn page_vt(&self, page: PageId) -> Vt {
         let mut vt = self.vt.clone();
-        for &(proc, interval) in self.page_missing.get(&page).into_iter().flatten() {
-            vt.limit(proc, interval.saturating_sub(1));
-        }
+        lower_below_missing(&mut vt, self.page_missing.get(&page).into_iter().flatten());
         vt
     }
 
@@ -289,11 +290,8 @@ impl ProtoState {
     pub(crate) fn applied_vt(&self, table: &PageTable) -> Vt {
         let mut vt = self.vt.clone();
         for (&page, missing) in &self.page_missing {
-            if !table.is_mapped(page) {
-                continue;
-            }
-            for &(proc, interval) in missing {
-                vt.limit(proc, interval.saturating_sub(1));
+            if table.is_mapped(page) {
+                lower_below_missing(&mut vt, missing);
             }
         }
         vt
@@ -301,9 +299,31 @@ impl ProtoState {
 
     /// Drops own diff-cache entries at or below `horizon`'s component for
     /// this node (noting their pages in [`trimmed`](Self::trimmed)) and
-    /// notice-log records covered by `horizon`. Returns `(diff entries,
-    /// notice records)` removed. Monotone and idempotent.
-    pub(crate) fn gc_trim(&mut self, horizon: &Vt) -> (u64, u64) {
+    /// notice-log records covered by `horizon`, and folds each page's
+    /// missing entries at or below it into one per processor. Returns
+    /// `(diff entries, notice records)` removed. Monotone and idempotent.
+    ///
+    /// `in_flight` (ascending) are the pages this synchronization's own
+    /// merged fetch still waits for. Its request was built against the
+    /// horizon found here and may name entries between that one and the
+    /// merged one as deltas, each of which claims its own entry only: those
+    /// pages fold at the horizon found, and the next trim folds the rest.
+    pub(crate) fn gc_trim(&mut self, horizon: &Vt, in_flight: &[PageId]) -> (u64, u64) {
+        let found = &self.gc_horizon;
+        for (page, missing) in &mut self.page_missing {
+            let fetching = in_flight.binary_search(page).is_ok();
+            let fold_at = |proc| {
+                if fetching {
+                    found.get(proc)
+                } else {
+                    found.get(proc).max(horizon.get(proc))
+                }
+            };
+            // Sorted, a processor's lowest entry comes first and absorbs
+            // its later ones at or below the fold.
+            missing.sort_unstable();
+            missing.dedup_by(|next, kept| next.0 == kept.0 && next.1 <= fold_at(next.0));
+        }
         self.gc_horizon.merge(horizon);
         let own = self.gc_horizon.get(self.me);
         let mut diffs = 0u64;
@@ -327,6 +347,31 @@ impl ProtoState {
         let covered = self.gc_horizon.clone();
         let notices = self.notice_log.trim_covered(&covered) as u64;
         (diffs, notices)
+    }
+}
+
+/// Lowers `vt` to just below each of the `missing` entries `(proc,
+/// interval)`: a timestamp that claims no interval whose diff is still
+/// missing. Per processor only the lowest entry decides the result.
+///
+/// Every reader of a page's entries at or below the GC horizon depends on
+/// that lowest entry alone: [`ProtoState::page_vt`] and
+/// [`ProtoState::applied_vt`], through this function; `sync_vt_locked`,
+/// which skips such entries; `wants_for_pages_locked`, which only asks whether any
+/// exists (one base answers them all); and `install_records`, where a base
+/// claims them all and a whole-page delta claims every entry of its creator
+/// at or below its interval. That is why [`ProtoState::gc_trim`] may fold
+/// them into one per processor — except an entry a request in flight names
+/// as a delta, which claims that entry only. A request names none at or
+/// below the horizon it was built against, so the trim folds the pages of
+/// its own synchronization's fetch at the horizon it found, not the one it
+/// merges (`a_merged_fetch_keeps_every_delta_the_trim_passes`).
+pub(crate) fn lower_below_missing<'a>(
+    vt: &mut Vt,
+    missing: impl IntoIterator<Item = &'a (ProcId, Interval)>,
+) {
+    for &(proc, interval) in missing {
+        vt.limit(proc, interval.saturating_sub(1));
     }
 }
 
