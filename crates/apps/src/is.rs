@@ -33,7 +33,7 @@ use crate::{col_block, col_elems, fill_block, mix64, GridConfig, Variant};
 
 /// The lock guarding the histogram merge phase. Exposed so tests and the
 /// benchmark driver can reference the same id the IR carries.
-pub const MERGE_LOCK: LockId = 7;
+const MERGE_LOCK: LockId = 7;
 
 /// The deterministic initial key of global element `idx` (column-major).
 fn key_seed(i: usize, j: usize, bins: usize) -> u64 {

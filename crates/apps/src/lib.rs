@@ -38,7 +38,7 @@ mod jacobi;
 mod sor;
 
 pub use gauss::{gauss, gauss_program};
-pub use is::{is, is_program, MERGE_LOCK};
+pub use is::{is, is_program};
 pub use jacobi::{jacobi, jacobi_program};
 pub use sor::{sor, sor_program};
 

@@ -230,7 +230,7 @@ fn the_validate_level_keeps_one_barrier_per_communicating_boundary() {
             let phases = program.phases();
             for me in 0..nprocs {
                 let plan = kernel.plan_for(me);
-                assert_eq!(plan.barriers(), barriers, "{name}@{nprocs}, processor {me}");
+                assert_eq!(kernel.barriers(), barriers, "{name}@{nprocs}, processor {me}");
                 assert_eq!(plan.messages_sent(), 0);
                 for step in &plan.steps {
                     if phases[step.phase].name == "pivot" {
@@ -247,7 +247,7 @@ fn the_validate_level_keeps_one_barrier_per_communicating_boundary() {
                     let (plan, validate) = (full.plan_for(me), kernel.plan_for(me));
                     assert_eq!(validate.lock_acquires(), barriers, "is@{nprocs}");
                     assert_eq!(validate.reductions(), 0, "is@{nprocs}");
-                    assert_eq!((plan.barriers(), plan.lock_acquires()), (0, 0), "is@{nprocs}");
+                    assert_eq!((full.barriers(), plan.lock_acquires()), (0, 0), "is@{nprocs}");
                     assert_eq!(plan.reductions(), barriers, "is@{nprocs}");
                 }
             }
@@ -574,10 +574,16 @@ fn a_routed_departure_to_a_leaf_of_the_wide64_tree_stays_small() {
     const NPROCS: usize = 64;
     let cfg = GridConfig { rows: 64, cols: 256, iters: 8 };
     let config = DsmConfig::new(NPROCS).with_cost_model(CostModel::sp2());
-    let arity = treadmarks::BarrierTopology::optimal_tree_arity(NPROCS, &CostModel::sp2());
+    let (arity, ..) = treadmarks::BarrierTopology::Adaptive.shape(NPROCS, &CostModel::sp2());
     assert_eq!(arity, 8);
-    let run = Dsm::run(config, move |p| jacobi(p, &cfg, Variant::Validate));
+    // Each processor's own counters as its kernel returns: what it sent
+    // through then is all it sends (the sum is the run's total).
+    let run = Dsm::run(config, move |p| {
+        jacobi(p, &cfg, Variant::Validate);
+        p.stats().snapshot()
+    });
     let total = run.stats.total();
+    assert_eq!(run.results.iter().map(|s| s.bytes_sent).sum::<u64>(), total.bytes_sent);
     println!("{} bytes in {} messages", total.bytes_sent, total.messages_sent);
     assert!(2 * total.bytes_sent < WIDE64_JACOBI_BROADCAST_BYTES, "{}", total.bytes_sent);
     // Every child of nodes 1..=7 is a leaf, so everything such a node sends
@@ -586,7 +592,7 @@ fn a_routed_departure_to_a_leaf_of_the_wide64_tree_stays_small() {
     // routed entries each.
     for parent in 1..=7 {
         let leaves = (parent * arity + 1..NPROCS.min(parent * arity + 1 + arity)).len() as u64;
-        let node = run.stats.nodes()[parent];
+        let node = run.results[parent];
         let per_departure = node.bytes_sent / (node.barriers * leaves);
         assert!(per_departure <= 4096, "P{parent} sends {per_departure} bytes a leaf departure");
     }
@@ -603,19 +609,29 @@ const WIDE_BARRIER_MESSAGES: u64 = 2 * 63 + (62 * 3 + 2);
 #[test]
 fn a_wide_validate_sweep_gets_its_data_with_the_barrier_not_through_faults() {
     type Kernel = fn(&mut treadmarks::Process, &GridConfig, Variant) -> f64;
-    let per_node = |long: &DsmRun<f64>, short: &DsmRun<f64>, f: fn(&StatsSnapshot) -> u64| {
-        let nodes = long.stats.nodes().iter().zip(short.stats.nodes());
+    // Each processor's own barriers and faults, counted as its kernel
+    // returns.
+    let run_app = |app: Kernel, cfg: GridConfig, nprocs| {
+        let config = DsmConfig::new(nprocs).with_cost_model(CostModel::free());
+        Dsm::run(config, move |p| {
+            app(p, &cfg, Variant::Validate);
+            p.stats().snapshot()
+        })
+    };
+    let per_node = |long: &DsmRun<StatsSnapshot>,
+                    short: &DsmRun<StatsSnapshot>,
+                    f: fn(&StatsSnapshot) -> u64| {
+        let nodes = long.results.iter().zip(&short.results);
         nodes.map(|(l, s)| f(l) - f(s)).collect::<Vec<u64>>()
     };
     for (name, app) in [("jacobi", jacobi as Kernel), ("sor", sor)] {
         // What two more iterations add, processor by processor: the
         // steady state, with the first iteration's cold misses subtracted.
-        let run =
-            |iters| run_app(app, GridConfig { rows: 64, cols: 256, iters }, 64, Variant::Validate);
+        let run = |iters| run_app(app, GridConfig { rows: 64, cols: 256, iters }, 64);
         let (short, long) = (run(2), run(4));
         let barriers = per_node(&long, &short, |s| s.barriers);
         assert!(barriers.iter().all(|&b| b == barriers[0] && b >= 2), "{name}: {barriers:?}");
-        let messages: u64 = per_node(&long, &short, |s| s.messages_sent).iter().sum();
+        let messages = long.stats.total().messages_sent - short.stats.total().messages_sent;
         assert_eq!(messages, barriers[0] * WIDE_BARRIER_MESSAGES, "{name}: a demand fetch");
         // What is left is one trap a barrier: the first touch of an
         // "interior" column that shares its page with a neighbour's
@@ -627,7 +643,7 @@ fn a_wide_validate_sweep_gets_its_data_with_the_barrier_not_through_faults() {
     }
     // With a column a page (512 rows) no page has two writers, and the
     // planned sweep never leaves the fast path.
-    let run = |iters| run_app(sor, GridConfig { rows: 512, cols: 32, iters }, 8, Variant::Validate);
+    let run = |iters| run_app(sor, GridConfig { rows: 512, cols: 32, iters }, 8);
     let (short, long) = (run(1), run(3));
     assert_eq!(per_node(&long, &short, |s| s.page_faults), [0; 8], "sor/validate@8, aligned");
 }

@@ -60,15 +60,15 @@ use sp2model::{CostModel, StatsSnapshot};
 use treadmarks::{BarrierTopology, Dsm, DsmConfig, SharedArray, SharedMatrix};
 
 /// The schema tag embedded in the JSON output.
-pub const SCHEMA: &str = "dsm-bench/pr8";
+const SCHEMA: &str = "dsm-bench/pr8";
 
 /// The schema tag of the wide-cluster scale matrix (`--scale`).
-pub const SCALE_SCHEMA: &str = "dsm-bench/pr9-scale";
+const SCALE_SCHEMA: &str = "dsm-bench/pr9-scale";
 
 /// The cluster sizes of the standard matrix (the paper reports 8
 /// processors; 16 records the barrier-topology crossover at two columns
 /// per processor).
-pub const NPROCS_MATRIX: [usize; 4] = [2, 4, 8, 16];
+const NPROCS_MATRIX: [usize; 4] = [2, 4, 8, 16];
 
 /// The cluster sizes of the scale matrix, far past the paper's 8-node SP/2.
 /// Every size runs on one host thread per processor.
@@ -78,37 +78,37 @@ pub const SCALE_NPROCS: [usize; 3] = [32, 64, 128];
 /// and the compiler-generated plan. (The stock TreadMarks plan demand-faults
 /// every remote page by construction and adds no information at wide sizes
 /// worth the run time.)
-pub const SCALE_VARIANTS: [Variant; 2] = [Variant::Validate, Variant::Compiled];
+const SCALE_VARIANTS: [Variant; 2] = [Variant::Validate, Variant::Compiled];
 
 /// The standard Jacobi size (page-aligned columns).
-pub const JACOBI_CFG: GridConfig = GridConfig { rows: 512, cols: 32, iters: 4 };
+const JACOBI_CFG: GridConfig = GridConfig { rows: 512, cols: 32, iters: 4 };
 
 /// The standard SOR size.
-pub const SOR_CFG: GridConfig = GridConfig { rows: 512, cols: 32, iters: 3 };
+const SOR_CFG: GridConfig = GridConfig { rows: 512, cols: 32, iters: 3 };
 
 /// The standard integer-sort size. `cols` must reach `2 * nprocs` at the
 /// largest matrix point (16), and small enough that columns share pages, so
 /// the lock-grant piggyback crosses false-sharing boundaries.
-pub const IS_CFG: GridConfig = GridConfig { rows: 64, cols: 32, iters: 3 };
+const IS_CFG: GridConfig = GridConfig { rows: 64, cols: 32, iters: 3 };
 
 /// The standard Gaussian-elimination size (`iters` elimination steps, each
 /// with an iteration-dependent pivot broadcast).
-pub const GAUSS_CFG: GridConfig = GridConfig { rows: 64, cols: 32, iters: 6 };
+const GAUSS_CFG: GridConfig = GridConfig { rows: 64, cols: 32, iters: 6 };
 
 /// The scale-matrix Jacobi size: 256 columns so the widest point (128
 /// processors) still gets the kernels' required two columns per processor.
-pub const SCALE_JACOBI_CFG: GridConfig = GridConfig { rows: 64, cols: 256, iters: 2 };
+const SCALE_JACOBI_CFG: GridConfig = GridConfig { rows: 64, cols: 256, iters: 2 };
 
 /// The scale-matrix SOR size.
-pub const SCALE_SOR_CFG: GridConfig = GridConfig { rows: 64, cols: 256, iters: 2 };
+const SCALE_SOR_CFG: GridConfig = GridConfig { rows: 64, cols: 256, iters: 2 };
 
 /// The scale-matrix integer-sort size (few rows: the lock-based exchange
 /// is per-column and dominates).
-pub const SCALE_IS_CFG: GridConfig = GridConfig { rows: 8, cols: 256, iters: 2 };
+const SCALE_IS_CFG: GridConfig = GridConfig { rows: 8, cols: 256, iters: 2 };
 
 /// The scale-matrix Gaussian-elimination size (`iters` must stay below
 /// both dimensions).
-pub const SCALE_GAUSS_CFG: GridConfig = GridConfig { rows: 32, cols: 256, iters: 4 };
+const SCALE_GAUSS_CFG: GridConfig = GridConfig { rows: 32, cols: 256, iters: 4 };
 
 /// The page-aligned control of the scale matrix: the wide grid's 256
 /// columns with 512 rows, so a column is a page and no page has two
@@ -116,7 +116,7 @@ pub const SCALE_GAUSS_CFG: GridConfig = GridConfig { rows: 32, cols: 256, iters:
 /// processors as `validate_aligned`, next to the 64-row records where
 /// eight columns — two processors' blocks — share a page: same tree, same
 /// hops, same plan; what differs between the pair is sub-page sharing.
-pub const SCALE_ALIGNED_CFG: GridConfig = GridConfig { rows: 512, cols: 256, iters: 2 };
+const SCALE_ALIGNED_CFG: GridConfig = GridConfig { rows: 512, cols: 256, iters: 2 };
 
 /// The scale-matrix size for `app`.
 fn scale_cfg(app: &str) -> GridConfig {
@@ -181,7 +181,7 @@ fn standard_cfg(app: &str) -> GridConfig {
 }
 
 /// Every kernel of the suite, in the fixed record order.
-pub const APPS: [&str; 4] = ["jacobi", "sor", "is", "gauss"];
+const APPS: [&str; 4] = ["jacobi", "sor", "is", "gauss"];
 
 /// One benchmark run: a kernel, a variant, its size, and what it measured.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,7 +244,7 @@ struct Case {
 
 impl Case {
     /// The case under its variant's own name and the default barrier.
-    pub fn new(app: &'static str, cfg: GridConfig, nprocs: usize, variant: Variant) -> Case {
+    fn new(app: &'static str, cfg: GridConfig, nprocs: usize, variant: Variant) -> Case {
         let barrier = BarrierTopology::default();
         Case { app, cfg, nprocs, variant, name: variant.name(), barrier }
     }
@@ -302,7 +302,7 @@ pub fn suite() -> Vec<BenchRecord> {
 
 /// The scale suite: all four kernels in the Validate and Compiled variants
 /// at `nprocs` ∈ {32, 64, 128} on wide grids (256 columns), plus the two
-/// page-aligned `validate_aligned` controls ([`SCALE_ALIGNED_CFG`]).
+/// page-aligned `validate_aligned` controls (`SCALE_ALIGNED_CFG`).
 pub fn scale_suite() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for app in APPS {
@@ -361,7 +361,7 @@ pub fn render_json(records: &[BenchRecord]) -> String {
     render_json_with_schema(SCHEMA, records)
 }
 
-/// Renders scale-matrix records under the [`SCALE_SCHEMA`] tag (the
+/// Renders scale-matrix records under the `SCALE_SCHEMA` tag (the
 /// `BENCH_PR9.json` format). Same line shape as [`render_json`], so
 /// [`check_byte_equal`] reads both.
 pub fn render_scale_json(records: &[BenchRecord]) -> String {
@@ -720,7 +720,7 @@ mod tests {
                 for me in 0..nprocs {
                     let plan = kernel.plan_for(me);
                     assert_eq!(
-                        (plan.barriers(), plan.lock_acquires(), plan.reductions()),
+                        (kernel.barriers(), plan.lock_acquires(), plan.reductions()),
                         (barriers, acquires, 0),
                         "{app}@{nprocs}, processor {me}"
                     );

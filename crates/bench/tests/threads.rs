@@ -26,7 +26,7 @@ fn a_64_processor_case_runs_on_a_bounded_thread_budget() {
     };
     let peak = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let peak_in_run = std::sync::Arc::clone(&peak);
-    let cfg = dsm_bench::SCALE_JACOBI_CFG;
+    let cfg = dsm_apps::GridConfig { rows: 64, cols: 256, iters: 2 };
     let run = Dsm::run(DsmConfig::new(nprocs).with_cost_model(CostModel::sp2()), move |p| {
         // Sample only after a barrier: every compute thread is
         // provably alive, so the count is the run's plateau, not a

@@ -15,11 +15,10 @@
 //!    primitives, so this crate provides [`channel`] and [`sync`] as
 //!    drop-in stand-ins and every other crate depends on these instead of
 //!    the network-fetched originals.
-//! 2. **A home for cross-crate helpers with no better owner.** Error
-//!    conversion glue and similar utilities that would otherwise force a
-//!    dependency edge between sibling crates live here (see [`error`] and
-//!    [`hash`], the cheap hasher of the page-keyed tables), and the
-//!    [`pool`] of parked threads a DSM run borrows its processors from.
+//! 2. **A home for cross-crate helpers with no better owner.** Utilities
+//!    that would otherwise force a dependency edge between sibling crates
+//!    live here: [`hash`], the cheap hasher of the page-keyed tables, and
+//!    the [`pool`] of parked threads a DSM run borrows its processors from.
 //!
 //! Nothing in this crate is specific to distributed shared memory; it is
 //! deliberately boring so that the interesting code stays in `pagedmem`,
@@ -29,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod channel;
-pub mod error;
 pub mod hash;
 pub mod pool;
 pub mod sync;

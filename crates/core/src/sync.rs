@@ -35,11 +35,6 @@ impl<T> Mutex<T> {
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
@@ -60,7 +55,6 @@ mod tests {
         let m = Mutex::new(0u32);
         *m.lock() += 5;
         assert_eq!(*m.lock(), 5);
-        assert_eq!(m.into_inner(), 5);
     }
 
     #[test]

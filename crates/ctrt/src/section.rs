@@ -108,11 +108,6 @@ impl RegularSection {
     pub fn access(&self) -> Access {
         self.access
     }
-
-    /// Total bytes covered.
-    pub fn bytes(&self) -> usize {
-        self.ranges.iter().map(AddrRange::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +134,6 @@ mod tests {
         let a = SharedArray::<u32>::new(Addr::new(64), 100);
         let s = RegularSection::array(&a, 10..20, Access::ReadWrite);
         assert_eq!(s.ranges(), &[AddrRange::new(Addr::new(64 + 40), 40)]);
-        assert_eq!(s.bytes(), 40);
         assert_eq!(s.access(), Access::ReadWrite);
     }
 
@@ -148,10 +142,10 @@ mod tests {
         let rows = PAGE_SIZE / 8;
         let a = SharedArray::<f64>::new(Addr::new(0), rows * 4);
         let m = SharedMatrix::new(a, rows, 4);
-        let columns = (0..4).map(|j| m.col_range(j, j + 1)).collect();
+        let columns =
+            (0..4).map(|j| m.array().range_of(m.index(0, j), m.index(0, j) + rows)).collect();
         let s = RegularSection::from_ranges(columns, Access::Read);
-        assert_eq!(s.ranges().len(), 1);
-        assert_eq!(s.bytes(), 4 * PAGE_SIZE);
+        assert_eq!(s.ranges(), [AddrRange::new(Addr::new(0), 4 * PAGE_SIZE)]);
     }
 
     #[test]

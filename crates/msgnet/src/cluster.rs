@@ -159,11 +159,6 @@ impl<M: Send> Endpoint<M> {
         self.nodes
     }
 
-    /// The cluster-wide cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// This node's statistics counters.
     pub fn stats(&self) -> &SharedStats {
         &self.stats
@@ -545,7 +540,7 @@ mod tests {
         let faults =
             NetFaults { plan: FaultPlan::uniform(21, rates), retry: RetryPolicy::default() };
         let (a, b) = faulty_pair(faults);
-        let clean = a.cost_model().message_cost(64 + RELIA_HEADER_BYTES, true);
+        let clean = CostModel::sp2().message_cost(64 + RELIA_HEADER_BYTES, true);
         let mut delayed = 0u64;
         for i in 0..200u32 {
             let sent_at = VirtualTime::from_micros(u64::from(i) * 7);
@@ -567,11 +562,7 @@ mod tests {
 
     #[test]
     fn a_dead_link_expires_with_a_structured_payload() {
-        let plan = FaultPlan::uniform(1, LinkRates::CLEAN).with_link(
-            NodeId(0),
-            NodeId(1),
-            LinkRates::DEAD,
-        );
+        let plan = FaultPlan::uniform(1, LinkRates { drop_permille: 1000, ..LinkRates::default() });
         let retry = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
         let (a, b) = faulty_pair(NetFaults { plan, retry });
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -583,18 +574,11 @@ mod tests {
         assert_eq!(expired.src, NodeId(0));
         assert_eq!(expired.dst, NodeId(1));
         assert_eq!(expired.attempts, 3);
-        // The reverse link still works.
-        b.send(a.id(), Port::Reply, 2, 8, VirtualTime::ZERO, true);
-        assert_eq!(a.recv(Port::Reply).unwrap().payload, 2);
     }
 
     #[test]
     fn control_messages_bypass_a_dead_link() {
-        let plan = FaultPlan::uniform(1, LinkRates::CLEAN).with_link(
-            NodeId(0),
-            NodeId(1),
-            LinkRates::DEAD,
-        );
+        let plan = FaultPlan::uniform(1, LinkRates { drop_permille: 1000, ..LinkRates::default() });
         let (a, b) = faulty_pair(NetFaults { plan, retry: RetryPolicy::default() });
         a.send_control(b.id(), Port::Reply, 99);
         assert_eq!(b.recv(Port::Reply).unwrap().payload, 99);
@@ -604,7 +588,7 @@ mod tests {
     #[test]
     fn faults_charge_header_bytes_on_the_wire() {
         let faults = NetFaults {
-            plan: FaultPlan::uniform(4, LinkRates::CLEAN),
+            plan: FaultPlan::uniform(4, LinkRates::default()),
             retry: RetryPolicy::default(),
         };
         let (a, b) = faulty_pair(faults);

@@ -34,8 +34,9 @@ use sp2model::{SharedStats, VirtualTime};
 use crate::cluster::Port;
 use crate::NodeId;
 
-/// Per-link fault probabilities, each expressed in permille (0..=1000).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-link fault probabilities, each expressed in permille (0..=1000). The
+/// default is a healthy link: no faults of any kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkRates {
     /// Probability (‰) that a transmission attempt is dropped and must be
     /// retransmitted after a timeout.
@@ -49,16 +50,6 @@ pub struct LinkRates {
     pub reorder_permille: u16,
 }
 
-impl LinkRates {
-    /// A perfectly healthy link: no faults of any kind.
-    pub const CLEAN: LinkRates =
-        LinkRates { drop_permille: 0, dup_permille: 0, delay_permille: 0, reorder_permille: 0 };
-
-    /// Drops every transmission attempt — the link is effectively cut.
-    pub const DEAD: LinkRates =
-        LinkRates { drop_permille: 1000, dup_permille: 0, delay_permille: 0, reorder_permille: 0 };
-}
-
 /// Salts separating the independent fault decisions drawn from one identity.
 const SALT_DROP: u64 = 0x9e37_79b9_7f4a_7c15;
 const SALT_DUP: u64 = 0xd1b5_4a32_d192_ed03;
@@ -70,54 +61,19 @@ const DELAY_QUANTUM: VirtualTime = VirtualTime::from_micros(50);
 
 /// A seeded, reproducible schedule of interconnect faults.
 ///
-/// The plan holds a default [`LinkRates`] plus per-link overrides; every
-/// fault decision is drawn by hashing the message identity with the seed (see
-/// the module docs for why this, and not the sequence number, is the key).
+/// The plan applies one [`LinkRates`] to every link; every fault decision is
+/// drawn by hashing the message identity with the seed (see the module docs
+/// for why this, and not the sequence number, is the key).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    default_rates: LinkRates,
-    overrides: Vec<(NodeId, NodeId, LinkRates)>,
+    rates: LinkRates,
 }
 
 impl FaultPlan {
     /// A plan applying `rates` to every link.
     pub fn uniform(seed: u64, rates: LinkRates) -> FaultPlan {
-        FaultPlan { seed, default_rates: rates, overrides: Vec::new() }
-    }
-
-    /// The standard chaos mix ([`NetFaults::chaos`]): 5% attempt drops, 5%
-    /// duplicates, 10% delays, 10% reorders on every link.
-    pub fn chaos(seed: u64) -> FaultPlan {
-        FaultPlan::uniform(
-            seed,
-            LinkRates {
-                drop_permille: 50,
-                dup_permille: 50,
-                delay_permille: 100,
-                reorder_permille: 100,
-            },
-        )
-    }
-
-    /// Overrides the rates of the directed link `src → dst`.
-    pub fn with_link(mut self, src: NodeId, dst: NodeId, rates: LinkRates) -> FaultPlan {
-        self.overrides.retain(|&(s, d, _)| (s, d) != (src, dst));
-        self.overrides.push((src, dst, rates));
-        self
-    }
-
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn rates(&self, src: NodeId, dst: NodeId) -> LinkRates {
-        self.overrides
-            .iter()
-            .find(|&&(s, d, _)| (s, d) == (src, dst))
-            .map(|&(_, _, r)| r)
-            .unwrap_or(self.default_rates)
+        FaultPlan { seed, rates }
     }
 
     /// SplitMix64-style finalizer over the message identity and a per-decision
@@ -150,7 +106,7 @@ impl FaultPlan {
     /// capped at `max_attempts`. Each attempt rolls independently (salted by
     /// the attempt index), so the distribution is geometric.
     pub(crate) fn leading_drops(&self, key: MsgKey, max_attempts: u32) -> u32 {
-        let rates = self.rates(key.src, key.dst);
+        let rates = self.rates;
         if rates.drop_permille == 0 {
             return 0;
         }
@@ -166,15 +122,13 @@ impl FaultPlan {
 
     /// Whether the network duplicates this message in flight.
     pub(crate) fn duplicates(&self, key: MsgKey) -> bool {
-        self.roll(SALT_DUP, key, self.rates(key.src, key.dst).dup_permille)
+        self.roll(SALT_DUP, key, self.rates.dup_permille)
     }
 
     /// Extra link delay for this message ([`VirtualTime::ZERO`] for most).
     pub(crate) fn extra_delay(&self, key: MsgKey) -> VirtualTime {
         let h = self.hash(SALT_DELAY, key);
-        if u16::try_from(h % 1000).expect("mod 1000 fits")
-            < self.rates(key.src, key.dst).delay_permille
-        {
+        if u16::try_from(h % 1000).expect("mod 1000 fits") < self.rates.delay_permille {
             DELAY_QUANTUM.scale(1 + (h >> 10) % 4)
         } else {
             VirtualTime::ZERO
@@ -183,7 +137,7 @@ impl FaultPlan {
 
     /// Whether the network reorders this message behind later traffic.
     pub(crate) fn lags(&self, key: MsgKey) -> bool {
-        self.roll(SALT_REORDER, key, self.rates(key.src, key.dst).reorder_permille)
+        self.roll(SALT_REORDER, key, self.rates.reorder_permille)
     }
 }
 
@@ -218,7 +172,7 @@ impl Default for RetryPolicy {
     /// 1 ms initial timeout, doubling per attempt, 8 attempts. Under the
     /// default chaos drop rate of 5% the chance of exhausting all attempts is
     /// 0.05⁸ ≈ 4·10⁻¹¹ per message — negligible for full bench runs — while a
-    /// fully dead link ([`LinkRates::DEAD`]) exhausts deterministically.
+    /// dead link (`drop_permille` 1000) exhausts deterministically.
     fn default() -> RetryPolicy {
         RetryPolicy { timeout: VirtualTime::from_millis(1), backoff: 2, max_attempts: 8 }
     }
@@ -234,10 +188,17 @@ pub struct NetFaults {
 }
 
 impl NetFaults {
-    /// The standard chaos configuration: [`FaultPlan::chaos`] with the
-    /// default [`RetryPolicy`].
+    /// The standard chaos configuration: 5% attempt drops, 5% duplicates,
+    /// 10% delays and 10% reorders on every link, with the default
+    /// [`RetryPolicy`].
     pub fn chaos(seed: u64) -> NetFaults {
-        NetFaults { plan: FaultPlan::chaos(seed), retry: RetryPolicy::default() }
+        let rates = LinkRates {
+            drop_permille: 50,
+            dup_permille: 50,
+            delay_permille: 100,
+            reorder_permille: 100,
+        };
+        NetFaults { plan: FaultPlan::uniform(seed, rates), retry: RetryPolicy::default() }
     }
 
     /// The message's whole fate, asked once at send time: the latency its
@@ -329,7 +290,7 @@ mod tests {
 
     #[test]
     fn decisions_are_pure_functions_of_identity() {
-        let plan = FaultPlan::chaos(7);
+        let plan = NetFaults::chaos(7).plan;
         let k = key(0, 1, 12_345, 64);
         for _ in 0..3 {
             assert_eq!(plan.leading_drops(k, 8), plan.leading_drops(k, 8));
@@ -338,15 +299,15 @@ mod tests {
             assert_eq!(plan.lags(k), plan.lags(k));
         }
         // An identical plan built from the same seed agrees on every call.
-        let again = FaultPlan::chaos(7);
+        let again = NetFaults::chaos(7).plan;
         assert_eq!(plan.duplicates(k), again.duplicates(k));
         assert_eq!(plan.extra_delay(k), again.extra_delay(k));
     }
 
     #[test]
     fn different_seeds_give_different_schedules() {
-        let a = FaultPlan::chaos(1);
-        let b = FaultPlan::chaos(2);
+        let a = NetFaults::chaos(1).plan;
+        let b = NetFaults::chaos(2).plan;
         let keys: Vec<MsgKey> = (0..200).map(|i| key(0, 1, i * 1000, 64 + i)).collect();
         let differs = keys.iter().any(|&k| {
             a.duplicates(k) != b.duplicates(k)
@@ -375,7 +336,7 @@ mod tests {
 
     #[test]
     fn clean_links_never_fault() {
-        let plan = FaultPlan::uniform(9, LinkRates::CLEAN);
+        let plan = FaultPlan::uniform(9, LinkRates::default());
         for i in 0..1000 {
             let k = key(0, 1, i * 37, i);
             assert_eq!(plan.leading_drops(k, 8), 0);
@@ -383,19 +344,6 @@ mod tests {
             assert_eq!(plan.extra_delay(k), VirtualTime::ZERO);
             assert!(!plan.lags(k));
         }
-    }
-
-    #[test]
-    fn link_overrides_take_precedence() {
-        let plan = FaultPlan::uniform(3, LinkRates::CLEAN).with_link(
-            NodeId(0),
-            NodeId(1),
-            LinkRates::DEAD,
-        );
-        let cut = key(0, 1, 500, 16);
-        let healthy = key(1, 0, 500, 16);
-        assert_eq!(plan.leading_drops(cut, 4), 4, "dead link must drop every attempt");
-        assert_eq!(plan.leading_drops(healthy, 4), 0, "reverse link is untouched");
     }
 
     #[test]
@@ -411,9 +359,9 @@ mod tests {
         );
         for i in 0..200 {
             let d = plan.extra_delay(key(0, 1, i * 13, 8));
-            let q = d.as_micros() / 50;
+            let q = d.as_nanos() / 50_000;
             assert!(
-                d.as_micros().is_multiple_of(50) && (1..=4).contains(&q),
+                d.as_nanos().is_multiple_of(50_000) && (1..=4).contains(&q),
                 "unexpected delay {d}"
             );
         }

@@ -106,11 +106,6 @@ impl AddrRange {
         self.len == 0
     }
 
-    /// Whether `addr` lies within the range.
-    pub fn contains(&self, addr: Addr) -> bool {
-        addr >= self.start && addr < self.end()
-    }
-
     /// The intersection of two ranges, if it is non-empty.
     pub fn intersect(&self, other: &AddrRange) -> Option<AddrRange> {
         let start = self.start.max(other.start);
@@ -172,9 +167,6 @@ mod tests {
     fn range_basic_queries() {
         let r = AddrRange::new(Addr::new(100), 50);
         assert_eq!(r.end(), Addr::new(150));
-        assert!(r.contains(Addr::new(100)));
-        assert!(r.contains(Addr::new(149)));
-        assert!(!r.contains(Addr::new(150)));
         assert!(!r.is_empty());
         assert!(AddrRange::new(Addr::ZERO, 0).is_empty());
     }

@@ -14,9 +14,9 @@ use crate::{Addr, AddrRange, MemError, PAGE_SIZE};
 ///
 /// ```
 /// use pagedmem::SharedAlloc;
-/// let mut heap = SharedAlloc::with_capacity(1 << 20);
-/// let a = heap.alloc_array::<f64>(100).unwrap();
-/// let b = heap.alloc_array::<f64>(100).unwrap();
+/// let mut heap = SharedAlloc::new();
+/// let a = heap.alloc_array_page_aligned::<f64>(100).unwrap();
+/// let b = heap.alloc_array_page_aligned::<f64>(100).unwrap();
 /// assert_ne!(a.start(), b.start());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,28 +26,10 @@ pub struct SharedAlloc {
 }
 
 impl SharedAlloc {
-    /// Default arena size: 1 GiB of shared address space (pages materialise
-    /// lazily, so this costs nothing until touched).
-    pub const DEFAULT_CAPACITY: usize = 1 << 30;
-
-    /// Creates an allocator over the default-sized arena.
+    /// Creates an allocator over 1 GiB of shared address space (pages
+    /// materialise lazily, so this costs nothing until touched).
     pub fn new() -> SharedAlloc {
-        SharedAlloc::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates an allocator over `capacity` bytes of shared address space.
-    pub fn with_capacity(capacity: usize) -> SharedAlloc {
-        SharedAlloc { next: 0, limit: capacity }
-    }
-
-    /// Bytes not yet allocated.
-    pub fn available(&self) -> usize {
-        self.limit - self.next
-    }
-
-    /// Bytes allocated so far.
-    pub fn allocated(&self) -> usize {
-        self.next
+        SharedAlloc { next: 0, limit: 1 << 30 }
     }
 
     /// Allocates `bytes` bytes aligned to `align`.
@@ -59,26 +41,18 @@ impl SharedAlloc {
     /// # Panics
     ///
     /// Panics if `align` is zero or not a power of two.
-    pub fn alloc(&mut self, bytes: usize, align: usize) -> Result<AddrRange, MemError> {
+    fn alloc(&mut self, bytes: usize, align: usize) -> Result<AddrRange, MemError> {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let start = (self.next + align - 1) & !(align - 1);
+        let available = self.limit - self.next;
         let end = start
             .checked_add(bytes)
-            .ok_or(MemError::OutOfMemory { requested: bytes, available: self.available() })?;
+            .ok_or(MemError::OutOfMemory { requested: bytes, available })?;
         if end > self.limit {
-            return Err(MemError::OutOfMemory { requested: bytes, available: self.available() });
+            return Err(MemError::OutOfMemory { requested: bytes, available });
         }
         self.next = end;
         Ok(AddrRange::new(Addr::new(start), bytes))
-    }
-
-    /// Allocates an array of `len` elements of `T`, naturally aligned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfMemory`] if the arena is exhausted.
-    pub fn alloc_array<T>(&mut self, len: usize) -> Result<AddrRange, MemError> {
-        self.alloc(len * std::mem::size_of::<T>(), std::mem::align_of::<T>().max(1))
     }
 
     /// Allocates an array of `len` elements of `T`, aligned to a page
@@ -106,7 +80,7 @@ mod tests {
 
     #[test]
     fn allocations_do_not_overlap() {
-        let mut heap = SharedAlloc::with_capacity(1 << 16);
+        let mut heap = SharedAlloc::new();
         let a = heap.alloc(100, 8).unwrap();
         let b = heap.alloc(100, 8).unwrap();
         assert!(a.intersect(&b).is_none());
@@ -127,14 +101,14 @@ mod tests {
     fn identical_sequences_give_identical_layouts() {
         let mut a = SharedAlloc::new();
         let mut b = SharedAlloc::new();
-        let seq_a: Vec<_> = (1..10).map(|i| a.alloc_array::<u32>(i * 7).unwrap()).collect();
-        let seq_b: Vec<_> = (1..10).map(|i| b.alloc_array::<u32>(i * 7).unwrap()).collect();
+        let seq_a: Vec<_> = (1..10).map(|i| a.alloc(i * 28, 4).unwrap()).collect();
+        let seq_b: Vec<_> = (1..10).map(|i| b.alloc(i * 28, 4).unwrap()).collect();
         assert_eq!(seq_a, seq_b);
     }
 
     #[test]
     fn exhaustion_reports_out_of_memory() {
-        let mut heap = SharedAlloc::with_capacity(128);
+        let mut heap = SharedAlloc { next: 0, limit: 128 };
         assert!(heap.alloc(100, 1).is_ok());
         let err = heap.alloc(100, 1).unwrap_err();
         assert!(matches!(err, MemError::OutOfMemory { requested: 100, .. }));
@@ -142,10 +116,10 @@ mod tests {
 
     #[test]
     fn accounting_tracks_usage() {
-        let mut heap = SharedAlloc::with_capacity(1000);
+        let mut heap = SharedAlloc { next: 0, limit: 1000 };
         heap.alloc(100, 1).unwrap();
-        assert_eq!(heap.allocated(), 100);
-        assert_eq!(heap.available(), 900);
+        let err = heap.alloc(1000, 1).unwrap_err();
+        assert!(matches!(err, MemError::OutOfMemory { requested: 1000, available: 900 }));
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl PageId {
     pub fn end(self) -> Addr {
         Addr::new((self.0 + 1) * PAGE_SIZE)
     }
-
-    /// The next page.
-    pub fn next(self) -> PageId {
-        PageId(self.0 + 1)
-    }
 }
 
 impl fmt::Display for PageId {
@@ -142,7 +137,6 @@ mod tests {
         let page = PageId::containing(addr);
         assert_eq!(page, PageId(3));
         assert!(page.base() <= addr && addr < page.end());
-        assert_eq!(page.next(), PageId(4));
     }
 
     #[test]

@@ -82,7 +82,7 @@ struct Slot {
 
 impl Frame {
     /// A frame holding `state`.
-    pub fn new(state: PageFrame) -> Frame {
+    fn new(state: PageFrame) -> Frame {
         Frame {
             slot: Mutex::new(Slot { state: Some(state), waiting: 0 }),
             returned: Condvar::new(),
@@ -169,7 +169,7 @@ pub enum AccessOutcome {
 
 impl AccessOutcome {
     /// The outcome of an access against a page in state `protection`.
-    pub fn of(protection: Protection, is_write: bool) -> AccessOutcome {
+    fn of(protection: Protection, is_write: bool) -> AccessOutcome {
         match protection {
             Protection::Unmapped => AccessOutcome::Unmapped,
             Protection::Invalid => AccessOutcome::Invalid,
@@ -417,25 +417,9 @@ impl PageTable {
         }
     }
 
-    /// Writes `data` starting at `addr`, mapping pages as needed.
-    pub fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
-        let mut cursor = addr;
-        let mut written = 0;
-        while written < data.len() {
-            let page = cursor.page();
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page, Protection::ReadWrite);
-            frame.lock().page.as_mut_slice()[offset..offset + chunk]
-                .copy_from_slice(&data[written..written + chunk]);
-            written += chunk;
-            cursor = cursor.offset(chunk);
-        }
-    }
-
-    /// Installs remotely produced `data` starting at `addr`: like
-    /// [`write_bytes`](Self::write_bytes), but mirrored into each page's
-    /// twin (if one exists), exactly as [`apply_diff_batch`](Self::apply_diff_batch)
+    /// Installs remotely produced `data` starting at `addr`, mapping pages
+    /// read-write as needed and mirroring the bytes into each page's twin
+    /// (if one exists), exactly as [`apply_diff_batch`](Self::apply_diff_batch)
     /// mirrors applied diffs. An install moves data, not local
     /// modifications, so installed bytes must never show up in a later
     /// twin-vs-page diff as the receiver's own writes.
@@ -502,7 +486,7 @@ impl PageTable {
 
     /// Writes `data` over `range` with the protection check and the copy done
     /// under one frame resolution per page-run. Unlike
-    /// [`write_bytes`](Self::write_bytes) this never maps pages: a page that
+    /// [`install_bytes`](Self::install_bytes) this never maps pages: a page that
     /// is not mapped read-write is a fault the caller must resolve (twin +
     /// write-enable), which keeps the write-detection protocol honest.
     ///
@@ -560,7 +544,7 @@ mod tests {
         table.write_enable(page, true);
         // A local write followed by an install into a disjoint region: the
         // diff must contain the write and nothing of the install.
-        table.write_bytes(page.base(), &[5, 5, 5, 5]);
+        table.write_checked(AddrRange::new(page.base(), 4), &[5; 4]).unwrap();
         table.install_bytes(page.base().offset(64), &[9; 16]);
         let diff = table.create_diff(page).expect("twinned page diffs");
         assert_eq!(diff.modified_ranges(), vec![(0, 4)]);
@@ -611,7 +595,7 @@ mod tests {
         table.map_zeroed(page, Protection::ReadWrite);
         assert!(table.write_enable(page, true));
         assert!(!table.write_enable(page, true), "a dirty page keeps the twin it has");
-        table.write_bytes(page.base().offset(8), &[7, 7, 7, 7]);
+        table.write_checked(AddrRange::new(page.base().offset(8), 4), &[7; 4]).unwrap();
         let diff = table.create_diff(page).expect("twin exists");
         assert_eq!(diff.modified_bytes(), 4);
 
@@ -631,14 +615,14 @@ mod tests {
         table.map_zeroed(page, Protection::ReadWrite);
         assert!(table.write_protect(page).is_none(), "no twin, nothing to take");
         table.write_enable(page, true);
-        table.write_bytes(page.base(), &[3; 4]);
+        table.write_checked(AddrRange::new(page.base(), 4), &[3; 4]).unwrap();
         let (twin, copy) = table.write_protect(page).expect("twinned");
         assert!(!table.has_twin(page));
         assert!(table.dirty_pages().is_empty());
         assert_eq!(table.check_access(page, true), AccessOutcome::WriteProtected);
         assert_eq!(Diff::create(twin.as_slice(), copy.as_slice()).modified_ranges(), [(0, 4)]);
         // The copy is the page as it was taken: later writes do not reach it.
-        table.write_bytes(page.base().offset(64), &[5; 4]);
+        table.install_bytes(page.base().offset(64), &[5; 4]);
         assert_eq!(copy.as_slice()[64..68], [0; 4]);
     }
 
@@ -719,7 +703,7 @@ mod tests {
     fn byte_io_spans_page_boundaries() {
         let mut table = PageTable::new();
         let addr = Addr::new(PAGE_SIZE - 2);
-        table.write_bytes(addr, &[1, 2, 3, 4]);
+        table.install_bytes(addr, &[1, 2, 3, 4]);
         let mut buf = [0u8; 4];
         table.read_bytes(addr, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
@@ -802,7 +786,7 @@ mod tests {
         let fault = table.read_checked(range, &mut buf).unwrap_err();
         assert_eq!(fault, AccessFault { page: PageId(1), outcome: AccessOutcome::Invalid });
         table.set_protection(PageId(1), Protection::ReadOnly);
-        table.write_bytes(Addr::new(PAGE_SIZE - 4), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        table.install_bytes(Addr::new(PAGE_SIZE - 4), &[1, 2, 3, 4, 5, 6, 7, 8]);
         table.read_checked(range, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
     }

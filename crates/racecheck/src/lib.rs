@@ -51,13 +51,6 @@ pub enum RaceDetect {
     FailFast,
 }
 
-impl RaceDetect {
-    /// Whether detection is enabled at all.
-    pub fn enabled(self) -> bool {
-        !matches!(self, RaceDetect::Off)
-    }
-}
-
 /// The kind of synchronization point at which a race was detected — the
 /// *bracketing sync point* of the report: the apply operation that brought
 /// the two concurrent write sets onto one processor.
@@ -75,7 +68,7 @@ pub enum SyncKind {
 
 impl SyncKind {
     /// Short lower-case name for display.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             SyncKind::Barrier => "barrier",
             SyncKind::LockGrant => "lock-grant",
@@ -225,16 +218,6 @@ impl RaceLog {
         self.reports.lock().push(report);
     }
 
-    /// Number of reports recorded so far (before deduplication).
-    pub fn len(&self) -> usize {
-        self.reports.lock().len()
-    }
-
-    /// Whether no report has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.reports.lock().is_empty()
-    }
-
     /// Removes and returns all reports in canonical order.
     ///
     /// Reports are sorted by `(page, interval pair, word ranges)` and a
@@ -313,7 +296,7 @@ mod tests {
         assert_eq!(drained[0].page, PageId(2));
         assert_eq!(drained[0].detected_by, 1, "smaller detector wins the dedup");
         assert_eq!(drained[1].page, PageId(7));
-        assert!(log.is_empty(), "drain empties the log");
+        assert!(log.drain_sorted().is_empty(), "drain empties the log");
     }
 
     #[test]
@@ -344,9 +327,6 @@ mod tests {
 
     #[test]
     fn race_detect_enabled() {
-        assert!(!RaceDetect::Off.enabled());
-        assert!(RaceDetect::Collect.enabled());
-        assert!(RaceDetect::FailFast.enabled());
         assert_eq!(RaceDetect::default(), RaceDetect::Off);
     }
 }

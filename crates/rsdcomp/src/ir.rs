@@ -312,11 +312,6 @@ impl Program {
         out
     }
 
-    /// The unrolled execution order, as phase ids.
-    pub fn occurrences(&self) -> Vec<PhaseId> {
-        self.occurrences_with_iter().into_iter().map(|(id, _)| id).collect()
-    }
-
     /// The unrolled execution order as `(phase id, iteration)` pairs: the
     /// iteration symbol of the enclosing `Repeat` (straight-line phases run
     /// at iteration 0), which iteration-dependent [`ColSpan`]s are
@@ -413,7 +408,6 @@ mod tests {
             ],
         };
         assert_eq!(program.phases().len(), 3);
-        assert_eq!(program.occurrences(), vec![0, 1, 2, 1, 2, 1, 2]);
         assert_eq!(
             program.occurrences_with_iter(),
             vec![(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2)],

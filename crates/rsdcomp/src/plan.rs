@@ -84,7 +84,7 @@ impl BoundaryOp {
     }
 
     /// Point-to-point messages this processor sends executing the op.
-    pub fn messages_sent(&self) -> usize {
+    fn messages_sent(&self) -> usize {
         match self {
             // Lock request/grant traffic is the runtime's own forwarding
             // path, identical to a hand-written acquire — the plan adds no
@@ -151,7 +151,7 @@ pub struct ProcPlan {
 
 impl ProcPlan {
     /// Number of surviving real barriers.
-    pub fn barriers(&self) -> usize {
+    fn barriers(&self) -> usize {
         self.steps
             .iter()
             .filter(|s| {
@@ -459,44 +459,24 @@ fn plan(
                 Some(reduction) => PhaseExit::Reduce(reduction.clone()),
                 None => PhaseExit::Nothing,
             };
-            let (first, first_iter) = occurrences[0];
-            steps.push(match phases[first].lock {
-                Some(lock) => {
-                    // The release at the phase's exit stales what the grant
-                    // validated.
-                    flush_epoch += 1;
-                    PlanStep {
-                        phase: first,
-                        iter: first_iter,
-                        entry: BoundaryOp::Lock { lock, sections: sections_for(first, first_iter) },
-                        exit: PhaseExit::Release(lock),
-                    }
-                }
-                None => PlanStep {
-                    phase: first,
-                    iter: first_iter,
-                    entry: BoundaryOp::Local {
-                        sections: hold(
-                            &mut held[slot(first)],
-                            flush_epoch,
-                            sections_for(first, first_iter),
-                        ),
-                    },
-                    exit: exit_of(first),
-                },
-            });
-            for (b, w) in occurrences.windows(2).enumerate() {
-                let (next, iter) = w[1];
-                let analysis = &analyses[b];
+            for (k, &(next, iter)) in occurrences.iter().enumerate() {
+                // The first phase is entered over its lock, or over nothing.
+                let (class, pairs) = match k.checked_sub(1) {
+                    Some(b) => (analyses[b].class, &analyses[b].pairs[..]),
+                    None => (
+                        phases[next].lock.map_or(BoundaryClass::NoComm, BoundaryClass::Lock),
+                        &[][..],
+                    ),
+                };
                 // What a step without an exchange of its own prepares.
                 let mut prepared =
                     |epoch| hold(&mut held[slot(next)], epoch, sections_for(next, iter));
                 let mut exit = exit_of(next);
-                let entry = match analysis.class {
+                let entry = match class {
                     BoundaryClass::NoComm => BoundaryOp::Local { sections: prepared(flush_epoch) },
                     // The previous step's exit reduced; what else crosses
                     // the boundary is pushable.
-                    BoundaryClass::Reduce if analysis.pairs.is_empty() => {
+                    BoundaryClass::Reduce if pairs.is_empty() => {
                         BoundaryOp::Local { sections: prepared(flush_epoch) }
                     }
                     BoundaryClass::FullBarrier { .. } => {
@@ -524,14 +504,13 @@ fn plan(
                         BoundaryOp::Lock { lock, sections: sections_for(next, iter) }
                     }
                     BoundaryClass::Push | BoundaryClass::Reduce => {
-                        let pairs = &analysis.pairs;
                         let sent = pairs.partition_point(|d| d.producer < me)
                             ..pairs.partition_point(|d| d.producer <= me);
                         let sends = pairs[sent]
                             .iter()
                             .map(|d| Push { dest: d.consumer, regions: d.regions.clone() })
                             .collect();
-                        let edges = &by_consumer[b];
+                        let edges = &by_consumer[k - 1];
                         let received = edges.partition_point(|&(c, _)| c < me)
                             ..edges.partition_point(|&(c, _)| c <= me);
                         let recv_from = edges[received].iter().map(|&(_, p)| p).collect();

@@ -22,7 +22,7 @@ use crate::VirtualTime;
 /// receiver.advance(VirtualTime::from_micros(10));
 /// // A message sent at t=100us arriving with 180us latency.
 /// receiver.observe(VirtualTime::from_micros(100) + VirtualTime::from_micros(180));
-/// assert_eq!(receiver.now().as_micros(), 280);
+/// assert_eq!(receiver.now(), VirtualTime::from_micros(280));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VirtualClock {
@@ -92,7 +92,7 @@ mod tests {
         let mut c = VirtualClock::new();
         c.advance(VirtualTime::from_micros(5));
         c.advance(VirtualTime::from_micros(7));
-        assert_eq!(c.now().as_micros(), 12);
+        assert_eq!(c.now(), VirtualTime::from_micros(12));
     }
 
     #[test]
@@ -100,11 +100,11 @@ mod tests {
         let mut c = VirtualClock::new();
         c.advance(VirtualTime::from_micros(100));
         c.observe(VirtualTime::from_micros(50));
-        assert_eq!(c.now().as_micros(), 100);
+        assert_eq!(c.now(), VirtualTime::from_micros(100));
         assert_eq!(c.waited(), VirtualTime::ZERO);
         c.observe(VirtualTime::from_micros(130));
-        assert_eq!(c.now().as_micros(), 130);
-        assert_eq!(c.waited().as_micros(), 30);
+        assert_eq!(c.now(), VirtualTime::from_micros(130));
+        assert_eq!(c.waited(), VirtualTime::from_micros(30));
     }
 
     #[test]
@@ -113,9 +113,9 @@ mod tests {
         c.advance_compute(VirtualTime::from_micros(40));
         c.advance(VirtualTime::from_micros(10));
         c.observe(VirtualTime::from_micros(70));
-        assert_eq!(c.computed().as_micros(), 40);
-        assert_eq!(c.waited().as_micros(), 20);
-        assert_eq!(c.overhead().as_micros(), 10);
-        assert_eq!(c.now().as_micros(), 70);
+        assert_eq!(c.computed(), VirtualTime::from_micros(40));
+        assert_eq!(c.waited(), VirtualTime::from_micros(20));
+        assert_eq!(c.overhead(), VirtualTime::from_micros(10));
+        assert_eq!(c.now(), VirtualTime::from_micros(70));
     }
 }

@@ -23,7 +23,7 @@ use crate::VirtualTime;
 /// let m = CostModel::sp2();
 /// // Round-trip of a minimum-size message with interrupts enabled is ~365us.
 /// let rt = m.roundtrip_cost(0, true);
-/// assert!((360..400).contains(&rt.as_micros()));
+/// assert!((360_000..400_000).contains(&rt.as_nanos()));
 /// // Every field is public: a variant is the SP/2 with some fields replaced.
 /// let fast_net = CostModel { msg_fixed_interrupt_ns: 10_000, ..CostModel::sp2() };
 /// assert!(fast_net.message_cost(0, true) < m.message_cost(0, true));
@@ -230,14 +230,6 @@ impl CostModel {
     pub fn free_lock_acquire_cost(&self) -> VirtualTime {
         self.roundtrip_cost(0, true) + self.lock_manager_cost()
     }
-
-    /// Approximate cost of an `n`-processor barrier as seen by the last
-    /// arriving processor: arrival message, master processing for every
-    /// processor, departure message and local bookkeeping.
-    pub fn barrier_cost(&self, procs: usize) -> VirtualTime {
-        let master = VirtualTime::from_nanos(self.barrier_master_per_proc_ns).scale(procs as u64);
-        self.roundtrip_cost(0, true) + master + self.barrier_local_cost()
-    }
 }
 
 impl Default for CostModel {
@@ -253,21 +245,23 @@ mod tests {
     #[test]
     fn sp2_roundtrip_matches_paper() {
         let m = CostModel::sp2();
-        let rt = m.roundtrip_cost(0, true).as_micros();
+        let rt = m.roundtrip_cost(0, true).as_nanos() / 1000;
         assert!((350..400).contains(&rt), "round trip {rt}us should be ~365us");
     }
 
     #[test]
     fn sp2_lock_acquire_matches_paper() {
         let m = CostModel::sp2();
-        let lock = m.free_lock_acquire_cost().as_micros();
+        let lock = m.free_lock_acquire_cost().as_nanos() / 1000;
         assert!((400..470).contains(&lock), "free lock acquire {lock}us should be ~427us");
     }
 
     #[test]
     fn sp2_barrier_matches_paper() {
         let m = CostModel::sp2();
-        let barrier = m.barrier_cost(8).as_micros();
+        let master = VirtualTime::from_nanos(m.barrier_master_per_proc_ns).scale(8);
+        let barrier =
+            (m.roundtrip_cost(0, true) + master + m.barrier_local_cost()).as_nanos() / 1000;
         assert!((820..980).contains(&barrier), "8-proc barrier {barrier}us should be ~893us");
     }
 
@@ -293,9 +287,9 @@ mod tests {
         let small = m.mprotect_cost(10);
         let large = m.mprotect_cost(2000);
         assert!(small < large);
-        assert!(small.as_micros() >= 18);
+        assert!(small.as_nanos() / 1000 >= 18);
         // Paper: between 18us and 800us with 2000 pages in use.
-        assert!(large.as_micros() <= 800);
+        assert!(large.as_nanos() / 1000 <= 800);
     }
 
     #[test]
@@ -308,7 +302,7 @@ mod tests {
     fn free_model_costs_nothing() {
         let m = CostModel::free();
         assert_eq!(m.message_cost(1 << 20, true), VirtualTime::ZERO);
-        assert_eq!(m.barrier_cost(8), VirtualTime::ZERO);
+        assert_eq!(m.barrier_local_cost(), VirtualTime::ZERO);
         assert_eq!(m.twin_cost(100), VirtualTime::ZERO);
     }
 
@@ -327,6 +321,6 @@ mod tests {
         let big = m.message_cost(64 * 1024, true);
         assert!(big > small);
         // A 64 KiB transfer should cost roughly 64Ki * 28.5ns ~ 1.87ms extra.
-        assert!(big.as_micros() > 1_500);
+        assert!(big.as_nanos() / 1000 > 1_500);
     }
 }

@@ -23,7 +23,7 @@
 //! let model = CostModel::sp2();
 //! let mut clock = VirtualClock::new();
 //! clock.advance(model.message_cost(4096, true));
-//! assert!(clock.now().as_micros() > 0);
+//! assert!(clock.now() > sp2model::VirtualTime::ZERO);
 //! ```
 
 #![warn(missing_docs)]

@@ -60,7 +60,7 @@ macro_rules! define_stats {
 
         impl StatsSnapshot {
             /// Field-wise sum of two snapshots.
-            pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
+            fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
                 StatsSnapshot {
                     $($name: self.$name + other.$name,)*
                 }
@@ -254,11 +254,6 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Per-node snapshots, indexed by processor id.
-    pub fn nodes(&self) -> &[StatsSnapshot] {
-        &self.nodes
-    }
-
     /// Field-wise sum over all nodes.
     pub fn total(&self) -> StatsSnapshot {
         self.nodes.iter().fold(StatsSnapshot::default(), |acc, s| acc.merge(s))
@@ -313,7 +308,6 @@ mod tests {
         let cluster: ClusterStats = vec![node, node].into_iter().collect();
         let total = cluster.total();
         assert_eq!((total.page_faults, total.messages_sent), (100, 200));
-        assert_eq!(cluster.nodes(), &[node, node]);
     }
 
     #[test]
@@ -335,6 +329,6 @@ mod tests {
     #[test]
     fn cluster_from_iterator() {
         let c: ClusterStats = (0..4).map(|_| StatsSnapshot::default()).collect();
-        assert_eq!(c.nodes().len(), 4);
+        assert_eq!(c.nodes.len(), 4);
     }
 }

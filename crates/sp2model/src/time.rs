@@ -15,7 +15,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// use sp2model::VirtualTime;
 /// let t = VirtualTime::from_micros(365);
 /// assert_eq!(t.as_nanos(), 365_000);
-/// assert_eq!((t + t).as_micros(), 730);
+/// assert_eq!(t + t, VirtualTime::from_micros(730));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime(u64);
@@ -39,24 +39,9 @@ impl VirtualTime {
         VirtualTime(millis * 1_000_000)
     }
 
-    /// Creates a duration from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        VirtualTime((secs * 1e9).round() as u64)
-    }
-
     /// The duration in whole nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// The duration in whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The duration in fractional microseconds.
@@ -65,7 +50,7 @@ impl VirtualTime {
     }
 
     /// The duration in fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -132,8 +117,7 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(VirtualTime::from_micros(365).as_nanos(), 365_000);
-        assert_eq!(VirtualTime::from_millis(2).as_micros(), 2_000);
-        assert_eq!(VirtualTime::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
+        assert_eq!(VirtualTime::from_millis(2), VirtualTime::from_micros(2_000));
     }
 
     #[test]
@@ -156,24 +140,18 @@ mod tests {
     #[test]
     fn sum_over_iterator() {
         let total: VirtualTime = (1..=4).map(VirtualTime::from_micros).sum();
-        assert_eq!(total.as_micros(), 10);
+        assert_eq!(total, VirtualTime::from_micros(10));
     }
 
     #[test]
     fn display_uses_human_units() {
         assert_eq!(VirtualTime::from_micros(12).to_string(), "12.0us");
         assert_eq!(VirtualTime::from_millis(12).to_string(), "12.000ms");
-        assert_eq!(VirtualTime::from_secs_f64(2.0).to_string(), "2.000s");
+        assert_eq!(VirtualTime::from_millis(2000).to_string(), "2.000s");
     }
 
     #[test]
     fn scale_multiplies() {
-        assert_eq!(VirtualTime::from_micros(3).scale(4).as_micros(), 12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn negative_seconds_panics() {
-        let _ = VirtualTime::from_secs_f64(-1.0);
+        assert_eq!(VirtualTime::from_micros(3).scale(4), VirtualTime::from_micros(12));
     }
 }

@@ -38,7 +38,7 @@ pub enum BarrierTopology {
     },
     /// A tree whose fan-out is derived from the cluster size and the cost
     /// model's hop/service ratio at run start (see
-    /// [`BarrierTopology::optimal_tree_arity`]) instead of a fixed constant:
+    /// `BarrierTopology::optimal_tree_arity`) instead of a fixed constant:
     /// deeper trees pay more polled hop latencies on the critical path,
     /// wider trees serialize more per-child merge work at each node, and the
     /// best trade-off moves with both `nprocs` and the constants. This is
@@ -50,7 +50,7 @@ pub enum BarrierTopology {
 impl BarrierTopology {
     /// The fallback tree fan-out (and the arity the adaptive choice is
     /// benchmarked against).
-    pub const DEFAULT_ARITY: usize = 2;
+    const DEFAULT_ARITY: usize = 2;
 
     /// Depth of the k-ary-heap tree over `nprocs` nodes: hops from the
     /// deepest leaf to the root.
@@ -75,7 +75,7 @@ impl BarrierTopology {
     /// departure copy paying the last copy's gap — which a tree node that
     /// serves each arrival as it comes and sends each copy as it is built
     /// can only beat.
-    pub fn optimal_tree_arity(nprocs: usize, cost: &CostModel) -> usize {
+    fn optimal_tree_arity(nprocs: usize, cost: &CostModel) -> usize {
         let mut best = (u64::MAX, Self::DEFAULT_ARITY);
         for arity in 2..=nprocs.saturating_sub(1).max(2) {
             let depth = Self::tree_depth(nprocs, arity) as u64;
@@ -153,7 +153,7 @@ pub struct DsmConfig {
 
 impl DsmConfig {
     /// The default watchdog deadline for blocking protocol receives.
-    pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
+    const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
     /// A configuration for `nprocs` processors with the SP/2 cost model and
     /// the adaptive-arity tree barrier.
@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(c.watchdog, DsmConfig::DEFAULT_WATCHDOG);
         let c =
             c.with_net_faults(Some(NetFaults::chaos(7))).with_watchdog(Duration::from_millis(500));
-        assert_eq!(c.net_faults.as_ref().map(|f| f.plan.seed()), Some(7));
+        assert_eq!(c.net_faults, Some(NetFaults::chaos(7)));
         assert_eq!(c.watchdog, Duration::from_millis(500));
         assert!(c.with_net_faults(None).net_faults.is_none());
     }

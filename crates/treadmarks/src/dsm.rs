@@ -591,7 +591,7 @@ mod tests {
         // back as a structured `PeerUnresponsive`, not a hang or a bare
         // panic.
         let faults = NetFaults {
-            plan: FaultPlan::uniform(42, LinkRates::DEAD),
+            plan: FaultPlan::uniform(42, LinkRates { drop_permille: 1000, ..LinkRates::default() }),
             retry: RetryPolicy::default(),
         };
         let config = free_config(2).with_net_faults(Some(faults));

@@ -156,11 +156,6 @@ impl Process {
         &self.stats
     }
 
-    /// The cluster cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Number of per-interval entries currently in this node's diff cache —
     /// the quantity the barrier garbage-collection horizon bounds.
     pub fn diff_cache_entries(&mut self) -> usize {

@@ -35,13 +35,14 @@ impl Process {
         let me = self.proc_id();
         let (manager, request_vt) = {
             let mut proto = self.node.unleased().proto();
-            assert!(!proto.held_locks.contains(&lock), "lock {lock} acquired re-entrantly");
+            let state = proto.locks.entry(lock).or_default();
+            assert!(!state.held, "lock {lock} acquired re-entrantly");
             // Mark the acquire as in flight *before* the request leaves:
             // our handlers must queue (not grant) forwarded requests
             // for this lock that the manager ordered after ours, until the
             // grant has been consumed.
-            proto.pending_acquires.insert(lock);
-            *proto.lock_requests_sent.entry(lock).or_insert(0) += 1;
+            state.requested = true;
+            state.sent += 1;
             // The open interval's knowledge before the acquire merges the
             // granter's timestamp: writes made so far in this interval are
             // concurrent with everything this timestamp does not cover. The
@@ -82,8 +83,8 @@ impl Process {
             // advertised, so the grant's notices determine it.
             proto.vt = vt_through(&proto.vt, &notices);
             let tally = apply_notices_locked(&mut proto, &mut table, notices);
-            proto.pending_acquires.remove(&lock);
-            proto.held_locks.insert(lock);
+            let state = proto.locks.entry(lock).or_default();
+            (state.requested, state.held) = (false, true);
             // Third-party fetch: everything still missing for the requested
             // pages that the grant's piggyback does not already carry.
             let in_hand: HashSet<(PageId, ProcId, Interval)> =
@@ -112,8 +113,9 @@ impl Process {
         let node = self.node.unleased();
         let pending = {
             let mut proto = node.proto();
-            assert!(proto.held_locks.remove(&lock), "releasing a lock that is not held");
-            proto.pending_lock_requests.remove(&lock).unwrap_or_default()
+            let state = proto.locks.entry(lock).or_default();
+            assert!(std::mem::take(&mut state.held), "releasing a lock that is not held");
+            std::mem::take(&mut state.queued)
         };
         for req in pending {
             let endpoint = &self.lanes[self.me].endpoint;

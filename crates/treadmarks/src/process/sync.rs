@@ -343,6 +343,13 @@ impl Process {
     /// concurrent with or later than everything the copy holds. The base
     /// claims every missing entry its timestamp covers.
     ///
+    /// A page that would still owe an entry at or below the horizon after
+    /// the batch's claims takes none of the batch's records: only a base
+    /// restores that history, and a later base need not cover these
+    /// records. Its first touch fetches the base and the deltas in one
+    /// batch, so every mapped frame holds all history at or below the
+    /// horizon (debug builds assert it after every install).
+    ///
     /// When the race detector is on, the claimed batch is checked against
     /// concurrent local history *before* it is applied (applying would
     /// update the twins the local unflushed write set is read from);
@@ -369,29 +376,27 @@ impl Process {
         let mut node = self.node.unleased();
         let mut proto = node.proto();
         let mut table = node.table();
+        // The pages that would still owe an entry at or below the horizon
+        // after the batch's claims take nothing (see above).
+        let parked: Vec<PageId> = records
+            .chunk_by(|a, b| a.page == b.page)
+            .filter(|group| {
+                let owed = proto.page_missing.get(&group[0].page).into_iter().flatten();
+                owed.filter(|&&(p, i)| i <= proto.gc_horizon.get(p))
+                    .any(|&entry| !group.iter().any(|r| claims(r, entry)))
+            })
+            .map(|group| group[0].page)
+            .collect();
         // Keep only records still on a page's missing list (claiming the
-        // entry), preserving the sorted order. A base claims every entry
-        // its timestamp covers, and a `WRITE_ALL` full page every entry of
-        // its creator at or below its own: the whole page is covered, so
-        // the earlier modifications are subsumed.
+        // entry), preserving the sorted order.
         let mut applicable = Vec::with_capacity(records.len());
         for record in records {
-            let Some(missing) = proto.page_missing.get_mut(&record.page) else { continue };
-            let whole_page = record.diff.modified_bytes() == PAGE_SIZE;
-            let before = missing.len();
-            // A delta removes *every* copy of its interval, not just the
-            // first: a duplicated missing entry (however it arose) must not
-            // survive the application of its diff, or the leftover phantom
-            // would re-fetch this interval after a newer one from the same
-            // processor has been applied — and applying the older diff
-            // second rolls its bytes back.
-            match &record.base {
-                Some(vt) => missing.retain(|&(p, i)| i > vt.get(p)),
-                None => missing.retain(|&(p, i)| {
-                    p != record.proc
-                        || if whole_page { i > record.interval } else { i != record.interval }
-                }),
+            if parked.contains(&record.page) {
+                continue;
             }
+            let Some(missing) = proto.page_missing.get_mut(&record.page) else { continue };
+            let before = missing.len();
+            missing.retain(|&entry| !claims(&record, entry));
             let claimed = before - missing.len();
             if missing.is_empty() {
                 proto.page_missing.remove(&record.page);
@@ -400,17 +405,6 @@ impl Process {
                 applicable.push(record);
             }
         }
-        // One base per page suffices only because its timestamp covers the
-        // page's every entry at or below the horizon.
-        debug_assert!(
-            bases.keys().all(|page| {
-                let mut missing = proto.page_missing.get(page).into_iter().flatten();
-                missing.all(|&(p, i)| i > proto.gc_horizon.get(p))
-            }),
-            "P{}: a base left an entry at or below the horizon {} missing",
-            proto.me,
-            proto.gc_horizon,
-        );
         if let Some(log) = &self.run.race {
             detect_races_locked(&self.stats, log, &proto, &table, &applicable, sync_kind, race_vt);
         }
@@ -449,6 +443,14 @@ impl Process {
                 _ => table.set_protection(page, target),
             }
         }
+        debug_assert!(
+            proto.page_missing.iter().all(|(&page, missing)| {
+                !table.is_mapped(page) || missing.iter().all(|&(p, i)| i > proto.gc_horizon.get(p))
+            }),
+            "P{}: a mapped frame misses history at or below the horizon {}",
+            proto.me,
+            proto.gc_horizon,
+        );
         // Finish the write preparation that was deferred at issue time.
         let mut deferred_twins = 0u64;
         let mut deferred_pages = Vec::new();
@@ -652,5 +654,24 @@ impl Process {
             (prep, table.pages_in_use())
         };
         self.charge_prep(&prep, pages_in_use);
+    }
+}
+
+/// Whether installing `record` claims the missing entry `(p, i)`. A base
+/// claims every entry its timestamp covers, and a `WRITE_ALL` full page
+/// every entry of its creator at or below its own: the whole page is
+/// covered, so the earlier modifications are subsumed. A delta claims
+/// *every* copy of its interval, not just the first: a duplicated missing
+/// entry (however it arose) must not survive the application of its diff,
+/// or the leftover phantom would re-fetch this interval after a newer one
+/// from the same processor has been applied — and applying the older diff
+/// second rolls its bytes back.
+fn claims(record: &DiffRecord, (p, i): (ProcId, Interval)) -> bool {
+    match &record.base {
+        Some(vt) => i <= vt.get(p),
+        None if record.diff.modified_bytes() == PAGE_SIZE => {
+            p == record.proc && i <= record.interval
+        }
+        None => p == record.proc && i == record.interval,
     }
 }

@@ -235,11 +235,10 @@ fn handle_lock_acquire(
     );
     let me = proto.me;
     let requester = request.requester;
-    *proto.lock_requests_processed.entry((lock, requester)).or_insert(0) += 1;
-    let last_holder = proto.lock_last_holder.insert(lock, requester);
-    let holder_processed = |proto: &ProtoState, holder: ProcId| {
-        proto.lock_requests_processed.get(&(lock, holder)).copied().unwrap_or(0)
-    };
+    let state = proto.locks.entry(lock).or_default();
+    *state.processed.entry(requester).or_insert(0) += 1;
+    let last_holder = state.last_holder.replace(requester);
+    let holder_processed = |holder: ProcId| state.processed.get(&holder).copied().unwrap_or(0);
     match last_holder.filter(|&holder| holder != requester) {
         // First acquisition, or re-acquisition by the last holder: no new
         // happens-before edge to transfer, the manager grants directly.
@@ -250,7 +249,7 @@ fn handle_lock_acquire(
         }
         // The manager itself was the last holder; behave like any holder.
         Some(holder) if holder == me => {
-            let processed = holder_processed(&proto, me);
+            let processed = holder_processed(me);
             drop(proto);
             handle_lock_forward(endpoint, shared, lock, request, processed);
             None
@@ -258,7 +257,7 @@ fn handle_lock_acquire(
         // Forward to the last holder, which replies to the requester
         // directly (the TreadMarks three-hop protocol).
         Some(holder) => {
-            let holder_acquires_processed = holder_processed(&proto, holder);
+            let holder_acquires_processed = holder_processed(holder);
             drop(proto);
             let PendingLockRequest { requester_vt: vt, sync_pages, arrived_at, .. } = request;
             let forward = TmkMessage::LockForward {
@@ -282,15 +281,8 @@ fn handle_lock_acquire(
 
 /// Handles a forwarded acquire request at the last holder: grant immediately
 /// if the lock is free here, otherwise queue the request until the
-/// application releases the lock.
-///
-/// "Free here" needs care: this node may itself have an acquire in flight.
-/// If the manager had already processed that acquire when it sent this
-/// forward (`holder_acquires_processed` covers it), our grant is on its way
-/// and granting now would give the lock to two processors — queue instead.
-/// If the manager had *not* yet seen our request, our acquire is ordered
-/// after this one and the lock really is free here; queueing would
-/// deadlock the two of us against each other, so grant.
+/// application releases the lock ([`LockState::must_queue`](crate::state::LockState::must_queue)
+/// decides).
 fn handle_lock_forward(
     endpoint: &Endpoint<TmkMessage>,
     shared: &NodeShared,
@@ -299,10 +291,9 @@ fn handle_lock_forward(
     holder_acquires_processed: u64,
 ) {
     let mut proto = shared.proto.lock();
-    let grant_in_flight = proto.pending_acquires.contains(&lock)
-        && holder_acquires_processed >= proto.lock_requests_sent.get(&lock).copied().unwrap_or(0);
-    if proto.held_locks.contains(&lock) || grant_in_flight {
-        proto.pending_lock_requests.entry(lock).or_default().push(request);
+    let state = proto.locks.entry(lock).or_default();
+    if state.must_queue(holder_acquires_processed) {
+        state.queued.push(request);
         return;
     }
     drop(proto);

@@ -184,16 +184,6 @@ impl<T: Shareable> SharedMatrix<T> {
         );
         col * self.rows + row
     }
-
-    /// The address range covering columns `[col_lo, col_hi)` in full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column range is invalid.
-    pub fn col_range(&self, col_lo: usize, col_hi: usize) -> AddrRange {
-        assert!(col_lo <= col_hi && col_hi <= self.cols, "invalid column range {col_lo}..{col_hi}");
-        self.array.range_of(col_lo * self.rows, col_hi * self.rows)
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +239,7 @@ mod tests {
         let rows = PAGE_SIZE / 8;
         let a = SharedArray::<f64>::new(Addr::new(0), rows * 4);
         let m = SharedMatrix::new(a, rows, 4);
-        let r = m.col_range(1, 3);
+        let r = m.array().range_of(m.index(0, 1), m.index(0, 3));
         assert_eq!(r.start(), Addr::new(PAGE_SIZE));
         assert_eq!(r.len(), 2 * PAGE_SIZE);
     }

@@ -8,7 +8,7 @@
 //! operation, which is what keeps the system deadlock-free.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use dsm_core::hash::{IntMap, IntSet};
 use dsm_core::sync::Mutex;
@@ -97,6 +97,33 @@ pub(crate) struct PendingLockRequest {
     pub arrived_at: VirtualTime,
 }
 
+/// One lock at one node: the manager's record (`last_holder`, requests
+/// `processed` per requester) and the node's own (`held`, `requested` with
+/// the grant not yet consumed, requests `sent`, forwards `queued` until the
+/// release).
+#[derive(Debug, Default)]
+pub(crate) struct LockState {
+    pub last_holder: Option<ProcId>,
+    pub processed: IntMap<ProcId, u64>,
+    pub held: bool,
+    pub requested: bool,
+    pub sent: u64,
+    pub queued: Vec<PendingLockRequest>,
+}
+
+impl LockState {
+    /// Whether a forward the manager sent after processing `processed` of
+    /// this node's requests must wait for the release: the lock is held
+    /// here, or our request was ordered first and its grant is on its way
+    /// (the manager records us as last holder as it processes our request,
+    /// so its forward can overtake the grant). A request the manager had
+    /// not yet seen is ordered after the forward: the lock is free here,
+    /// and queueing would deadlock the two of us.
+    pub fn must_queue(&self, processed: u64) -> bool {
+        self.held || (self.requested && processed >= self.sent)
+    }
+}
+
 /// Protocol bookkeeping for one node.
 #[derive(Debug)]
 pub(crate) struct ProtoState {
@@ -143,27 +170,8 @@ pub(crate) struct ProtoState {
     /// Monotone, and always covered by
     /// [`last_global_vt`](Self::last_global_vt).
     pub gc_horizon: Vt,
-    /// Manager role: the last processor each managed lock was granted to.
-    pub lock_last_holder: HashMap<LockId, ProcId>,
-    /// Locks currently held by this node's application.
-    pub held_locks: HashSet<LockId>,
-    /// Locks this node's application has requested but whose grant it has
-    /// not yet consumed. The manager records us as last holder the moment
-    /// it processes our request, so a forwarded request for the same lock
-    /// can reach our handlers *before* our compute thread pops the grant —
-    /// it must be queued, not granted, or mutual exclusion breaks.
-    pub pending_acquires: HashSet<LockId>,
-    /// Node role: how many acquire requests this node has sent per lock.
-    /// Compared against the manager's processed count carried on forwards
-    /// to decide whether a pending local acquire is ordered before (queue
-    /// the forward) or after (the lock is free here; grant) the forwarded
-    /// request.
-    pub lock_requests_sent: HashMap<LockId, u64>,
-    /// Manager role: how many acquire requests have been processed per
-    /// `(lock, requester)`.
-    pub lock_requests_processed: HashMap<(LockId, ProcId), u64>,
-    /// Forwarded acquire requests waiting for this node to release the lock.
-    pub pending_lock_requests: HashMap<LockId, Vec<PendingLockRequest>>,
+    /// Every lock this node manages, holds, requests or queues for.
+    pub locks: IntMap<LockId, LockState>,
     /// Race detector only: the open interval's vector timestamp as of the
     /// *first* lock acquire of the interval, snapshotted before the grant
     /// merged the granter's timestamp. Unflushed local writes may predate
@@ -188,12 +196,7 @@ impl ProtoState {
             trimmed: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
-            lock_last_holder: HashMap::new(),
-            held_locks: HashSet::new(),
-            pending_acquires: HashSet::new(),
-            lock_requests_sent: HashMap::new(),
-            lock_requests_processed: HashMap::new(),
-            pending_lock_requests: HashMap::new(),
+            locks: IntMap::default(),
             acquire_race_vt: None,
         }
     }
@@ -443,6 +446,15 @@ mod tests {
     use pagedmem::PAGE_SIZE;
 
     #[test]
+    fn a_forward_queues_behind_a_hold_or_an_earlier_request_and_not_a_later_one() {
+        assert!(LockState { held: true, ..LockState::default() }.must_queue(0));
+        let requested = LockState { requested: true, sent: 2, ..LockState::default() };
+        assert!(requested.must_queue(2), "the manager processed our request first");
+        assert!(!requested.must_queue(1), "our request is ordered after the forward");
+        assert!(!LockState::default().must_queue(0), "the lock is free here");
+    }
+
+    #[test]
     fn lock_managers_are_distributed_round_robin() {
         assert_eq!(ProtoState::lock_manager(0, 4), 0);
         assert_eq!(ProtoState::lock_manager(5, 4), 1);
@@ -477,7 +489,7 @@ mod tests {
     fn full_page_entries_materialise_from_the_current_copy() {
         let mut proto = ProtoState::new(1, 2);
         let mut table = PageTable::new();
-        table.write_bytes(PageId(7).base(), &[9, 9, 9, 9]);
+        table.install_bytes(PageId(7).base(), &[9, 9, 9, 9]);
         proto
             .diff_cache
             .entry(PageId(7))

@@ -276,15 +276,10 @@ impl<'a> Unleased<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pagedmem::{Frame, Page, Protection};
+    use pagedmem::Protection;
 
     fn frame() -> FrameRef {
-        Arc::new(Frame::new(PageFrame {
-            page: Page::zeroed(),
-            protection: Protection::ReadOnly,
-            twin: None,
-            dirty: false,
-        }))
+        PageTable::new().map_zeroed(PageId(0), Protection::ReadOnly)
     }
 
     /// The pages cached in the set of `page`, way 0 first.

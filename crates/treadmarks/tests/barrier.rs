@@ -15,30 +15,31 @@ fn config(n: usize, topology: BarrierTopology) -> DsmConfig {
 #[test]
 fn tree_master_exchanges_a_constant_number_of_messages_per_barrier() {
     const BARRIERS: usize = 10;
+    // Each processor's messages as its last barrier returns: a node sends
+    // nothing after it (the sum is the run's total).
     let run_with = |topology| {
-        Dsm::run(config(8, topology), |p| {
+        let run = Dsm::run(config(8, topology), |p| {
             for _ in 0..BARRIERS {
                 p.barrier();
             }
-        })
+            p.stats().snapshot().messages_sent as usize
+        });
+        assert_eq!(run.results.iter().sum::<usize>() as u64, run.stats.total().messages_sent);
+        run
     };
     let tree = run_with(BarrierTopology::Tree { arity: 2 });
     // Binary tree over 8 processors: the master talks only to its two
     // children — two departures sent (and two arrivals received) per
     // barrier, independent of the cluster size.
-    assert_eq!(tree.stats.nodes()[0].messages_sent as usize, 2 * BARRIERS);
+    assert_eq!(tree.results[0], 2 * BARRIERS);
     // An interior node sends one merged arrival up and fans two departures
     // down; a leaf sends exactly its arrival.
-    assert_eq!(tree.stats.nodes()[1].messages_sent as usize, 3 * BARRIERS);
-    assert_eq!(tree.stats.nodes()[7].messages_sent as usize, BARRIERS);
+    assert_eq!(tree.results[1], 3 * BARRIERS);
+    assert_eq!(tree.results[7], BARRIERS);
 
     let flat = run_with(BarrierTopology::FlatMaster);
-    assert_eq!(
-        flat.stats.nodes()[0].messages_sent as usize,
-        7 * BARRIERS,
-        "the flat master still funnels every departure"
-    );
-    assert!(tree.stats.nodes()[0].messages_sent < flat.stats.nodes()[0].messages_sent);
+    assert_eq!(flat.results[0], 7 * BARRIERS, "the flat master still funnels every departure");
+    assert!(tree.results[0] < flat.results[0]);
     // The tree moves the same total traffic — it just never funnels it
     // through one node.
     assert_eq!(tree.stats.total().messages_sent, flat.stats.total().messages_sent);
@@ -68,13 +69,12 @@ fn the_paper_barrier_is_the_flat_master_tree_at_its_own_constants() {
         (run.results[0].clone(), run.stats.total())
     };
     let (flat, flat_stats) = rounds(BarrierTopology::FlatMaster);
-    assert_eq!(cost.barrier_cost(8), VirtualTime::from_nanos(885_000));
     assert_eq!(flat, [885_342; BARRIERS], "the flat master's barrier");
     let (tree, tree_stats) = rounds(BarrierTopology::Adaptive);
     assert_eq!(tree, [420_342; BARRIERS], "the default tree's barrier");
     // At 8 processors the adaptive arity is `n − 1`: the same tree, priced
     // at the tree's constants instead of the master's.
-    assert_eq!(BarrierTopology::optimal_tree_arity(8, &cost), 7);
+    assert_eq!(BarrierTopology::Adaptive.shape(8, &cost).0, 7);
     assert_eq!(
         (tree_stats.messages_sent, tree_stats.bytes_sent),
         (flat_stats.messages_sent, flat_stats.bytes_sent)
@@ -130,7 +130,7 @@ fn adaptive_arity_is_never_slower_than_arity_two_on_the_virtual_clock() {
                 exchange_kernel,
             )
         };
-        let chosen = BarrierTopology::optimal_tree_arity(nprocs, &CostModel::sp2());
+        let (chosen, ..) = BarrierTopology::Adaptive.shape(nprocs, &CostModel::sp2());
         let adaptive = run_with(BarrierTopology::Adaptive);
         let binary = run_with(BarrierTopology::Tree { arity: 2 });
         assert_eq!(adaptive.results, binary.results, "topology must not change results");
@@ -273,7 +273,7 @@ fn a_single_processor_barrier_is_the_degenerate_tree() {
         let run = Dsm::run(config, solo_kernel);
         assert_eq!(run.results, [45350], "{name}");
         assert_eq!(run.elapsed, [VirtualTime::from_nanos(493_710)], "{name}");
-        assert_eq!(run.stats.nodes(), [expected], "{name}");
+        assert_eq!(run.stats.total(), expected, "{name}");
     }
 }
 
@@ -297,7 +297,7 @@ fn wide_kernel(p: &mut Process) -> (u64, VirtualTime) {
     let left = mine.start.checked_sub(1);
     let right = (mine.end < COLS).then_some(mine.end);
     let wanted: Vec<_> =
-        left.into_iter().chain(right).map(|col| grid.col_range(col, col + 1)).collect();
+        left.into_iter().chain(right).map(|col| a.range_of(col * ROWS, (col + 1) * ROWS)).collect();
     let mut acc = 0u64;
     let mut issued = VirtualTime::ZERO;
     for epoch in 1..=3u64 {
@@ -385,7 +385,7 @@ fn the_root_sends_each_departure_copy_as_soon_as_it_is_built() {
     // time is its send time plus one fixed latency.
     const N: usize = 64;
     let cost = CostModel::sp2();
-    let arity = BarrierTopology::optimal_tree_arity(N, &cost);
+    let (arity, ..) = BarrierTopology::Adaptive.shape(N, &cost);
     assert_eq!(arity, 8);
     let run = Dsm::run(DsmConfig::new(N).with_cost_model(cost.clone()), |p| p.barrier());
     // After a plain barrier a processor's clock is where its departure

@@ -391,3 +391,46 @@ fn a_folded_later_write_is_not_overwritten_by_an_older_pinned_delta() {
     });
     assert_eq!(run.results[2], 2, "the causally later write must win over the older delta");
 }
+
+#[test]
+fn a_base_never_lands_on_a_delta_a_merged_fetch_applied() {
+    // A merged fetch names only intervals above the horizon. A page its
+    // requester never mapped can then receive a delta the lowest frame
+    // holder's base does not cover, while still owing folded history only
+    // that base restores. The page must take neither until its first
+    // touch fetches both in one batch: the base beneath, the delta on top.
+    // Applied early, the delta was overwritten by the base, and the
+    // requester read `(7, 0)`.
+    let run = Dsm::run(free(4), |p| {
+        let me = p.proc_id();
+        let x = p.alloc_array::<u64>(ELEMS);
+        let scratch = p.alloc_array::<u64>(p.nprocs() * ELEMS);
+        if me == 0 {
+            p.set(&x, 0, 7);
+        }
+        p.barrier();
+        for epoch in 0..4 {
+            scratch_epoch(p, &scratch, epoch);
+        }
+        // P1's base holds P0's folded write; P0 never re-reads X, so its
+        // frame pins P1's interval above the horizon and lacks word 100.
+        if me == 1 {
+            std::hint::black_box(p.get(&x, 0));
+            p.set(&x, 100, 9);
+        }
+        p.barrier();
+        for epoch in 4..8 {
+            scratch_epoch(p, &scratch, epoch);
+        }
+        let horizon = p.gc_horizon();
+        assert!(horizon.get(0) > 0, "P0's write is folded: {horizon}");
+        if me == 2 {
+            p.fetch_diffs_w_sync(SyncOp::Barrier, &[x.full_range()]);
+            (p.get(&x, 0), p.get(&x, 100))
+        } else {
+            p.barrier();
+            (0, 0)
+        }
+    });
+    assert_eq!(run.results[2], (7, 9), "the base must land beneath P1's delta");
+}
