@@ -31,8 +31,8 @@ use treadmarks::{LockId, Process, SharedMatrix};
 
 use crate::{col_block, col_elems, fill_block, mix64, GridConfig, Variant};
 
-/// The lock guarding the histogram merge phase. Exposed so tests and the
-/// benchmark driver can reference the same id the IR carries.
+/// The lock guarding the histogram merge phase; the IR's merge phase
+/// carries it, and each variant's plan takes it.
 const MERGE_LOCK: LockId = 7;
 
 /// The deterministic initial key of global element `idx` (column-major).

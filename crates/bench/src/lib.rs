@@ -720,7 +720,7 @@ mod tests {
                 for me in 0..nprocs {
                     let plan = kernel.plan_for(me);
                     assert_eq!(
-                        (kernel.barriers(), plan.lock_acquires(), plan.reductions()),
+                        (plan.barriers(), plan.lock_acquires(), plan.reductions()),
                         (barriers, acquires, 0),
                         "{app}@{nprocs}, processor {me}"
                     );

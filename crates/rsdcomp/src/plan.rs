@@ -151,7 +151,7 @@ pub struct ProcPlan {
 
 impl ProcPlan {
     /// Number of surviving real barriers.
-    fn barriers(&self) -> usize {
+    pub fn barriers(&self) -> usize {
         self.steps
             .iter()
             .filter(|s| {

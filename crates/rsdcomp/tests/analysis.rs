@@ -631,7 +631,7 @@ fn merge_to_rank_reduces_at_the_full_level_and_keeps_the_lock_at_the_validate_le
         );
         for me in 0..nprocs {
             let plan = full.plan_for(me);
-            assert_eq!((plan.reductions(), plan.lock_acquires(), full.barriers()), (3, 0, 0));
+            assert_eq!((plan.reductions(), plan.lock_acquires(), plan.barriers()), (3, 0, 0));
             for step in plan.steps.iter().filter(|s| s.phase == 1) {
                 let PhaseExit::Reduce(reduction) = &step.exit else {
                     panic!("{nprocs} procs: the merge's exit must reduce, got {:?}", step.exit);
@@ -655,7 +655,7 @@ fn merge_to_rank_reduces_at_the_full_level_and_keeps_the_lock_at_the_validate_le
         );
         for me in 0..nprocs {
             let plan = validate.plan_for(me);
-            assert_eq!((plan.reductions(), plan.lock_acquires(), validate.barriers()), (0, 3, 3));
+            assert_eq!((plan.reductions(), plan.lock_acquires(), plan.barriers()), (0, 3, 3));
         }
     }
 }

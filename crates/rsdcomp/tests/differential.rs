@@ -165,7 +165,7 @@ fn a_non_commutative_guarded_update_keeps_its_lock_and_runs_race_free() {
             }
             p.barrier();
             let all: Vec<u64> = (0..words).map(|i| p.get(a.array(), i)).collect();
-            ((plan.lock_acquires(), compiled.kernel.barriers(), plan.reductions()), all)
+            ((plan.lock_acquires(), plan.barriers(), plan.reductions()), all)
         });
         assert!(run.races.is_empty(), "{nprocs} procs: {:?}", run.races);
         let (shape, words) = &run.results[0];
@@ -247,7 +247,7 @@ fn a_refused_guarded_accumulation_keeps_its_lock_and_runs_race_free() {
             }
             p.barrier();
             let all: Vec<u64> = (0..words).map(|i| p.get(hist.array(), i)).collect();
-            ((plan.lock_acquires(), compiled.kernel.barriers()), all)
+            ((plan.lock_acquires(), plan.barriers()), all)
         });
         assert!(run.races.is_empty(), "{nprocs} procs: {:?}", run.races);
         let (shape, words) = &run.results[0];

@@ -38,7 +38,7 @@ pub enum BarrierTopology {
     },
     /// A tree whose fan-out is derived from the cluster size and the cost
     /// model's hop/service ratio at run start (see
-    /// `BarrierTopology::optimal_tree_arity`) instead of a fixed constant:
+    /// [`BarrierTopology::shape`]) instead of a fixed constant:
     /// deeper trees pay more polled hop latencies on the critical path,
     /// wider trees serialize more per-child merge work at each node, and the
     /// best trade-off moves with both `nprocs` and the constants. This is

@@ -501,15 +501,15 @@ mod tests {
         let applied = moved(&previous, &[(2, 3), (3, 8)]);
         for (base, entries) in [(&zero, 5), (&previous, 2)] {
             let delta = applied.delta_from(base);
-            assert_eq!(delta.0.len(), entries);
+            assert_eq!(delta.entries().len(), entries);
             assert_eq!(base.patched(&delta), applied, "round trip against {base}");
             assert_eq!(delta.wire_bytes(64), 4 + 8 * entries);
             assert_eq!(delta.wire_bytes(6), (4 + 8 * entries).min(6 * 4));
         }
-        assert_eq!(applied.delta_from(&previous).0, [(2, 3), (3, 8)], "above and below");
+        assert_eq!(applied.delta_from(&previous).entries(), [(2, 3), (3, 8)], "above and below");
         // Nothing differs: an empty delta, four bytes, and the base back.
         let same = previous.delta_from(&previous);
-        assert!(same.0.is_empty());
+        assert!(same.entries().is_empty());
         assert_eq!(same.wire_bytes(64), 4);
         assert_eq!(previous.patched(&same), previous);
         // Two processors: whole is never more than eight bytes.
@@ -526,18 +526,18 @@ mod tests {
         // a lock chain, and still misses P3's ninth on a requested page.
         let vt = moved(&base, &[(2, 3), (1, 8), (3, 8)]);
         let request = SyncFetchRequest::new(2, &vt, &base, [PageId(1), PageId(2)].into());
-        assert_eq!(request.delta.0, [(1, 8), (2, 3), (3, 8)], "above, own, below");
+        assert_eq!(request.delta.entries(), [(1, 8), (2, 3), (3, 8)], "above, own, below");
         assert_eq!(request.vt(&base), vt);
         assert_eq!(request.wire_bytes(64), 8 + 3 * 8 + 2 * 4);
         assert_eq!(request.wire_bytes(6), 4 + 6 * 4 + 2 * 4, "whole is smaller at six");
         // Nothing differs: nothing travels, and the base comes back.
         let same = SyncFetchRequest::new(2, &base, &base, [].into());
-        assert!(same.delta.0.is_empty());
+        assert!(same.delta.entries().is_empty());
         assert_eq!(same.vt(&base), base);
         // Against the zero base of the first barrier every non-zero
         // component travels.
         let first = SyncFetchRequest::new(2, &vt, &zero, [].into());
-        assert_eq!(first.delta.0.len(), 5);
+        assert_eq!(first.delta.entries().len(), 5);
         assert_eq!(first.vt(&zero), vt);
     }
 }

@@ -953,7 +953,7 @@ mod tests {
         seen: &[(ProcId, Interval)],
         pages: &[usize],
     ) -> SyncFetchRequest {
-        let mut vt = Vt::new(base.0.len());
+        let mut vt = Vt::new(base.len());
         for &(p, interval) in seen {
             vt.advance(p, interval);
         }
@@ -1087,10 +1087,18 @@ mod tests {
                 request(&base, 6, &[(4, 1), (3, 2)], &[9, 12]),
             ];
             if base.get(4) == 2 {
-                assert_eq!(requests[6].delta.0, [(0, 0), (3, 2), (4, 1)], "above and below");
-                assert_eq!(requests[1].delta.0, [(3, 0), (4, 0)], "P0's component is the base's");
+                assert_eq!(
+                    requests[6].delta.entries(),
+                    [(0, 0), (3, 2), (4, 1)],
+                    "above and below"
+                );
+                assert_eq!(
+                    requests[1].delta.entries(),
+                    [(3, 0), (4, 0)],
+                    "P0's component is the base's"
+                );
             } else {
-                assert_eq!(requests[6].delta.0, [(3, 2), (4, 1)]);
+                assert_eq!(requests[6].delta.entries(), [(3, 2), (4, 1)]);
             }
             for arity in [1, 2, 3, N - 1, 8] {
                 let pairs =

@@ -387,6 +387,13 @@ impl Process {
             })
             .map(|group| group[0].page)
             .collect();
+        // A parked page is only ever one whose base is still to come.
+        debug_assert!(
+            parked.iter().all(|page| !bases.contains_key(page)),
+            "P{}: a base misses history at or below the horizon {} on {parked:?}",
+            proto.me,
+            proto.gc_horizon,
+        );
         // Keep only records still on a page's missing list (claiming the
         // entry), preserving the sorted order.
         let mut applicable = Vec::with_capacity(records.len());

@@ -23,12 +23,18 @@ pub type LockId = u32;
 /// acquirer receives write notices exactly for the intervals its timestamp
 /// does not yet cover.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Vt(pub(crate) Vec<Interval>);
+pub struct Vt(Vec<Interval>);
 
 impl Vt {
     /// The zero timestamp for `nprocs` processors.
     pub fn new(nprocs: usize) -> Vt {
         Vt(vec![0; nprocs])
+    }
+
+    /// Number of processors covered.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 
     /// The latest interval of processor `p` that has been seen.
@@ -146,9 +152,15 @@ impl Vt {
 /// hold ([`Vt::delta_from`] / [`Vt::patched`]): the differing components,
 /// above or below the base, as `(processor, interval)` pairs ascending.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VtDelta(pub(crate) Vec<(ProcId, Interval)>);
+pub struct VtDelta(Vec<(ProcId, Interval)>);
 
 impl VtDelta {
+    /// The differing components, ascending by processor.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[(ProcId, Interval)] {
+        &self.0
+    }
+
     /// Approximate wire size on a cluster of `nprocs`: the smaller of the
     /// two encodings — sparse (an entry count and eight bytes a differing
     /// component) or, where that would not pay (two processors, a long
@@ -243,6 +255,7 @@ mod tests {
         vt.advance(0, 1);
         assert_eq!(vt.to_string(), "<1,0,0>");
         assert_eq!(vt.wire_bytes(), 12);
+        assert_eq!(vt.len(), 3);
     }
 
     #[test]
