@@ -112,14 +112,18 @@ pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection
 ///
 /// Panics if `overlap` synchronizes (a barrier, lock acquire, reduction or
 /// another `Validate_w_sync`).
+///
+/// Without sections it counts as the plain barrier or acquire it is.
 pub fn validate_w_sync_overlapped(
     p: &mut Process,
     sync: SyncOp,
     sections: &[RegularSection],
     overlap: impl FnOnce(&mut Process),
 ) {
-    p.stats().validate_w_syncs(1);
-    p.stats().split_phase_issues(1);
+    if !sections.is_empty() {
+        p.stats().validate_w_syncs(1);
+        p.stats().split_phase_issues(1);
+    }
     p.sync_phase(sync, &plan(sections), overlap);
 }
 

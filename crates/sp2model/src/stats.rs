@@ -76,8 +76,10 @@ define_stats! {
     protection_ops,
     /// Twins created by the write-detection mechanism.
     twins_created,
-    /// Modelled diffs: the twin-vs-page encodings an interval flush charges
-    /// (the host encodes each only when it is first read, if ever).
+    /// Modelled diff encodings, counted at the node that serves them: one
+    /// per record of a diff response or grant piggyback (bases and whole
+    /// pages included), one per distinct `(page, interval)` of a barrier's
+    /// serve. The host encodes a delta once, at its first read.
     diffs_created,
     /// Diffs applied to local pages.
     diffs_applied,

@@ -505,6 +505,85 @@ mod tests {
         assert_eq!(run.results[1], (5, cost.diff_create_cost(1)));
     }
 
+    /// Runs `kernel` with everything free but diff encoding (1 ms each) and
+    /// again with encoding free too. Returns the encodings charged and the
+    /// time they added to each processor, in encodings.
+    fn charged<F: Fn(&mut Process) + Sync>(config: DsmConfig, kernel: F) -> (u64, Vec<u64>) {
+        const ENCODING_NS: u64 = 1_000_000;
+        let priced = CostModel { diff_create_page_ns: ENCODING_NS, ..CostModel::free() };
+        let run = Dsm::run(config.clone().with_cost_model(priced), &kernel);
+        let free = Dsm::run(config.with_cost_model(CostModel::free()), &kernel);
+        let added = run.elapsed.iter().zip(&free.elapsed);
+        let added = added.map(|(priced, free)| priced.saturating_sub(*free).as_nanos());
+        assert!(added.clone().all(|ns| ns % ENCODING_NS == 0));
+        (run.stats.total().diffs_created, added.map(|ns| ns / ENCODING_NS).collect())
+    }
+
+    #[test]
+    fn a_diff_is_charged_by_the_batch_that_serves_it() {
+        // (a) A flushed delta nobody reads is never charged.
+        let unread = charged(free_config(2), |p| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 1);
+            }
+            p.barrier();
+            p.barrier();
+        });
+        assert_eq!(unread, (0, vec![0, 0]), "an unread delta");
+
+        // (b) Two requesters of one delta at one merged barrier: the
+        // producer's serve pays once, before either reply leaves.
+        let merged = |p: &mut Process| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 1);
+            }
+            p.fetch_diffs_w_sync(SyncOp::Barrier, &[a.full_range()]);
+            assert_eq!(p.get(&a, 0), 1);
+        };
+        assert_eq!(charged(free_config(3), merged), (1, vec![1, 1, 1]), "one merged serve");
+
+        // (c) The same two fetching by fault: each response pays its own.
+        let faulted = charged(free_config(3), |p| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 1);
+            }
+            p.barrier();
+            assert_eq!(p.get(&a, 0), 1);
+        });
+        assert_eq!(faulted, (2, vec![0, 1, 1]), "two fault fetches");
+
+        // (d) A base (P0's delta of X, trimmed unread) and a `WRITE_ALL`
+        // full page (Y) each pay one encoding.
+        let whole = charged(free_config(2), |p| {
+            let words = PAGE_SIZE / 8;
+            let a = p.alloc_array::<u64>(2 * words);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 1);
+            }
+            for _ in 0..3 {
+                p.barrier();
+            }
+            assert!(p.gc_horizon().get(0) >= 1, "X's delta is trimmed");
+            if p.proc_id() == 0 {
+                p.prepare_phase(&write_all(a.range_of(words, 2 * words)));
+                p.set(&a, words, 2);
+            }
+            p.barrier();
+            if p.proc_id() == 1 {
+                assert_eq!((p.get(&a, 0), p.get(&a, words)), (1, 2));
+            }
+        });
+        assert_eq!(whole, (2, vec![0, 2]), "a base and a full page");
+
+        // (e) The race detector encodes on the host to check the merged
+        // fetch, and the serve still pays the one encoding.
+        let collect = free_config(3).with_race_detect(RaceDetect::Collect);
+        assert_eq!(charged(collect, merged), (1, vec![1, 1, 1]), "race detector on");
+    }
+
     #[test]
     fn push_exchange_moves_data_without_faults_or_notices() {
         let run = Dsm::run(free_config(2), |p| {

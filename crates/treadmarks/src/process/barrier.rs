@@ -245,31 +245,31 @@ struct Served {
     /// Distinct pages examined: requested pages this node holds diffs for
     /// (non-owned pages cost one index probe, not a range scan).
     scanned: usize,
-    /// Full pages materialised for their encoding.
-    materialised: usize,
+    /// Distinct `(page, interval)` encodings the replies ship: the pass
+    /// pays for each once, however many requesters it goes to.
+    encodings: usize,
 }
 
 /// Answers the piggybacked fetch requests routed to this node — the entries
 /// that name it — from the local diff cache, under an already-held lock
 /// pair: for each, the diffs this node created for the requested pages newer
 /// than the interval the entry names, on one `SyncDiffs`. The whole barrier
-/// is served in one pass, so each examined page is charged once no matter
-/// how many requests name it.
+/// is served in one pass, so each examined page and each encoding is
+/// charged once no matter how many requests name it.
 fn serve_requests_locked(
     proto: &ProtoState,
     table: &PageTable,
     routed: &[RoutedRequest],
 ) -> Served {
     let mut examined = Vec::new();
-    let mut materialised = 0usize;
+    let mut shipped = Vec::new();
     let replies = routed
         .iter()
         .filter_map(|entry| {
             let &(_, seen) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me)?;
             let (requester, pages) = (entry.proc, &entry.pages[..]);
-            let (diffs, full_pages) =
-                proto.diffs_for_pages_after_counted(pages, seen, table, &mut examined);
-            materialised += full_pages;
+            let diffs = proto.diffs_for_pages_after(pages, seen, table, &mut examined);
+            shipped.extend(diffs.iter().map(|r| (r.page, r.interval)));
             // A barrier's requester waits for exactly one `SyncDiffs` from
             // every processor its own log resolves the request to; the root
             // resolved it here from the same log, so an empty answer means
@@ -285,7 +285,9 @@ fn serve_requests_locked(
         .collect();
     examined.sort_unstable();
     examined.dedup();
-    Served { replies, scanned: examined.len(), materialised }
+    shipped.sort_unstable();
+    shipped.dedup();
+    Served { replies, scanned: examined.len(), encodings: shipped.len() }
 }
 
 /// The processors that will answer this node's own piggybacked request with
@@ -704,11 +706,12 @@ impl Process {
 
     /// Sends a barrier's replies once the hold that built them is released:
     /// one pass over the diff cache answered every request, so the scan is
-    /// charged for the union of their pages this node holds diffs for,
-    /// materialised full pages for their encoding.
+    /// charged for the union of their pages this node holds diffs for, and
+    /// the encodings for the union of the diffs they ship.
     fn send_served(&mut self, served: Served) {
+        self.stats.diffs_created(served.encodings as u64);
         self.clock.advance(self.cost.sync_merge_scan_cost(served.scanned));
-        self.clock.advance(self.cost.diff_create_cost(served.materialised));
+        self.clock.advance(self.cost.diff_create_cost(served.encodings));
         for (proc, msg) in served.replies {
             self.send(proc, Port::Reply, msg, true);
         }
@@ -974,8 +977,7 @@ mod tests {
         let mut out = Vec::new();
         for req in requests.iter().filter(|req| req.proc != proto.me) {
             let seen = req.vt(base).get(proto.me);
-            let (records, _) =
-                proto.diffs_for_pages_after_counted(&req.pages, seen, table, &mut Vec::new());
+            let records = proto.diffs_for_pages_after(&req.pages, seen, table, &mut Vec::new());
             if !records.is_empty() {
                 out.push((req.proc, records));
             }

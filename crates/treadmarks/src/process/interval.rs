@@ -73,7 +73,8 @@ pub(super) fn apply_notices_locked(
 impl Process {
     /// Ends the current interval: caches a diff for every dirty page (a
     /// [`Delta`] keeps the twin and a copy of the page, and its first reader
-    /// encodes them; the model charges the encoding here), records the
+    /// encodes them; whoever serves it pays for the encoding, not the
+    /// flush), records the
     /// corresponding write notices locally, write-protects the pages and
     /// advances this processor's component of the vector timestamp. A no-op
     /// when nothing was written (a page equal to its twin is elided and
@@ -103,7 +104,6 @@ impl Process {
         // detector-less build.
         let creating_vt = self.run.race.as_ref().map(|_| vt_after);
         let mut flushed_pages = Vec::new();
-        let mut delta_pages = 0usize;
         // One protection operation per contiguous run of dirty pages: the
         // original system write-protects whole ranges with single mprotect
         // calls, so the flush is charged per run, not per page.
@@ -113,11 +113,9 @@ impl Process {
                 // Write-enabled but never actually modified (or only remote
                 // diffs landed): elide the empty diff entirely.
                 Some((twin, copy)) if twin == copy => None,
-                // Encoded by its first reader; charged here.
-                Some((twin, copy)) => {
-                    delta_pages += 1;
-                    Some(DiffEntry::Delta(Delta::new(twin, copy)))
-                }
+                // Encoded by its first reader; charged by each batch that
+                // serves it.
+                Some((twin, copy)) => Some(DiffEntry::Delta(Delta::new(twin, copy))),
                 // Dirty without a twin: written under `WRITE_ALL`.
                 None => Some(DiffEntry::FullPage),
             };
@@ -133,7 +131,6 @@ impl Process {
         let pages_in_use = table.pages_in_use();
         drop(table);
         if !flushed_pages.is_empty() {
-            self.stats.diffs_created(delta_pages as u64);
             let pages = flushed_pages.into();
             proto.notice_log.record(NoticeRecord { proc: me, interval, pages });
             proto.vt.advance(me, interval);
@@ -143,7 +140,6 @@ impl Process {
         }
         drop(proto);
         self.stats.protection_ops(protect_ops);
-        self.clock.advance(self.cost.diff_create_cost(delta_pages));
         self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(protect_ops));
     }
 
@@ -282,8 +278,7 @@ mod tests {
         proto.vt.advance(0, 2);
         let table = PageTable::new();
         let serve = |proto: &ProtoState| {
-            let (records, _) =
-                proto.diffs_for_pages_after_counted(&[served], 0, &table, &mut Vec::new());
+            let records = proto.diffs_for_pages_after(&[served], 0, &table, &mut Vec::new());
             assert_eq!(records.len(), 1);
             records[0].diff.clone()
         };

@@ -157,7 +157,7 @@ fn send_at(
 
 /// Answers a diff request: for every interval (or base) the requester
 /// needs, look up (or materialise) the diff and aggregate everything into a
-/// single response message.
+/// single response message, which pays one encoding per record it ships.
 ///
 /// A base is always one full page and one whole timestamp — the requester
 /// asks this way exactly for intervals at or below its GC horizon, so the
@@ -175,12 +175,10 @@ fn handle_diff_request(
     let proto = shared.proto.lock();
     let table = shared.lock_table();
     let mut diffs = Vec::new();
-    let mut materialised_pages = 0;
     for want in wants {
         let page = want.page;
         if want.base {
             let vt = proto.page_vt(page);
-            materialised_pages += 1;
             diffs.push(DiffRecord {
                 page,
                 proc: proto.me,
@@ -203,16 +201,14 @@ fn handle_diff_request(
                 .unwrap_or_else(|| {
                     panic!("P{} holds no diff of {page:?} for its interval {interval}", proto.me)
                 });
-            let (record, full_page) = proto.record_of(page, interval, cached, &table);
-            materialised_pages += usize::from(full_page);
-            diffs.push(record);
+            diffs.push(proto.record_of(page, interval, cached, &table));
         }
     }
     drop(table);
     drop(proto);
 
-    let service =
-        shared.cost.request_service_cost() + shared.cost.diff_create_cost(materialised_pages);
+    shared.stats.diffs_created(diffs.len() as u64);
+    let service = shared.cost.request_service_cost() + shared.cost.diff_create_cost(diffs.len());
     let reply = TmkMessage::DiffResponse { req_id, diffs };
     send_at(endpoint, requester, Port::Reply, reply, arrived_at + service);
 }
@@ -302,9 +298,8 @@ fn handle_lock_forward(
 
 /// Builds and sends a lock grant answering `request`, leaving at `at` plus
 /// the manager's service cost and carrying the write notices the requester
-/// is missing and any piggy-backed diffs for a `Validate_w_sync`. Full pages
-/// materialised for the piggyback are charged their encoding, as a diff
-/// request's are.
+/// is missing and any piggy-backed diffs for a `Validate_w_sync`. The
+/// piggyback pays one encoding per record, as a diff response does.
 ///
 /// `with_notices` distinguishes grants that transfer a happens-before edge
 /// (from a previous holder) from first-acquisition grants by the manager.
@@ -319,25 +314,25 @@ pub(crate) fn send_grant(
     let PendingLockRequest { requester, requester_vt, sync_pages, .. } = request;
     let proto = shared.proto.lock();
     let table = shared.lock_table();
-    let (notices, piggyback, materialised) = if with_notices {
+    let (notices, piggyback) = if with_notices {
         // The piggyback is charged no scan, so nobody counts the pages.
         let seen = requester_vt.get(proto.me);
-        let (piggyback, materialised) =
-            proto.diffs_for_pages_after_counted(sync_pages, seen, &table, &mut Vec::new());
+        let piggyback = proto.diffs_for_pages_after(sync_pages, seen, &table, &mut Vec::new());
         let notices = proto.notice_log.clone_after(requester_vt);
         debug_assert!(
             notices_determine(requester_vt, &notices, &proto.vt),
             "P{}'s grant to P{requester}: the notices must determine the granter's timestamp",
             proto.me,
         );
-        (notices, piggyback, materialised)
+        (notices, piggyback)
     } else {
-        (Vec::new(), Vec::new(), 0)
+        (Vec::new(), Vec::new())
     };
     drop(table);
     drop(proto);
 
-    let service = shared.cost.lock_manager_cost() + shared.cost.diff_create_cost(materialised);
+    shared.stats.diffs_created(piggyback.len() as u64);
+    let service = shared.cost.lock_manager_cost() + shared.cost.diff_create_cost(piggyback.len());
     let grant = TmkMessage::LockGrant { lock, notices, piggyback };
     send_at(endpoint, *requester, Port::Reply, grant, at + service);
 }

@@ -39,10 +39,11 @@ pub(crate) enum DiffEntry {
 /// The flush keeps the two pages the diff is a function of: the twin and a
 /// copy of the page as the interval ended. The first read encodes them and
 /// drops both; every later read shares that one encoding. A delta the GC
-/// trims unread is never encoded. The SP/2 model is not lazy: the flush
-/// charges the encoding whether or not anyone reads it, so laziness moves
-/// host work only. Readers hold a shared `&ProtoState` under the node's
-/// proto lock, hence the cell.
+/// trims unread is never encoded. The model is lazy too, but per batch:
+/// each reply batch that ships the delta pays one encoding, so the flush
+/// charges nothing and the race detector's reads stay off the clock.
+/// Readers hold a shared `&ProtoState` under the node's proto lock, hence
+/// the cell.
 #[derive(Debug)]
 pub(crate) struct Delta(RefCell<Encoding>);
 
@@ -154,7 +155,7 @@ pub(crate) struct ProtoState {
     /// synchronization point's piggybacked requests probes each requested
     /// page once instead of examining every cached interval per page, so
     /// the merge-scan cost is charged only for pages this node actually
-    /// modified (see `diffs_for_pages_after_counted`).
+    /// modified (see `diffs_for_pages_after`).
     pub diff_cache: IntMap<PageId, BTreeMap<Interval, CachedDiff>>,
     /// The pages some of whose own diffs the GC horizon has dropped: local
     /// write evidence for the race detector, nothing more. A trimmed
@@ -214,24 +215,20 @@ impl ProtoState {
 
     /// Collects the diff records this node holds for `pages`, restricted to
     /// intervals newer than `seen` — the requester's advertised timestamp,
-    /// read at this node: the only component a responder needs — and
-    /// reports how many whole pages had to be materialised from the current copy for them
-    /// (`WRITE_ALL` intervals keep no delta, so the encoding cost is charged
-    /// lazily — at request time, and only for pages actually requested).
-    /// Appends to `examined` the requested pages this node had cached diffs
-    /// for at all — the batched serve's real examination count: the
-    /// per-page index answers a non-owned page with one probe, so only
-    /// owned pages cost a range scan. One list collects the pages of a
-    /// whole synchronization point's requests.
-    pub(crate) fn diffs_for_pages_after_counted(
+    /// read at this node: the only component a responder needs. Appends to
+    /// `examined` the requested pages this node had cached diffs for at
+    /// all — the batched serve's real examination count: the per-page
+    /// index answers a non-owned page with one probe, so only owned pages
+    /// cost a range scan. One list collects the pages of a whole
+    /// synchronization point's requests.
+    pub(crate) fn diffs_for_pages_after(
         &self,
         pages: &[PageId],
         seen: Interval,
         table: &PageTable,
         examined: &mut Vec<PageId>,
-    ) -> (Vec<DiffRecord>, usize) {
+    ) -> Vec<DiffRecord> {
         let mut out = Vec::new();
-        let mut materialised = 0usize;
         for &page in pages {
             // Intervals this node still caches individually and the
             // requester has not yet incorporated. Garbage-collected
@@ -244,31 +241,28 @@ impl ProtoState {
             debug_assert!(!self.trimmed.contains(&page) || self.gc_horizon.get(self.me) <= seen);
             examined.push(page);
             for (&interval, cached) in intervals.range(seen + 1..) {
-                let (record, full_page) = self.record_of(page, interval, cached, table);
-                materialised += usize::from(full_page);
-                out.push(record);
+                out.push(self.record_of(page, interval, cached, table));
             }
         }
         out.sort_by_key(|r| (r.page, r.interval));
-        (out, materialised)
+        out
     }
 
     /// The record that ships `cached`, this node's diff of `page` for
-    /// `interval`, and whether the whole page had to be materialised from
-    /// the current copy for it (a `WRITE_ALL` interval keeps no delta).
+    /// `interval` (a `WRITE_ALL` interval ships the current copy whole).
     pub(crate) fn record_of(
         &self,
         page: PageId,
         interval: Interval,
         cached: &CachedDiff,
         table: &PageTable,
-    ) -> (DiffRecord, bool) {
-        let (diff, full_page) = match &cached.entry {
-            DiffEntry::Delta(delta) => (delta.diff(), false),
-            DiffEntry::FullPage => (full_page_diff(table, page), true),
+    ) -> DiffRecord {
+        let diff = match &cached.entry {
+            DiffEntry::Delta(delta) => delta.diff(),
+            DiffEntry::FullPage => full_page_diff(table, page),
         };
         let (proc, rank, vt) = (self.me, cached.rank, cached.vt.clone());
-        (DiffRecord { page, proc, interval, rank, base: None, diff, vt }, full_page)
+        DiffRecord { page, proc, interval, rank, base: None, diff, vt }
     }
 
     /// The timestamp of this node's copy of `page`: its own, lowered below
@@ -473,9 +467,8 @@ mod tests {
             proto.diff_cache.entry(PageId(3)).or_default().insert(interval, cached);
         }
 
-        let after = |seen: Interval| {
-            proto.diffs_for_pages_after_counted(&[PageId(3)], seen, &table, &mut vec![]).0
-        };
+        let after =
+            |seen: Interval| proto.diffs_for_pages_after(&[PageId(3)], seen, &table, &mut vec![]);
         // A requester that has already seen interval 1 of proc 0.
         let records = after(1);
         assert_eq!(records.len(), 1);
@@ -495,9 +488,7 @@ mod tests {
             .entry(PageId(7))
             .or_default()
             .insert(1, CachedDiff { entry: DiffEntry::FullPage, rank: 1, vt: None });
-        let (records, materialised) =
-            proto.diffs_for_pages_after_counted(&[PageId(7)], 0, &table, &mut vec![]);
-        assert_eq!(materialised, 1);
+        let records = proto.diffs_for_pages_after(&[PageId(7)], 0, &table, &mut vec![]);
         assert_eq!(records.len(), 1);
         let mut page = vec![0u8; PAGE_SIZE];
         records[0].diff.apply(&mut page).unwrap();
