@@ -110,8 +110,12 @@ pub fn jacobi_program(a: &SharedMatrix<f64>, b: &SharedMatrix<f64>, iters: usize
 /// Runs Jacobi from the plan `rsdcomp` generates for [`jacobi_program`] at
 /// `level`: the application supplies only the numeric bodies (seeding and
 /// [`sweep_cols`]); every data-movement decision is the compiler's. Each
-/// step's entry overlaps the interior columns, whose stencil reads only this
-/// processor's own data, with its exchange; the edges follow.
+/// step's entry overlaps the interior columns with its exchange; the edges
+/// follow. The split is per column, not per page: the interior columns
+/// read no neighbour's column, but where a page holds several columns an
+/// interior column shares a page with a neighbour's boundary column, and
+/// the overlap body faults on that page while the exchange still has it in
+/// flight (ROADMAP item 19).
 fn planned(
     p: &mut Process,
     a: &SharedMatrix<f64>,

@@ -62,10 +62,9 @@ fn relax_cols(
     for j in cols {
         p.get_slice(m.array(), col_elems(m, j + 1), &mut bufs.next);
         bufs.out.copy_from_slice(&bufs.cur);
-        for i in 1..rows - 1 {
-            if (i + j) % 2 != colour {
-                continue;
-            }
+        // The column's first interior row of this colour, then every other.
+        let first = 1 + usize::from((1 + j) % 2 != colour);
+        for i in (first..rows - 1).step_by(2) {
             let old = bufs.cur[i];
             let avg = 0.25 * (bufs.cur[i - 1] + bufs.cur[i + 1] + bufs.prev[i] + bufs.next[i]);
             bufs.out[i] = old + OMEGA * (avg - old);
@@ -129,8 +128,11 @@ pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
 /// `level`: the application supplies only the numeric bodies (seeding and
 /// [`relax_cols`]); every synchronization, fetch, push, write-preparation
 /// and warm decision is the compiler's. Each step's entry overlaps the
-/// interior columns, whose relaxation reads only this processor's own data,
-/// with its exchange; the edges follow.
+/// interior columns with its exchange; the edges follow. The split is per
+/// column, not per page: the interior columns read no neighbour's column,
+/// but where a page holds several columns an interior column shares a page
+/// with a neighbour's boundary column, and the overlap body faults on that
+/// page while the exchange still has it in flight (ROADMAP item 19).
 fn planned(
     p: &mut Process,
     m: &SharedMatrix<f64>,

@@ -11,7 +11,10 @@
 //! It also owns *who compiles*: [`kernel_for`] builds the IR and runs
 //! [`compile_at`] once per run, however many processors execute the result —
 //! the paper's compiler runs offline and every node runs the SPMD code it
-//! emitted.
+//! emitted. What runs once is the classification, symbolic in the processor
+//! id and so no dearer on 128 processors than on 2; each processor then
+//! builds its own plan ([`CompiledKernel::plan_for`]) on its own thread,
+//! after the once-cell has handed it the kernel.
 
 use std::sync::Arc;
 
@@ -26,15 +29,18 @@ use crate::plan::{compile_at, BoundaryOp, CompiledKernel, Level, PhaseExit, Plan
 pub struct Compiled {
     /// The IR the kernel was compiled from (phase names, array layout).
     pub program: Program,
-    /// The classified boundaries and every processor's plan; a processor
-    /// borrows its own with [`CompiledKernel::plan_for`].
+    /// The classified boundaries; a processor builds its own plan from them
+    /// with [`CompiledKernel::plan_for`].
     pub kernel: CompiledKernel,
 }
 
 /// Builds the run's program and compiles it at `level` **once per run**:
 /// the first processor to arrive runs `build` and [`compile_at`], all others
 /// receive the same [`Compiled`] (through [`Process::spmd_once`], so
-/// compilation costs no virtual time and sends nothing).
+/// compilation costs no virtual time and sends nothing). The compile only
+/// classifies the boundaries, at a cost independent of the cluster size;
+/// the plans are each processor's to build afterwards, so the others wait
+/// out no `nprocs`-wide planning.
 ///
 /// Sharing is sound because [`compile_at`] is a pure function of the
 /// program, the cluster size and the level — its output is

@@ -2,12 +2,13 @@
 
 use crate::analysis::BoundaryClass;
 use crate::ir::Program;
-use crate::plan::{BoundaryOp, CompiledKernel, PhaseExit};
+use crate::plan::{BoundaryOp, CompiledKernel, PhaseExit, ProcPlan};
 
 /// Renders the compiled kernel as deterministic text: the phases, every
 /// distinct boundary's classification (with refusal reasons spelled out),
-/// per-processor message counts and the totals.
-/// Pure function of the compile output — byte-identical across runs.
+/// every processor's plan (each built here, as its processor would) with its
+/// message count, and the totals. Pure function of the compile output —
+/// byte-identical across runs.
 pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
     let phases = program.phases();
     let mut out = String::new();
@@ -47,8 +48,8 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
         ));
     }
     out.push_str("per-processor plans:\n");
-    for me in 0..kernel.nprocs {
-        let plan = kernel.plan_for(me);
+    let plans: Vec<ProcPlan> = (0..kernel.nprocs).map(|me| kernel.plan_for(me)).collect();
+    for (me, plan) in plans.iter().enumerate() {
         let ops: Vec<String> = plan
             .steps
             .iter()
@@ -78,13 +79,13 @@ pub fn explain(program: &Program, kernel: &CompiledKernel) -> String {
             plan.messages_sent()
         ));
     }
-    let p2p: usize = (0..kernel.nprocs).map(|me| kernel.plan_for(me).messages_sent()).sum();
+    let p2p: usize = plans.iter().map(ProcPlan::messages_sent).sum();
     out.push_str(&format!(
         "totals: steps={} real-barriers={} lock-acquires={} reductions={} p2p-messages={}\n",
-        kernel.plan_for(0).steps.len(),
+        plans[0].steps.len(),
         kernel.barriers(),
-        kernel.plan_for(0).lock_acquires(),
-        kernel.plan_for(0).reductions(),
+        plans[0].lock_acquires(),
+        plans[0].reductions(),
         p2p
     ));
     out

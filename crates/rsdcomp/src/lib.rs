@@ -5,9 +5,9 @@
 //! arrays ([`Program`], [`Phase`], [`SectionAccess`]), a dependence
 //! analyzer that classifies every phase boundary
 //! ([`analyze_boundary`] → [`BoundaryClass`]), and a plan generator
-//! ([`compile`]) that lowers the classified program to the exact sequence
-//! of `ctrt` calls each processor executes ([`ProcPlan`], run through
-//! [`exec`]).
+//! ([`compile`], then [`CompiledKernel::plan_for`] on each processor) that
+//! lowers the classified program to the exact sequence of `ctrt` calls each
+//! processor executes ([`ProcPlan`], run through [`exec`]).
 //!
 //! The classification ladder, most to least optimized:
 //!
@@ -66,13 +66,11 @@ mod analysis;
 pub mod differential;
 pub mod exec;
 mod explain;
+mod form;
 mod ir;
 mod plan;
 
-pub use analysis::{
-    analyze_boundary, classify_against_pending, BoundaryAnalysis, BoundaryClass, DepPair,
-    PendingWrites, Refusal,
-};
+pub use analysis::{analyze_boundary, BoundaryAnalysis, BoundaryClass, DepPair, Refusal};
 pub use ctrt::{Access, ReduceOp, RegularSection, SyncOp};
 pub use differential::{RacyOutcome, RefusalClass};
 pub use explain::explain;
