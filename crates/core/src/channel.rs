@@ -81,6 +81,36 @@ struct Queue<T> {
     /// Receivers blocked on `ready`; a send with nobody parked skips the
     /// condition variable's wake-up call.
     parked: usize,
+    /// Wake-ups sent to parked receivers that none has returned from yet. A
+    /// send wakes a receiver only while `parked > woken`, so a parked
+    /// receiver is woken once, not once per message queued before it runs.
+    woken: usize,
+    /// Waits entered, ever.
+    #[cfg(test)]
+    parks: usize,
+    /// Wake-up calls made, ever.
+    #[cfg(test)]
+    notifies: usize,
+}
+
+impl<T> Queue<T> {
+    /// Called under the lock just before a receiver waits on `ready`.
+    fn park(&mut self) {
+        self.parked += 1;
+        #[cfg(test)]
+        {
+            self.parks += 1;
+        }
+    }
+
+    /// Called under the lock as a receiver returns from a wait, whatever
+    /// ended it: a wake-up, a timeout or a spurious return. Counting every
+    /// return as the consumption of a wake-up can only lower `woken`, which
+    /// costs at most an extra wake-up, never a lost one.
+    fn unpark(&mut self) {
+        self.parked -= 1;
+        self.woken = self.woken.saturating_sub(1);
+    }
 }
 
 impl<T> Shared<T> {
@@ -103,9 +133,16 @@ impl<T> Sender<T> {
     pub fn send(&self, value: T) {
         let mut queue = self.shared.lock_queue();
         queue.items.push_back(value);
-        let parked = queue.parked > 0;
+        let wake = queue.parked > queue.woken;
+        if wake {
+            queue.woken += 1;
+            #[cfg(test)]
+            {
+                queue.notifies += 1;
+            }
+        }
         drop(queue);
-        if parked {
+        if wake {
             self.shared.ready.notify_one();
         }
     }
@@ -162,9 +199,9 @@ impl<T> Receiver<T> {
             if self.shared.senders.load(Ordering::Acquire) == 0 {
                 return Err(RecvError);
             }
-            queue.parked += 1;
+            queue.park();
             queue = self.shared.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
-            queue.parked -= 1;
+            queue.unpark();
         }
     }
 
@@ -195,14 +232,14 @@ impl<T> Receiver<T> {
             };
             // Spurious wakeups are handled by the loop; the deadline is
             // rechecked each iteration so the total wait never exceeds it.
-            queue.parked += 1;
+            queue.park();
             queue = self
                 .shared
                 .ready
                 .wait_timeout(queue, remaining)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
-            queue.parked -= 1;
+            queue.unpark();
         }
     }
 
@@ -247,7 +284,15 @@ impl<T> fmt::Debug for Receiver<T> {
 /// Creates an unbounded channel, returning the sender and receiver halves.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(Queue { items: VecDeque::new(), parked: 0 }),
+        queue: Mutex::new(Queue {
+            items: VecDeque::new(),
+            parked: 0,
+            woken: 0,
+            #[cfg(test)]
+            parks: 0,
+            #[cfg(test)]
+            notifies: 0,
+        }),
         ready: Condvar::new(),
         senders: AtomicUsize::new(1),
     });
@@ -358,6 +403,80 @@ mod tests {
             assert_eq!(got, Ok(5));
             assert!(waited < timeout / 2, "the send left the receiver parked for {waited:?}");
         });
+    }
+
+    /// `(parks, notifies)` of `rx`'s channel so far.
+    fn wake_tally<T>(rx: &Receiver<T>) -> (usize, usize) {
+        let queue = rx.shared.lock_queue();
+        (queue.parks, queue.notifies)
+    }
+
+    #[test]
+    fn a_burst_to_one_parked_receiver_wakes_it_once_per_park() {
+        let (tx, rx) = unbounded::<u32>();
+        let timeout = std::time::Duration::from_secs(10);
+        std::thread::scope(|s| {
+            let receiver =
+                s.spawn(|| (0..100).map(|_| rx.recv_timeout(timeout)).collect::<Vec<_>>());
+            while rx.shared.lock_queue().parked == 0 {
+                std::thread::yield_now();
+            }
+            // The sends outrun the woken receiver: one wake-up covers every
+            // message queued before it runs, where a call per send made
+            // up to 100.
+            for i in 0..100 {
+                tx.send(i);
+            }
+            let got = receiver.join().unwrap();
+            assert_eq!(got, (0..100).map(Ok).collect::<Vec<_>>());
+        });
+        let (parks, notifies) = wake_tally(&rx);
+        assert!(notifies <= parks, "{notifies} wake-up calls for {parks} parks");
+        assert!(notifies >= 1, "the first send must wake the parked receiver");
+    }
+
+    #[test]
+    fn under_contention_every_message_arrives_once_and_no_park_is_woken_twice() {
+        const SENDERS: usize = 4;
+        const RECEIVERS: usize = 3;
+        const PER_SENDER: usize = 2_000;
+        let (tx, rx) = unbounded::<usize>();
+        let done = AtomicUsize::new(0);
+        let received: Vec<Vec<usize>> = std::thread::scope(|s| {
+            for sender in 0..SENDERS {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    for i in 0..PER_SENDER {
+                        tx.send(sender * PER_SENDER + i);
+                        if i % 64 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            let receivers: Vec<_> = (0..RECEIVERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        while done.load(Ordering::Relaxed) < SENDERS * PER_SENDER {
+                            // Short waits: most of them time out, which
+                            // must not cost a later message its wake-up.
+                            if let Ok(v) = rx.recv_timeout(std::time::Duration::from_millis(1)) {
+                                got.push(v);
+                                done.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            receivers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let mut all: Vec<usize> = received.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..SENDERS * PER_SENDER).collect::<Vec<_>>());
+        let (parks, notifies) = wake_tally(&rx);
+        assert!(notifies <= parks, "{notifies} wake-up calls for {parks} parks");
     }
 
     #[test]

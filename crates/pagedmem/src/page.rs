@@ -1,6 +1,7 @@
 //! Pages, page identifiers and protection state.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::Addr;
 
@@ -39,31 +40,50 @@ impl fmt::Display for PageId {
     }
 }
 
-/// One page's worth of bytes.
+/// One page's worth of bytes, copy-on-write.
 ///
-/// Pages are heap allocated and zero-initialised, matching the behaviour of
-/// freshly mapped anonymous memory.
-#[derive(Clone, PartialEq, Eq)]
+/// Pages are zero-initialised, matching the behaviour of freshly mapped
+/// anonymous memory. The bytes live behind one shared buffer: a
+/// [`clone`](Clone::clone) shares it (a reference-count bump, no copy), and
+/// the first [`as_mut_slice`](Self::as_mut_slice) of a page whose buffer is
+/// shared gives that page a copy of its own, leaving every other holder's
+/// bytes as they were. So a frame, its twin and the copy a flush keeps of it
+/// hold one buffer until the frame is next written, and a twinned interval
+/// copies its page once, at its first write. Reads never touch the
+/// reference count; a write pays one uniqueness check.
+#[derive(Clone)]
 pub struct Page {
-    bytes: Box<[u8]>,
+    bytes: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// A zero-filled page.
     pub fn zeroed() -> Page {
-        Page { bytes: vec![0u8; PAGE_SIZE].into_boxed_slice() }
+        Page { bytes: Arc::new([0u8; PAGE_SIZE]) }
     }
 
     /// Read-only view of the page contents.
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes[..]
     }
 
-    /// Mutable view of the page contents.
+    /// Mutable view of the page contents: copies the bytes first if another
+    /// page shares them.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.bytes
+        &mut Arc::make_mut(&mut self.bytes)[..]
     }
 }
+
+/// Pages compare by content; two that share one buffer are equal without
+/// looking at it (a page enabled for writing but never written is equal to
+/// its twin at once).
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
+        Arc::ptr_eq(&self.bytes, &other.bytes) || self.bytes == other.bytes
+    }
+}
+
+impl Eq for Page {}
 
 impl Default for Page {
     fn default() -> Self {
@@ -144,6 +164,40 @@ mod tests {
         let p = Page::zeroed();
         assert!(p.as_slice().iter().all(|&b| b == 0));
         assert_eq!(p.as_slice().len(), PAGE_SIZE);
+    }
+
+    #[test]
+    fn a_clone_shares_the_bytes_and_a_write_detaches_only_the_writer() {
+        let mut frame = Page::zeroed();
+        frame.as_mut_slice()[0] = 1;
+        let twin = frame.clone();
+        let copy = frame.clone();
+        // A clone copies nothing: all three read one buffer.
+        assert_eq!(twin.as_slice().as_ptr(), frame.as_slice().as_ptr());
+        assert_eq!(copy.as_slice().as_ptr(), frame.as_slice().as_ptr());
+        frame.as_mut_slice()[1] = 2;
+        assert_ne!(frame.as_slice().as_ptr(), twin.as_slice().as_ptr(), "the writer detaches");
+        assert_eq!(twin.as_slice().as_ptr(), copy.as_slice().as_ptr(), "the others still share");
+        assert_eq!(twin.as_slice()[..2], [1, 0], "the write reaches only the writer");
+        assert_eq!(frame.as_slice()[..2], [1, 2]);
+        // A page that holds its buffer alone is written in place.
+        let alone = frame.as_slice().as_ptr();
+        frame.as_mut_slice()[2] = 3;
+        assert_eq!(frame.as_slice().as_ptr(), alone);
+    }
+
+    #[test]
+    fn equality_compares_content() {
+        let mut a = Page::zeroed();
+        let b = Page::zeroed();
+        assert_eq!(a, b, "two buffers, same bytes");
+        assert_eq!(a, a.clone(), "one buffer");
+        a.as_mut_slice()[PAGE_SIZE - 1] = 7;
+        assert_ne!(a, b);
+        let mut c = b.clone();
+        c.as_mut_slice()[PAGE_SIZE - 1] = 7;
+        assert_eq!(a, c, "equal bytes in different buffers");
+        assert_ne!(b, c, "a detached write is not seen through the old buffer");
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! [`write_protect`](PageTable::write_protect) (take the twin and a copy,
 //! make read-only, clear dirty). A dirty frame without a twin is therefore a
 //! page written under `WRITE_ALL` in the open interval, by construction.
+//! Twin and copy are [`Page`] clones, which share the frame's bytes until
+//! the frame is next written, so neither copies anything itself.
 //!
 //! A [`FrameRef`] is a shared handle onto one frame. Frame handles are
 //! stable: once a page is mapped, its `Arc` identity never changes
@@ -299,6 +301,10 @@ impl PageTable {
     /// byte is overwritten) any twin is dropped. So a dirty frame without a
     /// twin is a `WRITE_ALL` page until [`write_protect`](Self::write_protect).
     ///
+    /// The twin shares the page's bytes: the interval's first write to the
+    /// frame is what copies them, and a page that is enabled but never
+    /// written is never copied.
+    ///
     /// Returns whether a twin was created.
     pub fn write_enable(&mut self, page: PageId, twin: bool) -> bool {
         let frame = self.frame_or_map(page, Protection::ReadWrite);
@@ -318,7 +324,10 @@ impl PageTable {
     /// clears the dirty flag, makes the page read-only and moves its twin
     /// out together with a copy of the page's current contents — the two
     /// pages a diff of the interval that just ended is encoded from,
-    /// whenever that happens.
+    /// whenever that happens. The copy shares the frame's bytes (and is the
+    /// next interval's twin's bytes too) until the frame is next written; a
+    /// twin that still shares them with the copy marks an interval that
+    /// never wrote the page.
     ///
     /// Returns `None` for a `WRITE_ALL` page (dirty without a twin), or if
     /// `page` is not mapped.

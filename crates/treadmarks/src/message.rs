@@ -236,14 +236,23 @@ pub enum TmkMessage {
     /// timestamp does not travel: it is the child's own (subtree-merged)
     /// timestamp, which the parent rebuilt identically from the arrival,
     /// joined with `notices`.
+    ///
+    /// Every departure of one barrier shares one notice batch: the root
+    /// builds it and every interior node forwards it as it came. What the
+    /// wire carries, and is charged, is only the part the receiving subtree
+    /// has not seen, `notice_bytes`.
     BarrierDeparture {
         /// Component-wise minimum of all processors' applied timestamps —
         /// the garbage-collection horizon: diffs and notices at or below
         /// its minimum component can never be requested again — against
         /// the *previous* barrier's global timestamp.
         gc_horizon: VtDelta,
-        /// The notice records this subtree has not seen.
-        notices: Vec<NoticeRecord>,
+        /// Every notice record above the previous barrier's global
+        /// timestamp, ascending by `(proc, interval)`: the root's batch.
+        notices: Arc<[NoticeRecord]>,
+        /// Wire bytes of the records of `notices` above the receiving
+        /// subtree's timestamp: the notices this subtree has not seen.
+        notice_bytes: usize,
         /// The receiving subtree's share of the piggy-backed fetch requests:
         /// the entries one of its processors answers, in requester order.
         /// The receiver serves the entries that name it and hands each
@@ -312,9 +321,11 @@ impl TmkMessage {
                     + sync_requests.iter().map(|r| r.wire_bytes(nprocs)).sum::<usize>()
                     + 12 * words.len()
             }
-            TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests, words } => {
+            TmkMessage::BarrierDeparture {
+                gc_horizon, notice_bytes, sync_requests, words, ..
+            } => {
                 gc_horizon.wire_bytes(nprocs)
-                    + notices.iter().map(NoticeRecord::wire_bytes).sum::<usize>()
+                    + notice_bytes
                     + sync_requests.iter().map(RoutedRequest::wire_bytes).sum::<usize>()
                     + 12 * words.len()
             }
@@ -431,9 +442,13 @@ mod tests {
             responders: vec![(0, 2), (2, 0), (3, 1)],
         };
         assert_eq!(routed.wire_bytes(), 4 + 2 * 4 + 3 * 8);
+        // The batch holds two records; the receiving subtree has seen one.
+        let seen = NoticeRecord { proc: 2, interval: 1, pages: [PageId(5), PageId(6)].into() };
+        let batch: Arc<[NoticeRecord]> = [notice.clone(), seen].into();
         let departure = |horizon: &Vt, sync_requests| TmkMessage::BarrierDeparture {
             gc_horizon: horizon.delta_from(&base),
-            notices: vec![notice.clone()],
+            notices: Arc::clone(&batch),
+            notice_bytes: notice.wire_bytes(),
             sync_requests,
             words: vec![],
         };
@@ -461,7 +476,8 @@ mod tests {
         assert_eq!(reducing.wire_bytes(N), 4 + 4 + 2 * 12);
         let reduced = TmkMessage::BarrierDeparture {
             gc_horizon: base.delta_from(&base),
-            notices: vec![],
+            notices: [].into(),
+            notice_bytes: 0,
             sync_requests: vec![],
             words,
         };

@@ -336,7 +336,7 @@ mod tests {
 
     use pagedmem::{PageId, Protection};
 
-    use super::interval::{apply_notices_locked, contiguous_runs, NoticeTally};
+    use super::interval::{apply_batch_locked, apply_notices_locked, contiguous_runs, NoticeTally};
     use super::*;
     use crate::notice::NoticeRecord;
     use crate::state::ProtoState;
@@ -509,5 +509,57 @@ mod tests {
         assert_eq!(proto.page_missing[&PageId(0)], [(4, 4), (3, 2)], "a held record is skipped");
         assert_eq!(proto.page_missing[&PageId(7)], [(4, 2), (4, 5)], "ascending by interval");
         assert_eq!(table.protection(PageId(4)), Protection::Invalid);
+    }
+
+    #[test]
+    fn a_departure_batch_applies_what_the_sorted_walk_applied() {
+        // The node has flushed its own first interval and learned P3's
+        // first and P1's first (the log records what the timestamp covers).
+        let learned = || {
+            let (mut proto, table) = node();
+            proto.notice_log.record(record(1, 1, &[5]));
+            proto.notice_log.record(record(2, 1, &[3, 4]));
+            for (proc, interval) in [(1, 1), (2, 1), (3, 1)] {
+                proto.vt.advance(proc, interval);
+            }
+            (proto, table)
+        };
+        let (mut proto, mut table) = learned();
+        let (mut ref_proto, mut ref_table) = learned();
+        // The root's batch: everything above the previous global timestamp
+        // (zero here), in its log's order, this node's own record included.
+        let batch: Vec<NoticeRecord> = vec![
+            record(0, 1, &[9]),
+            record(0, 2, &[1, 2]),
+            record(1, 1, &[5]),
+            record(1, 2, &[4]),
+            record(2, 1, &[3, 4]),
+            record(3, 1, &[0]),
+            record(3, 2, &[0, 1]),
+            record(4, 2, &[6, 7]),
+            record(4, 5, &[1, 7]),
+        ];
+        let tally = apply_batch_locked(&mut proto, &mut table, &batch);
+        // What a departure carried before the batch was shared: the records
+        // above the receiver's timestamp, through the sorting walk.
+        let unseen = batch.iter().filter(|r| r.interval > ref_proto.vt.get(r.proc)).cloned();
+        let unseen: Vec<NoticeRecord> = unseen.collect();
+        let expected = apply_notices_locked(&mut ref_proto, &mut ref_table, unseen);
+        assert_eq!((tally.recorded, tally.invalidation_runs), (10, expected.invalidation_runs));
+        assert_eq!(expected.recorded, 10, "six records, ten pages");
+        let everything = Vt::new(NPROCS);
+        assert!(proto
+            .notice_log
+            .records_after(&everything)
+            .eq(ref_proto.notice_log.records_after(&everything)));
+        assert_eq!(proto.page_missing, ref_proto.page_missing);
+        for page in (0..PAGES).map(PageId) {
+            assert_eq!(table.protection(page), ref_table.protection(page), "{page:?}");
+        }
+        assert!(!proto.page_missing.contains_key(&PageId(3)), "the node's own record is skipped");
+        assert!(
+            !proto.page_missing.contains_key(&PageId(5)),
+            "a record the timestamp covers is skipped"
+        );
     }
 }

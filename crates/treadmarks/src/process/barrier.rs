@@ -11,7 +11,7 @@ use racecheck::SyncKind;
 use sp2model::{VirtualClock, VirtualTime};
 
 use super::access::warm_ranges_locked;
-use super::interval::{apply_notices_locked, sync_vt_locked, NoticeTally};
+use super::interval::{apply_batch_locked, apply_notices_locked, sync_vt_locked, NoticeTally};
 use super::sync::{prep_writes_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::{RoutedRequest, SyncFetchRequest, TmkMessage};
@@ -310,18 +310,19 @@ fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> Vec<ProcI
 }
 
 /// Builds the barrier departure of each child of this node, under an
-/// already-held proto lock and against the now complete notice log: a
-/// child's subtree-merged arrival timestamp says exactly which notices its
-/// subtree still misses, and its position in the tree which of the `routed`
-/// requests this node holds — all of them at the root, its own subtree's
-/// share below — its subtree answers, and which of a reduction's totals its
-/// subtree reads. The global timestamp does not travel: the child rebuilds
-/// it from its own timestamp and those notices, which debug builds check
-/// here, at the sender.
+/// already-held proto lock: each shares the barrier's notice `batch`, and a
+/// child's subtree-merged arrival timestamp says which of its records the
+/// subtree still misses — what the departure is charged for — and its
+/// position in the tree which of the `routed` requests this node holds —
+/// all of them at the root, its own subtree's share below — its subtree
+/// answers, and which of a reduction's totals its subtree reads. The global
+/// timestamp does not travel: the child rebuilds it from its own timestamp
+/// and the batch, which debug builds check here, at the sender.
 fn child_departures(
     proto: &ProtoState,
     children: &[(ProcId, Vt)],
     gc_horizon: &VtDelta,
+    batch: &Arc<[NoticeRecord]>,
     routed: &[RoutedRequest],
     reduction: Option<&Reduction>,
     arity: usize,
@@ -329,15 +330,16 @@ fn child_departures(
     children
         .iter()
         .map(|(proc, vt)| {
-            let notices = proto.notice_log.clone_after(vt);
             debug_assert!(
-                notices_determine(vt, &notices, &proto.last_global_vt),
+                notices_determine(vt, batch, &proto.last_global_vt),
                 "P{}'s departure to P{proc}: the notices must determine the global timestamp",
                 proto.me,
             );
+            let unseen = batch.iter().filter(|r| r.interval > vt.get(r.proc));
             let msg = TmkMessage::BarrierDeparture {
                 gc_horizon: gc_horizon.clone(),
-                notices,
+                notices: Arc::clone(batch),
+                notice_bytes: unseen.map(NoticeRecord::wire_bytes).sum(),
                 sync_requests: subtree_share(routed, *proc, arity),
                 words: reduction
                     .map_or_else(Vec::new, |r| r.read_by(|q| in_subtree(q, *proc, arity))),
@@ -599,7 +601,7 @@ impl Process {
                 matches!(m, TmkMessage::BarrierDeparture { .. })
             });
             self.clock.observe(env.arrives_at);
-            let TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests, words } =
+            let TmkMessage::BarrierDeparture { gc_horizon, notices, sync_requests, words, .. } =
                 env.payload
             else {
                 unreachable!()
@@ -615,8 +617,9 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            // The notices: the departure's below the root, the arrivals' at
-            // the root. The global timestamp, GC horizon and routed requests:
+            // The notices: the departure's batch below the root, the
+            // arrivals' at the root, which builds the batch every departure
+            // shares. The global timestamp, GC horizon and routed requests:
             // distributed by the parent below the root — the timestamp as
             // this node's own joined with the departure's notices, the
             // horizon against the previous global timestamp, read before it
@@ -626,17 +629,17 @@ impl Process {
             // requests are resolved against. The root's own request is
             // resolved in that list; everybody else evaluates the same rule
             // for itself.
-            let (tally, subtrees, gc_horizon, horizon_delta, routed) = match departed {
-                Some((horizon_delta, notices, routed)) => {
-                    let global_vt = vt_through(&proto.vt, &notices);
-                    let tally = apply_notices_locked(&mut proto, &mut table, notices);
+            let (tally, subtrees, gc_horizon, horizon_delta, batch, routed) = match departed {
+                Some((horizon_delta, batch, routed)) => {
+                    let global_vt = vt_through(&proto.vt, &batch);
+                    let tally = apply_batch_locked(&mut proto, &mut table, &batch);
                     let gc_horizon = proto.last_global_vt.patched(&horizon_delta);
                     proto.vt.clone_from(&global_vt);
                     proto.last_global_vt = global_vt;
                     if let Some(vt) = &my_sync_vt {
                         pending.responders = responders_locked(&proto, &pending.pages, vt);
                     }
-                    (tally, subtrees, gc_horizon, horizon_delta, routed)
+                    (tally, subtrees, gc_horizon, horizon_delta, batch, routed)
                 }
                 None => {
                     let (tally, subtrees, horizon) =
@@ -647,17 +650,19 @@ impl Process {
                     let global_vt = proto.vt.clone();
                     let base = std::mem::replace(&mut proto.last_global_vt, global_vt);
                     let horizon_delta = horizon.delta_from(&base);
+                    let batch = proto.notice_log.records_after(&base).cloned().collect();
                     let routed = route_requests_locked(&proto, &base, sync_requests);
                     if let Some(own) = routed.iter().find(|entry| entry.proc == me) {
                         pending.responders = own.responders.iter().map(|&(proc, _)| proc).collect();
                     }
-                    (tally, subtrees, horizon, horizon_delta, routed)
+                    (tally, subtrees, horizon, horizon_delta, batch, routed)
                 }
             };
             let departures = child_departures(
                 &proto,
                 &subtrees,
                 &horizon_delta,
+                &batch,
                 &routed,
                 reduction.as_ref(),
                 arity,
@@ -1154,8 +1159,10 @@ mod tests {
             entry(6, &[7], &[(4, 2)]),
         ];
         let children = [(3, Vt::new(N)), (4, proto.last_global_vt.clone())];
+        let batch: Arc<[NoticeRecord]> =
+            proto.notice_log.records_after(&Vt::new(N)).cloned().collect();
         let departures =
-            child_departures(&proto, &children, &VtDelta::default(), &received, None, 2);
+            child_departures(&proto, &children, &VtDelta::default(), &batch, &received, None, 2);
         assert_eq!(departures.iter().map(|(child, _)| *child).collect::<Vec<_>>(), [3, 4]);
         // Each leaf is told of the one request it answers, naming it alone;
         // the request only P1 itself answers goes no further.
@@ -1163,12 +1170,16 @@ mod tests {
         assert_eq!(to_3, [entry(5, &[3, 7], &[(3, 0)])]);
         assert_eq!(to_4, [entry(6, &[7], &[(4, 2)])]);
         assert!(Arc::ptr_eq(&to_3[0].pages, &received[1].pages), "shared, not copied");
-        // What also differs per child is what its timestamp misses.
+        // Both share the one batch; what differs per child is what its
+        // timestamp misses, and that is what travels.
         let notices = |msg: &TmkMessage| match msg {
-            TmkMessage::BarrierDeparture { notices, .. } => notices.len(),
+            TmkMessage::BarrierDeparture { notices, notice_bytes, .. } => {
+                assert!(Arc::ptr_eq(notices, &batch), "the batch is shared, not copied");
+                *notice_bytes
+            }
             _ => unreachable!(),
         };
-        assert_eq!((notices(&departures[0].1), notices(&departures[1].1)), (1, 0));
+        assert_eq!((notices(&departures[0].1), notices(&departures[1].1)), (12, 0));
     }
 
     #[test]
@@ -1203,14 +1214,23 @@ mod tests {
         assert_eq!(routed.len(), N);
         // A child that has seen nothing: its departure carries every notice.
         let nothing = Vt::new(N);
+        let batch: Arc<[NoticeRecord]> =
+            proto.notice_log.records_after(&nothing).cloned().collect();
         let mut leaves = 0;
         for child in tree_children(MASTER, N, ARITY) {
             let share = subtree_share(&routed, child, ARITY);
             for leaf in tree_children(child, N, ARITY) {
                 assert!(tree_children(leaf, N, ARITY).is_empty());
                 let children = [(leaf, nothing.clone())];
-                let departures =
-                    child_departures(&proto, &children, &VtDelta::default(), &share, None, ARITY);
+                let departures = child_departures(
+                    &proto,
+                    &children,
+                    &VtDelta::default(),
+                    &batch,
+                    &share,
+                    None,
+                    ARITY,
+                );
                 let departure = &departures[0].1;
                 assert!(routed_of(departure).len() <= 2, "its two neighbours' requests");
                 let bytes = departure.wire_bytes(N);

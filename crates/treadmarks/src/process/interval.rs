@@ -23,7 +23,8 @@ pub(super) fn contiguous_runs(pages: &[PageId]) -> u64 {
     runs
 }
 
-/// What [`apply_notices_locked`] did, for cost charging after the hold.
+/// What [`apply_notices_locked`] or [`apply_batch_locked`] did, for cost
+/// charging after the hold.
 pub(super) struct NoticeTally {
     pub(super) recorded: u64,
     pub(super) invalidation_runs: u64,
@@ -50,24 +51,86 @@ pub(super) fn apply_notices_locked(
     records.retain(|r| r.proc != me);
     records.sort_unstable_by_key(|r| (r.proc, r.interval));
     records.dedup_by_key(|r| (r.proc, r.interval));
-    let mut recorded = 0u64;
-    let mut invalidated = Vec::new();
+    let mut applied = Applied::default();
     for record in records {
-        if proto.notice_log.contains(record.proc, record.interval) {
+        if !proto.notice_log.contains(record.proc, record.interval) {
+            applied.record(proto, table, record);
+        }
+    }
+    applied.tally()
+}
+
+/// Applies a barrier departure's notice batch under an already-held lock
+/// pair: the records above this node's own timestamp, the one it held
+/// before the departure's merge, in batch order, its own skipped. The batch
+/// is every record above the previous global timestamp, ascending by
+/// `(proc, interval)` and without repeats, and every record this node's log
+/// holds lies at or below its timestamp; so the records taken are exactly
+/// the new ones, in [`apply_notices_locked`]'s order, with nothing sorted,
+/// deduplicated or looked up. Debug builds check both, and that the records
+/// taken determine the global timestamp the batch does.
+pub(super) fn apply_batch_locked(
+    proto: &mut ProtoState,
+    table: &mut PageTable,
+    batch: &[NoticeRecord],
+) -> NoticeTally {
+    debug_assert!(batch.is_sorted_by_key(|r| (r.proc, r.interval)), "a batch is one log's order");
+    #[cfg(debug_assertions)]
+    let mut through = proto.vt.clone();
+    let mut applied = Applied::default();
+    for record in batch {
+        if record.proc == proto.me || record.interval <= proto.vt.get(record.proc) {
             continue;
         }
+        debug_assert!(
+            !proto.notice_log.contains(record.proc, record.interval),
+            "P{} already holds P{}'s interval {}, above its own timestamp",
+            proto.me,
+            record.proc,
+            record.interval,
+        );
+        #[cfg(debug_assertions)]
+        through.advance(record.proc, record.interval);
+        applied.record(proto, table, record.clone());
+    }
+    #[cfg(debug_assertions)]
+    assert!(
+        through == crate::notice::vt_through(&proto.vt, batch),
+        "P{}: the records a departure applies must determine the global timestamp",
+        proto.me,
+    );
+    applied.tally()
+}
+
+/// The running totals of one notice application.
+#[derive(Default)]
+struct Applied {
+    recorded: u64,
+    invalidated: Vec<PageId>,
+}
+
+impl Applied {
+    /// Moves one record the log does not hold into it: its pages' missing
+    /// lists grow and their local copies are invalidated.
+    fn record(&mut self, proto: &mut ProtoState, table: &mut PageTable, record: NoticeRecord) {
         let key = (record.proc, record.interval);
         for &page in record.pages.iter() {
             proto.page_missing.entry(page).or_default().push(key);
             if table.invalidate(page) {
-                invalidated.push(page);
+                self.invalidated.push(page);
             }
         }
-        recorded += record.pages.len() as u64;
+        self.recorded += record.pages.len() as u64;
         proto.notice_log.record(record);
     }
-    invalidated.sort_unstable();
-    NoticeTally { recorded, invalidation_runs: contiguous_runs(&invalidated) }
+
+    fn tally(mut self) -> NoticeTally {
+        self.invalidated.sort_unstable();
+        NoticeTally {
+            recorded: self.recorded,
+            invalidation_runs: contiguous_runs(&self.invalidated),
+        }
+    }
 }
 
 impl Process {

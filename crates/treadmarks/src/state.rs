@@ -37,8 +37,10 @@ pub(crate) enum DiffEntry {
 /// it.
 ///
 /// The flush keeps the two pages the diff is a function of: the twin and a
-/// copy of the page as the interval ended. The first read encodes them and
-/// drops both; every later read shares that one encoding. A delta the GC
+/// copy of the page as the interval ended. Both are copy-on-write clones
+/// (the copy shares the live frame's bytes until the frame is next written),
+/// so keeping them copies nothing. The first read encodes them and drops
+/// both; every later read shares that one encoding. A delta the GC
 /// trims unread is never encoded. The model is lazy too, but per batch:
 /// each reply batch that ships the delta pays one encoding, so the flush
 /// charges nothing and the race detector's reads stay off the clock.
