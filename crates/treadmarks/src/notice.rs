@@ -143,19 +143,20 @@ impl NoticeLog {
     }
 
     /// Drops each processor's records covered by `horizon`'s component for
-    /// it. Returns the number of records removed.
+    /// it, handing each to `dropped` as it goes (one visit a record). Returns
+    /// the number of records removed.
     ///
     /// Safe once `horizon` is a garbage-collection horizon (every processor
     /// has incorporated the covered intervals into its mapped pages): any
     /// future [`records_after`](Self::records_after) query carries a
     /// timestamp covering the horizon, so trimmed records could never be
     /// reported again.
-    pub fn trim_covered(&mut self, horizon: &Vt) -> usize {
+    pub fn trim_covered(&mut self, horizon: &Vt, mut dropped: impl FnMut(&NoticeRecord)) -> usize {
         let mut removed = 0;
         for (proc, records) in self.per_proc.iter_mut().enumerate() {
             let covered = records.partition_point(|r| r.interval <= horizon.get(proc));
             if covered > 0 {
-                records.drain(..covered);
+                records.drain(..covered).for_each(|record| dropped(&record));
                 removed += covered;
             }
         }
@@ -209,12 +210,14 @@ mod tests {
         let mut horizon = Vt::new(2);
         horizon.advance(0, 3);
         // Processor 1's component stays at zero: its records survive.
-        assert_eq!(log.trim_covered(&horizon), 2);
+        let mut dropped = Vec::new();
+        assert_eq!(log.trim_covered(&horizon, |r| dropped.push((r.proc, r.interval))), 2);
+        assert_eq!(dropped, [(0, 1), (0, 3)], "each dropped record is handed over once");
         assert!(!log.contains(0, 1));
         assert!(!log.contains(0, 3));
         assert!(log.contains(1, 1));
         assert!(log.contains(1, 4));
-        assert_eq!(log.trim_covered(&horizon), 0, "trimming is idempotent");
+        assert_eq!(log.trim_covered(&horizon, |_| {}), 0, "trimming is idempotent");
     }
 
     #[test]

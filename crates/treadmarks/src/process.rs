@@ -421,9 +421,31 @@ mod tests {
                 _ => continue,
             };
             table.map_zeroed(PageId(page), protection);
+            // Every mapped page is materialised.
+            proto.materialise([PageId(page)]);
         }
         proto.notice_log.record(record(3, 1, &[0]));
         (proto, table)
+    }
+
+    /// Asserts that every page's missing list at `proto` is `eager`'s, the
+    /// lists every notice used to extend: in order where the page is
+    /// materialised (the notice walk extended its list), as a set where
+    /// `proto` builds it from the log.
+    fn assert_missing_as_eager(
+        proto: &ProtoState,
+        eager: &dsm_core::hash::IntMap<PageId, Vec<(ProcId, Interval)>>,
+        what: &str,
+    ) {
+        for page in (0..PAGES).map(PageId) {
+            let mut expected = eager.get(&page).cloned().unwrap_or_default();
+            let mut missing = proto.missing_of(page);
+            if !proto.is_materialised(page) {
+                expected.sort_unstable();
+                missing.sort_unstable();
+            }
+            assert_eq!(missing, expected, "{page:?}, {what}");
+        }
     }
 
     fn record(proc: ProcId, interval: Interval, pages: &[usize]) -> NoticeRecord {
@@ -489,8 +511,7 @@ mod tests {
                     .eq(ref_proto.notice_log.records_after(&everything)),
                 "notice log after batch {k}"
             );
-            // `Vec` equality: the missing lists must agree *in order*.
-            assert_eq!(proto.page_missing, ref_proto.page_missing, "missing lists after batch {k}");
+            assert_missing_as_eager(&proto, &ref_proto.page_missing, &format!("batch {k}"));
             for page in (0..PAGES).map(PageId) {
                 assert_eq!(
                     table.protection(page),
@@ -504,10 +525,11 @@ mod tests {
             proto.notice_log.records_after(&everything).find(|r| (r.proc, r.interval) == (1, 3));
         assert!(Arc::ptr_eq(&logged.expect("P1's third interval").pages, &p1i3.pages));
         // The batches did what they were written to do.
-        assert!(proto.page_missing[&PageId(4)].starts_with(&[(1, 3)]));
-        assert_eq!(proto.page_missing[&PageId(5)], [(1, 3), (1, 1)]);
-        assert_eq!(proto.page_missing[&PageId(0)], [(4, 4), (3, 2)], "a held record is skipped");
-        assert_eq!(proto.page_missing[&PageId(7)], [(4, 2), (4, 5)], "ascending by interval");
+        assert!(proto.missing_of(PageId(4)).starts_with(&[(1, 3)]));
+        assert_eq!(proto.missing_of(PageId(5)), [(1, 3), (1, 1)]);
+        assert_eq!(proto.missing_of(PageId(0)), [(4, 4), (3, 2)], "a held record is skipped");
+        assert_eq!(proto.missing_of(PageId(7)), [(4, 2), (4, 5)], "ascending by interval");
+        assert!(!proto.is_materialised(PageId(7)), "an unmapped page holds no list");
         assert_eq!(table.protection(PageId(4)), Protection::Invalid);
     }
 
@@ -552,14 +574,12 @@ mod tests {
             .notice_log
             .records_after(&everything)
             .eq(ref_proto.notice_log.records_after(&everything)));
-        assert_eq!(proto.page_missing, ref_proto.page_missing);
         for page in (0..PAGES).map(PageId) {
+            // Per page, the list the node holds or would build, in order.
+            assert_eq!(proto.missing_of(page), ref_proto.missing_of(page), "{page:?}");
             assert_eq!(table.protection(page), ref_table.protection(page), "{page:?}");
         }
-        assert!(!proto.page_missing.contains_key(&PageId(3)), "the node's own record is skipped");
-        assert!(
-            !proto.page_missing.contains_key(&PageId(5)),
-            "a record the timestamp covers is skipped"
-        );
+        assert!(proto.missing_of(PageId(3)).is_empty(), "the node's own record is skipped");
+        assert!(proto.missing_of(PageId(5)).is_empty(), "a record the timestamp covers is skipped");
     }
 }

@@ -519,8 +519,8 @@ impl Process {
         let (my_sync_vt, my_request) = if pending.pages.is_empty() {
             (None, None)
         } else {
-            let proto = self.node.unleased().proto();
-            let vt = sync_vt_locked(&proto, &pending.pages);
+            let mut proto = self.node.unleased().proto();
+            let vt = sync_vt_locked(&mut proto, &pending.pages);
             let pages = pending.pages.as_slice().into();
             let request = SyncFetchRequest::new(me, &vt, &proto.last_global_vt, pages);
             (Some(vt), Some(request))
@@ -681,6 +681,7 @@ impl Process {
             );
             let trimmed = proto.gc_trim(&gc_horizon, &pending.pages);
             if let Some(reduction) = &reduction {
+                proto.materialise(reduction.section.pages());
                 reduction.install_locked(&mut table, me);
             }
             let pages_in_use = table.pages_in_use();

@@ -110,11 +110,18 @@ struct Applied {
 }
 
 impl Applied {
-    /// Moves one record the log does not hold into it: its pages' missing
-    /// lists grow and their local copies are invalidated.
+    /// Moves one record the log does not hold into it: the missing lists of
+    /// its materialised pages grow and their local copies are invalidated
+    /// (every mapped page is materialised). Any other page's missing set is
+    /// read off the log when the page is materialised (see
+    /// [`ProtoState::materialise`]), so the record costs it one bit test:
+    /// no entry, no list, nothing for the trim to fold.
     fn record(&mut self, proto: &mut ProtoState, table: &mut PageTable, record: NoticeRecord) {
         let key = (record.proc, record.interval);
         for &page in record.pages.iter() {
+            if !proto.is_materialised(page) {
+                continue;
+            }
             proto.page_missing.entry(page).or_default().push(key);
             if table.invalidate(page) {
                 self.invalidated.push(page);
@@ -227,7 +234,13 @@ impl Process {
 /// determinism). They stay missing and are fetched through the explicit
 /// base-request path of [`TmkMessage::DiffRequest`](crate::message::TmkMessage)
 /// on first use.
-pub(super) fn sync_vt_locked(proto: &ProtoState, pages: &[PageId]) -> Vt {
+///
+/// This is where a merged fetch or a lock piggyback marks the pages it
+/// names, empty lists too: a record learned at the same synchronization
+/// then lands in the page's exact list, and the trim folds it at the
+/// horizon the request was built against (see [`ProtoState::gc_trim`]).
+pub(super) fn sync_vt_locked(proto: &mut ProtoState, pages: &[PageId]) -> Vt {
+    proto.materialise(pages.iter().copied());
     let mut vt = proto.vt.clone();
     for page in pages {
         let missing = proto.page_missing.get(page).into_iter().flatten();
@@ -419,18 +432,20 @@ mod tests {
         });
     }
 
-    /// Four processors each write only their own page, so every node keeps
-    /// a missing entry per interval of the three pages it never maps. Below
-    /// the GC horizon only a writer's lowest entry is ever read, and the
-    /// trim folds the rest into it: the history stays at one entry per
-    /// writer below the horizon however many barriers pass, where keeping
-    /// every entry would hold 30 after 10 barriers and 120 after 40.
+    /// Four processors each write only their own page. A node materialises
+    /// only the page it maps, and holds no missing list for the three it
+    /// never maps, however many notices name them;
+    /// below the GC horizon only a writer's lowest entry is ever read, and
+    /// the trim folds the rest into it. Keeping a list for every noticed
+    /// page held 6 entries a node at each check, and keeping every entry
+    /// 30 after 10 barriers and 120 after 40.
     #[test]
     fn missing_history_below_the_horizon_stays_bounded() {
         let run = Dsm::run(DsmConfig::new(4).with_cost_model(CostModel::free()), |p| {
             let me = p.proc_id();
             let words = PAGE_SIZE / 4;
             let a = p.alloc_array::<u32>(4 * words);
+            let own = PageId::containing(a.addr_of(me * words));
             let mut held = Vec::new();
             for barrier in 1..=40u32 {
                 p.set(&a, me * words, barrier);
@@ -447,11 +462,74 @@ mod tests {
                         assert!(below.count() <= 1, "P{me}: {missing:?}");
                     }
                 }
-                held.push(proto.page_missing.values().map(Vec::len).sum::<usize>());
+                assert!(proto.page_missing.keys().all(|&page| page == own), "P{me}: a list");
+                held.push(proto.materialised_pages());
             }
-            assert_eq!(held, [6; 4], "P{me}: entries held after 10, 20, 30 and 40 barriers");
+            let materialised = vec![vec![own]; 4];
+            assert_eq!(held, materialised, "P{me}: after 10, 20, 30 and 40 barriers");
         });
         assert_eq!(run.stats.total().barriers, 4 * 40);
+    }
+
+    /// Eight processors each write only their own page for 40 barriers:
+    /// every notice a node receives names a page it never maps, and it
+    /// keeps no list for any of them, nor marks any but its own page.
+    /// That a notice allocates nothing per such page is `notice_allocs`'s.
+    #[test]
+    fn a_page_a_node_never_maps_holds_no_list() {
+        let run = Dsm::run(DsmConfig::new(8).with_cost_model(CostModel::free()), |p| {
+            let me = p.proc_id();
+            let words = PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(8 * words);
+            for barrier in 1..=40u32 {
+                p.set(&a, me * words, barrier);
+                p.barrier();
+            }
+            let own = PageId::containing(a.addr_of(me * words));
+            let proto = p.lanes[me].shared.proto.lock();
+            assert!(proto.page_missing.is_empty(), "P{me}: {:?}", proto.page_missing);
+            assert_eq!(proto.materialised_pages(), [own], "P{me}");
+        });
+        assert_eq!(run.stats.total().write_notices, 8 * 7 * 40, "each node learns of 280 pages");
+    }
+
+    /// A page a push maps is materialised like any other mapped page: the
+    /// notice of a write made after the push invalidates the pushed copy,
+    /// and the read after the barrier fetches the write.
+    #[test]
+    fn a_notice_invalidates_a_pushed_copy() {
+        Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let words = PAGE_SIZE / 4;
+            let a = p.alloc_array::<u32>(words);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 1);
+                p.push_exchange(&[(1, vec![a.range_of(0, 1)])], &[]);
+                p.set(&a, 0, 2);
+            } else {
+                p.push_exchange(&[], &[0]);
+                assert_eq!(p.get(&a, 0), 1, "pushed");
+            }
+            p.barrier();
+            assert_eq!(p.get(&a, 0), 2, "P{}", p.proc_id());
+        });
+    }
+
+    /// So is a page a reduction's install maps: P0's write of another word
+    /// of it, in the interval the reduction does not end, invalidates the
+    /// copy the reduction gave P1, which then fetches the write.
+    #[test]
+    fn a_notice_invalidates_a_page_a_reduction_mapped() {
+        Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            let section = a.range_of(0, 2);
+            let wants = [vec![section], vec![section]];
+            if p.proc_id() == 0 {
+                p.set(&a, 100, 7);
+            }
+            p.reduce_add(section, &[1, 1 + p.proc_id() as u64], &wants);
+            p.barrier();
+            assert_eq!([p.get(&a, 0), p.get(&a, 1), p.get(&a, 100)], [2, 3, 7]);
+        });
     }
 
     /// P1 writes page X twice in one epoch, once before a lock release and
@@ -482,5 +560,596 @@ mod tests {
                 p.barrier();
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The missing lists against the eager per-page lists they replaced.
+    //!
+    //! [`Eager`] keeps the lists as they were before pages were materialised:
+    //! every notice extends the list of every page it names, every trim folds
+    //! every list, and each reader reads them as it used to. One seeded
+    //! sequence of barrier batches, lock grants (an out-of-order record among
+    //! them), trims with and without a merged fetch in flight, first touches,
+    //! write preparation, installs with bases and deltas and flushes drives a
+    //! [`ProtoState`] and its [`PageTable`] next to the model; after every step
+    //! each page's missing set, as a reader can tell it, is the model's, and
+    //! every reader's answer, tally and page protection is too.
+
+    use std::collections::{BTreeMap, BTreeSet, HashSet};
+
+    use pagedmem::{Addr, AddrRange, Diff, PageId, PageTable, Protection, PAGE_SIZE};
+
+    use super::super::sync::{
+        claim_records_locked, claims, prep_writes_locked, wants_for_pages_locked, PhasePlan,
+    };
+    use super::{apply_batch_locked, apply_notices_locked, sync_vt_locked, NoticeTally};
+    use crate::message::{DiffRecord, PageWant};
+    use crate::notice::{vt_through, NoticeLog, NoticeRecord};
+    use crate::state::{lower_below_missing, ProtoState};
+    use crate::types::{Interval, ProcId, Vt};
+
+    const NPROCS: usize = 4;
+    const ME: ProcId = 1;
+    const PAGES: usize = 20;
+    const STEPS: u64 = 400;
+
+    /// SplitMix64 finalizer folded over `words` (the benchmark's `rng.rs`): no
+    /// generator state, every draw a pure function of its indices.
+    fn mix(words: &[u64]) -> u64 {
+        let mut h = 0x9e37_79b9_7f4a_7c15_u64;
+        for &word in words {
+            h = h.wrapping_add(word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+            h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            h ^= h >> 31;
+        }
+        h
+    }
+
+    type Missing = Vec<(ProcId, Interval)>;
+
+    /// The eager lists, their own notice log and horizon, and a page table
+    /// that sees every invalidation the eager walk made.
+    struct Eager {
+        lists: BTreeMap<PageId, Missing>,
+        log: NoticeLog,
+        horizon: Vt,
+        table: PageTable,
+    }
+
+    impl Eager {
+        fn new() -> Eager {
+            Eager {
+                lists: BTreeMap::new(),
+                log: NoticeLog::new(NPROCS),
+                horizon: Vt::new(NPROCS),
+                table: PageTable::new(),
+            }
+        }
+
+        /// Every page of `record` gets its entry and loses its valid copy.
+        fn record(&mut self, record: &NoticeRecord, invalidated: &mut Vec<PageId>) -> u64 {
+            for &page in record.pages.iter() {
+                self.lists.entry(page).or_default().push((record.proc, record.interval));
+                if self.table.invalidate(page) {
+                    invalidated.push(page);
+                }
+            }
+            self.log.record(record.clone());
+            record.pages.len() as u64
+        }
+
+        fn apply_notices(&mut self, mut records: Vec<NoticeRecord>) -> (u64, u64) {
+            records.retain(|r| r.proc != ME);
+            records.sort_unstable_by_key(|r| (r.proc, r.interval));
+            records.dedup_by_key(|r| (r.proc, r.interval));
+            let (mut recorded, mut invalidated) = (0, Vec::new());
+            for record in &records {
+                if !self.log.contains(record.proc, record.interval) {
+                    recorded += self.record(record, &mut invalidated);
+                }
+            }
+            invalidated.sort_unstable();
+            (recorded, super::contiguous_runs(&invalidated))
+        }
+
+        fn apply_batch(&mut self, vt: &Vt, batch: &[NoticeRecord]) -> (u64, u64) {
+            let (mut recorded, mut invalidated) = (0, Vec::new());
+            for record in batch {
+                if record.proc != ME && record.interval > vt.get(record.proc) {
+                    recorded += self.record(record, &mut invalidated);
+                }
+            }
+            invalidated.sort_unstable();
+            (recorded, super::contiguous_runs(&invalidated))
+        }
+
+        fn trim(&mut self, horizon: &Vt, in_flight: &[PageId]) {
+            let found = &self.horizon;
+            for (page, missing) in &mut self.lists {
+                let fetching = in_flight.binary_search(page).is_ok();
+                let fold_at = |proc| {
+                    if fetching {
+                        found.get(proc)
+                    } else {
+                        found.get(proc).max(horizon.get(proc))
+                    }
+                };
+                missing.sort_unstable();
+                missing.dedup_by(|next, kept| next.0 == kept.0 && next.1 <= fold_at(next.0));
+            }
+            self.horizon.merge(horizon);
+            self.log.trim_covered(&self.horizon, |_| {});
+        }
+
+        fn list(&self, page: PageId) -> &[(ProcId, Interval)] {
+            self.lists.get(&page).map_or(&[], Vec::as_slice)
+        }
+
+        fn misses(&self, page: PageId) -> bool {
+            !self.list(page).is_empty()
+        }
+
+        fn sync_vt(&self, vt: &Vt, pages: &[PageId]) -> Vt {
+            let mut vt = vt.clone();
+            for &page in pages {
+                let above = self.list(page).iter().filter(|&&(p, i)| i > self.horizon.get(p));
+                lower_below_missing(&mut vt, above);
+            }
+            vt
+        }
+
+        fn wants(&self, pages: &[PageId]) -> BTreeMap<ProcId, Vec<PageWant>> {
+            let mut per_proc: BTreeMap<ProcId, Vec<PageWant>> = BTreeMap::new();
+            for &page in pages {
+                let Some(missing) = self.lists.get(&page) else { continue };
+                let mut by_proc: BTreeMap<ProcId, Vec<Interval>> = BTreeMap::new();
+                let mut base_from = None::<ProcId>;
+                for &(proc, interval) in missing {
+                    if interval <= self.horizon.get(proc) {
+                        base_from = Some(base_from.map_or(proc, |from| from.min(proc)));
+                    } else {
+                        by_proc.entry(proc).or_default().push(interval);
+                    }
+                }
+                if let Some(from) = base_from {
+                    by_proc.entry(from).or_default();
+                }
+                for (proc, mut intervals) in by_proc {
+                    intervals.sort_unstable();
+                    let base = base_from == Some(proc);
+                    per_proc.entry(proc).or_default().push(PageWant { page, base, intervals });
+                }
+            }
+            per_proc
+        }
+
+        /// Returns the deferred pages and the twins made.
+        fn prep(&mut self, plan: &PhasePlan) -> (Vec<PageId>, u64) {
+            let (mut deferred, mut twinned) = (Vec::new(), 0);
+            let written =
+                [(&plan.write_twinned, 0), (&plan.write_all, 1), (&plan.read_write_all, 2)];
+            for (ranges, kind) in written {
+                for range in ranges {
+                    for page in range.pages() {
+                        let covered = range.start() <= page.base() && page.end() <= range.end();
+                        let kind = if covered { kind } else { 0 };
+                        if kind == 1 {
+                            self.lists.remove(&page);
+                        } else if self.lists.contains_key(&page) {
+                            deferred.push(page);
+                            continue;
+                        }
+                        twinned += u64::from(self.table.write_enable(page, kind == 0));
+                    }
+                }
+            }
+            (deferred, twinned)
+        }
+
+        fn claim(&mut self, mut records: Vec<DiffRecord>) -> Vec<DiffRecord> {
+            let bases: BTreeMap<PageId, Vt> =
+                records.iter().filter_map(|r| Some((r.page, r.base.clone()?))).collect();
+            let layer = |r: &DiffRecord| match (&r.base, bases.get(&r.page)) {
+                (Some(_), _) => 1,
+                (None, Some(vt)) if r.interval > vt.get(r.proc) => 2,
+                _ => 0,
+            };
+            records.sort_by_key(|r| (r.page, layer(r), r.rank, r.proc, r.interval));
+            let parked: Vec<PageId> = records
+                .chunk_by(|a, b| a.page == b.page)
+                .filter(|group| {
+                    let owed = self.list(group[0].page).iter();
+                    owed.filter(|&&(p, i)| i <= self.horizon.get(p))
+                        .any(|&entry| !group.iter().any(|r| claims(r, entry)))
+                })
+                .map(|group| group[0].page)
+                .collect();
+            let mut applicable = Vec::new();
+            for record in records {
+                if parked.contains(&record.page) {
+                    continue;
+                }
+                let Some(missing) = self.lists.get_mut(&record.page) else { continue };
+                let before = missing.len();
+                missing.retain(|&entry| !claims(&record, entry));
+                let claimed = before - missing.len();
+                if missing.is_empty() {
+                    self.lists.remove(&record.page);
+                }
+                if claimed > 0 {
+                    applicable.push(record);
+                }
+            }
+            applicable
+        }
+
+        fn applied_vt(&self, vt: &Vt) -> Vt {
+            let mut vt = vt.clone();
+            for (&page, missing) in &self.lists {
+                if self.table.is_mapped(page) {
+                    lower_below_missing(&mut vt, missing);
+                }
+            }
+            vt
+        }
+    }
+
+    /// The table half of an install: the claimed records land, and every
+    /// requested or touched page is revalidated unless it still misses a diff.
+    fn install_table(
+        table: &mut PageTable,
+        applicable: &[DiffRecord],
+        pages: &[PageId],
+        misses: impl Fn(PageId) -> bool,
+    ) {
+        table.apply_diff_batch(applicable.iter().map(|r| (r.page, &r.diff))).expect("page-sized");
+        let mut revalidate: Vec<PageId> = pages.to_vec();
+        revalidate.extend(applicable.iter().map(|r| r.page));
+        revalidate.sort_unstable();
+        revalidate.dedup();
+        for page in revalidate {
+            if misses(page) {
+                if table.is_mapped(page) {
+                    table.set_protection(page, Protection::Invalid);
+                }
+                continue;
+            }
+            let dirty = table.frame(page).map(|f| f.lock().dirty).unwrap_or(false);
+            match table.protection(page) {
+                Protection::Unmapped => drop(table.map_zeroed(page, Protection::ReadOnly)),
+                _ if dirty => table.set_protection(page, Protection::ReadWrite),
+                _ => table.set_protection(page, Protection::ReadOnly),
+            }
+        }
+    }
+
+    /// The records answering `wants`: a base where one is wanted (covering
+    /// everything the node knows), a delta per wanted interval, a fifth of them
+    /// whole pages.
+    fn answers(wants: &BTreeMap<ProcId, Vec<PageWant>>, vt: &Vt, draw: u64) -> Vec<DiffRecord> {
+        let mut records = Vec::new();
+        for (&proc, wants) in wants {
+            for want in wants {
+                let mut page = [0u8; PAGE_SIZE];
+                let mut record = |interval: Interval, base: Option<Vt>, whole: bool| {
+                    page[4 * proc..4 * proc + 4].copy_from_slice(&interval.to_le_bytes());
+                    let diff = if whole || base.is_some() {
+                        Diff::full_page(&page)
+                    } else {
+                        Diff::create(&[0u8; PAGE_SIZE], &page)
+                    };
+                    let rank = u64::from(interval) * NPROCS as u64 + proc as u64;
+                    records.push(DiffRecord {
+                        page: want.page,
+                        proc,
+                        interval,
+                        rank,
+                        base,
+                        diff,
+                        vt: None,
+                    });
+                };
+                if want.base {
+                    record(vt.get(proc), Some(vt.clone()), true);
+                }
+                for &interval in &want.intervals {
+                    record(
+                        interval,
+                        None,
+                        mix(&[draw, want.page.0 as u64, u64::from(interval)]).is_multiple_of(5),
+                    );
+                }
+            }
+        }
+        records
+    }
+
+    /// What a reader can tell apart in an install's records.
+    fn keys(records: &[DiffRecord]) -> Vec<(PageId, ProcId, Interval, bool)> {
+        records.iter().map(|r| (r.page, r.proc, r.interval, r.base.is_some())).collect()
+    }
+
+    fn tally(tally: &NoticeTally) -> (u64, u64) {
+        (tally.recorded, tally.invalidation_runs)
+    }
+
+    /// Up to `most` distinct pages, ascending.
+    fn some_pages(draw: impl Fn(u64) -> u64, most: u64) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = (0..1 + draw(0) % most)
+            .map(|k| PageId((draw(1 + k) % PAGES as u64) as usize))
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
+    /// A barrier's merged fetch, from its issue to its install.
+    struct InFlight {
+        pages: Vec<PageId>,
+        /// The timestamp its request advertised.
+        advertised: Vt,
+        /// What the producers answer at the departure: every interval above
+        /// the advertised one of every record naming a page.
+        answers: Option<Vec<DiffRecord>>,
+    }
+
+    /// One node and the model, driven in step.
+    struct Stepper {
+        seed: u64,
+        proto: ProtoState,
+        table: PageTable,
+        eager: Eager,
+        /// Each writer's latest interval.
+        latest: [Interval; NPROCS],
+        /// Records skipped by the batches, delivered later by a grant.
+        withheld: Vec<NoticeRecord>,
+        /// A barrier's merged fetch, issued and not installed yet.
+        in_flight: Option<InFlight>,
+        /// Every page something read, requested, prepared or installed.
+        asked: BTreeSet<PageId>,
+    }
+
+    impl Stepper {
+        fn new(seed: u64) -> Stepper {
+            Stepper {
+                seed,
+                proto: ProtoState::new(ME, NPROCS),
+                table: PageTable::new(),
+                eager: Eager::new(),
+                latest: [0; NPROCS],
+                withheld: Vec::new(),
+                in_flight: None,
+                asked: BTreeSet::new(),
+            }
+        }
+
+        /// A new record of a writer other than this node; now and then it
+        /// skips an interval, whose record a later grant delivers.
+        fn fresh_record(&mut self, draw: impl Fn(u64) -> u64) -> NoticeRecord {
+            let proc = (ME + 1 + (draw(0) % (NPROCS as u64 - 1)) as usize) % NPROCS;
+            let pages: std::sync::Arc<[PageId]> = some_pages(|k| draw(10 + k), 5).into();
+            if draw(1).is_multiple_of(4) {
+                self.latest[proc] += 1;
+                let interval = self.latest[proc];
+                self.withheld.push(NoticeRecord { proc, interval, pages: pages.clone() });
+            }
+            self.latest[proc] += 1;
+            NoticeRecord { proc, interval: self.latest[proc], pages }
+        }
+
+        /// Some records the node already holds, its own among them.
+        fn known(&self, draw: impl Fn(u64) -> u64) -> Vec<NoticeRecord> {
+            let held = self.proto.notice_log.records_after(&self.proto.gc_horizon);
+            held.enumerate()
+                .filter(|&(k, _)| draw(k as u64).is_multiple_of(3))
+                .map(|(_, r)| r.clone())
+                .collect()
+        }
+
+        /// A barrier departure's batch: records the node holds and new ones.
+        fn batch(&mut self, draw: impl Fn(u64) -> u64) {
+            let mut batch = self.known(|k| draw(100 + k));
+            for k in 0..1 + draw(1) % 3 {
+                batch.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
+            }
+            batch.sort_by_key(|r| (r.proc, r.interval));
+            let vt = self.proto.vt.clone();
+            let real = apply_batch_locked(&mut self.proto, &mut self.table, &batch);
+            assert_eq!(tally(&real), self.eager.apply_batch(&vt, &batch), "batch tally");
+            self.proto.vt = vt_through(&vt, &batch);
+        }
+
+        /// A trim at a horizon that is monotone, within what the node knows,
+        /// and below every record still on its way: a horizon only passes
+        /// intervals every node holds.
+        fn trim(&mut self, draw: impl Fn(u64) -> u64, in_flight: &[PageId]) {
+            let mut horizon = self.proto.gc_horizon.clone();
+            for proc in 0..NPROCS {
+                let withheld = self.withheld.iter().filter(|r| r.proc == proc);
+                let cap = withheld.map(|r| r.interval - 1).min().unwrap_or(Interval::MAX);
+                let (low, high) = (horizon.get(proc), self.proto.vt.get(proc).min(cap));
+                if high > low {
+                    let up = draw(proc as u64) % u64::from(high - low + 1);
+                    horizon.advance(proc, low + up as Interval);
+                }
+            }
+            self.proto.gc_trim(&horizon, in_flight);
+            self.eager.trim(&horizon, in_flight);
+        }
+
+        fn step(&mut self, step: u64) {
+            let seed = self.seed;
+            let draw = move |k: u64| mix(&[seed, step, k]);
+            match draw(0) % 13 {
+                0..=2 => self.batch(draw),
+                3 | 4 => {
+                    let mut grant = self.known(|k| draw(100 + k));
+                    if draw(1) % 2 == 0 {
+                        grant.push(self.fresh_record(|j| draw(200 + j)));
+                    }
+                    if !self.withheld.is_empty() {
+                        let at = (draw(2) % self.withheld.len() as u64) as usize;
+                        grant.push(self.withheld.remove(at));
+                    }
+                    if let Some(repeat) = grant.first().cloned() {
+                        grant.push(repeat);
+                    }
+                    let real =
+                        apply_notices_locked(&mut self.proto, &mut self.table, grant.clone());
+                    self.proto.vt = vt_through(&self.proto.vt, &grant);
+                    assert_eq!(tally(&real), self.eager.apply_notices(grant), "grant tally");
+                }
+                5 | 6 => self.trim(|k| draw(1 + k), &[]),
+                7 if self.in_flight.is_none() => {
+                    let pages = some_pages(|k| draw(10 + k), 4);
+                    self.asked.extend(&pages);
+                    let expected = self.eager.sync_vt(&self.proto.vt, &pages);
+                    let advertised = sync_vt_locked(&mut self.proto, &pages);
+                    assert_eq!(advertised, expected, "merged fetch of {pages:?}");
+                    self.in_flight = Some(InFlight { pages, advertised, answers: None });
+                }
+                7 | 8 => match self.in_flight.take() {
+                    // The departure: its batch, the answers served from the
+                    // log as it stands, and the trim that passes them.
+                    Some(InFlight { pages, advertised, answers: None }) => {
+                        self.batch(|k| draw(1000 + k));
+                        let mut wants: BTreeMap<ProcId, Vec<PageWant>> = BTreeMap::new();
+                        for record in self.proto.notice_log.records_after(&advertised) {
+                            for &page in pages.iter().filter(|page| record.pages.contains(page)) {
+                                if record.proc != ME {
+                                    let intervals = vec![record.interval];
+                                    let want = PageWant { page, base: false, intervals };
+                                    wants.entry(record.proc).or_default().push(want);
+                                }
+                            }
+                        }
+                        let answers = Some(answers(&wants, &self.proto.vt, draw(1)));
+                        self.trim(|k| draw(2000 + k), &pages);
+                        self.in_flight = Some(InFlight { pages, advertised, answers });
+                    }
+                    Some(InFlight { pages, answers: Some(answers), .. }) => {
+                        self.install(&pages, answers);
+                    }
+                    None => {}
+                },
+                9 => {
+                    let page = PageId((draw(1) % PAGES as u64) as usize);
+                    self.asked.insert(page);
+                    let wants = wants_for_pages_locked(&mut self.proto, &[page], &HashSet::new());
+                    assert_eq!(wants, self.eager.wants(&[page]), "first touch of {page:?}");
+                    let answers = answers(&wants, &self.proto.vt, draw(2));
+                    self.install(&[page], answers);
+                    if draw(3) % 2 == 0 && !self.eager.misses(page) {
+                        assert_eq!(
+                            self.table.write_enable(page, true),
+                            self.eager.table.write_enable(page, true)
+                        );
+                    }
+                }
+                10 => {
+                    let range = |k: u64| {
+                        let page = PageId((draw(20 + k) % PAGES as u64) as usize);
+                        let pages = 1 + (draw(30 + k) % 2) as usize;
+                        let skip = if draw(40 + k) % 3 == 0 { 8 } else { 0 };
+                        let len =
+                            (pages * PAGE_SIZE - skip).min((PAGES - page.0) * PAGE_SIZE - skip);
+                        AddrRange::new(Addr::new(page.base().as_usize() + skip), len)
+                    };
+                    let ranges =
+                        |k: u64| (0..draw(50 + k) % 3).map(|j| range(10 * k + j)).collect();
+                    let plan = PhasePlan {
+                        write_twinned: ranges(0),
+                        write_all: ranges(1),
+                        read_write_all: ranges(2),
+                        ..PhasePlan::default()
+                    };
+                    let written = [&plan.write_twinned, &plan.write_all, &plan.read_write_all];
+                    self.asked.extend(written.into_iter().flatten().flat_map(AddrRange::pages));
+                    let mut deferred = Vec::new();
+                    let real =
+                        prep_writes_locked(&mut self.proto, &mut self.table, &plan, &mut deferred);
+                    let deferred: Vec<PageId> = deferred.iter().map(|d| d.page).collect();
+                    assert_eq!((deferred, real.twinned), self.eager.prep(&plan), "{plan:?}");
+                }
+                11 => {
+                    let dirty = self.table.dirty_pages();
+                    assert_eq!(dirty, self.eager.table.dirty_pages());
+                    if dirty.is_empty() {
+                        return;
+                    }
+                    for &page in &dirty {
+                        self.table.write_protect(page);
+                        self.eager.table.write_protect(page);
+                    }
+                    let interval = self.proto.open_interval();
+                    let record = NoticeRecord { proc: ME, interval, pages: dirty.into() };
+                    self.proto.notice_log.record(record.clone());
+                    self.eager.log.record(record);
+                    self.proto.vt.advance(ME, interval);
+                }
+                _ => {
+                    let expected = self.eager.applied_vt(&self.proto.vt);
+                    assert_eq!(self.proto.applied_vt(&self.table), expected, "applied timestamp");
+                    for page in (0..PAGES).map(PageId).filter(|&page| self.table.is_mapped(page)) {
+                        let mut expected = self.proto.vt.clone();
+                        lower_below_missing(&mut expected, self.eager.list(page));
+                        assert_eq!(self.proto.page_vt(page), expected, "{page:?}'s timestamp");
+                    }
+                }
+            }
+        }
+
+        fn install(&mut self, pages: &[PageId], records: Vec<DiffRecord>) {
+            let real = claim_records_locked(&mut self.proto, records.clone(), pages);
+            let expected = self.eager.claim(records);
+            assert_eq!(keys(&real), keys(&expected), "install on {pages:?}");
+            install_table(&mut self.table, &real, pages, |page| {
+                self.proto.page_missing.contains_key(&page)
+            });
+            let eager = &mut self.eager;
+            install_table(&mut eager.table, &expected, pages, |page| {
+                eager.lists.get(&page).is_some_and(|missing| !missing.is_empty())
+            });
+        }
+
+        /// Every page's missing set as a reader can tell it, the page's
+        /// protection and the node's materialised pages.
+        fn check(&self, step: u64) {
+            let proto = &self.proto;
+            assert_eq!(proto.gc_horizon, self.eager.horizon);
+            for page in (0..PAGES).map(PageId) {
+                let at = format!("seed {}, step {step}, {page:?}", self.seed);
+                let missing = proto.effective(&proto.missing_of(page));
+                assert_eq!(missing, proto.effective(self.eager.list(page)), "{at}");
+                assert_eq!(self.table.protection(page), self.eager.table.protection(page), "{at}");
+                if self.table.is_mapped(page) {
+                    assert!(proto.is_materialised(page), "{at}: mapped, not materialised");
+                }
+                if !self.asked.contains(&page) {
+                    assert!(!proto.is_materialised(page), "{at}: never asked for, materialised");
+                    assert!(
+                        !proto.page_missing.contains_key(&page),
+                        "{at}: never asked for, a list"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_missing_lists_read_as_the_eager_per_page_lists() {
+        let mut steps = [0u64; 13];
+        for seed in 0..24 {
+            let mut stepper = Stepper::new(seed);
+            for step in 0..STEPS {
+                steps[(mix(&[seed, step, 0]) % 13) as usize] += 1;
+                stepper.step(step);
+                stepper.check(step);
+            }
+        }
+        assert!(steps.iter().all(|&n| n > 0), "every kind of step ran: {steps:?}");
     }
 }

@@ -58,7 +58,7 @@ impl Process {
                 }
             }
             // With no pages requested this is the timestamp itself.
-            let request_vt = sync_vt_locked(&proto, &pending.pages);
+            let request_vt = sync_vt_locked(&mut proto, &pending.pages);
             (ProtoState::lock_manager(lock, proto.nprocs), request_vt)
         };
         let msg = TmkMessage::LockAcquireRequest {
@@ -89,7 +89,7 @@ impl Process {
             // pages that the grant's piggyback does not already carry.
             let in_hand: HashSet<(PageId, ProcId, Interval)> =
                 piggyback.iter().map(|r| (r.page, r.proc, r.interval)).collect();
-            let wants = wants_for_pages_locked(&proto, &pending.pages, &in_hand);
+            let wants = wants_for_pages_locked(&mut proto, &pending.pages, &in_hand);
             let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut pending.deferred);
             // Cache what is mapped so the overlap body runs lock-free.
             warm_ranges_locked(&mut node, &table, &plan.warm);

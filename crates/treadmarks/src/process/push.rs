@@ -72,13 +72,14 @@ impl Process {
             return;
         }
         let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
-        // The detector needs protocol state (lock order: proto before table);
-        // the detector-off install path takes only the table lock.
+        // An install maps what it lands on, and every mapped page is
+        // materialised (see `ProtoState::page_missing`).
         let mut node = self.node.unleased();
-        let race_proto = self.run.race.as_ref().map(|log| (log, node.proto()));
+        let mut proto = node.proto();
         let mut table = node.table();
-        if let Some((log, proto)) = &race_proto {
-            detect_push_races_locked(&self.stats, log, proto, &table, &received);
+        proto.materialise(installed.iter().flat_map(AddrRange::pages));
+        if let Some(log) = &self.run.race {
+            detect_push_races_locked(&self.stats, log, &proto, &table, &received);
         }
         for (_, range, data) in received {
             // Mirrored into any twin: pushed bytes are installed data, not

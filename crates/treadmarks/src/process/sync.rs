@@ -79,7 +79,7 @@ pub(super) fn pages_of(ranges: &[AddrRange]) -> Vec<PageId> {
 /// after the diffs landed.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct DeferredWrite {
-    page: PageId,
+    pub(super) page: PageId,
     /// `Twinned` or `ReadWriteAll`: a `WriteAll` page is never deferred.
     write: PageWrite,
 }
@@ -175,6 +175,9 @@ pub(super) struct PrepTally {
 /// fast path — but pushed onto `deferred`, for an in-flight
 /// synchronization's completion to finish once the diffs have landed; with
 /// nothing in flight it stays the fault path's (fetch, then twin).
+///
+/// Every written page is mapped here, so every one is materialised first
+/// (a `WRITE_ALL` page then discards what it misses).
 pub(super) fn prep_writes_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
@@ -187,6 +190,8 @@ pub(super) fn prep_writes_locked(
         (&plan.write_all, PageWrite::WriteAll),
         (&plan.read_write_all, PageWrite::ReadWriteAll),
     ];
+    let ranges = written.iter().flat_map(|&(ranges, _)| ranges);
+    proto.materialise(ranges.flat_map(AddrRange::pages));
     for (ranges, kind) in written {
         for range in ranges {
             for page in range.pages() {
@@ -224,10 +229,11 @@ pub(super) fn prep_writes_locked(
 /// virtual time is derived from — must not depend on that race, so the
 /// requester fixes the shape: one full page).
 pub(super) fn wants_for_pages_locked(
-    proto: &ProtoState,
+    proto: &mut ProtoState,
     pages: &[PageId],
     in_hand: &HashSet<(PageId, ProcId, Interval)>,
 ) -> BTreeMap<ProcId, Vec<PageWant>> {
+    proto.materialise(pages.iter().copied());
     let mut per_proc: BTreeMap<ProcId, Vec<PageWant>> = BTreeMap::new();
     for &page in pages {
         let Some(missing) = proto.page_missing.get(&page) else { continue };
@@ -255,6 +261,62 @@ pub(super) fn wants_for_pages_locked(
     per_proc
 }
 
+/// The claim step of an install, under an already-held proto lock: sorts
+/// `records` into the install's order, materialises every page they or
+/// `pages` name, and keeps, in that order, each record that claims an entry
+/// of its page's missing list, removing what it claims. A page that would
+/// still owe an entry at or below the horizon after the batch's claims is
+/// parked: it keeps its list and takes none of the batch's records (see
+/// [`Process::install_records`]).
+pub(super) fn claim_records_locked(
+    proto: &mut ProtoState,
+    mut records: Vec<DiffRecord>,
+    pages: &[PageId],
+) -> Vec<DiffRecord> {
+    let bases: IntMap<PageId, Vt> =
+        records.iter().filter_map(|r| Some((r.page, r.base.clone()?))).collect();
+    let layer = |r: &DiffRecord| match (&r.base, bases.get(&r.page)) {
+        (Some(_), _) => 1,
+        (None, Some(vt)) if r.interval > vt.get(r.proc) => 2,
+        _ => 0,
+    };
+    records.sort_by_key(|r| (r.page, layer(r), r.rank, r.proc, r.interval));
+    proto.materialise(pages.iter().copied().chain(records.iter().map(|r| r.page)));
+    let parked: Vec<PageId> = records
+        .chunk_by(|a, b| a.page == b.page)
+        .filter(|group| {
+            let owed = proto.page_missing.get(&group[0].page).into_iter().flatten();
+            owed.filter(|&&(p, i)| i <= proto.gc_horizon.get(p))
+                .any(|&entry| !group.iter().any(|r| claims(r, entry)))
+        })
+        .map(|group| group[0].page)
+        .collect();
+    // A parked page is only ever one whose base is still to come.
+    debug_assert!(
+        parked.iter().all(|page| !bases.contains_key(page)),
+        "P{}: a base misses history at or below the horizon {} on {parked:?}",
+        proto.me,
+        proto.gc_horizon,
+    );
+    let mut applicable = Vec::with_capacity(records.len());
+    for record in records {
+        if parked.contains(&record.page) {
+            continue;
+        }
+        let Some(missing) = proto.page_missing.get_mut(&record.page) else { continue };
+        let before = missing.len();
+        missing.retain(|&entry| !claims(&record, entry));
+        let claimed = before - missing.len();
+        if missing.is_empty() {
+            proto.page_missing.remove(&record.page);
+        }
+        if claimed > 0 {
+            applicable.push(record);
+        }
+    }
+    applicable
+}
+
 impl Process {
     /// Charges the costs of a [`prep_writes_locked`] tally after the hold
     /// has been released.
@@ -277,8 +339,8 @@ impl Process {
     pub fn fetch_diffs(&mut self, ranges: &[AddrRange]) {
         let pages = pages_of(ranges);
         let per_proc = {
-            let proto = self.node.unleased().proto();
-            wants_for_pages_locked(&proto, &pages, &HashSet::new())
+            let mut proto = self.node.unleased().proto();
+            wants_for_pages_locked(&mut proto, &pages, &HashSet::new())
         };
         let expected = self.send_diff_requests(per_proc);
         let mut records = Vec::new();
@@ -358,60 +420,17 @@ impl Process {
     /// pre-acquire snapshot — see [`Outstanding::race_vt`]).
     fn install_records(
         &mut self,
-        mut records: Vec<DiffRecord>,
+        records: Vec<DiffRecord>,
         pages: &[PageId],
         deferred: &[DeferredWrite],
         warm: &[AddrRange],
         sync_kind: SyncKind,
         race_vt: Option<&Vt>,
     ) {
-        let bases: IntMap<PageId, Vt> =
-            records.iter().filter_map(|r| Some((r.page, r.base.clone()?))).collect();
-        let layer = |r: &DiffRecord| match (&r.base, bases.get(&r.page)) {
-            (Some(_), _) => 1,
-            (None, Some(vt)) if r.interval > vt.get(r.proc) => 2,
-            _ => 0,
-        };
-        records.sort_by_key(|r| (r.page, layer(r), r.rank, r.proc, r.interval));
         let mut node = self.node.unleased();
         let mut proto = node.proto();
         let mut table = node.table();
-        // The pages that would still owe an entry at or below the horizon
-        // after the batch's claims take nothing (see above).
-        let parked: Vec<PageId> = records
-            .chunk_by(|a, b| a.page == b.page)
-            .filter(|group| {
-                let owed = proto.page_missing.get(&group[0].page).into_iter().flatten();
-                owed.filter(|&&(p, i)| i <= proto.gc_horizon.get(p))
-                    .any(|&entry| !group.iter().any(|r| claims(r, entry)))
-            })
-            .map(|group| group[0].page)
-            .collect();
-        // A parked page is only ever one whose base is still to come.
-        debug_assert!(
-            parked.iter().all(|page| !bases.contains_key(page)),
-            "P{}: a base misses history at or below the horizon {} on {parked:?}",
-            proto.me,
-            proto.gc_horizon,
-        );
-        // Keep only records still on a page's missing list (claiming the
-        // entry), preserving the sorted order.
-        let mut applicable = Vec::with_capacity(records.len());
-        for record in records {
-            if parked.contains(&record.page) {
-                continue;
-            }
-            let Some(missing) = proto.page_missing.get_mut(&record.page) else { continue };
-            let before = missing.len();
-            missing.retain(|&entry| !claims(&record, entry));
-            let claimed = before - missing.len();
-            if missing.is_empty() {
-                proto.page_missing.remove(&record.page);
-            }
-            if claimed > 0 {
-                applicable.push(record);
-            }
-        }
+        let applicable = claim_records_locked(&mut proto, records, pages);
         if let Some(log) = &self.run.race {
             detect_races_locked(&self.stats, log, &proto, &table, &applicable, sync_kind, race_vt);
         }
@@ -673,7 +692,7 @@ impl Process {
 /// or the leftover phantom would re-fetch this interval after a newer one
 /// from the same processor has been applied — and applying the older diff
 /// second rolls its bytes back.
-fn claims(record: &DiffRecord, (p, i): (ProcId, Interval)) -> bool {
+pub(super) fn claims(record: &DiffRecord, (p, i): (ProcId, Interval)) -> bool {
     match &record.base {
         Some(vt) => i <= vt.get(p),
         None if record.diff.modified_bytes() == PAGE_SIZE => {

@@ -172,7 +172,7 @@ fn handle_diff_request(
     wants: &[PageWant],
     arrived_at: VirtualTime,
 ) {
-    let proto = shared.proto.lock();
+    let mut proto = shared.proto.lock();
     let table = shared.lock_table();
     let mut diffs = Vec::new();
     for want in wants {

@@ -144,10 +144,24 @@ pub(crate) struct ProtoState {
     /// barrier's trim.
     pub notice_log: NoticeLog,
     /// Per page, the write notices whose diffs have not yet been applied
-    /// locally. At or below the GC horizon only a processor's lowest entry
-    /// is ever read, so [`gc_trim`](Self::gc_trim) folds the rest into it:
-    /// a page this node never maps keeps one such entry per writer.
+    /// locally — kept exactly only for a *materialised* page, one this node
+    /// maps or whose list something read or requested
+    /// ([`materialise`](Self::materialise)): a list exists only for such a
+    /// page, and only while it misses something. Any other page's missing
+    /// set is the log's records that name it plus one entry per writer whose
+    /// bit [`trimmed_writes`](Self::trimmed_writes) holds, so a notice
+    /// costs such a page nothing. At or below the GC horizon only a
+    /// processor's lowest entry is ever read, so [`gc_trim`](Self::gc_trim)
+    /// folds the rest into it.
     pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
+    /// The materialised pages. Every mapped page is one, so a notice need
+    /// invalidate no other.
+    materialised: PageBits,
+    /// Per writer, the pages named by its records that the trim dropped from
+    /// the notice log: what stands, for a page not materialised, for its
+    /// missing entries at or below the GC horizon (see
+    /// [`materialise`](Self::materialise)).
+    trimmed_writes: Vec<PageBits>,
     /// Diffs this node created, indexed per page (intervals in order). A
     /// [`Delta`] is encoded once, on its first read, and a [`Diff`] is
     /// immutable and shared, so serving an entry — to however many
@@ -195,6 +209,8 @@ impl ProtoState {
             vt: Vt::new(nprocs),
             notice_log: NoticeLog::new(nprocs),
             page_missing: IntMap::default(),
+            materialised: PageBits::default(),
+            trimmed_writes: vec![PageBits::default(); nprocs],
             diff_cache: IntMap::default(),
             trimmed: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
@@ -267,10 +283,66 @@ impl ProtoState {
         DiffRecord { page, proc, interval, rank, base: None, diff, vt }
     }
 
+    /// Gives each of `pages` not materialised yet its exact missing list —
+    /// the first read of a page's list does this, as does mapping the page
+    /// or naming it in an outgoing request. The list is one entry per
+    /// writer whose bit [`trimmed_writes`](Self::trimmed_writes) holds, at
+    /// the writer's GC-horizon component (every reader of an entry at or
+    /// below the horizon depends only on its writer, see
+    /// [`lower_below_missing`]), and one per record of the notice log that
+    /// names the page, this node's own excluded: what the eager list,
+    /// extended by every notice and folded by every trim, would hold. One
+    /// walk of the log serves every page of the call.
+    pub(crate) fn materialise(&mut self, pages: impl IntoIterator<Item = PageId>) {
+        let mut fresh: Vec<(PageId, Vec<(ProcId, Interval)>)> = Vec::new();
+        // Until another processor's record reaches this node, which its
+        // timestamp then covers, every page's missing set is empty.
+        let mut learned = None;
+        let (me, nprocs, vt) = (self.me, self.nprocs, &self.vt);
+        for page in pages {
+            if self.materialised.insert(page)
+                && *learned.get_or_insert_with(|| (0..nprocs).any(|p| p != me && vt.get(p) > 0))
+            {
+                fresh.push((page, Vec::new()));
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        fresh.sort_unstable_by_key(|&(page, _)| page);
+        self.fill(&mut fresh);
+        self.page_missing.extend(fresh.into_iter().filter(|(_, list)| !list.is_empty()));
+    }
+
+    /// Fills in the lists [`materialise`](Self::materialise) gives the
+    /// pages of `fresh` (ascending, distinct, lists empty).
+    fn fill(&self, fresh: &mut [(PageId, Vec<(ProcId, Interval)>)]) {
+        let trimmed = self.trimmed_writes.iter().enumerate().filter(|(_, bits)| !bits.0.is_empty());
+        for (proc, written) in trimmed {
+            for (page, list) in fresh.iter_mut() {
+                if written.contains(*page) {
+                    list.push((proc, self.gc_horizon.get(proc)));
+                }
+            }
+        }
+        let others = self.notice_log.records_after(&self.gc_horizon).filter(|r| r.proc != self.me);
+        for record in others {
+            for_each_common(&record.pages, fresh, |list| {
+                list.push((record.proc, record.interval));
+            });
+        }
+    }
+
+    /// Whether `page` is materialised.
+    pub(crate) fn is_materialised(&self, page: PageId) -> bool {
+        self.materialised.contains(page)
+    }
+
     /// The timestamp of this node's copy of `page`: its own, lowered below
     /// every notice of the page it has not applied — exactly what a base
     /// served from that copy contains (see [`DiffRecord::base`]).
-    pub(crate) fn page_vt(&self, page: PageId) -> Vt {
+    pub(crate) fn page_vt(&mut self, page: PageId) -> Vt {
+        self.materialise([page]);
         let mut vt = self.vt.clone();
         lower_below_missing(&mut vt, self.page_missing.get(&page).into_iter().flatten());
         vt
@@ -278,7 +350,8 @@ impl ProtoState {
 
     /// This node's *applied* timestamp: its vector timestamp, lowered to
     /// just below every write notice it has seen but whose diff it has not
-    /// applied to a page it holds a frame for.
+    /// applied to a page it holds a frame for. Every mapped page is
+    /// materialised, so the lists say it all.
     ///
     /// Missing entries of **unmapped** pages do not lower the result: this
     /// node has no copy such a diff could complete, and if it first-touches
@@ -287,6 +360,12 @@ impl ProtoState {
     /// — whose mapped frame, like every mapped frame, has applied everything
     /// at or below the horizon, so the base's timestamp covers the interval.
     pub(crate) fn applied_vt(&self, table: &PageTable) -> Vt {
+        debug_assert_eq!(
+            self.materialised.iter().filter(|&page| table.is_mapped(page)).count(),
+            table.pages_in_use(),
+            "P{}: a mapped page is not materialised",
+            self.me
+        );
         let mut vt = self.vt.clone();
         for (&page, missing) in &self.page_missing {
             if table.is_mapped(page) {
@@ -298,18 +377,24 @@ impl ProtoState {
 
     /// Drops own diff-cache entries at or below `horizon`'s component for
     /// this node (noting their pages in [`trimmed`](Self::trimmed)) and
-    /// notice-log records covered by `horizon`, and folds each page's
-    /// missing entries at or below it into one per processor. Returns
-    /// `(diff entries, notice records)` removed. Monotone and idempotent.
+    /// notice-log records covered by `horizon` (noting, for every other
+    /// writer's, its pages in [`trimmed_writes`](Self::trimmed_writes)), and
+    /// folds each materialised page's missing entries at or below it into
+    /// one per processor. Returns `(diff entries, notice records)` removed.
+    /// Monotone and idempotent.
     ///
     /// `in_flight` (ascending) are the pages this synchronization's own
-    /// merged fetch still waits for. Its request was built against the
-    /// horizon found here and may name entries between that one and the
-    /// merged one as deltas, each of which claims its own entry only: those
-    /// pages fold at the horizon found, and the next trim folds the rest.
+    /// merged fetch still waits for, all materialised when its request
+    /// left. The request was built against the horizon found here and may
+    /// name entries between that one and the merged one as deltas, each of
+    /// which claims its own entry only: those pages fold at the horizon
+    /// found, and the next trim folds the rest.
     pub(crate) fn gc_trim(&mut self, horizon: &Vt, in_flight: &[PageId]) -> (u64, u64) {
         let found = &self.gc_horizon;
         for (page, missing) in &mut self.page_missing {
+            if missing.len() < 2 {
+                continue;
+            }
             let fetching = in_flight.binary_search(page).is_ok();
             let fold_at = |proc| {
                 if fetching {
@@ -344,8 +429,75 @@ impl ProtoState {
             });
         }
         let covered = self.gc_horizon.clone();
-        let notices = self.notice_log.trim_covered(&covered) as u64;
+        let (me, trimmed_writes) = (self.me, &mut self.trimmed_writes);
+        let notices = self.notice_log.trim_covered(&covered, |record| {
+            if record.proc != me {
+                trimmed_writes[record.proc].insert_all(&record.pages);
+            }
+        }) as u64;
         (diffs, notices)
+    }
+}
+
+/// Calls `hit` on each entry of `fresh` whose page `pages` holds, both
+/// ascending: a binary search per entry, each narrowing the next.
+fn for_each_common(
+    pages: &[PageId],
+    fresh: &mut [(PageId, Vec<(ProcId, Interval)>)],
+    mut hit: impl FnMut(&mut Vec<(ProcId, Interval)>),
+) {
+    let mut rest = pages;
+    for (page, list) in fresh {
+        match rest.binary_search(page) {
+            Ok(at) => {
+                hit(list);
+                rest = &rest[at + 1..];
+            }
+            Err(at) => rest = &rest[at..],
+        }
+        if rest.is_empty() {
+            return;
+        }
+    }
+}
+
+/// A set of pages, one bit each (page ids are dense from 0).
+#[derive(Debug, Clone, Default)]
+struct PageBits(Vec<u64>);
+
+impl PageBits {
+    /// Adds `page`; returns whether it was new.
+    fn insert(&mut self, page: PageId) -> bool {
+        let (word, bit) = (page.0 / 64, 1u64 << (page.0 % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let new = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        new
+    }
+
+    /// Adds `pages`, ascending.
+    fn insert_all(&mut self, pages: &[PageId]) {
+        let Some(last) = pages.last() else { return };
+        if last.0 / 64 >= self.0.len() {
+            self.0.resize(last.0 / 64 + 1, 0);
+        }
+        for page in pages {
+            self.0[page.0 / 64] |= 1 << (page.0 % 64);
+        }
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        self.0.get(page.0 / 64).is_some_and(|word| word >> (page.0 % 64) & 1 == 1)
+    }
+
+    /// The pages held, ascending.
+    fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
+        let bits = self.0.iter().enumerate();
+        bits.flat_map(|(word, &bits)| {
+            (0..64).filter(move |bit| bits >> bit & 1 == 1).map(move |bit| PageId(64 * word + bit))
+        })
     }
 }
 
@@ -354,17 +506,21 @@ impl ProtoState {
 /// missing. Per processor only the lowest entry decides the result.
 ///
 /// Every reader of a page's entries at or below the GC horizon depends on
-/// that lowest entry alone: [`ProtoState::page_vt`] and
-/// [`ProtoState::applied_vt`], through this function; `sync_vt_locked`,
-/// which skips such entries; `wants_for_pages_locked`, which only asks whether any
-/// exists (one base answers them all); and `install_records`, where a base
-/// claims them all and a whole-page delta claims every entry of its creator
-/// at or below its interval. That is why [`ProtoState::gc_trim`] may fold
-/// them into one per processor — except an entry a request in flight names
-/// as a delta, which claims that entry only. A request names none at or
-/// below the horizon it was built against, so the trim folds the pages of
-/// its own synchronization's fetch at the horizon it found, not the one it
-/// merges (`a_merged_fetch_keeps_every_delta_the_trim_passes`).
+/// its writer alone, never on its interval: [`ProtoState::page_vt`] and
+/// [`ProtoState::applied_vt`] read them through this function only on
+/// mapped pages, which hold none; `sync_vt_locked` skips them;
+/// `wants_for_pages_locked` only asks whose exist (one base answers them
+/// all); and `install_records` claims them all with a base (which covers
+/// the horizon) or with a whole-page delta of their writer (above it).
+/// That is why [`ProtoState::gc_trim`] may fold them into one per
+/// processor, and why a page materialised after the trim stands for them
+/// with one entry per writer at the horizon
+/// ([`ProtoState::materialise`]) — except an entry a request in flight
+/// names as a delta, which claims that entry only. A request names none at
+/// or below the horizon it was built against, and every page it names is
+/// materialised as it leaves, so the trim folds the pages of its own
+/// synchronization's fetch at the horizon it found, not the one it merges
+/// (`a_merged_fetch_keeps_every_delta_the_trim_passes`).
 pub(crate) fn lower_below_missing<'a>(
     vt: &mut Vt,
     missing: impl IntoIterator<Item = &'a (ProcId, Interval)>,
@@ -433,6 +589,39 @@ impl Delta {
     /// Whether nobody has read the delta yet: it still holds its two pages.
     pub(crate) fn is_pending(&self) -> bool {
         matches!(*self.0.borrow(), Encoding::Pending { .. })
+    }
+}
+
+#[cfg(test)]
+impl ProtoState {
+    /// `page`'s missing list, materialised or not: the list it holds (none
+    /// when it misses nothing), or the one [`materialise`](Self::materialise)
+    /// would give it.
+    pub(crate) fn missing_of(&self, page: PageId) -> Vec<(ProcId, Interval)> {
+        if self.is_materialised(page) {
+            return self.page_missing.get(&page).cloned().unwrap_or_default();
+        }
+        let mut fresh = [(page, Vec::new())];
+        self.fill(&mut fresh);
+        let [(_, missing)] = fresh;
+        missing
+    }
+
+    /// The materialised pages, ascending.
+    pub(crate) fn materialised_pages(&self) -> Vec<PageId> {
+        self.materialised.iter().collect()
+    }
+
+    /// What a reader can tell of `missing` under this node's GC horizon:
+    /// the entries above it, and the writers of the entries at or below it
+    /// (see [`lower_below_missing`]).
+    pub(crate) fn effective(
+        &self,
+        missing: &[(ProcId, Interval)],
+    ) -> (std::collections::BTreeSet<(ProcId, Interval)>, std::collections::BTreeSet<ProcId>) {
+        let (below, above): (Vec<_>, Vec<_>) =
+            missing.iter().partition(|&&(proc, interval)| interval <= self.gc_horizon.get(proc));
+        (above.into_iter().collect(), below.into_iter().map(|(proc, _)| proc).collect())
     }
 }
 
