@@ -426,12 +426,14 @@ impl PageTable {
         }
     }
 
-    /// Installs remotely produced `data` starting at `addr`, mapping pages
-    /// read-write as needed and mirroring the bytes into each page's twin
-    /// (if one exists), exactly as [`apply_diff_batch`](Self::apply_diff_batch)
-    /// mirrors applied diffs. An install moves data, not local
-    /// modifications, so installed bytes must never show up in a later
-    /// twin-vs-page diff as the receiver's own writes.
+    /// Installs remotely produced `data` starting at `addr`, mirroring the
+    /// bytes into each page's twin (if one exists), exactly as
+    /// [`apply_diff_batch`](Self::apply_diff_batch) mirrors applied diffs.
+    /// An install moves data, not local modifications, so installed bytes
+    /// must never show up in a later twin-vs-page diff as the receiver's
+    /// own writes. A page not mapped yet is mapped zero-filled and
+    /// read-only, so the next local write to it faults and twins after the
+    /// install, like a write to any fetched page.
     pub fn install_bytes(&mut self, addr: Addr, data: &[u8]) {
         let mut cursor = addr;
         let mut written = 0;
@@ -439,7 +441,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page, Protection::ReadWrite);
+            let frame = self.frame_or_map(page, Protection::ReadOnly);
             let mut guard = frame.lock();
             guard.page.as_mut_slice()[offset..offset + chunk]
                 .copy_from_slice(&data[written..written + chunk]);
@@ -717,6 +719,8 @@ mod tests {
         table.read_bytes(addr, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
         assert_eq!(table.pages_in_use(), 2);
+        let mapped = [PageId(0), PageId(1)].map(|page| table.protection(page));
+        assert_eq!(mapped, [Protection::ReadOnly; 2], "a later write faults and twins");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Write notices and the per-processor notice log.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use std::sync::Arc;
 
 use pagedmem::PageId;
@@ -65,75 +65,138 @@ pub(crate) fn notices_determine(base: &Vt, records: &[NoticeRecord], sender: &Vt
     vt_through(base, records) == merged
 }
 
-/// Everything a processor knows about modifications in the system: for each
-/// processor, the [`NoticeRecord`] of each of its intervals.
+/// Everything a processor knows about modifications in the system: each
+/// processor's [`NoticeRecord`]s above the GC horizon, and the pages its
+/// trimmed records named.
 ///
-/// The log is consulted to answer "which records does a processor with
-/// vector timestamp `vt` still need?" — the question asked at every lock
-/// grant and barrier hop — and trimmed from the old end at every barrier.
-/// Records arrive almost always in interval order, so each processor's
-/// records are a sorted queue: append at the back, drain at the front, and
-/// the storage a trim frees is what the next barrier's records reuse.
+/// Records are kept in *segments* as they arrived — a barrier departure's
+/// batch whole, shared with every node it reached (one `Arc` bump however
+/// many records it carries), a flush's, an arrival's or a grant's records
+/// as small ones — behind a per-processor index ascending by interval, so
+/// every query answers in `(proc, interval)` order. Records arrive almost
+/// always in interval order, so an index is a queue: appended at the back,
+/// popped at the front by every barrier's trim. A segment goes once
+/// nothing indexes it.
 #[derive(Debug, Clone, Default)]
 pub struct NoticeLog {
-    /// `per_proc[p]`: processor `p`'s records, ascending by interval, one
-    /// per interval.
-    per_proc: Vec<VecDeque<NoticeRecord>>,
+    /// Segment `first + k` and how many index entries point into it;
+    /// `None` once none does.
+    segments: VecDeque<Option<(Segment, usize)>>,
+    first: u64,
+    /// `per_proc[p]`: where processor `p`'s records are, one per interval.
+    per_proc: Vec<VecDeque<Slot>>,
+    /// `trimmed[p]`: the pages processor `p`'s trimmed records named.
+    trimmed: Vec<PageBits>,
+}
+
+/// Records that arrived together: a flush's, an arrival's or a grant's
+/// (owned), or a departure's batch (shared).
+#[derive(Debug, Clone)]
+pub(crate) enum Segment {
+    One(NoticeRecord),
+    Owned(Vec<NoticeRecord>),
+    Shared(Arc<[NoticeRecord]>),
+}
+
+impl std::ops::Deref for Segment {
+    type Target = [NoticeRecord];
+
+    fn deref(&self) -> &[NoticeRecord] {
+        match self {
+            Segment::One(record) => std::slice::from_ref(record),
+            Segment::Owned(records) => records,
+            Segment::Shared(records) => records,
+        }
+    }
+}
+
+/// Where a record is: its interval, its segment and its place there.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    interval: Interval,
+    segment: u64,
+    offset: u32,
 }
 
 impl NoticeLog {
     /// An empty log for `nprocs` processors.
     pub fn new(nprocs: usize) -> NoticeLog {
-        NoticeLog { per_proc: vec![VecDeque::new(); nprocs] }
+        let (per_proc, trimmed) =
+            (vec![VecDeque::new(); nprocs], vec![PageBits::default(); nprocs]);
+        NoticeLog { segments: VecDeque::new(), first: 0, per_proc, trimmed }
     }
 
     /// Records `record`. A second record of the same `(proc, interval)` is
     /// ignored (the first recording wins); returns whether it was new.
     pub fn record(&mut self, record: NoticeRecord) -> bool {
-        let records = &mut self.per_proc[record.proc];
-        if records.back().is_none_or(|latest| latest.interval < record.interval) {
-            records.push_back(record);
-            return true;
-        }
-        // The rare out-of-order record (an interval learned along a lock
-        // chain after a later one of the same processor).
-        match records.binary_search_by_key(&record.interval, |r| r.interval) {
-            Ok(_) => false,
-            Err(at) => {
-                records.insert(at, record);
-                true
+        self.record_segment(Segment::One(record), |_| true) == 1
+    }
+
+    /// Adds `records` as one segment, indexing each that `take` accepts and
+    /// the log does not hold yet; returns how many it indexed.
+    pub(crate) fn record_segment(
+        &mut self,
+        records: Segment,
+        take: impl Fn(&NoticeRecord) -> bool,
+    ) -> usize {
+        let segment = self.first + self.segments.len() as u64;
+        let mut indexed = 0;
+        for (offset, record) in records.iter().enumerate().filter(|(_, r)| take(r)) {
+            let slot = Slot { interval: record.interval, segment, offset: offset as u32 };
+            let slots = &mut self.per_proc[record.proc];
+            // The rare out-of-order record (an interval learned along a lock
+            // chain after a later one of the same processor) is inserted.
+            let at = match slots.back() {
+                Some(latest) if latest.interval >= record.interval => {
+                    slots.binary_search_by_key(&record.interval, |s| s.interval)
+                }
+                _ => Err(slots.len()),
+            };
+            if let Err(at) = at {
+                slots.insert(at, slot);
+                indexed += 1;
             }
         }
+        if indexed > 0 {
+            self.segments.push_back(Some((records, indexed)));
+        }
+        indexed
+    }
+
+    /// The record `slot` points to.
+    fn at(&self, slot: &Slot) -> &NoticeRecord {
+        let segment = self.segments[(slot.segment - self.first) as usize].as_ref();
+        &segment.expect("an indexed segment is held").0[slot.offset as usize]
     }
 
     /// Whether the log already contains `(proc, interval)`.
     pub fn contains(&self, proc: ProcId, interval: Interval) -> bool {
-        self.per_proc[proc].binary_search_by_key(&interval, |r| r.interval).is_ok()
+        self.per_proc[proc].binary_search_by_key(&interval, |s| s.interval).is_ok()
+    }
+
+    /// Per processor, where its records above `vt[proc]` are.
+    fn slots_after<'a>(&'a self, vt: &'a Vt) -> impl Iterator<Item = vec_deque::Iter<'a, Slot>> {
+        let procs = self.per_proc.iter().enumerate();
+        // Most processors have nothing new for most timestamps, and one
+        // look at an index's newest entry says so.
+        let fresh =
+            procs.filter(|&(p, slots)| slots.back().is_some_and(|s| s.interval > vt.get(p)));
+        fresh.map(|(p, slots)| slots.range(slots.partition_point(|s| s.interval <= vt.get(p))..))
     }
 
     /// The records with `interval > vt[proc]` — exactly what a processor
     /// with timestamp `vt` has not yet seen — in ascending
     /// `(proc, interval)` order. Cloning one to send it is an `Arc` bump.
     pub fn records_after<'a>(&'a self, vt: &'a Vt) -> impl Iterator<Item = &'a NoticeRecord> + 'a {
-        self.per_proc
-            .iter()
-            .enumerate()
-            // Most processors have nothing new for most timestamps, and one
-            // look at a queue's newest record says so.
-            .filter(|&(proc, records)| {
-                records.back().is_some_and(|latest| latest.interval > vt.get(proc))
-            })
-            .flat_map(|(proc, records)| {
-                let first = records.partition_point(|r| r.interval <= vt.get(proc));
-                records.range(first..)
-            })
+        self.slots_after(vt).flatten().map(|slot| self.at(slot))
     }
 
     /// [`records_after`](Self::records_after), cloned into the list a
-    /// message carries: an `Arc` bump a record, one allocation.
+    /// message carries: an `Arc` bump a record, one allocation sized from
+    /// the index.
     pub fn clone_after(&self, vt: &Vt) -> Vec<NoticeRecord> {
-        let mut out = Vec::with_capacity(self.records_after(vt).count());
-        out.extend(self.records_after(vt).cloned());
+        let mut out = Vec::with_capacity(self.slots_after(vt).map(|slots| slots.len()).sum());
+        out.extend(self.slots_after(vt).flatten().map(|slot| self.at(slot).clone()));
         out
     }
 
@@ -142,25 +205,79 @@ impl NoticeLog {
         self.per_proc.iter().map(VecDeque::len).sum()
     }
 
+    /// The pages named by processor `proc`'s trimmed records.
+    pub(crate) fn trimmed_of(&self, proc: ProcId) -> &PageBits {
+        &self.trimmed[proc]
+    }
+
     /// Drops each processor's records covered by `horizon`'s component for
-    /// it, handing each to `dropped` as it goes (one visit a record). Returns
-    /// the number of records removed.
+    /// it, noting the pages they named, and the segments nothing indexes
+    /// any more; returns the number of records dropped.
     ///
     /// Safe once `horizon` is a garbage-collection horizon (every processor
     /// has incorporated the covered intervals into its mapped pages): any
     /// future [`records_after`](Self::records_after) query carries a
     /// timestamp covering the horizon, so trimmed records could never be
     /// reported again.
-    pub fn trim_covered(&mut self, horizon: &Vt, mut dropped: impl FnMut(&NoticeRecord)) -> usize {
+    pub fn trim_covered(&mut self, horizon: &Vt) -> usize {
+        let NoticeLog { segments, first, per_proc, trimmed } = self;
         let mut removed = 0;
-        for (proc, records) in self.per_proc.iter_mut().enumerate() {
-            let covered = records.partition_point(|r| r.interval <= horizon.get(proc));
-            if covered > 0 {
-                records.drain(..covered).for_each(|record| dropped(&record));
-                removed += covered;
+        for (proc, slots) in per_proc.iter_mut().enumerate() {
+            while let Some(slot) = slots.pop_front_if(|s| s.interval <= horizon.get(proc)) {
+                let held = &mut segments[(slot.segment - *first) as usize];
+                let (records, indexed) = held.as_mut().expect("an indexed segment is held");
+                trimmed[proc].insert_all(&records[slot.offset as usize].pages);
+                *indexed -= 1;
+                if *indexed == 0 {
+                    *held = None;
+                }
+                removed += 1;
             }
         }
+        while segments.pop_front_if(|held| held.is_none()).is_some() {
+            *first += 1;
+        }
         removed
+    }
+}
+
+/// A set of pages, one bit each (page ids are dense from 0).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageBits(Vec<u64>);
+
+impl PageBits {
+    /// Adds `page`; returns whether it was new.
+    pub(crate) fn insert(&mut self, page: PageId) -> bool {
+        let (word, bit) = (page.0 / 64, 1u64 << (page.0 % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let new = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        new
+    }
+
+    /// Adds `pages`, ascending.
+    fn insert_all(&mut self, pages: &[PageId]) {
+        let Some(last) = pages.last() else { return };
+        if last.0 / 64 >= self.0.len() {
+            self.0.resize(last.0 / 64 + 1, 0);
+        }
+        for page in pages {
+            self.0[page.0 / 64] |= 1 << (page.0 % 64);
+        }
+    }
+
+    pub(crate) fn contains(&self, page: PageId) -> bool {
+        self.0.get(page.0 / 64).is_some_and(|word| word >> (page.0 % 64) & 1 == 1)
+    }
+
+    /// The pages held, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
+        let bits = self.0.iter().enumerate();
+        bits.flat_map(|(word, &bits)| {
+            (0..64).filter(move |bit| bits >> bit & 1 == 1).map(move |bit| PageId(64 * word + bit))
+        })
     }
 }
 
@@ -204,20 +321,41 @@ mod tests {
     fn trim_covered_is_per_processor_and_idempotent() {
         let mut log = NoticeLog::new(2);
         log.record(rec(0, 1, &[1]));
-        log.record(rec(0, 3, &[1]));
+        log.record(rec(0, 3, &[4]));
         log.record(rec(1, 1, &[2]));
         log.record(rec(1, 4, &[2]));
         let mut horizon = Vt::new(2);
         horizon.advance(0, 3);
         // Processor 1's component stays at zero: its records survive.
-        let mut dropped = Vec::new();
-        assert_eq!(log.trim_covered(&horizon, |r| dropped.push((r.proc, r.interval))), 2);
-        assert_eq!(dropped, [(0, 1), (0, 3)], "each dropped record is handed over once");
+        assert_eq!(log.trim_covered(&horizon), 2);
+        let trimmed = |proc| log.trimmed_of(proc).iter().collect::<Vec<_>>();
+        assert_eq!(trimmed(0), [PageId(1), PageId(4)], "each dropped record's pages are noted");
+        assert!(trimmed(1).is_empty());
         assert!(!log.contains(0, 1));
         assert!(!log.contains(0, 3));
         assert!(log.contains(1, 1));
         assert!(log.contains(1, 4));
-        assert_eq!(log.trim_covered(&horizon, |_| {}), 0, "trimming is idempotent");
+        assert_eq!(log.segments.len(), 2, "the two dropped records' segments went");
+        assert_eq!(log.trim_covered(&horizon), 0, "trimming is idempotent");
+    }
+
+    /// A batch is held whole, once, however many of its records a log
+    /// takes; it goes when the last of them is trimmed.
+    #[test]
+    fn a_batch_is_one_segment_until_its_last_record_goes() {
+        let batch: Arc<[NoticeRecord]> = [rec(0, 1, &[1]), rec(0, 2, &[1]), rec(1, 1, &[2])].into();
+        let mut log = NoticeLog::new(2);
+        log.record_segment(Segment::Shared(Arc::clone(&batch)), |r| r.proc == 0);
+        assert_eq!(Arc::strong_count(&batch), 2, "one reference for the whole batch");
+        assert_eq!(keys(&log, &Vt::new(2)), [(0, 1), (0, 2)]);
+        let mut horizon = Vt::new(2);
+        horizon.advance(0, 1);
+        log.trim_covered(&horizon);
+        assert_eq!(Arc::strong_count(&batch), 2, "(0, 2) still points into it");
+        horizon.advance(0, 2);
+        log.trim_covered(&horizon);
+        assert_eq!(Arc::strong_count(&batch), 1, "nothing indexes it any more");
+        assert_eq!(log.interval_count(), 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! | `Create_twins` + `Write_enable` | [`Process::prepare_phase`]             | `sync`     |
 //! | `Write_protect`                 | `flush_interval`, run by every release | `interval` |
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -159,7 +159,7 @@ impl Process {
     /// Number of per-interval entries currently in this node's diff cache —
     /// the quantity the barrier garbage-collection horizon bounds.
     pub fn diff_cache_entries(&mut self) -> usize {
-        self.node.unleased().proto().diff_cache.values().map(BTreeMap::len).sum()
+        self.node.unleased().proto().diff_cache.entries()
     }
 
     /// Number of `(processor, interval)` records in this node's notice log.
@@ -331,7 +331,7 @@ impl fmt::Debug for Process {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
     use std::sync::Arc;
 
     use pagedmem::{PageId, Protection};
@@ -550,7 +550,7 @@ mod tests {
         let (mut ref_proto, mut ref_table) = learned();
         // The root's batch: everything above the previous global timestamp
         // (zero here), in its log's order, this node's own record included.
-        let batch: Vec<NoticeRecord> = vec![
+        let batch: Arc<[NoticeRecord]> = Arc::new([
             record(0, 1, &[9]),
             record(0, 2, &[1, 2]),
             record(1, 1, &[5]),
@@ -560,7 +560,7 @@ mod tests {
             record(3, 2, &[0, 1]),
             record(4, 2, &[6, 7]),
             record(4, 5, &[1, 7]),
-        ];
+        ]);
         let tally = apply_batch_locked(&mut proto, &mut table, &batch);
         // What a departure carried before the batch was shared: the records
         // above the receiver's timestamp, through the sorting walk.
@@ -581,5 +581,366 @@ mod tests {
         }
         assert!(proto.missing_of(PageId(3)).is_empty(), "the node's own record is skipped");
         assert!(proto.missing_of(PageId(5)).is_empty(), "a record the timestamp covers is skipped");
+    }
+}
+
+#[cfg(test)]
+mod history {
+    //! The segment notice log and the own-interval diff queue against the
+    //! stores they replaced.
+    //!
+    //! [`QueueLog`] is the notice log as it was — per processor, a sorted queue
+    //! of owned record clones, trimmed by draining its front — and [`MapCache`]
+    //! the own diff cache — per page, a map of intervals, trimmed by splitting
+    //! every map. One seeded sequence of flushes, departure batches (the node's
+    //! own and known records among the new), arrivals, lock grants (a withheld,
+    //! out-of-order record among them) and trims, with and without a merged
+    //! fetch's pages in flight, drives a [`ProtoState`] next to the two models.
+    //! After every step the node answers every query as the models do:
+    //! `records_after`, `clone_after` and `contains` for random timestamps, the
+    //! pages each writer's trimmed records named, `diffs_for_pages_after` for
+    //! random pages and requester timestamps, the diff a random page and
+    //! interval look up, and the pages with trimmed diffs.
+
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
+    use std::sync::Arc;
+
+    use pagedmem::{Diff, Page, PageId, PageTable, PAGE_SIZE};
+
+    use super::interval::{apply_batch_locked, apply_notices_locked};
+    use crate::notice::{vt_through, NoticeRecord};
+    use crate::state::{full_page_diff, CachedDiff, Delta, DiffEntry, ProtoState};
+    use crate::types::{Interval, ProcId, Vt};
+
+    const NPROCS: usize = 4;
+    const ME: ProcId = 2;
+    const PAGES: usize = 24;
+    const STEPS: u64 = 300;
+
+    /// SplitMix64 finalizer folded over `words` (the benchmark's `rng.rs`): no
+    /// generator state, every draw a pure function of its indices.
+    fn mix(words: &[u64]) -> u64 {
+        let mut h = 0x9e37_79b9_7f4a_7c15_u64;
+        for &word in words {
+            h = h.wrapping_add(word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+            h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            h ^= h >> 31;
+        }
+        h
+    }
+
+    /// Up to `most` distinct pages, ascending.
+    fn some_pages(draw: impl Fn(u64) -> u64, most: u64) -> Vec<PageId> {
+        let count = 1 + draw(0) % most;
+        let pages: BTreeSet<PageId> =
+            (0..count).map(|k| PageId((draw(1 + k) % PAGES as u64) as usize)).collect();
+        pages.into_iter().collect()
+    }
+
+    /// The notice log as per-processor queues of owned records.
+    struct QueueLog {
+        per_proc: Vec<VecDeque<NoticeRecord>>,
+        trimmed: Vec<BTreeSet<PageId>>,
+    }
+
+    impl QueueLog {
+        fn record(&mut self, record: NoticeRecord) -> bool {
+            let records = &mut self.per_proc[record.proc];
+            match records.binary_search_by_key(&record.interval, |r| r.interval) {
+                Ok(_) => false,
+                Err(at) => {
+                    records.insert(at, record);
+                    true
+                }
+            }
+        }
+
+        fn contains(&self, proc: ProcId, interval: Interval) -> bool {
+            self.per_proc[proc].iter().any(|r| r.interval == interval)
+        }
+
+        fn records_after(&self, vt: &Vt) -> Vec<&NoticeRecord> {
+            let all = self.per_proc.iter().flatten();
+            all.filter(|r| r.interval > vt.get(r.proc)).collect()
+        }
+
+        fn trim_covered(&mut self, horizon: &Vt) -> usize {
+            let mut removed = 0;
+            for (proc, records) in self.per_proc.iter_mut().enumerate() {
+                while let Some(record) = records.pop_front_if(|r| r.interval <= horizon.get(proc)) {
+                    self.trimmed[proc].extend(record.pages.iter());
+                    removed += 1;
+                }
+            }
+            removed
+        }
+    }
+
+    /// The own diff cache as per-page maps of intervals: what each entry
+    /// encodes to.
+    #[derive(Default)]
+    struct MapCache {
+        per_page: BTreeMap<PageId, BTreeMap<Interval, (u64, Diff)>>,
+        trimmed: BTreeSet<PageId>,
+    }
+
+    impl MapCache {
+        fn after(&self, pages: &[PageId], seen: Interval) -> (Vec<Entry>, Vec<PageId>) {
+            let (mut out, mut examined) = (Vec::new(), Vec::new());
+            for &page in pages {
+                let Some(intervals) = self.per_page.get(&page) else { continue };
+                examined.push(page);
+                for (&interval, (rank, diff)) in intervals.range(seen + 1..) {
+                    out.push((page, ME, interval, *rank, diff.clone()));
+                }
+            }
+            out.sort_by_key(|&(page, _, interval, _, _)| (page, interval));
+            (out, examined)
+        }
+
+        fn trim(&mut self, own: Interval) -> u64 {
+            let mut dropped = 0;
+            for (&page, intervals) in &mut self.per_page {
+                let keep = intervals.split_off(&(own + 1));
+                if !intervals.is_empty() {
+                    dropped += intervals.len() as u64;
+                    self.trimmed.insert(page);
+                }
+                *intervals = keep;
+            }
+            self.per_page.retain(|_, intervals| !intervals.is_empty());
+            dropped
+        }
+    }
+
+    /// What a reader can tell apart in a served diff record.
+    type Entry = (PageId, ProcId, Interval, u64, Diff);
+
+    /// One node and the two models, driven in step.
+    struct Stepper {
+        seed: u64,
+        proto: ProtoState,
+        table: PageTable,
+        log: QueueLog,
+        cache: MapCache,
+        /// Each writer's latest interval.
+        latest: [Interval; NPROCS],
+        /// Records skipped by the batches, delivered later by a grant.
+        withheld: Vec<NoticeRecord>,
+    }
+
+    impl Stepper {
+        fn new(seed: u64) -> Stepper {
+            Stepper {
+                seed,
+                proto: ProtoState::new(ME, NPROCS),
+                table: PageTable::new(),
+                log: QueueLog {
+                    per_proc: vec![VecDeque::new(); NPROCS],
+                    trimmed: vec![BTreeSet::new(); NPROCS],
+                },
+                cache: MapCache::default(),
+                latest: [0; NPROCS],
+                withheld: Vec::new(),
+            }
+        }
+
+        /// A new record of a writer other than this node; now and then it
+        /// skips an interval, whose record a later grant delivers.
+        fn fresh_record(&mut self, draw: impl Fn(u64) -> u64) -> NoticeRecord {
+            let proc = (ME + 1 + (draw(0) % (NPROCS as u64 - 1)) as usize) % NPROCS;
+            let pages: Arc<[PageId]> = some_pages(|k| draw(10 + k), 5).into();
+            if draw(1).is_multiple_of(4) {
+                self.latest[proc] += 1;
+                let interval = self.latest[proc];
+                self.withheld.push(NoticeRecord { proc, interval, pages: pages.clone() });
+            }
+            self.latest[proc] += 1;
+            NoticeRecord { proc, interval: self.latest[proc], pages }
+        }
+
+        /// Some records the node already holds, its own among them.
+        fn known(&self, draw: impl Fn(u64) -> u64) -> Vec<NoticeRecord> {
+            let held = self.proto.notice_log.records_after(&self.proto.gc_horizon);
+            held.enumerate()
+                .filter(|&(k, _)| draw(k as u64).is_multiple_of(3))
+                .map(|(_, r)| r.clone())
+                .collect()
+        }
+
+        /// The flush of an interval that wrote `pages`: a delta of each, but a
+        /// whole page for every fifth.
+        fn flush(&mut self, draw: impl Fn(u64) -> u64) {
+            let pages = some_pages(|k| draw(10 + k), 6);
+            let interval = self.proto.open_interval();
+            let rank = u64::from(interval) * 7;
+            let mut diffs = Vec::new();
+            for &page in &pages {
+                let (entry, diff) = if draw(100 + page.0 as u64).is_multiple_of(5) {
+                    (DiffEntry::FullPage, full_page_diff(&self.table, page))
+                } else {
+                    let mut written = Page::zeroed();
+                    let stamp = [page.0 as u8, interval as u8, 1, 1];
+                    written.as_mut_slice()[..4].copy_from_slice(&stamp);
+                    let diff = Diff::create(&[0u8; PAGE_SIZE], written.as_slice());
+                    (DiffEntry::Delta(Delta::new(Page::zeroed(), written)), diff)
+                };
+                diffs.push(CachedDiff { entry, rank, vt: None });
+                self.cache.per_page.entry(page).or_default().insert(interval, (rank, diff));
+            }
+            let pages_of_record: Arc<[PageId]> = pages.as_slice().into();
+            self.log.record(NoticeRecord { proc: ME, interval, pages: pages_of_record });
+            self.proto.close_interval(pages, diffs);
+            self.latest[ME] = interval;
+        }
+
+        /// A barrier departure's batch: records the node holds and new ones,
+        /// in `(proc, interval)` order.
+        fn departure(&mut self, draw: impl Fn(u64) -> u64) {
+            let mut batch = self.known(|k| draw(100 + k));
+            for k in 0..1 + draw(1) % 4 {
+                batch.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
+            }
+            batch.sort_by_key(|r| (r.proc, r.interval));
+            let batch: Arc<[NoticeRecord]> = batch.into();
+            let vt = self.proto.vt.clone();
+            for record in batch.iter().filter(|r| r.proc != ME && r.interval > vt.get(r.proc)) {
+                self.log.record(record.clone());
+            }
+            apply_batch_locked(&mut self.proto, &mut self.table, &batch);
+            self.proto.vt = vt_through(&vt, &batch);
+        }
+
+        /// An arrival's or a grant's records: known ones, repeats, new ones and,
+        /// for a grant, a withheld record older than one the node holds.
+        fn notices(&mut self, draw: impl Fn(u64) -> u64, grant: bool) {
+            let mut records = self.known(|k| draw(100 + k));
+            for k in 0..draw(1) % 3 {
+                records.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
+            }
+            if grant && !self.withheld.is_empty() {
+                let at = (draw(2) % self.withheld.len() as u64) as usize;
+                records.push(self.withheld.remove(at));
+            }
+            if let Some(repeat) = records.first().cloned() {
+                records.push(repeat);
+            }
+            for record in records.iter().filter(|r| r.proc != ME) {
+                self.log.record(record.clone());
+            }
+            apply_notices_locked(&mut self.proto, &mut self.table, records.clone());
+            self.proto.vt = vt_through(&self.proto.vt, &records);
+        }
+
+        /// A trim at a horizon that is monotone, within what the node knows,
+        /// and below every record still on its way.
+        fn trim(&mut self, draw: impl Fn(u64) -> u64) {
+            let mut horizon = self.proto.gc_horizon.clone();
+            for proc in 0..NPROCS {
+                let withheld = self.withheld.iter().filter(|r| r.proc == proc);
+                let cap = withheld.map(|r| r.interval - 1).min().unwrap_or(Interval::MAX);
+                let (low, high) = (horizon.get(proc), self.proto.vt.get(proc).min(cap));
+                if high > low {
+                    let up = draw(proc as u64) % u64::from(high - low + 1);
+                    horizon.advance(proc, low + up as Interval);
+                }
+            }
+            let in_flight = if draw(10).is_multiple_of(2) {
+                some_pages(|k| draw(20 + k), 4)
+            } else {
+                Vec::new()
+            };
+            let (diffs, notices) = self.proto.gc_trim(&horizon, &in_flight);
+            assert_eq!(diffs, self.cache.trim(horizon.get(ME)), "diffs trimmed");
+            assert_eq!(notices, self.log.trim_covered(&horizon) as u64, "records trimmed");
+        }
+
+        fn step(&mut self, step: u64) {
+            let seed = self.seed;
+            let draw = move |k: u64| mix(&[seed, step, k]);
+            match draw(0) % 10 {
+                0 | 1 => self.flush(|k| draw(1 + k)),
+                2..=4 => self.departure(|k| draw(1 + k)),
+                5 => self.notices(|k| draw(1 + k), false),
+                6 | 7 => self.notices(|k| draw(1 + k), true),
+                _ => self.trim(|k| draw(1 + k)),
+            }
+        }
+
+        /// Every query, against the models.
+        fn check(&self, step: u64) {
+            let at = format!("seed {}, step {step}", self.seed);
+            let draw = |k: u64| mix(&[self.seed, step, 0xc0de, k]);
+            let (proto, log) = (&self.proto.notice_log, &self.log);
+            for k in 0..4 {
+                let mut vt = Vt::new(NPROCS);
+                for proc in 0..NPROCS {
+                    let bound = u64::from(self.latest[proc]) + 2;
+                    vt.advance(proc, (draw(10 * k + proc as u64) % bound) as Interval);
+                }
+                let held: Vec<&NoticeRecord> = proto.records_after(&vt).collect();
+                assert_eq!(held, log.records_after(&vt), "{at}: records after {vt}");
+                let cloned: Vec<NoticeRecord> = held.into_iter().cloned().collect();
+                assert_eq!(proto.clone_after(&vt), cloned, "{at}: clone after {vt}");
+                let proc = (draw(50 + k) % NPROCS as u64) as usize;
+                let interval = (draw(60 + k) % (u64::from(self.latest[proc]) + 2)) as Interval;
+                assert_eq!(proto.contains(proc, interval), log.contains(proc, interval), "{at}");
+            }
+            assert_eq!(
+                proto.interval_count(),
+                log.per_proc.iter().map(VecDeque::len).sum::<usize>()
+            );
+            for (proc, trimmed) in log.trimmed.iter().enumerate() {
+                let bits: Vec<PageId> = proto.trimmed_of(proc).iter().collect();
+                assert_eq!(
+                    bits,
+                    trimmed.iter().copied().collect::<Vec<_>>(),
+                    "{at}: P{proc}'s bits"
+                );
+            }
+            for k in 0..4 {
+                let pages = some_pages(|j| draw(100 + 10 * k + j), 8);
+                let seen = (draw(200 + k) % (u64::from(self.latest[ME]) + 2)) as Interval;
+                let seen = seen.max(self.proto.gc_horizon.get(ME));
+                let mut examined = Vec::new();
+                let served =
+                    self.proto.diffs_for_pages_after(&pages, seen, &self.table, &mut examined);
+                let served: Vec<Entry> = served
+                    .into_iter()
+                    .map(|r| (r.page, r.proc, r.interval, r.rank, r.diff))
+                    .collect();
+                let expected = self.cache.after(&pages, seen);
+                assert_eq!((served, examined), expected, "{at}: {pages:?} above {seen}");
+            }
+            for k in 0..8 {
+                let page = PageId((draw(300 + k) % PAGES as u64) as usize);
+                let interval = (draw(400 + k) % (u64::from(self.latest[ME]) + 2)) as Interval;
+                let cached = self.proto.diff_cache.get(page, interval).map(|cached| cached.rank);
+                let model = self.cache.per_page.get(&page).and_then(|m| m.get(&interval));
+                assert_eq!(cached, model.map(|&(rank, _)| rank), "{at}: {page:?} of {interval}");
+            }
+            let mut trimmed: Vec<PageId> = self.proto.trimmed.iter().copied().collect();
+            trimmed.sort_unstable();
+            assert_eq!(trimmed, self.cache.trimmed.iter().copied().collect::<Vec<_>>(), "{at}");
+            assert_eq!(
+                self.proto.diff_cache.entries(),
+                self.cache.per_page.values().map(BTreeMap::len).sum::<usize>()
+            );
+        }
+    }
+
+    #[test]
+    fn the_segment_log_and_the_own_queue_answer_as_the_stores_they_replaced() {
+        let mut steps = [0u64; 10];
+        for seed in 0..24 {
+            let mut stepper = Stepper::new(seed);
+            for step in 0..STEPS {
+                steps[(mix(&[seed, step, 0]) % 10) as usize] += 1;
+                stepper.step(step);
+                stepper.check(step);
+            }
+        }
+        assert!(steps.iter().all(|&n| n > 0), "every kind of step ran: {steps:?}");
     }
 }

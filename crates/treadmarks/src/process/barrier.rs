@@ -120,12 +120,13 @@ impl Reduction<'_> {
         within(&self.words, &word_ranges(self.section, wanted))
     }
 
-    /// Adds the totals `me` reads into its copy of the section as raw bytes,
-    /// the way a push installs, under an already-held table lock: no twin,
-    /// diff or notice is made.
-    fn install_locked(&self, table: &mut PageTable, me: ProcId) {
-        for (word, total) in self.read_by(|q| q == me) {
+    /// Adds the totals this node reads into its copy of the section as raw
+    /// bytes, the way a push installs, under an already-held lock pair: no
+    /// twin, diff or notice is made.
+    fn install_locked(&self, proto: &ProtoState, table: &mut PageTable) {
+        for (word, total) in self.read_by(|q| q == proto.me) {
             let addr = self.section.start().offset(8 * word as usize);
+            proto.debug_assert_installable(addr.page());
             let mut bytes = [0u8; 8];
             table.read_bytes(addr, &mut bytes);
             let value = u64::from_le_bytes(bytes).wrapping_add(total);
@@ -682,7 +683,7 @@ impl Process {
             let trimmed = proto.gc_trim(&gc_horizon, &pending.pages);
             if let Some(reduction) = &reduction {
                 proto.materialise(reduction.section.pages());
-                reduction.install_locked(&mut table, me);
+                reduction.install_locked(&proto, &mut table);
             }
             let pages_in_use = table.pages_in_use();
             (tally, prep, departures, served, trimmed, pages_in_use)
@@ -934,6 +935,7 @@ mod tests {
         /// diff each, whole pages under `write_all` — and the barrier has
         /// told everybody.
         fn write(&mut self, writer: ProcId, interval: Interval, pages: &[usize], write_all: bool) {
+            let mut diffs = Vec::new();
             for &page in pages {
                 let mut current = Page::zeroed();
                 let stamp = [writer as u8, interval as u8, page as u8, 1];
@@ -943,11 +945,11 @@ mod tests {
                 } else {
                     DiffEntry::Delta(Delta::new(Page::zeroed(), current))
                 };
-                let cached = CachedDiff { entry, rank: u64::from(interval), vt: None };
-                let proto = &mut self.0[writer].0;
-                proto.diff_cache.entry(PageId(page)).or_default().insert(interval, cached);
-                proto.vt.advance(writer, interval);
+                diffs.push(CachedDiff { entry, rank: u64::from(interval), vt: None });
             }
+            let proto = &mut self.0[writer].0;
+            proto.diff_cache.push(interval, pages.iter().map(|&p| PageId(p)).collect(), diffs);
+            proto.vt.advance(writer, interval);
             for node in 0..self.0.len() {
                 self.learn(node, writer, interval, pages);
             }
@@ -1310,5 +1312,47 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// A departure's batch is held whole by every log it reaches: a barrier
+    /// costs each node one reference to the batch, not one per record.
+    /// Over the flat master every writer arrives at the root directly, so
+    /// after a barrier an interval's page list has the same holders at any
+    /// width — the writer's log and diff cache, the root's log (the root's
+    /// own interval: none), and the batch — where a copy in every log made
+    /// them one per node.
+    #[test]
+    fn a_record_has_as_many_holders_on_64_processors_as_on_8() {
+        let holders = |n: usize| {
+            let config = crate::DsmConfig::new(n)
+                .with_cost_model(sp2model::CostModel::free())
+                .with_barrier(crate::BarrierTopology::FlatMaster);
+            let run = crate::Dsm::run(config, |p| {
+                let words = pagedmem::PAGE_SIZE / 4;
+                let a = p.alloc_array::<u32>(n * words);
+                // Every page mapped everywhere: no record is trimmed.
+                let _: u32 = (0..n).map(|k| p.get(&a, k * words)).sum();
+                p.set(&a, p.proc_id() * words, 1);
+                p.barrier();
+                // Everybody has applied the first barrier's batch once the
+                // second, which carries no record, is through.
+                p.barrier();
+                if p.proc_id() != MASTER {
+                    return Vec::new();
+                }
+                let nothing = Vt::new(n);
+                let count = |writer: ProcId| {
+                    let proto = p.lanes[writer].shared.proto.lock();
+                    let own = proto.notice_log.records_after(&nothing).find(|r| r.proc == writer);
+                    Arc::strong_count(&own.expect("the writer's own record").pages)
+                };
+                (0..n).map(count).collect()
+            });
+            run.results.into_iter().next().expect("the root's counts")
+        };
+        let (narrow, wide) = (holders(8), holders(64));
+        assert_eq!(narrow, [3, 4, 4, 4, 4, 4, 4, 4], "the root's interval, then the others'");
+        assert_eq!(wide[0], narrow[0]);
+        assert!(wide[1..].iter().all(|&holders| holders == narrow[1]), "{wide:?}");
     }
 }

@@ -2,10 +2,12 @@
 //! write-protection) and learning of others' (write-notice application and
 //! the timestamp a merged fetch advertises).
 
+use std::sync::Arc;
+
 use pagedmem::{PageId, PageTable};
 
 use super::Process;
-use crate::notice::NoticeRecord;
+use crate::notice::{NoticeRecord, Segment};
 use crate::state::{lower_below_missing, CachedDiff, Delta, DiffEntry, ProtoState};
 use crate::types::Vt;
 
@@ -31,13 +33,13 @@ pub(super) struct NoticeTally {
 }
 
 /// Records incoming notice records under an already-held lock pair: moves
-/// each new one into the notice log, extends its pages' missing lists and
-/// invalidates their local copies. Records the log already holds, this
-/// processor's own and repeats are dropped: every copy of an interval's
-/// record is the one its flush built, so `(proc, interval)` names it. Costs
-/// are charged by the caller from the returned tally (one protection
-/// operation per contiguous run of invalidated pages, like the range
-/// `mprotect` of the original system).
+/// the new ones into the notice log as one segment, extends their pages'
+/// missing lists and invalidates their local copies. Records the log
+/// already holds, this processor's own and repeats are dropped: every copy
+/// of an interval's record is the one its flush built, so
+/// `(proc, interval)` names it. Costs are charged by the caller from the
+/// returned tally (one protection operation per contiguous run of
+/// invalidated pages, like the range `mprotect` of the original system).
 ///
 /// Records apply ascending by `(proc, interval)`, pages in record order:
 /// that order decides the missing lists and hence the later fetches, on
@@ -51,12 +53,12 @@ pub(super) fn apply_notices_locked(
     records.retain(|r| r.proc != me);
     records.sort_unstable_by_key(|r| (r.proc, r.interval));
     records.dedup_by_key(|r| (r.proc, r.interval));
+    records.retain(|r| !proto.notice_log.contains(r.proc, r.interval));
     let mut applied = Applied::default();
-    for record in records {
-        if !proto.notice_log.contains(record.proc, record.interval) {
-            applied.record(proto, table, record);
-        }
+    for record in &records {
+        applied.record(proto, table, record);
     }
+    proto.notice_log.record_segment(Segment::Owned(records), |_| true);
     applied.tally()
 }
 
@@ -67,19 +69,21 @@ pub(super) fn apply_notices_locked(
 /// `(proc, interval)` and without repeats, and every record this node's log
 /// holds lies at or below its timestamp; so the records taken are exactly
 /// the new ones, in [`apply_notices_locked`]'s order, with nothing sorted,
-/// deduplicated or looked up. Debug builds check both, and that the records
-/// taken determine the global timestamp the batch does.
+/// deduplicated or looked up. The log keeps the batch whole, indexing the
+/// records taken. Debug builds check both, and that the records taken
+/// determine the global timestamp the batch does.
 pub(super) fn apply_batch_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
-    batch: &[NoticeRecord],
+    batch: &Arc<[NoticeRecord]>,
 ) -> NoticeTally {
     debug_assert!(batch.is_sorted_by_key(|r| (r.proc, r.interval)), "a batch is one log's order");
     #[cfg(debug_assertions)]
     let mut through = proto.vt.clone();
-    let mut applied = Applied::default();
-    for record in batch {
-        if record.proc == proto.me || record.interval <= proto.vt.get(record.proc) {
+    let (me, mut applied) = (proto.me, Applied::default());
+    let unseen = |vt: &Vt, r: &NoticeRecord| r.proc != me && r.interval > vt.get(r.proc);
+    for record in batch.iter() {
+        if !unseen(&proto.vt, record) {
             continue;
         }
         debug_assert!(
@@ -91,7 +95,7 @@ pub(super) fn apply_batch_locked(
         );
         #[cfg(debug_assertions)]
         through.advance(record.proc, record.interval);
-        applied.record(proto, table, record.clone());
+        applied.record(proto, table, record);
     }
     #[cfg(debug_assertions)]
     assert!(
@@ -99,6 +103,8 @@ pub(super) fn apply_batch_locked(
         "P{}: the records a departure applies must determine the global timestamp",
         proto.me,
     );
+    let vt = &proto.vt;
+    proto.notice_log.record_segment(Segment::Shared(Arc::clone(batch)), |r| unseen(vt, r));
     applied.tally()
 }
 
@@ -110,13 +116,13 @@ struct Applied {
 }
 
 impl Applied {
-    /// Moves one record the log does not hold into it: the missing lists of
-    /// its materialised pages grow and their local copies are invalidated
-    /// (every mapped page is materialised). Any other page's missing set is
-    /// read off the log when the page is materialised (see
-    /// [`ProtoState::materialise`]), so the record costs it one bit test:
-    /// no entry, no list, nothing for the trim to fold.
-    fn record(&mut self, proto: &mut ProtoState, table: &mut PageTable, record: NoticeRecord) {
+    /// Applies one record the log does not hold, which its caller then
+    /// logs: the missing lists of its materialised pages grow and their
+    /// local copies are invalidated (every mapped page is materialised).
+    /// Any other page's missing set is read off the log when the page is
+    /// materialised (see [`ProtoState::materialise`]), so the record costs
+    /// it one bit test: no entry, no list, nothing for the trim to fold.
+    fn record(&mut self, proto: &mut ProtoState, table: &mut PageTable, record: &NoticeRecord) {
         let key = (record.proc, record.interval);
         for &page in record.pages.iter() {
             if !proto.is_materialised(page) {
@@ -128,7 +134,6 @@ impl Applied {
             }
         }
         self.recorded += record.pages.len() as u64;
-        proto.notice_log.record(record);
     }
 
     fn tally(mut self) -> NoticeTally {
@@ -173,7 +178,7 @@ impl Process {
         // rank alone and the wire format is byte-identical to a
         // detector-less build.
         let creating_vt = self.run.race.as_ref().map(|_| vt_after);
-        let mut flushed_pages = Vec::new();
+        let (mut flushed_pages, mut diffs) = (Vec::new(), Vec::new());
         // One protection operation per contiguous run of dirty pages: the
         // original system write-protects whole ranges with single mprotect
         // calls, so the flush is charged per run, not per page.
@@ -190,23 +195,14 @@ impl Process {
                 None => Some(DiffEntry::FullPage),
             };
             if let Some(entry) = entry {
-                proto
-                    .diff_cache
-                    .entry(page)
-                    .or_default()
-                    .insert(interval, CachedDiff { entry, rank, vt: creating_vt.clone() });
+                diffs.push(CachedDiff { entry, rank, vt: creating_vt.clone() });
                 flushed_pages.push(page);
             }
         }
         let pages_in_use = table.pages_in_use();
         drop(table);
         if !flushed_pages.is_empty() {
-            let pages = flushed_pages.into();
-            proto.notice_log.record(NoticeRecord { proc: me, interval, pages });
-            proto.vt.advance(me, interval);
-            // The interval the acquire snapshot described is closed; writes
-            // of the next interval are ordered after everything known now.
-            proto.acquire_race_vt = None;
+            proto.close_interval(flushed_pages, diffs);
         }
         drop(proto);
         self.stats.protection_ops(protect_ops);
@@ -274,7 +270,7 @@ mod tests {
 
     /// The delta of `page` for `interval` that `proto`'s cache holds.
     fn delta(proto: &ProtoState, page: PageId, interval: Interval) -> &Delta {
-        match &proto.diff_cache[&page][&interval].entry {
+        match &proto.diff_cache.get(page, interval).expect("a queued interval").entry {
             DiffEntry::Delta(delta) => delta,
             DiffEntry::FullPage => panic!("{page:?} was not written under WRITE_ALL"),
         }
@@ -349,7 +345,7 @@ mod tests {
             vt.advance(0, interval);
             let entry = DiffEntry::Delta(Delta::new(Page::zeroed(), written.clone()));
             let cached = CachedDiff { entry, rank: vt.sum(), vt: Some(vt) };
-            proto.diff_cache.entry(page).or_default().insert(interval, cached);
+            proto.diff_cache.push(interval, [page].into(), vec![cached]);
         }
         proto.vt.advance(0, 2);
         let table = PageTable::new();
@@ -418,7 +414,8 @@ mod tests {
             // trim drops it, as nobody maps either page.
             let flushed = |p: &Process, page: PageId, interval| {
                 let proto = p.lanes[0].shared.proto.lock();
-                matches!(proto.diff_cache[&page][&interval].entry, DiffEntry::FullPage)
+                let cached = proto.diff_cache.get(page, interval).expect("a queued interval");
+                matches!(cached.entry, DiffEntry::FullPage)
             };
             p.barrier();
             if p.proc_id() == 0 {
@@ -681,7 +678,7 @@ mod oracle {
                 missing.dedup_by(|next, kept| next.0 == kept.0 && next.1 <= fold_at(next.0));
             }
             self.horizon.merge(horizon);
-            self.log.trim_covered(&self.horizon, |_| {});
+            self.log.trim_covered(&self.horizon);
         }
 
         fn list(&self, page: PageId) -> &[(ProcId, Interval)] {
@@ -956,6 +953,7 @@ mod oracle {
                 batch.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
             }
             batch.sort_by_key(|r| (r.proc, r.interval));
+            let batch: std::sync::Arc<[NoticeRecord]> = batch.into();
             let vt = self.proto.vt.clone();
             let real = apply_batch_locked(&mut self.proto, &mut self.table, &batch);
             assert_eq!(tally(&real), self.eager.apply_batch(&vt, &batch), "batch tally");

@@ -81,6 +81,9 @@ impl Process {
         if let Some(log) = &self.run.race {
             detect_push_races_locked(&self.stats, log, &proto, &table, &received);
         }
+        for page in installed.iter().flat_map(AddrRange::pages) {
+            proto.debug_assert_installable(page);
+        }
         for (_, range, data) in received {
             // Mirrored into any twin: pushed bytes are installed data, not
             // local modifications, and must not surface in a later diff (or
@@ -88,5 +91,72 @@ impl Process {
             table.install_bytes(range.start(), &data);
         }
         warm_ranges_locked(&mut node, &table, &installed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pagedmem::PAGE_SIZE;
+    use sp2model::CostModel;
+
+    use crate::{Dsm, DsmConfig};
+
+    /// A reduction maps a page neither processor had: P0's later write of
+    /// another word of it faults and twins after the install, so its diff
+    /// reaches P1. Mapped writable, the page took the write without a
+    /// fault, twin or notice, and P1 read 0.
+    #[test]
+    fn a_write_after_a_reduction_reaches_the_other_copy() {
+        Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+            let section = a.range_of(0, 1);
+            p.reduce_add(section, &[1], &[vec![section], vec![section]]);
+            if p.proc_id() == 0 {
+                p.set(&a, 100, 7);
+            }
+            p.barrier();
+            assert_eq!([p.get(&a, 0), p.get(&a, 100)], [2, 7], "P{}", p.proc_id());
+        });
+    }
+
+    /// So does a push: P1 never mapped the page P0 pushes it a word of, and
+    /// its own later write of another word reaches P0 at the barrier.
+    #[test]
+    fn a_write_after_a_push_reaches_the_pusher() {
+        Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let a = p.alloc_array::<u32>(PAGE_SIZE / 4);
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 5);
+                p.push_exchange(&[(1, vec![a.range_of(0, 1)])], &[]);
+            } else {
+                p.push_exchange(&[], &[0]);
+                p.set(&a, 100, 9);
+            }
+            p.barrier();
+            assert_eq!([p.get(&a, 0), p.get(&a, 100)], [5, 9], "P{}", p.proc_id());
+        });
+    }
+
+    /// A push onto a page whose older history the receiver has not fetched
+    /// would land on a copy without it (P1 would read word 100 as 0, not
+    /// 5): debug builds refuse the install and name what it misses.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "misses P0's interval 1")]
+    fn a_push_onto_a_page_with_unfetched_history_panics_in_debug_builds() {
+        Dsm::run(DsmConfig::new(2).with_cost_model(CostModel::free()), |p| {
+            let a = p.alloc_array::<u32>(PAGE_SIZE / 4);
+            if p.proc_id() == 0 {
+                p.set(&a, 100, 5);
+            }
+            p.barrier();
+            if p.proc_id() == 0 {
+                p.set(&a, 0, 1);
+                p.push_exchange(&[(1, vec![a.range_of(0, 1)])], &[]);
+            } else {
+                p.push_exchange(&[], &[0]);
+                assert_eq!([p.get(&a, 0), p.get(&a, 100)], [1, 5]);
+            }
+        });
     }
 }

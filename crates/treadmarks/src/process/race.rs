@@ -110,10 +110,9 @@ pub(super) fn detect_races_locked(
             // undecidable window and is counted rather than silently
             // dropped.
             if !local_vt.covers(&proto.gc_horizon) {
-                let local_partner =
-                    proto.diff_cache.get(&record.page).is_some_and(|m| !m.is_empty())
-                        || proto.trimmed.contains(&record.page)
-                        || table.has_twin(record.page);
+                let local_partner = proto.diff_cache.contains_key(&record.page)
+                    || proto.trimmed.contains(&record.page)
+                    || table.has_twin(record.page);
                 if local_partner {
                     stats.races_window_trimmed(1);
                 }
@@ -147,7 +146,7 @@ pub(super) fn detect_races_locked(
         // interval arrived there. The symmetric comparison already ran.
         //
         // (b) Against this node's own cached interval diffs.
-        for (&interval, cached) in proto.diff_cache.get(&record.page).into_iter().flatten() {
+        for (interval, cached) in proto.diff_cache.after(record.page, 0).into_iter().flatten() {
             let Some(vm) = &cached.vt else { continue };
             if vm.concurrent(vq) {
                 let own = match &cached.entry {

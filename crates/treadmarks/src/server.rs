@@ -194,13 +194,9 @@ fn handle_diff_request(
             // node learns a horizon covering it only at a barrier the
             // requester has entered, which it cannot do before consuming
             // this response: the interval is still cached.
-            let cached = proto
-                .diff_cache
-                .get(&page)
-                .and_then(|by_interval| by_interval.get(&interval))
-                .unwrap_or_else(|| {
-                    panic!("P{} holds no diff of {page:?} for its interval {interval}", proto.me)
-                });
+            let cached = proto.diff_cache.get(page, interval).unwrap_or_else(|| {
+                panic!("P{} holds no diff of {page:?} for its interval {interval}", proto.me)
+            });
             diffs.push(proto.record_of(page, interval, cached, &table));
         }
     }

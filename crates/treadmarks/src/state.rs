@@ -8,7 +8,8 @@
 //! operation, which is what keeps the system deadlock-free.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use dsm_core::hash::{IntMap, IntSet};
 use dsm_core::sync::Mutex;
@@ -16,7 +17,7 @@ use pagedmem::{Diff, Page, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::message::DiffRecord;
-use crate::notice::NoticeLog;
+use crate::notice::{NoticeLog, NoticeRecord, PageBits};
 use crate::run::RunShared;
 use crate::types::{Interval, LockId, ProcId, Vt};
 
@@ -90,6 +91,84 @@ pub(crate) struct CachedDiff {
     pub vt: Option<Vt>,
 }
 
+/// This node's own diffs: a queue of its flushed intervals, oldest first,
+/// each with its flush's page list (its [`NoticeRecord`]'s), popped from
+/// the front by the trim, and per page its [`CachedDiff`]s in interval
+/// order. The per-page lists let answering a synchronization point's
+/// requests probe each requested page once, so the merge scan is charged
+/// only for pages this node modified (see
+/// [`ProtoState::diffs_for_pages_after`]). A [`Delta`] is encoded once and
+/// a [`Diff`] is shared, so every requester gets that one encoding.
+#[derive(Debug, Default)]
+pub(crate) struct DiffCache {
+    queue: VecDeque<(Interval, Arc<[PageId]>)>,
+    /// Never holds an empty list.
+    by_page: IntMap<PageId, VecDeque<(Interval, CachedDiff)>>,
+}
+
+impl DiffCache {
+    /// Queues `interval`, later than every queued one, with `diffs[k]` its
+    /// diff of `pages[k]`.
+    pub(crate) fn push(
+        &mut self,
+        interval: Interval,
+        pages: Arc<[PageId]>,
+        diffs: Vec<CachedDiff>,
+    ) {
+        debug_assert!(self.queue.back().is_none_or(|&(last, _)| last < interval));
+        for (&page, diff) in pages.iter().zip(diffs) {
+            self.by_page.entry(page).or_default().push_back((interval, diff));
+        }
+        self.queue.push_back((interval, pages));
+    }
+
+    /// The diff of `page` that `interval` cached, if it is queued.
+    pub(crate) fn get(&self, page: PageId, interval: Interval) -> Option<&CachedDiff> {
+        let diffs = self.by_page.get(&page)?;
+        diffs.binary_search_by_key(&interval, |&(i, _)| i).ok().map(|at| &diffs[at].1)
+    }
+
+    /// `page`'s cached diffs of the intervals above `seen`, ascending, or
+    /// `None` when no queued interval cached a diff of it.
+    pub(crate) fn after(
+        &self,
+        page: PageId,
+        seen: Interval,
+    ) -> Option<impl Iterator<Item = (Interval, &CachedDiff)> + '_> {
+        let diffs = self.by_page.get(&page)?;
+        let first = diffs.partition_point(|&(interval, _)| interval <= seen);
+        Some(diffs.range(first..).map(|(interval, diff)| (*interval, diff)))
+    }
+
+    /// Whether some queued interval cached a diff of `page`.
+    pub(crate) fn contains_key(&self, page: &PageId) -> bool {
+        self.by_page.contains_key(page)
+    }
+
+    /// The number of `(page, interval)` diffs queued.
+    pub(crate) fn entries(&self) -> usize {
+        self.by_page.values().map(VecDeque::len).sum()
+    }
+
+    /// Pops the intervals at or below `own`, noting their pages in
+    /// `trimmed`; returns the number of diffs dropped.
+    fn trim(&mut self, own: Interval, trimmed: &mut IntSet<PageId>) -> u64 {
+        let mut dropped = 0;
+        while let Some((_, pages)) = self.queue.pop_front_if(|&mut (interval, _)| interval <= own) {
+            for &page in pages.iter() {
+                let diffs = self.by_page.get_mut(&page).expect("a queued page has diffs");
+                diffs.pop_front();
+                if diffs.is_empty() {
+                    self.by_page.remove(&page);
+                }
+                trimmed.insert(page);
+            }
+            dropped += pages.len() as u64;
+        }
+        dropped
+    }
+}
+
 /// A lock-acquire request as its handlers pass it along — and as the
 /// current holder queues it until it releases.
 #[derive(Debug, Clone)]
@@ -139,44 +218,32 @@ pub(crate) struct ProtoState {
     /// the open interval is derived from it ([`open_interval`](Self::open_interval)).
     pub vt: Vt,
     /// Everything this node knows about modifications in the system, down to
-    /// the GC horizon: a sorted queue of records per processor, appended to
-    /// by every flush and notice batch and drained from the front by every
-    /// barrier's trim.
+    /// the GC horizon: segments of records as they arrived (a departure's
+    /// batch whole) behind a per-processor index, appended to by every
+    /// flush and notice batch and popped from the front by every barrier's
+    /// trim, which notes the pages each dropped record named.
     pub notice_log: NoticeLog,
     /// Per page, the write notices whose diffs have not yet been applied
     /// locally — kept exactly only for a *materialised* page, one this node
     /// maps or whose list something read or requested
     /// ([`materialise`](Self::materialise)): a list exists only for such a
     /// page, and only while it misses something. Any other page's missing
-    /// set is the log's records that name it plus one entry per writer whose
-    /// bit [`trimmed_writes`](Self::trimmed_writes) holds, so a notice
-    /// costs such a page nothing. At or below the GC horizon only a
-    /// processor's lowest entry is ever read, so [`gc_trim`](Self::gc_trim)
-    /// folds the rest into it.
+    /// set is the log's records that name it plus one entry per other
+    /// writer whose trimmed records named it ([`NoticeLog::trimmed_of`]),
+    /// so a notice costs such a page nothing. At or below the GC horizon
+    /// only a processor's lowest entry is ever read, so
+    /// [`gc_trim`](Self::gc_trim) folds the rest into it.
     pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
     /// The materialised pages. Every mapped page is one, so a notice need
     /// invalidate no other.
     materialised: PageBits,
-    /// Per writer, the pages named by its records that the trim dropped from
-    /// the notice log: what stands, for a page not materialised, for its
-    /// missing entries at or below the GC horizon (see
-    /// [`materialise`](Self::materialise)).
-    trimmed_writes: Vec<PageBits>,
-    /// Diffs this node created, indexed per page (intervals in order). A
-    /// [`Delta`] is encoded once, on its first read, and a [`Diff`] is
-    /// immutable and shared, so serving an entry — to however many
-    /// requesters — hands out references to that one encoding.
-    ///
-    /// The per-page index is what makes batched serving cheap: answering a
-    /// synchronization point's piggybacked requests probes each requested
-    /// page once instead of examining every cached interval per page, so
-    /// the merge-scan cost is charged only for pages this node actually
-    /// modified (see `diffs_for_pages_after`).
-    pub diff_cache: IntMap<PageId, BTreeMap<Interval, CachedDiff>>,
-    /// The pages some of whose own diffs the GC horizon has dropped: local
-    /// write evidence for the race detector, nothing more. A trimmed
-    /// interval is served only inside a base, a copy of the current page
-    /// (see [`DiffRecord::base`]).
+    /// This node's own diffs, a queue of its flushed intervals behind a
+    /// per-page index, popped from the front by every barrier's trim.
+    pub diff_cache: DiffCache,
+    /// The pages some of whose own diffs the GC horizon has dropped, filled
+    /// from the intervals the trim pops: local write evidence for the race
+    /// detector, nothing more. A trimmed interval is served only inside a
+    /// base, a copy of the current page (see [`DiffRecord::base`]).
     pub trimmed: IntSet<PageId>,
     /// The global vector timestamp distributed at the last barrier departure.
     pub last_global_vt: Vt,
@@ -210,8 +277,7 @@ impl ProtoState {
             notice_log: NoticeLog::new(nprocs),
             page_missing: IntMap::default(),
             materialised: PageBits::default(),
-            trimmed_writes: vec![PageBits::default(); nprocs],
-            diff_cache: IntMap::default(),
+            diff_cache: DiffCache::default(),
             trimmed: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
@@ -255,10 +321,10 @@ impl ProtoState {
             // requester's own applied timestamp participated in the
             // minimum), so `seen` always covers a page's trimmed range —
             // bases travel only on the explicit `DiffRequest` path.
-            let Some(intervals) = self.diff_cache.get(&page) else { continue };
+            let Some(cached) = self.diff_cache.after(page, seen) else { continue };
             debug_assert!(!self.trimmed.contains(&page) || self.gc_horizon.get(self.me) <= seen);
             examined.push(page);
-            for (&interval, cached) in intervals.range(seen + 1..) {
+            for (interval, cached) in cached {
                 out.push(self.record_of(page, interval, cached, table));
             }
         }
@@ -285,14 +351,14 @@ impl ProtoState {
 
     /// Gives each of `pages` not materialised yet its exact missing list —
     /// the first read of a page's list does this, as does mapping the page
-    /// or naming it in an outgoing request. The list is one entry per
-    /// writer whose bit [`trimmed_writes`](Self::trimmed_writes) holds, at
-    /// the writer's GC-horizon component (every reader of an entry at or
-    /// below the horizon depends only on its writer, see
-    /// [`lower_below_missing`]), and one per record of the notice log that
-    /// names the page, this node's own excluded: what the eager list,
-    /// extended by every notice and folded by every trim, would hold. One
-    /// walk of the log serves every page of the call.
+    /// or naming it in an outgoing request. The list is one entry per other
+    /// writer whose trimmed records named the page
+    /// ([`NoticeLog::trimmed_of`]), at the writer's GC-horizon component
+    /// (every reader of an entry at or below the horizon depends only on
+    /// its writer, see [`lower_below_missing`]), and one per record of the
+    /// notice log that names the page, this node's own excluded: what the
+    /// eager list, extended by every notice and folded by every trim, would
+    /// hold. One walk of the log serves every page of the call.
     pub(crate) fn materialise(&mut self, pages: impl IntoIterator<Item = PageId>) {
         let mut fresh: Vec<(PageId, Vec<(ProcId, Interval)>)> = Vec::new();
         // Until another processor's record reaches this node, which its
@@ -317,8 +383,8 @@ impl ProtoState {
     /// Fills in the lists [`materialise`](Self::materialise) gives the
     /// pages of `fresh` (ascending, distinct, lists empty).
     fn fill(&self, fresh: &mut [(PageId, Vec<(ProcId, Interval)>)]) {
-        let trimmed = self.trimmed_writes.iter().enumerate().filter(|(_, bits)| !bits.0.is_empty());
-        for (proc, written) in trimmed {
+        let writers = (0..self.nprocs).filter(|&proc| proc != self.me);
+        for (proc, written) in writers.map(|proc| (proc, self.notice_log.trimmed_of(proc))) {
             for (page, list) in fresh.iter_mut() {
                 if written.contains(*page) {
                     list.push((proc, self.gc_horizon.get(proc)));
@@ -375,12 +441,10 @@ impl ProtoState {
         vt
     }
 
-    /// Drops own diff-cache entries at or below `horizon`'s component for
-    /// this node (noting their pages in [`trimmed`](Self::trimmed)) and
-    /// notice-log records covered by `horizon` (noting, for every other
-    /// writer's, its pages in [`trimmed_writes`](Self::trimmed_writes)), and
-    /// folds each materialised page's missing entries at or below it into
-    /// one per processor. Returns `(diff entries, notice records)` removed.
+    /// Pops own diff-cache intervals at or below `horizon`'s component for
+    /// this node and notice-log records covered by `horizon`, and folds each
+    /// materialised page's missing entries at or below it into one per
+    /// processor. Returns `(diff entries, notice records)` removed.
     /// Monotone and idempotent.
     ///
     /// `in_flight` (ascending) are the pages this synchronization's own
@@ -409,33 +473,33 @@ impl ProtoState {
             missing.dedup_by(|next, kept| next.0 == kept.0 && next.1 <= fold_at(next.0));
         }
         self.gc_horizon.merge(horizon);
-        let own = self.gc_horizon.get(self.me);
-        let mut diffs = 0u64;
-        if own > 0 {
-            let trimmed = &mut self.trimmed;
-            self.diff_cache.retain(|&page, intervals| {
-                // Most pages keep every interval: skip them without
-                // building a map.
-                if intervals.first_key_value().is_some_and(|(&first, _)| first > own) {
-                    return true;
-                }
-                let keep = intervals.split_off(&(own + 1));
-                if !intervals.is_empty() {
-                    diffs += intervals.len() as u64;
-                    trimmed.insert(page);
-                }
-                *intervals = keep;
-                !intervals.is_empty()
-            });
-        }
-        let covered = self.gc_horizon.clone();
-        let (me, trimmed_writes) = (self.me, &mut self.trimmed_writes);
-        let notices = self.notice_log.trim_covered(&covered, |record| {
-            if record.proc != me {
-                trimmed_writes[record.proc].insert_all(&record.pages);
-            }
-        }) as u64;
+        let diffs = self.diff_cache.trim(self.gc_horizon.get(self.me), &mut self.trimmed);
+        let notices = self.notice_log.trim_covered(&self.gc_horizon) as u64;
         (diffs, notices)
+    }
+
+    /// Ends the open interval with a diff of each of `pages` (ascending):
+    /// queues them, records the interval's write notice (sharing the page
+    /// list) and advances this node's own timestamp component.
+    pub(crate) fn close_interval(&mut self, pages: Vec<PageId>, diffs: Vec<CachedDiff>) {
+        let (proc, interval) = (self.me, self.open_interval());
+        let pages: Arc<[PageId]> = pages.into();
+        self.diff_cache.push(interval, Arc::clone(&pages), diffs);
+        self.notice_log.record(NoticeRecord { proc, interval, pages });
+        self.vt.advance(proc, interval);
+        // The interval the acquire snapshot described is closed; writes
+        // of the next interval are ordered after everything known now.
+        self.acquire_race_vt = None;
+    }
+
+    /// Debug builds panic if an install of raw bytes (a push's or a
+    /// reduction's) lands on the materialised `page` while it misses a
+    /// write, which nothing would fetch beneath the bytes.
+    pub(crate) fn debug_assert_installable(&self, page: PageId) {
+        let missed = cfg!(debug_assertions).then(|| self.page_missing.get(&page)?.first());
+        if let Some(&(writer, interval)) = missed.flatten() {
+            panic!("P{}: an install onto {page:?} misses P{writer}'s interval {interval}", self.me);
+        }
     }
 }
 
@@ -458,46 +522,6 @@ fn for_each_common(
         if rest.is_empty() {
             return;
         }
-    }
-}
-
-/// A set of pages, one bit each (page ids are dense from 0).
-#[derive(Debug, Clone, Default)]
-struct PageBits(Vec<u64>);
-
-impl PageBits {
-    /// Adds `page`; returns whether it was new.
-    fn insert(&mut self, page: PageId) -> bool {
-        let (word, bit) = (page.0 / 64, 1u64 << (page.0 % 64));
-        if word >= self.0.len() {
-            self.0.resize(word + 1, 0);
-        }
-        let new = self.0[word] & bit == 0;
-        self.0[word] |= bit;
-        new
-    }
-
-    /// Adds `pages`, ascending.
-    fn insert_all(&mut self, pages: &[PageId]) {
-        let Some(last) = pages.last() else { return };
-        if last.0 / 64 >= self.0.len() {
-            self.0.resize(last.0 / 64 + 1, 0);
-        }
-        for page in pages {
-            self.0[page.0 / 64] |= 1 << (page.0 % 64);
-        }
-    }
-
-    fn contains(&self, page: PageId) -> bool {
-        self.0.get(page.0 / 64).is_some_and(|word| word >> (page.0 % 64) & 1 == 1)
-    }
-
-    /// The pages held, ascending.
-    fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
-        let bits = self.0.iter().enumerate();
-        bits.flat_map(|(word, &bits)| {
-            (0..64).filter(move |bit| bits >> bit & 1 == 1).map(move |bit| PageId(64 * word + bit))
-        })
     }
 }
 
@@ -553,7 +577,7 @@ pub(crate) struct NodeShared {
     pub cost: CostModel,
     /// The run-wide host state: race log, wait board, watchdog deadline
     /// and SPMD once-cells.
-    pub run: std::sync::Arc<RunShared>,
+    pub run: Arc<RunShared>,
 }
 
 impl NodeShared {
@@ -562,7 +586,7 @@ impl NodeShared {
         nprocs: usize,
         cost: CostModel,
         stats: SharedStats,
-        run: std::sync::Arc<RunShared>,
+        run: Arc<RunShared>,
     ) -> NodeShared {
         NodeShared {
             table: Mutex::new(PageTable::new()),
@@ -655,7 +679,7 @@ mod tests {
         for interval in [1, 2] {
             let entry = DiffEntry::Delta(Delta::new(Page::zeroed(), cur.clone()));
             let cached = CachedDiff { entry, rank: u64::from(interval), vt: None };
-            proto.diff_cache.entry(PageId(3)).or_default().insert(interval, cached);
+            proto.diff_cache.push(interval, [PageId(3)].into(), vec![cached]);
         }
 
         let after =
@@ -674,11 +698,8 @@ mod tests {
         let mut proto = ProtoState::new(1, 2);
         let mut table = PageTable::new();
         table.install_bytes(PageId(7).base(), &[9, 9, 9, 9]);
-        proto
-            .diff_cache
-            .entry(PageId(7))
-            .or_default()
-            .insert(1, CachedDiff { entry: DiffEntry::FullPage, rank: 1, vt: None });
+        let cached = CachedDiff { entry: DiffEntry::FullPage, rank: 1, vt: None };
+        proto.diff_cache.push(1, [PageId(7)].into(), vec![cached]);
         let records = proto.diffs_for_pages_after(&[PageId(7)], 0, &table, &mut vec![]);
         assert_eq!(records.len(), 1);
         let mut page = vec![0u8; PAGE_SIZE];

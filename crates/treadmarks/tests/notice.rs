@@ -76,7 +76,7 @@ fn the_sorted_queue_behaves_like_a_map_of_intervals() {
                         removed += intervals.len();
                         *intervals = keep;
                     }
-                    assert_eq!(log.trim_covered(&horizon, |_| {}), removed);
+                    assert_eq!(log.trim_covered(&horizon), removed);
                 }
             }
             assert_eq!(log.interval_count(), model.iter().map(BTreeMap::len).sum::<usize>());
