@@ -920,8 +920,8 @@ mod history {
                 let model = self.cache.per_page.get(&page).and_then(|m| m.get(&interval));
                 assert_eq!(cached, model.map(|&(rank, _)| rank), "{at}: {page:?} of {interval}");
             }
-            let mut trimmed: Vec<PageId> = self.proto.trimmed.iter().copied().collect();
-            trimmed.sort_unstable();
+            let trimmed: Vec<PageId> =
+                (0..PAGES).map(PageId).filter(|&p| self.proto.trimmed(p)).collect();
             assert_eq!(trimmed, self.cache.trimmed.iter().copied().collect::<Vec<_>>(), "{at}");
             assert_eq!(
                 self.proto.diff_cache.entries(),

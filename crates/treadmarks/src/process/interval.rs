@@ -178,7 +178,8 @@ impl Process {
         // rank alone and the wire format is byte-identical to a
         // detector-less build.
         let creating_vt = self.run.race.as_ref().map(|_| vt_after);
-        let (mut flushed_pages, mut diffs) = (Vec::new(), Vec::new());
+        let mut flushed_pages = Vec::with_capacity(dirty.len());
+        let mut diffs = Vec::with_capacity(dirty.len());
         // One protection operation per contiguous run of dirty pages: the
         // original system write-protects whole ranges with single mprotect
         // calls, so the flush is charged per run, not per page.
@@ -345,7 +346,8 @@ mod tests {
             vt.advance(0, interval);
             let entry = DiffEntry::Delta(Delta::new(Page::zeroed(), written.clone()));
             let cached = CachedDiff { entry, rank: vt.sum(), vt: Some(vt) };
-            proto.diff_cache.push(interval, [page].into(), vec![cached]);
+            assert_eq!(proto.open_interval(), interval);
+            proto.close_interval(vec![page], vec![cached]);
         }
         proto.vt.advance(0, 2);
         let table = PageTable::new();
@@ -382,7 +384,7 @@ mod tests {
         horizon.advance(0, 1);
         assert_eq!(proto.gc_trim(&horizon, &[]).0, 1);
         assert!(!proto.diff_cache.contains_key(&unread), "trimmed without being encoded");
-        assert!(proto.trimmed.contains(&unread) && !proto.trimmed.contains(&served));
+        assert!(proto.trimmed(unread) && !proto.trimmed(served));
     }
 
     /// Whether a flushed page ships a delta or the whole page is read off

@@ -111,7 +111,7 @@ pub(super) fn detect_races_locked(
             // dropped.
             if !local_vt.covers(&proto.gc_horizon) {
                 let local_partner = proto.diff_cache.contains_key(&record.page)
-                    || proto.trimmed.contains(&record.page)
+                    || proto.trimmed(record.page)
                     || table.has_twin(record.page);
                 if local_partner {
                     stats.races_window_trimmed(1);

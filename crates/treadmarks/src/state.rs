@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dsm_core::hash::{IntMap, IntSet};
+use dsm_core::hash::IntMap;
 use dsm_core::sync::Mutex;
 use pagedmem::{Diff, Page, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
@@ -102,7 +102,8 @@ pub(crate) struct CachedDiff {
 #[derive(Debug, Default)]
 pub(crate) struct DiffCache {
     queue: VecDeque<(Interval, Arc<[PageId]>)>,
-    /// Never holds an empty list.
+    /// A page's list stays when the trim empties it: the next flush of
+    /// the page reuses it.
     by_page: IntMap<PageId, VecDeque<(Interval, CachedDiff)>>,
 }
 
@@ -135,14 +136,14 @@ impl DiffCache {
         page: PageId,
         seen: Interval,
     ) -> Option<impl Iterator<Item = (Interval, &CachedDiff)> + '_> {
-        let diffs = self.by_page.get(&page)?;
+        let diffs = self.by_page.get(&page).filter(|diffs| !diffs.is_empty())?;
         let first = diffs.partition_point(|&(interval, _)| interval <= seen);
         Some(diffs.range(first..).map(|(interval, diff)| (*interval, diff)))
     }
 
     /// Whether some queued interval cached a diff of `page`.
     pub(crate) fn contains_key(&self, page: &PageId) -> bool {
-        self.by_page.contains_key(page)
+        self.by_page.get(page).is_some_and(|diffs| !diffs.is_empty())
     }
 
     /// The number of `(page, interval)` diffs queued.
@@ -150,18 +151,13 @@ impl DiffCache {
         self.by_page.values().map(VecDeque::len).sum()
     }
 
-    /// Pops the intervals at or below `own`, noting their pages in
-    /// `trimmed`; returns the number of diffs dropped.
-    fn trim(&mut self, own: Interval, trimmed: &mut IntSet<PageId>) -> u64 {
+    /// Pops the intervals at or below `own`; returns the number of diffs
+    /// dropped.
+    fn trim(&mut self, own: Interval) -> u64 {
         let mut dropped = 0;
         while let Some((_, pages)) = self.queue.pop_front_if(|&mut (interval, _)| interval <= own) {
             for &page in pages.iter() {
-                let diffs = self.by_page.get_mut(&page).expect("a queued page has diffs");
-                diffs.pop_front();
-                if diffs.is_empty() {
-                    self.by_page.remove(&page);
-                }
-                trimmed.insert(page);
+                self.by_page.get_mut(&page).and_then(VecDeque::pop_front);
             }
             dropped += pages.len() as u64;
         }
@@ -240,11 +236,6 @@ pub(crate) struct ProtoState {
     /// This node's own diffs, a queue of its flushed intervals behind a
     /// per-page index, popped from the front by every barrier's trim.
     pub diff_cache: DiffCache,
-    /// The pages some of whose own diffs the GC horizon has dropped, filled
-    /// from the intervals the trim pops: local write evidence for the race
-    /// detector, nothing more. A trimmed interval is served only inside a
-    /// base, a copy of the current page (see [`DiffRecord::base`]).
-    pub trimmed: IntSet<PageId>,
     /// The global vector timestamp distributed at the last barrier departure.
     pub last_global_vt: Vt,
     /// The garbage-collection horizon distributed at the last barrier
@@ -278,7 +269,6 @@ impl ProtoState {
             page_missing: IntMap::default(),
             materialised: PageBits::default(),
             diff_cache: DiffCache::default(),
-            trimmed: IntSet::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
             locks: IntMap::default(),
@@ -322,7 +312,7 @@ impl ProtoState {
             // minimum), so `seen` always covers a page's trimmed range —
             // bases travel only on the explicit `DiffRequest` path.
             let Some(cached) = self.diff_cache.after(page, seen) else { continue };
-            debug_assert!(!self.trimmed.contains(&page) || self.gc_horizon.get(self.me) <= seen);
+            debug_assert!(!self.trimmed(page) || self.gc_horizon.get(self.me) <= seen);
             examined.push(page);
             for (interval, cached) in cached {
                 out.push(self.record_of(page, interval, cached, table));
@@ -399,6 +389,15 @@ impl ProtoState {
         }
     }
 
+    /// Whether the GC horizon dropped some of this node's own diffs of
+    /// `page`: its own trimmed records name the page. Local write evidence
+    /// for the race detector, nothing more; a trimmed interval is served
+    /// only inside a base, a copy of the current page (see
+    /// [`DiffRecord::base`]).
+    pub(crate) fn trimmed(&self, page: PageId) -> bool {
+        self.notice_log.trimmed_of(self.me).contains(page)
+    }
+
     /// Whether `page` is materialised.
     pub(crate) fn is_materialised(&self, page: PageId) -> bool {
         self.materialised.contains(page)
@@ -473,7 +472,7 @@ impl ProtoState {
             missing.dedup_by(|next, kept| next.0 == kept.0 && next.1 <= fold_at(next.0));
         }
         self.gc_horizon.merge(horizon);
-        let diffs = self.diff_cache.trim(self.gc_horizon.get(self.me), &mut self.trimmed);
+        let diffs = self.diff_cache.trim(self.gc_horizon.get(self.me));
         let notices = self.notice_log.trim_covered(&self.gc_horizon) as u64;
         (diffs, notices)
     }
