@@ -15,6 +15,8 @@
 //!
 //! The legality contract for each call is specified in `DESIGN.md`.
 
+use std::sync::Arc;
+
 use pagedmem::AddrRange;
 use treadmarks::{LockId, PhasePlan, ProcId, Process, SyncOp};
 
@@ -23,7 +25,7 @@ use crate::section::{ReduceOp, RegularSection};
 /// Lowers sections to the [`PhasePlan`] the runtime's aggregate entry
 /// points consume: the fetch list, the write-preparation lists (twinned vs
 /// `WRITE_ALL` vs `READ&WRITE_ALL`) and the warm list.
-fn plan(sections: &[RegularSection]) -> PhasePlan {
+fn lower(sections: &[RegularSection]) -> PhasePlan {
     let mut plan = PhasePlan::default();
     for section in sections {
         let access = section.access();
@@ -48,6 +50,40 @@ fn plan(sections: &[RegularSection]) -> PhasePlan {
     plan
 }
 
+/// Sections and their [`PhasePlan`], lowered once and shared by every clone:
+/// what a compiled plan step carries. The `validate` calls take one, or
+/// sections they lower at the call. Its `Debug` text is the sections'.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Lowered(Arc<(Vec<RegularSection>, PhasePlan)>);
+
+impl Lowered {
+    /// `sections` and their plan.
+    pub fn new(sections: Vec<RegularSection>) -> Lowered {
+        let plan = lower(&sections);
+        Lowered(Arc::new((sections, plan)))
+    }
+}
+
+impl std::ops::Deref for Lowered {
+    type Target = [RegularSection];
+
+    fn deref(&self) -> &[RegularSection] {
+        &self.0 .0
+    }
+}
+
+impl std::fmt::Debug for Lowered {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<S: AsRef<[RegularSection]> + ?Sized> From<&S> for Lowered {
+    fn from(sections: &S) -> Lowered {
+        Lowered::new(sections.as_ref().to_vec())
+    }
+}
+
 /// `Validate(regions)`: makes every section consistent before the phase
 /// runs, replacing the phase's page faults with **one aggregated request
 /// message per producer** and preparing written pages (twins, write
@@ -61,13 +97,13 @@ fn plan(sections: &[RegularSection]) -> PhasePlan {
 /// Legal anywhere: the call only accelerates what the invalidate-based
 /// protocol would do lazily, so over- or under-approximated sections are
 /// correctness-neutral (missed pages simply fault as usual).
-pub fn validate(p: &mut Process, sections: &[RegularSection]) {
+pub fn validate(p: &mut Process, sections: impl Into<Lowered>) {
     p.stats().validates(1);
-    let plan = plan(sections);
+    let (_, plan) = &*sections.into().0;
     if !plan.fetch.is_empty() {
         p.fetch_diffs(&plan.fetch);
     }
-    p.prepare_phase(&plan);
+    p.prepare_phase(plan);
 }
 
 /// `Validate_w_sync(sync_op, regions)`: performs the synchronization
@@ -85,9 +121,9 @@ pub fn validate(p: &mut Process, sections: &[RegularSection]) {
 /// piggybacked fetch relies on the write notices that arrive with that
 /// synchronization. Sections may over-approximate; anything not covered
 /// faults lazily as usual.
-pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection]) {
+pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: impl Into<Lowered>) {
     p.stats().validate_w_syncs(1);
-    p.sync_phase(sync, &plan(sections), |_| {});
+    p.sync_phase(sync, &sections.into().0 .1, |_| {});
 }
 
 /// The split-phase `Validate_w_sync`: performs the synchronization exactly
@@ -117,14 +153,15 @@ pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: &[RegularSection
 pub fn validate_w_sync_overlapped(
     p: &mut Process,
     sync: SyncOp,
-    sections: &[RegularSection],
+    sections: impl Into<Lowered>,
     overlap: impl FnOnce(&mut Process),
 ) {
+    let sections = sections.into();
     if !sections.is_empty() {
         p.stats().validate_w_syncs(1);
         p.stats().split_phase_issues(1);
     }
-    p.sync_phase(sync, &plan(sections), overlap);
+    p.sync_phase(sync, &sections.0 .1, overlap);
 }
 
 /// `Release(lock)`: the exit of a lock-guarded phase. Flushes the guarded
@@ -188,7 +225,8 @@ pub fn reduce(
 pub struct Push {
     /// The consuming processor.
     pub dest: ProcId,
-    /// The data it consumes, as lowered address ranges.
+    /// The data it consumes, as lowered address ranges: coalesced, in
+    /// address order, which is how the runtime ships them.
     pub regions: Vec<AddrRange>,
 }
 
@@ -219,7 +257,5 @@ impl Push {
 /// consuming phase reads them with no fault and no table lock.
 pub fn push_phase(p: &mut Process, sends: &[Push], recv_from: &[ProcId]) {
     p.stats().pushes(1);
-    let plan: Vec<(ProcId, Vec<AddrRange>)> =
-        sends.iter().map(|push| (push.dest, push.regions.clone())).collect();
-    p.push_exchange(&plan, recv_from);
+    p.push_exchange(sends.iter().map(|push| (push.dest, &push.regions[..])), recv_from);
 }

@@ -61,7 +61,7 @@ mod section;
 
 pub use api::{
     neighbor_sync, push_phase, reduce, release, validate, validate_w_sync,
-    validate_w_sync_overlapped, Push,
+    validate_w_sync_overlapped, Lowered, Push,
 };
 pub use section::{Access, ReduceOp, RegularSection, SyncOp};
 // Race detection rides the same interface: every apply point the calls

@@ -7,6 +7,8 @@
 //! of contiguous address ranges before calling into the run-time system;
 //! [`RegularSection::ranges`] is that lowering.
 
+use std::sync::Arc;
+
 use pagedmem::AddrRange;
 use treadmarks::{Shareable, SharedArray};
 
@@ -60,7 +62,8 @@ pub enum ReduceOp {
     WrappingAdd,
 }
 
-/// A regular section lowered to address ranges, tagged with its access.
+/// A regular section lowered to address ranges (shared by its clones),
+/// tagged with its access.
 ///
 /// ```
 /// use ctrt::{Access, RegularSection};
@@ -72,9 +75,9 @@ pub enum ReduceOp {
 /// assert_eq!(s.ranges().len(), 1);
 /// assert_eq!(s.ranges()[0].len(), 800);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RegularSection {
-    ranges: Vec<AddrRange>,
+    ranges: Arc<[AddrRange]>,
     access: Access,
 }
 
@@ -83,7 +86,7 @@ impl RegularSection {
     /// multi-dimensional descriptor produces). Empty ranges are dropped and
     /// adjacent ranges are coalesced.
     pub fn from_ranges(ranges: Vec<AddrRange>, access: Access) -> RegularSection {
-        RegularSection { ranges: AddrRange::coalesce(ranges), access }
+        RegularSection { ranges: AddrRange::coalesce(ranges).into(), access }
     }
 
     /// The section `array[lo..hi]` (stride 1).

@@ -130,17 +130,16 @@ impl AddrRange {
     pub fn coalesce(mut ranges: Vec<AddrRange>) -> Vec<AddrRange> {
         ranges.retain(|r| !r.is_empty());
         ranges.sort_by_key(|r| r.start);
-        let mut out: Vec<AddrRange> = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            match out.last_mut() {
-                Some(last) if r.start <= last.end() => {
-                    let new_end = last.end().max(r.end());
-                    *last = AddrRange::new(last.start, new_end.as_usize() - last.start.as_usize());
-                }
-                _ => out.push(r),
+        // In place: each range either extends the last one kept or is kept.
+        ranges.dedup_by(|r, last| {
+            let overlaps = r.start <= last.end();
+            if overlaps {
+                let new_end = last.end().max(r.end());
+                *last = AddrRange::new(last.start, new_end.as_usize() - last.start.as_usize());
             }
-        }
-        out
+            overlaps
+        });
+        ranges
     }
 }
 

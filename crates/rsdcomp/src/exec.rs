@@ -77,17 +77,17 @@ pub fn enter(p: &mut Process, op: &BoundaryOp, overlap: impl FnOnce(&mut Process
             overlap(p);
         }
         BoundaryOp::Barrier { sections } => {
-            ctrt::validate_w_sync_overlapped(p, SyncOp::Barrier, sections, overlap);
+            ctrt::validate_w_sync_overlapped(p, SyncOp::Barrier, sections.clone(), overlap);
         }
         // The acquire request carries the sections' page list, so the grant
         // arrives with the releaser's diffs piggybacked — the merged
         // lock-grant+data message.
         BoundaryOp::Lock { lock, sections } => {
-            ctrt::validate_w_sync_overlapped(p, SyncOp::Lock(*lock), sections, overlap);
+            ctrt::validate_w_sync_overlapped(p, SyncOp::Lock(*lock), sections.clone(), overlap);
         }
         BoundaryOp::BarrierLock { lock, sections } => {
             p.barrier();
-            ctrt::validate_w_sync_overlapped(p, SyncOp::Lock(*lock), sections, overlap);
+            ctrt::validate_w_sync_overlapped(p, SyncOp::Lock(*lock), sections.clone(), overlap);
         }
         BoundaryOp::Push { sends, recv_from, sections } => {
             ctrt::push_phase(p, sends, recv_from);
@@ -100,9 +100,9 @@ pub fn enter(p: &mut Process, op: &BoundaryOp, overlap: impl FnOnce(&mut Process
 /// Prepares `sections` with one aggregate `Validate`. A step that carries
 /// none (its sections are still prepared, or it is a non-owner's pivot
 /// step) has nothing to do and does nothing.
-fn prepare(p: &mut Process, sections: &[ctrt::RegularSection]) {
+fn prepare(p: &mut Process, sections: &ctrt::Lowered) {
     if !sections.is_empty() {
-        ctrt::validate(p, sections);
+        ctrt::validate(p, sections.clone());
     }
 }
 

@@ -8,9 +8,10 @@
 //! bodies; every protocol decision lives in the plan.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use ctrt::{Access, Push, ReduceOp, RegularSection};
+use ctrt::{Access, Lowered, Push, ReduceOp, RegularSection};
 use pagedmem::AddrRange;
 use treadmarks::{LockId, ProcId};
 
@@ -29,13 +30,13 @@ pub enum BoundaryOp {
         /// The sections to prepare: the phase's, or none when no flush
         /// boundary has write-protected them since they were last prepared
         /// (the step then does nothing).
-        sections: Vec<RegularSection>,
+        sections: Lowered,
     },
     /// A surviving real barrier, merged with the phase's sections
     /// (split-phase `Validate_w_sync`).
     Barrier {
         /// The phase's sections.
-        sections: Vec<RegularSection>,
+        sections: Lowered,
     },
     /// A lock-guarded phase entry: the acquire validates the phase's
     /// sections on the grant (the runtime piggybacks the granter's diffs on
@@ -46,7 +47,7 @@ pub enum BoundaryOp {
         /// The guarding lock.
         lock: LockId,
         /// The phase's sections, validated on the grant.
-        sections: Vec<RegularSection>,
+        sections: Lowered,
     },
     /// A refused entry into a lock-guarded phase: the barrier delivers the
     /// dependences the acquire chain cannot order, then the acquire
@@ -57,19 +58,19 @@ pub enum BoundaryOp {
         /// The guarding lock.
         lock: LockId,
         /// The phase's sections, validated on the grant.
-        sections: Vec<RegularSection>,
+        sections: Lowered,
     },
     /// A fully analyzable boundary: the dependence regions move as direct
     /// pushes and no synchronization or consistency machinery runs at all.
     Push {
         /// Outgoing pushes (this processor's produced regions, per
         /// consumer).
-        sends: Vec<Push>,
+        sends: Arc<[Push]>,
         /// Producers whose pushes are awaited.
-        recv_from: Vec<ProcId>,
+        recv_from: Arc<[ProcId]>,
         /// The sections to prepare after the exchange (none when the
         /// phase's sections are still prepared).
-        sections: Vec<RegularSection>,
+        sections: Lowered,
     },
 }
 
@@ -205,7 +206,7 @@ struct Crossing {
 }
 
 /// What one processor sends across a push boundary, and whom it awaits.
-type Exchange = (Vec<Push>, Vec<ProcId>);
+type Exchange = (Arc<[Push]>, Arc<[ProcId]>);
 
 /// A pending state the walk classified an entry into a phase against.
 #[derive(Debug)]
@@ -260,9 +261,9 @@ impl CompiledKernel {
                 return known.clone();
             }
             let (program, nprocs, phase) = (&self.program, self.nprocs, phases[next]);
-            let mine = (
-                sends(program, nprocs, deps, phase, iter, me),
-                sources(program, nprocs, deps, phase, iter, me),
+            let mine: Exchange = (
+                sends(program, nprocs, deps, phase, iter, me).into(),
+                sources(program, nprocs, deps, phase, iter, me).into(),
             );
             if fixed {
                 seen.push((Arc::clone(deps), next, mine.clone()));
@@ -581,6 +582,14 @@ fn lower_plan(
     // the occurrence adds (the pivot column, a new column every time); and
     // at the full level no write of the own block the initialisation's
     // `WRITE_ALL` prepared.
+    // Each distinct section list is lowered once, and every step that
+    // carries it shares the result.
+    let mut lowered: HashMap<Vec<RegularSection>, Lowered> = HashMap::new();
+    let mut lower = |sections: &[RegularSection]| match lowered.get(sections) {
+        Some(known) => known.clone(),
+        None => lowered.entry(sections.to_vec()).or_insert(Lowered::new(sections.to_vec())).clone(),
+    };
+    let mut fresh = Vec::new();
     let mut flush_epoch = 0usize;
     let slot = |phase: PhaseId| if level == Level::Full { 0 } else { phase };
     let mut held = vec![(flush_epoch, Vec::new()); phases.len()];
@@ -597,7 +606,8 @@ fn lower_plan(
             None => (phases[next].lock.map_or(BoundaryClass::NoComm, BoundaryClass::Lock), None),
         };
         // What a step without an exchange of its own prepares.
-        let mut prepared = |epoch| hold(&mut held[slot(next)], epoch, &sections_at(next, iter));
+        let mut prepared =
+            |epoch| lower(hold(&mut held[slot(next)], epoch, &sections_at(next, iter), &mut fresh));
         let mut exit = exit_of(next);
         let entry = match (class, exchange) {
             (BoundaryClass::NoComm, _) => BoundaryOp::Local { sections: prepared(flush_epoch) },
@@ -615,10 +625,7 @@ fn lower_plan(
                     Some(lock) => {
                         flush_epoch += 1;
                         exit = PhaseExit::Release(lock);
-                        BoundaryOp::BarrierLock {
-                            lock,
-                            sections: sections_at(next, iter).into_owned(),
-                        }
+                        BoundaryOp::BarrierLock { lock, sections: lower(&sections_at(next, iter)) }
                     }
                     None => BoundaryOp::Barrier { sections: prepared(flush_epoch) },
                 }
@@ -629,7 +636,7 @@ fn lower_plan(
                 // own sections included).
                 flush_epoch += 1;
                 exit = PhaseExit::Release(lock);
-                BoundaryOp::Lock { lock, sections: sections_at(next, iter).into_owned() }
+                BoundaryOp::Lock { lock, sections: lower(&sections_at(next, iter)) }
             }
             // The previous step's exit reduced, or nothing did; what
             // crosses the boundary is pushed.
@@ -644,18 +651,21 @@ fn lower_plan(
 }
 
 /// Records `sections` as prepared at flush epoch `epoch` and returns those
-/// not already held. A section is held when one prepared at the same epoch
-/// covers its bytes with the same access kind — or is a `WRITE_ALL` and
-/// the section writes them (`WRITE_ALL`, `READ&WRITE_ALL` or `ReadWrite`):
-/// those bytes are write-enabled already and hold this processor's own
-/// values until the next flush. A later epoch holds nothing.
-fn hold(
+/// not already held, written into `fresh`. A section is held when one
+/// prepared at the same epoch covers its bytes with the same access kind —
+/// or is a `WRITE_ALL` and the section writes them (`WRITE_ALL`,
+/// `READ&WRITE_ALL` or `ReadWrite`): those bytes are write-enabled already
+/// and hold this processor's own values until the next flush. A later epoch
+/// holds nothing.
+fn hold<'a>(
     held: &mut (usize, Vec<RegularSection>),
     epoch: usize,
     sections: &[RegularSection],
-) -> Vec<RegularSection> {
+    fresh: &'a mut Vec<RegularSection>,
+) -> &'a [RegularSection] {
     if held.0 != epoch {
-        *held = (epoch, Vec::new());
+        held.0 = epoch;
+        held.1.clear();
     }
     let covers = |outer: &RegularSection, inner: &RegularSection| {
         let kinds = match (outer.access(), inner.access()) {
@@ -667,9 +677,9 @@ fn hold(
                 outer.ranges().iter().any(|o| o.start() <= r.start() && r.end() <= o.end())
             })
     };
-    let fresh: Vec<RegularSection> =
-        sections.iter().filter(|s| !held.1.iter().any(|h| covers(h, s))).cloned().collect();
-    held.1.extend(fresh.iter().cloned());
+    fresh.clear();
+    fresh.extend(sections.iter().filter(|s| !held.1.iter().any(|h| covers(h, s))).cloned());
+    held.1.extend_from_slice(fresh);
     fresh
 }
 

@@ -405,7 +405,7 @@ fn assert_collectives_match(kernel: &rsdcomp::CompiledKernel, nprocs: usize) {
         assert_eq!(kinds, reference, "proc {me} must share the SPMD step skeleton");
         for (idx, step) in plan.steps.iter().enumerate() {
             let BoundaryOp::Push { sends, recv_from, .. } = &step.entry else { continue };
-            for push in sends {
+            for push in sends.iter() {
                 let BoundaryOp::Push { recv_from: theirs, .. } =
                     &kernel.plan_for(push.dest).steps[idx].entry
                 else {
@@ -413,7 +413,7 @@ fn assert_collectives_match(kernel: &rsdcomp::CompiledKernel, nprocs: usize) {
                 };
                 assert!(theirs.contains(&me));
             }
-            for &src in recv_from {
+            for &src in recv_from.iter() {
                 let BoundaryOp::Push { sends: theirs, .. } = &kernel.plan_for(src).steps[idx].entry
                 else {
                     panic!("mismatched push");

@@ -598,7 +598,7 @@ mod tests {
             for i in 0..half {
                 p.set(&a, me * half + i, (100 + me * half + i) as u64);
             }
-            p.push_exchange(&[(other, vec![mine])], &[other]);
+            p.push_exchange([(other, &[mine][..])], &[other]);
             let faults_before = p.stats().snapshot().page_faults;
             let sum: u64 = (0..a.len()).map(|i| p.get(&a, i)).sum();
             assert_eq!(p.stats().snapshot().page_faults, faults_before);

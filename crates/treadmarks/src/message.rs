@@ -119,7 +119,9 @@ impl SyncFetchRequest {
     /// The advertised timestamp, reconstructed against the `base` it was
     /// encoded from.
     pub fn vt(&self, base: &Vt) -> Vt {
-        base.patched(&self.delta)
+        let mut vt = base.clone();
+        vt.patch(&self.delta);
+        vt
     }
 
     /// Approximate wire size of the request on a cluster of `nprocs`: the
@@ -132,10 +134,12 @@ impl SyncFetchRequest {
 /// A piggy-backed `Validate_w_sync` request on its way *down* the barrier
 /// tree, resolved by the root to the processors that hold diffs for it.
 ///
-/// A departure carries an entry only if one of its responders lies in the
-/// receiving child's subtree, and names only those responders — so a
-/// request's timestamp shrinks to the one component each responder ever
-/// read, and a request nobody answers is not forwarded at all.
+/// The root builds each entry once, and every departure shares its list.
+/// What a departure is charged for is its receiving subtree's share: the
+/// entries one of whose responders lies in the subtree, each naming only
+/// those responders — so a request's timestamp shrinks to the one
+/// component each responder ever read, and a request nobody answers is not
+/// charged at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedRequest {
     /// The requesting processor.
@@ -143,16 +147,17 @@ pub struct RoutedRequest {
     /// The pages of the requested sections, ascending. Shared by every
     /// departure that forwards the entry.
     pub pages: Arc<[PageId]>,
-    /// The responders inside the receiving subtree, ascending, each with the
-    /// latest of *its own* intervals the requester has already incorporated
-    /// (the requester's advertised timestamp, read at that responder).
+    /// Every responder, ascending, each with the latest of *its own*
+    /// intervals the requester has already incorporated (the requester's
+    /// advertised timestamp, read at that responder).
     pub responders: Vec<(ProcId, Interval)>,
 }
 
 impl RoutedRequest {
-    /// Approximate wire size of the entry.
-    fn wire_bytes(&self) -> usize {
-        4 + self.pages.len() * 4 + self.responders.len() * 8
+    /// Approximate wire size of the entry naming `responders` of its
+    /// responders.
+    pub(crate) fn wire_bytes(&self, responders: usize) -> usize {
+        4 + self.pages.len() * 4 + responders * 8
     }
 }
 
@@ -198,7 +203,7 @@ pub enum TmkMessage {
     /// write notices the acquirer is missing and any piggy-backed diffs.
     /// The granter's vector timestamp does not travel: the acquirer's own
     /// timestamp, which covers the one it advertised, joined with these
-    /// notices is exactly the merge (see `notice::vt_through`).
+    /// notices is exactly the merge (see `notice::raise_through`).
     LockGrant {
         /// The granted lock.
         lock: LockId,
@@ -245,19 +250,22 @@ pub enum TmkMessage {
         /// Component-wise minimum of all processors' applied timestamps —
         /// the garbage-collection horizon: diffs and notices at or below
         /// its minimum component can never be requested again — against
-        /// the *previous* barrier's global timestamp.
-        gc_horizon: VtDelta,
+        /// the *previous* barrier's global timestamp. The root builds it
+        /// once; every departure shares it.
+        gc_horizon: Arc<VtDelta>,
         /// Every notice record above the previous barrier's global
         /// timestamp, ascending by `(proc, interval)`: the root's batch.
         notices: Arc<[NoticeRecord]>,
         /// Wire bytes of the records of `notices` above the receiving
         /// subtree's timestamp: the notices this subtree has not seen.
         notice_bytes: usize,
-        /// The receiving subtree's share of the piggy-backed fetch requests:
-        /// the entries one of its processors answers, in requester order.
-        /// The receiver serves the entries that name it and hands each
-        /// child its own subtree's share.
-        sync_requests: Vec<RoutedRequest>,
+        /// The root's resolution of the piggy-backed fetch requests, in
+        /// requester order, shared by every departure. The receiver serves
+        /// the entries that name it and forwards the list to its children.
+        sync_requests: Arc<[RoutedRequest]>,
+        /// Wire bytes of the receiving subtree's share of `sync_requests`
+        /// (see `RoutedRequest`): all the wire carries of them.
+        request_bytes: usize,
         /// At a reduction, the totals of the words the receiving subtree's
         /// processors read, ascending by word; empty at any other barrier.
         words: Vec<(u32, u64)>,
@@ -322,13 +330,8 @@ impl TmkMessage {
                     + 12 * words.len()
             }
             TmkMessage::BarrierDeparture {
-                gc_horizon, notice_bytes, sync_requests, words, ..
-            } => {
-                gc_horizon.wire_bytes(nprocs)
-                    + notice_bytes
-                    + sync_requests.iter().map(RoutedRequest::wire_bytes).sum::<usize>()
-                    + 12 * words.len()
-            }
+                gc_horizon, notice_bytes, request_bytes, words, ..
+            } => gc_horizon.wire_bytes(nprocs) + notice_bytes + request_bytes + 12 * words.len(),
             TmkMessage::DiffRequest { wants, .. } => {
                 12 + wants.iter().map(PageWant::wire_bytes).sum::<usize>()
             }
@@ -441,27 +444,31 @@ mod tests {
             pages: [PageId(3), PageId(4)].into(),
             responders: vec![(0, 2), (2, 0), (3, 1)],
         };
-        assert_eq!(routed.wire_bytes(), 4 + 2 * 4 + 3 * 8);
+        assert_eq!(routed.wire_bytes(3), 4 + 2 * 4 + 3 * 8);
         // The batch holds two records; the receiving subtree has seen one.
         let seen = NoticeRecord { proc: 2, interval: 1, pages: [PageId(5), PageId(6)].into() };
         let batch: Arc<[NoticeRecord]> = [notice.clone(), seen].into();
-        let departure = |horizon: &Vt, sync_requests| TmkMessage::BarrierDeparture {
-            gc_horizon: horizon.delta_from(&base),
-            notices: Arc::clone(&batch),
-            notice_bytes: notice.wire_bytes(),
-            sync_requests,
-            words: vec![],
-        };
-        assert_eq!(departure(&base, vec![]).wire_bytes(N), 4 + 12);
+        // A departure shares the root's whole list and is charged its
+        // subtree's share of it, here the entry naming two responders.
+        let departure =
+            |horizon: &Vt, sync_requests: Vec<_>, request_bytes| TmkMessage::BarrierDeparture {
+                gc_horizon: Arc::new(horizon.delta_from(&base)),
+                notices: Arc::clone(&batch),
+                notice_bytes: notice.wire_bytes(),
+                sync_requests: sync_requests.into(),
+                request_bytes,
+                words: vec![],
+            };
+        assert_eq!(departure(&base, vec![], 0).wire_bytes(N), 4 + 12);
         assert_eq!(
-            departure(&base, vec![routed.clone()]).wire_bytes(N),
-            departure(&base, vec![]).wire_bytes(N) + routed.wire_bytes()
+            departure(&base, vec![routed.clone()], routed.wire_bytes(2)).wire_bytes(N),
+            departure(&base, vec![], 0).wire_bytes(N) + 4 + 2 * 4 + 2 * 8
         );
         // A horizon that moved in two components: eight bytes each.
         let horizon = moved(&base, &[(0, 2), (9, 1)]);
         assert_eq!(
-            departure(&horizon, vec![]).wire_bytes(N),
-            departure(&base, vec![]).wire_bytes(N) + 2 * 8
+            departure(&horizon, vec![], 0).wire_bytes(N),
+            departure(&base, vec![], 0).wire_bytes(N) + 2 * 8
         );
         // A reduction's words ride either way at twelve bytes a pair, with
         // no header of their own.
@@ -475,10 +482,11 @@ mod tests {
         };
         assert_eq!(reducing.wire_bytes(N), 4 + 4 + 2 * 12);
         let reduced = TmkMessage::BarrierDeparture {
-            gc_horizon: base.delta_from(&base),
+            gc_horizon: Arc::new(base.delta_from(&base)),
             notices: [].into(),
             notice_bytes: 0,
-            sync_requests: vec![],
+            sync_requests: [].into(),
+            request_bytes: 0,
             words,
         };
         assert_eq!(reduced.wire_bytes(N), 4 + 2 * 12);
@@ -518,7 +526,9 @@ mod tests {
         for (base, entries) in [(&zero, 5), (&previous, 2)] {
             let delta = applied.delta_from(base);
             assert_eq!(delta.entries().len(), entries);
-            assert_eq!(base.patched(&delta), applied, "round trip against {base}");
+            let request = SyncFetchRequest { proc: 0, delta, pages: [].into() };
+            assert_eq!(request.vt(base), applied, "round trip against {base}");
+            let delta = request.delta;
             assert_eq!(delta.wire_bytes(64), 4 + 8 * entries);
             assert_eq!(delta.wire_bytes(6), (4 + 8 * entries).min(6 * 4));
         }
@@ -527,7 +537,9 @@ mod tests {
         let same = previous.delta_from(&previous);
         assert!(same.entries().is_empty());
         assert_eq!(same.wire_bytes(64), 4);
-        assert_eq!(previous.patched(&same), previous);
+        let mut patched = previous.clone();
+        patched.patch(&same);
+        assert_eq!(patched, previous);
         // Two processors: whole is never more than eight bytes.
         let pair = moved(&Vt::new(2), &[(0, 3), (1, 1)]);
         assert_eq!(pair.delta_from(&Vt::new(2)).wire_bytes(2), 2 * 4);

@@ -1,6 +1,6 @@
 //! Write notices and the per-processor notice log.
 
-use std::collections::{vec_deque, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pagedmem::PageId;
@@ -36,8 +36,8 @@ impl NoticeRecord {
     }
 }
 
-/// `base ⊔ {(r.proc, r.interval)}`: the timestamp a message's own notice
-/// records determine over a `base` its receiver holds.
+/// Raises `vt` to `vt ⊔ {(r.proc, r.interval)}`: over a `base` its receiver
+/// holds, the timestamp a message's own notice records determine.
 ///
 /// This is how a barrier arrival, a barrier departure and a lock grant
 /// deliver their sender's timestamp without shipping it.
@@ -48,21 +48,26 @@ impl NoticeRecord {
 /// in the same message, and a trim drops only records at or below every
 /// base. So every component in which the sender is ahead of the base
 /// travels as a record, and no record is ahead of the sender.
-pub(crate) fn vt_through(base: &Vt, records: &[NoticeRecord]) -> Vt {
-    let mut vt = base.clone();
+pub(crate) fn raise_through(vt: &mut Vt, records: &[NoticeRecord]) {
     for record in records {
         vt.advance(record.proc, record.interval);
     }
-    vt
 }
 
 /// Whether a receiver holding `base` rebuilds from `records` exactly what
 /// merging the `sender`'s whole timestamp would give it — the check every
 /// sender of a timestamp-free message makes in debug builds.
+///
+/// It reads the two timestamps in place, so the check allocates nothing:
+/// no record is above `base ⊔ sender`, and every component in which the
+/// sender is ahead of the base has a record reaching it.
 pub(crate) fn notices_determine(base: &Vt, records: &[NoticeRecord], sender: &Vt) -> bool {
-    let mut merged = base.clone();
-    merged.merge(sender);
-    vt_through(base, records) == merged
+    let joined = |p| base.get(p).max(sender.get(p));
+    let ahead = |p: ProcId| sender.get(p) > base.get(p);
+    records.iter().all(|r| r.interval <= joined(r.proc))
+        && (0..sender.width())
+            .filter(|&p| ahead(p))
+            .all(|p| records.iter().any(|r| r.proc == p && r.interval >= sender.get(p)))
 }
 
 /// Everything a processor knows about modifications in the system: each
@@ -72,21 +77,23 @@ pub(crate) fn notices_determine(base: &Vt, records: &[NoticeRecord], sender: &Vt
 /// Records are kept in *segments* as they arrived — a barrier departure's
 /// batch whole, shared with every node it reached (one `Arc` bump however
 /// many records it carries), a flush's, an arrival's or a grant's records
-/// as small ones — behind a per-processor index ascending by interval, so
-/// every query answers in `(proc, interval)` order. Records arrive almost
-/// always in interval order, so an index is a queue: appended at the back,
-/// popped at the front by every barrier's trim. A segment goes once
-/// nothing indexes it.
+/// as small ones — behind one index of slots in `(proc, interval)` order,
+/// the order every query answers in. A segment's slots merge into it in
+/// one pass, every barrier's trim drops the covered ones in one pass, and a
+/// segment goes once nothing indexes it.
 #[derive(Debug, Clone, Default)]
 pub struct NoticeLog {
     /// Segment `first + k` and how many index entries point into it;
     /// `None` once none does.
     segments: VecDeque<Option<(Segment, usize)>>,
     first: u64,
-    /// `per_proc[p]`: where processor `p`'s records are, one per interval.
-    per_proc: Vec<VecDeque<Slot>>,
-    /// `trimmed[p]`: the pages processor `p`'s trimmed records named.
-    trimmed: Vec<PageBits>,
+    /// Where every record is, one slot per `(proc, interval)`, ascending.
+    slots: Vec<Slot>,
+    /// A segment's new slots on their way into `slots`, kept for its buffer.
+    fresh: Vec<Slot>,
+    /// Bit `page · nprocs + p`: processor `p`'s trimmed records named `page`.
+    trimmed: Bits,
+    nprocs: usize,
 }
 
 /// Records that arrived together: a flush's, an arrival's or a grant's
@@ -110,20 +117,28 @@ impl std::ops::Deref for Segment {
     }
 }
 
-/// Where a record is: its interval, its segment and its place there.
-#[derive(Debug, Clone, Copy)]
+/// Where a record is: its writer and interval (the index's order), its
+/// segment and its place there.
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
+    proc: u32,
     interval: Interval,
     segment: u64,
     offset: u32,
 }
 
+impl Slot {
+    fn key(&self) -> (u32, Interval) {
+        (self.proc, self.interval)
+    }
+}
+
 impl NoticeLog {
-    /// An empty log for `nprocs` processors.
+    /// An empty log for `nprocs` processors, with room for two records a
+    /// processor, what a barrier-synchronized run holds above the horizon.
     pub fn new(nprocs: usize) -> NoticeLog {
-        let (per_proc, trimmed) =
-            (vec![VecDeque::new(); nprocs], vec![PageBits::default(); nprocs]);
-        NoticeLog { segments: VecDeque::new(), first: 0, per_proc, trimmed }
+        let (slots, fresh) = (Vec::with_capacity(2 * nprocs), Vec::with_capacity(nprocs));
+        NoticeLog { slots, fresh, nprocs, ..NoticeLog::default() }
     }
 
     /// Records `record`. A second record of the same `(proc, interval)` is
@@ -140,26 +155,39 @@ impl NoticeLog {
         take: impl Fn(&NoticeRecord) -> bool,
     ) -> usize {
         let segment = self.first + self.segments.len() as u64;
-        let mut indexed = 0;
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
         for (offset, record) in records.iter().enumerate().filter(|(_, r)| take(r)) {
-            let slot = Slot { interval: record.interval, segment, offset: offset as u32 };
-            let slots = &mut self.per_proc[record.proc];
-            // The rare out-of-order record (an interval learned along a lock
-            // chain after a later one of the same processor) is inserted.
-            let at = match slots.back() {
-                Some(latest) if latest.interval >= record.interval => {
-                    slots.binary_search_by_key(&record.interval, |s| s.interval)
-                }
-                _ => Err(slots.len()),
-            };
-            if let Err(at) = at {
-                slots.insert(at, slot);
-                indexed += 1;
-            }
+            let (proc, interval, offset) = (record.proc as u32, record.interval, offset as u32);
+            fresh.push(Slot { proc, interval, segment, offset });
         }
+        // Sorted already but for the rare interval learned along a lock
+        // chain after a later one; a record named twice, or held already,
+        // is indexed once (one pass over both, both sorted).
+        if !fresh.is_sorted_by_key(Slot::key) {
+            fresh.sort_by_key(Slot::key);
+        }
+        fresh.dedup_by_key(|slot| slot.key());
+        let mut held = self.slots.iter().map(Slot::key).peekable();
+        fresh.retain(|slot| {
+            while held.next_if(|&key| key < slot.key()).is_some() {}
+            held.peek() != Some(&slot.key())
+        });
+        // Merged from the back: each held slot moves once.
+        let (mut held, slots) = (self.slots.len(), &mut self.slots);
+        slots.resize(held + fresh.len(), Slot::default());
+        for (left, new) in fresh.iter().enumerate().rev() {
+            while held > 0 && slots[held - 1].key() > new.key() {
+                slots[held + left] = slots[held - 1];
+                held -= 1;
+            }
+            slots[held + left] = *new;
+        }
+        let indexed = fresh.len();
         if indexed > 0 {
             self.segments.push_back(Some((records, indexed)));
         }
+        self.fresh = fresh;
         indexed
     }
 
@@ -171,43 +199,43 @@ impl NoticeLog {
 
     /// Whether the log already contains `(proc, interval)`.
     pub fn contains(&self, proc: ProcId, interval: Interval) -> bool {
-        self.per_proc[proc].binary_search_by_key(&interval, |s| s.interval).is_ok()
+        self.slots.binary_search_by_key(&(proc as u32, interval), Slot::key).is_ok()
     }
 
-    /// Per processor, where its records above `vt[proc]` are.
-    fn slots_after<'a>(&'a self, vt: &'a Vt) -> impl Iterator<Item = vec_deque::Iter<'a, Slot>> {
-        let procs = self.per_proc.iter().enumerate();
-        // Most processors have nothing new for most timestamps, and one
-        // look at an index's newest entry says so.
-        let fresh =
-            procs.filter(|&(p, slots)| slots.back().is_some_and(|s| s.interval > vt.get(p)));
-        fresh.map(|(p, slots)| slots.range(slots.partition_point(|s| s.interval <= vt.get(p))..))
+    /// The slots of the records above `vt[proc]`.
+    fn slots_after<'a>(&'a self, vt: &'a Vt) -> impl Iterator<Item = &'a Slot> {
+        self.slots.iter().filter(|slot| slot.interval > vt.get(slot.proc as usize))
     }
 
     /// The records with `interval > vt[proc]` — exactly what a processor
     /// with timestamp `vt` has not yet seen — in ascending
     /// `(proc, interval)` order. Cloning one to send it is an `Arc` bump.
     pub fn records_after<'a>(&'a self, vt: &'a Vt) -> impl Iterator<Item = &'a NoticeRecord> + 'a {
-        self.slots_after(vt).flatten().map(|slot| self.at(slot))
+        self.slots_after(vt).map(|slot| self.at(slot))
     }
 
     /// [`records_after`](Self::records_after), cloned into the list a
     /// message carries: an `Arc` bump a record, one allocation sized from
     /// the index.
     pub fn clone_after(&self, vt: &Vt) -> Vec<NoticeRecord> {
-        let mut out = Vec::with_capacity(self.slots_after(vt).map(|slots| slots.len()).sum());
-        out.extend(self.slots_after(vt).flatten().map(|slot| self.at(slot).clone()));
+        let mut out = Vec::with_capacity(self.slots_after(vt).count());
+        out.extend(self.records_after(vt).cloned());
         out
     }
 
     /// Total number of `(proc, interval)` records.
     pub fn interval_count(&self) -> usize {
-        self.per_proc.iter().map(VecDeque::len).sum()
+        self.slots.len()
     }
 
-    /// The pages named by processor `proc`'s trimmed records.
-    pub(crate) fn trimmed_of(&self, proc: ProcId) -> &PageBits {
-        &self.trimmed[proc]
+    /// Whether processor `proc`'s trimmed records named `page`.
+    pub(crate) fn trimmed(&self, proc: ProcId, page: PageId) -> bool {
+        self.trimmed.contains(page.0 * self.nprocs + proc)
+    }
+
+    /// The processors whose trimmed records named `page`, ascending.
+    pub(crate) fn trimmed_writers(&self, page: PageId) -> impl Iterator<Item = ProcId> + '_ {
+        (0..self.nprocs).filter(move |&proc| self.trimmed(proc, page))
     }
 
     /// Drops each processor's records covered by `horizon`'s component for
@@ -220,35 +248,39 @@ impl NoticeLog {
     /// timestamp covering the horizon, so trimmed records could never be
     /// reported again.
     pub fn trim_covered(&mut self, horizon: &Vt) -> usize {
-        let NoticeLog { segments, first, per_proc, trimmed } = self;
-        let mut removed = 0;
-        for (proc, slots) in per_proc.iter_mut().enumerate() {
-            while let Some(slot) = slots.pop_front_if(|s| s.interval <= horizon.get(proc)) {
-                let held = &mut segments[(slot.segment - *first) as usize];
-                let (records, indexed) = held.as_mut().expect("an indexed segment is held");
-                trimmed[proc].insert_all(&records[slot.offset as usize].pages);
-                *indexed -= 1;
-                if *indexed == 0 {
-                    *held = None;
-                }
-                removed += 1;
+        let NoticeLog { segments, first, slots, trimmed, nprocs, .. } = self;
+        let held = slots.len();
+        slots.retain(|slot| {
+            let proc = slot.proc as usize;
+            if slot.interval > horizon.get(proc) {
+                return true;
             }
-        }
-        while segments.pop_front_if(|held| held.is_none()).is_some() {
+            let segment = &mut segments[(slot.segment - *first) as usize];
+            let (records, indexed) = segment.as_mut().expect("an indexed segment is held");
+            for page in records[slot.offset as usize].pages.iter() {
+                trimmed.insert(page.0 * *nprocs + proc);
+            }
+            *indexed -= 1;
+            if *indexed == 0 {
+                *segment = None;
+            }
+            false
+        });
+        while segments.pop_front_if(|segment| segment.is_none()).is_some() {
             *first += 1;
         }
-        removed
+        held - slots.len()
     }
 }
 
-/// A set of pages, one bit each (page ids are dense from 0).
+/// A set of dense indices (page ids, say), one bit each.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PageBits(Vec<u64>);
+pub(crate) struct Bits(Vec<u64>);
 
-impl PageBits {
-    /// Adds `page`; returns whether it was new.
-    pub(crate) fn insert(&mut self, page: PageId) -> bool {
-        let (word, bit) = (page.0 / 64, 1u64 << (page.0 % 64));
+impl Bits {
+    /// Adds `index`; returns whether it was new.
+    pub(crate) fn insert(&mut self, index: usize) -> bool {
+        let (word, bit) = (index / 64, 1u64 << (index % 64));
         if word >= self.0.len() {
             self.0.resize(word + 1, 0);
         }
@@ -257,26 +289,15 @@ impl PageBits {
         new
     }
 
-    /// Adds `pages`, ascending.
-    fn insert_all(&mut self, pages: &[PageId]) {
-        let Some(last) = pages.last() else { return };
-        if last.0 / 64 >= self.0.len() {
-            self.0.resize(last.0 / 64 + 1, 0);
-        }
-        for page in pages {
-            self.0[page.0 / 64] |= 1 << (page.0 % 64);
-        }
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.0.get(index / 64).is_some_and(|word| word >> (index % 64) & 1 == 1)
     }
 
-    pub(crate) fn contains(&self, page: PageId) -> bool {
-        self.0.get(page.0 / 64).is_some_and(|word| word >> (page.0 % 64) & 1 == 1)
-    }
-
-    /// The pages held, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = PageId> + '_ {
+    /// The indices held, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let bits = self.0.iter().enumerate();
         bits.flat_map(|(word, &bits)| {
-            (0..64).filter(move |bit| bits >> bit & 1 == 1).map(move |bit| PageId(64 * word + bit))
+            (0..64).filter(move |bit| bits >> bit & 1 == 1).map(move |bit| 64 * word + bit)
         })
     }
 }
@@ -328,8 +349,8 @@ mod tests {
         horizon.advance(0, 3);
         // Processor 1's component stays at zero: its records survive.
         assert_eq!(log.trim_covered(&horizon), 2);
-        let trimmed = |proc| log.trimmed_of(proc).iter().collect::<Vec<_>>();
-        assert_eq!(trimmed(0), [PageId(1), PageId(4)], "each dropped record's pages are noted");
+        let trimmed = |proc| (0..8).filter(|&p| log.trimmed(proc, PageId(p))).collect::<Vec<_>>();
+        assert_eq!(trimmed(0), [1, 4], "each dropped record's pages are noted");
         assert!(trimmed(1).is_empty());
         assert!(!log.contains(0, 1));
         assert!(!log.contains(0, 3));

@@ -106,6 +106,7 @@ pub struct Process {
     /// ([`BarrierTopology::shape`](crate::BarrierTopology::shape) of
     /// [`DsmConfig::barrier`]).
     barrier: (usize, sp2model::VirtualTime, bool),
+    buffers: barrier::Buffers,
 }
 
 impl Process {
@@ -125,6 +126,7 @@ impl Process {
             in_flight: None,
             once_seq: 0,
             barrier: config.barrier.shape(config.nprocs, &config.cost_model),
+            buffers: barrier::Buffers::default(),
         }
     }
 
@@ -608,7 +610,7 @@ mod history {
     use pagedmem::{Diff, Page, PageId, PageTable, PAGE_SIZE};
 
     use super::interval::{apply_batch_locked, apply_notices_locked};
-    use crate::notice::{vt_through, NoticeRecord};
+    use crate::notice::{raise_through, NoticeRecord};
     use crate::state::{full_page_diff, CachedDiff, Delta, DiffEntry, ProtoState};
     use crate::types::{Interval, ProcId, Vt};
 
@@ -809,7 +811,7 @@ mod history {
                 self.log.record(record.clone());
             }
             apply_batch_locked(&mut self.proto, &mut self.table, &batch);
-            self.proto.vt = vt_through(&vt, &batch);
+            raise_through(&mut self.proto.vt, &batch);
         }
 
         /// An arrival's or a grant's records: known ones, repeats, new ones and,
@@ -830,7 +832,7 @@ mod history {
                 self.log.record(record.clone());
             }
             apply_notices_locked(&mut self.proto, &mut self.table, records.clone());
-            self.proto.vt = vt_through(&self.proto.vt, &records);
+            raise_through(&mut self.proto.vt, &records);
         }
 
         /// A trim at a horizon that is monotone, within what the node knows,
@@ -892,7 +894,8 @@ mod history {
                 log.per_proc.iter().map(VecDeque::len).sum::<usize>()
             );
             for (proc, trimmed) in log.trimmed.iter().enumerate() {
-                let bits: Vec<PageId> = proto.trimmed_of(proc).iter().collect();
+                let bits: Vec<PageId> =
+                    (0..PAGES).map(PageId).filter(|&page| proto.trimmed(proc, page)).collect();
                 assert_eq!(
                     bits,
                     trimmed.iter().copied().collect::<Vec<_>>(),

@@ -15,7 +15,7 @@ use super::interval::{apply_batch_locked, apply_notices_locked, sync_vt_locked, 
 use super::sync::{prep_writes_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::{RoutedRequest, SyncFetchRequest, TmkMessage};
-use crate::notice::{notices_determine, vt_through, NoticeRecord};
+use crate::notice::{notices_determine, raise_through, NoticeRecord};
 use crate::state::ProtoState;
 use crate::types::{Interval, ProcId, Vt, VtDelta};
 
@@ -28,9 +28,9 @@ const MASTER: ProcId = 0;
 /// (node `i`'s children are `i·arity+1 ..= i·arity+arity`, the k-ary heap
 /// layout). The flat topology is the degenerate tree of arity `n - 1`:
 /// every other processor is a direct child of the master.
-fn tree_children(me: ProcId, n: usize, arity: usize) -> Vec<ProcId> {
+fn tree_children(me: ProcId, n: usize, arity: usize) -> Range<ProcId> {
     let first = me * arity + 1;
-    (first..n.min(first.saturating_add(arity))).collect()
+    first.min(n)..n.min(first.saturating_add(arity))
 }
 
 /// Whether `proc` lies in the subtree rooted at `root` of the `arity`-ary
@@ -139,11 +139,12 @@ impl Reduction<'_> {
 /// order), under an already-held proto lock and against the now complete
 /// notice log: each request becomes the processors that will answer it —
 /// every other processor with a recorded modification of a requested page
-/// above the advertised timestamp, the rule each requester evaluates for
-/// itself in [`responders_locked`]. The root is the first node to hold all
+/// above the advertised timestamp. Every requester waits for the
+/// responders its own entry names. The root is the first node to hold all
 /// requests and all notices, and its log agrees with everybody's at this
 /// point: the same notices applied, the same horizon trimmed at the last
-/// barrier, and no advertised component below that horizon. A request
+/// barrier, and no advertised component below that horizon — so it answers
+/// as each requester's own log would (tests hold it to that). A request
 /// nobody answers is dropped here.
 ///
 /// `base` is the *previous* barrier's global timestamp, against which every
@@ -163,13 +164,13 @@ fn route_requests_locked(
     base: &Vt,
     requests: Vec<SyncFetchRequest>,
 ) -> Vec<RoutedRequest> {
-    let vts: Vec<Vt> = requests.iter().map(|req| req.vt(base)).collect();
-    let Some(mut floor) = vts.first().cloned() else { return Vec::new() };
+    let Some(first) = requests.first() else { return Vec::new() };
+    let mut floor = first.vt(base);
     // Per wanted page its requester, or `None` for more than one.
     let mut wanted: Vec<(PageId, Option<ProcId>)> =
         Vec::with_capacity(requests.iter().map(|req| req.pages.len()).sum());
-    for (req, vt) in requests.iter().zip(&vts) {
-        floor.merge_min(vt);
+    for req in &requests {
+        floor.merge_min_patched(base, &req.delta);
         wanted.extend(req.pages.iter().map(|&page| (page, Some(req.proc))));
     }
     wanted.sort_unstable();
@@ -193,8 +194,10 @@ fn route_requests_locked(
     }
     writers.sort_unstable();
     writers.dedup_by_key(|&mut (page, proc, _)| (page, proc));
-    let mut routed = Vec::with_capacity(requests.len());
-    for (SyncFetchRequest { proc, pages, .. }, vt) in requests.into_iter().zip(vts) {
+    let (mut routed, mut vt) = (Vec::with_capacity(requests.len()), floor);
+    for SyncFetchRequest { proc, pages, delta } in requests {
+        vt.clone_from(base);
+        vt.patch(&delta);
         let mut responders: Vec<(ProcId, Interval)> = Vec::new();
         for &page in pages.iter() {
             let start = writers.partition_point(|&(written, _, _)| written < page);
@@ -215,27 +218,16 @@ fn route_requests_locked(
     routed
 }
 
-/// The share of `routed` that goes down to `child`: the entries with a
-/// responder inside the child's subtree, naming only those responders and
-/// sharing the page lists. Pure heap arithmetic — only the root ever looks
+/// Wire bytes of the share of `routed` that goes down to `child`: the
+/// entries with a responder inside the child's subtree, each naming only
+/// those responders. Pure heap arithmetic — only the root ever looks
 /// anything up.
-fn subtree_share(routed: &[RoutedRequest], child: ProcId, arity: usize) -> Vec<RoutedRequest> {
-    routed
-        .iter()
-        .filter_map(|entry| {
-            let responders: Vec<(ProcId, Interval)> = entry
-                .responders
-                .iter()
-                .copied()
-                .filter(|&(responder, _)| in_subtree(responder, child, arity))
-                .collect();
-            (!responders.is_empty()).then(|| RoutedRequest {
-                proc: entry.proc,
-                pages: Arc::clone(&entry.pages),
-                responders,
-            })
-        })
-        .collect()
+fn share_bytes(routed: &[RoutedRequest], child: ProcId, arity: usize) -> usize {
+    let share = routed.iter().filter_map(|entry| {
+        let inside = entry.responders.iter().filter(|r| in_subtree(r.0, child, arity)).count();
+        (inside > 0).then(|| entry.wire_bytes(inside))
+    });
+    share.sum()
 }
 
 /// The `SyncDiffs` replies a barrier owes its requesters, built under the
@@ -262,28 +254,30 @@ fn serve_requests_locked(
     table: &PageTable,
     routed: &[RoutedRequest],
 ) -> Served {
-    let mut examined = Vec::new();
-    let mut shipped = Vec::new();
-    let replies = routed
-        .iter()
-        .filter_map(|entry| {
-            let &(_, seen) = entry.responders.iter().find(|&&(proc, _)| proc == proto.me)?;
-            let (requester, pages) = (entry.proc, &entry.pages[..]);
-            let diffs = proto.diffs_for_pages_after(pages, seen, table, &mut examined);
-            shipped.extend(diffs.iter().map(|r| (r.page, r.interval)));
-            // A barrier's requester waits for exactly one `SyncDiffs` from
-            // every processor its own log resolves the request to; the root
-            // resolved it here from the same log, so an empty answer means
-            // the two disagree — and a requester blocked until the watchdog.
-            debug_assert!(
-                !diffs.is_empty(),
-                "P{} was routed P{requester}'s request for {pages:?} above interval {seen} \
+    let seen_by_me = |entry: &RoutedRequest| {
+        entry.responders.iter().find(|&&(proc, _)| proc == proto.me).map(|&(_, seen)| seen)
+    };
+    let mine = || routed.iter().filter_map(|entry| Some((entry, seen_by_me(entry)?)));
+    // Sized for a diff a requested page, the common case.
+    let pages = mine().map(|(entry, _)| entry.pages.len()).sum();
+    let (mut examined, mut shipped) = (Vec::with_capacity(pages), Vec::with_capacity(pages));
+    let mut replies = Vec::with_capacity(mine().count());
+    replies.extend(mine().map(|(entry, seen)| {
+        let (requester, pages) = (entry.proc, &entry.pages[..]);
+        let diffs = proto.diffs_for_pages_after(pages, seen, table, &mut examined);
+        shipped.extend(diffs.iter().map(|r| (r.page, r.interval)));
+        // A barrier's requester waits for exactly one `SyncDiffs` from
+        // every processor its own log resolves the request to; the root
+        // resolved it here from the same log, so an empty answer means
+        // the two disagree — and a requester blocked until the watchdog.
+        debug_assert!(
+            !diffs.is_empty(),
+            "P{} was routed P{requester}'s request for {pages:?} above interval {seen} \
                  but holds no such diff",
-                proto.me,
-            );
-            Some((requester, TmkMessage::SyncDiffs { from: proto.me, diffs }))
-        })
-        .collect();
+            proto.me,
+        );
+        (requester, TmkMessage::SyncDiffs { from: proto.me, diffs })
+    }));
     examined.sort_unstable();
     examined.dedup();
     shipped.sort_unstable();
@@ -291,40 +285,19 @@ fn serve_requests_locked(
     Served { replies, scanned: examined.len(), encodings: shipped.len() }
 }
 
-/// The processors that will answer this node's own piggybacked request with
-/// a `SyncDiffs` message, ascending: every other processor with a recorded
-/// modification of a requested page above the advertised timestamp sends
-/// exactly one. The log yields its records in processor order, so a
-/// processor already named is the last one named.
-fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> Vec<ProcId> {
-    debug_assert!(pages.is_sorted(), "every caller sorts its page list");
-    let mut responders = Vec::new();
-    for record in proto.notice_log.records_after(vt) {
-        if record.proc != proto.me
-            && responders.last() != Some(&record.proc)
-            && record.pages.iter().any(|page| pages.binary_search(page).is_ok())
-        {
-            responders.push(record.proc);
-        }
-    }
-    responders
-}
-
 /// Builds the barrier departure of each child of this node, under an
-/// already-held proto lock: each shares the barrier's notice `batch`, and a
-/// child's subtree-merged arrival timestamp says which of its records the
-/// subtree still misses — what the departure is charged for — and its
-/// position in the tree which of the `routed` requests this node holds —
-/// all of them at the root, its own subtree's share below — its subtree
-/// answers, and which of a reduction's totals its subtree reads. The global
-/// timestamp does not travel: the child rebuilds it from its own timestamp
-/// and the batch, which debug builds check here, at the sender.
+/// already-held proto lock: each shares the barrier's notice `batch`, GC
+/// horizon and `routed` requests, and is charged for the records the
+/// child's subtree timestamp misses and the requests its subtree answers;
+/// it carries the reduction totals the subtree reads. The global timestamp
+/// does not travel: the child rebuilds it from its own timestamp and the
+/// batch, which debug builds check here, at the sender.
 fn child_departures(
     proto: &ProtoState,
     children: &[(ProcId, Vt)],
-    gc_horizon: &VtDelta,
+    gc_horizon: &Arc<VtDelta>,
     batch: &Arc<[NoticeRecord]>,
-    routed: &[RoutedRequest],
+    routed: &Arc<[RoutedRequest]>,
     reduction: Option<&Reduction>,
     arity: usize,
 ) -> Vec<(ProcId, TmkMessage)> {
@@ -338,10 +311,11 @@ fn child_departures(
             );
             let unseen = batch.iter().filter(|r| r.interval > vt.get(r.proc));
             let msg = TmkMessage::BarrierDeparture {
-                gc_horizon: gc_horizon.clone(),
+                gc_horizon: Arc::clone(gc_horizon),
                 notices: Arc::clone(batch),
                 notice_bytes: unseen.map(NoticeRecord::wire_bytes).sum(),
-                sync_requests: subtree_share(routed, *proc, arity),
+                sync_requests: Arc::clone(routed),
+                request_bytes: share_bytes(routed, *proc, arity),
                 words: reduction
                     .map_or_else(Vec::new, |r| r.read_by(|q| in_subtree(q, *proc, arity))),
             };
@@ -386,31 +360,42 @@ struct Arrivals {
     applied: Vec<VtDelta>,
 }
 
+/// Buffers every barrier rebuilds: each child's subtree timestamp, and this
+/// node's applied timestamp — the GC horizon once the departure brings it.
+#[derive(Debug, Default)]
+pub(super) struct Buffers {
+    subtrees: Vec<(ProcId, Vt)>,
+    horizon: Vt,
+}
+
 /// Applies the children's notice records and folds their subtrees into this
 /// node's timestamp, under an already-held lock pair and before this barrier
-/// replaces `last_global_vt`. Returns the tally, each child's subtree
+/// replaces `last_global_vt`. Leaves in `buffers` each child's subtree
 /// timestamp (the previous global one joined with the child's own records)
-/// and the component-wise minimum of this node's applied timestamp and theirs.
+/// and the component-wise minimum of this node's applied timestamp and
+/// theirs; returns the tally.
 fn fold_arrivals_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
     arrivals: &mut Arrivals,
-) -> (NoticeTally, Vec<(ProcId, Vt)>, Vt) {
-    let base = &proto.last_global_vt;
-    let children: Vec<(ProcId, Vt)> = arrivals
-        .spans
-        .iter()
-        .map(|(proc, span)| (*proc, vt_through(base, &arrivals.notices[span.clone()])))
-        .collect();
+    buffers: &mut Buffers,
+) -> NoticeTally {
+    let Buffers { subtrees, horizon } = buffers;
+    subtrees.resize_with(arrivals.spans.len(), Default::default);
+    for ((proc, span), (child, vt)) in arrivals.spans.iter().zip(subtrees.iter_mut()) {
+        *child = *proc;
+        vt.clone_from(&proto.last_global_vt);
+        raise_through(vt, &arrivals.notices[span.clone()]);
+    }
     let tally = apply_notices_locked(proto, table, std::mem::take(&mut arrivals.notices));
-    for (_, vt) in &children {
+    for (_, vt) in subtrees.iter() {
         proto.vt.merge(vt);
     }
-    let mut applied = proto.applied_vt(table);
+    proto.applied_vt(table, horizon);
     for delta in &arrivals.applied {
-        applied.merge_min(&proto.last_global_vt.patched(delta));
+        horizon.merge_min_patched(&proto.last_global_vt, delta);
     }
-    (tally, children, applied)
+    tally
 }
 
 impl Process {
@@ -487,7 +472,7 @@ impl Process {
     /// share of the routed requests and of the totals fan back down. No
     /// whole vector timestamp crosses a hop: the subtree and global
     /// timestamps are rebuilt from the notices of the same message (see
-    /// `notice::vt_through`), the applied timestamp and the horizon travel
+    /// `notice::raise_through`), the applied timestamp and the horizon travel
     /// as deltas against the previous global timestamp.
     /// Every topology runs one schedule: a node serves each child's arrival
     /// as soon as it is there, `per_child` each, and sends each departure
@@ -514,18 +499,14 @@ impl Process {
         let me = self.proc_id();
         let (arity, per_child, interrupt) = self.barrier;
         let children = tree_children(me, n, arity);
-        // This processor's own request: its advertised timestamp, kept
-        // whole for resolving the responders below and sent as its
-        // difference from the previous barrier's global timestamp.
-        let (my_sync_vt, my_request) = if pending.pages.is_empty() {
-            (None, None)
-        } else {
+        // This processor's own request: its advertised timestamp, sent as
+        // its difference from the previous barrier's global timestamp.
+        let my_request = (!pending.pages.is_empty()).then(|| {
             let mut proto = self.node.unleased().proto();
             let vt = sync_vt_locked(&mut proto, &pending.pages);
             let pages = pending.pages.as_slice().into();
-            let request = SyncFetchRequest::new(me, &vt, &proto.last_global_vt, pages);
-            (Some(vt), Some(request))
-        };
+            SyncFetchRequest::new(me, &vt, &proto.last_global_vt, pages)
+        });
 
         // --- Up the tree: gather the whole subtree's arrivals. Collect every
         // arrival before serving any: the service order is then the
@@ -564,20 +545,20 @@ impl Process {
         // send the merged arrival up — first, the whole cluster is waiting
         // for it; this node's own invalidations are charged behind it — and
         // wait for the departure.
-        let (departed, subtrees) = if me == MASTER {
+        let departed = if me == MASTER {
             // Route and serve the piggybacked requests in processor order,
             // not arrival order: every processor then answers them at
             // deterministic virtual times, keeping runs reproducible.
             sync_requests.sort_by_key(|r| r.proc);
-            (None, Vec::new())
+            None
         } else {
             let parent = (me - 1) / arity;
-            let (arrival, subtrees, tally, pages_in_use) = {
+            let (arrival, tally, pages_in_use) = {
                 let node = self.node.unleased();
                 let mut proto = node.proto();
                 let mut table = node.table();
-                let (tally, subtrees, applied) =
-                    fold_arrivals_locked(&mut proto, &mut table, &mut arrivals);
+                let buffers = &mut self.buffers;
+                let tally = fold_arrivals_locked(&mut proto, &mut table, &mut arrivals, buffers);
                 let base = &proto.last_global_vt;
                 let notices = proto.notice_log.clone_after(base);
                 debug_assert!(
@@ -586,7 +567,7 @@ impl Process {
                 );
                 let msg = TmkMessage::BarrierArrival {
                     proc: me,
-                    applied_vt: applied.delta_from(base),
+                    applied_vt: buffers.horizon.delta_from(base),
                     notices,
                     sync_requests: std::mem::take(&mut sync_requests),
                     words: reduction
@@ -594,7 +575,7 @@ impl Process {
                         .map(|r| std::mem::take(&mut r.words))
                         .unwrap_or_default(),
                 };
-                (msg, subtrees, tally, table.pages_in_use())
+                (msg, tally, table.pages_in_use())
             };
             self.send(parent, Port::Reply, arrival, interrupt);
             self.charge_notices(&tally, pages_in_use);
@@ -610,7 +591,7 @@ impl Process {
             if let Some(reduction) = reduction.as_mut() {
                 reduction.words = words;
             }
-            (Some((gc_horizon, notices, sync_requests)), subtrees)
+            Some((gc_horizon, notices, sync_requests))
         };
 
         // --- One lock hold for the whole post-exchange protocol step. ---
@@ -618,6 +599,7 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
+            let buffers = &mut self.buffers;
             // The notices: the departure's batch below the root, the
             // arrivals' at the root, which builds the batch every departure
             // shares. The global timestamp, GC horizon and routed requests:
@@ -627,41 +609,39 @@ impl Process {
             // is replaced — and completed at the root itself, whose own
             // applied timestamp closes the component-wise minimum over all
             // processors and whose log is the first to hold every notice the
-            // requests are resolved against. The root's own request is
-            // resolved in that list; everybody else evaluates the same rule
-            // for itself.
-            let (tally, subtrees, gc_horizon, horizon_delta, batch, routed) = match departed {
+            // requests are resolved against. Every requester, the root
+            // included, waits for the responders its own entry names.
+            let (tally, horizon_delta, batch, routed) = match departed {
                 Some((horizon_delta, batch, routed)) => {
-                    let global_vt = vt_through(&proto.vt, &batch);
                     let tally = apply_batch_locked(&mut proto, &mut table, &batch);
-                    let gc_horizon = proto.last_global_vt.patched(&horizon_delta);
-                    proto.vt.clone_from(&global_vt);
-                    proto.last_global_vt = global_vt;
-                    if let Some(vt) = &my_sync_vt {
-                        pending.responders = responders_locked(&proto, &pending.pages, vt);
-                    }
-                    (tally, subtrees, gc_horizon, horizon_delta, batch, routed)
+                    buffers.horizon.clone_from(&proto.last_global_vt);
+                    buffers.horizon.patch(&horizon_delta);
+                    let proto = &mut *proto;
+                    raise_through(&mut proto.vt, &batch);
+                    proto.last_global_vt.clone_from(&proto.vt);
+                    (tally, horizon_delta, batch, routed)
                 }
                 None => {
-                    let (tally, subtrees, horizon) =
-                        fold_arrivals_locked(&mut proto, &mut table, &mut arrivals);
+                    let tally =
+                        fold_arrivals_locked(&mut proto, &mut table, &mut arrivals, buffers);
                     // The requests and the horizon are encoded against the
                     // previous barrier's global timestamp: take it out as
                     // this barrier's goes in.
                     let global_vt = proto.vt.clone();
                     let base = std::mem::replace(&mut proto.last_global_vt, global_vt);
-                    let horizon_delta = horizon.delta_from(&base);
+                    let horizon_delta = Arc::new(buffers.horizon.delta_from(&base));
                     let batch = proto.notice_log.records_after(&base).cloned().collect();
-                    let routed = route_requests_locked(&proto, &base, sync_requests);
-                    if let Some(own) = routed.iter().find(|entry| entry.proc == me) {
-                        pending.responders = own.responders.iter().map(|&(proc, _)| proc).collect();
-                    }
-                    (tally, subtrees, horizon, horizon_delta, batch, routed)
+                    let routed: Arc<[RoutedRequest]> =
+                        route_requests_locked(&proto, &base, sync_requests).into();
+                    (tally, horizon_delta, batch, routed)
                 }
             };
+            if let Some(own) = routed.iter().find(|entry| entry.proc == me) {
+                pending.responders = own.responders.iter().map(|&(proc, _)| proc).collect();
+            }
             let departures = child_departures(
                 &proto,
-                &subtrees,
+                &buffers.subtrees,
                 &horizon_delta,
                 &batch,
                 &routed,
@@ -677,10 +657,10 @@ impl Process {
             // timestamps are bounded by real ones), which the adversarial
             // GC tests pin.
             debug_assert!(
-                proto.last_global_vt.covers(&gc_horizon),
+                proto.last_global_vt.covers(&buffers.horizon),
                 "the GC horizon must stay at or below the global VT"
             );
-            let trimmed = proto.gc_trim(&gc_horizon, &pending.pages);
+            let trimmed = proto.gc_trim(&buffers.horizon, &pending.pages);
             if let Some(reduction) = &reduction {
                 proto.materialise(reduction.section.pages());
                 reduction.install_locked(&proto, &mut table);
@@ -734,6 +714,25 @@ mod tests {
     use super::*;
     use crate::message::DiffRecord;
     use crate::state::{CachedDiff, Delta, DiffEntry};
+
+    /// The processors that will answer a node's own piggybacked request with
+    /// a `SyncDiffs` message, as its own log says, ascending: every other
+    /// processor with a recorded modification of a requested page above the
+    /// advertised timestamp sends exactly one. The log yields its records in
+    /// processor order, so a processor already named is the last one named.
+    fn responders_locked(proto: &ProtoState, pages: &[PageId], vt: &Vt) -> Vec<ProcId> {
+        debug_assert!(pages.is_sorted(), "every caller sorts its page list");
+        let mut responders = Vec::new();
+        for record in proto.notice_log.records_after(vt) {
+            if record.proc != proto.me
+                && responders.last() != Some(&record.proc)
+                && record.pages.iter().any(|page| pages.binary_search(page).is_ok())
+            {
+                responders.push(record.proc);
+            }
+        }
+        responders
+    }
 
     /// The subtree of `root` as the closure of [`tree_children`].
     fn descendants(root: ProcId, n: usize, arity: usize) -> Vec<bool> {
@@ -844,32 +843,55 @@ mod tests {
             .collect()
     }
 
-    /// Hands `received` to `me` and on down its subtree, checking at every
-    /// node that the entries naming it plus its children's shares are
-    /// exactly what it received. Appends what each node would serve.
+    /// The share of `routed` a departure to `child` is charged for: the
+    /// entries with a responder inside the child's subtree, naming only
+    /// those responders (what departures carried before they shared the
+    /// root's list).
+    fn subtree_share(routed: &[RoutedRequest], child: ProcId, arity: usize) -> Vec<RoutedRequest> {
+        let share = routed.iter().map(|entry| RoutedRequest {
+            responders: entry
+                .responders
+                .iter()
+                .copied()
+                .filter(|&(responder, _)| in_subtree(responder, child, arity))
+                .collect(),
+            ..entry.clone()
+        });
+        share.filter(|entry| !entry.responders.is_empty()).collect()
+    }
+
+    /// Wire bytes of `share`'s entries.
+    fn bytes_of(share: &[RoutedRequest]) -> usize {
+        share.iter().map(|entry| entry.wire_bytes(entry.responders.len())).sum()
+    }
+
+    /// Hands the root's `routed` list to `me` and on down its subtree,
+    /// checking at every node that the entries naming it plus its
+    /// children's shares are exactly its own share, `received`, and that
+    /// each child is charged its share's bytes. Appends what each node
+    /// serves: the entries of the whole list that name it.
     fn deliver(
         me: ProcId,
+        routed: &[RoutedRequest],
         received: &[RoutedRequest],
         (n, arity): (usize, usize),
         served: &mut Vec<(ProcId, ProcId, Interval)>,
     ) {
         let mut handed_on = Vec::new();
         for entry in received {
-            assert!(!entry.responders.is_empty(), "P{me} received an entry nobody answers");
+            assert!(!entry.responders.is_empty(), "P{me} is charged an entry nobody answers");
             assert!(entry.responders.is_sorted());
             assert!(entry.responders.iter().all(|&(r, _)| in_subtree(r, me, arity)));
             handed_on.extend(pairs(std::slice::from_ref(entry)).into_iter().filter(|p| p.1 == me));
         }
-        served.extend(handed_on.iter().copied());
+        let own: Vec<_> = pairs(routed).into_iter().filter(|p| p.1 == me).collect();
+        assert_eq!(own, handed_on, "P{me} serves its own entries of the whole list");
+        served.extend(own);
         for child in tree_children(me, n, arity) {
             let share = subtree_share(received, child, arity);
-            for entry in &share {
-                let original =
-                    received.iter().find(|e| e.proc == entry.proc).expect("not invented");
-                assert!(Arc::ptr_eq(&entry.pages, &original.pages), "page lists are shared");
-            }
+            assert_eq!(share_bytes(routed, child, arity), bytes_of(&share), "P{child}'s charge");
             handed_on.extend(pairs(&share));
-            deliver(child, &share, (n, arity), served);
+            deliver(child, routed, &share, (n, arity), served);
         }
         let mut expected = pairs(received);
         expected.sort_unstable();
@@ -907,7 +929,7 @@ mod tests {
                 routed.push(RoutedRequest { proc, pages: pages.into(), responders });
             }
             let mut served = Vec::new();
-            deliver(MASTER, &routed, (n, arity), &mut served);
+            deliver(MASTER, &routed, &routed, (n, arity), &mut served);
             served.sort_unstable();
             let mut all = pairs(&routed);
             all.sort_unstable();
@@ -964,7 +986,7 @@ mod tests {
         seen: &[(ProcId, Interval)],
         pages: &[usize],
     ) -> SyncFetchRequest {
-        let mut vt = Vt::new(base.len());
+        let mut vt = Vt::new(base.width());
         for &(p, interval) in seen {
             vt.advance(p, interval);
         }
@@ -1034,7 +1056,7 @@ mod tests {
                 served.push((requester, me, diffs));
             }
             for child in tree_children(me, n, arity) {
-                hops.push((child, subtree_share(&received, child, arity)));
+                hops.push((child, received.clone()));
             }
         }
         let key = |t: &(ProcId, ProcId, Vec<DiffRecord>)| (t.0, t.1);
@@ -1137,9 +1159,12 @@ mod tests {
         assert_eq!(pairs, [(0, 1), (1, 0)]);
     }
 
-    fn routed_of(msg: &TmkMessage) -> &[RoutedRequest] {
+    /// A departure's shared list and the bytes it is charged for it.
+    fn routed_of(msg: &TmkMessage) -> (&Arc<[RoutedRequest]>, usize) {
         match msg {
-            TmkMessage::BarrierDeparture { sync_requests, .. } => sync_requests,
+            TmkMessage::BarrierDeparture { sync_requests, request_bytes, .. } => {
+                (sync_requests, *request_bytes)
+            }
             other => panic!("not a departure: {other:?}"),
         }
     }
@@ -1156,23 +1181,26 @@ mod tests {
             pages: pages.iter().map(|&p| PageId(p)).collect(),
             responders: responders.to_vec(),
         };
-        let received = [
+        let received: Arc<[RoutedRequest]> = [
             entry(0, &[8], &[(1, 1)]),
             entry(5, &[3, 7], &[(1, 0), (3, 0)]),
             entry(6, &[7], &[(4, 2)]),
-        ];
+        ]
+        .into();
         let children = [(3, Vt::new(N)), (4, proto.last_global_vt.clone())];
         let batch: Arc<[NoticeRecord]> =
             proto.notice_log.records_after(&Vt::new(N)).cloned().collect();
-        let departures =
-            child_departures(&proto, &children, &VtDelta::default(), &batch, &received, None, 2);
+        let horizon = Arc::new(VtDelta::default());
+        let departures = child_departures(&proto, &children, &horizon, &batch, &received, None, 2);
         assert_eq!(departures.iter().map(|(child, _)| *child).collect::<Vec<_>>(), [3, 4]);
-        // Each leaf is told of the one request it answers, naming it alone;
-        // the request only P1 itself answers goes no further.
+        // Both departures share the list as it came; each leaf is charged
+        // for the one request it answers, naming it alone, and the request
+        // only P1 itself answers costs neither anything.
         let (to_3, to_4) = (routed_of(&departures[0].1), routed_of(&departures[1].1));
-        assert_eq!(to_3, [entry(5, &[3, 7], &[(3, 0)])]);
-        assert_eq!(to_4, [entry(6, &[7], &[(4, 2)])]);
-        assert!(Arc::ptr_eq(&to_3[0].pages, &received[1].pages), "shared, not copied");
+        assert!(Arc::ptr_eq(to_3.0, &received) && Arc::ptr_eq(to_4.0, &received), "shared");
+        assert_eq!(subtree_share(&received, 3, 2), [entry(5, &[3, 7], &[(3, 0)])]);
+        assert_eq!(subtree_share(&received, 4, 2), [entry(6, &[7], &[(4, 2)])]);
+        assert_eq!((to_3.1, to_4.1), (4 + 2 * 4 + 8, 4 + 4 + 8));
         // Both share the one batch; what differs per child is what its
         // timestamp misses, and that is what travels.
         let notices = |msg: &TmkMessage| match msg {
@@ -1213,29 +1241,24 @@ mod tests {
         let up: usize = requests.iter().map(|request| request.wire_bytes(N)).sum();
         assert_eq!(up, N * (8 + 8) + 4 * (2 * N - 2));
         let whole_timestamps = N * (4 + first.wire_bytes()) + 4 * (2 * N - 2);
-        let routed = route_requests_locked(&proto, &first, requests);
+        let routed: Arc<[RoutedRequest]> = route_requests_locked(&proto, &first, requests).into();
         assert_eq!(routed.len(), N);
         // A child that has seen nothing: its departure carries every notice.
         let nothing = Vt::new(N);
         let batch: Arc<[NoticeRecord]> =
             proto.notice_log.records_after(&nothing).cloned().collect();
         let mut leaves = 0;
+        let horizon = Arc::new(VtDelta::default());
         for child in tree_children(MASTER, N, ARITY) {
-            let share = subtree_share(&routed, child, ARITY);
             for leaf in tree_children(child, N, ARITY) {
                 assert!(tree_children(leaf, N, ARITY).is_empty());
                 let children = [(leaf, nothing.clone())];
-                let departures = child_departures(
-                    &proto,
-                    &children,
-                    &VtDelta::default(),
-                    &batch,
-                    &share,
-                    None,
-                    ARITY,
-                );
+                let departures =
+                    child_departures(&proto, &children, &horizon, &batch, &routed, None, ARITY);
                 let departure = &departures[0].1;
-                assert!(routed_of(departure).len() <= 2, "its two neighbours' requests");
+                let share = subtree_share(&routed, leaf, ARITY);
+                assert!(share.len() <= 2, "its two neighbours' requests");
+                assert_eq!(routed_of(departure).1, bytes_of(&share));
                 let bytes = departure.wire_bytes(N);
                 assert!(bytes <= 4096, "{bytes} bytes to leaf P{leaf}");
                 leaves += 1;

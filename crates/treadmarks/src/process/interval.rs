@@ -78,8 +78,6 @@ pub(super) fn apply_batch_locked(
     batch: &Arc<[NoticeRecord]>,
 ) -> NoticeTally {
     debug_assert!(batch.is_sorted_by_key(|r| (r.proc, r.interval)), "a batch is one log's order");
-    #[cfg(debug_assertions)]
-    let mut through = proto.vt.clone();
     let (me, mut applied) = (proto.me, Applied::default());
     let unseen = |vt: &Vt, r: &NoticeRecord| r.proc != me && r.interval > vt.get(r.proc);
     for record in batch.iter() {
@@ -93,13 +91,11 @@ pub(super) fn apply_batch_locked(
             record.proc,
             record.interval,
         );
-        #[cfg(debug_assertions)]
-        through.advance(record.proc, record.interval);
         applied.record(proto, table, record);
     }
-    #[cfg(debug_assertions)]
-    assert!(
-        through == crate::notice::vt_through(&proto.vt, batch),
+    // The records it skips as seen move no component; its own would.
+    debug_assert!(
+        batch.iter().all(|r| r.proc != me || r.interval <= proto.vt.get(me)),
         "P{}: the records a departure applies must determine the global timestamp",
         proto.me,
     );
@@ -165,19 +161,19 @@ impl Process {
         }
         let interval = proto.open_interval();
         let me = proto.me;
-        // Happens-before rank of this interval: the timestamp it flushes
-        // with. Receivers use it to apply same-page diffs in causal order.
-        let vt_after = {
-            let mut vt_after = proto.vt.clone();
-            vt_after.advance(me, interval);
-            vt_after
-        };
-        let rank = vt_after.sum();
+        // Happens-before rank of this interval: the sum of the timestamp it
+        // flushes with, this node's own component raised to the interval.
+        // Receivers use it to apply same-page diffs in causal order.
+        let rank = proto.vt.sum() + u64::from(interval - proto.vt.get(me));
         // The full creating timestamp is kept (and later shipped) only when
         // the race detector is on; otherwise the cache stores the scalar
         // rank alone and the wire format is byte-identical to a
         // detector-less build.
-        let creating_vt = self.run.race.as_ref().map(|_| vt_after);
+        let creating_vt = self.run.race.as_ref().map(|_| {
+            let mut vt_after = proto.vt.clone();
+            vt_after.advance(me, interval);
+            vt_after
+        });
         let mut flushed_pages = Vec::with_capacity(dirty.len());
         let mut diffs = Vec::with_capacity(dirty.len());
         // One protection operation per contiguous run of dirty pages: the
@@ -502,10 +498,10 @@ mod tests {
             let a = p.alloc_array::<u32>(words);
             if p.proc_id() == 0 {
                 p.set(&a, 0, 1);
-                p.push_exchange(&[(1, vec![a.range_of(0, 1)])], &[]);
+                p.push_exchange([(1, &[a.range_of(0, 1)][..])], &[]);
                 p.set(&a, 0, 2);
             } else {
-                p.push_exchange(&[], &[0]);
+                p.push_exchange([], &[0]);
                 assert_eq!(p.get(&a, 0), 1, "pushed");
             }
             p.barrier();
@@ -585,7 +581,7 @@ mod oracle {
     };
     use super::{apply_batch_locked, apply_notices_locked, sync_vt_locked, NoticeTally};
     use crate::message::{DiffRecord, PageWant};
-    use crate::notice::{vt_through, NoticeLog, NoticeRecord};
+    use crate::notice::{raise_through, NoticeLog, NoticeRecord};
     use crate::state::{lower_below_missing, ProtoState};
     use crate::types::{Interval, ProcId, Vt};
 
@@ -959,7 +955,7 @@ mod oracle {
             let vt = self.proto.vt.clone();
             let real = apply_batch_locked(&mut self.proto, &mut self.table, &batch);
             assert_eq!(tally(&real), self.eager.apply_batch(&vt, &batch), "batch tally");
-            self.proto.vt = vt_through(&vt, &batch);
+            raise_through(&mut self.proto.vt, &batch);
         }
 
         /// A trim at a horizon that is monotone, within what the node knows,
@@ -999,7 +995,7 @@ mod oracle {
                     }
                     let real =
                         apply_notices_locked(&mut self.proto, &mut self.table, grant.clone());
-                    self.proto.vt = vt_through(&self.proto.vt, &grant);
+                    raise_through(&mut self.proto.vt, &grant);
                     assert_eq!(tally(&real), self.eager.apply_notices(grant), "grant tally");
                 }
                 5 | 6 => self.trim(|k| draw(1 + k), &[]),
@@ -1092,7 +1088,9 @@ mod oracle {
                 }
                 _ => {
                     let expected = self.eager.applied_vt(&self.proto.vt);
-                    assert_eq!(self.proto.applied_vt(&self.table), expected, "applied timestamp");
+                    let mut applied = Vt::default();
+                    self.proto.applied_vt(&self.table, &mut applied);
+                    assert_eq!(applied, expected, "applied timestamp");
                     for page in (0..PAGES).map(PageId).filter(|&page| self.table.is_mapped(page)) {
                         let mut expected = self.proto.vt.clone();
                         lower_below_missing(&mut expected, self.eager.list(page));

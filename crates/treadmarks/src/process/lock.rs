@@ -9,7 +9,7 @@ use super::interval::{apply_notices_locked, sync_vt_locked};
 use super::sync::{prep_writes_locked, wants_for_pages_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::TmkMessage;
-use crate::notice::vt_through;
+use crate::notice::raise_through;
 use crate::state::ProtoState;
 use crate::types::{Interval, LockId, ProcId};
 
@@ -81,7 +81,7 @@ impl Process {
             let mut table = node.table();
             // The granter's timestamp, merged: ours covers the one we
             // advertised, so the grant's notices determine it.
-            proto.vt = vt_through(&proto.vt, &notices);
+            raise_through(&mut proto.vt, &notices);
             let tally = apply_notices_locked(&mut proto, &mut table, notices);
             let state = proto.locks.entry(lock).or_default();
             (state.requested, state.held) = (false, true);

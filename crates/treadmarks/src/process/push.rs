@@ -26,26 +26,32 @@ impl Process {
     /// *one* hold installs everything and caches the mappings of the
     /// received ranges.
     ///
+    /// Each destination's ranges ship as given: coalesced, in address order.
+    ///
     /// # Panics
     ///
     /// Panics if a destination or source is out of range or is this
     /// processor itself.
-    pub fn push_exchange(&mut self, sends: &[(ProcId, Vec<AddrRange>)], recv_from: &[ProcId]) {
+    pub fn push_exchange<'a>(
+        &mut self,
+        sends: impl IntoIterator<Item = (ProcId, &'a [AddrRange])>,
+        recv_from: &[ProcId],
+    ) {
         let me = self.proc_id();
-        if !sends.is_empty() {
+        let mut sends = sends.into_iter().peekable();
+        if sends.peek().is_some() {
             // One hold for every outgoing chunk read.
             type Outgoing = Vec<(ProcId, Vec<(AddrRange, Vec<u8>)>)>;
             let outgoing: Outgoing = {
                 let table = self.node.unleased().table();
                 sends
-                    .iter()
-                    .map(|&(dest, ref ranges)| {
+                    .map(|(dest, ranges)| {
                         assert_ne!(dest, me, "a processor does not push to itself");
-                        let chunks = AddrRange::coalesce(ranges.clone())
-                            .into_iter()
-                            .map(|r| (r, table.read_range(r)))
-                            .collect();
-                        (dest, chunks)
+                        debug_assert!(
+                            ranges.windows(2).all(|w| w[0].end() < w[1].start()),
+                            "a push's ranges are coalesced and in address order"
+                        );
+                        (dest, ranges.iter().map(|&r| (r, table.read_range(r))).collect())
                     })
                     .collect()
             };
@@ -127,9 +133,9 @@ mod tests {
             let a = p.alloc_array::<u32>(PAGE_SIZE / 4);
             if p.proc_id() == 0 {
                 p.set(&a, 0, 5);
-                p.push_exchange(&[(1, vec![a.range_of(0, 1)])], &[]);
+                p.push_exchange([(1, &[a.range_of(0, 1)][..])], &[]);
             } else {
-                p.push_exchange(&[], &[0]);
+                p.push_exchange([], &[0]);
                 p.set(&a, 100, 9);
             }
             p.barrier();
@@ -152,9 +158,9 @@ mod tests {
             p.barrier();
             if p.proc_id() == 0 {
                 p.set(&a, 0, 1);
-                p.push_exchange(&[(1, vec![a.range_of(0, 1)])], &[]);
+                p.push_exchange([(1, &[a.range_of(0, 1)][..])], &[]);
             } else {
-                p.push_exchange(&[], &[0]);
+                p.push_exchange([], &[0]);
                 assert_eq!([p.get(&a, 0), p.get(&a, 100)], [1, 5]);
             }
         });

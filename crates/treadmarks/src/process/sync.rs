@@ -445,7 +445,8 @@ impl Process {
         // pages with nothing missing become readable (writable again if
         // mid-interval modifications exist); pages still missing diffs stay
         // invalid; untouched pages materialise zero-filled.
-        let mut revalidate: Vec<PageId> = pages.to_vec();
+        let mut revalidate = Vec::with_capacity(pages.len() + applicable.len());
+        revalidate.extend_from_slice(pages);
         revalidate.extend(applicable.iter().map(|r| r.page));
         revalidate.sort_unstable();
         revalidate.dedup();

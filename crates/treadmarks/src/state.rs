@@ -17,7 +17,7 @@ use pagedmem::{Diff, Page, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::message::DiffRecord;
-use crate::notice::{NoticeLog, NoticeRecord, PageBits};
+use crate::notice::{Bits, NoticeLog, NoticeRecord};
 use crate::run::RunShared;
 use crate::types::{Interval, LockId, ProcId, Vt};
 
@@ -225,14 +225,14 @@ pub(crate) struct ProtoState {
     /// ([`materialise`](Self::materialise)): a list exists only for such a
     /// page, and only while it misses something. Any other page's missing
     /// set is the log's records that name it plus one entry per other
-    /// writer whose trimmed records named it ([`NoticeLog::trimmed_of`]),
+    /// writer whose trimmed records named it ([`NoticeLog::trimmed_writers`]),
     /// so a notice costs such a page nothing. At or below the GC horizon
     /// only a processor's lowest entry is ever read, so
     /// [`gc_trim`](Self::gc_trim) folds the rest into it.
     pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
     /// The materialised pages. Every mapped page is one, so a notice need
     /// invalidate no other.
-    materialised: PageBits,
+    materialised: Bits,
     /// This node's own diffs, a queue of its flushed intervals behind a
     /// per-page index, popped from the front by every barrier's trim.
     pub diff_cache: DiffCache,
@@ -267,7 +267,7 @@ impl ProtoState {
             vt: Vt::new(nprocs),
             notice_log: NoticeLog::new(nprocs),
             page_missing: IntMap::default(),
-            materialised: PageBits::default(),
+            materialised: Bits::default(),
             diff_cache: DiffCache::default(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
@@ -343,7 +343,7 @@ impl ProtoState {
     /// the first read of a page's list does this, as does mapping the page
     /// or naming it in an outgoing request. The list is one entry per other
     /// writer whose trimmed records named the page
-    /// ([`NoticeLog::trimmed_of`]), at the writer's GC-horizon component
+    /// ([`NoticeLog::trimmed_writers`]), at the writer's GC-horizon component
     /// (every reader of an entry at or below the horizon depends only on
     /// its writer, see [`lower_below_missing`]), and one per record of the
     /// notice log that names the page, this node's own excluded: what the
@@ -356,7 +356,7 @@ impl ProtoState {
         let mut learned = None;
         let (me, nprocs, vt) = (self.me, self.nprocs, &self.vt);
         for page in pages {
-            if self.materialised.insert(page)
+            if self.materialised.insert(page.0)
                 && *learned.get_or_insert_with(|| (0..nprocs).any(|p| p != me && vt.get(p) > 0))
             {
                 fresh.push((page, Vec::new()));
@@ -373,13 +373,9 @@ impl ProtoState {
     /// Fills in the lists [`materialise`](Self::materialise) gives the
     /// pages of `fresh` (ascending, distinct, lists empty).
     fn fill(&self, fresh: &mut [(PageId, Vec<(ProcId, Interval)>)]) {
-        let writers = (0..self.nprocs).filter(|&proc| proc != self.me);
-        for (proc, written) in writers.map(|proc| (proc, self.notice_log.trimmed_of(proc))) {
-            for (page, list) in fresh.iter_mut() {
-                if written.contains(*page) {
-                    list.push((proc, self.gc_horizon.get(proc)));
-                }
-            }
+        for (page, list) in fresh.iter_mut() {
+            let writers = self.notice_log.trimmed_writers(*page).filter(|&proc| proc != self.me);
+            list.extend(writers.map(|proc| (proc, self.gc_horizon.get(proc))));
         }
         let others = self.notice_log.records_after(&self.gc_horizon).filter(|r| r.proc != self.me);
         for record in others {
@@ -395,12 +391,12 @@ impl ProtoState {
     /// only inside a base, a copy of the current page (see
     /// [`DiffRecord::base`]).
     pub(crate) fn trimmed(&self, page: PageId) -> bool {
-        self.notice_log.trimmed_of(self.me).contains(page)
+        self.notice_log.trimmed(self.me, page)
     }
 
     /// Whether `page` is materialised.
     pub(crate) fn is_materialised(&self, page: PageId) -> bool {
-        self.materialised.contains(page)
+        self.materialised.contains(page.0)
     }
 
     /// The timestamp of this node's copy of `page`: its own, lowered below
@@ -424,20 +420,21 @@ impl ProtoState {
     /// with one base (see [`DiffRecord::base`]) from a producer of the page
     /// — whose mapped frame, like every mapped frame, has applied everything
     /// at or below the horizon, so the base's timestamp covers the interval.
-    pub(crate) fn applied_vt(&self, table: &PageTable) -> Vt {
+    ///
+    /// Written into `vt`, whose buffer a barrier keeps.
+    pub(crate) fn applied_vt(&self, table: &PageTable, vt: &mut Vt) {
         debug_assert_eq!(
-            self.materialised.iter().filter(|&page| table.is_mapped(page)).count(),
+            self.materialised.iter().filter(|&page| table.is_mapped(PageId(page))).count(),
             table.pages_in_use(),
             "P{}: a mapped page is not materialised",
             self.me
         );
-        let mut vt = self.vt.clone();
+        vt.clone_from(&self.vt);
         for (&page, missing) in &self.page_missing {
             if table.is_mapped(page) {
-                lower_below_missing(&mut vt, missing);
+                lower_below_missing(vt, missing);
             }
         }
-        vt
     }
 
     /// Pops own diff-cache intervals at or below `horizon`'s component for
@@ -632,7 +629,7 @@ impl ProtoState {
 
     /// The materialised pages, ascending.
     pub(crate) fn materialised_pages(&self) -> Vec<PageId> {
-        self.materialised.iter().collect()
+        self.materialised.iter().map(PageId).collect()
     }
 
     /// What a reader can tell of `missing` under this node's GC horizon:

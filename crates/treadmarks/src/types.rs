@@ -22,8 +22,19 @@ pub type LockId = u32;
 /// Vector timestamps drive lazy release consistency: at an acquire, the
 /// acquirer receives write notices exactly for the intervals its timestamp
 /// does not yet cover.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct Vt(Vec<Interval>);
+
+impl Clone for Vt {
+    fn clone(&self) -> Vt {
+        Vt(self.0.clone())
+    }
+
+    /// Reuses `self`'s buffer.
+    fn clone_from(&mut self, source: &Vt) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl Vt {
     /// The zero timestamp for `nprocs` processors.
@@ -32,8 +43,7 @@ impl Vt {
     }
 
     /// Number of processors covered.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.0.len()
     }
 
@@ -73,21 +83,6 @@ impl Vt {
         }
     }
 
-    /// Component-wise minimum with another timestamp.
-    ///
-    /// Used to aggregate the *applied* timestamps of all processors at a
-    /// barrier: the result covers `(proc, interval)` only if **every**
-    /// processor has incorporated (or provably never needs) that interval's
-    /// modifications — the garbage-collection horizon of the diff caches.
-    pub fn merge_min(&mut self, other: &Vt) {
-        assert_eq!(self.0.len(), other.0.len(), "vector timestamps must have the same width");
-        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
-            if *theirs < *mine {
-                *mine = *theirs;
-            }
-        }
-    }
-
     /// Whether this timestamp covers (dominates or equals) `other` in every
     /// component.
     pub fn covers(&self, other: &Vt) -> bool {
@@ -112,7 +107,7 @@ impl Vt {
 
     /// The components in which this timestamp differs from `base` — above
     /// or below — the sparse form a timestamp travels in when both ends
-    /// hold `base`. [`patched`](Self::patched) is the inverse.
+    /// hold `base`. [`patch`](Self::patch) is the inverse.
     pub fn delta_from(&self, base: &Vt) -> VtDelta {
         assert_eq!(self.0.len(), base.0.len(), "vector timestamps must have the same width");
         let differing =
@@ -120,14 +115,25 @@ impl Vt {
         VtDelta(differing.map(|(p, (&mine, _))| (p, mine)).collect())
     }
 
-    /// This timestamp with the components `delta` names replaced:
-    /// `base.patched(&vt.delta_from(&base)) == vt`.
-    pub fn patched(&self, delta: &VtDelta) -> Vt {
-        let mut vt = self.clone();
+    /// Replaces the components `delta` names: `vt.delta_from(&base)`
+    /// patched onto a copy of `base` is `vt` again.
+    pub fn patch(&mut self, delta: &VtDelta) {
         for &(p, interval) in &delta.0 {
-            vt.0[p] = interval;
+            self.0[p] = interval;
         }
-        vt
+    }
+
+    /// Component-wise minimum with `base` patched by `delta`, built in
+    /// place: how a barrier folds the *applied* timestamps into the GC
+    /// horizon, which covers `(proc, interval)` only if **every** processor
+    /// has incorporated (or provably never needs) that interval.
+    pub fn merge_min_patched(&mut self, base: &Vt, delta: &VtDelta) {
+        assert_eq!(self.0.len(), base.0.len(), "vector timestamps must have the same width");
+        let mut patch = delta.0.iter().peekable();
+        for (p, (mine, &theirs)) in self.0.iter_mut().zip(&base.0).enumerate() {
+            let theirs = patch.next_if(|&&(q, _)| q == p).map_or(theirs, |&(_, interval)| interval);
+            *mine = (*mine).min(theirs);
+        }
     }
 
     /// Approximate wire size in bytes (4 bytes per component).
@@ -149,7 +155,7 @@ impl Vt {
 }
 
 /// A vector timestamp in transit as its difference from a base both ends
-/// hold ([`Vt::delta_from`] / [`Vt::patched`]): the differing components,
+/// hold ([`Vt::delta_from`] / [`Vt::patch`]): the differing components,
 /// above or below the base, as `(processor, interval)` pairs ascending.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VtDelta(Vec<(ProcId, Interval)>);
@@ -255,7 +261,7 @@ mod tests {
         vt.advance(0, 1);
         assert_eq!(vt.to_string(), "<1,0,0>");
         assert_eq!(vt.wire_bytes(), 12);
-        assert_eq!(vt.len(), 3);
+        assert_eq!(vt.width(), 3);
     }
 
     #[test]
@@ -263,6 +269,27 @@ mod tests {
     fn merging_mismatched_widths_panics() {
         let mut a = Vt::new(2);
         a.merge(&Vt::new(3));
+    }
+
+    #[test]
+    fn patching_in_place_is_patching_a_copy() {
+        let mut base = Vt::new(4);
+        base.advance(1, 5);
+        base.advance(3, 2);
+        let mut vt = base.clone();
+        vt.advance(0, 7);
+        vt.limit(1, 3);
+        let delta = vt.delta_from(&base);
+        let mut patched = base.clone();
+        patched.patch(&delta);
+        assert_eq!(patched, vt);
+        let mut low = Vt::new(4);
+        low.advance(0, 9);
+        low.advance(1, 9);
+        low.advance(2, 1);
+        let expected: Vec<Interval> = (0..4).map(|p| low.get(p).min(vt.get(p))).collect();
+        low.merge_min_patched(&base, &delta);
+        assert_eq!((0..4).map(|p| low.get(p)).collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -275,7 +302,7 @@ mod tests {
         b.advance(0, 5);
         b.advance(1, 1);
         b.advance(2, 7);
-        a.merge_min(&b);
+        a.merge_min_patched(&b, &VtDelta::default());
         assert_eq!(a.get(0), 2);
         assert_eq!(a.get(1), 1);
         assert_eq!(a.get(2), 7);

@@ -377,7 +377,7 @@ fn racy_push_into_locally_written_words_is_reported() {
         for i in 0..8 {
             p.set(&a, i, (10 * me + i) as u64); // both sides write words 0..8
         }
-        p.push_exchange(&[(other, vec![head])], &[other]);
+        p.push_exchange([(other, &[head][..])], &[other]);
         first_page(&a)
     });
     assert!(!run.races.is_empty(), "overlapping pushed words must be reported");

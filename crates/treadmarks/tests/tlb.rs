@@ -189,7 +189,7 @@ fn a_cached_mapping_sees_the_pushed_bytes() {
         // Touch the peer's half before the push: it materialises zero-filled
         // and the mapping is cached.
         assert_eq!(p.get(&a, other * half), 0);
-        p.push_exchange(&[(other, vec![mine])], &[other]);
+        p.push_exchange([(other, &[mine][..])], &[other]);
         p.get(&a, other * half)
     });
     assert_eq!(run.results, vec![100, 0], "the pushed contents must replace the stale zeros");
@@ -409,7 +409,7 @@ fn a_push_install_revokes_a_leased_page() {
         // The peer's half: materialises zero-filled, then hits on the lease.
         assert_eq!(p.get(&a, other * half), 0);
         assert_eq!(p.get(&a, other * half + 1), 0);
-        p.push_exchange(&[(other, vec![mine])], &[other]);
+        p.push_exchange([(other, &[mine][..])], &[other]);
         let before = p.stats().snapshot();
         let v = p.get(&a, other * half);
         let after = p.stats().snapshot();
