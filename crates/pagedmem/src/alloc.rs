@@ -26,8 +26,8 @@ pub struct SharedAlloc {
 }
 
 impl SharedAlloc {
-    /// Creates an allocator over 1 GiB of shared address space (pages
-    /// materialise lazily, so this costs nothing until touched).
+    /// Creates an allocator over 1 GiB of shared address space (pages are
+    /// mapped lazily, so this costs nothing until touched).
     pub fn new() -> SharedAlloc {
         SharedAlloc { next: 0, limit: 1 << 30 }
     }

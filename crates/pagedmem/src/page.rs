@@ -32,6 +32,17 @@ impl PageId {
     pub fn end(self) -> Addr {
         Addr::new((self.0 + 1) * PAGE_SIZE)
     }
+
+    /// This page's slot in a page-indexed vector, grown to it if need be.
+    /// The buffer grows in runs of 64 pages, so a node that maps a few pages
+    /// of each of a few arrays allocates it once.
+    pub fn slot_in<T: Default>(self, slots: &mut Vec<T>) -> &mut T {
+        if slots.len() <= self.0 {
+            slots.reserve((self.0 + 1).next_multiple_of(64) - slots.len());
+            slots.resize_with(self.0 + 1, T::default);
+        }
+        &mut slots[self.0]
+    }
 }
 
 impl fmt::Display for PageId {

@@ -34,7 +34,6 @@
 //! thread that might. A cached handle never goes stale, so the frame's own
 //! `protection`, read through the lease, is all a warm access checks.
 
-use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 
@@ -198,14 +197,17 @@ pub struct AccessFault {
 
 /// A node's view of the shared address space.
 ///
-/// The page table stores only pages the node has touched; pages materialise
-/// lazily, zero-filled, mirroring anonymous virtual memory. All bookkeeping
-/// needed by the DSM protocol (protection changes, twinning, diffing, the
-/// dirty list) lives here; *when* those operations happen is decided by the
-/// runtime crates.
+/// One slot per page id, dense from page 0 (shared allocations bump from
+/// address 0), up to the highest page the node has mapped; a page is mapped
+/// zero-filled on first touch, mirroring anonymous virtual memory, and only
+/// a mapping call grows the slots. All bookkeeping needed by the DSM
+/// protocol (protection changes, twinning, diffing, the dirty list) lives
+/// here; *when* those operations happen is decided by the runtime crates.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    frames: BTreeMap<PageId, FrameRef>,
+    frames: Vec<Option<FrameRef>>,
+    /// How many slots hold a frame.
+    mapped: usize,
 }
 
 impl PageTable {
@@ -217,13 +219,18 @@ impl PageTable {
     /// Number of pages currently mapped (the "pages in use" quantity the
     /// SP/2 fault and mprotect costs depend on).
     pub fn pages_in_use(&self) -> usize {
-        self.frames.len()
+        self.mapped
+    }
+
+    /// The frame of `page`, if it is mapped.
+    fn slot(&self, page: PageId) -> Option<&FrameRef> {
+        self.frames.get(page.0)?.as_ref()
     }
 
     /// The protection state of `page` (`Unmapped` if the node never touched
     /// it).
     pub fn protection(&self, page: PageId) -> Protection {
-        self.frames.get(&page).map_or(Protection::Unmapped, |f| f.lock().protection)
+        self.slot(page).map_or(Protection::Unmapped, |f| f.lock().protection)
     }
 
     /// Checks whether an access may proceed without a fault.
@@ -235,32 +242,27 @@ impl PageTable {
     /// is reset in place (contents zeroed, twin dropped, dirty cleared) so
     /// that outstanding [`FrameRef`]s keep observing the live frame.
     pub fn map_zeroed(&mut self, page: PageId, protection: Protection) -> FrameRef {
-        match self.frames.get(&page) {
-            Some(frame) => {
-                let mut guard = frame.lock();
-                guard.page = Page::zeroed();
-                guard.protection = protection;
-                guard.twin = None;
-                guard.dirty = false;
-                Arc::clone(frame)
-            }
-            None => {
-                let frame = Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)));
-                self.frames.insert(page, Arc::clone(&frame));
-                frame
-            }
+        let (frame, fresh) = self.frame_or_map(page, protection);
+        if !fresh {
+            let mut guard = frame.lock();
+            guard.page = Page::zeroed();
+            guard.protection = protection;
+            guard.twin = None;
+            guard.dirty = false;
         }
+        Arc::clone(frame)
     }
 
     /// Returns the frame for `page`, mapping it zero-filled with
-    /// `protection` if the node never touched it.
-    fn frame_or_map(&mut self, page: PageId, protection: Protection) -> FrameRef {
-        if let Some(frame) = self.frames.get(&page) {
-            return Arc::clone(frame);
-        }
-        let frame = Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)));
-        self.frames.insert(page, Arc::clone(&frame));
-        frame
+    /// `protection` if the node never touched it, and whether it did.
+    fn frame_or_map(&mut self, page: PageId, protection: Protection) -> (&FrameRef, bool) {
+        let slot = page.slot_in(&mut self.frames);
+        let fresh = slot.is_none();
+        self.mapped += usize::from(fresh);
+        let frame = slot.get_or_insert_with(|| {
+            Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)))
+        });
+        (frame, fresh)
     }
 
     /// Returns the frame for `page`.
@@ -269,23 +271,23 @@ impl PageTable {
     ///
     /// Returns [`MemError::Unmapped`] if the page is not mapped.
     pub fn frame(&self, page: PageId) -> Result<FrameRef, MemError> {
-        self.frames.get(&page).map(Arc::clone).ok_or(MemError::Unmapped(page))
+        self.slot(page).map(Arc::clone).ok_or(MemError::Unmapped(page))
     }
 
     /// Whether `page` is mapped at all.
     pub fn is_mapped(&self, page: PageId) -> bool {
-        self.frames.contains_key(&page)
+        self.slot(page).is_some()
     }
 
     /// Sets the protection of `page`, mapping it zero-filled if necessary.
     pub fn set_protection(&mut self, page: PageId, protection: Protection) {
-        self.frame_or_map(page, protection).lock().protection = protection;
+        self.frame_or_map(page, protection).0.lock().protection = protection;
     }
 
     /// Makes a mapped, readable `page` `Invalid` in one table probe and
     /// returns whether it was one; any other page is left alone.
     pub fn invalidate(&mut self, page: PageId) -> bool {
-        let Some(frame) = self.frames.get(&page) else { return false };
+        let Some(frame) = self.slot(page) else { return false };
         let mut guard = frame.lock();
         let readable = guard.protection.allows_read();
         if readable {
@@ -307,8 +309,7 @@ impl PageTable {
     ///
     /// Returns whether a twin was created.
     pub fn write_enable(&mut self, page: PageId, twin: bool) -> bool {
-        let frame = self.frame_or_map(page, Protection::ReadWrite);
-        let mut guard = frame.lock();
+        let mut guard = self.frame_or_map(page, Protection::ReadWrite).0.lock();
         let twinned = twin && !guard.dirty;
         if twinned {
             guard.twin = Some(guard.page.clone());
@@ -332,22 +333,24 @@ impl PageTable {
     /// Returns `None` for a `WRITE_ALL` page (dirty without a twin), or if
     /// `page` is not mapped.
     pub fn write_protect(&mut self, page: PageId) -> Option<(Page, Page)> {
-        let frame = self.frames.get(&page)?;
-        let mut guard = frame.lock();
+        let mut guard = self.slot(page)?.lock();
         guard.dirty = false;
         guard.protection = Protection::ReadOnly;
         let twin = guard.twin.take()?;
         Some((twin, guard.page.clone()))
     }
 
-    /// The pages currently on the dirty list, in address order.
+    /// The pages currently on the dirty list, in address order (which is
+    /// slot order).
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.frames.iter().filter(|(_, f)| f.lock().dirty).map(|(&id, _)| id).collect()
+        let slots = self.frames.iter().enumerate();
+        let dirty = slots.filter(|(_, f)| f.as_ref().is_some_and(|f| f.lock().dirty));
+        dirty.map(|(page, _)| PageId(page)).collect()
     }
 
     /// Whether `page` currently has a twin.
     pub fn has_twin(&self, page: PageId) -> bool {
-        self.frames.get(&page).is_some_and(|f| f.lock().twin.is_some())
+        self.slot(page).is_some_and(|f| f.lock().twin.is_some())
     }
 
     /// Encodes the modifications made to `page` since its twin was created:
@@ -358,8 +361,7 @@ impl PageTable {
     /// Returns `None` if the page has no twin (nothing was recorded). The twin
     /// is left in place.
     pub fn create_diff(&self, page: PageId) -> Option<Diff> {
-        let frame = self.frames.get(&page)?;
-        let guard = frame.lock();
+        let guard = self.slot(page)?.lock();
         let twin = guard.twin.as_ref()?;
         Some(Diff::create(twin.as_slice(), guard.page.as_slice()))
     }
@@ -389,7 +391,7 @@ impl PageTable {
             let frame = match &run {
                 Some((current, frame)) if *current == page => Arc::clone(frame),
                 _ => {
-                    let frame = self.frame_or_map(page, Protection::ReadWrite);
+                    let frame = Arc::clone(self.frame_or_map(page, Protection::ReadWrite).0);
                     run = Some((page, Arc::clone(&frame)));
                     frame
                 }
@@ -414,7 +416,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(buf.len() - filled);
-            match self.frames.get(&page) {
+            match self.slot(page) {
                 Some(frame) => {
                     buf[filled..filled + chunk]
                         .copy_from_slice(&frame.lock().page.as_slice()[offset..offset + chunk]);
@@ -441,8 +443,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page, Protection::ReadOnly);
-            let mut guard = frame.lock();
+            let mut guard = self.frame_or_map(page, Protection::ReadOnly).0.lock();
             guard.page.as_mut_slice()[offset..offset + chunk]
                 .copy_from_slice(&data[written..written + chunk]);
             if let Some(twin) = guard.twin.as_mut() {
@@ -477,7 +478,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(buf.len() - filled);
-            let Some(frame) = self.frames.get(&page) else {
+            let Some(frame) = self.slot(page) else {
                 return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
             };
             let guard = frame.lock();
@@ -516,7 +517,7 @@ impl PageTable {
             let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let Some(frame) = self.frames.get(&page) else {
+            let Some(frame) = self.slot(page) else {
                 return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
             };
             let mut guard = frame.lock();
@@ -802,6 +803,40 @@ mod tests {
         table.install_bytes(Addr::new(PAGE_SIZE - 4), &[1, 2, 3, 4, 5, 6, 7, 8]);
         table.read_checked(range, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// Pages mapped out of order and sparsely: a remap counts its frame
+    /// once, the dirty list is in address order, and every read of an
+    /// unmapped page, inside the slots or past their end, answers unmapped
+    /// and grows nothing.
+    #[test]
+    fn a_sparse_table_reads_past_its_end_as_unmapped_and_grows_only_to_map() {
+        let mut table = PageTable::new();
+        for page in [9, 0, 700] {
+            table.write_enable(PageId(page), true);
+        }
+        table.map_zeroed(PageId(9), Protection::ReadOnly);
+        assert_eq!(table.pages_in_use(), 3, "a remap maps no second frame");
+        assert_eq!(table.dirty_pages(), [PageId(0), PageId(700)]);
+        let slots = table.frames.len();
+        for page in [5, 701, 5000].map(PageId) {
+            assert_eq!(table.protection(page), Protection::Unmapped);
+            assert!(!table.is_mapped(page));
+            assert!(matches!(table.frame(page), Err(MemError::Unmapped(p)) if p == page));
+            assert!(!table.invalidate(page));
+            assert!(table.write_protect(page).is_none());
+            assert!(!table.has_twin(page));
+            assert!(table.create_diff(page).is_none());
+            let mut buf = [1u8; 8];
+            table.read_bytes(page.base(), &mut buf);
+            assert_eq!(buf, [0; 8]);
+            let fault = table.read_checked(AddrRange::new(page.base(), 8), &mut buf);
+            assert_eq!(fault, Err(AccessFault { page, outcome: AccessOutcome::Unmapped }));
+            let fault = table.write_checked(AddrRange::new(page.base(), 8), &buf);
+            assert_eq!(fault, Err(AccessFault { page, outcome: AccessOutcome::Unmapped }));
+        }
+        assert_eq!(table.frames.len(), slots, "no read grew the slots");
+        assert_eq!(table.pages_in_use(), 3);
     }
 
     #[test]

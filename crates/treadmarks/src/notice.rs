@@ -273,32 +273,21 @@ impl NoticeLog {
     }
 }
 
-/// A set of dense indices (page ids, say), one bit each.
+/// A set of dense indices, one bit each.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Bits(Vec<u64>);
+struct Bits(Vec<u64>);
 
 impl Bits {
-    /// Adds `index`; returns whether it was new.
-    pub(crate) fn insert(&mut self, index: usize) -> bool {
-        let (word, bit) = (index / 64, 1u64 << (index % 64));
+    fn insert(&mut self, index: usize) {
+        let word = index / 64;
         if word >= self.0.len() {
             self.0.resize(word + 1, 0);
         }
-        let new = self.0[word] & bit == 0;
-        self.0[word] |= bit;
-        new
+        self.0[word] |= 1 << (index % 64);
     }
 
-    pub(crate) fn contains(&self, index: usize) -> bool {
+    fn contains(&self, index: usize) -> bool {
         self.0.get(index / 64).is_some_and(|word| word >> (index % 64) & 1 == 1)
-    }
-
-    /// The indices held, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.0.iter().enumerate();
-        bits.flat_map(|(word, &bits)| {
-            (0..64).filter(move |bit| bits >> bit & 1 == 1).map(move |bit| 64 * word + bit)
-        })
     }
 }
 

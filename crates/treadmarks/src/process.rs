@@ -161,7 +161,7 @@ impl Process {
     /// Number of per-interval entries currently in this node's diff cache —
     /// the quantity the barrier garbage-collection horizon bounds.
     pub fn diff_cache_entries(&mut self) -> usize {
-        self.node.unleased().proto().diff_cache.entries()
+        self.node.unleased().proto().cached_entries()
     }
 
     /// Number of `(processor, interval)` records in this node's notice log.
@@ -359,6 +359,7 @@ mod tests {
         proto: &mut ProtoState,
         table: &mut pagedmem::PageTable,
         notices: &[WriteNotice],
+        page_missing: &mut dsm_core::hash::IntMap<PageId, Vec<(ProcId, Interval)>>,
     ) -> NoticeTally {
         let me = proto.me;
         let mut grouped: BTreeMap<(ProcId, Interval), Vec<PageId>> = BTreeMap::new();
@@ -379,7 +380,7 @@ mod tests {
             }
             recorded += pages.len() as u64;
             for page in pages {
-                proto.page_missing.entry(page).or_default().push((proc, interval));
+                page_missing.entry(page).or_default().push((proc, interval));
                 match table.protection(page) {
                     Protection::ReadOnly | Protection::ReadWrite => {
                         table.set_protection(page, Protection::Invalid);
@@ -487,6 +488,7 @@ mod tests {
         ];
         let (mut proto, mut table) = node();
         let (mut ref_proto, mut ref_table) = node();
+        let mut eager = dsm_core::hash::IntMap::default();
         let everything = Vt::new(NPROCS);
         for (k, batch) in batches.iter().enumerate() {
             let tally = apply_notices_locked(&mut proto, &mut table, batch.clone());
@@ -500,7 +502,8 @@ mod tests {
                     })
                 })
                 .collect();
-            let expected = apply_notices_grouped(&mut ref_proto, &mut ref_table, &flattened);
+            let expected =
+                apply_notices_grouped(&mut ref_proto, &mut ref_table, &flattened, &mut eager);
             assert_eq!(
                 (tally.recorded, tally.invalidation_runs),
                 (expected.recorded, expected.invalidation_runs),
@@ -513,7 +516,7 @@ mod tests {
                     .eq(ref_proto.notice_log.records_after(&everything)),
                 "notice log after batch {k}"
             );
-            assert_missing_as_eager(&proto, &ref_proto.page_missing, &format!("batch {k}"));
+            assert_missing_as_eager(&proto, &eager, &format!("batch {k}"));
             for page in (0..PAGES).map(PageId) {
                 assert_eq!(
                     table.protection(page),
@@ -919,7 +922,7 @@ mod history {
             for k in 0..8 {
                 let page = PageId((draw(300 + k) % PAGES as u64) as usize);
                 let interval = (draw(400 + k) % (u64::from(self.latest[ME]) + 2)) as Interval;
-                let cached = self.proto.diff_cache.get(page, interval).map(|cached| cached.rank);
+                let cached = self.proto.cached(page, interval).map(|cached| cached.rank);
                 let model = self.cache.per_page.get(&page).and_then(|m| m.get(&interval));
                 assert_eq!(cached, model.map(|&(rank, _)| rank), "{at}: {page:?} of {interval}");
             }
@@ -927,7 +930,7 @@ mod history {
                 (0..PAGES).map(PageId).filter(|&p| self.proto.trimmed(p)).collect();
             assert_eq!(trimmed, self.cache.trimmed.iter().copied().collect::<Vec<_>>(), "{at}");
             assert_eq!(
-                self.proto.diff_cache.entries(),
+                self.proto.cached_entries(),
                 self.cache.per_page.values().map(BTreeMap::len).sum::<usize>()
             );
         }

@@ -970,7 +970,7 @@ mod tests {
                 diffs.push(CachedDiff { entry, rank: u64::from(interval), vt: None });
             }
             let proto = &mut self.0[writer].0;
-            proto.diff_cache.push(interval, pages.iter().map(|&p| PageId(p)).collect(), diffs);
+            proto.cache_diffs(interval, pages.iter().map(|&p| PageId(p)).collect(), diffs);
             proto.vt.advance(writer, interval);
             for node in 0..self.0.len() {
                 self.learn(node, writer, interval, pages);

@@ -121,10 +121,8 @@ impl Applied {
     fn record(&mut self, proto: &mut ProtoState, table: &mut PageTable, record: &NoticeRecord) {
         let key = (record.proc, record.interval);
         for &page in record.pages.iter() {
-            if !proto.is_materialised(page) {
-                continue;
-            }
-            proto.page_missing.entry(page).or_default().push(key);
+            let Some(missing) = proto.missing_mut(page) else { continue };
+            missing.push(key);
             if table.invalidate(page) {
                 self.invalidated.push(page);
             }
@@ -235,8 +233,8 @@ impl Process {
 pub(super) fn sync_vt_locked(proto: &mut ProtoState, pages: &[PageId]) -> Vt {
     proto.materialise(pages.iter().copied());
     let mut vt = proto.vt.clone();
-    for page in pages {
-        let missing = proto.page_missing.get(page).into_iter().flatten();
+    for &page in pages {
+        let missing = proto.missing(page).iter();
         let above = missing.filter(|&&(proc, interval)| interval > proto.gc_horizon.get(proc));
         lower_below_missing(&mut vt, above);
     }
@@ -267,7 +265,7 @@ mod tests {
 
     /// The delta of `page` for `interval` that `proto`'s cache holds.
     fn delta(proto: &ProtoState, page: PageId, interval: Interval) -> &Delta {
-        match &proto.diff_cache.get(page, interval).expect("a queued interval").entry {
+        match &proto.cached(page, interval).expect("a queued interval").entry {
             DiffEntry::Delta(delta) => delta,
             DiffEntry::FullPage => panic!("{page:?} was not written under WRITE_ALL"),
         }
@@ -314,7 +312,7 @@ mod tests {
                 assert!(!delta(&proto, page, 1).is_pending(), "serving {page:?} encoded it");
                 assert_eq!(delta(&proto, page, 1).diff(), diff_of(&[(0, written)]), "{page:?}");
             }
-            assert!(!proto.diff_cache.contains_key(&z), "Z equals its twin: nothing to cache");
+            assert!(proto.cached_after(z, 0).is_none(), "Z equals its twin: nothing to cache");
             let nothing = Vt::new(2);
             let noticed: Vec<&[PageId]> = proto
                 .notice_log
@@ -379,7 +377,7 @@ mod tests {
         let mut horizon = Vt::new(3);
         horizon.advance(0, 1);
         assert_eq!(proto.gc_trim(&horizon, &[]).0, 1);
-        assert!(!proto.diff_cache.contains_key(&unread), "trimmed without being encoded");
+        assert!(proto.cached_after(unread, 0).is_none(), "trimmed without being encoded");
         assert!(proto.trimmed(unread) && !proto.trimmed(served));
     }
 
@@ -412,7 +410,7 @@ mod tests {
             // trim drops it, as nobody maps either page.
             let flushed = |p: &Process, page: PageId, interval| {
                 let proto = p.lanes[0].shared.proto.lock();
-                let cached = proto.diff_cache.get(page, interval).expect("a queued interval");
+                let cached = proto.cached(page, interval).expect("a queued interval");
                 matches!(cached.entry, DiffEntry::FullPage)
             };
             p.barrier();
@@ -449,7 +447,7 @@ mod tests {
                     continue;
                 }
                 let proto = p.lanes[me].shared.proto.lock();
-                for missing in proto.page_missing.values() {
+                for (_, missing) in proto.lists() {
                     for proc in 0..4 {
                         let below = missing
                             .iter()
@@ -457,7 +455,8 @@ mod tests {
                         assert!(below.count() <= 1, "P{me}: {missing:?}");
                     }
                 }
-                assert!(proto.page_missing.keys().all(|&page| page == own), "P{me}: a list");
+                let listed = proto.lists().filter(|(_, missing)| !missing.is_empty());
+                assert!(listed.map(|(page, _)| page).all(|page| page == own), "P{me}: a list");
                 held.push(proto.materialised_pages());
             }
             let materialised = vec![vec![own]; 4];
@@ -482,7 +481,8 @@ mod tests {
             }
             let own = PageId::containing(a.addr_of(me * words));
             let proto = p.lanes[me].shared.proto.lock();
-            assert!(proto.page_missing.is_empty(), "P{me}: {:?}", proto.page_missing);
+            let lists: Vec<_> = proto.lists().collect();
+            assert!(lists.iter().all(|(_, missing)| missing.is_empty()), "P{me}: {lists:?}");
             assert_eq!(proto.materialised_pages(), [own], "P{me}");
         });
         assert_eq!(run.stats.total().write_notices, 8 * 7 * 40, "each node learns of 280 pages");
@@ -1105,7 +1105,7 @@ mod oracle {
             let expected = self.eager.claim(records);
             assert_eq!(keys(&real), keys(&expected), "install on {pages:?}");
             install_table(&mut self.table, &real, pages, |page| {
-                self.proto.page_missing.contains_key(&page)
+                !self.proto.missing(page).is_empty()
             });
             let eager = &mut self.eager;
             install_table(&mut eager.table, &expected, pages, |page| {
@@ -1128,10 +1128,7 @@ mod oracle {
                 }
                 if !self.asked.contains(&page) {
                     assert!(!proto.is_materialised(page), "{at}: never asked for, materialised");
-                    assert!(
-                        !proto.page_missing.contains_key(&page),
-                        "{at}: never asked for, a list"
-                    );
+                    assert!(proto.missing(page).is_empty(), "{at}: never asked for, a list");
                 }
             }
         }

@@ -79,7 +79,7 @@ impl Process {
         }
         let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
         // An install maps what it lands on, and every mapped page is
-        // materialised (see `ProtoState::page_missing`).
+        // materialised.
         let mut node = self.node.unleased();
         let mut proto = node.proto();
         let mut table = node.table();

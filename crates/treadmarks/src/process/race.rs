@@ -110,7 +110,7 @@ pub(super) fn detect_races_locked(
             // undecidable window and is counted rather than silently
             // dropped.
             if !local_vt.covers(&proto.gc_horizon) {
-                let local_partner = proto.diff_cache.contains_key(&record.page)
+                let local_partner = proto.cached_after(record.page, 0).is_some()
                     || proto.trimmed(record.page)
                     || table.has_twin(record.page);
                 if local_partner {
@@ -146,7 +146,7 @@ pub(super) fn detect_races_locked(
         // interval arrived there. The symmetric comparison already ran.
         //
         // (b) Against this node's own cached interval diffs.
-        for (interval, cached) in proto.diff_cache.after(record.page, 0).into_iter().flatten() {
+        for (interval, cached) in proto.cached_after(record.page, 0).into_iter().flatten() {
             let Some(vm) = &cached.vt else { continue };
             if vm.concurrent(vq) {
                 let own = match &cached.entry {

@@ -199,10 +199,12 @@ pub(super) fn prep_writes_locked(
                 let write = if fully_covered { kind } else { PageWrite::Twinned };
                 match write {
                     PageWrite::WriteAll => {
-                        proto.page_missing.remove(&page);
+                        if let Some(missing) = proto.missing_mut(page) {
+                            missing.clear();
+                        }
                     }
                     PageWrite::Twinned | PageWrite::ReadWriteAll => {
-                        if proto.page_missing.contains_key(&page) {
+                        if !proto.missing(page).is_empty() {
                             deferred.push(DeferredWrite { page, write });
                             continue;
                         }
@@ -236,10 +238,9 @@ pub(super) fn wants_for_pages_locked(
     proto.materialise(pages.iter().copied());
     let mut per_proc: BTreeMap<ProcId, Vec<PageWant>> = BTreeMap::new();
     for &page in pages {
-        let Some(missing) = proto.page_missing.get(&page) else { continue };
         let mut by_proc: BTreeMap<ProcId, Vec<Interval>> = BTreeMap::new();
         let mut base_from = None::<ProcId>;
-        for &(proc, interval) in missing {
+        for &(proc, interval) in proto.missing(page) {
             if in_hand.contains(&(page, proc, interval)) {
                 continue;
             }
@@ -285,7 +286,7 @@ pub(super) fn claim_records_locked(
     let parked: Vec<PageId> = records
         .chunk_by(|a, b| a.page == b.page)
         .filter(|group| {
-            let owed = proto.page_missing.get(&group[0].page).into_iter().flatten();
+            let owed = proto.missing(group[0].page).iter();
             owed.filter(|&&(p, i)| i <= proto.gc_horizon.get(p))
                 .any(|&entry| !group.iter().any(|r| claims(r, entry)))
         })
@@ -303,14 +304,10 @@ pub(super) fn claim_records_locked(
         if parked.contains(&record.page) {
             continue;
         }
-        let Some(missing) = proto.page_missing.get_mut(&record.page) else { continue };
+        let Some(missing) = proto.missing_mut(record.page) else { continue };
         let before = missing.len();
         missing.retain(|&entry| !claims(&record, entry));
-        let claimed = before - missing.len();
-        if missing.is_empty() {
-            proto.page_missing.remove(&record.page);
-        }
-        if claimed > 0 {
+        if missing.len() < before {
             applicable.push(record);
         }
     }
@@ -444,14 +441,14 @@ impl Process {
         // Revalidate every requested page plus every page a record touched:
         // pages with nothing missing become readable (writable again if
         // mid-interval modifications exist); pages still missing diffs stay
-        // invalid; untouched pages materialise zero-filled.
+        // invalid; untouched pages are mapped zero-filled.
         let mut revalidate = Vec::with_capacity(pages.len() + applicable.len());
         revalidate.extend_from_slice(pages);
         revalidate.extend(applicable.iter().map(|r| r.page));
         revalidate.sort_unstable();
         revalidate.dedup();
         for &page in &revalidate {
-            if proto.page_missing.contains_key(&page) {
+            if !proto.missing(page).is_empty() {
                 // `apply_diff_batch` may have freshly mapped the frame read-write;
                 // the page is not consistent yet, so make that explicit.
                 if table.is_mapped(page) {
@@ -463,15 +460,15 @@ impl Process {
             let target = if dirty { Protection::ReadWrite } else { Protection::ReadOnly };
             match table.protection(page) {
                 Protection::Unmapped => {
-                    // First touch of a page nobody has written: materialise
-                    // it zero-filled, like fresh anonymous memory.
+                    // First touch of a page nobody has written: map it
+                    // zero-filled, like fresh anonymous memory.
                     table.map_zeroed(page, Protection::ReadOnly);
                 }
                 _ => table.set_protection(page, target),
             }
         }
         debug_assert!(
-            proto.page_missing.iter().all(|(&page, missing)| {
+            proto.lists().all(|(page, missing)| {
                 !table.is_mapped(page) || missing.iter().all(|&(p, i)| i > proto.gc_horizon.get(p))
             }),
             "P{}: a mapped frame misses history at or below the horizon {}",
@@ -482,7 +479,7 @@ impl Process {
         let mut deferred_twins = 0u64;
         let mut deferred_pages = Vec::new();
         for d in deferred {
-            if proto.page_missing.contains_key(&d.page) {
+            if !proto.missing(d.page).is_empty() {
                 // Still not consistent (a producer outside this sync point);
                 // leave it to the ordinary fault path.
                 continue;

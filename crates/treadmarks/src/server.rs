@@ -194,7 +194,7 @@ fn handle_diff_request(
             // node learns a horizon covering it only at a barrier the
             // requester has entered, which it cannot do before consuming
             // this response: the interval is still cached.
-            let cached = proto.diff_cache.get(page, interval).unwrap_or_else(|| {
+            let cached = proto.cached(page, interval).unwrap_or_else(|| {
                 panic!("P{} holds no diff of {page:?} for its interval {interval}", proto.me)
             });
             diffs.push(proto.record_of(page, interval, cached, &table));

@@ -17,7 +17,7 @@ use pagedmem::{Diff, Page, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::message::DiffRecord;
-use crate::notice::{Bits, NoticeLog, NoticeRecord};
+use crate::notice::{NoticeLog, NoticeRecord};
 use crate::run::RunShared;
 use crate::types::{Interval, LockId, ProcId, Vt};
 
@@ -91,78 +91,21 @@ pub(crate) struct CachedDiff {
     pub vt: Option<Vt>,
 }
 
-/// This node's own diffs: a queue of its flushed intervals, oldest first,
-/// each with its flush's page list (its [`NoticeRecord`]'s), popped from
-/// the front by the trim, and per page its [`CachedDiff`]s in interval
-/// order. The per-page lists let answering a synchronization point's
-/// requests probe each requested page once, so the merge scan is charged
-/// only for pages this node modified (see
-/// [`ProtoState::diffs_for_pages_after`]). A [`Delta`] is encoded once and
-/// a [`Diff`] is shared, so every requester gets that one encoding.
+/// One page's protocol state at one node, slot `PageId.0` of
+/// [`ProtoState::pages`]. Lists the trim empties stay for reuse.
 #[derive(Debug, Default)]
-pub(crate) struct DiffCache {
-    queue: VecDeque<(Interval, Arc<[PageId]>)>,
-    /// A page's list stays when the trim empties it: the next flush of
-    /// the page reuses it.
-    by_page: IntMap<PageId, VecDeque<(Interval, CachedDiff)>>,
-}
-
-impl DiffCache {
-    /// Queues `interval`, later than every queued one, with `diffs[k]` its
-    /// diff of `pages[k]`.
-    pub(crate) fn push(
-        &mut self,
-        interval: Interval,
-        pages: Arc<[PageId]>,
-        diffs: Vec<CachedDiff>,
-    ) {
-        debug_assert!(self.queue.back().is_none_or(|&(last, _)| last < interval));
-        for (&page, diff) in pages.iter().zip(diffs) {
-            self.by_page.entry(page).or_default().push_back((interval, diff));
-        }
-        self.queue.push_back((interval, pages));
-    }
-
-    /// The diff of `page` that `interval` cached, if it is queued.
-    pub(crate) fn get(&self, page: PageId, interval: Interval) -> Option<&CachedDiff> {
-        let diffs = self.by_page.get(&page)?;
-        diffs.binary_search_by_key(&interval, |&(i, _)| i).ok().map(|at| &diffs[at].1)
-    }
-
-    /// `page`'s cached diffs of the intervals above `seen`, ascending, or
-    /// `None` when no queued interval cached a diff of it.
-    pub(crate) fn after(
-        &self,
-        page: PageId,
-        seen: Interval,
-    ) -> Option<impl Iterator<Item = (Interval, &CachedDiff)> + '_> {
-        let diffs = self.by_page.get(&page).filter(|diffs| !diffs.is_empty())?;
-        let first = diffs.partition_point(|&(interval, _)| interval <= seen);
-        Some(diffs.range(first..).map(|(interval, diff)| (*interval, diff)))
-    }
-
-    /// Whether some queued interval cached a diff of `page`.
-    pub(crate) fn contains_key(&self, page: &PageId) -> bool {
-        self.by_page.get(page).is_some_and(|diffs| !diffs.is_empty())
-    }
-
-    /// The number of `(page, interval)` diffs queued.
-    pub(crate) fn entries(&self) -> usize {
-        self.by_page.values().map(VecDeque::len).sum()
-    }
-
-    /// Pops the intervals at or below `own`; returns the number of diffs
-    /// dropped.
-    fn trim(&mut self, own: Interval) -> u64 {
-        let mut dropped = 0;
-        while let Some((_, pages)) = self.queue.pop_front_if(|&mut (interval, _)| interval <= own) {
-            for &page in pages.iter() {
-                self.by_page.get_mut(&page).and_then(VecDeque::pop_front);
-            }
-            dropped += pages.len() as u64;
-        }
-        dropped
-    }
+struct PageProto {
+    /// The write notices of the page whose diffs have not been applied
+    /// locally, `Some` once the page is *materialised*: mapped, or its list
+    /// read or requested ([`materialise`](ProtoState::materialise)). Any
+    /// other page's missing set is the log's records that name it plus one
+    /// entry per other writer whose trimmed records named it
+    /// ([`NoticeLog::trimmed_writers`]), so a notice costs it nothing. At or
+    /// below the GC horizon only a processor's lowest entry is ever read,
+    /// so [`gc_trim`](ProtoState::gc_trim) folds the rest into it.
+    missing: Option<Vec<(ProcId, Interval)>>,
+    /// This node's own [`CachedDiff`]s of the page, in interval order.
+    diffs: VecDeque<(Interval, CachedDiff)>,
 }
 
 /// A lock-acquire request as its handlers pass it along — and as the
@@ -219,23 +162,14 @@ pub(crate) struct ProtoState {
     /// flush and notice batch and popped from the front by every barrier's
     /// trim, which notes the pages each dropped record named.
     pub notice_log: NoticeLog,
-    /// Per page, the write notices whose diffs have not yet been applied
-    /// locally — kept exactly only for a *materialised* page, one this node
-    /// maps or whose list something read or requested
-    /// ([`materialise`](Self::materialise)): a list exists only for such a
-    /// page, and only while it misses something. Any other page's missing
-    /// set is the log's records that name it plus one entry per other
-    /// writer whose trimmed records named it ([`NoticeLog::trimmed_writers`]),
-    /// so a notice costs such a page nothing. At or below the GC horizon
-    /// only a processor's lowest entry is ever read, so
-    /// [`gc_trim`](Self::gc_trim) folds the rest into it.
-    pub page_missing: IntMap<PageId, Vec<(ProcId, Interval)>>,
-    /// The materialised pages. Every mapped page is one, so a notice need
-    /// invalidate no other.
-    materialised: Bits,
-    /// This node's own diffs, a queue of its flushed intervals behind a
-    /// per-page index, popped from the front by every barrier's trim.
-    pub diff_cache: DiffCache,
+    /// Per page, its missing list and own cached diffs, at index `PageId.0`.
+    /// Every mapped page is materialised, so a notice need invalidate no
+    /// other.
+    pages: Vec<PageProto>,
+    /// This node's own diff cache: its flushed intervals, oldest first, each
+    /// with its flush's page list (its [`NoticeRecord`]'s), whose diffs sit
+    /// in those pages' slots. Every barrier's trim pops the front.
+    diff_cache: VecDeque<(Interval, Arc<[PageId]>)>,
     /// The global vector timestamp distributed at the last barrier departure.
     pub last_global_vt: Vt,
     /// The garbage-collection horizon distributed at the last barrier
@@ -266,9 +200,8 @@ impl ProtoState {
             nprocs,
             vt: Vt::new(nprocs),
             notice_log: NoticeLog::new(nprocs),
-            page_missing: IntMap::default(),
-            materialised: Bits::default(),
-            diff_cache: DiffCache::default(),
+            pages: Vec::new(),
+            diff_cache: VecDeque::new(),
             last_global_vt: Vt::new(nprocs),
             gc_horizon: Vt::new(nprocs),
             locks: IntMap::default(),
@@ -311,7 +244,7 @@ impl ProtoState {
             // requester's own applied timestamp participated in the
             // minimum), so `seen` always covers a page's trimmed range —
             // bases travel only on the explicit `DiffRequest` path.
-            let Some(cached) = self.diff_cache.after(page, seen) else { continue };
+            let Some(cached) = self.cached_after(page, seen) else { continue };
             debug_assert!(!self.trimmed(page) || self.gc_horizon.get(self.me) <= seen);
             examined.push(page);
             for (interval, cached) in cached {
@@ -356,10 +289,12 @@ impl ProtoState {
         let mut learned = None;
         let (me, nprocs, vt) = (self.me, self.nprocs, &self.vt);
         for page in pages {
-            if self.materialised.insert(page.0)
-                && *learned.get_or_insert_with(|| (0..nprocs).any(|p| p != me && vt.get(p) > 0))
-            {
-                fresh.push((page, Vec::new()));
+            let missing = &mut page.slot_in(&mut self.pages).missing;
+            if missing.is_none() {
+                *missing = Some(Vec::new());
+                if *learned.get_or_insert_with(|| (0..nprocs).any(|p| p != me && vt.get(p) > 0)) {
+                    fresh.push((page, Vec::new()));
+                }
             }
         }
         if fresh.is_empty() {
@@ -367,7 +302,9 @@ impl ProtoState {
         }
         fresh.sort_unstable_by_key(|&(page, _)| page);
         self.fill(&mut fresh);
-        self.page_missing.extend(fresh.into_iter().filter(|(_, list)| !list.is_empty()));
+        for (page, list) in fresh {
+            self.pages[page.0].missing = Some(list);
+        }
     }
 
     /// Fills in the lists [`materialise`](Self::materialise) gives the
@@ -394,9 +331,59 @@ impl ProtoState {
         self.notice_log.trimmed(self.me, page)
     }
 
-    /// Whether `page` is materialised.
-    pub(crate) fn is_materialised(&self, page: PageId) -> bool {
-        self.materialised.contains(page.0)
+    /// The missing entries of `page` if it is materialised; none for any
+    /// other page, whose list [`materialise`](Self::materialise) builds.
+    pub(crate) fn missing(&self, page: PageId) -> &[(ProcId, Interval)] {
+        self.pages.get(page.0).and_then(|slot| slot.missing.as_deref()).unwrap_or_default()
+    }
+
+    /// The missing list of `page` if it is materialised.
+    pub(crate) fn missing_mut(&mut self, page: PageId) -> Option<&mut Vec<(ProcId, Interval)>> {
+        self.pages.get_mut(page.0)?.missing.as_mut()
+    }
+
+    /// The materialised pages, ascending, with their missing entries.
+    pub(crate) fn lists(&self) -> impl Iterator<Item = (PageId, &[(ProcId, Interval)])> {
+        let slots = self.pages.iter().enumerate();
+        slots.filter_map(|(page, slot)| Some((PageId(page), slot.missing.as_deref()?)))
+    }
+
+    /// Queues `interval`, later than every queued one, with `diffs[k]` its
+    /// diff of `pages[k]`.
+    pub(crate) fn cache_diffs(
+        &mut self,
+        interval: Interval,
+        pages: Arc<[PageId]>,
+        diffs: Vec<CachedDiff>,
+    ) {
+        debug_assert!(self.diff_cache.back().is_none_or(|&(last, _)| last < interval));
+        for (&page, diff) in pages.iter().zip(diffs) {
+            page.slot_in(&mut self.pages).diffs.push_back((interval, diff));
+        }
+        self.diff_cache.push_back((interval, pages));
+    }
+
+    /// The diff of `page` that `interval` cached, if it is queued.
+    pub(crate) fn cached(&self, page: PageId, interval: Interval) -> Option<&CachedDiff> {
+        let diffs = &self.pages.get(page.0)?.diffs;
+        diffs.binary_search_by_key(&interval, |&(i, _)| i).ok().map(|at| &diffs[at].1)
+    }
+
+    /// `page`'s cached diffs of the intervals above `seen`, ascending, or
+    /// `None` when no queued interval cached a diff of it.
+    pub(crate) fn cached_after(
+        &self,
+        page: PageId,
+        seen: Interval,
+    ) -> Option<impl Iterator<Item = (Interval, &CachedDiff)> + '_> {
+        let diffs = &self.pages.get(page.0).filter(|slot| !slot.diffs.is_empty())?.diffs;
+        let first = diffs.partition_point(|&(interval, _)| interval <= seen);
+        Some(diffs.range(first..).map(|(interval, diff)| (*interval, diff)))
+    }
+
+    /// The number of `(page, interval)` diffs queued.
+    pub(crate) fn cached_entries(&self) -> usize {
+        self.pages.iter().map(|slot| slot.diffs.len()).sum()
     }
 
     /// The timestamp of this node's copy of `page`: its own, lowered below
@@ -405,7 +392,7 @@ impl ProtoState {
     pub(crate) fn page_vt(&mut self, page: PageId) -> Vt {
         self.materialise([page]);
         let mut vt = self.vt.clone();
-        lower_below_missing(&mut vt, self.page_missing.get(&page).into_iter().flatten());
+        lower_below_missing(&mut vt, self.missing(page));
         vt
     }
 
@@ -424,14 +411,14 @@ impl ProtoState {
     /// Written into `vt`, whose buffer a barrier keeps.
     pub(crate) fn applied_vt(&self, table: &PageTable, vt: &mut Vt) {
         debug_assert_eq!(
-            self.materialised.iter().filter(|&page| table.is_mapped(PageId(page))).count(),
+            self.lists().filter(|&(page, _)| table.is_mapped(page)).count(),
             table.pages_in_use(),
             "P{}: a mapped page is not materialised",
             self.me
         );
         vt.clone_from(&self.vt);
-        for (&page, missing) in &self.page_missing {
-            if table.is_mapped(page) {
+        for (page, missing) in self.lists() {
+            if !missing.is_empty() && table.is_mapped(page) {
                 lower_below_missing(vt, missing);
             }
         }
@@ -451,11 +438,11 @@ impl ProtoState {
     /// found, and the next trim folds the rest.
     pub(crate) fn gc_trim(&mut self, horizon: &Vt, in_flight: &[PageId]) -> (u64, u64) {
         let found = &self.gc_horizon;
-        for (page, missing) in &mut self.page_missing {
-            if missing.len() < 2 {
+        for (page, slot) in self.pages.iter_mut().enumerate() {
+            let Some(missing) = slot.missing.as_mut().filter(|missing| missing.len() >= 2) else {
                 continue;
-            }
-            let fetching = in_flight.binary_search(page).is_ok();
+            };
+            let fetching = in_flight.binary_search(&PageId(page)).is_ok();
             let fold_at = |proc| {
                 if fetching {
                     found.get(proc)
@@ -469,7 +456,13 @@ impl ProtoState {
             missing.dedup_by(|next, kept| next.0 == kept.0 && next.1 <= fold_at(next.0));
         }
         self.gc_horizon.merge(horizon);
-        let diffs = self.diff_cache.trim(self.gc_horizon.get(self.me));
+        let (own, mut diffs) = (self.gc_horizon.get(self.me), 0);
+        while let Some((_, pages)) = self.diff_cache.pop_front_if(|&mut (i, _)| i <= own) {
+            for page in pages.iter() {
+                self.pages[page.0].diffs.pop_front();
+            }
+            diffs += pages.len() as u64;
+        }
         let notices = self.notice_log.trim_covered(&self.gc_horizon) as u64;
         (diffs, notices)
     }
@@ -480,7 +473,7 @@ impl ProtoState {
     pub(crate) fn close_interval(&mut self, pages: Vec<PageId>, diffs: Vec<CachedDiff>) {
         let (proc, interval) = (self.me, self.open_interval());
         let pages: Arc<[PageId]> = pages.into();
-        self.diff_cache.push(interval, Arc::clone(&pages), diffs);
+        self.cache_diffs(interval, Arc::clone(&pages), diffs);
         self.notice_log.record(NoticeRecord { proc, interval, pages });
         self.vt.advance(proc, interval);
         // The interval the acquire snapshot described is closed; writes
@@ -492,7 +485,7 @@ impl ProtoState {
     /// reduction's) lands on the materialised `page` while it misses a
     /// write, which nothing would fetch beneath the bytes.
     pub(crate) fn debug_assert_installable(&self, page: PageId) {
-        let missed = cfg!(debug_assertions).then(|| self.page_missing.get(&page)?.first());
+        let missed = cfg!(debug_assertions).then(|| self.missing(page).first());
         if let Some(&(writer, interval)) = missed.flatten() {
             panic!("P{}: an install onto {page:?} misses P{writer}'s interval {interval}", self.me);
         }
@@ -551,14 +544,14 @@ pub(crate) fn lower_below_missing<'a>(
 }
 
 /// The shared all-zeros page: the source for full-page diffs of pages this
-/// node never materialised, avoiding a fresh 4 KiB allocation per miss.
+/// node never mapped, avoiding a fresh 4 KiB allocation per miss.
 static ZERO_PAGE: [u8; pagedmem::PAGE_SIZE] = [0u8; pagedmem::PAGE_SIZE];
 
 /// Creates a full-page diff from the node's current copy of `page`.
 pub(crate) fn full_page_diff(table: &PageTable, page: PageId) -> Diff {
     match table.frame(page) {
         Ok(frame) => Diff::full_page(frame.lock().page.as_slice()),
-        // The page was never materialised locally (it is still all zeros).
+        // The page was never mapped here (it is still all zeros).
         Err(_) => Diff::full_page(&ZERO_PAGE),
     }
 }
@@ -614,12 +607,11 @@ impl Delta {
 
 #[cfg(test)]
 impl ProtoState {
-    /// `page`'s missing list, materialised or not: the list it holds (none
-    /// when it misses nothing), or the one [`materialise`](Self::materialise)
-    /// would give it.
+    /// `page`'s missing list, materialised or not: the list it holds, or
+    /// the one [`materialise`](Self::materialise) would give it.
     pub(crate) fn missing_of(&self, page: PageId) -> Vec<(ProcId, Interval)> {
         if self.is_materialised(page) {
-            return self.page_missing.get(&page).cloned().unwrap_or_default();
+            return self.missing(page).to_vec();
         }
         let mut fresh = [(page, Vec::new())];
         self.fill(&mut fresh);
@@ -627,9 +619,14 @@ impl ProtoState {
         missing
     }
 
+    /// Whether `page` is materialised.
+    pub(crate) fn is_materialised(&self, page: PageId) -> bool {
+        self.pages.get(page.0).is_some_and(|slot| slot.missing.is_some())
+    }
+
     /// The materialised pages, ascending.
     pub(crate) fn materialised_pages(&self) -> Vec<PageId> {
-        self.materialised.iter().map(PageId).collect()
+        self.lists().map(|(page, _)| page).collect()
     }
 
     /// What a reader can tell of `missing` under this node's GC horizon:
@@ -675,7 +672,7 @@ mod tests {
         for interval in [1, 2] {
             let entry = DiffEntry::Delta(Delta::new(Page::zeroed(), cur.clone()));
             let cached = CachedDiff { entry, rank: u64::from(interval), vt: None };
-            proto.diff_cache.push(interval, [PageId(3)].into(), vec![cached]);
+            proto.cache_diffs(interval, [PageId(3)].into(), vec![cached]);
         }
 
         let after =
@@ -695,7 +692,7 @@ mod tests {
         let mut table = PageTable::new();
         table.install_bytes(PageId(7).base(), &[9, 9, 9, 9]);
         let cached = CachedDiff { entry: DiffEntry::FullPage, rank: 1, vt: None };
-        proto.diff_cache.push(1, [PageId(7)].into(), vec![cached]);
+        proto.cache_diffs(1, [PageId(7)].into(), vec![cached]);
         let records = proto.diffs_for_pages_after(&[PageId(7)], 0, &table, &mut vec![]);
         assert_eq!(records.len(), 1);
         let mut page = vec![0u8; PAGE_SIZE];
