@@ -76,11 +76,13 @@ pub(crate) fn notices_determine(base: &Vt, records: &[NoticeRecord], sender: &Vt
 ///
 /// Records are kept in *segments* as they arrived — a barrier departure's
 /// batch whole, shared with every node it reached (one `Arc` bump however
-/// many records it carries), a flush's, an arrival's or a grant's records
-/// as small ones — behind one index of slots in `(proc, interval)` order,
-/// the order every query answers in. A segment's slots merge into it in
-/// one pass, every barrier's trim drops the covered ones in one pass, and a
-/// segment goes once nothing indexes it.
+/// many records it carries), a flush's record, a grant's records or one
+/// child's of an arrival as small ones — behind one index of slots in
+/// `(proc, interval)` order, the order every query answers in. Per writer
+/// the log is a prefix: every interval above the GC horizon up to the
+/// owner's timestamp, none above (DESIGN §5). A segment's slots merge into
+/// the index in one pass, every barrier's trim drops the covered ones in
+/// one pass, and a segment goes once nothing indexes it.
 #[derive(Debug, Clone, Default)]
 pub struct NoticeLog {
     /// Segment `first + k` and how many index entries point into it;
@@ -96,8 +98,9 @@ pub struct NoticeLog {
     nprocs: usize,
 }
 
-/// Records that arrived together: a flush's, an arrival's or a grant's
-/// (owned), or a departure's batch (shared).
+/// Records that arrived together, ascending by `(proc, interval)`: a
+/// flush's one, a grant's or one child's of an arrival (owned), or a
+/// departure's batch (shared).
 #[derive(Debug, Clone)]
 pub(crate) enum Segment {
     One(NoticeRecord),
@@ -141,19 +144,25 @@ impl NoticeLog {
         NoticeLog { slots, fresh, nprocs, ..NoticeLog::default() }
     }
 
-    /// Records `record`. A second record of the same `(proc, interval)` is
-    /// ignored (the first recording wins); returns whether it was new.
-    pub fn record(&mut self, record: NoticeRecord) -> bool {
-        self.record_segment(Segment::One(record), |_| true) == 1
+    /// Records `record`, which the log must not hold yet.
+    pub fn record(&mut self, record: NoticeRecord) {
+        self.record_segment(Segment::One(record), |_| true);
     }
 
-    /// Adds `records` as one segment, indexing each that `take` accepts and
-    /// the log does not hold yet; returns how many it indexed.
+    /// Adds `records` as one segment, indexing each that `take` accepts.
+    /// The segment is ascending by `(proc, interval)` and what it takes is
+    /// new to the log — a node learns each writer's intervals as a prefix,
+    /// so every record above its timestamp is (DESIGN §5) — so nothing is
+    /// sorted, deduplicated or looked up. Debug builds check both.
     pub(crate) fn record_segment(
         &mut self,
         records: Segment,
-        take: impl Fn(&NoticeRecord) -> bool,
-    ) -> usize {
+        mut take: impl FnMut(&NoticeRecord) -> bool,
+    ) {
+        debug_assert!(
+            records.is_sorted_by(|a, b| (a.proc, a.interval) < (b.proc, b.interval)),
+            "a segment is ascending by (proc, interval)"
+        );
         let segment = self.first + self.segments.len() as u64;
         let mut fresh = std::mem::take(&mut self.fresh);
         fresh.clear();
@@ -161,18 +170,6 @@ impl NoticeLog {
             let (proc, interval, offset) = (record.proc as u32, record.interval, offset as u32);
             fresh.push(Slot { proc, interval, segment, offset });
         }
-        // Sorted already but for the rare interval learned along a lock
-        // chain after a later one; a record named twice, or held already,
-        // is indexed once (one pass over both, both sorted).
-        if !fresh.is_sorted_by_key(Slot::key) {
-            fresh.sort_by_key(Slot::key);
-        }
-        fresh.dedup_by_key(|slot| slot.key());
-        let mut held = self.slots.iter().map(Slot::key).peekable();
-        fresh.retain(|slot| {
-            while held.next_if(|&key| key < slot.key()).is_some() {}
-            held.peek() != Some(&slot.key())
-        });
         // Merged from the back: each held slot moves once.
         let (mut held, slots) = (self.slots.len(), &mut self.slots);
         slots.resize(held + fresh.len(), Slot::default());
@@ -181,14 +178,18 @@ impl NoticeLog {
                 slots[held + left] = slots[held - 1];
                 held -= 1;
             }
+            debug_assert!(
+                held == 0 || slots[held - 1].key() != new.key(),
+                "P{}'s interval {} is logged already",
+                new.proc,
+                new.interval,
+            );
             slots[held + left] = *new;
         }
-        let indexed = fresh.len();
-        if indexed > 0 {
-            self.segments.push_back(Some((records, indexed)));
+        if !fresh.is_empty() {
+            self.segments.push_back(Some((records, fresh.len())));
         }
         self.fresh = fresh;
-        indexed
     }
 
     /// The record `slot` points to.
@@ -197,7 +198,8 @@ impl NoticeLog {
         &segment.expect("an indexed segment is held").0[slot.offset as usize]
     }
 
-    /// Whether the log already contains `(proc, interval)`.
+    /// Whether the log holds `(proc, interval)`: a debug check of the
+    /// prefix rule, never a filter.
     pub fn contains(&self, proc: ProcId, interval: Interval) -> bool {
         self.slots.binary_search_by_key(&(proc as u32, interval), Slot::key).is_ok()
     }
@@ -307,8 +309,7 @@ mod tests {
     #[test]
     fn record_and_query_notices() {
         let mut log = NoticeLog::new(2);
-        assert!(log.record(rec(0, 1, &[5, 6])));
-        assert!(!log.record(rec(0, 1, &[9])), "duplicate records are ignored");
+        log.record(rec(0, 1, &[5, 6]));
         log.record(rec(1, 1, &[7]));
         log.record(rec(0, 2, &[5]));
 
@@ -383,9 +384,19 @@ mod tests {
     fn out_of_order_records_land_in_interval_order() {
         let mut log = NoticeLog::new(1);
         for interval in [4, 2, 9, 3] {
-            assert!(log.record(rec(0, interval, &[interval as usize])));
+            log.record(rec(0, interval, &[interval as usize]));
         }
-        assert!(!log.record(rec(0, 3, &[0])));
         assert_eq!(keys(&log, &Vt::new(1)), [(0, 2), (0, 3), (0, 4), (0, 9)]);
+    }
+
+    /// The log takes what it is given as new: a record it holds already is
+    /// a broken prefix rule, which debug builds catch.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "P0's interval 3 is logged already")]
+    fn a_record_logged_twice_panics_in_debug_builds() {
+        let mut log = NoticeLog::new(1);
+        log.record(rec(0, 3, &[3]));
+        log.record(rec(0, 3, &[0]));
     }
 }

@@ -48,6 +48,7 @@ use crate::server::{self, Lane};
 use crate::sharedarray::{Shareable, SharedArray, SharedMatrix};
 use crate::tlb::NodeGate;
 use crate::types::{ProcId, Vt};
+use crate::watch::Label;
 
 mod access;
 mod barrier;
@@ -295,7 +296,7 @@ impl Process {
         // requests, which may need a frame.
         self.node.return_leases();
         let me = self.proc_id();
-        self.run.board.wait(me, what);
+        self.run.board.wait(me, Label::Text(what.into()));
         loop {
             let env = match self.endpoint().recv_timeout(Port::Reply, self.run.watchdog) {
                 Ok(env) => env,
@@ -338,9 +339,9 @@ mod tests {
 
     use pagedmem::{PageId, Protection};
 
-    use super::interval::{apply_batch_locked, apply_notices_locked, contiguous_runs, NoticeTally};
+    use super::interval::{apply_notices_locked, contiguous_runs, NoticeTally};
     use super::*;
-    use crate::notice::NoticeRecord;
+    use crate::notice::{NoticeRecord, Segment};
     use crate::state::ProtoState;
     use crate::types::Interval;
 
@@ -354,7 +355,8 @@ mod tests {
 
     /// `apply_notices_locked` as it was when it grouped per-page notices
     /// through a map of vectors and deduplicated each group through a hash
-    /// set, kept verbatim: the walk the replacement must reproduce.
+    /// set, kept verbatim but for asking the log whether it holds a record
+    /// (the log no longer filters): the walk the replacement must reproduce.
     fn apply_notices_grouped(
         proto: &mut ProtoState,
         table: &mut pagedmem::PageTable,
@@ -374,10 +376,10 @@ mod tests {
         for ((proc, interval), mut pages) in grouped {
             let mut seen = HashSet::with_capacity(pages.len());
             pages.retain(|page| seen.insert(*page));
-            let record = NoticeRecord { proc, interval, pages: pages.clone().into() };
-            if !proto.notice_log.record(record) {
+            if proto.notice_log.contains(proc, interval) {
                 continue;
             }
+            proto.notice_log.record(NoticeRecord { proc, interval, pages: pages.clone().into() });
             recorded += pages.len() as u64;
             for page in pages {
                 page_missing.entry(page).or_default().push((proc, interval));
@@ -411,8 +413,8 @@ mod tests {
     const NPROCS: usize = 5;
     const PAGES: usize = 12;
 
-    /// Node 2 of five with pages in every protection state and one record
-    /// already in its log.
+    /// Node 2 of five with pages in every protection state, and its own
+    /// first interval and P3's first in its log and its timestamp.
     fn node() -> (ProtoState, pagedmem::PageTable) {
         let mut proto = ProtoState::new(2, NPROCS);
         let mut table = pagedmem::PageTable::new();
@@ -427,7 +429,10 @@ mod tests {
             // Every mapped page is materialised.
             proto.materialise([PageId(page)]);
         }
-        proto.notice_log.record(record(3, 1, &[0]));
+        for held in [record(2, 1, &[3, 4]), record(3, 1, &[0])] {
+            proto.vt.advance(held.proc, held.interval);
+            proto.notice_log.record(held);
+        }
         (proto, table)
     }
 
@@ -458,42 +463,46 @@ mod tests {
     #[test]
     fn notice_batches_apply_exactly_as_the_grouped_walk_did() {
         // Every copy of an interval's record is the one its flush built.
-        let [p1i3, p0i1, p4i5, p4i2, p4i4, own, p0i2, p3i1, p3i2, p1i2, p1i1, p0i3] = [
-            record(1, 3, &[4, 5, 8]),
+        let [p0i1, p0i2, p0i3, p1i1, p1i2, p1i3, p3i1, p3i2, p4i1, p4i2, p4i3, own] = [
             record(0, 1, &[9]),
-            record(4, 5, &[1, 7]),
-            record(4, 2, &[6, 7]),
-            record(4, 4, &[0]),
-            record(2, 1, &[3, 4]),
             record(0, 2, &[1, 2]),
+            record(0, 3, &[8, 9, 10]),
+            record(1, 1, &[5]),
+            record(1, 2, &[4]),
+            record(1, 3, &[4, 5, 8]),
             record(3, 1, &[0]),
             record(3, 2, &[0, 1]),
-            record(1, 2, &[4]),
-            record(1, 1, &[5]),
-            record(0, 3, &[8, 9, 10]),
+            record(4, 1, &[6, 7]),
+            record(4, 2, &[0]),
+            record(4, 3, &[1, 7]),
+            record(2, 1, &[3, 4]),
         ];
-        let batches: Vec<Vec<NoticeRecord>> = vec![
-            // The same interval from two children, another between.
-            vec![p1i3.clone(), p0i1.clone(), p1i3.clone()],
-            // Intervals out of order, two of them naming page 7.
-            vec![p4i5, p4i2, p4i4],
+        // Each message's segments: one per child of an arrival, else one.
+        let messages: Vec<Vec<Vec<NoticeRecord>>> = vec![
+            // Two children's overlapping lists: the same interval from both,
+            // another ahead of it in the second.
+            vec![vec![p1i1, p1i2, p1i3.clone()], vec![p0i1.clone(), p1i3.clone()]],
+            // One writer's intervals, two of them naming page 7.
+            vec![vec![p4i1, p4i2, p4i3.clone()]],
             // Own records, alone and between foreign ones.
-            vec![own.clone(), p0i2, own],
+            vec![vec![own.clone()], vec![p0i2, own, p4i3]],
             // Records the log already holds: one from set-up, two from the
-            // batches above.
-            vec![p3i1, p1i3.clone(), p0i1, p3i2],
-            vec![],
-            // An older interval of a processor arriving after a newer one.
-            vec![p1i2, p1i1, p0i3],
+            // messages above.
+            vec![vec![p0i1, p1i3.clone(), p3i1, p3i2]],
+            vec![vec![]],
+            // A new record ahead of a held one.
+            vec![vec![p0i3, p1i3.clone()]],
         ];
         let (mut proto, mut table) = node();
         let (mut ref_proto, mut ref_table) = node();
         let mut eager = dsm_core::hash::IntMap::default();
         let everything = Vt::new(NPROCS);
-        for (k, batch) in batches.iter().enumerate() {
-            let tally = apply_notices_locked(&mut proto, &mut table, batch.clone());
-            let flattened: Vec<WriteNotice> = batch
+        for (k, segments) in messages.iter().enumerate() {
+            let owned = segments.iter().cloned().map(Segment::Owned);
+            let tally = apply_notices_locked(&mut proto, &mut table, owned);
+            let flattened: Vec<WriteNotice> = segments
                 .iter()
+                .flatten()
                 .flat_map(|r| {
                     r.pages.iter().map(|&page| WriteNotice {
                         page,
@@ -507,21 +516,21 @@ mod tests {
             assert_eq!(
                 (tally.recorded, tally.invalidation_runs),
                 (expected.recorded, expected.invalidation_runs),
-                "tally of batch {k}"
+                "tally of message {k}"
             );
             assert!(
                 proto
                     .notice_log
                     .records_after(&everything)
                     .eq(ref_proto.notice_log.records_after(&everything)),
-                "notice log after batch {k}"
+                "notice log after message {k}"
             );
-            assert_missing_as_eager(&proto, &eager, &format!("batch {k}"));
+            assert_missing_as_eager(&proto, &eager, &format!("message {k}"));
             for page in (0..PAGES).map(PageId) {
                 assert_eq!(
                     table.protection(page),
                     ref_table.protection(page),
-                    "{page:?}, batch {k}"
+                    "{page:?}, message {k}"
                 );
             }
         }
@@ -529,13 +538,15 @@ mod tests {
         let logged =
             proto.notice_log.records_after(&everything).find(|r| (r.proc, r.interval) == (1, 3));
         assert!(Arc::ptr_eq(&logged.expect("P1's third interval").pages, &p1i3.pages));
-        // The batches did what they were written to do.
-        assert!(proto.missing_of(PageId(4)).starts_with(&[(1, 3)]));
-        assert_eq!(proto.missing_of(PageId(5)), [(1, 3), (1, 1)]);
-        assert_eq!(proto.missing_of(PageId(0)), [(4, 4), (3, 2)], "a held record is skipped");
-        assert_eq!(proto.missing_of(PageId(7)), [(4, 2), (4, 5)], "ascending by interval");
+        // The messages did what they were written to do.
+        assert_eq!(proto.missing_of(PageId(4)), [(1, 2), (1, 3)]);
+        assert_eq!(proto.missing_of(PageId(5)), [(1, 1), (1, 3)]);
+        assert_eq!(proto.missing_of(PageId(0)), [(4, 2), (3, 2)], "a held record is skipped");
+        assert_eq!(proto.missing_of(PageId(7)), [(4, 1), (4, 3)], "ascending by interval");
         assert!(!proto.is_materialised(PageId(7)), "an unmapped page holds no list");
         assert_eq!(table.protection(PageId(4)), Protection::Invalid);
+        let raised: Vec<Interval> = (0..NPROCS).map(|p| proto.vt.get(p)).collect();
+        assert_eq!(raised, [3, 3, 1, 2, 3], "the timestamp is raised through every record");
     }
 
     #[test]
@@ -545,10 +556,7 @@ mod tests {
         let learned = || {
             let (mut proto, table) = node();
             proto.notice_log.record(record(1, 1, &[5]));
-            proto.notice_log.record(record(2, 1, &[3, 4]));
-            for (proc, interval) in [(1, 1), (2, 1), (3, 1)] {
-                proto.vt.advance(proc, interval);
-            }
+            proto.vt.advance(1, 1);
             (proto, table)
         };
         let (mut proto, mut table) = learned();
@@ -563,15 +571,15 @@ mod tests {
             record(2, 1, &[3, 4]),
             record(3, 1, &[0]),
             record(3, 2, &[0, 1]),
-            record(4, 2, &[6, 7]),
-            record(4, 5, &[1, 7]),
+            record(4, 1, &[6, 7]),
+            record(4, 2, &[1, 7]),
         ]);
-        let tally = apply_batch_locked(&mut proto, &mut table, &batch);
+        let tally = apply_notices_locked(&mut proto, &mut table, [Segment::Shared(batch.clone())]);
         // What a departure carried before the batch was shared: the records
-        // above the receiver's timestamp, through the sorting walk.
+        // above the receiver's timestamp, a list of its own.
         let unseen = batch.iter().filter(|r| r.interval > ref_proto.vt.get(r.proc)).cloned();
-        let unseen: Vec<NoticeRecord> = unseen.collect();
-        let expected = apply_notices_locked(&mut ref_proto, &mut ref_table, unseen);
+        let unseen = Segment::Owned(unseen.collect());
+        let expected = apply_notices_locked(&mut ref_proto, &mut ref_table, [unseen]);
         assert_eq!((tally.recorded, tally.invalidation_runs), (10, expected.invalidation_runs));
         assert_eq!(expected.recorded, 10, "six records, ten pages");
         let everything = Vt::new(NPROCS);
@@ -598,8 +606,9 @@ mod history {
     //! of owned record clones, trimmed by draining its front — and [`MapCache`]
     //! the own diff cache — per page, a map of intervals, trimmed by splitting
     //! every map. One seeded sequence of flushes, departure batches (the node's
-    //! own and known records among the new), arrivals, lock grants (a withheld,
-    //! out-of-order record among them) and trims, with and without a merged
+    //! own and known records among the new), arrivals (a second child's list
+    //! repeating the first's), lock grants (records withheld so far among
+    //! them) and trims, with and without a merged
     //! fetch's pages in flight, drives a [`ProtoState`] next to the two models.
     //! After every step the node answers every query as the models do:
     //! `records_after`, `clone_after` and `contains` for random timestamps, the
@@ -612,8 +621,8 @@ mod history {
 
     use pagedmem::{Diff, Page, PageId, PageTable, PAGE_SIZE};
 
-    use super::interval::{apply_batch_locked, apply_notices_locked};
-    use crate::notice::{raise_through, NoticeRecord};
+    use super::interval::apply_notices_locked;
+    use crate::notice::{NoticeRecord, Segment};
     use crate::state::{full_page_diff, CachedDiff, Delta, DiffEntry, ProtoState};
     use crate::types::{Interval, ProcId, Vt};
 
@@ -731,7 +740,9 @@ mod history {
         cache: MapCache,
         /// Each writer's latest interval.
         latest: [Interval; NPROCS],
-        /// Records skipped by the batches, delivered later by a grant.
+        /// Each writer's records not sent to the node yet, oldest first: a
+        /// suffix of its intervals, as a node learns a writer's intervals
+        /// as a prefix.
         withheld: Vec<NoticeRecord>,
     }
 
@@ -751,18 +762,28 @@ mod history {
             }
         }
 
-        /// A new record of a writer other than this node; now and then it
-        /// skips an interval, whose record a later grant delivers.
-        fn fresh_record(&mut self, draw: impl Fn(u64) -> u64) -> NoticeRecord {
+        /// A new record of a writer other than this node, sent with every
+        /// record of the writer withheld so far; now and then it is withheld
+        /// too, and a later message sends it.
+        fn fresh_records(&mut self, draw: impl Fn(u64) -> u64) -> Vec<NoticeRecord> {
             let proc = (ME + 1 + (draw(0) % (NPROCS as u64 - 1)) as usize) % NPROCS;
             let pages: Arc<[PageId]> = some_pages(|k| draw(10 + k), 5).into();
-            if draw(1).is_multiple_of(4) {
-                self.latest[proc] += 1;
-                let interval = self.latest[proc];
-                self.withheld.push(NoticeRecord { proc, interval, pages: pages.clone() });
-            }
             self.latest[proc] += 1;
-            NoticeRecord { proc, interval: self.latest[proc], pages }
+            self.withheld.push(NoticeRecord { proc, interval: self.latest[proc], pages });
+            if draw(1).is_multiple_of(4) {
+                return Vec::new();
+            }
+            self.release(proc, Interval::MAX)
+        }
+
+        /// The withheld records of `proc` up to `interval`, no longer held
+        /// back.
+        fn release(&mut self, proc: ProcId, interval: Interval) -> Vec<NoticeRecord> {
+            let (sent, kept) = std::mem::take(&mut self.withheld)
+                .into_iter()
+                .partition(|r| r.proc == proc && r.interval <= interval);
+            self.withheld = kept;
+            sent
         }
 
         /// Some records the node already holds, its own among them.
@@ -805,7 +826,7 @@ mod history {
         fn departure(&mut self, draw: impl Fn(u64) -> u64) {
             let mut batch = self.known(|k| draw(100 + k));
             for k in 0..1 + draw(1) % 4 {
-                batch.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
+                batch.extend(self.fresh_records(|j| draw(200 + 20 * k + j)));
             }
             batch.sort_by_key(|r| (r.proc, r.interval));
             let batch: Arc<[NoticeRecord]> = batch.into();
@@ -813,29 +834,35 @@ mod history {
             for record in batch.iter().filter(|r| r.proc != ME && r.interval > vt.get(r.proc)) {
                 self.log.record(record.clone());
             }
-            apply_batch_locked(&mut self.proto, &mut self.table, &batch);
-            raise_through(&mut self.proto.vt, &batch);
+            apply_notices_locked(&mut self.proto, &mut self.table, [Segment::Shared(batch)]);
         }
 
-        /// An arrival's or a grant's records: known ones, repeats, new ones and,
-        /// for a grant, a withheld record older than one the node holds.
+        /// An arrival's or a grant's records: known ones and new ones, for a
+        /// grant also some of one writer's withheld records, the oldest
+        /// first; an arrival's second child repeats some of the first's.
         fn notices(&mut self, draw: impl Fn(u64) -> u64, grant: bool) {
             let mut records = self.known(|k| draw(100 + k));
             for k in 0..draw(1) % 3 {
-                records.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
+                records.extend(self.fresh_records(|j| draw(200 + 20 * k + j)));
             }
             if grant && !self.withheld.is_empty() {
-                let at = (draw(2) % self.withheld.len() as u64) as usize;
-                records.push(self.withheld.remove(at));
+                let upto = &self.withheld[(draw(2) % self.withheld.len() as u64) as usize];
+                let (proc, interval) = (upto.proc, upto.interval);
+                records.extend(self.release(proc, interval));
             }
-            if let Some(repeat) = records.first().cloned() {
-                records.push(repeat);
-            }
+            records.sort_by_key(|r| (r.proc, r.interval));
             for record in records.iter().filter(|r| r.proc != ME) {
                 self.log.record(record.clone());
             }
-            apply_notices_locked(&mut self.proto, &mut self.table, records.clone());
-            raise_through(&mut self.proto.vt, &records);
+            let mut segments = vec![Segment::Owned(records.clone())];
+            if !grant {
+                let repeats = records
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| draw(300 + *k as u64).is_multiple_of(2));
+                segments.push(Segment::Owned(repeats.map(|(_, r)| r.clone()).collect()));
+            }
+            apply_notices_locked(&mut self.proto, &mut self.table, segments);
         }
 
         /// A trim at a horizon that is monotone, within what the node knows,

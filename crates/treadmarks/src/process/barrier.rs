@@ -11,11 +11,11 @@ use racecheck::SyncKind;
 use sp2model::{VirtualClock, VirtualTime};
 
 use super::access::warm_ranges_locked;
-use super::interval::{apply_batch_locked, apply_notices_locked, sync_vt_locked, NoticeTally};
+use super::interval::{apply_notices_locked, sync_vt_locked, NoticeTally};
 use super::sync::{prep_writes_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::{RoutedRequest, SyncFetchRequest, TmkMessage};
-use crate::notice::{notices_determine, raise_through, NoticeRecord};
+use crate::notice::{notices_determine, raise_through, NoticeRecord, Segment};
 use crate::state::ProtoState;
 use crate::types::{Interval, ProcId, Vt, VtDelta};
 
@@ -352,10 +352,9 @@ fn serve_in_arrival_order(
 struct Arrivals {
     /// Each arrival's virtual arrival time and sender, in host receive order.
     at: Vec<(VirtualTime, ProcId)>,
-    /// Every child's notice records, concatenated.
-    notices: Vec<NoticeRecord>,
-    /// Per child, ascending: its id and where its notices lie in `notices`.
-    spans: Vec<(ProcId, Range<usize>)>,
+    /// Per child, ascending by id: its id and its notice records, its log's
+    /// records above the previous global timestamp (so in that log's order).
+    notices: Vec<(ProcId, Vec<NoticeRecord>)>,
     /// Each child's applied timestamp against the previous global one.
     applied: Vec<VtDelta>,
 }
@@ -368,12 +367,13 @@ pub(super) struct Buffers {
     horizon: Vt,
 }
 
-/// Applies the children's notice records and folds their subtrees into this
-/// node's timestamp, under an already-held lock pair and before this barrier
-/// replaces `last_global_vt`. Leaves in `buffers` each child's subtree
-/// timestamp (the previous global one joined with the child's own records)
-/// and the component-wise minimum of this node's applied timestamp and
-/// theirs; returns the tally.
+/// Applies the children's notice records, each child's list a segment in
+/// child order, which folds their subtrees into this node's timestamp, under
+/// an already-held lock pair and before this barrier replaces
+/// `last_global_vt`. Leaves in `buffers` each child's subtree timestamp (the
+/// previous global one joined with the child's own records) and the
+/// component-wise minimum of this node's applied timestamp and theirs;
+/// returns the tally.
 fn fold_arrivals_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
@@ -381,16 +381,14 @@ fn fold_arrivals_locked(
     buffers: &mut Buffers,
 ) -> NoticeTally {
     let Buffers { subtrees, horizon } = buffers;
-    subtrees.resize_with(arrivals.spans.len(), Default::default);
-    for ((proc, span), (child, vt)) in arrivals.spans.iter().zip(subtrees.iter_mut()) {
+    subtrees.resize_with(arrivals.notices.len(), Default::default);
+    for ((proc, notices), (child, vt)) in arrivals.notices.iter().zip(subtrees.iter_mut()) {
         *child = *proc;
         vt.clone_from(&proto.last_global_vt);
-        raise_through(vt, &arrivals.notices[span.clone()]);
+        raise_through(vt, notices);
     }
-    let tally = apply_notices_locked(proto, table, std::mem::take(&mut arrivals.notices));
-    for (_, vt) in subtrees.iter() {
-        proto.vt.merge(vt);
-    }
+    let segments = arrivals.notices.drain(..).map(|(_, notices)| Segment::Owned(notices));
+    let tally = apply_notices_locked(proto, table, segments);
     proto.applied_vt(table, horizon);
     for delta in &arrivals.applied {
         horizon.merge_min_patched(&proto.last_global_vt, delta);
@@ -529,16 +527,14 @@ impl Process {
                 unreachable!()
             };
             arrivals.at.push((env.arrives_at, proc));
-            let start = arrivals.notices.len();
-            arrivals.notices.extend(notices);
-            arrivals.spans.push((proc, start..arrivals.notices.len()));
+            arrivals.notices.push((proc, notices));
             arrivals.applied.push(applied_vt);
             sync_requests.extend(reqs);
             if let Some(reduction) = reduction.as_mut() {
                 reduction.words = add(&reduction.words, &words);
             }
         }
-        arrivals.spans.sort_by_key(|(proc, _)| *proc);
+        arrivals.notices.sort_by_key(|(proc, _)| *proc);
         serve_in_arrival_order(&mut self.clock, &mut arrivals.at, per_child);
 
         // --- Non-root: fold the subtree into local state under one hold,
@@ -613,11 +609,11 @@ impl Process {
             // included, waits for the responders its own entry names.
             let (tally, horizon_delta, batch, routed) = match departed {
                 Some((horizon_delta, batch, routed)) => {
-                    let tally = apply_batch_locked(&mut proto, &mut table, &batch);
+                    let shared = Segment::Shared(Arc::clone(&batch));
+                    let tally = apply_notices_locked(&mut proto, &mut table, [shared]);
                     buffers.horizon.clone_from(&proto.last_global_vt);
                     buffers.horizon.patch(&horizon_delta);
                     let proto = &mut *proto;
-                    raise_through(&mut proto.vt, &batch);
                     proto.last_global_vt.clone_from(&proto.vt);
                     (tally, horizon_delta, batch, routed)
                 }
@@ -955,7 +951,7 @@ mod tests {
 
         /// `writer` closes `interval` having written `pages` — one cached
         /// diff each, whole pages under `write_all` — and the barrier has
-        /// told everybody.
+        /// told everybody who did not know.
         fn write(&mut self, writer: ProcId, interval: Interval, pages: &[usize], write_all: bool) {
             let mut diffs = Vec::new();
             for &page in pages {
@@ -973,7 +969,9 @@ mod tests {
             proto.cache_diffs(interval, pages.iter().map(|&p| PageId(p)).collect(), diffs);
             proto.vt.advance(writer, interval);
             for node in 0..self.0.len() {
-                self.learn(node, writer, interval, pages);
+                if !self.0[node].0.notice_log.contains(writer, interval) {
+                    self.learn(node, writer, interval, pages);
+                }
             }
         }
     }
@@ -1080,8 +1078,9 @@ mod tests {
         world.write(4, 1, &[9], false);
         world.write(4, 2, &[9], false);
         world.write(4, 3, &[9], true);
-        // P6 learned P3's second interval along a lock chain before the
-        // barrier brought the first: its log took them out of order.
+        // P6 learned P3's two intervals along a lock chain before the
+        // barrier brought them.
+        world.learn(6, 3, 1, &[12]);
         world.learn(6, 3, 2, &[12]);
         world.write(3, 1, &[12], false);
         world.write(3, 2, &[12], false);

@@ -2,10 +2,9 @@
 //! write-protection) and learning of others' (write-notice application and
 //! the timestamp a merged fetch advertises).
 
-use std::sync::Arc;
-
 use pagedmem::{PageId, PageTable};
 
+use super::sync::PrepTally;
 use super::Process;
 use crate::notice::{NoticeRecord, Segment};
 use crate::state::{lower_below_missing, CachedDiff, Delta, DiffEntry, ProtoState};
@@ -25,83 +24,69 @@ pub(super) fn contiguous_runs(pages: &[PageId]) -> u64 {
     runs
 }
 
-/// What [`apply_notices_locked`] or [`apply_batch_locked`] did, for cost
-/// charging after the hold.
+/// What [`apply_notices_locked`] did, for cost charging after the hold.
 pub(super) struct NoticeTally {
     pub(super) recorded: u64,
     pub(super) invalidation_runs: u64,
 }
 
-/// Records incoming notice records under an already-held lock pair: moves
-/// the new ones into the notice log as one segment, extends their pages'
-/// missing lists and invalidates their local copies. Records the log
-/// already holds, this processor's own and repeats are dropped: every copy
-/// of an interval's record is the one its flush built, so
-/// `(proc, interval)` names it. Costs are charged by the caller from the
-/// returned tally (one protection operation per contiguous run of
-/// invalidated pages, like the range `mprotect` of the original system).
+/// Applies the notice records a barrier arrival, a barrier departure or a
+/// lock grant delivers, under an already-held lock pair, one segment after
+/// another: each record above this node's timestamp, its own skipped, in
+/// the segment's order, extends its materialised pages' missing lists and
+/// invalidates their local copies; the log keeps the segment, indexing the
+/// records taken, and the timestamp is raised through them. Costs are
+/// charged by the caller from the returned tally (one protection operation
+/// per contiguous run of invalidated pages, like the range `mprotect` of
+/// the original system).
 ///
-/// Records apply ascending by `(proc, interval)`, pages in record order:
-/// that order decides the missing lists and hence the later fetches, on
-/// which every downstream virtual-time measurement depends.
+/// A record is new exactly when it lies above the timestamp (DESIGN §5), so
+/// nothing is sorted, deduplicated or looked up: each segment is one log's
+/// `(proc, interval)` order, and a record a later segment repeats lies at or
+/// below the timestamp an earlier one raised. Debug builds check the rule
+/// on every record. A missing list's entries follow the segments' order,
+/// which no reader depends on: each sorts the list or takes a minimum.
 pub(super) fn apply_notices_locked(
     proto: &mut ProtoState,
     table: &mut PageTable,
-    mut records: Vec<NoticeRecord>,
+    segments: impl IntoIterator<Item = Segment>,
 ) -> NoticeTally {
-    let me = proto.me;
-    records.retain(|r| r.proc != me);
-    records.sort_unstable_by_key(|r| (r.proc, r.interval));
-    records.dedup_by_key(|r| (r.proc, r.interval));
-    records.retain(|r| !proto.notice_log.contains(r.proc, r.interval));
-    let mut applied = Applied::default();
-    for record in &records {
-        applied.record(proto, table, record);
+    let (me, mut applied) = (proto.me, Applied::default());
+    for segment in segments {
+        for record in segment.iter() {
+            let covered = record.interval <= proto.vt.get(record.proc);
+            debug_assert!(
+                covered == knows(proto, record),
+                "P{me}: P{}'s interval {} is {} the timestamp {} but {}",
+                record.proc,
+                record.interval,
+                if covered { "at or below" } else { "above" },
+                proto.vt,
+                if covered { "unknown: a hole" } else { "known" },
+            );
+            // It flushed its own records: the timestamp covers them.
+            debug_assert!(covered || record.proc != me, "P{me}: its own record lies ahead");
+            if !covered && record.proc != me {
+                applied.record(proto, table, record);
+            }
+        }
+        let vt = &mut proto.vt;
+        proto.notice_log.record_segment(segment, |r| {
+            let new = r.proc != me && r.interval > vt.get(r.proc);
+            if new {
+                vt.advance(r.proc, r.interval);
+            }
+            new
+        });
     }
-    proto.notice_log.record_segment(Segment::Owned(records), |_| true);
     applied.tally()
 }
 
-/// Applies a barrier departure's notice batch under an already-held lock
-/// pair: the records above this node's own timestamp, the one it held
-/// before the departure's merge, in batch order, its own skipped. The batch
-/// is every record above the previous global timestamp, ascending by
-/// `(proc, interval)` and without repeats, and every record this node's log
-/// holds lies at or below its timestamp; so the records taken are exactly
-/// the new ones, in [`apply_notices_locked`]'s order, with nothing sorted,
-/// deduplicated or looked up. The log keeps the batch whole, indexing the
-/// records taken. Debug builds check both, and that the records taken
-/// determine the global timestamp the batch does.
-pub(super) fn apply_batch_locked(
-    proto: &mut ProtoState,
-    table: &mut PageTable,
-    batch: &Arc<[NoticeRecord]>,
-) -> NoticeTally {
-    debug_assert!(batch.is_sorted_by_key(|r| (r.proc, r.interval)), "a batch is one log's order");
-    let (me, mut applied) = (proto.me, Applied::default());
-    let unseen = |vt: &Vt, r: &NoticeRecord| r.proc != me && r.interval > vt.get(r.proc);
-    for record in batch.iter() {
-        if !unseen(&proto.vt, record) {
-            continue;
-        }
-        debug_assert!(
-            !proto.notice_log.contains(record.proc, record.interval),
-            "P{} already holds P{}'s interval {}, above its own timestamp",
-            proto.me,
-            record.proc,
-            record.interval,
-        );
-        applied.record(proto, table, record);
-    }
-    // The records it skips as seen move no component; its own would.
-    debug_assert!(
-        batch.iter().all(|r| r.proc != me || r.interval <= proto.vt.get(me)),
-        "P{}: the records a departure applies must determine the global timestamp",
-        proto.me,
-    );
-    let vt = &proto.vt;
-    proto.notice_log.record_segment(Segment::Shared(Arc::clone(batch)), |r| unseen(vt, r));
-    applied.tally()
+/// Whether `proto` knows `record`: its log holds it, or the GC horizon
+/// covers it. The prefix rule's debug check, never a filter.
+fn knows(proto: &ProtoState, record: &NoticeRecord) -> bool {
+    record.interval <= proto.gc_horizon.get(record.proc)
+        || proto.notice_log.contains(record.proc, record.interval)
 }
 
 /// The running totals of one notice application.
@@ -200,8 +185,7 @@ impl Process {
             proto.close_interval(flushed_pages, diffs);
         }
         drop(proto);
-        self.stats.protection_ops(protect_ops);
-        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(protect_ops));
+        self.charge_prep(&PrepTally { twinned: 0, protect_ranges: protect_ops }, pages_in_use);
     }
 
     /// Charges the costs of an [`apply_notices_locked`] tally after the
@@ -565,8 +549,9 @@ mod oracle {
     //! [`Eager`] keeps the lists as they were before pages were materialised:
     //! every notice extends the list of every page it names, every trim folds
     //! every list, and each reader reads them as it used to. One seeded
-    //! sequence of barrier batches, lock grants (an out-of-order record among
-    //! them), trims with and without a merged fetch in flight, first touches,
+    //! sequence of barrier batches, lock grants (records withheld so far among
+    //! them) and arrivals (a second child's list repeating the first's), trims
+    //! with and without a merged fetch in flight, first touches,
     //! write preparation, installs with bases and deltas and flushes drives a
     //! [`ProtoState`] and its [`PageTable`] next to the model; after every step
     //! each page's missing set, as a reader can tell it, is the model's, and
@@ -579,9 +564,9 @@ mod oracle {
     use super::super::sync::{
         claim_records_locked, claims, prep_writes_locked, wants_for_pages_locked, PhasePlan,
     };
-    use super::{apply_batch_locked, apply_notices_locked, sync_vt_locked, NoticeTally};
+    use super::{apply_notices_locked, sync_vt_locked, NoticeTally};
     use crate::message::{DiffRecord, PageWant};
-    use crate::notice::{raise_through, NoticeLog, NoticeRecord};
+    use crate::notice::{NoticeLog, NoticeRecord, Segment};
     use crate::state::{lower_below_missing, ProtoState};
     use crate::types::{Interval, ProcId, Vt};
 
@@ -899,7 +884,9 @@ mod oracle {
         eager: Eager,
         /// Each writer's latest interval.
         latest: [Interval; NPROCS],
-        /// Records skipped by the batches, delivered later by a grant.
+        /// Each writer's records not sent to the node yet, oldest first: a
+        /// suffix of its intervals, as a node learns a writer's intervals
+        /// as a prefix.
         withheld: Vec<NoticeRecord>,
         /// A barrier's merged fetch, issued and not installed yet.
         in_flight: Option<InFlight>,
@@ -921,18 +908,28 @@ mod oracle {
             }
         }
 
-        /// A new record of a writer other than this node; now and then it
-        /// skips an interval, whose record a later grant delivers.
-        fn fresh_record(&mut self, draw: impl Fn(u64) -> u64) -> NoticeRecord {
+        /// A new record of a writer other than this node, sent with every
+        /// record of the writer withheld so far; now and then it is withheld
+        /// too, and a later grant sends it.
+        fn fresh_records(&mut self, draw: impl Fn(u64) -> u64) -> Vec<NoticeRecord> {
             let proc = (ME + 1 + (draw(0) % (NPROCS as u64 - 1)) as usize) % NPROCS;
             let pages: std::sync::Arc<[PageId]> = some_pages(|k| draw(10 + k), 5).into();
-            if draw(1).is_multiple_of(4) {
-                self.latest[proc] += 1;
-                let interval = self.latest[proc];
-                self.withheld.push(NoticeRecord { proc, interval, pages: pages.clone() });
-            }
             self.latest[proc] += 1;
-            NoticeRecord { proc, interval: self.latest[proc], pages }
+            self.withheld.push(NoticeRecord { proc, interval: self.latest[proc], pages });
+            if draw(1).is_multiple_of(4) {
+                return Vec::new();
+            }
+            self.release(proc, Interval::MAX)
+        }
+
+        /// The withheld records of `proc` up to `interval`, no longer held
+        /// back.
+        fn release(&mut self, proc: ProcId, interval: Interval) -> Vec<NoticeRecord> {
+            let (sent, kept) = std::mem::take(&mut self.withheld)
+                .into_iter()
+                .partition(|r| r.proc == proc && r.interval <= interval);
+            self.withheld = kept;
+            sent
         }
 
         /// Some records the node already holds, its own among them.
@@ -948,14 +945,14 @@ mod oracle {
         fn batch(&mut self, draw: impl Fn(u64) -> u64) {
             let mut batch = self.known(|k| draw(100 + k));
             for k in 0..1 + draw(1) % 3 {
-                batch.push(self.fresh_record(|j| draw(200 + 20 * k + j)));
+                batch.extend(self.fresh_records(|j| draw(200 + 20 * k + j)));
             }
             batch.sort_by_key(|r| (r.proc, r.interval));
             let batch: std::sync::Arc<[NoticeRecord]> = batch.into();
             let vt = self.proto.vt.clone();
-            let real = apply_batch_locked(&mut self.proto, &mut self.table, &batch);
+            let shared = Segment::Shared(batch.clone());
+            let real = apply_notices_locked(&mut self.proto, &mut self.table, [shared]);
             assert_eq!(tally(&real), self.eager.apply_batch(&vt, &batch), "batch tally");
-            raise_through(&mut self.proto.vt, &batch);
         }
 
         /// A trim at a horizon that is monotone, within what the node knows,
@@ -981,22 +978,31 @@ mod oracle {
             let draw = move |k: u64| mix(&[seed, step, k]);
             match draw(0) % 13 {
                 0..=2 => self.batch(draw),
+                // A grant, or an arrival whose second child repeats some of
+                // the first's records.
                 3 | 4 => {
                     let mut grant = self.known(|k| draw(100 + k));
                     if draw(1) % 2 == 0 {
-                        grant.push(self.fresh_record(|j| draw(200 + j)));
+                        grant.extend(self.fresh_records(|j| draw(200 + j)));
                     }
                     if !self.withheld.is_empty() {
-                        let at = (draw(2) % self.withheld.len() as u64) as usize;
-                        grant.push(self.withheld.remove(at));
+                        let upto = &self.withheld[(draw(2) % self.withheld.len() as u64) as usize];
+                        let (proc, interval) = (upto.proc, upto.interval);
+                        grant.extend(self.release(proc, interval));
                     }
-                    if let Some(repeat) = grant.first().cloned() {
-                        grant.push(repeat);
+                    grant.sort_by_key(|r| (r.proc, r.interval));
+                    let mut segments = vec![grant.clone()];
+                    if draw(0) % 13 == 3 {
+                        let repeats = grant
+                            .iter()
+                            .enumerate()
+                            .filter(|(k, _)| draw(300 + *k as u64).is_multiple_of(2));
+                        segments.push(repeats.map(|(_, r)| r.clone()).collect());
                     }
-                    let real =
-                        apply_notices_locked(&mut self.proto, &mut self.table, grant.clone());
-                    raise_through(&mut self.proto.vt, &grant);
-                    assert_eq!(tally(&real), self.eager.apply_notices(grant), "grant tally");
+                    let owned = segments.iter().cloned().map(Segment::Owned);
+                    let real = apply_notices_locked(&mut self.proto, &mut self.table, owned);
+                    let flattened = segments.into_iter().flatten().collect();
+                    assert_eq!(tally(&real), self.eager.apply_notices(flattened), "grant tally");
                 }
                 5 | 6 => self.trim(|k| draw(1 + k), &[]),
                 7 if self.in_flight.is_none() => {

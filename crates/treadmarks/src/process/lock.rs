@@ -9,7 +9,7 @@ use super::interval::{apply_notices_locked, sync_vt_locked};
 use super::sync::{prep_writes_locked, wants_for_pages_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::TmkMessage;
-use crate::notice::raise_through;
+use crate::notice::Segment;
 use crate::state::ProtoState;
 use crate::types::{Interval, LockId, ProcId};
 
@@ -79,10 +79,9 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            // The granter's timestamp, merged: ours covers the one we
-            // advertised, so the grant's notices determine it.
-            raise_through(&mut proto.vt, &notices);
-            let tally = apply_notices_locked(&mut proto, &mut table, notices);
+            // The granter's timestamp, merged by the apply: ours covers the
+            // one we advertised, so the grant's notices determine it.
+            let tally = apply_notices_locked(&mut proto, &mut table, [Segment::Owned(notices)]);
             let state = proto.locks.entry(lock).or_default();
             (state.requested, state.held) = (false, true);
             // Third-party fetch: everything still missing for the requested
@@ -121,5 +120,86 @@ impl Process {
             let endpoint = &self.lanes[self.me].endpoint;
             node.grant(endpoint, lock, &req, req.arrived_at.max(self.clock.now()));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pagedmem::{PageId, PageTable, Protection};
+
+    use super::super::interval::{apply_notices_locked, sync_vt_locked, NoticeTally};
+    use crate::notice::{NoticeRecord, Segment};
+    use crate::state::ProtoState;
+    use crate::types::{Interval, ProcId, Vt};
+
+    fn record(proc: ProcId, interval: Interval, pages: &[usize]) -> NoticeRecord {
+        NoticeRecord { proc, interval, pages: pages.iter().copied().map(PageId).collect() }
+    }
+
+    /// P1 of three, pages 4–6 mapped, that learned P0's first interval (of
+    /// page 4) at a barrier and has not fetched its diff.
+    fn acquirer(p0i1: &NoticeRecord) -> (ProtoState, PageTable) {
+        let (mut proto, mut table) = (ProtoState::new(1, 3), PageTable::new());
+        for page in (4..7).map(PageId) {
+            table.map_zeroed(page, Protection::ReadOnly);
+            proto.materialise([page]);
+        }
+        apply_notices_locked(&mut proto, &mut table, [Segment::Owned(vec![p0i1.clone()])]);
+        (proto, table)
+    }
+
+    /// An acquire that fetches page 4 advertises a timestamp lowered below
+    /// the diff it misses, so the grant, every record above that timestamp,
+    /// carries P0's first interval again. The acquirer applies it to nothing:
+    /// the grant does what the same grant without it does.
+    #[test]
+    fn a_grant_above_a_lowered_timestamp_applies_only_what_the_acquirer_lacks() {
+        let [p0i1, p0i2, p2i1] = [record(0, 1, &[4]), record(0, 2, &[5]), record(2, 1, &[4, 6])];
+        let (mut proto, mut table) = acquirer(&p0i1);
+        let advertised = sync_vt_locked(&mut proto, &[PageId(4)]);
+        assert_eq!((advertised.get(0), proto.vt.get(0)), (0, 1), "lowered below the diff");
+        // The granter, P2, holds P0's two intervals and its own.
+        let mut granter = ProtoState::new(2, 3);
+        for held in [&p0i1, &p0i2, &p2i1] {
+            granter.notice_log.record(held.clone());
+            granter.vt.advance(held.proc, held.interval);
+        }
+        let grant = granter.notice_log.clone_after(&advertised);
+        assert_eq!(grant, [p0i1, p0i2.clone(), p2i1.clone()], "a record the acquirer holds");
+        let tally = apply_notices_locked(&mut proto, &mut table, [Segment::Owned(grant)]);
+
+        let (mut lacking, mut lacking_table) = acquirer(&record(0, 1, &[4]));
+        let new = Segment::Owned(vec![p0i2, p2i1]);
+        let expected = apply_notices_locked(&mut lacking, &mut lacking_table, [new]);
+        let counts = |t: &NoticeTally| (t.recorded, t.invalidation_runs);
+        assert_eq!(counts(&tally), counts(&expected), "write notices and protection runs");
+        assert_eq!(tally.recorded, 3, "P0's second interval and P2's first: three pages");
+        for page in (0..8).map(PageId) {
+            assert_eq!(proto.missing_of(page), lacking.missing_of(page), "{page:?}");
+            assert_eq!(table.protection(page), lacking_table.protection(page), "{page:?}");
+        }
+        assert_eq!(proto.missing_of(PageId(4)), [(0, 1), (2, 1)], "no entry twice");
+        let nothing = Vt::new(3);
+        assert!(proto
+            .notice_log
+            .records_after(&nothing)
+            .eq(lacking.notice_log.records_after(&nothing)));
+        assert_eq!(proto.notice_log.interval_count(), 3);
+        assert_eq!(proto.vt, lacking.vt);
+    }
+
+    /// A node learns each writer's intervals as a prefix: a record at or
+    /// below its timestamp that its log lacks — here, one a message skipped
+    /// and a later one carries — breaks the rule every apply relies on.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "P1's interval 1 is at or below the timestamp <0,2> but unknown: a hole"
+    )]
+    fn a_record_below_the_timestamp_the_log_lacks_panics_in_debug_builds() {
+        let (mut proto, mut table) = (ProtoState::new(0, 2), PageTable::new());
+        let skipped = Segment::Owned(vec![record(1, 2, &[3])]);
+        apply_notices_locked(&mut proto, &mut table, [skipped]);
+        apply_notices_locked(&mut proto, &mut table, [Segment::Owned(vec![record(1, 1, &[3])])]);
     }
 }

@@ -476,7 +476,7 @@ impl Process {
             proto.gc_horizon,
         );
         // Finish the write preparation that was deferred at issue time.
-        let mut deferred_twins = 0u64;
+        let mut prep = PrepTally { twinned: 0, protect_ranges: 0 };
         let mut deferred_pages = Vec::new();
         for d in deferred {
             if !proto.missing(d.page).is_empty() {
@@ -484,11 +484,11 @@ impl Process {
                 // leave it to the ordinary fault path.
                 continue;
             }
-            deferred_twins += u64::from(table.write_enable(d.page, d.write == PageWrite::Twinned));
+            prep.twinned += u64::from(table.write_enable(d.page, d.write == PageWrite::Twinned));
             deferred_pages.push(d.page);
         }
         deferred_pages.sort_unstable();
-        let deferred_runs = contiguous_runs(&deferred_pages);
+        prep.protect_ranges = contiguous_runs(&deferred_pages);
         warm_ranges_locked(&mut node, &table, warm);
         let pages_in_use = table.pages_in_use();
         drop(table);
@@ -498,10 +498,7 @@ impl Process {
         if applied > 0 {
             self.clock.advance(self.cost.diff_apply_cost(apply_bytes));
         }
-        self.stats.twins_created(deferred_twins);
-        self.clock.advance(self.cost.twin_cost(deferred_twins as usize));
-        self.stats.protection_ops(deferred_runs);
-        self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(deferred_runs));
+        self.charge_prep(&prep, pages_in_use);
     }
 
     /// Merges an aggregated fetch of `ranges` with a synchronization

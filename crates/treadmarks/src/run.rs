@@ -16,7 +16,7 @@ use dsm_core::sync::Mutex;
 use racecheck::RaceLog;
 
 use crate::types::ProcId;
-use crate::watch::WaitBoard;
+use crate::watch::{Label, WaitBoard};
 
 /// The host-side state of one run.
 #[derive(Debug)]
@@ -90,8 +90,8 @@ impl RunShared {
         let value = match cell.value.get() {
             Some(value) => value,
             None => {
-                self.board
-                    .wait(me, format!("SPMD once-cell #{k} (initialising on another processor)"));
+                let label = format!("SPMD once-cell #{k} (initialising on another processor)");
+                self.board.wait(me, Label::Text(label.into()));
                 let value = cell.value.get_or_init(|| {
                     // This thread won the cell: it is running, not parked.
                     self.board.done(me);

@@ -22,6 +22,7 @@ use crate::message::{DiffRecord, PageWant, TmkMessage};
 use crate::notice::notices_determine;
 use crate::state::{full_page_diff, NodeShared, PendingLockRequest, ProtoState};
 use crate::types::{LockId, ProcId};
+use crate::watch::Label;
 
 /// One node as every thread that serves it sees it: its endpoint, the
 /// protocol state its handlers run against, the flag that admits one
@@ -100,7 +101,7 @@ pub(crate) fn drain(lanes: &[Lane], node: ProcId, me: ProcId) {
         let Some(_held) = Draining::try_take(&lane.draining) else { return };
         lane.stats.polls(1);
         lane.stats.note_queue_depth(backlog as u64);
-        let outer = board.wait(me, format!("serving P{node}'s requests"));
+        let outer = board.wait(me, Label::Serving(node));
         while let Some(envelope) = lane.endpoint.try_recv(Port::Request) {
             lane.stats.served(1);
             // A manager's forward is drained at the holder at once, nested

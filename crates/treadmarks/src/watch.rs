@@ -14,14 +14,19 @@ use dsm_core::sync::Mutex;
 
 use crate::types::ProcId;
 
-type Label = Cow<'static, str>;
+/// What a thread is blocked on: a fixed text, or the node whose requests it
+/// serves, rendered only when read, so a drain allocates nothing to say so.
+#[derive(Debug)]
+pub(crate) enum Label {
+    Text(Cow<'static, str>),
+    Serving(ProcId),
+}
 
 /// One label slot per thread of the run.
 #[derive(Debug)]
 pub(crate) struct WaitBoard {
     /// Slot `p` is processor `p`'s thread. `None` means the thread is
-    /// running, not waiting. A blocking receive's label is a fixed text, so
-    /// publishing it allocates nothing.
+    /// running, not waiting.
     slots: Vec<Mutex<Option<Label>>>,
 }
 
@@ -32,8 +37,8 @@ impl WaitBoard {
 
     /// Publishes what `proc`'s thread is about to block on, returning the
     /// label it replaces.
-    pub(crate) fn wait(&self, proc: ProcId, label: impl Into<Label>) -> Option<Label> {
-        self.slots[proc].lock().replace(label.into())
+    pub(crate) fn wait(&self, proc: ProcId, label: Label) -> Option<Label> {
+        self.slots[proc].lock().replace(label)
     }
 
     /// Puts back the label a [`wait`](Self::wait) replaced: `None` clears
@@ -49,7 +54,10 @@ impl WaitBoard {
 
     /// The current label of `proc`'s thread, if it is blocked.
     pub(crate) fn label(&self, proc: ProcId) -> Option<String> {
-        self.slots[proc].lock().as_deref().map(String::from)
+        self.slots[proc].lock().as_ref().map(|label| match label {
+            Label::Text(text) => text.to_string(),
+            Label::Serving(node) => format!("serving P{node}'s requests"),
+        })
     }
 
     /// Renders the whole cluster's wait state, one line per thread, for the
@@ -73,8 +81,8 @@ mod tests {
     fn labels_set_clear_and_dump() {
         let board = WaitBoard::new(2);
         assert_eq!(board.label(0), None);
-        board.wait(0, "a lock grant for lock 3");
-        let outer = board.wait(1, String::from("serving P0's requests"));
+        board.wait(0, Label::Text("a lock grant for lock 3".into()));
+        let outer = board.wait(1, Label::Serving(0));
         assert_eq!(board.label(0).as_deref(), Some("a lock grant for lock 3"));
         let dump = board.dump();
         assert!(dump.contains("P0 compute: a lock grant for lock 3"), "{dump}");
