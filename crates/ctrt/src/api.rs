@@ -23,14 +23,14 @@ use treadmarks::{LockId, PhasePlan, ProcId, Process, SyncOp};
 use crate::section::{ReduceOp, RegularSection};
 
 /// Lowers sections to the [`PhasePlan`] the runtime's aggregate entry
-/// points consume: the fetch list, the write-preparation lists (twinned vs
+/// points consume: the pages to fetch, the write-preparation lists (twinned vs
 /// `WRITE_ALL` vs `READ&WRITE_ALL`) and the warm list.
 fn lower(sections: &[RegularSection]) -> PhasePlan {
     let mut plan = PhasePlan::default();
     for section in sections {
         let access = section.access();
         if access.needs_fetch() {
-            plan.fetch.extend_from_slice(section.ranges());
+            plan.fetch.extend(section.ranges().iter().flat_map(AddrRange::pages));
         }
         if access.is_write() {
             if !access.is_write_all() {
@@ -43,7 +43,8 @@ fn lower(sections: &[RegularSection]) -> PhasePlan {
         }
         plan.warm.extend_from_slice(section.ranges());
     }
-    plan.fetch = AddrRange::coalesce(plan.fetch);
+    plan.fetch.sort_unstable();
+    plan.fetch.dedup();
     plan.write_twinned = AddrRange::coalesce(plan.write_twinned);
     plan.write_all = AddrRange::coalesce(plan.write_all);
     plan.read_write_all = AddrRange::coalesce(plan.read_write_all);
@@ -258,4 +259,39 @@ impl Push {
 pub fn push_phase(p: &mut Process, sends: &[Push], recv_from: &[ProcId]) {
     p.stats().pushes(1);
     p.push_exchange(sends.iter().map(|push| (push.dest, &push.regions[..])), recv_from);
+}
+
+#[cfg(test)]
+mod tests {
+    use pagedmem::{Addr, AddrRange, PageId, PAGE_SIZE};
+
+    use super::lower;
+    use crate::section::{Access, RegularSection};
+
+    const P: usize = PAGE_SIZE;
+
+    fn section(ranges: &[(usize, usize)], access: Access) -> RegularSection {
+        let ranges = ranges.iter().map(|&(start, len)| AddrRange::new(Addr::new(start), len));
+        RegularSection::from_ranges(ranges.collect(), access)
+    }
+
+    /// Sections that overlap each other and straddle page boundaries lower
+    /// to one fetch of ascending, distinct pages; a `WRITE_ALL` section,
+    /// aligned or not, fetches nothing.
+    #[test]
+    fn lowering_fetches_each_page_once_in_ascending_order() {
+        let sections = [
+            section(&[(5 * P - 8, 16)], Access::Read),
+            section(&[(P + 100, 2 * P)], Access::ReadWrite),
+            section(&[(2 * P, 8), (4 * P + 16, 8)], Access::ReadWriteAll),
+            section(&[(9 * P + 8, 3 * P)], Access::WriteAll),
+            section(&[(0, 8), (P + 50, 100)], Access::Write),
+        ];
+        assert_eq!(lower(&sections).fetch, [0, 1, 2, 3, 4, 5].map(PageId));
+        for write_all in [(9 * P, 3 * P), (9 * P + 8, 3 * P)] {
+            let plan = lower(&[section(&[write_all], Access::WriteAll)]);
+            assert!(plan.fetch.is_empty(), "{plan:?}");
+            assert_eq!(plan.write_all, [AddrRange::new(Addr::new(write_all.0), write_all.1)]);
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Byte addresses and address ranges within the shared space.
 
 use std::fmt;
-use std::ops::Add;
+use std::ops::{Add, Range};
 
 use crate::{PageId, PAGE_SIZE};
 
@@ -81,11 +81,6 @@ impl AddrRange {
         AddrRange { start, len }
     }
 
-    /// Creates the range covering exactly one page.
-    pub fn page(page: PageId) -> AddrRange {
-        AddrRange { start: page.base(), len: PAGE_SIZE }
-    }
-
     /// First address of the range.
     pub const fn start(&self) -> Addr {
         self.start
@@ -123,6 +118,18 @@ impl AddrRange {
         let first = if self.len == 0 { 1 } else { self.start.as_usize() / PAGE_SIZE };
         let last = if self.len == 0 { 0 } else { (self.end().as_usize() - 1) / PAGE_SIZE };
         (first..=last).map(PageId)
+    }
+
+    /// The range cut at page boundaries, the one place that cuts: for each
+    /// page it touches, ascending, the page, the page-relative bytes the
+    /// range covers in it, and where those bytes start within the range.
+    pub fn page_runs(&self) -> impl Iterator<Item = (PageId, Range<usize>, usize)> {
+        let (start, end) = (self.start.as_usize(), self.end().as_usize());
+        self.pages().map(move |page| {
+            let base = page.base().as_usize();
+            let from = start.max(base);
+            (page, from - base..end.min(base + PAGE_SIZE) - base, from - start)
+        })
     }
 
     /// Coalesces a set of ranges: sorts them and merges adjacent or
@@ -194,6 +201,39 @@ mod tests {
 
         let exact = AddrRange::new(Addr::new(PAGE_SIZE), PAGE_SIZE);
         assert_eq!(exact.pages().collect::<Vec<_>>(), vec![PageId(1)]);
+    }
+
+    /// Random aligned and unaligned starts, lengths of 0–3 pages: the runs
+    /// ascend by page, stay inside their page and tile the range with
+    /// consecutive offsets; an empty range has none.
+    #[test]
+    fn page_runs_tile_the_range_page_by_page() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..2000 {
+            let aligned = case % 2 == 0;
+            let start = next(4) * PAGE_SIZE + if aligned { 0 } else { next(PAGE_SIZE) };
+            let len = if case % 4 < 2 { next(4) * PAGE_SIZE } else { next(3 * PAGE_SIZE + 1) };
+            let range = AddrRange::new(Addr::new(start), len);
+            let runs: Vec<_> = range.page_runs().collect();
+            assert_eq!(runs.is_empty(), len == 0, "{range}");
+            let mut covered = 0;
+            for (i, (page, bytes, at)) in runs.iter().enumerate() {
+                if i > 0 {
+                    assert_eq!(page.0, runs[i - 1].0 .0 + 1, "{range}: ascending by page");
+                }
+                assert!(bytes.start < bytes.end && bytes.end <= PAGE_SIZE, "{range}: {bytes:?}");
+                assert_eq!(*at, covered, "{range}: consecutive offsets");
+                assert_eq!(page.base().as_usize() + bytes.start, start + at, "{range}");
+                covered += bytes.len();
+            }
+            assert_eq!(covered, len, "{range}: the runs tile the range");
+        }
     }
 
     #[test]

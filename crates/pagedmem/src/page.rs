@@ -28,11 +28,6 @@ impl PageId {
         Addr::new(self.0 * PAGE_SIZE)
     }
 
-    /// One past the last byte address of this page.
-    pub fn end(self) -> Addr {
-        Addr::new((self.0 + 1) * PAGE_SIZE)
-    }
-
     /// This page's slot in a page-indexed vector, grown to it if need be.
     /// The buffer grows in runs of 64 pages, so a node that maps a few pages
     /// of each of a few arrays allocates it once.
@@ -167,7 +162,7 @@ mod tests {
         let addr = Addr::new(3 * PAGE_SIZE + 17);
         let page = PageId::containing(addr);
         assert_eq!(page, PageId(3));
-        assert!(page.base() <= addr && addr < page.end());
+        assert!(page.base() <= addr && addr < page.base().offset(PAGE_SIZE));
     }
 
     #[test]

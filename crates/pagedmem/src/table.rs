@@ -39,7 +39,7 @@ use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 
 use dsm_core::sync::Mutex;
 
-use crate::{Addr, AddrRange, Diff, MemError, Page, PageId, Protection, PAGE_SIZE};
+use crate::{Addr, AddrRange, Diff, MemError, Page, PageId, Protection};
 
 /// One mapped page on a node: its contents, protection state, optional twin
 /// and dirty flag.
@@ -410,21 +410,12 @@ impl PageTable {
     /// The caller is responsible for having resolved faults first; unmapped
     /// pages read as zero.
     pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        let mut cursor = addr;
-        let mut filled = 0;
-        while filled < buf.len() {
-            let page = cursor.page();
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(buf.len() - filled);
+        for (page, run, at) in AddrRange::new(addr, buf.len()).page_runs() {
+            let buf = &mut buf[at..at + run.len()];
             match self.slot(page) {
-                Some(frame) => {
-                    buf[filled..filled + chunk]
-                        .copy_from_slice(&frame.lock().page.as_slice()[offset..offset + chunk]);
-                }
-                None => buf[filled..filled + chunk].fill(0),
+                Some(frame) => buf.copy_from_slice(&frame.lock().page.as_slice()[run]),
+                None => buf.fill(0),
             }
-            filled += chunk;
-            cursor = cursor.offset(chunk);
         }
     }
 
@@ -437,22 +428,13 @@ impl PageTable {
     /// read-only, so the next local write to it faults and twins after the
     /// install, like a write to any fetched page.
     pub fn install_bytes(&mut self, addr: Addr, data: &[u8]) {
-        let mut cursor = addr;
-        let mut written = 0;
-        while written < data.len() {
-            let page = cursor.page();
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(data.len() - written);
+        for (page, run, at) in AddrRange::new(addr, data.len()).page_runs() {
+            let data = &data[at..at + run.len()];
             let mut guard = self.frame_or_map(page, Protection::ReadOnly).0.lock();
-            guard.page.as_mut_slice()[offset..offset + chunk]
-                .copy_from_slice(&data[written..written + chunk]);
+            guard.page.as_mut_slice()[run.clone()].copy_from_slice(data);
             if let Some(twin) = guard.twin.as_mut() {
-                twin.as_mut_slice()[offset..offset + chunk]
-                    .copy_from_slice(&data[written..written + chunk]);
+                twin.as_mut_slice()[run].copy_from_slice(data);
             }
-            drop(guard);
-            written += chunk;
-            cursor = cursor.offset(chunk);
         }
     }
 
@@ -472,12 +454,7 @@ impl PageTable {
     /// Panics if `buf` is not exactly `range.len()` bytes.
     pub fn read_checked(&self, range: AddrRange, buf: &mut [u8]) -> Result<(), AccessFault> {
         assert_eq!(buf.len(), range.len(), "buffer must cover the range exactly");
-        let mut cursor = range.start();
-        let mut filled = 0;
-        while filled < buf.len() {
-            let page = cursor.page();
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(buf.len() - filled);
+        for (page, run, at) in range.page_runs() {
             let Some(frame) = self.slot(page) else {
                 return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
             };
@@ -488,10 +465,7 @@ impl PageTable {
                     outcome: AccessOutcome::of(guard.protection, false),
                 });
             }
-            buf[filled..filled + chunk]
-                .copy_from_slice(&guard.page.as_slice()[offset..offset + chunk]);
-            filled += chunk;
-            cursor = cursor.offset(chunk);
+            buf[at..at + run.len()].copy_from_slice(&guard.page.as_slice()[run]);
         }
         Ok(())
     }
@@ -511,12 +485,7 @@ impl PageTable {
     /// Panics if `data` is not exactly `range.len()` bytes.
     pub fn write_checked(&mut self, range: AddrRange, data: &[u8]) -> Result<(), AccessFault> {
         assert_eq!(data.len(), range.len(), "data must cover the range exactly");
-        let mut cursor = range.start();
-        let mut written = 0;
-        while written < data.len() {
-            let page = cursor.page();
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(data.len() - written);
+        for (page, run, at) in range.page_runs() {
             let Some(frame) = self.slot(page) else {
                 return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
             };
@@ -527,10 +496,7 @@ impl PageTable {
                     outcome: AccessOutcome::of(guard.protection, true),
                 });
             }
-            guard.page.as_mut_slice()[offset..offset + chunk]
-                .copy_from_slice(&data[written..written + chunk]);
-            written += chunk;
-            cursor = cursor.offset(chunk);
+            guard.page.as_mut_slice()[run.clone()].copy_from_slice(&data[at..at + run.len()]);
         }
         Ok(())
     }
@@ -547,6 +513,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAGE_SIZE;
 
     #[test]
     fn installed_bytes_never_reappear_in_a_diff() {
@@ -803,6 +770,33 @@ mod tests {
         table.install_bytes(Addr::new(PAGE_SIZE - 4), &[1, 2, 3, 4, 5, 6, 7, 8]);
         table.read_checked(range, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// A write and a read across a page boundary, raw and checked, cut at
+    /// the same place: a fault on the second page comes after the first
+    /// page's bytes were copied, as `read_checked` documents.
+    #[test]
+    fn raw_and_checked_byte_io_cut_a_range_at_the_same_boundary() {
+        let mut table = PageTable::new();
+        let range = AddrRange::new(Addr::new(2 * PAGE_SIZE - 3), 6);
+        table.install_bytes(range.start(), &[1, 2, 3, 4, 5, 6]);
+        let mut buf = [0u8; 6];
+        table.read_checked(range, &mut buf).unwrap();
+        assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
+        table.set_protection(PageId(1), Protection::ReadWrite);
+        let fault = table.write_checked(range, &[7; 6]).unwrap_err();
+        assert_eq!(fault, AccessFault { page: PageId(2), outcome: AccessOutcome::WriteProtected });
+        table.read_bytes(range.start(), &mut buf);
+        assert_eq!(buf, [7, 7, 7, 4, 5, 6], "the first page's bytes are written");
+        table.set_protection(PageId(2), Protection::Invalid);
+        let mut buf = [0u8; 6];
+        let fault = table.read_checked(range, &mut buf).unwrap_err();
+        assert_eq!(fault, AccessFault { page: PageId(2), outcome: AccessOutcome::Invalid });
+        assert_eq!(buf, [7, 7, 7, 0, 0, 0], "the first page's bytes are copied");
+        table.set_protection(PageId(2), Protection::ReadWrite);
+        table.write_checked(range, &[8, 9, 10, 11, 12, 13]).unwrap();
+        table.read_bytes(range.start(), &mut buf);
+        assert_eq!(buf, [8, 9, 10, 11, 12, 13]);
     }
 
     /// Pages mapped out of order and sparsely: a remap counts its frame

@@ -424,7 +424,7 @@ mod tests {
             p.barrier();
             let before = p.stats().snapshot().messages_sent;
             if p.proc_id() == 1 {
-                p.fetch_diffs(&[a.full_range()]);
+                p.fetch_diffs(&a.full_range().pages().collect::<Vec<_>>());
                 let sent = p.stats().snapshot().messages_sent - before;
                 assert_eq!(sent, 1, "one aggregated request regardless of page count");
                 (0..4).map(|page| p.get(&a, page * PAGE_SIZE) as u64).sum()
@@ -443,7 +443,7 @@ mod tests {
                 p.set(&a, 0, 99);
             }
             let range = a.full_range();
-            p.fetch_diffs_w_sync(SyncOp::Barrier, &[range]);
+            p.fetch_diffs_w_sync(SyncOp::Barrier, &range.pages().collect::<Vec<_>>());
             // The page is already valid: reading it faults no further.
             let before = p.stats().snapshot().page_faults;
             let v = p.get(&a, 0);
@@ -466,13 +466,52 @@ mod tests {
                 41
             } else {
                 p.barrier();
-                p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
+                p.fetch_diffs_w_sync(
+                    SyncOp::Lock(LOCK),
+                    &a.full_range().pages().collect::<Vec<_>>(),
+                );
                 let v = p.get(&a, 1);
                 p.lock_release(LOCK);
                 v
             }
         });
         assert_eq!(run.results, vec![41, 41]);
+    }
+
+    /// P1 learns at a barrier of P0's write to a page it holds, then takes
+    /// a lock from P2, whose grant has nothing new for it: once plainly,
+    /// once fetching the page. The fetch lowers the timestamp it advertises
+    /// below P0's interval, yet the grant's notices start above P1's own
+    /// timestamp, so P2 sends the same bytes both times.
+    #[test]
+    fn a_grant_answering_a_lowered_request_carries_no_record_the_acquirer_holds() {
+        const LOCK: LockId = 2;
+        let granter_bytes = |fetch: bool| {
+            let run = Dsm::run(free_config(3), |p| {
+                let a = p.alloc_array::<u64>(PAGE_SIZE / 8);
+                assert_eq!(p.get(&a, 0), 0);
+                p.barrier();
+                if p.proc_id() == 0 {
+                    p.set(&a, 0, 7);
+                }
+                p.barrier();
+                if p.proc_id() == 2 {
+                    p.lock_acquire(LOCK);
+                    p.lock_release(LOCK);
+                }
+                p.barrier();
+                if p.proc_id() == 1 {
+                    let pages: Vec<_> = a.full_range().pages().filter(|_| fetch).collect();
+                    p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &pages);
+                    assert_eq!(p.get(&a, 0), 7);
+                    p.lock_release(LOCK);
+                }
+                p.barrier();
+                p.stats().snapshot().bytes_sent
+            });
+            run.results[2]
+        };
+        assert_eq!(granter_bytes(true), granter_bytes(false));
     }
 
     #[test]
@@ -495,7 +534,10 @@ mod tests {
             } else {
                 p.barrier();
                 let before = p.clock().now();
-                p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
+                p.fetch_diffs_w_sync(
+                    SyncOp::Lock(LOCK),
+                    &a.full_range().pages().collect::<Vec<_>>(),
+                );
                 let took = p.clock().now().saturating_sub(before);
                 let v = p.get(&a, 0);
                 p.lock_release(LOCK);
@@ -539,7 +581,7 @@ mod tests {
             if p.proc_id() == 0 {
                 p.set(&a, 0, 1);
             }
-            p.fetch_diffs_w_sync(SyncOp::Barrier, &[a.full_range()]);
+            p.fetch_diffs_w_sync(SyncOp::Barrier, &a.full_range().pages().collect::<Vec<_>>());
             assert_eq!(p.get(&a, 0), 1);
         };
         assert_eq!(charged(free_config(3), merged), (1, vec![1, 1, 1]), "one merged serve");

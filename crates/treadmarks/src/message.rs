@@ -175,10 +175,12 @@ pub enum TmkMessage {
         lock: LockId,
         /// The acquiring processor.
         requester: ProcId,
-        /// The acquirer's vector timestamp.
+        /// The acquirer's vector timestamp: the grant's notices are above it.
         vt: Vt,
         /// Pages piggy-backed by `Validate_w_sync`, if any.
         sync_pages: Vec<PageId>,
+        /// Only with pages: `vt` lowered below what they miss, as a delta.
+        lowered: Option<VtDelta>,
     },
     /// Lock manager -> last holder: forwarded acquire request.
     LockForward {
@@ -190,6 +192,8 @@ pub enum TmkMessage {
         vt: Vt,
         /// Pages piggy-backed by `Validate_w_sync`, if any.
         sync_pages: Vec<PageId>,
+        /// The acquirer's lowered timestamp, as it sent it.
+        lowered: Option<VtDelta>,
         /// How many acquire requests from the *forward target* (the last
         /// holder) the manager had processed when it sent this forward.
         /// Lets the holder decide whether its own pending acquire is
@@ -202,8 +206,8 @@ pub enum TmkMessage {
     /// Last holder (or manager) -> acquirer: the lock grant, carrying the
     /// write notices the acquirer is missing and any piggy-backed diffs.
     /// The granter's vector timestamp does not travel: the acquirer's own
-    /// timestamp, which covers the one it advertised, joined with these
-    /// notices is exactly the merge (see `notice::raise_through`).
+    /// timestamp, which the notices start above, joined with them is
+    /// exactly the merge (see `notice::raise_through`).
     LockGrant {
         /// The granted lock.
         lock: LockId,
@@ -313,9 +317,11 @@ impl TmkMessage {
     /// accounting and latency.
     pub fn wire_bytes(&self, nprocs: usize) -> usize {
         match self {
-            TmkMessage::LockAcquireRequest { vt, sync_pages, .. }
-            | TmkMessage::LockForward { vt, sync_pages, .. } => {
-                8 + vt.wire_bytes() + sync_pages.len() * 4
+            TmkMessage::LockAcquireRequest { vt, sync_pages, lowered, .. }
+            | TmkMessage::LockForward { vt, sync_pages, lowered, .. } => {
+                8 + vt.wire_bytes()
+                    + sync_pages.len() * 4
+                    + lowered.as_ref().map_or(0, |delta| delta.wire_bytes(nprocs))
             }
             TmkMessage::LockGrant { notices, piggyback, .. } => {
                 4 + notices.iter().map(NoticeRecord::wire_bytes).sum::<usize>()
@@ -504,14 +510,25 @@ mod tests {
             assert_eq!(barrier.wire_bytes(n), 12, "{n} processors");
             assert_eq!(grant.wire_bytes(n), 4 + 2 * 12, "{n} processors");
         }
-        // The two requests still carry their timestamp whole.
+        // The two requests still carry their timestamp whole, and the
+        // lowered one as a delta only when they name pages.
         let acquire = TmkMessage::LockAcquireRequest {
             lock: 0,
             requester: 1,
             vt: Vt::new(64),
             sync_pages: vec![],
+            lowered: None,
         };
         assert_eq!(acquire.wire_bytes(64), 8 + 64 * 4);
+        let lowered = moved(&Vt::new(64), &[(3, 2)]).delta_from(&Vt::new(64));
+        let fetching = TmkMessage::LockAcquireRequest {
+            lock: 0,
+            requester: 1,
+            vt: Vt::new(64),
+            sync_pages: vec![PageId(3)],
+            lowered: Some(lowered),
+        };
+        assert_eq!(fetching.wire_bytes(64), 8 + 64 * 4 + 4 + (4 + 8));
     }
 
     #[test]

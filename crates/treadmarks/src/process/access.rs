@@ -3,7 +3,7 @@
 //! a [`SharedArray`]'s elements never straddle a page (see
 //! [`SharedArray::new`]), so every access is a `page_op` on exactly one frame.
 
-use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable, PAGE_SIZE};
+use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable};
 
 use super::sync::PrepTally;
 use super::Process;
@@ -96,17 +96,14 @@ impl Process {
     ) {
         assert_eq!(out.len(), elems.len(), "output must hold the requested elements exactly");
         assert!(elems.end <= array.len(), "elements {elems:?} out of bounds for {}", array.len());
-        let mut idx = elems.start;
-        while idx < elems.end {
-            let (page, run, fit) = Self::page_run(array, idx, elems.end);
-            let out = &mut out[idx - elems.start..][..fit];
+        for (page, run, at) in array.range_of(elems.start, elems.end).page_runs() {
+            let out = &mut out[at / T::BYTES..][..run.len() / T::BYTES];
             self.page_op(page, false, |frame| {
                 let bytes = frame.page.as_slice()[run].chunks_exact(T::BYTES);
                 for (slot, bytes) in out.iter_mut().zip(bytes) {
                     *slot = T::load(bytes);
                 }
             });
-            idx += fit;
         }
     }
 
@@ -125,32 +122,15 @@ impl Process {
     ) {
         assert_eq!(values.len(), elems.len(), "values must cover the element range exactly");
         assert!(elems.end <= array.len(), "elements {elems:?} out of bounds for {}", array.len());
-        let mut idx = elems.start;
-        while idx < elems.end {
-            let (page, run, fit) = Self::page_run(array, idx, elems.end);
-            let values = &values[idx - elems.start..][..fit];
+        for (page, run, at) in array.range_of(elems.start, elems.end).page_runs() {
+            let values = &values[at / T::BYTES..][..run.len() / T::BYTES];
             self.page_op(page, true, |frame| {
                 let bytes = frame.page.as_mut_slice()[run].chunks_exact_mut(T::BYTES);
                 for (value, bytes) in values.iter().zip(bytes) {
                     value.store(bytes);
                 }
             });
-            idx += fit;
         }
-    }
-
-    /// The page of element `idx` of `array`, the byte run within it that
-    /// elements `idx..end` occupy, and how many elements that run holds (at
-    /// least one: the element at `idx` lies inside the page).
-    fn page_run<T: Shareable>(
-        array: &SharedArray<T>,
-        idx: usize,
-        end: usize,
-    ) -> (PageId, std::ops::Range<usize>, usize) {
-        let addr = array.addr_of(idx);
-        let offset = addr.page_offset();
-        let fit = ((PAGE_SIZE - offset) / T::BYTES).min(end - idx);
-        (addr.page(), offset..offset + fit * T::BYTES, fit)
     }
 
     /// The fault handler: runs when a checked access finds the page in a
@@ -181,7 +161,7 @@ impl Process {
         }
         if outcome != AccessOutcome::WriteProtected {
             // Unmapped or invalidated: bring the copy up to date first.
-            self.fetch_diffs(&[AddrRange::page(page)]);
+            self.fetch_diffs(&[page]);
         }
         if is_write {
             // Make the now valid page writable: twin (unless the page is

@@ -123,14 +123,13 @@ impl Reduction<'_> {
     /// Adds the totals this node reads into its copy of the section as raw
     /// bytes, the way a push installs, under an already-held lock pair: no
     /// twin, diff or notice is made.
-    fn install_locked(&self, proto: &ProtoState, table: &mut PageTable) {
+    fn install_locked(&self, proto: &mut ProtoState, table: &mut PageTable) {
         for (word, total) in self.read_by(|q| q == proto.me) {
             let addr = self.section.start().offset(8 * word as usize);
-            proto.debug_assert_installable(addr.page());
             let mut bytes = [0u8; 8];
             table.read_bytes(addr, &mut bytes);
             let value = u64::from_le_bytes(bytes).wrapping_add(total);
-            table.install_bytes(addr, &value.to_le_bytes());
+            proto.install_raw(table, addr, &value.to_le_bytes());
         }
     }
 }
@@ -658,8 +657,7 @@ impl Process {
             );
             let trimmed = proto.gc_trim(&buffers.horizon, &pending.pages);
             if let Some(reduction) = &reduction {
-                proto.materialise(reduction.section.pages());
-                reduction.install_locked(&proto, &mut table);
+                reduction.install_locked(&mut proto, &mut table);
             }
             let pages_in_use = table.pages_in_use();
             (tally, prep, departures, served, trimmed, pages_in_use)

@@ -532,7 +532,7 @@ mod tests {
             }
             p.barrier();
             if p.proc_id() == 2 {
-                let plan = PhasePlan { fetch: vec![x], ..PhasePlan::default() };
+                let plan = PhasePlan { fetch: x.pages().collect(), ..PhasePlan::default() };
                 p.sync_phase(SyncOp::Barrier, &plan, |_| {});
                 assert_eq!([p.get(&a, words), p.get(&a, words + 1)], [11, 22]);
             } else {
@@ -714,7 +714,8 @@ mod oracle {
             for (ranges, kind) in written {
                 for range in ranges {
                     for page in range.pages() {
-                        let covered = range.start() <= page.base() && page.end() <= range.end();
+                        let end = page.base().offset(PAGE_SIZE);
+                        let covered = range.start() <= page.base() && end <= range.end();
                         let kind = if covered { kind } else { 0 };
                         if kind == 1 {
                             self.lists.remove(&page);

@@ -33,7 +33,7 @@ impl Process {
         let mut pending = Outstanding::new(plan);
         self.stats.lock_acquires(1);
         let me = self.proc_id();
-        let (manager, request_vt) = {
+        let (manager, vt, lowered) = {
             let mut proto = self.node.unleased().proto();
             let state = proto.locks.entry(lock).or_default();
             assert!(!state.held, "lock {lock} acquired re-entrantly");
@@ -57,16 +57,16 @@ impl Process {
                     proto.acquire_race_vt = pending.race_vt.clone();
                 }
             }
-            // With no pages requested this is the timestamp itself.
-            let request_vt = sync_vt_locked(&mut proto, &pending.pages);
-            (ProtoState::lock_manager(lock, proto.nprocs), request_vt)
+            // The own timestamp picks the grant's notices; only a fetch
+            // adds the one lowered below what it misses, for the piggyback.
+            let vt = proto.vt.clone();
+            let pages = &pending.pages;
+            let lowered =
+                (!pages.is_empty()).then(|| sync_vt_locked(&mut proto, pages).delta_from(&vt));
+            (ProtoState::lock_manager(lock, proto.nprocs), vt, lowered)
         };
-        let msg = TmkMessage::LockAcquireRequest {
-            lock,
-            requester: me,
-            vt: request_vt,
-            sync_pages: pending.pages.clone(),
-        };
+        let sync_pages = pending.pages.clone();
+        let msg = TmkMessage::LockAcquireRequest { lock, requester: me, vt, sync_pages, lowered };
         self.send_request(manager, msg);
         let env = self.recv_reply(
             "a lock grant",
@@ -79,8 +79,8 @@ impl Process {
             let mut node = self.node.unleased();
             let mut proto = node.proto();
             let mut table = node.table();
-            // The granter's timestamp, merged by the apply: ours covers the
-            // one we advertised, so the grant's notices determine it.
+            // The granter's timestamp, merged by the apply: the grant's
+            // notices, those above ours, determine it.
             let tally = apply_notices_locked(&mut proto, &mut table, [Segment::Owned(notices)]);
             let state = proto.locks.entry(lock).or_default();
             (state.requested, state.held) = (false, true);

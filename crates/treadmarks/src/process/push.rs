@@ -78,23 +78,17 @@ impl Process {
             return;
         }
         let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
-        // An install maps what it lands on, and every mapped page is
-        // materialised.
         let mut node = self.node.unleased();
         let mut proto = node.proto();
         let mut table = node.table();
-        proto.materialise(installed.iter().flat_map(AddrRange::pages));
         if let Some(log) = &self.run.race {
             detect_push_races_locked(&self.stats, log, &proto, &table, &received);
         }
-        for page in installed.iter().flat_map(AddrRange::pages) {
-            proto.debug_assert_installable(page);
-        }
-        for (_, range, data) in received {
-            // Mirrored into any twin: pushed bytes are installed data, not
-            // local modifications, and must not surface in a later diff (or
-            // be race-flagged against the next push).
-            table.install_bytes(range.start(), &data);
+        // Mirrored into any twin: pushed bytes are installed data, not
+        // local modifications, and must not surface in a later diff (or be
+        // race-flagged against the next push).
+        for (_, range, data) in &received {
+            proto.install_raw(&mut table, range.start(), data);
         }
         warm_ranges_locked(&mut node, &table, &installed);
     }

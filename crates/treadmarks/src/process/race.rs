@@ -188,13 +188,9 @@ pub(super) fn detect_push_races_locked(
     let me = proto.me;
     let reporter = Reporter { stats, log, observer: me, sync_kind: SyncKind::Push };
     for &(from, range, _) in received {
-        for page in range.pages() {
+        for (page, run, _) in range.page_runs() {
             let Some(local) = open_interval_writes(table, page) else { continue };
-            // The pushed extent clipped to this page, page-relative.
-            let start =
-                range.start().as_usize().max(page.base().as_usize()) - page.base().as_usize();
-            let end = range.end().as_usize().min(page.end().as_usize()) - page.base().as_usize();
-            let pushed = vec![(start as u32, end as u32)];
+            let pushed = vec![(run.start as u32, run.end as u32)];
             let mine = RaceAccess { proc: me, interval: proto.open_interval() };
             reporter.check(page, (mine, &local), (RaceAccess { proc: from, interval: 0 }, &pushed));
         }

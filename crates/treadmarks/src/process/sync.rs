@@ -47,8 +47,9 @@ pub enum SyncOp {
 /// under a single page-table-lock hold per synchronization step.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhasePlan {
-    /// Ranges whose old contents must be made consistent before the phase.
-    pub fetch: Vec<AddrRange>,
+    /// Pages whose old contents must be made consistent before the phase,
+    /// ascending and distinct.
+    pub fetch: Vec<PageId>,
     /// Written ranges that need a twin (partial writes; old contents
     /// survive for unwritten words).
     pub write_twinned: Vec<AddrRange>,
@@ -63,14 +64,6 @@ pub struct PhasePlan {
     /// Ranges whose mappings the software TLB caches, where it does not
     /// hold them yet, under the lock holds the phase's calls take anyway.
     pub warm: Vec<AddrRange>,
-}
-
-/// The distinct pages `ranges` touch, ascending.
-pub(super) fn pages_of(ranges: &[AddrRange]) -> Vec<PageId> {
-    let mut pages: Vec<PageId> = ranges.iter().flat_map(AddrRange::pages).collect();
-    pages.sort_unstable();
-    pages.dedup();
-    pages
 }
 
 /// Write preparation postponed at issue time because the page still had
@@ -141,11 +134,8 @@ impl Outstanding {
     /// fetch list, with nothing outstanding yet and `plan`'s mappings to
     /// cache at completion.
     pub(super) fn new(plan: &PhasePlan) -> Outstanding {
-        Outstanding {
-            pages: pages_of(&plan.fetch),
-            warm: plan.warm.clone(),
-            ..Outstanding::default()
-        }
+        debug_assert!(plan.fetch.windows(2).all(|w| w[0] < w[1]), "a fetch ascends, distinct");
+        Outstanding { pages: plan.fetch.clone(), warm: plan.warm.clone(), ..Outstanding::default() }
     }
 
     /// Whether the completion has nothing to wait for, install or prepare.
@@ -194,9 +184,8 @@ pub(super) fn prep_writes_locked(
     proto.materialise(ranges.flat_map(AddrRange::pages));
     for (ranges, kind) in written {
         for range in ranges {
-            for page in range.pages() {
-                let fully_covered = range.start() <= page.base() && page.end() <= range.end();
-                let write = if fully_covered { kind } else { PageWrite::Twinned };
+            for (page, run, _) in range.page_runs() {
+                let write = if run.len() == PAGE_SIZE { kind } else { PageWrite::Twinned };
                 match write {
                     PageWrite::WriteAll => {
                         if let Some(missing) = proto.missing_mut(page) {
@@ -324,7 +313,7 @@ impl Process {
         self.clock.advance(self.cost.mprotect_cost(pages_in_use).scale(prep.protect_ranges));
     }
 
-    /// `Fetch_diffs` + `Apply_diffs`: makes every page of `ranges`
+    /// `Fetch_diffs` + `Apply_diffs`: makes every one of `pages`
     /// consistent.
     ///
     /// All wanted `(page, interval)` pairs are grouped by the processor that
@@ -333,16 +322,15 @@ impl Process {
     /// sequence of page faults. Pages with no missing diffs cost nothing.
     /// The responses are applied in causal (rank) order and the fetched
     /// pages revalidated under a single table-lock hold.
-    pub fn fetch_diffs(&mut self, ranges: &[AddrRange]) {
-        let pages = pages_of(ranges);
+    pub fn fetch_diffs(&mut self, pages: &[PageId]) {
         let per_proc = {
             let mut proto = self.node.unleased().proto();
-            wants_for_pages_locked(&mut proto, &pages, &HashSet::new())
+            wants_for_pages_locked(&mut proto, pages, &HashSet::new())
         };
         let expected = self.send_diff_requests(per_proc);
         let mut records = Vec::new();
         self.collect_diff_responses(&expected, "a diff response (fetch)", &mut records);
-        self.install_records(records, &pages, &[], &[], SyncKind::Fetch, None);
+        self.install_records(records, pages, &[], &[], SyncKind::Fetch, None);
     }
 
     /// Sends one aggregated `DiffRequest` per producer in `per_proc` and
@@ -501,9 +489,9 @@ impl Process {
         self.charge_prep(&prep, pages_in_use);
     }
 
-    /// Merges an aggregated fetch of `ranges` with a synchronization
-    /// operation (the blocking form of `Validate_w_sync`): a
-    /// [`sync_phase`](Self::sync_phase) with nothing to overlap.
+    /// Merges an aggregated fetch of `pages` (ascending, distinct) with a
+    /// synchronization operation (the blocking form of `Validate_w_sync`):
+    /// a [`sync_phase`](Self::sync_phase) with nothing to overlap.
     ///
     /// For [`SyncOp::Lock`], the page list rides on the acquire request and
     /// the last releaser piggybacks its diffs on the grant; diffs owned by
@@ -512,8 +500,8 @@ impl Process {
     /// rank-sorted pass. For [`SyncOp::Barrier`], the request rides on the
     /// barrier arrival, is routed to its producers with the departures, and
     /// every producer answers with one aggregated `SyncDiffs` message.
-    pub fn fetch_diffs_w_sync(&mut self, sync: SyncOp, ranges: &[AddrRange]) {
-        let plan = PhasePlan { fetch: ranges.to_vec(), ..PhasePlan::default() };
+    pub fn fetch_diffs_w_sync(&mut self, sync: SyncOp, pages: &[PageId]) {
+        let plan = PhasePlan { fetch: pages.to_vec(), ..PhasePlan::default() };
         self.sync_phase(sync, &plan, |_| {});
     }
 

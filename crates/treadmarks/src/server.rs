@@ -125,14 +125,19 @@ fn serve_one(lane: &Lane, envelope: Envelope<TmkMessage>) -> Option<ProcId> {
             handle_diff_request(endpoint, shared, req_id, requester, &wants, arrived_at);
             None
         }
-        TmkMessage::LockAcquireRequest { lock, requester, vt, sync_pages } => {
-            let request =
-                PendingLockRequest { requester, requester_vt: vt, sync_pages, arrived_at };
+        TmkMessage::LockAcquireRequest { lock, requester, vt, sync_pages, lowered } => {
+            let request = PendingLockRequest { requester, vt, sync_pages, lowered, arrived_at };
             handle_lock_acquire(endpoint, shared, lock, request)
         }
-        TmkMessage::LockForward { lock, requester, vt, sync_pages, holder_acquires_processed } => {
-            let request =
-                PendingLockRequest { requester, requester_vt: vt, sync_pages, arrived_at };
+        TmkMessage::LockForward {
+            lock,
+            requester,
+            vt,
+            sync_pages,
+            lowered,
+            holder_acquires_processed,
+        } => {
+            let request = PendingLockRequest { requester, vt, sync_pages, lowered, arrived_at };
             handle_lock_forward(endpoint, shared, lock, request, holder_acquires_processed);
             None
         }
@@ -252,12 +257,13 @@ fn handle_lock_acquire(
         Some(holder) => {
             let holder_acquires_processed = holder_processed(holder);
             drop(proto);
-            let PendingLockRequest { requester_vt: vt, sync_pages, arrived_at, .. } = request;
+            let PendingLockRequest { vt, sync_pages, lowered, arrived_at, .. } = request;
             let forward = TmkMessage::LockForward {
                 lock,
                 requester,
                 vt,
                 sync_pages,
+                lowered,
                 holder_acquires_processed,
             };
             send_at(
@@ -308,16 +314,18 @@ pub(crate) fn send_grant(
     at: VirtualTime,
     with_notices: bool,
 ) {
-    let PendingLockRequest { requester, requester_vt, sync_pages, .. } = request;
+    let PendingLockRequest { requester, vt, sync_pages, lowered, .. } = request;
     let proto = shared.proto.lock();
     let table = shared.lock_table();
     let (notices, piggyback) = if with_notices {
-        // The piggyback is charged no scan, so nobody counts the pages.
-        let seen = requester_vt.get(proto.me);
+        // The piggyback is charged no scan, so nobody counts the pages. It
+        // starts above the lowered timestamp, below every diff the
+        // requester misses; the notices start above its own.
+        let seen = lowered.as_ref().map_or(vt.get(proto.me), |delta| delta.get(vt, proto.me));
         let piggyback = proto.diffs_for_pages_after(sync_pages, seen, &table, &mut Vec::new());
-        let notices = proto.notice_log.clone_after(requester_vt);
+        let notices = proto.notice_log.clone_after(vt);
         debug_assert!(
-            notices_determine(requester_vt, &notices, &proto.vt),
+            notices_determine(vt, &notices, &proto.vt),
             "P{}'s grant to P{requester}: the notices must determine the granter's timestamp",
             proto.me,
         );

@@ -13,13 +13,13 @@ use std::sync::Arc;
 
 use dsm_core::hash::IntMap;
 use dsm_core::sync::Mutex;
-use pagedmem::{Diff, Page, PageId, PageTable};
+use pagedmem::{Addr, AddrRange, Diff, Page, PageId, PageTable};
 use sp2model::{CostModel, SharedStats, VirtualTime};
 
 use crate::message::DiffRecord;
 use crate::notice::{NoticeLog, NoticeRecord};
 use crate::run::RunShared;
-use crate::types::{Interval, LockId, ProcId, Vt};
+use crate::types::{Interval, LockId, ProcId, Vt, VtDelta};
 
 /// How a node can reproduce the modifications of one of its own intervals.
 #[derive(Debug)]
@@ -113,8 +113,9 @@ struct PageProto {
 #[derive(Debug, Clone)]
 pub(crate) struct PendingLockRequest {
     pub requester: ProcId,
-    pub requester_vt: Vt,
+    pub vt: Vt,
     pub sync_pages: Vec<PageId>,
+    pub lowered: Option<VtDelta>,
     pub arrived_at: VirtualTime,
 }
 
@@ -481,14 +482,19 @@ impl ProtoState {
         self.acquire_race_vt = None;
     }
 
-    /// Debug builds panic if an install of raw bytes (a push's or a
-    /// reduction's) lands on the materialised `page` while it misses a
-    /// write, which nothing would fetch beneath the bytes.
-    pub(crate) fn debug_assert_installable(&self, page: PageId) {
-        let missed = cfg!(debug_assertions).then(|| self.missing(page).first());
-        if let Some(&(writer, interval)) = missed.flatten() {
-            panic!("P{}: an install onto {page:?} misses P{writer}'s interval {interval}", self.me);
+    /// Installs raw bytes (a push's, a reduction's) under the held table
+    /// lock through [`PageTable::install_bytes`], materialising the pages
+    /// it maps. Debug builds panic on one that misses a write: nothing
+    /// would fetch it beneath the bytes.
+    pub(crate) fn install_raw(&mut self, table: &mut PageTable, addr: Addr, data: &[u8]) {
+        let range = AddrRange::new(addr, data.len());
+        self.materialise(range.pages());
+        for page in range.pages().filter(|_| cfg!(debug_assertions)) {
+            if let Some(&(w, i)) = self.missing(page).first() {
+                panic!("P{}: an install onto {page:?} misses P{w}'s interval {i}", self.me);
+            }
         }
+        table.install_bytes(addr, data);
     }
 }
 

@@ -167,6 +167,11 @@ impl VtDelta {
         &self.0
     }
 
+    /// Component `p` of `base` patched by the delta.
+    pub(crate) fn get(&self, base: &Vt, p: ProcId) -> Interval {
+        self.0.iter().find(|&&(q, _)| q == p).map_or(base.get(p), |&(_, interval)| interval)
+    }
+
     /// Approximate wire size on a cluster of `nprocs`: the smaller of the
     /// two encodings — sparse (an entry count and eight bytes a differing
     /// component) or, where that would not pay (two processors, a long

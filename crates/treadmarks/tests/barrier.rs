@@ -2,7 +2,7 @@
 //! constant in the cluster size, every topology computes the same result,
 //! and virtual time stays deterministic on the tree path.
 
-use pagedmem::PAGE_SIZE;
+use pagedmem::{AddrRange, PageId, PAGE_SIZE};
 use sp2model::{CostModel, StatsSnapshot, VirtualTime};
 use treadmarks::{BarrierTopology, Dsm, DsmConfig, PhasePlan, Process, SyncOp};
 
@@ -95,7 +95,7 @@ fn exchange_kernel(p: &mut Process) -> u64 {
         }
         let right = (me + 1) % n;
         let neighbour = a.range_of(right * ELEMS, (right + 1) * ELEMS);
-        p.fetch_diffs_w_sync(SyncOp::Barrier, &[neighbour]);
+        p.fetch_diffs_w_sync(SyncOp::Barrier, &neighbour.pages().collect::<Vec<_>>());
         for i in (0..ELEMS).step_by(13) {
             acc = acc.wrapping_add(p.get(&a, right * ELEMS + i));
         }
@@ -162,6 +162,14 @@ fn tree_barrier_virtual_time_is_deterministic() {
     );
 }
 
+/// The distinct pages `ranges` touch, ascending: a fetch's page list.
+fn pages(ranges: &[AddrRange]) -> Vec<PageId> {
+    let mut pages: Vec<PageId> = ranges.iter().flat_map(AddrRange::pages).collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages
+}
+
 /// Like [`exchange_kernel`], but *every* barrier carries a piggybacked
 /// request from every processor, and each processor fetches from both ring
 /// neighbours — so on a deep tree the full request set is merged over
@@ -178,7 +186,7 @@ fn piggyback_kernel(p: &mut Process) -> u64 {
         for i in (0..ELEMS).step_by(5) {
             p.set(&a, me * ELEMS + i, epoch * 1000 + (me * 31 + i) as u64);
         }
-        p.fetch_diffs_w_sync(SyncOp::Barrier, &[chunk(left), chunk(right)]);
+        p.fetch_diffs_w_sync(SyncOp::Barrier, &pages(&[chunk(left), chunk(right)]));
         for i in (0..ELEMS).step_by(11) {
             acc = acc.wrapping_add(p.get(&a, left * ELEMS + i) ^ p.get(&a, right * ELEMS + i));
         }
@@ -227,7 +235,7 @@ fn solo_kernel(p: &mut Process) -> u64 {
     p.barrier();
     p.barrier();
     let plan = PhasePlan {
-        fetch: vec![chunk(0)],
+        fetch: chunk(0).pages().collect(),
         write_twinned: vec![chunk(1)],
         write_all: vec![chunk(2)],
         read_write_all: vec![chunk(3)],
@@ -307,7 +315,7 @@ fn wide_kernel(p: &mut Process) -> (u64, VirtualTime) {
                 p.set(&a, grid.index(row, col), epoch * 10_000 + (col * ROWS + row) as u64);
             }
         }
-        let plan = PhasePlan { fetch: wanted.clone(), ..PhasePlan::default() };
+        let plan = PhasePlan { fetch: pages(&wanted), ..PhasePlan::default() };
         p.sync_phase(SyncOp::Barrier, &plan, |p| issued = p.clock().now());
         for col in left.into_iter().chain(right) {
             for row in (0..ROWS).step_by(3) {

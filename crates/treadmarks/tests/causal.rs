@@ -58,7 +58,10 @@ fn lock_piggyback_and_third_party_diffs_apply_in_causal_order() {
                 // Both intervals are missing here: (proc 0, i0) arrives via
                 // the third-party fetch, (proc 1, i1) via the grant
                 // piggyback. Rank order, not arrival order, must decide.
-                p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
+                p.fetch_diffs_w_sync(
+                    SyncOp::Lock(LOCK),
+                    &a.full_range().pages().collect::<Vec<_>>(),
+                );
                 let v = p.get(&a, 0);
                 p.lock_release(LOCK);
                 p.barrier();
@@ -105,7 +108,8 @@ fn split_phase_lock_sync_applies_the_batch_in_causal_order() {
                 p.barrier();
                 p.barrier();
                 let waited = p.stats().snapshot().sync_wait_ns;
-                let plan = PhasePlan { fetch: vec![a.full_range()], ..PhasePlan::default() };
+                let plan =
+                    PhasePlan { fetch: a.full_range().pages().collect(), ..PhasePlan::default() };
                 p.sync_phase(SyncOp::Lock(LOCK), &plan, |_| {});
                 let waited = p.stats().snapshot().sync_wait_ns - waited;
                 assert!(waited > 0, "the completion waits for the third-party fetch in flight");
@@ -150,7 +154,7 @@ fn duplicate_barrier_notices_must_not_roll_back_newer_diffs() {
                 p.set(&a, i, v + 1);
             }
             p.lock_release(LOCK);
-            p.fetch_diffs_w_sync(SyncOp::Barrier, &[a.full_range()]);
+            p.fetch_diffs_w_sync(SyncOp::Barrier, &a.full_range().pages().collect::<Vec<_>>());
             for i in 0..WORDS {
                 ok &= p.get(&a, i) == n * (t + 1);
             }

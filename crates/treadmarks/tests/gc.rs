@@ -81,7 +81,10 @@ fn lagging_lock_requester_still_receives_concurrent_writers_diffs() {
         assert_eq!(horizon.get(0), 0, "writer 0 is pinned by writer 1's unapplied diff");
         assert_eq!(horizon.get(1), 0, "writer 1 is pinned by writer 0's unapplied diff");
         if me == 3 {
-            p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[shared.full_range()]);
+            p.fetch_diffs_w_sync(
+                SyncOp::Lock(LOCK),
+                &shared.full_range().pages().collect::<Vec<_>>(),
+            );
             let front = p.get(&shared, 3);
             let back = p.get(&shared, half + 3);
             p.lock_release(LOCK);
@@ -425,7 +428,7 @@ fn a_base_never_lands_on_a_delta_a_merged_fetch_applied() {
         let horizon = p.gc_horizon();
         assert!(horizon.get(0) > 0, "P0's write is folded: {horizon}");
         if me == 2 {
-            p.fetch_diffs_w_sync(SyncOp::Barrier, &[x.full_range()]);
+            p.fetch_diffs_w_sync(SyncOp::Barrier, &x.full_range().pages().collect::<Vec<_>>());
             (p.get(&x, 0), p.get(&x, 100))
         } else {
             p.barrier();

@@ -129,7 +129,7 @@ fn unsynchronized_write_before_an_acquire_is_reported_at_the_grant() {
             p.lock_release(LOCK);
         } else {
             p.set(&a, 1, 7); // unsynchronized: the race
-            p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
+            p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &a.full_range().pages().collect::<Vec<_>>());
             p.lock_release(LOCK);
         }
         p.barrier();
@@ -344,7 +344,7 @@ fn base_application_against_local_writes_is_decidable_and_not_misreported() {
             for i in 0..4 {
                 p.set(&a, i, 900 + i as u64);
             }
-            p.fetch_diffs(&[a.full_range()]);
+            p.fetch_diffs(&a.full_range().pages().collect::<Vec<_>>());
         }
         p.barrier();
         0u64
