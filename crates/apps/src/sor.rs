@@ -126,8 +126,8 @@ pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
 
 /// Runs SOR from the plan `rsdcomp` generates for [`sor_program`] at
 /// `level`: the application supplies only the numeric bodies (seeding and
-/// [`relax_cols`]); every synchronization, fetch, push, write-preparation
-/// and warm decision is the compiler's. Each step's entry overlaps the
+/// [`relax_cols`]); every synchronization, fetch, push and
+/// write-preparation decision is the compiler's. Each step's entry overlaps the
 /// interior columns with its exchange; the edges follow. The split is per
 /// column, not per page: the interior columns read no neighbour's column,
 /// but where a page holds several columns an interior column shares a page

@@ -498,29 +498,32 @@ fn whichever_processor_compiles_the_modelled_run_is_the_same() {
     }
 }
 
-/// `(tlb_hits, tlb_misses, table_lock_acquires)`, Σ over the processors, of
-/// the stock TreadMarks variants at 8 processors. Their bodies run on the
-/// bulk accessors, one hit a column; a miss is a page fault and nothing
-/// else. Which accesses hit, which miss and how often the table lock is
-/// taken are part of the model's exact record and must not move by one;
-/// `treadmarks`'s `tests/tlb.rs` holds the per-element hit count exact.
+/// `(page_faults, table_lock_acquires)`, Σ over the processors, of the
+/// stock TreadMarks variants at 8 processors. Their bodies run on the bulk
+/// accessors, one table-lock hold a column (two for a column whose access
+/// faults). Which accesses fault and how often the table lock is taken are
+/// part of the model's exact record and must not move by one;
+/// `treadmarks`'s `tests/access.rs` holds the per-access count exact. The
+/// lock counts were 564, 886 and 453 while a software TLB served the
+/// accesses to valid pages without the lock: each rose by the accesses it
+/// served, less the relock that cached an unmapped page's new frame.
 const ACCESS_CFG: GridConfig = GridConfig { rows: 96, cols: 40, iters: 4 };
-const JACOBI_ACCESS: (u64, u64, u64) = (679, 154, 564);
-const SOR_ACCESS: (u64, u64, u64) = (1_178, 263, 886);
-const GAUSS_ACCESS: (u64, u64, u64) = (290, 84, 453);
+const JACOBI_ACCESS: (u64, u64) = (154, 1_209);
+const SOR_ACCESS: (u64, u64) = (263, 2_047);
+const GAUSS_ACCESS: (u64, u64) = (84, 726);
 
 #[test]
-fn lease_keeps_the_access_path_counters_of_the_baseline_variants_exact() {
-    fn triple<R>(run: &DsmRun<R>) -> (u64, u64, u64) {
+fn the_access_path_counters_of_the_baseline_variants_are_exact() {
+    fn pair<R>(run: &DsmRun<R>) -> (u64, u64) {
         let t = run.stats.total();
-        (t.tlb_hits, t.tlb_misses, t.table_lock_acquires)
+        (t.page_faults, t.table_lock_acquires)
     }
     let jacobi_run = run_app(jacobi, ACCESS_CFG, 8, Variant::TreadMarks);
-    assert_eq!(triple(&jacobi_run), JACOBI_ACCESS, "jacobi/treadmarks@8");
+    assert_eq!(pair(&jacobi_run), JACOBI_ACCESS, "jacobi/treadmarks@8");
     let sor_run = run_app(sor, ACCESS_CFG, 8, Variant::TreadMarks);
-    assert_eq!(triple(&sor_run), SOR_ACCESS, "sor/treadmarks@8");
+    assert_eq!(pair(&sor_run), SOR_ACCESS, "sor/treadmarks@8");
     let gauss_run = run_app_u64(gauss, GAUSS_CFG, 8, Variant::TreadMarks);
-    assert_eq!(triple(&gauss_run), GAUSS_ACCESS, "gauss/treadmarks@8");
+    assert_eq!(pair(&gauss_run), GAUSS_ACCESS, "gauss/treadmarks@8");
 }
 
 /// `(messages_sent, bytes_sent, diffs_applied, write_notices)`, Σ over the
@@ -642,7 +645,7 @@ fn a_wide_validate_sweep_gets_its_data_with_the_barrier_not_through_faults() {
         }
     }
     // With a column a page (512 rows) no page has two writers, and the
-    // planned sweep never leaves the fast path.
+    // planned sweep never faults.
     let run = |iters| run_app(sor, GridConfig { rows: 512, cols: 32, iters }, 8);
     let (short, long) = (run(1), run(3));
     assert_eq!(per_node(&long, &short, |s| s.page_faults), [0; 8], "sor/validate@8, aligned");

@@ -121,26 +121,17 @@ fn main() {
     eprintln!("running the dsm-bench suite (SP/2 cost model)...");
     let records = suite();
     println!(
-        "{:8} {:14} {:>3} {:>12} {:>12} {:>10} {:>8} {:>8} {:>12}",
-        "app",
-        "variant",
-        "np",
-        "time_us",
-        "table_locks",
-        "tlb_hits",
-        "segv",
-        "msgs",
-        "sync_wait_us"
+        "{:8} {:14} {:>3} {:>12} {:>12} {:>8} {:>8} {:>12}",
+        "app", "variant", "np", "time_us", "table_locks", "segv", "msgs", "sync_wait_us"
     );
     for r in &records {
         println!(
-            "{:8} {:14} {:>3} {:>12} {:>12} {:>10} {:>8} {:>8} {:>12}",
+            "{:8} {:14} {:>3} {:>12} {:>12} {:>8} {:>8} {:>12}",
             r.app,
             r.variant,
             r.nprocs,
             r.time_ns / 1_000,
             r.table_lock_acquires,
-            r.tlb_hits,
             r.page_faults,
             r.messages,
             r.sync_wait_ns / 1_000

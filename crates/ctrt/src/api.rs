@@ -23,8 +23,8 @@ use treadmarks::{LockId, PhasePlan, ProcId, Process, SyncOp};
 use crate::section::{ReduceOp, RegularSection};
 
 /// Lowers sections to the [`PhasePlan`] the runtime's aggregate entry
-/// points consume: the pages to fetch, the write-preparation lists (twinned vs
-/// `WRITE_ALL` vs `READ&WRITE_ALL`) and the warm list.
+/// points consume: the pages to fetch and the write-preparation lists
+/// (twinned vs `WRITE_ALL` vs `READ&WRITE_ALL`).
 fn lower(sections: &[RegularSection]) -> PhasePlan {
     let mut plan = PhasePlan::default();
     for section in sections {
@@ -41,7 +41,6 @@ fn lower(sections: &[RegularSection]) -> PhasePlan {
                 plan.write_all.extend_from_slice(section.ranges());
             }
         }
-        plan.warm.extend_from_slice(section.ranges());
     }
     plan.fetch.sort_unstable();
     plan.fetch.dedup();
@@ -88,12 +87,10 @@ impl<S: AsRef<[RegularSection]> + ?Sized> From<&S> for Lowered {
 /// `Validate(regions)`: makes every section consistent before the phase
 /// runs, replacing the phase's page faults with **one aggregated request
 /// message per producer** and preparing written pages (twins, write
-/// enables) in batch. The call ends by caching the sections' mappings in
-/// the processor's software TLB, so the phase body takes no fault and no
-/// table lock. A mapping never goes stale — it names the page's frame, and
-/// every access reads that frame's own protection — so once the protocol
-/// changes a page's protection (a flush write-protects it, a notice
-/// invalidates it) the next access faults as usual.
+/// enables) in batch, so the phase body takes no fault on them. Every
+/// access still reads the page's own protection, so once the protocol
+/// changes it (a flush write-protects a page, a notice invalidates it) the
+/// next access faults as usual.
 ///
 /// Legal anywhere: the call only accelerates what the invalidate-based
 /// protocol would do lazily, so over- or under-approximated sections are
@@ -112,8 +109,7 @@ pub fn validate(p: &mut Process, sections: impl Into<Lowered>) {
 /// consistency traffic (write notices) and the requested data travel in
 /// the same messages — for a barrier, producers answer with at most one
 /// aggregated message each; for a lock, the releaser's diffs ride on the
-/// grant itself. It ends, like [`validate`], with the sections' mappings
-/// cached. [`validate_w_sync_overlapped`] is the same call with computation
+/// grant itself. [`validate_w_sync_overlapped`] is the same call with computation
 /// run while the data is in flight.
 ///
 /// **Contract:** the call *replaces* the plain `barrier()` /
@@ -131,10 +127,9 @@ pub fn validate_w_sync(p: &mut Process, sync: SyncOp, sections: impl Into<Lowere
 /// like [`validate_w_sync`] — the page list rides on the barrier arrival or
 /// lock-acquire request — then runs `overlap` **without waiting for the
 /// diff responses**, and completes: waits for every response, applies the
-/// whole batch in causal (rank) order, finishes the deferred write
-/// preparation and caches the fetched pages' mappings. Written sections
-/// whose pages are already consistent are prepared (twins, write enables)
-/// and cached before `overlap` runs; sections still missing remote diffs
+/// whole batch in causal (rank) order and finishes the deferred write
+/// preparation. Written sections whose pages are already consistent are
+/// prepared (twins, write enables) before `overlap` runs; sections still missing remote diffs
 /// stay invalid until the completion.
 ///
 /// Safe by construction: a pending page `overlap` touches faults, and the
@@ -253,9 +248,8 @@ impl Push {
 /// because no write notices are generated for pushed modifications. The
 /// sends and `recv_from` sets of all processors must be globally matched,
 /// like any collective operation.
-/// The exchange caches the mappings of the ranges this processor just
-/// *received* under the table-lock hold that installs them, so the
-/// consuming phase reads them with no fault and no table lock.
+/// The ranges this processor *receives* are installed in place under one
+/// table-lock hold, so the consuming phase reads them with no fault.
 pub fn push_phase(p: &mut Process, sends: &[Push], recv_from: &[ProcId]) {
     p.stats().pushes(1);
     p.push_exchange(sends.iter().map(|push| (push.dest, &push.regions[..])), recv_from);

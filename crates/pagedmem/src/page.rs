@@ -134,11 +134,6 @@ impl Protection {
     pub fn allows_read(self) -> bool {
         matches!(self, Protection::ReadOnly | Protection::ReadWrite)
     }
-
-    /// Whether a write access is allowed without faulting.
-    pub fn allows_write(self) -> bool {
-        matches!(self, Protection::ReadWrite)
-    }
 }
 
 impl fmt::Display for Protection {
@@ -211,9 +206,7 @@ mod tests {
         assert!(!Protection::Unmapped.allows_read());
         assert!(!Protection::Invalid.allows_read());
         assert!(Protection::ReadOnly.allows_read());
-        assert!(!Protection::ReadOnly.allows_write());
         assert!(Protection::ReadWrite.allows_read());
-        assert!(Protection::ReadWrite.allows_write());
     }
 
     #[test]

@@ -1,43 +1,20 @@
 //! Per-node page tables.
 //!
-//! The table has two levels of locking, mirroring the structure of a real
-//! fine-granularity DSM fast path:
-//!
-//! * the **table lock** (taken by whoever owns the `PageTable`, typically a
-//!   node-level mutex) protects the page-id → frame mapping, and
-//! * a per-page [`Frame`] protects each frame's contents, protection state,
-//!   twin and dirty flag.
+//! A table is one lock level: whoever owns the `PageTable` (a node-level
+//! mutex) guards every frame with it, and each slot holds its
+//! [`PageFrame`] — contents, protection state, twin and dirty flag —
+//! directly. A checked access is one hold of that lock: the frame's
+//! `protection` decides it ([`PageTable::checked_frame`]) and the byte
+//! operation runs under the same hold.
 //!
 //! The frame is the only record of a page's write state, and two methods
-//! change it, each under one frame lock: [`write_enable`](PageTable::write_enable)
-//! (twin, if asked, make writable, mark dirty) and
-//! [`write_protect`](PageTable::write_protect) (take the twin and a copy,
-//! make read-only, clear dirty). A dirty frame without a twin is therefore a
-//! page written under `WRITE_ALL` in the open interval, by construction.
-//! Twin and copy are [`Page`] clones, which share the frame's bytes until
-//! the frame is next written, so neither copies anything itself.
-//!
-//! A [`FrameRef`] is a shared handle onto one frame. Frame handles are
-//! stable: once a page is mapped, its `Arc` identity never changes
-//! ([`map_zeroed`](PageTable::map_zeroed) resets the existing frame in
-//! place), so a cached handle always reaches the frame's *current* state.
-//!
-//! A frame's state can be used in two ways. [`Frame::lock`] is the ordinary
-//! short critical section every method of this table uses.
-//! [`Frame::checkout`] instead *moves the state out* to the caller — a
-//! **lease**: until the matching [`Frame::checkin`] the holder owns the
-//! contents outright and touches them with no lock at all, and every
-//! `lock()` or `checkout()` by anyone else waits. That is what lets a
-//! software TLB above this table serve a warm access from the frame it
-//! holds, and it puts one obligation on the lessee: return every lease
-//! before calling into the table (which locks frames) or blocking on a
-//! thread that might. A cached handle never goes stale, so the frame's own
-//! `protection`, read through the lease, is all a warm access checks.
-
-use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
-
-use dsm_core::sync::Mutex;
+//! change it: [`write_enable`](PageTable::write_enable) (twin, if asked,
+//! make writable, mark dirty) and [`write_protect`](PageTable::write_protect)
+//! (take the twin and a copy, make read-only, clear dirty). A dirty frame
+//! without a twin is therefore a page written under `WRITE_ALL` in the open
+//! interval, by construction. Twin and copy are [`Page`] clones, which share
+//! the frame's bytes until the frame is next written, so neither copies
+//! anything itself.
 
 use crate::{Addr, AddrRange, Diff, MemError, Page, PageId, Protection};
 
@@ -58,102 +35,10 @@ pub struct PageFrame {
 }
 
 impl PageFrame {
-    fn new(page: Page, protection: Protection) -> PageFrame {
-        PageFrame { page, protection, twin: None, dirty: false }
+    fn new(protection: Protection) -> PageFrame {
+        PageFrame { page: Page::zeroed(), protection, twin: None, dirty: false }
     }
 }
-
-/// One page's frame behind its own lock, leasable: the state is either
-/// present (reachable through [`lock`](Frame::lock)) or checked out to a
-/// single lessee.
-#[derive(Debug)]
-pub struct Frame {
-    slot: Mutex<Slot>,
-    returned: Condvar,
-}
-
-#[derive(Debug)]
-struct Slot {
-    /// `None` while the state is checked out.
-    state: Option<PageFrame>,
-    /// Threads blocked until the state comes back; a check-in with nobody
-    /// waiting skips the condition variable's wake-up call.
-    waiting: usize,
-}
-
-impl Frame {
-    /// A frame holding `state`.
-    fn new(state: PageFrame) -> Frame {
-        Frame {
-            slot: Mutex::new(Slot { state: Some(state), waiting: 0 }),
-            returned: Condvar::new(),
-        }
-    }
-
-    /// The slot with the state present, waiting for the lessee if it is out.
-    fn present(&self) -> MutexGuard<'_, Slot> {
-        let mut slot = self.slot.lock();
-        while slot.state.is_none() {
-            slot.waiting += 1;
-            slot = self.returned.wait(slot).unwrap_or_else(PoisonError::into_inner);
-            slot.waiting -= 1;
-        }
-        slot
-    }
-
-    /// Locks the frame for a short critical section, waiting first if the
-    /// state is checked out.
-    pub fn lock(&self) -> FrameGuard<'_> {
-        FrameGuard(self.present())
-    }
-
-    /// Takes a lease: moves the state out to the caller, waiting first if
-    /// another lessee has it. Until [`checkin`](Self::checkin) every
-    /// `lock()` and `checkout()` on this frame blocks, so the lessee must
-    /// not do either itself.
-    pub fn checkout(&self) -> PageFrame {
-        self.present().state.take().expect("present() returns with the state in place")
-    }
-
-    /// Returns a lease taken with [`checkout`](Self::checkout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame's state is not checked out.
-    pub fn checkin(&self, state: PageFrame) {
-        let mut slot = self.slot.lock();
-        assert!(slot.state.is_none(), "checkin without a matching checkout");
-        slot.state = Some(state);
-        if slot.waiting > 0 {
-            self.returned.notify_all();
-        }
-    }
-}
-
-/// Exclusive access to a present frame's state; see [`Frame::lock`].
-#[derive(Debug)]
-pub struct FrameGuard<'a>(MutexGuard<'a, Slot>);
-
-impl Deref for FrameGuard<'_> {
-    type Target = PageFrame;
-
-    fn deref(&self) -> &PageFrame {
-        self.0.state.as_ref().expect("a guard exists only while the state is present")
-    }
-}
-
-impl DerefMut for FrameGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PageFrame {
-        self.0.state.as_mut().expect("a guard exists only while the state is present")
-    }
-}
-
-/// A shared handle onto one page frame.
-///
-/// Obtained from [`PageTable::frame`] / [`PageTable::map_zeroed`]; the
-/// handle stays valid (and reaches the frame's current state) for the
-/// lifetime of the table.
-pub type FrameRef = Arc<Frame>;
 
 /// The result of checking whether an access may proceed without a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +90,7 @@ pub struct AccessFault {
 /// here; *when* those operations happen is decided by the runtime crates.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    frames: Vec<Option<FrameRef>>,
+    frames: Vec<Option<PageFrame>>,
     /// How many slots hold a frame.
     mapped: usize,
 }
@@ -223,14 +108,19 @@ impl PageTable {
     }
 
     /// The frame of `page`, if it is mapped.
-    fn slot(&self, page: PageId) -> Option<&FrameRef> {
+    fn slot(&self, page: PageId) -> Option<&PageFrame> {
         self.frames.get(page.0)?.as_ref()
+    }
+
+    /// The frame of `page`, if it is mapped, for writing.
+    fn slot_mut(&mut self, page: PageId) -> Option<&mut PageFrame> {
+        self.frames.get_mut(page.0)?.as_mut()
     }
 
     /// The protection state of `page` (`Unmapped` if the node never touched
     /// it).
     pub fn protection(&self, page: PageId) -> Protection {
-        self.slot(page).map_or(Protection::Unmapped, |f| f.lock().protection)
+        self.slot(page).map_or(Protection::Unmapped, |f| f.protection)
     }
 
     /// Checks whether an access may proceed without a fault.
@@ -238,31 +128,39 @@ impl PageTable {
         AccessOutcome::of(self.protection(page), is_write)
     }
 
-    /// Maps `page` zero-filled with the given protection. An existing frame
-    /// is reset in place (contents zeroed, twin dropped, dirty cleared) so
-    /// that outstanding [`FrameRef`]s keep observing the live frame.
-    pub fn map_zeroed(&mut self, page: PageId, protection: Protection) -> FrameRef {
-        let (frame, fresh) = self.frame_or_map(page, protection);
-        if !fresh {
-            let mut guard = frame.lock();
-            guard.page = Page::zeroed();
-            guard.protection = protection;
-            guard.twin = None;
-            guard.dirty = false;
+    /// The frame of `page` if its protection allows the access, else why
+    /// not: the one check a checked access makes, in the same hold as the
+    /// byte operation that follows it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the access's outcome when it faults.
+    pub fn checked_frame(
+        &mut self,
+        page: PageId,
+        is_write: bool,
+    ) -> Result<&mut PageFrame, AccessOutcome> {
+        let Some(frame) = self.slot_mut(page) else { return Err(AccessOutcome::Unmapped) };
+        match AccessOutcome::of(frame.protection, is_write) {
+            AccessOutcome::Hit => Ok(frame),
+            fault => Err(fault),
         }
-        Arc::clone(frame)
+    }
+
+    /// Maps `page` zero-filled with the given protection, replacing any
+    /// frame it had (contents, twin and dirty flag go with it).
+    pub fn map_zeroed(&mut self, page: PageId, protection: Protection) {
+        let slot = page.slot_in(&mut self.frames);
+        self.mapped += usize::from(slot.is_none());
+        *slot = Some(PageFrame::new(protection));
     }
 
     /// Returns the frame for `page`, mapping it zero-filled with
-    /// `protection` if the node never touched it, and whether it did.
-    fn frame_or_map(&mut self, page: PageId, protection: Protection) -> (&FrameRef, bool) {
+    /// `protection` if the node never touched it.
+    fn frame_or_map(&mut self, page: PageId, protection: Protection) -> &mut PageFrame {
         let slot = page.slot_in(&mut self.frames);
-        let fresh = slot.is_none();
-        self.mapped += usize::from(fresh);
-        let frame = slot.get_or_insert_with(|| {
-            Arc::new(Frame::new(PageFrame::new(Page::zeroed(), protection)))
-        });
-        (frame, fresh)
+        self.mapped += usize::from(slot.is_none());
+        slot.get_or_insert_with(|| PageFrame::new(protection))
     }
 
     /// Returns the frame for `page`.
@@ -270,8 +168,8 @@ impl PageTable {
     /// # Errors
     ///
     /// Returns [`MemError::Unmapped`] if the page is not mapped.
-    pub fn frame(&self, page: PageId) -> Result<FrameRef, MemError> {
-        self.slot(page).map(Arc::clone).ok_or(MemError::Unmapped(page))
+    pub fn frame(&self, page: PageId) -> Result<&PageFrame, MemError> {
+        self.slot(page).ok_or(MemError::Unmapped(page))
     }
 
     /// Whether `page` is mapped at all.
@@ -281,27 +179,26 @@ impl PageTable {
 
     /// Sets the protection of `page`, mapping it zero-filled if necessary.
     pub fn set_protection(&mut self, page: PageId, protection: Protection) {
-        self.frame_or_map(page, protection).0.lock().protection = protection;
+        self.frame_or_map(page, protection).protection = protection;
     }
 
     /// Makes a mapped, readable `page` `Invalid` in one table probe and
     /// returns whether it was one; any other page is left alone.
     pub fn invalidate(&mut self, page: PageId) -> bool {
-        let Some(frame) = self.slot(page) else { return false };
-        let mut guard = frame.lock();
-        let readable = guard.protection.allows_read();
+        let Some(frame) = self.slot_mut(page) else { return false };
+        let readable = frame.protection.allows_read();
         if readable {
-            guard.protection = Protection::Invalid;
+            frame.protection = Protection::Invalid;
         }
         readable
     }
 
-    /// The paper's `Create_twins` and `Write_enable` on one page, under one
-    /// frame lock: makes `page` writable and dirty, mapping it zero-filled
-    /// if the node never touched it. With `twin`, a clean page is twinned
-    /// and a dirty one keeps what it has; without it (`WRITE_ALL`: every
-    /// byte is overwritten) any twin is dropped. So a dirty frame without a
-    /// twin is a `WRITE_ALL` page until [`write_protect`](Self::write_protect).
+    /// The paper's `Create_twins` and `Write_enable` on one page: makes
+    /// `page` writable and dirty, mapping it zero-filled if the node never
+    /// touched it. With `twin`, a clean page is twinned and a dirty one
+    /// keeps what it has; without it (`WRITE_ALL`: every byte is
+    /// overwritten) any twin is dropped. So a dirty frame without a twin is
+    /// a `WRITE_ALL` page until [`write_protect`](Self::write_protect).
     ///
     /// The twin shares the page's bytes: the interval's first write to the
     /// frame is what copies them, and a page that is enabled but never
@@ -309,48 +206,47 @@ impl PageTable {
     ///
     /// Returns whether a twin was created.
     pub fn write_enable(&mut self, page: PageId, twin: bool) -> bool {
-        let mut guard = self.frame_or_map(page, Protection::ReadWrite).0.lock();
-        let twinned = twin && !guard.dirty;
+        let frame = self.frame_or_map(page, Protection::ReadWrite);
+        let twinned = twin && !frame.dirty;
         if twinned {
-            guard.twin = Some(guard.page.clone());
+            frame.twin = Some(frame.page.clone());
         } else if !twin {
-            guard.twin = None;
+            frame.twin = None;
         }
-        guard.dirty = true;
-        guard.protection = Protection::ReadWrite;
+        frame.dirty = true;
+        frame.protection = Protection::ReadWrite;
         twinned
     }
 
-    /// The paper's `Write_protect` on one dirty page, under one frame lock:
-    /// clears the dirty flag, makes the page read-only and moves its twin
-    /// out together with a copy of the page's current contents — the two
-    /// pages a diff of the interval that just ended is encoded from,
-    /// whenever that happens. The copy shares the frame's bytes (and is the
-    /// next interval's twin's bytes too) until the frame is next written; a
-    /// twin that still shares them with the copy marks an interval that
-    /// never wrote the page.
+    /// The paper's `Write_protect` on one dirty page: clears the dirty flag,
+    /// makes the page read-only and moves its twin out together with a copy
+    /// of the page's current contents — the two pages a diff of the interval
+    /// that just ended is encoded from, whenever that happens. The copy
+    /// shares the frame's bytes (and is the next interval's twin's bytes
+    /// too) until the frame is next written; a twin that still shares them
+    /// with the copy marks an interval that never wrote the page.
     ///
     /// Returns `None` for a `WRITE_ALL` page (dirty without a twin), or if
     /// `page` is not mapped.
     pub fn write_protect(&mut self, page: PageId) -> Option<(Page, Page)> {
-        let mut guard = self.slot(page)?.lock();
-        guard.dirty = false;
-        guard.protection = Protection::ReadOnly;
-        let twin = guard.twin.take()?;
-        Some((twin, guard.page.clone()))
+        let frame = self.slot_mut(page)?;
+        frame.dirty = false;
+        frame.protection = Protection::ReadOnly;
+        let twin = frame.twin.take()?;
+        Some((twin, frame.page.clone()))
     }
 
     /// The pages currently on the dirty list, in address order (which is
     /// slot order).
     pub fn dirty_pages(&self) -> Vec<PageId> {
         let slots = self.frames.iter().enumerate();
-        let dirty = slots.filter(|(_, f)| f.as_ref().is_some_and(|f| f.lock().dirty));
+        let dirty = slots.filter(|(_, f)| f.as_ref().is_some_and(|f| f.dirty));
         dirty.map(|(page, _)| PageId(page)).collect()
     }
 
     /// Whether `page` currently has a twin.
     pub fn has_twin(&self, page: PageId) -> bool {
-        self.slot(page).is_some_and(|f| f.lock().twin.is_some())
+        self.slot(page).is_some_and(|f| f.twin.is_some())
     }
 
     /// Encodes the modifications made to `page` since its twin was created:
@@ -361,22 +257,20 @@ impl PageTable {
     /// Returns `None` if the page has no twin (nothing was recorded). The twin
     /// is left in place.
     pub fn create_diff(&self, page: PageId) -> Option<Diff> {
-        let guard = self.slot(page)?.lock();
-        let twin = guard.twin.as_ref()?;
-        Some(Diff::create(twin.as_slice(), guard.page.as_slice()))
+        let frame = self.slot(page)?;
+        let twin = frame.twin.as_ref()?;
+        Some(Diff::create(twin.as_slice(), frame.page.as_slice()))
     }
 
     /// Applies a batch of diffs, mapping a page zero-filled if the node never
-    /// touched it, with **one frame resolution per page-run**: consecutive
-    /// records for the same page reuse the frame handle (and its lock)
-    /// instead of re-walking the table per record. This is the entry point
-    /// the runtime's synchronization-point batching builds on — all diffs
-    /// collected at one barrier or lock acquire are applied in a single
-    /// pass. Callers are expected to pre-sort the batch (same-page records
-    /// adjacent, causal order within a page); the method applies records
-    /// exactly in the order given. A page's twin receives every diff too: it
-    /// records the pre-*local*-modification state, so remote diffs must not
-    /// be re-reported as local writes.
+    /// touched it. This is the entry point the runtime's
+    /// synchronization-point batching builds on — all diffs collected at one
+    /// barrier or lock acquire are applied in a single pass. Callers are
+    /// expected to pre-sort the batch (same-page records adjacent, causal
+    /// order within a page); the method applies records exactly in the order
+    /// given. A page's twin receives every diff too: it records the
+    /// pre-*local*-modification state, so remote diffs must not be
+    /// re-reported as local writes.
     ///
     /// # Errors
     ///
@@ -386,19 +280,10 @@ impl PageTable {
     where
         I: IntoIterator<Item = (PageId, &'a Diff)>,
     {
-        let mut run: Option<(PageId, FrameRef)> = None;
         for (page, diff) in records {
-            let frame = match &run {
-                Some((current, frame)) if *current == page => Arc::clone(frame),
-                _ => {
-                    let frame = Arc::clone(self.frame_or_map(page, Protection::ReadWrite).0);
-                    run = Some((page, Arc::clone(&frame)));
-                    frame
-                }
-            };
-            let mut guard = frame.lock();
-            diff.apply(guard.page.as_mut_slice())?;
-            if let Some(twin) = guard.twin.as_mut() {
+            let frame = self.frame_or_map(page, Protection::ReadWrite);
+            diff.apply(frame.page.as_mut_slice())?;
+            if let Some(twin) = frame.twin.as_mut() {
                 diff.apply(twin.as_mut_slice())?;
             }
         }
@@ -413,7 +298,7 @@ impl PageTable {
         for (page, run, at) in AddrRange::new(addr, buf.len()).page_runs() {
             let buf = &mut buf[at..at + run.len()];
             match self.slot(page) {
-                Some(frame) => buf.copy_from_slice(&frame.lock().page.as_slice()[run]),
+                Some(frame) => buf.copy_from_slice(&frame.page.as_slice()[run]),
                 None => buf.fill(0),
             }
         }
@@ -430,17 +315,17 @@ impl PageTable {
     pub fn install_bytes(&mut self, addr: Addr, data: &[u8]) {
         for (page, run, at) in AddrRange::new(addr, data.len()).page_runs() {
             let data = &data[at..at + run.len()];
-            let mut guard = self.frame_or_map(page, Protection::ReadOnly).0.lock();
-            guard.page.as_mut_slice()[run.clone()].copy_from_slice(data);
-            if let Some(twin) = guard.twin.as_mut() {
+            let frame = self.frame_or_map(page, Protection::ReadOnly);
+            frame.page.as_mut_slice()[run.clone()].copy_from_slice(data);
+            if let Some(twin) = frame.twin.as_mut() {
                 twin.as_mut_slice()[run].copy_from_slice(data);
             }
         }
     }
 
     /// Reads `range` into `buf` with the protection check and the copy done
-    /// under **one frame resolution per page-run** (the bulk entry point the
-    /// fast access layer builds on, instead of check + copy per element).
+    /// once per page-run (the bulk entry point, instead of check + copy per
+    /// element).
     ///
     /// On a fault the bytes of preceding pages have already been copied;
     /// callers resolve the fault and retry.
@@ -455,26 +340,19 @@ impl PageTable {
     pub fn read_checked(&self, range: AddrRange, buf: &mut [u8]) -> Result<(), AccessFault> {
         assert_eq!(buf.len(), range.len(), "buffer must cover the range exactly");
         for (page, run, at) in range.page_runs() {
-            let Some(frame) = self.slot(page) else {
-                return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
+            let Some(frame) = self.slot(page).filter(|f| f.protection.allows_read()) else {
+                return Err(AccessFault { page, outcome: self.check_access(page, false) });
             };
-            let guard = frame.lock();
-            if !guard.protection.allows_read() {
-                return Err(AccessFault {
-                    page,
-                    outcome: AccessOutcome::of(guard.protection, false),
-                });
-            }
-            buf[at..at + run.len()].copy_from_slice(&guard.page.as_slice()[run]);
+            buf[at..at + run.len()].copy_from_slice(&frame.page.as_slice()[run]);
         }
         Ok(())
     }
 
     /// Writes `data` over `range` with the protection check and the copy done
-    /// under one frame resolution per page-run. Unlike
-    /// [`install_bytes`](Self::install_bytes) this never maps pages: a page that
-    /// is not mapped read-write is a fault the caller must resolve (twin +
-    /// write-enable), which keeps the write-detection protocol honest.
+    /// once per page-run. Unlike [`install_bytes`](Self::install_bytes) this
+    /// never maps pages: a page that is not mapped read-write is a fault the
+    /// caller must resolve (twin + write-enable), which keeps the
+    /// write-detection protocol honest.
     ///
     /// # Errors
     ///
@@ -486,17 +364,9 @@ impl PageTable {
     pub fn write_checked(&mut self, range: AddrRange, data: &[u8]) -> Result<(), AccessFault> {
         assert_eq!(data.len(), range.len(), "data must cover the range exactly");
         for (page, run, at) in range.page_runs() {
-            let Some(frame) = self.slot(page) else {
-                return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
-            };
-            let mut guard = frame.lock();
-            if !guard.protection.allows_write() {
-                return Err(AccessFault {
-                    page,
-                    outcome: AccessOutcome::of(guard.protection, true),
-                });
-            }
-            guard.page.as_mut_slice()[run.clone()].copy_from_slice(&data[at..at + run.len()]);
+            let frame =
+                self.checked_frame(page, true).map_err(|outcome| AccessFault { page, outcome })?;
+            frame.page.as_mut_slice()[run.clone()].copy_from_slice(&data[at..at + run.len()]);
         }
         Ok(())
     }
@@ -704,54 +574,31 @@ mod tests {
         assert!(matches!(table.frame(PageId(9)), Err(MemError::Unmapped(PageId(9)))));
     }
 
+    /// The slot holds the frame itself: what an apply and a protection
+    /// change did is what the next lookup reads, and a remap replaces the
+    /// frame with a zeroed one.
     #[test]
-    fn a_leased_frame_is_the_lessees_alone_until_checkin() {
-        let mut table = PageTable::new();
-        let frame = table.map_zeroed(PageId(6), Protection::ReadWrite);
-        // The lease is taken before the other thread exists, so its lock()
-        // cannot return until the check-in — and must then see the
-        // lessee's write.
-        let mut lease = frame.checkout();
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| frame.lock().page.as_slice()[3]);
-            lease.page.as_mut_slice()[3] = 8;
-            lease.protection = Protection::ReadOnly;
-            frame.checkin(lease);
-            assert_eq!(waiter.join().unwrap(), 8);
-        });
-        assert_eq!(table.protection(PageId(6)), Protection::ReadOnly);
-        // A second lease on the same frame starts from the returned state.
-        assert_eq!(frame.checkout().page.as_slice()[3], 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "without a matching checkout")]
-    fn checkin_requires_a_checkout() {
-        let mut table = PageTable::new();
-        let frame = table.map_zeroed(PageId(1), Protection::ReadOnly);
-        frame.checkin(PageFrame::new(Page::zeroed(), Protection::ReadOnly));
-    }
-
-    #[test]
-    fn frame_handles_are_stable_across_install_and_remap() {
-        // A cached FrameRef must keep observing the live frame, or a stale
-        // software-TLB entry could read a detached copy with old protection.
+    fn a_frame_reads_what_was_applied_and_a_remap_zeroes_it() {
         let mut table = PageTable::new();
         let page = PageId(2);
-        let frame = table.map_zeroed(page, Protection::ReadWrite);
+        table.map_zeroed(page, Protection::ReadWrite);
         let mut incoming = vec![0u8; PAGE_SIZE];
         incoming[7] = 9;
         let diff = Diff::create(&vec![0u8; PAGE_SIZE], &incoming);
         table.apply_diff_batch([(page, &diff)]).unwrap();
         table.set_protection(page, Protection::ReadOnly);
-        let again = table.frame(page).unwrap();
-        assert!(Arc::ptr_eq(&frame, &again), "applying must not replace the frame");
-        assert_eq!(frame.lock().protection, Protection::ReadOnly);
-        assert_eq!(frame.lock().page.as_slice()[7], 9);
-        let remapped = table.map_zeroed(page, Protection::Invalid);
-        assert!(Arc::ptr_eq(&frame, &remapped), "remapping must not replace the frame");
-        assert_eq!(frame.lock().protection, Protection::Invalid);
-        assert_eq!(frame.lock().page.as_slice()[7], 0);
+        let frame = table.frame(page).unwrap();
+        assert_eq!(frame.protection, Protection::ReadOnly);
+        assert_eq!(frame.page.as_slice()[7], 9);
+        assert_eq!(table.checked_frame(page, false).unwrap().page.as_slice()[7], 9);
+        assert_eq!(table.checked_frame(page, true).unwrap_err(), AccessOutcome::WriteProtected);
+        table.write_enable(page, true);
+        table.map_zeroed(page, Protection::Invalid);
+        let frame = table.frame(page).unwrap();
+        assert_eq!((frame.protection, frame.page.as_slice()[7]), (Protection::Invalid, 0));
+        assert!(!frame.dirty && frame.twin.is_none(), "a remap drops twin and dirty flag");
+        assert_eq!(table.checked_frame(page, false).unwrap_err(), AccessOutcome::Invalid);
+        assert_eq!(table.pages_in_use(), 1, "a remap maps no second frame");
     }
 
     #[test]

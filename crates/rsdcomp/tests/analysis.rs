@@ -537,8 +537,8 @@ fn kernel_for_compiles_once_per_run_and_hands_every_processor_the_same_kernel() 
 fn jacobi_shaped_plans_prepare_once_then_warm() {
     // All-push steady state: after the first preparation no flush boundary
     // ever occurs, so subsequent push entries carry no sections and run on
-    // the mappings already cached — the plan reproduces the hand-written
-    // push variant's cost shape.
+    // the pages the first preparation left writable — the plan reproduces
+    // the hand-written push variant's cost shape.
     let kernel = compile(&jacobi_shaped_program(), 4);
     assert_eq!(kernel.barriers(), 0, "a fully pushable loop keeps no barrier");
     let plan = kernel.plan_for(1);

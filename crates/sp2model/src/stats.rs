@@ -117,14 +117,14 @@ define_stats! {
     gc_trimmed_notices,
     /// Broadcast sends (one logical message delivered to all other nodes).
     broadcasts,
-    /// Acquisitions of a node's global page-table lock (the serialisation
-    /// point the software-TLB fast path exists to avoid).
+    /// Acquisitions of a node's global page-table lock: one per checked
+    /// access, plus the protocol's own holds.
     table_lock_acquires,
-    /// Shared accesses served from the software TLB without touching the
-    /// global page-table lock.
+    /// Always 0: nothing increments it. It counted the accesses a software
+    /// TLB served without the table lock, and there is none any more; the
+    /// benchmark still reads it until ROADMAP item 9 drops it.
     tlb_hits,
-    /// Shared accesses that missed (or were staled out of) the software TLB
-    /// and took the slow, table-locked path.
+    /// Always 0, like `tlb_hits`: the accesses that TLB missed.
     tlb_misses,
     /// Always 0: nothing increments it. It counted the neighbour
     /// synchronizations that replaced barriers, which no longer exist; the

@@ -73,7 +73,6 @@ mod run;
 mod server;
 mod sharedarray;
 mod state;
-mod tlb;
 mod types;
 mod watch;
 

@@ -46,7 +46,7 @@ use crate::message::TmkMessage;
 use crate::run::RunShared;
 use crate::server::{self, Lane};
 use crate::sharedarray::{Shareable, SharedArray, SharedMatrix};
-use crate::tlb::NodeGate;
+use crate::state::NodeShared;
 use crate::types::{ProcId, Vt};
 use crate::watch::Label;
 
@@ -78,10 +78,9 @@ pub struct Process {
     /// Every node of the run, this one's endpoint among them: what a
     /// request this processor sends is served through.
     lanes: Arc<[Lane]>,
-    /// The software TLB with the frames it holds on lease, and the only way
-    /// to the node's `proto` and `table` locks (which returns the leases
-    /// first — see [`NodeGate`]).
-    node: NodeGate,
+    /// The node's state shared with the threads serving its requests: its
+    /// `proto` and `table` locks, taken in that order.
+    node: Arc<NodeShared>,
     /// The node's statistics counters (shared with its handlers).
     stats: SharedStats,
     cost: CostModel,
@@ -119,7 +118,7 @@ impl Process {
             stats: shared.stats.clone(),
             cost: shared.cost.clone(),
             run: Arc::clone(&shared.run),
-            node: NodeGate::new(shared),
+            node: shared,
             clock: VirtualClock::new(),
             heap: SharedAlloc::new(),
             pending: VecDeque::new(),
@@ -151,31 +150,28 @@ impl Process {
         &self.clock
     }
 
-    /// The node's statistics counters (shared with its handlers). Every
-    /// snapshot read through here is exact: the TLB hits the access path
-    /// counts locally are added in first.
+    /// The node's statistics counters (shared with its handlers).
     pub fn stats(&self) -> &SharedStats {
-        self.node.publish_hits();
         &self.stats
     }
 
     /// Number of per-interval entries currently in this node's diff cache —
     /// the quantity the barrier garbage-collection horizon bounds.
-    pub fn diff_cache_entries(&mut self) -> usize {
-        self.node.unleased().proto().cached_entries()
+    pub fn diff_cache_entries(&self) -> usize {
+        self.node.proto.lock().cached_entries()
     }
 
     /// Number of `(processor, interval)` records in this node's notice log.
-    pub fn notice_log_records(&mut self) -> usize {
-        self.node.unleased().proto().notice_log.interval_count()
+    pub fn notice_log_records(&self) -> usize {
+        self.node.proto.lock().notice_log.interval_count()
     }
 
     /// The garbage-collection horizon distributed with the last barrier
     /// departure: own diffs at or below its component for this node, and
     /// notices it covers, have been dropped. Always covered by the last
     /// global vector timestamp.
-    pub fn gc_horizon(&mut self) -> Vt {
-        self.node.unleased().proto().gc_horizon.clone()
+    pub fn gc_horizon(&self) -> Vt {
+        self.node.proto.lock().gc_horizon.clone()
     }
 
     /// Debug builds only: the reply-port messages this processor received
@@ -218,8 +214,6 @@ impl Process {
     {
         let k = self.once_seq;
         self.once_seq += 1;
-        // The call may block on another processor's `init`.
-        self.node.return_leases();
         self.run.spmd_once(self.proc_id(), k, init)
     }
 
@@ -267,11 +261,9 @@ impl Process {
 
     /// Sends a request to `dest`'s request port on the interrupt path and
     /// serves it: this thread drains the port, unless another already is
-    /// (see [`server::drain`]). The leases go back first — a handler may
-    /// wait for a frame, and this thread may be the one holding it.
+    /// (see [`server::drain`]).
     fn send_request(&mut self, dest: ProcId, msg: TmkMessage) {
         self.send(dest, Port::Request, msg, true);
-        self.node.return_leases();
         server::drain(&self.lanes, dest, self.me);
     }
 
@@ -292,9 +284,6 @@ impl Process {
         if let Some(pos) = self.pending.iter().position(|e| pred(&e.payload)) {
             return self.pending.remove(pos).expect("position is in range");
         }
-        // About to block on another thread: it may be serving this node's
-        // requests, which may need a frame.
-        self.node.return_leases();
         let me = self.proc_id();
         self.run.board.wait(me, Label::Text(what.into()));
         loop {

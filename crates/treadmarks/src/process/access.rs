@@ -1,30 +1,19 @@
-//! The checked access path: the software-TLB fast path, the faulting slow
-//! path behind it, and first-touch caching of mappings. There is one path —
-//! a [`SharedArray`]'s elements never straddle a page (see
-//! [`SharedArray::new`]), so every access is a `page_op` on exactly one frame.
+//! The checked access path and the fault handler behind it. There is one
+//! path — a [`SharedArray`]'s elements never straddle a page (see
+//! [`SharedArray::new`]), so every access is a `page_op` on exactly one
+//! frame.
 
-use pagedmem::{AccessOutcome, AddrRange, PageFrame, PageId, PageTable};
+use pagedmem::{AccessOutcome, PageFrame, PageId};
 
 use super::sync::PrepTally;
 use super::Process;
 use crate::sharedarray::{Shareable, SharedArray};
-use crate::tlb::Unleased;
-
-/// Caches the mappings of the warm list's mapped pages, skipping those
-/// already cached, under a table lock the caller holds for another reason.
-/// Whether a page is valid is not looked at (no frame is locked): an access
-/// through the entry reads the frame's own protection and faults as it must.
-pub(super) fn warm_ranges_locked(node: &mut Unleased<'_>, table: &PageTable, warm: &[AddrRange]) {
-    for page in warm.iter().flat_map(AddrRange::pages) {
-        node.cache(page, table);
-    }
-}
 
 impl Process {
     /// Runs `f` on the frame of `page` with the access's legality
-    /// established. The warm path finds the page's entry and reads the
-    /// protection of the frame it holds on lease — no lock of any kind and
-    /// no atomic operation. The cold path runs the fault handler.
+    /// established: one hold of the node's table lock reads the frame's
+    /// protection and runs `f`. A refused access lets the lock go, runs the
+    /// fault handler and tries again.
     #[inline]
     fn page_op<R>(
         &mut self,
@@ -33,33 +22,14 @@ impl Process {
         f: impl FnOnce(&mut PageFrame) -> R,
     ) -> R {
         loop {
-            if let Some(frame) = self.node.access(page, is_write) {
-                return f(frame);
-            }
-            self.stats.tlb_misses(1);
-            self.slow_fill(page, is_write);
-        }
-    }
-
-    /// The cold path of an access: one look at the table says whether the
-    /// access faults and caches the page's mapping if it had none; then the
-    /// fault, if any, is resolved.
-    #[cold]
-    fn slow_fill(&mut self, page: PageId, is_write: bool) {
-        let (outcome, pages_in_use) = {
-            let mut node = self.node.unleased();
-            let table = node.table();
-            node.cache(page, &table);
-            (table.check_access(page, is_write), table.pages_in_use())
-        };
-        if outcome.is_fault() {
+            let (outcome, pages_in_use) = {
+                let mut table = self.node.lock_table();
+                match table.checked_frame(page, is_write) {
+                    Ok(frame) => return f(frame),
+                    Err(outcome) => (outcome, table.pages_in_use()),
+                }
+            };
             self.resolve_fault(page, is_write, outcome, pages_in_use);
-        }
-        if outcome == AccessOutcome::Unmapped {
-            // The fault mapped the page; only now is there a frame to cache.
-            let mut node = self.node.unleased();
-            let table = node.table();
-            node.cache(page, &table);
         }
     }
 
@@ -154,7 +124,7 @@ impl Process {
         self.clock.advance(self.cost.page_fault_cost(pages_in_use));
         if outcome != AccessOutcome::WriteProtected && self.in_flight_covers(page) {
             self.complete_in_flight(true);
-            outcome = self.node.unleased().table().check_access(page, is_write);
+            outcome = self.node.lock_table().check_access(page, is_write);
             if !outcome.is_fault() {
                 return;
             }
@@ -167,7 +137,7 @@ impl Process {
             // Make the now valid page writable: twin (unless the page is
             // under `WRITE_ALL`), enable, and put it on the dirty list.
             let (prep, pages_in_use) = {
-                let mut table = self.node.unleased().table();
+                let mut table = self.node.lock_table();
                 let twinned = table.write_enable(page, true);
                 (PrepTally { twinned: u64::from(twinned), protect_ranges: 1 }, table.pages_in_use())
             };

@@ -10,7 +10,6 @@ use pagedmem::{AddrRange, PageId, PageTable};
 use racecheck::SyncKind;
 use sp2model::{VirtualClock, VirtualTime};
 
-use super::access::warm_ranges_locked;
 use super::interval::{apply_notices_locked, sync_vt_locked, NoticeTally};
 use super::sync::{prep_writes_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
@@ -446,9 +445,9 @@ impl Process {
     /// piggybacked on the arrival, and then performs the *entire*
     /// post-departure protocol step — write-notice application, serving
     /// the piggybacked requests routed to this processor, write
-    /// preparation, mapping caching, the garbage-collection trim and a
-    /// reduction's install — under a single page-table-lock hold before
-    /// returning what is still outstanding.
+    /// preparation, the garbage-collection trim and a reduction's install
+    /// — under a single page-table-lock hold before returning what is
+    /// still outstanding.
     ///
     /// With a `reduction` ([`reduce_add`](Self::reduce_add)) no interval
     /// ends: the barrier carries the reduction's words, and everything else
@@ -499,7 +498,7 @@ impl Process {
         // This processor's own request: its advertised timestamp, sent as
         // its difference from the previous barrier's global timestamp.
         let my_request = (!pending.pages.is_empty()).then(|| {
-            let mut proto = self.node.unleased().proto();
+            let mut proto = self.node.proto.lock();
             let vt = sync_vt_locked(&mut proto, &pending.pages);
             let pages = pending.pages.as_slice().into();
             SyncFetchRequest::new(me, &vt, &proto.last_global_vt, pages)
@@ -549,9 +548,8 @@ impl Process {
         } else {
             let parent = (me - 1) / arity;
             let (arrival, tally, pages_in_use) = {
-                let node = self.node.unleased();
-                let mut proto = node.proto();
-                let mut table = node.table();
+                let mut proto = self.node.proto.lock();
+                let mut table = self.node.lock_table();
                 let buffers = &mut self.buffers;
                 let tally = fold_arrivals_locked(&mut proto, &mut table, &mut arrivals, buffers);
                 let base = &proto.last_global_vt;
@@ -591,9 +589,8 @@ impl Process {
 
         // --- One lock hold for the whole post-exchange protocol step. ---
         let (tally, prep, departures, served, trimmed, pages_in_use) = {
-            let mut node = self.node.unleased();
-            let mut proto = node.proto();
-            let mut table = node.table();
+            let mut proto = self.node.proto.lock();
+            let mut table = self.node.lock_table();
             let buffers = &mut self.buffers;
             // The notices: the departure's batch below the root, the
             // arrivals' at the root, which builds the batch every departure
@@ -645,7 +642,6 @@ impl Process {
             );
             let served = serve_requests_locked(&proto, &table, &routed);
             let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut pending.deferred);
-            warm_ranges_locked(&mut node, &table, &plan.warm);
             // Trim last, after every request of this synchronization point
             // has been served from the pre-trim state. The horizon can
             // never exceed the global VT in any component (applied

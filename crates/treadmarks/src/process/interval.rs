@@ -135,9 +135,8 @@ impl Process {
     /// produces no notice). Every release runs it, which makes it the
     /// paper's `Write_protect`: nothing else re-protects a written page.
     pub(super) fn flush_interval(&mut self) {
-        let node = self.node.unleased();
-        let mut proto = node.proto();
-        let mut table = node.table();
+        let mut proto = self.node.proto.lock();
+        let mut table = self.node.lock_table();
         let dirty = table.dirty_pages();
         if dirty.is_empty() {
             return;
@@ -388,7 +387,7 @@ mod tests {
                     write_twinned: vec![whole(1)],
                     ..PhasePlan::default()
                 });
-                assert!(!p.node.unleased().table().has_twin(y), "a twinned write adds no twin");
+                assert!(!p.node.lock_table().has_twin(y), "a twinned write adds no twin");
             }
             // Each check reads the barrier's own flush: the next barrier's
             // trim drops it, as nobody maps either page.
@@ -798,9 +797,9 @@ mod oracle {
                 }
                 continue;
             }
-            let dirty = table.frame(page).map(|f| f.lock().dirty).unwrap_or(false);
+            let dirty = table.frame(page).is_ok_and(|f| f.dirty);
             match table.protection(page) {
-                Protection::Unmapped => drop(table.map_zeroed(page, Protection::ReadOnly)),
+                Protection::Unmapped => table.map_zeroed(page, Protection::ReadOnly),
                 _ if dirty => table.set_protection(page, Protection::ReadWrite),
                 _ => table.set_protection(page, Protection::ReadOnly),
             }

@@ -4,12 +4,12 @@ use std::collections::HashSet;
 
 use pagedmem::PageId;
 
-use super::access::warm_ranges_locked;
 use super::interval::{apply_notices_locked, sync_vt_locked};
 use super::sync::{prep_writes_locked, wants_for_pages_locked, Outstanding, PhasePlan};
 use super::{Process, SyncOp};
 use crate::message::TmkMessage;
 use crate::notice::Segment;
+use crate::server;
 use crate::state::ProtoState;
 use crate::types::{Interval, LockId, ProcId};
 
@@ -34,7 +34,7 @@ impl Process {
         self.stats.lock_acquires(1);
         let me = self.proc_id();
         let (manager, vt, lowered) = {
-            let mut proto = self.node.unleased().proto();
+            let mut proto = self.node.proto.lock();
             let state = proto.locks.entry(lock).or_default();
             assert!(!state.held, "lock {lock} acquired re-entrantly");
             // Mark the acquire as in flight *before* the request leaves:
@@ -76,9 +76,8 @@ impl Process {
         let TmkMessage::LockGrant { notices, piggyback, .. } = env.payload else { unreachable!() };
         // One lock hold for the entire acquire-side protocol step.
         let (tally, prep, wants, pages_in_use) = {
-            let mut node = self.node.unleased();
-            let mut proto = node.proto();
-            let mut table = node.table();
+            let mut proto = self.node.proto.lock();
+            let mut table = self.node.lock_table();
             // The granter's timestamp, merged by the apply: the grant's
             // notices, those above ours, determine it.
             let tally = apply_notices_locked(&mut proto, &mut table, [Segment::Owned(notices)]);
@@ -90,8 +89,6 @@ impl Process {
                 piggyback.iter().map(|r| (r.page, r.proc, r.interval)).collect();
             let wants = wants_for_pages_locked(&mut proto, &pending.pages, &in_hand);
             let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut pending.deferred);
-            // Cache what is mapped so the overlap body runs lock-free.
-            warm_ranges_locked(&mut node, &table, &plan.warm);
             (tally, prep, wants, table.pages_in_use())
         };
         self.charge_notices(&tally, pages_in_use);
@@ -109,16 +106,17 @@ impl Process {
     /// Panics if this processor does not hold the lock.
     pub fn lock_release(&mut self, lock: LockId) {
         self.flush_interval();
-        let node = self.node.unleased();
         let pending = {
-            let mut proto = node.proto();
+            let mut proto = self.node.proto.lock();
             let state = proto.locks.entry(lock).or_default();
             assert!(std::mem::take(&mut state.held), "releasing a lock that is not held");
             std::mem::take(&mut state.queued)
         };
+        // Each queued requester is granted exactly as the node's
+        // lock-forward handler would have.
         for req in pending {
-            let endpoint = &self.lanes[self.me].endpoint;
-            node.grant(endpoint, lock, &req, req.arrived_at.max(self.clock.now()));
+            let at = req.arrived_at.max(self.clock.now());
+            server::send_grant(self.endpoint(), &self.node, lock, &req, at, true);
         }
     }
 }

@@ -6,7 +6,6 @@ use std::collections::HashSet;
 use msgnet::Port;
 use pagedmem::AddrRange;
 
-use super::access::warm_ranges_locked;
 use super::race::detect_push_races_locked;
 use super::Process;
 use crate::message::TmkMessage;
@@ -17,14 +16,11 @@ impl Process {
     /// analyzable phase: the contents of each range in `sends` travel
     /// directly to their consumer, and one `PushData` message is awaited
     /// from every processor in `recv_from`. Received bytes are installed in
-    /// place — no twins, diffs, write notices or invalidations. A cached
-    /// mapping of an installed page keeps serving: the install returned its
-    /// lease and wrote into the very frame the entry names.
+    /// place — no twins, diffs, write notices or invalidations.
     ///
     /// The exchange is batched like the barrier protocol: *one* table-lock
     /// hold reads every outgoing chunk, and after all pushes have arrived
-    /// *one* hold installs everything and caches the mappings of the
-    /// received ranges.
+    /// *one* hold installs everything.
     ///
     /// Each destination's ranges ship as given: coalesced, in address order.
     ///
@@ -43,7 +39,7 @@ impl Process {
             // One hold for every outgoing chunk read.
             type Outgoing = Vec<(ProcId, Vec<(AddrRange, Vec<u8>)>)>;
             let outgoing: Outgoing = {
-                let table = self.node.unleased().table();
+                let table = self.node.lock_table();
                 sends
                     .map(|(dest, ranges)| {
                         assert_ne!(dest, me, "a processor does not push to itself");
@@ -77,10 +73,8 @@ impl Process {
         if received.is_empty() {
             return;
         }
-        let installed = AddrRange::coalesce(received.iter().map(|&(_, r, _)| r).collect());
-        let mut node = self.node.unleased();
-        let mut proto = node.proto();
-        let mut table = node.table();
+        let mut proto = self.node.proto.lock();
+        let mut table = self.node.lock_table();
         if let Some(log) = &self.run.race {
             detect_push_races_locked(&self.stats, log, &proto, &table, &received);
         }
@@ -90,7 +84,6 @@ impl Process {
         for (_, range, data) in &received {
             proto.install_raw(&mut table, range.start(), data);
         }
-        warm_ranges_locked(&mut node, &table, &installed);
     }
 }
 

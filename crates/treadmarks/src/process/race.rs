@@ -42,7 +42,7 @@ impl Reporter<'_> {
 /// delta, or the whole page if it is dirty without a twin (`WRITE_ALL`).
 /// `None` when the page is clean.
 fn open_interval_writes(table: &PageTable, page: PageId) -> Option<Vec<(u32, u32)>> {
-    if !table.frame(page).is_ok_and(|f| f.lock().dirty) {
+    if !table.frame(page).is_ok_and(|f| f.dirty) {
         return None;
     }
     match table.create_diff(page) {

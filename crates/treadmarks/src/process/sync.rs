@@ -14,7 +14,6 @@ use dsm_core::hash::IntMap;
 use pagedmem::{AddrRange, PageId, PageTable, Protection, PAGE_SIZE};
 use racecheck::SyncKind;
 
-use super::access::warm_ranges_locked;
 use super::interval::contiguous_runs;
 use super::race::detect_races_locked;
 use super::Process;
@@ -40,11 +39,11 @@ pub enum SyncOp {
 }
 
 /// A lowered description of one compiler-analyzed phase: what must be
-/// fetched, how written pages are prepared, and which mappings to cache in
-/// the software TLB. Built by the `ctrt` crate from `RegularSection`s;
-/// consumed by the aggregate entry points ([`Process::sync_phase`] and
-/// [`Process::prepare_phase`]) so that *all* per-phase protocol work happens
-/// under a single page-table-lock hold per synchronization step.
+/// fetched and how written pages are prepared. Built by the `ctrt` crate
+/// from `RegularSection`s; consumed by the aggregate entry points
+/// ([`Process::sync_phase`] and [`Process::prepare_phase`]) so that *all*
+/// per-phase protocol work happens under a single page-table-lock hold per
+/// synchronization step.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhasePlan {
     /// Pages whose old contents must be made consistent before the phase,
@@ -61,15 +60,12 @@ pub struct PhasePlan {
     /// overwritten — fetched like a read, but no twin is kept (the flush
     /// ships the whole page).
     pub read_write_all: Vec<AddrRange>,
-    /// Ranges whose mappings the software TLB caches, where it does not
-    /// hold them yet, under the lock holds the phase's calls take anyway.
-    pub warm: Vec<AddrRange>,
 }
 
 /// Write preparation postponed at issue time because the page still had
 /// missing diffs: enabling it early would let the phase read stale bytes
-/// through the fast path. The preparation is finished at the completion,
-/// after the diffs landed.
+/// without a fault. The preparation is finished at the completion, after
+/// the diffs landed.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct DeferredWrite {
     pub(super) page: PageId,
@@ -116,9 +112,6 @@ pub(super) struct Outstanding {
     pub(super) fetch_expected: Vec<(ProcId, u64)>,
     /// Write preparation postponed until the missing diffs have landed.
     pub(super) deferred: Vec<DeferredWrite>,
-    /// Mappings to cache at completion (the fetched pages may be mapped
-    /// only then).
-    warm: Vec<AddrRange>,
     /// Race detection only: the pre-acquire vector timestamp of a lock
     /// issue — the open interval's knowledge *before* the granter's
     /// timestamp was merged — used as the creating timestamp of the local
@@ -131,11 +124,10 @@ pub(super) struct Outstanding {
 
 impl Outstanding {
     /// The state of a synchronization whose merged fetch covers `plan`'s
-    /// fetch list, with nothing outstanding yet and `plan`'s mappings to
-    /// cache at completion.
+    /// fetch list, with nothing outstanding yet.
     pub(super) fn new(plan: &PhasePlan) -> Outstanding {
         debug_assert!(plan.fetch.windows(2).all(|w| w[0] < w[1]), "a fetch ascends, distinct");
-        Outstanding { pages: plan.fetch.clone(), warm: plan.warm.clone(), ..Outstanding::default() }
+        Outstanding { pages: plan.fetch.clone(), ..Outstanding::default() }
     }
 
     /// Whether the completion has nothing to wait for, install or prepare.
@@ -161,8 +153,8 @@ pub(super) struct PrepTally {
 /// writes: discarding such a page's missing diffs would lose remote writes
 /// to the uncovered bytes. A page that still misses diffs and is not
 /// overwritten unread (a twinned page, or any page of `read_write_all`) is
-/// not enabled — that would let the phase read stale bytes through the
-/// fast path — but pushed onto `deferred`, for an in-flight
+/// not enabled — that would let the phase read stale bytes without a
+/// fault — but pushed onto `deferred`, for an in-flight
 /// synchronization's completion to finish once the diffs have landed; with
 /// nothing in flight it stays the fault path's (fetch, then twin).
 ///
@@ -324,13 +316,13 @@ impl Process {
     /// pages revalidated under a single table-lock hold.
     pub fn fetch_diffs(&mut self, pages: &[PageId]) {
         let per_proc = {
-            let mut proto = self.node.unleased().proto();
+            let mut proto = self.node.proto.lock();
             wants_for_pages_locked(&mut proto, pages, &HashSet::new())
         };
         let expected = self.send_diff_requests(per_proc);
         let mut records = Vec::new();
         self.collect_diff_responses(&expected, "a diff response (fetch)", &mut records);
-        self.install_records(records, pages, &[], &[], SyncKind::Fetch, None);
+        self.install_records(records, pages, &[], SyncKind::Fetch, None);
     }
 
     /// Sends one aggregated `DiffRequest` per producer in `per_proc` and
@@ -379,9 +371,8 @@ impl Process {
     /// diffs apply in order no matter how they were delivered), drops
     /// records that are no longer missing (re-delivery is harmless),
     /// applies the survivors through the page table's batch entry point,
-    /// revalidates `pages`, finishes deferred write preparation and caches
-    /// the `warm` mappings — one global-lock acquisition for the entire
-    /// step.
+    /// revalidates `pages` and finishes deferred write preparation — one
+    /// global-lock acquisition for the entire step.
     ///
     /// The order has one rule: a page's records apply in rank order, except
     /// that a base ([`DiffRecord::base`]) goes above every delta its
@@ -408,13 +399,11 @@ impl Process {
         records: Vec<DiffRecord>,
         pages: &[PageId],
         deferred: &[DeferredWrite],
-        warm: &[AddrRange],
         sync_kind: SyncKind,
         race_vt: Option<&Vt>,
     ) {
-        let mut node = self.node.unleased();
-        let mut proto = node.proto();
-        let mut table = node.table();
+        let mut proto = self.node.proto.lock();
+        let mut table = self.node.lock_table();
         let applicable = claim_records_locked(&mut proto, records, pages);
         if let Some(log) = &self.run.race {
             detect_races_locked(&self.stats, log, &proto, &table, &applicable, sync_kind, race_vt);
@@ -444,7 +433,7 @@ impl Process {
                 }
                 continue;
             }
-            let dirty = table.frame(page).map(|f| f.lock().dirty).unwrap_or(false);
+            let dirty = table.frame(page).is_ok_and(|f| f.dirty);
             let target = if dirty { Protection::ReadWrite } else { Protection::ReadOnly };
             match table.protection(page) {
                 Protection::Unmapped => {
@@ -477,7 +466,6 @@ impl Process {
         }
         deferred_pages.sort_unstable();
         prep.protect_ranges = contiguous_runs(&deferred_pages);
-        warm_ranges_locked(&mut node, &table, warm);
         let pages_in_use = table.pages_in_use();
         drop(table);
         drop(proto);
@@ -507,14 +495,13 @@ impl Process {
 
     /// Split-phase `Validate_w_sync`: performs the synchronization operation
     /// with the plan's page list piggybacked, sends every diff request,
-    /// prepares the pages that are already consistent and caches the
-    /// sections' mappings; runs `overlap`; then waits for every response,
-    /// applies the whole batch in causal (rank) order, finishes the deferred
-    /// write preparation and caches the mappings of the fetched pages.
+    /// and prepares the pages that are already consistent; runs `overlap`;
+    /// then waits for every response, applies the whole batch in causal
+    /// (rank) order and finishes the deferred write preparation.
     ///
     /// All per-synchronization protocol work on this side — write-notice
-    /// application, serving the other processors' piggybacked requests,
-    /// write preparation and mapping caching — happens under a **single**
+    /// application, serving the other processors' piggybacked requests and
+    /// write preparation — happens under a **single**
     /// page-table-lock hold at the issue, and the install under one more.
     ///
     /// `overlap` is computation that does not need the still-missing pages:
@@ -596,15 +583,8 @@ impl Process {
             return;
         }
         let kind = sync.kind;
-        let Outstanding {
-            pages,
-            mut responders,
-            piggyback,
-            fetch_expected,
-            deferred,
-            warm,
-            race_vt,
-        } = todo;
+        let Outstanding { pages, mut responders, piggyback, fetch_expected, deferred, race_vt } =
+            todo;
         let label = |what: &'static str| {
             if first_touch {
                 "the in-flight sync's responses (first touch)"
@@ -640,10 +620,10 @@ impl Process {
         // approaches zero — the split-phase overlap, made measurable.
         let waited = self.clock.now().saturating_sub(before);
         self.stats.sync_wait_ns(waited.as_nanos());
-        self.install_records(records, &pages, &deferred, &warm, kind, race_vt.as_ref());
+        self.install_records(records, &pages, &deferred, kind, race_vt.as_ref());
     }
 
-    /// Batch write preparation and mapping caching for a phase whose data
+    /// Batch write preparation for a phase whose data
     /// is already consistent (the run-time half of a plain `Validate` after
     /// its fetch, and of the producer side of a push loop) — one table-lock
     /// hold for the whole phase.
@@ -653,13 +633,11 @@ impl Process {
     /// one protection operation per range.
     pub fn prepare_phase(&mut self, plan: &PhasePlan) {
         let (prep, pages_in_use) = {
-            let mut node = self.node.unleased();
-            let mut proto = node.proto();
-            let mut table = node.table();
+            let mut proto = self.node.proto.lock();
+            let mut table = self.node.lock_table();
             // Nothing is in flight to finish a deferred page: it stays on
             // the fault path.
             let prep = prep_writes_locked(&mut proto, &mut table, plan, &mut Vec::new());
-            warm_ranges_locked(&mut node, &table, &plan.warm);
             (prep, table.pages_in_use())
         };
         self.charge_prep(&prep, pages_in_use);

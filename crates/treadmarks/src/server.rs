@@ -81,8 +81,7 @@ impl Drop for Draining<'_> {
 /// lets go and drains again if anything arrived: a request enqueued before
 /// the holder's re-check is seen by it, one enqueued after finds the flag
 /// free (the store that frees it happens before the re-check, which is a
-/// locked read of the queue), so no request is stranded. The caller holds no
-/// lease (`DESIGN.md` §3): a handler may wait for the served node's frames.
+/// locked read of the queue), so no request is stranded.
 ///
 /// # Panics
 ///

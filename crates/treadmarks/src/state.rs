@@ -556,7 +556,7 @@ static ZERO_PAGE: [u8; pagedmem::PAGE_SIZE] = [0u8; pagedmem::PAGE_SIZE];
 /// Creates a full-page diff from the node's current copy of `page`.
 pub(crate) fn full_page_diff(table: &PageTable, page: PageId) -> Diff {
     match table.frame(page) {
-        Ok(frame) => Diff::full_page(frame.lock().page.as_slice()),
+        Ok(frame) => Diff::full_page(frame.page.as_slice()),
         // The page was never mapped here (it is still all zeros).
         Err(_) => Diff::full_page(&ZERO_PAGE),
     }
@@ -594,9 +594,8 @@ impl NodeShared {
 
     /// Acquires the node's global page-table lock, counting the acquisition.
     ///
-    /// Every table access in the runtime goes through this helper so the
-    /// `table_lock_acquires` counter faithfully measures what the software
-    /// TLB's zero-lock fast path avoids.
+    /// Every table access in the runtime goes through this helper, a
+    /// checked access included, so `table_lock_acquires` counts every hold.
     pub(crate) fn lock_table(&self) -> std::sync::MutexGuard<'_, PageTable> {
         self.stats.table_lock_acquires(1);
         self.table.lock()

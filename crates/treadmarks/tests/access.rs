@@ -1,18 +1,15 @@
-//! Adversarial tests for the software TLB: a cached mapping names the
-//! page's frame for the rest of the run, so on every path that revokes an
-//! access right (write-protect, invalidate-on-acquire, barrier write-notice
-//! application) or replaces contents (push installs) the very next access
-//! through that mapping must fault, or see the new bytes — never the old
-//! ones — and the steady-state fast path must take zero global
-//! page-table-lock acquisitions.
+//! Adversarial tests for the checked access path. Every access reads the
+//! page's own protection under the node's table lock, so on every path that
+//! revokes an access right (write-protect, invalidate-on-acquire, barrier
+//! write-notice application) or replaces contents (push installs) the very
+//! next access must fault, or see the new bytes — never the old ones — and
+//! an access to a valid page costs one table-lock hold and no fault.
 //!
-//! Since the TLB holds the frames it maps on **lease**, the second half of
-//! the file pins what a lease must never change: a requester serving its own
-//! request still gets at a frame the owner keeps hitting (liveness), every
-//! revocation path still faults the very next access to
-//! a page that was leased a moment before, the hit counter read through
-//! `Process::stats` is exact in the middle of a kernel, and a panic raised
-//! while leases are held comes out of `Dsm::run` as that panic.
+//! The second half pins liveness and failure: a requester serving its own
+//! request still gets at a page the owner keeps accessing, every revocation
+//! path still faults the very next access to a page that was accessed a
+//! moment before, and a panic raised while a peer is fetching a page comes
+//! out of `Dsm::run` as that panic.
 
 use pagedmem::{AddrRange, PAGE_SIZE};
 use sp2model::CostModel;
@@ -30,17 +27,15 @@ fn write_all(range: AddrRange) -> PhasePlan {
 const ELEMS_PER_PAGE: usize = PAGE_SIZE / 8;
 
 #[test]
-fn steady_state_valid_page_accesses_take_zero_table_locks() {
-    // The ISSUE acceptance criterion: once a page is valid and its mapping
-    // cached, reads and writes — element-wise and bulk — acquire the global
-    // page-table lock exactly zero times.
+fn n_page_runs_over_valid_pages_take_n_table_locks_and_no_fault() {
+    // A checked access is one hold of the node's table lock: once its pages
+    // are valid and writable, each element access and each page-run of a
+    // bulk access adds exactly one acquisition, and none faults.
     Dsm::run(free_config(1), |p| {
         let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
         for i in 0..a.len() {
             p.set(&a, i, i as u64);
         }
-        // No stabilising pass: the second page's fault left the first
-        // page's mapping alone.
         let before = p.stats().snapshot();
         let mut sum = 0u64;
         for _ in 0..10 {
@@ -51,23 +46,27 @@ fn steady_state_valid_page_accesses_take_zero_table_locks() {
         for i in 0..a.len() {
             p.set(&a, i, 2 * i as u64);
         }
+        let elements = 11 * a.len();
         let mut buf = vec![0u64; a.len()];
+        // Two page-runs each, the last across the page boundary.
         p.get_slice(&a, 0..a.len(), &mut buf);
         p.set_slice(&a, 0..a.len(), &buf);
+        p.get_slice(&a, ELEMS_PER_PAGE - 1..ELEMS_PER_PAGE + 1, &mut buf[..2]);
+        let runs = 3 * 2;
         let after = p.stats().snapshot();
         assert_eq!(
-            after.table_lock_acquires, before.table_lock_acquires,
-            "steady-state accesses to valid pages must not touch the table lock"
+            after.table_lock_acquires - before.table_lock_acquires,
+            (elements + runs) as u64,
+            "one table-lock hold per element access and per page-run"
         );
-        assert!(after.tlb_hits > before.tlb_hits, "the accesses must be TLB hits");
-        assert_eq!(after.tlb_misses, before.tlb_misses, "no access may miss");
-        assert_eq!(buf[1], 2);
+        assert_eq!(after.page_faults, before.page_faults, "no access to a valid page faults");
+        assert_eq!(buf[..2], [2 * (ELEMS_PER_PAGE as u64 - 1), 2 * ELEMS_PER_PAGE as u64]);
         sum
     });
 }
 
 #[test]
-fn a_write_fault_on_one_page_costs_no_miss_on_another() {
+fn a_write_fault_on_one_page_costs_no_fault_on_another() {
     // The stock plan's steady state: every interval re-faults
     // the pages it writes, and that must stay those pages' business.
     Dsm::run(free_config(1), |p| {
@@ -83,19 +82,17 @@ fn a_write_fault_on_one_page_costs_no_miss_on_another() {
         }
         let after = p.stats().snapshot();
         assert_eq!(after.page_faults, before.page_faults + 1);
-        assert_eq!(after.tlb_misses, before.tlb_misses + 1, "only the faulting access misses");
     });
 }
 
 #[test]
-fn a_cached_writable_mapping_refaults_after_the_flush_write_protects() {
+fn a_written_page_refaults_after_the_flush_write_protects() {
     Dsm::run(free_config(1), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         p.set(&a, 0, 1);
         // A release write-protects what the interval wrote.
         p.barrier();
-        // The mapping is still cached: the next write must fault (twin +
-        // re-enable), not sneak through the TLB.
+        // The next write must fault (twin + re-enable).
         let before = p.stats().snapshot();
         p.set(&a, 0, 2);
         let after = p.stats().snapshot();
@@ -106,18 +103,17 @@ fn a_cached_writable_mapping_refaults_after_the_flush_write_protects() {
 }
 
 #[test]
-fn a_cached_read_mapping_sees_the_remote_value_after_a_barriers_notices() {
-    // The central adversarial case: processor 0 caches a read mapping, the
-    // producer overwrites the page, and the barrier's write notices
-    // invalidate it. A cached entry serving the old value here would be a
-    // coherence violation.
+fn a_read_page_sees_the_remote_value_after_a_barriers_notices() {
+    // The central adversarial case: processor 0 reads a page, the producer
+    // overwrites it, and the barrier's write notices invalidate it. Serving
+    // the old value here would be a coherence violation.
     let run = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         if p.proc_id() == 1 {
             p.set(&a, 0, 5);
         }
         p.barrier();
-        assert_eq!(p.get(&a, 0), 5, "cache the read mapping");
+        assert_eq!(p.get(&a, 0), 5, "map the page readable");
         p.barrier();
         if p.proc_id() == 1 {
             p.set(&a, 0, 42);
@@ -134,11 +130,11 @@ fn a_cached_read_mapping_sees_the_remote_value_after_a_barriers_notices() {
         }
         value
     });
-    assert_eq!(run.results, vec![42, 42], "a cached entry must never serve stale data");
+    assert_eq!(run.results, vec![42, 42], "an invalidated page must never serve stale data");
 }
 
 #[test]
-fn a_cached_mapping_sees_the_remote_value_after_a_lock_grant() {
+fn a_read_page_sees_the_remote_value_after_a_lock_grant() {
     const LOCK: LockId = 7;
     let run = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
@@ -148,7 +144,7 @@ fn a_cached_mapping_sees_the_remote_value_after_a_lock_grant() {
             p.lock_release(LOCK);
         }
         p.barrier();
-        assert_eq!(p.get(&a, 3), 5, "cache the mapping");
+        assert_eq!(p.get(&a, 3), 5, "map the page readable");
         if p.proc_id() == 0 {
             p.lock_acquire(LOCK);
             p.set(&a, 3, 9);
@@ -157,7 +153,7 @@ fn a_cached_mapping_sees_the_remote_value_after_a_lock_grant() {
         } else {
             // Poll under the lock until the producer's release is visible:
             // the grant that transfers the write notice invalidates the
-            // cached page, so exactly the read that sees 9 faults.
+            // page, so exactly the read that sees 9 faults.
             loop {
                 let faults = p.stats().snapshot().page_faults;
                 p.lock_acquire(LOCK);
@@ -175,7 +171,7 @@ fn a_cached_mapping_sees_the_remote_value_after_a_lock_grant() {
 }
 
 #[test]
-fn a_cached_mapping_sees_the_pushed_bytes() {
+fn a_read_page_sees_the_pushed_bytes() {
     let run = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
         let me = p.proc_id();
@@ -186,8 +182,8 @@ fn a_cached_mapping_sees_the_pushed_bytes() {
         for i in 0..half {
             p.set(&a, me * half + i, (me * 100 + i) as u64);
         }
-        // Touch the peer's half before the push: it materialises zero-filled
-        // and the mapping is cached.
+        // Touch the peer's half before the push: it materialises
+        // zero-filled.
         assert_eq!(p.get(&a, other * half), 0);
         p.push_exchange([(other, &[mine][..])], &[other]);
         p.get(&a, other * half)
@@ -256,21 +252,20 @@ fn a_bulk_range_past_the_array_panics_inside_its_last_page() {
 }
 
 // ----------------------------------------------------------------------
-// Leases
+// Liveness and failure
 // ----------------------------------------------------------------------
 
-/// Processor 0 produces a page and then keeps hitting it (so it holds the
-/// frame on lease) while every other processor demand-fetches that page —
-/// a whole-page fetch on even rounds (`WRITE_ALL` keeps no delta, so the
-/// handler has to read the leased frame itself), ordinary diffs on odd ones.
-/// Each requester runs processor 0's handler on its own thread and waits
-/// there for the lease; the only lease-return points are the two barriers
-/// of each round.
-fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
+/// Processor 0 produces a page and then keeps accessing it while every
+/// other processor demand-fetches that page — a whole-page fetch on even
+/// rounds (`WRITE_ALL` keeps no delta, so the handler has to read the frame
+/// itself), ordinary diffs on odd ones. Each requester runs processor 0's
+/// handler on its own thread, which takes processor 0's table lock between
+/// that processor's accesses.
+fn hammer_a_page_while_peers_fetch_it(config: DsmConfig) {
     const ROUNDS: usize = 12;
     const HITS: usize = 20_000;
     let half = ELEMS_PER_PAGE / 2;
-    let run = Dsm::run(config, |p| {
+    Dsm::run(config, |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         let mut seen = 0u64;
         for round in 0..ROUNDS {
@@ -290,7 +285,7 @@ fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
             p.barrier();
             if p.proc_id() == 0 {
                 // Reads of the words the peers fetch, writes to a word
-                // nobody else touches: all hits on the leased frame.
+                // nobody else touches: none of them faults.
                 for k in 0..HITS {
                     seen = seen.wrapping_add(p.get(&a, k % half));
                     p.set(&a, a.len() - 1, k as u64);
@@ -301,28 +296,23 @@ fn hammer_a_leased_page_while_peers_fetch_it(config: DsmConfig) {
             }
             p.barrier();
         }
-        (seen, p.stats().snapshot().tlb_hits)
+        seen
     });
-    assert!(
-        run.results[0].1 >= (ROUNDS * HITS * 2) as u64,
-        "the hammering accesses were TLB hits: {}",
-        run.results[0].1
-    );
 }
 
 #[test]
-fn a_leased_page_stays_fetchable_at_2_and_8_processors() {
+fn a_hammered_page_stays_fetchable_at_2_and_8_processors() {
     for nprocs in [2, 8] {
-        hammer_a_leased_page_while_peers_fetch_it(free_config(nprocs));
+        hammer_a_page_while_peers_fetch_it(free_config(nprocs));
     }
 }
 
 #[test]
-fn the_flush_write_protect_revokes_a_leased_writable_page() {
+fn the_flush_write_protect_revokes_a_writable_page() {
     Dsm::run(free_config(1), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         p.set(&a, 0, 1);
-        p.set(&a, 1, 2); // a hit: the frame is on lease, writable
+        p.set(&a, 1, 2); // no fault: the page is writable
         let faults = p.stats().snapshot().page_faults;
         p.barrier(); // ends the interval: diff, write-protect
         p.set(&a, 0, 3);
@@ -333,7 +323,7 @@ fn the_flush_write_protect_revokes_a_leased_writable_page() {
 }
 
 #[test]
-fn a_lock_grants_invalidation_revokes_a_leased_page() {
+fn a_lock_grants_invalidation_revokes_a_read_page() {
     // Lock 0 is managed by processor 0, which takes it before the second
     // barrier: processor 1's acquire is ordered after that whatever the
     // host does, so its grant carries the notice of the write.
@@ -355,7 +345,7 @@ fn a_lock_grants_invalidation_revokes_a_leased_page() {
             9
         } else {
             assert_eq!(p.get(&a, 3), 5);
-            assert_eq!(p.get(&a, 3), 5, "a hit on the leased frame");
+            assert_eq!(p.get(&a, 3), 5, "a read that does not fault");
             let faults = p.stats().snapshot().page_faults;
             p.lock_acquire(LOCK);
             let v = p.get(&a, 3);
@@ -368,7 +358,7 @@ fn a_lock_grants_invalidation_revokes_a_leased_page() {
 }
 
 #[test]
-fn a_barriers_write_notices_revoke_a_leased_page() {
+fn a_barriers_write_notices_revoke_a_read_page() {
     let run = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
         if p.proc_id() == 1 {
@@ -382,8 +372,8 @@ fn a_barriers_write_notices_revoke_a_leased_page() {
             p.barrier();
             return 42;
         }
-        // Still the old value, and the frame is on lease right up to the
-        // barrier that delivers the notice.
+        // Still the old value, right up to the barrier that delivers the
+        // notice.
         assert_eq!(p.get(&a, 0), 5);
         let faults = p.stats().snapshot().page_faults;
         p.barrier();
@@ -395,7 +385,7 @@ fn a_barriers_write_notices_revoke_a_leased_page() {
 }
 
 #[test]
-fn a_push_install_revokes_a_leased_page() {
+fn a_push_install_reaches_a_read_page() {
     let run = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
         let me = p.proc_id();
@@ -406,63 +396,29 @@ fn a_push_install_revokes_a_leased_page() {
         for i in 0..half {
             p.set(&a, me * half + i, (me * 100 + i + 1) as u64);
         }
-        // The peer's half: materialises zero-filled, then hits on the lease.
+        // The peer's half: materialises zero-filled, then reads without a
+        // fault.
         assert_eq!(p.get(&a, other * half), 0);
         assert_eq!(p.get(&a, other * half + 1), 0);
         p.push_exchange([(other, &[mine][..])], &[other]);
         let before = p.stats().snapshot();
         let v = p.get(&a, other * half);
         let after = p.stats().snapshot();
-        // The install replaced the contents under the table lock, which the
-        // lease had to be returned for; the same mapping serves the new
-        // bytes without a fault.
+        // The install replaced the contents under the table lock; the page
+        // serves the new bytes without a fault.
         assert_eq!(after.page_faults, before.page_faults);
-        assert_eq!(after.tlb_misses, before.tlb_misses, "the received page's mapping stays cached");
-        assert_eq!(after.tlb_hits, before.tlb_hits + 1);
         v
     });
-    assert_eq!(run.results, vec![101, 1], "the pushed contents replace the leased zeros");
-}
-
-#[test]
-fn the_hit_count_is_exact_in_the_middle_of_a_kernel() {
-    Dsm::run(free_config(1), |p| {
-        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
-        for i in 0..a.len() {
-            p.set(&a, i, i as u64);
-        }
-        for i in 0..a.len() {
-            let _ = p.get(&a, i);
-        }
-        let start = p.stats().snapshot();
-        let mut done = 0u64;
-        // No synchronization, fault or miss anywhere in here: the only
-        // thing that can publish the count is the read itself.
-        for burst in [1usize, 7, 512, 3, 1000] {
-            for k in 0..burst {
-                if k % 2 == 0 {
-                    let _ = p.get(&a, (k * 37) % a.len());
-                } else {
-                    p.set(&a, (k * 41) % a.len(), k as u64);
-                }
-            }
-            done += burst as u64;
-            let now = p.stats().snapshot();
-            assert_eq!(now.tlb_hits, start.tlb_hits + done, "after {done} accesses");
-            assert_eq!(now.tlb_misses, start.tlb_misses);
-            assert_eq!(now.table_lock_acquires, start.table_lock_acquires);
-        }
-    });
+    assert_eq!(run.results, vec![101, 1], "the pushed contents replace the stale zeros");
 }
 
 #[test]
 #[should_panic(expected = "application bug while holding leases")]
-fn a_panic_while_leases_are_held_propagates_as_itself() {
-    // Processor 0 dies with the page on lease while processor 1 is
+fn a_panic_while_a_peer_fetches_the_page_propagates_as_itself() {
+    // Processor 0 dies right after reading a page while processor 1 is
     // fetching that very page (a whole-page fetch, which has the handler
-    // read the frame) and then waits at a barrier. The lease comes back
-    // when the dying processor is dropped, so the handler finishes, the
-    // peer is poisoned out of its barrier, and the run reports the
+    // read the frame) and then waits at a barrier. The handler finishes,
+    // the peer is poisoned out of its barrier, and the run reports the
     // application's own panic.
     let _ = Dsm::run(free_config(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);

@@ -223,7 +223,7 @@ fn a_four_level_tree_forwards_every_piggybacked_request() {
 
 /// A run with no peers that still walks every local step of a barrier:
 /// plain barriers, a barrier-merged fetch whose plan has twinned,
-/// `WRITE_ALL` and `READ&WRITE_ALL` written sections plus a warm list, and
+/// `WRITE_ALL` and `READ&WRITE_ALL` written sections, and
 /// the flush of the `WRITE_ALL` pages (full-page cache entries, then the
 /// GC trim of the following barrier).
 fn solo_kernel(p: &mut Process) -> u64 {
@@ -239,7 +239,6 @@ fn solo_kernel(p: &mut Process) -> u64 {
         write_twinned: vec![chunk(1)],
         write_all: vec![chunk(2)],
         read_write_all: vec![chunk(3)],
-        warm: vec![chunk(0), a.range_of(ELEMS, 4 * ELEMS)],
     };
     // Nobody answers: the pinned `sync_wait_ns` stays 0.
     p.sync_phase(SyncOp::Barrier, &plan, |_| {});
@@ -263,7 +262,9 @@ fn a_single_processor_barrier_is_the_degenerate_tree() {
     // merged fetch's completion and the one fault's fetch, neither of which
     // has anybody to receive a diff from, were the two such installs. It
     // was 493 710 ns, with two diffs created, while the flush charged the
-    // encoding (55 µs) of its two deltas, which nobody reads.
+    // encoding (55 µs) of its two deltas, which nobody reads. The table
+    // lock was taken 15 times while a software TLB served 2 324 of the
+    // accesses without it; now every access takes it once.
     let tree = DsmConfig::new(1).with_cost_model(CostModel::sp2());
     let flat = DsmConfig::new(1).with_cost_model(CostModel::sp2()).with_flat_barrier();
     let expected = StatsSnapshot {
@@ -273,9 +274,7 @@ fn a_single_processor_barrier_is_the_degenerate_tree() {
         barriers: 5,
         gc_trimmed_diffs: 4,
         gc_trimmed_notices: 2,
-        table_lock_acquires: 15,
-        tlb_hits: 2324,
-        tlb_misses: 1,
+        table_lock_acquires: 2_338,
         ..StatsSnapshot::default()
     };
     for (name, config) in [("tree", tree), ("flat", flat)] {

@@ -1,9 +1,7 @@
-//! Prints the message/byte/fault counts, table-lock acquisitions and TLB
-//! hit counts of the same neighbour-exchange access pattern under the
-//! protocol variants, reproducing the paper's qualitative result: each
-//! step up the interface (`Validate`, `Validate_w_sync`, `Push`) strictly
-//! reduces traffic — and, with the software TLB, the optimized variants
-//! run their access phases without touching the global page-table lock.
+//! Prints the message/byte/fault counts and table-lock acquisitions of the
+//! same neighbour-exchange access pattern under the protocol variants,
+//! reproducing the paper's qualitative result: each step up the interface
+//! (`Validate`, `Validate_w_sync`, `Push`) strictly reduces traffic.
 //! The story continues with the *generated* plan: the same pattern
 //! described as a two-phase IR, classified by `rsdcomp` (a pushable ring)
 //! and executed from the compiled plan — landing on the hand-coded push's
@@ -33,12 +31,11 @@ fn main() {
     let report = |name: &str, run: &ctrt_dsm::treadmarks::DsmRun<u64>| {
         let t = run.stats.total();
         println!(
-            "{name:16} msgs={:4} bytes={:7} segv={:3} tlocks={:5} tlb_hits={:6} time={}",
+            "{name:16} msgs={:4} bytes={:7} segv={:3} tlocks={:5} time={}",
             t.messages_sent,
             t.bytes_sent,
             t.page_faults,
             t.table_lock_acquires,
-            t.tlb_hits,
             run.execution_time()
         );
     };
