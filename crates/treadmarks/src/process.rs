@@ -285,7 +285,7 @@ impl Process {
             return self.pending.remove(pos).expect("position is in range");
         }
         let me = self.proc_id();
-        self.run.board.wait(me, Label::Text(what.into()));
+        self.run.board.wait(me, Label::Text(what));
         loop {
             let env = match self.endpoint().recv_timeout(Port::Reply, self.run.watchdog) {
                 Ok(env) => env,

@@ -90,8 +90,7 @@ impl RunShared {
         let value = match cell.value.get() {
             Some(value) => value,
             None => {
-                let label = format!("SPMD once-cell #{k} (initialising on another processor)");
-                self.board.wait(me, Label::Text(label.into()));
+                self.board.wait(me, Label::Once(k));
                 let value = cell.value.get_or_init(|| {
                     // This thread won the cell: it is running, not parked.
                     self.board.done(me);

@@ -8,18 +8,18 @@
 //! panic message can show the whole cluster's wait state at once: exactly
 //! the information needed to read a protocol deadlock from a failing test.
 
-use std::borrow::Cow;
-
 use dsm_core::sync::Mutex;
 
 use crate::types::ProcId;
 
-/// What a thread is blocked on: a fixed text, or the node whose requests it
-/// serves, rendered only when read, so a drain allocates nothing to say so.
+/// What a thread is blocked on: a fixed text, the node whose requests it
+/// serves, or the SPMD once-cell another processor is building. The last two
+/// are rendered only when read, so waiting allocates nothing to say so.
 #[derive(Debug)]
 pub(crate) enum Label {
-    Text(Cow<'static, str>),
+    Text(&'static str),
     Serving(ProcId),
+    Once(usize),
 }
 
 /// One label slot per thread of the run.
@@ -57,6 +57,7 @@ impl WaitBoard {
         self.slots[proc].lock().as_ref().map(|label| match label {
             Label::Text(text) => text.to_string(),
             Label::Serving(node) => format!("serving P{node}'s requests"),
+            Label::Once(k) => format!("SPMD once-cell #{k} (initialising on another processor)"),
         })
     }
 
@@ -81,7 +82,7 @@ mod tests {
     fn labels_set_clear_and_dump() {
         let board = WaitBoard::new(2);
         assert_eq!(board.label(0), None);
-        board.wait(0, Label::Text("a lock grant for lock 3".into()));
+        board.wait(0, Label::Text("a lock grant for lock 3"));
         let outer = board.wait(1, Label::Serving(0));
         assert_eq!(board.label(0).as_deref(), Some("a lock grant for lock 3"));
         let dump = board.dump();

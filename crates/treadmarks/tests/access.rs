@@ -11,6 +11,8 @@
 //! moment before, and a panic raised while a peer is fetching a page comes
 //! out of `Dsm::run` as that panic.
 
+use std::time::{Duration, Instant};
+
 use pagedmem::{AddrRange, PAGE_SIZE};
 use sp2model::CostModel;
 use treadmarks::{Dsm, DsmConfig, LockId, PhasePlan, Process, Shareable};
@@ -153,7 +155,10 @@ fn a_read_page_sees_the_remote_value_after_a_lock_grant() {
         } else {
             // Poll under the lock until the producer's release is visible:
             // the grant that transfers the write notice invalidates the
-            // page, so exactly the read that sees 9 faults.
+            // page, so exactly the read that sees 9 faults. The poll is
+            // bounded, so a read that never sees the release fails instead
+            // of spinning.
+            let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 let faults = p.stats().snapshot().page_faults;
                 p.lock_acquire(LOCK);
@@ -164,6 +169,10 @@ fn a_read_page_sees_the_remote_value_after_a_lock_grant() {
                 if v == 9 {
                     return v;
                 }
+                assert!(
+                    Instant::now() < deadline,
+                    "the release never became visible: last read {v}"
+                );
             }
         }
     });
